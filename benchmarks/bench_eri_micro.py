@@ -224,11 +224,7 @@ def run_schedule(output: Path, nranks: int = 8) -> dict:
     workloads = {"uniform": np.ones(ntasks), "skewed": skewed}
 
     def drain(schedule: str, costs) -> dict:
-        sch = make_scheduler(
-            schedule, ntasks, nranks,
-            costs=costs if schedule in ("static", "steal") else None,
-            seed=11,
-        )
+        sch = make_scheduler(schedule, ntasks, nranks, costs=costs)
         fetch = 0.05 * float(costs.mean())
         clock = [0.0] * nranks
         done = [False] * nranks
@@ -388,8 +384,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--schedule", action="store_true",
-        help="run the distribution-strategy matrix instead: drain all "
-             "four schedulers (dlb/static/guided/steal) over uniform "
+        help="run the distribution-strategy matrix instead: drain both "
+             "schedulers (dlb/static) over uniform "
              "and skewed quartet-cost workloads and emit "
              "BENCH_sched.json (deterministic; CI gates on it exactly)",
     )
@@ -439,12 +435,14 @@ def main(argv: list[str] | None = None) -> int:
 
 def _bench_run(args, output: Path) -> tuple[int, dict]:
     if args.schedule:
+        from repro.parallel.scheduler import SCHEDULE_NAMES
+
         record = run_schedule(output, nranks=args.ranks)
         print(f"fixture                : {record['fixture']}")
         print(f"ranks x tasks          : {record['nranks']} x "
               f"{record['ntasks']}")
         for label in ("uniform", "skewed"):
-            for sched in ("dlb", "static", "guided", "steal"):
+            for sched in SCHEDULE_NAMES:
                 print(f"{label:>8s} {sched:<7s}: "
                       f"imb {record[f'{label}_{sched}_imbalance']:.4f}  "
                       f"rpcs {record[f'{label}_{sched}_counter_ops']:>5d}  "
@@ -458,7 +456,7 @@ def _bench_run(args, output: Path) -> tuple[int, dict]:
                 and all(
                     record[f"{w}_{s}_imbalance"] >= 1.0
                     for w in ("uniform", "skewed")
-                    for s in ("dlb", "static", "guided", "steal")
+                    for s in SCHEDULE_NAMES
                 )
             )
             if not ok:

@@ -61,7 +61,7 @@ logger = logging.getLogger("repro.cli")
 
 ALGORITHMS = ("mpi-only", "private-fock", "shared-fock")
 BACKENDS = ("sim", "process")
-SCHEDULES = ("dlb", "static", "guided", "steal")
+SCHEDULES = ("dlb", "static")
 BATCH_POLICIES = ("fifo", "binned", "sjf", "auto")
 DATASETS = ("0.5nm", "1.0nm", "1.5nm", "2.0nm", "5.0nm")
 TARGETS = (
@@ -208,13 +208,7 @@ def _add_backend_args(sub: argparse.ArgumentParser) -> None:
         "--schedule", choices=SCHEDULES, default="dlb",
         help="task-distribution strategy: 'dlb' is the paper's dynamic "
              "shared counter (default); 'static' pre-partitions with "
-             "Schwarz work estimates (zero counter traffic); 'guided' "
-             "claims shrinking chunks; 'steal' gives each rank a deque "
-             "and steals deterministically when one drains",
-    )
-    sub.add_argument(
-        "--steal-seed", type=int, default=0, metavar="SEED",
-        help="victim scan-order seed of --schedule steal (default: 0)",
+             "Schwarz work estimates (zero counter traffic)",
     )
     sub.add_argument(
         "--backend", choices=BACKENDS, default="sim",
@@ -1065,7 +1059,7 @@ def cmd_scf(args: argparse.Namespace) -> int:
             inner = UHFPrivateFockBuilder(
                 basis, h, nranks=nranks, nthreads=args.threads,
                 eri_cache_mb=_cache_mb(args), fault_plan=plan,
-                schedule=args.schedule, steal_seed=args.steal_seed,
+                schedule=args.schedule,
             )
             backend_obj = make_backend(
                 backend, workers=nranks, **backend_options
@@ -1110,7 +1104,7 @@ def cmd_scf(args: argparse.Namespace) -> int:
                 basis, args.algorithm, nranks=nranks, nthreads=args.threads,
                 backend=backend, backend_options=backend_options,
                 eri_cache_mb=_cache_mb(args), fault_plan=plan,
-                schedule=args.schedule, steal_seed=args.steal_seed,
+                schedule=args.schedule,
                 incremental=args.incremental,
                 rebuild_every=args.rebuild_every,
             ) as scf:
@@ -1200,7 +1194,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         basis, args.algorithm, nranks=nranks, nthreads=nthreads,
         backend=backend, backend_options=backend_options,
         eri_cache_mb=_cache_mb(args), fault_plan=plan,
-        schedule=args.schedule, steal_seed=args.steal_seed,
+        schedule=args.schedule,
     )
     tracer = Tracer()
     registry = MetricsRegistry()

@@ -267,15 +267,11 @@ class ParallelFockBuilderBase:
         (the default) disables caching — the build stays fully direct.
     schedule:
         Task-distribution strategy: ``dlb`` (the paper's dynamic
-        counter, default), ``static`` (cost-weighted pre-partition,
-        zero counter traffic), ``guided`` (shrinking chunks), or
-        ``steal`` (per-rank deques with deterministic work stealing).
-    steal_seed:
-        Seed of the ``steal`` strategy's victim scan order.
+        counter, default) or ``static`` (LPT pre-partition weighted by
+        :meth:`work_estimates`, zero counter traffic).
     dlb_policy:
         Grant policy of the simulated DDI counter (``round_robin`` /
-        ``block`` / ``cost_greedy``); only meaningful with
-        ``schedule="dlb"``.
+        ``block``); only meaningful with ``schedule="dlb"``.
     thread_schedule / thread_chunk:
         OpenMP-style schedule of the thread-level loop.
     track_races:
@@ -307,7 +303,6 @@ class ParallelFockBuilderBase:
         eri_cache: QuartetCache | None = None,
         eri_cache_mb: float | None = None,
         schedule: str = "dlb",
-        steal_seed: int = 0,
         dlb_policy: str = "round_robin",
         thread_schedule: str = "dynamic",
         thread_chunk: int = 1,
@@ -338,7 +333,6 @@ class ParallelFockBuilderBase:
                 f"unknown schedule {schedule!r}; choose from {SCHEDULE_NAMES}"
             )
         self.schedule = schedule
-        self.steal_seed = steal_seed
         self.dlb_policy = dlb_policy
         self.thread_schedule = thread_schedule
         self.thread_chunk = thread_chunk
@@ -350,7 +344,7 @@ class ParallelFockBuilderBase:
     # backend-facing rank-program interface:
     #
     #   dlb_ntasks()                      size of the DLB index space
-    #   dlb_costs()                       per-task costs (cost_greedy) or None
+    #   work_estimates()                  per-task costs (static) or None
     #   rank_program(rank, grants, density, W, *, barrier=None)
     #                                     one rank's share of the build;
     #                                     accumulates into W in place and
@@ -364,12 +358,8 @@ class ParallelFockBuilderBase:
         """Size of the global DLB index space of one build."""
         raise NotImplementedError
 
-    def dlb_costs(self) -> np.ndarray | None:
-        """Per-task cost estimates under ``cost_greedy`` (else ``None``)."""
-        return None
-
     def work_estimates(self) -> np.ndarray | None:
-        """Per-task work estimates for cost-aware schedules (or ``None``)."""
+        """Per-task work estimates weighting ``schedule="static"`` (or ``None``)."""
         return None
 
     @property
@@ -379,13 +369,10 @@ class ParallelFockBuilderBase:
 
     def make_scheduler(self) -> Scheduler:
         """The build's grant scheduler under the configured strategy."""
-        costs = (
-            self.dlb_costs() if self.schedule == "dlb"
-            else self.work_estimates()
-        )
+        costs = self.work_estimates() if self.schedule == "static" else None
         return make_scheduler(
             self.schedule, self.dlb_ntasks(), self.nranks,
-            costs=costs, policy=self.dlb_policy, seed=self.steal_seed,
+            costs=costs, policy=self.dlb_policy,
         )
 
     def rank_program(

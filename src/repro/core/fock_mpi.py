@@ -43,11 +43,6 @@ class MPIOnlyFockBuilder(ParallelFockBuilderBase):
     def dlb_ntasks(self) -> int:
         return npairs(self.nshells)
 
-    def dlb_costs(self) -> np.ndarray | None:
-        if self.dlb_policy != "cost_greedy":
-            return None
-        return self.work_estimates()
-
     def work_estimates(self) -> np.ndarray:
         """Schwarz-screened surviving-quartet counts per bra pair."""
         return self.screening.pair_survivor_counts()

@@ -123,11 +123,6 @@ class PrivateFockBuilder(ParallelFockBuilderBase):
         stats.quartets_computed = sum(stats.per_rank_quartets)
         return self._finish(results[0], stats, world, [])
 
-    def dlb_costs(self) -> np.ndarray | None:
-        if self.dlb_policy != "cost_greedy":
-            return None
-        return self.work_estimates()
-
     def work_estimates(self) -> np.ndarray:
         # Cost of MPI task i ~ number of (j, k, l) iterations under it.
         return np.array(

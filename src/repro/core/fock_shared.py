@@ -214,11 +214,6 @@ class SharedFockBuilder(ParallelFockBuilderBase):
         if tracker is not None:
             tracker.record_block(thread, W.shape, rows, cols)
 
-    def dlb_costs(self) -> np.ndarray | None:
-        if self.dlb_policy != "cost_greedy":
-            return None
-        return self.work_estimates()
-
     def work_estimates(self) -> np.ndarray:
         """Schwarz-screened surviving-quartet counts per bra pair."""
         return self.screening.pair_survivor_counts()

@@ -47,11 +47,6 @@ class UHFPrivateFockBuilder(ParallelFockBuilderBase):
     def dlb_ntasks(self) -> int:
         return self.nshells
 
-    def dlb_costs(self) -> np.ndarray | None:
-        if self.dlb_policy != "cost_greedy":
-            return None
-        return self.work_estimates()
-
     def work_estimates(self) -> np.ndarray:
         # Cost of MPI task i ~ number of (j, k) iterations under it.
         return np.array(

@@ -315,10 +315,9 @@ class TimelineAnalysis:
         """Winning-strategy recommendation for this workload's imbalance.
 
         A near-flat per-rank busy profile means the grant traffic of a
-        dynamic counter buys nothing — static wins; mild skew is
-        absorbed by guided chunks at a fraction of the counter
-        round-trips; heavy skew needs per-task balancing (dlb or
-        steal — steal when counter latency dominates, i.e. off-node).
+        dynamic counter buys nothing — static wins; any real skew in
+        *measured* busy time is what the estimates behind a static
+        partition missed, so it needs per-task balancing (dlb).
         """
         imb = self.rank_imbalance
         observed = self.schedule
@@ -328,17 +327,11 @@ class TimelineAnalysis:
                 f"rank imbalance {imb:.3f} <= 1.05: pre-partitioning "
                 "matches the dynamic balance with zero counter traffic"
             )
-        elif imb <= 1.20:
-            recommended = "guided"
-            reason = (
-                f"rank imbalance {imb:.3f} <= 1.20: shrinking chunks "
-                "absorb the skew with one fetch per chunk"
-            )
         else:
-            recommended = "steal" if observed == "steal" else "dlb"
+            recommended = "dlb"
             reason = (
-                f"rank imbalance {imb:.3f} > 1.20: per-task balancing "
-                "needed (dlb; steal when counter latency dominates)"
+                f"rank imbalance {imb:.3f} > 1.05: per-task balancing "
+                "needed"
             )
         return {
             "observed": observed,

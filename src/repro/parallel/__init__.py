@@ -14,7 +14,10 @@ deterministically:
   broadcast, barrier) have real data semantics and are metered for the
   performance model.
 * :class:`~repro.parallel.dlb.DynamicLoadBalancer` — the shared global
-  task counter (``ddi_dlbnext``), with pluggable grant policies.
+  task counter (``ddi_dlbnext``), the paper's task distribution
+  (``schedule="dlb"``); :class:`~repro.parallel.scheduler.StaticScheduler`
+  is the one alternative, a cost-weighted pre-partition
+  (``schedule="static"``).  Both serve the same ``next(rank)`` grants.
 * :class:`~repro.parallel.threads.ThreadTeam` — OpenMP-style thread
   scheduling: ``static`` / ``dynamic`` chunked partitions, loop
   collapsing, per-thread private storage.
@@ -30,10 +33,8 @@ from repro.parallel.comm import CollectiveStats, SimComm, SimWorld
 from repro.parallel.dlb import DynamicLoadBalancer
 from repro.parallel.scheduler import (
     SCHEDULE_NAMES,
-    GuidedScheduler,
     Scheduler,
     StaticScheduler,
-    WorkStealingScheduler,
     make_scheduler,
 )
 from repro.parallel.threads import ThreadTeam, split_chunks
@@ -49,8 +50,6 @@ __all__ = [
     "Scheduler",
     "SCHEDULE_NAMES",
     "StaticScheduler",
-    "GuidedScheduler",
-    "WorkStealingScheduler",
     "make_scheduler",
     "ThreadTeam",
     "split_chunks",

@@ -5,14 +5,13 @@ from repro.parallel.backend.base import (
     ExecutionBackend,
     make_backend,
 )
-from repro.parallel.backend.counter import SharedTaskCounter, SharedWorkBoard
+from repro.parallel.backend.counter import SharedTaskCounter
 from repro.parallel.backend.sim import SimBackend
 
 __all__ = [
     "BACKEND_NAMES",
     "ExecutionBackend",
     "SharedTaskCounter",
-    "SharedWorkBoard",
     "SimBackend",
     "make_backend",
 ]

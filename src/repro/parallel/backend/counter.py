@@ -113,194 +113,3 @@ class SharedTaskCounter:
     def close(self) -> None:
         """Release the owner board's shared-memory block."""
         self._owner.close(unlink=True)
-
-
-class SharedWorkBoard:
-    """Lock-backed per-rank work queues shared across worker processes.
-
-    The process-backend counterpart of the static / guided /
-    work-stealing strategies in :mod:`repro.parallel.scheduler`, just
-    as :class:`SharedTaskCounter` is the counterpart of the dynamic
-    counter.  One lock guards the whole board; ``next(rank)`` pops the
-    rank's own queue head, refills from the global chunk cursor
-    (guided), or pops the first non-empty victim's tail in the rank's
-    deterministic victim order (steal).
-
-    Claims are recorded on an owner board *and* a claim-sequence board
-    inside the same lock, so ``owned(rank)`` returns the dead rank's
-    exact claim order even though grants are no longer monotone in the
-    task index — the parent's kill-recovery replay stays bitwise
-    identical to what the dead worker was accumulating.
-    """
-
-    def __init__(
-        self,
-        capacity: int,
-        nranks: int,
-        strategy: str,
-        *,
-        partition: list[list[int]] | None = None,
-        victim_order: list[list[int]] | None = None,
-        min_chunk: int = 1,
-        ctx: mp.context.BaseContext | None = None,
-    ) -> None:
-        if capacity < 0:
-            raise ValueError("capacity must be non-negative")
-        if nranks < 1:
-            raise ValueError("nranks must be positive")
-        if strategy not in ("static", "guided", "steal"):
-            raise ValueError(
-                f"unknown work-board strategy {strategy!r}; "
-                "choose from ('static', 'guided', 'steal')"
-            )
-        if strategy in ("static", "steal") and partition is None:
-            raise ValueError(f"strategy {strategy!r} requires a partition")
-        if strategy == "steal" and victim_order is None:
-            raise ValueError("strategy 'steal' requires a victim order")
-        if min_chunk < 1:
-            raise ValueError("min_chunk must be positive")
-        if ctx is None:
-            ctx = mp.get_context("fork")
-        self.capacity = capacity
-        self.nranks = nranks
-        self.strategy = strategy
-        self.min_chunk = min_chunk
-        self._partition = partition
-        self._victims = victim_order
-        # The clock Value's lock guards every other field: per-grant
-        # claim sequence for replay ordering, plus the queues/cursors.
-        self._clock = ctx.Value("q", 0)
-        self._ntasks = ctx.Value("q", 0, lock=False)
-        self._gcur = ctx.Value("q", 0, lock=False)
-        self._nsteals = ctx.Value("q", 0, lock=False)
-        self._nchunks = ctx.Value("q", 0, lock=False)
-        self._queue = SharedNDArray((max(capacity, 1),), np.int64)
-        self._seg = SharedNDArray((nranks, 2), np.int64)
-        self._owner = SharedNDArray((max(capacity, 1),), np.int64)
-        self._order = SharedNDArray((max(capacity, 1),), np.int64)
-        self._owner.fill(-1)
-        self._order.fill(-1)
-        self._seg.fill(0)
-
-    @property
-    def ntasks(self) -> int:
-        """Active task-space size of the current build."""
-        return int(self._ntasks.value)
-
-    @property
-    def steals(self) -> int:
-        """Steal transfers performed in the current build."""
-        return int(self._nsteals.value)
-
-    @property
-    def chunks(self) -> int:
-        """Guided chunks fetched in the current build."""
-        return int(self._nchunks.value)
-
-    def reset(self, ntasks: int) -> None:
-        """Rewind for a new build (parent-side, workers quiescent)."""
-        if ntasks > self.capacity:
-            raise ValueError(
-                f"ntasks={ntasks} exceeds board capacity {self.capacity}"
-            )
-        with self._clock.get_lock():
-            self._clock.value = 0
-            self._ntasks.value = ntasks
-            self._gcur.value = 0
-            self._nsteals.value = 0
-            self._nchunks.value = 0
-            self._owner.array[:] = -1
-            self._order.array[:] = -1
-            if self.strategy == "guided":
-                self._seg.array[:] = 0
-            else:
-                pos = 0
-                for r, tasks in enumerate(self._partition):
-                    self._seg.array[r] = (pos, pos + len(tasks))
-                    self._queue.array[pos:pos + len(tasks)] = tasks
-                    pos += len(tasks)
-                if pos != ntasks:
-                    raise ValueError(
-                        f"partition covers {pos} task(s), expected {ntasks}"
-                    )
-
-    def _record(self, task: int, rank: int) -> int:
-        self._owner.array[task] = rank
-        self._order.array[task] = self._clock.value
-        self._clock.value += 1
-        return int(task)
-
-    def next(self, rank: int) -> int | None:
-        """Claim the next task for ``rank``, or ``None`` when drained.
-
-        Same grant protocol as :meth:`SharedTaskCounter.next`: every
-        index in ``[0, ntasks)`` is granted exactly once across all
-        callers, whichever queue (own, chunk, or victim) it came from.
-        """
-        with self._clock.get_lock():
-            if self.strategy == "guided":
-                return self._next_guided(rank)
-            head, tail = self._seg.array[rank]
-            if head < tail:
-                self._seg.array[rank, 0] = head + 1
-                return self._record(int(self._queue.array[head]), rank)
-            if self.strategy == "steal":
-                for victim in self._victims[rank]:
-                    vhead, vtail = self._seg.array[victim]
-                    if vhead < vtail:
-                        self._seg.array[victim, 1] = vtail - 1
-                        self._nsteals.value += 1
-                        return self._record(
-                            int(self._queue.array[vtail - 1]), rank
-                        )
-            return None
-
-    def _next_guided(self, rank: int) -> int | None:
-        pos, end = self._seg.array[rank]
-        if pos >= end:
-            g = int(self._gcur.value)
-            n = int(self._ntasks.value)
-            if g >= n:
-                return None
-            remaining = n - g
-            size = min(
-                remaining, max(self.min_chunk, -(-remaining // self.nranks))
-            )
-            pos, end = g, g + size
-            self._gcur.value = end
-            self._nchunks.value += 1
-        self._seg.array[rank] = (pos + 1, end)
-        return self._record(pos, rank)
-
-    def claimed(self) -> int:
-        """Number of tasks granted so far in this build."""
-        with self._clock.get_lock():
-            return int(self._clock.value)
-
-    def owned(self, rank: int) -> list[int]:
-        """Task indices claimed by ``rank``, in claim order.
-
-        Grants are not monotone in the task index here (steals take
-        tails), so the claim-sequence board — not index order — defines
-        the replay order.
-        """
-        board = self._owner.array[: self.ntasks]
-        idx = np.nonzero(board == rank)[0]
-        seq = self._order.array[idx]
-        return [int(t) for t in idx[np.argsort(seq, kind="stable")]]
-
-    def unclaimed(self) -> list[int]:
-        """Task indices never granted to any rank, ascending."""
-        board = self._owner.array[: self.ntasks]
-        return [int(t) for t in np.nonzero(board == -1)[0]]
-
-    def owners(self) -> np.ndarray:
-        """Copy of the owner board (-1 = unclaimed)."""
-        return self._owner.array[: self.ntasks].copy()
-
-    def close(self) -> None:
-        """Release the board's shared-memory blocks."""
-        self._queue.close(unlink=True)
-        self._seg.close(unlink=True)
-        self._owner.close(unlink=True)
-        self._order.close(unlink=True)

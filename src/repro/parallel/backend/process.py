@@ -14,7 +14,9 @@ verbatim — but on real OS processes:
   ``dlbnext`` grants whose rank assignment depends on arrival timing.
   Grant interleaving is genuinely nondeterministic; the reduced Fock
   matrix is partition-independent, which the parity suite certifies
-  against the deterministic sim backend (<= 1e-10 Hartree).
+  against the deterministic sim backend (<= 1e-10 Hartree).  Under
+  ``schedule="static"`` there is no counter at all: each build command
+  carries the rank's pre-computed share and the worker walks that list.
 * The reduction is performed by the parent in rank order — the same
   floating-point association as the sim world's slot reduction — after
   all workers report.
@@ -23,11 +25,11 @@ Fault injection is *real* here: a :class:`~repro.resilience.faults
 .FaultPlan` ``kill`` event makes the worker ``os._exit`` at a
 task-claim boundary mid-build (no result, partial slab); ``delay``
 events put the worker to sleep.  Recovery is parent-side: a lost
-worker's slab is zeroed and its claimed tasks (the counter's owner
-board remembers them, in claim order) are replayed by the parent into
-the same reduction slot, then the worker is respawned for the next
-build.  ``corrupt`` events are a wire-level sim concept and do not fire
-in this backend.
+worker's slab is zeroed and its tasks (the counter's owner board
+remembers its claims, in claim order; a static rank's are its whole
+share) are replayed by the parent into the same reduction slot, then
+the worker is respawned for the next build.  ``corrupt`` events are a
+wire-level sim concept and do not fire in this backend.
 
 Observability: each worker traces its rank program into per-worker
 spans/events NDJSON under ``obs_dir/worker<r>/``, timestamped against
@@ -66,8 +68,7 @@ from repro.obs.stream import ObsStreamer
 from repro.obs.telemetry import get_telemetry
 from repro.obs.tracer import Tracer, get_tracer, use_tracer
 from repro.parallel.backend.base import ExecutionBackend
-from repro.parallel.backend.counter import SharedTaskCounter, SharedWorkBoard
-from repro.parallel.scheduler import steal_victim_order
+from repro.parallel.backend.counter import SharedTaskCounter
 from repro.parallel.backend.heartbeat import (
     DEFAULT_INTERVAL_S,
     DEFAULT_TIMEOUT_S,
@@ -102,11 +103,13 @@ def _worker_loop(
     hb: Any,
     cfg: dict,
 ) -> None:
-    """One worker process: serve ``("build", cycle, tau)`` commands forever.
+    """One worker process: serve ``("build", cycle, tau, share)`` commands forever.
 
-    Everything arrives through fork inheritance (no pickling): the sim
-    builder (whose ``rank_program`` we execute), the shared counter,
-    the shared-memory views, and the heartbeat queue.
+    Everything else arrives through fork inheritance (no pickling): the
+    sim builder (whose ``rank_program`` we execute), the shared counter
+    (``None`` under ``schedule="static"``, where ``share`` is this
+    rank's whole grant sequence), the shared-memory views, and the
+    heartbeat queue.
     """
     tracer = Tracer() if cfg["obs_dir"] is not None else None
     log = EventLog() if cfg["obs_dir"] is not None else None
@@ -145,8 +148,7 @@ def _worker_loop(
             if streamer is not None:
                 streamer.close()
             return
-        cycle = msg[1]
-        tau = msg[2]
+        _, cycle, tau, share = msg
         if tau != builder.screening.tau:
             # The parent retuned the screening threshold between builds
             # (incremental-Fock density screening); follow suit.  The
@@ -170,6 +172,10 @@ def _worker_loop(
             else None
         )
 
+        claims = (
+            iter(lambda: counter.next(rank), None) if share is None
+            else iter(share)
+        )
         claim_count = 0
 
         def grants():
@@ -196,7 +202,7 @@ def _worker_loop(
                     and time.perf_counter() - last_beat >= interval
                 ):
                     beat("claim", cycle, claimed=done)
-                t = counter.next(rank)
+                t = next(claims, None)
                 if t is None:
                     return
                 yield t
@@ -256,7 +262,12 @@ class ProcessFockBuilder:
         shape = tuple(inner.accumulator_shape)
         self._density = SharedNDArray(shape)
         self._slabs = SharedNDArray((workers, *shape))
-        self._counter = self._make_counter()
+        # dlb draws from the shared counter; a static rank walks its own
+        # pre-computed share, which needs no shared state at all.
+        self._counter = (
+            SharedTaskCounter(inner.dlb_ntasks(), ctx=self._ctx)
+            if inner.schedule == "dlb" else None
+        )
         # Re-home the Schwarz matrix in shared memory *before* any fork:
         # workers then screen against the same physical pages instead of
         # copy-on-write duplicates.
@@ -279,31 +290,6 @@ class ProcessFockBuilder:
             else None
         )
         self._closed = False
-
-    def _make_counter(self) -> Any:
-        """The shared grant source for the configured strategy.
-
-        ``dlb`` keeps the classic monotone counter; the other
-        strategies get a :class:`SharedWorkBoard` whose fixed partition
-        (static/steal) and victim orders come from the deterministic
-        sim scheduler, so sim and process agree on the initial shares.
-        """
-        schedule = getattr(self.inner, "schedule", "dlb")
-        ntasks = self.inner.dlb_ntasks()
-        if schedule == "dlb":
-            return SharedTaskCounter(ntasks, ctx=self._ctx)
-        partition = None
-        victims = None
-        if schedule in ("static", "steal"):
-            partition = self.inner.make_scheduler().assignment()
-        if schedule == "steal":
-            victims = steal_victim_order(
-                self.workers, getattr(self.inner, "steal_seed", 0)
-            )
-        return SharedWorkBoard(
-            ntasks, self.workers, schedule,
-            partition=partition, victim_order=victims, ctx=self._ctx,
-        )
 
     @property
     def screening(self):
@@ -361,15 +347,19 @@ class ProcessFockBuilder:
         ):
             self._density.array[:] = density
             self._slabs.fill(0.0)
-            self._counter.reset(self.inner.dlb_ntasks())
+            if self._counter is not None:
+                self._counter.reset(self.inner.dlb_ntasks())
+                shares = [None] * self.workers
+            else:
+                shares = self.inner.make_scheduler().assignment()
             self._ensure_workers()
             if self.heartbeat is not None:
                 self.heartbeat.start_build(cycle)
             tau = float(self.inner.screening.tau)
             for rank in range(self.workers):
-                self._cmds[rank].put(("build", cycle, tau))
+                self._cmds[rank].put(("build", cycle, tau, shares[rank]))
             rrs, dead = self._collect(cycle)
-            self._recover(rrs, dead, cycle)
+            self._recover(rrs, dead, cycle, shares)
             # Reduce the per-rank slabs in rank order — the same
             # floating-point association as SimWorld's slot reduction.
             with tracer.span("fock/gsumf", backend="process"):
@@ -446,10 +436,13 @@ class ProcessFockBuilder:
         self._drain_heartbeats()
         return rrs, dead
 
-    def _recover(self, rrs: dict, dead: list[int], cycle: int) -> None:
-        """Replay each lost worker's claimed tasks in the parent.
+    def _recover(
+        self, rrs: dict, dead: list[int], cycle: int, shares: list
+    ) -> None:
+        """Replay each lost worker's tasks in the parent.
 
-        The owner board lists the dead rank's claims in claim order;
+        The owner board lists the dead rank's claims in claim order (a
+        static rank's are its whole share, in partition order);
         zero-and-replay into its own slab reproduces its contribution
         regardless of how far the worker got before dying (partial
         direct writes, unflushed column buffers, unreduced
@@ -460,9 +453,10 @@ class ProcessFockBuilder:
         registry = get_metrics()
         log = get_event_log()
         channel = get_telemetry()
-        leftover = self._counter.unclaimed()
+        counter = self._counter
+        leftover = counter.unclaimed() if counter is not None else []
         for idx, rank in enumerate(sorted(dead)):
-            tasks = self._counter.owned(rank)
+            tasks = counter.owned(rank) if counter is not None else shares[rank]
             if idx == 0 and leftover:
                 # Unclaimed tail (every worker died): fold into the
                 # first replay so no task is lost.
@@ -534,7 +528,8 @@ class ProcessFockBuilder:
                     block.close(unlink=True)
                 except Exception:  # pragma: no cover - best effort
                     pass
-            self._counter.close()
+            if self._counter is not None:
+                self._counter.close()
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
         try:

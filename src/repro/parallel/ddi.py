@@ -219,12 +219,9 @@ class DDIRuntime:
 
     # -- DLB counter --------------------------------------------------------
 
-    def dlb_reset(self, ntasks: int, *, policy: str = "round_robin",
-                  costs=None) -> None:
+    def dlb_reset(self, ntasks: int, *, policy: str = "round_robin") -> None:
         """``ddi_dlbreset``: rearm the global counter for a task space."""
-        self._dlb = DynamicLoadBalancer(
-            ntasks, self.nranks, policy=policy, costs=costs
-        )
+        self._dlb = DynamicLoadBalancer(ntasks, self.nranks, policy=policy)
         self._cycle += 1
         self._draws = [0] * self.nranks
         self._kill_after = {}

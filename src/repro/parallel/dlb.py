@@ -9,18 +9,18 @@ depends on it (modelled in :mod:`repro.perfsim`).
 The simulated balancer therefore pre-computes a grant partition under a
 chosen policy and serves it through the same one-index-at-a-time
 ``next(rank)`` interface the algorithms use (the grant machinery lives
-in :class:`repro.parallel.scheduler.Scheduler`, shared with the static,
-guided, and work-stealing strategies):
+in :class:`repro.parallel.scheduler.Scheduler`, shared with the static
+strategy):
 
 ``round_robin``
     Index ``t`` goes to rank ``t % nranks`` — what a real DLB converges
     to when task costs are uniform.
 ``block``
     Contiguous slabs (a static schedule, for ablation).
-``cost_greedy``
-    Longest-processing-time greedy assignment using per-task cost
-    estimates — the partition an ideal dynamic balancer approaches when
-    costs vary; used with real Schwarz work estimates.
+
+The cost-weighted partition an ideal dynamic balancer approaches when
+costs vary is ``schedule="static"``
+(:func:`repro.parallel.scheduler.lpt_partition`).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.parallel.scheduler import Scheduler
 
-_POLICIES = ("round_robin", "block", "cost_greedy")
+_POLICIES = ("round_robin", "block")
 
 
 class DynamicLoadBalancer(Scheduler):
@@ -42,9 +42,7 @@ class DynamicLoadBalancer(Scheduler):
     nranks:
         Number of MPI ranks drawing from the counter.
     policy:
-        One of ``round_robin`` (default), ``block``, ``cost_greedy``.
-    costs:
-        Per-task cost estimates; required for ``cost_greedy``.
+        ``round_robin`` (default) or ``block``.
     """
 
     schedule_name = "dlb"
@@ -55,7 +53,6 @@ class DynamicLoadBalancer(Scheduler):
         nranks: int,
         *,
         policy: str = "round_robin",
-        costs: np.ndarray | None = None,
     ) -> None:
         super().__init__(ntasks, nranks)
         if policy not in _POLICIES:
@@ -70,22 +67,6 @@ class DynamicLoadBalancer(Scheduler):
             bounds = np.linspace(0, ntasks, nranks + 1).astype(int)
             for r in range(nranks):
                 self._queues[r] = list(range(bounds[r], bounds[r + 1]))
-        else:  # cost_greedy
-            if costs is None:
-                raise ValueError("cost_greedy policy requires per-task costs")
-            costs = np.asarray(costs, dtype=np.float64)
-            if costs.shape != (ntasks,):
-                raise ValueError(
-                    f"costs must have shape ({ntasks},); got {costs.shape}"
-                )
-            loads = np.zeros(nranks)
-            order = np.argsort(-costs, kind="stable")
-            for t in order:
-                r = int(np.argmin(loads))
-                self._queues[r].append(int(t))
-                loads[r] += costs[t]
-            for q in self._queues:
-                q.sort()  # each rank walks its tasks in index order
 
     def counter_traffic(self) -> int:
         # Every grant is one RPC against the shared global counter.

@@ -1,11 +1,10 @@
-"""Pluggable task-distribution strategies behind one grant interface.
+"""Task-distribution strategies behind one grant interface.
 
 The paper distributes Fock-build tasks through a shared global counter
 (``ddi_dlbnext``); the HONPAS line of work (arXiv:2009.03559 static,
 arXiv:2009.03555 dynamic) shows that the static/dynamic crossover is
-workload-dependent.  This module factors the grant machinery out of
-:class:`~repro.parallel.dlb.DynamicLoadBalancer` into a common
-:class:`Scheduler` base so four strategies serve the same
+workload-dependent.  The common :class:`Scheduler` base holds the grant
+machinery, so both strategies serve the same
 ``next(rank) -> int | None`` protocol the rank programs consume:
 
 ``dlb``
@@ -16,15 +15,8 @@ workload-dependent.  This module factors the grant machinery out of
     :class:`StaticScheduler` — pre-computed round-robin, or
     cost-weighted LPT when Schwarz work estimates are available.  Zero
     counter traffic: every rank knows its share up front.
-``guided``
-    :class:`GuidedScheduler` — OpenMP-style shrinking chunks claimed
-    off a global queue; one modeled RPC per *chunk*.
-``steal``
-    :class:`WorkStealingScheduler` — contiguous per-rank deques;
-    a rank that drains its own deque steals half the tail of the first
-    non-empty victim in a deterministic (seeded) scan order.
 
-All four preserve the contract :func:`repro.resilience.faults
+Both preserve the contract :func:`repro.resilience.faults
 .resilient_grants` relies on: exactly-once grants, ``fail_rank``
 withdrawal in grant order, and deterministic requeue to survivors.
 """
@@ -38,24 +30,26 @@ import numpy as np
 from repro.obs.events import get_event_log
 from repro.obs.metrics import get_metrics
 
-SCHEDULE_NAMES = ("dlb", "static", "guided", "steal")
+SCHEDULE_NAMES = ("dlb", "static")
 
 
-def steal_victim_order(nranks: int, seed: int = 0) -> list[list[int]]:
-    """Deterministic per-rank victim scan order for work stealing.
+def lpt_partition(costs: np.ndarray, nranks: int) -> list[list[int]]:
+    """Longest-processing-time greedy partition of task indices.
 
-    Each rank scans a seeded permutation of the ring
-    ``rank+1, ..., rank+nranks-1 (mod nranks)``.  The same
-    ``(nranks, seed)`` pair always yields the same orders, so a steal
-    schedule is reproducible; different seeds decorrelate which victims
-    get hit first.
+    Tasks are dealt in descending cost order (stable, so ties keep index
+    order) to the rank with the least accumulated cost (ties to the
+    lowest rank); each share is returned in ascending index order, the
+    order its rank walks it in.
     """
-    orders: list[list[int]] = []
-    for rank in range(nranks):
-        ring = [(rank + d) % nranks for d in range(1, nranks)]
-        rng = np.random.default_rng([int(seed), rank])
-        orders.append([ring[i] for i in rng.permutation(len(ring))])
-    return orders
+    shares: list[list[int]] = [[] for _ in range(nranks)]
+    loads = np.zeros(nranks)
+    for t in np.argsort(-costs, kind="stable"):
+        r = int(np.argmin(loads))
+        shares[r].append(int(t))
+        loads[r] += costs[t]
+    for share in shares:
+        share.sort()
+    return shares
 
 
 class Scheduler:
@@ -93,9 +87,8 @@ class Scheduler:
     def counter_traffic(self) -> int:
         """Modeled shared-counter/queue RPCs incurred by grants so far.
 
-        Pre-partitioned strategies need none: every rank knows its
-        share up front.  The dynamic counter pays one per grant, guided
-        one per chunk, stealing one per steal transfer.
+        A pre-partitioned strategy needs none: every rank knows its
+        share up front.  The dynamic counter pays one per grant.
         """
         return 0
 
@@ -225,160 +218,8 @@ class StaticScheduler(Scheduler):
                 raise ValueError(
                     f"costs must have shape ({ntasks},); got {costs.shape}"
                 )
-            loads = np.zeros(nranks)
-            for t in np.argsort(-costs, kind="stable"):
-                r = int(np.argmin(loads))
-                self._queues[r].append(int(t))
-                loads[r] += costs[t]
-            for q in self._queues:
-                q.sort()
+            self._queues = lpt_partition(costs, nranks)
         self._emit_reset(weighted=self.weighted)
-
-
-class GuidedScheduler(Scheduler):
-    """OpenMP-style guided self-scheduling with shrinking chunks.
-
-    Chunks of ``ceil(remaining / nranks)`` tasks (never below
-    ``min_chunk``) are carved off the front of the global index space;
-    under the simulator's equal-speed rank model each chunk goes to the
-    rank with the least accumulated estimated work so far (ties to the
-    lowest rank) — the partition a real guided loop converges to.  One
-    modeled counter RPC is paid per chunk started, so traffic shrinks
-    from ``ntasks`` (dlb) to ``O(nranks * log(ntasks))``.
-    """
-
-    schedule_name = "guided"
-
-    def __init__(
-        self,
-        ntasks: int,
-        nranks: int,
-        *,
-        costs: np.ndarray | None = None,
-        min_chunk: int = 1,
-    ) -> None:
-        super().__init__(ntasks, nranks)
-        if min_chunk < 1:
-            raise ValueError("min_chunk must be positive")
-        if costs is not None:
-            costs = np.asarray(costs, dtype=np.float64)
-            if costs.shape != (ntasks,):
-                raise ValueError(
-                    f"costs must have shape ({ntasks},); got {costs.shape}"
-                )
-        self.min_chunk = min_chunk
-        # Cursor positions (per rank) where each dealt chunk begins,
-        # for the per-chunk traffic model.
-        self._chunk_starts: list[list[int]] = [[] for _ in range(nranks)]
-        loads = np.zeros(nranks)
-        pos = 0
-        nchunks = 0
-        while pos < ntasks:
-            remaining = ntasks - pos
-            size = min(remaining, max(min_chunk, -(-remaining // nranks)))
-            r = int(np.argmin(loads))
-            self._chunk_starts[r].append(len(self._queues[r]))
-            self._queues[r].extend(range(pos, pos + size))
-            loads[r] += (
-                float(costs[pos:pos + size].sum())
-                if costs is not None else float(size)
-            )
-            pos += size
-            nchunks += 1
-        self.nchunks = nchunks
-        self._emit_reset(min_chunk=min_chunk, chunks=nchunks)
-
-    def counter_traffic(self) -> int:
-        return sum(
-            1
-            for r in range(self.nranks)
-            for start in self._chunk_starts[r]
-            if self._cursor[r] > start
-        )
-
-
-class WorkStealingScheduler(Scheduler):
-    """Per-rank deques with deterministic rank-to-rank work stealing.
-
-    Every rank starts with a contiguous block of the index space
-    (cost-balanced boundaries when Schwarz work estimates are
-    available) and pops grants off its own head.  A rank whose deque
-    runs dry scans the other ranks in its seeded victim order
-    (:func:`steal_victim_order`) and moves half of the first non-empty
-    victim's remaining tail onto its own deque.  Tasks move, never
-    copy, so the base class's exactly-once and ``fail_rank`` contracts
-    hold unchanged; the only counter traffic is one transfer per steal.
-    """
-
-    schedule_name = "steal"
-
-    def __init__(
-        self,
-        ntasks: int,
-        nranks: int,
-        *,
-        costs: np.ndarray | None = None,
-        seed: int = 0,
-    ) -> None:
-        super().__init__(ntasks, nranks)
-        self.seed = int(seed)
-        self.steals = 0
-        self.tasks_stolen = 0
-        if costs is None:
-            bounds = np.linspace(0, ntasks, nranks + 1).astype(int)
-        else:
-            costs = np.asarray(costs, dtype=np.float64)
-            if costs.shape != (ntasks,):
-                raise ValueError(
-                    f"costs must have shape ({ntasks},); got {costs.shape}"
-                )
-            cum = np.concatenate([[0.0], np.cumsum(costs)])
-            if cum[-1] <= 0.0:
-                bounds = np.linspace(0, ntasks, nranks + 1).astype(int)
-            else:
-                targets = cum[-1] * np.arange(nranks + 1) / nranks
-                bounds = np.searchsorted(cum, targets, side="left")
-                bounds[0], bounds[-1] = 0, ntasks
-                bounds = np.maximum.accumulate(bounds)
-        for r in range(nranks):
-            self._queues[r] = list(range(int(bounds[r]), int(bounds[r + 1])))
-        self._victims = steal_victim_order(nranks, self.seed)
-        self._emit_reset(seed=self.seed)
-
-    def counter_traffic(self) -> int:
-        return self.steals
-
-    def next(self, rank: int) -> int | None:
-        if (
-            rank not in self._dead
-            and self._cursor[rank] >= len(self._queues[rank])
-        ):
-            self._steal_into(rank)
-        return super().next(rank)
-
-    def _steal_into(self, rank: int) -> bool:
-        for victim in self._victims[rank]:
-            if victim in self._dead:
-                continue
-            queue = self._queues[victim]
-            avail = len(queue) - self._cursor[victim]
-            if avail <= 0:
-                continue
-            k = (avail + 1) // 2  # steal half the tail, rounded up
-            stolen = queue[len(queue) - k:]
-            del queue[len(queue) - k:]
-            self._queues[rank].extend(stolen)
-            self.steals += 1
-            self.tasks_stolen += k
-            registry = get_metrics()
-            if registry is not None:
-                registry.counter("dlb.steals", rank=rank).inc()
-                registry.counter("dlb.tasks_stolen", rank=rank).inc(k)
-            log = get_event_log()
-            if log is not None:
-                log.emit("dlb.steal", thief=rank, victim=victim, ntasks=k)
-            return True
-        return False
 
 
 def make_scheduler(
@@ -388,28 +229,19 @@ def make_scheduler(
     *,
     costs: np.ndarray | None = None,
     policy: str = "round_robin",
-    seed: int = 0,
-    min_chunk: int = 1,
 ) -> Scheduler:
     """Instantiate a distribution strategy by ``--schedule`` name.
 
     ``policy`` only applies to ``schedule="dlb"`` (the pre-partition
-    policy of the simulated counter); ``costs`` feeds the cost-weighted
-    variants of every strategy and the ``cost_greedy`` DLB policy.
+    policy of the simulated counter); ``costs`` only to
+    ``schedule="static"`` (the LPT weights).
     """
     if schedule == "dlb":
         from repro.parallel.dlb import DynamicLoadBalancer
 
-        return DynamicLoadBalancer(
-            ntasks, nranks, policy=policy,
-            costs=costs if policy == "cost_greedy" else None,
-        )
+        return DynamicLoadBalancer(ntasks, nranks, policy=policy)
     if schedule == "static":
         return StaticScheduler(ntasks, nranks, costs=costs)
-    if schedule == "guided":
-        return GuidedScheduler(ntasks, nranks, costs=costs, min_chunk=min_chunk)
-    if schedule == "steal":
-        return WorkStealingScheduler(ntasks, nranks, costs=costs, seed=seed)
     raise ValueError(
         f"unknown schedule {schedule!r}; choose from {SCHEDULE_NAMES}"
     )

@@ -17,12 +17,10 @@ import numpy as np
 
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
+from repro.parallel.scheduler import SCHEDULE_NAMES
 
 #: Above this many tasks the closed-form makespan model is used.
 EXACT_SIM_LIMIT: int = 400_000
-
-#: Distribution strategies the grant model understands.
-SCHEDULE_NAMES: tuple[str, ...] = ("dlb", "static", "guided", "steal")
 
 
 @dataclass
@@ -160,16 +158,12 @@ def assign_schedule(
     *,
     per_task_overhead: float = 0.0,
     multiplicity: int = 1,
-    min_chunk: int = 1,
 ) -> AssignmentResult:
     """Makespan of one task distribution under a named strategy.
 
     ``dlb`` is the paper's shared-counter dynamic balancer (one counter
     fetch per draw, charged as ``per_task_overhead``); ``static`` is a
-    cost-weighted pre-partition with zero counter traffic; ``guided``
-    draws shrinking chunks and pays the fetch once per chunk; ``steal``
-    balances like the dynamic assignment but moves tasks rank-to-rank,
-    so the global-counter fetch latency disappears from the draw path.
+    cost-weighted pre-partition with zero counter traffic.
     """
     if schedule not in SCHEDULE_NAMES:
         raise ValueError(
@@ -181,27 +175,13 @@ def assign_schedule(
             per_task_overhead=per_task_overhead,
             multiplicity=multiplicity,
         )
-    if schedule == "steal":
-        # Rank-to-rank transfers: same earliest-free balance, no
-        # per-draw counter round-trip.
-        return assign_dynamic(
-            costs, nranks, per_task_overhead=0.0, multiplicity=multiplicity,
-        )
     costs = np.asarray(costs, dtype=np.float64)
     if nranks < 1:
         raise ValueError("need at least one rank")
     with get_tracer().span(
-        f"perfsim/assign_{schedule}", nranks=nranks, ntasks=int(costs.size)
+        "perfsim/assign_static", nranks=nranks, ntasks=int(costs.size)
     ):
-        if schedule == "static":
-            result = _assign_static(costs, nranks, multiplicity=multiplicity)
-        else:
-            result = _assign_guided(
-                costs, nranks,
-                per_chunk_overhead=per_task_overhead,
-                multiplicity=multiplicity,
-                min_chunk=min_chunk,
-            )
+        result = _assign_static(costs, nranks, multiplicity=multiplicity)
     registry = get_metrics()
     if registry is not None:
         registry.counter("perfsim.assignments").inc()
@@ -241,59 +221,6 @@ def _assign_static(
         mean_load=mean,
         imbalance=float(makespan) / mean if mean > 0 else 1.0,
         tasks_assigned=n,
-        exact=True,
-    )
-
-
-def _assign_guided(
-    costs: np.ndarray,
-    nranks: int,
-    *,
-    per_chunk_overhead: float,
-    multiplicity: int,
-    min_chunk: int,
-) -> AssignmentResult:
-    """Earliest-free assignment of shrinking guided chunks."""
-    n = costs.size
-    if n == 0:
-        return AssignmentResult(0.0, 0.0, 1.0, 0, True)
-    total = float(costs.sum()) * multiplicity
-    mean = total / nranks
-    if n * multiplicity > EXACT_SIM_LIMIT or multiplicity > 1:
-        # Chunk count grows ~R*log(n/R); each pays one fetch.
-        nchunks = nranks * max(
-            1, int(np.ceil(np.log2(max(n / max(nranks, 1), 2.0))))
-        )
-        tail = float(costs.max())
-        makespan = (
-            mean + tail * (1.0 - 1.0 / nranks)
-            + nchunks * per_chunk_overhead / nranks
-        )
-        return AssignmentResult(
-            makespan=makespan,
-            mean_load=mean,
-            imbalance=makespan / mean if mean > 0 else 1.0,
-            tasks_assigned=n,
-            exact=False,
-        )
-    free = [0.0] * nranks
-    heapq.heapify(free)
-    pos = 0
-    nchunks = 0
-    while pos < n:
-        remaining = n - pos
-        size = min(remaining, max(min_chunk, -(-remaining // nranks)))
-        chunk_cost = float(costs[pos:pos + size].sum()) + per_chunk_overhead
-        t = heapq.heappop(free)
-        heapq.heappush(free, t + chunk_cost)
-        pos += size
-        nchunks += 1
-    makespan = max(free)
-    return AssignmentResult(
-        makespan=float(makespan),
-        mean_load=mean,
-        imbalance=float(makespan) / mean if mean > 0 else 1.0,
-        tasks_assigned=nchunks,
         exact=True,
     )
 

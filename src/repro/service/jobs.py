@@ -28,7 +28,7 @@ from repro.service.errors import JobSpecError
 #: Legal algorithm / backend / schedule values (mirrors the CLI).
 ALGORITHMS = ("mpi-only", "private-fock", "shared-fock")
 BACKENDS = ("sim", "process")
-SCHEDULES = ("dlb", "static", "guided", "steal")
+SCHEDULES = ("dlb", "static")
 
 #: All job states, in lifecycle order.
 JOB_STATES = ("pending", "running", "retrying", "done", "failed", "cancelled")

@@ -152,6 +152,9 @@ BAD_CASES = [
      r"bad\.x: no \[\[job\]\] tables"),
     ("toml", '[[task]]\nmolecule = "water"\n',
      r"bad\.x: unknown top-level key"),
+    # A strategy removed in PR 15 is outside input like any other typo.
+    ("ndjson", '{"molecule": "water", "schedule": "guided"}',
+     r"bad\.x:1: unknown schedule 'guided'; choose from \('dlb', 'static'\)"),
 ]
 
 

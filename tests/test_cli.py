@@ -71,13 +71,24 @@ def test_simulate_schedule_flag(capsys):
     assert "Fock-build time" in out
 
 
-@pytest.mark.parametrize("schedule", ("static", "guided", "steal"))
+@pytest.mark.parametrize("schedule", ("static",))
 def test_scf_schedule_flag(water_xyz, capsys, schedule):
     """Every distribution strategy converges to the same water energy."""
     rc = main(["scf", str(water_xyz), "--schedule", schedule,
                "--ranks", "2", "--threads", "2"])
     assert rc == 0
     assert "-74.94207995" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", (
+    ["--schedule", "guided"], ["--schedule", "steal"], ["--steal-seed", "3"],
+))
+def test_scf_removed_schedule_knobs_are_usage_errors(water_xyz, capsys, argv):
+    """The strategies removed in PR 15 fail in argparse (exit 2), typed."""
+    with pytest.raises(SystemExit) as exc:
+        main(["scf", str(water_xyz), *argv])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_scf_incremental_flag(water_xyz, capsys):

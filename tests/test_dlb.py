@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.parallel.dlb import DynamicLoadBalancer
+from repro.parallel.scheduler import lpt_partition
 
 
 @given(
@@ -32,24 +33,22 @@ def test_block_layout():
     assert dlb.assignment() == [[0, 1, 2], [3, 4, 5]]
 
 
-def test_cost_greedy_balances_loads():
+def test_lpt_partition_balances_loads():
     rng = np.random.default_rng(0)
     costs = rng.lognormal(0, 2, 500)
-    dlb = DynamicLoadBalancer(500, 8, policy="cost_greedy", costs=costs)
-    loads = [costs[q].sum() for q in dlb.assignment()]
+    shares = lpt_partition(costs, 8)
+    assert sorted(t for q in shares for t in q) == list(range(500))
+    loads = [costs[q].sum() for q in shares]
     rr = DynamicLoadBalancer(500, 8, policy="round_robin")
     rr_loads = [costs[q].sum() for q in rr.assignment()]
     assert max(loads) / np.mean(loads) <= max(rr_loads) / np.mean(rr_loads) + 1e-9
 
 
-def test_cost_greedy_requires_costs():
-    with pytest.raises(ValueError):
-        DynamicLoadBalancer(10, 2, policy="cost_greedy")
-
-
 def test_bad_policy_rejected():
-    with pytest.raises(ValueError):
-        DynamicLoadBalancer(10, 2, policy="lottery")
+    # cost_greedy was folded into schedule="static" (PR 15).
+    for policy in ("lottery", "cost_greedy"):
+        with pytest.raises(ValueError):
+            DynamicLoadBalancer(10, 2, policy=policy)
 
 
 def test_next_exhaustion_and_reset():
@@ -65,11 +64,11 @@ def test_rank_grants_ascending():
     """Each rank walks its tasks in ascending combined-index order —
     required by the shared-Fock flush-on-i-change logic."""
     costs = np.random.default_rng(1).random(100)
-    for policy, kw in (
-        ("round_robin", {}),
-        ("block", {}),
-        ("cost_greedy", {"costs": costs}),
-    ):
-        dlb = DynamicLoadBalancer(100, 7, policy=policy, **kw)
-        for q in dlb.assignment():
+    partitions = [
+        DynamicLoadBalancer(100, 7, policy="round_robin").assignment(),
+        DynamicLoadBalancer(100, 7, policy="block").assignment(),
+        lpt_partition(costs, 7),
+    ]
+    for partition in partitions:
+        for q in partition:
             assert q == sorted(q)

@@ -3,11 +3,14 @@
 Hypothesis drives the two contracts the differential parity suite
 leans on:
 
-* **exactly-once grants** — however rank draws interleave, and whatever
-  the grant policy, the :class:`~repro.parallel.dlb.DynamicLoadBalancer`
-  serves every task index exactly once; this holds through
-  ``fail_rank`` requeue replay, and equally for the process backend's
-  :class:`~repro.parallel.backend.SharedTaskCounter`.
+* **exactly-once grants** — however rank draws interleave, every
+  strategy (``dlb``, ``static``) serves every task index exactly once,
+  from the sim scheduler and from the process backend's grant source
+  (the shared :class:`~repro.parallel.backend.SharedTaskCounter` for
+  ``dlb``, each rank's own pre-computed share for ``static``); this
+  holds through ``fail_rank`` requeue and through the process
+  backend's kill replay, which re-executes the dead rank's claims in
+  claim order.
 * **permutation invariance** — reordering thread columns moves the tree
   reduction by at most
   :data:`~repro.parallel.reduction.PERMUTATION_TOLERANCE` (relative),
@@ -18,6 +21,7 @@ leans on:
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -66,21 +70,10 @@ def _drain_interleaved(data, serve, nranks, alive=None):
     data=st.data(),
     ntasks=st.integers(min_value=0, max_value=40),
     nranks=st.integers(min_value=1, max_value=6),
-    policy=st.sampled_from(["round_robin", "block", "cost_greedy"]),
+    policy=st.sampled_from(["round_robin", "block"]),
 )
 def test_dlb_grants_each_index_exactly_once(data, ntasks, nranks, policy):
-    costs = None
-    if policy == "cost_greedy":
-        costs = np.array(
-            data.draw(
-                st.lists(
-                    st.floats(0.01, 100.0, allow_nan=False),
-                    min_size=ntasks, max_size=ntasks,
-                ),
-                label="costs",
-            )
-        )
-    dlb = DynamicLoadBalancer(ntasks, nranks, policy=policy, costs=costs)
+    dlb = DynamicLoadBalancer(ntasks, nranks, policy=policy)
     granted = _drain_interleaved(data, dlb.next, nranks)
     assert Counter(granted) == Counter(range(ntasks))
 
@@ -149,27 +142,55 @@ def _draw_costs(data, ntasks):
     )
 
 
-@settings(max_examples=40, **COMMON)
+@contextmanager
+def _process_grants(schedule, ntasks, nranks, costs=None):
+    """``(claim, replay)`` of the process backend's grant source for one
+    build, outside a fork.
+
+    ``dlb`` workers claim from the shared :class:`SharedTaskCounter`; a
+    ``static`` worker walks the share its build command carried
+    (``iter(share)`` in ``_worker_loop``).  ``replay(rank)`` is what
+    ``ProcessFockBuilder._recover`` re-executes for a dead rank: its
+    claims off the owner board, or its whole share.
+    """
+    if schedule == "dlb":
+        counter = SharedTaskCounter(max(ntasks, 1))
+        try:
+            counter.reset(ntasks)
+            yield counter.next, counter.owned
+        finally:
+            counter.close()
+    else:
+        shares = make_scheduler(
+            schedule, ntasks, nranks, costs=costs
+        ).assignment()
+        walkers = [iter(share) for share in shares]
+        yield (lambda rank: next(walkers[rank], None)), shares.__getitem__
+
+
+@settings(max_examples=60, **COMMON)
 @given(
     data=st.data(),
     ntasks=st.integers(min_value=0, max_value=40),
     nranks=st.integers(min_value=1, max_value=6),
     schedule=st.sampled_from(SCHEDULE_NAMES),
+    source=st.sampled_from(("sim", "process")),
     weighted=st.booleans(),
 )
 def test_every_schedule_grants_each_index_exactly_once(
-    data, ntasks, nranks, schedule, weighted
+    data, ntasks, nranks, schedule, source, weighted
 ):
-    """The exactly-once contract is strategy-independent: dynamic
-    counter, static pre-partition, guided chunks, and work stealing all
-    serve every task index exactly once under any rank interleaving."""
+    """The exactly-once contract is strategy- and backend-independent:
+    the dynamic counter and the static pre-partition, served by the sim
+    scheduler or by the process backend's grant source, hand out every
+    task index exactly once under any rank interleaving."""
     costs = _draw_costs(data, ntasks) if weighted else None
-    sch = make_scheduler(
-        schedule, ntasks, nranks, costs=costs,
-        policy="cost_greedy" if weighted and schedule == "dlb" else "round_robin",
-        seed=data.draw(st.integers(0, 7), label="seed"),
-    )
-    granted = _drain_interleaved(data, sch.next, nranks)
+    if source == "sim":
+        sch = make_scheduler(schedule, ntasks, nranks, costs=costs)
+        granted = _drain_interleaved(data, sch.next, nranks)
+    else:
+        with _process_grants(schedule, ntasks, nranks, costs) as (claim, _):
+            granted = _drain_interleaved(data, claim, nranks)
     assert Counter(granted) == Counter(range(ntasks))
 
 
@@ -184,10 +205,7 @@ def test_every_schedule_exactly_once_through_fail_rank_requeue(
     data, ntasks, nranks, schedule
 ):
     """Kill-with-requeue preserves exactly-once under every strategy."""
-    sch = make_scheduler(
-        schedule, ntasks, nranks,
-        seed=data.draw(st.integers(0, 7), label="seed"),
-    )
+    sch = make_scheduler(schedule, ntasks, nranks)
     victim = data.draw(st.integers(0, nranks - 1), label="victim")
 
     prefix: list[int] = []
@@ -218,11 +236,8 @@ def test_every_schedule_fail_without_requeue_grant_order(
 ):
     """``requeue=False`` returns exactly the victim's outstanding grants
     in grant order (the replay contract), for every strategy, even after
-    arbitrary draws (including steals) elsewhere."""
-    sch = make_scheduler(
-        schedule, ntasks, nranks,
-        seed=data.draw(st.integers(0, 7), label="seed"),
-    )
+    arbitrary draws elsewhere."""
+    sch = make_scheduler(schedule, ntasks, nranks)
     victim = data.draw(st.integers(0, nranks - 1), label="victim")
     drawn: list[int] = []
     for _ in range(data.draw(st.integers(0, ntasks), label="ndraws")):
@@ -240,48 +255,40 @@ def test_every_schedule_fail_without_requeue_grant_order(
     assert len(combined) == len(set(combined))
 
 
-def _cost_clock_drain(sch, costs, nranks):
-    """Deterministic drain: the rank with the least accumulated cost
-    draws next (ties to the lowest rank) — the bench's grant clock."""
-    clock = [0.0] * nranks
-    done = [False] * nranks
-    granted: list[list[int]] = [[] for _ in range(nranks)]
-    while not all(done):
-        rank = min(
-            (c, r) for r, (c, d) in enumerate(zip(clock, done)) if not d
-        )[1]
-        t = sch.next(rank)
-        if t is None:
-            done[rank] = True
-        else:
-            granted[rank].append(t)
-            clock[rank] += float(costs[t])
-    return granted
-
-
-@settings(max_examples=25, **COMMON)
+@settings(max_examples=40, **COMMON)
 @given(
     data=st.data(),
-    ntasks=st.integers(min_value=1, max_value=60),
+    ntasks=st.integers(min_value=1, max_value=40),
     nranks=st.integers(min_value=2, max_value=6),
-    seed=st.integers(min_value=0, max_value=1000),
+    schedule=st.sampled_from(SCHEDULE_NAMES),
 )
-def test_steal_same_seed_same_grant_partition(data, ntasks, nranks, seed):
-    """Work stealing is deterministic: under the deterministic
-    cost-clock drain, the same seed yields the same per-rank grant
-    partition every time (the victim order is a pure function of
-    ``(nranks, seed)``)."""
+def test_process_kill_replay_is_claim_order_and_exactly_once(
+    data, ntasks, nranks, schedule
+):
+    """The process backend's recovery contract, for both grant sources:
+    a worker killed after any number of claims is replayed starting with
+    exactly those claims in claim order (bitwise-identical accumulation),
+    and survivors' claims plus the replay cover every index once."""
     costs = _draw_costs(data, ntasks)
-    runs = [
-        _cost_clock_drain(
-            make_scheduler("steal", ntasks, nranks, costs=costs, seed=seed),
-            costs, nranks,
-        )
-        for _ in range(2)
-    ]
-    assert runs[0] == runs[1]
-    flat = [t for tasks in runs[0] for t in tasks]
-    assert Counter(flat) == Counter(range(ntasks))
+    with _process_grants(schedule, ntasks, nranks, costs) as (claim, replay):
+        victim = data.draw(st.integers(0, nranks - 1), label="victim")
+        kill_after = data.draw(st.integers(0, ntasks), label="kill_after")
+        claimed: list[int] = []   # the victim's claims before it dies
+        others: list[int] = []
+        live = set(range(nranks))
+        while live:
+            rank = data.draw(st.sampled_from(sorted(live)), label="rank")
+            if rank == victim and len(claimed) >= kill_after:
+                live.discard(rank)  # dies at the claim boundary
+                continue
+            t = claim(rank)
+            if t is None:
+                live.discard(rank)
+            else:
+                (claimed if rank == victim else others).append(t)
+        replayed = replay(victim)
+    assert replayed[:len(claimed)] == claimed
+    assert Counter(others + replayed) == Counter(range(ntasks))
 
 
 @settings(max_examples=15, **COMMON)

@@ -86,13 +86,28 @@ def test_naive_threading_would_race(water_sto3g, reference):
     assert not tracker.race_free, "naive shared-Fock threading must race"
 
 
-@pytest.mark.parametrize("policy", ["round_robin", "block", "cost_greedy"])
+@pytest.mark.parametrize("policy", ["round_robin", "block"])
 def test_dlb_policy_invariance(policy, water_sto3g, reference):
     """The reduced Fock matrix is independent of the DLB grant policy."""
     h, d, fref = reference
     f, _ = SharedFockBuilder(
         water_sto3g, h, nranks=3, nthreads=2, dlb_policy=policy
     )(d)
+    np.testing.assert_allclose(f, fref, atol=1e-10)
+
+
+def test_static_schedule_invariance(water_sto3g, reference):
+    """Nor does it depend on the cost-weighted static pre-partition
+    (``schedule="static"``, LPT over the builder's ``work_estimates()``)."""
+    h, d, fref = reference
+    builder = SharedFockBuilder(
+        water_sto3g, h, nranks=3, nthreads=2, schedule="static"
+    )
+    shares = builder.make_scheduler().assignment()
+    assert shares != SharedFockBuilder(
+        water_sto3g, h, nranks=3, nthreads=2
+    ).make_scheduler().assignment()
+    f, _ = builder(d)
     np.testing.assert_allclose(f, fref, atol=1e-10)
 
 

@@ -1,12 +1,12 @@
 """Distribution-strategy unit tests: the Scheduler hierarchy, the
-process backend's SharedWorkBoard, the perfsim grant model, and the
-timeline analyzer's strategy verdict.
+perfsim grant model, and the timeline analyzer's strategy verdict.
 
-The hypothesis exactly-once / fail-rank properties live in
-``test_dlb_properties.py``; this module pins the deterministic,
-example-level contracts: grant re-emission after requeue (the
-``_done_logged`` bugfix), counter-traffic accounting, shared-board
-claim ordering, and the imbalance-driven schedule recommendation.
+The hypothesis exactly-once / fail-rank properties (sim schedulers and
+the process backend's grant sources) live in ``test_dlb_properties.py``;
+this module pins the deterministic, example-level contracts: grant
+re-emission after requeue (the ``_done_logged`` bugfix),
+counter-traffic accounting, the single spelling of the strategy names,
+and the imbalance-driven schedule recommendation.
 """
 
 from __future__ import annotations
@@ -15,15 +15,11 @@ import numpy as np
 import pytest
 
 from repro.obs.events import EventLog, use_event_log
-from repro.parallel.backend.counter import SharedWorkBoard
 from repro.parallel.dlb import DynamicLoadBalancer
 from repro.parallel.scheduler import (
     SCHEDULE_NAMES,
-    GuidedScheduler,
     StaticScheduler,
-    WorkStealingScheduler,
     make_scheduler,
-    steal_victim_order,
 )
 
 
@@ -69,8 +65,23 @@ def test_requeue_without_prior_done_emits_once():
 
 
 def test_make_scheduler_rejects_unknown_name():
-    with pytest.raises(ValueError, match="unknown schedule"):
-        make_scheduler("lottery", 10, 2)
+    """Never-existing and removed (PR 15) names fail the same typed way."""
+    for name in ("lottery", "guided", "steal"):
+        with pytest.raises(ValueError, match="unknown schedule"):
+            make_scheduler(name, 10, 2)
+
+
+def test_strategy_names_have_one_spelling():
+    """``cli`` and ``service.jobs`` keep numpy-free literal copies of the
+    strategy names (import cost); they must not drift from the source."""
+    from repro import cli
+    from repro.perfsim import engine
+    from repro.service import jobs
+
+    assert (
+        cli.SCHEDULES == jobs.SCHEDULES == engine.SCHEDULE_NAMES
+        == SCHEDULE_NAMES == ("dlb", "static")
+    )
 
 
 @pytest.mark.parametrize("schedule", SCHEDULE_NAMES)
@@ -97,14 +108,6 @@ def test_dlb_counter_traffic_is_one_per_grant():
     assert sch.counter_traffic() == 12
 
 
-def test_guided_counter_traffic_counts_chunks():
-    sch = make_scheduler("guided", 16, 4)
-    for r in range(4):
-        _drain(sch, r)
-    assert 0 < sch.counter_traffic() < 16
-    assert sch.counter_traffic() == sch.nchunks
-
-
 def test_static_cost_weighted_balances_skewed_loads():
     costs = np.array([100.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
     sch = StaticScheduler(8, 2, costs=costs)
@@ -113,96 +116,20 @@ def test_static_cost_weighted_balances_skewed_loads():
     assert sorted(loads) == [7.0, 100.0]
 
 
-def test_steal_moves_work_from_loaded_victim():
-    sch = WorkStealingScheduler(8, 2, seed=0)
-    # Rank 1 drains its own half, then steals from rank 0's tail.
-    granted = _drain(sch, 1)
-    assert len(granted) > 4
-    assert sch.steals >= 1
-    assert sch.counter_traffic() == sch.steals
-    # Rank 0 still gets whatever was left, exactly once overall.
-    rest = _drain(sch, 0)
-    assert sorted(granted + rest) == list(range(8))
+def test_shared_counter_unclaimed_reports_leftovers():
+    """The tail nobody claimed (every worker died) is what the process
+    backend's recovery folds into the first replay."""
+    from repro.parallel.backend import SharedTaskCounter
 
-
-def test_steal_victim_order_is_seed_deterministic_permutation():
-    a = steal_victim_order(6, seed=42)
-    b = steal_victim_order(6, seed=42)
-    c = steal_victim_order(6, seed=43)
-    assert a == b
-    assert a != c
-    for rank in range(6):
-        assert sorted(a[rank]) == sorted(set(range(6)) - {rank})
-
-
-def test_guided_chunks_shrink():
-    sch = GuidedScheduler(32, 4)
-    _drain(sch, 0)  # one rank draws everything: chunks shrink as it goes
-    sizes = [len(q) for q in sch.assignment() if q]
-    # All work went to rank 0 in ever-smaller chunks.
-    assert sum(sizes) == 32
-
-
-# -- the process backend's shared work board ---------------------------------
-
-
-def test_shared_board_static_exactly_once_and_claim_order():
-    partition = make_scheduler("static", 10, 2).assignment()
-    board = SharedWorkBoard(10, 2, "static", partition=partition)
+    counter = SharedTaskCounter(6)
     try:
-        board.reset(10)
-        g0, g1 = _drain(board, 0), _drain(board, 1)
-        assert sorted(g0 + g1) == list(range(10))
-        assert g0 == partition[0] and g1 == partition[1]
-        assert board.claimed() == 10
-        assert board.owned(0) == g0 and board.owned(1) == g1
-        assert board.unclaimed() == []
+        counter.reset(6)
+        assert counter.next(0) == 0
+        assert counter.next(1) == 1
+        assert counter.owned(0) == [0] and counter.owned(1) == [1]
+        assert counter.unclaimed() == [2, 3, 4, 5]
     finally:
-        board.close()
-
-
-def test_shared_board_steal_claim_sequence_survives_nonmonotone_grants():
-    partition = make_scheduler("steal", 8, 2, seed=3).assignment()
-    victims = steal_victim_order(2, 3)
-    board = SharedWorkBoard(
-        8, 2, "steal", partition=partition, victim_order=victims
-    )
-    try:
-        board.reset(8)
-        granted = _drain(board, 1)  # drains own block, then steals
-        assert len(granted) > len(partition[1])
-        # owned() must return the *claim* order, not index order — the
-        # stolen tail indices interleave non-monotonically.
-        assert board.owned(1) == granted
-        rest = _drain(board, 0)
-        assert sorted(granted + rest) == list(range(8))
-        assert board.unclaimed() == []
-    finally:
-        board.close()
-
-
-def test_shared_board_guided_serves_all_and_counts_chunks():
-    board = SharedWorkBoard(20, 3, "guided")
-    try:
-        board.reset(20)
-        grants = [_drain(board, r) for r in range(3)]
-        assert sorted(t for g in grants for t in g) == list(range(20))
-        assert 0 < board.chunks < 20
-        for r in range(3):
-            assert board.owned(r) == grants[r]
-    finally:
-        board.close()
-
-
-def test_shared_board_unclaimed_reports_leftovers():
-    partition = [[0, 2, 4], [1, 3, 5]]
-    board = SharedWorkBoard(6, 2, "static", partition=partition)
-    try:
-        board.reset(6)
-        assert board.next(0) == 0
-        assert sorted(board.unclaimed()) == [1, 2, 3, 4, 5]
-    finally:
-        board.close()
+        counter.close()
 
 
 # -- perfsim grant model ------------------------------------------------------
@@ -214,23 +141,11 @@ def test_assign_schedule_static_drops_fetch_overhead():
     costs = np.full(64, 1.0)
     dyn = assign_schedule(costs, 4, "dlb", per_task_overhead=0.5)
     sta = assign_schedule(costs, 4, "static", per_task_overhead=0.5)
-    stl = assign_schedule(costs, 4, "steal", per_task_overhead=0.5)
     assert dyn.makespan == pytest.approx(
         assign_dynamic(costs, 4, per_task_overhead=0.5).makespan
     )
     assert sta.makespan == pytest.approx(16.0)
-    assert stl.makespan == pytest.approx(16.0)
     assert dyn.makespan > sta.makespan
-
-
-def test_assign_schedule_guided_pays_per_chunk():
-    from repro.perfsim.engine import assign_schedule
-
-    costs = np.full(64, 1.0)
-    guided = assign_schedule(costs, 4, "guided", per_task_overhead=0.5)
-    dlb = assign_schedule(costs, 4, "dlb", per_task_overhead=0.5)
-    # Fewer RPCs than one-per-task, but not free.
-    assert 16.0 < guided.makespan < dlb.makespan
 
 
 def test_assign_schedule_rejects_unknown():
@@ -290,14 +205,20 @@ def test_timeline_recommends_static_when_balanced():
     assert advice["recommended"] == "static"
 
 
-def test_timeline_recommends_guided_on_mild_skew():
+def test_timeline_recommends_dlb_on_mild_skew():
     a = _analysis_with_imbalance([1.0, 1.0, 1.0, 1.2])
-    assert a.schedule_advice["recommended"] == "guided"
+    assert a.schedule_advice["recommended"] == "dlb"
 
 
 def test_timeline_keeps_dynamic_on_heavy_skew():
     a = _analysis_with_imbalance([1.0, 1.0, 1.0, 3.0])
-    assert a.schedule_advice["recommended"] in ("dlb", "steal")
+    assert a.schedule_advice["recommended"] == "dlb"
+
+
+def test_timeline_only_recommends_strategies_that_exist():
+    for busy in ([1.0, 1.0], [1.0, 1.04], [1.0, 1.1], [1.0, 5.0]):
+        advice = _analysis_with_imbalance(busy).schedule_advice
+        assert advice["recommended"] in SCHEDULE_NAMES
 
 
 def test_timeline_report_surfaces_schedule_verdict():

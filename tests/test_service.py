@@ -103,6 +103,46 @@ class TestRoundTrip:
         with pytest.raises(JobSpecError):
             client.submit({"xyz": H2_XYZ, "algorithm": "quantum"})
 
+    def test_replayed_job_with_removed_schedule_fails_alone(
+        self, service, tmp_path
+    ):
+        """A journal written before PR 15 may hold a pending job with
+        ``schedule: "guided"``.  Replay adopts it; its dispatch fails it
+        terminally with a typed error naming the valid values, and the
+        daemon keeps serving the jobs queued behind it.  (A *new*
+        submission with a removed name never gets that far: it is
+        refused at admission with the same typed error.)"""
+        from repro.service.queue import DurableJobQueue
+
+        svc = tmp_path / "svc"
+        svc.mkdir()
+        journal = svc / "journal.ndjson"
+        with DurableJobQueue(journal, fsync=False) as q:
+            stale = q.submit(JobSpec(xyz=H2_XYZ, tag="stale"))
+            good = q.submit(JobSpec(xyz=H2_XYZ, tag="good"))
+        first, rest = journal.read_text().split("\n", 1)
+        assert '"schedule": "dlb"' in first
+        journal.write_text(
+            first.replace('"schedule": "dlb"', '"schedule": "guided"')
+            + "\n" + rest
+        )
+
+        client = service(max_retries=3)
+        failed = client.result(stale.id, timeout_s=60)
+        assert failed["state"] == "failed"
+        assert failed["attempt"] == 1  # terminal: never retried
+        assert failed["error_type"] == "JobSpecError"
+        assert "'guided'" in failed["error"]
+        assert "('dlb', 'static')" in failed["error"]
+        done = client.result(good.id, timeout_s=60)
+        assert done["state"] == "done"
+        for removed in ("guided", "steal"):
+            with pytest.raises(JobSpecError, match=r"\('dlb', 'static'\)"):
+                client.submit({"xyz": H2_XYZ, "schedule": removed})
+        later = client.result(client.submit({"xyz": H2_XYZ})["id"],
+                              timeout_s=60)
+        assert later["state"] == "done"
+
     def test_job_telemetry_reaches_the_sink(self, service, tmp_path):
         client = service()
         client.result(client.submit({"xyz": H2_XYZ})["id"], timeout_s=60)
