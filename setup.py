@@ -8,6 +8,6 @@ setup(
     version="1.0.0",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    python_requires=">=3.10",
+    python_requires=">=3.11",
     install_requires=["numpy>=1.24", "scipy>=1.10"],
 )

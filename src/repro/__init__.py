@@ -19,7 +19,10 @@ The package layers:
 * :mod:`repro.obs` — observability: hierarchical tracing, a named
   metrics registry, and Chrome-trace/profile/NDJSON exporters.
 * :mod:`repro.analysis` — table/figure reproduction helpers.
-* :mod:`repro.cli` — the ``python -m repro`` command-line interface.
+* :mod:`repro.config` — :class:`~repro.config.SCFConfig`, the one
+  spelling of the SCF option set every surface below shares.
+* :mod:`repro.cli` / :mod:`repro.commands` — the ``python -m repro``
+  command-line interface: entry point, and one module per verb group.
 """
 
 __version__ = "1.0.0"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.config import ALGORITHMS
 from repro.machine.cluster_modes import ClusterMode
 from repro.machine.memory_modes import MemoryMode
 from repro.machine.system import JLSE, THETA
@@ -68,7 +69,7 @@ def figure4_single_node(
     cost = cost or calibrated_cost_model()
     wl = Workload.for_dataset("1.0nm")
     out: list[Series] = []
-    for alg in ("mpi-only", "private-fock", "shared-fock"):
+    for alg in ALGORITHMS:
         pts = single_node_thread_scaling(
             wl, alg, list(hw_threads), cost, system=JLSE
         )
@@ -110,7 +111,7 @@ def figure5_modes(
         recs: list[dict] = []
         for cmode in cluster_modes:
             for mmode in memory_modes:
-                for alg in ("mpi-only", "private-fock", "shared-fock"):
+                for alg in ALGORITHMS:
                     if alg == "mpi-only":
                         cfg = RunConfig.mpi_only(
                             system=JLSE, nodes=1,
@@ -145,7 +146,7 @@ def figure6_scaling_curves(
     cost = cost or calibrated_cost_model()
     wl = Workload.for_dataset("2.0nm")
     out: list[Series] = []
-    for alg in ("mpi-only", "private-fock", "shared-fock"):
+    for alg in ALGORITHMS:
         pts = node_scaling(wl, alg, list(node_counts), cost, system=THETA)
         out.append(
             Series(

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.chem.graphene import PAPER_DATASETS, GrapheneSpec
+from repro.config import ALGORITHMS
 from repro.core.memory_model import (
     AlgorithmKind,
     MemoryModel,
@@ -128,7 +129,7 @@ def table3_multinode(
     wl = Workload.for_dataset("2.0nm")
     curves = {
         alg: node_scaling(wl, alg, list(node_counts), cost)
-        for alg in ("mpi-only", "private-fock", "shared-fock")
+        for alg in ALGORITHMS
     }
     rows: list[Table3Row] = []
     for idx, nodes in enumerate(node_counts):

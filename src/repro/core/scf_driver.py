@@ -1,45 +1,47 @@
-"""Parallel SCF driver: run RHF with any of the three Fock algorithms.
+"""Parallel SCF driver: run RHF or UHF on a parallel Fock construction.
 
 A thin composition layer: builds the one-electron matrices once,
 constructs the requested parallel Fock builder, and delegates the SCF
-iteration to :class:`repro.scf.rhf.RHF`.  Collects the per-iteration
-Fock-build statistics that the memory/performance analyses consume.
+iteration to :class:`repro.scf.rhf.RHF` / :class:`repro.scf.uhf.UHF`.
+Collects the per-iteration Fock-build statistics that the
+memory/performance analyses consume.  :func:`build_scf` is the one path
+from a :class:`~repro.config.SCFConfig` to a driver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from functools import partial
 
 import numpy as np
 
 from repro.chem.basis.basisset import BasisSet
+from repro.config import ALGORITHMS, SCFConfig
 from repro.core.fock_base import FockBuildStats, ParallelFockBuilderBase
 from repro.core.fock_mpi import MPIOnlyFockBuilder
 from repro.core.fock_private import PrivateFockBuilder
 from repro.core.fock_shared import SharedFockBuilder
-from repro.core.screening import Screening
+from repro.core.fock_uhf import UHFBuilderAdapter, UHFPrivateFockBuilder
+from repro.integrals.cache import QuartetCache
 from repro.integrals.onee import kinetic_matrix, nuclear_matrix
 from repro.obs.metrics import get_metrics
 from repro.obs.telemetry import get_telemetry
 from repro.obs.tracer import get_tracer
 from repro.parallel.backend import ExecutionBackend, make_backend
 from repro.resilience.errors import SCFConvergenceError
+from repro.resilience.faults import FaultPlan
 from repro.scf.convergence import ConvergenceCriteria
 from repro.scf.incremental import IncrementalFockBuilder
 from repro.scf.rhf import RHF, SCFResult
+from repro.scf.uhf import UHF, UHFResult
 
-AlgorithmName = Literal["mpi-only", "private-fock", "shared-fock"]
-
-_BUILDERS: dict[str, type[ParallelFockBuilderBase]] = {
-    "mpi-only": MPIOnlyFockBuilder,
-    "private-fock": PrivateFockBuilder,
-    "shared-fock": SharedFockBuilder,
-}
+_BUILDERS: dict[str, type[ParallelFockBuilderBase]] = dict(zip(
+    ALGORITHMS, (MPIOnlyFockBuilder, PrivateFockBuilder, SharedFockBuilder)
+))
 
 
 def make_fock_builder(
-    algorithm: AlgorithmName,
+    algorithm: str,
     basis: BasisSet,
     hcore: np.ndarray,
     **kwargs,
@@ -58,12 +60,12 @@ def make_fock_builder(
 class ParallelSCFResult:
     """SCF result bundled with the parallel execution statistics."""
 
-    scf: SCFResult
+    scf: SCFResult | UHFResult
     fock_stats: list[FockBuildStats]
 
     @property
     def energy(self) -> float:
-        """Total RHF energy in Hartree."""
+        """Total SCF energy in Hartree."""
         return self.scf.energy
 
     @property
@@ -87,7 +89,7 @@ class ParallelSCFResult:
 
 
 class ParallelSCF:
-    """RHF driven by a simulated-parallel Fock construction.
+    """RHF or UHF driven by a parallel Fock construction.
 
     Parameters
     ----------
@@ -95,6 +97,10 @@ class ParallelSCF:
         The AO basis.
     algorithm:
         ``"mpi-only"`` / ``"private-fock"`` / ``"shared-fock"``.
+        Ignored by ``method="uhf"``, whose one builder is the
+        private-Fock :class:`~repro.core.fock_uhf.UHFPrivateFockBuilder`.
+    method, multiplicity:
+        ``"rhf"`` (default) or ``"uhf"`` with its spin multiplicity.
     nranks, nthreads:
         Simulated geometry (the MPI-only algorithm requires
         ``nthreads == 1``).  Under the process backend, ``nranks`` is
@@ -114,9 +120,12 @@ class ParallelSCF:
         Wrap the Fock construction in
         :class:`~repro.scf.incremental.IncrementalFockBuilder`: after
         the first cycle only the density *change* is built, with
-        density-aware screening.
+        density-aware screening (RHF only).
     rebuild_every:
         Full-rebuild period of the incremental wrapper.
+    scf_recovery:
+        Run under the convergence guard unless :meth:`run` is told
+        otherwise.
     **builder_kwargs:
         Forwarded to the Fock builder (``tau``, ``schedule``,
         ``dlb_policy``, ``thread_schedule``, ``track_races``, ...).
@@ -125,8 +134,10 @@ class ParallelSCF:
     def __init__(
         self,
         basis: BasisSet,
-        algorithm: AlgorithmName = "shared-fock",
+        algorithm: str = "shared-fock",
         *,
+        method: str = "rhf",
+        multiplicity: int = 1,
         nranks: int = 1,
         nthreads: int = 1,
         criteria: ConvergenceCriteria | None = None,
@@ -134,60 +145,85 @@ class ParallelSCF:
         backend_options: dict | None = None,
         incremental: bool = False,
         rebuild_every: int = 10,
+        scf_recovery: bool = False,
         **builder_kwargs,
     ) -> None:
+        uhf = method == "uhf"
         self.basis = basis
-        self.algorithm = algorithm
+        self.algorithm = "private-fock" if uhf else algorithm
+        self.scf_recovery = scf_recovery
         hcore = kinetic_matrix(basis) + nuclear_matrix(basis)
         self._fock_stats: list[FockBuildStats] = []
+
+        def recording_builder(*densities: np.ndarray):
+            with get_tracer().span(
+                "scf/fock_build", iteration=len(self._fock_stats) + 1
+            ):
+                *focks, stats = self.builder(*densities)
+            self._record(stats)
+            return (*focks, stats if uhf else {"fock": stats})
+
+        # The drivers check the electron count against the method first:
+        # a molecule that cannot run fails before any worker starts.
+        if uhf:
+            self.driver: RHF | UHF = UHF(
+                basis, multiplicity=multiplicity,
+                fock_builder=recording_builder, criteria=criteria,
+                hcore=hcore,
+            )
+        else:
+            self.driver = RHF(
+                basis, recording_builder, criteria=criteria, hcore=hcore
+            )
 
         self.backend = make_backend(
             backend, workers=nranks, **(backend_options or {})
         )
-        inner = make_fock_builder(
-            algorithm, basis, hcore,
-            nranks=nranks, nthreads=nthreads, **builder_kwargs,
+        make_inner = (
+            UHFPrivateFockBuilder if uhf
+            else partial(make_fock_builder, algorithm)
+        )
+        inner = make_inner(
+            basis, hcore, nranks=nranks, nthreads=nthreads, **builder_kwargs
         )
         self.builder = self.backend.wrap_builder(inner)
+        if uhf and self.builder is not inner:
+            # A wrapping backend speaks the stacked-density
+            # single-argument protocol; adapt back to (da, db).
+            self.builder = UHFBuilderAdapter(self.builder)
         if incremental:
             # Wrap *outside* the backend so the delta-density pass and
             # the tau retune reach sim and process builds identically.
             self.builder = IncrementalFockBuilder(
                 self.builder, rebuild_every=rebuild_every
             )
-        builder = self.builder
 
-        def recording_builder(D: np.ndarray):
-            with get_tracer().span(
-                "scf/fock_build", iteration=len(self._fock_stats) + 1
-            ):
-                F, stats = builder(D)
-            self._fock_stats.append(stats)
-            channel = get_telemetry()
-            if channel is not None:
-                channel.publish(
-                    "fock.build",
-                    build=len(self._fock_stats),
-                    quartets=stats.quartets_computed,
-                    screened=stats.quartets_screened,
-                    rank_imbalance=stats.rank_imbalance,
-                )
-                registry = get_metrics()
-                if registry is not None:
-                    # Periodic registry snapshot per Fock build: the
-                    # monitor's counter rates are derived from these.
-                    channel.publish(
-                        "metrics.snapshot",
-                        build=len(self._fock_stats),
-                        counters={
-                            k: v
-                            for k, v in registry.snapshot().items()
-                            if isinstance(v, (int, float))
-                        },
-                    )
-            return F, {"fock": stats}
-
-        self.rhf = RHF(basis, recording_builder, criteria=criteria)
+    def _record(self, stats: FockBuildStats) -> None:
+        """Keep one build's statistics; publish them when telemetry is on."""
+        self._fock_stats.append(stats)
+        channel = get_telemetry()
+        if channel is None:
+            return
+        channel.publish(
+            "fock.build",
+            build=len(self._fock_stats),
+            quartets=stats.quartets_computed,
+            screened=stats.quartets_screened,
+            rank_imbalance=stats.rank_imbalance,
+        )
+        registry = get_metrics()
+        if registry is not None:
+            # Periodic registry snapshot per Fock build: the monitor's
+            # counter rates are derived from these.
+            channel.publish(
+                "metrics.snapshot",
+                build=len(self._fock_stats),
+                counters={
+                    k: v
+                    for k, v in registry.snapshot().items()
+                    if isinstance(v, (int, float))
+                },
+            )
 
     def shutdown(self) -> None:
         """Release backend resources (worker processes, shared memory)."""
@@ -204,12 +240,14 @@ class ParallelSCF:
         """Run the SCF; returns energy plus per-iteration Fock stats.
 
         Keyword arguments (``restart``, ``checkpoint``, ``recovery``,
-        ``strict``, ...) are forwarded to :meth:`repro.scf.rhf.RHF.run`.
-        A propagating
+        ``strict``, ...) are forwarded to :meth:`repro.scf.rhf.RHF.run`
+        / :meth:`repro.scf.uhf.UHF.run`.  A propagating
         :class:`~repro.resilience.errors.SCFConvergenceError` has its
         partial result re-wrapped as a :class:`ParallelSCFResult` so
         callers keep the per-build statistics too.
         """
+        if self.scf_recovery:
+            kwargs.setdefault("recovery", True)
         self._fock_stats.clear()
         channel = get_telemetry()
         if channel is not None:
@@ -231,7 +269,7 @@ class ParallelSCF:
                 nthreads=self.builder.nthreads,
             ):
                 try:
-                    result = self.rhf.run(**kwargs)
+                    result = self.driver.run(**kwargs)
                 except SCFConvergenceError as exc:
                     if exc.result is not None:
                         exc.result = ParallelSCFResult(
@@ -251,3 +289,44 @@ class ParallelSCF:
                     builds=len(self._fock_stats),
                 )
         return ParallelSCFResult(scf=result, fock_stats=list(self._fock_stats))
+
+
+def build_scf(
+    config: SCFConfig,
+    basis: BasisSet,
+    *,
+    eri_cache: QuartetCache | None = None,
+    backend_options: dict | None = None,
+) -> ParallelSCF:
+    """The driver a validated :class:`~repro.config.SCFConfig` describes.
+
+    The only config -> driver path: ``repro scf``, ``repro profile`` and
+    the service's ``run_job`` all construct their SCF here.
+    ``eri_cache`` substitutes a ready (pooled) quartet cache for the
+    config's byte budget; ``backend_options`` carries what is about the
+    host rather than the run (``obs_dir``, heartbeat tuning,
+    ``schedule_seed``).  Raises :class:`~repro.config.ConfigError` /
+    :class:`~repro.resilience.errors.FaultSpecError` when the config
+    does not fit itself, the rank count or the molecule.
+    """
+    config.validate()
+    return ParallelSCF(
+        basis, config.algorithm,
+        method=config.method, multiplicity=config.multiplicity,
+        nranks=config.nranks, nthreads=config.nthreads,
+        criteria=(
+            ConvergenceCriteria(max_iterations=config.max_iterations)
+            if config.max_iterations is not None else None
+        ),
+        backend=config.backend, backend_options=backend_options,
+        incremental=config.incremental,
+        rebuild_every=config.rebuild_every,
+        scf_recovery=config.scf_recovery,
+        fault_plan=(
+            FaultPlan.from_spec(config.fault_plan, nranks=config.nranks)
+            if config.fault_plan else None
+        ),
+        schedule=config.schedule,
+        **({"eri_cache": eri_cache} if eri_cache is not None
+           else {"eri_cache_mb": config.eri_cache_mb}),
+    )

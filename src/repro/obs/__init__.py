@@ -54,6 +54,7 @@ from repro.obs.metrics import (
     use_metrics,
 )
 from repro.obs.registry import RunHandle, RunRegistry, runs_root
+from repro.obs.session import ObsSession
 from repro.obs.slo import (
     DEFAULT_SLO_TARGETS,
     SLOEngine,
@@ -110,6 +111,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NDJSONTelemetrySink",
+    "ObsSession",
     "ObsStreamer",
     "RunHandle",
     "RunRegistry",

@@ -30,7 +30,9 @@ from __future__ import annotations
 
 from typing import Any
 
-BACKEND_NAMES = ("sim", "process")
+from repro.config import BACKENDS
+
+BACKEND_NAMES = BACKENDS
 
 
 class ExecutionBackend:

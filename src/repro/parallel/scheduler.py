@@ -27,10 +27,11 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.config import SCHEDULES
 from repro.obs.events import get_event_log
 from repro.obs.metrics import get_metrics
 
-SCHEDULE_NAMES = ("dlb", "static")
+SCHEDULE_NAMES = SCHEDULES
 
 
 def lpt_partition(costs: np.ndarray, nranks: int) -> list[list[int]]:

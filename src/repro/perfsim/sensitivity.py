@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.config import ALGORITHMS
 from repro.machine.system import THETA
 from repro.perfsim.cost_model import CostModel
 from repro.perfsim.simulate import RunConfig, simulate_fock_build
@@ -73,7 +74,7 @@ def evaluate_claims(model: CostModel, wl: Workload) -> tuple[dict[str, bool], fl
             cfg = RunConfig.hybrid(alg, system=THETA, nodes=nodes)
         return simulate_fock_build(wl, cfg, model).total_seconds
 
-    t4 = {a: run(a, 4) for a in ("mpi-only", "private-fock", "shared-fock")}
+    t4 = {a: run(a, 4) for a in ALGORITHMS}
     t128 = {a: run(a, 128) for a in ("private-fock", "shared-fock")}
     t512 = {a: run(a, 512) for a in ("mpi-only", "shared-fock")}
     speedup = t512["mpi-only"] / t512["shared-fock"]

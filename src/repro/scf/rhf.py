@@ -19,6 +19,7 @@ from typing import Callable, Protocol
 import numpy as np
 
 from repro.chem.basis.basisset import BasisSet
+from repro.config import ConfigError
 from repro.integrals.onee import kinetic_matrix, nuclear_matrix, overlap_matrix
 from repro.obs.events import get_event_log
 from repro.obs.telemetry import get_telemetry
@@ -116,6 +117,10 @@ class RHF:
         density is ``(1 - damping) * D_new + damping * D_old``.  A
         robustness aid for hard cases; applied only while DIIS has not
         yet accumulated two iterates (or throughout, without DIIS).
+    hcore:
+        The core Hamiltonian ``T + V`` when the caller already has it
+        (the parallel driver builds it once for the Fock builder too);
+        evaluated here otherwise.
     """
 
     def __init__(
@@ -126,10 +131,11 @@ class RHF:
         criteria: ConvergenceCriteria | None = None,
         use_diis: bool = True,
         damping: float | None = None,
+        hcore: np.ndarray | None = None,
     ) -> None:
         nelec = basis.molecule.nelectrons
         if nelec % 2 != 0:
-            raise ValueError(
+            raise ConfigError(
                 f"RHF needs an even electron count; got {nelec} "
                 f"(use charge to close the shell)"
             )
@@ -142,9 +148,10 @@ class RHF:
         self.damping = damping
 
         self.S = overlap_matrix(basis)
-        self.T = kinetic_matrix(basis)
-        self.V = nuclear_matrix(basis)
-        self.hcore = self.T + self.V
+        self.hcore = (
+            hcore if hcore is not None
+            else kinetic_matrix(basis) + nuclear_matrix(basis)
+        )
         self.X = orthogonalizer(self.S)
         self.enuc = basis.molecule.nuclear_repulsion()
 

@@ -25,6 +25,7 @@ from typing import Callable, Protocol
 import numpy as np
 
 from repro.chem.basis.basisset import BasisSet
+from repro.config import ConfigError
 from repro.integrals.onee import kinetic_matrix, nuclear_matrix, overlap_matrix
 from repro.resilience.checkpoint import (
     CheckpointManager,
@@ -111,6 +112,9 @@ class UHF:
         electron count's parity.
     fock_builder:
         Optional spin-Fock construction; defaults to the dense builder.
+    hcore:
+        The core Hamiltonian when the caller already has it; evaluated
+        here otherwise.
     """
 
     def __init__(
@@ -121,11 +125,12 @@ class UHF:
         fock_builder: UHFFockBuilder | None = None,
         criteria: ConvergenceCriteria | None = None,
         use_diis: bool = True,
+        hcore: np.ndarray | None = None,
     ) -> None:
         nelec = basis.molecule.nelectrons
         nunpaired = multiplicity - 1
         if nunpaired < 0 or (nelec - nunpaired) % 2 != 0:
-            raise ValueError(
+            raise ConfigError(
                 f"multiplicity {multiplicity} inconsistent with "
                 f"{nelec} electrons"
             )
@@ -136,7 +141,10 @@ class UHF:
         self.use_diis = use_diis
 
         self.S = overlap_matrix(basis)
-        self.hcore = kinetic_matrix(basis) + nuclear_matrix(basis)
+        self.hcore = (
+            hcore if hcore is not None
+            else kinetic_matrix(basis) + nuclear_matrix(basis)
+        )
         self.X = orthogonalizer(self.S)
         self.enuc = basis.molecule.nuclear_repulsion()
         self.fock_builder = fock_builder or DenseUHFFockBuilder(

@@ -17,6 +17,7 @@ repo's SCF stack:
   ``repro submit`` / ``status`` / ``result`` / ``cancel``.
 """
 
+from repro.config import ALGORITHMS, BACKENDS, SCHEDULES
 from repro.service.client import (
     DEFAULT_SERVICE_DIR,
     JobClient,
@@ -35,15 +36,7 @@ from repro.service.errors import (
     ServiceUnavailable,
     WorkerLostError,
 )
-from repro.service.jobs import (
-    ALGORITHMS,
-    BACKENDS,
-    JOB_STATES,
-    SCHEDULES,
-    TERMINAL_STATES,
-    Job,
-    JobSpec,
-)
+from repro.service.jobs import JOB_STATES, TERMINAL_STATES, Job, JobSpec
 from repro.service.queue import DEFAULT_MAX_DEPTH, DurableJobQueue
 from repro.service.retry import RETRYABLE, TERMINAL, RetryPolicy, classify
 from repro.service.supervisor import WorkerFleet, run_job

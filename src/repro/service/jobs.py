@@ -20,15 +20,11 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
+from repro.config import ConfigError, SCFConfig
 from repro.service.errors import JobSpecError
-
-#: Legal algorithm / backend / schedule values (mirrors the CLI).
-ALGORITHMS = ("mpi-only", "private-fock", "shared-fock")
-BACKENDS = ("sim", "process")
-SCHEDULES = ("dlb", "static")
 
 #: All job states, in lifecycle order.
 JOB_STATES = ("pending", "running", "retrying", "done", "failed", "cancelled")
@@ -38,10 +34,19 @@ JOB_STATES = ("pending", "running", "retrying", "done", "failed", "cancelled")
 #: daemon SIGKILL after the transition can never lose or re-run it.
 TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
 
+#: Fields newer than the first wire format.  ``to_dict`` leaves them out
+#: at their defaults, so a spec that does not use them serialises — and
+#: therefore fingerprints — exactly as it did before they existed.
+_OMITTED_AT_DEFAULT = ("method", "multiplicity", "rebuild_every",
+                       "scf_recovery")
 
-@dataclass(frozen=True)
-class JobSpec:
-    """One SCF request, self-contained (the XYZ text travels inline).
+
+@dataclass(frozen=True, kw_only=True)
+class JobSpec(SCFConfig):
+    """One SCF request, self-contained (the XYZ text travels inline):
+    a :class:`~repro.config.SCFConfig` plus its geometry, a label and
+    the chaos knobs.  The wire/journal/manifest format is the flat dict
+    of all of them.
 
     The chaos knobs (``fault_plan``, ``sleep_s``, ``cycle_delay_s``,
     ``die_on_attempt`` / ``die_after_builds``) exist for the same
@@ -54,17 +59,6 @@ class JobSpec:
     """
 
     xyz: str
-    basis: str = "sto-3g"
-    algorithm: str = "shared-fock"
-    nranks: int = 1
-    nthreads: int = 1
-    backend: str = "sim"
-    schedule: str = "dlb"
-    charge: int = 0
-    eri_cache_mb: float | None = 64.0
-    incremental: bool = False
-    max_iterations: int | None = None
-    fault_plan: str | None = None
     tag: str | None = None
     # -- chaos/testing knobs -------------------------------------------------
     sleep_s: float = 0.0
@@ -76,28 +70,10 @@ class JobSpec:
         """Raise :class:`JobSpecError` on any out-of-range field."""
         if not self.xyz or not self.xyz.strip():
             raise JobSpecError("spec.xyz is empty")
-        if self.algorithm not in ALGORITHMS:
-            raise JobSpecError(
-                f"unknown algorithm {self.algorithm!r}; "
-                f"choose from {ALGORITHMS}"
-            )
-        if self.backend not in BACKENDS:
-            raise JobSpecError(
-                f"unknown backend {self.backend!r}; choose from {BACKENDS}"
-            )
-        if self.schedule not in SCHEDULES:
-            raise JobSpecError(
-                f"unknown schedule {self.schedule!r}; choose from {SCHEDULES}"
-            )
-        for name in ("nranks", "nthreads"):
-            if int(getattr(self, name)) < 1:
-                raise JobSpecError(f"spec.{name} must be >= 1")
-        if self.algorithm == "mpi-only" and self.nthreads != 1:
-            raise JobSpecError("mpi-only requires nthreads == 1")
-        if self.eri_cache_mb is not None and self.eri_cache_mb <= 0:
-            raise JobSpecError("spec.eri_cache_mb must be > 0 (or null)")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise JobSpecError("spec.max_iterations must be >= 1")
+        try:
+            super().validate()
+        except ConfigError as exc:
+            raise JobSpecError(str(exc)) from None
         for name in ("sleep_s", "cycle_delay_s"):
             if float(getattr(self, name)) < 0:
                 raise JobSpecError(f"spec.{name} must be >= 0")
@@ -119,12 +95,15 @@ class JobSpec:
         return h.hexdigest()[:16]
 
     def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
+        out = asdict(self)
+        for f in fields(self):
+            if f.name in _OMITTED_AT_DEFAULT and out[f.name] == f.default:
+                del out[f.name]
+        return out
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "JobSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise JobSpecError(f"unknown spec field(s): {sorted(unknown)}")
         if "xyz" not in data:
@@ -192,8 +171,3 @@ class Job:
             "nranks": self.spec.nranks,
             "nthreads": self.spec.nthreads,
         }
-
-
-def degraded_spec(spec: JobSpec) -> JobSpec:
-    """The sim-backend fallback of a process-backend spec."""
-    return replace(spec, backend="sim")

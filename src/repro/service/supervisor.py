@@ -34,7 +34,7 @@ import multiprocessing as mp
 import os
 import signal
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -99,10 +99,9 @@ def run_job(
     """
     from repro.chem.basis import BasisSet
     from repro.chem.molecule import Molecule
-    from repro.core.scf_driver import ParallelSCF
+    from repro.core.scf_driver import ParallelSCF, build_scf
     from repro.integrals.cache import QuartetCache
-    from repro.resilience import CheckpointManager, FaultPlan
-    from repro.scf.convergence import ConvergenceCriteria
+    from repro.resilience import CheckpointManager
 
     spec.validate()
     backend = force_backend or spec.backend
@@ -121,22 +120,12 @@ def run_job(
                 setup_cache.pop(next(iter(setup_cache)))
             setup_cache[key] = (mol, basis)
 
-    plan = (
-        FaultPlan.from_spec(spec.fault_plan, nranks=spec.nranks)
-        if spec.fault_plan else None
-    )
-    criteria = (
-        ConvergenceCriteria(max_iterations=spec.max_iterations)
-        if spec.max_iterations is not None else None
-    )
-
     pooled_cache: QuartetCache | None = None
     eri_preloaded = False
     eri_stats_before: dict[str, Any] | None = None
 
-    def build_scf(backend_name: str) -> ParallelSCF:
+    def build(backend_name: str) -> ParallelSCF:
         nonlocal pooled_cache, eri_preloaded, eri_stats_before
-        kwargs: dict[str, Any] = {"eri_cache_mb": spec.eri_cache_mb}
         pooled_cache = None
         if (eri_cache_pool is not None and backend_name == "sim"
                 and spec.eri_cache_mb is not None):
@@ -149,18 +138,13 @@ def run_job(
                 eri_cache_pool[pool_key] = pooled_cache
             eri_stats_before = pooled_cache.stats()
             eri_preloaded = eri_stats_before["entries"] > 0
-            kwargs = {"eri_cache": pooled_cache}
-        return ParallelSCF(
-            basis, spec.algorithm,
-            nranks=spec.nranks, nthreads=spec.nthreads,
-            criteria=criteria, backend=backend_name,
-            fault_plan=plan,
-            schedule=spec.schedule, incremental=spec.incremental,
-            **kwargs,
+        return build_scf(
+            replace(spec, backend=backend_name), basis,
+            eri_cache=pooled_cache,
         )
 
     try:
-        scf = build_scf(backend)
+        scf = build(backend)
     except OSError as exc:
         if backend != "process":
             raise
@@ -170,17 +154,17 @@ def run_job(
         logger.warning("process backend unavailable (%s); degrading "
                        "job to sim backend", exc)
         backend, degraded = "sim", True
-        scf = build_scf(backend)
+        scf = build(backend)
 
     die_here = (
         allow_exit
         and spec.die_on_attempt is not None
         and attempt == spec.die_on_attempt
     )
-    orig_builder = scf.rhf.fock_builder
+    orig_builder = scf.driver.fock_builder
     builds = 0
 
-    def wrapped_builder(D):
+    def wrapped_builder(*densities):
         nonlocal builds
         if die_here and builds >= spec.die_after_builds:
             # Chaos: this *service worker* dies for real, mid-job —
@@ -192,11 +176,11 @@ def run_job(
             time.sleep(spec.cycle_delay_s)
         if beat is not None:
             beat(builds, "build")
-        F, stats = orig_builder(D)
+        out = orig_builder(*densities)
         builds += 1
-        return F, stats
+        return out
 
-    scf.rhf.fock_builder = wrapped_builder
+    scf.driver.fock_builder = wrapped_builder
 
     run_kwargs: dict[str, Any] = {}
     if checkpoint is not None:
@@ -220,7 +204,7 @@ def run_job(
     return {
         "energy": float(res.energy),
         "converged": bool(res.converged),
-        "iterations": len(res.scf.iterations),
+        "iterations": res.scf.niterations,
         "quartets_computed": int(res.total_quartets_computed),
         "backend": backend,
         "degraded": degraded,
@@ -229,6 +213,9 @@ def run_job(
         "eri_cache_hits": eri_hits,
         "eri_cache_misses": eri_misses,
         "resumed": "restart" in run_kwargs,
+        # UHF only, so an RHF result reads as it always has.
+        **({"s_squared": float(res.scf.s_squared)}
+           if spec.method == "uhf" else {}),
     }
 
 

@@ -218,8 +218,10 @@ def test_profile_writes_all_artifacts(tmp_path, capsys):
                                        "shared-fock"])
 def test_profile_timeline_all_algorithms(algorithm, tmp_path, capsys):
     out_dir = tmp_path / "prof"
-    rc = main(["profile", "--algorithm", algorithm,
-               "--ranks", "2", "--threads", "2",
+    # mpi-only takes profile's own default (1 thread); an explicit
+    # --threads 2 with it is a config error like on every other verb.
+    threads = [] if algorithm == "mpi-only" else ["--threads", "2"]
+    rc = main(["profile", "--algorithm", algorithm, "--ranks", "2", *threads,
                "--output-dir", str(out_dir), "--timeline"])
     out = capsys.readouterr().out
     assert rc == 0
@@ -256,9 +258,9 @@ def test_profile_timeline_faulted_run_shows_recovery(tmp_path, capsys):
 
 
 def test_timeline_command_merges_runs(tmp_path, capsys):
-    for alg in ("mpi-only", "shared-fock"):
+    for alg, threads in (("mpi-only", "1"), ("shared-fock", "2")):
         rc = main(["profile", "--algorithm", alg, "--ranks", "2",
-                   "--threads", "2", "--output-dir", str(tmp_path / alg)])
+                   "--threads", threads, "--output-dir", str(tmp_path / alg)])
         assert rc == 0
     capsys.readouterr()  # drop profile output
     merged = tmp_path / "merged.json"

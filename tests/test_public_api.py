@@ -22,6 +22,13 @@ PACKAGES = [
 MODULES = [
     "repro.constants",
     "repro.cli",
+    "repro.config",
+    "repro.commands",
+    "repro.commands.run",
+    "repro.commands.service",
+    "repro.commands.obs",
+    "repro.commands.paper",
+    "repro.obs.session",
     "repro.chem.elements",
     "repro.chem.molecule",
     "repro.chem.graphene",

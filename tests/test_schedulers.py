@@ -71,19 +71,6 @@ def test_make_scheduler_rejects_unknown_name():
             make_scheduler(name, 10, 2)
 
 
-def test_strategy_names_have_one_spelling():
-    """``cli`` and ``service.jobs`` keep numpy-free literal copies of the
-    strategy names (import cost); they must not drift from the source."""
-    from repro import cli
-    from repro.perfsim import engine
-    from repro.service import jobs
-
-    assert (
-        cli.SCHEDULES == jobs.SCHEDULES == engine.SCHEDULE_NAMES
-        == SCHEDULE_NAMES == ("dlb", "static")
-    )
-
-
 @pytest.mark.parametrize("schedule", SCHEDULE_NAMES)
 def test_reset_events_carry_schedule_name(schedule):
     log = EventLog()

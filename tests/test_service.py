@@ -143,6 +143,39 @@ class TestRoundTrip:
                               timeout_s=60)
         assert later["state"] == "done"
 
+    def test_journal_written_by_the_parent_commit_replays_and_finishes(
+        self, service, tmp_path
+    ):
+        """The submit record below is a literal line from a journal the
+        commit before ``SCFConfig`` wrote (no ``method``/``multiplicity``/
+        ``rebuild_every``/``scf_recovery`` keys); the energy is what that
+        commit computed for it."""
+        svc = tmp_path / "svc"
+        svc.mkdir()
+        (svc / "journal.ndjson").write_text(
+            '{"op": "submit", "job": {"id": "j000000", "spec": {"xyz": '
+            '"2\\nh2\\nH 0.0 0.0 0.0\\nH 0.0 0.0 0.74\\n", "basis": '
+            '"sto-3g", "algorithm": "private-fock", "nranks": 2, '
+            '"nthreads": 2, "backend": "sim", "schedule": "dlb", '
+            '"charge": 0, "eri_cache_mb": 64.0, "incremental": false, '
+            '"max_iterations": 40, "fault_plan": null, "tag": "old", '
+            '"sleep_s": 0.0, "cycle_delay_s": 0.0, "die_on_attempt": null, '
+            '"die_after_builds": 1}, "state": "pending", "attempt": 0, '
+            '"submitted_at": 1790858747.4396262, "not_before": 0.0, '
+            '"interrupted": false, "degraded": false, "error": null, '
+            '"error_type": null, "result": null, "run_id": null, '
+            '"trace_id": "4ba1c3120fb4a9c1d1a70be0790d813a", '
+            '"parent_span_id": null, "root_span_id": "f3ec3e6b9ebb3035", '
+            '"client_t": null}, "t": 1790858747.4397295, '
+            '"pt": 75856.985908125}\n'
+        )
+        client = service()
+        done = client.result("j000000", timeout_s=60)
+        assert done["state"] == "done" and done["tag"] == "old"
+        assert done["result"]["energy"] == -1.116759307506359
+        assert done["result"]["iterations"] == 2
+        assert "s_squared" not in done["result"]
+
     def test_job_telemetry_reaches_the_sink(self, service, tmp_path):
         client = service()
         client.result(client.submit({"xyz": H2_XYZ})["id"], timeout_s=60)
