@@ -76,6 +76,16 @@ class BasisSet:
         self._shells: tuple[Shell, ...] = tuple(shells)
         self._composites: tuple[CompositeShell, ...] = tuple(composites)
         self._nbf = offset
+        # A basis never changes after construction: the per-shell index
+        # arrays every Fock build reads are computed once, read-only.
+        self._bf_offsets = np.array(
+            [cs.bf_offset for cs in composites], dtype=np.int64
+        )
+        self._nfuncs = np.array(
+            [cs.nfunc for cs in composites], dtype=np.int64
+        )
+        self._bf_offsets.setflags(write=False)
+        self._nfuncs.setflags(write=False)
 
     # -- sizes -------------------------------------------------------------
 
@@ -111,12 +121,12 @@ class BasisSet:
         return np.array([cs.center for cs in self._composites])
 
     def shell_bf_offsets(self) -> np.ndarray:
-        """First basis-function index of each composite shell."""
-        return np.array([cs.bf_offset for cs in self._composites], dtype=np.int64)
+        """First basis-function index of each composite shell (read-only)."""
+        return self._bf_offsets
 
     def shell_nfuncs(self) -> np.ndarray:
-        """Basis-function count of each composite shell."""
-        return np.array([cs.nfunc for cs in self._composites], dtype=np.int64)
+        """Basis-function count of each composite shell (read-only)."""
+        return self._nfuncs
 
     def shell_types(self) -> tuple[str, ...]:
         """Type label (``"S"``, ``"L"``, ``"D"``, ...) per composite shell."""
@@ -124,7 +134,7 @@ class BasisSet:
 
     def max_shell_nfunc(self) -> int:
         """Largest composite-shell block size (the paper's ``shellSize``)."""
-        return max(cs.nfunc for cs in self._composites)
+        return int(self._nfuncs.max())
 
     def __len__(self) -> int:
         return self.nshells

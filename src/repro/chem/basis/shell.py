@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -184,7 +185,7 @@ class CompositeShell:
         """Common Cartesian origin (Bohr)."""
         return self.subshells[0].center
 
-    @property
+    @cached_property
     def nfunc(self) -> int:
         """Total basis functions across the fused sub-shells."""
         return sum(s.nfunc for s in self.subshells)

@@ -24,6 +24,7 @@ from repro.integrals.cache import QuartetCache
 from repro.integrals.schwarz import schwarz_matrix
 from repro.obs.events import get_event_log
 from repro.obs.metrics import MetricsRegistry, get_metrics
+from repro.obs.tracer import get_tracer
 from repro.parallel.comm import SimComm, SimWorld
 from repro.parallel.scheduler import SCHEDULE_NAMES, Scheduler, make_scheduler
 from repro.parallel.shared_array import WriteTracker
@@ -340,8 +341,7 @@ class ParallelFockBuilderBase:
         self.nbf = basis.nbf
         self.nshells = basis.nshells
 
-    # Subclasses implement __call__(density) -> (fock, stats), plus the
-    # backend-facing rank-program interface:
+    # Subclasses implement the backend-facing rank-program interface:
     #
     #   dlb_ntasks()                      size of the DLB index space
     #   work_estimates()                  per-task costs (static) or None
@@ -350,9 +350,9 @@ class ParallelFockBuilderBase:
     #                                     accumulates into W in place and
     #                                     returns a RankBuildResult
     #
-    # The sim path (__call__) and the real-process backend both execute
-    # rank_program, so "same rank program on real OS processes" is a
-    # structural guarantee, not a convention.
+    # The sim path (__call__, via _sim_build) and the real-process
+    # backend both execute rank_program, so "same rank program on real
+    # OS processes" is a structural guarantee, not a convention.
 
     def dlb_ntasks(self) -> int:
         """Size of the global DLB index space of one build."""
@@ -390,6 +390,46 @@ class ParallelFockBuilderBase:
     def assemble(self, W: np.ndarray) -> np.ndarray:
         """Full Fock matrix from the reduced two-electron accumulator."""
         return self.hcore + symmetrize_two_electron(W)
+
+    def __call__(self, density: np.ndarray) -> tuple[np.ndarray, FockBuildStats]:
+        """Build the Fock matrix on the sim runtime: ``(fock, stats)``."""
+        stats = self._new_stats()
+        self._check_density(density)
+        return self.assemble(self._sim_build(density, stats)), stats
+
+    def _sim_build(self, density: np.ndarray, stats: FockBuildStats) -> np.ndarray:
+        """One build on the sim runtime: every rank's program, then ``gsumf``.
+
+        Fills ``stats`` and returns the reduced accumulator ``W``.
+        """
+        tracer = get_tracer()
+        world = SimWorld(self.nranks)
+        dlb = self.make_scheduler()
+        results: list[np.ndarray] = []
+
+        def rank_main(comm: SimComm) -> None:
+            rank = comm.rank
+            W = np.zeros(self.accumulator_shape)
+            rr = self.rank_program(
+                rank, self._grants(dlb, rank), density, W,
+                barrier=comm.barrier,
+            )
+            self._merge_rank_result(stats, rr)
+            stats.per_rank_quartets.append(rr.quartets_done)
+            with tracer.span("fock/gsumf", rank=rank):
+                self._resilient_gsumf(comm, W)
+            results.append(W)
+
+        with tracer.span(
+            "fock/build", algorithm=self.algorithm_name,
+            nranks=self.nranks, nthreads=self.nthreads,
+        ):
+            world.execute(rank_main)
+        stats.quartets_computed = sum(stats.per_rank_quartets)
+        stats.reduce_bytes = world.stats.reduce_bytes
+        self._capture_cache_stats(stats)
+        self._record_global(stats)
+        return results[0]
 
     @staticmethod
     def _merge_rank_result(stats: FockBuildStats, rr: RankBuildResult) -> None:
@@ -511,20 +551,3 @@ class ParallelFockBuilderBase:
             registry.counter(f"fock.{field}", algorithm=algo).inc(
                 getattr(stats, field)
             )
-
-    def _finish(
-        self,
-        W: np.ndarray,
-        stats: FockBuildStats,
-        world: SimWorld,
-        trackers: list[WriteTracker | None],
-    ) -> tuple[np.ndarray, FockBuildStats]:
-        G = symmetrize_two_electron(W)
-        stats.reduce_bytes = world.stats.reduce_bytes
-        for tr in trackers:
-            if tr is not None:
-                stats.races += len(tr.races)
-                stats.writes_checked += tr.writes_checked
-        self._capture_cache_stats(stats)
-        self._record_global(stats)
-        return self.hcore + G, stats

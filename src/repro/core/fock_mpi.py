@@ -19,14 +19,9 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.core.fock_base import (
-    FockBuildStats,
-    ParallelFockBuilderBase,
-    RankBuildResult,
-)
-from repro.core.indexing import decode_pair, lmax_for, npairs
+from repro.core.fock_base import ParallelFockBuilderBase, RankBuildResult
+from repro.core.indexing import decode_pair, npairs
 from repro.obs.tracer import get_tracer
-from repro.parallel.comm import SimComm, SimWorld
 
 
 class MPIOnlyFockBuilder(ParallelFockBuilderBase):
@@ -59,40 +54,17 @@ class MPIOnlyFockBuilder(ParallelFockBuilderBase):
         """One rank's share: the stock replicated-Fock quartet loops."""
         rr = RankBuildResult(rank=rank)
         # Stock loop: i over shells, j <= i, with the DLB check on
-        # the combined (i, j) index (ddi_dlbnext).
+        # the combined (i, j) index (ddi_dlbnext); the k, l loops under
+        # one bra are exactly the combined kets kl <= ij.
         with get_tracer().span("fock/quartets", rank=rank):
             for ij in grants:
                 i, j = decode_pair(ij)
-                for k in range(i + 1):
-                    for l in range(lmax_for(i, j, k) + 1):
-                        if not self.screening.survives(i, j, k, l):
-                            rr.quartets_screened += 1
-                            continue
-                        self.engine.apply_quartet(W, density, i, j, k, l)
-                        rr.quartets_done += 1
+                kls = self.screening.surviving_kl_pairs(ij)
+                rr.quartets_screened += ij + 1 - kls.size
+                if kls.size:
+                    d = self.engine.digest_bra(
+                        i, j, kls, density, density[None], 2.0, -0.5
+                    )
+                    d.add_into(W[:, d.si], W[:, d.sj], W)
+                    rr.quartets_done += kls.size
         return rr
-
-    def __call__(self, density: np.ndarray) -> tuple[np.ndarray, FockBuildStats]:
-        stats = self._new_stats()
-        self._check_density(density)
-        tracer = get_tracer()
-        world = SimWorld(self.nranks)
-        dlb = self.make_scheduler()
-        results: list[np.ndarray] = []
-
-        def rank_main(comm: SimComm) -> None:
-            rank = comm.rank
-            W = np.zeros((self.nbf, self.nbf))
-            rr = self.rank_program(rank, self._grants(dlb, rank), density, W)
-            self._merge_rank_result(stats, rr)
-            stats.per_rank_quartets.append(rr.quartets_done)
-            with tracer.span("fock/gsumf", rank=rank):
-                self._resilient_gsumf(comm, W)
-            results.append(W)
-
-        with tracer.span(
-            "fock/build", algorithm=self.algorithm_name, nranks=self.nranks
-        ):
-            world.execute(rank_main)
-        stats.quartets_computed = sum(stats.per_rank_quartets)
-        return self._finish(results[0], stats, world, [])

@@ -19,14 +19,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.core.fock_base import (
-    FockBuildStats,
-    ParallelFockBuilderBase,
-    RankBuildResult,
-)
-from repro.core.indexing import lmax_for
+from repro.core.fock_base import ParallelFockBuilderBase, RankBuildResult
 from repro.obs.tracer import get_tracer
-from repro.parallel.comm import SimComm, SimWorld
 from repro.parallel.threads import ThreadTeam
 
 
@@ -39,6 +33,12 @@ class PrivateFockBuilder(ParallelFockBuilderBase):
         # MPI-level DLB over the *i* index only — the coarse granularity
         # the paper identifies as this algorithm's scaling limit.
         return self.nshells
+
+    def _channels(
+        self, density: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, float]:
+        """Coulomb density, stacked exchange densities, exchange weight."""
+        return density, density[None], -0.5
 
     def rank_program(
         self,
@@ -53,75 +53,52 @@ class PrivateFockBuilder(ParallelFockBuilderBase):
         rr = RankBuildResult(rank=rank)
         tracer = get_tracer()
         team = ThreadTeam(self.nthreads)
-        thread_counts = np.zeros(self.nthreads, dtype=np.int64)
+        thread_counts = [0] * self.nthreads
+        d_coulomb, d_exchange, kw = self._channels(density)
         # One private Fock replica per thread, as in
         # ``reduction(+ : Fock)``.
-        W_threads = team.private_buffers((self.nbf, self.nbf))
-        done = 0
+        W_threads = team.private_buffers(W.shape)
         for i in grants:
             if barrier is not None:
                 barrier()  # master draw + implicit barrier
-            # collapse(2) over (j, k), both 0..i.
-            jk_tasks = [(j, k) for j in range(i + 1) for k in range(i + 1)]
-            costs = self._jk_costs(i, jk_tasks)
+            # collapse(2) over (j, k), both 0..i: iteration j * (i+1) + k.
             shares = team.partition(
-                len(jk_tasks),
+                (i + 1) * (i + 1),
                 schedule=self.thread_schedule,
                 chunk=self.thread_chunk,
-                costs=costs,
+                costs=self._jk_costs(i),
             )
             for t, share in enumerate(shares):
-                Wt = W_threads[t]
+                # One (nbf, nbf) accumulator per exchange channel.
+                channels = W_threads[t].reshape(-1, self.nbf, self.nbf)
                 with tracer.span(
                     "fock/jk", rank=rank, thread=t, i=i, tasks=len(share)
                 ):
-                    for idx in share:
-                        j, k = jk_tasks[idx]
-                        for l in range(lmax_for(i, j, k) + 1):
-                            if not self.screening.survives(i, j, k, l):
-                                rr.quartets_screened += 1
-                                continue
-                            self.engine.apply_quartet(
-                                Wt, density, i, j, k, l
-                            )
-                            done += 1
-                            thread_counts[t] += 1
+                    js, ks = np.divmod(np.array(share, dtype=np.int64), i + 1)
+                    # The share ascends, so each j owns one run of it.
+                    cuts = np.searchsorted(js, np.arange(i + 2)).tolist()
+                    for j, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+                        if lo == hi:
+                            continue
+                        kls, screened = self.screening.surviving_kl_under(
+                            i, j, ks[lo:hi]
+                        )
+                        rr.quartets_screened += screened
+                        if not kls.size:
+                            continue
+                        d = self.engine.digest_bra(
+                            i, j, kls, d_coulomb, d_exchange, 2.0, kw
+                        )
+                        for c, Wc in enumerate(channels):
+                            d.add_into(Wc[:, d.si], Wc[:, d.sj], Wc, c)
+                        thread_counts[t] += kls.size
         # OpenMP reduction over thread-private Focks.
         with tracer.span("fock/thread_reduce", rank=rank):
             for Wt in W_threads:
                 W += Wt
-        rr.quartets_done = done
-        rr.per_thread_quartets = thread_counts.tolist()
+        rr.quartets_done = sum(thread_counts)
+        rr.per_thread_quartets = thread_counts
         return rr
-
-    def __call__(self, density: np.ndarray) -> tuple[np.ndarray, FockBuildStats]:
-        stats = self._new_stats()
-        self._check_density(density)
-        tracer = get_tracer()
-        world = SimWorld(self.nranks)
-        dlb = self.make_scheduler()
-        results: list[np.ndarray] = []
-
-        def rank_main(comm: SimComm) -> None:
-            rank = comm.rank
-            W = np.zeros((self.nbf, self.nbf))
-            rr = self.rank_program(
-                rank, self._grants(dlb, rank), density, W,
-                barrier=comm.barrier,
-            )
-            self._merge_rank_result(stats, rr)
-            stats.per_rank_quartets.append(rr.quartets_done)
-            with tracer.span("fock/gsumf", rank=rank):
-                self._resilient_gsumf(comm, W)
-            results.append(W)
-
-        with tracer.span(
-            "fock/build", algorithm=self.algorithm_name,
-            nranks=self.nranks, nthreads=self.nthreads,
-        ):
-            world.execute(rank_main)
-        stats.quartets_computed = sum(stats.per_rank_quartets)
-        return self._finish(results[0], stats, world, [])
 
     def work_estimates(self) -> np.ndarray:
         # Cost of MPI task i ~ number of (j, k, l) iterations under it.
@@ -129,11 +106,13 @@ class PrivateFockBuilder(ParallelFockBuilderBase):
             [float((i + 1) * (i + 1)) for i in range(self.nshells)]
         )
 
-    def _jk_costs(self, i: int, jk_tasks: list[tuple[int, int]]) -> np.ndarray | None:
+    def _jk_costs(self, i: int) -> np.ndarray | None:
         if self.thread_schedule != "dynamic":
             return None
-        # Surviving-l counts would be exact; the l-loop extent is a
-        # cheap, monotone proxy adequate for grant ordering.
-        return np.array(
-            [float(lmax_for(i, j, k) + 1) for (j, k) in jk_tasks]
-        )
+        # Surviving-l counts would be exact; the l-loop extent
+        # lmax_for(i, j, k) + 1 is a cheap, monotone proxy adequate for
+        # grant ordering: k + 1, except j + 1 in the k == i column.
+        upto = np.arange(1.0, i + 2)
+        extent = np.tile(upto, (i + 1, 1))
+        extent[:, i] = upto
+        return extent.ravel()

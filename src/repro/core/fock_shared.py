@@ -27,15 +27,9 @@ from typing import Callable, Iterator
 import numpy as np
 
 from repro.core.buffers import ColumnBlockBuffer
-from repro.core.fock_base import (
-    FockBuildStats,
-    ParallelFockBuilderBase,
-    RankBuildResult,
-)
-from repro.core.indexing import decode_pair, decode_pairs, npairs
+from repro.core.fock_base import ParallelFockBuilderBase, RankBuildResult
+from repro.core.indexing import decode_pair, npairs
 from repro.obs.tracer import get_tracer
-from repro.parallel.comm import SimComm, SimWorld
-from repro.parallel.shared_array import WriteTracker
 from repro.parallel.threads import ThreadTeam
 
 
@@ -75,12 +69,12 @@ class SharedFockBuilder(ParallelFockBuilderBase):
         offsets = self.basis.shell_bf_offsets()
         widths = self.basis.shell_nfuncs()
         max_width = self.basis.max_shell_nfunc()
-        thread_counts = np.zeros(self.nthreads, dtype=np.int64)
+        thread_counts = [0] * self.nthreads
         tracker = self._new_tracker()
+        slices = self.engine.shell_slices
         FI = ColumnBlockBuffer(self.nbf, max_width, self.nthreads)
         FJ = ColumnBlockBuffer(self.nbf, max_width, self.nthreads)
         iold = -1
-        done = 0
 
         for ij in grants:
             i, j = decode_pair(ij)
@@ -100,31 +94,41 @@ class SharedFockBuilder(ParallelFockBuilderBase):
                 if tracker is not None:
                     tracker.barrier()
 
-            kl_surviving = self.screening.surviving_kl_pairs(ij)
-            rr.quartets_screened += (ij + 1) - kl_surviving.size
-            if kl_surviving.size:
-                ks, ls = decode_pairs(kl_surviving)
+            kls = self.screening.surviving_kl_pairs(ij)
+            rr.quartets_screened += (ij + 1) - kls.size
+            if kls.size:
                 shares = team.partition(
-                    kl_surviving.size,
+                    kls.size,
                     schedule=self.thread_schedule,
                     chunk=self.thread_chunk,
-                    costs=self._kl_costs(ks, ls, widths),
+                    costs=self._kl_costs(kls),
                 )
-                si = slice(int(offsets[i]), int(offsets[i] + widths[i]))
-                sj = slice(int(offsets[j]), int(offsets[j] + widths[j]))
+                wi, wj = int(widths[i]), int(widths[j])
                 for t, share in enumerate(shares):
                     with tracer.span(
                         "fock/kl", rank=rank, thread=t, ij=ij,
                         tasks=len(share),
                     ):
-                        for idx in share:
-                            k, l = int(ks[idx]), int(ls[idx])
-                            self._do_quartet(
-                                W, FI, FJ, density, i, j, k, l, t,
-                                si, sj, tracker,
+                        if share:
+                            mine = kls[share]
+                            d = self.engine.digest_bra(
+                                i, j, mine, density, density[None], 2.0, -0.5
                             )
-                            thread_counts[t] += 1
-                            done += 1
+                            # (i,j), (i,k), (i,l) into the thread's FI,
+                            # (j,k), (j,l) into its FJ; (k,l) directly
+                            # into the shared Fock — disjoint across
+                            # threads, which the tracker verifies.
+                            d.add_into(
+                                FI.thread_view(t)[:, :wi],
+                                FJ.thread_view(t)[:, :wj], W,
+                            )
+                            if tracker is not None:
+                                for kl in mine.tolist():
+                                    k, l = decode_pair(kl)
+                                    tracker.record_block(
+                                        t, W.shape, slices[k], slices[l]
+                                    )
+                    thread_counts[t] += len(share)
                 if tracker is not None:
                     tracker.barrier()
 
@@ -144,8 +148,8 @@ class SharedFockBuilder(ParallelFockBuilderBase):
                     W, int(offsets[iold]), int(widths[iold]),
                     tracker=tracker,
                 )
-        rr.quartets_done = done
-        rr.per_thread_quartets = thread_counts.tolist()
+        rr.quartets_done = sum(thread_counts)
+        rr.per_thread_quartets = thread_counts
         rr.fi_flushes = FI.flushes
         rr.fj_flushes = FJ.flushes
         if tracker is not None:
@@ -153,75 +157,12 @@ class SharedFockBuilder(ParallelFockBuilderBase):
             rr.writes_checked = tracker.writes_checked
         return rr
 
-    def __call__(self, density: np.ndarray) -> tuple[np.ndarray, FockBuildStats]:
-        stats = self._new_stats()
-        self._check_density(density)
-        tracer = get_tracer()
-        world = SimWorld(self.nranks)
-        dlb = self.make_scheduler()
-        results: list[np.ndarray] = []
-
-        def rank_main(comm: SimComm) -> None:
-            rank = comm.rank
-            # ONE shared Fock accumulator for the whole rank.
-            W = np.zeros((self.nbf, self.nbf))
-            rr = self.rank_program(rank, self._grants(dlb, rank), density, W)
-            self._merge_rank_result(stats, rr)
-            stats.per_rank_quartets.append(rr.quartets_done)
-            with tracer.span("fock/gsumf", rank=rank):
-                self._resilient_gsumf(comm, W)
-            results.append(W)
-
-        with tracer.span(
-            "fock/build", algorithm=self.algorithm_name,
-            nranks=self.nranks, nthreads=self.nthreads,
-        ):
-            world.execute(rank_main)
-        stats.quartets_computed = sum(stats.per_rank_quartets)
-        return self._finish(results[0], stats, world, [])
-
-    def _do_quartet(
-        self,
-        W: np.ndarray,
-        FI: ColumnBlockBuffer,
-        FJ: ColumnBlockBuffer,
-        density: np.ndarray,
-        i: int,
-        j: int,
-        k: int,
-        l: int,
-        thread: int,
-        si: slice,
-        sj: slice,
-        tracker: WriteTracker | None,
-    ) -> None:
-        X = self.engine.composite_block(i, j, k, l)
-        contribs = self.engine.scatter_contributions(X, density, i, j, k, l)
-
-        wi = si.stop - si.start
-        wj = sj.stop - sj.start
-        # Private i-column buffer: families (i,j), (i,k), (i,l).
-        for key in ("ji", "ki", "li"):
-            (rows, _cols), val = contribs[key]
-            FI.add(thread, rows, slice(0, wi), val)
-        # Private j-column buffer: families (j,k), (j,l).
-        for key in ("kj", "lj"):
-            (rows, _cols), val = contribs[key]
-            FJ.add(thread, rows, slice(0, wj), val)
-        # Shared direct update: family (k, l) — disjoint across threads.
-        (rows, cols), val = contribs["kl"]
-        W[rows, cols] += val
-        if tracker is not None:
-            tracker.record_block(thread, W.shape, rows, cols)
-
     def work_estimates(self) -> np.ndarray:
         """Schwarz-screened surviving-quartet counts per bra pair."""
         return self.screening.pair_survivor_counts()
 
-    def _kl_costs(
-        self, ks: np.ndarray, ls: np.ndarray, widths: np.ndarray
-    ) -> np.ndarray | None:
+    def _kl_costs(self, kls: np.ndarray) -> np.ndarray | None:
         if self.thread_schedule != "dynamic":
             return None
         # Ket block size as the cost proxy for grant ordering.
-        return (widths[ks] * widths[ls]).astype(np.float64)
+        return self.engine.pair_nfunc[kls].astype(np.float64)

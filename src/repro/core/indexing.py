@@ -61,6 +61,14 @@ def decode_pairs(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
+def ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(s, s + c)`` over ``zip(starts, counts)``."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(
+        starts - (ends - counts), counts
+    )
+
+
 def lmax_for(i: int, j: int, k: int) -> int:
     """Upper bound (inclusive) of the ``l`` loop for quartet ``(i,j,k,*)``."""
     return j if k == i else k

@@ -26,15 +26,50 @@ The true two-electron matrix is recovered once at the end by
 :func:`symmetrize_two_electron`: ``G = W + W^T``.  This identity holds
 for diagonal families too (the derivation in the module tests), so no
 diagonal correction is needed.
+
+The bra slab
+------------
+The builders do not digest quartet by quartet.  For a fixed bra
+``(i, j)`` and one thread's share of surviving kets,
+:meth:`QuartetEngine.digest_bra` lays the scaled blocks side by side as
+one slab ``X[(i j), m]`` — ``m`` runs over every ket *function* pair
+``(kfun[m], lfun[m])`` of the share, quartet after quartet, each block
+in its own ``(k, l)`` row-major order — and computes each family once
+per share.  Every family either reduces over bra axes only or acts
+element-wise along ``m``, so kets of mixed shell classes share a slab:
+
+======== ============================== ===========================
+family   reduces over                   result, destination rows
+======== ============================== ===========================
+(i, j)   ``m`` (the whole share)        ``(nj, ni)``, the J-block
+(k, l)   ``i, j``                       ``(M,)``, ``(kfun, lfun)``
+(i, k)   ``j``                          ``(M, ni)``, rows ``kfun``
+(i, l)   ``j``                          ``(M, ni)``, rows ``lfun``
+(j, k)   ``i``                          ``(M, nj)``, rows ``kfun``
+(j, l)   ``i``                          ``(M, nj)``, rows ``lfun``
+======== ============================== ===========================
+
+The engine returns the six results with ``kfun``/``lfun``
+(:class:`BraDigest`); *where* they go is still each algorithm's
+decision.  :meth:`QuartetEngine.scatter_general` is the per-quartet
+spelling of the same arithmetic, kept for the distributed-data builder
+(which is about per-quartet one-sided traffic) and as the oracle the
+slab is property-tested against.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.basis.shell import Shell
-from repro.core.indexing import quartet_degeneracy_factor
+from repro.core.indexing import (
+    pair_index,
+    quartet_degeneracy_factor,
+    ragged_arange,
+)
 from repro.integrals.cache import QuartetCache
 from repro.integrals.eri import ShellPair, eri_shell_quartet
 from repro.obs.tracer import get_tracer
@@ -43,6 +78,44 @@ from repro.obs.tracer import get_tracer
 def symmetrize_two_electron(W: np.ndarray) -> np.ndarray:
     """Recover the symmetric two-electron matrix: ``G = W + W^T``."""
     return W + W.T
+
+
+class BraDigest(NamedTuple):
+    """The six Fock families of one bra against one share of kets.
+
+    ``ki``/``li``/``kj``/``lj`` carry a leading axis over the exchange
+    channels that were digested (one for RHF, two for UHF).
+    """
+
+    si: slice
+    sj: slice
+    kfun: np.ndarray
+    lfun: np.ndarray
+    ji: np.ndarray
+    kl: np.ndarray
+    ki: np.ndarray
+    li: np.ndarray
+    kj: np.ndarray
+    lj: np.ndarray
+
+    def add_into(
+        self, col_i: np.ndarray, col_j: np.ndarray, W: np.ndarray,
+        channel: int = 0,
+    ) -> None:
+        """Accumulate: ``ji/ki/li`` into the ``(nbf, ni)`` column block
+        ``col_i``, ``kj/lj`` into ``col_j``, ``kl`` into ``W`` itself.
+
+        Rows repeat along ``m`` (one per ``l`` of a ``k``, and again per
+        quartet), hence the unbuffered ``np.add.at``; the ``(kfun,
+        lfun)`` pairs of a share are distinct, so ``kl`` is a plain
+        fancy ``+=``.
+        """
+        col_i[self.sj] += self.ji
+        np.add.at(col_i, self.kfun, self.ki[channel])
+        np.add.at(col_i, self.lfun, self.li[channel])
+        np.add.at(col_j, self.kfun, self.kj[channel])
+        np.add.at(col_j, self.lfun, self.lj[channel])
+        W[self.kfun, self.lfun] += self.kl
 
 
 class QuartetEngine:
@@ -83,6 +156,25 @@ class QuartetEngine:
         self._subshell_positions: tuple[tuple[int, ...], ...] = tuple(positions)
         self.quartets_computed = 0
         self.quartets_from_cache = 0
+        # Frozen index tables of the digestion path.  Per composite
+        # shell: its basis-function slice.  Per canonical shell pair
+        # (combined index kl): the shells, the k == l half of the
+        # degeneracy factor, and one CSR row of the pair's function
+        # indices in block order — O(nbf^2) integers, no quartet data.
+        offsets, widths = basis.shell_bf_offsets(), basis.shell_nfuncs()
+        self.shell_slices = tuple(
+            slice(o, o + w) for o, w in zip(offsets.tolist(), widths.tolist())
+        )
+        k, l = np.tril_indices(len(self.composites))
+        self._pair_k, self._pair_l = k, l
+        self._pair_fac = np.where(k == l, 0.5, 1.0)
+        #: Function pairs per canonical shell pair (the ket block size).
+        self.pair_nfunc = widths[k] * widths[l]
+        self._ket_ptr = np.concatenate(([0], np.cumsum(self.pair_nfunc)))
+        pair = np.repeat(np.arange(k.size), self.pair_nfunc)
+        local = np.arange(pair.size) - self._ket_ptr[pair]
+        self._ket_kfun = offsets[k[pair]] + local // widths[l[pair]]
+        self._ket_lfun = offsets[l[pair]] + local % widths[l[pair]]
 
     # -- ERI blocks -----------------------------------------------------
 
@@ -147,15 +239,51 @@ class QuartetEngine:
 
     # -- Fock scattering ---------------------------------------------------
 
-    def block_slices(
-        self, I: int, J: int, K: int, L: int
-    ) -> tuple[slice, slice, slice, slice]:
-        """Basis-function slices of the four composite blocks."""
-        out = []
-        for x in (I, J, K, L):
-            cs = self.composites[x]
-            out.append(slice(cs.bf_offset, cs.bf_offset + cs.nfunc))
-        return tuple(out)
+    def digest_bra(
+        self,
+        I: int,
+        J: int,
+        kls: np.ndarray,
+        d_coulomb: np.ndarray,
+        d_exchange: np.ndarray,
+        jw: float,
+        kw: float,
+    ) -> BraDigest:
+        """All six families of bra ``(I J|`` against the kets ``kls``.
+
+        ``kls`` holds combined indices of canonical ket pairs (at least
+        one); ``d_exchange`` is a stack ``(nchannels, nbf, nbf)``.  The
+        blocks come through :meth:`composite_block` in ``kls`` order.
+        See the module docstring for the slab layout.
+        """
+        si, sj = self.shell_slices[I], self.shell_slices[J]
+        ni, nj = si.stop - si.start, sj.stop - sj.start
+        X = np.concatenate(
+            [
+                self.composite_block(I, J, k, l).reshape(ni * nj, -1)
+                for k, l in zip(
+                    self._pair_k[kls].tolist(), self._pair_l[kls].tolist()
+                )
+            ],
+            axis=1,
+        )
+        sizes = self.pair_nfunc[kls]
+        fac = self._pair_fac[kls] * (0.5 if I == J else 1.0)
+        fac[kls == pair_index(I, J)] *= 0.5
+        X *= np.repeat(fac, sizes)
+        m = ragged_arange(self._ket_ptr[kls], sizes)
+        kfun, lfun = self._ket_kfun[m], self._ket_lfun[m]
+        X3 = X.reshape(ni, nj, -1)
+        dk_j, dk_i = d_exchange[:, sj], d_exchange[:, si]
+        return BraDigest(
+            si, sj, kfun, lfun,
+            ji=jw * (X3 @ d_coulomb[kfun, lfun]).T,
+            kl=jw * (d_coulomb[si, sj].ravel() @ X),
+            ki=kw * np.einsum("ijm,cjm->cmi", X3, dk_j[:, :, lfun]),
+            li=kw * np.einsum("ijm,cjm->cmi", X3, dk_j[:, :, kfun]),
+            kj=kw * np.einsum("ijm,cim->cmj", X3, dk_i[:, :, lfun]),
+            lj=kw * np.einsum("ijm,cim->cmj", X3, dk_i[:, :, kfun]),
+        )
 
     def scatter_general(
         self,
@@ -178,7 +306,7 @@ class QuartetEngine:
         unrestricted Fock matrices use ``(D_total, D_sigma, +2, -1)``
         per spin channel.
         """
-        si, sj, sk, sl = self.block_slices(I, J, K, L)
+        si, sj, sk, sl = (self.shell_slices[x] for x in (I, J, K, L))
         fac = quartet_degeneracy_factor(I, J, K, L)
         Xs = X * fac
 
@@ -217,22 +345,3 @@ class QuartetEngine:
         the arithmetic is identical across algorithms by construction.
         """
         return self.scatter_general(X, D, D, 2.0, -0.5, I, J, K, L)
-
-    def apply_quartet(
-        self,
-        W: np.ndarray,
-        D: np.ndarray,
-        I: int,
-        J: int,
-        K: int,
-        L: int,
-    ) -> None:
-        """Evaluate one quartet and accumulate all six updates into ``W``.
-
-        This is the single-accumulator path used by Algorithms 1 and 2
-        (replicated/private Fock); Algorithm 3 routes the same
-        contributions through its FI/FJ buffers instead.
-        """
-        X = self.composite_block(I, J, K, L)
-        for (dest, val) in self.scatter_contributions(X, D, I, J, K, L).values():
-            W[dest] += val

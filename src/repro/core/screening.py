@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.chem.basis.basisset import BasisSet
-from repro.core.indexing import decode_pairs, npairs
+from repro.core.indexing import npairs, pair_index, ragged_arange
 
 #: GAMESS-like default integral cutoff.
 DEFAULT_TAU: float = 1.0e-10
@@ -100,6 +100,19 @@ class Screening:
         kl = np.arange(ij + 1, dtype=np.int64)
         mask = q_ij * self.pair_q[kl] >= self.tau
         return kl[mask]
+
+    def surviving_kl_under(
+        self, i: int, j: int, ks: np.ndarray
+    ) -> tuple[np.ndarray, int]:
+        """Surviving kets of bra ``(i, j)`` restricted to the shells ``ks``.
+
+        The stock loops' ``l <= lmax_for(i, j, k)`` for every ``k`` of
+        ``ks``, in their order, under the test :meth:`survives` applies.
+        Returns the combined ``kl`` indices and the number screened out.
+        """
+        kl = ragged_arange(ks * (ks + 1) // 2, np.where(ks == i, j, ks) + 1)
+        keep = self.pair_q[pair_index(i, j)] * self.pair_q[kl] >= self.tau
+        return kl[keep], int(kl.size - np.count_nonzero(keep))
 
     # -- aggregate statistics (no quartet enumeration) --------------------
 

@@ -78,13 +78,21 @@ class ThreadTeam:
                 raise ValueError(
                     f"costs must have shape ({ntasks},); got {costs.shape}"
                 )
-            loads = np.zeros(self.nthreads)
+            # Plain Python floats: this loop runs once per DLB task, on
+            # a handful of threads, where a NumPy call per chunk costs
+            # more than the bookkeeping it does.  A multi-task chunk's
+            # cost stays a NumPy sum so ties break on the same digits.
+            chunk_costs = (
+                costs.tolist() if chunk == 1
+                else [float(costs[r.start:r.stop].sum()) for r in chunks]
+            )
+            loads = [0.0] * self.nthreads
             # Chunks are handed out in loop order to whichever thread is
             # free first (the least-loaded one at grant time).
-            for rng in chunks:
-                t = int(np.argmin(loads))
+            for rng, cost in zip(chunks, chunk_costs):
+                t = loads.index(min(loads))
                 shares[t].extend(rng)
-                loads[t] += float(costs[list(rng)].sum())
+                loads[t] += cost
         return shares
 
     def collapse2(self, n_outer: int, n_inner: Callable[[int], int] | int) -> list[tuple[int, int]]:

@@ -13,6 +13,7 @@ from repro.core.indexing import (
     npairs,
     pair_index,
     quartet_degeneracy_factor,
+    ragged_arange,
     unique_quartets,
 )
 
@@ -36,6 +37,13 @@ def test_decode_pairs_vectorized_matches_scalar():
     i, j = decode_pairs(ps)
     for p in (0, 1, 2, 77, 4999):
         assert (i[p], j[p]) == decode_pair(p)
+
+
+def test_ragged_arange_concatenates_ranges():
+    starts, counts = np.array([5, 0, 9, 2]), np.array([3, 0, 1, 2])
+    assert ragged_arange(starts, counts).tolist() == [5, 6, 7, 9, 2, 3]
+    empty = np.array([], dtype=np.int64)
+    assert ragged_arange(empty, empty).size == 0
 
 
 def test_pair_index_rejects_disorder():

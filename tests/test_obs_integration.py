@@ -197,6 +197,49 @@ def test_scf_trace_covers_run(water_sto3g):
     assert iter_total >= 0.9 * run_span.duration
 
 
+def test_uhf_run_is_visible_to_the_timeline():
+    """A traced UHF doublet draws both ranks, both threads, and its waits.
+
+    The UHF builder used to open none of the ``fock/*`` spans: the
+    timeline saw one rank, no wait, and an imbalance of exactly 1.000
+    next to build statistics that said otherwise.
+    """
+    from repro.chem.basis import BasisSet
+    from repro.chem.molecule import Molecule
+    from repro.config import SCFConfig
+    from repro.core.scf_driver import build_scf
+    from repro.obs.analysis import analyze_tracer
+
+    basis = BasisSet(
+        Molecule(["O", "H"], [(0, 0, 0), (0, 0, 1.83)], name="OH"), "sto-3g"
+    )
+    config = SCFConfig(method="uhf", multiplicity=2, nranks=2, nthreads=2)
+    tracer = Tracer()
+    with use_tracer(tracer), build_scf(config, basis) as scf:
+        res = scf.run()
+    assert res.converged
+
+    spans = list(tracer.walk())
+    names = {s.name for s in spans}
+    assert {"fock/build", "fock/jk", "fock/thread_reduce",
+            "fock/gsumf"} <= names
+    lanes = {
+        (s.effective_attr("rank"), s.effective_attr("thread"))
+        for s in spans if s.name == "fock/jk"
+    }
+    assert lanes == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+    analysis = analyze_tracer(tracer)
+    assert [r.rank for r in analysis.ranks] == [0, 1]
+    assert all(r.busy_s > 0 and r.wait_s > 0 for r in analysis.ranks)
+    # Seconds here, quartets in FockBuildStats — the two imbalances
+    # cannot be equal to the digit, but they must tell the same story:
+    # the DLB deals shells 0 and 2 to rank 0, three quarters of the work.
+    quartets = np.sum([s.per_rank_quartets for s in res.fock_stats], axis=0)
+    assert res.rank_imbalance > 1.05 and analysis.rank_imbalance > 1.0
+    assert int(np.argmax(analysis.rank_busy)) == int(np.argmax(quartets)) == 0
+
+
 def test_profile_cli_emits_valid_artifacts(tmp_path, capsys):
     rc = main([
         "profile", "--algorithm", "shared-fock",

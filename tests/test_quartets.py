@@ -11,8 +11,10 @@ from repro.scf.fock_dense import two_electron_fock_dense
 
 def _full_scatter(basis, eng, D):
     W = np.zeros((basis.nbf, basis.nbf))
-    for (i, j, k, l) in unique_quartets(basis.nshells):
-        eng.apply_quartet(W, D, i, j, k, l)
+    for q in unique_quartets(basis.nshells):
+        X = eng.composite_block(*q)
+        for dest, val in eng.scatter_contributions(X, D, *q).values():
+            W[dest] += val
     return symmetrize_two_electron(W)
 
 

@@ -159,3 +159,31 @@ def test_with_tau_picks_up_new_attributes(water_sto3g):
     scr.future_field = "added-later"
     clone = scr.with_tau(1e-4)
     assert clone.future_field == "added-later"
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(1, 9), st.data())
+@settings(max_examples=80, deadline=None)
+def test_surviving_kl_under_matches_the_stock_loops(seed, nshells, data):
+    """Property: same kets, same order, same screened count as the scalar
+    ``k`` / ``l <= lmax_for(i, j, k)`` / ``survives`` loops it replaced."""
+    from repro.core.indexing import lmax_for, pair_index
+
+    rng = np.random.default_rng(seed)
+    q = np.abs(rng.lognormal(-3, 3, (nshells, nshells)))
+    scr = Screening(q + q.T, tau=1e-4)
+    i = data.draw(st.integers(0, nshells - 1), label="i")
+    j = data.draw(st.integers(0, i), label="j")
+    ks = sorted(data.draw(
+        st.sets(st.integers(0, i), min_size=0, max_size=i + 1), label="ks"))
+
+    want, screened = [], 0
+    for k in ks:
+        for l in range(lmax_for(i, j, k) + 1):
+            if scr.survives(i, j, k, l):
+                want.append(pair_index(k, l))
+            else:
+                screened += 1
+    got, got_screened = scr.surviving_kl_under(
+        i, j, np.array(ks, dtype=np.int64))
+    assert got.tolist() == want
+    assert got_screened == screened

@@ -50,6 +50,41 @@ def test_dynamic_with_costs_improves_balance():
     assert load(dyn) <= load(stat) + 1e-9
 
 
+def _partition_with_numpy_bookkeeping(nthreads, ntasks, chunk, costs):
+    """The greedy loop as it stood before the plain-float rewrite, verbatim."""
+    shares = [[] for _ in range(nthreads)]
+    loads = np.zeros(nthreads)
+    for rng in split_chunks(ntasks, chunk):
+        t = int(np.argmin(loads))
+        shares[t].extend(rng)
+        loads[t] += float(costs[list(rng)].sum())
+    return shares
+
+
+@given(
+    st.integers(min_value=0, max_value=200),
+    st.integers(min_value=1, max_value=8),
+    st.sampled_from([1, 2, 5]),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_dynamic_partition_equals_the_numpy_loop(ntasks, nthreads, chunk, data):
+    """Property: same shares, tie for tie, as the per-chunk NumPy loop."""
+    # Few distinct values (block sizes 1, 4, 16, 36 ... plus awkward
+    # fractions) so equal loads — where only the tie-break decides —
+    # are the common case, not the exception.
+    costs = np.array(data.draw(st.lists(
+        st.sampled_from([1.0, 4.0, 16.0, 36.0, 0.1, 0.2, 0.3, 1.0 / 3.0]),
+        min_size=ntasks, max_size=ntasks,
+    )), dtype=np.float64)
+    shares = ThreadTeam(nthreads).partition(
+        ntasks, schedule="dynamic", chunk=chunk, costs=costs
+    )
+    assert shares == _partition_with_numpy_bookkeeping(
+        nthreads, ntasks, chunk, costs
+    )
+
+
 def test_bad_schedule_rejected():
     with pytest.raises(ValueError):
         ThreadTeam(2).partition(10, schedule="guided")
