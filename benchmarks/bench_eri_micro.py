@@ -1,16 +1,27 @@
-"""ERI micro-benchmark: batched vs. scalar quartets/sec, cache hit rate.
+"""ERI micro-benchmark: class-batched shares vs. one ket at a time vs.
+the scalar oracle, and the cache hit rate.
 
 Standalone (CI-runnable) benchmark of the integral hot path on the
 d-shell graphene fixture — ``bilayer_graphene(1)`` in 6-31G(d), the
 smallest system exercising S, L (fused SP), and Cartesian d shells.
-Emits a machine-readable ``BENCH_eri.json`` record::
+The surviving quartets are swept the way a Fock build sweeps them, one
+bra share at a time through ``QuartetEngine.composite_blocks``, then one
+quartet at a time (the batch-of-one path of the same kernel), then
+through the scalar oracle of ``tests/oracles.py``.  Emits a
+machine-readable ``BENCH_eri.json`` record::
 
     {
       "quartets": ...,                  # surviving quartets measured
-      "scalar_quartets_per_s": ...,     # seed primitive-loop path
-      "batched_quartets_per_s": ...,    # one Boys call per quartet
+      "shares": ...,                    # bra shares they arrive in
+      "scalar_quartets_per_s": ...,     # oracle: primitive loops
+      "single_quartets_per_s": ...,     # kernel, one ket per call
+      "batched_quartets_per_s": ...,    # kernel, one share per call
       "speedup": ...,                   # batched / scalar
-      "boys_calls_per_quartet": 1.0,    # proven by the metrics layer
+      "speedup_vs_single": ...,         # batched / single
+      "boys_calls_per_quartet": ...,    # < 1 on the share sweep
+      "boys_calls_per_quartet_single": 1.0,
+      "max_abs_diff_vs_single": 0.0,    # the independence invariant
+      "max_abs_diff_vs_scalar": ...,    # <= 1e-12
       "cache_hit_rate_cycle2": 1.0,     # semi-direct repeat cycle
       ...
     }
@@ -34,37 +45,57 @@ import time
 from pathlib import Path
 
 
-def _surviving_quartets(basis, tau=1e-10):
-    from repro.core.indexing import unique_quartets
+def _surviving_shares(basis, tau=1e-10):
+    """``(i, j, kls)`` per bra with a surviving ket, Algorithm 1's order."""
+    from repro.core.indexing import decode_pair, npairs
     from repro.core.screening import Screening
     from repro.integrals.schwarz import schwarz_matrix
 
     screening = Screening(schwarz_matrix(basis), tau)
+    shares = []
+    for ij in range(npairs(basis.nshells)):
+        kls = screening.surviving_kl_pairs(ij)
+        if kls.size:
+            shares.append((*decode_pair(ij), kls))
+    return shares
+
+
+def _sweep(engine, shares, batched):
+    """Every block of every share, a share or a quartet per call."""
+    from repro.core.indexing import decode_pair
+
+    if batched:
+        return [engine.composite_blocks(i, j, kls) for i, j, kls in shares]
     return [
-        (i, j, k, l)
-        for (i, j, k, l) in unique_quartets(basis.nshells)
-        if screening.survives(i, j, k, l)
+        [engine.composite_block(i, j, *decode_pair(kl)) for kl in kls.tolist()]
+        for i, j, kls in shares
     ]
 
 
-def _time_engine(basis, quartets, repeats):
-    """Best-of-``repeats`` wall seconds for one full quartet sweep."""
+def _time_engine(basis, shares, repeats, batched):
+    """Best-of-``repeats`` wall seconds for one full sweep, and its blocks."""
     from repro.core.quartets import QuartetEngine
 
+    engine = QuartetEngine(basis)
+    # Pair E-tensor preparation is amortized across an SCF run; warm it
+    # so the sweep times the quartet kernel itself.
+    blocks = _sweep(engine, shares, batched)
     best = float("inf")
     for _ in range(repeats):
-        engine = QuartetEngine(basis)
-        # Pair E-tensor preparation is amortized across an SCF run;
-        # warm it so the sweep times the quartet kernel itself.
-        for (i, j, k, l) in quartets:
-            engine.composite_block(i, j, k, l)
         t0 = time.perf_counter()
-        engine2 = QuartetEngine(basis)
-        engine2._pure_pairs = engine._pure_pairs
-        for (i, j, k, l) in quartets:
-            engine2.composite_block(i, j, k, l)
+        _sweep(engine, shares, batched)
         best = min(best, time.perf_counter() - t0)
-    return best
+    return best, blocks
+
+
+def _max_abs_diff(blocks, reference):
+    import numpy as np
+
+    return max(
+        float(np.max(np.abs(a - b)))
+        for share, ref_share in zip(blocks, reference)
+        for a, b in zip(share, ref_share)
+    )
 
 
 def run(output: Path, repeats: int = 3) -> dict:
@@ -73,38 +104,48 @@ def run(output: Path, repeats: int = 3) -> dict:
     from repro.chem.graphene import bilayer_graphene
     from repro.core.quartets import QuartetEngine
     from repro.integrals.cache import QuartetCache
-    from repro.integrals.eri import eri_shell_quartet, eri_shell_quartet_scalar
     from repro.obs.metrics import MetricsRegistry, use_metrics
 
+    # The scalar oracle lives in the test tree.
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    from tests.oracles import eri_class_batch_scalar
+
     basis = BasisSet(bilayer_graphene(1), "6-31g(d)")
-    quartets = _surviving_quartets(basis)
-    nquartets = len(quartets)
+    shares = _surviving_shares(basis)
+    nquartets = sum(kls.size for _, _, kls in shares)
 
-    # Batched path (the production kernel), instrumented to prove the
-    # one-Boys-call-per-quartet contract.
-    registry = MetricsRegistry()
-    with use_metrics(registry):
-        batched_s = _time_engine(basis, quartets, repeats)
-    pure_quartets = registry.counter("eri.quartets").value
-    boys_calls = registry.counter("eri.boys_calls").value
-    batch_hist = registry.histogram("eri.batch_size")
+    # The production path: one share per call.  Instrumented to show
+    # fewer than one Boys call per pure quartet.
+    def counted(batched):
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            _sweep(QuartetEngine(basis), shares, batched)
+        return (
+            registry.counter("eri.boys_calls").value
+            / registry.counter("eri.quartets").value,
+            registry.histogram("eri.batch_size"),
+        )
 
-    # Scalar reference path (the seed primitive-loop kernel).
-    quartets_mod.eri_shell_quartet = eri_shell_quartet_scalar
+    boys_per_quartet, batch_hist = counted(batched=True)
+    boys_per_quartet_single, _ = counted(batched=False)
+    batched_s, blocks = _time_engine(basis, shares, repeats, batched=True)
+    single_s, singles = _time_engine(basis, shares, repeats, batched=False)
+
+    # The scalar oracle (the seed's primitive loops) under the same sweep.
+    kernel = quartets_mod.eri_class_batch
+    quartets_mod.eri_class_batch = eri_class_batch_scalar
     try:
-        scalar_s = _time_engine(basis, quartets, repeats)
+        scalar_s, scalars = _time_engine(basis, shares, repeats, batched=True)
     finally:
-        quartets_mod.eri_shell_quartet = eri_shell_quartet
+        quartets_mod.eri_class_batch = kernel
 
     # Semi-direct repeat cycle: everything served from the cache.
     cache = QuartetCache.from_mb(256)
     engine = QuartetEngine(basis, cache=cache)
-    for (i, j, k, l) in quartets:
-        engine.composite_block(i, j, k, l)
+    _sweep(engine, shares, batched=True)
     h0, m0 = cache.hits, cache.misses
     t0 = time.perf_counter()
-    for (i, j, k, l) in quartets:
-        engine.composite_block(i, j, k, l)
+    _sweep(engine, shares, batched=True)
     cached_s = time.perf_counter() - t0
     cycle2_hits = cache.hits - h0
     cycle2_misses = cache.misses - m0
@@ -115,16 +156,23 @@ def run(output: Path, repeats: int = 3) -> dict:
         "nshells": basis.nshells,
         "nbf": basis.nbf,
         "quartets": nquartets,
+        "shares": len(shares),
         "scalar_wall_s": scalar_s,
+        "single_wall_s": single_s,
         "batched_wall_s": batched_s,
         "cached_cycle2_wall_s": cached_s,
         "scalar_quartets_per_s": nquartets / scalar_s,
+        "single_quartets_per_s": nquartets / single_s,
         "batched_quartets_per_s": nquartets / batched_s,
         "cached_quartets_per_s": nquartets / cached_s if cached_s > 0 else None,
         "speedup": scalar_s / batched_s,
-        "boys_calls_per_quartet": boys_calls / pure_quartets,
+        "speedup_vs_single": single_s / batched_s,
+        "boys_calls_per_quartet": boys_per_quartet,
+        "boys_calls_per_quartet_single": boys_per_quartet_single,
         "mean_primitive_batch_size": batch_hist.mean,
         "max_primitive_batch_size": batch_hist.max,
+        "max_abs_diff_vs_single": _max_abs_diff(blocks, singles),
+        "max_abs_diff_vs_scalar": _max_abs_diff(blocks, scalars),
         "cache_hit_rate_cycle2": cycle2_hits / (cycle2_hits + cycle2_misses),
         "cycle2_quartets_evaluated": cycle2_misses,
     }
@@ -395,9 +443,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--check", action="store_true",
-        help="kernel mode: fail (exit 1) unless the batched path is >= 2x "
-             "the scalar path, exactly one Boys call per quartet was "
-             "recorded, and the cycle-2 cache hit rate is 100%%. process "
+        help="kernel mode: fail (exit 1) unless the share sweep is >= 2x "
+             "the scalar oracle, records fewer than one Boys call per "
+             "quartet (exactly one on the one-ket sweep), is bitwise "
+             "equal to the one-ket sweep and within 1e-12 of the oracle, "
+             "and the cycle-2 cache hit rate is 100%%. process "
              "mode: fail unless sim<->process parity holds, plus — only "
              "on machines with >= 2 CPUs — a >= 1.5x speedup at 4+ workers",
     )
@@ -494,19 +544,28 @@ def _bench_run(args, output: Path) -> tuple[int, dict]:
 
     record = run(output, repeats=args.repeats)
     print(f"fixture                : {record['fixture']}")
-    print(f"surviving quartets     : {record['quartets']}")
-    print(f"scalar                 : {record['scalar_quartets_per_s']:.1f} quartets/s")
-    print(f"batched                : {record['batched_quartets_per_s']:.1f} quartets/s")
+    print(f"surviving quartets     : {record['quartets']} "
+          f"in {record['shares']} shares")
+    print(f"scalar oracle          : {record['scalar_quartets_per_s']:.1f} quartets/s")
+    print(f"one ket per call       : {record['single_quartets_per_s']:.1f} quartets/s")
+    print(f"one share per call     : {record['batched_quartets_per_s']:.1f} quartets/s")
     print(f"cached (cycle 2)       : {record['cached_quartets_per_s']:.1f} quartets/s")
-    print(f"speedup (batched)      : {record['speedup']:.2f}x")
-    print(f"boys calls / quartet   : {record['boys_calls_per_quartet']:.3f}")
+    print(f"speedup vs oracle      : {record['speedup']:.2f}x")
+    print(f"speedup vs one ket     : {record['speedup_vs_single']:.2f}x")
+    print(f"boys calls / quartet   : {record['boys_calls_per_quartet']:.3f} "
+          f"(one ket: {record['boys_calls_per_quartet_single']:.3f})")
+    print(f"max |diff| vs one ket  : {record['max_abs_diff_vs_single']:.1e}")
+    print(f"max |diff| vs oracle   : {record['max_abs_diff_vs_scalar']:.1e}")
     print(f"cycle-2 cache hit rate : {100 * record['cache_hit_rate_cycle2']:.1f}%")
     print(f"wrote {output}")
 
     if args.check:
         ok = (
             record["speedup"] >= 2.0
-            and record["boys_calls_per_quartet"] == 1.0
+            and record["boys_calls_per_quartet"] < 1.0
+            and record["boys_calls_per_quartet_single"] == 1.0
+            and record["max_abs_diff_vs_single"] == 0.0
+            and record["max_abs_diff_vs_scalar"] <= 1.0e-12
             and record["cache_hit_rate_cycle2"] == 1.0
             and record["cycle2_quartets_evaluated"] == 0
         )

@@ -9,5 +9,11 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.11",
-    install_requires=["numpy>=1.24", "scipy>=1.10"],
+    install_requires=["numpy>=1.24"],
+    extras_require={
+        "test": [
+            "pytest", "pytest-benchmark", "pytest-timeout", "hypothesis",
+            "scipy>=1.10", "mpmath",
+        ],
+    },
 )

@@ -18,6 +18,10 @@ from typing import Iterator
 
 import numpy as np
 
+# Defined beside the ragged pair stacks it serves; the quartet and
+# screening code reach it through this module.
+from repro.integrals.eri import ragged_arange  # noqa: F401
+
 
 def npairs(n: int) -> int:
     """Number of canonical pairs ``(i >= j)`` over ``n`` shells."""
@@ -59,14 +63,6 @@ def decode_pairs(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     base = i * (i + 1) // 2
     j = p - base
     return i, j
-
-
-def ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenation of ``arange(s, s + c)`` over ``zip(starts, counts)``."""
-    ends = np.cumsum(counts)
-    return np.arange(ends[-1] if ends.size else 0) + np.repeat(
-        starts - (ends - counts), counts
-    )
 
 
 def lmax_for(i: int, j: int, k: int) -> int:

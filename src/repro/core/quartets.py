@@ -1,9 +1,27 @@
 """Composite-shell quartet evaluation and the six-way Fock scatter.
 
 :class:`QuartetEngine` is the workhorse shared by all three parallel
-algorithms: it evaluates the ERI block of a composite (GAMESS) shell
-quartet and scatters the six Fock contributions of the paper's
+algorithms: it evaluates the ERI blocks of composite (GAMESS) shell
+quartets and scatters the six Fock contributions of the paper's
 eqs. (2a)-(2f) into an accumulation matrix ``W``.
+
+Class-batched evaluation
+------------------------
+Blocks are evaluated a *share* at a time, not a quartet at a time:
+:meth:`QuartetEngine.composite_blocks` takes one bra ``(I, J)`` and the
+combined indices of a thread's kets.  On first use the engine stacks,
+per ``(lc, ld)`` class, the ket role of every pure sub-shell pair of
+every canonical composite pair into one ragged
+:class:`~repro.integrals.eri.PairStack`; a share selects its rows of a
+class by index, and each (bra sub-pair, ket class) is ONE
+:func:`~repro.integrals.eri.eri_class_batch` call whose results are
+copied into per-quartet blocks at the sub-shell offsets.  A quartet's
+block is bitwise independent of what else is in the share (the kernel's
+independence invariant), so a share may be split, reordered, replayed
+or partly served from the cache without changing a bit of the Fock
+matrix; the kernel bounds its own batch memory.  With a cache attached
+the hit / miss / eviction sequence is exactly that of quartet-by-quartet
+evaluation (see :meth:`~QuartetEngine.composite_blocks`).
 
 Accumulation convention
 -----------------------
@@ -59,19 +77,21 @@ slab is property-tested against.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from repro.chem.basis.basisset import BasisSet
-from repro.chem.basis.shell import Shell
+from repro.chem.basis.shell import Shell, ncart
 from repro.core.indexing import (
     pair_index,
     quartet_degeneracy_factor,
     ragged_arange,
 )
 from repro.integrals.cache import QuartetCache
-from repro.integrals.eri import ShellPair, eri_shell_quartet
+from repro.integrals.eri import PairStack, ShellPair, eri_class_batch
 from repro.obs.tracer import get_tracer
 
 
@@ -118,18 +138,36 @@ class BraDigest(NamedTuple):
         W[self.kfun, self.lfun] += self.kl
 
 
+class _KetClass(NamedTuple):
+    """The pure sub-shell pairs of one ``(lc, ld)`` class, over every
+    canonical composite pair, stacked once.
+
+    The composite pair ``kl`` owns the ``count[kl]`` rows of ``stack``
+    from ``first[kl]`` on; ``ok[r]``/``ol[r]`` are the function offsets
+    of row ``r`` inside that pair's composite block.
+    """
+
+    stack: PairStack
+    first: np.ndarray
+    count: np.ndarray
+    ok: np.ndarray
+    ol: np.ndarray
+
+
 class QuartetEngine:
     """ERI evaluation and Fock scattering over composite shells.
 
     Parameters
     ----------
     basis:
-        The AO basis.  Pure-shell pair data (Hermite E matrices) is
-        built lazily and cached per pair, so only pairs that survive
-        screening are ever prepared.
+        The AO basis.  Pure-shell pair data (Hermite E tensors) is built
+        once per pair, keyed by position in the basis: all canonical
+        pairs when the first block is evaluated (they are what the ket
+        class stacks hold), a bra in non-canonical order on demand.
+        Constructing an engine prepares nothing.
     cache:
         Optional :class:`~repro.integrals.cache.QuartetCache`.  When
-        given, :meth:`composite_block` serves repeat quartets from the
+        given, :meth:`composite_blocks` serves repeat quartets from the
         cache (semi-direct SCF): cycles after the first skip integral
         evaluation entirely for every block still resident.
     """
@@ -162,6 +200,7 @@ class QuartetEngine:
         # degeneracy factor, and one CSR row of the pair's function
         # indices in block order — O(nbf^2) integers, no quartet data.
         offsets, widths = basis.shell_bf_offsets(), basis.shell_nfuncs()
+        self._shell_nfunc = widths
         self.shell_slices = tuple(
             slice(o, o + w) for o, w in zip(offsets.tolist(), widths.tolist())
         )
@@ -186,56 +225,139 @@ class QuartetEngine:
             self._pure_pairs[key] = pair
         return pair
 
-    def composite_block(self, I: int, J: int, K: int, L: int) -> np.ndarray:
-        """ERI block over composite shells ``(I J | K L)``.
+    @cached_property
+    def _ket_classes(self) -> tuple[_KetClass, ...]:
+        """Every pure sub-pair of every canonical composite pair, in its
+        ket role, stacked per ``(lc, ld)`` class on first evaluation; a
+        share then selects its rows by index."""
+        members = defaultdict(list)
+        for kl, (K, L) in enumerate(
+            zip(self._pair_k.tolist(), self._pair_l.tolist())
+        ):
+            ok = 0
+            for kc, sc in zip(
+                self._subshell_positions[K], self.composites[K].subshells
+            ):
+                ol = 0
+                for ld, sd in zip(
+                    self._subshell_positions[L], self.composites[L].subshells
+                ):
+                    members[sc.l, sd.l].append(
+                        (kl, ok, ol, self._pure_pair(kc, sc, ld, sd))
+                    )
+                    ol += sd.nfunc
+                ok += sc.nfunc
+        classes = []
+        for rows in members.values():
+            kl, ok, ol, pairs = zip(*rows)  # kl ascending: CSR by count
+            count = np.bincount(kl, minlength=self._pair_k.size)
+            classes.append(_KetClass(
+                PairStack.concat(pairs), count.cumsum() - count, count,
+                np.array(ok), np.array(ol),
+            ))
+        return tuple(classes)
 
-        With a cache attached, a repeat quartet returns the stored
-        (read-only) block without touching the integral kernels.
+    def composite_blocks(
+        self, I: int, J: int, kls: np.ndarray
+    ) -> list[np.ndarray]:
+        """ERI blocks ``(I J | K L)`` of one bra against the kets ``kls``.
+
+        ``kls`` holds combined indices of canonical ket pairs.  Without a
+        cache all of them are evaluated together, one kernel call per
+        (bra sub-pair, ket class).  With a cache the blocks absent at
+        entry are evaluated together and then the per-quartet sequence
+        ``get -> (evaluate) -> put`` is replayed in ``kls`` order, so
+        hits, misses, evictions and LRU order are those of quartet-by-
+        quartet evaluation; a block the replay itself evicts before its
+        turn (a budget smaller than the share) is re-evaluated alone,
+        which by the kernel's independence invariant yields the same
+        bits.
 
         Returns
         -------
-        numpy.ndarray
-            Shape ``(nfI, nfJ, nfK, nfL)``, assembled from the pure
-            sub-shell quartets (an L shell contributes its S and P
+        list of numpy.ndarray
+            One ``(nfI, nfJ, nfK, nfL)`` block per ket, each owning its
+            memory (cached blocks are read-only), assembled from the
+            pure sub-shell quartets (an L shell contributes its S and P
             sub-blocks at the proper offsets).
         """
-        if self.cache is not None:
-            block = self.cache.get((I, J, K, L))
-            if block is not None:
+        kls = np.asarray(kls, dtype=np.intp)
+        cache = self.cache
+        if cache is None:
+            self.quartets_computed += kls.size
+            return self._evaluate_blocks(I, J, kls)
+        keys = [
+            (I, J, k, l)
+            for k, l in zip(
+                self._pair_k[kls].tolist(), self._pair_l[kls].tolist()
+            )
+        ]
+        absent = [n for n, key in enumerate(keys) if key not in cache]
+        fresh = (
+            dict(zip(absent, self._evaluate_blocks(I, J, kls[absent])))
+            if absent else {}
+        )
+        blocks = []
+        for n, key in enumerate(keys):
+            block = cache.get(key)
+            if block is None:
+                block = fresh.get(n)
+                if block is None:
+                    (block,) = self._evaluate_blocks(I, J, kls[n : n + 1])
+                self.quartets_computed += 1
+                cache.put(key, block)
+            else:
                 self.quartets_from_cache += 1
-                return block
-        block = self._evaluate_block(I, J, K, L)
-        self.quartets_computed += 1
-        if self.cache is not None:
-            self.cache.put((I, J, K, L), block)
-        return block
+            blocks.append(block)
+        return blocks
 
-    def _evaluate_block(self, I: int, J: int, K: int, L: int) -> np.ndarray:
-        cI, cJ, cK, cL = (self.composites[x] for x in (I, J, K, L))
-        pI, pJ, pK, pL = (self._subshell_positions[x] for x in (I, J, K, L))
-        out = np.zeros((cI.nfunc, cJ.nfunc, cK.nfunc, cL.nfunc))
+    def composite_block(self, I: int, J: int, K: int, L: int) -> np.ndarray:
+        """ERI block over composite shells ``(I J | K L)``, ``K >= L``:
+        the one-quartet case of :meth:`composite_blocks` (with a cache
+        attached, a repeat quartet is the stored read-only block)."""
+        return self.composite_blocks(I, J, [pair_index(K, L)])[0]
+
+    def _evaluate_blocks(
+        self, I: int, J: int, kls: np.ndarray
+    ) -> list[np.ndarray]:
+        cI, cJ = self.composites[I], self.composites[J]
+        pI, pJ = self._subshell_positions[I], self._subshell_positions[J]
+        nfunc = self._shell_nfunc
+        blocks = [
+            np.empty((cI.nfunc, cJ.nfunc, nk, nl))
+            for nk, nl in zip(
+                nfunc[self._pair_k[kls]].tolist(),
+                nfunc[self._pair_l[kls]].tolist(),
+            )
+        ]
         with get_tracer().span("eri/quartet_batch"):
-            oi = 0
-            for ia, sa in zip(pI, cI.subshells):
-                oj = 0
-                for jb, sb in zip(pJ, cJ.subshells):
-                    bra = self._pure_pair(ia, sa, jb, sb)
-                    ok = 0
-                    for kc, sc in zip(pK, cK.subshells):
-                        ol = 0
-                        for ld, sd in zip(pL, cL.subshells):
-                            ket = self._pure_pair(kc, sc, ld, sd)
-                            out[
+            for cls in self._ket_classes:
+                count = cls.count[kls]
+                if not count.any():
+                    continue
+                rows = ragged_arange(cls.first[kls], count)
+                kets = cls.stack.take(rows)
+                nfc, nfd = ncart(kets.la), ncart(kets.lb)
+                owner = np.repeat(np.arange(kls.size), count).tolist()
+                ok, ol = cls.ok[rows].tolist(), cls.ol[rows].tolist()
+                oi = 0
+                for ia, sa in zip(pI, cI.subshells):
+                    oj = 0
+                    for jb, sb in zip(pJ, cJ.subshells):
+                        bra = self._pure_pair(ia, sa, jb, sb)
+                        values = eri_class_batch(bra, kets).reshape(
+                            -1, sa.nfunc, sb.nfunc, nfc, nfd
+                        )
+                        for n, k0, l0, value in zip(owner, ok, ol, values):
+                            blocks[n][
                                 oi : oi + sa.nfunc,
                                 oj : oj + sb.nfunc,
-                                ok : ok + sc.nfunc,
-                                ol : ol + sd.nfunc,
-                            ] = eri_shell_quartet(bra, ket)
-                            ol += sd.nfunc
-                        ok += sc.nfunc
-                    oj += sb.nfunc
-                oi += sa.nfunc
-        return out
+                                k0 : k0 + nfc,
+                                l0 : l0 + nfd,
+                            ] = value
+                        oj += sb.nfunc
+                    oi += sa.nfunc
+        return blocks
 
     # -- Fock scattering ---------------------------------------------------
 
@@ -253,17 +375,15 @@ class QuartetEngine:
 
         ``kls`` holds combined indices of canonical ket pairs (at least
         one); ``d_exchange`` is a stack ``(nchannels, nbf, nbf)``.  The
-        blocks come through :meth:`composite_block` in ``kls`` order.
+        blocks come through :meth:`composite_blocks`, in ``kls`` order.
         See the module docstring for the slab layout.
         """
         si, sj = self.shell_slices[I], self.shell_slices[J]
         ni, nj = si.stop - si.start, sj.stop - sj.start
         X = np.concatenate(
             [
-                self.composite_block(I, J, k, l).reshape(ni * nj, -1)
-                for k, l in zip(
-                    self._pair_k[kls].tolist(), self._pair_l[kls].tolist()
-                )
+                block.reshape(ni * nj, -1)
+                for block in self.composite_blocks(I, J, kls)
             ],
             axis=1,
         )

@@ -8,9 +8,9 @@ over contracted Cartesian Gaussian shells:
   :math:`E_t^{ij}` and Hermite Coulomb tensors :math:`R_{tuv}`.
 * :mod:`repro.integrals.overlap` / ``kinetic`` / ``nuclear`` —
   one-electron shell-pair kernels.
-* :mod:`repro.integrals.eri` — two-electron repulsion integrals over
-  shell quartets (batched primitive evaluation), plus contracted-shell
-  pair caching.
+* :mod:`repro.integrals.eri` — two-electron repulsion integrals, one
+  class of shell quartets per kernel call over ragged stacks of
+  precomputed contracted-shell pair data.
 * :mod:`repro.integrals.cache` — memory-bounded LRU cache of quartet
   ERI blocks (semi-direct SCF).
 * :mod:`repro.integrals.schwarz` — exact Cauchy-Schwarz bounds
@@ -21,9 +21,10 @@ over contracted Cartesian Gaussian shells:
 from repro.integrals.boys import boys
 from repro.integrals.cache import QuartetCache
 from repro.integrals.eri import (
+    PairStack,
     ShellPair,
+    eri_class_batch,
     eri_shell_quartet,
-    eri_shell_quartet_scalar,
     make_shell_pairs,
 )
 from repro.integrals.onee import kinetic_matrix, nuclear_matrix, overlap_matrix
@@ -32,9 +33,10 @@ from repro.integrals.schwarz import schwarz_matrix
 __all__ = [
     "boys",
     "QuartetCache",
+    "PairStack",
     "ShellPair",
+    "eri_class_batch",
     "eri_shell_quartet",
-    "eri_shell_quartet_scalar",
     "make_shell_pairs",
     "overlap_matrix",
     "kinetic_matrix",

@@ -5,20 +5,24 @@ Two building blocks:
 * :func:`e_coefficients_1d` — the expansion coefficients
   :math:`E_t^{ij}` that express a product of two 1-D Cartesian
   Gaussians as a sum of Hermite Gaussians.
-* :func:`hermite_coulomb` — the Hermite Coulomb integral tensor
+* :func:`hermite_coulomb_batch` — the Hermite Coulomb integrals
   :math:`R^0_{tuv}` built from Boys-function values by the standard
-  three-term recursions.
-* :func:`hermite_coulomb_batch` — the same recursion over a whole
-  *batch* of ``(exponent, displacement)`` points at once, with ONE
-  vectorized Boys evaluation for the entire batch.  This is the
-  array-argument path the batched ERI kernel drives: per shell quartet
-  every bra x ket primitive-pair combination becomes one batch point.
+  three-term recursion, over a whole *batch* of ``(exponent,
+  displacement)`` points at once with ONE vectorized Boys evaluation.
+  It is the only Hermite-Coulomb recursion in the package: the ERI
+  kernel sends it every primitive combination of a class of quartets,
+  the nuclear-attraction kernel every primitive pair x nucleus.  Only
+  the ``t + u + v <= lmax`` components exist, in the compact order of
+  :func:`hermite_tuv`.
 
 Both follow Helgaker, Jorgensen & Olsen, *Molecular Electronic-Structure
-Theory*, chapter 9.
+Theory*, chapter 9.  (The scalar per-point recursion the batch is tested
+against lives in ``tests/oracles.py``.)
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -101,65 +105,95 @@ def e_coefficients_3d(
     return out[0], out[1], out[2]
 
 
-def hermite_coulomb(lmax: int, p: float, PC: np.ndarray) -> np.ndarray:
-    """Hermite Coulomb tensor :math:`R^0_{tuv}(p, \\mathbf{PC})`.
+def _level_start(level: int) -> int:
+    """Number of Hermite components below ``level`` (its compact offset)."""
+    return level * (level + 1) * (level + 2) // 6
 
-    Parameters
-    ----------
-    lmax:
-        Maximum total Hermite order ``t + u + v`` required.
-    p:
-        Exponent of the Hermite Gaussian (total or reduced exponent,
-        depending on the integral type).
-    PC:
-        3-vector from the Hermite center to the charge center.
 
-    Returns
-    -------
-    numpy.ndarray
-        ``R[t, u, v]`` of shape ``(lmax+1,)*3``; only entries with
-        ``t + u + v <= lmax`` are populated.
+@functools.cache
+def hermite_tuv(lmax: int) -> np.ndarray:
+    """Hermite orders ``(t, u, v)`` with ``t + u + v <= lmax``, compact.
+
+    Shape ``(ncomp, 3)``, ``ncomp = (lmax+1)(lmax+2)(lmax+3)/6``, ordered
+    by level ``t + u + v`` and, inside a level, with the components
+    whose recursion has a second term first (so that
+    :func:`hermite_coulomb_batch` adds that term into a leading slice).
+    A level's order does not depend on ``lmax``: the table for ``lmax``
+    is a prefix of the table for ``lmax + 1``.  This is the column order
+    of every compact Hermite array in the package — the E tensors of
+    :class:`~repro.integrals.eri.ShellPair` and the output of
+    :func:`hermite_coulomb_batch`.
     """
-    # Explicit component sum: the exact same floating-point order as the
-    # batched path, so scalar and batched R tensors agree bitwise.
-    x2 = float(PC[0] * PC[0] + PC[1] * PC[1] + PC[2] * PC[2])
-    F = boys(lmax, p * x2)  # F[n]
+    comps = [
+        (t, u, level - t - u)
+        for level in range(lmax + 1)
+        for t in range(level, -1, -1)
+        for u in range(level - t, -1, -1)
+    ]
+    # The lowered axis is the first non-zero one; its recursion has a
+    # second term when that order exceeds 1.  (Stable sort.)
+    comps.sort(key=lambda c: (sum(c), next((x for x in c if x), 0) < 2))
+    table = np.array(comps, dtype=np.intp)
+    table.flags.writeable = False
+    return table
 
-    # R^n_{000} = (-2p)^n F_n.
-    Rn = np.zeros((lmax + 1, lmax + 1, lmax + 1, lmax + 1))
-    minus_2p = -2.0 * p
-    fac = 1.0
-    for n in range(lmax + 1):
-        Rn[n, 0, 0, 0] = fac * F[n]
-        fac *= minus_2p
 
-    X, Y, Z = float(PC[0]), float(PC[1]), float(PC[2])
-    # Raise t, then u, then v, lowering the auxiliary order n each time.
-    for total in range(1, lmax + 1):
-        for t in range(total + 1):
-            for u in range(total - t + 1):
-                v = total - t - u
-                for n in range(lmax + 1 - total):
-                    if t > 0:
-                        val = X * Rn[n + 1, t - 1, u, v]
-                        if t > 1:
-                            val += (t - 1) * Rn[n + 1, t - 2, u, v]
-                    elif u > 0:
-                        val = Y * Rn[n + 1, t, u - 1, v]
-                        if u > 1:
-                            val += (u - 1) * Rn[n + 1, t, u - 2, v]
-                    else:
-                        val = Z * Rn[n + 1, t, u, v - 1]
-                        if v > 1:
-                            val += (v - 1) * Rn[n + 1, t, u, v - 2]
-                    Rn[n, t, u, v] = val
-    return Rn[0]
+@functools.cache
+def hermite_index(lmax: int) -> np.ndarray:
+    """Inverse of :func:`hermite_tuv`: ``index[t, u, v]`` is the compact row.
+
+    Shape ``(lmax+1,)*3``; entries with ``t + u + v > lmax`` are ``-1``.
+    """
+    tuv = hermite_tuv(lmax)
+    index = np.full((lmax + 1,) * 3, -1, dtype=np.intp)
+    index[tuv[:, 0], tuv[:, 1], tuv[:, 2]] = np.arange(len(tuv))
+    index.flags.writeable = False
+    return index
+
+
+@functools.cache
+def _lowered_axis(lmax: int) -> np.ndarray:
+    """Per compact component above level 0, the axis its recursion
+    lowers: the first non-zero one of ``(t, u, v)``."""
+    return (hermite_tuv(lmax)[1:] != 0).argmax(axis=1)
+
+
+@functools.cache
+def _level_plan(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """How level ``t + u + v = level >= 1`` follows from the two below.
+
+    ``R^n_{tuv} = X_a R^{n+1}_{tuv - 1_a} + (k - 1) R^{n+1}_{tuv - 2_a}``
+    with ``a`` the lowered axis (:func:`_lowered_axis`) and ``k`` its
+    order.  Returns ``(src1, src2, weight2)``: for every component of
+    the level the position of the first source inside level
+    ``level - 1``; for the leading ``len(src2)`` components the position
+    of the second source inside level ``level - 2`` and the weight
+    ``k - 1``.
+    """
+    index = hermite_index(level)
+    start = _level_start(level)
+    src1, src2, weight2 = [], [], []
+    for comp, a in zip(
+        hermite_tuv(level)[start:].tolist(),
+        _lowered_axis(level)[start - 1 :].tolist(),
+    ):
+        comp[a] -= 1
+        src1.append(index[tuple(comp)] - _level_start(level - 1))
+        if comp[a] > 0:
+            weight2.append(float(comp[a]))
+            comp[a] -= 1
+            src2.append(index[tuple(comp)] - _level_start(level - 2))
+    return (
+        np.array(src1, dtype=np.intp),
+        np.array(src2, dtype=np.intp),
+        np.array(weight2)[:, None],
+    )
 
 
 def hermite_coulomb_batch(
     lmax: int, p: np.ndarray, PC: np.ndarray
 ) -> np.ndarray:
-    """Batched :math:`R^0_{tuv}`: the recursion over many points at once.
+    """Batched :math:`R^0_{tuv}(p, \\mathbf{PC})` over many points at once.
 
     Parameters
     ----------
@@ -167,25 +201,29 @@ def hermite_coulomb_batch(
         Maximum total Hermite order ``t + u + v`` required (shared by
         the whole batch).
     p:
-        Exponents, shape ``(n,)``.
+        Exponents of the Hermite Gaussians (total or reduced, depending
+        on the integral type), shape ``(n,)``.
     PC:
-        Displacement vectors, shape ``(n, 3)``.
+        Vectors from the Hermite center to the charge center, shape
+        ``(n, 3)``.
 
     Returns
     -------
     numpy.ndarray
-        ``R[point, t, u, v]`` of shape ``(n, lmax+1, lmax+1, lmax+1)``.
-        ``R[i]`` equals ``hermite_coulomb(lmax, p[i], PC[i])`` to
-        floating-point roundoff.
+        ``R[point, c]`` of shape ``(n, ncomp)``, C-contiguous, column
+        ``c`` holding the order ``hermite_tuv(lmax)[c]``.
 
     Notes
     -----
     The Boys function is evaluated exactly **once**, vectorized over all
-    ``n`` arguments — the batching the paper's ``twoei`` kernel relies
-    on to keep the special-function cost off the per-primitive path.
-    The three-term recursions then run with the batch (and the auxiliary
-    order ``n``) as vectorized trailing/leading axes; only the
-    ``O(lmax^3)`` loop over (t, u, v) targets remains in Python.
+    ``n`` arguments.  The auxiliary integrals ``R^m_{tuv}`` are kept per
+    level as ``(lmax - level + 1, ncomp_level, n)`` arrays — nothing
+    with ``m + t + u + v > lmax`` is ever stored — and one level follows
+    from the two below it in one gather-multiply-add over all its
+    components and auxiliary orders (:func:`_level_plan`), so the Python
+    loop is ``O(lmax)``, not ``O(lmax^3)``.  Every step is element-wise
+    along the batch: a point's result is bitwise the same whatever else
+    is in the batch.
     """
     p = np.ascontiguousarray(p, dtype=np.float64)
     PC = np.ascontiguousarray(PC, dtype=np.float64)
@@ -193,40 +231,25 @@ def hermite_coulomb_batch(
         raise ValueError(
             f"expected p (n,) and PC (n, 3); got {p.shape} and {PC.shape}"
         )
-    npts = p.size
-    L = lmax + 1
-    # Same floating-point order as the scalar path (see hermite_coulomb).
-    x2 = PC[:, 0] * PC[:, 0] + PC[:, 1] * PC[:, 1] + PC[:, 2] * PC[:, 2]
-    F = boys(lmax, p * x2)  # (L, n) — the single Boys call per batch.
+    X = np.ascontiguousarray(PC.T)
+    F = boys(lmax, p * (X[0] * X[0] + X[1] * X[1] + X[2] * X[2]))
 
-    # R^n_{000} = (-2p)^n F_n, vectorized over the batch.
-    Rn = np.zeros((npts, L, L, L, L))
-    minus_2p = -2.0 * p
-    fac = np.ones(npts)
-    for n in range(L):
-        Rn[:, n, 0, 0, 0] = fac * F[n]
-        fac = fac * minus_2p
-
-    X = PC[:, 0, None]
-    Y = PC[:, 1, None]
-    Z = PC[:, 2, None]
-    for total in range(1, L):
-        src = slice(1, L - total + 1)  # auxiliary orders n+1
-        dst = slice(0, L - total)      # auxiliary orders n
-        for t in range(total + 1):
-            for u in range(total - t + 1):
-                v = total - t - u
-                if t > 0:
-                    val = X * Rn[:, src, t - 1, u, v]
-                    if t > 1:
-                        val += (t - 1) * Rn[:, src, t - 2, u, v]
-                elif u > 0:
-                    val = Y * Rn[:, src, t, u - 1, v]
-                    if u > 1:
-                        val += (u - 1) * Rn[:, src, t, u - 2, v]
-                else:
-                    val = Z * Rn[:, src, t, u, v - 1]
-                    if v > 1:
-                        val += (v - 1) * Rn[:, src, t, u, v - 2]
-                Rn[:, dst, t, u, v] = val
-    return Rn[:, 0]
+    # R^m_{000} = (-2p)^m F_m: running products down the rows.
+    power = np.empty_like(F)
+    power[0] = 1.0
+    power[1:] = -2.0 * p
+    np.multiply.accumulate(power, axis=0, out=power)
+    power *= F
+    levels = [power[:, None, :]]
+    Xa = X.take(_lowered_axis(lmax), axis=0)
+    for level in range(1, lmax + 1):
+        src1, src2, weight2 = _level_plan(level)
+        start = _level_start(level) - 1
+        cur = levels[-1][1:].take(src1, axis=1)
+        cur *= Xa[start : start + src1.size]
+        if src2.size:
+            second = levels[-2][1:-1].take(src2, axis=1)
+            second *= weight2
+            cur[:, : src2.size] += second
+        levels.append(cur)
+    return np.ascontiguousarray(np.concatenate([a[0] for a in levels]).T)

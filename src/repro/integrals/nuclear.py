@@ -7,7 +7,8 @@ import math
 import numpy as np
 
 from repro.chem.basis.shell import Shell
-from repro.integrals.hermite import e_coefficients_3d, hermite_coulomb
+from repro.integrals.eri import ShellPair
+from repro.integrals.hermite import hermite_coulomb_batch
 
 
 def nuclear_shell_pair(
@@ -29,38 +30,19 @@ def nuclear_shell_pair(
     numpy.ndarray
         Shape ``(sha.nfunc, shb.nfunc)``.
     """
-    A, B = sha.center, shb.center
-    comps_a, comps_b = sha.components, shb.components
-    lmax = sha.l + shb.l
-    out = np.zeros((sha.nfunc, shb.nfunc))
-
-    for a, ca in zip(sha.exps, sha.coefs):
-        for b, cb in zip(shb.exps, shb.coefs):
-            p = a + b
-            P = (a * A + b * B) / p
-            Ex, Ey, Ez = e_coefficients_3d(sha.l, shb.l, a, b, A, B)
-            pref = ca * cb * 2.0 * math.pi / p
-
-            # Sum the Hermite Coulomb tensors over all nuclei first; the
-            # E-coefficient contraction is charge-independent.
-            Rsum = np.zeros((lmax + 1,) * 3)
-            for Z, C in zip(charges, centers):
-                Rsum -= Z * hermite_coulomb(lmax, p, P - C)
-
-            for ia, (ax, ay, az) in enumerate(comps_a):
-                for ib, (bx, by, bz) in enumerate(comps_b):
-                    acc = 0.0
-                    for t in range(ax + bx + 1):
-                        ext = Ex[ax, bx, t]
-                        if ext == 0.0:
-                            continue
-                        for u in range(ay + by + 1):
-                            eyu = Ey[ay, by, u]
-                            if eyu == 0.0:
-                                continue
-                            for v in range(az + bz + 1):
-                                ezv = Ez[az, bz, v]
-                                if ezv != 0.0:
-                                    acc += ext * eyu * ezv * Rsum[t, u, v]
-                    out[ia, ib] += pref * acc
-    return out
+    pair = ShellPair(sha, shb)
+    charges = np.asarray(charges, dtype=np.float64)
+    centers = np.asarray(centers, dtype=np.float64)
+    # One Hermite-Coulomb point per (primitive pair, nucleus).
+    R = hermite_coulomb_batch(
+        pair.ltot,
+        np.repeat(pair.p, charges.size),
+        (pair.P[:, None, :] - centers[None, :, :]).reshape(-1, 3),
+    )
+    # Sum over nuclei first; the E contraction is charge-independent.
+    Rsum = np.einsum(
+        "c,pct->pt", -charges, R.reshape(pair.p.size, charges.size, -1)
+    )
+    weight = pair.coef * (2.0 * math.pi) / pair.p
+    out = np.einsum("p,pft,pt->f", weight, pair.ebra, Rsum)
+    return out.reshape(sha.nfunc, shb.nfunc)

@@ -12,29 +12,20 @@ decisions (Algorithm 1 line 7, Algorithm 3 lines 13/22).
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 import numpy as np
 
 from repro.chem.basis.basisset import BasisSet
-from repro.chem.basis.shell import CompositeShell
-from repro.integrals.eri import ShellPair, eri_shell_quartet
-
-
-def schwarz_composite_pair(csa: CompositeShell, csb: CompositeShell) -> float:
-    """Exact :math:`Q_{ij}` for one composite shell pair."""
-    qmax = 0.0
-    for sa in csa.subshells:
-        for sb in csb.subshells:
-            pair = ShellPair(sa, sb)
-            block = eri_shell_quartet(pair, pair)
-            # Diagonal elements (mu nu | mu nu).
-            na, nb_ = sa.nfunc, sb.nfunc
-            diag = block.reshape(na * nb_, na * nb_).diagonal()
-            qmax = max(qmax, float(np.max(np.abs(diag))))
-    return float(np.sqrt(qmax))
+from repro.integrals.eri import PairStack, ShellPair, eri_class_batch
 
 
 def schwarz_matrix(basis: BasisSet) -> np.ndarray:
     """Exact Schwarz bound matrix over composite shells.
+
+    The diagonal quartets :math:`(ab|ab)` of all pure sub-shell pairs of
+    one ``(l_a, l_b)`` class go through one
+    :func:`~repro.integrals.eri.eri_class_batch` call.
 
     Returns
     -------
@@ -42,10 +33,23 @@ def schwarz_matrix(basis: BasisSet) -> np.ndarray:
         Symmetric ``(nshells, nshells)`` matrix of :math:`Q_{ij}`.
     """
     comps = basis.composite_shells
-    n = len(comps)
-    Q = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1):
-            q = schwarz_composite_pair(comps[i], comps[j])
-            Q[i, j] = Q[j, i] = q
-    return Q
+    # Per pair class: the pure pairs and the composite (i, j) of each.
+    pairs: dict[tuple[int, int], list[ShellPair]] = defaultdict(list)
+    owners: dict[tuple[int, int], list[tuple[int, int]]] = defaultdict(list)
+    for i, csa in enumerate(comps):
+        for j, csb in enumerate(comps[: i + 1]):
+            for sa in csa.subshells:
+                for sb in csb.subshells:
+                    pairs[sa.l, sb.l].append(ShellPair(sa, sb))
+                    owners[sa.l, sb.l].append((i, j))
+
+    Q2 = np.zeros((len(comps), len(comps)))
+    for cls, members in pairs.items():
+        stack = PairStack.concat(members)
+        blocks = eri_class_batch(stack, stack)
+        # Diagonal elements (mu nu | mu nu), largest per pure pair.
+        largest = np.abs(np.diagonal(blocks, axis1=1, axis2=2)).max(axis=1)
+        i, j = np.array(owners[cls]).T
+        np.maximum.at(Q2, (i, j), largest)
+    Q = np.sqrt(Q2)
+    return np.maximum(Q, Q.T)

@@ -2,8 +2,8 @@
 
 GAMESS carries its own Fortran diagonalizers rather than depending on a
 vendor LAPACK; in the same spirit this module provides a dependency-free
-symmetric eigensolver the SCF driver can use instead of
-``scipy.linalg.eigh``.  The classic cyclic Jacobi method: sweep all
+symmetric eigensolver the SCF driver can use instead of LAPACK's
+(``repro.scf.guess.eigh``).  The classic cyclic Jacobi method: sweep all
 off-diagonal pairs, rotating each to zero, until the off-diagonal norm
 is negligible.  Quadratically convergent once sweeps get close;
 ``O(n^3)`` per sweep with a handful of sweeps in practice.

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+from numpy.linalg import eigh
 
 
 def orthogonalizer(S: np.ndarray, *, threshold: float = 1.0e-9) -> np.ndarray:
@@ -13,7 +13,7 @@ def orthogonalizer(S: np.ndarray, *, threshold: float = 1.0e-9) -> np.ndarray:
     (canonical orthogonalization fallback for near-linear-dependent
     bases).
     """
-    evals, evecs = scipy.linalg.eigh(S)
+    evals, evecs = eigh(S)
     keep = evals > threshold
     inv_sqrt = np.zeros_like(evals)
     inv_sqrt[keep] = 1.0 / np.sqrt(evals[keep])
@@ -33,7 +33,7 @@ def diagonalize_fock(F: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarr
     the original AO basis.
     """
     Fp = X.T @ F @ X
-    eps, Cp = scipy.linalg.eigh(Fp)
+    eps, Cp = eigh(Fp)
     return eps, X @ Cp
 
 

@@ -130,6 +130,10 @@ class ServiceDaemon:
         self._server: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
         self._stop = threading.Event()
+        # Cuts a dispatch-loop tick short: set by a stop request and by
+        # every accepted submit, so an idle fleet starts a new job at
+        # once instead of up to ``tick_s`` later.
+        self._wake = threading.Event()
         self._started = False
         self._closed = False
         self._last_active = time.monotonic()
@@ -303,7 +307,7 @@ class ServiceDaemon:
     def install_signal_handlers(self) -> None:
         """SIGTERM/SIGINT request a graceful stop (main thread only)."""
         for sig in (signal.SIGTERM, signal.SIGINT):
-            signal.signal(sig, lambda *_: self._stop.set())
+            signal.signal(sig, lambda *_: self._request_stop())
 
     def run_forever(self) -> None:
         """The dispatch loop; returns on stop request or idle exit."""
@@ -316,7 +320,12 @@ class ServiceDaemon:
                 logger.info("idle for %gs; exiting",
                             self.config.idle_exit_s)
                 break
-            self._stop.wait(self.config.tick_s)
+            self._wake.wait(self.config.tick_s)
+            self._wake.clear()
+
+    def _request_stop(self) -> None:
+        self._stop.set()
+        self._wake.set()
 
     def _idle_expired(self) -> bool:
         if self.config.idle_exit_s is None:
@@ -340,7 +349,7 @@ class ServiceDaemon:
         if self._closed:
             return
         self._closed = True
-        self._stop.set()
+        self._request_stop()
         if self.fleet is not None:
             self.fleet.shutdown()
         if self._server is not None:
@@ -695,6 +704,7 @@ class ServiceDaemon:
                 "run": 0.0,
             }
             self._last_active = time.monotonic()
+            self._wake.set()
             self.channel.publish(
                 "job.submitted",
                 job=job.id, tag=spec.tag, basis=spec.basis,
@@ -730,7 +740,7 @@ class ServiceDaemon:
                 self._finalize_job_run(job.id, "cancelled")
             return {"ok": True, "job": job.public_dict()}
         if cmd == "shutdown":
-            self._stop.set()
+            self._request_stop()
             return {"ok": True, "pid": os.getpid()}
         raise ServiceError(f"unknown command {cmd!r}")
 

@@ -26,6 +26,33 @@ def test_scf_command(water_xyz, capsys):
     assert "shared-fock" in out
 
 
+def test_scf_runs_without_importing_scipy(water_xyz):
+    """scipy is a test-only dependency: a whole ``repro scf`` process
+    (parser, basis, integrals, Schwarz, Fock builds, diagonalizations)
+    never imports it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = (
+        "import sys\n"
+        "from repro.cli import main\n"
+        f"rc = main(['scf', {str(water_xyz)!r}, '--ranks', '2', '--threads', '2'])\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded[:5]\n"
+        "sys.exit(rc)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), REPRO_RUNS_DIR=str(water_xyz.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=water_xyz.parent,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "-74.94207995" in done.stdout
+
+
 def test_scf_command_algorithm_choice(water_xyz, capsys):
     rc = main(
         ["scf", str(water_xyz), "--algorithm", "mpi-only", "--ranks", "3"]

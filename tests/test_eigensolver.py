@@ -56,20 +56,24 @@ def test_eigenvalues_sorted_and_trace_preserved(n, seed):
     assert np.isclose(w.sum(), np.trace(a), atol=1e-8)
 
 
-def test_scf_with_jacobi_diagonalizer(water_sto3g):
+def test_scf_with_jacobi_diagonalizer(water_sto3g, monkeypatch):
     """Full RHF where every diagonalization uses the Jacobi solver."""
     import math
-
-    import scipy.linalg
 
     from repro.scf import guess
     from repro.scf.rhf import RHF
 
-    orig = scipy.linalg.eigh
-    try:
-        scipy.linalg.eigh = lambda m: jacobi_eigh(m)
-        res = RHF(water_sto3g).run()
-    finally:
-        scipy.linalg.eigh = orig
+    calls = []
+
+    def counting_jacobi(m):
+        calls.append(m.shape)
+        return jacobi_eigh(m)
+
+    # The one name every SCF diagonalization goes through (the
+    # orthogonalizer, the core guess and each Roothaan step).
+    monkeypatch.setattr(guess, "eigh", counting_jacobi)
+    res = RHF(water_sto3g).run()
     assert res.converged
     assert math.isclose(res.energy, -74.9420799281, abs_tol=1e-6)
+    # S, the core guess, and at least one Fock matrix per cycle.
+    assert len(calls) >= 2 + res.niterations

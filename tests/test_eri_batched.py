@@ -1,24 +1,40 @@
-"""Batched ERI path: property tests against the scalar reference.
+"""Class-batched ERI path: property tests against the scalar reference.
 
-The batched kernel (one vectorized Boys call per quartet, stacked
-primitive-pair Hermite recursion, BLAS contractions) must match the
-pre-batching scalar path — kept as
-:func:`~repro.integrals.eri.eri_shell_quartet_scalar` — to tight
-absolute tolerance over random exponents and centers up to f shells.
+The batched kernel (one vectorized Boys call per class of quartets,
+compact level-planned Hermite recursion, per-primitive stacked GEMMs)
+must match the scalar primitive-loop path — kept in
+:mod:`tests.oracles` — to tight absolute tolerance over random
+exponents and centers up to f shells, and a quartet's block must not
+depend, **bitwise**, on what else shared its batch.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.chem.basis import BasisSet
 from repro.chem.basis.shell import Shell, normalize_contracted
+from repro.chem.molecule import Molecule
+from repro.core.indexing import decode_pair, npairs, pair_index
+from repro.core.quartets import QuartetEngine
+from repro.integrals import eri as eri_module
 from repro.integrals.eri import (
+    PairStack,
     ShellPair,
+    eri_class_batch,
     eri_shell_quartet,
-    eri_shell_quartet_scalar,
 )
-from repro.integrals.hermite import hermite_coulomb, hermite_coulomb_batch
+from repro.integrals.hermite import (
+    hermite_coulomb_batch,
+    hermite_index,
+    hermite_tuv,
+)
 from repro.obs.metrics import MetricsRegistry, use_metrics
+from tests.oracles import (
+    eri_class_batch_scalar,
+    eri_shell_quartet_scalar,
+    hermite_coulomb,
+)
 
 #: Angular momenta covered by the randomized quartet sweep (s..f).
 LMAX = 3
@@ -32,19 +48,37 @@ def _random_shell(rng, l, nprim, box=1.5):
     return Shell(l, exps, coefs, center)
 
 
+# -- the Hermite recursion ---------------------------------------------------
+
+
 @pytest.mark.parametrize("lmax", [0, 1, 2, 4, 6, 9, 4 * LMAX])
 def test_hermite_coulomb_batch_matches_scalar(lmax):
-    """R^0_{tuv} batch == per-point scalar recursion to <= 1e-13."""
+    """Compact, level-planned R^0_{tuv} == the per-point scalar recursion,
+    bitwise (same floating-point order), at every stored component."""
     rng = np.random.default_rng(lmax)
     n = 37
     p = rng.uniform(0.05, 8.0, n)
     PC = rng.uniform(-2.5, 2.5, (n, 3))
     PC[0] = 0.0  # include the coincident-centers corner case
     batch = hermite_coulomb_batch(lmax, p, PC)
-    assert batch.shape == (n, lmax + 1, lmax + 1, lmax + 1)
+    t, u, v = hermite_tuv(lmax).T
+    assert batch.shape == (n, (lmax + 1) * (lmax + 2) * (lmax + 3) // 6)
+    assert batch.flags.c_contiguous
     for i in range(n):
         ref = hermite_coulomb(lmax, float(p[i]), PC[i])
-        np.testing.assert_allclose(batch[i], ref, rtol=0.0, atol=1e-13)
+        np.testing.assert_array_equal(batch[i], ref[t, u, v])
+
+
+def test_hermite_compact_order_is_a_prefix_and_inverts():
+    """Only t+u+v <= lmax is stored; lmax's order is a prefix of lmax+1's."""
+    for lmax in range(7):
+        tuv, index = hermite_tuv(lmax), hermite_index(lmax)
+        assert (tuv.sum(axis=1) <= lmax).all()
+        assert np.array_equal(hermite_tuv(lmax + 1)[: len(tuv)], tuv)
+        assert np.array_equal(
+            index[tuv[:, 0], tuv[:, 1], tuv[:, 2]], np.arange(len(tuv))
+        )
+        assert (index >= 0).sum() == len(tuv)
 
 
 def test_hermite_coulomb_batch_rejects_bad_shapes():
@@ -52,6 +86,9 @@ def test_hermite_coulomb_batch_rejects_bad_shapes():
         hermite_coulomb_batch(2, np.ones((2, 2)), np.zeros((2, 3)))
     with pytest.raises(ValueError):
         hermite_coulomb_batch(2, np.ones(3), np.zeros((2, 3)))
+
+
+# -- one quartet against the oracle ------------------------------------------
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -82,7 +119,8 @@ def test_high_contraction_batched_matches_scalar():
 
 
 def test_one_boys_call_per_quartet_metric():
-    """The instrumentation proves exactly ONE Boys call per quartet."""
+    """One-ket calls: ONE Boys call per quartet; a class batch: one per
+    batch, with ``eri.quartets`` advanced by the batch's quartets."""
     rng = np.random.default_rng(5)
     pairs = [
         ShellPair(_random_shell(rng, 0, 3), _random_shell(rng, 1, 2))
@@ -100,12 +138,186 @@ def test_one_boys_call_per_quartet_metric():
     assert hist.count == nquartets
     assert hist.min == hist.max == 6 * 6  # 3x2 bra prims x 3x2 ket prims
 
+    registry = MetricsRegistry()
+    with use_metrics(registry):
+        eri_class_batch(pairs[0], PairStack.concat(pairs))
+    assert registry.counter("eri.quartets").value == len(pairs)
+    assert registry.counter("eri.boys_calls").value == 1
+    assert registry.histogram("eri.batch_size").max == len(pairs) * 36
+
 
 def test_signed_ket_matrices_cached_on_pair():
-    """The parity-signed E tensor is precomputed once per pair."""
+    """The ket parity is one vector per pair, in the compact Hermite
+    order — no signed copy of the E tensor, no per-quartet sign pass —
+    and it is what makes (ab|cd) and (cd|ab) transposes of each other."""
     rng = np.random.default_rng(3)
     pair = ShellPair(_random_shell(rng, 1, 2), _random_shell(rng, 2, 2))
-    expected = pair.ebra * pair._ket_signs[None, None, :]
-    np.testing.assert_array_equal(pair.eket, expected)
-    # The dead per-quartet ket_matrices() path is gone.
-    assert not hasattr(pair, "ket_matrices")
+    other = ShellPair(_random_shell(rng, 0, 3), _random_shell(rng, 1, 1))
+    np.testing.assert_array_equal(
+        pair.parity, (-1.0) ** hermite_tuv(pair.ltot).sum(axis=1)
+    )
+    assert pair.ebra.shape == (4, 3 * 6, len(hermite_tuv(3)))
+    np.testing.assert_allclose(
+        eri_shell_quartet(pair, other),
+        eri_shell_quartet(other, pair).transpose(2, 3, 0, 1),
+        rtol=0.0, atol=1e-14,
+    )
+
+
+# -- class batches: oracle, stacking, memory cap ------------------------------
+
+
+def _random_class(rng, la, lb, npairs_):
+    return [
+        ShellPair(
+            _random_shell(rng, la, int(rng.integers(1, 5))),
+            _random_shell(rng, lb, int(rng.integers(1, 5))),
+        )
+        for _ in range(npairs_)
+    ]
+
+
+@given(st.integers(0, 2**31 - 1))
+@settings(max_examples=10, deadline=None)
+def test_class_batch_matches_scalar_oracle(seed):
+    """A ragged class stack (1..16 primitive pairs per ket, mixed) against
+    the scalar loops to 1e-12, fixed bra and one bra per ket."""
+    rng = np.random.default_rng(seed)
+    la, lb, lc, ld = (int(l) for l in rng.integers(0, 3, size=4))
+    kets = PairStack.concat(_random_class(rng, lc, ld, 5))
+    bras = _random_class(rng, la, lb, 5)
+    for bra in (bras[0], PairStack.concat(bras)):
+        np.testing.assert_allclose(
+            eri_class_batch(bra, kets), eri_class_batch_scalar(bra, kets),
+            rtol=0.0, atol=1e-12,
+        )
+
+
+def test_class_batch_rejects_mismatched_stacks():
+    rng = np.random.default_rng(1)
+    two = PairStack.concat(_random_class(rng, 0, 1, 2))
+    three = PairStack.concat(_random_class(rng, 0, 1, 3))
+    with pytest.raises(ValueError, match="one pair or one per ket"):
+        eri_class_batch(two, three)
+    with pytest.raises(ValueError, match="one .la, lb. class"):
+        PairStack.concat(
+            _random_class(rng, 0, 1, 1) + _random_class(rng, 1, 0, 1)
+        )
+
+
+def test_memory_cap_chunks_without_changing_a_bit(monkeypatch):
+    """The point budget splits a batch into chunks (one Boys call each,
+    at least one quartet per chunk); the blocks are bitwise unchanged."""
+    rng = np.random.default_rng(11)
+    bra = _random_class(rng, 2, 1, 1)[0]
+    kets = PairStack.concat(_random_class(rng, 1, 2, 9))
+    whole = eri_class_batch(bra, kets)
+    for budget in (1, 10_000, 40_000):
+        monkeypatch.setattr(eri_module, "MAX_BATCH_DOUBLES", budget)
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            chunked = eri_class_batch(bra, kets)
+        assert np.array_equal(chunked, whole)
+        calls = registry.counter("eri.boys_calls").value
+        assert registry.counter("eri.quartets").value == kets.npairs
+        assert calls == kets.npairs if budget == 1 else 1 < calls < kets.npairs
+
+
+# -- batch-composition independence on real shares ----------------------------
+
+
+def _fixture_engine(name):
+    if name == "water":
+        from repro.chem.molecule import water
+
+        return QuartetEngine(BasisSet(water(), "6-31g(d)"))
+    from pathlib import Path
+
+    xyz = Path(__file__).resolve().parents[1] / (
+        "benchmarks/e2e/fixtures/hydroxide.xyz"
+    )
+    mol = Molecule.from_xyz(xyz.read_text(), charge=-1)
+    return QuartetEngine(BasisSet(mol, "6-31g(d)"))
+
+
+@pytest.fixture(scope="module", params=["water", "hydroxide"])
+def engine_and_singles(request):
+    """An engine (no cache) and every block of every bra, one ket at a
+    time — the batch-of-one reference."""
+    engine = _fixture_engine(request.param)
+    singles = {}
+    for ij in range(npairs(engine.basis.nshells)):
+        i, j = decode_pair(ij)
+        for kl in range(ij + 1):
+            singles[ij, kl] = engine.composite_blocks(i, j, [kl])[0]
+    return engine, singles
+
+
+def test_whole_share_equals_singles_bitwise(engine_and_singles):
+    """Every quartet of the fixture, in its full Algorithm-1 share."""
+    engine, singles = engine_and_singles
+    for ij in range(npairs(engine.basis.nshells)):
+        i, j = decode_pair(ij)
+        blocks = engine.composite_blocks(i, j, np.arange(ij + 1))
+        for kl, block in enumerate(blocks):
+            assert np.array_equal(block, singles[ij, kl]), (ij, kl)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_any_sub_share_equals_singles_bitwise(engine_and_singles, data):
+    """Property: a block is identical alone and in any sub-share, in any
+    order — what keeps cache on/off, kill-replay and resume bitwise."""
+    engine, singles = engine_and_singles
+    ij = data.draw(st.integers(0, npairs(engine.basis.nshells) - 1), label="ij")
+    kls = data.draw(
+        st.lists(st.integers(0, ij), min_size=1, max_size=10, unique=True),
+        label="kls",
+    )
+    i, j = decode_pair(ij)
+    for kl, block in zip(kls, engine.composite_blocks(i, j, kls)):
+        assert np.array_equal(block, singles[ij, kl]), (ij, kl)
+
+
+def test_composite_blocks_match_scalar_oracle(engine_and_singles, monkeypatch):
+    """Whole shares through the kernel vs the same shares through the
+    scalar oracle, to 1e-12."""
+    import repro.core.quartets as quartets_module
+
+    engine, singles = engine_and_singles
+    monkeypatch.setattr(
+        quartets_module, "eri_class_batch", eri_class_batch_scalar
+    )
+    n = engine.basis.nshells
+    for i, j in ((n - 1, n - 1), (3, 1), (3, 3), (2, 0)):
+        ij = pair_index(i, j)
+        for kl, block in enumerate(
+            engine.composite_blocks(i, j, np.arange(ij + 1))
+        ):
+            np.testing.assert_allclose(
+                block, singles[ij, kl], rtol=0.0, atol=1e-12
+            )
+
+
+def test_composite_blocks_eightfold_symmetry(engine_and_singles):
+    """(IJ|KL) = (JI|KL) = (KL|IJ) = (LK|IJ) to 1e-13: the images the
+    engine can reach — a bra in either order against a canonical ket —
+    which between them exercise all three generators of the 8-fold
+    group (bra swap, ket swap seen from the other side, bra-ket swap)."""
+    engine, _ = engine_and_singles
+    n = engine.basis.nshells
+    for (i, j), (k, l) in (
+        ((3, 1), (2, 0)), ((3, 2), (3, 1)), ((n - 1, 3), (2, 1)),
+        ((3, 3), (1, 0)), ((2, 1), (2, 1)), ((1, 0), (n - 1, 3)),
+    ):
+        ij, kl = pair_index(i, j), pair_index(k, l)
+        X = engine.composite_blocks(i, j, [kl])[0]
+        images = {
+            "(JI|KL)": engine.composite_blocks(j, i, [kl])[0].transpose(1, 0, 2, 3),
+            "(KL|IJ)": engine.composite_blocks(k, l, [ij])[0].transpose(2, 3, 0, 1),
+            "(LK|IJ)": engine.composite_blocks(l, k, [ij])[0].transpose(2, 3, 1, 0),
+        }
+        for name, image in images.items():
+            np.testing.assert_allclose(
+                image, X, rtol=0.0, atol=1e-13, err_msg=name
+            )

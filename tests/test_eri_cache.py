@@ -128,6 +128,75 @@ def test_engine_positional_pair_keys_survive_rederived_shells(water_sto3g):
     )
 
 
+@pytest.mark.parametrize("budget", [1 << 26, 40_000, 6_000])
+def test_share_cache_sequence_equals_per_quartet_sequence(water_631gd, budget):
+    """Batched shares drive the cache exactly as quartet-by-quartet
+    evaluation does: same hits, misses, evictions, LRU order and bytes,
+    same blocks — also when the budget evicts inside a share (40 kB holds
+    part of the larger shares, 6 kB a handful of blocks)."""
+    from repro.core.indexing import decode_pair, npairs
+
+    shared = QuartetEngine(water_631gd, cache=QuartetCache(budget))
+    single = QuartetEngine(water_631gd, cache=QuartetCache(budget))
+    for _cycle in range(2):
+        for ij in range(npairs(water_631gd.nshells)):
+            i, j = decode_pair(ij)
+            kls = np.arange(ij + 1)
+            got = shared.composite_blocks(i, j, kls)
+            want = [
+                single.composite_block(i, j, *decode_pair(kl)) for kl in kls
+            ]
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+            assert list(shared.cache._store) == list(single.cache._store)
+    assert shared.cache.stats() == single.cache.stats()
+    assert shared.quartets_computed == single.quartets_computed
+    assert shared.quartets_from_cache == single.quartets_from_cache
+    if budget < 1 << 26:
+        assert shared.cache.evictions > 0
+    else:
+        assert shared.cache.hit_rate == 0.5  # cycle 2 all hits
+    # Cached blocks own their memory: never a view into a batch array
+    # that would pin the whole batch, and read-only once stored.
+    for block in shared.cache._store.values():
+        assert block.flags.owndata and block.base is None
+        assert not block.flags.writeable
+
+
+def test_block_evicted_inside_its_own_share_is_reevaluated(water_631gd):
+    """A block present when the share starts but evicted by the share's
+    own earlier puts is a miss at its turn, as in the per-quartet
+    sequence, and its re-evaluation alone gives the same bits."""
+    from repro.core.indexing import decode_pair, pair_index
+
+    i, j = 3, 1  # D L bra
+    kls = np.arange(pair_index(i, j) + 1)
+    last = int(kls[-1])
+    probe = QuartetEngine(water_631gd).composite_blocks(i, j, kls)
+    budget = probe[-1].nbytes + sum(b.nbytes for b in probe[:2])
+
+    shared = QuartetEngine(water_631gd, cache=QuartetCache(budget))
+    single = QuartetEngine(water_631gd, cache=QuartetCache(budget))
+    shared.composite_blocks(i, j, [last])
+    single.composite_block(i, j, *decode_pair(last))
+
+    evaluated = []
+    inner = shared._evaluate_blocks
+    shared._evaluate_blocks = lambda I, J, k: (
+        evaluated.append(list(k)) or inner(I, J, k)
+    )
+    got = shared.composite_blocks(i, j, kls)
+    want = [single.composite_block(i, j, *decode_pair(kl)) for kl in kls]
+    # Absent at entry: all but the primed last ket; then the last alone.
+    assert evaluated == [list(kls[:-1]), [last]]
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    assert np.array_equal(got[-1], probe[-1])
+    assert shared.cache.stats() == single.cache.stats()
+    assert list(shared.cache._store) == list(single.cache._store)
+    assert shared.quartets_computed == single.quartets_computed == kls.size + 1
+
+
 # -- semi-direct SCF identity on the small-graphene fixtures -----------------
 
 
@@ -184,14 +253,14 @@ def test_uhf_energy_bitwise_identical_cache_on_off(graphene_sto3g):
 def test_batched_path_matches_scalar_path_end_to_end(
     graphene_sto3g, monkeypatch
 ):
-    """Fock matrices from the batched kernel match the pre-PR scalar path."""
+    """Fock matrices from the batched kernel match the scalar oracle's."""
     import repro.core.quartets as quartets_mod
-    from repro.integrals.eri import eri_shell_quartet_scalar
+    from tests.oracles import eri_class_batch_scalar
 
     basis, h, d = graphene_sto3g
     f_batched, _ = SharedFockBuilder(basis, h)(d)
     monkeypatch.setattr(
-        quartets_mod, "eri_shell_quartet", eri_shell_quartet_scalar
+        quartets_mod, "eri_class_batch", eri_class_batch_scalar
     )
     f_scalar, _ = SharedFockBuilder(basis, h)(d)
     np.testing.assert_allclose(f_batched, f_scalar, rtol=0.0, atol=1e-11)

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from repro.integrals.hermite import (
     e_coefficients_1d,
     e_coefficients_3d,
-    hermite_coulomb,
+    hermite_coulomb_batch,
+    hermite_index,
 )
 from repro.integrals.boys import boys
 
@@ -49,22 +50,26 @@ def test_hermite_coulomb_r000():
     # R_000 = F_0(p * |PC|^2).
     p = 0.8
     PC = np.array([0.3, -0.4, 1.0])
-    R = hermite_coulomb(0, p, PC)
+    R = hermite_coulomb_batch(0, np.array([p]), PC[None, :])
     x = p * float(PC @ PC)
-    assert math.isclose(R[0, 0, 0], boys(0, x)[0], rel_tol=1e-13)
+    assert R.shape == (1, 1)
+    assert math.isclose(R[0, 0], boys(0, x)[0], rel_tol=1e-13)
 
 
 def test_hermite_coulomb_symmetry_in_sign():
     # R_{tuv}(PC) picks up (-1)^(t+u+v) under PC -> -PC.
     p = 1.3
     PC = np.array([0.5, 0.2, -0.7])
-    R1 = hermite_coulomb(3, p, PC)
-    R2 = hermite_coulomb(3, p, -PC)
+    R1, R2 = hermite_coulomb_batch(
+        3, np.array([p, p]), np.array([PC, -PC])
+    )
+    index = hermite_index(3)
     for t in range(4):
         for u in range(4 - t):
             for v in range(4 - t - u):
+                c = index[t, u, v]
                 assert math.isclose(
-                    R1[t, u, v], (-1) ** (t + u + v) * R2[t, u, v],
+                    R1[c], (-1) ** (t + u + v) * R2[c],
                     rel_tol=1e-10, abs_tol=1e-13,
                 )
 

@@ -121,3 +121,20 @@ def test_public_classes_have_docstrings():
                 if not inspect.getdoc(obj):
                     undocumented.append(f"{name}.{member}")
     assert not undocumented, undocumented
+
+
+def test_one_eri_kernel_and_one_hermite_recursion_in_src():
+    """The scalar oracles live in ``tests/oracles.py``; ``src/`` has one
+    two-electron kernel, one Hermite-Coulomb recursion and no scipy."""
+    from pathlib import Path
+
+    import repro
+    import repro.integrals as integrals
+    from repro.integrals import eri, hermite
+
+    assert "eri_class_batch" in integrals.__all__
+    assert "eri_shell_quartet_scalar" not in integrals.__all__
+    assert not hasattr(eri, "eri_shell_quartet_scalar")
+    assert not hasattr(hermite, "hermite_coulomb")
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        assert "scipy" not in path.read_text(), path

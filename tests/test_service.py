@@ -92,6 +92,20 @@ class TestRoundTrip:
         assert second["result"]["warm_setup"]
         assert second["result"]["energy"] == first["result"]["energy"]
 
+    def test_submit_wakes_the_dispatch_loop(self, service):
+        """An idle fleet starts a submitted job at once, not at the next
+        dispatch tick: with a 3 s tick the job is running within 1 s."""
+        client = service(tick_s=3.0)
+        time.sleep(0.2)  # let the loop reach its first wait
+        job = client.submit({"xyz": H2_XYZ})
+        deadline = time.monotonic() + 1.0
+        state = job["state"]
+        while state == "pending" and time.monotonic() < deadline:
+            time.sleep(0.02)
+            state = client.status(job["id"])["state"]
+        assert state in ("running", "done")
+        client.shutdown_daemon()  # a stop request cuts the tick short too
+
     def test_ping_reports_fleet_and_depth(self, service):
         client = service(fleet=2)
         info = client.ping()
