@@ -7,8 +7,10 @@ smallest system exercising S, L (fused SP), and Cartesian d shells.
 The surviving quartets are swept the way a Fock build sweeps them, one
 bra share at a time through ``QuartetEngine.composite_blocks``, then one
 quartet at a time (the batch-of-one path of the same kernel), then
-through the scalar oracle of ``tests/oracles.py``.  Emits a
-machine-readable ``BENCH_eri.json`` record::
+through the scalar oracle of ``tests/oracles.py``.  A quartet is a
+*composite* quartet throughout — the kernel's own unit, an ``(LL|LL)``
+being one — so the one-ket sweep reads exactly one Boys call per
+quartet.  Emits a machine-readable ``BENCH_eri.json`` record::
 
     {
       "quartets": ...,                  # surviving quartets measured
@@ -115,7 +117,7 @@ def run(output: Path, repeats: int = 3) -> dict:
     nquartets = sum(kls.size for _, _, kls in shares)
 
     # The production path: one share per call.  Instrumented to show
-    # fewer than one Boys call per pure quartet.
+    # fewer than one Boys call per (composite) quartet.
     def counted(batched):
         registry = MetricsRegistry()
         with use_metrics(registry):

@@ -162,13 +162,30 @@ class CompositeShell:
 
     For Pople basis sets the composite is either a single pure shell
     (type ``"S"``, ``"D"``, ...) or a fused SP pair (type ``"L"``).  The
-    parallel Fock algorithms iterate over composite shells; the integral
-    engine expands each into its :attr:`subshells`.
+    parallel Fock algorithms iterate over composite shells, and the
+    integral engine evaluates a composite whole: its :attr:`subshells`
+    share every primitive quantity, which is only right if they sit on
+    one center over one exponent array — checked at construction.
     """
 
     subshells: tuple[Shell, ...]
     atom_index: int
     index: int = -1
+
+    def __post_init__(self) -> None:
+        if not self.subshells:
+            raise ValueError(f"composite shell {self.index} has no sub-shells")
+        first = self.subshells[0]
+        for sub in self.subshells[1:]:
+            if not (
+                np.array_equal(sub.center, first.center)
+                and np.array_equal(sub.exps, first.exps)
+            ):
+                raise ValueError(
+                    f"composite shell {self.index} ({self.stype}, atom "
+                    f"{self.atom_index}): sub-shells must share one center "
+                    "and one exponent array"
+                )
 
     @property
     def stype(self) -> str:

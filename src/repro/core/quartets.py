@@ -9,19 +9,22 @@ Class-batched evaluation
 ------------------------
 Blocks are evaluated a *share* at a time, not a quartet at a time:
 :meth:`QuartetEngine.composite_blocks` takes one bra ``(I, J)`` and the
-combined indices of a thread's kets.  On first use the engine stacks,
-per ``(lc, ld)`` class, the ket role of every pure sub-shell pair of
-every canonical composite pair into one ragged
-:class:`~repro.integrals.eri.PairStack`; a share selects its rows of a
-class by index, and each (bra sub-pair, ket class) is ONE
-:func:`~repro.integrals.eri.eri_class_batch` call whose results are
-copied into per-quartet blocks at the sub-shell offsets.  A quartet's
-block is bitwise independent of what else is in the share (the kernel's
-independence invariant), so a share may be split, reordered, replayed
-or partly served from the cache without changing a bit of the Fock
-matrix; the kernel bounds its own batch memory.  With a cache attached
-the hit / miss / eviction sequence is exactly that of quartet-by-quartet
-evaluation (see :meth:`~QuartetEngine.composite_blocks`).
+combined indices of a thread's kets.  The pair data is the basis' own
+(:func:`~repro.integrals.eri.pair_stacks`: one ragged
+:class:`~repro.integrals.eri.PairStack` per composite pair class, shared
+with the one-electron matrices, the Schwarz bounds and every other
+engine of the basis).  A share selects its rows of each class by index
+and each (bra, ket class) is ONE
+:func:`~repro.integrals.eri.eri_class_batch` call whose output rows
+*are* the composite blocks — an ``(LL|LL)`` quartet is one kernel
+quartet, its s and p sub-blocks sharing every primitive quantity.  A
+quartet's block is bitwise independent of what else is in the share (the
+kernel's independence invariant), so a share may be split, reordered,
+replayed or partly served from the cache without changing a bit of the
+Fock matrix; the kernel bounds its own batch memory.  With a cache
+attached the hit / miss / eviction sequence is exactly that of
+quartet-by-quartet evaluation (see
+:meth:`~QuartetEngine.composite_blocks`).
 
 Accumulation convention
 -----------------------
@@ -77,21 +80,19 @@ slab is property-tested against.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from repro.chem.basis.basisset import BasisSet
-from repro.chem.basis.shell import Shell, ncart
 from repro.core.indexing import (
     pair_index,
     quartet_degeneracy_factor,
     ragged_arange,
 )
 from repro.integrals.cache import QuartetCache
-from repro.integrals.eri import PairStack, ShellPair, eri_class_batch
+from repro.integrals.eri import PairSet, eri_class_batch, pair_stacks
 from repro.obs.tracer import get_tracer
 
 
@@ -138,33 +139,15 @@ class BraDigest(NamedTuple):
         W[self.kfun, self.lfun] += self.kl
 
 
-class _KetClass(NamedTuple):
-    """The pure sub-shell pairs of one ``(lc, ld)`` class, over every
-    canonical composite pair, stacked once.
-
-    The composite pair ``kl`` owns the ``count[kl]`` rows of ``stack``
-    from ``first[kl]`` on; ``ok[r]``/``ol[r]`` are the function offsets
-    of row ``r`` inside that pair's composite block.
-    """
-
-    stack: PairStack
-    first: np.ndarray
-    count: np.ndarray
-    ok: np.ndarray
-    ol: np.ndarray
-
-
 class QuartetEngine:
     """ERI evaluation and Fock scattering over composite shells.
 
     Parameters
     ----------
     basis:
-        The AO basis.  Pure-shell pair data (Hermite E tensors) is built
-        once per pair, keyed by position in the basis: all canonical
-        pairs when the first block is evaluated (they are what the ket
-        class stacks hold), a bra in non-canonical order on demand.
-        Constructing an engine prepares nothing.
+        The AO basis.  Its pair data (:attr:`pairs`) is looked up when
+        the first block is evaluated; constructing an engine prepares
+        nothing.
     cache:
         Optional :class:`~repro.integrals.cache.QuartetCache`.  When
         given, :meth:`composite_blocks` serves repeat quartets from the
@@ -174,24 +157,7 @@ class QuartetEngine:
 
     def __init__(self, basis: BasisSet, cache: QuartetCache | None = None) -> None:
         self.basis = basis
-        self.composites = basis.composite_shells
         self.cache = cache
-        self._pure_pairs: dict[tuple[int, int], ShellPair] = {}
-        # Global pure-shell position of every composite sub-shell: the
-        # pair cache is keyed by *position in the basis*, so equal-but-
-        # distinct Shell instances (or re-derived shell tuples) can
-        # never silently miss or KeyError the way id()-keying could.
-        positions: list[tuple[int, ...]] = []
-        n = 0
-        for comp in self.composites:
-            positions.append(tuple(range(n, n + len(comp.subshells))))
-            n += len(comp.subshells)
-        if n != len(basis.shells):
-            raise ValueError(
-                "composite sub-shells do not tile basis.shells "
-                f"({n} != {len(basis.shells)})"
-            )
-        self._subshell_positions: tuple[tuple[int, ...], ...] = tuple(positions)
         self.quartets_computed = 0
         self.quartets_from_cache = 0
         # Frozen index tables of the digestion path.  Per composite
@@ -200,11 +166,10 @@ class QuartetEngine:
         # degeneracy factor, and one CSR row of the pair's function
         # indices in block order — O(nbf^2) integers, no quartet data.
         offsets, widths = basis.shell_bf_offsets(), basis.shell_nfuncs()
-        self._shell_nfunc = widths
         self.shell_slices = tuple(
             slice(o, o + w) for o, w in zip(offsets.tolist(), widths.tolist())
         )
-        k, l = np.tril_indices(len(self.composites))
+        k, l = np.tril_indices(basis.nshells)
         self._pair_k, self._pair_l = k, l
         self._pair_fac = np.where(k == l, 0.5, 1.0)
         #: Function pairs per canonical shell pair (the ket block size).
@@ -217,54 +182,20 @@ class QuartetEngine:
 
     # -- ERI blocks -----------------------------------------------------
 
-    def _pure_pair(self, ia: int, sa: Shell, ib: int, sb: Shell) -> ShellPair:
-        key = (ia, ib)
-        pair = self._pure_pairs.get(key)
-        if pair is None:
-            pair = ShellPair(sa, sb)
-            self._pure_pairs[key] = pair
-        return pair
-
     @cached_property
-    def _ket_classes(self) -> tuple[_KetClass, ...]:
-        """Every pure sub-pair of every canonical composite pair, in its
-        ket role, stacked per ``(lc, ld)`` class on first evaluation; a
-        share then selects its rows by index."""
-        members = defaultdict(list)
-        for kl, (K, L) in enumerate(
-            zip(self._pair_k.tolist(), self._pair_l.tolist())
-        ):
-            ok = 0
-            for kc, sc in zip(
-                self._subshell_positions[K], self.composites[K].subshells
-            ):
-                ol = 0
-                for ld, sd in zip(
-                    self._subshell_positions[L], self.composites[L].subshells
-                ):
-                    members[sc.l, sd.l].append(
-                        (kl, ok, ol, self._pure_pair(kc, sc, ld, sd))
-                    )
-                    ol += sd.nfunc
-                ok += sc.nfunc
-        classes = []
-        for rows in members.values():
-            kl, ok, ol, pairs = zip(*rows)  # kl ascending: CSR by count
-            count = np.bincount(kl, minlength=self._pair_k.size)
-            classes.append(_KetClass(
-                PairStack.concat(pairs), count.cumsum() - count, count,
-                np.array(ok), np.array(ol),
-            ))
-        return tuple(classes)
+    def pairs(self) -> PairSet:
+        """The basis' canonical composite pairs, stacked per class (the
+        one set every consumer of this basis shares)."""
+        return pair_stacks(self.basis)
 
     def composite_blocks(
         self, I: int, J: int, kls: np.ndarray
     ) -> list[np.ndarray]:
         """ERI blocks ``(I J | K L)`` of one bra against the kets ``kls``.
 
-        ``kls`` holds combined indices of canonical ket pairs.  Without a
-        cache all of them are evaluated together, one kernel call per
-        (bra sub-pair, ket class).  With a cache the blocks absent at
+        ``I >= J``; ``kls`` holds combined indices of canonical ket
+        pairs.  Without a cache all of them are evaluated together, one
+        kernel call per ket class.  With a cache the blocks absent at
         entry are evaluated together and then the per-quartet sequence
         ``get -> (evaluate) -> put`` is replayed in ``kls`` order, so
         hits, misses, evictions and LRU order are those of quartet-by-
@@ -276,10 +207,10 @@ class QuartetEngine:
         Returns
         -------
         list of numpy.ndarray
-            One ``(nfI, nfJ, nfK, nfL)`` block per ket, each owning its
-            memory (cached blocks are read-only), assembled from the
-            pure sub-shell quartets (an L shell contributes its S and P
-            sub-blocks at the proper offsets).
+            One ``(nfI, nfJ, nfK, nfL)`` block per ket (an L shell's s
+            and p functions at their offsets).  Blocks that went through
+            the cache own their memory and are read-only; without a
+            cache they are views of the kernel's output.
         """
         kls = np.asarray(kls, dtype=np.intp)
         cache = self.cache
@@ -305,6 +236,9 @@ class QuartetEngine:
                 if block is None:
                     (block,) = self._evaluate_blocks(I, J, kls[n : n + 1])
                 self.quartets_computed += 1
+                # A view would pin the whole batch output for as long as
+                # one of its blocks stays cached.
+                block = block.copy()
                 cache.put(key, block)
             else:
                 self.quartets_from_cache += 1
@@ -320,43 +254,21 @@ class QuartetEngine:
     def _evaluate_blocks(
         self, I: int, J: int, kls: np.ndarray
     ) -> list[np.ndarray]:
-        cI, cJ = self.composites[I], self.composites[J]
-        pI, pJ = self._subshell_positions[I], self._subshell_positions[J]
-        nfunc = self._shell_nfunc
-        blocks = [
-            np.empty((cI.nfunc, cJ.nfunc, nk, nl))
-            for nk, nl in zip(
-                nfunc[self._pair_k[kls]].tolist(),
-                nfunc[self._pair_l[kls]].tolist(),
-            )
-        ]
+        pairs = self.pairs
+        bra = pairs.pair(pair_index(I, J))
+        cls, row = pairs.cls[kls], pairs.row[kls]
+        blocks: list[np.ndarray] = [None] * kls.size
         with get_tracer().span("eri/quartet_batch"):
-            for cls in self._ket_classes:
-                count = cls.count[kls]
-                if not count.any():
+            for c, members in enumerate(pairs.classes):
+                share = np.flatnonzero(cls == c)
+                if not share.size:
                     continue
-                rows = ragged_arange(cls.first[kls], count)
-                kets = cls.stack.take(rows)
-                nfc, nfd = ncart(kets.la), ncart(kets.lb)
-                owner = np.repeat(np.arange(kls.size), count).tolist()
-                ok, ol = cls.ok[rows].tolist(), cls.ol[rows].tolist()
-                oi = 0
-                for ia, sa in zip(pI, cI.subshells):
-                    oj = 0
-                    for jb, sb in zip(pJ, cJ.subshells):
-                        bra = self._pure_pair(ia, sa, jb, sb)
-                        values = eri_class_batch(bra, kets).reshape(
-                            -1, sa.nfunc, sb.nfunc, nfc, nfd
-                        )
-                        for n, k0, l0, value in zip(owner, ok, ol, values):
-                            blocks[n][
-                                oi : oi + sa.nfunc,
-                                oj : oj + sb.nfunc,
-                                k0 : k0 + nfc,
-                                l0 : l0 + nfd,
-                            ] = value
-                        oj += sb.nfunc
-                    oi += sa.nfunc
+                kets = members.stack.take(row[share])
+                values = eri_class_batch(bra, kets).reshape(
+                    -1, bra.nfa, bra.nfb, kets.nfa, kets.nfb
+                )
+                for n, value in zip(share.tolist(), values):
+                    blocks[n] = value
         return blocks
 
     # -- Fock scattering ---------------------------------------------------

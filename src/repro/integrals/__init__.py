@@ -5,17 +5,19 @@ over contracted Cartesian Gaussian shells:
 
 * :mod:`repro.integrals.boys` — the Boys function :math:`F_m(x)`.
 * :mod:`repro.integrals.hermite` — Hermite expansion coefficients
-  :math:`E_t^{ij}` and Hermite Coulomb tensors :math:`R_{tuv}`.
-* :mod:`repro.integrals.overlap` / ``kinetic`` / ``nuclear`` —
-  one-electron shell-pair kernels.
-* :mod:`repro.integrals.eri` — two-electron repulsion integrals, one
-  class of shell quartets per kernel call over ragged stacks of
-  precomputed contracted-shell pair data.
+  :math:`E_t^{ij}` and Hermite Coulomb tensors :math:`R_{tuv}`, both
+  over arrays.
+* :mod:`repro.integrals.eri` — the pair layer (one ragged stack of
+  composite shell-pair data per pair class, built once per basis:
+  :func:`~repro.integrals.eri.pair_stacks`) and the two-electron
+  kernel, one class of composite quartets per call.
+* :mod:`repro.integrals.onee` — S, T, V from the same stacks.
+* :mod:`repro.integrals.schwarz` — exact Cauchy-Schwarz bounds
+  :math:`Q_{ij} = \\sqrt{(ij|ij)}` over composite shells, from the same
+  stacks and kernel.
 * :mod:`repro.integrals.cache` — memory-bounded LRU cache of quartet
   ERI blocks (semi-direct SCF).
-* :mod:`repro.integrals.schwarz` — exact Cauchy-Schwarz bounds
-  :math:`Q_{ij} = \\sqrt{(ij|ij)}` over composite shells.
-* :mod:`repro.integrals.onee` — full S, T, V matrix drivers.
+* :mod:`repro.integrals.multipole` — dipole integrals (post-SCF).
 """
 
 from repro.integrals.boys import boys
@@ -26,6 +28,7 @@ from repro.integrals.eri import (
     eri_class_batch,
     eri_shell_quartet,
     make_shell_pairs,
+    pair_stacks,
 )
 from repro.integrals.onee import kinetic_matrix, nuclear_matrix, overlap_matrix
 from repro.integrals.schwarz import schwarz_matrix
@@ -38,6 +41,7 @@ __all__ = [
     "eri_class_batch",
     "eri_shell_quartet",
     "make_shell_pairs",
+    "pair_stacks",
     "overlap_matrix",
     "kinetic_matrix",
     "nuclear_matrix",

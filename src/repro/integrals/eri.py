@@ -1,4 +1,4 @@
-"""Electron-repulsion integrals over shell quartets (McMurchie-Davidson).
+"""Shell-pair data and electron-repulsion integrals (McMurchie-Davidson).
 
 The quartet kernel follows the factorized form
 
@@ -10,26 +10,61 @@ The quartet kernel follows the factorized form
              E^{cd}_{\\tau\\nu\\phi}
              R^0_{t+\\tau,\\,u+\\nu,\\,v+\\phi}(\\alpha, P - Q),
 
-with :math:`\\alpha = pq/(p+q)`.  Per contracted shell *pair* the
-E-product tensor is precomputed once (:class:`ShellPair`), over the
-``t + u + v <= l_a + l_b`` Hermite components only.
+with :math:`\\alpha = pq/(p+q)`.  Everything that depends on one side
+only — exponents, product centers, the E-product tensor — is *pair*
+data, built once per basis and shared by every integral that needs it.
 
-The ragged class stack
-----------------------
+Composite pairs and their classes
+---------------------------------
+The unit is the *composite* shell pair: both sides are GAMESS shells,
+i.e. one or more pure sub-shells on one center over one set of
+exponents (the fused sp "L" shell is the case that matters).  Sub-shells
+share all primitive work — :math:`p`, :math:`P` and the 1-D E tables —
+so a composite pair is ONE row of pair data and an ``(LL|LL)`` quartet
+is one kernel quartet, not sixteen.  Pairs are grouped by *composite
+class*, the sub-shell ``l`` tuples of both sides (``S|S``, ``L|S``,
+``L|L``, ``D|L``, ...): inside a class every array shape is fixed.  A
+pure shell is a composite of one sub-shell; nothing below distinguishes
+the two.
+
+:class:`PairSet` builds the classes of a list of pairs with array
+operations only — exponents and centers gathered per class, the 1-D E
+recursion (:func:`~repro.integrals.hermite.e_coefficients_1d`) run once
+per class over every primitive pair and all three axes, up to
+``l_b + 2`` so that the same tables give overlap and kinetic energy.
+:func:`pair_stacks` memoises the set of a basis' canonical composite
+pairs weakly per :class:`~repro.chem.basis.basisset.BasisSet`: S, T, V,
+the Schwarz bounds and every :class:`~repro.core.quartets.QuartetEngine`
+of one basis read one set, and it dies with the basis.
+
+The padded E tensor
+-------------------
+A class's pairs are a :class:`PairStack`: their primitive-pair data
+concatenated along one axis with segment offsets ``ptr`` — *ragged*, no
+padding along that axis, so a six-primitive core pair and a
+one-primitive polarisation pair sit side by side.  Per primitive pair
+``ebra`` maps the compact Hermite components of order
+``lmax_a + lmax_b`` (:func:`~repro.integrals.hermite.hermite_tuv`) to
+the whole composite function-pair block, row-major over the functions
+of both sides, sub-shell after sub-shell.  Rows of a sub-pair of lower
+``l_a + l_b`` are exact zeros beyond their own order (the E tables are
+zero there; nothing is ever multiplied into them).  The contraction
+coefficients are folded into the rows — an L shell's s and p share
+exponents, not coefficients — so the kernel carries no per-primitive
+coefficient.
+
+The kernel
+----------
 :func:`eri_class_batch` is the one two-electron kernel.  It evaluates a
-whole *class* of quartets per call: every bra of one ``(l_a, l_b)``
-against every ket of one ``(l_c, l_d)``, so all E tensors of a side
-share a shape.  The pairs of a side are a :class:`PairStack` — their
-primitive-pair data (``p``, ``P``, ``coef``, ``ebra``) concatenated
-along one axis with segment offsets ``ptr``, *ragged*, no padding, so a
-six-primitive core pair and a one-primitive polarisation pair sit side
-by side.  Every primitive combination of every quartet becomes one
-point of ONE :func:`~repro.integrals.hermite.hermite_coulomb_batch`
-call (hence one vectorized Boys evaluation per class, not per quartet);
-the two E contractions are one stacked ``matmul`` each, per primitive,
-and ``np.add.reduceat`` sums the primitives of a quartet.  This is the
-Python analogue of the paper's vectorized ``twoei`` kernel.
-:func:`eri_shell_quartet` is the one-quartet call of the same kernel.
+whole class of quartets per call: every bra of one composite class
+against every ket of one composite class.  Every primitive combination
+of every quartet is one point of ONE
+:func:`~repro.integrals.hermite.hermite_coulomb_batch` call (hence one
+vectorized Boys evaluation per class, not per quartet); the two E
+contractions are one stacked ``matmul`` each, per primitive, and
+``np.add.reduceat`` sums the primitives of a quartet.  Its output rows
+*are* the composite blocks.  This is the Python analogue of the paper's
+vectorized ``twoei`` kernel.
 
 The independence invariant
 --------------------------
@@ -37,13 +72,14 @@ A quartet's block is **bitwise** the same whatever else is in the batch
 — alone, in any sub-share, in any chunk.  Every gate that compares the
 program with itself (ERI cache on/off, kill-replay, checkpoint-resume)
 rests on it, because those runs batch the same quartets differently.
-It holds because nothing below reduces *across* quartets: the Boys
-function and the Hermite recursion are element-wise per point, each
-``matmul`` item is one primitive's own small GEMM on contiguous
-operands of class-fixed shape, and ``reduceat`` adds a quartet's
-primitives in their stored order.  (One ``tensordot`` over the whole
-batch would be as fast and breaks it: BLAS blocks the long axis
-differently for different batch lengths.)
+It holds because nothing reduces *across* pairs or quartets: the pair
+builder, the Boys function and the Hermite recursion are element-wise
+per primitive pair / point, each ``matmul`` item is one primitive's own
+small GEMM on contiguous operands of class-fixed shape (padding is part
+of the class, so it is the same in every batch), and ``reduceat`` adds
+a quartet's primitives in their stored order.  (One ``tensordot`` over
+the whole batch would be as fast and breaks it: BLAS blocks the long
+axis differently for different batch lengths.)
 
 The memory cap
 --------------
@@ -58,13 +94,15 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Sequence
+import weakref
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from repro.chem.basis.shell import Shell, ncart
+from repro.chem.basis.basisset import BasisSet
+from repro.chem.basis.shell import CART_COMPONENTS, CompositeShell, Shell, ncart
 from repro.integrals.hermite import (
-    e_coefficients_3d,
+    e_coefficients_1d,
     hermite_coulomb_batch,
     hermite_index,
     hermite_tuv,
@@ -104,18 +142,22 @@ def _hermite_sum_index(lbra: int, lket: int) -> np.ndarray:
     return index
 
 
+# -- pair data --------------------------------------------------------------------
+
+
 class PairStack:
     """Ragged stack of the primitive-pair data of same-class shell pairs.
 
-    Pair ``n`` owns the primitive rows ``ptr[n]:ptr[n+1]`` of
+    ``las`` / ``lbs`` are the sub-shell angular momenta of the two sides
+    (the composite class).  Pair ``n`` owns the primitive rows
+    ``ptr[n]:ptr[n+1]`` of
 
     * ``p`` — total exponents ``a + b``, shape ``(nprim,)``;
     * ``P`` — Gaussian-product centers, ``(nprim, 3)``;
-    * ``coef`` — contraction-coefficient products, ``(nprim,)``;
-    * ``ebra`` — the E-product tensor mapping the compact Hermite
-      components (:func:`~repro.integrals.hermite.hermite_tuv` of
-      ``la + lb``) to Cartesian function pairs,
-      ``(nprim, nfunc_pair, ncomp)``.
+    * ``ebra`` — the padded E-product tensor, contraction coefficients
+      folded in: compact Hermite components of order ``ltot =
+      max(las) + max(lbs)`` to the ``nfa * nfb`` function pairs of the
+      composite block, ``(nprim, nfunc_pair, ncomp)``.
 
     The same tensor serves a pair in the ket role: the ket parity
     :math:`(-1)^{t+u+v}` (``parity``) rides on the per-point prefactor
@@ -124,18 +166,20 @@ class PairStack:
 
     def __init__(
         self,
-        la: int,
-        lb: int,
+        las: tuple[int, ...],
+        lbs: tuple[int, ...],
         p: np.ndarray,
         P: np.ndarray,
-        coef: np.ndarray,
         ebra: np.ndarray,
         counts: np.ndarray,
     ) -> None:
-        self.la, self.lb = la, lb
-        self.ltot = la + lb
-        self.nfunc_pair = ncart(la) * ncart(lb)
-        self.p, self.P, self.coef, self.ebra = p, P, coef, ebra
+        self.las, self.lbs = las, lbs
+        self.ltot = max(las) + max(lbs)
+        #: Functions of either side of the composite block.
+        self.nfa = sum(map(ncart, las))
+        self.nfb = sum(map(ncart, lbs))
+        self.nfunc_pair = self.nfa * self.nfb
+        self.p, self.P, self.ebra = p, P, ebra
         #: Primitive pairs per shell pair, their segment offsets, and
         #: the shell pair of each primitive row.
         self.counts = counts
@@ -153,14 +197,14 @@ class PairStack:
     def concat(cls, pairs: Sequence["PairStack"]) -> "PairStack":
         """One stack holding the pairs of ``pairs`` (all of one class)."""
         first = pairs[0]
-        if any((s.la, s.lb) != (first.la, first.lb) for s in pairs):
-            raise ValueError("a PairStack holds pairs of one (la, lb) class")
+        if any((s.las, s.lbs) != (first.las, first.lbs) for s in pairs):
+            raise ValueError("a PairStack holds pairs of one composite class")
         return cls(
-            first.la,
-            first.lb,
+            first.las,
+            first.lbs,
             *(
                 np.concatenate([getattr(s, name) for s in pairs])
-                for name in ("p", "P", "coef", "ebra", "counts")
+                for name in ("p", "P", "ebra", "counts")
             ),
         )
 
@@ -169,62 +213,246 @@ class PairStack:
         counts = self.counts[rows]
         prim = ragged_arange(self.ptr[rows], counts)
         return PairStack(
-            self.la, self.lb,
-            self.p[prim], self.P[prim], self.coef[prim], self.ebra[prim],
-            counts,
+            self.las, self.lbs,
+            self.p[prim], self.P[prim], self.ebra[prim], counts,
+        )
+
+    def pair(self, n: int) -> "PairStack":
+        """Pair ``n`` alone, as views of this stack's rows."""
+        rows = slice(self.ptr[n], self.ptr[n + 1])
+        return PairStack(
+            self.las, self.lbs,
+            self.p[rows], self.P[rows], self.ebra[rows],
+            self.counts[n : n + 1],
         )
 
 
+def _subshells(side: Shell | CompositeShell) -> tuple[Shell, ...]:
+    return side.subshells if isinstance(side, CompositeShell) else (side,)
+
+
+@functools.cache
+def _side_functions(ls: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Per function of a composite side, sub-shell after sub-shell: its
+    Cartesian powers ``(nf, 3)`` and the sub-shell it belongs to."""
+    powers = np.array([c for l in ls for c in CART_COMPONENTS[l]], dtype=np.intp)
+    sub = np.repeat(np.arange(len(ls)), [ncart(l) for l in ls])
+    return powers, sub
+
+
+class ClassRows(NamedTuple):
+    """The function pairs (rows) of a composite class, row-major: per
+    row the function index inside either side (``fa``, ``fb``), its
+    Cartesian powers (``powa``, ``powb``, each ``(nrow, 3)``) and its
+    sub-shell (``suba``, ``subb``)."""
+
+    fa: np.ndarray
+    fb: np.ndarray
+    powa: np.ndarray
+    powb: np.ndarray
+    suba: np.ndarray
+    subb: np.ndarray
+
+
+@functools.cache
+def class_rows(las: tuple[int, ...], lbs: tuple[int, ...]) -> ClassRows:
+    """The (read-only, shared) row table of the class ``las | lbs``."""
+    (pa, sa), (pb, sb) = _side_functions(las), _side_functions(lbs)
+    fa = np.repeat(np.arange(len(pa)), len(pb))
+    fb = np.tile(np.arange(len(pb)), len(pa))
+    rows = ClassRows(fa, fb, pa[fa], pb[fb], sa[fa], sb[fb])
+    for array in rows:
+        array.flags.writeable = False
+    return rows
+
+
+class PairClass(NamedTuple):
+    """The pairs of one composite class of a :class:`PairSet`.
+
+    ``stack`` is what the Coulomb kernels read.  The rest serves the
+    one-electron matrices: row ``n`` of the stack pairs side ``ia[n]``
+    with side ``ib[n]``; per primitive pair ``b`` is the exponent on the
+    second side, ``coef[row]`` the contraction-coefficient product of
+    every function pair and ``s1d[i, j, axis]`` the 1-D overlap table
+    :math:`E_0^{ij}` up to ``j = max(lbs) + 2``.
+    """
+
+    stack: PairStack
+    ia: np.ndarray
+    ib: np.ndarray
+    b: np.ndarray
+    coef: np.ndarray
+    s1d: np.ndarray
+
+
+class _Sides(NamedTuple):
+    """The shells a :class:`PairSet` draws from, flattened: per side its
+    sub-shell momenta, primitive count, first primitive and center; per
+    primitive its exponent and, per sub-shell (zero beyond a side's
+    own), its contraction coefficient."""
+
+    keys: list[tuple[int, ...]]
+    nprim: np.ndarray
+    start: np.ndarray
+    centers: np.ndarray
+    exps: np.ndarray
+    coefs: np.ndarray
+
+
+class PairSet:
+    """Pair data of a list of shell pairs, stacked per composite class.
+
+    Parameters
+    ----------
+    sides:
+        The shells the pairs draw from, pure (:class:`Shell`) or
+        composite (:class:`CompositeShell`).
+    ia, ib:
+        Pair ``n`` is ``sides[ia[n]]`` with ``sides[ib[n]]``.
+
+    Attributes
+    ----------
+    classes:
+        One :class:`PairClass` per composite class present, its rows in
+        ascending pair order.
+    cls, row:
+        Pair ``n`` is row ``row[n]`` of ``classes[cls[n]].stack``.
+    """
+
+    def __init__(
+        self,
+        sides: Sequence[Shell | CompositeShell],
+        ia: np.ndarray,
+        ib: np.ndarray,
+    ) -> None:
+        # Flatten the sides once (a loop over shells, not over pairs).
+        subs = [_subshells(side) for side in sides]
+        keys = [tuple(s.l for s in sub) for sub in subs]
+        nprim = np.array([sub[0].nprim for sub in subs])
+        start = nprim.cumsum() - nprim
+        coefs = np.zeros((max(map(len, keys)), nprim.sum()))
+        for sub, lo in zip(subs, start.tolist()):
+            for s, shell in enumerate(sub):
+                coefs[s, lo : lo + shell.nprim] = shell.coefs
+        flat = _Sides(
+            keys, nprim, start,
+            np.array([sub[0].center for sub in subs]),
+            np.concatenate([sub[0].exps for sub in subs]),
+            coefs,
+        )
+
+        ia, ib = np.asarray(ia, dtype=np.intp), np.asarray(ib, dtype=np.intp)
+        kinds = {key: n for n, key in enumerate(dict.fromkeys(keys))}
+        kind = np.array([kinds[key] for key in keys])
+        code = kind[ia] * len(kinds) + kind[ib]
+        self.cls = np.empty(ia.size, dtype=np.intp)
+        self.row = np.empty(ia.size, dtype=np.intp)
+        classes = []
+        # (np.unique would do, at the price of importing numpy.ma.)
+        for c, value in enumerate(np.flatnonzero(np.bincount(code)).tolist()):
+            members = np.flatnonzero(code == value)
+            self.cls[members] = c
+            self.row[members] = np.arange(members.size)
+            classes.append(_build_class(flat, ia[members], ib[members]))
+        self.classes: tuple[PairClass, ...] = tuple(classes)
+
+    def pair(self, n: int) -> PairStack:
+        """The stack of pair ``n`` alone."""
+        return self.classes[self.cls[n]].stack.pair(self.row[n])
+
+
+def _build_class(sides: _Sides, ia: np.ndarray, ib: np.ndarray) -> PairClass:
+    """Pair data of the pairs ``(ia[n], ib[n])``, all of one class."""
+    las, lbs = sides.keys[ia[0]], sides.keys[ib[0]]
+    la, lb = max(las), max(lbs)
+    # One primitive row per (a-primitive, b-primitive) of every pair,
+    # the b primitive fastest: gather exponents a, b (n,), centers A, B
+    # (3, n) and per-sub-shell coefficients ca, cb (nsub, n).
+    nb = sides.nprim[ib]
+    counts = sides.nprim[ia] * nb
+    owner = np.arange(ia.size).repeat(counts)
+    local = ragged_arange(np.zeros_like(counts), counts)
+    pa = sides.start[ia][owner] + local // nb[owner]
+    pb = sides.start[ib][owner] + local % nb[owner]
+    a, b = sides.exps[pa], sides.exps[pb]
+    A, B = sides.centers[ia][owner].T, sides.centers[ib][owner].T
+    ca, cb = sides.coefs[:, pa], sides.coefs[:, pb]
+
+    p = a + b
+    mu = a * b / p
+    P = (a * A + b * B) / p
+    AB = A - B
+    # E[i, j, t, axis, n], to j = lb + 2: the t = 0 entries of the extra
+    # columns are what the kinetic energy needs.
+    E = e_coefficients_1d(la, lb + 2, P - A, P - B, p, mu * (AB * AB))
+
+    rows = class_rows(las, lbs)
+    powa, powb = rows.powa, rows.powb
+    tuv = hermite_tuv(la + lb)
+    coef = ca[rows.suba] * cb[rows.subb]
+    # ebra[row, c, n] = Ex[ax, bx, t_c] Ey[ay, by, u_c] Ez[az, bz, v_c]:
+    # zero wherever a component exceeds the row's own order.
+    ebra = E[powa[:, None, 0], powb[:, None, 0], tuv[:, 0], 0]
+    ebra *= E[powa[:, None, 1], powb[:, None, 1], tuv[:, 1], 1]
+    ebra *= E[powa[:, None, 2], powb[:, None, 2], tuv[:, 2], 2]
+    ebra *= coef[:, None, :]
+    stack = PairStack(
+        las, lbs, p, np.ascontiguousarray(P.T),
+        np.ascontiguousarray(ebra.transpose(2, 0, 1)), counts,
+    )
+    return PairClass(stack, ia, ib, b, coef, E[:, :, 0].copy())
+
+
 class ShellPair(PairStack):
-    """Precomputed Hermite expansion data of one contracted shell pair.
+    """Pair data of one contracted shell pair: a :class:`PairStack` of
+    one, built by the same code as the stacks of a whole basis
+    (:class:`PairSet`).  Either side may be pure or composite."""
 
-    A :class:`PairStack` of one: the Gaussian-product data of every
-    primitive combination of the pure shells ``sha``, ``shb``.
+    def __init__(
+        self, sha: Shell | CompositeShell, shb: Shell | CompositeShell
+    ) -> None:
+        s = PairSet((sha, shb), [0], [1]).classes[0].stack
+        super().__init__(s.las, s.lbs, s.p, s.P, s.ebra, s.counts)
+
+
+def make_shell_pairs(
+    shells: Sequence[Shell | CompositeShell],
+) -> dict[tuple[int, int], PairStack]:
+    """The pair data of all pairs ``i >= j``, built class by class.
+
+    Keys are (bra_index, ket_index) into ``shells``, values stacks of
+    one pair; only the lower triangle is stored since pair ``(i, j)``
+    serves both orders via transposition at the quartet level.
     """
-
-    def __init__(self, sha: Shell, shb: Shell) -> None:
-        self.sha = sha
-        self.shb = shb
-        la, lb = sha.l, shb.l
-        tt, uu, vv = hermite_tuv(la + lb).T
-
-        comps_a, comps_b = sha.components, shb.components
-        A, B = sha.center, shb.center
-        nprim = sha.nprim * shb.nprim
-        p = np.empty(nprim)
-        P = np.empty((nprim, 3))
-        coef = np.empty(nprim)
-        ebra = np.empty((nprim, sha.nfunc * shb.nfunc, tt.size))
-        n = 0
-        for a, ca in zip(sha.exps, sha.coefs):
-            for b, cb in zip(shb.exps, shb.coefs):
-                Ex, Ey, Ez = e_coefficients_3d(la, lb, a, b, A, B)
-                row = 0
-                for (ax, ay, az) in comps_a:
-                    for (bx, by, bz) in comps_b:
-                        ebra[n, row] = (
-                            Ex[ax, bx, tt] * Ey[ay, by, uu] * Ez[az, bz, vv]
-                        )
-                        row += 1
-                p[n] = a + b
-                P[n] = (a * A + b * B) / p[n]
-                coef[n] = ca * cb
-                n += 1
-        super().__init__(la, lb, p, P, coef, ebra, np.array([nprim]))
+    i, j = np.tril_indices(len(shells))
+    pairs = PairSet(shells, i, j)
+    return {
+        key: pairs.pair(n) for n, key in enumerate(zip(i.tolist(), j.tolist()))
+    }
 
 
-def make_shell_pairs(shells: tuple[Shell, ...] | list[Shell]) -> dict[tuple[int, int], ShellPair]:
-    """Build the :class:`ShellPair` cache for all pairs ``i >= j``.
+_PAIR_STACKS: "weakref.WeakKeyDictionary[BasisSet, PairSet]" = (
+    weakref.WeakKeyDictionary()
+)
 
-    Keys are (bra_index, ket_index) into ``shells``; only the lower
-    triangle is stored since ``ShellPair(i, j)`` serves both orders via
-    transposition at the quartet level.
+
+def pair_stacks(basis: BasisSet) -> PairSet:
+    """The pair data of a basis: every canonical composite pair
+    ``I >= J``, pair ``n`` being the combined index ``I (I + 1) / 2 + J``.
+
+    Built on first use and kept for as long as the basis lives (a weak
+    memo keyed by the instance; the set holds no reference back), so
+    the one-electron matrices, the Schwarz bounds and every quartet
+    engine of one basis share one set.
     """
-    pairs: dict[tuple[int, int], ShellPair] = {}
-    for i, sa in enumerate(shells):
-        for j, sb in enumerate(shells[: i + 1]):
-            pairs[(i, j)] = ShellPair(sa, sb)
+    pairs = _PAIR_STACKS.get(basis)
+    if pairs is None:
+        i, j = np.tril_indices(basis.nshells)
+        pairs = _PAIR_STACKS[basis] = PairSet(basis.composite_shells, i, j)
     return pairs
+
+
+# -- the kernel ---------------------------------------------------------------------
 
 
 def eri_class_batch(bra: PairStack, ket: PairStack) -> np.ndarray:
@@ -238,8 +466,9 @@ def eri_class_batch(bra: PairStack, ket: PairStack) -> np.ndarray:
     Returns
     -------
     numpy.ndarray
-        Shape ``(ket.npairs, nfunc_pair_bra, nfunc_pair_ket)``, function
-        pairs in canonical Cartesian row-major order.
+        Shape ``(ket.npairs, nfunc_pair_bra, nfunc_pair_ket)``: per
+        quartet the whole composite block, function pairs of either
+        side row-major.
     """
     nq = ket.npairs
     if bra.npairs not in (1, nq):
@@ -283,9 +512,7 @@ def eri_class_batch(bra: PairStack, ket: PairStack) -> np.ndarray:
         psum, pq = p + q, p * q
         R = hermite_coulomb_batch(lsum, pq / psum, bra.P[bp] - ket.P[kp])
         M = R.take(gather, axis=1)  # (npoints, ntb, ntk)
-        scale = (
-            _TWO_PI_POW * bra.coef[bp] * ket.coef[kp] / (pq * np.sqrt(psum))
-        )
+        scale = _TWO_PI_POW / (pq * np.sqrt(psum))
         M *= (scale[:, None] * ket.parity)[:, None, :]
 
         # out[n] = sum_j (sum_i E_bra[i] @ M[i, j]) @ E_ket[j].T, the ket
@@ -302,7 +529,7 @@ def eri_class_batch(bra: PairStack, ket: PairStack) -> np.ndarray:
     return out
 
 
-def eri_shell_quartet(bra: ShellPair, ket: ShellPair) -> np.ndarray:
+def eri_shell_quartet(bra: PairStack, ket: PairStack) -> np.ndarray:
     """Contracted ERI block :math:`(ab|cd)` for one shell quartet.
 
     The one-quartet call of :func:`eri_class_batch`.
@@ -310,11 +537,10 @@ def eri_shell_quartet(bra: ShellPair, ket: ShellPair) -> np.ndarray:
     Returns
     -------
     numpy.ndarray
-        Shape ``(nfa, nfb, nfc, nfd)`` in canonical Cartesian order.
+        Shape ``(nfa, nfb, nfc, nfd)``, sub-shell after sub-shell and
+        canonical Cartesian order inside each.
     """
-    return eri_class_batch(bra, ket).reshape(
-        bra.sha.nfunc, bra.shb.nfunc, ket.sha.nfunc, ket.shb.nfunc
-    )
+    return eri_class_batch(bra, ket).reshape(bra.nfa, bra.nfb, ket.nfa, ket.nfb)
 
 
 def eri_quartet_shells(sa: Shell, sb: Shell, sc: Shell, sd: Shell) -> np.ndarray:

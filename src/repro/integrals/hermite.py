@@ -4,7 +4,9 @@ Two building blocks:
 
 * :func:`e_coefficients_1d` — the expansion coefficients
   :math:`E_t^{ij}` that express a product of two 1-D Cartesian
-  Gaussians as a sum of Hermite Gaussians.
+  Gaussians as a sum of Hermite Gaussians, over arrays of primitive
+  pairs: the pair layer (:mod:`repro.integrals.eri`) runs it once per
+  pair class.
 * :func:`hermite_coulomb_batch` — the Hermite Coulomb integrals
   :math:`R^0_{tuv}` built from Boys-function values by the standard
   three-term recursion, over a whole *batch* of ``(exponent,
@@ -16,8 +18,8 @@ Two building blocks:
   :func:`hermite_tuv`.
 
 Both follow Helgaker, Jorgensen & Olsen, *Molecular Electronic-Structure
-Theory*, chapter 9.  (The scalar per-point recursion the batch is tested
-against lives in ``tests/oracles.py``.)
+Theory*, chapter 9.  (The scalar recursions both are tested against
+live in ``tests/oracles.py``.)
 """
 
 from __future__ import annotations
@@ -30,9 +32,21 @@ from repro.integrals.boys import boys
 
 
 def e_coefficients_1d(
-    la: int, lb: int, pa: float, pb: float, p: float, mu_xab2: float
+    la: int,
+    lb: int,
+    pa: np.ndarray | float,
+    pb: np.ndarray | float,
+    p: np.ndarray | float,
+    mu_xab2: np.ndarray | float,
 ) -> np.ndarray:
-    """1-D Hermite expansion coefficients :math:`E_t^{ij}`.
+    """1-D Hermite expansion coefficients :math:`E_t^{ij}`, over arrays.
+
+    The one E recursion of the package.  The four real arguments
+    broadcast against each other; every operation is element-wise along
+    them, so one call serves every primitive pair (and all three axes)
+    of a pair class, and an element's table is bitwise the one a scalar
+    call returns (``tests/oracles.py`` keeps the scalar loop it is
+    tested against).
 
     Parameters
     ----------
@@ -50,59 +64,34 @@ def e_coefficients_1d(
     Returns
     -------
     numpy.ndarray
-        ``E[i, j, t]`` of shape ``(la+1, lb+1, la+lb+1)``; entries with
-        ``t > i + j`` are zero.
+        ``E[i, j, t, ...]`` of shape ``(la+1, lb+1, la+lb+1) + shape``
+        with ``shape`` the broadcast shape of the real arguments (``()``
+        for scalars); entries with ``t > i + j`` are zero.
     """
-    E = np.zeros((la + 1, lb + 1, la + lb + 1))
+    pa, pb, p, mu_xab2 = np.broadcast_arrays(pa, pb, p, mu_xab2)
+    E = np.zeros((la + 1, lb + 1, la + lb + 1) + p.shape)
     E[0, 0, 0] = np.exp(-mu_xab2)
     one_over_2p = 0.5 / p
+    # (t + 1) along the t axis, for the E_{t+1} term.
+    up = np.arange(1.0, la + lb + 1).reshape((-1,) + (1,) * p.ndim)
 
-    # Build up in i with j = 0.
+    # Per target (i, j) the scalar recursion's own order: the E_t term,
+    # then E_{t-1}, then E_{t+1}; t runs along the leading axis of the
+    # slices.  Build up in i with j = 0 ...
     for i in range(1, la + 1):
-        tmax = i
-        for t in range(tmax + 1):
-            val = pa * E[i - 1, 0, t]
-            if t > 0:
-                val += one_over_2p * E[i - 1, 0, t - 1]
-            if t + 1 <= i - 1:
-                val += (t + 1) * E[i - 1, 0, t + 1]
-            E[i, 0, t] = val
-
-    # Then increment j for every i.
+        src, dst = E[i - 1, 0], E[i, 0]
+        np.multiply(pa, src[: i + 1], out=dst[: i + 1])
+        dst[1 : i + 1] += one_over_2p * src[:i]
+        dst[: i - 1] += up[: i - 1] * src[1:i]
+    # ... then increment j, for every i at once: row i is exact up to
+    # t = i + j and sees only zeros beyond.
     for j in range(1, lb + 1):
-        for i in range(la + 1):
-            tmax = i + j
-            for t in range(tmax + 1):
-                val = pb * E[i, j - 1, t]
-                if t > 0:
-                    val += one_over_2p * E[i, j - 1, t - 1]
-                if t + 1 <= i + j - 1:
-                    val += (t + 1) * E[i, j - 1, t + 1]
-                E[i, j, t] = val
+        tmax = la + j
+        src, dst = E[:, j - 1], E[:, j]
+        np.multiply(pb, src[:, : tmax + 1], out=dst[:, : tmax + 1])
+        dst[:, 1 : tmax + 1] += one_over_2p * src[:, :tmax]
+        dst[:, : tmax - 1] += up[: tmax - 1] * src[:, 1:tmax]
     return E
-
-
-def e_coefficients_3d(
-    la: int, lb: int, a: float, b: float, A: np.ndarray, B: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-axis :math:`E_t^{ij}` tensors for a primitive pair.
-
-    Returns ``(Ex, Ey, Ez)`` each shaped ``(la+1, lb+1, la+lb+1)``.
-    The 3-D Gaussian-product prefactor :math:`e^{-\\mu |AB|^2}` is
-    distributed across the three axes (one factor each), so products
-    ``Ex * Ey * Ez`` carry it exactly once.
-    """
-    p = a + b
-    mu = a * b / p
-    P = (a * A + b * B) / p
-    out = []
-    for d in range(3):
-        out.append(
-            e_coefficients_1d(
-                la, lb, P[d] - A[d], P[d] - B[d], p, mu * (A[d] - B[d]) ** 2
-            )
-        )
-    return out[0], out[1], out[2]
 
 
 def _level_start(level: int) -> int:

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.basis.shell import Shell
-from repro.integrals.hermite import e_coefficients_3d
+from repro.integrals.hermite import e_coefficients_1d
 
 
 def dipole_shell_pair(
@@ -35,8 +35,15 @@ def dipole_shell_pair(
     for a, ca in zip(sha.exps, sha.coefs):
         for b, cb in zip(shb.exps, shb.coefs):
             p = a + b
-            # Raise the ket by one so the first moment is reachable.
-            Es = e_coefficients_3d(sha.l, shb.l + 1, a, b, A, B)
+            # Raise the ket by one so the first moment is reachable; the
+            # three axes are one array call, Es[d] = E[i, j, t] of axis d.
+            P = (a * A + b * B) / p
+            Es = np.moveaxis(
+                e_coefficients_1d(
+                    sha.l, shb.l + 1, P - A, P - B, p, a * b / p * (A - B) ** 2
+                ),
+                -1, 0,
+            )
             pref = ca * cb * (math.pi / p) ** 1.5
 
             def s1d(E: np.ndarray, i: int, j: int) -> float:

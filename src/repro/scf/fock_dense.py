@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.chem.basis.basisset import BasisSet
-from repro.integrals.eri import ShellPair, eri_shell_quartet, make_shell_pairs
+from repro.integrals.eri import eri_shell_quartet, make_shell_pairs
 
 
 def eri_tensor(basis: BasisSet) -> np.ndarray:

@@ -15,9 +15,15 @@ the accumulated numerical noise.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.core.fock_base import ParallelFockBuilderBase
+if TYPE_CHECKING:
+    # Annotation only: ``repro.scf`` has no runtime dependency on
+    # ``repro.core`` (which imports this module), so either package
+    # imports alone.
+    from repro.core.fock_base import ParallelFockBuilderBase
 
 
 class IncrementalFockBuilder:

@@ -22,6 +22,19 @@ from repro.chem.molecule import hydrogen_molecule, methane, water
 PROCESS_TIMEOUT_S = 120
 
 
+def ledger_fixture_basis(xyz: str, basis: str, charge: int = 0) -> BasisSet:
+    """The basis of one of the ledger's committed geometries
+    (``benchmarks/e2e/fixtures/<xyz>``)."""
+    from pathlib import Path
+
+    from repro.chem.molecule import Molecule
+
+    fixtures = Path(__file__).resolve().parents[1] / "benchmarks/e2e/fixtures"
+    return BasisSet(
+        Molecule.from_xyz((fixtures / xyz).read_text(), charge=charge), basis
+    )
+
+
 def _timeout_seconds(item) -> int | None:
     """The effective per-test limit: explicit marker, or the process default."""
     marker = item.get_closest_marker("timeout")

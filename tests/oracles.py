@@ -1,12 +1,15 @@
-"""Scalar reference implementations the batched integral kernels are
+"""Scalar reference implementations the array integral kernels are
 tested against.
 
-These are the seed's primitive-loop spellings — one point, one Boys
-call, one ``(t, u, v)`` target at a time — kept out of ``src/`` because
-nothing on a run path calls them.  They share the pair E tensors
-(:class:`~repro.integrals.eri.ShellPair`) and the Boys function with
-the production kernel; the Hermite-Coulomb recursion, the primitive
-loops and the contraction order are independent of it.
+These are the seed's primitive-loop spellings — one primitive pair, one
+point, one Boys call, one ``(t, u, v)`` target at a time — kept out of
+``src/`` because nothing on a run path calls them.  The E recursion
+(:func:`e_coefficients_1d`), the per-pair overlap / kinetic / nuclear
+kernels and the Hermite-Coulomb recursion share only the Boys function
+with the production code; the scalar ERI loops
+(:func:`eri_class_batch_scalar`) additionally read the production pair
+data (:class:`~repro.integrals.eri.PairStack`) and are independent of
+the kernel in their recursion, primitive loops and contraction order.
 """
 
 from __future__ import annotations
@@ -15,9 +18,154 @@ import math
 
 import numpy as np
 
+from repro.chem.basis.shell import Shell
 from repro.integrals.boys import boys
-from repro.integrals.eri import PairStack, ShellPair
+from repro.integrals.eri import PairStack
 from repro.integrals.hermite import hermite_tuv
+
+
+def e_coefficients_1d(
+    la: int, lb: int, pa: float, pb: float, p: float, mu_xab2: float
+) -> np.ndarray:
+    """1-D Hermite expansion coefficients ``E[i, j, t]`` of one primitive
+    pair, one entry at a time: the loop the array recursion of
+    ``repro.integrals.hermite`` must equal bitwise."""
+    E = np.zeros((la + 1, lb + 1, la + lb + 1))
+    E[0, 0, 0] = np.exp(-mu_xab2)
+    one_over_2p = 0.5 / p
+
+    # Build up in i with j = 0.
+    for i in range(1, la + 1):
+        tmax = i
+        for t in range(tmax + 1):
+            val = pa * E[i - 1, 0, t]
+            if t > 0:
+                val += one_over_2p * E[i - 1, 0, t - 1]
+            if t + 1 <= i - 1:
+                val += (t + 1) * E[i - 1, 0, t + 1]
+            E[i, 0, t] = val
+
+    # Then increment j for every i.
+    for j in range(1, lb + 1):
+        for i in range(la + 1):
+            tmax = i + j
+            for t in range(tmax + 1):
+                val = pb * E[i, j - 1, t]
+                if t > 0:
+                    val += one_over_2p * E[i, j - 1, t - 1]
+                if t + 1 <= i + j - 1:
+                    val += (t + 1) * E[i, j - 1, t + 1]
+                E[i, j, t] = val
+    return E
+
+
+def e_coefficients_3d(
+    la: int, lb: int, a: float, b: float, A: np.ndarray, B: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-axis ``(Ex, Ey, Ez)`` of a primitive pair, each shaped
+    ``(la+1, lb+1, la+lb+1)``; the Gaussian-product prefactor is spread
+    over the axes so that ``Ex * Ey * Ez`` carries it once."""
+    p = a + b
+    mu = a * b / p
+    P = (a * A + b * B) / p
+    return tuple(
+        e_coefficients_1d(
+            la, lb, P[d] - A[d], P[d] - B[d], p, mu * (A[d] - B[d]) ** 2
+        )
+        for d in range(3)
+    )
+
+
+def overlap_shell_pair(sha: Shell, shb: Shell) -> np.ndarray:
+    """Overlap block ``<a|b>``, shape ``(sha.nfunc, shb.nfunc)``."""
+    A, B = sha.center, shb.center
+    comps_a, comps_b = sha.components, shb.components
+    out = np.zeros((sha.nfunc, shb.nfunc))
+
+    for a, ca in zip(sha.exps, sha.coefs):
+        for b, cb in zip(shb.exps, shb.coefs):
+            p = a + b
+            Ex, Ey, Ez = e_coefficients_3d(sha.l, shb.l, a, b, A, B)
+            pref = ca * cb * (math.pi / p) ** 1.5
+            for ia, (ax, ay, az) in enumerate(comps_a):
+                for ib, (bx, by, bz) in enumerate(comps_b):
+                    out[ia, ib] += (
+                        pref * Ex[ax, bx, 0] * Ey[ay, by, 0] * Ez[az, bz, 0]
+                    )
+    return out
+
+
+def kinetic_shell_pair(sha: Shell, shb: Shell) -> np.ndarray:
+    """Kinetic-energy block ``<a| -nabla^2/2 |b>`` from
+    ``T = Tx Sy Sz + Sx Ty Sz + Sx Sy Tz`` with
+    ``T^{ij} = -2 b^2 s^{i,j+2} + b (2j+1) s^{ij} - j (j-1)/2 s^{i,j-2}``."""
+    A, B = sha.center, shb.center
+    comps_a, comps_b = sha.components, shb.components
+    out = np.zeros((sha.nfunc, shb.nfunc))
+
+    for a, ca in zip(sha.exps, sha.coefs):
+        for b, cb in zip(shb.exps, shb.coefs):
+            p = a + b
+            # E tensors with ket angular momentum raised by 2 so the
+            # s^{i, j+2} terms are available.
+            Es = e_coefficients_3d(sha.l, shb.l + 2, a, b, A, B)
+            pref = ca * cb * (math.pi / p) ** 1.5
+
+            def s1d(E: np.ndarray, i: int, j: int) -> float:
+                if j < 0:
+                    return 0.0
+                return E[i, j, 0]
+
+            def t1d(E: np.ndarray, i: int, j: int) -> float:
+                val = -2.0 * b * b * s1d(E, i, j + 2)
+                val += b * (2 * j + 1) * s1d(E, i, j)
+                if j >= 2:
+                    val -= 0.5 * j * (j - 1) * s1d(E, i, j - 2)
+                return val
+
+            for ia, (ax, ay, az) in enumerate(comps_a):
+                for ib, (bx, by, bz) in enumerate(comps_b):
+                    sx = s1d(Es[0], ax, bx)
+                    sy = s1d(Es[1], ay, by)
+                    sz = s1d(Es[2], az, bz)
+                    tx = t1d(Es[0], ax, bx)
+                    ty = t1d(Es[1], ay, by)
+                    tz = t1d(Es[2], az, bz)
+                    out[ia, ib] += pref * (tx * sy * sz + sx * ty * sz + sx * sy * tz)
+    return out
+
+
+def nuclear_shell_pair(
+    sha: Shell, shb: Shell, charges: np.ndarray, centers: np.ndarray
+) -> np.ndarray:
+    """Nuclear-attraction block ``<a| sum_C -Z_C/r_C |b>`` of one pure
+    pair: ``sum_tuv E_tuv R_tuv(p, P - C)`` per primitive pair and
+    nucleus, every term in Python."""
+    A, B = sha.center, shb.center
+    comps_a, comps_b = sha.components, shb.components
+    ltot = sha.l + shb.l
+    out = np.zeros((sha.nfunc, shb.nfunc))
+
+    for a, ca in zip(sha.exps, sha.coefs):
+        for b, cb in zip(shb.exps, shb.coefs):
+            p = a + b
+            P = (a * A + b * B) / p
+            Ex, Ey, Ez = e_coefficients_3d(sha.l, shb.l, a, b, A, B)
+            pref = ca * cb * 2.0 * math.pi / p
+            for Z, C in zip(charges, centers):
+                R = hermite_coulomb(ltot, p, P - np.asarray(C, dtype=float))
+                for ia, (ax, ay, az) in enumerate(comps_a):
+                    for ib, (bx, by, bz) in enumerate(comps_b):
+                        val = 0.0
+                        for t in range(ax + bx + 1):
+                            for u in range(ay + by + 1):
+                                for v in range(az + bz + 1):
+                                    val += (
+                                        Ex[ax, bx, t] * Ey[ay, by, u]
+                                        * Ez[az, bz, v] * R[t, u, v]
+                                    )
+                        out[ia, ib] -= Z * pref * val
+    return out
 
 
 def hermite_coulomb(lmax: int, p: float, PC: np.ndarray) -> np.ndarray:
@@ -79,18 +227,15 @@ def eri_class_batch_scalar(bra: PairStack, ket: PairStack) -> np.ndarray:
                 R = hermite_coulomb(
                     bra.ltot + ket.ltot, p * q / (p + q), P - Q
                 )
-                pref = (
-                    bra.coef[i] * ket.coef[j] * two_pi_pow
-                    / (p * q * math.sqrt(p + q))
-                )
+                pref = two_pi_pow / (p * q * math.sqrt(p + q))
                 eket = ket.ebra[j] * ket_parity
                 out[n] += pref * (bra.ebra[i] @ R[ti, ui, vi] @ eket.T)
     return out
 
 
-def eri_shell_quartet_scalar(bra: ShellPair, ket: ShellPair) -> np.ndarray:
+def eri_shell_quartet_scalar(bra: PairStack, ket: PairStack) -> np.ndarray:
     """One quartet ``(ab|cd)`` by the scalar loops, shape
     ``(nfa, nfb, nfc, nfd)``."""
     return eri_class_batch_scalar(bra, ket).reshape(
-        bra.sha.nfunc, bra.shb.nfunc, ket.sha.nfunc, ket.shb.nfunc
+        bra.nfa, bra.nfb, ket.nfa, ket.nfb
     )

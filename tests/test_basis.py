@@ -81,12 +81,12 @@ def test_primitive_norm_s_gaussian():
 def test_contracted_normalization_self_overlap():
     # The (l,0,0) component of every shell must have unit self-overlap;
     # verified through the overlap integral engine.
-    from repro.integrals.overlap import overlap_shell_pair
+    from repro.integrals.onee import overlap_matrix
 
     b = BasisSet(water(), "6-31g(d)")
+    s = overlap_matrix(b)
     for sh in b.shells:
-        s = overlap_shell_pair(sh, sh)
-        assert np.isclose(s[0, 0], 1.0, rtol=1e-10), sh.letter
+        assert np.isclose(s[sh.bf_offset, sh.bf_offset], 1.0, rtol=1e-10), sh.letter
 
 
 def test_l_shell_shares_exponents(water_sto3g):
@@ -95,6 +95,28 @@ def test_l_shell_shares_exponents(water_sto3g):
     s_sub, p_sub = lshell.subshells
     np.testing.assert_array_equal(s_sub.exps, p_sub.exps)
     assert s_sub.l == 0 and p_sub.l == 1
+
+
+def test_composite_shell_rejects_subshells_that_share_nothing(water_sto3g):
+    """The integral engine evaluates a composite over ONE exponent array
+    on ONE center; a composite that is not one is refused at
+    construction, by name, rather than evaluated silently wrong."""
+    import dataclasses
+
+    from repro.chem.basis.shell import CompositeShell
+
+    s_sub, p_sub = water_sto3g.composite_shells[1].subshells
+    CompositeShell((s_sub, p_sub), atom_index=0, index=1)  # the real one
+    moved = dataclasses.replace(p_sub, center=p_sub.center + [0.0, 0.0, 0.1])
+    other_exps = dataclasses.replace(p_sub, exps=p_sub.exps * 1.01)
+    fewer = dataclasses.replace(
+        p_sub, exps=p_sub.exps[:2], coefs=p_sub.coefs[:2]
+    )
+    for bad in (moved, other_exps, fewer):
+        with pytest.raises(ValueError, match=r"composite shell 7 \(L, atom 2\)"):
+            CompositeShell((s_sub, bad), atom_index=2, index=7)
+    with pytest.raises(ValueError, match="no sub-shells"):
+        CompositeShell((), atom_index=0)
 
 
 def test_bf_labels(water_sto3g):

@@ -4,8 +4,9 @@ The batched kernel (one vectorized Boys call per class of quartets,
 compact level-planned Hermite recursion, per-primitive stacked GEMMs)
 must match the scalar primitive-loop path — kept in
 :mod:`tests.oracles` — to tight absolute tolerance over random
-exponents and centers up to f shells, and a quartet's block must not
-depend, **bitwise**, on what else shared its batch.
+exponents and centers up to f shells, a composite quartet's block must
+be the pure sub-shell quartets at their offsets, and a quartet's block
+must not depend, **bitwise**, on what else shared its batch.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chem.basis import BasisSet
-from repro.chem.basis.shell import Shell, normalize_contracted
+from repro.chem.basis.shell import CompositeShell, Shell, normalize_contracted
 from repro.chem.molecule import Molecule
 from repro.core.indexing import decode_pair, npairs, pair_index
 from repro.core.quartets import QuartetEngine
@@ -199,7 +200,7 @@ def test_class_batch_rejects_mismatched_stacks():
     three = PairStack.concat(_random_class(rng, 0, 1, 3))
     with pytest.raises(ValueError, match="one pair or one per ket"):
         eri_class_batch(two, three)
-    with pytest.raises(ValueError, match="one .la, lb. class"):
+    with pytest.raises(ValueError, match="one composite class"):
         PairStack.concat(
             _random_class(rng, 0, 1, 1) + _random_class(rng, 1, 0, 1)
         )
@@ -221,6 +222,156 @@ def test_memory_cap_chunks_without_changing_a_bit(monkeypatch):
         calls = registry.counter("eri.boys_calls").value
         assert registry.counter("eri.quartets").value == kets.npairs
         assert calls == kets.npairs if budget == 1 else 1 < calls < kets.npairs
+
+
+# -- composite stacks ------------------------------------------------------------
+
+
+def _random_composite(rng, ls, nprim, box=1.5):
+    """Sub-shells of the given momenta on one center over one exponent
+    array, each with its own contraction coefficients."""
+    exps = rng.uniform(0.08, 4.0, nprim)
+    center = rng.uniform(-box, box, 3)
+    subs = tuple(
+        Shell(l, exps, normalize_contracted(l, exps, rng.uniform(0.2, 1.0, nprim)),
+              center)
+        for l in ls
+    )
+    return CompositeShell(subs, atom_index=0)
+
+
+def _assembled_from_pure_quartets(ca, cb, cc, cd):
+    """The composite block from the scalar oracle, one pure sub-shell
+    quartet at a time, each written at its sub-shell offsets."""
+    out = np.full((ca.nfunc, cb.nfunc, cc.nfunc, cd.nfunc), np.nan)
+    oa = 0
+    for sa in ca.subshells:
+        ob = 0
+        for sb in cb.subshells:
+            bra = ShellPair(sa, sb)
+            oc = 0
+            for sc in cc.subshells:
+                od = 0
+                for sd in cd.subshells:
+                    out[
+                        oa : oa + sa.nfunc, ob : ob + sb.nfunc,
+                        oc : oc + sc.nfunc, od : od + sd.nfunc,
+                    ] = eri_shell_quartet_scalar(bra, ShellPair(sc, sd))
+                    od += sd.nfunc
+                oc += sc.nfunc
+            ob += sb.nfunc
+        oa += sa.nfunc
+    return out
+
+
+S, P, L, D, SPD = (0,), (1,), (0, 1), (2,), (0, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "classes",
+    [(S, L, L, S), (L, L, L, L), (D, L, L, D), (L, D, S, L),
+     (SPD, L, D, SPD), (SPD, SPD, P, S)],
+    ids=lambda c: "".join("SPLD"[(S, P, L, D).index(x)] if x != SPD else "X" for x in c),
+)
+def test_composite_quartet_is_pure_quartets_at_subshell_offsets(classes):
+    """(LL|LL) is ONE kernel quartet: its block equals the sixteen pure
+    quartets of the scalar oracle at their offsets to 1e-12 — also for
+    S|L, D|L and a three-sub-shell composite — and it costs one Boys
+    call."""
+    rng = np.random.default_rng(sum(map(len, classes)) + len(classes[0]))
+    ca, cb, cc, cd = (
+        _random_composite(rng, ls, int(rng.integers(1, 4))) for ls in classes
+    )
+    registry = MetricsRegistry()
+    with use_metrics(registry):
+        block = eri_shell_quartet(ShellPair(ca, cb), ShellPair(cc, cd))
+    assert registry.counter("eri.boys_calls").value == 1
+    assert registry.counter("eri.quartets").value == 1
+    np.testing.assert_allclose(
+        block, _assembled_from_pure_quartets(ca, cb, cc, cd),
+        rtol=0.0, atol=1e-12,
+    )
+
+
+def test_pure_pair_is_the_single_subshell_composite():
+    """One builder: a pure shell and the composite of that one shell
+    give the same pair data, bitwise."""
+    rng = np.random.default_rng(8)
+    sa, sb = _random_shell(rng, 2, 3), _random_shell(rng, 1, 2)
+    pure = ShellPair(sa, sb)
+    comp = ShellPair(CompositeShell((sa,), 0), CompositeShell((sb,), 0))
+    for name in ("p", "P", "ebra", "counts"):
+        assert np.array_equal(getattr(pure, name), getattr(comp, name)), name
+    assert (pure.las, pure.lbs, pure.ltot) == ((2,), (1,), 3)
+
+
+@pytest.fixture(scope="module")
+def composite_class():
+    """A fixed L|L bra and a ragged D|L ket stack (1..9 primitive pairs
+    per ket), with every ket's block evaluated alone."""
+    rng = np.random.default_rng(21)
+    bra = ShellPair(_random_composite(rng, L, 3), _random_composite(rng, L, 2))
+    kets = PairStack.concat([
+        ShellPair(
+            _random_composite(rng, D, int(rng.integers(1, 4))),
+            _random_composite(rng, L, int(rng.integers(1, 4))),
+        )
+        for _ in range(8)
+    ])
+    singles = [eri_class_batch(bra, kets.pair(n))[0] for n in range(kets.npairs)]
+    return bra, kets, singles
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_composite_stack_sub_share_equals_singles_bitwise(composite_class, data):
+    """The independence invariant on composite stacks: a block is
+    identical alone and in any sub-share, in any order, fixed bra or one
+    bra per ket."""
+    bra, kets, singles = composite_class
+    rows = data.draw(
+        st.lists(st.integers(0, kets.npairs - 1), min_size=1, max_size=8,
+                 unique=True),
+        label="rows",
+    )
+    share = kets.take(np.array(rows))
+    for n, block in zip(rows, eri_class_batch(bra, share)):
+        assert np.array_equal(block, singles[n]), n
+    bras = PairStack.concat([bra] * len(rows))
+    for n, block in zip(rows, eri_class_batch(bras, share)):
+        assert np.array_equal(block, singles[n]), n
+
+
+def test_padded_entries_are_exact_zeros_at_the_largest_exponents():
+    """Rows of a lower sub-pair order are exactly 0.0 beyond that order
+    (never ``0 * inf``, never round-off) and everything stays finite at
+    the largest exponents of the basis library: one atom of every
+    element of 6-31G(d), whose 1s cores (5484.67 on O) meet the L and D
+    shells in mixed classes."""
+    from repro.integrals.eri import class_rows, pair_stacks
+    from repro.integrals.schwarz import schwarz_matrix
+
+    mol = Molecule(
+        ["O", "N", "C", "H"],
+        [[0.0, 0.0, 0.0], [2.3, 0.0, 0.0], [0.0, 2.6, 0.0], [0.0, 0.0, 1.8]],
+    )
+    basis = BasisSet(mol, "6-31g(d)")
+    padded = 0
+    for cls in pair_stacks(basis).classes:
+        stack = cls.stack
+        assert np.isfinite(stack.ebra).all()
+        rows = class_rows(stack.las, stack.lbs)
+        order = rows.powa.sum(axis=1) + rows.powb.sum(axis=1)
+        level = hermite_tuv(stack.ltot).sum(axis=1)
+        beyond = level[None, :] > order[:, None]
+        assert not stack.ebra[:, beyond].any()
+        padded += int(beyond.sum()) * (len(stack.las) * len(stack.lbs) > 1)
+    assert padded > 0  # the mixed classes really are padded
+    assert np.isfinite(schwarz_matrix(basis)).all()
+    engine = QuartetEngine(basis)
+    n = basis.nshells
+    for block in engine.composite_blocks(n - 1, 0, np.arange(npairs(n))):
+        assert np.isfinite(block).all()
 
 
 # -- batch-composition independence on real shares ----------------------------
@@ -300,12 +451,20 @@ def test_composite_blocks_match_scalar_oracle(engine_and_singles, monkeypatch):
 
 
 def test_composite_blocks_eightfold_symmetry(engine_and_singles):
-    """(IJ|KL) = (JI|KL) = (KL|IJ) = (LK|IJ) to 1e-13: the images the
-    engine can reach — a bra in either order against a canonical ket —
-    which between them exercise all three generators of the 8-fold
-    group (bra swap, ket swap seen from the other side, bra-ket swap)."""
+    """(IJ|KL) = (JI|KL) = (KL|IJ) = (LK|IJ) to 1e-13: all three
+    generators of the 8-fold group (bra swap, ket swap seen from the
+    other side, bra-ket swap).  The engine evaluates canonical pairs
+    only; the swapped bras are composite pairs built for the occasion."""
     engine, _ = engine_and_singles
     n = engine.basis.nshells
+    comps = engine.basis.composite_shells
+
+    def block(bra_shells, ket):
+        a, b = bra_shells
+        return eri_shell_quartet(
+            ShellPair(comps[a], comps[b]), engine.pairs.pair(ket)
+        )
+
     for (i, j), (k, l) in (
         ((3, 1), (2, 0)), ((3, 2), (3, 1)), ((n - 1, 3), (2, 1)),
         ((3, 3), (1, 0)), ((2, 1), (2, 1)), ((1, 0), (n - 1, 3)),
@@ -313,11 +472,13 @@ def test_composite_blocks_eightfold_symmetry(engine_and_singles):
         ij, kl = pair_index(i, j), pair_index(k, l)
         X = engine.composite_blocks(i, j, [kl])[0]
         images = {
-            "(JI|KL)": engine.composite_blocks(j, i, [kl])[0].transpose(1, 0, 2, 3),
+            "(JI|KL)": block((j, i), kl).transpose(1, 0, 2, 3),
             "(KL|IJ)": engine.composite_blocks(k, l, [ij])[0].transpose(2, 3, 0, 1),
-            "(LK|IJ)": engine.composite_blocks(l, k, [ij])[0].transpose(2, 3, 1, 0),
+            "(LK|IJ)": block((l, k), ij).transpose(2, 3, 1, 0),
         }
         for name, image in images.items():
             np.testing.assert_allclose(
                 image, X, rtol=0.0, atol=1e-13, err_msg=name
             )
+    with pytest.raises(ValueError, match="i >= j"):
+        engine.composite_blocks(1, 3, [0])

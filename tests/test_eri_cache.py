@@ -118,14 +118,23 @@ def test_engine_serves_repeat_quartets_from_cache(water_sto3g):
 
 
 def test_engine_positional_pair_keys_survive_rederived_shells(water_sto3g):
-    """Pair cache keyed by basis position, not object identity."""
+    """Pair data is addressed by position in the basis (the combined
+    pair index), not by shell identity: every canonical pair has exactly
+    one stack row, and an equal-but-distinct basis gives the same bits."""
+    import copy
+
+    from repro.core.indexing import npairs
+
     eng = QuartetEngine(water_sto3g)
-    eng.composite_block(1, 0, 1, 0)
-    keys = set(eng._pure_pairs)
-    npure = len(water_sto3g.shells)
-    assert keys and all(
-        0 <= a < npure and 0 <= b < npure for (a, b) in keys
-    )
+    block = eng.composite_block(1, 0, 1, 0)
+    pairs = eng.pairs
+    n = npairs(water_sto3g.nshells)
+    assert pairs.cls.size == pairs.row.size == n
+    assert len(set(zip(pairs.cls.tolist(), pairs.row.tolist()))) == n
+    assert sum(c.stack.npairs for c in pairs.classes) == n
+    rederived = QuartetEngine(copy.deepcopy(water_sto3g))
+    assert rederived.pairs is not pairs
+    assert np.array_equal(rederived.composite_block(1, 0, 1, 0), block)
 
 
 @pytest.mark.parametrize("budget", [1 << 26, 40_000, 6_000])

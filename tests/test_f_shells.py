@@ -15,8 +15,7 @@ from repro.chem.basis.shell import (
     normalize_contracted,
 )
 from repro.integrals.eri import eri_quartet_shells
-from repro.integrals.kinetic import kinetic_shell_pair
-from repro.integrals.overlap import overlap_shell_pair
+from tests.oracles import kinetic_shell_pair, overlap_shell_pair
 
 
 def _shell(l, alpha, center):

@@ -3,15 +3,25 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.integrals.hermite import (
     e_coefficients_1d,
-    e_coefficients_3d,
     hermite_coulomb_batch,
     hermite_index,
 )
 from repro.integrals.boys import boys
+from tests import oracles
+
+
+def e_coefficients_3d(la, lb, a, b, A, B):
+    """``(Ex, Ey, Ez)`` of one primitive pair from the production
+    recursion, the three axes as one array call."""
+    p = a + b
+    P = (a * A + b * B) / p
+    E = e_coefficients_1d(la, lb, P - A, P - B, p, a * b / p * (A - B) ** 2)
+    return tuple(np.moveaxis(E, -1, 0))
 
 
 def test_e000_is_gaussian_product_prefactor():
@@ -92,3 +102,29 @@ def test_e_symmetry_under_exchange(a, b, dx):
                 assert math.isclose(
                     E_ab[i, j, t], E_ba[j, i, t], rel_tol=1e-9, abs_tol=1e-12
                 )
+
+
+@pytest.mark.parametrize("la", range(4))
+def test_array_recursion_equals_scalar_loop_bitwise(la):
+    """Every class up to (f, f + 2): the table of each of 60 primitive
+    pairs x 3 axes from ONE array call is bitwise the scalar loop's, and
+    entries beyond t = i + j are exact zeros."""
+    rng = np.random.default_rng(la)
+    n = 60
+    a, b = rng.uniform(0.05, 3000.0, (2, n)) ** rng.choice([1.0, 0.3], (2, n))
+    A, B = rng.uniform(-3.0, 3.0, (2, 3, n))
+    B[:, :5] = A[:, :5]  # same-center pairs: pa = pb = 0 exactly
+    p = a + b
+    P = (a * A + b * B) / p
+    pa, pb, mu_ab2 = P - A, P - B, a * b / p * (A - B) ** 2
+    for lb in range(la + 3):
+        E = e_coefficients_1d(la, lb, pa, pb, p, mu_ab2)
+        assert E.shape == (la + 1, lb + 1, la + lb + 1, 3, n)
+        for d in range(3):
+            for k in range(n):
+                ref = oracles.e_coefficients_1d(
+                    la, lb, pa[d, k], pb[d, k], p[k], mu_ab2[d, k]
+                )
+                assert np.array_equal(E[..., d, k], ref), (lb, d, k)
+        i, j, t = np.indices(E.shape[:3])
+        assert not E[t > i + j].any()

@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.chem.basis.shell import Shell, normalize_contracted
 from repro.integrals.eri import eri_quartet_shells
-from repro.integrals.kinetic import kinetic_shell_pair
-from repro.integrals.nuclear import nuclear_shell_pair
-from repro.integrals.overlap import overlap_shell_pair
+from tests.oracles import (
+    kinetic_shell_pair,
+    nuclear_shell_pair,
+    overlap_shell_pair,
+)
 
 
 def _shell(l, alpha, center):

@@ -7,16 +7,22 @@ import pytest
 
 from repro.chem.basis import BasisSet
 from repro.chem.basis.shell import Shell
+from repro.chem.basis.parser import register_basis
 from repro.chem.molecule import hydrogen_molecule, water
-from repro.integrals.kinetic import kinetic_shell_pair
-from repro.integrals.nuclear import nuclear_shell_pair
 from repro.integrals.onee import (
     core_hamiltonian,
     kinetic_matrix,
     nuclear_matrix,
     overlap_matrix,
 )
-from repro.integrals.overlap import overlap_shell_pair
+from repro.integrals.schwarz import schwarz_matrix
+from tests.conftest import ledger_fixture_basis
+from tests.oracles import (
+    eri_class_batch_scalar,
+    kinetic_shell_pair,
+    nuclear_shell_pair,
+    overlap_shell_pair,
+)
 
 
 def _s_shell(alpha: float, center) -> Shell:
@@ -134,3 +140,104 @@ def test_translation_invariance():
     np.testing.assert_allclose(
         nuclear_matrix(b1), nuclear_matrix(b2), atol=1e-10
     )
+
+
+# -- the array kernels against the per-pair oracles -----------------------------
+
+
+@pytest.fixture(scope="module")
+def spdf_basis():
+    """Water with a three-primitive L, a d and a contracted f shell on O
+    and an s + p on H: every pair class from S|S to F|F, registered for
+    the occasion (no built-in basis has f functions)."""
+    from repro.chem.basis import data
+
+    register_basis("test-spdf", {
+        "O": (
+            ("S", ((130.70932, 0.15432897), (23.808861, 0.53532814),
+                   (6.4436083, 0.44463454))),
+            ("L", ((5.0331513, -0.09996723, 0.15591627),
+                   (1.1695961, 0.39951283, 0.60768372),
+                   (0.3803890, 0.70011547, 0.39195739))),
+            ("D", ((0.8, 1.0),)),
+            ("F", ((1.4, 0.6), (0.5, 0.5))),
+        ),
+        "H": (
+            ("S", ((3.42525091, 0.15432897), (0.62391373, 0.53532814),
+                   (0.16885540, 0.44463454))),
+            ("P", ((1.1, 1.0),)),
+        ),
+    })
+    yield BasisSet(water(), "test-spdf")
+    del data._BASIS_LIBRARY["test-spdf"]
+
+
+@pytest.fixture(params=["water_631gd", "hydroxide_631gd", "spdf"])
+def oracle_basis(request):
+    """The bases the array kernels are held to the per-pair oracles on."""
+    if request.param == "hydroxide_631gd":
+        return ledger_fixture_basis("hydroxide.xyz", "6-31g(d)", charge=-1)
+    return request.getfixturevalue(
+        "spdf_basis" if request.param == "spdf" else request.param
+    )
+
+
+def _per_pair(basis, kernel):
+    """A symmetric matrix the seed's way: one pure shell pair at a time."""
+    out = np.zeros((basis.nbf, basis.nbf))
+    for i, sa in enumerate(basis.shells):
+        ra = slice(sa.bf_offset, sa.bf_offset + sa.nfunc)
+        for sb in basis.shells[: i + 1]:
+            rb = slice(sb.bf_offset, sb.bf_offset + sb.nfunc)
+            out[ra, rb] = kernel(sa, sb)
+            out[rb, ra] = out[ra, rb].T
+    return out
+
+
+def test_matrices_match_per_pair_oracles(oracle_basis):
+    """S, T, V from the per-class array kernels == the per-pair scalar
+    loops to 1e-13 of the matrix scale, L shells and f functions
+    included; exactly symmetric."""
+    basis, mol = oracle_basis, oracle_basis.molecule
+    for build, kernel in (
+        (overlap_matrix, overlap_shell_pair),
+        (kinetic_matrix, kinetic_shell_pair),
+        (nuclear_matrix,
+         lambda sa, sb: nuclear_shell_pair(sa, sb, mol.charges, mol.coords)),
+    ):
+        got, want = build(basis), _per_pair(basis, kernel)
+        assert np.array_equal(got, got.T)
+        np.testing.assert_allclose(
+            got, want, rtol=0.0, atol=1e-13 * np.abs(want).max(),
+            err_msg=build.__name__,
+        )
+
+
+def test_schwarz_matches_per_pair_oracle(oracle_basis):
+    """Q from the block diagonal of the composite class stacks == the
+    largest pure-pair diagonal element by the scalar ERI loops, to
+    1e-14 relative."""
+    from repro.integrals.eri import ShellPair
+
+    basis = oracle_basis
+    want = np.zeros((basis.nshells, basis.nshells))
+    for i, ca in enumerate(basis.composite_shells):
+        for j, cb in enumerate(basis.composite_shells[: i + 1]):
+            for sa in ca.subshells:
+                for sb in cb.subshells:
+                    pair = ShellPair(sa, sb)
+                    diag = np.diagonal(eri_class_batch_scalar(pair, pair)[0])
+                    want[i, j] = max(want[i, j], np.sqrt(np.abs(diag).max()))
+            want[j, i] = want[i, j]
+    np.testing.assert_allclose(schwarz_matrix(basis), want, rtol=1e-14, atol=0.0)
+
+
+def test_nuclear_batch_is_chunked_without_changing_a_bit(water_631gd, monkeypatch):
+    """V walks a class's primitive pairs in memory-capped chunks; every
+    step is per primitive pair, so the chunk size cannot show."""
+    from repro.integrals import onee
+
+    whole = nuclear_matrix(water_631gd)
+    for budget in (1, 4_000):
+        monkeypatch.setattr(onee, "MAX_BATCH_DOUBLES", budget)
+        assert np.array_equal(nuclear_matrix(water_631gd), whole)

@@ -94,8 +94,36 @@ def test_composite_block_shape(water_631gd):
 
 
 def test_pair_cache_reused(water_sto3g):
+    """The pair data is the basis' own set: looked up on first
+    evaluation, never rebuilt, the same object for every consumer."""
+    from repro.integrals.eri import pair_stacks
+    from repro.integrals.schwarz import schwarz_matrix
+
     eng = QuartetEngine(water_sto3g)
+    assert "pairs" not in vars(eng)  # constructing an engine prepares nothing
     eng.composite_block(1, 0, 1, 0)
-    before = len(eng._pure_pairs)
+    pairs = eng.pairs
     eng.composite_block(1, 0, 1, 0)
-    assert len(eng._pure_pairs) == before
+    schwarz_matrix(water_sto3g)
+    assert eng.pairs is pairs is pair_stacks(water_sto3g)
+    assert QuartetEngine(water_sto3g).pairs is pairs
+
+
+def test_pair_stacks_die_with_the_basis():
+    """The memo is weak and the set holds no reference back to the
+    basis: dropping the basis frees its pair data."""
+    import gc
+    import weakref
+
+    import repro.chem.molecule as M
+    from repro.chem.basis import BasisSet
+    from repro.integrals.eri import pair_stacks
+
+    basis = BasisSet(M.water(), "sto-3g")
+    other = BasisSet(M.water(), "sto-3g")
+    pairs = weakref.ref(pair_stacks(basis))
+    assert pair_stacks(other) is not pairs()  # per instance, not per value
+    assert QuartetEngine(basis).pairs is pairs()
+    del basis
+    gc.collect()
+    assert pairs() is None

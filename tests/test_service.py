@@ -186,7 +186,9 @@ class TestRoundTrip:
         client = service()
         done = client.result("j000000", timeout_s=60)
         assert done["state"] == "done" and done["tag"] == "old"
-        assert done["result"]["energy"] == -1.116759307506359
+        # (To round-off: the integrals' summation order is not part of
+        # the journal format.)
+        assert abs(done["result"]["energy"] - -1.116759307506359) < 1e-12
         assert done["result"]["iterations"] == 2
         assert "s_squared" not in done["result"]
 
