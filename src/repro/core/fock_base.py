@@ -13,12 +13,16 @@ the dense reference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.chem.basis.basisset import BasisSet
-from repro.core.quartets import QuartetEngine, symmetrize_two_electron
+from repro.core.quartets import (
+    QuartetEngine,
+    SharePlan,
+    symmetrize_two_electron,
+)
 from repro.core.screening import DEFAULT_TAU, Screening
 from repro.integrals.cache import QuartetCache
 from repro.integrals.schwarz import schwarz_matrix
@@ -242,6 +246,25 @@ class RankBuildResult:
         return cls(**rec)
 
 
+class TaskPlan(NamedTuple):
+    """What one DLB task does whatever the density.
+
+    Schwarz screening and the basis decide which kets survive under a
+    task, how the thread team splits them and every index vector of the
+    digestion; the density only enters the contractions.  ``shares``
+    holds, per thread, the size of its share of the task's thread-level
+    loop and the :class:`~repro.core.quartets.SharePlan` of each slab it
+    digests, in order.
+    """
+
+    screened: int
+    shares: list[tuple[int, list[SharePlan]]]
+
+    @property
+    def nbytes(self) -> int:
+        return sum(p.nbytes for _, plans in self.shares for p in plans)
+
+
 class ParallelFockBuilderBase:
     """Common setup: engine, screening, simulated geometry.
 
@@ -260,8 +283,9 @@ class ParallelFockBuilderBase:
         Integral threshold used when ``screening`` is omitted.
     eri_cache:
         A prepared :class:`~repro.integrals.cache.QuartetCache` shared
-        with the quartet engine; repeat SCF cycles then serve quartet
-        ERI blocks from memory (semi-direct SCF).
+        with the quartet engine; repeat SCF cycles then serve ERI slabs
+        from memory (semi-direct SCF) and reuse the task plans of the
+        first (:meth:`task_plan`).
     eri_cache_mb:
         Convenience knob: when ``eri_cache`` is omitted and this is a
         positive MB budget, a cache of that size is created.  ``None``
@@ -340,11 +364,16 @@ class ParallelFockBuilderBase:
         self.track_races = track_races
         self.nbf = basis.nbf
         self.nshells = basis.nshells
+        # Task plans of the screening instance last planned for.
+        self._plans: dict[int, TaskPlan] = {}
+        self._plans_for: Screening | None = None
+        self._plan_bytes = 0
 
     # Subclasses implement the backend-facing rank-program interface:
     #
     #   dlb_ntasks()                      size of the DLB index space
     #   work_estimates()                  per-task costs (static) or None
+    #   plan_task(task)                   the task's TaskPlan, from scratch
     #   rank_program(rank, grants, density, W, *, barrier=None)
     #                                     one rank's share of the build;
     #                                     accumulates into W in place and
@@ -386,6 +415,36 @@ class ParallelFockBuilderBase:
     ) -> RankBuildResult:
         """Execute one rank's share of the build; accumulate into ``W``."""
         raise NotImplementedError
+
+    def plan_task(self, task: int) -> TaskPlan:
+        """Screen, partition and index DLB task ``task`` from scratch."""
+        raise NotImplementedError
+
+    def task_plan(self, task: int) -> TaskPlan:
+        """The plan of DLB task ``task``, planned at most once per cache.
+
+        A semi-direct build stores integrals to stop recomputing what
+        does not depend on the density, and the plan is the rest of
+        that: with a cache attached it is kept from the build that
+        first draws the task (on whichever rank) and served to every
+        later one, for as long as ``self.screening`` is the *instance*
+        it was planned under — a ``with_tau`` clone plans afresh — and
+        until the index vectors kept reach the cache's own byte budget.
+        Direct SCF keeps nothing: it must not grow O(quartets) state.
+        """
+        cache = self.eri_cache
+        if cache is None:
+            return self.plan_task(task)
+        if self._plans_for is not self.screening:
+            self._plans, self._plans_for = {}, self.screening
+            self._plan_bytes = 0
+        plan = self._plans.get(task)
+        if plan is None:
+            plan = self.plan_task(task)
+            if self._plan_bytes < cache.max_bytes:
+                self._plans[task] = plan
+                self._plan_bytes += plan.nbytes
+        return plan
 
     def assemble(self, W: np.ndarray) -> np.ndarray:
         """Full Fock matrix from the reduced two-electron accumulator."""

@@ -19,7 +19,11 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.core.fock_base import ParallelFockBuilderBase, RankBuildResult
+from repro.core.fock_base import (
+    ParallelFockBuilderBase,
+    RankBuildResult,
+    TaskPlan,
+)
 from repro.core.indexing import decode_pair, npairs
 from repro.obs.tracer import get_tracer
 
@@ -42,6 +46,15 @@ class MPIOnlyFockBuilder(ParallelFockBuilderBase):
         """Schwarz-screened surviving-quartet counts per bra pair."""
         return self.screening.pair_survivor_counts()
 
+    def plan_task(self, ij: int) -> TaskPlan:
+        # The k, l loops under one bra are exactly the combined kets
+        # kl <= ij; the rank's single thread takes all survivors.
+        kls = self.screening.surviving_kl_pairs(ij)
+        plans = (
+            [self.engine.share_plan(*decode_pair(ij), kls)] if kls.size else []
+        )
+        return TaskPlan(ij + 1 - kls.size, [(kls.size, plans)])
+
     def rank_program(
         self,
         rank: int,
@@ -54,17 +67,16 @@ class MPIOnlyFockBuilder(ParallelFockBuilderBase):
         """One rank's share: the stock replicated-Fock quartet loops."""
         rr = RankBuildResult(rank=rank)
         # Stock loop: i over shells, j <= i, with the DLB check on
-        # the combined (i, j) index (ddi_dlbnext); the k, l loops under
-        # one bra are exactly the combined kets kl <= ij.
+        # the combined (i, j) index (ddi_dlbnext).
         with get_tracer().span("fock/quartets", rank=rank):
             for ij in grants:
-                i, j = decode_pair(ij)
-                kls = self.screening.surviving_kl_pairs(ij)
-                rr.quartets_screened += ij + 1 - kls.size
-                if kls.size:
-                    d = self.engine.digest_bra(
-                        i, j, kls, density, density[None], 2.0, -0.5
-                    )
-                    d.add_into(W[:, d.si], W[:, d.sj], W)
-                    rr.quartets_done += kls.size
+                task = self.task_plan(ij)
+                rr.quartets_screened += task.screened
+                for _, plans in task.shares:
+                    for plan in plans:
+                        d = self.engine.digest_bra(
+                            plan, density, density[None], 2.0, -0.5
+                        )
+                        d.add_into(W[:, plan.si], W[:, plan.sj], W)
+                        rr.quartets_done += plan.kls.size
         return rr

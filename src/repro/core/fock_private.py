@@ -19,7 +19,11 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.core.fock_base import ParallelFockBuilderBase, RankBuildResult
+from repro.core.fock_base import (
+    ParallelFockBuilderBase,
+    RankBuildResult,
+    TaskPlan,
+)
 from repro.obs.tracer import get_tracer
 from repro.parallel.threads import ThreadTeam
 
@@ -39,6 +43,33 @@ class PrivateFockBuilder(ParallelFockBuilderBase):
     ) -> tuple[np.ndarray, np.ndarray, float]:
         """Coulomb density, stacked exchange densities, exchange weight."""
         return density, density[None], -0.5
+
+    def plan_task(self, i: int) -> TaskPlan:
+        # collapse(2) over (j, k), both 0..i: iteration j * (i+1) + k.
+        shares = ThreadTeam(self.nthreads).partition(
+            (i + 1) * (i + 1),
+            schedule=self.thread_schedule,
+            chunk=self.thread_chunk,
+            costs=self._jk_costs(i),
+        )
+        screened_out = 0
+        planned = []
+        for share in shares:
+            js, ks = np.divmod(np.array(share, dtype=np.int64), i + 1)
+            # The share ascends, so each j owns one run of it.
+            cuts = np.searchsorted(js, np.arange(i + 2)).tolist()
+            plans = []
+            for j, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+                if lo == hi:
+                    continue
+                kls, screened = self.screening.surviving_kl_under(
+                    i, j, ks[lo:hi]
+                )
+                screened_out += screened
+                if kls.size:
+                    plans.append(self.engine.share_plan(i, j, kls))
+            planned.append((len(share), plans))
+        return TaskPlan(screened_out, planned)
 
     def rank_program(
         self,
@@ -61,37 +92,21 @@ class PrivateFockBuilder(ParallelFockBuilderBase):
         for i in grants:
             if barrier is not None:
                 barrier()  # master draw + implicit barrier
-            # collapse(2) over (j, k), both 0..i: iteration j * (i+1) + k.
-            shares = team.partition(
-                (i + 1) * (i + 1),
-                schedule=self.thread_schedule,
-                chunk=self.thread_chunk,
-                costs=self._jk_costs(i),
-            )
-            for t, share in enumerate(shares):
+            task = self.task_plan(i)
+            rr.quartets_screened += task.screened
+            for t, (ntasks, plans) in enumerate(task.shares):
                 # One (nbf, nbf) accumulator per exchange channel.
                 channels = W_threads[t].reshape(-1, self.nbf, self.nbf)
                 with tracer.span(
-                    "fock/jk", rank=rank, thread=t, i=i, tasks=len(share)
+                    "fock/jk", rank=rank, thread=t, i=i, tasks=ntasks
                 ):
-                    js, ks = np.divmod(np.array(share, dtype=np.int64), i + 1)
-                    # The share ascends, so each j owns one run of it.
-                    cuts = np.searchsorted(js, np.arange(i + 2)).tolist()
-                    for j, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
-                        if lo == hi:
-                            continue
-                        kls, screened = self.screening.surviving_kl_under(
-                            i, j, ks[lo:hi]
-                        )
-                        rr.quartets_screened += screened
-                        if not kls.size:
-                            continue
+                    for plan in plans:
                         d = self.engine.digest_bra(
-                            i, j, kls, d_coulomb, d_exchange, 2.0, kw
+                            plan, d_coulomb, d_exchange, 2.0, kw
                         )
                         for c, Wc in enumerate(channels):
-                            d.add_into(Wc[:, d.si], Wc[:, d.sj], Wc, c)
-                        thread_counts[t] += kls.size
+                            d.add_into(Wc[:, plan.si], Wc[:, plan.sj], Wc, c)
+                        thread_counts[t] += plan.kls.size
         # OpenMP reduction over thread-private Focks.
         with tracer.span("fock/thread_reduce", rank=rank):
             for Wt in W_threads:

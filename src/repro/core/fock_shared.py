@@ -27,7 +27,11 @@ from typing import Callable, Iterator
 import numpy as np
 
 from repro.core.buffers import ColumnBlockBuffer
-from repro.core.fock_base import ParallelFockBuilderBase, RankBuildResult
+from repro.core.fock_base import (
+    ParallelFockBuilderBase,
+    RankBuildResult,
+    TaskPlan,
+)
 from repro.core.indexing import decode_pair, npairs
 from repro.obs.tracer import get_tracer
 from repro.parallel.threads import ThreadTeam
@@ -53,6 +57,27 @@ class SharedFockBuilder(ParallelFockBuilderBase):
     def dlb_ntasks(self) -> int:
         return npairs(self.nshells)
 
+    def plan_task(self, ij: int) -> TaskPlan:
+        # OpenMP dynamic schedule over the surviving combined kets.
+        kls = self.screening.surviving_kl_pairs(ij)
+        planned = []
+        if kls.size:
+            i, j = decode_pair(ij)
+            shares = ThreadTeam(self.nthreads).partition(
+                kls.size,
+                schedule=self.thread_schedule,
+                chunk=self.thread_chunk,
+                costs=self._kl_costs(kls),
+            )
+            planned = [
+                (
+                    len(share),
+                    [self.engine.share_plan(i, j, kls[share])] if share else [],
+                )
+                for share in shares
+            ]
+        return TaskPlan(ij + 1 - kls.size, planned)
+
     def rank_program(
         self,
         rank: int,
@@ -65,7 +90,6 @@ class SharedFockBuilder(ParallelFockBuilderBase):
         """One rank's share: shared Fock with FI/FJ buffers and flushes."""
         rr = RankBuildResult(rank=rank)
         tracer = get_tracer()
-        team = ThreadTeam(self.nthreads)
         offsets = self.basis.shell_bf_offsets()
         widths = self.basis.shell_nfuncs()
         max_width = self.basis.max_shell_nfunc()
@@ -94,43 +118,34 @@ class SharedFockBuilder(ParallelFockBuilderBase):
                 if tracker is not None:
                     tracker.barrier()
 
-            kls = self.screening.surviving_kl_pairs(ij)
-            rr.quartets_screened += (ij + 1) - kls.size
-            if kls.size:
-                shares = team.partition(
-                    kls.size,
-                    schedule=self.thread_schedule,
-                    chunk=self.thread_chunk,
-                    costs=self._kl_costs(kls),
-                )
-                wi, wj = int(widths[i]), int(widths[j])
-                for t, share in enumerate(shares):
-                    with tracer.span(
-                        "fock/kl", rank=rank, thread=t, ij=ij,
-                        tasks=len(share),
-                    ):
-                        if share:
-                            mine = kls[share]
-                            d = self.engine.digest_bra(
-                                i, j, mine, density, density[None], 2.0, -0.5
-                            )
-                            # (i,j), (i,k), (i,l) into the thread's FI,
-                            # (j,k), (j,l) into its FJ; (k,l) directly
-                            # into the shared Fock — disjoint across
-                            # threads, which the tracker verifies.
-                            d.add_into(
-                                FI.thread_view(t)[:, :wi],
-                                FJ.thread_view(t)[:, :wj], W,
-                            )
-                            if tracker is not None:
-                                for kl in mine.tolist():
-                                    k, l = decode_pair(kl)
-                                    tracker.record_block(
-                                        t, W.shape, slices[k], slices[l]
-                                    )
-                    thread_counts[t] += len(share)
-                if tracker is not None:
-                    tracker.barrier()
+            task = self.task_plan(ij)
+            rr.quartets_screened += task.screened
+            wi, wj = int(widths[i]), int(widths[j])
+            for t, (ntasks, plans) in enumerate(task.shares):
+                with tracer.span(
+                    "fock/kl", rank=rank, thread=t, ij=ij, tasks=ntasks
+                ):
+                    for plan in plans:
+                        d = self.engine.digest_bra(
+                            plan, density, density[None], 2.0, -0.5
+                        )
+                        # (i,j), (i,k), (i,l) into the thread's FI,
+                        # (j,k), (j,l) into its FJ; (k,l) directly
+                        # into the shared Fock — disjoint across
+                        # threads, which the tracker verifies.
+                        d.add_into(
+                            FI.thread_view(t)[:, :wi],
+                            FJ.thread_view(t)[:, :wj], W,
+                        )
+                        if tracker is not None:
+                            for kl in plan.kls.tolist():
+                                k, l = decode_pair(kl)
+                                tracker.record_block(
+                                    t, W.shape, slices[k], slices[l]
+                                )
+                thread_counts[t] += ntasks
+            if tracker is not None and task.shares:
+                tracker.barrier()
 
             # Flush FJ after every kl loop (line 31).
             with tracer.span("fock/flush_fj", rank=rank, j=j):

@@ -7,24 +7,28 @@ eqs. (2a)-(2f) into an accumulation matrix ``W``.
 
 Class-batched evaluation
 ------------------------
-Blocks are evaluated a *share* at a time, not a quartet at a time:
-:meth:`QuartetEngine.composite_blocks` takes one bra ``(I, J)`` and the
-combined indices of a thread's kets.  The pair data is the basis' own
+Integrals are evaluated a *share* at a time, not a quartet at a time,
+and straight into the shape the Fock build consumes:
+:meth:`QuartetEngine.slab` takes one bra (combined index ``ij``) and the
+combined indices of a thread's kets and returns the slab
+``X[(i j), m]`` — bra function pairs by the kets' function pairs, ket
+after ket.  The pair data is the basis' own
 (:func:`~repro.integrals.eri.pair_stacks`: one ragged
 :class:`~repro.integrals.eri.PairStack` per composite pair class, shared
 with the one-electron matrices, the Schwarz bounds and every other
 engine of the basis).  A share selects its rows of each class by index
 and each (bra, ket class) is ONE
-:func:`~repro.integrals.eri.eri_class_batch` call whose output rows
-*are* the composite blocks — an ``(LL|LL)`` quartet is one kernel
-quartet, its s and p sub-blocks sharing every primitive quantity.  A
-quartet's block is bitwise independent of what else is in the share (the
-kernel's independence invariant), so a share may be split, reordered,
-replayed or partly served from the cache without changing a bit of the
-Fock matrix; the kernel bounds its own batch memory.  With a cache
-attached the hit / miss / eviction sequence is exactly that of
-quartet-by-quartet evaluation (see
-:meth:`~QuartetEngine.composite_blocks`).
+:func:`~repro.integrals.eri.eri_class_batch` call whose output rows are
+written into the slab columns of their kets — an ``(LL|LL)`` quartet is
+one kernel quartet, its s and p sub-blocks sharing every primitive
+quantity.  :meth:`~QuartetEngine.composite_blocks` is the column split
+of the same slab.  A ket's columns are bitwise independent of what else
+is in the share (the kernel's independence invariant), so a share may be
+split, reordered, or partly served from the cache without changing a bit
+of the Fock matrix; the kernel bounds its own batch memory.  With a
+:class:`~repro.integrals.cache.QuartetCache` attached the slab of a
+share seen before *is* the stored array; the cache counts hits, misses
+and evictions in quartets.
 
 Accumulation convention
 -----------------------
@@ -52,12 +56,13 @@ The bra slab
 ------------
 The builders do not digest quartet by quartet.  For a fixed bra
 ``(i, j)`` and one thread's share of surviving kets,
-:meth:`QuartetEngine.digest_bra` lays the scaled blocks side by side as
-one slab ``X[(i j), m]`` — ``m`` runs over every ket *function* pair
-``(kfun[m], lfun[m])`` of the share, quartet after quartet, each block
-in its own ``(k, l)`` row-major order — and computes each family once
-per share.  Every family either reduces over bra axes only or acts
-element-wise along ``m``, so kets of mixed shell classes share a slab:
+:meth:`QuartetEngine.digest_bra` scales the slab's columns by the
+degeneracy factor of their quartet — ``m`` runs over every ket
+*function* pair ``(kfun[m], lfun[m])`` of the share, quartet after
+quartet, each block in its own ``(k, l)`` row-major order — and computes
+each family once per share.  Every family either reduces over bra axes
+only or acts element-wise along ``m``, so kets of mixed shell classes
+share a slab:
 
 ======== ============================== ===========================
 family   reduces over                   result, destination rows
@@ -70,17 +75,32 @@ family   reduces over                   result, destination rows
 (j, l)   ``i``                          ``(M, nj)``, rows ``lfun``
 ======== ============================== ===========================
 
-The engine returns the six results with ``kfun``/``lfun``
-(:class:`BraDigest`); *where* they go is still each algorithm's
-decision.  :meth:`QuartetEngine.scatter_general` is the per-quartet
-spelling of the same arithmetic, kept for the distributed-data builder
-(which is about per-quartet one-sided traffic) and as the oracle the
-slab is property-tested against.
+Digestion has two halves.  What depends only on the bra, the kets and
+the basis — the per-column factor, ``kfun`` / ``lfun`` and their
+concatenation ``rows`` — is a :class:`SharePlan`, built by
+:meth:`QuartetEngine.share_plan` and reusable for every density (the
+builders keep it per DLB task when a cache is attached, see
+:meth:`~repro.core.fock_base.ParallelFockBuilderBase.task_plan`).  What
+depends on the density is :meth:`~QuartetEngine.digest_bra`, the one
+body that computes the six families, returned as a :class:`BraDigest`
+with the ``(i, k)`` rows stacked on the ``(i, l)`` rows (and ``j``
+likewise) so each column block takes ONE ``np.add.at`` over ``rows``;
+*where* they go is still each algorithm's decision.  The four exchange
+contractions stay four ``einsum`` calls, joined afterwards: fusing a
+pair into one ``einsum('ijm,cjsm->csmi')`` is faster but sums in another
+order, and a last-bit change in ``F`` is a different SCF iteration
+count on near-degenerate systems — joined halves scattered by one
+``np.add.at`` accumulate exactly as two calls did.
+
+:meth:`QuartetEngine.scatter_general` is the per-quartet spelling of the
+same arithmetic, kept for the distributed-data builder (which is about
+per-quartet one-sided traffic) and as the oracle the slab is
+property-tested against.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -101,42 +121,63 @@ def symmetrize_two_electron(W: np.ndarray) -> np.ndarray:
     return W + W.T
 
 
+class SharePlan(NamedTuple):
+    """The density-independent half of digesting one share.
+
+    Everything :meth:`QuartetEngine.digest_bra` needs besides the densities
+    and the integrals, fixed by the bra, the share's kets and the basis:
+    built once by :meth:`QuartetEngine.share_plan`, reusable every SCF
+    cycle.  ``kfun`` / ``lfun`` are the two halves of ``rows``.
+    """
+
+    ij: int
+    si: slice
+    sj: slice
+    kls: np.ndarray  # combined ket indices of the share, in slab order
+    fac: np.ndarray  # degeneracy factor of each slab column
+    kfun: np.ndarray
+    lfun: np.ndarray
+    rows: np.ndarray  # concat(kfun, lfun): the share's row scatter
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of index data held (what a plan memo grows by)."""
+        return self.kls.nbytes + self.fac.nbytes + self.rows.nbytes
+
+
 class BraDigest(NamedTuple):
     """The six Fock families of one bra against one share of kets.
 
-    ``ki``/``li``/``kj``/``lj`` carry a leading axis over the exchange
-    channels that were digested (one for RHF, two for UHF).
+    ``kli`` stacks the ``(i, k)`` rows (``plan.kfun``) on the ``(i, l)``
+    rows (``plan.lfun``), ``klj`` likewise for ``j``; both carry a
+    leading axis over the exchange channels that were digested (one for
+    RHF, two for UHF).
     """
 
-    si: slice
-    sj: slice
-    kfun: np.ndarray
-    lfun: np.ndarray
+    plan: SharePlan
     ji: np.ndarray
     kl: np.ndarray
-    ki: np.ndarray
-    li: np.ndarray
-    kj: np.ndarray
-    lj: np.ndarray
+    kli: np.ndarray
+    klj: np.ndarray
 
     def add_into(
         self, col_i: np.ndarray, col_j: np.ndarray, W: np.ndarray,
         channel: int = 0,
     ) -> None:
-        """Accumulate: ``ji/ki/li`` into the ``(nbf, ni)`` column block
-        ``col_i``, ``kj/lj`` into ``col_j``, ``kl`` into ``W`` itself.
+        """Accumulate: ``ji`` and ``kli`` into the ``(nbf, ni)`` column
+        block ``col_i``, ``klj`` into ``col_j``, ``kl`` into ``W`` itself.
 
         Rows repeat along ``m`` (one per ``l`` of a ``k``, and again per
-        quartet), hence the unbuffered ``np.add.at``; the ``(kfun,
-        lfun)`` pairs of a share are distinct, so ``kl`` is a plain
-        fancy ``+=``.
+        quartet), hence the unbuffered ``np.add.at`` — one per column
+        block, which adds the ``kfun`` rows and then the ``lfun`` rows
+        in order; the ``(kfun, lfun)`` pairs of a share are distinct, so
+        ``kl`` is a plain fancy ``+=``.
         """
-        col_i[self.sj] += self.ji
-        np.add.at(col_i, self.kfun, self.ki[channel])
-        np.add.at(col_i, self.lfun, self.li[channel])
-        np.add.at(col_j, self.kfun, self.kj[channel])
-        np.add.at(col_j, self.lfun, self.lj[channel])
-        W[self.kfun, self.lfun] += self.kl
+        plan = self.plan
+        col_i[plan.sj] += self.ji
+        np.add.at(col_i, plan.rows, self.kli[channel])
+        np.add.at(col_j, plan.rows, self.klj[channel])
+        W[plan.kfun, plan.lfun] += self.kl
 
 
 class QuartetEngine:
@@ -150,9 +191,9 @@ class QuartetEngine:
         nothing.
     cache:
         Optional :class:`~repro.integrals.cache.QuartetCache`.  When
-        given, :meth:`composite_blocks` serves repeat quartets from the
-        cache (semi-direct SCF): cycles after the first skip integral
-        evaluation entirely for every block still resident.
+        given, :meth:`slab` serves repeat kets from the cache
+        (semi-direct SCF): cycles after the first skip integral
+        evaluation entirely for every bra still resident.
     """
 
     def __init__(self, basis: BasisSet, cache: QuartetCache | None = None) -> None:
@@ -166,6 +207,7 @@ class QuartetEngine:
         # degeneracy factor, and one CSR row of the pair's function
         # indices in block order — O(nbf^2) integers, no quartet data.
         offsets, widths = basis.shell_bf_offsets(), basis.shell_nfuncs()
+        self._widths = widths
         self.shell_slices = tuple(
             slice(o, o + w) for o, w in zip(offsets.tolist(), widths.tolist())
         )
@@ -180,7 +222,7 @@ class QuartetEngine:
         self._ket_kfun = offsets[k[pair]] + local // widths[l[pair]]
         self._ket_lfun = offsets[l[pair]] + local % widths[l[pair]]
 
-    # -- ERI blocks -----------------------------------------------------
+    # -- ERI slabs --------------------------------------------------------
 
     @cached_property
     def pairs(self) -> PairSet:
@@ -188,133 +230,141 @@ class QuartetEngine:
         one set every consumer of this basis shares)."""
         return pair_stacks(self.basis)
 
-    def composite_blocks(
-        self, I: int, J: int, kls: np.ndarray
-    ) -> list[np.ndarray]:
-        """ERI blocks ``(I J | K L)`` of one bra against the kets ``kls``.
+    def slab(self, ij: int, kls: np.ndarray) -> np.ndarray:
+        """Unscaled ERI slab ``X[(i j), m]`` of bra ``ij`` against ``kls``.
 
-        ``I >= J``; ``kls`` holds combined indices of canonical ket
-        pairs.  Without a cache all of them are evaluated together, one
-        kernel call per ket class.  With a cache the blocks absent at
-        entry are evaluated together and then the per-quartet sequence
-        ``get -> (evaluate) -> put`` is replayed in ``kls`` order, so
-        hits, misses, evictions and LRU order are those of quartet-by-
-        quartet evaluation; a block the replay itself evicts before its
-        turn (a budget smaller than the share) is re-evaluated alone,
-        which by the kernel's independence invariant yields the same
-        bits.
-
-        Returns
-        -------
-        list of numpy.ndarray
-            One ``(nfI, nfJ, nfK, nfL)`` block per ket (an L shell's s
-            and p functions at their offsets).  Blocks that went through
-            the cache own their memory and are read-only; without a
-            cache they are views of the kernel's output.
+        ``kls`` holds combined indices of canonical ket pairs
+        (``int64``); the columns run over their function pairs, ket
+        after ket, each block in its own ``(k, l)`` row-major order.
+        Without a cache the kets are evaluated together, one kernel
+        call per ket class, straight into the slab.  With one, the slab
+        is whatever :meth:`QuartetCache.slab
+        <repro.integrals.cache.QuartetCache.slab>` returns — the stored
+        array itself (read-only) for a share it has seen — and only
+        kets it does not hold are evaluated.
         """
-        kls = np.asarray(kls, dtype=np.intp)
         cache = self.cache
-        if cache is None:
+        if cache is None or not kls.size:
             self.quartets_computed += kls.size
-            return self._evaluate_blocks(I, J, kls)
-        keys = [
-            (I, J, k, l)
-            for k, l in zip(
-                self._pair_k[kls].tolist(), self._pair_l[kls].tolist()
-            )
-        ]
-        absent = [n for n, key in enumerate(keys) if key not in cache]
-        fresh = (
-            dict(zip(absent, self._evaluate_blocks(I, J, kls[absent])))
-            if absent else {}
-        )
-        blocks = []
-        for n, key in enumerate(keys):
-            block = cache.get(key)
-            if block is None:
-                block = fresh.get(n)
-                if block is None:
-                    (block,) = self._evaluate_blocks(I, J, kls[n : n + 1])
-                self.quartets_computed += 1
-                # A view would pin the whole batch output for as long as
-                # one of its blocks stays cached.
-                block = block.copy()
-                cache.put(key, block)
-            else:
-                self.quartets_from_cache += 1
-            blocks.append(block)
-        return blocks
+            return self._evaluate_slab(ij, kls)
+        misses = cache.misses
+        X = cache.slab(ij, kls, self.pair_nfunc, partial(self._evaluate_slab, ij))
+        computed = cache.misses - misses
+        self.quartets_computed += computed
+        self.quartets_from_cache += kls.size - computed
+        return X
 
-    def composite_block(self, I: int, J: int, K: int, L: int) -> np.ndarray:
-        """ERI block over composite shells ``(I J | K L)``, ``K >= L``:
-        the one-quartet case of :meth:`composite_blocks` (with a cache
-        attached, a repeat quartet is the stored read-only block)."""
-        return self.composite_blocks(I, J, [pair_index(K, L)])[0]
-
-    def _evaluate_blocks(
-        self, I: int, J: int, kls: np.ndarray
-    ) -> list[np.ndarray]:
+    def _evaluate_slab(self, ij: int, kls: np.ndarray) -> np.ndarray:
         pairs = self.pairs
-        bra = pairs.pair(pair_index(I, J))
+        bra = pairs.pair(ij)
         cls, row = pairs.cls[kls], pairs.row[kls]
-        blocks: list[np.ndarray] = [None] * kls.size
+        sizes = self.pair_nfunc[kls]
+        starts = np.cumsum(sizes) - sizes
+        nij = bra.nfa * bra.nfb
+        X = np.empty((nij, int(sizes.sum())))
         with get_tracer().span("eri/quartet_batch"):
             for c, members in enumerate(pairs.classes):
                 share = np.flatnonzero(cls == c)
                 if not share.size:
                     continue
                 kets = members.stack.take(row[share])
-                values = eri_class_batch(bra, kets).reshape(
-                    -1, bra.nfa, bra.nfb, kets.nfa, kets.nfb
+                # (quartet, ij, kl) -> the quartets' columns, side by
+                # side; every ket of a class is equally wide.
+                cols = starts[share, None] + np.arange(kets.nfa * kets.nfb)
+                X[:, cols.ravel()] = (
+                    eri_class_batch(bra, kets).transpose(1, 0, 2).reshape(nij, -1)
                 )
-                for n, value in zip(share.tolist(), values):
-                    blocks[n] = value
-        return blocks
+        return X
+
+    def composite_blocks(
+        self, I: int, J: int, kls: np.ndarray
+    ) -> list[np.ndarray]:
+        """ERI blocks ``(I J | K L)`` of one bra against the kets ``kls``:
+        the column split of :meth:`slab`.
+
+        ``I >= J``; ``kls`` holds combined indices of canonical ket
+        pairs.
+
+        Returns
+        -------
+        list of numpy.ndarray
+            One ``(nfI, nfJ, nfK, nfL)`` block per ket (an L shell's s
+            and p functions at their offsets), each a view of the slab —
+            read-only when the slab is the cache's.
+        """
+        kls = np.asarray(kls, dtype=np.int64)
+        X = self.slab(pair_index(I, J), kls)
+        ni, nj = self._widths[I], self._widths[J]
+        ends = np.cumsum(self.pair_nfunc[kls]).tolist()
+        nk = self._widths[self._pair_k[kls]].tolist()
+        nl = self._widths[self._pair_l[kls]].tolist()
+        return [
+            X[:, a:b].reshape(ni, nj, k, l)
+            for a, b, k, l in zip([0, *ends], ends, nk, nl)
+        ]
+
+    def composite_block(self, I: int, J: int, K: int, L: int) -> np.ndarray:
+        """ERI block over composite shells ``(I J | K L)``, ``K >= L``:
+        the one-quartet case of :meth:`composite_blocks` (with a cache
+        attached, a repeat quartet is a view of the stored slab)."""
+        return self.composite_blocks(I, J, [pair_index(K, L)])[0]
 
     # -- Fock scattering ---------------------------------------------------
 
+    def share_plan(self, I: int, J: int, kls: np.ndarray) -> SharePlan:
+        """The density-independent half of digesting ``(I J|`` against
+        the kets ``kls`` (combined indices of canonical pairs, at least
+        one): see :class:`SharePlan` and the module docstring."""
+        kls = np.asarray(kls, dtype=np.int64)
+        ij = pair_index(I, J)
+        sizes = self.pair_nfunc[kls]
+        fac = self._pair_fac[kls] * (0.5 if I == J else 1.0)
+        fac[kls == ij] *= 0.5
+        m = ragged_arange(self._ket_ptr[kls], sizes)
+        rows = np.concatenate((self._ket_kfun[m], self._ket_lfun[m]))
+        fac = np.repeat(fac, sizes)
+        fac.flags.writeable = rows.flags.writeable = False
+        return SharePlan(
+            ij, self.shell_slices[I], self.shell_slices[J], kls, fac,
+            rows[: m.size], rows[m.size :], rows,
+        )
+
     def digest_bra(
         self,
-        I: int,
-        J: int,
-        kls: np.ndarray,
+        plan: SharePlan,
         d_coulomb: np.ndarray,
         d_exchange: np.ndarray,
         jw: float,
         kw: float,
     ) -> BraDigest:
-        """All six families of bra ``(I J|`` against the kets ``kls``.
+        """All six families of one planned share.
 
-        ``kls`` holds combined indices of canonical ket pairs (at least
-        one); ``d_exchange`` is a stack ``(nchannels, nbf, nbf)``.  The
-        blocks come through :meth:`composite_blocks`, in ``kls`` order.
-        See the module docstring for the slab layout.
+        ``d_exchange`` is a stack ``(nchannels, nbf, nbf)``.  The slab
+        comes through :meth:`slab`; see the module docstring for its
+        layout and for why the four exchange ``einsum`` calls stay four.
         """
-        si, sj = self.shell_slices[I], self.shell_slices[J]
-        ni, nj = si.stop - si.start, sj.stop - sj.start
-        X = np.concatenate(
-            [
-                block.reshape(ni * nj, -1)
-                for block in self.composite_blocks(I, J, kls)
-            ],
-            axis=1,
-        )
-        sizes = self.pair_nfunc[kls]
-        fac = self._pair_fac[kls] * (0.5 if I == J else 1.0)
-        fac[kls == pair_index(I, J)] *= 0.5
-        X *= np.repeat(fac, sizes)
-        m = ragged_arange(self._ket_ptr[kls], sizes)
-        kfun, lfun = self._ket_kfun[m], self._ket_lfun[m]
-        X3 = X.reshape(ni, nj, -1)
+        si, sj, kfun, lfun = plan.si, plan.sj, plan.kfun, plan.lfun
+        X = self.slab(plan.ij, plan.kls) * plan.fac
+        X3 = X.reshape(si.stop - si.start, sj.stop - sj.start, -1)
         dk_j, dk_i = d_exchange[:, sj], d_exchange[:, si]
         return BraDigest(
-            si, sj, kfun, lfun,
+            plan,
             ji=jw * (X3 @ d_coulomb[kfun, lfun]).T,
             kl=jw * (d_coulomb[si, sj].ravel() @ X),
-            ki=kw * np.einsum("ijm,cjm->cmi", X3, dk_j[:, :, lfun]),
-            li=kw * np.einsum("ijm,cjm->cmi", X3, dk_j[:, :, kfun]),
-            kj=kw * np.einsum("ijm,cim->cmj", X3, dk_i[:, :, lfun]),
-            lj=kw * np.einsum("ijm,cim->cmj", X3, dk_i[:, :, kfun]),
+            kli=kw * np.concatenate(
+                (
+                    np.einsum("ijm,cjm->cmi", X3, dk_j[:, :, lfun]),
+                    np.einsum("ijm,cjm->cmi", X3, dk_j[:, :, kfun]),
+                ),
+                axis=1,
+            ),
+            klj=kw * np.concatenate(
+                (
+                    np.einsum("ijm,cim->cmj", X3, dk_i[:, :, lfun]),
+                    np.einsum("ijm,cim->cmj", X3, dk_i[:, :, kfun]),
+                ),
+                axis=1,
+            ),
         )
 
     def scatter_general(

@@ -15,8 +15,8 @@ over contracted Cartesian Gaussian shells:
 * :mod:`repro.integrals.schwarz` — exact Cauchy-Schwarz bounds
   :math:`Q_{ij} = \\sqrt{(ij|ij)}` over composite shells, from the same
   stacks and kernel.
-* :mod:`repro.integrals.cache` — memory-bounded LRU cache of quartet
-  ERI blocks (semi-direct SCF).
+* :mod:`repro.integrals.cache` — memory-bounded LRU cache of ERI slabs,
+  one entry per bra (semi-direct SCF).
 * :mod:`repro.integrals.multipole` — dipole integrals (post-SCF).
 """
 

@@ -10,6 +10,8 @@ row-chunk-wise so the flush itself is race-free.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.obs.metrics import get_metrics
@@ -86,21 +88,29 @@ def tree_reduce_columns(
     return cols[0].copy() if len(cols) == 1 else np.zeros(nrows)
 
 
-def flush_chunks(nrows: int, nthreads: int, chunk: int = PAD_DOUBLES) -> list[tuple[int, range]]:
+@functools.cache
+def _flush_table(
+    nrows: int, nthreads: int, chunk: int
+) -> tuple[tuple[int, range], ...]:
+    return tuple(
+        (c % nthreads, range(start, min(start + chunk, nrows)))
+        for c, start in enumerate(range(0, nrows, chunk))
+    )
+
+
+def flush_chunks(
+    nrows: int, nthreads: int, chunk: int = PAD_DOUBLES
+) -> tuple[tuple[int, range], ...]:
     """Row-chunk ownership for a cooperative flush.
 
     Returns ``(thread, row_range)`` pairs: chunk ``c`` of ``chunk`` rows
     is handled by thread ``c % nthreads`` — each row is summed and
     written by exactly one thread, which is what makes the flush free of
     write conflicts (and, with cache-line-sized chunks, free of false
-    sharing).
+    sharing).  The table is a pure function of its arguments and is
+    computed once; every call still counts as one flush.
     """
-    out: list[tuple[int, range]] = []
-    c = 0
-    for start in range(0, nrows, chunk):
-        rng = range(start, min(start + chunk, nrows))
-        out.append((c % nthreads, rng))
-        c += 1
+    out = _flush_table(nrows, nthreads, chunk)
     registry = get_metrics()
     if registry is not None:
         registry.counter("reduction.cooperative_flushes").inc()

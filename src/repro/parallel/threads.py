@@ -67,32 +67,37 @@ class ThreadTeam:
             raise ValueError(
                 f"unknown schedule {schedule!r}; choose from {_SCHEDULES}"
             )
-        chunks = split_chunks(ntasks, chunk)
-        shares: list[list[int]] = [[] for _ in range(self.nthreads)]
+        if chunk < 1:
+            raise ValueError("chunk size must be >= 1")
+        n = self.nthreads
+        if n == 1:
+            return [list(range(ntasks))]
+        shares: list[list[int]] = [[] for _ in range(n)]
+        starts = range(0, ntasks, chunk)
         if schedule == "static" or costs is None:
-            for c_idx, rng in enumerate(chunks):
-                shares[c_idx % self.nthreads].extend(rng)
-        else:
-            costs = np.asarray(costs, dtype=np.float64)
-            if costs.shape != (ntasks,):
-                raise ValueError(
-                    f"costs must have shape ({ntasks},); got {costs.shape}"
-                )
-            # Plain Python floats: this loop runs once per DLB task, on
-            # a handful of threads, where a NumPy call per chunk costs
-            # more than the bookkeeping it does.  A multi-task chunk's
-            # cost stays a NumPy sum so ties break on the same digits.
-            chunk_costs = (
-                costs.tolist() if chunk == 1
-                else [float(costs[r.start:r.stop].sum()) for r in chunks]
+            for c_idx, start in enumerate(starts):
+                shares[c_idx % n].extend(range(start, min(start + chunk, ntasks)))
+            return shares
+        costs = np.asarray(costs, dtype=np.float64)
+        if costs.shape != (ntasks,):
+            raise ValueError(
+                f"costs must have shape ({ntasks},); got {costs.shape}"
             )
-            loads = [0.0] * self.nthreads
-            # Chunks are handed out in loop order to whichever thread is
-            # free first (the least-loaded one at grant time).
-            for rng, cost in zip(chunks, chunk_costs):
-                t = loads.index(min(loads))
-                shares[t].extend(rng)
-                loads[t] += cost
+        # Plain Python floats: this loop runs once per DLB task, on a
+        # handful of threads, where a NumPy call per chunk costs more
+        # than the bookkeeping it does.  A multi-task chunk's cost stays
+        # a NumPy sum so ties break on the same digits.
+        chunk_costs = (
+            costs.tolist() if chunk == 1
+            else [float(costs[s : s + chunk].sum()) for s in starts]
+        )
+        loads = [0.0] * n
+        # Chunks are handed out in loop order to whichever thread is
+        # free first (the first least-loaded one at grant time).
+        for start, cost in zip(starts, chunk_costs):
+            t = loads.index(min(loads))
+            shares[t].extend(range(start, min(start + chunk, ntasks)))
+            loads[t] += cost
         return shares
 
     def collapse2(self, n_outer: int, n_inner: Callable[[int], int] | int) -> list[tuple[int, int]]:

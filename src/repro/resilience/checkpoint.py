@@ -17,6 +17,7 @@ history entries carry empty stats dicts.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -90,7 +91,13 @@ class SCFCheckpoint:
     # -- serialization ------------------------------------------------------
 
     def save(self, path: str | Path) -> Path:
-        """Write the checkpoint as an ``.npz`` archive; returns the path."""
+        """Write the checkpoint as an ``.npz`` archive; returns the path.
+
+        The file appears under ``path`` complete or not at all (a
+        temporary file in the same directory, renamed into place); it is
+        not ``fsync``'d — the failure this guards against is a killed
+        process, not a lost disk cache.
+        """
         path = Path(path)
         payload: dict[str, np.ndarray] = {
             "version": np.array(FORMAT_VERSION),
@@ -109,13 +116,26 @@ class SCFCheckpoint:
         for i, (f, e) in enumerate(zip(self.diis_focks, self.diis_errors)):
             payload[f"diis_fock_{i}"] = np.asarray(f, dtype=np.float64)
             payload[f"diis_error_{i}"] = np.asarray(e, dtype=np.float64)
-        with path.open("wb") as fh:
-            np.savez(fh, **payload)
+        # A worker killed mid-write must leave the previous checkpoint
+        # readable: write beside it, then rename over it.
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            with tmp.open("wb") as fh:
+                np.savez(fh, **payload)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
         return path
 
     @classmethod
     def load(cls, path: str | Path) -> "SCFCheckpoint":
-        """Read a checkpoint written by :meth:`save`."""
+        """Read a checkpoint written by :meth:`save`.
+
+        Raises :class:`CheckpointError` for a file that is missing,
+        truncated, not an archive, or of another format version.
+        """
+        import zipfile  # ``np.load`` needs it anyway; a cold SCF does not
+
         path = Path(path)
         if not path.exists():
             raise CheckpointError(f"checkpoint file not found: {path}")
@@ -145,7 +165,9 @@ class SCFCheckpoint:
                 )
         except CheckpointError:
             raise
-        except (KeyError, ValueError, OSError) as exc:
+        except (
+            KeyError, ValueError, OSError, EOFError, zipfile.BadZipFile
+        ) as exc:
             raise CheckpointError(
                 f"checkpoint {path} is malformed: {exc}"
             ) from exc

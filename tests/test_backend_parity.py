@@ -199,8 +199,16 @@ def test_chaos_parity_kill_one_rank(water_sto3g, water_ref, algorithm):
     replays its claimed grants, so energy and cycle count match."""
     ref = water_ref[algorithm]
 
+    # The victim must have claimed a task to die after it: on a busy host
+    # two workers can drain water's handful of DLB tasks before the third
+    # wakes up, so the other two start the fatal build as stragglers.
     plan = FaultPlan(
-        [FaultEvent(kind=FaultKind.KILL, rank=1, cycle=2, after=1)], nranks=3
+        [FaultEvent(kind=FaultKind.KILL, rank=1, cycle=2, after=1)]
+        + [
+            FaultEvent(kind=FaultKind.DELAY, rank=r, cycle=2, factor=11.0)
+            for r in (0, 2)
+        ],
+        nranks=3,
     )
     registry = MetricsRegistry()
     with use_metrics(registry):

@@ -75,6 +75,46 @@ def test_load_missing_or_malformed_file(tmp_path):
         SCFCheckpoint.load(junk)
 
 
+def test_truncated_checkpoint_is_a_checkpoint_error(tmp_path):
+    """A torn write — the file cut at any byte — is the documented
+    ``CheckpointError``, never a raw ``zipfile`` / ``EOFError`` escape."""
+    path = _rhf_checkpoint().save(tmp_path / "state.npz")
+    whole = path.read_bytes()
+    torn = tmp_path / "torn.npz"
+    for cut in range(len(whole)):
+        torn.write_bytes(whole[:cut])
+        with pytest.raises(CheckpointError):
+            SCFCheckpoint.load(torn)
+    torn.write_bytes(whole)
+    assert SCFCheckpoint.load(torn).cycle == _rhf_checkpoint().cycle
+
+
+def test_interrupted_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    """The archive is written beside its destination and renamed over it:
+    a save that dies before the rename leaves the old checkpoint loadable
+    and no temporary file behind."""
+    import os
+
+    from dataclasses import replace
+
+    first = _rhf_checkpoint()
+    path = first.save(tmp_path / "state.npz")
+
+    def killed(src, dst):
+        raise OSError("killed before the rename")
+
+    monkeypatch.setattr(os, "replace", killed)
+    with pytest.raises(OSError, match="killed"):
+        replace(first, cycle=first.cycle + 1).save(path)
+    monkeypatch.undo()
+
+    assert [p.name for p in tmp_path.iterdir()] == ["state.npz"]
+    assert SCFCheckpoint.load(path).cycle == first.cycle
+    replace(first, cycle=first.cycle + 1).save(path)
+    assert [p.name for p in tmp_path.iterdir()] == ["state.npz"]
+    assert SCFCheckpoint.load(path).cycle == first.cycle + 1
+
+
 def test_load_rejects_future_format_version(tmp_path):
     path = _rhf_checkpoint().save(tmp_path / "state.npz")
     with np.load(path) as z:

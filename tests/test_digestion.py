@@ -67,23 +67,30 @@ def _check_share(engine, i, j, kls, seed, nchannels):
                 want[fam][c][dest] += val
                 want_hit[fam][dest] = True
 
-    d = engine.digest_bra(i, j, kls, dj, dk, jw, kw)
+    plan = engine.share_plan(i, j, kls)
+    d = engine.digest_bra(plan, dj, dk, jw, kw)
+    assert d.plan is plan
+    M = plan.kfun.size
+    assert np.array_equal(plan.rows, np.concatenate((plan.kfun, plan.lfun)))
     got = {f: np.zeros((nchannels, n, n)) for f in FAMILIES}
     got_hit = {f: np.zeros((n, n), dtype=bool) for f in FAMILIES}
     for c in range(nchannels):
-        got["ji"][c][d.sj, d.si] += d.ji
-        got["kl"][c][d.kfun, d.lfun] += d.kl
-        for fam, rows, cols in (
-            ("ki", d.kfun, d.si), ("li", d.lfun, d.si),
-            ("kj", d.kfun, d.sj), ("lj", d.lfun, d.sj),
+        got["ji"][c][plan.sj, plan.si] += d.ji
+        got["kl"][c][plan.kfun, plan.lfun] += d.kl
+        # kli / klj stack the kfun rows on the lfun rows.
+        for fam, rows, cols, values in (
+            ("ki", plan.kfun, plan.si, d.kli[c, :M]),
+            ("li", plan.lfun, plan.si, d.kli[c, M:]),
+            ("kj", plan.kfun, plan.sj, d.klj[c, :M]),
+            ("lj", plan.lfun, plan.sj, d.klj[c, M:]),
         ):
-            np.add.at(got[fam][c][:, cols], rows, getattr(d, fam)[c])
+            np.add.at(got[fam][c][:, cols], rows, values)
             got_hit[fam][rows, cols] = True
-    got_hit["ji"][d.sj, d.si] = True
-    got_hit["kl"][d.kfun, d.lfun] = True
+    got_hit["ji"][plan.sj, plan.si] = True
+    got_hit["kl"][plan.kfun, plan.lfun] = True
     # The (kfun, lfun) pairs of a share are distinct — what lets the
     # builders use a plain fancy ``+=`` for the (k, l) family.
-    assert np.unique(d.kfun * n + d.lfun).size == d.kfun.size
+    assert np.unique(plan.kfun * n + plan.lfun).size == M
 
     for fam in FAMILIES:
         assert np.array_equal(got_hit[fam], want_hit[fam]), fam
@@ -211,6 +218,114 @@ def test_production_builders_never_reach_the_per_quartet_scatter(
     # ... while the distributed-data builder is *about* that traffic.
     with pytest.raises(AssertionError, match="per-quartet scatter"):
         DistributedDataFockBuilder(water_sto3g, h, nranks=2)(d)
+
+
+# -- (c') a cache-served build plans nothing and assembles nothing -------------
+
+
+def test_cache_served_builds_replan_nothing(monkeypatch):
+    """Structure, not seconds: with a cache attached, the builds after
+    the first evaluate no integral, screen and partition nothing and
+    digest the stored slabs as they are; the plan belongs to one
+    ``Screening`` instance; direct SCF keeps none."""
+    import repro.core.quartets as quartets_mod
+    from repro.core.screening import Screening
+    from repro.parallel.threads import ThreadTeam
+
+    calls = dict.fromkeys(
+        ("kernel", "partition", "survivors", "slab_assembly", "digested"), 0
+    )
+
+    def counting(owner, name, key):
+        inner = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(quartets_mod, "eri_class_batch", "kernel")
+    counting(ThreadTeam, "partition", "partition")
+    counting(Screening, "surviving_kl_pairs", "survivors")
+    counting(Screening, "surviving_kl_under", "survivors")
+    concatenate = np.concatenate
+
+    def concatenate_counting_blocks(arrays, *args, **kwargs):
+        calls["slab_assembly"] += np.ndim(arrays[0]) == 2
+        return concatenate(arrays, *args, **kwargs)
+
+    monkeypatch.setattr(np, "concatenate", concatenate_counting_blocks)
+
+    basis = _fixture_basis("allene.xyz", "sto-3g")
+    h = kinetic_matrix(basis) + nuclear_matrix(basis)
+    rng = np.random.default_rng(3)
+    densities = [d + d.T for d in rng.standard_normal((3, basis.nbf, basis.nbf))]
+    geometry = dict(nranks=2, nthreads=2)
+    builder = make_fock_builder(
+        "shared-fock", basis, h, eri_cache_mb=64, **geometry)
+    fresh = make_fock_builder("shared-fock", basis, h, **geometry)
+
+    # Every slab a build digests: the stored array itself, or a new one?
+    cache_slab = builder.eri_cache.slab
+
+    def slab_watching_for_copies(ij, kls, *args):
+        X = cache_slab(ij, kls, *args)
+        stored = builder.eri_cache._store[ij].pieces.values()
+        calls["digested"] += 1
+        calls["slab_assembly"] += not any(X is piece.X for piece in stored)
+        return X
+
+    monkeypatch.setattr(builder.eri_cache, "slab", slab_watching_for_copies)
+
+    _, cold = builder(densities[0])
+    assert cold.eri_cache_misses == 1482
+    planned = dict(calls)
+    assert planned["kernel"] and planned["partition"] and planned["survivors"]
+    assert planned["digested"] == 107
+    assert builder._plans_for is builder.screening
+    assert len(builder._plans) == cold.fj_flushes == 54  # one per task drawn
+
+    focks = []
+    for density in densities[1:]:
+        fock, warm = builder(density)
+        focks.append(fock)
+        assert (warm.eri_cache_hits, warm.eri_cache_misses) == (1482, 0)
+        assert (warm.quartets_computed, warm.quartets_screened) == (1482, 58)
+        assert warm.per_thread_quartets == cold.per_thread_quartets
+    # Nothing moved but the number of slabs digested.
+    assert calls == {**planned, "digested": 3 * 107}
+    for density, fock in zip(densities[1:], focks):
+        assert np.array_equal(fock, fresh(density)[0])
+    # ``fresh`` is direct: it plans every build and keeps none of it.
+    assert calls["partition"] == planned["partition"] * 3
+    assert not fresh._plans and fresh._plans_for is None
+
+    # Another Screening instance — what incremental SCF and the process
+    # backend's tau retune install — is planned afresh ...
+    base = builder.screening
+    builder.screening = base.with_tau(1e-6)
+    before = dict(calls)
+    fock, loose = builder(densities[0])
+    assert builder._plans_for is builder.screening is not base
+    assert calls["partition"] > before["partition"]
+    assert calls["survivors"] > before["survivors"]
+    assert calls["kernel"] == before["kernel"]  # subsets of stored slabs
+    assert loose.quartets_computed < 1482 and loose.eri_cache_misses == 0
+    assert loose.quartets_computed + loose.quartets_screened == 1540
+    assert np.array_equal(
+        fock,
+        make_fock_builder(
+            "shared-fock", basis, h, screening=base.with_tau(1e-6), **geometry
+        )(densities[0])[0],
+    )
+    # ... and the original instance gets the original plan back.
+    builder.screening = base
+    fock, again = builder(densities[1])
+    assert np.array_equal(fock, fresh(densities[1])[0])
+    assert (again.quartets_computed, again.quartets_screened) == (1482, 58)
+    assert again.per_thread_quartets == cold.per_thread_quartets
+    assert (again.fi_flushes, again.fj_flushes) == (19, 54)
 
 
 # -- (d) the ledger's gate: energies and iteration counts ---------------------

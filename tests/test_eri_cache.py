@@ -1,10 +1,13 @@
-"""Cross-cycle quartet cache: LRU semantics and semi-direct SCF identity.
+"""Cross-cycle ERI cache: the bra store and semi-direct SCF identity.
 
 The contract the cache must honor: with the cache on or off, every
 algorithm produces **bitwise identical** Fock matrices and SCF
-energies — the cache stores exactly the arrays the engine computed —
-and cycle 2+ of a cached workload re-evaluates zero quartets while the
-screening decisions are unchanged.
+energies — the cache stores exactly the columns the engine computed,
+and whichever way a request is met (the stored share itself, a gather
+through the bra's ket index, a partial evaluation) the bits are those of
+direct evaluation — and cycle 2+ of a cached workload re-evaluates zero
+quartets while the screening decisions are unchanged.  Counters are in
+quartets whatever the container.
 """
 
 import numpy as np
@@ -39,7 +42,7 @@ def graphene_sto3g():
     return basis, h, d
 
 
-# -- LRU unit behaviour ------------------------------------------------------
+# -- LRU unit behaviour: get / put, the one-ket case of the store -------------
 
 
 def _block(value, shape=(2, 2, 2, 2)):
@@ -51,7 +54,9 @@ def test_cache_hit_miss_counters():
     assert cache.get((0, 0, 0, 0)) is None
     cache.put((0, 0, 0, 0), _block(1.0))
     got = cache.get((0, 0, 0, 0))
-    np.testing.assert_array_equal(got, _block(1.0))
+    # The quartet's slab: bra function pairs by ket function pairs.
+    assert got.shape == (4, 4)
+    np.testing.assert_array_equal(got.reshape(2, 2, 2, 2), _block(1.0))
     assert (cache.hits, cache.misses) == (1, 1)
     assert cache.hit_rate == 0.5
 
@@ -61,7 +66,7 @@ def test_cache_evicts_lru_under_byte_budget():
     cache = QuartetCache(max_bytes=2 * one)
     cache.put((0, 0, 0, 0), _block(0))
     cache.put((1, 0, 0, 0), _block(1))
-    cache.get((0, 0, 0, 0))  # refresh key 0 -> key 1 is now LRU
+    cache.get((0, 0, 0, 0))  # refresh bra 0 -> bra (1, 0) is now LRU
     cache.put((2, 0, 0, 0), _block(2))
     assert (1, 0, 0, 0) not in cache
     assert (0, 0, 0, 0) in cache and (2, 0, 0, 0) in cache
@@ -81,14 +86,18 @@ def test_cache_replace_same_key_updates_bytes():
     cache.put((0, 0, 0, 0), _block(2.0, shape=(3, 3, 3, 3)))
     assert len(cache) == 1
     assert cache.bytes == _block(0, shape=(3, 3, 3, 3)).nbytes
+    assert np.all(cache.get((0, 0, 0, 0)) == 2.0)
 
 
 def test_cache_blocks_are_read_only():
     cache = QuartetCache(max_bytes=1 << 20)
-    cache.put((0, 0, 0, 0), _block(1.0))
+    block = _block(1.0)
+    cache.put((0, 0, 0, 0), block)
     got = cache.get((0, 0, 0, 0))
     with pytest.raises(ValueError):
-        got[0, 0, 0, 0] = 7.0
+        got[0, 0] = 7.0
+    with pytest.raises(ValueError):
+        block[0, 0, 0, 0] = 7.0  # nor through the array that was handed in
 
 
 def test_cache_clear_and_stats():
@@ -105,14 +114,55 @@ def test_cache_rejects_nonpositive_budget():
         QuartetCache(max_bytes=0)
 
 
-# -- engine integration ------------------------------------------------------
+def test_one_bra_holds_many_kets_and_counts_them_in_quartets():
+    """Kets put one by one under one bra are one LRU entry, counted,
+    evicted and replaced as quartets."""
+    one = _block(0).nbytes
+    cache = QuartetCache(max_bytes=4 * one)
+    for l in range(3):
+        cache.put((2, 1, 1, l) if l < 2 else (2, 1, 2, 0), _block(l))
+    assert len(cache) == cache.stats()["entries"] == 3
+    assert len(cache._store) == 1
+    cache.put((3, 0, 0, 0), _block(7))
+    cache.put((3, 0, 1, 0), _block(8))  # over budget: bra (2, 1) goes, whole
+    assert cache.evictions == 3 and len(cache) == 2
+    assert cache.bytes == 2 * one
+    assert (2, 1, 1, 0) not in cache and (3, 0, 1, 0) in cache
+
+
+# -- engine integration: slab requests ----------------------------------------
+
+
+D_L = 7  # water/6-31G(d): combined index of the bra (D, O L) = pair (3, 1)
+
+
+@pytest.fixture()
+def counting(monkeypatch):
+    """Kernel rows (quartets) evaluated, counted under the engine."""
+    import repro.core.quartets as quartets_mod
+
+    rows = []
+    kernel = quartets_mod.eri_class_batch
+
+    def counted(bra, ket):
+        rows.append(ket.npairs)
+        return kernel(bra, ket)
+
+    monkeypatch.setattr(quartets_mod, "eri_class_batch", counted)
+    return rows
+
+
+def _kls(*kets):
+    return np.array(kets, dtype=np.int64)
 
 
 def test_engine_serves_repeat_quartets_from_cache(water_sto3g):
     eng = QuartetEngine(water_sto3g, cache=QuartetCache.from_mb(8))
     first = eng.composite_block(1, 0, 1, 0)
     second = eng.composite_block(1, 0, 1, 0)
-    assert second is first  # the stored array, not a recomputation
+    # The stored columns, not a recomputation.
+    assert np.shares_memory(second, first)
+    assert second.base is first.base and not second.flags.writeable
     assert eng.quartets_computed == 1
     assert eng.quartets_from_cache == 1
 
@@ -137,73 +187,173 @@ def test_engine_positional_pair_keys_survive_rederived_shells(water_sto3g):
     assert np.array_equal(rederived.composite_block(1, 0, 1, 0), block)
 
 
-@pytest.mark.parametrize("budget", [1 << 26, 40_000, 6_000])
-def test_share_cache_sequence_equals_per_quartet_sequence(water_631gd, budget):
-    """Batched shares drive the cache exactly as quartet-by-quartet
-    evaluation does: same hits, misses, evictions, LRU order and bytes,
-    same blocks — also when the budget evicts inside a share (40 kB holds
-    part of the larger shares, 6 kB a handful of blocks)."""
-    from repro.core.indexing import decode_pair, npairs
+def test_exact_share_repeat_returns_the_stored_array(water_631gd, counting):
+    eng = QuartetEngine(water_631gd, cache=QuartetCache.from_mb(8))
+    mine, other = _kls(0, 2, 4, 6), _kls(1, 3, 5, 7)
+    first = eng.slab(D_L, mine)
+    eng.slab(D_L, other)  # a second thread's share: a second piece
+    assert sum(counting) == 8
+    assert eng.slab(D_L, mine) is first
+    assert eng.slab(D_L, mine.copy()) is first  # equal kets, another array
+    assert not first.flags.writeable
+    assert sum(counting) == 8
+    assert (eng.cache.hits, eng.cache.misses) == (8, 8)
+    assert np.array_equal(first, QuartetEngine(water_631gd).slab(D_L, mine))
 
-    shared = QuartetEngine(water_631gd, cache=QuartetCache(budget))
-    single = QuartetEngine(water_631gd, cache=QuartetCache(budget))
+
+@pytest.mark.parametrize(
+    "request_, evaluated",
+    [
+        ([0, 2, 4], 0),                      # subset of one piece
+        ([6, 1, 0], 0),                      # subset across pieces, unsorted
+        ([0, 1, 2, 3, 4, 5, 6, 7], 0),       # superset of either piece: the union
+        ([0, 1, 2, 3], 0),                   # another partition of the same kets
+        ([7, 7, 0, 7], 0),                   # duplicates of stored kets
+        ([5, 6, 7, 8, 9], 2),                # partially present
+        ([9, 3, 9, 8, 3], 2),                # ... unsorted, duplicates both sides
+        ([8, 9, 10], 3),                     # nothing present, bra is
+    ],
+)
+def test_any_request_equals_direct_evaluation_and_evaluates_only_the_missing(
+    water_631gd, counting, request_, evaluated
+):
+    """Kets 0-7 of a D L bra (S, L and D kets mixed) arrive as two
+    interleaved shares; whatever is asked next is bitwise what a
+    cache-less engine evaluates, and only kets the bra does not hold
+    reach the kernel — once, together."""
+    cache = QuartetCache.from_mb(8)
+    eng = QuartetEngine(water_631gd, cache=cache)
+    eng.slab(D_L, _kls(0, 2, 4, 6))
+    eng.slab(D_L, _kls(1, 3, 5, 7))
+    want = QuartetEngine(water_631gd).slab(D_L, _kls(*request_))
+    del counting[:]
+    before = (cache.hits, cache.misses, len(cache), eng.quartets_computed)
+
+    got = eng.slab(D_L, _kls(*request_))
+
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert sum(counting) == evaluated
+    missing = sum(kl > 7 for kl in request_)
+    assert cache.misses - before[1] == missing
+    assert cache.hits - before[0] == len(request_) - missing
+    assert len(cache) - before[2] == evaluated  # distinct kets, stored once
+    assert eng.quartets_computed - before[3] == missing
+    # What was missing is there now, whatever it was asked with.
+    again = eng.slab(D_L, _kls(*request_))
+    assert np.array_equal(again, want) and sum(counting) == evaluated
+
+
+def test_blocks_are_the_column_split_of_the_slab(water_631gd):
+    eng = QuartetEngine(water_631gd, cache=QuartetCache.from_mb(8))
+    kls = _kls(5, 0, 7, 2)
+    slab = eng.slab(D_L, kls)
+    blocks = eng.composite_blocks(3, 1, kls)
+    assert np.array_equal(
+        np.concatenate([b.reshape(slab.shape[0], -1) for b in blocks], axis=1),
+        slab,
+    )
+    for kl, block in zip(kls.tolist(), blocks):
+        from repro.core.indexing import decode_pair
+
+        assert np.array_equal(block, eng.composite_block(3, 1, *decode_pair(kl)))
+        assert np.shares_memory(block, slab)
+
+
+@pytest.mark.parametrize("budget", [1 << 26, 40_000, 6_000])
+def test_lru_evicts_whole_bras_oldest_first(water_631gd, budget):
+    """Two sweeps over every bra, two shares each: the budget holds at
+    every step, bras leave whole and oldest first, evictions are counted
+    in quartets — and every slab is bitwise the direct one throughout."""
+    from repro.core.indexing import npairs
+
+    cache = QuartetCache(budget)
+    eng = QuartetEngine(water_631gd, cache=cache)
+    direct = QuartetEngine(water_631gd)
+    requested = 0
     for _cycle in range(2):
         for ij in range(npairs(water_631gd.nshells)):
-            i, j = decode_pair(ij)
-            kls = np.arange(ij + 1)
-            got = shared.composite_blocks(i, j, kls)
-            want = [
-                single.composite_block(i, j, *decode_pair(kl)) for kl in kls
-            ]
-            for a, b in zip(got, want):
-                assert np.array_equal(a, b)
-            assert list(shared.cache._store) == list(single.cache._store)
-    assert shared.cache.stats() == single.cache.stats()
-    assert shared.quartets_computed == single.quartets_computed
-    assert shared.quartets_from_cache == single.quartets_from_cache
+            for kls in (np.arange(0, ij + 1, 2), np.arange(1, ij + 1, 2)):
+                if not kls.size:
+                    continue
+                before = {b: bra.nquartets for b, bra in cache._store.items()}
+                evicted = cache.evictions
+                got = eng.slab(ij, kls)
+                assert np.array_equal(got, direct.slab(ij, kls))
+                requested += kls.size
+                assert cache.bytes <= cache.max_bytes
+                pieces = [
+                    p for b in cache._store.values() for p in b.pieces.values()
+                ]
+                assert cache.bytes == sum(p.X.nbytes for p in pieces)
+                assert len(cache) == sum(p.kls.size for p in pieces)
+                # The bras that left were the oldest, the others keep
+                # their order, and each leaver counts its quartets.
+                others = [b for b in before if b != ij]
+                left = [b for b in others if b not in cache._store]
+                assert left == others[: len(left)]
+                assert list(cache._store)[: len(others) - len(left)] == (
+                    others[len(left):]
+                )
+                if ij in cache._store:
+                    assert cache.evictions - evicted == sum(
+                        before[b] for b in left
+                    )
+    assert cache.hits + cache.misses == requested
+    assert eng.quartets_computed == cache.misses
+    assert eng.quartets_from_cache == cache.hits
     if budget < 1 << 26:
-        assert shared.cache.evictions > 0
+        assert cache.evictions > 0
     else:
-        assert shared.cache.hit_rate == 0.5  # cycle 2 all hits
-    # Cached blocks own their memory: never a view into a batch array
-    # that would pin the whole batch, and read-only once stored.
-    for block in shared.cache._store.values():
-        assert block.flags.owndata and block.base is None
-        assert not block.flags.writeable
+        assert cache.evictions == 0 and cache.hit_rate == 0.5  # cycle 2 all hits
+    # Stored slabs own their memory and are read-only once stored.
+    for bra in cache._store.values():
+        for piece in bra.pieces.values():
+            assert piece.X.flags.owndata and not piece.X.flags.writeable
 
 
-def test_block_evicted_inside_its_own_share_is_reevaluated(water_631gd):
-    """A block present when the share starts but evicted by the share's
-    own earlier puts is a miss at its turn, as in the per-quartet
-    sequence, and its re-evaluation alone gives the same bits."""
-    from repro.core.indexing import decode_pair, pair_index
+def test_slab_larger_than_the_budget_is_served_but_not_stored(
+    water_631gd, counting
+):
+    kls = np.arange(D_L + 1)
+    want = QuartetEngine(water_631gd).slab(D_L, kls)
+    cache = QuartetCache(want.nbytes - 8)
+    eng = QuartetEngine(water_631gd, cache=cache)
+    eng.slab(0, _kls(0))  # something small that must survive
+    del counting[:]
+    assert np.array_equal(eng.slab(D_L, kls), want)
+    assert np.array_equal(eng.slab(D_L, kls), want)
+    assert sum(counting) == 2 * kls.size  # evaluated again: it was not kept
+    assert len(cache) == 1 and cache.evictions == 0
+    assert (cache.hits, cache.misses) == (0, 1 + 2 * kls.size)
 
-    i, j = 3, 1  # D L bra
-    kls = np.arange(pair_index(i, j) + 1)
-    last = int(kls[-1])
-    probe = QuartetEngine(water_631gd).composite_blocks(i, j, kls)
-    budget = probe[-1].nbytes + sum(b.nbytes for b in probe[:2])
 
-    shared = QuartetEngine(water_631gd, cache=QuartetCache(budget))
-    single = QuartetEngine(water_631gd, cache=QuartetCache(budget))
-    shared.composite_blocks(i, j, [last])
-    single.composite_block(i, j, *decode_pair(last))
+def test_get_put_share_the_store_with_slab_requests(water_631gd, counting):
+    from repro.core.indexing import decode_pair
 
-    evaluated = []
-    inner = shared._evaluate_blocks
-    shared._evaluate_blocks = lambda I, J, k: (
-        evaluated.append(list(k)) or inner(I, J, k)
+    cache = QuartetCache.from_mb(8)
+    eng = QuartetEngine(water_631gd, cache=cache)
+    direct = QuartetEngine(water_631gd)
+    # A slab request stores; ``get`` finds each of its quartets ...
+    kls = _kls(0, 3, 5)
+    slab = eng.slab(D_L, kls)
+    for kl, block in zip(kls.tolist(), direct.composite_blocks(3, 1, kls)):
+        got = cache.get((3, 1, *decode_pair(kl)))
+        assert np.array_equal(got, block.reshape(slab.shape[0], -1))
+    assert cache.get((3, 1, *decode_pair(6))) is None
+    # ... and a quartet that was ``put`` is not evaluated again by a slab.
+    block = direct.composite_block(3, 1, *decode_pair(6))
+    cache.put((3, 1, *decode_pair(6)), block.copy())
+    assert (3, 1, *decode_pair(6)) in cache and len(cache) == 4
+    del counting[:]
+    assert np.array_equal(
+        eng.slab(D_L, _kls(6, 5, 7)), direct.slab(D_L, _kls(6, 5, 7))
     )
-    got = shared.composite_blocks(i, j, kls)
-    want = [single.composite_block(i, j, *decode_pair(kl)) for kl in kls]
-    # Absent at entry: all but the primed last ket; then the last alone.
-    assert evaluated == [list(kls[:-1]), [last]]
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b)
-    assert np.array_equal(got[-1], probe[-1])
-    assert shared.cache.stats() == single.cache.stats()
-    assert list(shared.cache._store) == list(single.cache._store)
-    assert shared.quartets_computed == single.quartets_computed == kls.size + 1
+    assert len(cache) == 5
+    # A quartet put again replaces the piece that held it, also one it
+    # shares with other kets.
+    cache.put((3, 1, *decode_pair(3)), np.zeros((6, 4, 1, 1)))
+    assert len(cache) == 3  # kets 0 and 5 left with the piece
+    assert np.all(cache.get((3, 1, *decode_pair(3))) == 0.0)
 
 
 # -- semi-direct SCF identity on the small-graphene fixtures -----------------
@@ -228,6 +378,35 @@ def test_cached_fock_bitwise_identical_per_cycle(name, graphene_sto3g):
             assert s_cached.eri_cache_hits == s_cached.quartets_computed
             assert s_cached.eri_cache_hit_rate == 1.0
         assert s_direct.eri_cache_hits == s_direct.eri_cache_misses == 0
+
+
+def test_builders_of_different_geometry_share_one_cache(graphene_sto3g):
+    """A pooled cache outlives its builder: another algorithm, another
+    team, another partition of every bra — nothing is evaluated twice,
+    the Fock matrix is bitwise the direct one, and on every builder a
+    build's hits + misses are the quartets it did."""
+    basis, h, d = graphene_sto3g
+    cache = QuartetCache.from_mb(64)
+    f_direct, _ = SharedFockBuilder(basis, h)(d)
+    for n, (cls, geometry) in enumerate((
+        (SharedFockBuilder, dict(nranks=2, nthreads=2)),
+        (SharedFockBuilder, dict(nranks=1, nthreads=3)),
+        (PrivateFockBuilder, dict(nranks=2, nthreads=2)),
+        (MPIOnlyFockBuilder, dict(nranks=3)),
+        (SharedFockBuilder, dict(nranks=2, nthreads=2)),
+    )):
+        builder = cls(basis, h, eri_cache=cache, **geometry)
+        for _build in range(2):
+            fock, stats = builder(d)
+            assert np.abs(fock - f_direct).max() < 1e-12
+            assert (
+                stats.eri_cache_hits + stats.eri_cache_misses
+                == stats.quartets_computed
+            )
+            assert (stats.eri_cache_misses == 0) == (n > 0 or _build > 0)
+        if cls is SharedFockBuilder:
+            assert np.array_equal(fock, cls(basis, h, **geometry)(d)[0])
+    assert cache.misses == len(cache) == stats.quartets_computed
 
 
 def test_rhf_energy_bitwise_identical_cache_on_off(graphene_sto3g):

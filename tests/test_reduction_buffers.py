@@ -37,6 +37,20 @@ def test_flush_chunks_cover_all_rows():
     assert threads[:4] == [0, 1, 2, 3]
 
 
+def test_flush_ownership_is_computed_once_and_counted_every_time():
+    from repro.obs.metrics import MetricsRegistry, use_metrics
+
+    registry = MetricsRegistry()
+    with use_metrics(registry):
+        first = flush_chunks(19, 2)
+        again = flush_chunks(19, 2)
+    assert again is first  # the table itself, not a rebuilt copy
+    assert list(first) == [(0, range(0, 8)), (1, range(8, 16)), (0, range(16, 19))]
+    assert flush_chunks(19, 3) is not first
+    assert registry.counter("reduction.cooperative_flushes").value == 2
+    assert registry.counter("reduction.flush_chunks").value == 6
+
+
 @given(st.integers(1, 9), st.integers(1, 30))
 @settings(max_examples=40, deadline=None)
 def test_pairwise_tree_sum_property(nthreads, n):
@@ -80,6 +94,37 @@ class TestColumnBlockBuffer:
             buf.add(t, slice(0, nbf), slice(0, 6), np.ones((nbf, 6)))
         buf.flush(fock, 0, 6, tracker=tracker)  # must not raise
         assert tracker.race_free
+
+    @pytest.mark.parametrize("nthreads", [1, 2, 3, 5])
+    def test_flush_is_bitwise_the_chunked_tree_sum(self, nthreads):
+        """What a flush adds to the Fock matrix, spelled out: per
+        cache-line row chunk, the pairwise tree over the thread buffers
+        — bit for bit, repeatedly, with the tracker seeing every chunk."""
+        nbf, width = 19, 4
+        rng = np.random.default_rng(nthreads)
+        buf = ColumnBlockBuffer(nbf, 6, nthreads)
+        fock = rng.standard_normal((nbf, nbf))
+        for _flush in range(3):
+            want = fock.copy()
+            parts = []
+            for t in range(nthreads):
+                val = rng.standard_normal((nbf, width)) * 10.0 ** rng.integers(-8, 8)
+                buf.add(t, slice(0, nbf), slice(0, width), val)
+                parts.append(val)
+            for start in range(0, nbf, 8):
+                level = [p[start : start + 8] for p in parts]
+                while len(level) > 1:
+                    level = [
+                        level[a] + level[a + 1] if a + 1 < len(level) else level[a]
+                        for a in range(0, len(level), 2)
+                    ]
+                want[start : start + 8, 7 : 7 + width] += level[0]
+            tracker = WriteTracker(nbf * nbf, strict=True)
+            buf.flush(fock, 7, width, tracker=tracker)
+            assert np.array_equal(fock, want)
+            assert tracker.writes_checked == nbf * width
+            assert buf.is_zero()
+        assert buf.flushes == 3
 
     def test_narrow_flush_uses_partial_width(self):
         buf = ColumnBlockBuffer(5, 6, 2)

@@ -85,6 +85,65 @@ def test_dynamic_partition_equals_the_numpy_loop(ntasks, nthreads, chunk, data):
     )
 
 
+def _partition_as_it_was(nthreads, ntasks, schedule, chunk, costs):
+    """``ThreadTeam.partition`` before it stopped materialising a
+    ``range`` per chunk and short-circuited one thread, verbatim: the
+    pinned ``per_thread_quartets`` of ``test_digestion.py`` are its."""
+    chunks = split_chunks(ntasks, chunk)
+    shares = [[] for _ in range(nthreads)]
+    if schedule == "static" or costs is None:
+        for c_idx, rng in enumerate(chunks):
+            shares[c_idx % nthreads].extend(rng)
+    else:
+        chunk_costs = (
+            costs.tolist() if chunk == 1
+            else [float(costs[r.start:r.stop].sum()) for r in chunks]
+        )
+        loads = [0.0] * nthreads
+        for rng, cost in zip(chunks, chunk_costs):
+            t = loads.index(min(loads))
+            shares[t].extend(rng)
+            loads[t] += cost
+    return shares
+
+
+@given(
+    st.integers(min_value=0, max_value=200),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from(["static", "dynamic"]),
+    st.sampled_from(["none", "integers", "floats"]),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_partition_equals_the_loop_it_replaced(
+    ntasks, nthreads, chunk, schedule, kind, seed
+):
+    """Property: both schedules, every chunk size, one thread or several,
+    no costs, integer-valued costs (ties everywhere — ket block sizes)
+    and arbitrary floats (ties nowhere, sums that round)."""
+    rng = np.random.default_rng(seed)
+    costs = {
+        "none": None,
+        "integers": rng.choice([1.0, 3.0, 4.0, 9.0, 12.0, 16.0], ntasks),
+        "floats": rng.lognormal(0.0, 1.5, ntasks),
+    }[kind]
+    got = ThreadTeam(nthreads).partition(
+        ntasks, schedule=schedule, chunk=chunk, costs=costs
+    )
+    assert got == _partition_as_it_was(nthreads, ntasks, schedule, chunk, costs)
+
+
+def test_one_thread_takes_everything_without_reading_costs():
+    class Untouchable:
+        def __array__(self, *args, **kwargs):
+            raise AssertionError("costs were read")
+
+    assert ThreadTeam(1).partition(5, costs=Untouchable()) == [[0, 1, 2, 3, 4]]
+    with pytest.raises(ValueError):
+        ThreadTeam(1).partition(5, chunk=0)
+
+
 def test_bad_schedule_rejected():
     with pytest.raises(ValueError):
         ThreadTeam(2).partition(10, schedule="guided")
