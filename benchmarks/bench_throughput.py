@@ -103,14 +103,14 @@ def build_specs(n_systems: int, repeats: int):
 
 
 def run_policy(policy: str, specs, *, root: Path, fleet: int,
-               tick_s: float, seed: int, timeout_s: float):
+               seed: int, timeout_s: float):
     """One full batch run on a fresh in-process daemon."""
     from repro.service import JobClient, ServiceConfig, ServiceDaemon
     from repro.workload import WorkloadManager
 
     service_dir = root / f"svc-{policy}"
     config = ServiceConfig(
-        service_dir=str(service_dir), fleet=fleet, tick_s=tick_s,
+        service_dir=str(service_dir), fleet=fleet,
         runs_dir=str(root / f"runs-{policy}"),
         backoff_base_s=0.05, backoff_cap_s=0.5,
     )
@@ -122,7 +122,7 @@ def run_policy(policy: str, specs, *, root: Path, fleet: int,
                                   policy=policy, seed=seed)
         return manager.run(specs, timeout_s=timeout_s)
     finally:
-        daemon._stop.set()
+        daemon.request_stop()
         thread.join(timeout=10.0)
         daemon.close()
 
@@ -137,9 +137,6 @@ def main(argv=None) -> int:
     parser.add_argument("--fleet", type=int, default=1,
                         help="worker processes (default: 1, so cache "
                              "placement is deterministic)")
-    parser.add_argument("--tick-s", type=float, default=0.005,
-                        help="daemon dispatch tick; tight so queue "
-                             "latency does not drown the signal")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--timeout", type=float, default=600.0)
     parser.add_argument("--output", type=Path, default=None,
@@ -160,8 +157,7 @@ def main(argv=None) -> int:
             print(f"running policy {policy} ...")
             reports[policy] = run_policy(
                 policy, specs, root=Path(tmp), fleet=args.fleet,
-                tick_s=args.tick_s, seed=args.seed,
-                timeout_s=args.timeout,
+                seed=args.seed, timeout_s=args.timeout,
             )
 
     def energies(report):

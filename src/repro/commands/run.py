@@ -77,16 +77,16 @@ def register(sub) -> None:
     scf.add_argument("xyz", type=Path, help="XYZ geometry file")
     add_run_arguments(scf)
     scf.add_argument(
-        "--checkpoint", type=Path, default=None, metavar="NPZ",
+        "--checkpoint", type=Path, default=None, metavar="FILE",
         help="write the SCF state (density, DIIS history, trace) to "
-             "this .npz every --checkpoint-every cycles",
+             "this file every --checkpoint-every cycles",
     )
     scf.add_argument(
         "--checkpoint-every", type=bounded(int, 1), default=5, metavar="N",
         help="checkpoint write interval in SCF cycles (default: 5)",
     )
     scf.add_argument(
-        "--restart", type=Path, default=None, metavar="NPZ",
+        "--restart", type=Path, default=None, metavar="FILE",
         help="resume from a checkpoint written by --checkpoint; the "
              "restarted run converges bitwise identically",
     )

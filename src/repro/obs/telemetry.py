@@ -110,6 +110,27 @@ def records_from_ndjson(text: str) -> list[TelemetryRecord]:
     ]
 
 
+def close_listener(server: socket.socket,
+                   thread: threading.Thread | None) -> None:
+    """Close a listening socket whose ``accept()`` loop runs on ``thread``.
+
+    ``close()`` alone leaves a thread parked in ``accept()`` asleep on
+    Linux (joining it only ever timed out); ``shutdown()`` fails the
+    pending accept, the loop returns, and the join is immediate.  The
+    join's timeout is a guard for platforms that do not, not a sleep.
+    """
+    try:
+        server.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    if thread is not None:
+        thread.join(timeout=5)
+    try:
+        server.close()
+    except OSError:  # pragma: no cover - teardown best effort
+        pass
+
+
 class TelemetryChannel:
     """Publish/subscribe fan-out for live run telemetry.
 
@@ -136,6 +157,7 @@ class TelemetryChannel:
         self._flush_thread: threading.Thread | None = None
         self._socket_path: Path | None = None
         self._closed = False
+        self._closing = threading.Event()  # ends the flush thread's nap
         self.published = 0
 
     # -- publishing ----------------------------------------------------------
@@ -268,7 +290,7 @@ class TelemetryChannel:
                 for client in list(self._clients):
                     if self._clients.get(client):
                         self._send(client, b"")
-            time.sleep(0.05)
+            self._closing.wait(0.05)
 
     def _send(self, client: socket.socket, data: bytes) -> None:
         # caller holds the lock.  Non-blocking: whatever the kernel
@@ -331,16 +353,12 @@ class TelemetryChannel:
                     client.close()
                 except OSError:  # pragma: no cover - teardown best effort
                     pass
+        self._closing.set()
         if server is not None:
-            try:
-                server.close()
-            except OSError:  # pragma: no cover - teardown best effort
-                pass
-        for attr in ("_server_thread", "_flush_thread"):
-            thread = getattr(self, attr)
-            if thread is not None:
-                thread.join(timeout=2)
-                setattr(self, attr, None)
+            close_listener(server, self._server_thread)
+        if self._flush_thread is not None:
+            self._flush_thread.join(timeout=5)
+        self._server_thread = self._flush_thread = None
         if self._socket_path is not None:
             try:
                 self._socket_path.unlink()

@@ -234,6 +234,16 @@ class HeartbeatMonitor:
                 )
         return newly
 
+    def next_suspect_in(self, pending: set[int]) -> float | None:
+        """Seconds until :meth:`check` would next flag one of ``pending``
+        (0.0 when one is already due); ``None`` when none can turn —
+        the timer an event-driven caller arms instead of polling."""
+        now = self.clock()
+        ages = [h.age(now) for h in self.health
+                if h.rank in pending and h.state == "ok"]
+        horizons = [self.timeout_s - age for age in ages if age is not None]
+        return max(0.0, min(horizons)) if horizons else None
+
     def mark_done(self, rank: int) -> None:
         """A rank delivered its build result."""
         h = self.health[rank]

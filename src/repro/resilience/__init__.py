@@ -10,7 +10,7 @@ SCF divergence are routine):
   rank's unfinished DLB tasks to survivors and validates reduction
   payloads, keeping recovered results bitwise identical to fault-free
   runs.
-* :mod:`repro.resilience.checkpoint` — ``.npz`` SCF checkpoints
+* :mod:`repro.resilience.checkpoint` — single-record SCF checkpoints
   (:class:`SCFCheckpoint`, :class:`CheckpointManager`); a restarted run
   resumes at the saved cycle and converges bit-for-bit.
 * :mod:`repro.resilience.recovery` — :class:`ConvergenceGuard`, a

@@ -1,4 +1,4 @@
-"""SCF checkpoint/restart: serialize the iteration state to ``.npz``.
+"""SCF checkpoint/restart: serialize the iteration state to one record.
 
 A checkpoint captures *exactly* the state the SCF loop carries from one
 cycle to the next — current density (or spin densities), the DIIS
@@ -13,11 +13,29 @@ stack is RNG-free.
 Per-cycle Fock-build statistics are *not* serialized (they describe the
 completed builds of the interrupted process, not SCF state); restored
 history entries carry empty stats dicts.
+
+On disk (format version 2) a checkpoint is one contiguous record, built
+in memory and handed to the kernel in a single ``write``::
+
+    MAGIC (8 bytes) | header length (uint32 LE) | JSON header | float64 payload
+
+The header — space-padded so the payload starts 8-byte aligned — holds
+``version``, ``kind``, ``cycle``, ``energy`` (``repr`` round-trips a
+float64 exactly), ``nbf``, ``nelectrons``, ``label``, the counts
+``ndensities`` / ``ndiis`` and the ``shapes`` of every array; the
+payload is those arrays back to back in little-endian float64: history,
+densities, DIIS Fock stack, DIIS error stack.  The header fixes the
+file's exact length, which :meth:`SCFCheckpoint.load` insists on.
+Version 1 was an ``.npz`` archive of 21 members; it is refused by name,
+not read.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import os
+import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -30,7 +48,14 @@ from repro.obs.tracer import get_tracer
 from repro.resilience.errors import CheckpointError
 
 #: On-disk format version; bump on incompatible layout changes.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+#: First bytes of every checkpoint file.
+MAGIC = b"REPROCKP"
+
+_HEADER_LEN = struct.Struct("<I")
+_FLOAT = np.dtype("<f8")
+_PAYLOAD_START = len(MAGIC) + _HEADER_LEN.size
 
 _KINDS = ("rhf", "uhf")
 
@@ -91,83 +116,118 @@ class SCFCheckpoint:
     # -- serialization ------------------------------------------------------
 
     def save(self, path: str | Path) -> Path:
-        """Write the checkpoint as an ``.npz`` archive; returns the path.
+        """Write the checkpoint as one version-2 record; returns the path.
 
         The file appears under ``path`` complete or not at all (a
-        temporary file in the same directory, renamed into place); it is
-        not ``fsync``'d — the failure this guards against is a killed
-        process, not a lost disk cache.
+        temporary file in the same directory, one ``write``, renamed
+        into place); it is not ``fsync``'d — the failure this guards
+        against is a killed process, not a lost disk cache.
         """
         path = Path(path)
-        payload: dict[str, np.ndarray] = {
-            "version": np.array(FORMAT_VERSION),
-            "kind": np.array(self.kind),
-            "cycle": np.array(self.cycle),
-            "energy": np.array(self.energy, dtype=np.float64),
-            "ndensities": np.array(len(self.densities)),
-            "ndiis": np.array(len(self.diis_focks)),
-            "history": np.asarray(self.history, dtype=np.float64),
-            "nbf": np.array(self.nbf),
-            "nelectrons": np.array(self.nelectrons),
-            "label": np.array(self.label),
-        }
-        for i, d in enumerate(self.densities):
-            payload[f"density_{i}"] = np.asarray(d, dtype=np.float64)
-        for i, (f, e) in enumerate(zip(self.diis_focks, self.diis_errors)):
-            payload[f"diis_fock_{i}"] = np.asarray(f, dtype=np.float64)
-            payload[f"diis_error_{i}"] = np.asarray(e, dtype=np.float64)
+        arrays = [
+            np.ascontiguousarray(a, dtype=_FLOAT)
+            for a in (self.history, *self.densities,
+                      *self.diis_focks, *self.diis_errors)
+        ]
+        header = json.dumps({
+            "version": FORMAT_VERSION,
+            "kind": self.kind,
+            "cycle": int(self.cycle),
+            "energy": float(self.energy),
+            "nbf": int(self.nbf),
+            "nelectrons": int(self.nelectrons),
+            "label": self.label,
+            "ndensities": len(self.densities),
+            "ndiis": len(self.diis_focks),
+            "shapes": [a.shape for a in arrays],
+        }).encode()
+        header += b" " * (-(_PAYLOAD_START + len(header)) % 8)
+        record = b"".join(
+            [MAGIC, _HEADER_LEN.pack(len(header)), header]
+            + [a.tobytes() for a in arrays]
+        )
         # A worker killed mid-write must leave the previous checkpoint
         # readable: write beside it, then rename over it.
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
-            with tmp.open("wb") as fh:
-                np.savez(fh, **payload)
+            tmp.write_bytes(record)
             os.replace(tmp, path)
-        finally:
+        except BaseException:
             tmp.unlink(missing_ok=True)
+            raise
         return path
 
     @classmethod
     def load(cls, path: str | Path) -> "SCFCheckpoint":
         """Read a checkpoint written by :meth:`save`.
 
-        Raises :class:`CheckpointError` for a file that is missing,
-        truncated, not an archive, or of another format version.
+        Raises :class:`CheckpointError` for a file that is missing, not
+        a checkpoint, of another format version (a version-1 ``.npz``
+        archive included), or whose length is not *exactly* what its
+        header announces — a file torn at any offset never loads.
         """
-        import zipfile  # ``np.load`` needs it anyway; a cold SCF does not
-
         path = Path(path)
-        if not path.exists():
-            raise CheckpointError(f"checkpoint file not found: {path}")
         try:
-            with np.load(path, allow_pickle=False) as z:
-                version = int(z["version"])
-                if version != FORMAT_VERSION:
-                    raise CheckpointError(
-                        f"checkpoint {path} has format version {version}; "
-                        f"this build reads version {FORMAT_VERSION}"
-                    )
-                ndens = int(z["ndensities"])
-                ndiis = int(z["ndiis"])
-                return cls(
-                    kind=str(z["kind"]),
-                    cycle=int(z["cycle"]),
-                    energy=float(z["energy"]),
-                    densities=tuple(
-                        z[f"density_{i}"] for i in range(ndens)
-                    ),
-                    diis_focks=[z[f"diis_fock_{i}"] for i in range(ndiis)],
-                    diis_errors=[z[f"diis_error_{i}"] for i in range(ndiis)],
-                    history=z["history"],
-                    nbf=int(z["nbf"]),
-                    nelectrons=int(z["nelectrons"]),
-                    label=str(z["label"]),
+            raw = path.read_bytes()
+        except FileNotFoundError:
+            raise CheckpointError(
+                f"checkpoint file not found: {path}") from None
+        except OSError as exc:
+            raise CheckpointError(
+                f"checkpoint {path} is unreadable: {exc}") from exc
+        if raw[:4] == b"PK\x03\x04":
+            raise CheckpointError(
+                f"checkpoint {path} is a version-1 .npz archive; this "
+                f"build reads version {FORMAT_VERSION} only"
+            )
+        if len(raw) < _PAYLOAD_START or not raw.startswith(MAGIC):
+            raise CheckpointError(f"checkpoint {path} is malformed: bad magic")
+        (header_len,) = _HEADER_LEN.unpack_from(raw, len(MAGIC))
+        body = _PAYLOAD_START + header_len
+        try:
+            meta = json.loads(raw[_PAYLOAD_START:body])
+            version = int(meta["version"])
+            if version != FORMAT_VERSION:
+                raise CheckpointError(
+                    f"checkpoint {path} has format version {version}; "
+                    f"this build reads version {FORMAT_VERSION}"
                 )
+            ndens, ndiis = int(meta["ndensities"]), int(meta["ndiis"])
+            shapes = [tuple(int(n) for n in shape)
+                      for shape in meta["shapes"]]
+            if len(shapes) != 1 + ndens + 2 * ndiis:
+                raise ValueError(f"{len(shapes)} arrays for {ndens} "
+                                 f"densities and {ndiis} DIIS vectors")
+            if any(n < 0 for shape in shapes for n in shape):
+                raise ValueError("negative array dimension")
+            sizes = [math.prod(shape) for shape in shapes]
+            expected = body + _FLOAT.itemsize * sum(sizes)
+            if len(raw) != expected:
+                raise ValueError(f"{len(raw)} bytes on disk, header "
+                                 f"announces {expected}")
+            flat = np.frombuffer(raw, dtype=_FLOAT, count=sum(sizes),
+                                 offset=body)
+            # Copies: ``frombuffer`` views are read-only.
+            arrays = [
+                part.reshape(shape).astype(np.float64)
+                for part, shape
+                in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)
+            ]
+            return cls(
+                kind=str(meta["kind"]),
+                cycle=int(meta["cycle"]),
+                energy=float(meta["energy"]),
+                densities=tuple(arrays[1:1 + ndens]),
+                diis_focks=arrays[1 + ndens:1 + ndens + ndiis],
+                diis_errors=arrays[1 + ndens + ndiis:],
+                history=arrays[0],
+                nbf=int(meta["nbf"]),
+                nelectrons=int(meta["nelectrons"]),
+                label=str(meta["label"]),
+            )
         except CheckpointError:
             raise
-        except (
-            KeyError, ValueError, OSError, EOFError, zipfile.BadZipFile
-        ) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
                 f"checkpoint {path} is malformed: {exc}"
             ) from exc
@@ -201,7 +261,7 @@ class SCFCheckpoint:
 
 
 def load_checkpoint(source: "SCFCheckpoint | str | Path") -> SCFCheckpoint:
-    """Coerce a checkpoint object or an ``.npz`` path to a checkpoint."""
+    """Coerce a checkpoint object or a checkpoint path to a checkpoint."""
     if isinstance(source, SCFCheckpoint):
         return source
     return SCFCheckpoint.load(source)

@@ -10,6 +10,9 @@ a job service is tiny; connection reuse would buy nothing but state):
     -> {"cmd": "status", "id": "j000003"}
     <- {"ok": true, "job": {...}}
 
+    -> {"cmd": "status", "id": "j000003", "wait_s": 5.0}   # long poll
+    <- {"ok": true, "waited": true, "job": {...}}   # held until terminal
+
     -> {"cmd": "cancel", "id": "j0000"}       # prefixes resolve
     <- {"ok": false, "error": "...", "error_type": "JobNotFound"}
 
@@ -83,6 +86,13 @@ def recv_line(sock: socket.socket, *, max_bytes: int = MAX_LINE) -> bytes:
             raise ServiceError("wire record exceeds the line cap")
     line, _, _ = bytes(chunks).partition(b"\n")
     return line
+
+
+def long_poll_s(remaining_s: float, socket_timeout_s: float) -> float:
+    """The ``wait_s`` to send with one ``status`` request: what is left
+    of the caller's budget, capped at half the socket timeout so the
+    reply always beats it."""
+    return max(0.0, min(remaining_s, socket_timeout_s / 2))
 
 
 class JobClient:
@@ -183,7 +193,13 @@ class JobClient:
         timeout_s: float = 600.0,
         poll_s: float = 0.2,
     ) -> dict[str, Any]:
-        """The job's record once terminal; polls while ``wait``.
+        """The job's record once terminal; waits for it while ``wait``.
+
+        The wait is the daemon's: each ``status`` request carries a
+        ``wait_s`` the daemon holds it open for, answering the moment
+        the job settles.  A daemon that predates ``wait_s`` answers at
+        once without ``waited``; only then does the client sleep
+        ``poll_s`` between requests.
 
         Raises :class:`~repro.service.errors.JobTimeoutError` when the
         *client-side* wait budget runs out (the job itself keeps
@@ -191,17 +207,22 @@ class JobClient:
         """
         deadline = time.monotonic() + timeout_s
         while True:
-            job = self.status(job_id)
-            if job["state"] in TERMINAL_STATES:
-                return job
-            if not wait:
+            remaining = deadline - time.monotonic()
+            reply = self.request(
+                "status", id=job_id,
+                **({"wait_s": long_poll_s(remaining, self.timeout_s)}
+                   if wait else {}),
+            )
+            job = reply["job"]
+            if job["state"] in TERMINAL_STATES or not wait:
                 return job
             if time.monotonic() > deadline:
                 raise JobTimeoutError(
                     f"job {job_id} still {job['state']} after "
                     f"{timeout_s:g}s of client-side waiting"
                 )
-            time.sleep(poll_s)
+            if not reply.get("waited"):
+                time.sleep(poll_s)
 
     def shutdown_daemon(self) -> dict[str, Any]:
         """Ask the daemon to stop gracefully (drains nothing: running

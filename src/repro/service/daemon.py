@@ -8,7 +8,15 @@ One process, three moving parts:
 * the **dispatch loop** (the main thread): folds fleet outcomes into
   the durable queue, applies the retry policy, hands ready jobs to
   idle workers, enforces nothing itself — deadlines and liveness live
-  in :class:`~repro.service.supervisor.WorkerFleet`;
+  in :class:`~repro.service.supervisor.WorkerFleet`.  The loop is
+  event-driven: between passes it blocks in one
+  :func:`multiprocessing.connection.wait` over the fleet's outcome
+  pipe, the sentinel of every busy worker and a self-pipe (written by
+  accepted submits, cancels, stop requests and the signal handlers),
+  with a timeout only when something is *due* — a retry's back-off
+  gate, a job deadline, a heartbeat-suspect horizon, the idle exit.
+  There is no polling interval: an idle daemon makes no wake-ups at
+  all, and a finished job is folded the moment its result is written;
 * the PR-6 observability stack: a telemetry channel served from the
   service directory (``repro monitor --socket``), ``job.*`` /
   ``service.*`` records for every lifecycle edge, and a run-registry
@@ -37,7 +45,8 @@ import signal
 import socket
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from multiprocessing.connection import wait as wait_for_any
 from pathlib import Path
 from typing import Any
 
@@ -45,14 +54,18 @@ from repro.obs.events import EventLog, get_event_log, set_event_log
 from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
 from repro.obs.registry import RunHandle, RunRegistry
 from repro.obs.slo import DEFAULT_SLO_TARGETS, SLOEngine, job_class
-from repro.obs.telemetry import TelemetryChannel, set_telemetry
+from repro.obs.telemetry import (
+    TelemetryChannel,
+    close_listener,
+    set_telemetry,
+)
 from repro.service.client import recv_line, probe_socket, service_socket_path
 from repro.service.errors import (
     DaemonAlreadyRunning,
     JobNotFound,
     ServiceError,
 )
-from repro.service.jobs import JobSpec
+from repro.service.jobs import TERMINAL_STATES, JobSpec
 from repro.service.queue import DEFAULT_MAX_DEPTH, DurableJobQueue
 from repro.service.retry import TERMINAL, RetryPolicy, classify
 from repro.service.supervisor import (
@@ -64,8 +77,11 @@ from repro.service.supervisor import (
 
 logger = logging.getLogger("repro.service.daemon")
 
-#: Dispatch-loop tick.
-TICK_S = 0.05
+#: Longest a ``status`` request with ``wait_s`` is held open.
+MAX_WAIT_S = 60.0
+
+#: ``ServiceConfig`` keys of earlier builds that a stored config may carry.
+RETIRED_CONFIG_KEYS = ("tick_s",)  # the polling interval of the tick loop
 
 
 @dataclass
@@ -87,7 +103,6 @@ class ServiceConfig:
     runs_dir: str | None = None
     slo_targets: tuple[str, ...] = DEFAULT_SLO_TARGETS
     keep_runs: int | None = None  # registry retention (prune keep-last-N)
-    tick_s: float = TICK_S  # dispatch-loop tick (benchmarks tighten it)
     # -- workload-manifest intake (repro serve --manifest) --------------------
     manifest: str | None = None
     batch_policy: str = "binned"
@@ -96,6 +111,21 @@ class ServiceConfig:
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: dict[str, Any]) -> "ServiceConfig":
+        """Rebuild a config from :meth:`to_dict` output, this build's or
+        an earlier one's (retired keys are dropped, with one log line)."""
+        values = dict(data)
+        retired = [k for k in RETIRED_CONFIG_KEYS if k in values]
+        for key in retired:
+            del values[key]
+        if retired:
+            logger.info("ignoring retired service config key(s): %s",
+                        ", ".join(retired))
+        if "slo_targets" in values:
+            values["slo_targets"] = tuple(values["slo_targets"])
+        return cls(**values)
 
 
 class ServiceDaemon:
@@ -129,11 +159,23 @@ class ServiceDaemon:
         self._timing: dict[str, dict[str, float]] = {}
         self._server: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
-        self._stop = threading.Event()
-        # Cuts a dispatch-loop tick short: set by a stop request and by
-        # every accepted submit, so an idle fleet starts a new job at
-        # once instead of up to ``tick_s`` later.
-        self._wake = threading.Event()
+        self._stopping = False
+        # The self-pipe: how another thread or a signal handler ends the
+        # dispatch loop's blocking wait (created by start()).
+        self._wake_r: socket.socket | None = None
+        self._wake_w: socket.socket | None = None
+        self._prior_wakeup_fd: int | None = None  # set with the handlers
+        #: Times the dispatch loop came out of its blocking wait.
+        self.wakeups = 0
+        # Notified whenever a job settles, for ``status`` + ``wait_s``.
+        self._settled = threading.Condition()
+        # One pass of the dispatch loop and one cancel request each move
+        # jobs and slots between states in several steps (claim, then
+        # dispatch; kill, then journal): never interleaved.  Without it
+        # a cancel between a claim and its dispatch finds no worker to
+        # kill and the cancelled job runs anyway, and the sentinel of a
+        # worker a cancel just killed reads as a lost worker to retry.
+        self._lock = threading.Lock()
         self._started = False
         self._closed = False
         self._last_active = time.monotonic()
@@ -166,6 +208,9 @@ class ServiceDaemon:
         self._server.bind(str(self.socket_path))
         self._server.listen(16)
         self.pid_path.write_text(f"{os.getpid()}\n")
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._wake_w.setblocking(False)
 
         self.registry = RunRegistry(self.config.runs_dir)
         self.serve_run = self.registry.register(
@@ -216,7 +261,8 @@ class ServiceDaemon:
 
         # Workers are forked from here on; every fd they must NOT
         # inherit goes in this list (see _service_worker_loop).
-        close_fds = [self._server.fileno(), self.queue.fileno()]
+        close_fds = [self._server.fileno(), self.queue.fileno(),
+                     self._wake_r.fileno(), self._wake_w.fileno()]
         if telemetry_fd is not None:
             close_fds.append(telemetry_fd)
         self.fleet = WorkerFleet(
@@ -305,38 +351,91 @@ class ServiceDaemon:
                     len(plan.batches), self.config.batch_policy)
 
     def install_signal_handlers(self) -> None:
-        """SIGTERM/SIGINT request a graceful stop (main thread only)."""
+        """SIGTERM/SIGINT request a graceful stop (main thread only).
+
+        The self-pipe doubles as the interpreter's wake-up descriptor:
+        the kernel may deliver the signal to any thread, and only a byte
+        written by the C-level handler gets the main thread out of its
+        blocking wait to run the Python-level one (which a signal alone
+        would not even if it landed there: PEP 475 resumes the wait).
+        """
+        self._prior_wakeup_fd = signal.set_wakeup_fd(
+            self._wake_w.fileno(), warn_on_full_buffer=False)
         for sig in (signal.SIGTERM, signal.SIGINT):
-            signal.signal(sig, lambda *_: self._request_stop())
+            signal.signal(sig, lambda *_: self.request_stop())
 
     def run_forever(self) -> None:
-        """The dispatch loop; returns on stop request or idle exit."""
+        """The dispatch loop; returns on stop request or idle exit.
+
+        Each pass folds what the fleet has to report and dispatches what
+        is ready, then blocks until something can change either: a
+        fleet waitable, the self-pipe, or the next thing that is due.
+        """
         assert self.queue is not None and self.fleet is not None
-        while not self._stop.is_set():
-            for outcome in self.fleet.poll():
-                self._fold_outcome(outcome)
-            self._dispatch_ready()
-            if self._idle_expired():
-                logger.info("idle for %gs; exiting",
-                            self.config.idle_exit_s)
-                break
-            self._wake.wait(self.config.tick_s)
-            self._wake.clear()
+        while not self._stopping:
+            with self._lock:
+                outcomes = self.fleet.poll()
+                for outcome in outcomes:
+                    self._fold_outcome(outcome)
+                if outcomes:
+                    self._notify_settled()
+                self._dispatch_ready()
+                idle_at = self._idle_deadline()
+                if idle_at is not None and time.monotonic() > idle_at:
+                    logger.info("idle for %gs; exiting",
+                                self.config.idle_exit_s)
+                    break
+                watch = [self._wake_r, *self.fleet.waitables()]
+                timeout = self._seconds_until_due(idle_at)
+            ready = wait_for_any(watch, timeout)
+            self.wakeups += 1
+            if self._wake_r in ready:
+                self._wake_r.recv(4096)
 
-    def _request_stop(self) -> None:
-        self._stop.set()
-        self._wake.set()
+    def _seconds_until_due(self, idle_at: float | None) -> float | None:
+        """Seconds until the loop has work that no event will announce:
+        a retry's back-off gate opening, a job deadline or heartbeat
+        horizon passing, the idle exit.  ``None``: block until an event.
+        """
+        due = []
+        gate = self.queue.next_wakeup()
+        if gate is not None:
+            due.append(gate - self.queue.clock())
+        deadline = self.fleet.next_deadline()
+        if deadline is not None:
+            due.append(deadline - self.fleet.clock())
+        if idle_at is not None:
+            due.append(idle_at - time.monotonic())
+        return max(0.0, min(due)) if due else None
 
-    def _idle_expired(self) -> bool:
+    def _wake_loop(self) -> None:
+        """End the dispatch loop's current (or next) blocking wait."""
+        if self._wake_w is not None:
+            try:
+                self._wake_w.send(b"\0")
+            except OSError:
+                pass  # full: the loop wakes just as well; closed: no loop
+
+    def request_stop(self) -> None:
+        """Ask :meth:`run_forever` to return (any thread, or a signal
+        handler: a flag and one byte on the self-pipe, no lock)."""
+        self._stopping = True
+        self._wake_loop()
+
+    def _notify_settled(self) -> None:
+        """Re-check every ``status`` request parked on ``wait_s``."""
+        with self._settled:
+            self._settled.notify_all()
+
+    def _idle_deadline(self) -> float | None:
+        """Monotonic time at which ``idle_exit_s`` runs out; ``None``
+        when it is not configured or the service has open work."""
         if self.config.idle_exit_s is None:
-            return False
-        busy = (self.queue.depth()["open"] > 0
-                or bool(self.fleet.busy_slots()))
-        now = time.monotonic()
-        if busy:
-            self._last_active = now
-            return False
-        return now - self._last_active > self.config.idle_exit_s
+            return None
+        if self.queue.depth()["open"] > 0 or self.fleet.busy_slots():
+            self._last_active = time.monotonic()
+            return None
+        return self._last_active + self.config.idle_exit_s
 
     def close(self) -> None:
         """Graceful teardown: fleet, sockets, registry record, pid file.
@@ -349,16 +448,12 @@ class ServiceDaemon:
         if self._closed:
             return
         self._closed = True
-        self._request_stop()
+        self.request_stop()
+        self._notify_settled()
         if self.fleet is not None:
             self.fleet.shutdown()
         if self._server is not None:
-            try:
-                self._server.close()
-            except OSError:  # pragma: no cover - teardown best effort
-                pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=2)
+            close_listener(self._server, self._accept_thread)
         if self.channel is not None:
             self.channel.publish(
                 "service.stop",
@@ -384,6 +479,12 @@ class ServiceDaemon:
                 path.unlink()
             except OSError:
                 pass
+        if self._prior_wakeup_fd is not None:
+            signal.set_wakeup_fd(self._prior_wakeup_fd)
+            self._prior_wakeup_fd = None
+        for sock in (self._wake_r, self._wake_w):
+            if sock is not None:
+                sock.close()
 
     def _summary(self) -> dict[str, Any]:
         stats = self.fleet.stats() if self.fleet is not None else {}
@@ -412,7 +513,7 @@ class ServiceDaemon:
     def _checkpoint_path(self, job_id: str) -> Path:
         job_dir = self.jobs_dir / job_id
         job_dir.mkdir(parents=True, exist_ok=True)
-        return job_dir / "checkpoint.npz"
+        return job_dir / "scf.ckpt"
 
     def _dispatch_ready(self) -> None:
         while self.fleet.idle_slots():
@@ -704,45 +805,74 @@ class ServiceDaemon:
                 "run": 0.0,
             }
             self._last_active = time.monotonic()
-            self._wake.set()
+            # The reply describes the job as admitted; once the loop is
+            # woken it may claim the job before the reply is written.
+            admitted = job.public_dict()
             self.channel.publish(
                 "job.submitted",
                 job=job.id, tag=spec.tag, basis=spec.basis,
                 algorithm=spec.algorithm, backend=spec.backend,
                 trace_id=job.trace_id,
             )
-            return {"ok": True, "job": job.public_dict()}
+            self._wake_loop()
+            return {"ok": True, "job": admitted}
         if cmd == "status":
-            job_id = request.get("id")
-            if job_id is None:
-                return {
-                    "ok": True,
-                    "jobs": [j.public_dict() for j in self.queue],
-                    "depth": self.queue.depth(),
-                    "fleet": self.fleet.stats(),
-                    "summary": self._summary(),
-                    "slo": self.slo.report() if self.slo else None,
-                }
-            return {"ok": True, "job": self.queue.get(job_id).public_dict()}
+            # ``wait_s`` holds the reply until every job asked about is
+            # terminal, so a waiting client needs no poll loop;
+            # ``waited`` tells it this daemon honoured the field.
+            job_id, ids = request.get("id"), request.get("ids")
+            if job_id is not None:
+                jobs = [self.queue.get(job_id)]
+            elif ids is not None:
+                jobs = [self.queue.get(i) for i in ids]
+            else:
+                jobs = list(self.queue)
+            reply: dict[str, Any] = {"ok": True}
+            if request.get("wait_s") is not None:
+                self._wait_terminal(jobs, float(request["wait_s"]))
+                reply["waited"] = True
+            if job_id is not None:
+                return {**reply, "job": jobs[0].public_dict()}
+            return {
+                **reply,
+                "jobs": [j.public_dict() for j in jobs],
+                "depth": self.queue.depth(),
+                "fleet": self.fleet.stats(),
+                "summary": self._summary(),
+                "slo": self.slo.report() if self.slo else None,
+            }
         if cmd == "cancel":
             job = self.queue.get(request.get("id") or "")
-            was_open = job.open
-            if job.state == "running":
-                self.fleet.cancel_job(job.id)
-                self.queue.transition(job.id, "cancelled",
-                                      error="cancelled while running",
-                                      error_type="JobCancelled")
-            else:
-                self.queue.cancel(job.id)  # idempotent on terminal jobs
-            if was_open and job.state == "cancelled":
-                self.jobs_cancelled += 1
-                self.channel.publish("job.cancelled", job=job.id)
-                self._finalize_job_run(job.id, "cancelled")
+            with self._lock:
+                was_open = job.open
+                if job.state == "running":
+                    self.fleet.cancel_job(job.id)
+                    self.queue.transition(job.id, "cancelled",
+                                          error="cancelled while running",
+                                          error_type="JobCancelled")
+                else:
+                    self.queue.cancel(job.id)  # idempotent on terminal jobs
+                if was_open and job.state == "cancelled":
+                    self.jobs_cancelled += 1
+                    self.channel.publish("job.cancelled", job=job.id)
+                    self._finalize_job_run(job.id, "cancelled")
+                    self._wake_loop()  # a slot may have come free
+                    self._notify_settled()
             return {"ok": True, "job": job.public_dict()}
         if cmd == "shutdown":
-            self._request_stop()
+            self.request_stop()
             return {"ok": True, "pid": os.getpid()}
         raise ServiceError(f"unknown command {cmd!r}")
+
+    def _wait_terminal(self, jobs: list[Any], wait_s: float) -> None:
+        """Block the calling request thread until every one of ``jobs``
+        is terminal, the daemon is stopping, or ``wait_s`` has passed."""
+        def settled() -> bool:
+            return self._stopping or all(
+                j.state in TERMINAL_STATES for j in jobs)
+
+        with self._settled:
+            self._settled.wait_for(settled, timeout=min(wait_s, MAX_WAIT_S))
 
 
 def serve(config: ServiceConfig) -> int:

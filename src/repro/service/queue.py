@@ -14,7 +14,7 @@ Crash model: a SIGKILL'd daemon loses nothing it acknowledged.
 Replay (:meth:`DurableJobQueue.replay`) folds the journal back into
 jobs; jobs that were ``running`` at the crash return to ``pending``
 with ``interrupted=True`` (the dispatcher resumes them from their PR-3
-``.npz`` checkpoint when one exists), ``retrying`` jobs keep their
+checkpoint when one exists), ``retrying`` jobs keep their
 backoff gate, and terminal jobs — ``done`` is the *acknowledged* state
 — are preserved verbatim, never re-run.  A torn final line (the crash
 hit mid-append) is tolerated and dropped: by write ordering it can only

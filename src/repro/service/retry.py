@@ -31,7 +31,10 @@ RETRYABLE = "retryable"
 
 #: Exception type names that retrying cannot fix.  Convergence failures
 #: are the canonical case: the same molecule will fail the same way on
-#: every attempt.  Spec/validation errors are caller bugs.
+#: every attempt.  Spec/validation errors are caller bugs.  An unreadable
+#: checkpoint *file* never gets here: the worker discards it and starts
+#: the job over (``run_job``), so a ``CheckpointError`` is a bad interval
+#: or an inconsistent state object — the same on every attempt.
 TERMINAL_TYPES = frozenset({
     "SCFConvergenceError",
     "JobSpecError",

@@ -19,6 +19,13 @@ past ``job_timeout_s`` has its worker SIGKILLed and respawned, and the
 outcome surfaces as a retryable :class:`~repro.service.errors
 .JobTimeoutError`.
 
+The fleet never sleeps and is never polled on a clock.  It tells its
+owner what to block on — :meth:`WorkerFleet.waitables` (the outcome
+queue's read end and the process sentinel of every busy worker) and
+:meth:`WorkerFleet.next_deadline` (the earliest job deadline or
+heartbeat-suspect horizon) — and :meth:`WorkerFleet.poll` is what the
+owner calls when one of those fires.
+
 Graceful degradation: the fleet carries a *process budget* — the
 number of real backend worker processes it may run concurrently.  A
 job that asks for ``backend: process`` beyond the budget (or whose
@@ -35,9 +42,11 @@ import os
 import signal
 import time
 from dataclasses import dataclass, field, replace
+from multiprocessing.connection import wait as mp_wait
 from pathlib import Path
 from typing import Any, Callable
 
+from repro.obs.telemetry import get_telemetry
 from repro.parallel.backend.heartbeat import HeartbeatMonitor, make_beat
 from repro.service.errors import JobSpecError
 from repro.service.jobs import Job, JobSpec
@@ -69,6 +78,7 @@ def run_job(
     restart: str | Path | None = None,
     checkpoint_every: int = 1,
     beat: Callable[[int, str], None] | None = None,
+    emit: Callable[..., None] | None = None,
     setup_cache: dict[str, Any] | None = None,
     eri_cache_pool: dict[Any, Any] | None = None,
     force_backend: str | None = None,
@@ -81,10 +91,13 @@ def run_job(
     knob is gated on ``allow_exit`` (a worker may die for the chaos
     suite; the daemon must not).
 
-    ``checkpoint`` / ``restart`` are the PR-3 ``.npz`` mechanics: the
+    ``checkpoint`` / ``restart`` are the PR-3 checkpoint mechanics: the
     job checkpoints every ``checkpoint_every`` cycles, and a retry or a
     journal-replayed job resumes from the last checkpoint bitwise
-    identically instead of recomputing converged cycles.
+    identically instead of recomputing converged cycles.  A restart
+    file that cannot seed this run — torn, garbage, another format
+    version, another system — is *no checkpoint*: ``emit`` is told
+    ``checkpoint.discarded`` and the job starts from cycle 0.
 
     ``eri_cache_pool`` is the cross-*job* analogue of ``setup_cache``:
     a per-worker pool of :class:`~repro.integrals.cache.QuartetCache`
@@ -101,7 +114,11 @@ def run_job(
     from repro.chem.molecule import Molecule
     from repro.core.scf_driver import ParallelSCF, build_scf
     from repro.integrals.cache import QuartetCache
-    from repro.resilience import CheckpointManager
+    from repro.resilience import (
+        CheckpointError,
+        CheckpointManager,
+        load_checkpoint,
+    )
 
     spec.validate()
     backend = force_backend or spec.backend
@@ -184,11 +201,28 @@ def run_job(
 
     run_kwargs: dict[str, Any] = {}
     if checkpoint is not None:
+        checkpoint = Path(checkpoint)
+        # This attempt owns the path: whatever an attempt killed inside
+        # its write left beside it is dead weight.
+        for stale in checkpoint.parent.glob(f"{checkpoint.name}.*.tmp"):
+            stale.unlink(missing_ok=True)
         run_kwargs["checkpoint"] = CheckpointManager(
             checkpoint, every=checkpoint_every
         )
     if restart is not None and Path(restart).exists():
-        run_kwargs["restart"] = restart
+        try:
+            state = load_checkpoint(restart)
+            state.check_compatible(
+                kind=spec.method, nbf=basis.nbf,
+                nelectrons=mol.nelectrons,
+            )
+        except CheckpointError as exc:
+            logger.warning("discarding checkpoint %s: %s", restart, exc)
+            if emit is not None:
+                emit("checkpoint.discarded", path=str(restart),
+                     reason=str(exc))
+        else:
+            run_kwargs["restart"] = state
 
     try:
         res = scf.run(**run_kwargs)
@@ -279,6 +313,10 @@ def _service_worker_loop(slot: int, cmd: Any, out: Any,
             except Exception:  # pragma: no cover - full queue
                 pass
 
+        def emit(kind: str, **payload: Any) -> None:
+            """A telemetry record for the daemon to publish on our behalf."""
+            out.put(("event", slot, job_id, kind, payload))
+
         # Distributed trace plumbing: when the daemon handed us a trace
         # context, install a live tracer parented on the job's root span
         # and stream every completed span to a per-attempt NDJSON file.
@@ -325,6 +363,7 @@ def _service_worker_loop(slot: int, cmd: Any, out: Any,
                 restart=job.get("restart"),
                 checkpoint_every=cfg.get("checkpoint_every", 1),
                 beat=beat,
+                emit=emit,
                 setup_cache=setup_cache,
                 eri_cache_pool=eri_cache_pool,
                 force_backend=job.get("force_backend"),
@@ -346,6 +385,16 @@ def _service_worker_loop(slot: int, cmd: Any, out: Any,
             if span_writer is not None:
                 span_writer.close()
             set_log_context(job_id=None, trace_id=None)
+
+
+def _exiting(proc: Any) -> bool:
+    """Whether ``proc`` has died, by its sentinel rather than ``waitpid``.
+
+    The sentinel reads EOF a few milliseconds before the process can be
+    reaped; in between ``is_alive()`` still says yes, and a loop woken
+    by the sentinel would spin on that answer until it changes.
+    """
+    return bool(mp_wait([proc.sentinel], 0))
 
 
 @dataclass
@@ -378,7 +427,11 @@ class JobOutcome:
 
 
 class WorkerFleet:
-    """Fixed-size supervised pool of persistent job workers."""
+    """Fixed-size supervised pool of persistent job workers.
+
+    Not thread-safe: an owner that cancels from one thread while another
+    polls and dispatches serialises the two itself (the daemon does).
+    """
 
     def __init__(
         self,
@@ -529,11 +582,36 @@ class WorkerFleet:
         slot.deadline = None
         slot.started = None
 
+    def waitables(self) -> list[Any]:
+        """What a blocking wait must watch for this fleet to be served.
+
+        The outcome queue's read end (results, heartbeats, worker
+        events) and the sentinel of every busy worker (a death is an
+        event, not something to discover later).  Suitable for
+        :func:`multiprocessing.connection.wait`.
+        """
+        return [self._out._reader] + [
+            s.proc.sentinel for s in self.slots
+            if s.busy and s.proc is not None
+        ]
+
+    def next_deadline(self) -> float | None:
+        """When :meth:`poll` next has something to do with no event
+        arriving, on ``self.clock``: the earliest job deadline or
+        heartbeat-suspect horizon of a busy slot.  ``None`` when idle."""
+        busy = self.busy_slots()
+        due = [s.deadline for s in busy if s.deadline is not None]
+        silent_in = self.monitor.next_suspect_in({s.index for s in busy})
+        if silent_in is not None:
+            due.append(self.clock() + silent_in)
+        return min(due, default=None)
+
     def poll(self) -> list[JobOutcome]:
         """Drain beats/results, enforce deadlines, detect dead workers.
 
-        Returns the terminal outcomes the daemon must fold into the
-        durable queue.  Called from the dispatch loop every tick.
+        Returns the terminal outcomes the owner must fold into the
+        durable queue.  Called whenever something in :meth:`waitables`
+        is ready or :meth:`next_deadline` has passed.
         """
         import queue as queue_mod
 
@@ -548,6 +626,13 @@ class WorkerFleet:
             if msg[0] == "beat":
                 self.monitor.record(msg[1])
                 continue
+            if msg[0] == "event":
+                _, slot_idx, job_id, kind, payload = msg
+                channel = get_telemetry()
+                if channel is not None:
+                    channel.publish(kind, source=f"worker{slot_idx}",
+                                    job=job_id, **payload)
+                continue
             kind, slot_idx, job_id, payload = msg
             slot = self.slots[slot_idx]
             if slot.job_id != job_id:
@@ -561,7 +646,7 @@ class WorkerFleet:
         for slot in self.slots:
             if not slot.busy:
                 continue
-            if slot.deadline is not None and now > slot.deadline:
+            if slot.deadline is not None and now >= slot.deadline:
                 # Deadline breach: kill-and-respawn, surface a
                 # retryable timeout.
                 job_id = slot.job_id
@@ -579,13 +664,14 @@ class WorkerFleet:
                         "error_type": "JobTimeoutError",
                     },
                 ))
-            elif slot.proc is None or not slot.proc.is_alive():
+            elif slot.proc is None or _exiting(slot.proc):
                 # The worker died underneath the job (chaos kill, OOM
                 # kill, crash): retryable, respawn the slot.
                 job_id = slot.job_id
-                exitcode = None if slot.proc is None else slot.proc.exitcode
+                exitcode = None
                 if slot.proc is not None:
                     slot.proc.join(timeout=1)
+                    exitcode = slot.proc.exitcode
                 slot.proc = None
                 self.monitor.mark_lost(slot.index)
                 self.lost_workers += 1

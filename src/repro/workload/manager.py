@@ -4,7 +4,8 @@ The manager owns the *client side* of a batch run: plan the manifest
 with a :class:`~repro.workload.scheduler.BatchScheduler`, submit the
 jobs in plan order (the durable queue dispatches FIFO over submission
 order, so plan order *is* execution order), follow the fleet via bulk
-status polls, and distil the finished run into a
+status requests the daemon holds until the jobs settle, and distil the
+finished run into a
 :class:`ThroughputReport` — per-job records plus the fleet-level
 figures the paper's scaling story is judged by: jobs/s, queue-wait
 p95, and the cache amortization the batch plan existed to create.
@@ -22,12 +23,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
 
-from repro.service.client import JobClient
+from repro.service.client import JobClient, long_poll_s
 from repro.service.errors import ServiceOverloaded
 from repro.service.jobs import TERMINAL_STATES, JobSpec
 from repro.workload.scheduler import BatchPlan, make_batch_scheduler
 
-#: Between bulk status polls while following the fleet.
+#: Between bulk status polls while following a daemon that predates
+#: ``wait_s`` (a current one holds each request until the jobs settle).
 DEFAULT_POLL_S = 0.2
 
 #: Backoff while the admission bound sheds our submissions.
@@ -197,11 +199,20 @@ class WorkloadManager:
 
     def follow(self, job_ids: Sequence[str], *,
                timeout_s: float = 600.0) -> dict[str, dict[str, Any]]:
-        """Poll bulk status until every job is terminal; id -> record."""
+        """Wait until every job is terminal; id -> record.
+
+        Each bulk ``status`` request names the jobs and carries a
+        ``wait_s`` the daemon holds it open for; ``poll_s`` paces the
+        requests only against a daemon that ignores the field.
+        """
         want = set(job_ids)
         deadline = time.monotonic() + timeout_s
         while True:
-            listing = self.client.status()
+            listing = self.client.request(
+                "status", ids=list(job_ids),
+                wait_s=long_poll_s(deadline - time.monotonic(),
+                                   self.client.timeout_s),
+            )
             seen = {j["id"]: j for j in listing.get("jobs", [])
                     if j["id"] in want}
             if (len(seen) == len(want)
@@ -216,7 +227,8 @@ class WorkloadManager:
                     f"{len(pending)} batch job(s) not terminal after "
                     f"{timeout_s:g}s: {', '.join(pending[:5])}"
                 )
-            time.sleep(self.poll_s)
+            if not listing.get("waited"):
+                time.sleep(self.poll_s)
 
     # -- the whole pipeline ---------------------------------------------------
 

@@ -49,7 +49,6 @@ def service(tmp_path):
         overrides.setdefault("service_dir", str(tmp_path / name))
         overrides.setdefault("runs_dir", str(tmp_path / f"{name}-runs"))
         overrides.setdefault("fleet", 1)
-        overrides.setdefault("tick_s", 0.01)
         overrides.setdefault("backoff_base_s", 0.05)
         overrides.setdefault("backoff_cap_s", 0.2)
         daemon = ServiceDaemon(ServiceConfig(**overrides)).start()
@@ -62,7 +61,7 @@ def service(tmp_path):
     # LIFO: each close() restores the globals its start() displaced, so
     # unwinding in reverse start order lands back on the pre-test state.
     for daemon, thread in reversed(started):
-        daemon._stop.set()
+        daemon.request_stop()
         thread.join(timeout=10)
         daemon.close()
 

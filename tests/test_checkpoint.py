@@ -1,7 +1,11 @@
 """Checkpoint/restart: interrupted runs resume bitwise identically."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.scf_driver import ParallelSCF
 from repro.obs.metrics import MetricsRegistry, use_metrics
@@ -12,6 +16,7 @@ from repro.resilience import (
     SCFConvergenceError,
     load_checkpoint,
 )
+from repro.resilience.checkpoint import FORMAT_VERSION, MAGIC
 from repro.scf.convergence import ConvergenceCriteria
 
 
@@ -37,7 +42,7 @@ def _rhf_checkpoint(nbf=3, cycle=4):
 
 def test_checkpoint_save_load_round_trip_is_exact(tmp_path):
     ck = _rhf_checkpoint()
-    path = ck.save(tmp_path / "state.npz")
+    path = ck.save(tmp_path / "state.ckpt")
     back = SCFCheckpoint.load(path)
     assert back.kind == ck.kind
     assert back.cycle == ck.cycle
@@ -54,6 +59,63 @@ def test_checkpoint_save_load_round_trip_is_exact(tmp_path):
     assert back.label == ck.label
 
 
+def _assert_same_state(back, ck):
+    assert (back.kind, back.cycle, back.nbf, back.nelectrons, back.label) \
+        == (ck.kind, ck.cycle, ck.nbf, ck.nelectrons, ck.label)
+    assert back.energy == ck.energy
+    assert back.history.shape == np.asarray(ck.history).shape
+    assert back.history.tobytes() == np.asarray(ck.history).tobytes()
+    for got, want in ((back.densities, ck.densities),
+                      (back.diis_focks, ck.diis_focks),
+                      (back.diis_errors, ck.diis_errors)):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert a.flags.writeable and a.dtype == np.float64
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["rhf", "uhf"]),
+    nbf=st.integers(1, 6),
+    ndiis=st.integers(0, 8),
+    ncycles=st.integers(0, 5),
+    energy=_finite,
+    label=st.text(max_size=20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_format_round_trips_every_bit(tmp_path_factory, kind, nbf, ndiis,
+                                      ncycles, energy, label, seed):
+    """RHF and UHF states, 0-8 DIIS vectors, an empty history: what
+    ``load`` returns is what ``save`` was given, bit for bit, and the
+    file is exactly as long as its header says."""
+    rng = np.random.default_rng(seed)
+    ck = SCFCheckpoint(
+        kind=kind, cycle=max(1, ncycles), energy=energy,
+        densities=tuple(rng.standard_normal((nbf, nbf))
+                        for _ in range(1 if kind == "rhf" else 2)),
+        diis_focks=[rng.standard_normal((nbf, nbf)) for _ in range(ndiis)],
+        # Error vectors live in the orthogonal basis: not always nbf wide.
+        diis_errors=[rng.standard_normal((nbf - 1, nbf - 1))
+                     for _ in range(ndiis)],
+        history=rng.standard_normal((ncycles, 4)),
+        nbf=nbf, nelectrons=2 * nbf, label=label,
+    )
+    path = ck.save(tmp_path_factory.mktemp("ck") / "state.ckpt")
+    _assert_same_state(SCFCheckpoint.load(path), ck)
+    raw = path.read_bytes()
+    assert raw.startswith(MAGIC)
+    header_len = int.from_bytes(raw[8:12], "little")
+    assert (12 + header_len) % 8 == 0          # payload is aligned
+    meta = json.loads(raw[12:12 + header_len])
+    assert meta["version"] == FORMAT_VERSION == 2
+    assert len(raw) == 12 + header_len + 8 * sum(
+        int(np.prod(shape)) for shape in meta["shapes"])
+
+
 def test_checkpoint_constructor_validates():
     with pytest.raises(CheckpointError, match="kind"):
         SCFCheckpoint(kind="dft", cycle=1, energy=0.0, densities=())
@@ -68,8 +130,8 @@ def test_checkpoint_constructor_validates():
 
 def test_load_missing_or_malformed_file(tmp_path):
     with pytest.raises(CheckpointError, match="not found"):
-        SCFCheckpoint.load(tmp_path / "nope.npz")
-    junk = tmp_path / "junk.npz"
+        SCFCheckpoint.load(tmp_path / "nope.ckpt")
+    junk = tmp_path / "junk.ckpt"
     junk.write_bytes(b"this is not an npz archive")
     with pytest.raises(CheckpointError):
         SCFCheckpoint.load(junk)
@@ -78,9 +140,9 @@ def test_load_missing_or_malformed_file(tmp_path):
 def test_truncated_checkpoint_is_a_checkpoint_error(tmp_path):
     """A torn write — the file cut at any byte — is the documented
     ``CheckpointError``, never a raw ``zipfile`` / ``EOFError`` escape."""
-    path = _rhf_checkpoint().save(tmp_path / "state.npz")
+    path = _rhf_checkpoint().save(tmp_path / "state.ckpt")
     whole = path.read_bytes()
-    torn = tmp_path / "torn.npz"
+    torn = tmp_path / "torn.ckpt"
     for cut in range(len(whole)):
         torn.write_bytes(whole[:cut])
         with pytest.raises(CheckpointError):
@@ -98,7 +160,7 @@ def test_interrupted_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
     from dataclasses import replace
 
     first = _rhf_checkpoint()
-    path = first.save(tmp_path / "state.npz")
+    path = first.save(tmp_path / "state.ckpt")
 
     def killed(src, dst):
         raise OSError("killed before the rename")
@@ -108,21 +170,31 @@ def test_interrupted_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
         replace(first, cycle=first.cycle + 1).save(path)
     monkeypatch.undo()
 
-    assert [p.name for p in tmp_path.iterdir()] == ["state.npz"]
+    assert [p.name for p in tmp_path.iterdir()] == ["state.ckpt"]
     assert SCFCheckpoint.load(path).cycle == first.cycle
     replace(first, cycle=first.cycle + 1).save(path)
-    assert [p.name for p in tmp_path.iterdir()] == ["state.npz"]
+    assert [p.name for p in tmp_path.iterdir()] == ["state.ckpt"]
     assert SCFCheckpoint.load(path).cycle == first.cycle + 1
 
 
 def test_load_rejects_future_format_version(tmp_path):
-    path = _rhf_checkpoint().save(tmp_path / "state.npz")
-    with np.load(path) as z:
-        payload = {k: z[k] for k in z.files}
-    payload["version"] = np.array(99)
-    with (tmp_path / "state.npz").open("wb") as fh:
-        np.savez(fh, **payload)
-    with pytest.raises(CheckpointError, match="version 99"):
+    path = _rhf_checkpoint().save(tmp_path / "state.ckpt")
+    raw = path.read_bytes()
+    # "version": 2 -> 9 keeps every length in the record the same.
+    assert raw.count(b'"version": 2') == 1
+    path.write_bytes(raw.replace(b'"version": 2', b'"version": 9'))
+    with pytest.raises(CheckpointError, match="version 9"):
+        SCFCheckpoint.load(path)
+
+
+def test_version_1_npz_archive_is_refused_by_name(tmp_path):
+    """What the previous format wrote is not read by a second reader:
+    it is a ``CheckpointError`` that says what the file is."""
+    path = tmp_path / "old.npz"
+    with path.open("wb") as fh:
+        np.savez(fh, version=np.array(1), kind=np.array("rhf"),
+                 cycle=np.array(3), density_0=np.eye(3))
+    with pytest.raises(CheckpointError, match=r"version-1 \.npz"):
         SCFCheckpoint.load(path)
 
 
@@ -140,7 +212,7 @@ def test_check_compatible_guards_restart():
 def test_load_checkpoint_coerces_paths_and_objects(tmp_path):
     ck = _rhf_checkpoint()
     assert load_checkpoint(ck) is ck
-    path = ck.save(tmp_path / "s.npz")
+    path = ck.save(tmp_path / "s.ckpt")
     assert load_checkpoint(path).cycle == ck.cycle
     assert load_checkpoint(str(path)).cycle == ck.cycle
 
@@ -149,7 +221,7 @@ def test_load_checkpoint_coerces_paths_and_objects(tmp_path):
 
 
 def test_manager_writes_on_interval_only(tmp_path):
-    mgr = CheckpointManager(tmp_path / "s.npz", every=3)
+    mgr = CheckpointManager(tmp_path / "s.ckpt", every=3)
     registry = MetricsRegistry()
     with use_metrics(registry):
         for cycle in range(1, 8):
@@ -164,7 +236,7 @@ def test_manager_writes_on_interval_only(tmp_path):
 
 def test_manager_rejects_bad_interval(tmp_path):
     with pytest.raises(CheckpointError):
-        CheckpointManager(tmp_path / "s.npz", every=0)
+        CheckpointManager(tmp_path / "s.ckpt", every=0)
 
 
 # -- end-to-end bitwise restart ----------------------------------------------
@@ -195,7 +267,7 @@ def test_rhf_restart_is_bitwise_identical(
     full = factory().run()
     assert full.converged
 
-    ck_path = tmp_path / "scf.npz"
+    ck_path = tmp_path / "scf.ckpt"
     err = _interrupt(factory, ck_path, stop_after=4, every=2)
     assert err.result is not None              # partial result survives
     assert not err.result.converged
@@ -231,7 +303,7 @@ def test_uhf_restart_is_bitwise_identical(water_sto3g, tmp_path):
     full = factory().run()
     assert full.converged
 
-    ck_path = tmp_path / "uhf.npz"
+    ck_path = tmp_path / "uhf.ckpt"
     err = _interrupt(factory, ck_path, stop_after=4, every=2)
     assert err.result is not None
 
@@ -251,14 +323,14 @@ def test_restart_conflicts_with_initial_density(water_sto3g, tmp_path):
 
 def test_restart_rejects_mismatched_checkpoint(water_sto3g, tmp_path):
     ck = _rhf_checkpoint(nbf=3)                # water/sto-3g has 7 BFs
-    path = ck.save(tmp_path / "wrong.npz")
+    path = ck.save(tmp_path / "wrong.ckpt")
     scf = ParallelSCF(water_sto3g, "mpi-only", nranks=1)
     with pytest.raises(CheckpointError, match="basis"):
         scf.run(restart=path)
 
 
 def test_run_accepts_checkpoint_path_directly(water_sto3g, tmp_path):
-    path = tmp_path / "auto.npz"
+    path = tmp_path / "auto.ckpt"
     res = ParallelSCF(water_sto3g, "mpi-only", nranks=1).run(checkpoint=path)
     assert res.converged
     ck = SCFCheckpoint.load(path)

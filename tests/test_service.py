@@ -57,9 +57,16 @@ def service(tmp_path):
     yield start
     # LIFO: each close() restores the globals its start() displaced.
     for daemon, thread in reversed(started):
-        daemon._stop.set()
+        daemon.request_stop()
         thread.join(timeout=10)
         daemon.close()
+
+
+def _telemetry_kinds(tmp_path) -> set[str]:
+    """Record kinds the serving daemon's telemetry sink has seen."""
+    sinks = list((tmp_path / "runs").glob("*/telemetry.ndjson"))
+    assert len(sinks) == 1
+    return {r.kind for r in records_from_ndjson(sinks[0].read_text())}
 
 
 class TestRoundTrip:
@@ -93,9 +100,10 @@ class TestRoundTrip:
         assert second["result"]["energy"] == first["result"]["energy"]
 
     def test_submit_wakes_the_dispatch_loop(self, service):
-        """An idle fleet starts a submitted job at once, not at the next
-        dispatch tick: with a 3 s tick the job is running within 1 s."""
-        client = service(tick_s=3.0)
+        """The loop blocks with no timeout while idle; an accepted
+        submit is one of the events that end the wait, so the job is
+        running within 1 s — and a stop request is another."""
+        client = service()
         time.sleep(0.2)  # let the loop reach its first wait
         job = client.submit({"xyz": H2_XYZ})
         deadline = time.monotonic() + 1.0
@@ -104,7 +112,7 @@ class TestRoundTrip:
             time.sleep(0.02)
             state = client.status(job["id"])["state"]
         assert state in ("running", "done")
-        client.shutdown_daemon()  # a stop request cuts the tick short too
+        client.shutdown_daemon()
 
     def test_ping_reports_fleet_and_depth(self, service):
         client = service(fleet=2)
@@ -195,15 +203,8 @@ class TestRoundTrip:
     def test_job_telemetry_reaches_the_sink(self, service, tmp_path):
         client = service()
         client.result(client.submit({"xyz": H2_XYZ})["id"], timeout_s=60)
-        serve_dirs = [
-            d for d in (tmp_path / "runs").iterdir()
-            if (d / "telemetry.ndjson").exists()
-        ]
-        assert serve_dirs
-        kinds = {r.kind for r in records_from_ndjson(
-            (serve_dirs[0] / "telemetry.ndjson").read_text())}
         assert {"service.start", "job.submitted", "job.dispatched",
-                "job.done"} <= kinds
+                "job.done"} <= _telemetry_kinds(tmp_path)
 
 
 class TestOverload:
@@ -255,6 +256,76 @@ class TestRetry:
         assert client.ping()["fleet"]["timeouts"] >= 1
 
 
+class TestUnreadableCheckpoint:
+    """A checkpoint that cannot seed the run is no checkpoint: the job
+    still runs exactly once, to the uninterrupted twin's answer."""
+
+    def test_worker_killed_inside_the_write_resumes_from_the_previous_file(
+        self, service, tmp_path, monkeypatch
+    ):
+        """The worker dies between writing its third checkpoint beside
+        the second and renaming it over it: a torn ``*.tmp`` next to an
+        intact file.  The retry resumes from the intact one and sweeps
+        the debris."""
+        import os
+
+        twin = run_job(JobSpec(xyz=WATER_XYZ))
+        killed_once = tmp_path / "killed-once"
+        saves = []  # the forked worker counts in its own copy
+        real_replace = os.replace
+
+        def replace_or_die(src, dst):
+            if str(dst).endswith("scf.ckpt") and not killed_once.exists():
+                saves.append(dst)
+                if len(saves) == 3:
+                    killed_once.touch()
+                    os.truncate(src, os.path.getsize(src) // 2)
+                    os._exit(17)
+            return real_replace(src, dst)
+
+        # Fleet workers are forked from this process, patch and all.
+        monkeypatch.setattr(os, "replace", replace_or_die)
+        client = service(max_retries=2)
+        job = client.submit({"xyz": WATER_XYZ})
+        done = client.result(job["id"], timeout_s=60)
+        assert killed_once.exists()
+        assert done["state"] == "done"
+        assert done["attempt"] == 2
+        assert done["result"]["resumed"]
+        assert done["result"]["energy"] == twin["energy"]
+        assert done["result"]["iterations"] == twin["iterations"]
+        job_dir = tmp_path / "svc" / "jobs" / done["id"]
+        assert [p.name for p in job_dir.iterdir()] == ["scf.ckpt"]
+        assert "checkpoint.discarded" not in _telemetry_kinds(tmp_path)
+
+    @pytest.mark.parametrize("content", ["garbage", "version-1 npz"])
+    def test_unreadable_file_is_discarded_and_the_job_starts_over(
+        self, service, tmp_path, content
+    ):
+        import numpy as np
+
+        twin = run_job(JobSpec(xyz=WATER_XYZ))
+        stale = tmp_path / "svc" / "jobs" / "j000000" / "scf.ckpt"
+        stale.parent.mkdir(parents=True)
+        if content == "garbage":
+            stale.write_bytes(b"REPROCKP" + bytes(range(256)) * 3)
+        else:
+            with stale.open("wb") as fh:
+                np.savez(fh, version=np.array(1), cycle=np.array(4),
+                         density_0=np.eye(7))
+
+        client = service(max_retries=0)
+        job = client.submit({"xyz": WATER_XYZ})
+        assert job["id"] == "j000000"
+        done = client.result(job["id"], timeout_s=60)
+        assert done["state"] == "done"
+        assert done["attempt"] == 1
+        assert not done["result"]["resumed"]
+        assert done["result"]["energy"] == twin["energy"]
+        assert done["result"]["iterations"] == twin["iterations"]
+        assert "checkpoint.discarded" in _telemetry_kinds(tmp_path)
+
+
 class TestCancel:
     def test_cancel_pending_job(self, service):
         client = service(fleet=1)
@@ -290,13 +361,7 @@ class TestDegradation:
         assert done["degraded"]
         assert done["result"]["backend"] == "sim"
         # The degradation is flagged in the registry and telemetry.
-        serve_dirs = [
-            d for d in (tmp_path / "runs").iterdir()
-            if (d / "telemetry.ndjson").exists()
-        ]
-        kinds = {r.kind for r in records_from_ndjson(
-            (serve_dirs[0] / "telemetry.ndjson").read_text())}
-        assert "service.degraded" in kinds
+        assert "service.degraded" in _telemetry_kinds(tmp_path)
 
 
 class TestStaleSocket:

@@ -151,6 +151,19 @@ def test_socket_backlog_then_live_stream(tmp_path):
     assert not sock.exists()  # close() unlinks the socket
 
 
+def test_close_wakes_the_accept_thread(tmp_path):
+    """``close()`` used to ``join(timeout=2)`` a thread that closing the
+    listening socket never woke: every channel cost 2 s to tear down."""
+    chan = TelemetryChannel()
+    assert chan.serve(tmp_path / "telemetry.sock") is not None
+    threads = [chan._server_thread, chan._flush_thread]
+    time.sleep(0.05)  # both parked: one in accept(), one in its nap
+    started = time.perf_counter()
+    chan.close()
+    assert time.perf_counter() - started < 0.2
+    assert not any(t.is_alive() for t in threads)
+
+
 def test_socket_serve_degrades_on_bad_path(tmp_path):
     chan = TelemetryChannel()
     too_deep = tmp_path / ("x" * 120) / "telemetry.sock"
