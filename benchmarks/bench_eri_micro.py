@@ -20,6 +20,7 @@ quartet.  Emits a machine-readable ``BENCH_eri.json`` record::
       "batched_quartets_per_s": ...,    # kernel, one share per call
       "speedup": ...,                   # batched / scalar
       "speedup_vs_single": ...,         # batched / single
+      "boys_calls": ...,                # == shares: one per share
       "boys_calls_per_quartet": ...,    # < 1 on the share sweep
       "boys_calls_per_quartet_single": 1.0,
       "max_abs_diff_vs_single": 0.0,    # the independence invariant
@@ -110,7 +111,7 @@ def run(output: Path, repeats: int = 3) -> dict:
 
     # The scalar oracle lives in the test tree.
     sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-    from tests.oracles import eri_class_batch_scalar
+    from tests.oracles import eri_bra_slab_scalar
 
     basis = BasisSet(bilayer_graphene(1), "6-31g(d)")
     shares = _surviving_shares(basis)
@@ -123,23 +124,25 @@ def run(output: Path, repeats: int = 3) -> dict:
         with use_metrics(registry):
             _sweep(QuartetEngine(basis), shares, batched)
         return (
-            registry.counter("eri.boys_calls").value
-            / registry.counter("eri.quartets").value,
+            registry.counter("eri.boys_calls").value,
+            registry.counter("eri.quartets").value,
             registry.histogram("eri.batch_size"),
         )
 
-    boys_per_quartet, batch_hist = counted(batched=True)
-    boys_per_quartet_single, _ = counted(batched=False)
+    boys_calls, counted_quartets, batch_hist = counted(batched=True)
+    boys_per_quartet = boys_calls / counted_quartets
+    boys_calls_single, counted_quartets, _ = counted(batched=False)
+    boys_per_quartet_single = boys_calls_single / counted_quartets
     batched_s, blocks = _time_engine(basis, shares, repeats, batched=True)
     single_s, singles = _time_engine(basis, shares, repeats, batched=False)
 
     # The scalar oracle (the seed's primitive loops) under the same sweep.
-    kernel = quartets_mod.eri_class_batch
-    quartets_mod.eri_class_batch = eri_class_batch_scalar
+    kernel = quartets_mod.eri_bra_slab
+    quartets_mod.eri_bra_slab = eri_bra_slab_scalar
     try:
         scalar_s, scalars = _time_engine(basis, shares, repeats, batched=True)
     finally:
-        quartets_mod.eri_class_batch = kernel
+        quartets_mod.eri_bra_slab = kernel
 
     # Semi-direct repeat cycle: everything served from the cache.
     cache = QuartetCache.from_mb(256)
@@ -169,6 +172,7 @@ def run(output: Path, repeats: int = 3) -> dict:
         "cached_quartets_per_s": nquartets / cached_s if cached_s > 0 else None,
         "speedup": scalar_s / batched_s,
         "speedup_vs_single": single_s / batched_s,
+        "boys_calls": boys_calls,
         "boys_calls_per_quartet": boys_per_quartet,
         "boys_calls_per_quartet_single": boys_per_quartet_single,
         "mean_primitive_batch_size": batch_hist.mean,
@@ -446,8 +450,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check", action="store_true",
         help="kernel mode: fail (exit 1) unless the share sweep is >= 2x "
-             "the scalar oracle, records fewer than one Boys call per "
-             "quartet (exactly one on the one-ket sweep), is bitwise "
+             "the scalar oracle, records one Boys call per share (fewer "
+             "than one per quartet; exactly one on the one-ket sweep), is bitwise "
              "equal to the one-ket sweep and within 1e-12 of the oracle, "
              "and the cycle-2 cache hit rate is 100%%. process "
              "mode: fail unless sim<->process parity holds, plus — only "
@@ -565,6 +569,7 @@ def _bench_run(args, output: Path) -> tuple[int, dict]:
         ok = (
             record["speedup"] >= 2.0
             and record["boys_calls_per_quartet"] < 1.0
+            and record["boys_calls"] == record["shares"]
             and record["boys_calls_per_quartet_single"] == 1.0
             and record["max_abs_diff_vs_single"] == 0.0
             and record["max_abs_diff_vs_scalar"] <= 1.0e-12

@@ -5,8 +5,8 @@ algorithms: it evaluates the ERI blocks of composite (GAMESS) shell
 quartets and scatters the six Fock contributions of the paper's
 eqs. (2a)-(2f) into an accumulation matrix ``W``.
 
-Class-batched evaluation
-------------------------
+Share-at-a-time evaluation
+--------------------------
 Integrals are evaluated a *share* at a time, not a quartet at a time,
 and straight into the shape the Fock build consumes:
 :meth:`QuartetEngine.slab` takes one bra (combined index ``ij``) and the
@@ -16,19 +16,22 @@ after ket.  The pair data is the basis' own
 (:func:`~repro.integrals.eri.pair_stacks`: one ragged
 :class:`~repro.integrals.eri.PairStack` per composite pair class, shared
 with the one-electron matrices, the Schwarz bounds and every other
-engine of the basis).  A share selects its rows of each class by index
-and each (bra, ket class) is ONE
-:func:`~repro.integrals.eri.eri_class_batch` call whose output rows are
+engine of the basis).  A share is ONE
+:func:`~repro.integrals.eri.eri_bra_slab` call, staged by what each step
+depends on: the Boys function is evaluated once over every primitive
+combination of the share, the Hermite recursion and the bra
+half-transform run once per distinct ket order (``L|S`` and ``S|L``
+together), and only the ket transform runs per ket class, its rows
 written into the slab columns of their kets — an ``(LL|LL)`` quartet is
 one kernel quartet, its s and p sub-blocks sharing every primitive
 quantity.  :meth:`~QuartetEngine.composite_blocks` is the column split
 of the same slab.  A ket's columns are bitwise independent of what else
 is in the share (the kernel's independence invariant), so a share may be
 split, reordered, or partly served from the cache without changing a bit
-of the Fock matrix; the kernel bounds its own batch memory.  With a
-:class:`~repro.integrals.cache.QuartetCache` attached the slab of a
-share seen before *is* the stored array; the cache counts hits, misses
-and evictions in quartets.
+of the Fock matrix; the kernel bounds its own batch memory, both stages
+under one cap.  With a :class:`~repro.integrals.cache.QuartetCache`
+attached the slab of a share seen before *is* the stored array; the
+cache counts hits, misses and evictions in quartets.
 
 Accumulation convention
 -----------------------
@@ -112,7 +115,7 @@ from repro.core.indexing import (
     ragged_arange,
 )
 from repro.integrals.cache import QuartetCache
-from repro.integrals.eri import PairSet, eri_class_batch, pair_stacks
+from repro.integrals.eri import PairSet, eri_bra_slab, pair_stacks
 from repro.obs.tracer import get_tracer
 
 
@@ -237,7 +240,7 @@ class QuartetEngine:
         (``int64``); the columns run over their function pairs, ket
         after ket, each block in its own ``(k, l)`` row-major order.
         Without a cache the kets are evaluated together, one kernel
-        call per ket class, straight into the slab.  With one, the slab
+        call per share, straight into the slab.  With one, the slab
         is whatever :meth:`QuartetCache.slab
         <repro.integrals.cache.QuartetCache.slab>` returns — the stored
         array itself (read-only) for a share it has seen — and only
@@ -255,26 +258,8 @@ class QuartetEngine:
         return X
 
     def _evaluate_slab(self, ij: int, kls: np.ndarray) -> np.ndarray:
-        pairs = self.pairs
-        bra = pairs.pair(ij)
-        cls, row = pairs.cls[kls], pairs.row[kls]
-        sizes = self.pair_nfunc[kls]
-        starts = np.cumsum(sizes) - sizes
-        nij = bra.nfa * bra.nfb
-        X = np.empty((nij, int(sizes.sum())))
         with get_tracer().span("eri/quartet_batch"):
-            for c, members in enumerate(pairs.classes):
-                share = np.flatnonzero(cls == c)
-                if not share.size:
-                    continue
-                kets = members.stack.take(row[share])
-                # (quartet, ij, kl) -> the quartets' columns, side by
-                # side; every ket of a class is equally wide.
-                cols = starts[share, None] + np.arange(kets.nfa * kets.nfb)
-                X[:, cols.ravel()] = (
-                    eri_class_batch(bra, kets).transpose(1, 0, 2).reshape(nij, -1)
-                )
-        return X
+            return eri_bra_slab(self.pairs, ij, kls)
 
     def composite_blocks(
         self, I: int, J: int, kls: np.ndarray

@@ -10,7 +10,8 @@ over contracted Cartesian Gaussian shells:
 * :mod:`repro.integrals.eri` — the pair layer (one ragged stack of
   composite shell-pair data per pair class, built once per basis:
   :func:`~repro.integrals.eri.pair_stacks`) and the two-electron
-  kernel, one class of composite quartets per call.
+  kernel, one bra against a share of kets per call
+  (:func:`~repro.integrals.eri.eri_bra_slab`).
 * :mod:`repro.integrals.onee` — S, T, V from the same stacks.
 * :mod:`repro.integrals.schwarz` — exact Cauchy-Schwarz bounds
   :math:`Q_{ij} = \\sqrt{(ij|ij)}` over composite shells, from the same
@@ -25,6 +26,7 @@ from repro.integrals.cache import QuartetCache
 from repro.integrals.eri import (
     PairStack,
     ShellPair,
+    eri_bra_slab,
     eri_class_batch,
     eri_shell_quartet,
     make_shell_pairs,
@@ -38,6 +40,7 @@ __all__ = [
     "QuartetCache",
     "PairStack",
     "ShellPair",
+    "eri_bra_slab",
     "eri_class_batch",
     "eri_shell_quartet",
     "make_shell_pairs",

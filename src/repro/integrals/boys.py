@@ -60,12 +60,6 @@ def _grid_table(norders: int) -> np.ndarray:
     return table
 
 
-@functools.cache
-def _taylor_rows(m_max: int) -> np.ndarray:
-    """``rows[m, k-1] = m + k``: the table order term ``k`` of ``F_m`` reads."""
-    return np.add.outer(np.arange(m_max + 1), np.arange(1, _TAYLOR_TERMS + 1))
-
-
 def _boys_grid(m_max: int, x: np.ndarray) -> np.ndarray:
     """``F_0..F_m_max`` for ``0 <= x < GRID_MAX``; shape ``(m_max+1, n)``."""
     node = np.rint(x * _GRID_DENSITY).astype(np.intp)
@@ -76,9 +70,13 @@ def _boys_grid(m_max: int, x: np.ndarray) -> np.ndarray:
     # w[k-1] = (-d)^k / k!, by running products down the rows.
     d = node / _GRID_DENSITY - x
     w = np.multiply.accumulate(_INV_K[:, None] * d, axis=0)
-    terms = T.take(_taylor_rows(m_max), axis=0)
-    terms *= w
-    out = terms.sum(axis=1)
+    # Term k of every order at once — row m reads table order m + k —
+    # added in the order k = 1..6, then the node value: a term at a
+    # time, because all six side by side are the largest array of a
+    # whole ERI share.
+    out = T[1 : m_max + 2] * w[0]
+    for k in range(1, _TAYLOR_TERMS):
+        out += T[k + 1 : m_max + k + 2] * w[k]
     out += T[: m_max + 1]
     return out
 

@@ -53,41 +53,71 @@ coefficients are folded into the rows — an L shell's s and p share
 exponents, not coefficients — so the kernel carries no per-primitive
 coefficient.
 
-The kernel
-----------
-:func:`eri_class_batch` is the one two-electron kernel.  It evaluates a
-whole class of quartets per call: every bra of one composite class
-against every ket of one composite class.  Every primitive combination
-of every quartet is one point of ONE
-:func:`~repro.integrals.hermite.hermite_coulomb_batch` call (hence one
-vectorized Boys evaluation per class, not per quartet); the two E
-contractions are one stacked ``matmul`` each, per primitive, and
-``np.add.reduceat`` sums the primitives of a quartet.  Its output rows
-*are* the composite blocks.  This is the Python analogue of the paper's
-vectorized ``twoei`` kernel.
+The kernel, in three stages
+---------------------------
+A Fock build asks for one thing: the slab of a fixed bra against a share
+of kets of mixed classes (:func:`eri_bra_slab`).  The work splits along
+what each step depends on, and each step runs once per value of that:
+
+1. **Once per share** (:func:`_boys_stage`) — what depends on the two
+   primitive pairs of a point only.  The share's kets are sorted by
+   (ket order ``ltot``, class) with one stable ``argsort`` and gather
+   their exponents and centers from the flat ``p`` / ``P`` of the
+   :class:`PairSet`; the bra's primitives are broadcast against them (no
+   per-point index arrays), giving ``p + q``, ``pq``, ``alpha``,
+   ``P - Q``, the prefactor and ONE vectorized Boys evaluation at the
+   share's highest order ``M`` over every point of the share.
+2. **Once per distinct ket order** (:func:`_half_transform`) — what
+   depends on the bra and on ``ltot`` of the ket, not on its class:
+   :func:`~repro.integrals.hermite.hermite_from_boys` at the group's own
+   ``lsum`` on rows ``0..lsum`` of the Boys values (no wasted orders),
+   the gather to (bra component, ket component), prefactor x ket parity,
+   and the bra half-transform, one ``matmul`` against the bra's E tensor
+   and a ``reduceat`` over the bra primitives.  ``L|S`` and ``S|L``
+   share it, as do ``L|L``, ``D|S`` and ``S|D``.
+3. **Per ket class** (:func:`_ket_transform`) — only the ket E
+   contraction, the ``reduceat`` over a ket's primitives, and the write
+   into the slab's columns.
+
+Sharing is exact.  Row ``m`` of ``boys(M, x)`` does not depend on ``M``
+(the Taylor rows and the upward recursion are per order and per
+element), so the slice a group reads is bitwise ``boys(lsum, x)``; the
+recursion's compact order for ``lsum`` is a prefix of the one for any
+higher order and never reads beyond its own rows; everything else in
+stages 1 and 2 is element-wise per point.  :func:`eri_class_batch` is
+the *paired* form — bra ``n`` against ket ``n``, the Schwarz diagonal
+and one-quartet calls — written over the same three functions with
+gathered points, so the arithmetic exists once.  This is the Python
+analogue of the paper's vectorized ``twoei`` kernel.
 
 The independence invariant
 --------------------------
-A quartet's block is **bitwise** the same whatever else is in the batch
-— alone, in any sub-share, in any chunk.  Every gate that compares the
-program with itself (ERI cache on/off, kill-replay, checkpoint-resume)
-rests on it, because those runs batch the same quartets differently.
-It holds because nothing reduces *across* pairs or quartets: the pair
-builder, the Boys function and the Hermite recursion are element-wise
-per primitive pair / point, each ``matmul`` item is one primitive's own
-small GEMM on contiguous operands of class-fixed shape (padding is part
-of the class, so it is the same in every batch), and ``reduceat`` adds
-a quartet's primitives in their stored order.  (One ``tensordot`` over
-the whole batch would be as fast and breaks it: BLAS blocks the long
-axis differently for different batch lengths.)
+A quartet's block is **bitwise** the same whatever else is in the call
+— alone, in any sub-share, in any order, in any chunk, slab or paired.
+Every gate that compares the program with itself (ERI cache on/off,
+kill-replay, checkpoint-resume) rests on it, because those runs batch
+the same quartets differently.  It holds because nothing reduces
+*across* pairs or quartets: the pair builder, the Boys function and the
+Hermite recursion are element-wise per primitive pair / point, each
+``matmul`` item is one primitive's own small GEMM on contiguous operands
+of class-fixed shape (padding is part of the class, so it is the same in
+every batch), and ``reduceat`` adds a quartet's primitives in their
+stored order.  (One ``tensordot`` over the whole batch would be as fast
+and breaks it: BLAS blocks the long axis differently for different batch
+lengths.  And ``np.add.reduce(half.reshape(nk, nb, ...), axis=1)`` is
+*not* bitwise ``np.add.reduceat(half, arange(0, n, nb), axis=0)``, which
+is what every Fock byte so far was summed with: keep ``reduceat``.)
 
 The memory cap
 --------------
-A class can hold thousands of points and the intermediates are a few
-thousand doubles per point at ``(dd|dd)``, so the kernel walks the
-quartets in chunks of at most :data:`MAX_BATCH_DOUBLES` doubles of
-per-point intermediates (always at least one quartet).  By the
-invariant, chunking cannot change a result.
+A share can hold thousands of points and stage 2 works in a few
+thousand doubles per point at ``(dd|dd)``, so :data:`MAX_BATCH_DOUBLES`
+bounds both stages *together*, splitting only at ket boundaries: stage 1
+takes as many of the sorted kets as leave, beside the ``M + 6`` doubles
+per point it keeps of them, room for stage 2 of the widest one; stage 2
+then walks each order of that piece in runs of kets that fit the room
+(always at least one ket).  By the invariant a split cannot change a
+bit.
 """
 
 from __future__ import annotations
@@ -101,9 +131,10 @@ import numpy as np
 
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.basis.shell import CART_COMPONENTS, CompositeShell, Shell, ncart
+from repro.integrals.boys import boys
 from repro.integrals.hermite import (
     e_coefficients_1d,
-    hermite_coulomb_batch,
+    hermite_from_boys,
     hermite_index,
     hermite_tuv,
 )
@@ -192,30 +223,6 @@ class PairStack:
     def npairs(self) -> int:
         """Number of shell pairs in the stack."""
         return self.counts.size
-
-    @classmethod
-    def concat(cls, pairs: Sequence["PairStack"]) -> "PairStack":
-        """One stack holding the pairs of ``pairs`` (all of one class)."""
-        first = pairs[0]
-        if any((s.las, s.lbs) != (first.las, first.lbs) for s in pairs):
-            raise ValueError("a PairStack holds pairs of one composite class")
-        return cls(
-            first.las,
-            first.lbs,
-            *(
-                np.concatenate([getattr(s, name) for s in pairs])
-                for name in ("p", "P", "ebra", "counts")
-            ),
-        )
-
-    def take(self, rows: np.ndarray) -> "PairStack":
-        """The sub-stack of the pairs ``rows``, in that order."""
-        counts = self.counts[rows]
-        prim = ragged_arange(self.ptr[rows], counts)
-        return PairStack(
-            self.las, self.lbs,
-            self.p[prim], self.P[prim], self.ebra[prim], counts,
-        )
 
     def pair(self, n: int) -> "PairStack":
         """Pair ``n`` alone, as views of this stack's rows."""
@@ -317,6 +324,20 @@ class PairSet:
         ascending pair order.
     cls, row:
         Pair ``n`` is row ``row[n]`` of ``classes[cls[n]].stack``.
+    p, P, prim_base:
+        The ``p`` / ``P`` rows of every class, class after class: class
+        ``c`` starts at ``prim_base[c]``.  What lets a share of kets of
+        *mixed* classes gather its primitives in one indexing step.
+    prim_start, prim_count:
+        Pair ``n`` owns the rows ``prim_start[n] : prim_start[n] +
+        prim_count[n]`` of ``p`` / ``P``.
+    ltot, nfunc:
+        Per pair, the Hermite order and the function-pair count of its
+        class.
+    ket_key:
+        Per pair ``ltot * len(classes) + cls``: a share sorted by it has
+        the kets of one Hermite order, and inside an order the kets of
+        one class, side by side.
     """
 
     def __init__(
@@ -347,14 +368,26 @@ class PairSet:
         code = kind[ia] * len(kinds) + kind[ib]
         self.cls = np.empty(ia.size, dtype=np.intp)
         self.row = np.empty(ia.size, dtype=np.intp)
-        classes = []
+        self.prim_start = np.empty(ia.size, dtype=np.intp)
+        classes, base = [], [0]
         # (np.unique would do, at the price of importing numpy.ma.)
         for c, value in enumerate(np.flatnonzero(np.bincount(code)).tolist()):
             members = np.flatnonzero(code == value)
             self.cls[members] = c
             self.row[members] = np.arange(members.size)
             classes.append(_build_class(flat, ia[members], ib[members]))
+            stack = classes[-1].stack
+            self.prim_start[members] = base[-1] + stack.ptr[:-1]
+            base.append(base[-1] + stack.p.size)
         self.classes: tuple[PairClass, ...] = tuple(classes)
+        stacks = [members.stack for members in classes]
+        self.prim_base = base
+        self.prim_count = flat.nprim[ia] * flat.nprim[ib]
+        self.p = np.concatenate([stack.p for stack in stacks])
+        self.P = np.concatenate([stack.P for stack in stacks])
+        self.ltot = np.array([stack.ltot for stack in stacks])[self.cls]
+        self.nfunc = np.array([stack.nfunc_pair for stack in stacks])[self.cls]
+        self.ket_key = self.ltot * len(classes) + self.cls
 
     def pair(self, n: int) -> PairStack:
         """The stack of pair ``n`` alone."""
@@ -455,13 +488,177 @@ def pair_stacks(basis: BasisSet) -> PairSet:
 # -- the kernel ---------------------------------------------------------------------
 
 
-def eri_class_batch(bra: PairStack, ket: PairStack) -> np.ndarray:
-    """Contracted ERI blocks :math:`(ab|cd)_n` of one class of quartets.
+def _stage2_doubles(lbra: int, lket: int, nfb: int) -> int:
+    """Doubles of stage-2 intermediates per point: the (m, t, u, v) work
+    set of the Hermite recursion, the gathered R matrix, the bra E
+    tensor of the point and the half-transformed block."""
+    ntb, ntk = _hermite_sum_index(lbra, lket).shape
+    return math.comb(lbra + lket + 4, 4) + ntb * ntk + (ntb + ntk) * nfb
 
-    Quartet ``n`` is bra pair ``n`` against ket pair ``n``; a bra stack
-    of one pair is broadcast against every ket (the fixed-bra share of a
-    Fock build).  See the module docstring for the layout, the
+
+def _boys_stage(
+    mmax: int, p: np.ndarray, P: np.ndarray, q: np.ndarray, Q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Stage 1: what depends on the two primitive pairs of a point only.
+
+    ``p`` / ``q`` (exponents) broadcast against each other, as do ``P``
+    / ``Q`` (centers, ``(3, ...)``); the points are the broadcast shape,
+    flattened.  Returns per point ``alpha`` (n,), ``P - Q`` as (3, n),
+    the prefactor :math:`2\\pi^{5/2} / (pq\\sqrt{p+q})` (n,) and the Boys
+    values ``F[m]`` (mmax + 1, n): ``mmax + 6`` doubles a point, which is
+    what stage 1 keeps while stage 2 runs.
+    """
+    psum, pq = p + q, p * q
+    alpha = (pq / psum).ravel()
+    X = np.subtract(P, Q, order="C").reshape(3, -1)
+    scale = (_TWO_PI_POW / (pq * np.sqrt(psum))).ravel()
+    F = boys(mmax, alpha * (X[0] * X[0] + X[1] * X[1] + X[2] * X[2]))
+    return alpha, X, scale, F
+
+
+def _half_transform(
+    lbra: int,
+    lket: int,
+    points: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    ebra: np.ndarray,
+    seg_start: np.ndarray,
+) -> np.ndarray:
+    """Stage 2: what depends on the bra and on the *order* of the ket.
+
+    The Hermite recursion at ``lbra + lket`` on the Boys rows it needs,
+    the gather to (bra component, ket component), the prefactor and ket
+    parity, and the bra E contraction summed over the bra primitives of
+    every ket primitive (they begin at ``seg_start``).  ``ebra`` is
+    ``(1, nb, nfb, ntb)`` for one bra broadcast over points laid out
+    ``(ket primitive, nb)``, or ``(npoints, 1, nfb, ntb)`` gathered per
+    point.  Returns ``(ket primitives, nfb, ntk)``.
+    """
+    alpha, X, scale, F = points
+    gather = _hermite_sum_index(lbra, lket)
+    R = hermite_from_boys(lbra + lket, alpha, X, F)
+    M = R.take(gather, axis=1)  # (npoints, ntb, ntk)
+    M *= (scale[:, None] * _ket_parity(lket))[:, None, :]
+    half = np.matmul(ebra, M.reshape((-1, ebra.shape[1]) + gather.shape))
+    # reduceat, not reduce over a reshaped axis: the two differ in the
+    # last bit, and every stored Fock byte was summed this way.
+    return np.add.reduceat(
+        half.reshape((-1,) + half.shape[2:]), seg_start, axis=0
+    )
+
+
+def _ket_transform(
+    half: np.ndarray, eket: np.ndarray, seg_start: np.ndarray
+) -> np.ndarray:
+    """Stage 3, per ket class: the ket E contraction (the parity is
+    already on ``half``), summed over the primitives of every ket.
+    Returns the composite blocks ``(kets, nfb, nfk)``."""
+    full = np.matmul(half, eket.transpose(0, 2, 1))
+    return np.add.reduceat(full, seg_start, axis=0)
+
+
+def _publish(quartets: int, batch_sizes: list[int]) -> None:
+    """One registry visit per kernel call: ``eri.boys_calls`` counts
+    Boys evaluations, ``eri.batch_size`` the points of each."""
+    registry = get_metrics()
+    if registry is not None:
+        registry.counter("eri.quartets").inc(quartets)
+        registry.counter("eri.boys_calls").inc(len(batch_sizes))
+        histogram = registry.histogram("eri.batch_size")
+        for size in batch_sizes:
+            histogram.observe(size)
+
+
+def eri_bra_slab(pairs: PairSet, ij: int, kls: np.ndarray) -> np.ndarray:
+    """The slab ``X[(i j), m]`` of pair ``ij`` of ``pairs`` as the bra
+    against the pairs ``kls`` as kets — what a Fock build asks for.
+
+    Columns run over the kets' function pairs, ket after ket in the
+    order of ``kls``, each block row-major.  The kets may be of any
+    classes; see the module docstring for the three stages, the
     independence invariant and the memory cap.
+    """
+    bra = pairs.pair(ij)
+    nb, nfb, lbra = bra.p.size, bra.nfunc_pair, bra.ltot
+    ebra, bra_P = bra.ebra[None], bra.P.T[:, None, :]
+    nk = kls.size
+    width = pairs.nfunc[kls]
+    column = width.cumsum() - width
+    out = np.empty((nfb, int(width.sum())))
+
+    # Kets of one order side by side, and inside an order kets of one
+    # class; per sorted ket where its order and where its class end.
+    key = pairs.ket_key[kls]
+    order = key.argsort(kind="stable")
+    kets, key = kls[order], key[order]
+    class_stop = key.searchsorted(key, side="right").tolist()
+    lket = pairs.ltot[kets]
+    group_stop = lket.searchsorted(lket, side="right").tolist()
+    cls, lket = pairs.cls[kets].tolist(), lket.tolist()
+    count = pairs.prim_count[kets]
+    prim_stops = np.concatenate(([0], count.cumsum()))
+    prim_stop = prim_stops.tolist()
+    # Doubles per ket that stage 1 keeps (cumulative) and that stage 2
+    # works in (per ket, and cumulative for the walk inside an order).
+    mmax = lbra + (lket[-1] if nk else 0)
+    kept = prim_stops * ((mmax + 6) * nb)
+    work = count * np.array(
+        [nb * _stage2_doubles(lbra, l, nfb) for l in range(mmax - lbra + 1)]
+    ).take(lket)
+    work_stop = np.concatenate(([0], work.cumsum()))
+
+    batch_sizes = []
+    a = 0
+    while a < nk:
+        # Stage 1 takes the kets a..b: as many as leave, beside what it
+        # keeps of them, room for stage 2 of the widest one.
+        need = kept[a + 1 :] - kept[a] + np.maximum.accumulate(work[a:])
+        b = a + max(1, int(need.searchsorted(MAX_BATCH_DOUBLES, side="right")))
+        room = MAX_BATCH_DOUBLES - (kept[b] - kept[a])
+        prim = ragged_arange(pairs.prim_start[kets[a:b]], count[a:b])
+        points = _boys_stage(
+            mmax, bra.p, bra_P,
+            pairs.p[prim][:, None], pairs.P[prim].T[:, :, None],
+        )
+        batch_sizes.append(nb * prim.size)
+        first = prim_stop[a]
+        c = a
+        while c < b:
+            # Stage 2 takes the kets c..d of one order that fit the room.
+            d = int(work_stop.searchsorted(work_stop[c] + room, side="right")) - 1
+            d = min(max(d, c + 1), b, group_stop[c])
+            k0, k1 = prim_stop[c] - first, prim_stop[d] - first
+            half = _half_transform(
+                lbra, lket[c],
+                [x[..., k0 * nb : k1 * nb] for x in points],
+                ebra, np.arange(0, (k1 - k0) * nb, nb),
+            )
+            e = c
+            while e < d:
+                # Stage 3 takes the kets e..f of one class.
+                f = min(d, class_stop[e])
+                stack = pairs.classes[cls[e]].stack
+                r0, r1 = prim_stop[e] - first, prim_stop[f] - first
+                blocks = _ket_transform(
+                    half[r0 - k0 : r1 - k0],
+                    stack.ebra.take(prim[r0:r1] - pairs.prim_base[cls[e]], axis=0),
+                    prim_stops[e:f] - prim_stop[e],
+                )
+                # (ket, ij, kl) -> the kets' columns, side by side;
+                # every ket of a class is equally wide.
+                cols = column[order[e:f], None] + np.arange(stack.nfunc_pair)
+                out[:, cols.ravel()] = blocks.transpose(1, 0, 2).reshape(nfb, -1)
+                e = f
+            c = d
+        a = b
+    _publish(nk, batch_sizes)
+    return out
+
+
+def eri_class_batch(bra: PairStack, ket: PairStack) -> np.ndarray:
+    """Contracted ERI blocks :math:`(ab|cd)_n` of paired stacks: quartet
+    ``n`` is bra pair ``n`` against ket pair ``n`` (the Schwarz diagonal;
+    one quartet).  The stages of :func:`eri_bra_slab` over gathered
+    points, a chunk of quartets at a time under the same cap.
 
     Returns
     -------
@@ -471,29 +668,16 @@ def eri_class_batch(bra: PairStack, ket: PairStack) -> np.ndarray:
         side row-major.
     """
     nq = ket.npairs
-    if bra.npairs not in (1, nq):
+    if bra.npairs != nq:
         raise ValueError(
-            f"cannot pair {bra.npairs} bras with {nq} kets: "
-            "the bra stack holds one pair or one per ket"
+            f"cannot pair {bra.npairs} bras with {nq} kets: one bra per ket"
         )
     lsum = bra.ltot + ket.ltot
-    gather = _hermite_sum_index(bra.ltot, ket.ltot)
-    ntb, ntk = gather.shape
-    nfb, nfk = bra.nfunc_pair, ket.nfunc_pair
-    if bra.npairs == nq:
-        bra_start, bra_count = bra.ptr[:-1], bra.counts
-    else:
-        bra_start = np.zeros(nq, dtype=np.intp)
-        bra_count = np.full(nq, bra.counts[0])
+    per_point = lsum + 6 + _stage2_doubles(bra.ltot, ket.ltot, bra.nfunc_pair)
+    stops = (bra.counts * ket.counts).cumsum()
 
-    # Doubles of intermediates per point: the (m, t, u, v) work set of
-    # the Hermite recursion, the gathered R matrix, the gathered bra E
-    # tensor and the half-transformed block.
-    per_point = math.comb(lsum + 4, 4) + ntb * ntk + (ntb + ntk) * nfb
-    stops = (bra_count * ket.counts).cumsum()
-    registry = get_metrics()
-
-    out = np.empty((nq, nfb, nfk))
+    out = np.empty((nq, bra.nfunc_pair, ket.nfunc_pair))
+    batch_sizes = []
     q0 = 0
     while q0 < nq:
         budget = (stops[q0 - 1] if q0 else 0) + MAX_BATCH_DOUBLES // per_point
@@ -502,30 +686,20 @@ def eri_class_batch(bra: PairStack, ket: PairStack) -> np.ndarray:
         # One point per (ket primitive, bra primitive of its quartet),
         # bra primitive fastest: kp / bp index the primitive of a point.
         owner = ket.owner[k0:k1]
-        nb = bra_count[owner]
+        nb = bra.counts[owner]
         seg_stop = nb.cumsum()
         seg_start = seg_stop - nb
         kp = np.arange(k0, k1).repeat(nb)
-        bp = np.arange(seg_stop[-1]) + (bra_start[owner] - seg_start).repeat(nb)
+        bp = np.arange(seg_stop[-1]) + (bra.ptr[owner] - seg_start).repeat(nb)
 
-        p, q = bra.p[bp], ket.p[kp]
-        psum, pq = p + q, p * q
-        R = hermite_coulomb_batch(lsum, pq / psum, bra.P[bp] - ket.P[kp])
-        M = R.take(gather, axis=1)  # (npoints, ntb, ntk)
-        scale = _TWO_PI_POW / (pq * np.sqrt(psum))
-        M *= (scale[:, None] * ket.parity)[:, None, :]
-
-        # out[n] = sum_j (sum_i E_bra[i] @ M[i, j]) @ E_ket[j].T, the ket
-        # parity already on M.
-        half = np.add.reduceat(np.matmul(bra.ebra[bp], M), seg_start, axis=0)
-        full = np.matmul(half, ket.ebra[k0:k1].transpose(0, 2, 1))
-        out[q0:q1] = np.add.reduceat(full, ket.ptr[q0:q1] - k0, axis=0)
-
-        if registry is not None:
-            registry.counter("eri.quartets").inc(q1 - q0)
-            registry.counter("eri.boys_calls").inc()
-            registry.histogram("eri.batch_size").observe(kp.size)
+        points = _boys_stage(lsum, bra.p[bp], bra.P[bp].T, ket.p[kp], ket.P[kp].T)
+        half = _half_transform(
+            bra.ltot, ket.ltot, points, bra.ebra[bp][:, None], seg_start
+        )
+        out[q0:q1] = _ket_transform(half, ket.ebra[k0:k1], ket.ptr[q0:q1] - k0)
+        batch_sizes.append(kp.size)
         q0 = q1
+    _publish(nq, batch_sizes)
     return out
 
 

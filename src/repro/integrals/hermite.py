@@ -7,15 +7,16 @@ Two building blocks:
   Gaussians as a sum of Hermite Gaussians, over arrays of primitive
   pairs: the pair layer (:mod:`repro.integrals.eri`) runs it once per
   pair class.
-* :func:`hermite_coulomb_batch` — the Hermite Coulomb integrals
+* :func:`hermite_from_boys` — the Hermite Coulomb integrals
   :math:`R^0_{tuv}` built from Boys-function values by the standard
   three-term recursion, over a whole *batch* of ``(exponent,
-  displacement)`` points at once with ONE vectorized Boys evaluation.
-  It is the only Hermite-Coulomb recursion in the package: the ERI
-  kernel sends it every primitive combination of a class of quartets,
-  the nuclear-attraction kernel every primitive pair x nucleus.  Only
-  the ``t + u + v <= lmax`` components exist, in the compact order of
-  :func:`hermite_tuv`.
+  displacement)`` points at once.  It is the only Hermite-Coulomb
+  recursion in the package.  The ERI kernel evaluates the Boys function
+  once per share of quartets and runs the recursion once per ket order
+  on the rows it needs; :func:`hermite_coulomb_batch` is the two steps
+  in one call (the nuclear-attraction kernel sends it every primitive
+  pair x nucleus).  Only the ``t + u + v <= lmax`` components exist, in
+  the compact order of :func:`hermite_tuv`.
 
 Both follow Helgaker, Jorgensen & Olsen, *Molecular Electronic-Structure
 Theory*, chapter 9.  (The scalar recursions both are tested against
@@ -184,6 +185,9 @@ def hermite_coulomb_batch(
 ) -> np.ndarray:
     """Batched :math:`R^0_{tuv}(p, \\mathbf{PC})` over many points at once.
 
+    One vectorized Boys evaluation over all ``n`` arguments, then
+    :func:`hermite_from_boys`.
+
     Parameters
     ----------
     lmax:
@@ -201,18 +205,6 @@ def hermite_coulomb_batch(
     numpy.ndarray
         ``R[point, c]`` of shape ``(n, ncomp)``, C-contiguous, column
         ``c`` holding the order ``hermite_tuv(lmax)[c]``.
-
-    Notes
-    -----
-    The Boys function is evaluated exactly **once**, vectorized over all
-    ``n`` arguments.  The auxiliary integrals ``R^m_{tuv}`` are kept per
-    level as ``(lmax - level + 1, ncomp_level, n)`` arrays — nothing
-    with ``m + t + u + v > lmax`` is ever stored — and one level follows
-    from the two below it in one gather-multiply-add over all its
-    components and auxiliary orders (:func:`_level_plan`), so the Python
-    loop is ``O(lmax)``, not ``O(lmax^3)``.  Every step is element-wise
-    along the batch: a point's result is bitwise the same whatever else
-    is in the batch.
     """
     p = np.ascontiguousarray(p, dtype=np.float64)
     PC = np.ascontiguousarray(PC, dtype=np.float64)
@@ -222,13 +214,36 @@ def hermite_coulomb_batch(
         )
     X = np.ascontiguousarray(PC.T)
     F = boys(lmax, p * (X[0] * X[0] + X[1] * X[1] + X[2] * X[2]))
+    return hermite_from_boys(lmax, p, X, F)
 
+
+def hermite_from_boys(
+    lmax: int, p: np.ndarray, X: np.ndarray, F: np.ndarray
+) -> np.ndarray:
+    """The recursion half of :func:`hermite_coulomb_batch`: ``R[point, c]``
+    from Boys values that are already there.
+
+    ``p`` is ``(n,)``, ``X`` the displacements as ``(3, n)`` and ``F``
+    holds :math:`F_m(p |X|^2)` in row ``m``, for *at least* the orders
+    ``0..lmax`` — rows beyond are not read, so one Boys evaluation at the
+    highest order a caller needs serves every lower ``lmax`` over the
+    same points (row ``m`` of ``boys(M, x)`` does not depend on ``M``).
+
+    The auxiliary integrals ``R^m_{tuv}`` are kept per level as
+    ``(lmax - level + 1, ncomp_level, n)`` arrays — nothing with
+    ``m + t + u + v > lmax`` is ever stored — and one level follows from
+    the two below it in one gather-multiply-add over all its components
+    and auxiliary orders (:func:`_level_plan`), so the Python loop is
+    ``O(lmax)``, not ``O(lmax^3)``.  Every step is element-wise along
+    the batch: a point's result is bitwise the same whatever else is in
+    the batch.
+    """
     # R^m_{000} = (-2p)^m F_m: running products down the rows.
-    power = np.empty_like(F)
+    power = np.empty((lmax + 1, p.size))
     power[0] = 1.0
     power[1:] = -2.0 * p
     np.multiply.accumulate(power, axis=0, out=power)
-    power *= F
+    power *= F[: lmax + 1]
     levels = [power[:, None, :]]
     Xa = X.take(_lowered_axis(lmax), axis=0)
     for level in range(1, lmax + 1):

@@ -10,6 +10,8 @@ with the production code; the scalar ERI loops
 (:func:`eri_class_batch_scalar`) additionally read the production pair
 data (:class:`~repro.integrals.eri.PairStack`) and are independent of
 the kernel in their recursion, primitive loops and contraction order.
+:func:`concat_stacks` / :func:`take_pairs` assemble the stacks the
+paired kernel is tested on; no run path builds a stack that way.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from repro.chem.basis.shell import Shell
 from repro.integrals.boys import boys
-from repro.integrals.eri import PairStack
+from repro.integrals.eri import PairSet, PairStack, ragged_arange
 from repro.integrals.hermite import hermite_tuv
 
 
@@ -219,8 +221,7 @@ def eri_class_batch_scalar(bra: PairStack, ket: PairStack) -> np.ndarray:
 
     out = np.zeros((ket.npairs, bra.nfunc_pair, ket.nfunc_pair))
     for n in range(ket.npairs):
-        m = n if bra.npairs > 1 else 0
-        for i in range(bra.ptr[m], bra.ptr[m + 1]):
+        for i in range(bra.ptr[n], bra.ptr[n + 1]):
             p, P = bra.p[i], bra.P[i]
             for j in range(ket.ptr[n], ket.ptr[n + 1]):
                 q, Q = ket.p[j], ket.P[j]
@@ -231,6 +232,41 @@ def eri_class_batch_scalar(bra: PairStack, ket: PairStack) -> np.ndarray:
                 eket = ket.ebra[j] * ket_parity
                 out[n] += pref * (bra.ebra[i] @ R[ti, ui, vi] @ eket.T)
     return out
+
+
+def concat_stacks(stacks: list[PairStack]) -> PairStack:
+    """One stack holding the pairs of ``stacks`` (all of one class)."""
+    first = stacks[0]
+    assert all((s.las, s.lbs) == (first.las, first.lbs) for s in stacks)
+    return PairStack(
+        first.las,
+        first.lbs,
+        *(
+            np.concatenate([getattr(s, name) for s in stacks])
+            for name in ("p", "P", "ebra", "counts")
+        ),
+    )
+
+
+def take_pairs(stack: PairStack, rows: np.ndarray) -> PairStack:
+    """The sub-stack of the pairs ``rows`` of ``stack``, in that order."""
+    counts = stack.counts[rows]
+    prim = ragged_arange(stack.ptr[rows], counts)
+    return PairStack(
+        stack.las, stack.lbs,
+        stack.p[prim], stack.P[prim], stack.ebra[prim], counts,
+    )
+
+
+def eri_bra_slab_scalar(pairs: PairSet, ij: int, kls: np.ndarray) -> np.ndarray:
+    """``eri_bra_slab`` one quartet at a time through the scalar loops:
+    ket ``n``'s block is the columns ``n`` of the slab."""
+    bra = pairs.pair(ij)
+    return np.concatenate(
+        [eri_class_batch_scalar(bra, pairs.pair(kl))[0] for kl in kls]
+        or [np.empty((bra.nfunc_pair, 0))],
+        axis=1,
+    )
 
 
 def eri_shell_quartet_scalar(bra: PairStack, ket: PairStack) -> np.ndarray:

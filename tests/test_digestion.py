@@ -245,7 +245,7 @@ def test_cache_served_builds_replan_nothing(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    counting(quartets_mod, "eri_class_batch", "kernel")
+    counting(quartets_mod, "eri_bra_slab", "kernel")
     counting(ThreadTeam, "partition", "partition")
     counting(Screening, "surviving_kl_pairs", "survivors")
     counting(Screening, "surviving_kl_under", "survivors")

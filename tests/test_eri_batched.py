@@ -1,8 +1,8 @@
-"""Class-batched ERI path: property tests against the scalar reference.
+"""Batched ERI path: property tests against the scalar reference.
 
-The batched kernel (one vectorized Boys call per class of quartets,
-compact level-planned Hermite recursion, per-primitive stacked GEMMs)
-must match the scalar primitive-loop path — kept in
+The kernel (one vectorized Boys call per share of quartets, compact
+level-planned Hermite recursion, per-primitive stacked GEMMs) must
+match the scalar primitive-loop path — kept in
 :mod:`tests.oracles` — to tight absolute tolerance over random
 exponents and centers up to f shells, a composite quartet's block must
 be the pure sub-shell quartets at their offsets, and a quartet's block
@@ -20,8 +20,9 @@ from repro.core.indexing import decode_pair, npairs, pair_index
 from repro.core.quartets import QuartetEngine
 from repro.integrals import eri as eri_module
 from repro.integrals.eri import (
-    PairStack,
+    PairSet,
     ShellPair,
+    eri_bra_slab,
     eri_class_batch,
     eri_shell_quartet,
 )
@@ -32,9 +33,12 @@ from repro.integrals.hermite import (
 )
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from tests.oracles import (
+    concat_stacks,
+    eri_bra_slab_scalar,
     eri_class_batch_scalar,
     eri_shell_quartet_scalar,
     hermite_coulomb,
+    take_pairs,
 )
 
 #: Angular momenta covered by the randomized quartet sweep (s..f).
@@ -120,19 +124,19 @@ def test_high_contraction_batched_matches_scalar():
 
 
 def test_one_boys_call_per_quartet_metric():
-    """One-ket calls: ONE Boys call per quartet; a class batch: one per
-    batch, with ``eri.quartets`` advanced by the batch's quartets."""
+    """One-ket calls: ONE Boys call per quartet; a share: one per share,
+    with ``eri.quartets`` advanced by the share's quartets."""
     rng = np.random.default_rng(5)
-    pairs = [
-        ShellPair(_random_shell(rng, 0, 3), _random_shell(rng, 1, 2))
-        for _ in range(4)
+    shells = [
+        _random_shell(rng, l, nprim) for _ in range(4) for l, nprim in ((0, 3), (1, 2))
     ]
+    pairs = PairSet(shells, [0, 2, 4, 6], [1, 3, 5, 7])
     registry = MetricsRegistry()
     with use_metrics(registry):
-        for bra in pairs:
-            for ket in pairs:
-                eri_shell_quartet(bra, ket)
-    nquartets = len(pairs) ** 2
+        for bra in range(4):
+            for ket in range(4):
+                eri_shell_quartet(pairs.pair(bra), pairs.pair(ket))
+    nquartets = 4 ** 2
     assert registry.counter("eri.quartets").value == nquartets
     assert registry.counter("eri.boys_calls").value == nquartets
     hist = registry.histogram("eri.batch_size")
@@ -141,10 +145,10 @@ def test_one_boys_call_per_quartet_metric():
 
     registry = MetricsRegistry()
     with use_metrics(registry):
-        eri_class_batch(pairs[0], PairStack.concat(pairs))
-    assert registry.counter("eri.quartets").value == len(pairs)
+        eri_bra_slab(pairs, 0, np.arange(4))
+    assert registry.counter("eri.quartets").value == 4
     assert registry.counter("eri.boys_calls").value == 1
-    assert registry.histogram("eri.batch_size").max == len(pairs) * 36
+    assert registry.histogram("eri.batch_size").max == 4 * 36
 
 
 def test_signed_ket_matrices_cached_on_pair():
@@ -165,7 +169,7 @@ def test_signed_ket_matrices_cached_on_pair():
     )
 
 
-# -- class batches: oracle, stacking, memory cap ------------------------------
+# -- shares and paired stacks: oracle, memory cap ------------------------------
 
 
 def _random_class(rng, la, lb, npairs_):
@@ -178,50 +182,97 @@ def _random_class(rng, la, lb, npairs_):
     ]
 
 
+def _random_pair_set(rng, classes):
+    """A :class:`PairSet` of random pairs: one pair of fresh shells per
+    ``(la, lb)`` of ``classes`` (pure momenta, or tuples for composite
+    sides), 1..4 primitives a side."""
+    sides = [
+        _random_composite(rng, l, int(rng.integers(1, 5))) if isinstance(l, tuple)
+        else _random_shell(rng, l, int(rng.integers(1, 5)))
+        for pair in classes for l in pair
+    ]
+    n = len(classes)
+    return PairSet(sides, 2 * np.arange(n), 2 * np.arange(n) + 1)
+
+
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=10, deadline=None)
 def test_class_batch_matches_scalar_oracle(seed):
-    """A ragged class stack (1..16 primitive pairs per ket, mixed) against
-    the scalar loops to 1e-12, fixed bra and one bra per ket."""
+    """A ragged share (1..16 primitive pairs per ket, two ket classes of
+    one order and one of another) against the scalar loops to 1e-12: one
+    bra against the share, and one bra per ket."""
     rng = np.random.default_rng(seed)
     la, lb, lc, ld = (int(l) for l in rng.integers(0, 3, size=4))
-    kets = PairStack.concat(_random_class(rng, lc, ld, 5))
-    bras = _random_class(rng, la, lb, 5)
-    for bra in (bras[0], PairStack.concat(bras)):
-        np.testing.assert_allclose(
-            eri_class_batch(bra, kets), eri_class_batch_scalar(bra, kets),
-            rtol=0.0, atol=1e-12,
-        )
+    pairs = _random_pair_set(
+        rng, [(la, lb)] + [(lc, ld), (ld, lc)] * 2 + [(lc, 0)] * 2
+    )
+    kls = rng.permutation(np.arange(1, 7))
+    np.testing.assert_allclose(
+        eri_bra_slab(pairs, 0, kls), eri_bra_slab_scalar(pairs, 0, kls),
+        rtol=0.0, atol=1e-12,
+    )
+    bras = concat_stacks(_random_class(rng, la, lb, 5))
+    kets = concat_stacks(_random_class(rng, lc, ld, 5))
+    np.testing.assert_allclose(
+        eri_class_batch(bras, kets), eri_class_batch_scalar(bras, kets),
+        rtol=0.0, atol=1e-12,
+    )
 
 
 def test_class_batch_rejects_mismatched_stacks():
     rng = np.random.default_rng(1)
-    two = PairStack.concat(_random_class(rng, 0, 1, 2))
-    three = PairStack.concat(_random_class(rng, 0, 1, 3))
-    with pytest.raises(ValueError, match="one pair or one per ket"):
-        eri_class_batch(two, three)
-    with pytest.raises(ValueError, match="one composite class"):
-        PairStack.concat(
-            _random_class(rng, 0, 1, 1) + _random_class(rng, 1, 0, 1)
-        )
+    three = concat_stacks(_random_class(rng, 0, 1, 3))
+    for nbra in (1, 2):
+        with pytest.raises(ValueError, match="one bra per ket"):
+            eri_class_batch(concat_stacks(_random_class(rng, 0, 1, nbra)), three)
 
 
 def test_memory_cap_chunks_without_changing_a_bit(monkeypatch):
-    """The point budget splits a batch into chunks (one Boys call each,
-    at least one quartet per chunk); the blocks are bitwise unchanged."""
+    """The one budget splits a share at ket boundaries — stage 1 (one
+    Boys call per piece) and, inside a piece, stage 2 (one Hermite
+    recursion per piece and ket order) — and the paired kernel into
+    chunks of quartets, always at least one ket each; the blocks are
+    bitwise unchanged."""
     rng = np.random.default_rng(11)
-    bra = _random_class(rng, 2, 1, 1)[0]
-    kets = PairStack.concat(_random_class(rng, 1, 2, 9))
-    whole = eri_class_batch(bra, kets)
-    for budget in (1, 10_000, 40_000):
-        monkeypatch.setattr(eri_module, "MAX_BATCH_DOUBLES", budget)
+    pairs = _random_pair_set(rng, [(2, 1)] + [(1, 2)] * 6 + [(2, 1)] * 3)
+    kls = np.arange(1, 10)
+    bras = concat_stacks(_random_class(rng, 2, 1, 9))
+    kets = concat_stacks(_random_class(rng, 1, 2, 9))
+    whole, whole_paired = eri_bra_slab(pairs, 0, kls), eri_class_batch(bras, kets)
+
+    recursions = []
+    hermite = eri_module.hermite_from_boys
+    monkeypatch.setattr(
+        eri_module, "hermite_from_boys",
+        lambda *args: recursions.append(1) or hermite(*args),
+    )
+
+    def counted(evaluate, *args):
         registry = MetricsRegistry()
+        del recursions[:]
         with use_metrics(registry):
-            chunked = eri_class_batch(bra, kets)
+            out = evaluate(*args)
+        assert registry.counter("eri.quartets").value == kls.size
+        return out, registry.counter("eri.boys_calls").value, len(recursions)
+
+    assert counted(eri_bra_slab, pairs, 0, kls)[1:] == (1, 1)
+    seen = set()
+    for budget in (1, 5_000, 10_000, 25_000, 400_000):
+        monkeypatch.setattr(eri_module, "MAX_BATCH_DOUBLES", budget)
+        chunked, boys_calls, hermite_calls = counted(eri_bra_slab, pairs, 0, kls)
         assert np.array_equal(chunked, whole)
-        calls = registry.counter("eri.boys_calls").value
-        assert registry.counter("eri.quartets").value == kets.npairs
-        assert calls == kets.npairs if budget == 1 else 1 < calls < kets.npairs
+        assert 1 <= boys_calls <= hermite_calls <= kls.size
+        seen.add((boys_calls, hermite_calls))
+        chunked, boys_calls, hermite_calls = counted(eri_class_batch, bras, kets)
+        assert np.array_equal(chunked, whole_paired)
+        assert boys_calls == hermite_calls
+        if budget in (1, 400_000):
+            assert boys_calls == kls.size if budget == 1 else 1 < boys_calls < kls.size
+    # Every ket alone in both stages; stage 2 split under one stage 1;
+    # both split, differently.
+    assert (kls.size, kls.size) in seen
+    assert any(b == 1 < h for b, h in seen)
+    assert any(1 < b < h for b, h in seen)
 
 
 # -- composite stacks ------------------------------------------------------------
@@ -307,39 +358,35 @@ def test_pure_pair_is_the_single_subshell_composite():
 
 @pytest.fixture(scope="module")
 def composite_class():
-    """A fixed L|L bra and a ragged D|L ket stack (1..9 primitive pairs
-    per ket), with every ket's block evaluated alone."""
+    """A fixed L|L bra and ragged kets (1..16 primitive pairs each) of
+    D|L, L|D — another class of the same order — and L|S, with every
+    ket's block evaluated alone."""
     rng = np.random.default_rng(21)
-    bra = ShellPair(_random_composite(rng, L, 3), _random_composite(rng, L, 2))
-    kets = PairStack.concat([
-        ShellPair(
-            _random_composite(rng, D, int(rng.integers(1, 4))),
-            _random_composite(rng, L, int(rng.integers(1, 4))),
-        )
-        for _ in range(8)
-    ])
-    singles = [eri_class_batch(bra, kets.pair(n))[0] for n in range(kets.npairs)]
-    return bra, kets, singles
+    pairs = _random_pair_set(rng, [(L, L)] + [(D, L)] * 4 + [(L, D)] * 2 + [(L, S)] * 2)
+    singles = [None] + [eri_bra_slab(pairs, 0, np.array([n])) for n in range(1, 9)]
+    return pairs, singles
 
 
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_composite_stack_sub_share_equals_singles_bitwise(composite_class, data):
     """The independence invariant on composite stacks: a block is
-    identical alone and in any sub-share, in any order, fixed bra or one
-    bra per ket."""
-    bra, kets, singles = composite_class
+    identical alone and in any sub-share of mixed classes, in any order,
+    and the paired kernel (one bra per ket) returns the same bits."""
+    pairs, singles = composite_class
     rows = data.draw(
-        st.lists(st.integers(0, kets.npairs - 1), min_size=1, max_size=8,
-                 unique=True),
+        st.lists(st.integers(1, 8), min_size=1, max_size=8, unique=True),
         label="rows",
     )
-    share = kets.take(np.array(rows))
-    for n, block in zip(rows, eri_class_batch(bra, share)):
-        assert np.array_equal(block, singles[n]), n
-    bras = PairStack.concat([bra] * len(rows))
-    for n, block in zip(rows, eri_class_batch(bras, share)):
-        assert np.array_equal(block, singles[n]), n
+    slab = eri_bra_slab(pairs, 0, np.array(rows))
+    assert np.array_equal(slab, np.concatenate([singles[n] for n in rows], axis=1))
+    d_l = np.array([n for n in rows if n <= 4])
+    if d_l.size:
+        stack = pairs.classes[pairs.cls[1]].stack
+        share = take_pairs(stack, pairs.row[d_l])
+        bras = concat_stacks([pairs.pair(0)] * d_l.size)
+        for n, block in zip(d_l, eri_class_batch(bras, share)):
+            assert np.array_equal(block, singles[n]), n
 
 
 def test_padded_entries_are_exact_zeros_at_the_largest_exponents():
@@ -436,9 +483,7 @@ def test_composite_blocks_match_scalar_oracle(engine_and_singles, monkeypatch):
     import repro.core.quartets as quartets_module
 
     engine, singles = engine_and_singles
-    monkeypatch.setattr(
-        quartets_module, "eri_class_batch", eri_class_batch_scalar
-    )
+    monkeypatch.setattr(quartets_module, "eri_bra_slab", eri_bra_slab_scalar)
     n = engine.basis.nshells
     for i, j in ((n - 1, n - 1), (3, 1), (3, 3), (2, 0)):
         ij = pair_index(i, j)

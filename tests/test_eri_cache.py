@@ -142,13 +142,13 @@ def counting(monkeypatch):
     import repro.core.quartets as quartets_mod
 
     rows = []
-    kernel = quartets_mod.eri_class_batch
+    kernel = quartets_mod.eri_bra_slab
 
-    def counted(bra, ket):
-        rows.append(ket.npairs)
-        return kernel(bra, ket)
+    def counted(pairs, ij, kls):
+        rows.append(kls.size)
+        return kernel(pairs, ij, kls)
 
-    monkeypatch.setattr(quartets_mod, "eri_class_batch", counted)
+    monkeypatch.setattr(quartets_mod, "eri_bra_slab", counted)
     return rows
 
 
@@ -443,13 +443,11 @@ def test_batched_path_matches_scalar_path_end_to_end(
 ):
     """Fock matrices from the batched kernel match the scalar oracle's."""
     import repro.core.quartets as quartets_mod
-    from tests.oracles import eri_class_batch_scalar
+    from tests.oracles import eri_bra_slab_scalar
 
     basis, h, d = graphene_sto3g
     f_batched, _ = SharedFockBuilder(basis, h)(d)
-    monkeypatch.setattr(
-        quartets_mod, "eri_class_batch", eri_class_batch_scalar
-    )
+    monkeypatch.setattr(quartets_mod, "eri_bra_slab", eri_bra_slab_scalar)
     f_scalar, _ = SharedFockBuilder(basis, h)(d)
     np.testing.assert_allclose(f_batched, f_scalar, rtol=0.0, atol=1e-11)
 
