@@ -12,7 +12,8 @@ same token, GVB/DFT/CPHF).
 The builder follows the same backend-facing rank-program protocol as
 the RHF algorithms — the two spin channels are stacked into one
 ``(2, nbf, nbf)`` accumulator/density pair so both the deterministic
-sim runtime and the real-process backend can execute it unchanged.
+sim runtime and the real-process backend can execute it unchanged (the
+process wrapper stacks the spin pair it is called with the same way).
 """
 
 from __future__ import annotations
@@ -64,26 +65,3 @@ class UHFPrivateFockBuilder(PrivateFockBuilder):
         W = self._sim_build(np.stack([d_alpha, d_beta]), stats)
         return (*self.assemble(W), stats)
 
-
-class UHFBuilderAdapter:
-    """Adapt a stacked-density (process-backend) builder to UHF's protocol.
-
-    The process backend wraps builders behind the single-argument
-    ``builder(density) -> (fock, stats)`` interface; for UHF the
-    density is the stacked ``(2, nbf, nbf)`` spin pair and ``fock`` is
-    the ``(F_alpha, F_beta)`` tuple from
-    :meth:`UHFPrivateFockBuilder.assemble`.  This shim restores the
-    two-argument protocol :class:`repro.scf.uhf.UHF` drives.
-    """
-
-    def __init__(self, wrapped) -> None:
-        self.wrapped = wrapped
-
-    def __getattr__(self, name: str):
-        return getattr(self.wrapped, name)
-
-    def __call__(
-        self, d_alpha: np.ndarray, d_beta: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, FockBuildStats]:
-        (fa, fb), stats = self.wrapped(np.stack([d_alpha, d_beta]))
-        return fa, fb, stats

@@ -1,8 +1,8 @@
 """Parallel SCF driver: run RHF or UHF on a parallel Fock construction.
 
-A thin composition layer: builds the one-electron matrices once,
-constructs the requested parallel Fock builder, and delegates the SCF
-iteration to :class:`repro.scf.rhf.RHF` / :class:`repro.scf.uhf.UHF`.
+A thin composition layer: builds the one-electron matrices once, picks
+a front-end of the SCF loop (:class:`repro.scf.rhf.RHF` /
+:class:`repro.scf.uhf.UHF`) and the parallel Fock builder it drives.
 Collects the per-iteration Fock-build statistics that the
 memory/performance analyses consume.  :func:`build_scf` is the one path
 from a :class:`~repro.config.SCFConfig` to a driver.
@@ -21,7 +21,7 @@ from repro.core.fock_base import FockBuildStats, ParallelFockBuilderBase
 from repro.core.fock_mpi import MPIOnlyFockBuilder
 from repro.core.fock_private import PrivateFockBuilder
 from repro.core.fock_shared import SharedFockBuilder
-from repro.core.fock_uhf import UHFBuilderAdapter, UHFPrivateFockBuilder
+from repro.core.fock_uhf import UHFPrivateFockBuilder
 from repro.integrals.cache import QuartetCache
 from repro.integrals.onee import kinetic_matrix, nuclear_matrix
 from repro.obs.metrics import get_metrics
@@ -148,9 +148,7 @@ class ParallelSCF:
         scf_recovery: bool = False,
         **builder_kwargs,
     ) -> None:
-        uhf = method == "uhf"
         self.basis = basis
-        self.algorithm = "private-fock" if uhf else algorithm
         self.scf_recovery = scf_recovery
         hcore = kinetic_matrix(basis) + nuclear_matrix(basis)
         self._fock_stats: list[FockBuildStats] = []
@@ -161,36 +159,32 @@ class ParallelSCF:
             ):
                 *focks, stats = self.builder(*densities)
             self._record(stats)
-            return (*focks, stats if uhf else {"fock": stats})
+            return (*focks, stats)
 
-        # The drivers check the electron count against the method first:
-        # a molecule that cannot run fails before any worker starts.
-        if uhf:
+        # The front-ends check the electron count against the method
+        # first: a molecule that cannot run fails before any worker
+        # starts.
+        if method == "uhf":
+            self.algorithm = "private-fock"
             self.driver: RHF | UHF = UHF(
                 basis, multiplicity=multiplicity,
                 fock_builder=recording_builder, criteria=criteria,
                 hcore=hcore,
             )
+            make_inner = UHFPrivateFockBuilder
         else:
+            self.algorithm = algorithm
             self.driver = RHF(
                 basis, recording_builder, criteria=criteria, hcore=hcore
             )
+            make_inner = partial(make_fock_builder, algorithm)
 
         self.backend = make_backend(
             backend, workers=nranks, **(backend_options or {})
         )
-        make_inner = (
-            UHFPrivateFockBuilder if uhf
-            else partial(make_fock_builder, algorithm)
-        )
-        inner = make_inner(
+        self.builder = self.backend.wrap_builder(make_inner(
             basis, hcore, nranks=nranks, nthreads=nthreads, **builder_kwargs
-        )
-        self.builder = self.backend.wrap_builder(inner)
-        if uhf and self.builder is not inner:
-            # A wrapping backend speaks the stacked-density
-            # single-argument protocol; adapt back to (da, db).
-            self.builder = UHFBuilderAdapter(self.builder)
+        ))
         if incremental:
             # Wrap *outside* the backend so the delta-density pass and
             # the tau retune reach sim and process builds identically.
@@ -240,8 +234,8 @@ class ParallelSCF:
         """Run the SCF; returns energy plus per-iteration Fock stats.
 
         Keyword arguments (``restart``, ``checkpoint``, ``recovery``,
-        ``strict``, ...) are forwarded to :meth:`repro.scf.rhf.RHF.run`
-        / :meth:`repro.scf.uhf.UHF.run`.  A propagating
+        ``strict``, ...) are forwarded to
+        :meth:`repro.scf.loop.SCFLoop.run`.  A propagating
         :class:`~repro.resilience.errors.SCFConvergenceError` has its
         partial result re-wrapped as a :class:`ParallelSCFResult` so
         callers keep the per-build statistics too.

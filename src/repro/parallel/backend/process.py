@@ -228,7 +228,11 @@ def _worker_loop(
 
 
 class ProcessFockBuilder:
-    """Drop-in ``builder(density) -> (fock, stats)`` on real processes.
+    """Drop-in for the builder it wraps, on real processes.
+
+    ``builder(density) -> (fock, stats)`` around an RHF builder,
+    ``builder(d_alpha, d_beta) -> (F_alpha, F_beta, stats)`` around the
+    UHF one, whose accumulator stacks the spin pair.
 
     Wraps a sim builder constructed with ``nranks == workers``; the sim
     object itself crosses the fork into every worker, so its
@@ -333,11 +337,12 @@ class ProcessFockBuilder:
 
     # -- the build -----------------------------------------------------------
 
-    def __call__(self, density: np.ndarray) -> tuple[np.ndarray, Any]:
+    def __call__(self, *densities: np.ndarray) -> tuple:
         if self._closed:
             raise RuntimeError("process backend already shut down")
         stats = self.inner._new_stats()
         cycle = self.inner._build_index
+        density = np.reshape(densities, self._density.array.shape)
         self.inner._check_density(density)
         tracer = get_tracer()
         with tracer.span(
@@ -374,7 +379,8 @@ class ProcessFockBuilder:
         stats.reduce_bytes = W.nbytes * self.workers
         self.inner._capture_cache_stats(stats)
         self.inner._record_global(stats)
-        return self.inner.assemble(W), stats
+        focks = self.inner.assemble(W)
+        return (focks, stats) if len(densities) == 1 else (*focks, stats)
 
     def _drain_heartbeats(self) -> None:
         """Fold every queued worker beat into the liveness monitor."""

@@ -75,7 +75,10 @@ class SCFCheckpoint:
     densities:
         ``(D,)`` for RHF, ``(D_alpha, D_beta)`` for UHF.
     diis_focks / diis_errors:
-        The DIIS subspace in push order (possibly empty).
+        The DIIS subspace in push order (possibly empty); each vector
+        is the spin channels stacked, ``(len(densities), nbf, nbf)``
+        (earlier version-2 writers stored the same numbers flat or as
+        one matrix, which a restart reshapes).
     history:
         ``(cycle, 4)`` array of per-cycle records
         ``[iteration, total_energy, density_rms, energy_change]``.

@@ -1,11 +1,13 @@
-"""Self-consistent-field substrate: serial reference RHF.
+"""Self-consistent-field substrate: one SCF loop, RHF and UHF front-ends.
 
-This package provides the ground truth everything else is validated
-against: a dense, einsum-based Fock construction and a straightforward
-restricted Hartree-Fock driver with DIIS acceleration.  The parallel
-algorithms of :mod:`repro.core` plug into the same
-:class:`~repro.scf.rhf.RHF` driver through the ``fock_builder`` hook
-and must produce identical Fock matrices.
+:mod:`repro.scf.loop` holds the cycle (guess, build, DIIS, diagonalize,
+damping, checkpoint/restart, convergence guard, instrumentation) once,
+over a tuple of spin channels; :class:`~repro.scf.rhf.RHF` and
+:class:`~repro.scf.uhf.UHF` supply the channels, the energy expression
+and the result type.  The dense, einsum-based Fock constructions here
+are the ground truth everything else is validated against: the parallel
+algorithms of :mod:`repro.core` plug into the same front-ends through
+the ``fock_builder`` hook and must produce identical Fock matrices.
 """
 
 from repro.scf.fock_dense import DenseFockBuilder, eri_tensor, fock_from_eri

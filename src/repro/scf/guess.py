@@ -20,10 +20,16 @@ def orthogonalizer(S: np.ndarray, *, threshold: float = 1.0e-9) -> np.ndarray:
     return (evecs * inv_sqrt[None, :]) @ evecs.T
 
 
-def density_from_coefficients(C: np.ndarray, nocc: int) -> np.ndarray:
-    """Closed-shell density ``D = 2 C_occ C_occ^T`` from MO coefficients."""
+def density_from_coefficients(
+    C: np.ndarray, nocc: int, occupation: float = 2.0
+) -> np.ndarray:
+    """Density ``D = occupation * C_occ C_occ^T`` of one spin channel.
+
+    The default is the closed-shell density (two electrons per orbital);
+    a spin density has ``occupation=1``.
+    """
     Cocc = C[:, :nocc]
-    return 2.0 * (Cocc @ Cocc.T)
+    return occupation * (Cocc @ Cocc.T)
 
 
 #: Eigenvalues closer than this (Hartree) form one degenerate subspace.

@@ -141,7 +141,7 @@ def test_scf_parity_every_schedule(
 def test_uhf_process_parity(water_sto3g):
     """UHF on the process backend (newly allowed): the stacked-spin
     accumulator reproduces the sim-backend UHF energy exactly."""
-    from repro.core.fock_uhf import UHFBuilderAdapter, UHFPrivateFockBuilder
+    from repro.core.fock_uhf import UHFPrivateFockBuilder
     from repro.scf.uhf import UHF
 
     hcore = core_hamiltonian(water_sto3g)
@@ -155,9 +155,11 @@ def test_uhf_process_parity(water_sto3g):
                 water_sto3g, multiplicity=3, fock_builder=inner
             ).run()
         with make_backend("process", workers=2) as be:
-            builder = UHFBuilderAdapter(be.wrap_builder(inner))
+            # The wrapper carries the spin pair itself: (da, db) in,
+            # (fa, fb, stats) out, as the builder it wraps.
             return UHF(
-                water_sto3g, multiplicity=3, fock_builder=builder
+                water_sto3g, multiplicity=3,
+                fock_builder=be.wrap_builder(inner),
             ).run()
 
     ref = run_uhf("sim")

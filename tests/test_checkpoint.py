@@ -250,6 +250,18 @@ def _interrupt(scf_factory, ck_path, *, stop_after, every):
     return err.value
 
 
+def _assert_same_trace(restarted, full):
+    """The restored trace (cycles 1-4) plus the replayed tail match the
+    uninterrupted trace cycle for cycle, bit for bit."""
+    # resumed at cycle 5: same total cycle count as the uninterrupted run
+    assert restarted.iterations[-1].iteration == full.iterations[-1].iteration
+    assert restarted.niterations == full.niterations
+    for a, b in zip(restarted.iterations, full.iterations):
+        assert a.iteration == b.iteration
+        assert a.energy == b.energy
+        assert a.density_rms == b.density_rms
+
+
 @pytest.mark.parametrize("algorithm,nthreads", [
     ("mpi-only", 1),
     ("private-fock", 2),
@@ -275,16 +287,7 @@ def test_rhf_restart_is_bitwise_identical(
     restarted = factory().run(restart=ck_path)
     assert restarted.converged
     assert restarted.energy == full.energy     # bitwise
-    # resumed at cycle 5: same total cycle count as the uninterrupted run
-    assert (restarted.scf.iterations[-1].iteration
-            == full.scf.iterations[-1].iteration)
-    # the restored trace (cycles 1-4) plus the replayed tail match the
-    # uninterrupted trace cycle for cycle, bit for bit
-    assert len(restarted.scf.iterations) == len(full.scf.iterations)
-    for a, b in zip(restarted.scf.iterations, full.scf.iterations):
-        assert a.iteration == b.iteration
-        assert a.energy == b.energy
-        assert a.density_rms == b.density_rms
+    _assert_same_trace(restarted.scf, full.scf)
 
 
 def test_uhf_restart_is_bitwise_identical(water_sto3g, tmp_path):
@@ -310,8 +313,9 @@ def test_uhf_restart_is_bitwise_identical(water_sto3g, tmp_path):
     restarted = factory().run(restart=ck_path)
     assert restarted.converged
     assert restarted.energy == full.energy
-    # niterations records the final cycle index: same total cycle count
-    assert restarted.niterations == full.niterations
+    _assert_same_trace(restarted, full)
+    for a, b in zip(restarted.densities, full.densities):
+        assert np.array_equal(a, b)
 
 
 def test_restart_conflicts_with_initial_density(water_sto3g, tmp_path):
@@ -319,6 +323,21 @@ def test_restart_conflicts_with_initial_density(water_sto3g, tmp_path):
     ck = _rhf_checkpoint()
     with pytest.raises(ValueError, match="not both"):
         scf.run(restart=ck, initial_density=np.eye(water_sto3g.nbf))
+
+
+@pytest.mark.parametrize("method, other", [("rhf", "uhf"), ("uhf", "rhf")])
+def test_restart_refuses_the_other_methods_checkpoint(
+    method, other, water_sto3g, tmp_path
+):
+    """The shared loop still reads only its own front-end's files."""
+    path = tmp_path / f"{other}.ckpt"
+    ParallelSCF(water_sto3g, "private-fock", method=other, nranks=1).run(
+        checkpoint=CheckpointManager(path, every=1)
+    )
+    assert SCFCheckpoint.load(path).kind == other
+    scf = ParallelSCF(water_sto3g, "private-fock", method=method, nranks=1)
+    with pytest.raises(CheckpointError, match=f"{other.upper()} run"):
+        scf.run(restart=path)
 
 
 def test_restart_rejects_mismatched_checkpoint(water_sto3g, tmp_path):

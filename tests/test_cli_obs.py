@@ -29,9 +29,15 @@ def _scf(water_xyz, runs_dir, *extra):
 # -- registration -------------------------------------------------------------
 
 
-def test_scf_registers_run_with_artifacts(water_xyz, tmp_path, capsys):
+@pytest.mark.parametrize("method_flags", [
+    pytest.param((), id="rhf"),
+    pytest.param(("--uhf", "--multiplicity", "3"), id="uhf"),
+])
+def test_scf_registers_run_with_artifacts(
+    method_flags, water_xyz, tmp_path, capsys
+):
     runs_dir = tmp_path / "runs"
-    rc = _scf(water_xyz, runs_dir, "--telemetry")
+    rc = _scf(water_xyz, runs_dir, "--telemetry", *method_flags)
     out = capsys.readouterr().out
     assert rc == 0
     assert "run id       :" in out
@@ -43,18 +49,27 @@ def test_scf_registers_run_with_artifacts(water_xyz, tmp_path, capsys):
     assert rec["status"] == "done"
     assert rec["config"]["molecule"] == "water"
     assert rec["summary"]["converged"] is True
-    assert rec["summary"]["energy"] == pytest.approx(-74.94207995, abs=1e-6)
+    if not method_flags:
+        assert rec["summary"]["energy"] == pytest.approx(
+            -74.94207995, abs=1e-6)
+    # One front-end is as visible as the other: a cycle is an event.
+    cycles = rec["summary"]["iterations"]
+    assert rec["event_counts"]["scf.cycle"] == cycles
+    assert rec["event_counts"]["scf.converged"] == 1
     metrics = json.loads((run_dir / "metrics.json").read_text())
     assert any(k.startswith("summary.") for k in metrics)
     assert (run_dir / "metrics.prom").read_text().strip()
     assert (run_dir / "events.ndjson").exists()
-    # The telemetry sink captured the run bracket and the SCF cycles.
-    kinds = {
+    # The telemetry sink captured the run bracket and the SCF cycles
+    # (one sample each: the monitor's sparkline is drawn from them).
+    kinds = [
         json.loads(line)["kind"]
         for line in (run_dir / "telemetry.ndjson").read_text().splitlines()
         if line.strip()
-    }
-    assert {"run.start", "scf.cycle", "fock.build", "run.end"} <= kinds
+    ]
+    assert {"run.start", "scf.cycle", "fock.build", "run.end"} <= set(kinds)
+    assert kinds.count("scf.cycle") == cycles
+    assert kinds.count("scf.converged") == 1
 
 
 def test_no_registry_leaves_nothing_behind(water_xyz, tmp_path, capsys):

@@ -157,50 +157,68 @@ def test_recovery_is_bitwise_neutral_on_healthy_run(water_sto3g):
     assert guarded.energy == plain.energy
 
 
-def _diverging_rhf(basis, **kwargs):
-    """An RHF whose Fock builder forces a relentlessly rising energy."""
+def _diverging(method, basis, **kwargs):
+    """A front-end whose Fock builder forces a relentlessly rising energy."""
     from repro.integrals.onee import kinetic_matrix, nuclear_matrix
     from repro.scf.rhf import RHF
+    from repro.scf.uhf import UHF
 
     h = kinetic_matrix(basis) + nuclear_matrix(basis)
     calls = [0]
 
-    def bad_builder(D):
+    def bad_fock():
         calls[0] += 1
-        return h + 0.5 * calls[0] * np.eye(basis.nbf), {}
+        return h + 0.5 * calls[0] * np.eye(basis.nbf)
 
-    return RHF(basis, bad_builder, **kwargs)
+    if method == "rhf":
+        return RHF(basis, lambda D: (bad_fock(), {}), **kwargs)
+    return UHF(
+        basis, multiplicity=3,
+        fock_builder=lambda da, db: (bad_fock(), bad_fock(), {}), **kwargs
+    )
 
 
-def test_exhausted_guard_raises_typed_error_with_partial_result(water_sto3g):
+METHODS = pytest.mark.parametrize("method", ["rhf", "uhf"])
+
+
+@METHODS
+def test_exhausted_guard_raises_typed_error_with_partial_result(
+    method, water_sto3g
+):
+    from repro.obs.events import EventLog, use_event_log
     from repro.scf.convergence import ConvergenceCriteria
 
-    rhf = _diverging_rhf(
-        water_sto3g, criteria=ConvergenceCriteria(max_iterations=60)
+    scf = _diverging(
+        method, water_sto3g, criteria=ConvergenceCriteria(max_iterations=60)
     )
-    with pytest.raises(SCFConvergenceError) as err:
-        rhf.run(recovery=ConvergenceGuard(window=6, patience=3))
+    log = EventLog()
+    with use_event_log(log), pytest.raises(SCFConvergenceError) as err:
+        scf.run(recovery=ConvergenceGuard(window=6, patience=3))
     assert err.value.stages_applied == RECOVERY_STAGES
     partial = err.value.result
     assert partial is not None
     assert not partial.converged
     assert partial.niterations < 60            # gave up before the cycle cap
+    # damping -> level shift -> DIIS reset, each one announced, then out
+    climbed = [
+        (ev.fields["stage"], ev.fields["cycle"])
+        for ev in log if ev.kind == "scf.recovery"
+    ]
+    assert climbed == list(zip(RECOVERY_STAGES, (6, 9, 12)))
+    assert partial.niterations == 15
 
 
-def test_nonconvergence_raises_in_strict_mode_only(water_sto3g):
+@METHODS
+def test_nonconvergence_raises_in_strict_mode_only(method, water_sto3g):
     from repro.scf.convergence import ConvergenceCriteria
 
-    rhf = _diverging_rhf(
-        water_sto3g, criteria=ConvergenceCriteria(max_iterations=3)
-    )
+    criteria = ConvergenceCriteria(max_iterations=3)
     with pytest.raises(SCFConvergenceError) as err:
-        rhf.run()
+        _diverging(method, water_sto3g, criteria=criteria).run()
     assert err.value.result is not None
     assert err.value.result.niterations == 3
+    assert err.value.stages_applied == ()
 
-    rhf2 = _diverging_rhf(
-        water_sto3g, criteria=ConvergenceCriteria(max_iterations=3)
-    )
-    res = rhf2.run(strict=False)
+    res = _diverging(method, water_sto3g, criteria=criteria).run(strict=False)
     assert not res.converged
     assert res.niterations == 3

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,18 +180,27 @@ def test_perfsim_assignment_metered():
 # -- SCF tracing + CLI --------------------------------------------------------
 
 
-def test_scf_trace_covers_run(water_sto3g):
+@pytest.mark.parametrize("method, algorithm, fock_spans", [
+    pytest.param("rhf", "shared-fock",
+                 {"fock/kl", "fock/flush_fi", "fock/flush_fj"}, id="rhf"),
+    pytest.param("uhf", "private-fock",
+                 {"fock/jk", "fock/thread_reduce"}, id="uhf"),
+])
+def test_scf_trace_covers_run(method, algorithm, fock_spans, water_sto3g):
     tracer = Tracer()
-    scf = ParallelSCF(water_sto3g, "shared-fock", nranks=2, nthreads=2)
+    scf = ParallelSCF(
+        water_sto3g, algorithm, method=method, nranks=2, nthreads=2
+    )
     with use_tracer(tracer):
         res = scf.run()
     assert res.converged
     roots = [s.name for s in tracer.roots]
     assert roots == ["scf/run"]
-    names = {s.name for s in tracer.walk()}
-    assert {"scf/iteration", "scf/fock_build", "fock/build",
-            "fock/kl", "fock/flush_fi", "fock/flush_fj",
-            "scf/diagonalize"} <= names
+    names = Counter(s.name for s in tracer.walk())
+    assert {"scf/fock_build", "fock/build", *fock_spans} <= set(names)
+    # The loop's own spans, once a cycle, whichever front-end drives it.
+    for name in ("scf/iteration", "scf/diis", "scf/diagonalize"):
+        assert names[name] == res.scf.niterations
     run_span = tracer.roots[0]
     # Iterations account for nearly all of the run span.
     iter_total = sum(c.duration for c in run_span.children)
@@ -271,6 +282,40 @@ def test_profile_cli_emits_valid_artifacts(tmp_path, capsys):
     recs = [json.loads(ln) for ln in metrics_lines]
     assert any(r.get("metric") == "dlb.grants" for r in recs)
     assert any("fock_build" in r for r in recs)
+
+
+FIXTURES = Path(__file__).resolve().parents[1] / "benchmarks/e2e/fixtures"
+
+
+@pytest.mark.parametrize("xyz, flags, cycles", [
+    pytest.param("allene.xyz", ["--algorithm", "shared-fock"], 14, id="rhf"),
+    pytest.param("ethyl.xyz", ["--uhf", "--multiplicity", "2"], 15, id="uhf"),
+])
+def test_profile_cli_writes_one_span_and_event_per_cycle(
+    xyz, flags, cycles, tmp_path, capsys
+):
+    """A UHF run is as visible as an RHF one: both front-ends run the
+    one instrumented loop (a UHF profile used to write none of these)."""
+    rc = main([
+        "profile", str(FIXTURES / xyz), *flags, "--ranks", "2",
+        "--threads", "2", "--output-dir", str(tmp_path),
+        "--runs-dir", str(tmp_path / "runs"),
+    ])
+    assert rc == 0
+    assert f"{cycles} iterations" in capsys.readouterr().out
+
+    def count(path, key):
+        return Counter(
+            json.loads(line)[key]
+            for line in (tmp_path / path).read_text().splitlines()
+        )
+
+    spans = count("spans.ndjson", "span")
+    assert [spans[name] for name in (
+        "scf/run", "scf/iteration", "scf/diis", "scf/diagonalize",
+    )] == [1, cycles, cycles, cycles]
+    events = count("events.ndjson", "event")
+    assert (events["scf.cycle"], events["scf.converged"]) == (cycles, 1)
 
 
 def test_profile_cli_mpi_only_forces_single_thread(tmp_path, capsys):

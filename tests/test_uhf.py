@@ -36,6 +36,10 @@ def test_hydrogen_atom_reference():
     assert math.isclose(res.energy, -0.4665819, abs_tol=1e-6)
     assert res.s_squared == pytest.approx(0.75)
     assert res.spin_contamination == pytest.approx(0.0)
+    # ... as a function of the stored electron counts, not of a field
+    # only UHF.run knew how to fill in.
+    assert (res.nalpha, res.nbeta) == (1, 0)
+    assert "_exact_s2" not in repr(res)
 
 
 def test_inconsistent_multiplicity_rejected(water_sto3g):
@@ -103,3 +107,51 @@ def test_uhf_without_diis(oh_radical):
     ref = UHF(oh_radical, multiplicity=2).run()
     assert res.converged
     assert math.isclose(res.energy, ref.energy, abs_tol=1e-6)
+
+
+def test_uhf_takes_static_damping_like_rhf(oh_radical, water_sto3g):
+    """``damping`` is the loop's: same validation, same mixing, same
+    fixed point on either front-end."""
+    from repro.scf.convergence import ConvergenceCriteria
+
+    for make in (RHF, UHF):
+        for bad in (0.0, 1.5):
+            with pytest.raises(ValueError, match="damping"):
+                make(water_sto3g, damping=bad)
+
+    def first_cycle(**kwargs):
+        return UHF(
+            oh_radical, multiplicity=2, use_diis=False,
+            criteria=ConvergenceCriteria(max_iterations=1), **kwargs
+        ).run(strict=False)
+
+    # Cycle 1 ends 3/4 of the undamped step away from the core guess,
+    # in both spin densities.
+    plain, damped = first_cycle(), first_cycle(damping=0.25)
+    assert damped.iterations[0].density_rms == pytest.approx(
+        0.75 * plain.iterations[0].density_rms)
+    for d, p in zip(damped.densities, plain.densities):
+        assert not np.allclose(d, p)
+
+    ref = UHF(oh_radical, multiplicity=2).run()
+    for kwargs in ({"damping": 0.3}, {"damping": 0.2, "use_diis": False}):
+        res = UHF(oh_radical, multiplicity=2, **kwargs).run()
+        assert res.converged
+        assert math.isclose(res.energy, ref.energy, abs_tol=1e-8)
+
+
+def test_uhf_starts_from_initial_densities_like_rhf(oh_radical):
+    from repro.resilience.checkpoint import SCFCheckpoint
+
+    ref = UHF(oh_radical, multiplicity=2).run()
+    start = tuple(d.copy() for d in ref.densities)
+    again = UHF(oh_radical, multiplicity=2).run(initial_densities=start)
+    assert again.converged
+    assert again.niterations < ref.niterations     # already at the fixed point
+    assert math.isclose(again.energy, ref.energy, abs_tol=1e-9)
+    for given, kept in zip(start, ref.densities):
+        assert np.array_equal(given, kept)         # copied, not iterated on
+
+    ck = SCFCheckpoint(kind="uhf", cycle=1, energy=0.0, densities=start)
+    with pytest.raises(ValueError, match="not both"):
+        UHF(oh_radical, multiplicity=2).run(restart=ck, initial_densities=start)
