@@ -50,6 +50,14 @@ Every command accepts ``--log-level`` / ``--quiet`` (before or after
 the subcommand name): diagnostics go to stderr via :mod:`logging`,
 primary results stay on stdout, so piped output remains parseable.
 
+The entry point owns the process' thread budget: :func:`main` sets
+``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS`` / ``MKL_NUM_THREADS`` to 1
+unless the environment already sets them, before any command imports
+NumPy — the ranks and threads a run asks for are its parallelism, and a
+BLAS pool under each would only oversubscribe the cores.  Daemons, fleet
+workers and process-backend ranks inherit the setting.  Importing
+:mod:`repro` or this module changes nothing.
+
 This module is the entry point only; the verbs live in
 :mod:`repro.commands`, one module per verb group.
 """
@@ -62,6 +70,9 @@ import sys
 
 from repro.commands import add_logging_args, fail, obs, paper, run, service
 from repro.config import ConfigError
+
+#: Thread-pool sizes of the BLAS / OpenMP runtimes :func:`main` pins to 1.
+THREAD_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,6 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
+    for name in THREAD_ENV_VARS:  # before NumPy is imported: see above
+        os.environ.setdefault(name, "1")
     from repro.obs.logctl import setup_logging
 
     args = build_parser().parse_args(argv)

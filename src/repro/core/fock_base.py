@@ -24,8 +24,8 @@ from repro.core.quartets import (
     symmetrize_two_electron,
 )
 from repro.core.screening import DEFAULT_TAU, Screening
+from repro.integrals.basis_setup import basis_setup
 from repro.integrals.cache import QuartetCache
-from repro.integrals.schwarz import schwarz_matrix
 from repro.obs.events import get_event_log
 from repro.obs.metrics import MetricsRegistry, get_metrics
 from repro.obs.tracer import get_tracer
@@ -278,7 +278,8 @@ class ParallelFockBuilderBase:
         Simulated MPI x OpenMP geometry.
     screening:
         A prepared :class:`~repro.core.screening.Screening`; when
-        omitted, the exact Schwarz matrix is computed.
+        omitted, the exact Schwarz matrix of the basis' set-up memo
+        (:func:`~repro.integrals.basis_setup.basis_setup`) is used.
     tau:
         Integral threshold used when ``screening`` is omitted.
     eri_cache:
@@ -351,7 +352,7 @@ class ParallelFockBuilderBase:
         self.eri_cache = eri_cache
         self.engine = QuartetEngine(basis, cache=eri_cache)
         if screening is None:
-            screening = Screening(schwarz_matrix(basis), tau)
+            screening = Screening(basis_setup(basis).Q, tau)
         self.screening = screening
         if schedule not in SCHEDULE_NAMES:
             raise ValueError(

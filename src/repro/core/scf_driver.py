@@ -1,7 +1,8 @@
 """Parallel SCF driver: run RHF or UHF on a parallel Fock construction.
 
-A thin composition layer: builds the one-electron matrices once, picks
-a front-end of the SCF loop (:class:`repro.scf.rhf.RHF` /
+A thin composition layer: reads the basis' one-electron set-up from its
+memo (:func:`~repro.integrals.basis_setup.basis_setup`), picks a
+front-end of the SCF loop (:class:`repro.scf.rhf.RHF` /
 :class:`repro.scf.uhf.UHF`) and the parallel Fock builder it drives.
 Collects the per-iteration Fock-build statistics that the
 memory/performance analyses consume.  :func:`build_scf` is the one path
@@ -22,8 +23,8 @@ from repro.core.fock_mpi import MPIOnlyFockBuilder
 from repro.core.fock_private import PrivateFockBuilder
 from repro.core.fock_shared import SharedFockBuilder
 from repro.core.fock_uhf import UHFPrivateFockBuilder
+from repro.integrals.basis_setup import basis_setup
 from repro.integrals.cache import QuartetCache
-from repro.integrals.onee import kinetic_matrix, nuclear_matrix
 from repro.obs.metrics import get_metrics
 from repro.obs.telemetry import get_telemetry
 from repro.obs.tracer import get_tracer
@@ -150,7 +151,7 @@ class ParallelSCF:
     ) -> None:
         self.basis = basis
         self.scf_recovery = scf_recovery
-        hcore = kinetic_matrix(basis) + nuclear_matrix(basis)
+        hcore = basis_setup(basis).hcore
         self._fock_stats: list[FockBuildStats] = []
 
         def recording_builder(*densities: np.ndarray):
@@ -169,14 +170,11 @@ class ParallelSCF:
             self.driver: RHF | UHF = UHF(
                 basis, multiplicity=multiplicity,
                 fock_builder=recording_builder, criteria=criteria,
-                hcore=hcore,
             )
             make_inner = UHFPrivateFockBuilder
         else:
             self.algorithm = algorithm
-            self.driver = RHF(
-                basis, recording_builder, criteria=criteria, hcore=hcore
-            )
+            self.driver = RHF(basis, recording_builder, criteria=criteria)
             make_inner = partial(make_fock_builder, algorithm)
 
         self.backend = make_backend(

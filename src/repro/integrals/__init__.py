@@ -16,11 +16,15 @@ over contracted Cartesian Gaussian shells:
 * :mod:`repro.integrals.schwarz` — exact Cauchy-Schwarz bounds
   :math:`Q_{ij} = \\sqrt{(ij|ij)}` over composite shells, from the same
   stacks and kernel.
+* :mod:`repro.integrals.basis_setup` — S, H, X and Q of a basis, each
+  computed once per basis instance and read-only
+  (:func:`~repro.integrals.basis_setup.basis_setup`).
 * :mod:`repro.integrals.cache` — memory-bounded LRU cache of ERI slabs,
   one entry per bra (semi-direct SCF).
 * :mod:`repro.integrals.multipole` — dipole integrals (post-SCF).
 """
 
+from repro.integrals.basis_setup import basis_setup
 from repro.integrals.boys import boys
 from repro.integrals.cache import QuartetCache
 from repro.integrals.eri import (
@@ -36,6 +40,7 @@ from repro.integrals.onee import kinetic_matrix, nuclear_matrix, overlap_matrix
 from repro.integrals.schwarz import schwarz_matrix
 
 __all__ = [
+    "basis_setup",
     "boys",
     "QuartetCache",
     "PairStack",

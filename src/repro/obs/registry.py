@@ -154,13 +154,21 @@ class RunRegistry:
     # -- writing -------------------------------------------------------------
 
     def register(
-        self, kind: str, *, config: dict[str, Any] | None = None
+        self, kind: str, *, config: dict[str, Any] | None = None,
+        run_id: str | None = None,
     ) -> RunHandle | None:
-        """Open a new run record; returns ``None`` when the fs refuses."""
-        run_id = new_run_id()
+        """Open a new run record; returns ``None`` when the fs refuses.
+
+        ``run_id`` adopts an id minted earlier with :func:`new_run_id`
+        (whose directory may already exist): the service daemon journals
+        a job's run id and hands the job to a worker — which streams its
+        spans under the run's directory — before it registers the run.
+        """
+        adopted = run_id is not None
+        run_id = run_id if adopted else new_run_id()
         directory = self.root / run_id
         try:
-            directory.mkdir(parents=True, exist_ok=False)
+            directory.mkdir(parents=True, exist_ok=adopted)
         except OSError as exc:
             logger.warning("cannot register run under %s: %s", self.root, exc)
             return None

@@ -306,9 +306,10 @@ def _attempt_boundaries(jj: JobJournal) -> list[dict[str, Any]]:
             continue
         attempt = rec.get("attempt")
         if attempt is None or (bounds and bounds[-1]["attempt"] == attempt):
-            # The run_id/degraded/resumed annotations arrive as a
-            # second "running" record (no attempt counter) right after
-            # the claim; merge them into the open attempt.
+            # Journals of earlier builds carry the run_id/degraded/
+            # resumed annotations in a second "running" record (no
+            # attempt counter) right after the claim; merge them into
+            # the open attempt.
             if bounds and rec.get("resumed"):
                 bounds[-1]["resumed"] = True
             continue

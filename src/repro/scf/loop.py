@@ -19,7 +19,7 @@ from typing import Any, Protocol, Sequence
 import numpy as np
 
 from repro.chem.basis.basisset import BasisSet
-from repro.integrals.onee import kinetic_matrix, nuclear_matrix, overlap_matrix
+from repro.integrals.basis_setup import basis_setup
 from repro.obs.events import get_event_log
 from repro.obs.telemetry import get_telemetry
 from repro.obs.tracer import get_tracer
@@ -29,8 +29,7 @@ from repro.resilience.errors import NonFiniteDensityError, SCFConvergenceError
 from repro.resilience.recovery import ConvergenceGuard, level_shifted
 from repro.scf.convergence import ConvergenceCriteria, density_rms_change
 from repro.scf.diis import DIIS
-from repro.scf.guess import (
-    density_from_coefficients, diagonalize_fock, orthogonalizer)
+from repro.scf.guess import density_from_coefficients, diagonalize_fock
 
 
 @dataclass
@@ -125,10 +124,10 @@ class SCFLoop:
         density is ``(1 - damping) * D_new + damping * D_old``.  A
         robustness aid for hard cases; applied only while DIIS has not
         yet accumulated two iterates (or throughout, without DIIS).
-    hcore:
-        The core Hamiltonian ``T + V`` when the caller already has it
-        (the parallel driver builds it once for the Fock builder too);
-        evaluated here otherwise.
+
+    ``S``, ``hcore`` and ``X`` are the basis' read-only set-up memo
+    (:func:`~repro.integrals.basis_setup.basis_setup`): a second loop
+    on a live basis evaluates no one-electron integral.
     """
 
     #: Checkpoint ``kind``: a run resumes only from its own method's file.
@@ -147,7 +146,6 @@ class SCFLoop:
         criteria: ConvergenceCriteria | None = None,
         use_diis: bool = True,
         damping: float | None = None,
-        hcore: np.ndarray | None = None,
     ) -> None:
         if damping is not None and not (0.0 < damping < 1.0):
             raise ValueError("damping must be in (0, 1)")
@@ -157,12 +155,8 @@ class SCFLoop:
         self.use_diis = use_diis
         self.damping = damping
 
-        self.S = overlap_matrix(basis)
-        self.hcore = (
-            hcore if hcore is not None
-            else kinetic_matrix(basis) + nuclear_matrix(basis)
-        )
-        self.X = orthogonalizer(self.S)
+        setup = basis_setup(basis)
+        self.S, self.hcore, self.X = setup.S, setup.hcore, setup.X
         self.enuc = basis.molecule.nuclear_repulsion()
         if fock_builder is None:
             fock_builder = self.dense_builder(basis, self.hcore)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.chem.basis.basisset import BasisSet
+from repro.integrals.basis_setup import basis_setup
 from repro.integrals.multipole import dipole_matrices
-from repro.integrals.onee import overlap_matrix
 
 #: 1 atomic unit of electric dipole in Debye.
 AU_TO_DEBYE: float = 2.541746473
@@ -63,7 +63,7 @@ def mulliken_populations(
 
     ``q_A = Z_A - sum_{mu in A} (D S)_{mu mu}``.
     """
-    S = overlap if overlap is not None else overlap_matrix(basis)
+    S = overlap if overlap is not None else basis_setup(basis).S
     ds_diag = np.einsum("mn,nm->m", density, S)
     natoms = basis.molecule.natoms
     pops = np.zeros(natoms)

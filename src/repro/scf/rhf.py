@@ -40,7 +40,7 @@ class RHF(SCFLoop):
         reference builder.  The builder receives the density and must
         return the *full* Fock matrix (core Hamiltonian included) plus a
         stats dict.
-    criteria, use_diis, damping, hcore:
+    criteria, use_diis, damping:
         As on :class:`~repro.scf.loop.SCFLoop`.
     """
 

@@ -88,7 +88,7 @@ class UHF(SCFLoop):
     fock_builder:
         Optional spin-Fock construction, ``builder(d_alpha, d_beta) ->
         (F_alpha, F_beta, stats)``; defaults to the dense builder.
-    criteria, use_diis, damping, hcore:
+    criteria, use_diis, damping:
         As on :class:`~repro.scf.loop.SCFLoop`.
     """
 

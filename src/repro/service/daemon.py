@@ -46,13 +46,14 @@ import socket
 import threading
 import time
 from dataclasses import asdict, dataclass
+from functools import partial
 from multiprocessing.connection import wait as wait_for_any
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro.obs.events import EventLog, get_event_log, set_event_log
 from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
-from repro.obs.registry import RunHandle, RunRegistry
+from repro.obs.registry import RunHandle, RunRegistry, new_run_id
 from repro.obs.slo import DEFAULT_SLO_TARGETS, SLOEngine, job_class
 from repro.obs.telemetry import (
     TelemetryChannel,
@@ -65,7 +66,7 @@ from repro.service.errors import (
     JobNotFound,
     ServiceError,
 )
-from repro.service.jobs import TERMINAL_STATES, JobSpec
+from repro.service.jobs import TERMINAL_STATES, Job, JobSpec
 from repro.service.queue import DEFAULT_MAX_DEPTH, DurableJobQueue
 from repro.service.retry import TERMINAL, RetryPolicy, classify
 from repro.service.supervisor import (
@@ -154,6 +155,8 @@ class ServiceDaemon:
         self.serve_run: RunHandle | None = None
         self.slo: SLOEngine | None = None
         self._job_runs: dict[str, RunHandle] = {}
+        # Registry writes deferred past the dispatch (_flush_registry).
+        self._registry_writes: list[Callable[[], None]] = []
         # Per-job latency accounting on the shared perf_counter base:
         # {"submit_pt", "ready_pt", "dispatch_pt"?, "queue_wait", "run"}.
         self._timing: dict[str, dict[str, float]] = {}
@@ -377,9 +380,10 @@ class ServiceDaemon:
                 outcomes = self.fleet.poll()
                 for outcome in outcomes:
                     self._fold_outcome(outcome)
+                self._dispatch_ready()
+                self._flush_registry()
                 if outcomes:
                     self._notify_settled()
-                self._dispatch_ready()
                 idle_at = self._idle_deadline()
                 if idle_at is not None and time.monotonic() > idle_at:
                     logger.info("idle for %gs; exiting",
@@ -452,6 +456,8 @@ class ServiceDaemon:
         self._notify_settled()
         if self.fleet is not None:
             self.fleet.shutdown()
+        with self._lock:  # a pass may still be finishing on another thread
+            self._flush_registry()
         if self._server is not None:
             close_listener(self._server, self._accept_thread)
         if self.channel is not None:
@@ -516,37 +522,45 @@ class ServiceDaemon:
         return job_dir / "scf.ckpt"
 
     def _dispatch_ready(self) -> None:
+        """Hand ready jobs to idle workers.
+
+        Per job: ONE fsync'd ``running`` record carrying the attempt and
+        the registry run id minted for it claims the job — journal
+        first, then the change, as for every transition — and then the
+        hand-off.  The worker creates the run's ``trace/`` directory
+        itself; registering the run is queued for
+        :meth:`_flush_registry`, after every ready job is on its way.
+        A cancel cannot land between the pick and the claim: it takes
+        :attr:`_lock`, which the loop holds.
+        """
         while self.fleet.idle_slots():
-            job = self.queue.claim_next()
+            job = self.queue.next_ready()
             if job is None:
                 return
             ckpt = self._checkpoint_path(job.id)
-            resumed = ckpt.exists()
-            extra: dict[str, Any] = {}
-            # The registry run must exist *before* the worker starts:
-            # its directory is where the worker streams the attempt's
-            # span NDJSON that trace assembly stitches later.
-            if job.id not in self._job_runs and self.registry is not None:
-                handle = self.registry.register("job", config={
-                    "job_id": job.id,
-                    "tag": job.spec.tag,
-                    "basis": job.spec.basis,
-                    "algorithm": job.spec.algorithm,
-                    "backend": job.spec.backend,
-                    "nranks": job.spec.nranks,
-                    "nthreads": job.spec.nthreads,
-                    "trace_id": job.trace_id,
-                })
-                if handle is not None:
-                    self._job_runs[job.id] = handle
-                    extra["run_id"] = handle.run_id
+            fields: dict[str, Any] = {"attempt": job.attempt + 1}
             handle = self._job_runs.get(job.id)
+            run_id = (handle.run_id if handle is not None
+                      else new_run_id() if self.registry is not None
+                      else None)
+            if run_id is not None:
+                fields["run_id"] = run_id
+            if ckpt.exists():
+                # Trace assembly synthesizes the checkpoint.resume
+                # segment from this flag.
+                fields["resumed"] = True
+            degraded = self.fleet.degrades(job)
+            newly_degraded = degraded and not job.degraded
+            if newly_degraded:
+                fields["degraded"] = True
+            self.queue.transition(job.id, "running", **fields)
+
             trace: dict[str, Any] | None = None
-            if job.trace_id is not None and handle is not None:
+            if job.trace_id is not None and run_id is not None:
                 trace = {
                     "trace_id": job.trace_id,
                     "root_span_id": job.root_span_id,
-                    "obs_dir": str(handle.path("trace")),
+                    "obs_dir": str(self.registry.run_dir(run_id) / "trace"),
                 }
             now_pt = time.perf_counter()
             timing = self._timing.setdefault(job.id, {
@@ -558,14 +572,13 @@ class ServiceDaemon:
             })
             timing["queue_wait"] += max(0.0, now_pt - timing["ready_pt"])
             timing["dispatch_pt"] = now_pt
-            info = self.fleet.dispatch(job, checkpoint=ckpt, restart=ckpt,
+            slot = self.fleet.dispatch(job, degraded=degraded,
+                                       checkpoint=ckpt, restart=ckpt,
                                        trace=trace)
-            if resumed:
-                # Journaled on the running transition so trace assembly
-                # can synthesize the checkpoint.resume segment.
-                extra["resumed"] = True
-            if info["degraded"] and not job.degraded:
-                extra["degraded"] = True
+            if run_id is not None:
+                self._registry_writes.append(partial(
+                    self._record_job_run, job, run_id, newly_degraded))
+            if newly_degraded:
                 self.channel.publish(
                     "service.degraded",
                     job=job.id,
@@ -573,18 +586,12 @@ class ServiceDaemon:
                     budget=self.config.process_budget,
                     in_use=self.fleet.process_ranks_in_use(),
                 )
-                handle = self._job_runs.get(job.id)
-                if handle is not None:
-                    handle.record["degraded"] = True
-                    handle.save()
-            if extra:
-                self.queue.transition(job.id, "running", **extra)
             self.channel.publish(
                 "job.dispatched",
                 job=job.id,
                 attempt=job.attempt,
-                slot=info["slot"],
-                degraded=bool(info["degraded"] or job.degraded),
+                slot=slot,
+                degraded=job.degraded,
                 resumed=job.interrupted or job.attempt > 1,
             )
 
@@ -714,15 +721,51 @@ class ServiceDaemon:
                 **latency,
             })
 
+    def _record_job_run(self, job: Job, run_id: str, degraded: bool) -> None:
+        """Register a dispatched job's registry run (first attempt in this
+        daemon) and record a degradation on it."""
+        handle = self._job_runs.get(job.id)
+        if handle is None:
+            handle = self.registry.register("job", run_id=run_id, config={
+                "job_id": job.id,
+                "tag": job.spec.tag,
+                "basis": job.spec.basis,
+                "algorithm": job.spec.algorithm,
+                "backend": job.spec.backend,
+                "nranks": job.spec.nranks,
+                "nthreads": job.spec.nthreads,
+                "trace_id": job.trace_id,
+            })
+            if handle is None:
+                return
+            self._job_runs[job.id] = handle
+        if degraded:
+            handle.record["degraded"] = True
+            handle.save()
+
     def _finalize_job_run(self, job_id: str, status: str,
                           summary: dict[str, Any] | None = None) -> None:
+        """Queue the close of a settled job's registry record."""
         handle = self._job_runs.pop(job_id, None)
         if handle is not None:
-            handle.finalize(status=status, summary=summary)
-        self._prune_registry()
+            self._registry_writes.append(
+                partial(handle.finalize, status=status, summary=summary))
+
+    def _flush_registry(self) -> None:
+        """Write the registry records queued since the last flush, then
+        apply the ``--keep`` retention policy.
+
+        The dispatch loop flushes after its hand-offs: a worker never
+        waits for a ``run.json`` — not its own, not its predecessor's.
+        """
+        writes, self._registry_writes = self._registry_writes, []
+        for write in writes:
+            write()
+        if writes:
+            self._prune_registry()
 
     def _prune_registry(self) -> None:
-        """Apply the ``--keep`` retention policy after each job settles."""
+        """Apply the ``--keep`` retention policy."""
         if self.registry is None or self.config.keep_runs is None:
             return
         protect = {h.run_id for h in self._job_runs.values()}
@@ -856,6 +899,7 @@ class ServiceDaemon:
                     self.jobs_cancelled += 1
                     self.channel.publish("job.cancelled", job=job.id)
                     self._finalize_job_run(job.id, "cancelled")
+                    self._flush_registry()
                     self._wake_loop()  # a slot may have come free
                     self._notify_settled()
             return {"ok": True, "job": job.public_dict()}

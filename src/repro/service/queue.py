@@ -10,6 +10,14 @@ anything the daemon has acknowledged to a client:
 * ``{"op": "recover", ...}``             — a replay marker written when
   a restarted daemon adopts the journal
 
+An attempt starts with exactly one ``running`` record carrying
+``attempt`` and ``run_id`` (plus ``resumed`` / ``degraded`` when set),
+written by the dispatcher before the worker gets the job: it picks the
+job with :meth:`DurableJobQueue.next_ready`, which changes nothing, and
+claims it with that one transition.  Journals of earlier builds hold
+two ``running`` records per attempt (the claim, then the annotations);
+replay folds both shapes to the same jobs.
+
 Crash model: a SIGKILL'd daemon loses nothing it acknowledged.
 Replay (:meth:`DurableJobQueue.replay`) folds the journal back into
 jobs; jobs that were ``running`` at the crash return to ``pending``
@@ -250,13 +258,15 @@ class DurableJobQueue:
                 setattr(job, name, value)
             return job
 
-    def claim_next(self, now: float | None = None) -> Job | None:
-        """Atomically move the first dispatchable job to ``running``.
+    def next_ready(self, now: float | None = None) -> Job | None:
+        """The first dispatchable job, unchanged; ``None`` when nothing
+        is ready.
 
         FIFO over submission order, gated by each job's ``not_before``
         (the retry backoff); ``retrying`` jobs become dispatchable the
-        moment their gate passes.  Returns ``None`` when nothing is
-        ready.
+        moment their gate passes.  The caller claims the job with one
+        ``running`` :meth:`transition` carrying ``attempt=job.attempt +
+        1`` and whatever else the attempt needs journaled.
         """
         now = self.clock() if now is None else now
         with self._lock:
@@ -266,10 +276,18 @@ class DurableJobQueue:
                     continue
                 if job.not_before > now:
                     continue
-                return self.transition(
-                    job.id, "running", attempt=job.attempt + 1
-                )
+                return job
             return None
+
+    def claim_next(self, now: float | None = None) -> Job | None:
+        """Atomically move the first dispatchable job (:meth:`next_ready`)
+        to ``running``: one journal record, then the change."""
+        with self._lock:
+            job = self.next_ready(now)
+            if job is None:
+                return None
+            return self.transition(job.id, "running",
+                                   attempt=job.attempt + 1)
 
     def next_wakeup(self) -> float | None:
         """Earliest ``not_before`` among pending jobs still gated."""

@@ -2,12 +2,14 @@
 
 The fleet is the service's execution layer.  Each *slot* owns one
 long-lived forked worker process running :func:`_service_worker_loop`:
-jobs arrive over a per-slot command queue, results and heartbeats come
-back over one shared outcome queue.  Workers persist across jobs, so a
-stream of requests for the same system reuses the warm
-molecule/basis/Schwarz setup (:func:`run_job`'s ``setup_cache``) —
-the job-level analogue of the paper's persistent MPI fleet amortizing
-setup across Fock builds.
+jobs arrive over a per-slot command pipe (written by the dispatching
+thread itself, no feeder thread in between), results and heartbeats
+come back over one shared outcome queue.  Workers import the SCF stack
+while they idle and persist across jobs, so a stream of requests for
+the same system reuses the warm molecule/basis set-up (:func:`run_job`'s
+``setup_cache``, which keeps the basis — and with it its one-electron,
+orthogonaliser and Schwarz memo — alive) — the job-level analogue of
+the paper's persistent MPI fleet amortizing setup across Fock builds.
 
 Supervision reuses the PR-6 :class:`~repro.parallel.backend.heartbeat
 .HeartbeatMonitor` verbatim — one "rank" per slot, one "cycle" per job
@@ -263,6 +265,11 @@ def _service_worker_loop(slot: int, cmd: Any, out: Any,
     connections forever) and the parent's global telemetry/event/metric
     instruments (publishing from here would interleave onto the
     parent's subscriber sockets).
+
+    Then it imports the SCF stack :func:`run_job` needs, while it idles:
+    the daemon does not wait for it (its first ping answers with this
+    worker idle either way), and a fleet's first job no longer pays the
+    imports inside its run.
     """
     from repro.obs.events import set_event_log
     from repro.obs.export import span_line
@@ -282,6 +289,12 @@ def _service_worker_loop(slot: int, cmd: Any, out: Any,
     set_metrics(MetricsRegistry())
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # daemon handles ^C
 
+    import repro.chem.basis  # noqa: F401  (warm-up: see the docstring)
+    import repro.chem.molecule  # noqa: F401
+    import repro.core.scf_driver  # noqa: F401
+    import repro.integrals.cache  # noqa: F401
+    import repro.resilience  # noqa: F401
+
     pid = os.getpid()
     interval = cfg.get("beat_interval_s", DEFAULT_BEAT_INTERVAL_S)
     setup_cache: dict[str, Any] = {}
@@ -290,11 +303,11 @@ def _service_worker_loop(slot: int, cmd: Any, out: Any,
     eri_cache_pool: dict[Any, Any] = {}
 
     while True:
-        msg = cmd.get()
+        msg = cmd.recv()
         if msg[0] == "stop":
             return
         job = msg[1]
-        spec = JobSpec.from_dict(job["spec"])
+        spec = job["spec"]
         job_id, attempt = job["id"], int(job["attempt"])
         last_beat = 0.0
 
@@ -403,7 +416,7 @@ class WorkerSlot:
 
     index: int
     proc: Any = None
-    cmd: Any = None
+    cmd: Any = None  # write end of the worker's command pipe
     job_id: str | None = None
     attempt: int = 0
     process_ranks: int = 0  # real backend workers this job consumes
@@ -474,14 +487,17 @@ class WorkerFleet:
     # -- worker lifecycle ----------------------------------------------------
 
     def _spawn(self, slot: WorkerSlot) -> None:
-        slot.cmd = self._ctx.Queue()
+        if slot.cmd is not None:
+            slot.cmd.close()
+        commands, slot.cmd = self._ctx.Pipe(duplex=False)
         slot.proc = self._ctx.Process(
             target=_service_worker_loop,
-            args=(slot.index, slot.cmd, self._out, self._cfg),
+            args=(slot.index, commands, self._out, self._cfg),
             name=f"scf-job-worker-{slot.index}",
             daemon=False,  # must be able to fork process-backend workers
         )
         slot.proc.start()
+        commands.close()  # the worker's end; later forks must not hold it
 
     def _ensure_alive(self, slot: WorkerSlot) -> None:
         if slot.proc is None or not slot.proc.is_alive():
@@ -512,21 +528,29 @@ class WorkerFleet:
     def process_ranks_in_use(self) -> int:
         return sum(s.process_ranks for s in self.slots)
 
+    def degrades(self, job: Job) -> bool:
+        """Whether ``job`` has to run on the sim backend instead: a
+        process-backend job that would push the fleet past its process
+        budget."""
+        return (job.spec.backend == "process"
+                and self.process_ranks_in_use() + job.spec.nranks
+                > self.process_budget)
+
     def dispatch(
         self,
         job: Job,
         *,
+        degraded: bool = False,
         checkpoint: str | Path | None = None,
         restart: str | Path | None = None,
         trace: dict[str, Any] | None = None,
-    ) -> dict[str, Any]:
-        """Hand one claimed job to an idle slot.
+    ) -> int:
+        """Hand one claimed job to an idle slot; returns the slot index.
 
-        Returns ``{"slot": i, "degraded": bool}``.  Raises
-        ``RuntimeError`` when no slot is idle (the daemon checks
-        first).  The degrade decision happens here: a process-backend
-        job that would push the fleet past its process budget runs on
-        the sim backend instead.
+        Raises ``RuntimeError`` when no slot is idle (the daemon checks
+        first).  ``degraded`` runs the job on the sim backend: the
+        caller's :meth:`degrades` decision, made before it journaled the
+        attempt.
 
         ``trace`` carries the job's distributed-trace context down to
         the worker: ``{"trace_id": …, "root_span_id": …, "obs_dir": …}``
@@ -540,16 +564,12 @@ class WorkerFleet:
         self._ensure_alive(slot)
 
         force_backend = None
-        degraded = False
         process_ranks = 0
-        if job.spec.backend == "process":
-            if (self.process_ranks_in_use() + job.spec.nranks
-                    > self.process_budget):
-                force_backend = "sim"
-                degraded = True
-                self.degraded_jobs += 1
-            else:
-                process_ranks = job.spec.nranks
+        if degraded:
+            force_backend = "sim"
+            self.degraded_jobs += 1
+        elif job.spec.backend == "process":
+            process_ranks = job.spec.nranks
 
         slot.job_id = job.id
         slot.attempt = job.attempt
@@ -562,16 +582,19 @@ class WorkerFleet:
             slot.index, slot.proc.pid, job.attempt, "dispatched",
             t=time.perf_counter(),
         ))
-        slot.cmd.put(("job", {
-            "id": job.id,
-            "attempt": job.attempt,
-            "spec": job.spec.to_dict(),
-            "checkpoint": None if checkpoint is None else str(checkpoint),
-            "restart": None if restart is None else str(restart),
-            "force_backend": force_backend,
-            "trace": trace,
-        }))
-        return {"slot": slot.index, "degraded": degraded}
+        try:
+            slot.cmd.send(("job", {
+                "id": job.id,
+                "attempt": job.attempt,
+                "spec": job.spec,
+                "checkpoint": None if checkpoint is None else str(checkpoint),
+                "restart": None if restart is None else str(restart),
+                "force_backend": force_backend,
+                "trace": trace,
+            }))
+        except OSError:
+            pass  # the worker died just now: its sentinel reports it lost
+        return slot.index
 
     # -- supervision ---------------------------------------------------------
 
@@ -727,10 +750,13 @@ class WorkerFleet:
                 self._kill(slot)
                 continue
             try:
-                slot.cmd.put(("stop",))
+                slot.cmd.send(("stop",))
             except Exception:  # pragma: no cover - teardown best effort
                 pass
         for slot in self.slots:
+            if slot.cmd is not None:
+                slot.cmd.close()
+                slot.cmd = None
             proc = slot.proc
             if proc is None:
                 continue

@@ -53,6 +53,88 @@ def test_scf_runs_without_importing_scipy(water_xyz):
     assert "-74.94207995" in done.stdout
 
 
+def _python(code: str, cwd, **env) -> str:
+    """Run ``code`` in a fresh interpreter whose environment sets none of
+    the BLAS / OpenMP thread variables except those in ``env``."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from repro.cli import THREAD_ENV_VARS
+
+    base = {k: v for k, v in os.environ.items() if k not in THREAD_ENV_VARS}
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, capture_output=True,
+        text=True, timeout=120,
+        env={**base, "PYTHONPATH": str(src), "REPRO_RUNS_DIR": str(cwd),
+             **env},
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_importing_repro_sets_no_thread_budget_and_loads_no_numpy(tmp_path):
+    out = _python(
+        "import os, sys\n"
+        "import repro, repro.cli\n"
+        "repro.cli.build_parser()\n"
+        "print('numpy' in sys.modules,\n"
+        "      [v for v in repro.cli.THREAD_ENV_VARS if v in os.environ])\n",
+        tmp_path,
+    )
+    assert out.split("\n")[0] == "False []"
+
+
+#: Records the BLAS setting at the moment NumPy is first imported, then
+#: runs one ``repro scf`` and reports what the process and its children
+#: (forked, as fleet workers and process-backend ranks are, and exec'd)
+#: see afterwards.
+_THREAD_PROBE = """\
+import json, multiprocessing, os, subprocess, sys
+seen = []
+
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+        return None
+
+sys.meta_path.insert(0, Spy())
+from repro.cli import THREAD_ENV_VARS, main
+assert main(["scf", "water.xyz"]) == 0
+env = lambda: [os.environ.get(v) for v in THREAD_ENV_VARS]
+forked = multiprocessing.get_context("fork").Queue()
+child = multiprocessing.get_context("fork").Process(
+    target=lambda: forked.put(env()))
+child.start(); child.join()
+execd = subprocess.run(
+    [sys.executable, "-c",
+     "import os; print(*[os.environ.get(v) for v in %r])" % (THREAD_ENV_VARS,)],
+    capture_output=True, text=True).stdout.split()
+print(json.dumps([seen, env(), forked.get(), execd]))
+"""
+
+
+@pytest.mark.parametrize("given, want", [
+    ({}, ["1", "1", "1"]),
+    ({"OPENBLAS_NUM_THREADS": "3"}, ["3", "1", "1"]),
+])
+def test_the_console_entry_point_owns_the_thread_budget(
+    water_xyz, given, want
+):
+    """``main`` pins the BLAS / OpenMP pools to one thread before NumPy is
+    imported; an explicit environment wins; children inherit it."""
+    import json
+
+    out = _python(_THREAD_PROBE, water_xyz.parent, **given)
+    at_numpy_import, after, forked, execd = json.loads(
+        out.strip().splitlines()[-1])
+    assert at_numpy_import == [want[0]]
+    assert after == forked == execd == want
+
+
 def test_scf_command_algorithm_choice(water_xyz, capsys):
     rc = main(
         ["scf", str(water_xyz), "--algorithm", "mpi-only", "--ranks", "3"]

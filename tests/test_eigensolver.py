@@ -56,10 +56,12 @@ def test_eigenvalues_sorted_and_trace_preserved(n, seed):
     assert np.isclose(w.sum(), np.trace(a), atol=1e-8)
 
 
-def test_scf_with_jacobi_diagonalizer(water_sto3g, monkeypatch):
+def test_scf_with_jacobi_diagonalizer(monkeypatch):
     """Full RHF where every diagonalization uses the Jacobi solver."""
     import math
 
+    from repro.chem.basis import BasisSet
+    from repro.chem.molecule import water
     from repro.scf import guess
     from repro.scf.rhf import RHF
 
@@ -72,7 +74,8 @@ def test_scf_with_jacobi_diagonalizer(water_sto3g, monkeypatch):
     # The one name every SCF diagonalization goes through (the
     # orthogonalizer, the core guess and each Roothaan step).
     monkeypatch.setattr(guess, "eigh", counting_jacobi)
-    res = RHF(water_sto3g).run()
+    # A fresh basis: its set-up memo (X among it) is filled under the patch.
+    res = RHF(BasisSet(water(), "sto-3g")).run()
     assert res.converged
     assert math.isclose(res.energy, -74.9420799281, abs_tol=1e-6)
     # S, the core guess, and at least one Fock matrix per cycle.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,9 @@ from repro.service.jobs import Job, JobSpec
 from repro.service.queue import DurableJobQueue
 
 H2_XYZ = "2\nh2\nH 0.0 0.0 0.0\nH 0.0 0.0 0.74\n"
+JOURNAL_TWO_RECORDS = (
+    Path(__file__).parent / "golden" / "journal_two_running_records.ndjson"
+)
 
 
 def spec(**kwargs) -> JobSpec:
@@ -116,6 +120,33 @@ class TestJournaling:
             second = q2.submit(spec())
         assert first.id != second.id
 
+    def test_journal_with_two_running_records_per_attempt_replays(
+        self, journal
+    ):
+        """A literal journal of the build that journaled every attempt
+        twice — the claim (``attempt``), then the annotations (``run_id``,
+        ``resumed``, ``degraded``) — written by a daemon that ran a job to
+        done, one killed on attempt 1 and resumed on attempt 2, one
+        degraded to the sim backend, cancelled one, and was stopped with
+        one running and one pending.  The fold is what that build's own
+        replay gave."""
+        journal.write_text(JOURNAL_TWO_RECORDS.read_text())
+        with DurableJobQueue(journal, fsync=False) as q:
+            folded = [(j.spec.tag, j.state, j.attempt, j.run_id,
+                       j.interrupted, j.degraded) for j in q]
+            assert q.recovered_jobs == ["j000003"]
+        assert folded == [
+            ("done", "done", 1, "20261015-192617-22820-0011", False, False),
+            ("retried", "done", 2, "20261015-192617-22820-0023",
+             False, False),
+            ("degraded", "done", 1, "20261015-192617-22820-003c",
+             False, True),
+            ("interrupted", "pending", 1, "20261015-192617-22820-0041",
+             True, False),
+            ("cancelled", "cancelled", 0, None, False, False),
+            ("pending", "pending", 0, None, False, False),
+        ]
+
 
 class TestAdmissionControl:
     def test_overload_sheds_with_typed_error(self, journal):
@@ -150,6 +181,35 @@ class TestDispatch:
             assert claimed.id == a.id
             assert claimed.state == "running"
             assert claimed.attempt == 1
+
+    def test_next_ready_changes_nothing(self, journal):
+        """The dispatcher picks a job with ``next_ready`` and claims it
+        with the attempt's one ``running`` record; the pick alone
+        neither journals nor changes the job."""
+        with DurableJobQueue(journal, fsync=False) as q:
+            job = q.submit(spec())
+            before = journal.read_text()
+            assert q.next_ready() is job
+            assert journal.read_text() == before
+            assert (job.state, job.attempt) == ("pending", 0)
+
+    def test_claim_is_one_record_written_before_the_change(self, journal):
+        with DurableJobQueue(journal, fsync=False) as q:
+            job = q.submit(spec())
+            seen: list[tuple[str, int]] = []
+            append = q._append
+
+            def spy(record):
+                seen.append((job.state, job.attempt))
+                append(record)
+
+            q._append = spy
+            assert q.claim_next() is job
+        assert seen == [("pending", 0)]
+        records = [json.loads(ln) for ln in journal.read_text().splitlines()]
+        assert [(r["op"], r.get("state"), r.get("attempt"))
+                for r in records] == [("submit", None, None),
+                                      ("state", "running", 1)]
 
     def test_backoff_gate_defers_dispatch(self, journal):
         with DurableJobQueue(journal, fsync=False, clock=lambda: 100.0) as q:

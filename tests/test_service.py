@@ -8,6 +8,7 @@ service directory, and talks to it through the same
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 
@@ -205,6 +206,39 @@ class TestRoundTrip:
         client.result(client.submit({"xyz": H2_XYZ})["id"], timeout_s=60)
         assert {"service.start", "job.submitted", "job.dispatched",
                 "job.done"} <= _telemetry_kinds(tmp_path)
+
+
+class TestJournalShape:
+    def test_each_attempt_is_one_running_record(self, service, tmp_path):
+        """One ``running`` record per attempt, carrying ``attempt`` and
+        ``run_id``, plus ``resumed`` on an attempt that starts from a
+        checkpoint and ``degraded`` on one moved to the sim backend."""
+        client = service(max_retries=2, process_budget=0)
+        plain = client.submit({"xyz": H2_XYZ})
+        retried = client.submit({"xyz": WATER_XYZ, "die_on_attempt": 1,
+                                 "die_after_builds": 2})
+        degraded = client.submit({"xyz": H2_XYZ, "backend": "process",
+                                  "nranks": 2})
+        done = {job["id"]: client.result(job["id"], timeout_s=60)
+                for job in (plain, retried, degraded)}
+        assert done[retried["id"]]["attempt"] == 2
+
+        journal = [json.loads(line) for line in
+                   (tmp_path / "svc" / "journal.ndjson").read_text()
+                   .splitlines()]
+        for job_id, job in done.items():
+            assert job["state"] == "done"
+            running = [r for r in journal if r["op"] == "state"
+                       and r["id"] == job_id and r["state"] == "running"]
+            assert [r["attempt"] for r in running] == list(
+                range(1, job["attempt"] + 1))
+            assert {r["run_id"] for r in running} == {job["run_id"]}
+            flags = [(r.get("resumed", False), r.get("degraded", False))
+                     for r in running]
+            want = {plain["id"]: [(False, False)],
+                    retried["id"]: [(False, False), (True, False)],
+                    degraded["id"]: [(False, True)]}[job_id]
+            assert flags == want
 
 
 class TestOverload:

@@ -14,12 +14,20 @@ from __future__ import annotations
 import json
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.service import JobClient, ServiceConfig, ServiceDaemon
+from repro.service import (
+    JobClient,
+    ServiceConfig,
+    ServiceDaemon,
+    ServiceUnavailable,
+)
 from repro.service.daemon import RETIRED_CONFIG_KEYS
 from repro.service.jobs import JobSpec
 from repro.workload import WorkloadManager
@@ -184,6 +192,45 @@ def test_sigterm_during_the_blocking_wait_ends_run_forever(tmp_path):
     assert daemon.wakeups == 1
 
 
+def test_a_fresh_fleets_first_job_starts_its_scf_at_once(tmp_path):
+    """A fleet worker imports the SCF stack while it idles, so the first
+    job it runs goes from its ``job/attempt`` span to ``scf/run`` in a
+    few milliseconds of cold set-up (45-80 ms of imports in between when
+    the worker imported on its first job; the bound leaves room for a
+    shared runner's noise).  The daemon is a fresh interpreter: one
+    forked from this test process would inherit the imports."""
+    svc, runs = tmp_path / "svc", tmp_path / "runs"
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    daemon = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--service-dir", str(svc),
+         "--runs-dir", str(runs), "--fleet", "1"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        client = JobClient(svc)
+        deadline = time.monotonic() + 30
+        while True:
+            try:
+                client.ping()
+                break
+            except ServiceUnavailable:
+                assert daemon.poll() is None and time.monotonic() < deadline
+                time.sleep(0.02)
+        done = client.result(client.submit({"xyz": H2_XYZ})["id"],
+                             timeout_s=60)
+    finally:
+        daemon.send_signal(signal.SIGTERM)
+        daemon.wait(timeout=30)
+    assert done["state"] == "done"
+    spans = {
+        span["span"]: span
+        for path in (runs / done["run_id"] / "trace").glob("*.spans.ndjson")
+        for span in map(json.loads, path.read_text().splitlines())
+    }
+    gap = spans["scf/run"]["start_s"] - spans["job/attempt"]["start_s"]
+    assert 0.0 < gap < 0.040
+
+
 # -- teardown ------------------------------------------------------------------
 
 
@@ -287,6 +334,46 @@ def test_cancel_between_claim_and_dispatch_still_cancels(
     assert after["state"] == "done"
     assert time.monotonic() - asked < 3.0  # the worker was not still busy
     assert client.status(job["id"])["state"] == "cancelled"
+
+
+def test_status_never_shows_a_claim_the_journal_lacks(
+    service, tmp_path, monkeypatch
+):
+    """The claim is journaled before it happens: while the attempt's
+    ``running`` record is being written, a status reader reads
+    ``pending`` — both one that waits on the queue's lock and one that
+    already holds the job, as a bulk ``status`` reply does — so any
+    ``running`` a client sees is on disk (a SIGKILL right after must
+    replay the job as interrupted)."""
+    daemon, client = service()
+    append = daemon.queue._append
+    writing, written = threading.Event(), threading.Event()
+
+    def slow_append(record):
+        if record.get("state") != "running":
+            return append(record)
+        writing.set()
+        time.sleep(0.3)
+        append(record)
+        written.set()
+
+    monkeypatch.setattr(daemon.queue, "_append", slow_append)
+    job = client.submit({"xyz": H2_XYZ})
+    assert writing.wait(10)
+    replies: list[tuple[str, bool]] = []
+    reader = threading.Thread(target=lambda: replies.append((
+        client.status(job["id"])["state"],
+        bool(_transitions(tmp_path, job["id"], "running")))))
+    reader.start()
+    held = daemon.queue.jobs[job["id"]]
+    seen = []
+    while not written.is_set():
+        seen.append(held.public_dict()["state"])
+    assert seen and set(seen) == {"pending"}
+    reader.join(timeout=10)
+    state, on_disk = replies[0]
+    assert state == "pending" or on_disk
+    assert client.result(job["id"], timeout_s=60)["state"] == "done"
 
 
 # -- stored configs ------------------------------------------------------------
