@@ -337,13 +337,14 @@ def _default_output(mode: str) -> Path:
 def _bench_obs_setup(args, output: Path):
     """Register the bench run and (optionally) install live instruments.
 
-    Returns ``(handle, channel, sink, span_writer)``; any may be
-    ``None``.  The registry record makes benchmark runs diffable
-    through ``repro runs diff`` like any SCF; ``--telemetry`` measures
-    the bus's overhead on the hot path and ``--trace`` the distributed
-    tracer's (context-stamped spans streamed to NDJSON, exactly the
-    per-attempt setup a service worker installs) — the CI gates hold
-    both under the compare tolerance.
+    Returns ``(handle, channel, span_writer)``; any may be ``None``.
+    The registry record makes benchmark runs diffable through ``repro
+    runs diff`` like any SCF; ``--telemetry`` installs a telemetry
+    channel as the process event log (as the service daemon does) and
+    measures its overhead on the hot path, and ``--trace`` the
+    distributed tracer's (context-stamped spans streamed to NDJSON,
+    exactly the per-attempt setup a service worker installs) — the CI
+    gates hold both under the compare tolerance.
     """
     from repro.obs.registry import RunRegistry
 
@@ -361,21 +362,18 @@ def _bench_obs_setup(args, output: Path):
                 "output": str(output),
             },
         )
-    channel = sink = None
+    channel = None
     if args.telemetry:
-        from repro.obs.telemetry import (
-            NDJSONTelemetrySink,
-            TelemetryChannel,
-            default_socket_path,
-            set_telemetry,
-        )
+        from repro.obs.events import set_event_log
+        from repro.obs.telemetry import TelemetryChannel, default_socket_path
 
-        channel = TelemetryChannel()
+        channel = TelemetryChannel(
+            sink=handle.path("telemetry.ndjson") if handle is not None
+            else None
+        )
         if handle is not None:
-            sink = NDJSONTelemetrySink(handle.path("telemetry.ndjson"))
-            channel.subscribe(sink)
             channel.serve(default_socket_path(handle.directory))
-        set_telemetry(channel)
+        set_event_log(channel)
     span_writer = None
     if args.trace:
         from repro.obs.export import span_line
@@ -397,7 +395,7 @@ def _bench_obs_setup(args, output: Path):
             context=TraceContext(new_trace_id(), new_span_id()),
             on_close=lambda s: writer.write_line(span_line(s, 0.0)),
         ))
-    return handle, channel, sink, span_writer
+    return handle, channel, span_writer
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -460,17 +458,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     mode = "schedule" if args.schedule else args.backend
     output = args.output or _default_output(mode)
-    handle, channel, sink, span_writer = _bench_obs_setup(args, output)
+    handle, channel, span_writer = _bench_obs_setup(args, output)
     try:
         rc, record = _bench_run(args, output)
     finally:
         if channel is not None:
-            from repro.obs.telemetry import set_telemetry
+            from repro.obs.events import set_event_log
 
-            set_telemetry(None)
+            set_event_log(None)
             channel.close()
-        if sink is not None:
-            sink.close()
         if span_writer is not None:
             from repro.obs.tracer import set_tracer
 

@@ -8,11 +8,11 @@ The package layers:
 * :mod:`repro.chem` / :mod:`repro.integrals` / :mod:`repro.scf` — a
   from-scratch restricted & unrestricted Hartree-Fock engine plus MP2
   and properties (the GAMESS substrate).
-* :mod:`repro.parallel` — a deterministic simulated MPI/OpenMP/DDI
+* :mod:`repro.parallel` — a deterministic simulated MPI/OpenMP
   runtime with write-race detection.
 * :mod:`repro.core` — the paper's contribution: the MPI-only,
-  private-Fock and shared-Fock parallel Fock-build algorithms (plus UHF
-  and distributed-data variants) and the memory-footprint model.
+  private-Fock and shared-Fock parallel Fock-build algorithms (plus a
+  UHF variant) and the memory-footprint model.
 * :mod:`repro.machine` / :mod:`repro.perfsim` — Intel Xeon Phi (KNL)
   node/cluster models and the calibrated performance simulator that
   regenerates the paper's figures and tables.

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -185,12 +186,20 @@ def _build(config: SCFConfig, basis, backend_options: dict):
         raise ConfigError(f"invalid --fault-plan: {exc}") from None
 
 
+def _thread_env() -> dict[str, str | None]:
+    """The BLAS / OpenMP thread-pool sizes this process runs with."""
+    from repro.cli import THREAD_ENV_VARS
+
+    return {name: os.environ.get(name) for name in THREAD_ENV_VARS}
+
+
 def _session(args: argparse.Namespace, kind: str, mol, config: SCFConfig,
              **kwargs):
     from repro.obs.session import ObsSession
 
     return ObsSession(
-        kind, {"molecule": mol.name, **asdict(config)},
+        kind,
+        {"molecule": mol.name, **asdict(config), "thread_env": _thread_env()},
         registry=not args.no_registry, runs_dir=args.runs_dir,
         telemetry=args.telemetry, **kwargs,
     )
@@ -246,6 +255,8 @@ def cmd_scf(args: argparse.Namespace) -> int:
                   f"{stats.quartets_screened} screened, algorithm "
                   f"{stats.algorithm}, {stats.nranks} ranks x "
                   f"{stats.nthreads} threads")
+            print("BLAS threads : " + " ".join(
+                f"{name}={value}" for name, value in _thread_env().items()))
             if config.eri_cache_mb is not None:
                 hits = sum(s.eri_cache_hits for s in res.fock_stats)
                 misses = sum(s.eri_cache_misses for s in res.fock_stats)

@@ -34,7 +34,6 @@ from repro.core.quartets import QuartetEngine, symmetrize_two_electron
 from repro.core.fock_mpi import MPIOnlyFockBuilder
 from repro.core.fock_private import PrivateFockBuilder
 from repro.core.fock_shared import SharedFockBuilder
-from repro.core.fock_distributed import DistributedDataFockBuilder
 from repro.core.fock_uhf import UHFPrivateFockBuilder
 from repro.core.scf_driver import ParallelSCF, make_fock_builder
 from repro.core.memory_model import MemoryModel, AlgorithmKind
@@ -50,7 +49,6 @@ __all__ = [
     "MPIOnlyFockBuilder",
     "PrivateFockBuilder",
     "SharedFockBuilder",
-    "DistributedDataFockBuilder",
     "UHFPrivateFockBuilder",
     "ParallelSCF",
     "make_fock_builder",

@@ -96,9 +96,8 @@ count on near-degenerate systems — joined halves scattered by one
 ``np.add.at`` accumulate exactly as two calls did.
 
 :meth:`QuartetEngine.scatter_general` is the per-quartet spelling of the
-same arithmetic, kept for the distributed-data builder (which is about
-per-quartet one-sided traffic) and as the oracle the slab is
-property-tested against.
+same arithmetic, kept as the oracle the slab is property-tested against
+and for the e2e ledger's pinned per-quartet digestion sweep.
 """
 
 from __future__ import annotations

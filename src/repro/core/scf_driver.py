@@ -25,8 +25,7 @@ from repro.core.fock_shared import SharedFockBuilder
 from repro.core.fock_uhf import UHFPrivateFockBuilder
 from repro.integrals.basis_setup import basis_setup
 from repro.integrals.cache import QuartetCache
-from repro.obs.metrics import get_metrics
-from repro.obs.telemetry import get_telemetry
+from repro.obs.events import get_event_log
 from repro.obs.tracer import get_tracer
 from repro.parallel.backend import ExecutionBackend, make_backend
 from repro.resilience.errors import SCFConvergenceError
@@ -159,7 +158,7 @@ class ParallelSCF:
                 "scf/fock_build", iteration=len(self._fock_stats) + 1
             ):
                 *focks, stats = self.builder(*densities)
-            self._record(stats)
+            self._fock_stats.append(stats)
             return (*focks, stats)
 
         # The front-ends check the electron count against the method
@@ -190,33 +189,6 @@ class ParallelSCF:
                 self.builder, rebuild_every=rebuild_every
             )
 
-    def _record(self, stats: FockBuildStats) -> None:
-        """Keep one build's statistics; publish them when telemetry is on."""
-        self._fock_stats.append(stats)
-        channel = get_telemetry()
-        if channel is None:
-            return
-        channel.publish(
-            "fock.build",
-            build=len(self._fock_stats),
-            quartets=stats.quartets_computed,
-            screened=stats.quartets_screened,
-            rank_imbalance=stats.rank_imbalance,
-        )
-        registry = get_metrics()
-        if registry is not None:
-            # Periodic registry snapshot per Fock build: the monitor's
-            # counter rates are derived from these.
-            channel.publish(
-                "metrics.snapshot",
-                build=len(self._fock_stats),
-                counters={
-                    k: v
-                    for k, v in registry.snapshot().items()
-                    if isinstance(v, (int, float))
-                },
-            )
-
     def shutdown(self) -> None:
         """Release backend resources (worker processes, shared memory)."""
         self.backend.shutdown()
@@ -241,9 +213,9 @@ class ParallelSCF:
         if self.scf_recovery:
             kwargs.setdefault("recovery", True)
         self._fock_stats.clear()
-        channel = get_telemetry()
-        if channel is not None:
-            channel.publish(
+        log = get_event_log()
+        if log is not None:
+            log.emit(
                 "run.start",
                 run_kind="scf",
                 algorithm=self.algorithm,
@@ -270,8 +242,8 @@ class ParallelSCF:
                     raise
             status = "done"
         finally:
-            if channel is not None:
-                channel.publish(
+            if log is not None:
+                log.emit(
                     "run.end",
                     status=status,
                     converged=(

@@ -1,24 +1,28 @@
 """repro.obs — observability for the simulated MPI/OpenMP SCF.
 
-The measurement layer the paper's evaluation is built on: hierarchical
-wall-clock tracing (:mod:`repro.obs.tracer`), a named-metric registry
-(:mod:`repro.obs.metrics`), and exporters for Chrome ``trace_event``
-timelines, GAMESS-style text profiles, and NDJSON
-(:mod:`repro.obs.export`).
+Instrumented code needs three handles, and importing this package loads
+only the modules that hold them: the hierarchical wall-clock tracer
+(:mod:`repro.obs.tracer`), the named-metric registry
+(:mod:`repro.obs.metrics`) and the event log (:mod:`repro.obs.events`).
+Code reads the process-global instruments through :func:`get_tracer` /
+:func:`get_metrics` / :func:`get_event_log`; all three default to
+disabled and cost almost nothing until :func:`use_tracer` /
+:func:`use_metrics` / :func:`use_event_log` (or a CLI verb) installs
+live ones.  Every occurrence is reported once, as an event.
 
-Instrumented code reads the process-global tracer/registry through
-:func:`get_tracer` / :func:`get_metrics`; both default to disabled and
-cost almost nothing until :func:`use_tracer` / :func:`use_metrics`
-(or the ``repro profile`` CLI) installs live ones.
-
-On top of the post-hoc layer sit the *live* pieces: the push-based
-telemetry bus (:mod:`repro.obs.telemetry`, installed via
-:func:`use_telemetry`), incremental NDJSON streaming
-(:mod:`repro.obs.stream`), the ``repro monitor`` dashboard state
-(:mod:`repro.obs.monitor`), the persistent run registry
-(:mod:`repro.obs.registry`), and a Prometheus text exporter
-(:func:`write_prometheus`).
+Everything else reads or ships what those instruments record, and is
+loaded on first access of one of its names: exporters for Chrome
+``trace_event`` timelines, GAMESS-style text profiles, NDJSON and
+Prometheus text (:mod:`repro.obs.export`), incremental NDJSON streaming
+(:mod:`repro.obs.stream`), the persistent run registry
+(:mod:`repro.obs.registry`) and a run's envelope
+(:class:`~repro.obs.session.ObsSession`), the live telemetry channel —
+an event log that streams to a unix socket and ``telemetry.ndjson``
+(:mod:`repro.obs.telemetry`) — the SLO engine (:mod:`repro.obs.slo`)
+and the distributed-trace assembler (:mod:`repro.obs.trace_assembly`).
 """
+
+from importlib import import_module
 
 from repro.obs.events import (
     Event,
@@ -29,20 +33,6 @@ from repro.obs.events import (
     set_event_log,
     use_event_log,
 )
-from repro.obs.export import (
-    chrome_trace_events,
-    event_instants,
-    metrics_ndjson,
-    profile_report,
-    prometheus_text,
-    spans_ndjson,
-    to_chrome_trace,
-    write_chrome_trace,
-    write_metrics_ndjson,
-    write_prometheus,
-    write_spans_ndjson,
-    write_text,
-)
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -52,35 +42,6 @@ from repro.obs.metrics import (
     get_metrics,
     set_metrics,
     use_metrics,
-)
-from repro.obs.registry import RunHandle, RunRegistry, runs_root
-from repro.obs.session import ObsSession
-from repro.obs.slo import (
-    DEFAULT_SLO_TARGETS,
-    SLOEngine,
-    SLOTarget,
-    engine_from_telemetry,
-    job_class,
-    render_slo_report,
-)
-from repro.obs.stream import ObsStreamer
-from repro.obs.trace_assembly import (
-    AssembledTrace,
-    TraceAssemblyError,
-    assemble_job_trace,
-    load_job_journal,
-)
-from repro.obs.telemetry import (
-    NDJSONTelemetrySink,
-    TelemetryChannel,
-    TelemetryClient,
-    TelemetryRecord,
-    default_socket_path,
-    follow_telemetry,
-    get_telemetry,
-    records_from_ndjson,
-    set_telemetry,
-    use_telemetry,
 )
 from repro.obs.tracer import (
     NULL_TRACER,
@@ -96,68 +57,68 @@ from repro.obs.tracer import (
     use_tracer,
 )
 
+#: Names loaded on first access, by the submodule that defines them.
+_LAZY = {
+    "export": (
+        "chrome_trace_events", "event_instants", "metrics_ndjson",
+        "profile_report", "prometheus_text", "spans_ndjson",
+        "to_chrome_trace", "write_chrome_trace", "write_metrics_ndjson",
+        "write_prometheus", "write_spans_ndjson", "write_text",
+    ),
+    "registry": ("RunHandle", "RunRegistry", "runs_root"),
+    "session": ("ObsSession",),
+    "slo": (
+        "DEFAULT_SLO_TARGETS", "SLOEngine", "SLOTarget",
+        "engine_from_telemetry", "job_class", "render_slo_report",
+    ),
+    "stream": ("ObsStreamer",),
+    "trace_assembly": (
+        "AssembledTrace", "TraceAssemblyError", "assemble_job_trace",
+        "load_job_journal",
+    ),
+    "telemetry": (
+        "TelemetryChannel", "TelemetryClient", "default_socket_path",
+        "records_from_ndjson",
+    ),
+}
+_LAZY_NAMES = {name: mod for mod, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _LAZY_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
 __all__ = [
     "NULL_TRACER",
-    "AssembledTrace",
     "Counter",
-    "DEFAULT_SLO_TARGETS",
-    "SLOEngine",
-    "SLOTarget",
-    "TraceAssemblyError",
-    "TraceContext",
     "Event",
     "EventLog",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NDJSONTelemetrySink",
-    "ObsSession",
-    "ObsStreamer",
-    "RunHandle",
-    "RunRegistry",
     "Series",
     "Span",
-    "TelemetryChannel",
-    "TelemetryClient",
-    "TelemetryRecord",
+    "TraceContext",
     "Tracer",
-    "assemble_job_trace",
-    "chrome_trace_events",
-    "default_socket_path",
-    "engine_from_telemetry",
-    "event_instants",
     "events_from_ndjson",
     "events_ndjson",
-    "follow_telemetry",
     "format_traceparent",
     "get_event_log",
     "get_metrics",
-    "get_telemetry",
     "get_tracer",
-    "job_class",
-    "load_job_journal",
-    "metrics_ndjson",
     "new_span_id",
     "new_trace_id",
     "parse_traceparent",
-    "profile_report",
-    "prometheus_text",
-    "records_from_ndjson",
-    "render_slo_report",
-    "runs_root",
     "set_event_log",
     "set_metrics",
-    "set_telemetry",
     "set_tracer",
-    "spans_ndjson",
-    "to_chrome_trace",
     "use_event_log",
     "use_metrics",
-    "use_telemetry",
     "use_tracer",
-    "write_chrome_trace",
-    "write_metrics_ndjson",
-    "write_prometheus",
-    "write_spans_ndjson",
-    "write_text",
+    *_LAZY_NAMES,
 ]

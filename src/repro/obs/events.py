@@ -2,8 +2,10 @@
 
 Spans (:mod:`repro.obs.tracer`) answer *where the time went*; the event
 log answers *what happened* — discrete, timestamped occurrences with a
-rank context that the timeline analyzer overlays on the span Gantt:
+rank context that the timeline analyzer overlays on the span Gantt and
+the ``repro monitor`` dashboard folds live:
 
+* ``run.start`` / ``run.end`` — the parallel SCF driver's bracket;
 * ``scf.cycle`` / ``scf.converged`` / ``scf.restart`` — SCF progress;
 * ``scf.checkpoint`` — checkpoint writes (cycle, path);
 * ``dlb.reset`` / ``dlb.rank_done`` / ``dlb.rank_failed`` — the
@@ -12,11 +14,20 @@ rank context that the timeline analyzer overlays on the span Gantt:
   ``fault.corrupt_rejected`` — injected faults and their recovery
   (:mod:`repro.resilience`), which is what makes a faulted run's
   timeline show *when* a rank died and *who* picked up its work;
-* ``scf.recovery`` — convergence-guard stage escalations.
+* ``worker.heartbeat`` / ``worker.hung`` / ``worker.recovered`` /
+  ``worker.lost`` and ``process.worker_lost`` — process-backend (and
+  service-fleet) liveness and the replay of a dead rank's tasks;
+* ``scf.recovery`` — convergence-guard stage escalations;
+* ``job.*`` / ``service.*`` / ``slo.*`` — the ``repro serve`` daemon's
+  lifecycle records.
 
 Like the tracer and the metrics registry, the log is installed globally
 (:func:`use_event_log`) and defaults to *off*: instrumented code pays
-one ``get_event_log()`` call and an ``is None`` test per event.
+one ``get_event_log()`` call and an ``is None`` test per event.  It is
+the one channel instrumented code reports through: live telemetry
+(:class:`~repro.obs.telemetry.TelemetryChannel`) is an event log that
+streams, either chained behind a run's log (:meth:`EventLog.tap`) or
+installed as the log itself (the service daemon).
 
 Timestamps come from the same ``time.perf_counter`` clock the tracer
 uses, so events and spans share a time base and the exporters can place
@@ -27,6 +38,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
@@ -67,6 +79,9 @@ class EventLog:
         the incremental-NDJSON hook
         (:class:`~repro.obs.stream.ObsStreamer`), mirroring
         ``Tracer.on_close``.
+    maxlen:
+        Keep only the newest ``maxlen`` events (a long-lived log);
+        ``None`` keeps them all (one run's log).
     """
 
     def __init__(
@@ -74,18 +89,42 @@ class EventLog:
         *,
         clock: Callable[[], float] = time.perf_counter,
         on_emit: Callable[[Event], None] | None = None,
+        maxlen: int | None = None,
     ) -> None:
         self.clock = clock
         self.on_emit = on_emit
-        self.events: list[Event] = []
+        self.events: list[Event] | deque[Event] = (
+            [] if maxlen is None else deque(maxlen=maxlen)
+        )
 
     def emit(self, kind: str, *, rank: int | None = None, **fields: Any) -> Event:
         """Record an event now; returns the stored record."""
         ev = Event(kind=kind, t=self.clock(), rank=rank, fields=fields)
+        self.record(ev)
+        return ev
+
+    def record(self, ev: Event) -> None:
+        """Append an event built elsewhere (another log emitted it)."""
         self.events.append(ev)
         if self.on_emit is not None:
             self.on_emit(ev)
-        return ev
+
+    @contextmanager
+    def tap(self, fn: Callable[[Event], None]) -> Iterator["EventLog"]:
+        """Also hand every event recorded inside the block to ``fn``,
+        after the ``on_emit`` hook already installed."""
+        previous = self.on_emit
+
+        def both(ev: Event) -> None:
+            if previous is not None:
+                previous(ev)
+            fn(ev)
+
+        self.on_emit = both
+        try:
+            yield self
+        finally:
+            self.on_emit = previous
 
     def __len__(self) -> int:
         return len(self.events)
@@ -107,6 +146,10 @@ class EventLog:
 def _json_safe(value: Any) -> Any:
     if isinstance(value, (bool, int, float, str)) or value is None:
         return value
+    if isinstance(value, dict):
+        return {str(k): _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
     return str(value)
 
 

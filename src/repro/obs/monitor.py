@@ -2,7 +2,7 @@
 
 ``repro monitor`` attaches to a running SCF through the telemetry
 channel's unix socket (or replays a recorded ``telemetry.ndjson``) and
-redraws a compact dashboard:
+folds the events it streams into a compact dashboard:
 
 * **per-rank activity lanes** — each worker's heartbeat trail drawn as
   a busy/quiet strip, computed with the same interval-union arithmetic
@@ -16,11 +16,11 @@ redraws a compact dashboard:
   load-balance discussion (Fig. 4);
 * a **worker health column** — ``ok`` / ``suspect`` / ``lost`` /
   ``recovered`` per rank from the heartbeat monitor's state machine,
-  plus a tail of notable events (``worker.hung``, ``process.replay``,
-  checkpoints).
+  plus a tail of notable events (``worker.hung``,
+  ``process.worker_lost``, checkpoints).
 
 The module is pure state + rendering: :class:`MonitorState` folds
-records, :meth:`MonitorState.render` returns text.  The CLI layer owns
+events, :meth:`MonitorState.render` returns text.  The CLI layer owns
 the refresh loop and the screen clearing, which keeps everything here
 unit-testable without a terminal.
 """
@@ -32,9 +32,10 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from repro.obs.analysis.timeline import merge_intervals, overlap_seconds
+from repro.obs.events import Event
 from repro.obs.metrics import Histogram
 from repro.obs.slo import LATENCY_METRICS, SERVICE_LATENCY_BUCKETS
-from repro.obs.telemetry import TelemetryRecord, records_from_ndjson
+from repro.obs.telemetry import records_from_ndjson
 
 #: Unicode sparkline ramp, quietest to loudest.
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
@@ -49,7 +50,8 @@ NOTABLE_KINDS = frozenset(
         "worker.hung",
         "worker.lost",
         "worker.recovered",
-        "process.replay",
+        "process.worker_lost",
+        "process.replay",  # the same occurrence, in earlier recordings
         "scf.converged",
         "scf.checkpoint",
         "scf.restart",
@@ -156,13 +158,12 @@ class CycleView:
 
 
 class MonitorState:
-    """Fold telemetry records into a renderable dashboard state."""
+    """Fold telemetry events into a renderable dashboard state."""
 
     def __init__(self) -> None:
         self.ranks: dict[int, RankView] = {}
         self.cycles: list[CycleView] = []
-        self.events: list[TelemetryRecord] = []
-        self.counters: dict[str, float] = {}
+        self.events: list[Event] = []
         self.run_info: dict[str, Any] = {}
         self.nrecords = 0
         self.t_first: float | None = None
@@ -176,11 +177,11 @@ class MonitorState:
 
     # -- folding -------------------------------------------------------------
 
-    def apply(self, rec: TelemetryRecord) -> None:
+    def apply(self, rec: Event) -> None:
         self.nrecords += 1
         self.t_first = rec.t if self.t_first is None else min(self.t_first, rec.t)
         self.t_last = rec.t if self.t_last is None else max(self.t_last, rec.t)
-        kind, p = rec.kind, rec.payload
+        kind, p = rec.kind, _fields(rec)
         if kind == "worker.heartbeat":
             self._rank(p).observe_beat(rec.t, p.get("phase"))
             self._fold_health(p)
@@ -197,14 +198,6 @@ class MonitorState:
                     t=rec.t,
                 )
             )
-            if p.get("converged"):
-                self.converged = True
-        elif kind == "metrics.snapshot":
-            counters = p.get("counters")
-            if isinstance(counters, dict):
-                for name, value in counters.items():
-                    if isinstance(value, (int, float)):
-                        self.counters[name] = float(value)
         elif kind in ("run.start", "run.end"):
             self.run_info.update(
                 {k: v for k, v in p.items() if not isinstance(v, dict)}
@@ -241,7 +234,7 @@ class MonitorState:
             if isinstance(value, (int, float)):
                 hists[metric].observe(max(float(value), 0.0))
 
-    def apply_all(self, records: Iterable[TelemetryRecord]) -> None:
+    def apply_all(self, records: Iterable[Event]) -> None:
         for rec in records:
             self.apply(rec)
 
@@ -415,7 +408,7 @@ class MonitorState:
             for rec in self.events[-8:]:
                 detail = " ".join(
                     f"{k}={v}"
-                    for k, v in rec.payload.items()
+                    for k, v in _fields(rec).items()
                     if k in ("rank", "cycle", "silent_s", "was_suspect",
                              "converged", "energy", "status", "job",
                              "job_class", "target", "burn_rate")
@@ -425,6 +418,11 @@ class MonitorState:
                     f"  t={rec.t - base:>9.3f}s {rec.kind:<18s} {detail}"
                 )
         return "\n".join(lines)
+
+
+def _fields(ev: Event) -> dict[str, Any]:
+    """An event's fields with its rank among them (as the line has it)."""
+    return ev.fields if ev.rank is None else {"rank": ev.rank, **ev.fields}
 
 
 def _maybe_float(value: Any) -> float | None:

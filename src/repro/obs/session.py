@@ -14,12 +14,6 @@ from repro.obs.logctl import quiet_enabled
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.obs.registry import RunRegistry
 from repro.obs.stream import ObsStreamer
-from repro.obs.telemetry import (
-    NDJSONTelemetrySink,
-    TelemetryChannel,
-    default_socket_path,
-    use_telemetry,
-)
 
 logger = logging.getLogger("repro.obs.session")
 
@@ -30,9 +24,10 @@ class ObsSession:
     Owns the whole observability envelope of a ``scf`` / ``profile``
     invocation: registers the run (unless ``registry=False``), streams
     the event log incrementally into the run directory, and — with
-    ``telemetry=True`` — installs a global
-    :class:`~repro.obs.telemetry.TelemetryChannel` with an NDJSON sink
-    and a unix socket ``repro monitor`` can attach to mid-run.
+    ``telemetry=True`` — chains a
+    :class:`~repro.obs.telemetry.TelemetryChannel` behind that log, so
+    every event also reaches ``telemetry.ndjson`` and a unix socket
+    ``repro monitor`` can attach to mid-run.
     ``finalize`` writes the final metrics snapshot (JSON + Prometheus
     text) and closes the record; everything degrades to no-ops when the
     registry or telemetry is off.
@@ -72,21 +67,20 @@ class ObsSession:
             enter(ObsStreamer(self.handle.directory, log=self.log))
 
         if telemetry:
-            self.channel = TelemetryChannel()
+            from repro.obs.telemetry import (
+                TelemetryChannel, default_socket_path)
+
             if self.handle is not None:
-                sink = NDJSONTelemetrySink(self.handle.path("telemetry.ndjson"))
-                self._stack.callback(sink.close)
-                self.channel.subscribe(sink)
-                sock = self.channel.serve(
-                    default_socket_path(self.handle.directory)
-                )
+                self.channel = TelemetryChannel(
+                    sink=self.handle.path("telemetry.ndjson"))
+                sock_path = default_socket_path(self.handle.directory)
             else:
-                sock = self.channel.serve(
-                    Path(tempfile.gettempdir())
-                    / f"repro-telemetry-{os.getpid()}.sock"
-                )
-            enter(use_telemetry(self.channel))
+                self.channel = TelemetryChannel()
+                sock_path = (Path(tempfile.gettempdir())
+                             / f"repro-telemetry-{os.getpid()}.sock")
             self._stack.callback(self.channel.close)
+            enter(self.log.tap(self.channel.record))
+            sock = self.channel.serve(sock_path)
             if sock is not None:
                 logger.info("telemetry socket: %s", sock)
 
@@ -109,9 +103,6 @@ class ObsSession:
             return
         self._finalized = True
         if self.handle is not None:
-            counts: dict[str, int] = {}
-            for ev in self.log:
-                counts[ev.kind] = counts.get(ev.kind, 0) + 1
             snapshot = {
                 k: v
                 for k, v in self.metrics.snapshot().items()
@@ -136,7 +127,7 @@ class ObsSession:
                     self.handle.add_artifact(name, self.handle.path(name))
             self.handle.finalize(
                 status=status, metrics=snapshot, summary=summary,
-                event_counts=counts,
+                event_counts=self.log.kinds(),
             )
 
     def close(self) -> None:

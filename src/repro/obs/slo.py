@@ -16,10 +16,9 @@ allowed to violate it (``1 - q`` for a latency rule, the threshold for
 an error-rate rule).  The **burn rate** is the observed violating
 fraction divided by that budget: 1.0 means the budget is being consumed
 exactly as fast as it accrues; above 1.0 the SLO is being breached.
-The engine publishes ``slo.burn_rate`` telemetry on every evaluation
-and an edge-triggered ``slo.breach`` when a (class, target) pair first
-crosses 1.0 — the signals ``repro monitor`` surfaces live and the
-ROADMAP-1 autoscaler will act on.
+The engine emits an ``slo.burn_rate`` event on every evaluation and an
+edge-triggered ``slo.breach`` when a (class, target) pair first crosses
+1.0 — the signals ``repro monitor`` surfaces live.
 
 Everything is streaming and O(buckets): the digests are the
 fixed-boundary :class:`~repro.obs.metrics.Histogram` quantile
@@ -34,7 +33,7 @@ from typing import TYPE_CHECKING, Any, Iterable
 from repro.obs.metrics import Histogram
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.telemetry import TelemetryChannel
+    from repro.obs.events import Event, EventLog
 
 #: Latency metrics every job observation carries.
 LATENCY_METRICS = ("queue_wait", "run", "total")
@@ -189,14 +188,14 @@ class SLOEngine:
         self,
         targets: Iterable[str | SLOTarget] | None = None,
         *,
-        channel: "TelemetryChannel | None" = None,
+        log: "EventLog | None" = None,
     ) -> None:
         specs = DEFAULT_SLO_TARGETS if targets is None else targets
         self.targets = [
             t if isinstance(t, SLOTarget) else SLOTarget.parse(t)
             for t in specs
         ]
-        self.channel = channel
+        self.log = log
         self.classes: dict[str, ClassStats] = {}
         self.breaches = 0
         self._breached: set[tuple[str, str]] = set()
@@ -213,8 +212,8 @@ class SLOEngine:
     ) -> list[dict[str, Any]]:
         """Fold one terminal job in; returns the per-target evaluations.
 
-        Publishes one ``slo.burn_rate`` telemetry record per evaluated
-        target and an ``slo.breach`` the first time a (class, target)
+        Emits one ``slo.burn_rate`` event per evaluated target on
+        ``log`` and an ``slo.breach`` the first time a (class, target)
         pair's burn rate crosses 1.0 (re-armed when it recovers).
         """
         stats = self.classes.get(cls)
@@ -238,8 +237,8 @@ class SLOEngine:
             })
             key = (cls, target.spec)
             breached = burn >= 1.0
-            if self.channel is not None:
-                self.channel.publish(
+            if self.log is not None:
+                self.log.emit(
                     "slo.burn_rate",
                     job_class=cls, target=target.spec,
                     burn_rate=round(burn, 4), breached=breached,
@@ -248,8 +247,8 @@ class SLOEngine:
             if breached and key not in self._breached:
                 self._breached.add(key)
                 self.breaches += 1
-                if self.channel is not None:
-                    self.channel.publish(
+                if self.log is not None:
+                    self.log.emit(
                         "slo.breach",
                         job_class=cls, target=target.spec,
                         burn_rate=round(burn, 4),
@@ -330,35 +329,31 @@ def render_slo_report(rep: dict[str, Any]) -> str:
 
 
 def engine_from_telemetry(
-    records: Iterable[Any],
+    records: Iterable["Event"],
     targets: Iterable[str | SLOTarget] | None = None,
 ) -> SLOEngine:
     """Replay ``job.done`` / ``job.failed`` telemetry into a fresh engine.
 
-    The offline half of ``repro slo``: the daemon publishes terminal
-    job records with ``queue_wait_s`` / ``run_s`` / ``total_s`` /
-    ``job_class`` fields, and this folds a recorded stream (a run's
-    ``telemetry.ndjson``) back through the same evaluation logic.
+    The offline half of ``repro slo``: the daemon emits terminal job
+    records with ``queue_wait_s`` / ``run_s`` / ``total_s`` /
+    ``job_class`` fields, and this folds a recorded stream (a serve
+    run's ``telemetry.ndjson``, read by
+    :func:`~repro.obs.telemetry.records_from_ndjson`) back through the
+    same evaluation logic.
     """
     engine = SLOEngine(targets)
     for rec in records:
-        kind = getattr(rec, "kind", None) or rec.get("kind")
-        if kind not in ("job.done", "job.failed"):
-            continue
-        payload = getattr(rec, "payload", None)
-        if payload is None and isinstance(rec, dict):
-            payload = rec.get("payload")
-        if payload is None:
-            payload = rec
-        cls = payload.get("job_class")
-        if cls is None:
+        fields = rec.fields
+        if rec.kind not in ("job.done", "job.failed") or (
+            fields.get("job_class") is None
+        ):
             continue
         engine.observe_job(
-            cls,
-            queue_wait_s=payload.get("queue_wait_s"),
-            run_s=payload.get("run_s"),
-            total_s=payload.get("total_s"),
-            failed=kind == "job.failed",
-            job_id=payload.get("job"),
+            fields["job_class"],
+            queue_wait_s=fields.get("queue_wait_s"),
+            run_s=fields.get("run_s"),
+            total_s=fields.get("total_s"),
+            failed=rec.kind == "job.failed",
+            job_id=fields.get("job"),
         )
     return engine

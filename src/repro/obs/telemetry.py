@@ -1,31 +1,31 @@
-"""Live telemetry bus: push-based streaming records for running SCFs.
+"""Live telemetry: the run's event log, streamed while the run is in flight.
 
-Everything else in :mod:`repro.obs` is *post-hoc* — spans, events, and
-metric snapshots are exported after the run finishes.  The telemetry
-channel is the *streaming* counterpart: instrumented code publishes
-small sampled records (worker heartbeats, SCF cycle summaries, periodic
-:class:`~repro.obs.metrics.MetricsRegistry` snapshots) while the run is
-in flight, and consumers — the ``repro monitor`` dashboard, the run
-registry's NDJSON sink, an external scraper — subscribe to the stream:
+Instrumented code reports every occurrence once, through the event log
+(:func:`~repro.obs.events.get_event_log`).  :class:`TelemetryChannel`
+is an :class:`~repro.obs.events.EventLog` with a bounded backlog that
+also fans each event out as it is recorded:
 
-* **in-process** via :meth:`TelemetryChannel.subscribe` (a callable per
-  record, used by the NDJSON sink and the tests);
-* **out-of-process** via a local unix-domain socket
-  (:meth:`TelemetryChannel.serve`): any process may connect *mid-run*,
-  receives the channel's buffered backlog first, then the live stream,
-  one JSON object per line.
+* to a local unix-domain socket (:meth:`TelemetryChannel.serve`): any
+  process may connect *mid-run*, receives the backlog first, then the
+  live stream, one JSON object per line — what ``repro monitor``
+  follows;
+* to an NDJSON sink (``telemetry.ndjson`` in a run directory),
+  line-buffered so each record is durable the moment it exists and a
+  crashed driver's file still replays;
+* to in-process subscribers (:meth:`TelemetryChannel.subscribe`).
 
-Like the tracer / metrics registry / event log, the channel is
-installed globally (:func:`use_telemetry`) and defaults to *off*:
-publishers pay one :func:`get_telemetry` call and an ``is None`` test
-per sample.  Timestamps come from ``time.perf_counter`` — the same
-clock the tracer and the event log use, and the clock the process
-backend shares across workers — so telemetry records line up with
-spans and events on one time base.
+A ``--telemetry`` run chains a channel behind its own event log
+(:class:`~repro.obs.session.ObsSession`), so ``events.ndjson`` and
+``telemetry.ndjson`` hold the same occurrences; the ``repro serve``
+daemon installs its channel *as* the process event log, so a daemon
+that runs for days holds a bounded backlog.  Timestamps come from
+``time.perf_counter`` — the clock the tracer uses and the process
+backend shares across workers — so records line up with spans.
 
-Records transported over the worker pipe (heartbeats) are re-published
-by the driver-side monitor onto this channel; workers never talk to
-the socket directly.
+The line format (:func:`telemetry_line`) is ``kind``, ``t_s``,
+``source`` (``rank<N>`` or ``driver``), then the event's fields, with
+a ranked event's ``rank`` among them; :func:`records_from_ndjson` reads
+it back into events, recordings of earlier builds included.
 """
 
 from __future__ import annotations
@@ -36,11 +36,10 @@ import os
 import socket
 import threading
 import time
-from collections import deque
-from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, TextIO
+
+from repro.obs.events import Event, EventLog, _json_safe
 
 logger = logging.getLogger("repro.obs.telemetry")
 
@@ -53,56 +52,36 @@ DEFAULT_BUFFER = 4096
 CLIENT_BUFFER_CAP = 1 << 20
 
 
-def _json_safe(value: Any) -> Any:
-    if isinstance(value, (bool, int, float, str)) or value is None:
-        return value
-    if isinstance(value, dict):
-        return {str(k): _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    return str(value)
+def telemetry_line(ev: Event) -> str:
+    """One event as a telemetry NDJSON line (no newline)."""
+    rec: dict[str, Any] = {
+        "kind": ev.kind,
+        "t_s": ev.t,
+        "source": "driver" if ev.rank is None else f"rank{ev.rank}",
+    }
+    if ev.rank is not None:
+        rec["rank"] = ev.rank
+    rec.update({k: _json_safe(v) for k, v in ev.fields.items()})
+    return json.dumps(rec)
 
 
-@dataclass(frozen=True)
-class TelemetryRecord:
-    """One published telemetry sample.
+def record_from_json(line: str) -> Event:
+    """Parse one :func:`telemetry_line` back into an event.
 
-    Attributes
-    ----------
-    kind:
-        Dotted record name (``"worker.heartbeat"``, ``"scf.cycle"``,
-        ``"metrics.snapshot"``, ``"worker.hung"``, ...).
-    t:
-        Clock reading at publication (``perf_counter`` seconds).
-    source:
-        Who produced it: ``"driver"`` or ``"rank<N>"``.
-    payload:
-        Arbitrary JSON-able fields.
+    The rank is the ``rank`` field, else the one a ``rank<N>`` source
+    names; any other source (``driver``, an earlier build's
+    ``service`` or ``worker<N>``) is a run-global event.
     """
-
-    kind: str
-    t: float
-    source: str = "driver"
-    payload: dict[str, Any] = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        rec = {"kind": self.kind, "t_s": self.t, "source": self.source}
-        rec.update({k: _json_safe(v) for k, v in self.payload.items()})
-        return json.dumps(rec)
-
-
-def record_from_json(line: str) -> TelemetryRecord:
-    """Parse one :meth:`TelemetryRecord.to_json` line back."""
     rec = json.loads(line)
-    return TelemetryRecord(
-        kind=rec.pop("kind"),
-        t=float(rec.pop("t_s", 0.0)),
-        source=rec.pop("source", "driver"),
-        payload=rec,
-    )
+    kind, t = rec.pop("kind"), float(rec.pop("t_s", 0.0))
+    source = str(rec.pop("source", "driver"))
+    rank = rec.pop("rank", None)
+    if rank is None and source.startswith("rank") and source[4:].isdigit():
+        rank = int(source[4:])
+    return Event(kind=kind, t=t, rank=rank, fields=rec)
 
 
-def records_from_ndjson(text: str) -> list[TelemetryRecord]:
+def records_from_ndjson(text: str) -> list[Event]:
     """Parse a telemetry NDJSON dump (e.g. the registry's sink file)."""
     return [
         record_from_json(line)
@@ -131,14 +110,24 @@ def close_listener(server: socket.socket,
         pass
 
 
-class TelemetryChannel:
-    """Publish/subscribe fan-out for live run telemetry.
+class TelemetryChannel(EventLog):
+    """An event log that streams: bounded backlog, socket, sink, subscribers.
 
-    Thread-safe: the process backend's collector publishes from the
-    driver thread while the socket server broadcasts from its accept
-    thread; all shared state sits behind one lock.  Slow or dead socket
+    Thread-safe: the daemon's request threads, its dispatch loop and the
+    socket server's accept thread all reach it; the backlog, the socket
+    clients and the sink sit behind one lock.  Slow or dead socket
     subscribers are dropped, never waited on — telemetry must not be
     able to stall the SCF.
+
+    Parameters
+    ----------
+    clock:
+        As for :class:`~repro.obs.events.EventLog`.
+    buffer:
+        Backlog length: the newest ``buffer`` events are kept (and
+        replayed to a socket client that connects late).
+    sink:
+        Optional NDJSON file every event is appended to.
     """
 
     def __init__(
@@ -146,12 +135,16 @@ class TelemetryChannel:
         *,
         clock: Callable[[], float] = time.perf_counter,
         buffer: int = DEFAULT_BUFFER,
+        sink: str | Path | None = None,
     ) -> None:
-        self.clock = clock
-        self.records: deque[TelemetryRecord] = deque(maxlen=buffer)
+        super().__init__(clock=clock, maxlen=buffer)
         self._lock = threading.Lock()
-        self._subscribers: list[Callable[[TelemetryRecord], None]] = []
+        self._subscribers: list[Callable[[Event], None]] = []
         self._clients: dict[socket.socket, bytearray] = {}
+        self._sink: TextIO | None = None
+        if sink is not None:
+            Path(sink).parent.mkdir(parents=True, exist_ok=True)
+            self._sink = open(sink, "a", buffering=1)
         self._server: socket.socket | None = None
         self._server_thread: threading.Thread | None = None
         self._flush_thread: threading.Thread | None = None
@@ -160,52 +153,44 @@ class TelemetryChannel:
         self._closing = threading.Event()  # ends the flush thread's nap
         self.published = 0
 
-    # -- publishing ----------------------------------------------------------
+    # -- recording -----------------------------------------------------------
 
-    def publish(
-        self,
-        kind: str,
-        *,
-        source: str = "driver",
-        t: float | None = None,
-        **payload: Any,
-    ) -> TelemetryRecord:
-        """Publish one record to every subscriber; returns the record."""
-        rec = TelemetryRecord(
-            kind=kind,
-            t=self.clock() if t is None else t,
-            source=source,
-            payload=payload,
-        )
-        self.publish_record(rec)
-        return rec
-
-    def publish_record(self, rec: TelemetryRecord) -> None:
-        """Publish an already-built record (heartbeat re-publication)."""
-        line = (rec.to_json() + "\n").encode()
+    def record(self, ev: Event) -> None:
+        """Keep ``ev`` in the backlog and fan it out."""
+        line = telemetry_line(ev) + "\n"
+        data = line.encode()
         with self._lock:
             if self._closed:
                 return
-            self.records.append(rec)
+            self.events.append(ev)
             self.published += 1
+            if self._sink is not None:
+                self._sink.write(line)
             subscribers = list(self._subscribers)
             for client in list(self._clients):
-                self._send(client, line)
+                self._send(client, data)
         for fn in subscribers:
             try:
-                fn(rec)
+                fn(ev)
             except Exception:  # pragma: no cover - subscriber bug guard
                 logger.exception("telemetry subscriber failed; detaching")
                 self.unsubscribe(fn)
+        if self.on_emit is not None:
+            self.on_emit(ev)
+
+    def publish(self, kind: str, **fields: Any) -> Event:
+        """:meth:`emit` under its name from before the channel was an
+        event log; only the ledger's publish-cost probe still calls it."""
+        return self.emit(kind, **fields)
 
     # -- in-process subscription ---------------------------------------------
 
-    def subscribe(self, fn: Callable[[TelemetryRecord], None]) -> None:
-        """Register ``fn`` to be called once per published record."""
+    def subscribe(self, fn: Callable[[Event], None]) -> None:
+        """Register ``fn`` to be called once per recorded event."""
         with self._lock:
             self._subscribers.append(fn)
 
-    def unsubscribe(self, fn: Callable[[TelemetryRecord], None]) -> None:
+    def unsubscribe(self, fn: Callable[[Event], None]) -> None:
         with self._lock:
             if fn in self._subscribers:
                 self._subscribers.remove(fn)
@@ -273,9 +258,9 @@ class TelemetryChannel:
                     client.close()
                     return
                 self._clients[client] = bytearray()
-                backlog = b"".join(
-                    (r.to_json() + "\n").encode() for r in self.records
-                )
+                backlog = "".join(
+                    telemetry_line(ev) + "\n" for ev in self.events
+                ).encode()
                 if backlog:
                     self._send(client, backlog)
 
@@ -331,7 +316,8 @@ class TelemetryChannel:
             return len(self._clients)
 
     def close(self) -> None:
-        """Stop serving, drop clients, refuse further publishes."""
+        """Stop serving, drop clients, close the sink, refuse further
+        events."""
         with self._lock:
             if self._closed:
                 return
@@ -354,6 +340,8 @@ class TelemetryChannel:
                 except OSError:  # pragma: no cover - teardown best effort
                     pass
         self._closing.set()
+        if self._sink is not None:
+            self._sink.close()
         if server is not None:
             close_listener(server, self._server_thread)
         if self._flush_thread is not None:
@@ -390,7 +378,7 @@ class TelemetryClient:
         self._buf = b""
         self.eof = False
 
-    def poll(self, max_wait: float = 0.5) -> list[TelemetryRecord]:
+    def poll(self, max_wait: float = 0.5) -> list[Event]:
         """Drain records available within ``max_wait`` seconds."""
         if self.eof:
             return []
@@ -404,7 +392,7 @@ class TelemetryClient:
             pass
         except OSError:
             self.eof = True
-        out: list[TelemetryRecord] = []
+        out: list[Event] = []
         while b"\n" in self._buf:
             line, self._buf = self._buf.split(b"\n", 1)
             if line.strip():
@@ -428,43 +416,6 @@ class TelemetryClient:
         return False
 
 
-def follow_telemetry(
-    path: str | Path, *, poll_s: float = 0.5
-) -> Iterator[TelemetryRecord]:
-    """Generator over a live socket's records until the server closes."""
-    with TelemetryClient(path) as client:
-        while not client.eof:
-            yield from client.poll(poll_s)
-
-
-class NDJSONTelemetrySink:
-    """Channel subscriber that appends every record to an NDJSON file.
-
-    Line-buffered append: each record is durable as soon as it is
-    published, so the file survives a crashed driver and can be
-    replayed through ``repro monitor --replay`` or the run registry.
-    """
-
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self.path, "a", buffering=1)
-        self.written = 0
-
-    def __call__(self, rec: TelemetryRecord) -> None:
-        try:
-            self._fh.write(rec.to_json() + "\n")
-            self.written += 1
-        except ValueError:  # pragma: no cover - closed-file race
-            pass
-
-    def close(self) -> None:
-        try:
-            self._fh.close()
-        except OSError:  # pragma: no cover - teardown best effort
-            pass
-
-
 #: Worker-count guard for unix socket paths (sun_path is ~107 bytes).
 _MAX_SOCKET_PATH = 100
 
@@ -483,28 +434,3 @@ def default_socket_path(run_dir: str | Path) -> Path:
     import tempfile
 
     return Path(tempfile.gettempdir()) / f"repro-telemetry-{os.getpid()}.sock"
-
-
-_current_channel: TelemetryChannel | None = None
-
-
-def get_telemetry() -> TelemetryChannel | None:
-    """The globally installed channel, or ``None`` (telemetry off)."""
-    return _current_channel
-
-
-def set_telemetry(channel: TelemetryChannel | None) -> None:
-    """Install a global channel; ``None`` disables telemetry."""
-    global _current_channel
-    _current_channel = channel
-
-
-@contextmanager
-def use_telemetry(channel: TelemetryChannel) -> Iterator[TelemetryChannel]:
-    """Install ``channel`` for the duration of a ``with`` block."""
-    previous = _current_channel
-    set_telemetry(channel)
-    try:
-        yield channel
-    finally:
-        set_telemetry(previous)

@@ -19,8 +19,8 @@ deterministically:
   is the one alternative, a cost-weighted pre-partition
   (``schedule="static"``).  Both serve the same ``next(rank)`` grants.
 * :class:`~repro.parallel.threads.ThreadTeam` — OpenMP-style thread
-  scheduling: ``static`` / ``dynamic`` chunked partitions, loop
-  collapsing, per-thread private storage.
+  scheduling: ``static`` / ``dynamic`` chunked partitions, per-thread
+  private storage.
 * :class:`~repro.parallel.shared_array.WriteTracker` — records which
   thread wrote which elements in which synchronization phase and
   detects write-write races, turning the paper's data-race argument
@@ -40,7 +40,6 @@ from repro.parallel.scheduler import (
 from repro.parallel.threads import ThreadTeam, split_chunks
 from repro.parallel.shared_array import RaceError, WriteTracker
 from repro.parallel.reduction import tree_reduce_columns
-from repro.parallel.ddi import DDIArray, DDIMode, DDIRuntime
 
 __all__ = [
     "SimWorld",
@@ -56,7 +55,4 @@ __all__ = [
     "WriteTracker",
     "RaceError",
     "tree_reduce_columns",
-    "DDIRuntime",
-    "DDIArray",
-    "DDIMode",
 ]

@@ -22,11 +22,14 @@ backend's equivalent of the sim balancer's ``fail_rank`` withdrawal.
 
 from __future__ import annotations
 
-import multiprocessing as mp
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.parallel.shared_array import SharedNDArray
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from multiprocessing.context import BaseContext
 
 
 class SharedTaskCounter:
@@ -42,10 +45,12 @@ class SharedTaskCounter:
         default so the counter is inherited, not pickled.
     """
 
-    def __init__(self, capacity: int, *, ctx: mp.context.BaseContext | None = None) -> None:
+    def __init__(self, capacity: int, *, ctx: BaseContext | None = None) -> None:
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
         if ctx is None:
+            import multiprocessing as mp
+
             ctx = mp.get_context("fork")
         self.capacity = capacity
         # One lock (the Value's) guards both the cursor and the active

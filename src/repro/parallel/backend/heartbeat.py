@@ -21,9 +21,11 @@ heartbeat protocol closes that window:
   whose process died is marked ``lost`` and handed to the existing
   zero-slab / owner-board replay recovery.
 
-Each beat is re-published onto the live telemetry channel
-(:mod:`repro.obs.telemetry`) when one is installed, which is what the
-``repro monitor`` dashboard's worker-health column and per-rank
+Each beat, and each change of a rank's state, is one event on the
+installed event log (``worker.heartbeat`` / ``worker.hung`` /
+``worker.recovered`` / ``worker.lost``) carrying the rank's whole
+health record; a ``--telemetry`` run streams them, and they are what
+the ``repro monitor`` dashboard's worker-health column and per-rank
 activity lanes are drawn from.
 """
 
@@ -35,7 +37,6 @@ from typing import Any, Callable
 
 from repro.obs.events import get_event_log
 from repro.obs.metrics import get_metrics
-from repro.obs.telemetry import get_telemetry
 
 #: Default seconds between worker beats (rate limit at claim boundaries).
 DEFAULT_INTERVAL_S = 0.25
@@ -91,8 +92,8 @@ class WorkerHealth:
         return None if self.last_beat is None else now - self.last_beat
 
     def as_dict(self) -> dict[str, Any]:
+        """The health fields an event carries (its rank is the event's)."""
         return {
-            "rank": self.rank,
             "pid": self.pid,
             "state": self.state,
             "cycle": self.cycle,
@@ -112,9 +113,9 @@ class HeartbeatMonitor:
     dispatched, :meth:`record` for every beat drained from the shared
     queue, :meth:`check` from its collect loop (returns the ranks that
     *newly* turned suspect), and :meth:`mark_done` / :meth:`mark_lost`
-    as results or deaths arrive.  All side effects (events, metrics,
-    telemetry) happen here, so the backend's control flow stays about
-    collection and recovery.
+    as results or deaths arrive.  All side effects (events, metrics)
+    happen here, so the backend's control flow stays about collection
+    and recovery.
     """
 
     def __init__(
@@ -180,15 +181,10 @@ class HeartbeatMonitor:
             self._resolve(h, "recovered")
         elif h.state in ("idle", "lost"):
             h.state = "ok"
-        channel = get_telemetry()
-        if channel is not None:
-            # Published on the channel's own clock so heartbeats share a
-            # time base with the driver's run/cycle records; the beat's
-            # worker-relative stamp rides along in the payload.
-            channel.publish(
-                "worker.heartbeat", source=f"rank{h.rank}",
-                worker_t=beat.get("t"), **h.as_dict(),
-            )
+        # Stamped on the log's clock so heartbeats share a time base with
+        # the driver's run/cycle events; the beat's worker-relative stamp
+        # rides along.
+        self._emit("worker.heartbeat", h, worker_t=beat.get("t"))
         return h
 
     def check(self, pending: set[int] | None = None) -> list[int]:
@@ -196,8 +192,8 @@ class HeartbeatMonitor:
 
         Returns the ranks that turned suspect *on this call* (already
         suspect or non-pending ranks are not re-reported), after
-        emitting ``worker.hung`` events, bumping
-        ``process.workers_suspect``, and publishing telemetry.
+        emitting ``worker.hung`` events and bumping
+        ``process.workers_suspect``.
         """
         now = self.clock()
         newly: list[int] = []
@@ -213,25 +209,14 @@ class HeartbeatMonitor:
             h.suspect_count += 1
             self.hung_total += 1
             newly.append(h.rank)
-            log = get_event_log()
-            if log is not None:
-                log.emit(
-                    "worker.hung", rank=h.rank, cycle=h.cycle,
-                    silent_s=age, timeout_s=self.timeout_s,
-                    claimed=h.claimed, pid=h.pid,
-                )
+            self._emit("worker.hung", h, silent_s=age,
+                       timeout_s=self.timeout_s)
             registry = get_metrics()
             if registry is not None:
                 registry.counter("process.workers_suspect").inc()
                 registry.counter(
                     "process.workers_suspect", rank=h.rank
                 ).inc()
-            channel = get_telemetry()
-            if channel is not None:
-                channel.publish(
-                    "worker.hung", source=f"rank{h.rank}",
-                    silent_s=age, **h.as_dict(),
-                )
         return newly
 
     def next_suspect_in(self, pending: set[int]) -> float | None:
@@ -257,22 +242,17 @@ class HeartbeatMonitor:
         h = self.health[rank]
         was_suspect = h.state == "suspect"
         h.state = "lost"
-        channel = get_telemetry()
-        if channel is not None:
-            channel.publish(
-                "worker.lost", source=f"rank{rank}",
-                was_suspect=was_suspect, **h.as_dict(),
-            )
+        self._emit("worker.lost", h, was_suspect=was_suspect)
 
     def _resolve(self, h: WorkerHealth, how: str) -> None:
         h.state = "ok"
+        self._emit(f"worker.{how}", h)
+
+    @staticmethod
+    def _emit(kind: str, h: WorkerHealth, **extra: Any) -> None:
         log = get_event_log()
         if log is not None:
-            log.emit(f"worker.{how}", rank=h.rank, cycle=h.cycle)
-        channel = get_telemetry()
-        if channel is not None:
-            channel.publish(f"worker.{how}", source=f"rank{h.rank}",
-                            **h.as_dict())
+            log.emit(kind, rank=h.rank, **extra, **h.as_dict())
 
     # -- inspection ----------------------------------------------------------
 

@@ -65,7 +65,6 @@ import numpy as np
 from repro.obs.events import EventLog, events_from_ndjson, get_event_log
 from repro.obs.metrics import get_metrics
 from repro.obs.stream import ObsStreamer
-from repro.obs.telemetry import get_telemetry
 from repro.obs.tracer import Tracer, get_tracer, use_tracer
 from repro.parallel.backend.base import ExecutionBackend
 from repro.parallel.backend.counter import SharedTaskCounter
@@ -458,7 +457,6 @@ class ProcessFockBuilder:
             return
         registry = get_metrics()
         log = get_event_log()
-        channel = get_telemetry()
         counter = self._counter
         leftover = counter.unclaimed() if counter is not None else []
         for idx, rank in enumerate(sorted(dead)):
@@ -489,12 +487,6 @@ class ProcessFockBuilder:
                 log.emit(
                     "process.worker_lost", rank=rank, cycle=cycle,
                     replayed=len(tasks), was_suspect=was_suspect,
-                )
-            if channel is not None:
-                channel.publish(
-                    "process.replay", source="driver", rank=rank,
-                    cycle=cycle, replayed=len(tasks),
-                    was_suspect=was_suspect,
                 )
 
     # -- teardown ------------------------------------------------------------

@@ -144,11 +144,11 @@ class Scheduler:
         """Declare ``rank`` dead and withdraw its outstanding grants.
 
         Returns the withdrawn task indices in their original grant
-        order.  With ``requeue=True`` (the DDI runtime's recovery path)
-        they are appended round-robin to the surviving ranks' queues, to
-        be claimed by subsequent ``next()`` draws; with ``requeue=False``
-        the caller owns redistribution (the Fock builders replay them in
-        grant order so recovered results stay bitwise identical).
+        order.  With ``requeue=True`` they are appended round-robin to
+        the surviving ranks' queues, to be claimed by subsequent
+        ``next()`` draws; with ``requeue=False`` the caller owns
+        redistribution (the Fock builders replay them in grant order so
+        recovered results stay bitwise identical).
         """
         if not 0 <= rank < self.nranks:
             raise ValueError(f"rank {rank} out of range (nranks={self.nranks})")

@@ -27,7 +27,6 @@ import atexit
 import os
 import weakref
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
 
 import numpy as np
 
@@ -81,6 +80,10 @@ class SharedNDArray:
         self.shape = tuple(int(s) for s in shape)
         self.dtype = np.dtype(dtype)
         nbytes = max(1, int(np.prod(self.shape)) * self.dtype.itemsize)
+        # Imported here: multiprocessing loads socket and subprocess, and
+        # only the process backend ever allocates a block.
+        from multiprocessing import shared_memory
+
         if create:
             self._shm = shared_memory.SharedMemory(create=True, size=nbytes)
         else:

@@ -8,11 +8,7 @@ concurrency are modelled in :mod:`repro.perfsim`.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence, TypeVar
-
 import numpy as np
-
-T = TypeVar("T")
 
 _SCHEDULES = ("static", "dynamic")
 
@@ -99,20 +95,6 @@ class ThreadTeam:
             shares[t].extend(range(start, min(start + chunk, ntasks)))
             loads[t] += cost
         return shares
-
-    def collapse2(self, n_outer: int, n_inner: Callable[[int], int] | int) -> list[tuple[int, int]]:
-        """Flatten a 2-level loop nest into one iteration list.
-
-        Models OpenMP ``collapse(2)``: the combined iteration space is
-        the concatenation of ``(outer, inner)`` index pairs.  ``n_inner``
-        may be a constant or a function of the outer index (triangular
-        nests).
-        """
-        out: list[tuple[int, int]] = []
-        for a in range(n_outer):
-            m = n_inner(a) if callable(n_inner) else n_inner
-            out.extend((a, b) for b in range(m))
-        return out
 
     def private_buffers(self, shape: tuple[int, ...]) -> list[np.ndarray]:
         """Allocate one zeroed private array per thread."""

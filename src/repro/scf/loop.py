@@ -21,7 +21,6 @@ import numpy as np
 from repro.chem.basis.basisset import BasisSet
 from repro.integrals.basis_setup import basis_setup
 from repro.obs.events import get_event_log
-from repro.obs.telemetry import get_telemetry
 from repro.obs.tracer import get_tracer
 from repro.resilience.checkpoint import (
     CheckpointManager, SCFCheckpoint, load_checkpoint)
@@ -212,7 +211,7 @@ class SCFLoop:
         history: list[SCFIteration] = []
         e_old = 0.0
         start_cycle = 1
-        tracer, log, channel = get_tracer(), get_event_log(), get_telemetry()
+        tracer, log = get_tracer(), get_event_log()
         if restart is not None:
             ck = load_checkpoint(restart)
             ck.check_compatible(kind=self.kind, nbf=nbf, nelectrons=nelectrons)
@@ -316,16 +315,11 @@ class SCFLoop:
                     SCFIteration(it, e_elec + self.enuc, d_rms, de, stats)
                 )
                 if log is not None:
-                    log.emit(
-                        "scf.cycle", cycle=it, energy=e_elec + self.enuc,
-                        d_rms=d_rms, de=de,
-                    )
-                if channel is not None:
                     # The monitor's convergence sparkline is drawn from
                     # these per-cycle samples.
-                    channel.publish(
+                    log.emit(
                         "scf.cycle", cycle=it, energy=e_elec + self.enuc,
-                        delta_e=de, d_rms=d_rms,
+                        d_rms=d_rms, delta_e=de,
                     )
 
                 densities = new
@@ -373,11 +367,6 @@ class SCFLoop:
                 if log is not None:
                     log.emit(
                         "scf.converged", cycle=it, energy=e_old + self.enuc
-                    )
-                if channel is not None:
-                    channel.publish(
-                        "scf.converged", cycle=it,
-                        energy=e_old + self.enuc, converged=True,
                     )
                 break
 

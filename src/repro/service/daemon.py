@@ -17,10 +17,13 @@ One process, three moving parts:
   gate, a job deadline, a heartbeat-suspect horizon, the idle exit.
   There is no polling interval: an idle daemon makes no wake-ups at
   all, and a finished job is folded the moment its result is written;
-* the PR-6 observability stack: a telemetry channel served from the
-  service directory (``repro monitor --socket``), ``job.*`` /
-  ``service.*`` records for every lifecycle edge, and a run-registry
-  record per job plus one for the daemon itself.
+* the observability stack: a telemetry channel installed as the
+  process event log — bounded backlog, served from the service
+  directory (``repro monitor <service-dir>/telemetry.sock``), written to
+  the serve run's ``telemetry.ndjson`` — carrying ``job.*`` /
+  ``service.*`` / ``slo.*`` records for every lifecycle edge and the
+  fleet's heartbeats, plus a run-registry record per job and one for
+  the daemon itself.
 
 Crash model end to end: submissions and transitions are fsync'd to the
 journal *before* they are acknowledged, checkpoints land under
@@ -51,15 +54,11 @@ from multiprocessing.connection import wait as wait_for_any
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.obs.events import EventLog, get_event_log, set_event_log
+from repro.obs.events import get_event_log, set_event_log
 from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
 from repro.obs.registry import RunHandle, RunRegistry, new_run_id
 from repro.obs.slo import DEFAULT_SLO_TARGETS, SLOEngine, job_class
-from repro.obs.telemetry import (
-    TelemetryChannel,
-    close_listener,
-    set_telemetry,
-)
+from repro.obs.telemetry import TelemetryChannel, close_listener
 from repro.service.client import recv_line, probe_socket, service_socket_path
 from repro.service.errors import (
     DaemonAlreadyRunning,
@@ -220,31 +219,26 @@ class ServiceDaemon:
             "serve", config=self.config.to_dict()
         )
 
-        self.channel = TelemetryChannel()
-        set_telemetry(self.channel)
-        self.slo = SLOEngine(self.config.slo_targets, channel=self.channel)
-        # Install fresh global obs state, remembering what was there:
-        # an in-process daemon (tests, benchmarks) must hand the
-        # process' globals back on close(), like set_telemetry below.
+        # The channel IS the process event log: job, SLO and fleet
+        # heartbeat records all arrive through emit(), and a daemon that
+        # runs for days holds a bounded backlog.  An in-process daemon
+        # (tests, benchmarks) hands the process' globals back on close().
+        self.channel = TelemetryChannel(
+            sink=self.serve_run.path("telemetry.ndjson")
+            if self.serve_run is not None else None
+        )
         self._prev_event_log = get_event_log()
         self._prev_metrics = get_metrics()
-        set_event_log(EventLog())
+        set_event_log(self.channel)
         set_metrics(MetricsRegistry())
+        self.slo = SLOEngine(self.config.slo_targets, log=self.channel)
         telemetry_fd = None
         if self.channel.serve(self.service_dir / "telemetry.sock"):
             telemetry_fd = self.channel.server_fileno()
         if self.serve_run is not None:
-            from repro.obs.telemetry import NDJSONTelemetrySink
-
-            self._sink = NDJSONTelemetrySink(
-                self.serve_run.path("telemetry.ndjson")
-            )
-            self.channel.subscribe(self._sink)
             self.serve_run.add_artifact(
                 "telemetry", self.serve_run.path("telemetry.ndjson")
             )
-        else:
-            self._sink = None
 
         self.queue = DurableJobQueue(
             self.service_dir / "journal.ndjson",
@@ -254,7 +248,7 @@ class ServiceDaemon:
             logger.info("journal replay recovered %d in-flight job(s): %s",
                         len(self.queue.recovered_jobs),
                         ", ".join(self.queue.recovered_jobs))
-            self.channel.publish(
+            self.channel.emit(
                 "service.recovered",
                 jobs=list(self.queue.recovered_jobs),
                 replayed=self.queue.replayed,
@@ -283,7 +277,7 @@ class ServiceDaemon:
         self._accept_thread.start()
         self._started = True
         self._last_active = time.monotonic()
-        self.channel.publish(
+        self.channel.emit(
             "service.start",
             pid=os.getpid(),
             socket=str(self.socket_path),
@@ -341,7 +335,7 @@ class ServiceDaemon:
         tmp.write_text(plan.fingerprint + "\n")
         tmp.replace(marker)
         self._last_active = time.monotonic()
-        self.channel.publish(
+        self.channel.emit(
             "service.manifest",
             manifest=str(self.config.manifest),
             jobs=len(plan.order),
@@ -461,7 +455,7 @@ class ServiceDaemon:
         if self._server is not None:
             close_listener(self._server, self._accept_thread)
         if self.channel is not None:
-            self.channel.publish(
+            self.channel.emit(
                 "service.stop",
                 jobs_done=self.jobs_done,
                 jobs_failed=self.jobs_failed,
@@ -473,11 +467,8 @@ class ServiceDaemon:
             )
         if self.channel is not None:
             self.channel.close()
-            set_telemetry(None)
-        set_event_log(getattr(self, "_prev_event_log", None))
-        set_metrics(getattr(self, "_prev_metrics", None))
-        if getattr(self, "_sink", None) is not None:
-            self._sink.close()
+            set_event_log(self._prev_event_log)
+            set_metrics(self._prev_metrics)
         if self.queue is not None:
             self.queue.close()
         for path in (self.socket_path, self.pid_path):
@@ -579,14 +570,14 @@ class ServiceDaemon:
                 self._registry_writes.append(partial(
                     self._record_job_run, job, run_id, newly_degraded))
             if newly_degraded:
-                self.channel.publish(
+                self.channel.emit(
                     "service.degraded",
                     job=job.id,
                     reason="process budget exhausted",
                     budget=self.config.process_budget,
                     in_use=self.fleet.process_ranks_in_use(),
                 )
-            self.channel.publish(
+            self.channel.emit(
                 "job.dispatched",
                 job=job.id,
                 attempt=job.attempt,
@@ -650,7 +641,7 @@ class ServiceDaemon:
                 degraded=bool(job.degraded or result.get("degraded")),
                 error=None, error_type=None,
             )
-            self.channel.publish(
+            self.channel.emit(
                 "job.done",
                 job=job.id,
                 attempt=job.attempt,
@@ -689,7 +680,7 @@ class ServiceDaemon:
                 not_before=time.time() + delay,
                 error=error, error_type=error_type,
             )
-            self.channel.publish(
+            self.channel.emit(
                 "job.retrying",
                 job=job.id,
                 attempt=job.attempt,
@@ -703,7 +694,7 @@ class ServiceDaemon:
             self.queue.transition(
                 job.id, "failed", error=error, error_type=error_type,
             )
-            self.channel.publish(
+            self.channel.emit(
                 "job.failed",
                 job=job.id,
                 attempt=job.attempt,
@@ -833,7 +824,7 @@ class ServiceDaemon:
                 job = self.queue.submit(spec, trace=request.get("trace"))
             except ServiceError:
                 self.overloads += 1
-                self.channel.publish(
+                self.channel.emit(
                     "service.overloaded",
                     depth=self.queue.depth()["open"],
                     max_depth=self.config.max_queue_depth,
@@ -851,7 +842,7 @@ class ServiceDaemon:
             # The reply describes the job as admitted; once the loop is
             # woken it may claim the job before the reply is written.
             admitted = job.public_dict()
-            self.channel.publish(
+            self.channel.emit(
                 "job.submitted",
                 job=job.id, tag=spec.tag, basis=spec.basis,
                 algorithm=spec.algorithm, backend=spec.backend,
@@ -897,7 +888,7 @@ class ServiceDaemon:
                     self.queue.cancel(job.id)  # idempotent on terminal jobs
                 if was_open and job.state == "cancelled":
                     self.jobs_cancelled += 1
-                    self.channel.publish("job.cancelled", job=job.id)
+                    self.channel.emit("job.cancelled", job=job.id)
                     self._finalize_job_run(job.id, "cancelled")
                     self._flush_registry()
                     self._wake_loop()  # a slot may have come free

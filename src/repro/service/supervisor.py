@@ -48,7 +48,7 @@ from multiprocessing.connection import wait as mp_wait
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.obs.telemetry import get_telemetry
+from repro.obs.events import get_event_log
 from repro.parallel.backend.heartbeat import HeartbeatMonitor, make_beat
 from repro.service.errors import JobSpecError
 from repro.service.jobs import Job, JobSpec
@@ -262,9 +262,9 @@ def _service_worker_loop(slot: int, cmd: Any, out: Any,
     Forked from the daemon, so the first order of business is shedding
     inherited parent state: the daemon's listening sockets (a child
     holding the listen fd would make a dead daemon's socket accept
-    connections forever) and the parent's global telemetry/event/metric
-    instruments (publishing from here would interleave onto the
-    parent's subscriber sockets).
+    connections forever) and the parent's global event log and metrics
+    (the daemon's event log is its telemetry channel: emitting from here
+    would interleave onto the parent's subscriber sockets).
 
     Then it imports the SCF stack :func:`run_job` needs, while it idles:
     the daemon does not wait for it (its first ping answers with this
@@ -276,7 +276,6 @@ def _service_worker_loop(slot: int, cmd: Any, out: Any,
     from repro.obs.logctl import set_log_context
     from repro.obs.metrics import MetricsRegistry, set_metrics
     from repro.obs.stream import NDJSONStreamWriter
-    from repro.obs.telemetry import set_telemetry
     from repro.obs.tracer import TraceContext, Tracer, set_tracer
 
     for fd in cfg.get("close_fds", ()):
@@ -284,7 +283,6 @@ def _service_worker_loop(slot: int, cmd: Any, out: Any,
             os.close(fd)
         except OSError:
             pass
-    set_telemetry(None)
     set_event_log(None)
     set_metrics(MetricsRegistry())
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # daemon handles ^C
@@ -327,7 +325,7 @@ def _service_worker_loop(slot: int, cmd: Any, out: Any,
                 pass
 
         def emit(kind: str, **payload: Any) -> None:
-            """A telemetry record for the daemon to publish on our behalf."""
+            """An event for the daemon to emit on our behalf."""
             out.put(("event", slot, job_id, kind, payload))
 
         # Distributed trace plumbing: when the daemon handed us a trace
@@ -651,10 +649,9 @@ class WorkerFleet:
                 continue
             if msg[0] == "event":
                 _, slot_idx, job_id, kind, payload = msg
-                channel = get_telemetry()
-                if channel is not None:
-                    channel.publish(kind, source=f"worker{slot_idx}",
-                                    job=job_id, **payload)
+                log = get_event_log()
+                if log is not None:
+                    log.emit(kind, rank=slot_idx, job=job_id, **payload)
                 continue
             kind, slot_idx, job_id, payload = msg
             slot = self.slots[slot_idx]

@@ -87,6 +87,59 @@ def test_importing_repro_sets_no_thread_budget_and_loads_no_numpy(tmp_path):
     assert out.split("\n")[0] == "False []"
 
 
+def test_the_compute_path_imports_three_instruments(tmp_path):
+    """The SCF stack reports through the tracer, the metrics registry and
+    the event log; the rest of ``repro.obs`` — and ``socket`` — stay out
+    of a process that only computes."""
+    out = _python(
+        "import sys\n"
+        "import repro.core.scf_driver\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.obs')),\n"
+        "      'socket' in sys.modules)\n",
+        tmp_path,
+    )
+    assert out.split("\n")[0] == (
+        "['repro.obs', 'repro.obs.events', 'repro.obs.metrics', "
+        "'repro.obs.tracer'] False"
+    )
+
+
+def test_scf_without_telemetry_loads_no_live_obs_module(water_xyz):
+    code = (
+        "import runpy, sys\n"
+        f"sys.argv = ['repro', 'scf', {str(water_xyz)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('repro', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "live = ('telemetry', 'slo', 'trace_assembly', 'monitor')\n"
+        "print([m for m in live if f'repro.obs.{m}' in sys.modules])\n"
+    )
+    out = _python(code, water_xyz.parent)
+    assert "-74.9420799540" in out
+    assert out.strip().splitlines()[-1] == "[]"
+
+
+def test_scf_records_and_prints_its_thread_budget(water_xyz, tmp_path):
+    import json
+
+    out = _python(
+        "from repro.cli import main\n"
+        f"assert main(['scf', {str(water_xyz)!r}, '--runs-dir', 'runs']) == 0\n"
+        f"assert main(['scf', {str(water_xyz)!r}, '--runs-dir', 'runs', "
+        "'--quiet']) == 0\n",
+        tmp_path, OMP_NUM_THREADS="2",
+    )
+    budget = "OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=2 MKL_NUM_THREADS=1"
+    assert out.count(f"BLAS threads : {budget}") == 1  # not under --quiet
+    records = list((tmp_path / "runs").glob("*/run.json"))
+    assert len(records) == 2
+    for run_json in records:
+        assert json.loads(run_json.read_text())["config"]["thread_env"] == {
+            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2",
+            "MKL_NUM_THREADS": "1"}
+
+
 #: Records the BLAS setting at the moment NumPy is first imported, then
 #: runs one ``repro scf`` and reports what the process and its children
 #: (forked, as fleet workers and process-backend ranks are, and exec'd)

@@ -67,7 +67,7 @@ def test_scf_registers_run_with_artifacts(
         for line in (run_dir / "telemetry.ndjson").read_text().splitlines()
         if line.strip()
     ]
-    assert {"run.start", "scf.cycle", "fock.build", "run.end"} <= set(kinds)
+    assert {"run.start", "scf.cycle", "run.end"} <= set(kinds)
     assert kinds.count("scf.cycle") == cycles
     assert kinds.count("scf.converged") == 1
 

@@ -1,11 +1,11 @@
 """The bra-slab digestion primitive and the builders that run on it.
 
 ``QuartetEngine.digest_bra`` digests one thread's whole share of kets
-under one bra; ``scatter_general`` — the per-quartet spelling the
-distributed-data builder still uses — is the independent oracle.  The
-fixture gates pin, inside tier-1, what the end-to-end ledger checks:
-the counters of one Fock build and the energies *and iteration counts*
-of the three committed direct workloads.
+under one bra; ``scatter_general`` — the per-quartet spelling — is the
+independent oracle.  The fixture gates pin, inside tier-1, what the
+end-to-end ledger checks: the counters of one Fock build and the
+energies *and iteration counts* of the three committed direct
+workloads.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 from repro.chem.basis import BasisSet
 from repro.chem.molecule import Molecule
 from repro.config import SCFConfig
-from repro.core.fock_distributed import DistributedDataFockBuilder
 from repro.core.fock_uhf import UHFPrivateFockBuilder
 from repro.core.indexing import decode_pair, pair_index
 from repro.core.quartets import QuartetEngine
@@ -215,9 +214,6 @@ def test_production_builders_never_reach_the_per_quartet_scatter(
     *_, stats = UHFPrivateFockBuilder(
         water_sto3g, h, nranks=2, nthreads=2)(d, 0.5 * d)
     assert stats.quartets_computed == 55
-    # ... while the distributed-data builder is *about* that traffic.
-    with pytest.raises(AssertionError, match="per-quartet scatter"):
-        DistributedDataFockBuilder(water_sto3g, h, nranks=2)(d)
 
 
 # -- (c') a cache-served build plans nothing and assembles nothing -------------

@@ -1,10 +1,12 @@
 """Worker heartbeat liveness: beat folding, deadlines, state machine."""
 
+import json
+
 import pytest
 
 from repro.obs.events import EventLog, use_event_log
 from repro.obs.metrics import MetricsRegistry, use_metrics
-from repro.obs.telemetry import TelemetryChannel, use_telemetry
+from repro.obs.telemetry import TelemetryChannel, telemetry_line
 from repro.parallel.backend.heartbeat import (
     DEFAULT_INTERVAL_S,
     DEFAULT_TIMEOUT_S,
@@ -105,38 +107,40 @@ def test_suspect_rank_recovers_on_next_beat(monitor, clock):
 
 
 def test_hung_emits_event_metric_and_telemetry(monitor, clock):
-    log = EventLog()
-    registry = MetricsRegistry()
+    # One occurrence, one event: the channel installed as the log is what
+    # a telemetry stream is, and its line names the rank as its source.
     chan = TelemetryChannel(clock=clock)
-    with use_event_log(log), use_metrics(registry), use_telemetry(chan):
+    registry = MetricsRegistry()
+    with use_event_log(chan), use_metrics(registry):
         monitor.start_build(cycle=2)
         monitor.record(beat(1, t=0.0, phase="start", claimed=3, cycle=2))
         clock.advance(1.5)
         assert monitor.check({1}) == [1]
-    ev = [e for e in log if e.kind == "worker.hung"]
-    assert len(ev) == 1
+    ev = [e for e in chan if e.kind == "worker.hung"]
+    assert len(ev) == 1 and ev[0].rank == 1
     assert ev[0].fields["cycle"] == 2
     assert ev[0].fields["silent_s"] == pytest.approx(1.5)
     assert ev[0].fields["claimed"] == 3
+    assert ev[0].fields["state"] == "suspect"
     snap = registry.snapshot()
     assert snap.get("process.workers_suspect") == 1
     assert snap.get("process.workers_suspect{rank=1}") == 1
-    hung = [r for r in chan.records if r.kind == "worker.hung"]
-    assert hung and hung[0].source == "rank1"
-    assert hung[0].payload["state"] == "suspect"
+    assert chan.kinds() == {"worker.heartbeat": 1, "worker.hung": 1}
+    line = json.loads(telemetry_line(ev[0]))
+    assert line["source"] == "rank1" and line["state"] == "suspect"
 
 
 def test_heartbeat_republished_on_channel_clock(monitor, clock):
-    chan = TelemetryChannel(clock=lambda: 99.0)
-    with use_telemetry(chan):
+    log = EventLog(clock=lambda: 99.0)
+    with use_event_log(log):
         monitor.start_build(1)
         monitor.record(beat(0, t=0.25, claimed=1))
-    recs = [r for r in chan.records if r.kind == "worker.heartbeat"]
+    recs = [e for e in log if e.kind == "worker.heartbeat"]
     assert len(recs) == 1
-    # Record rides the shared channel clock; the worker-relative stamp
-    # stays available in the payload.
-    assert recs[0].t == 99.0
-    assert recs[0].payload["worker_t"] == pytest.approx(0.25)
+    # The event rides the log's clock; the worker-relative stamp stays
+    # available in its fields.
+    assert recs[0].t == 99.0 and recs[0].rank == 0
+    assert recs[0].fields["worker_t"] == pytest.approx(0.25)
 
 
 def test_claim_rate_uses_worker_timestamps(monitor, clock):
@@ -154,8 +158,8 @@ def test_claim_rate_uses_worker_timestamps(monitor, clock):
 
 
 def test_mark_done_and_mark_lost(monitor, clock):
-    chan = TelemetryChannel(clock=clock)
-    with use_telemetry(chan):
+    log = EventLog(clock=clock)
+    with use_event_log(log):
         monitor.start_build(1)
         clock.advance(2.0)
         monitor.check({0, 1})
@@ -164,12 +168,12 @@ def test_mark_done_and_mark_lost(monitor, clock):
     assert monitor.health[0].state == "idle"
     assert monitor.health[0].last_phase == "done"
     assert monitor.health[1].state == "lost"
-    lost = [r for r in chan.records if r.kind == "worker.lost"]
-    assert lost and lost[0].payload["was_suspect"] is True
+    lost = [e for e in log if e.kind == "worker.lost"]
+    assert lost and lost[0].fields["was_suspect"] is True
 
 
 def test_no_side_effects_without_instruments(monitor, clock):
-    # No event log / metrics / telemetry installed: pure state machine.
+    # No event log / metrics installed: pure state machine.
     monitor.start_build(1)
     clock.advance(5.0)
     assert monitor.check({0, 1}) == [0, 1]

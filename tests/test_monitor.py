@@ -1,4 +1,4 @@
-"""Monitor dashboard: record folding, lanes, sparkline, rendering."""
+"""Monitor dashboard: event folding, lanes, sparkline, rendering."""
 
 import pytest
 
@@ -8,16 +8,17 @@ from repro.obs.monitor import (
     replay_dashboard,
     sparkline,
 )
-from repro.obs.telemetry import TelemetryChannel, TelemetryRecord
+from repro.obs.events import Event
+from repro.obs.telemetry import TelemetryChannel
 
 
-def rec(kind, t, source="driver", **payload):
-    return TelemetryRecord(kind=kind, t=t, source=source, payload=payload)
+def rec(kind, t, rank=None, **fields):
+    return Event(kind=kind, t=t, rank=rank, fields=fields)
 
 
 def hb(rank, t, *, phase="claim", state="ok", claimed=0, **extra):
     return rec(
-        "worker.heartbeat", t, source=f"rank{rank}", rank=rank, phase=phase,
+        "worker.heartbeat", t, rank=rank, phase=phase,
         state=state, claimed=claimed, pid=1000 + rank, **extra,
     )
 
@@ -80,11 +81,11 @@ def test_heartbeats_build_rank_views_and_dlb_samples():
 def test_hung_and_recovered_fold_into_health_and_events():
     state = MonitorState()
     state.apply(hb(0, 0.0))
-    state.apply(rec("worker.hung", 1.0, source="rank0", rank=0,
+    state.apply(rec("worker.hung", 1.0, rank=0,
                     state="suspect", suspect_count=1, silent_s=0.8))
     assert state.ranks[0].state == "suspect"
     assert state.health_counts == {"suspect": 1}
-    state.apply(rec("worker.recovered", 1.2, source="rank0", rank=0,
+    state.apply(rec("worker.recovered", 1.2, rank=0,
                     state="ok", suspect_count=1))
     assert state.ranks[0].state == "ok"
     assert [e.kind for e in state.events] == [
@@ -101,8 +102,7 @@ def test_scf_cycles_feed_convergence_series():
     assert state.convergence_series() == pytest.approx([0.0, -3.0, -8.0])
     assert state.last_energy == pytest.approx(-77.0)
     assert state.converged is None
-    state.apply(rec("scf.converged", 4.0, cycle=3, energy=-77.0,
-                    converged=True))
+    state.apply(rec("scf.converged", 4.0, cycle=3, energy=-77.0))
     assert "scf.converged" in [e.kind for e in state.events]
 
 
@@ -116,13 +116,17 @@ def test_run_records_and_metrics_snapshots():
     state = MonitorState()
     state.apply(rec("run.start", 0.0, run_kind="scf",
                     algorithm="shared-fock", nranks=4))
+    # Earlier recordings carry per-build samples nothing reads: counted,
+    # otherwise ignored.
     state.apply(rec("metrics.snapshot", 1.0, build=1,
                     counters={"dlb.grants": 12, "bad": "str"}))
+    state.apply(rec("fock.build", 1.0, build=1, quartets=55))
     state.apply(rec("run.end", 2.0, status="done", converged=True,
                     energy=-74.96, builds=9))
     assert state.run_info["algorithm"] == "shared-fock"
-    assert state.counters == {"dlb.grants": 12.0}
     assert state.converged is True
+    assert state.nrecords == 4
+    assert [e.kind for e in state.events] == ["run.start", "run.end"]
 
 
 # -- rendering ----------------------------------------------------------------
@@ -136,7 +140,7 @@ def _fed_state():
     state.apply(hb(1, 0.1, phase="start"))
     state.apply(rec("scf.cycle", 0.5, cycle=1, energy=-74.0, delta_e=1.0))
     state.apply(hb(0, 0.9, claimed=8, claim_rate=10.0))
-    state.apply(rec("worker.hung", 1.4, source="rank1", rank=1,
+    state.apply(rec("worker.hung", 1.4, rank=1,
                     state="suspect", suspect_count=1, silent_s=1.3))
     state.apply(rec("scf.cycle", 1.5, cycle=2, energy=-74.9, delta_e=1e-4))
     return state
@@ -163,17 +167,16 @@ def test_render_empty_state():
     assert "0 records" in frame
 
 
-def test_replay_dashboard_round_trip():
-    chan = TelemetryChannel(clock=iter([0.0, 0.2, 0.4, 0.6]).__next__)
-    seen = []
-    chan.subscribe(seen.append)
-    chan.publish("run.start", run_kind="scf", algorithm="mpi-only")
-    chan.publish("worker.heartbeat", source="rank0", rank=0, phase="start",
-                 state="ok", claimed=0)
-    chan.publish("scf.cycle", cycle=1, energy=-1.0, delta_e=0.5)
-    chan.publish("run.end", status="done", converged=True, energy=-1.0)
-    text = "".join(r.to_json() + "\n" for r in seen)
-    frame = replay_dashboard(text)
+def test_replay_dashboard_round_trip(tmp_path):
+    sink = tmp_path / "telemetry.ndjson"
+    with TelemetryChannel(clock=iter([0.0, 0.2, 0.4, 0.6]).__next__,
+                          sink=sink) as chan:
+        chan.emit("run.start", run_kind="scf", algorithm="mpi-only")
+        chan.emit("worker.heartbeat", rank=0, phase="start",
+                  state="ok", claimed=0)
+        chan.emit("scf.cycle", cycle=1, energy=-1.0, delta_e=0.5)
+        chan.emit("run.end", status="done", converged=True, energy=-1.0)
+    frame = replay_dashboard(sink.read_text())
     assert "[mpi-only]" in frame
     assert "converged" in frame
     assert "run.end" in frame
@@ -185,17 +188,16 @@ def test_replay_dashboard_round_trip():
 def test_latency_panel_folds_terminal_jobs_and_burn():
     state = MonitorState()
     for i in range(4):
-        state.apply(rec("job.done", 1.0 + i, source="service",
-                        job=f"j{i:06d}", job_class="shared-fock/sim",
+        state.apply(rec("job.done", 1.0 + i, job=f"j{i:06d}", job_class="shared-fock/sim",
                         queue_wait_s=0.1 * (i + 1), run_s=0.5,
                         total_s=0.5 + 0.1 * (i + 1)))
-    state.apply(rec("job.failed", 9.0, source="service", job="j000099",
+    state.apply(rec("job.failed", 9.0, job="j000099",
                     job_class="shared-fock/sim", queue_wait_s=40.0,
                     run_s=30.0, total_s=70.0, error_type="ScfFailed"))
-    state.apply(rec("slo.burn_rate", 9.1, source="service",
+    state.apply(rec("slo.burn_rate", 9.1,
                     job_class="shared-fock/sim", target="total:p95<60",
                     burn_rate=4.0))
-    state.apply(rec("slo.breach", 9.1, source="service",
+    state.apply(rec("slo.breach", 9.1,
                     job_class="shared-fock/sim", target="total:p95<60",
                     burn_rate=4.0))
 

@@ -17,7 +17,6 @@ from repro.core.fock_shared import SharedFockBuilder
 from repro.core.scf_driver import ParallelSCF
 from repro.integrals.onee import kinetic_matrix, nuclear_matrix
 from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer
-from repro.parallel.ddi import DDIRuntime
 from repro.parallel.dlb import DynamicLoadBalancer
 
 ALGORITHMS = {
@@ -130,23 +129,6 @@ def test_dlb_grants_counted_per_rank():
     assert snap["dlb.grants{rank=0}"] == 4
     assert snap["dlb.grants{rank=1}"] == 3
     assert snap["dlb.grants{rank=2}"] == 3
-
-
-def test_ddi_ops_and_bytes_counted():
-    reg = MetricsRegistry()
-    with use_metrics(reg):
-        ddi = DDIRuntime(2)
-        arr = ddi.create(4, 4)
-        data = np.ones((4, 4))
-        arr.put(0, slice(0, 4), slice(0, 4), data)
-        arr.acc(1, slice(0, 4), slice(0, 4), data)
-        arr.get(0, slice(0, 4), slice(0, 4))
-    snap = reg.snapshot()
-    assert snap["ddi.ops{op=put}"] == 1
-    assert snap["ddi.ops{op=acc}"] == 1
-    assert snap["ddi.ops{op=get}"] == 1
-    assert snap["ddi.bytes_moved"] == ddi.stats.bytes_moved
-    assert snap["ddi.remote_bytes"] > 0
 
 
 def test_global_registry_accumulates_build_totals(water_problem):

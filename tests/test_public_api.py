@@ -68,7 +68,6 @@ MODULES = [
     "repro.parallel.threads",
     "repro.parallel.shared_array",
     "repro.parallel.reduction",
-    "repro.parallel.ddi",
     "repro.core.indexing",
     "repro.core.quartets",
     "repro.core.screening",
@@ -77,7 +76,6 @@ MODULES = [
     "repro.core.fock_mpi",
     "repro.core.fock_private",
     "repro.core.fock_shared",
-    "repro.core.fock_distributed",
     "repro.core.fock_uhf",
     "repro.core.scf_driver",
     "repro.core.memory_model",

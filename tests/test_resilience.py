@@ -8,7 +8,6 @@ import pytest
 from repro.core.scf_driver import ParallelSCF
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.parallel.comm import SimWorld
-from repro.parallel.ddi import DDIRuntime
 from repro.parallel.dlb import DynamicLoadBalancer
 from repro.resilience import (
     CorruptContributionError,
@@ -136,45 +135,7 @@ def test_resilient_grants_raises_when_no_survivors():
         list(resilient_grants(dlb, 1, plan, 1))
 
 
-# -- DDIRuntime fault hooks ---------------------------------------------------
-
-
-def test_ddi_runtime_rejects_bad_geometry_and_plans():
-    with pytest.raises(ValueError):
-        DDIRuntime(0)
-    with pytest.raises(FaultSpecError):
-        DDIRuntime(2, fault_plan=FaultPlan.from_spec("kill:rank=5:cycle=1"))
-
-
-def test_ddi_kill_requeues_to_surviving_draws():
-    plan = FaultPlan.from_spec("kill:rank=1:cycle=1:after=2", nranks=3)
-    ddi = DDIRuntime(3, fault_plan=plan)
-    ddi.dlb_reset(9)
-    drawn = {r: [] for r in range(3)}
-    alive = {0, 1, 2}
-    while alive:
-        for r in sorted(alive):
-            t = ddi.dlbnext(r)
-            if t is None:
-                alive.discard(r)
-            else:
-                drawn[r].append(t)
-    assert drawn[1] == [1, 4]                 # died after its 2 draws
-    assert not ddi.rank_alive(1)
-    # nothing lost, nothing duplicated
-    all_tasks = sorted(drawn[0] + drawn[1] + drawn[2])
-    assert all_tasks == list(range(9))
-
-
-def test_ddi_gsumf_validates_contributions():
-    ddi = DDIRuntime(2)
-    good = [np.ones((2, 2)), np.full((2, 2), 2.0)]
-    np.testing.assert_allclose(ddi.gsumf(good), np.full((2, 2), 3.0))
-    bad = [np.ones((2, 2)), np.array([[np.nan, 0.0], [0.0, 0.0]])]
-    with pytest.raises(CorruptContributionError, match="rank 1"):
-        ddi.gsumf(bad)
-    # opt-out reproduces the unguarded merge
-    assert not np.all(np.isfinite(ddi.gsumf(bad, validate=False)))
+# -- validated reductions -----------------------------------------------------
 
 
 def test_simcomm_gsumf_rejects_corrupt_buffer():

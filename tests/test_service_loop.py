@@ -231,6 +231,37 @@ def test_a_fresh_fleets_first_job_starts_its_scf_at_once(tmp_path):
     assert 0.0 < gap < 0.040
 
 
+# -- the daemon's event log ----------------------------------------------------
+
+
+def test_daemon_event_log_stays_bounded_under_heartbeats(service, tmp_path):
+    """The daemon's telemetry channel is the process event log: fleet
+    heartbeats go through ``emit`` and a daemon that runs for days keeps
+    the channel's bounded backlog, while the sink keeps every record."""
+    from repro.obs.events import get_event_log
+    from repro.obs.telemetry import DEFAULT_BUFFER
+    from repro.parallel.backend.heartbeat import make_beat
+
+    daemon, _ = service()
+    assert get_event_log() is daemon.channel
+    nbeats = 10_000
+    start = daemon.channel.published
+    pid = daemon.fleet.slots[0].proc.pid
+    for i in range(nbeats):
+        daemon.fleet._out.put(("beat", make_beat(
+            0, pid, 1, "claim", t=time.perf_counter(), claimed=i)))
+    deadline = time.monotonic() + 60
+    while (daemon.channel.published - start < nbeats
+           and time.monotonic() < deadline):
+        time.sleep(0.05)
+    assert daemon.channel.published - start >= nbeats
+    assert len(get_event_log()) <= DEFAULT_BUFFER
+    (serve_dir,) = [p for p in (tmp_path / "runs").iterdir()
+                    if (p / "telemetry.ndjson").exists()]
+    text = (serve_dir / "telemetry.ndjson").read_text()
+    assert text.count('"kind": "worker.heartbeat"') >= nbeats
+
+
 # -- teardown ------------------------------------------------------------------
 
 
@@ -367,8 +398,11 @@ def test_status_never_shows_a_claim_the_journal_lacks(
     reader.start()
     held = daemon.queue.jobs[job["id"]]
     seen = []
-    while not written.is_set():
-        seen.append(held.public_dict()["state"])
+    while True:
+        state = held.public_dict()["state"]
+        if written.is_set():  # read after the record exists: may be running
+            break
+        seen.append(state)
     assert seen and set(seen) == {"pending"}
     reader.join(timeout=10)
     state, on_disk = replies[0]

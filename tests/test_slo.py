@@ -13,7 +13,7 @@ from repro.obs.slo import (
     job_class,
     render_slo_report,
 )
-from repro.obs.telemetry import TelemetryChannel
+from repro.obs.events import Event, EventLog
 from repro.service.jobs import JobSpec
 
 
@@ -106,10 +106,8 @@ class TestBurnRate:
 
 class TestBreachEdges:
     def test_breach_fires_once_and_rearms(self):
-        channel = TelemetryChannel()
-        seen = []
-        channel.subscribe(lambda rec: seen.append(rec))
-        engine = SLOEngine(["error_rate<0.5"], channel=channel)
+        seen = EventLog()
+        engine = SLOEngine(["error_rate<0.5"], log=seen)
 
         # 1/1 failed: burn 2.0 -> breach fires.
         engine.observe_job("c", queue_wait_s=0, run_s=0, total_s=0,
@@ -132,19 +130,16 @@ class TestBreachEdges:
         assert kinds.count("slo.breach") == 2
         assert kinds.count("slo.burn_rate") >= 10
         breach = next(r for r in seen if r.kind == "slo.breach")
-        assert breach.payload["job_class"] == "c"
-        assert breach.payload["target"] == "error_rate<0.5"
-        assert breach.payload["burn_rate"] >= 1.0
+        assert breach.fields["job_class"] == "c"
+        assert breach.fields["target"] == "error_rate<0.5"
+        assert breach.fields["burn_rate"] >= 1.0
 
     def test_burn_rate_published_per_target(self):
-        channel = TelemetryChannel()
-        seen = []
-        channel.subscribe(lambda rec: seen.append(rec))
-        engine = SLOEngine(["total:p95<60", "error_rate<0.25"],
-                           channel=channel)
+        seen = EventLog()
+        engine = SLOEngine(["total:p95<60", "error_rate<0.25"], log=seen)
         engine.observe_job("c", queue_wait_s=0.1, run_s=0.9, total_s=1.0)
         rates = [r for r in seen if r.kind == "slo.burn_rate"]
-        assert {r.payload["target"] for r in rates} \
+        assert {r.fields["target"] for r in rates} \
             == {"total:p95<60", "error_rate<0.25"}
 
 
@@ -186,16 +181,16 @@ class TestReporting:
 class TestTelemetryReplay:
     def test_engine_from_telemetry_folds_terminal_records(self):
         records = [
-            {"kind": "job.submitted", "payload": {"job": "j0"}},
-            {"kind": "job.done", "payload": {
+            Event("job.submitted", 0.0, fields={"job": "j0"}),
+            Event("job.done", 1.0, fields={
                 "job": "j0", "job_class": "shared-fock/sim",
-                "queue_wait_s": 0.1, "run_s": 0.4, "total_s": 0.5}},
-            {"kind": "job.failed", "payload": {
+                "queue_wait_s": 0.1, "run_s": 0.4, "total_s": 0.5}),
+            Event("job.failed", 2.0, fields={
                 "job": "j1", "job_class": "shared-fock/sim",
-                "queue_wait_s": 0.2, "run_s": 99.0, "total_s": 99.2}},
-            {"kind": "job.done", "payload": {
+                "queue_wait_s": 0.2, "run_s": 99.0, "total_s": 99.2}),
+            Event("job.done", 3.0, fields={
                 "job": "j2", "job_class": "mpi-only/process",
-                "queue_wait_s": 0.0, "run_s": 1.0, "total_s": 1.0}},
+                "queue_wait_s": 0.0, "run_s": 1.0, "total_s": 1.0}),
         ]
         engine = engine_from_telemetry(records, targets=["total:p95<60"])
         assert set(engine.classes) == {"shared-fock/sim", "mpi-only/process"}
@@ -205,5 +200,5 @@ class TestTelemetryReplay:
 
     def test_records_without_class_are_skipped(self):
         engine = engine_from_telemetry(
-            [{"kind": "job.done", "payload": {"job": "j0"}}])
+            [Event("job.done", 0.0, fields={"job": "j0"})])
         assert not engine.classes

@@ -1,4 +1,4 @@
-"""Live telemetry bus: records, channel fan-out, unix-socket streaming."""
+"""Live telemetry: line format, channel fan-out, unix-socket streaming."""
 
 import json
 import threading
@@ -6,51 +6,63 @@ import time
 
 import pytest
 
+from repro.obs.events import Event, EventLog, get_event_log, use_event_log
 from repro.obs.telemetry import (
-    NDJSONTelemetrySink,
     TelemetryChannel,
     TelemetryClient,
-    TelemetryRecord,
     default_socket_path,
-    get_telemetry,
     record_from_json,
     records_from_ndjson,
-    set_telemetry,
-    use_telemetry,
+    telemetry_line,
 )
 
 
-# -- records ------------------------------------------------------------------
+# -- line format --------------------------------------------------------------
 
 
 def test_record_json_round_trip():
-    rec = TelemetryRecord(
-        kind="scf.cycle", t=1.25, source="driver",
-        payload={"cycle": 3, "energy": -74.96, "converged": False},
-    )
-    back = record_from_json(rec.to_json())
-    assert back.kind == "scf.cycle"
-    assert back.t == pytest.approx(1.25)
-    assert back.source == "driver"
-    assert back.payload == rec.payload
+    ev = Event(kind="scf.cycle", t=1.25,
+               fields={"cycle": 3, "energy": -74.96, "delta_e": 1e-3})
+    line = json.loads(telemetry_line(ev))
+    assert list(line)[:3] == ["kind", "t_s", "source"]
+    assert line["source"] == "driver"
+    assert record_from_json(telemetry_line(ev)) == ev
+
+    ranked = Event(kind="worker.hung", t=2.0, rank=1, fields={"cycle": 2})
+    line = json.loads(telemetry_line(ranked))
+    assert line["source"] == "rank1" and line["rank"] == 1
+    assert record_from_json(telemetry_line(ranked)) == ranked
 
 
 def test_record_json_coerces_unsafe_payload():
-    rec = TelemetryRecord(kind="x", t=0.0, payload={"path": object()})
-    parsed = json.loads(rec.to_json())
+    ev = Event(kind="x", t=0.0, fields={"path": object(), "d": {1: (2, 3)}})
+    parsed = json.loads(telemetry_line(ev))
     assert isinstance(parsed["path"], str)
+    assert parsed["d"] == {"1": [2, 3]}
 
 
 def test_records_from_ndjson_skips_blank_lines():
     text = (
-        TelemetryRecord(kind="a", t=0.0).to_json()
+        telemetry_line(Event(kind="a", t=0.0))
         + "\n\n"
-        + TelemetryRecord(kind="b", t=1.0, source="rank0").to_json()
+        + telemetry_line(Event(kind="b", t=1.0, rank=0))
         + "\n"
     )
     recs = records_from_ndjson(text)
     assert [r.kind for r in recs] == ["a", "b"]
-    assert recs[1].source == "rank0"
+    assert [r.rank for r in recs] == [None, 0]
+
+
+def test_earlier_sources_parse_as_ranks_or_run_global():
+    """Older recordings named a rank only in ``source``, and the service
+    tagged its records ``service`` / ``worker<N>``."""
+    recs = records_from_ndjson(
+        '{"kind": "worker.heartbeat", "t_s": 1.0, "source": "rank3"}\n'
+        '{"kind": "job.done", "t_s": 2.0, "source": "service", "job": "j1"}\n'
+        '{"kind": "job.log", "t_s": 3.0, "source": "worker0"}\n'
+    )
+    assert [r.rank for r in recs] == [3, None, None]
+    assert recs[1].fields == {"job": "j1"}
 
 
 # -- channel fan-out ----------------------------------------------------------
@@ -60,69 +72,89 @@ def test_channel_publish_reaches_subscribers():
     chan = TelemetryChannel()
     seen = []
     chan.subscribe(seen.append)
-    rec = chan.publish("worker.heartbeat", source="rank1", rank=1, claimed=4)
+    ev = chan.emit("worker.heartbeat", rank=1, claimed=4)
     assert chan.published == 1
-    assert seen == [rec]
-    assert seen[0].payload["claimed"] == 4
+    assert seen == [ev]
+    assert seen[0].fields["claimed"] == 4
     chan.unsubscribe(seen.append)
-    chan.publish("worker.heartbeat", rank=1)
+    chan.publish("worker.heartbeat", rank=1)  # the older spelling of emit
     assert len(seen) == 1
+    assert chan.published == 2
 
 
 def test_channel_keeps_bounded_backlog():
     chan = TelemetryChannel(buffer=3)
     for i in range(5):
-        chan.publish("tick", i=i)
-    assert [r.payload["i"] for r in chan.records] == [2, 3, 4]
+        chan.emit("tick", i=i)
+    assert [ev.fields["i"] for ev in chan] == [2, 3, 4]
+    assert len(chan) == 3 and chan.published == 5
 
 
 def test_channel_explicit_timestamp_and_clock():
     chan = TelemetryChannel(clock=lambda: 42.0)
-    assert chan.publish("a").t == 42.0
-    assert chan.publish("b", t=7.5).t == 7.5
+    assert chan.emit("a").t == 42.0
+    # An event another log stamped keeps its own timestamp.
+    chan.record(Event(kind="b", t=7.5))
+    assert [ev.t for ev in chan] == [42.0, 7.5]
 
 
 def test_channel_refuses_publish_after_close():
     chan = TelemetryChannel()
-    chan.publish("a")
+    chan.emit("a")
     chan.close()
-    chan.publish("b")
+    chan.emit("b")
     assert chan.published == 1
+    assert [ev.kind for ev in chan] == ["a"]
 
 
 def test_failing_subscriber_is_detached():
     chan = TelemetryChannel()
 
-    def bad(rec):
+    def bad(ev):
         raise RuntimeError("boom")
 
     good = []
     chan.subscribe(bad)
     chan.subscribe(good.append)
-    chan.publish("a")
-    chan.publish("b")
-    assert [r.kind for r in good] == ["a", "b"]
+    chan.emit("a")
+    chan.emit("b")
+    assert [ev.kind for ev in good] == ["a", "b"]
 
 
 # -- global install -----------------------------------------------------------
 
 
 def test_global_channel_defaults_off_and_restores():
-    assert get_telemetry() is None
+    """A channel is an event log: installed as the process log, it is
+    what instrumented code emits into (the service daemon's wiring)."""
+    assert get_event_log() is None
     chan = TelemetryChannel()
-    with use_telemetry(chan) as active:
-        assert active is chan
-        assert get_telemetry() is chan
-        inner = TelemetryChannel()
-        with use_telemetry(inner):
-            assert get_telemetry() is inner
-        assert get_telemetry() is chan
-    assert get_telemetry() is None
-    set_telemetry(chan)
-    try:
-        assert get_telemetry() is chan
-    finally:
-        set_telemetry(None)
+    with use_event_log(chan) as active:
+        assert active is chan and get_event_log() is chan
+        inner = EventLog()
+        with use_event_log(inner):
+            get_event_log().emit("inner")
+        get_event_log().emit("outer", rank=0)
+    assert get_event_log() is None
+    assert [ev.kind for ev in chan] == ["outer"]
+    assert [ev.kind for ev in inner] == ["inner"]
+
+
+def test_run_log_tap_feeds_the_channel_once_per_event():
+    """A ``--telemetry`` run chains the channel behind its own log: each
+    emit lands in both, with the run log's timestamp, exactly once."""
+    log = EventLog(clock=iter([1.0, 2.0, 3.0, 4.0]).__next__)
+    chan = TelemetryChannel(clock=lambda: 99.0)
+    log.emit("before")
+    with log.tap(chan.record):
+        log.emit("scf.cycle", cycle=1, delta_e=0.5)
+        log.emit("worker.hung", rank=1, cycle=1)
+    log.emit("after")
+    assert [ev.kind for ev in log] == [
+        "before", "scf.cycle", "worker.hung", "after"]
+    assert list(chan) == list(log)[1:3]
+    assert [ev.t for ev in chan] == [2.0, 3.0]
+    assert log.on_emit is None
 
 
 # -- unix-socket streaming ----------------------------------------------------
@@ -132,15 +164,15 @@ def test_socket_backlog_then_live_stream(tmp_path):
     chan = TelemetryChannel()
     sock = chan.serve(tmp_path / "telemetry.sock")
     assert sock is not None and chan.socket_path == sock
-    chan.publish("early", i=0)
-    chan.publish("early", i=1)
+    chan.emit("early", i=0)
+    chan.emit("early", i=1)
 
     with TelemetryClient(sock) as client:
         # Backlog replay: a mid-run subscriber first sees history.
         got = _poll_until(client, 2)
-        assert [r.payload["i"] for r in got] == [0, 1]
+        assert [ev.fields["i"] for ev in got] == [0, 1]
 
-        chan.publish("live", i=2)
+        chan.emit("live", i=2)
         got += _poll_until(client, 1)
         assert got[-1].kind == "live"
         chan.close()
@@ -168,8 +200,8 @@ def test_socket_serve_degrades_on_bad_path(tmp_path):
     chan = TelemetryChannel()
     too_deep = tmp_path / ("x" * 120) / "telemetry.sock"
     assert chan.serve(too_deep) is None
-    # Publishing still works with no socket.
-    chan.publish("a")
+    # Emitting still works with no socket.
+    chan.emit("a")
     assert chan.published == 1
     chan.close()
 
@@ -181,22 +213,20 @@ def test_concurrent_publishers_one_socket_client(tmp_path):
     client = TelemetryClient(sock)
     _poll_until(client, 0, quiet_ok=True)
 
-    def pump(src):
+    def pump(rank):
         for i in range(50):
-            chan.publish("tick", source=src, i=i)
+            chan.emit("tick", rank=rank, i=i)
 
-    threads = [
-        threading.Thread(target=pump, args=(f"rank{r}",)) for r in range(4)
-    ]
+    threads = [threading.Thread(target=pump, args=(r,)) for r in range(4)]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
     got = _poll_until(client, 200)
     assert len(got) == 200
-    # Per-source ordering is preserved even under interleaving.
+    # Per-rank ordering is preserved even under interleaving.
     for r in range(4):
-        seq = [g.payload["i"] for g in got if g.source == f"rank{r}"]
+        seq = [g.fields["i"] for g in got if g.rank == r]
         assert seq == list(range(50))
     client.close()
     chan.close()
@@ -217,17 +247,17 @@ def _poll_until(client, n, *, quiet_ok=False, timeout=10.0):
 
 def test_ndjson_sink_is_durable_per_record(tmp_path):
     path = tmp_path / "telemetry.ndjson"
-    chan = TelemetryChannel()
-    sink = NDJSONTelemetrySink(path)
-    chan.subscribe(sink)
-    chan.publish("scf.cycle", cycle=1, energy=-1.0)
-    chan.publish("scf.cycle", cycle=2, energy=-2.0)
-    # Line-buffered: visible on disk before close().
+    chan = TelemetryChannel(sink=path, buffer=1)
+    chan.emit("scf.cycle", cycle=1, energy=-1.0)
+    chan.emit("scf.cycle", cycle=2, energy=-2.0)
+    # Line-buffered: visible on disk before close(), and the file keeps
+    # what the bounded backlog has already dropped.
     recs = records_from_ndjson(path.read_text())
-    assert [r.payload["cycle"] for r in recs] == [1, 2]
-    assert sink.written == 2
-    sink.close()
+    assert [ev.fields["cycle"] for ev in recs] == [1, 2]
+    assert len(chan) == 1
     chan.close()
+    chan.emit("scf.cycle", cycle=3)
+    assert len(records_from_ndjson(path.read_text())) == 2
 
 
 # -- socket path guard --------------------------------------------------------

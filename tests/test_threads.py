@@ -149,17 +149,6 @@ def test_bad_schedule_rejected():
         ThreadTeam(2).partition(10, schedule="guided")
 
 
-def test_collapse2_triangular():
-    team = ThreadTeam(1)
-    out = team.collapse2(3, lambda a: a + 1)
-    assert out == [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
-
-
-def test_collapse2_rectangular():
-    team = ThreadTeam(1)
-    assert team.collapse2(2, 2) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-
-
 def test_private_buffers_independent():
     team = ThreadTeam(3)
     bufs = team.private_buffers((2, 2))
