@@ -342,8 +342,8 @@ def _bench_obs_setup(args, output: Path):
     runs diff`` like any SCF; ``--telemetry`` installs a telemetry
     channel as the process event log (as the service daemon does) and
     measures its overhead on the hot path, and ``--trace`` the
-    distributed tracer's (context-stamped spans streamed to NDJSON,
-    exactly the per-attempt setup a service worker installs) — the CI
+    distributed tracer's (context-stamped spans written to NDJSON by
+    the span sink a service worker installs per attempt) — the CI
     gates hold both under the compare tolerance.
     """
     from repro.obs.registry import RunRegistry
@@ -376,8 +376,7 @@ def _bench_obs_setup(args, output: Path):
         set_event_log(channel)
     span_writer = None
     if args.trace:
-        from repro.obs.export import span_line
-        from repro.obs.stream import NDJSONStreamWriter
+        from repro.obs.stream import SpanBatchWriter
         from repro.obs.tracer import (
             TraceContext,
             Tracer,
@@ -389,11 +388,10 @@ def _bench_obs_setup(args, output: Path):
         spans_path = (handle.path("spans.ndjson") if handle is not None
                       else output.parent / f"{output.stem}.spans.ndjson")
         spans_path.parent.mkdir(parents=True, exist_ok=True)
-        span_writer = NDJSONStreamWriter(spans_path)
-        writer = span_writer
+        span_writer = SpanBatchWriter(spans_path)
         set_tracer(Tracer(
             context=TraceContext(new_trace_id(), new_span_id()),
-            on_close=lambda s: writer.write_line(span_line(s, 0.0)),
+            on_close=span_writer,
         ))
     return handle, channel, span_writer
 

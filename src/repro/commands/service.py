@@ -96,9 +96,11 @@ def register(sub) -> None:
              "suspect (worker.hung) (default: 10)",
     )
     srv.add_argument(
-        "--checkpoint-every", type=_positive_int, default=1, metavar="N",
-        help="job checkpoint write interval in SCF cycles (default: 1; "
-             "retries and daemon restarts resume from the checkpoint)",
+        "--checkpoint-every", type=_positive_int, default=None, metavar="N",
+        help="job checkpoint write interval in SCF cycles (default: on "
+             "cost — after cycle 1, then once the cycles since the last "
+             "write took 40x the cheapest write; retries and daemon "
+             "restarts resume from the checkpoint)",
     )
     srv.add_argument(
         "--idle-exit", type=_positive, default=None, metavar="S",

@@ -27,7 +27,7 @@ from repro.core.screening import DEFAULT_TAU, Screening
 from repro.integrals.basis_setup import basis_setup
 from repro.integrals.cache import QuartetCache
 from repro.obs.events import get_event_log
-from repro.obs.metrics import MetricsRegistry, get_metrics
+from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
 from repro.parallel.comm import SimComm, SimWorld
 from repro.parallel.scheduler import SCHEDULE_NAMES, Scheduler, make_scheduler
@@ -51,31 +51,6 @@ _SCALAR_FIELDS = (
 _SERIES_FIELDS = ("per_rank_quartets", "per_thread_quartets")
 
 
-def _counter_property(field: str) -> property:
-    key = f"fock.{field}"
-
-    def _get(self: "FockBuildStats") -> int:
-        return self.metrics.counter(key).value
-
-    def _set(self: "FockBuildStats", value: int) -> None:
-        self.metrics.counter(key).set(value)
-
-    return property(_get, _set, doc=f"Counter ``{key}`` of the build registry.")
-
-
-def _series_property(field: str) -> property:
-    key = f"fock.{field}"
-
-    def _get(self: "FockBuildStats") -> list[int]:
-        return self.metrics.series(key)
-
-    def _set(self: "FockBuildStats", value: Sequence[int]) -> None:
-        series = self.metrics.series(key)
-        series[:] = list(value)
-
-    return property(_get, _set, doc=f"Series ``{key}`` of the build registry.")
-
-
 def _imbalance(values: Sequence[int]) -> float:
     if not values or sum(values) == 0:
         return 1.0
@@ -84,66 +59,45 @@ def _imbalance(values: Sequence[int]) -> float:
     return float(arr.max() / mean) if mean > 0 else 1.0
 
 
+@dataclass
 class FockBuildStats:
     """Execution statistics of one Fock construction.
 
-    A thin attribute view over a per-build
-    :class:`~repro.obs.metrics.MetricsRegistry`: every counter
-    (``quartets_computed``, ``fi_flushes``, ...) and per-rank/thread
-    series lives in ``self.metrics`` under a ``fock.*`` name, so the
-    same numbers are reachable both as plain attributes (as the
-    builders and analyses always did) and as named metrics for the
-    NDJSON/report exporters.
+    Plain counters (``quartets_computed``, ``fi_flushes``, ...) and
+    per-rank/thread series that the build fills as it goes; the builder
+    publishes them to the installed metrics registry once, when the
+    build ends (:meth:`ParallelFockBuilderBase._record_global`), and
+    :meth:`snapshot` names them the way the registry does.
     """
 
-    def __init__(
-        self,
-        algorithm: str,
-        nranks: int,
-        nthreads: int,
-        quartets_computed: int = 0,
-        quartets_screened: int = 0,
-        per_rank_quartets: Sequence[int] | None = None,
-        per_thread_quartets: Sequence[int] | None = None,
-        fi_flushes: int = 0,
-        fj_flushes: int = 0,
-        reduce_bytes: int = 0,
-        races: int = 0,
-        writes_checked: int = 0,
-        eri_cache_hits: int = 0,
-        eri_cache_misses: int = 0,
-        eri_cache_evictions: int = 0,
-        metrics: MetricsRegistry | None = None,
-    ) -> None:
-        self.algorithm = algorithm
-        self.nranks = nranks
-        self.nthreads = nthreads
-        self.metrics = MetricsRegistry() if metrics is None else metrics
-        self.quartets_computed = quartets_computed
-        self.quartets_screened = quartets_screened
-        self.fi_flushes = fi_flushes
-        self.fj_flushes = fj_flushes
-        self.reduce_bytes = reduce_bytes
-        self.races = races
-        self.writes_checked = writes_checked
-        self.eri_cache_hits = eri_cache_hits
-        self.eri_cache_misses = eri_cache_misses
-        self.eri_cache_evictions = eri_cache_evictions
-        self.per_rank_quartets = list(per_rank_quartets or [])
-        self.per_thread_quartets = list(per_thread_quartets or [])
+    algorithm: str
+    nranks: int
+    nthreads: int
+    quartets_computed: int = 0
+    quartets_screened: int = 0
+    per_rank_quartets: list[int] = field(default_factory=list)
+    per_thread_quartets: list[int] = field(default_factory=list)
+    fi_flushes: int = 0
+    fj_flushes: int = 0
+    reduce_bytes: int = 0
+    races: int = 0
+    writes_checked: int = 0
+    eri_cache_hits: int = 0
+    eri_cache_misses: int = 0
+    eri_cache_evictions: int = 0
 
-    quartets_computed = _counter_property("quartets_computed")
-    quartets_screened = _counter_property("quartets_screened")
-    fi_flushes = _counter_property("fi_flushes")
-    fj_flushes = _counter_property("fj_flushes")
-    reduce_bytes = _counter_property("reduce_bytes")
-    races = _counter_property("races")
-    writes_checked = _counter_property("writes_checked")
-    eri_cache_hits = _counter_property("eri_cache_hits")
-    eri_cache_misses = _counter_property("eri_cache_misses")
-    eri_cache_evictions = _counter_property("eri_cache_evictions")
-    per_rank_quartets = _series_property("per_rank_quartets")
-    per_thread_quartets = _series_property("per_thread_quartets")
+    def __post_init__(self) -> None:
+        self.per_rank_quartets = list(self.per_rank_quartets)
+        self.per_thread_quartets = list(self.per_thread_quartets)
+
+    def snapshot(self) -> dict[str, int | list[int]]:
+        """The counters and series as ``{"fock.<field>": value}``,
+        key-sorted — the shape of a registry snapshot."""
+        return {
+            f"fock.{name}": (list(getattr(self, name))
+                             if name in _SERIES_FIELDS else getattr(self, name))
+            for name in sorted((*_SCALAR_FIELDS, *_SERIES_FIELDS))
+        }
 
     @property
     def total_quartets(self) -> int:
@@ -181,30 +135,6 @@ class FockBuildStats:
         out["thread_imbalance"] = self.thread_imbalance
         out["eri_cache_hit_rate"] = self.eri_cache_hit_rate
         return out
-
-    def _as_tuple(self) -> tuple:
-        return (
-            self.algorithm,
-            self.nranks,
-            self.nthreads,
-            *(getattr(self, f) for f in _SCALAR_FIELDS),
-            *(list(getattr(self, f)) for f in _SERIES_FIELDS),
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FockBuildStats):
-            return NotImplemented
-        return self._as_tuple() == other._as_tuple()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(
-            f"{f}={getattr(self, f)!r}"
-            for f in (
-                "algorithm", "nranks", "nthreads",
-                *_SCALAR_FIELDS, *_SERIES_FIELDS,
-            )
-        )
-        return f"FockBuildStats({fields})"
 
 
 @dataclass
@@ -369,6 +299,9 @@ class ParallelFockBuilderBase:
         self._plans: dict[int, TaskPlan] = {}
         self._plans_for: Screening | None = None
         self._plan_bytes = 0
+        # Global-registry counters of _record_global, and their registry.
+        self._counters: list = []
+        self._counters_of = None
 
     # Subclasses implement the backend-facing rank-program interface:
     #
@@ -601,13 +534,20 @@ class ParallelFockBuilderBase:
         return WriteTracker(self.nbf * self.nbf, strict=False)
 
     def _record_global(self, stats: FockBuildStats) -> None:
-        """Mirror final per-build counters into the global registry."""
+        """Publish the build's counters to the installed registry, once
+        per build."""
         registry = get_metrics()
         if registry is None:
             return
-        algo = self.algorithm_name
-        registry.counter("fock.builds", algorithm=algo).inc()
-        for field in _SCALAR_FIELDS:
-            registry.counter(f"fock.{field}", algorithm=algo).inc(
-                getattr(stats, field)
-            )
+        if self._counters_of is not registry:
+            # Looked up on the first build under a registry, kept after.
+            algo = self.algorithm_name
+            self._counters = [
+                registry.counter(f"fock.{field}", algorithm=algo)
+                for field in ("builds", *_SCALAR_FIELDS)
+            ]
+            self._counters_of = registry
+        builds, *counters = self._counters
+        builds.inc()
+        for counter, field in zip(counters, _SCALAR_FIELDS):
+            counter.inc(getattr(stats, field))

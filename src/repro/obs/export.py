@@ -17,6 +17,7 @@ Three machine/human-readable views of one traced run:
 from __future__ import annotations
 
 import json
+import math
 import re
 from pathlib import Path
 from typing import Any, Iterable
@@ -261,20 +262,48 @@ def span_record(s: Span, t0: float = 0.0) -> dict[str, Any]:
     return rec
 
 
+#: JSON of the strs spans repeat (names, attr keys and labels, parent
+#: ids), escaped once instead of once per span; cleared when full.
+_JSON_STRS: dict[str, str] = {}
+_JSON_STRS_MAX = 4096
+
+
+def _json_str(v: str) -> str:
+    out = _JSON_STRS.get(v)
+    if out is None:
+        if len(_JSON_STRS) >= _JSON_STRS_MAX:
+            _JSON_STRS.clear()
+        out = _JSON_STRS[v] = json.dumps(v)
+    return out
+
+
+def _json_value(v: Any) -> str:
+    """``json.dumps(_json_safe(v))``, built by hand for an int, a str
+    and a finite float."""
+    t = type(v)
+    if t is int:
+        return int.__repr__(v)
+    if t is str:
+        return _JSON_STRS.get(v) or _json_str(v)
+    if t is float and math.isfinite(v):
+        return float.__repr__(v)
+    return json.dumps(_json_safe(v))
+
+
 def span_line(s: Span, t0: float = 0.0) -> str:
     """One finished NDJSON line for a span — the hot-path serializer.
 
-    ``repro serve`` workers (and the ``--trace`` benchmark) stream a
+    ``repro serve`` workers (and the ``--trace`` benchmark) serialize a
     line per completed span from inside the ERI kernel, where a
     ``json.dumps`` per record is the single largest tracing cost; this
-    hand-builds the common shape (ASCII name, int rank/thread) and is
-    byte-identical to ``json.dumps(span_record(s, t0))``, falling back
-    to exactly that for anything unusual.
+    builds the line by hand — ints, finite floats and remembered strs
+    without a call into ``json`` — and is byte-identical to
+    ``json.dumps(span_record(s, t0))``.
     """
     # One walk up the parent chain covers rank/thread inheritance and
     # the nesting depth (span_record does three).
     rank = thread = _MISSING
-    depth = 0
+    depth = -1  # the walk counts the span itself
     node: Span | None = s
     while node is not None:
         a = node.attrs
@@ -284,31 +313,40 @@ def span_line(s: Span, t0: float = 0.0) -> str:
             thread = a["thread"]
         node = node.parent
         depth += 1
-    depth -= 1  # the walk counted the span itself
     if rank is _MISSING:
         rank = 0
     if thread is _MISSING:
         thread = 0
-    name = s.name
-    if (type(rank) is not int or type(thread) is not int
-            or '"' in name or "\\" in name):
-        return json.dumps(span_record(s, t0))
-    attrs = s.attrs
-    attrs_json = (json.dumps({k: _json_safe(v) for k, v in attrs.items()})
-                  if attrs else "{}")
-    end = s.end
-    dur = (end - s.start) if end is not None else 0.0
+    strs = _JSON_STRS
+    # An exact int formats as its JSON; anything else goes the long way.
+    attrs = ", ".join([
+        f"{strs.get(k) or _json_str(k)}: "
+        f"{v if type(v) is int else _json_value(v)}"
+        for k, v in s.attrs.items()
+    ])
+    start = s.start - t0
+    dur = s.duration
+    if (type(start) is float and type(dur) is float
+            and math.isfinite(start) and math.isfinite(dur)):
+        times = f'"start_s": {start!r}, "dur_s": {dur!r}'
+    else:
+        times = f'"start_s": {_json_value(start)}, "dur_s": {_json_value(dur)}'
     line = (
-        f'{{"span": "{name}", "start_s": {s.start - t0!r}, '
-        f'"dur_s": {dur!r}, "depth": {depth}, '
-        f'"rank": {rank}, "thread": {thread}, "attrs": {attrs_json}'
+        f'{{"span": {strs.get(s.name) or _json_str(s.name)}, {times}, '
+        f'"depth": {depth}, '
+        f'"rank": {rank if type(rank) is int else _json_value(rank)}, '
+        f'"thread": {thread if type(thread) is int else _json_value(thread)}, '
+        f'"attrs": {{{attrs}}}'
     )
-    if s.trace_id is not None:
-        parent = ("null" if s.parent_span_id is None
-                  else f'"{s.parent_span_id}"')
-        line += (f', "trace_id": "{s.trace_id}", "span_id": "{s.span_id}", '
-                 f'"parent_span_id": {parent}')
-    return line + "}"
+    if s.trace_id is None:
+        return line + "}"
+    # A span's own id is new with every span, and always hex
+    # (new_span_id): written as is, not remembered.
+    return (
+        f'{line}, "trace_id": {strs.get(s.trace_id) or _json_value(s.trace_id)}, '
+        f'"span_id": "{s.span_id}", "parent_span_id": '
+        f'{strs.get(s.parent_span_id) or _json_value(s.parent_span_id)}}}'
+    )
 
 
 def spans_ndjson(tracer: Tracer, *, t0: float | None = None) -> str:

@@ -238,7 +238,7 @@ class MetricsRegistry:
         self._metrics: dict[tuple[str, LabelKey], Metric] = {}
 
     def _get_or_create(self, kind: str, name: str, labels: dict[str, Any]) -> Metric:
-        key = (name, tuple(sorted(labels.items())))
+        key = (name, tuple(sorted(labels.items())) if labels else ())
         metric = self._metrics.get(key)
         if metric is None:
             metric = self._KINDS[kind](name, key[1])

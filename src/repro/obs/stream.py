@@ -1,4 +1,4 @@
-"""Incremental (line-buffered) NDJSON streaming of spans and events.
+"""Incremental NDJSON streaming of spans and events.
 
 The batch exporters in :mod:`repro.obs.export` serialize a finished
 tracer; a worker that dies mid-build via ``os._exit`` (the fault
@@ -7,7 +7,7 @@ buffered in its tracer/event log used to vanish from the merged trace.
 
 :class:`ObsStreamer` closes that gap: it hooks the tracer's
 ``on_close`` and the event log's ``on_emit`` callbacks and appends one
-JSON line per completed span / emitted event to line-buffered append
+JSON line per completed span / emitted event to unbuffered append
 files the moment the record exists.  A killed worker's obs output is
 then durable up to its very last completed span — no final flush
 required — and the on-disk format is byte-compatible with
@@ -15,13 +15,18 @@ required — and the on-disk format is byte-compatible with
 :func:`~repro.obs.analysis.timeline.spans_from_ndjson` and
 :func:`~repro.obs.events.events_from_ndjson` read streamed files
 unchanged.
+
+:class:`SpanBatchWriter` is the service worker's cheaper middle: closed
+spans are kept and reach the file, serialized, in one ``write`` per SCF
+cycle, so a killed attempt loses at most the spans of its cycle in
+flight.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, TextIO
+from typing import Any, BinaryIO, Sequence
 
 from repro.obs.events import Event, EventLog, event_record
 from repro.obs.export import span_line
@@ -29,28 +34,38 @@ from repro.obs.tracer import Span, Tracer
 
 
 class NDJSONStreamWriter:
-    """Append JSON records to a file, one durable line at a time.
+    """Append JSON records to a file, whole lines per ``write`` call.
 
-    The file is opened in append mode with line buffering, so every
-    :meth:`write` survives an ``os._exit`` (the OS flushes on the
-    newline) and concurrent writers appending whole lines to *separate*
-    files can be merged afterwards without tearing.
+    The file is unbuffered and opened for append: every call below is
+    one ``write`` of whole lines, which survives an ``os._exit`` the
+    moment it returns, and concurrent writers appending to *separate*
+    files can be merged afterwards without tearing.  ``written`` counts
+    lines, ``writes`` the calls that wrote them.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh: TextIO = open(self.path, "a", buffering=1)
+        self._fh: BinaryIO = open(self.path, "ab", buffering=0)
         self.written = 0
+        self.writes = 0
 
     def write(self, record: dict[str, Any]) -> None:
-        self._fh.write(json.dumps(record) + "\n")
-        self.written += 1
+        self.write_lines((json.dumps(record),))
 
     def write_line(self, line: str) -> None:
-        """Append one pre-serialized JSON line (the span hot path)."""
-        self._fh.write(line + "\n")
-        self.written += 1
+        """Append one pre-serialized JSON line."""
+        self.write_lines((line,))
+
+    def write_lines(self, lines: Sequence[str]) -> None:
+        """Append pre-serialized JSON lines in one ``write``."""
+        if not lines:
+            return
+        data = memoryview(("\n".join(lines) + "\n").encode())
+        while data:  # a regular file takes it whole but for a full disk
+            data = data[self._fh.write(data):]
+        self.written += len(lines)
+        self.writes += 1
 
     def close(self) -> None:
         try:
@@ -64,6 +79,45 @@ class NDJSONStreamWriter:
     def __exit__(self, *exc: object) -> bool:
         self.close()
         return False
+
+
+class SpanBatchWriter:
+    """A tracer's ``on_close`` hook that writes spans a cycle at a time.
+
+    Closed spans are kept; when an SCF cycle's span (:attr:`CYCLE`)
+    closes, and on :meth:`flush` / :meth:`close`, they are serialized
+    (:func:`~repro.obs.export.span_line`, absolute ``perf_counter``
+    timestamps: the cross-process time base trace assembly aligns on)
+    and go to ``path`` in one ``write``.  The file only ever holds
+    complete lines, and a cycle's children are in it whenever the
+    cycle's own line is.
+    """
+
+    #: The span whose close writes the kept spans.
+    CYCLE = "scf/iteration"
+
+    def __init__(self, path: str | Path) -> None:
+        self._out = NDJSONStreamWriter(path)
+        self._spans: list[Span] = []
+
+    def __call__(self, span: Span) -> None:
+        self._spans.append(span)
+        if span.name == self.CYCLE:
+            self.flush()
+
+    def flush(self) -> None:
+        """Write the kept spans (one ``write``; none when there are none)."""
+        self._out.write_lines([span_line(s) for s in self._spans])
+        self._spans = []
+
+    @property
+    def writes(self) -> int:
+        """``write`` calls made so far."""
+        return self._out.writes
+
+    def close(self) -> None:
+        self.flush()
+        self._out.close()
 
 
 class ObsStreamer:

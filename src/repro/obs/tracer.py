@@ -24,6 +24,8 @@ deterministic fake clock through the ``clock`` parameter.
 
 from __future__ import annotations
 
+import itertools
+import os
 import secrets
 import time
 from contextlib import contextmanager
@@ -35,9 +37,35 @@ def new_trace_id() -> str:
     return secrets.token_hex(16)
 
 
+_span_prefix = ""
+_span_serial = itertools.count(1)
+
+
+def _reseed_span_ids() -> None:
+    """A fresh random prefix and a restarted serial (import, fork)."""
+    global _span_prefix, _span_serial
+    _span_prefix = secrets.token_hex(4)
+    _span_serial = itertools.count(1)
+
+
+_reseed_span_ids()
+# A forked worker must not mint its parent's ids.
+os.register_at_fork(after_in_child=_reseed_span_ids)
+
+
 def new_span_id() -> str:
-    """A fresh W3C span id: 16 lowercase hex chars, never all-zero."""
-    return secrets.token_hex(8)
+    """A fresh W3C span id: 16 lowercase hex chars, never all-zero.
+
+    A per-process random 32-bit prefix and a 32-bit serial that starts
+    at 1: unique within the process, and across processes as far as
+    their prefixes differ — one counter step per span instead of a
+    call into the OS random source.
+    """
+    n = next(_span_serial)
+    if n > 0xFFFFFFFF:
+        _reseed_span_ids()
+        n = next(_span_serial)
+    return f"{_span_prefix}{n:08x}"
 
 
 class TraceContext:
@@ -89,27 +117,57 @@ def parse_traceparent(header: str) -> TraceContext | None:
 
 
 class Span:
-    """One traced region: a name, a wall-time interval, and attributes."""
+    """One traced region: a name, a wall-time interval, and attributes.
+
+    :meth:`Tracer.span` hands a span out unopened; it is its own context
+    manager, opened (timed, parented, given its ids) on ``__enter__`` and
+    closed on ``__exit__``.
+    """
 
     __slots__ = ("name", "attrs", "start", "end", "parent", "children",
-                 "trace_id", "span_id", "parent_span_id")
+                 "trace_id", "span_id", "parent_span_id", "_tracer")
 
     def __init__(
         self,
         name: str,
         attrs: dict[str, Any],
-        start: float,
-        parent: "Span | None" = None,
+        tracer: "Tracer",
     ) -> None:
         self.name = name
         self.attrs = attrs
-        self.start = start
+        self.start = 0.0
         self.end: float | None = None
-        self.parent = parent
+        self.parent: Span | None = None
         self.children: list[Span] = []
         self.trace_id: str | None = None
         self.span_id: str | None = None
         self.parent_span_id: str | None = None
+        self._tracer = tracer
+
+    def __enter__(self) -> "Span":
+        tracer = self._tracer
+        stack = tracer._stack
+        parent = stack[-1] if stack else None
+        self.parent = parent
+        ctx = tracer.context
+        if ctx is not None:
+            self.trace_id = ctx.trace_id
+            self.span_id = new_span_id()
+            self.parent_span_id = (
+                parent.span_id if parent is not None else ctx.span_id
+            )
+        (parent.children if parent is not None else tracer.roots).append(self)
+        stack.append(self)
+        self.start = tracer.clock()
+        return self
+
+    def __exit__(self, *exc: object) -> bool:
+        tracer = self._tracer
+        self.end = tracer.clock()
+        tracer._stack.pop()
+        if tracer.on_close is not None:
+            tracer.on_close(self)
+        return False
 
     @property
     def duration(self) -> float:
@@ -163,26 +221,6 @@ class _NullSpanContext:
 _NULL_SPAN = _NullSpanContext()
 
 
-class _SpanContext:
-    """Context manager that opens a span on enter and closes it on exit."""
-
-    __slots__ = ("_tracer", "_name", "_attrs", "span")
-
-    def __init__(self, tracer: "Tracer", name: str, attrs: dict[str, Any]) -> None:
-        self._tracer = tracer
-        self._name = name
-        self._attrs = attrs
-        self.span: Span | None = None
-
-    def __enter__(self) -> Span:
-        self.span = self._tracer._open(self._name, self._attrs)
-        return self.span
-
-    def __exit__(self, *exc: object) -> bool:
-        self._tracer._close()
-        return False
-
-
 class Tracer:
     """Span recorder with a current-span stack.
 
@@ -225,31 +263,11 @@ class Tracer:
 
     # -- recording -----------------------------------------------------------
 
-    def span(self, name: str, **attrs: Any) -> _SpanContext | _NullSpanContext:
-        """Open a named span for the duration of a ``with`` block."""
+    def span(self, name: str, **attrs: Any) -> Span | _NullSpanContext:
+        """A named span for the duration of a ``with`` block."""
         if not self.enabled:
             return _NULL_SPAN
-        return _SpanContext(self, name, attrs)
-
-    def _open(self, name: str, attrs: dict[str, Any]) -> Span:
-        parent = self._stack[-1] if self._stack else None
-        s = Span(name, attrs, self.clock(), parent)
-        ctx = self.context
-        if ctx is not None:
-            s.trace_id = ctx.trace_id
-            s.span_id = new_span_id()
-            s.parent_span_id = (
-                parent.span_id if parent is not None else ctx.span_id
-            )
-        (parent.children if parent is not None else self.roots).append(s)
-        self._stack.append(s)
-        return s
-
-    def _close(self) -> None:
-        s = self._stack.pop()
-        s.end = self.clock()
-        if self.on_close is not None:
-            self.on_close(s)
+        return Span(name, attrs, self)
 
     # -- inspection ----------------------------------------------------------
 

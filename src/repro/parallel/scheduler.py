@@ -74,6 +74,8 @@ class Scheduler:
         self.nranks = nranks
         self._queues: list[list[int]] = [[] for _ in range(nranks)]
         self._cursor = [0] * nranks
+        # Cursor positions already metered as dlb.grants.
+        self._published = [0] * nranks
         self._dead: set[int] = set()
         self._done_logged: set[int] = set()
 
@@ -106,15 +108,22 @@ class Scheduler:
         if cur >= len(queue):
             if rank not in self._done_logged:
                 self._done_logged.add(rank)
+                self._publish_grants(rank)
                 log = get_event_log()
                 if log is not None:
                     log.emit("dlb.rank_done", rank=rank, grants=cur)
             return None
         self._cursor[rank] = cur + 1
-        registry = get_metrics()
-        if registry is not None:
-            registry.counter("dlb.grants", rank=rank).inc()
         return queue[cur]
+
+    def _publish_grants(self, rank: int) -> None:
+        """Meter the grants ``rank`` drew since the last publish as
+        ``dlb.grants{rank=…}``: once per drained share, not per grant."""
+        drawn = self._cursor[rank] - self._published[rank]
+        self._published[rank] = self._cursor[rank]
+        registry = get_metrics()
+        if drawn and registry is not None:
+            registry.counter("dlb.grants", rank=rank).inc(drawn)
 
     def iter_rank(self, rank: int) -> Iterator[int]:
         """Iterate all remaining task indices granted to ``rank``."""
@@ -127,7 +136,10 @@ class Scheduler:
 
     def reset(self) -> None:
         """Rewind all rank cursors (grants are unchanged; dead ranks stay dead)."""
+        for rank in range(self.nranks):
+            self._publish_grants(rank)
         self._cursor = [0] * self.nranks
+        self._published = [0] * self.nranks
         self._done_logged.clear()
 
     # -- fault hooks --------------------------------------------------------
@@ -155,7 +167,8 @@ class Scheduler:
         if rank in self._dead:
             return []
         tasks = self.outstanding(rank)
-        self._cursor[rank] = len(self._queues[rank])
+        self._publish_grants(rank)
+        self._cursor[rank] = self._published[rank] = len(self._queues[rank])
         self._dead.add(rank)
         registry = get_metrics()
         if registry is not None:

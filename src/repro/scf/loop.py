@@ -185,8 +185,9 @@ class SCFLoop:
             uninterrupted run.
         checkpoint:
             A :class:`~repro.resilience.checkpoint.CheckpointManager`
-            (or a path, giving the default write interval) that
-            persists the loop state every N completed cycles.
+            (or a path, giving the default 5-cycle interval) that
+            persists the loop state every N completed cycles, or on
+            cost; the state is snapshotted only for a cycle it writes.
         recovery:
             ``True`` (default guard) or a configured
             :class:`~repro.resilience.recovery.ConvergenceGuard`:
@@ -254,6 +255,22 @@ class SCFLoop:
                      nuclear_repulsion=self.enuc, converged=converged,
                      iterations=history),
                 eps, C, densities, focks,
+            )
+
+        def snapshot() -> SCFCheckpoint:
+            # The loop state after cycle ``it``; built only when the
+            # checkpoint manager writes.
+            return SCFCheckpoint(
+                kind=self.kind, cycle=it, energy=e_old, densities=densities,
+                diis_focks=diis.focks if diis is not None else [],
+                diis_errors=diis.errors if diis is not None else [],
+                history=np.array(
+                    [[h.iteration, h.energy, h.density_rms, h.energy_change]
+                     for h in history],
+                    dtype=np.float64,
+                ),
+                nbf=nbf, nelectrons=nelectrons,
+                label=self.basis.molecule.name,
             )
 
         for it in range(start_cycle, self.criteria.max_iterations + 1):
@@ -326,19 +343,7 @@ class SCFLoop:
                 e_old = e_elec
 
                 if checkpoint is not None:
-                    checkpoint.maybe_save(SCFCheckpoint(
-                        kind=self.kind, cycle=it, energy=e_old,
-                        densities=densities,
-                        diis_focks=diis.focks if diis is not None else [],
-                        diis_errors=diis.errors if diis is not None else [],
-                        history=np.array(
-                            [[h.iteration, h.energy, h.density_rms,
-                              h.energy_change] for h in history],
-                            dtype=np.float64,
-                        ),
-                        nbf=nbf, nelectrons=nelectrons,
-                        label=self.basis.molecule.name,
-                    ))
+                    checkpoint.after_cycle(it, snapshot)
 
                 if guard is not None:
                     action = guard.observe(it, e_elec + self.enuc, d_rms)

@@ -98,7 +98,8 @@ class ServiceConfig:
     retry_seed: int = 0
     process_budget: int = 4
     heartbeat_timeout_s: float = DEFAULT_HEARTBEAT_TIMEOUT_S
-    checkpoint_every: int = 1
+    #: Job checkpoint interval in cycles; ``None`` writes on cost.
+    checkpoint_every: int | None = None
     idle_exit_s: float | None = None
     runs_dir: str | None = None
     slo_targets: tuple[str, ...] = DEFAULT_SLO_TARGETS

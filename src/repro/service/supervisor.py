@@ -78,7 +78,7 @@ def run_job(
     attempt: int = 1,
     checkpoint: str | Path | None = None,
     restart: str | Path | None = None,
-    checkpoint_every: int = 1,
+    checkpoint_every: int | None = None,
     beat: Callable[[int, str], None] | None = None,
     emit: Callable[..., None] | None = None,
     setup_cache: dict[str, Any] | None = None,
@@ -94,9 +94,12 @@ def run_job(
     suite; the daemon must not).
 
     ``checkpoint`` / ``restart`` are the PR-3 checkpoint mechanics: the
-    job checkpoints every ``checkpoint_every`` cycles, and a retry or a
-    journal-replayed job resumes from the last checkpoint bitwise
-    identically instead of recomputing converged cycles.  A restart
+    job checkpoints every ``checkpoint_every`` cycles or, with ``None``
+    (the default), on cost — after cycle 1, then once the cycles since
+    the last write took ``COST_RATIO`` times the cheapest write
+    (:class:`~repro.resilience.checkpoint.CheckpointManager`) — and a
+    retry or a journal-replayed job resumes from the last checkpoint
+    bitwise identically instead of recomputing converged cycles.  A restart
     file that cannot seed this run — torn, garbage, another format
     version, another system — is *no checkpoint*: ``emit`` is told
     ``checkpoint.discarded`` and the job starts from cycle 0.
@@ -272,10 +275,9 @@ def _service_worker_loop(slot: int, cmd: Any, out: Any,
     imports inside its run.
     """
     from repro.obs.events import set_event_log
-    from repro.obs.export import span_line
     from repro.obs.logctl import set_log_context
     from repro.obs.metrics import MetricsRegistry, set_metrics
-    from repro.obs.stream import NDJSONStreamWriter
+    from repro.obs.stream import SpanBatchWriter
     from repro.obs.tracer import TraceContext, Tracer, set_tracer
 
     for fd in cfg.get("close_fds", ()):
@@ -330,25 +332,23 @@ def _service_worker_loop(slot: int, cmd: Any, out: Any,
 
         # Distributed trace plumbing: when the daemon handed us a trace
         # context, install a live tracer parented on the job's root span
-        # and stream every completed span to a per-attempt NDJSON file.
-        # Line-buffered appends survive the chaos os._exit, and one file
-        # per attempt keeps a SIGKILL'd attempt's spans separable from
-        # its retry's during assembly.
+        # and stream the completed spans to a per-attempt NDJSON file,
+        # one write per SCF cycle and one at attempt end: a chaos
+        # os._exit or a SIGKILL loses at most the cycle in flight, and
+        # one file per attempt keeps a killed attempt's spans separable
+        # from its retry's during assembly.
         trace = job.get("trace") or {}
         span_writer = None
         attempt_span = None
         if trace.get("trace_id") and trace.get("obs_dir"):
             try:
-                span_writer = NDJSONStreamWriter(
+                span_writer = SpanBatchWriter(
                     Path(trace["obs_dir"]) /
                     f"attempt-{attempt:03d}.spans.ndjson")
-                writer = span_writer
                 tracer = Tracer(
                     context=TraceContext(trace["trace_id"],
                                          trace["root_span_id"]),
-                    # t0=0.0: absolute perf_counter timestamps, the
-                    # cross-process time base assembly aligns on.
-                    on_close=lambda s: writer.write_line(span_line(s, 0.0)),
+                    on_close=span_writer,
                 )
                 set_tracer(tracer)
                 attempt_span = tracer.span(
@@ -372,7 +372,7 @@ def _service_worker_loop(slot: int, cmd: Any, out: Any,
                 attempt=attempt,
                 checkpoint=job.get("checkpoint"),
                 restart=job.get("restart"),
-                checkpoint_every=cfg.get("checkpoint_every", 1),
+                checkpoint_every=cfg.get("checkpoint_every"),
                 beat=beat,
                 emit=emit,
                 setup_cache=setup_cache,
@@ -452,7 +452,7 @@ class WorkerFleet:
         heartbeat_interval_s: float = DEFAULT_BEAT_INTERVAL_S,
         heartbeat_timeout_s: float = DEFAULT_HEARTBEAT_TIMEOUT_S,
         process_budget: int = 4,
-        checkpoint_every: int = 1,
+        checkpoint_every: int | None = None,
         close_fds: tuple[int, ...] = (),
         clock: Callable[[], float] = time.monotonic,
     ) -> None:

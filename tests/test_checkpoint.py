@@ -16,7 +16,7 @@ from repro.resilience import (
     SCFConvergenceError,
     load_checkpoint,
 )
-from repro.resilience.checkpoint import FORMAT_VERSION, MAGIC
+from repro.resilience.checkpoint import COST_RATIO, FORMAT_VERSION, MAGIC
 from repro.scf.convergence import ConvergenceCriteria
 
 
@@ -237,6 +237,90 @@ def test_manager_writes_on_interval_only(tmp_path):
 def test_manager_rejects_bad_interval(tmp_path):
     with pytest.raises(CheckpointError):
         CheckpointManager(tmp_path / "s.ckpt", every=0)
+
+
+class _Clock:
+    """A fake wall clock in whole milliseconds (exact arithmetic)."""
+
+    def __init__(self) -> None:
+        self.now = 0
+
+    def __call__(self) -> int:
+        return self.now
+
+
+def _drive(manager, clock, cycles, *, cycle_ms, write_ms):
+    """Run ``cycles`` fake cycles; returns (written, snapshotted) cycles.
+
+    Each snapshot advances the clock by its write's cost, so the manager
+    measures ``write_ms(cycle)`` for the write after ``cycle``.
+    """
+    written, snapshotted = [], []
+
+    def snapshot_of(cycle):
+        def snapshot():
+            snapshotted.append(cycle)
+            clock.now += write_ms(cycle)
+            return _rhf_checkpoint(cycle=cycle)
+        return snapshot
+
+    for cycle in cycles:
+        clock.now += cycle_ms
+        if manager.after_cycle(cycle, snapshot_of(cycle)):
+            written.append(cycle)
+    return written, snapshotted
+
+
+def test_cost_rule_writes_after_cycle_one_then_every_k_costs(tmp_path):
+    """5 ms cycles, 1 ms writes: cycle 1, then every COST_RATIO ms."""
+    clock = _Clock()
+    mgr = CheckpointManager(tmp_path / "s.ckpt", every=None, clock=clock)
+    written, snapshotted = _drive(mgr, clock, range(1, 41), cycle_ms=5,
+                                  write_ms=lambda cycle: 1)
+    gap = COST_RATIO // 5  # cycles until the cycles since took K x 1 ms
+    assert written == list(range(1, 41, gap))
+    assert mgr.writes == len(written)
+    # No SCFCheckpoint is built for a cycle that does not write.
+    assert snapshotted == written
+    assert SCFCheckpoint.load(mgr.path).cycle == written[-1]
+
+
+def test_cost_rule_writes_every_cycle_when_cycles_are_slow(tmp_path):
+    clock = _Clock()
+    mgr = CheckpointManager(tmp_path / "s.ckpt", every=None, clock=clock)
+    written, _ = _drive(mgr, clock, range(1, 6), cycle_ms=COST_RATIO,
+                        write_ms=lambda cycle: 1)
+    assert written == [1, 2, 3, 4, 5]
+
+
+def test_cost_rule_first_write_is_the_first_cycle_seen(tmp_path):
+    """A resumed run writes after its first cycle, whatever its number:
+    that write measures the cost (a fresh run's first cycle is 1)."""
+    clock = _Clock()
+    mgr = CheckpointManager(tmp_path / "s.ckpt", every=None, clock=clock)
+    written, _ = _drive(mgr, clock, range(6, 9), cycle_ms=1,
+                        write_ms=lambda cycle: 1)
+    assert written == [6]
+
+
+def test_cost_rule_does_not_stretch_for_a_stalled_write(tmp_path):
+    """The interval follows the cheapest write measured: a write the
+    host stalled (cycle 2's, 100 ms) leaves it at 40 x 1 ms."""
+    clock = _Clock()
+    mgr = CheckpointManager(tmp_path / "s.ckpt", every=None, clock=clock)
+    written, _ = _drive(
+        mgr, clock, range(1, 6), cycle_ms=COST_RATIO,
+        write_ms=lambda cycle: 100 if cycle == 2 else 1)
+    assert written == [1, 2, 3, 4, 5]
+
+
+def test_explicit_interval_ignores_cost_and_builds_only_due_snapshots(
+        tmp_path):
+    clock = _Clock()
+    mgr = CheckpointManager(tmp_path / "s.ckpt", every=3, clock=clock)
+    written, snapshotted = _drive(mgr, clock, range(1, 11), cycle_ms=0,
+                                  write_ms=lambda cycle: 1000)
+    assert written == snapshotted == [3, 6, 9]
 
 
 # -- end-to-end bitwise restart ----------------------------------------------

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import (
     MetricsRegistry,
@@ -570,6 +573,78 @@ def test_span_line_matches_span_record_bytes():
             pass
         for s in tracer.walk():
             assert span_line(s, 1.5) == json.dumps(span_record(s, 1.5))
+
+
+_SCALARS = (
+    st.integers() | st.booleans() | st.none()
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text()
+    | st.sampled_from(["shared-fock", "a\tb", 'q"uote', "back\\slash",
+                       "\x7f", "ü", "☃"])
+)
+_ATTRS = st.dictionaries(
+    (st.text() | st.sampled_from(["rank", "thread", "iteration"])).filter(
+        lambda key: key != "name"),  # Tracer.span's own parameter
+    _SCALARS | st.lists(st.integers(), max_size=2)
+    | st.builds(np.int64, st.integers(-2**63, 2**63 - 1))
+    | st.builds(np.float64, st.floats()),
+    max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(names=st.lists(st.text() | st.sampled_from(["scf/run", "fock/kl"]),
+                      min_size=1, max_size=3),
+       attrs=st.lists(_ATTRS, min_size=3, max_size=3),
+       t0=st.floats(allow_nan=False, allow_infinity=False) | st.integers(),
+       ids=st.sampled_from([None, ("a" * 32, "b" * 16), ('"x', "☃")]),
+       ticks=st.sampled_from([1, 0.25, np.float64(0.1)]))
+def test_span_line_is_json_dumps_of_span_record(names, attrs, t0, ids,
+                                                ticks):
+    """Whatever the names, attrs (rank/thread of any type), clock and
+    ids, the hand-built line is ``json.dumps(span_record(...))``."""
+    from repro.obs.export import span_line, span_record
+    from repro.obs.tracer import TraceContext
+
+    now = [0]
+
+    def clock():
+        now[0] += ticks
+        return now[0]
+
+    tracer = Tracer(clock=clock,
+                    context=None if ids is None else TraceContext(*ids))
+    with tracer.span(names[0], **attrs[0]):
+        with tracer.span(names[-1], **attrs[1]):
+            pass
+        open_span = tracer.span(names[len(names) // 2], **attrs[2])
+        open_span.__enter__()  # still open: duration 0.0
+        for s in tracer.walk():
+            assert span_line(s, t0) == json.dumps(span_record(s, t0))
+        open_span.__exit__(None, None, None)
+
+
+def test_span_ids_are_w3c_and_unique_per_process():
+    import os
+
+    from repro.obs.tracer import new_span_id
+
+    ids = [new_span_id() for _ in range(5000)]
+    assert len(set(ids)) == len(ids)
+    for span_id in ids[:50]:
+        assert len(span_id) == 16 and set(span_id) <= set("0123456789abcdef")
+        assert set(span_id) != {"0"}
+    # A forked child mints from a prefix of its own, not its parent's.
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - child
+        os.write(write, new_span_id().encode())
+        os._exit(0)
+    os.close(write)
+    child = os.read(read, 16).decode()
+    os.close(read)
+    os.waitpid(pid, 0)
+    assert len(child) == 16 and child[:8] != ids[-1][:8]
+    assert child not in ids
 
 
 def test_span_line_falls_back_for_unusual_spans():

@@ -35,19 +35,58 @@ def water_problem(water_sto3g):
     return water_sto3g, h, d
 
 
-# -- FockBuildStats as a metrics view ----------------------------------------
+# -- FockBuildStats: plain counters, published once per build ----------------
 
 
-def test_stats_is_view_over_registry():
+def test_stats_snapshot_names_counters_as_the_registry_does():
     s = FockBuildStats("x", 2, 4)
     s.quartets_computed += 10
     s.per_rank_quartets.append(6)
     s.per_rank_quartets.append(4)
-    assert s.metrics.counter("fock.quartets_computed").value == 10
-    assert list(s.metrics.series("fock.per_rank_quartets")) == [6, 4]
-    # Writing through the registry is visible through the attribute.
-    s.metrics.counter("fock.quartets_computed").inc(5)
-    assert s.quartets_computed == 15
+    snap = s.snapshot()
+    assert snap["fock.quartets_computed"] == 10
+    assert snap["fock.per_rank_quartets"] == [6, 4]
+    assert list(snap) == sorted(snap)
+    # The same names and values a registry holding them would show.
+    reg = MetricsRegistry()
+    for key, value in snap.items():
+        if isinstance(value, list):
+            reg.series(key).extend(value)
+        else:
+            reg.counter(key).set(value)
+    assert reg.snapshot() == snap
+    # A snapshot is a copy, not a view.
+    snap["fock.per_rank_quartets"].append(9)
+    assert s.per_rank_quartets == [6, 4]
+
+
+def test_build_publishes_to_the_registry_once(water_problem, monkeypatch):
+    """The build's counters reach an installed registry in one publish
+    at the end of the build, through counters looked up on the first
+    build, and DLB grants once per drained rank share — not once per
+    grant."""
+    basis, h, d = water_problem
+    reg = MetricsRegistry()
+    calls = Counter()
+    real = MetricsRegistry._get_or_create
+
+    def counting(self, kind, name, labels):
+        calls[name] += 1
+        return real(self, kind, name, labels)
+
+    monkeypatch.setattr(MetricsRegistry, "_get_or_create", counting)
+    builder = MPIOnlyFockBuilder(basis, h, nranks=3)
+    with use_metrics(reg):
+        _, first = builder(d)
+        _, second = builder(d)
+    snap = reg.snapshot()
+    assert calls["fock.quartets_computed"] == 1
+    assert calls["dlb.grants"] == 6  # one per rank and build
+    assert sum(v for k, v in snap.items()
+               if k.startswith("dlb.grants")) > 6
+    assert snap["fock.builds{algorithm=mpi-only}"] == 2
+    assert (snap["fock.quartets_computed{algorithm=mpi-only}"]
+            == first.quartets_computed + second.quartets_computed)
 
 
 def test_thread_imbalance_mirrors_rank_imbalance():
@@ -88,7 +127,7 @@ def test_counters_deterministic_across_runs(name, water_problem):
     snaps = []
     for _ in range(2):
         _, stats = cls(basis, h, **geom)(d)
-        snaps.append(stats.metrics.snapshot())
+        snaps.append(stats.snapshot())
     assert snaps[0] == snaps[1]
     assert snaps[0]["fock.quartets_computed"] > 0
 
@@ -129,6 +168,26 @@ def test_dlb_grants_counted_per_rank():
     assert snap["dlb.grants{rank=0}"] == 4
     assert snap["dlb.grants{rank=1}"] == 3
     assert snap["dlb.grants{rank=2}"] == 3
+
+
+def test_dlb_grants_metered_through_failure_and_reset():
+    """Grants are published per drained share, so a rank that dies, a
+    survivor handed its work, and a rewound cursor still count every
+    grant once."""
+    reg = MetricsRegistry()
+    with use_metrics(reg):
+        dlb = DynamicLoadBalancer(10, 3)  # 0:[0,3,6,9] 1:[1,4,7] 2:[2,5,8]
+        assert [dlb.next(0), dlb.next(0)] == [0, 3]
+        assert dlb.fail_rank(0) == [6, 9]  # requeued to ranks 1 and 2
+        for rank in (1, 2):
+            assert len(list(dlb.iter_rank(rank))) == 4
+        assert dlb.next(1) is None
+        dlb.reset()
+        dlb.next(2)  # one grant drawn, then rewound before draining
+        dlb.reset()
+    snap = reg.snapshot()
+    assert (snap["dlb.grants{rank=0}"], snap["dlb.grants{rank=1}"],
+            snap["dlb.grants{rank=2}"]) == (2, 4, 5)
 
 
 def test_global_registry_accumulates_build_totals(water_problem):

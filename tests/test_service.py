@@ -241,6 +241,95 @@ class TestJournalShape:
             assert flags == want
 
 
+class TestCheckpointOnCost:
+    """The service's default checkpoint rule (no ``--checkpoint-every``):
+    after cycle 1, then once the cycles since the last write took
+    ``COST_RATIO`` times the cheapest write."""
+
+    @staticmethod
+    def _run(tmp_path, **spec):
+        from repro.chem.molecule import water
+        from repro.obs.metrics import MetricsRegistry, use_metrics
+
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            result = run_job(JobSpec(xyz=water().to_xyz(), **spec),
+                             checkpoint=tmp_path / "scf.ckpt")
+        return result, registry.snapshot()["resilience.checkpoints_written"]
+
+    def test_a_fast_job_writes_a_few_checkpoints(self, tmp_path):
+        result, writes = self._run(tmp_path)
+        assert result["iterations"] == 9
+        assert 1 <= writes <= 3
+
+    def test_a_slow_job_still_writes_every_cycle(self, tmp_path):
+        result, writes = self._run(tmp_path, cycle_delay_s=0.05)
+        assert writes == result["iterations"] == 9
+
+    def test_spans_reach_the_attempt_file_once_per_cycle(self, tmp_path):
+        """The worker's span sink: one write per SCF cycle plus one at
+        attempt end, every span on disk once it is over."""
+        from repro.chem.molecule import water
+        from repro.obs.stream import SpanBatchWriter
+        from repro.obs.tracer import (
+            TraceContext, Tracer, new_span_id, new_trace_id, use_tracer)
+
+        path = tmp_path / "attempt-001.spans.ndjson"
+        writer = SpanBatchWriter(path)
+        tracer = Tracer(context=TraceContext(new_trace_id(), new_span_id()),
+                        on_close=writer)
+        with use_tracer(tracer), tracer.span("job/attempt", attempt=1):
+            result = run_job(JobSpec(xyz=water().to_xyz()))
+        writer.close()
+        assert writer.writes == result["iterations"] + 1
+        lines = path.read_text().splitlines()
+        assert len(lines) == tracer.nspans
+        assert json.loads(lines[-1])["span"] == "job/attempt"
+
+
+class TestKilledAttempt:
+    def test_a_killed_attempt_loses_only_its_cycle_in_flight(
+        self, service, tmp_path
+    ):
+        """A worker that ``os._exit``s at the start of its fourth Fock
+        build leaves cycles 1-3 on disk, each with its children, and not
+        one torn line; the retry resumes and the job's trace assembles
+        clean around the interrupted attempt."""
+        from collections import defaultdict
+
+        from repro.obs.trace_assembly import assemble_job_trace
+
+        client = service(max_retries=2)
+        job = client.submit({"xyz": WATER_XYZ, "die_on_attempt": 1,
+                             "die_after_builds": 3})
+        done = client.result(job["id"], timeout_s=60)
+        assert done["state"] == "done" and done["attempt"] == 2
+        assert done["result"]["resumed"]
+
+        killed = (tmp_path / "runs" / done["run_id"] / "trace"
+                  / "attempt-001.spans.ndjson").read_text()
+        assert killed.endswith("\n")
+        records = [json.loads(line) for line in killed.splitlines()]
+        iterations = [r for r in records if r["span"] == "scf/iteration"]
+        assert [r["attrs"]["iteration"] for r in iterations] == [1, 2, 3]
+        children = defaultdict(set)
+        for r in records:
+            children[r["parent_span_id"]].add(r["span"])
+        for r in iterations:
+            assert {"scf/fock_build", "scf/diis", "scf/diagonalize"} <= (
+                children[r["span_id"]])
+        # Open when the worker died: never written.
+        assert not {"job/attempt", "scf/run"} & {r["span"] for r in records}
+
+        trace = assemble_job_trace(tmp_path / "svc" / "journal.ndjson",
+                                   job["id"], runs_root=tmp_path / "runs")
+        assert trace.validate() == []
+        attempts = [s for s in trace.segments if s.name == "job/attempt"]
+        assert len(attempts) == 2
+        assert attempts[0].synthetic and attempts[0].attrs.get("interrupted")
+        assert not attempts[1].synthetic
+
+
 class TestOverload:
     def test_submissions_beyond_the_bound_are_shed(self, service):
         client = service(max_queue_depth=2, fleet=1)
@@ -318,8 +407,10 @@ class TestUnreadableCheckpoint:
             return real_replace(src, dst)
 
         # Fleet workers are forked from this process, patch and all.
+        # A write per cycle: the default (on cost) writes this fast job
+        # only once or twice.
         monkeypatch.setattr(os, "replace", replace_or_die)
-        client = service(max_retries=2)
+        client = service(max_retries=2, checkpoint_every=1)
         job = client.submit({"xyz": WATER_XYZ})
         done = client.result(job["id"], timeout_s=60)
         assert killed_once.exists()
