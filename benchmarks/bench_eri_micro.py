@@ -342,8 +342,9 @@ def _bench_obs_setup(args, output: Path):
     runs diff`` like any SCF; ``--telemetry`` installs a telemetry
     channel as the process event log (as the service daemon does) and
     measures its overhead on the hot path, and ``--trace`` the
-    distributed tracer's (context-stamped spans written to NDJSON by
-    the span sink a service worker installs per attempt) — the CI
+    distributed tracer's (context-stamped spans, each serialized and
+    written to NDJSON as it closes: the kernel has no SCF cycle to batch
+    on, so this is a stricter sink than a service worker's) — the CI
     gates hold both under the compare tolerance.
     """
     from repro.obs.registry import RunRegistry
@@ -376,7 +377,8 @@ def _bench_obs_setup(args, output: Path):
         set_event_log(channel)
     span_writer = None
     if args.trace:
-        from repro.obs.stream import SpanBatchWriter
+        from repro.obs.export import span_line
+        from repro.obs.stream import NDJSONStreamWriter
         from repro.obs.tracer import (
             TraceContext,
             Tracer,
@@ -388,10 +390,11 @@ def _bench_obs_setup(args, output: Path):
         spans_path = (handle.path("spans.ndjson") if handle is not None
                       else output.parent / f"{output.stem}.spans.ndjson")
         spans_path.parent.mkdir(parents=True, exist_ok=True)
-        span_writer = SpanBatchWriter(spans_path)
+        span_writer = NDJSONStreamWriter(spans_path)
+        writer = span_writer
         set_tracer(Tracer(
             context=TraceContext(new_trace_id(), new_span_id()),
-            on_close=span_writer,
+            on_close=lambda s: writer.write_line(span_line(s, 0.0)),
         ))
     return handle, channel, span_writer
 

@@ -4,7 +4,11 @@ Replays the ``service_small_jobs`` job list (``benchmarks/e2e``,
 ``workloads.service_jobs(seed)``) in-process through
 :func:`repro.service.supervisor.run_job`, the way one fleet worker runs
 it: one set-up cache and one ERI-block pool across the 12 jobs, fresh
-for every replay.  Two modes, alternated, min of ``--repeats``:
+for every replay.  Two modes, run back to back in ``--repeats`` rounds
+of alternating order; the times printed are the minimum of each mode,
+the ``ratio`` gated is the median of the rounds' ``full / bare`` (a host
+whose speed drifts between rounds moves a ratio of minima by ±0.1, and
+the paired median far less):
 
 ``bare``
     ``run_job`` alone: no metrics registry, tracer, event log or
@@ -17,8 +21,10 @@ for every replay.  Two modes, alternated, min of ``--repeats``:
 
 Then one warm ``hydroxide_d_direct`` Fock build (6-31G(d), mpi-only,
 4 simulated ranks, no ERI cache) is timed with a metrics registry and an
-event log installed against without (min of ``--build-repeats``
-alternated pairs).
+event log installed against without, in ``--build-repeats`` alternated
+pairs: the overhead is the median of the paired differences over the
+median uninstrumented build, so a noisy host moves both builds of a pair
+and not the reading.
 
 Prints one JSON line and exits 1 when ``full > 1.40 x bare``, when a
 worker's span files take more than one ``write`` per SCF cycle plus two
@@ -28,9 +34,9 @@ reference::
 
     PYTHONPATH=src python benchmarks/bench_service_envelope.py --seed 1
 
-Run it with ``PYTHONPATH`` pointing at another tree's ``src`` to measure
-that tree with the same code (a tree whose worker streams one line per
-span is measured with that writer).
+The replay bound is looser than the 1.15 x this envelope was meant to
+reach: a 2-vCPU host reads 1.2-1.3, and what is left is per-span Python
+work (see EXPERIMENTS.md, "Service worker envelope").
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import tempfile
 import time
@@ -53,45 +60,17 @@ harness.pin_threads()  # one BLAS thread, as in every fleet worker
 import workloads  # noqa: E402
 
 #: ``full`` may cost at most this multiple of ``bare``.  A 2-vCPU host
-#: reads 1.23-1.32 here and 1.6-2.0 for a worker that checkpoints every
+#: reads 1.2-1.3 here and 1.6-2.0 for a worker that checkpoints every
 #: cycle and writes a line per span; the bound sits between the two.
 MAX_ENVELOPE_RATIO = 1.40
 #: A direct build may cost at most this much more with its instruments on.
 MAX_BUILD_OVERHEAD = 0.02
 
 
-class _LinePerSpanWriter:
-    """The span sink of a worker that writes one line per span."""
-
-    def __init__(self, path: Path) -> None:
-        from repro.obs.export import span_line
-        from repro.obs.stream import NDJSONStreamWriter
-
-        self._out = NDJSONStreamWriter(path)
-        self._line = span_line
-
-    def __call__(self, span) -> None:
-        self._out.write_line(self._line(span, 0.0))
-
-    @property
-    def writes(self) -> int:
-        return self._out.written
-
-    def close(self) -> None:
-        self._out.close()
-
-
-def _span_writer(path: Path):
-    try:
-        from repro.obs.stream import SpanBatchWriter
-    except ImportError:
-        return _LinePerSpanWriter(path)
-    return SpanBatchWriter(path)
-
-
 def replay(jobs: list[dict], workdir: Path | None) -> dict:
     """One worker's pass over ``jobs``; ``workdir`` set = the full envelope."""
     from repro.obs.metrics import MetricsRegistry, set_metrics
+    from repro.obs.stream import SpanBatchWriter
     from repro.obs.tracer import (
         TraceContext, Tracer, new_span_id, new_trace_id, set_tracer)
     from repro.service.jobs import JobSpec
@@ -111,7 +90,8 @@ def replay(jobs: list[dict], workdir: Path | None) -> dict:
                                        eri_cache_pool=eri_cache_pool))
                 continue
             job_dir = workdir / f"j{n:06d}"
-            writer = _span_writer(job_dir / "trace" / "attempt-001.spans.ndjson")
+            writer = SpanBatchWriter(
+                job_dir / "trace" / "attempt-001.spans.ndjson")
             tracer = Tracer(context=TraceContext(new_trace_id(), new_span_id()),
                             on_close=writer)
             set_tracer(tracer)
@@ -153,7 +133,9 @@ def check(jobs: list[dict], results: list[dict]) -> list[str]:
 
 
 def build_overhead(repeats: int) -> dict:
-    """Min-of-``repeats`` warm hydroxide direct build, instruments off / on."""
+    """A warm hydroxide direct build, instruments off / on, ``repeats``
+    alternated pairs: medians, and the median paired difference over
+    the median uninstrumented build."""
     from repro.chem.basis import BasisSet
     from repro.chem.molecule import Molecule
     from repro.core.scf_driver import make_fock_builder
@@ -188,17 +170,19 @@ def build_overhead(repeats: int) -> dict:
         first = bool(k % 2)
         (on if first else off).append(timed(first))
         (off if first else on).append(timed(not first))
-    return {"build_off_ms": 1e3 * min(off), "build_on_ms": 1e3 * min(on),
-            "build_overhead": min(on) / min(off) - 1.0}
+    base = statistics.median(off)
+    return {"build_off_ms": 1e3 * base,
+            "build_on_ms": 1e3 * statistics.median(on),
+            "build_overhead": statistics.median(
+                b - a for a, b in zip(off, on)) / base}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1,
                         help="job order of the service workload (default: 1)")
-    parser.add_argument("--repeats", type=int, default=9,
-                        help="replays per mode; the minimum is reported "
-                             "(default: 9)")
+    parser.add_argument("--repeats", type=int, default=15,
+                        help="rounds of one replay per mode (default: 15)")
     parser.add_argument("--build-repeats", type=int, default=150,
                         help="direct builds per mode (default: 150)")
     args = parser.parse_args(argv)
@@ -224,7 +208,8 @@ def main(argv: list[str] | None = None) -> int:
         "cycles": sum(r["iterations"] for r in bare[0]["results"]),
         "bare_s": round(best_bare, 6),
         "full_s": round(best_full, 6),
-        "ratio": round(best_full / best_bare, 4),
+        "ratio": round(statistics.median(
+            f["wall_s"] / b["wall_s"] for b, f in zip(bare, full)), 4),
         "checkpoints": full[0]["checkpoints"],
         "span_lines": full[0]["span_lines"],
         "span_writes": full[0]["span_writes"],

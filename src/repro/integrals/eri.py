@@ -556,16 +556,28 @@ def _ket_transform(
     return np.add.reduceat(full, seg_start, axis=0)
 
 
+#: The registry ``_publish`` last wrote to, and its three ``eri.*``
+#: metrics, looked up once per registry rather than once per call.
+_published_to: tuple = (None, None, None, None)
+
+
 def _publish(quartets: int, batch_sizes: list[int]) -> None:
     """One registry visit per kernel call: ``eri.boys_calls`` counts
     Boys evaluations, ``eri.batch_size`` the points of each."""
+    global _published_to
     registry = get_metrics()
-    if registry is not None:
-        registry.counter("eri.quartets").inc(quartets)
-        registry.counter("eri.boys_calls").inc(len(batch_sizes))
+    if registry is None:
+        return
+    owner, counted, boys_calls, histogram = _published_to
+    if owner is not registry:
+        counted = registry.counter("eri.quartets")
+        boys_calls = registry.counter("eri.boys_calls")
         histogram = registry.histogram("eri.batch_size")
-        for size in batch_sizes:
-            histogram.observe(size)
+        _published_to = (registry, counted, boys_calls, histogram)
+    counted.inc(quartets)
+    boys_calls.inc(len(batch_sizes))
+    for size in batch_sizes:
+        histogram.observe(size)
 
 
 def eri_bra_slab(pairs: PairSet, ij: int, kls: np.ndarray) -> np.ndarray:

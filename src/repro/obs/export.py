@@ -262,8 +262,8 @@ def span_record(s: Span, t0: float = 0.0) -> dict[str, Any]:
     return rec
 
 
-#: JSON of the strs spans repeat (names, attr keys and labels, parent
-#: ids), escaped once instead of once per span; cleared when full.
+#: JSON of the strs spans repeat (names, attr keys and labels), escaped
+#: once instead of once per span; cleared when full.
 _JSON_STRS: dict[str, str] = {}
 _JSON_STRS_MAX = 4096
 
@@ -288,6 +288,17 @@ def _json_value(v: Any) -> str:
     if t is float and math.isfinite(v):
         return float.__repr__(v)
     return json.dumps(_json_safe(v))
+
+
+def _json_id(v: Any) -> str:
+    """``_json_value`` of a trace or span id.  Ids are hex
+    (:func:`~repro.obs.tracer.new_span_id`, ``new_trace_id``,
+    ``parse_traceparent``) and a parent's id is new with every parent:
+    an ASCII alphanumeric str is its own JSON between quotes, and is not
+    remembered."""
+    if type(v) is str and v.isascii() and v.isalnum():
+        return f'"{v}"'
+    return _json_value(v)
 
 
 def span_line(s: Span, t0: float = 0.0) -> str:
@@ -340,12 +351,11 @@ def span_line(s: Span, t0: float = 0.0) -> str:
     )
     if s.trace_id is None:
         return line + "}"
-    # A span's own id is new with every span, and always hex
-    # (new_span_id): written as is, not remembered.
+    # A span's own id always comes from new_span_id: hex, written as is.
     return (
-        f'{line}, "trace_id": {strs.get(s.trace_id) or _json_value(s.trace_id)}, '
-        f'"span_id": "{s.span_id}", "parent_span_id": '
-        f'{strs.get(s.parent_span_id) or _json_value(s.parent_span_id)}}}'
+        f'{line}, "trace_id": {_json_id(s.trace_id)}, '
+        f'"span_id": "{s.span_id}", '
+        f'"parent_span_id": {_json_id(s.parent_span_id)}}}'
     )
 
 

@@ -37,15 +37,13 @@ def new_trace_id() -> str:
     return secrets.token_hex(16)
 
 
-_span_prefix = ""
-_span_serial = itertools.count(1)
+_span_ids = itertools.count(1)
 
 
 def _reseed_span_ids() -> None:
     """A fresh random prefix and a restarted serial (import, fork)."""
-    global _span_prefix, _span_serial
-    _span_prefix = secrets.token_hex(4)
-    _span_serial = itertools.count(1)
+    global _span_ids
+    _span_ids = itertools.count((1 + secrets.randbelow(0x7FFFFFFF)) << 32 | 1)
 
 
 _reseed_span_ids()
@@ -56,16 +54,14 @@ os.register_at_fork(after_in_child=_reseed_span_ids)
 def new_span_id() -> str:
     """A fresh W3C span id: 16 lowercase hex chars, never all-zero.
 
-    A per-process random 32-bit prefix and a 32-bit serial that starts
-    at 1: unique within the process, and across processes as far as
-    their prefixes differ — one counter step per span instead of a
-    call into the OS random source.
+    One 64-bit counter per process: a random nonzero 31-bit prefix over
+    a 32-bit serial that starts at 1.  Unique within the process (a
+    serial that runs past 32 bits carries into the prefix, and 2**63
+    ids fit below the top bit), and across processes as far as their
+    prefixes differ — one counter step per span instead of a call into
+    the OS random source.
     """
-    n = next(_span_serial)
-    if n > 0xFFFFFFFF:
-        _reseed_span_ids()
-        n = next(_span_serial)
-    return f"{_span_prefix}{n:08x}"
+    return f"{next(_span_ids):016x}"
 
 
 class TraceContext:
@@ -161,7 +157,7 @@ class Span:
         self.start = tracer.clock()
         return self
 
-    def __exit__(self, *exc: object) -> bool:
+    def __exit__(self, exc_type: object, exc: object, tb: object) -> bool:
         tracer = self._tracer
         self.end = tracer.clock()
         tracer._stack.pop()
