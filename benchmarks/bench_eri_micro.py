@@ -366,14 +366,14 @@ def _bench_obs_setup(args, output: Path):
     channel = None
     if args.telemetry:
         from repro.obs.events import set_event_log
+        from repro.obs.stream import ObsStreamer
         from repro.obs.telemetry import TelemetryChannel, default_socket_path
 
-        channel = TelemetryChannel(
-            sink=handle.path("telemetry.ndjson") if handle is not None
-            else None
-        )
+        channel = TelemetryChannel()
         if handle is not None:
             channel.serve(default_socket_path(handle.directory))
+            # Closed at exit: the file is unbuffered, every line durable.
+            ObsStreamer(handle.directory, log=channel)
         set_event_log(channel)
     span_writer = None
     if args.trace:

@@ -103,7 +103,7 @@ def build_specs(n_systems: int, repeats: int):
 
 
 def run_policy(policy: str, specs, *, root: Path, fleet: int,
-               seed: int, timeout_s: float):
+               timeout_s: float):
     """One full batch run on a fresh in-process daemon."""
     from repro.service import JobClient, ServiceConfig, ServiceDaemon
     from repro.workload import WorkloadManager
@@ -118,8 +118,7 @@ def run_policy(policy: str, specs, *, root: Path, fleet: int,
     thread = threading.Thread(target=daemon.run_forever, daemon=True)
     thread.start()
     try:
-        manager = WorkloadManager(JobClient(service_dir),
-                                  policy=policy, seed=seed)
+        manager = WorkloadManager(JobClient(service_dir), policy=policy)
         return manager.run(specs, timeout_s=timeout_s)
     finally:
         daemon.request_stop()
@@ -137,7 +136,6 @@ def main(argv=None) -> int:
     parser.add_argument("--fleet", type=int, default=1,
                         help="worker processes (default: 1, so cache "
                              "placement is deterministic)")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--timeout", type=float, default=600.0)
     parser.add_argument("--output", type=Path, default=None,
                         help="write the JSON record here")
@@ -157,7 +155,7 @@ def main(argv=None) -> int:
             print(f"running policy {policy} ...")
             reports[policy] = run_policy(
                 policy, specs, root=Path(tmp), fleet=args.fleet,
-                seed=args.seed, timeout_s=args.timeout,
+                timeout_s=args.timeout,
             )
 
     def energies(report):
@@ -170,7 +168,6 @@ def main(argv=None) -> int:
         "n_systems": args.systems,
         "repeats": args.repeats,
         "fleet": args.fleet,
-        "seed": args.seed,
         "energies": energies(reports["binned"]),
     }
     for policy, report in reports.items():

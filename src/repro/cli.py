@@ -17,7 +17,7 @@ Commands
                tolerance; exits nonzero on regressions (the CI
                ``bench-regress`` gate).
 ``monitor``    Attach to a running SCF's live telemetry socket (or
-               replay a recorded ``telemetry.ndjson``) and render the
+               replay a run's recorded ``events.ndjson``) and render the
                per-rank activity / convergence / worker-health
                dashboard.
 ``runs``       Query the persistent run registry (``.repro/runs``):

@@ -38,12 +38,13 @@ def register(sub) -> None:
     mon = add_verb(
         sub, "monitor", cmd_monitor,
         help="live dashboard over a running SCF's telemetry socket, or "
-             "a replay of a recorded telemetry.ndjson",
+             "a replay of a recorded event file",
     )
     mon.add_argument(
         "source", nargs="?", default="latest", metavar="SOURCE",
-        help="a telemetry socket path, a telemetry.ndjson file, a run-id "
-             "prefix from the registry, or 'latest' (default)",
+        help="a telemetry socket path, an events.ndjson (or earlier "
+             "telemetry.ndjson) file, a run-id prefix from the registry, "
+             "or 'latest' (default)",
     )
     add_runs_dir(mon, " used to resolve run ids")
     mon.add_argument(
@@ -172,69 +173,63 @@ def register(sub) -> None:
 def cmd_monitor(args: argparse.Namespace) -> int:
     import stat
 
+    from repro.obs.events import events_from_ndjson
     from repro.obs.monitor import MonitorState
     from repro.obs.registry import RunRegistry
-    from repro.obs.telemetry import TelemetryClient, records_from_ndjson
+    from repro.obs.telemetry import TelemetryClient
 
     sock: Path | None = None
-    ndjson: Path | None = None
+    recorded: Path | None = None
     src = Path(args.source)
     if src.exists():
         if stat.S_ISSOCK(src.stat().st_mode):
             sock = src
+            # A finished run's stale socket falls back to its recording.
+            registry = RunRegistry(src.parent.parent)
+            recorded = registry.telemetry_path(src.parent.name)
         else:
-            ndjson = src
+            recorded = src
     else:
         registry = RunRegistry(args.runs_dir)
         try:
             run_id = registry.find(args.source)
         except KeyError as exc:
             return fail(exc.args[0])
-        run_dir = registry.run_dir(run_id)
-        live = run_dir / "telemetry.sock"
-        recorded = run_dir / "telemetry.ndjson"
+        live = registry.run_dir(run_id) / "telemetry.sock"
+        recorded = registry.telemetry_path(run_id)
         if live.exists() and stat.S_ISSOCK(live.stat().st_mode):
             sock = live
-        elif recorded.exists():
-            ndjson = recorded
-        else:
+        elif recorded is None:
             return fail(f"run {run_id} has no telemetry "
                         "(was it started with --telemetry?)")
 
     state = MonitorState()
 
-    def replay(recorded: Path) -> int:
-        state.apply_all(records_from_ndjson(recorded.read_text()))
+    def replay() -> None:
+        if recorded is not None and recorded.exists():
+            state.apply_all(events_from_ndjson(recorded.read_text()))
+
+    client = None
+    if sock is not None:
+        try:
+            client = TelemetryClient(sock)
+        except OSError as exc:
+            if recorded is None:
+                return fail(f"cannot connect to {sock}: {exc}")
+            logger.info("socket %s is stale (%s); replaying its run",
+                        sock, exc)
+    if client is None:
+        replay()
         print(state.render())
         return 0
-
-    if ndjson is not None:
-        return replay(ndjson)
-
-    assert sock is not None
-    try:
-        client = TelemetryClient(sock)
-    except OSError as exc:
-        # A stale socket from a finished run: fall back to the sink file.
-        recorded = sock.parent / "telemetry.ndjson"
-        if recorded.exists():
-            logger.info("socket %s is stale (%s); replaying sink", sock, exc)
-            return replay(recorded)
-        return fail(f"cannot connect to {sock}: {exc}")
     try:
         while True:
-            records = client.poll(args.interval)
-            state.apply_all(records)
+            state.apply_all(client.poll(args.interval))
             if client.eof and state.nrecords == 0:
                 # The run ended between resolving the socket and our
                 # first read (hung up before the backlog arrived):
-                # render from the recorded sink instead of an empty
-                # frame.
-                recorded = sock.parent / "telemetry.ndjson"
-                if recorded.exists():
-                    state.apply_all(
-                        records_from_ndjson(recorded.read_text())
-                    )
+                # render from its recording instead of an empty frame.
+                replay()
             frame = state.render()
             if not args.plain:
                 sys.stdout.write("\x1b[2J\x1b[H")
@@ -301,12 +296,8 @@ def cmd_runs(args: argparse.Namespace) -> int:
 
 def cmd_timeline(args: argparse.Namespace) -> int:
     from repro.obs import events_from_ndjson, write_text
-    from repro.obs.analysis import (
-        analyze_timeline,
-        merged_chrome_trace,
-        spans_from_ndjson,
-        timeline_report,
-    )
+    from repro.obs.analysis import analyze_timeline, timeline_report
+    from repro.obs.spans import merged_chrome_trace, spans_from_ndjson
 
     if args.events and len(args.events) != len(args.spans):
         return fail(f"{len(args.events)} --events file(s) for "

@@ -58,8 +58,9 @@ def _add_host_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--telemetry", action="store_true",
         help="publish live telemetry (worker heartbeats, SCF cycles, "
-             "metric snapshots) to the run directory's NDJSON sink and a "
-             "unix socket 'repro monitor' can attach to mid-run",
+             "metric snapshots) to a unix socket 'repro monitor' can "
+             "attach to mid-run, and mark the run's events.ndjson as its "
+             "recording",
     )
     sub.add_argument(
         "--no-registry", action="store_true",
@@ -332,9 +333,9 @@ def _profile_run(args, config, scf, tracer, registry, elog, obs,
         use_event_log,
         use_metrics,
         use_tracer,
-        write_chrome_trace,
         write_text,
     )
+    from repro.obs.spans import write_chrome_trace
     from repro.resilience import ResilienceError, SCFConvergenceError
 
     with use_tracer(tracer), use_metrics(registry), use_event_log(elog):
@@ -374,10 +375,10 @@ def _profile_run(args, config, scf, tracer, registry, elog, obs,
 
     merged_path = None
     if config.backend == "process":
-        from repro.obs.analysis import merged_chrome_trace, timeline_spans
+        from repro.obs.spans import merged_chrome_trace, spans_from_tracer
         from repro.parallel.backend.process import worker_obs_run
 
-        runs = [("driver", timeline_spans(tracer), list(elog))]
+        runs = [("driver", spans_from_tracer(tracer), list(elog))]
         worker_run = worker_obs_run(workers_dir, label="workers")
         if worker_run[1] or worker_run[2]:
             runs.append(worker_run)

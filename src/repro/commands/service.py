@@ -22,9 +22,7 @@ from repro.commands import (
     fail,
     read_xyz,
 )
-from repro.config import SCFConfig, add_run_arguments, bounded
-
-BATCH_POLICIES = ("fifo", "binned", "sjf", "auto")
+from repro.config import BATCH_POLICIES, SCFConfig, add_run_arguments, bounded
 
 _positive_int = bounded(int, 1)
 _nonneg_int = bounded(int, 0)
@@ -96,13 +94,6 @@ def register(sub) -> None:
              "suspect (worker.hung) (default: 10)",
     )
     srv.add_argument(
-        "--checkpoint-every", type=_positive_int, default=None, metavar="N",
-        help="job checkpoint write interval in SCF cycles (default: on "
-             "cost — after cycle 1, then once the cycles since the last "
-             "write took 40x the cheapest write; retries and daemon "
-             "restarts resume from the checkpoint)",
-    )
-    srv.add_argument(
         "--idle-exit", type=_positive, default=None, metavar="S",
         help="exit after this many seconds with no open jobs "
              "(default: run until signalled; used by CI)",
@@ -135,11 +126,6 @@ def register(sub) -> None:
              f"{', '.join(BATCH_POLICIES)} (default: binned)",
     )
     srv.add_argument(
-        "--batch-seed", type=int, default=0, metavar="SEED",
-        help="batch-plan tie-break seed; the same seed reproduces the "
-             "identical plan (default: 0)",
-    )
-    srv.add_argument(
         "--batch-window", type=_positive_int, default=None, metavar="N",
         help="batch reordering window: no job moves more than N "
              "positions from manifest order (default: 256)",
@@ -159,10 +145,6 @@ def register(sub) -> None:
     bat.add_argument(
         "--policy", choices=BATCH_POLICIES, default="binned",
         help="batch scheduling policy (default: binned)",
-    )
-    bat.add_argument(
-        "--seed", type=int, default=0, metavar="SEED",
-        help="plan tie-break seed (default: 0)",
     )
     bat.add_argument(
         "--window", type=_positive_int, default=None, metavar="N",
@@ -271,8 +253,8 @@ def register(sub) -> None:
     slo_p.add_argument(
         "source", nargs="?", default="live", metavar="SOURCE",
         help="'live' queries the running service daemon (default); "
-             "otherwise a telemetry.ndjson path, a run-id prefix, or "
-             "'latest'",
+             "otherwise an events.ndjson (or earlier telemetry.ndjson) "
+             "path, a run-id prefix, or 'latest'",
     )
     add_service_dir(slo_p)
     add_runs_dir(slo_p, " used to resolve run ids")
@@ -306,14 +288,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
         retry_seed=args.retry_seed,
         process_budget=args.process_budget,
         heartbeat_timeout_s=args.heartbeat_timeout,
-        checkpoint_every=args.checkpoint_every,
         idle_exit_s=args.idle_exit,
         runs_dir=str(args.runs_dir) if args.runs_dir is not None else None,
         keep_runs=args.keep,
         manifest=(str(args.manifest) if args.manifest is not None
                   else None),
         batch_policy=args.batch_policy,
-        batch_seed=args.batch_seed,
         batch_window=args.batch_window,
         **({"slo_targets": tuple(args.slo)} if args.slo else {}),
     )
@@ -407,7 +387,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     specs = load_manifest(args.manifest)
     manager = WorkloadManager(
         _job_client(args),
-        policy=args.policy, seed=args.seed, window=args.window,
+        policy=args.policy, window=args.window,
         registry=None if args.plan_only else RunRegistry(args.runs_dir),
     )
     if args.plan_only:
@@ -545,7 +525,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if not args.no_report:
         print(f"job {assembled.job_id}  trace_id {assembled.trace_id}")
         print(f"{len(assembled.segments)} span(s) across "
-              f"{len({s.pid for s in assembled.segments})} process track(s)"
+              f"{len({s.rank for s in assembled.segments})} process track(s)"
               f"; {sum(1 for s in assembled.segments if s.synthetic)} "
               f"synthetic")
         print()
@@ -577,35 +557,32 @@ def cmd_slo(args: argparse.Namespace) -> int:
               else render_slo_report(report))
         return 0
 
+    from repro.obs.events import events_from_ndjson
     from repro.obs.registry import RunRegistry
-    from repro.obs.telemetry import records_from_ndjson
 
     src = Path(args.source)
     registry = RunRegistry(args.runs_dir)
     if src.exists() and src.is_file():
         ndjson = src
     elif args.source == "latest":
-        # The sink lives in the *serving* daemon's run directory, not
-        # the per-job runs: take the newest run that recorded one.
-        candidates = [
-            registry.run_dir(run_id) / "telemetry.ndjson"
-            for run_id in reversed(registry.run_ids())
-        ]
-        ndjson = next((p for p in candidates if p.exists()), None)
+        # The recording is the *serving* daemon's run, not the per-job
+        # runs: take the newest run that has one.
+        ndjson = next(filter(None, map(registry.telemetry_path,
+                                       reversed(registry.run_ids()))), None)
         if ndjson is None:
-            return fail(f"no run under {registry.root} has a "
-                        "telemetry.ndjson")
+            return fail(f"no run under {registry.root} has a telemetry "
+                        "recording")
     else:
         try:
             run_id = registry.find(args.source)
         except KeyError as exc:
             return fail(exc.args[0])
-        ndjson = registry.run_dir(run_id) / "telemetry.ndjson"
-        if not ndjson.exists():
-            return fail(f"run {run_id} has no telemetry.ndjson")
+        ndjson = registry.telemetry_path(run_id)
+        if ndjson is None:
+            return fail(f"run {run_id} has no telemetry recording")
     try:
         engine = engine_from_telemetry(
-            records_from_ndjson(ndjson.read_text()), targets=args.targets,
+            events_from_ndjson(ndjson.read_text()), targets=args.targets,
         )
     except SLOTargetError as exc:
         return fail(f"invalid --slo target: {exc}")

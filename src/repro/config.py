@@ -22,6 +22,8 @@ ALGORITHMS = ("mpi-only", "private-fock", "shared-fock")
 BACKENDS = ("sim", "process")
 SCHEDULES = ("dlb", "static")
 METHODS = ("rhf", "uhf")
+#: Batch-plan policies (:mod:`repro.workload.scheduler`), for the parser.
+BATCH_POLICIES = ("fifo", "binned")
 
 
 class ConfigError(ValueError):

@@ -11,13 +11,14 @@ disabled and cost almost nothing until :func:`use_tracer` /
 live ones.  Every occurrence is reported once, as an event.
 
 Everything else reads or ships what those instruments record, and is
-loaded on first access of one of its names: exporters for Chrome
-``trace_event`` timelines, GAMESS-style text profiles, NDJSON and
+loaded on first access of one of its names: the flat span record, its
+reader, critical path and the one Chrome ``trace_event`` builder
+(:mod:`repro.obs.spans`), GAMESS-style text profiles, NDJSON and
 Prometheus text (:mod:`repro.obs.export`), incremental NDJSON streaming
 (:mod:`repro.obs.stream`), the persistent run registry
 (:mod:`repro.obs.registry`) and a run's envelope
 (:class:`~repro.obs.session.ObsSession`), the live telemetry channel —
-an event log that streams to a unix socket and ``telemetry.ndjson``
+an event log that streams to a unix socket
 (:mod:`repro.obs.telemetry`) — the SLO engine (:mod:`repro.obs.slo`)
 and the distributed-trace assembler (:mod:`repro.obs.trace_assembly`).
 """
@@ -60,13 +61,16 @@ from repro.obs.tracer import (
 #: Names loaded on first access, by the submodule that defines them.
 _LAZY = {
     "export": (
-        "chrome_trace_events", "event_instants", "metrics_ndjson",
-        "profile_report", "prometheus_text", "spans_ndjson",
-        "to_chrome_trace", "write_chrome_trace", "write_metrics_ndjson",
-        "write_prometheus", "write_spans_ndjson", "write_text",
+        "metrics_ndjson", "profile_report", "prometheus_text",
+        "spans_ndjson", "write_metrics_ndjson", "write_prometheus",
+        "write_spans_ndjson", "write_text",
     ),
     "registry": ("RunHandle", "RunRegistry", "runs_root"),
     "session": ("ObsSession",),
+    "spans": (
+        "SpanRecord", "chrome_trace", "spans_from_ndjson", "to_chrome_trace",
+        "write_chrome_trace",
+    ),
     "slo": (
         "DEFAULT_SLO_TARGETS", "SLOEngine", "SLOTarget",
         "engine_from_telemetry", "job_class", "render_slo_report",
@@ -78,7 +82,6 @@ _LAZY = {
     ),
     "telemetry": (
         "TelemetryChannel", "TelemetryClient", "default_socket_path",
-        "records_from_ndjson",
     ),
 }
 _LAZY_NAMES = {name: mod for mod, names in _LAZY.items() for name in names}

@@ -4,9 +4,9 @@ PR 1's observability layer *exports* spans and metrics; this package
 *consumes* them:
 
 * :mod:`repro.obs.analysis.timeline` — per-rank/per-thread
-  busy/idle/wait breakdowns, DLB-grant Gantt, critical-path extraction,
-  load-imbalance decomposition, and merged multi-run Chrome traces
-  (the paper's Figures 3–6 discussion, from real span data).
+  busy/idle/wait breakdowns, DLB-grant Gantt, critical path and
+  load-imbalance decomposition (the paper's Figures 3–6 discussion,
+  from the span records of :mod:`repro.obs.spans`).
 * :mod:`repro.obs.analysis.compare` — a diff engine over benchmark
   records and NDJSON metric dumps with configurable noise tolerance;
   the ``repro compare`` CLI and the CI ``bench-regress`` gate sit on
@@ -25,16 +25,10 @@ from repro.obs.analysis.timeline import (
     RankBreakdown,
     ThreadBreakdown,
     TimelineAnalysis,
-    TimelineSpan,
     analyze_timeline,
     analyze_tracer,
     ascii_gantt,
-    chrome_events_from_spans,
-    critical_path,
-    merged_chrome_trace,
-    spans_from_ndjson,
     timeline_report,
-    timeline_spans,
 )
 
 __all__ = [
@@ -44,17 +38,11 @@ __all__ = [
     "RunRecord",
     "ThreadBreakdown",
     "TimelineAnalysis",
-    "TimelineSpan",
     "analyze_timeline",
     "analyze_tracer",
     "ascii_gantt",
-    "chrome_events_from_spans",
     "compare_runs",
-    "critical_path",
     "flatten_record",
     "load_run",
-    "merged_chrome_trace",
-    "spans_from_ndjson",
     "timeline_report",
-    "timeline_spans",
 ]

@@ -25,6 +25,7 @@ from fnmatch import fnmatch
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
+from repro.obs.events import ndjson_records
 from repro.obs.metrics import _format_key
 
 #: Name patterns → direction, first match wins (order matters:
@@ -126,8 +127,8 @@ def load_run(path: str | Path, *, label: str | None = None) -> RunRecord:
     if isinstance(whole, dict) and "metric" not in whole:
         return RunRecord(label=label, values=flatten_record(whole))
     values: dict[str, float] = {}
-    for line in filter(None, (ln.strip() for ln in text.splitlines())):
-        values.update(_flatten_ndjson_line(json.loads(line)))
+    for rec in ndjson_records(text):
+        values.update(_flatten_ndjson_line(rec))
     return RunRecord(label=label, values=values)
 
 

@@ -5,9 +5,9 @@ The paper's profiling discussion (Figures 3–6) is not about raw timers
 and OpenMP thread is, how much of the Fock build is synchronization
 (flushes, ``gsumf``), how well the dynamic load balancer equalizes the
 per-rank work, and which call chain bounds the time to solution.  This
-module computes exactly those quantities from recorded spans
-(:class:`~repro.obs.tracer.Tracer` or a ``spans_ndjson`` dump) plus an
-optional structured event log, and renders them as:
+module computes exactly those quantities from span records
+(:mod:`repro.obs.spans`: a live tracer or a ``spans.ndjson`` dump) plus
+an optional structured event log, and renders them as:
 
 * per-rank and per-thread **busy/idle/wait breakdowns** (interval-union
   based, so nested instrumentation is never double counted);
@@ -15,9 +15,8 @@ optional structured event log, and renders them as:
   (the paper's load-balance metric) and the DLB efficiency it implies;
 * a **DLB-grant Gantt** — an ASCII per-rank timeline with injected
   faults, checkpoints, and recovery events overlaid;
-* the **critical path** — the chain of longest spans from the root;
-* a **merged multi-run Chrome trace** for side-by-side inspection of
-  several runs (e.g. the three Fock algorithms) in one Perfetto tab.
+* the **critical path** — the chain of longest spans from the root
+  (:func:`repro.obs.spans.critical_path`).
 
 Span classification is by name: quartet/diagonalization work counts as
 *busy*, flush/reduction spans as *wait*, structural spans (``scf/run``,
@@ -28,15 +27,18 @@ files read back days later.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Sequence
 
-from repro.obs.events import Event
+from repro.obs.events import Event, event_record
 from repro.obs.export import _json_safe
+from repro.obs.spans import (
+    SpanRecord,
+    critical_path,
+    rank_tracks,
+    spans_from_tracer,
+)
 from repro.obs.tracer import Tracer
-
-_MICRO = 1e6
 
 #: Span names that represent computational work (busy time).
 WORK_SPANS = frozenset(
@@ -81,85 +83,13 @@ EVENT_MARKERS = {
 }
 
 
-@dataclass(frozen=True)
-class TimelineSpan:
-    """One completed span, flattened for analysis (attrs resolved)."""
-
-    name: str
-    start: float
-    end: float
-    depth: int
-    rank: int
-    thread: int | None
-    attrs: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-    @property
-    def category(self) -> str:
-        """``work`` / ``wait`` / ``other`` classification of this span."""
-        if self.name in WORK_SPANS:
-            return "work"
-        if self.name in WAIT_SPANS:
-            return "wait"
-        return "other"
-
-
-def _as_int(value: Any, default: int = 0) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        return default
-
-
-def timeline_spans(tracer: Tracer) -> list[TimelineSpan]:
-    """Flatten a tracer's completed spans (absolute timestamps kept)."""
-    out: list[TimelineSpan] = []
-    for s in tracer.walk():
-        if s.end is None:
-            continue
-        thread = s.effective_attr("thread", None)
-        out.append(
-            TimelineSpan(
-                name=s.name,
-                start=s.start,
-                end=s.end,
-                depth=s.depth,
-                rank=_as_int(s.effective_attr("rank", 0)),
-                thread=None if thread is None else _as_int(thread),
-                attrs=dict(s.attrs),
-            )
-        )
-    return out
-
-
-def spans_from_ndjson(text: str) -> list[TimelineSpan]:
-    """Parse a ``spans_ndjson`` dump back into :class:`TimelineSpan` records."""
-    out: list[TimelineSpan] = []
-    for line in filter(None, (ln.strip() for ln in text.splitlines())):
-        rec = json.loads(line)
-        start = float(rec["start_s"])
-        attrs = rec.get("attrs", {})
-        out.append(
-            TimelineSpan(
-                name=rec["span"],
-                start=start,
-                end=start + float(rec["dur_s"]),
-                depth=int(rec.get("depth", 0)),
-                rank=_as_int(rec.get("rank", 0)),
-                thread=_as_int(rec["thread"]) if "thread" in rec else None,
-                attrs=attrs,
-            )
-        )
-    return out
-
-
 # -- interval arithmetic -----------------------------------------------------
+#
+# Public: the live ``repro monitor`` dashboard draws its per-rank activity
+# lanes with the same interval-union arithmetic the breakdowns use.
 
 
-def _merge_intervals(
+def merge_intervals(
     intervals: Iterable[tuple[float, float]]
 ) -> list[tuple[float, float]]:
     """Union of half-open intervals as a sorted, disjoint list."""
@@ -174,11 +104,11 @@ def _merge_intervals(
     return merged
 
 
-def _union_seconds(intervals: Iterable[tuple[float, float]]) -> float:
-    return sum(hi - lo for lo, hi in _merge_intervals(intervals))
+def union_seconds(intervals: Iterable[tuple[float, float]]) -> float:
+    return sum(hi - lo for lo, hi in merge_intervals(intervals))
 
 
-def _overlap_seconds(
+def overlap_seconds(
     merged: list[tuple[float, float]], lo: float, hi: float
 ) -> float:
     """Seconds of ``[lo, hi)`` covered by a merged interval list."""
@@ -190,14 +120,6 @@ def _overlap_seconds(
             break
         total += min(b, hi) - max(a, lo)
     return total
-
-
-#: Public aliases: the live ``repro monitor`` dashboard draws its
-#: per-rank activity lanes with the same interval-union arithmetic the
-#: post-hoc breakdowns use.
-merge_intervals = _merge_intervals
-union_seconds = _union_seconds
-overlap_seconds = _overlap_seconds
 
 
 # -- breakdowns --------------------------------------------------------------
@@ -224,7 +146,7 @@ class RankBreakdown:
     @property
     def idle_s(self) -> float:
         """Window time covered by neither work nor wait spans."""
-        covered = _union_seconds(self.work_intervals + self.wait_intervals)
+        covered = union_seconds(self.work_intervals + self.wait_intervals)
         return max(self.active_s - covered, 0.0)
 
     @property
@@ -243,23 +165,13 @@ class ThreadBreakdown:
 
 
 @dataclass
-class CriticalPathEntry:
-    """One hop of the longest-span chain from the root."""
-
-    name: str
-    rank: int
-    total_s: float
-    self_s: float
-
-
-@dataclass
 class TimelineAnalysis:
     """Everything :func:`timeline_report` renders, machine-readable."""
 
     t_end: float
     ranks: list[RankBreakdown]
     threads: list[ThreadBreakdown]
-    path: list[CriticalPathEntry]
+    path: list[tuple[SpanRecord, float]]  # critical path: (span, self s)
     events: list[Event]
     nspans: int
 
@@ -280,9 +192,7 @@ class TimelineAnalysis:
     @property
     def dlb_efficiency(self) -> float:
         """mean/max busy per rank — the DLB's balancing efficiency."""
-        busy = self.rank_busy
-        mx = max(busy, default=0.0)
-        return (sum(busy) / len(busy)) / mx if busy and mx > 0 else 1.0
+        return 1.0 / self.rank_imbalance
 
     @property
     def imbalance_loss_s(self) -> float:
@@ -371,77 +281,23 @@ class TimelineAnalysis:
                 for t in self.threads
             ],
             "critical_path": [
-                {"span": p.name, "rank": p.rank, "total_s": p.total_s,
-                 "self_s": p.self_s}
-                for p in self.path
+                {"span": r.name, "rank": r.rank, "total_s": r.duration,
+                 "self_s": self_s}
+                for r, self_s in self.path
             ],
-            "events": [
-                {"event": ev.kind, "t_s": ev.t, "rank": ev.rank,
-                 **{k: _json_safe(v) for k, v in ev.fields.items()}}
-                for ev in self.events
-            ],
+            "events": [event_record(ev) for ev in self.events],
         }
 
 
 def _ratio_imbalance(values: Sequence[float]) -> float:
-    vals = [v for v in values]
-    if not vals:
+    if not values:
         return 1.0
-    mean = sum(vals) / len(vals)
-    return max(vals) / mean if mean > 0 else 1.0
-
-
-def critical_path(spans: Sequence[TimelineSpan]) -> list[CriticalPathEntry]:
-    """The chain of longest-duration spans from the longest root down.
-
-    The parent/child structure is reconstructed from the recorded
-    depths and intervals (spans nest strictly in the simulated runtime),
-    so the extraction works identically on live tracers and NDJSON
-    dumps.
-    """
-    ordered = sorted(spans, key=lambda s: (s.start, s.depth))
-    children: dict[int, list[TimelineSpan]] = {}
-    last_at_depth: dict[tuple[int, int], TimelineSpan] = {}
-    last_at_depth_any: dict[int, TimelineSpan] = {}
-    roots: list[TimelineSpan] = []
-    for s in ordered:
-        # Ranks run concurrently, so several spans at depth-1 may contain
-        # this interval; prefer the same-rank candidate (its true parent
-        # in the original tree) over the most recent one from any rank.
-        parent = last_at_depth.get((s.depth - 1, s.rank))
-        if parent is None or parent.end < s.end or parent.start > s.start:
-            parent = last_at_depth_any.get(s.depth - 1)
-        if (
-            s.depth > 0
-            and parent is not None
-            and parent.start <= s.start
-            and parent.end >= s.end
-        ):
-            children.setdefault(id(parent), []).append(s)
-        else:
-            roots.append(s)
-        last_at_depth[(s.depth, s.rank)] = s
-        last_at_depth_any[s.depth] = s
-
-    path: list[CriticalPathEntry] = []
-    node = max(roots, key=lambda s: s.duration, default=None)
-    while node is not None:
-        kids = children.get(id(node), [])
-        self_s = node.duration - sum(c.duration for c in kids)
-        path.append(
-            CriticalPathEntry(
-                name=node.name,
-                rank=node.rank,
-                total_s=node.duration,
-                self_s=max(self_s, 0.0),
-            )
-        )
-        node = max(kids, key=lambda s: s.duration, default=None)
-    return path
+    mean = sum(values) / len(values)
+    return max(values) / mean if mean > 0 else 1.0
 
 
 def analyze_timeline(
-    spans: Sequence[TimelineSpan],
+    spans: Sequence[SpanRecord],
     events: Sequence[Event] = (),
 ) -> TimelineAnalysis:
     """Compute the full timeline analysis from flattened spans + events.
@@ -458,31 +314,21 @@ def analyze_timeline(
         t0 = min(ev.t for ev in events)
     else:
         t0 = 0.0
-    spans = [
-        TimelineSpan(
-            name=s.name, start=s.start - t0, end=s.end - t0, depth=s.depth,
-            rank=s.rank, thread=s.thread, attrs=s.attrs,
-        )
-        for s in spans
-    ]
+    spans = [replace(s, start=s.start - t0, end=s.end - t0) for s in spans]
     events = [
         Event(kind=ev.kind, t=ev.t - t0, rank=ev.rank, fields=ev.fields)
         for ev in events
     ]
     t_end = max((s.end for s in spans), default=0.0)
 
-    by_rank: dict[int, list[TimelineSpan]] = {}
-    for s in spans:
-        by_rank.setdefault(s.rank, []).append(s)
-
     ranks: list[RankBreakdown] = []
-    for rank in sorted(by_rank):
-        rspans = by_rank[rank]
-        work = _merge_intervals(
-            (s.start, s.end) for s in rspans if s.category == "work"
+    for track in rank_tracks(spans):
+        rank, rspans = track.pid, track.records
+        work = merge_intervals(
+            (s.start, s.end) for s in rspans if s.name in WORK_SPANS
         )
-        wait = _merge_intervals(
-            (s.start, s.end) for s in rspans if s.category == "wait"
+        wait = merge_intervals(
+            (s.start, s.end) for s in rspans if s.name in WAIT_SPANS
         )
         ranks.append(
             RankBreakdown(
@@ -497,7 +343,7 @@ def analyze_timeline(
             )
         )
 
-    lanes: dict[tuple[int, int], list[TimelineSpan]] = {}
+    lanes: dict[tuple[int, int], list[SpanRecord]] = {}
     for s in spans:
         if s.name in THREAD_WORK_SPANS and s.thread is not None:
             lanes.setdefault((s.rank, s.thread), []).append(s)
@@ -505,7 +351,7 @@ def analyze_timeline(
         ThreadBreakdown(
             rank=rank,
             thread=thread,
-            busy_s=_union_seconds((s.start, s.end) for s in lspans),
+            busy_s=union_seconds((s.start, s.end) for s in lspans),
             nspans=len(lspans),
         )
         for (rank, thread), lspans in sorted(lanes.items())
@@ -526,7 +372,7 @@ def analyze_tracer(
 ) -> TimelineAnalysis:
     """:func:`analyze_timeline` straight from a live tracer + event log."""
     return analyze_timeline(
-        timeline_spans(tracer), list(events) if events is not None else ()
+        spans_from_tracer(tracer), list(events) if events is not None else ()
     )
 
 
@@ -558,8 +404,8 @@ def ascii_gantt(analysis: TimelineAnalysis, *, width: int = 64) -> str:
             if not (rb.first < hi and rb.last > lo):
                 row.append(" ")
                 continue
-            w = _overlap_seconds(rb.work_intervals, lo, hi)
-            v = _overlap_seconds(rb.wait_intervals, lo, hi)
+            w = overlap_seconds(rb.work_intervals, lo, hi)
+            v = overlap_seconds(rb.wait_intervals, lo, hi)
             row.append("#" if w >= v and w > 0 else "~" if v > 0 else ".")
         rows[rb.rank] = row
 
@@ -624,11 +470,11 @@ def timeline_report(
             )
     if analysis.path:
         lines += ["", "critical path (longest span chain):"]
-        for depth, p in enumerate(analysis.path):
-            label = "  " * depth + p.name
+        for depth, (r, self_s) in enumerate(analysis.path):
+            label = "  " * depth + r.name
             lines.append(
-                f"  {label:<40s} rank {p.rank} "
-                f"total {p.total_s:>10.6f} s  self {p.self_s:>10.6f} s"
+                f"  {label:<40s} rank {r.rank} "
+                f"total {r.duration:>10.6f} s  self {self_s:>10.6f} s"
             )
     lines += ["", ascii_gantt(analysis)]
     recov = analysis.recovery_events
@@ -641,72 +487,3 @@ def timeline_report(
                 f"  t={ev.t:>10.6f}s {where:<8s} {ev.kind:<24s} {detail}"
             )
     return "\n".join(lines)
-
-
-# -- merged Chrome traces ----------------------------------------------------
-
-#: pid stride between runs in a merged trace (ranks per run < stride).
-_PID_STRIDE = 1000
-
-
-def chrome_events_from_spans(
-    spans: Sequence[TimelineSpan], *, pid_offset: int = 0
-) -> list[dict[str, Any]]:
-    """Chrome ``"ph": "X"`` events from flattened spans (NDJSON-sourced)."""
-    if not spans:
-        return []
-    t0 = min(s.start for s in spans)
-    events = []
-    for s in spans:
-        events.append(
-            {
-                "name": s.name,
-                "cat": s.name.split("/", 1)[0],
-                "ph": "X",
-                "ts": (s.start - t0) * _MICRO,
-                "dur": s.duration * _MICRO,
-                "pid": pid_offset + s.rank,
-                "tid": s.thread or 0,
-                "args": {k: _json_safe(v) for k, v in s.attrs.items()},
-            }
-        )
-    return events
-
-
-def merged_chrome_trace(
-    runs: Sequence[tuple[str, Sequence[TimelineSpan], Sequence[Event]]],
-) -> dict[str, Any]:
-    """Merge several runs into one Chrome trace document.
-
-    ``runs`` is a sequence of ``(label, spans, events)`` triples; each
-    run's ranks are placed on their own pid block (``run_index * 1000 +
-    rank``) with the process tracks named ``"<label> rank <r>"``, so
-    e.g. all three Fock algorithms can be inspected side by side in a
-    single Perfetto tab.
-    """
-    from repro.obs.export import event_instants
-
-    all_events: list[dict[str, Any]] = []
-    meta: list[dict[str, Any]] = []
-    for idx, (label, spans, events) in enumerate(runs):
-        offset = idx * _PID_STRIDE
-        span_events = chrome_events_from_spans(spans, pid_offset=offset)
-        all_events += span_events
-        if events:
-            t0 = min((s.start for s in spans), default=min(ev.t for ev in events))
-            all_events += event_instants(events, t0, pid_offset=offset)
-        for pid in sorted({e["pid"] for e in span_events}):
-            meta.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": 0,
-                    "args": {"name": f"{label} rank {pid - offset}"},
-                }
-            )
-    return {
-        "traceEvents": meta + all_events,
-        "displayTimeUnit": "ms",
-        "otherData": {"producer": "repro.obs.analysis"},
-    }

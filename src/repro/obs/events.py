@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import json
 import time
-from collections import deque
+from collections import Counter, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
@@ -134,10 +134,7 @@ class EventLog:
 
     def kinds(self) -> dict[str, int]:
         """Event count per kind (diagnostics/tests)."""
-        out: dict[str, int] = {}
-        for ev in self.events:
-            out[ev.kind] = out.get(ev.kind, 0) + 1
-        return out
+        return dict(Counter(ev.kind for ev in self.events))
 
     def clear(self) -> None:
         self.events.clear()
@@ -154,7 +151,8 @@ def _json_safe(value: Any) -> Any:
 
 
 def event_record(ev: Event, t0: float = 0.0) -> dict[str, Any]:
-    """The JSON-ready dict for one event (the NDJSON line payload)."""
+    """The JSON-ready dict for one event: the one event line, on disk
+    (``events.ndjson``) and on the telemetry socket."""
     rec: dict[str, Any] = {
         "event": ev.kind,
         "t_s": ev.t - t0,
@@ -162,6 +160,40 @@ def event_record(ev: Event, t0: float = 0.0) -> dict[str, Any]:
     }
     rec.update({k: _json_safe(v) for k, v in ev.fields.items()})
     return rec
+
+
+def ndjson_records(text: str) -> Iterator[dict[str, Any]]:
+    """The JSON object of each line of an NDJSON text.
+
+    Blank lines are skipped, and so is a line that does not parse: the
+    torn tail of a writer killed mid-line.
+    """
+    for line in text.splitlines():
+        if line.strip():
+            try:
+                yield json.loads(line)
+            except json.JSONDecodeError:
+                continue
+
+
+def event_from_record(rec: dict[str, Any]) -> Event:
+    """Parse one :func:`event_record` line back into an event.
+
+    Recordings of earlier builds spell the kind ``kind`` and carry a
+    ``source``; a ``rank<N>`` source names the rank, any other source
+    (``driver``, ``service``, ``worker<N>``) is a run-global event.
+    """
+    rec = dict(rec)
+    source = ""
+    if "event" in rec:
+        kind = rec.pop("event")
+    else:
+        kind, source = rec.pop("kind"), str(rec.pop("source", ""))
+    t = float(rec.pop("t_s", 0.0))
+    rank = rec.pop("rank", None)
+    if rank is None and source.startswith("rank") and source[4:].isdigit():
+        rank = int(source[4:])
+    return Event(kind=kind, t=t, rank=rank, fields=rec)
 
 
 def events_ndjson(log: EventLog, *, t0: float | None = None) -> str:
@@ -177,22 +209,12 @@ def events_ndjson(log: EventLog, *, t0: float | None = None) -> str:
 
 
 def events_from_ndjson(text: str) -> list[Event]:
-    """Parse :func:`events_ndjson` output back into :class:`Event` records.
+    """Parse an event NDJSON text (``events.ndjson``, a telemetry
+    recording of any build) back into :class:`Event` records.
 
-    Parsed timestamps are the file's (already relative) ``t_s`` values.
+    Parsed timestamps are the file's ``t_s`` values.
     """
-    events: list[Event] = []
-    for line in filter(None, (ln.strip() for ln in text.splitlines())):
-        rec = json.loads(line)
-        events.append(
-            Event(
-                kind=rec.pop("event"),
-                t=float(rec.pop("t_s", 0.0)),
-                rank=rec.pop("rank", None),
-                fields=rec,
-            )
-        )
-    return events
+    return [event_from_record(rec) for rec in ndjson_records(text)]
 
 
 _current_log: EventLog | None = None

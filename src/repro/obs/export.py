@@ -1,17 +1,14 @@
-"""Exporters: Chrome trace-event JSON, text profile, NDJSON.
+"""Writers: text profile, NDJSON, Prometheus text.
 
-Three machine/human-readable views of one traced run:
+The views of one traced run other than its Chrome trace (that one is
+:func:`repro.obs.spans.chrome_trace`):
 
-* :func:`to_chrome_trace` — the Chrome ``trace_event`` format (open the
-  file in ``chrome://tracing`` or https://ui.perfetto.dev).  Every span
-  becomes a complete ``"ph": "X"`` event; the simulated MPI rank is the
-  ``pid`` track and the simulated OpenMP thread the ``tid`` track, so
-  the timeline looks like the per-rank/per-thread Gantt charts of the
-  paper's profiling discussion.
 * :func:`profile_report` — a GAMESS-style hierarchical percentage
   breakdown of where the wall time went.
 * :func:`spans_ndjson` / :func:`metrics_ndjson` — newline-delimited
-  JSON for the benchmark trajectory tooling.
+  JSON for the benchmark trajectory tooling; :func:`span_record` /
+  :func:`span_line` are the span line format.
+* :func:`prometheus_text` — the metrics registry for external scrapers.
 """
 
 from __future__ import annotations
@@ -22,13 +19,10 @@ import re
 from pathlib import Path
 from typing import Any, Iterable
 
-from repro.obs.events import Event, EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Span, Tracer
 
 _MISSING = object()  # "attr not set anywhere" sentinel for span_line
-
-_MICRO = 1e6
 
 
 def write_text(path: str | Path, text: str) -> Path:
@@ -47,121 +41,6 @@ def _json_safe(value: Any) -> Any:
     if isinstance(value, (bool, int, float, str)) or value is None:
         return value
     return str(value)
-
-
-def chrome_trace_events(tracer: Tracer) -> list[dict[str, Any]]:
-    """Flatten a tracer's span forest into Chrome trace events.
-
-    Timestamps are microseconds relative to the earliest root span;
-    metadata events name each ``pid`` track "rank r" and each ``tid``
-    track "thread t".
-    """
-    spans = [s for s in tracer.walk() if s.end is not None]
-    if not spans:
-        return []
-    t0 = min(s.start for s in spans)
-    events: list[dict[str, Any]] = []
-    tracks: set[tuple[int, int]] = set()
-    for s in spans:
-        pid = int(s.effective_attr("rank", 0))
-        tid = int(s.effective_attr("thread", 0))
-        tracks.add((pid, tid))
-        events.append(
-            {
-                "name": s.name,
-                "cat": s.name.split("/", 1)[0],
-                "ph": "X",
-                "ts": (s.start - t0) * _MICRO,
-                "dur": s.duration * _MICRO,
-                "pid": pid,
-                "tid": tid,
-                "args": {k: _json_safe(v) for k, v in s.attrs.items()},
-            }
-        )
-    meta: list[dict[str, Any]] = []
-    for pid in sorted({p for p, _ in tracks}):
-        meta.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "args": {"name": f"rank {pid}"},
-            }
-        )
-    for pid, tid in sorted(tracks):
-        meta.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": tid,
-                "args": {"name": f"thread {tid}"},
-            }
-        )
-    return meta + events
-
-
-def event_instants(
-    events: Iterable[Event], t0: float, *, pid_offset: int = 0
-) -> list[dict[str, Any]]:
-    """Chrome *instant* events (``"ph": "i"``) for an event-log overlay.
-
-    Each event lands on its rank's process track (run-global events on
-    pid 0) at its timestamp relative to ``t0`` — which is how a faulted
-    run's kill/recovery/checkpoint moments show up inside the span
-    Gantt in ``chrome://tracing``.
-    """
-    out: list[dict[str, Any]] = []
-    for ev in events:
-        out.append(
-            {
-                "name": ev.kind,
-                "cat": ev.kind.split(".", 1)[0],
-                "ph": "i",
-                "ts": (ev.t - t0) * _MICRO,
-                "pid": pid_offset + int(ev.rank or 0),
-                "tid": 0,
-                "s": "g" if ev.rank is None else "p",
-                "args": {k: _json_safe(v) for k, v in ev.fields.items()},
-            }
-        )
-    return out
-
-
-def to_chrome_trace(
-    tracer: Tracer, *, events: EventLog | Iterable[Event] | None = None
-) -> dict[str, Any]:
-    """The complete Chrome trace document for a traced run.
-
-    With ``events``, the event log is overlaid as instant events on the
-    same time base (the earliest span start; with no spans, the first
-    event's timestamp).
-    """
-    trace_events = chrome_trace_events(tracer)
-    event_list = list(events) if events is not None else []
-    if event_list:
-        starts = [s.start for s in tracer.walk() if s.end is not None]
-        t0 = min(starts) if starts else min(ev.t for ev in event_list)
-        trace_events += event_instants(event_list, t0)
-    return {
-        "traceEvents": trace_events,
-        "displayTimeUnit": "ms",
-        "otherData": {"producer": "repro.obs"},
-    }
-
-
-def write_chrome_trace(
-    tracer: Tracer,
-    path: str | Path,
-    *,
-    events: EventLog | Iterable[Event] | None = None,
-) -> Path:
-    """Serialize :func:`to_chrome_trace` to ``path``; returns the path.
-
-    Parent directories are created as needed.
-    """
-    return write_text(path, json.dumps(to_chrome_trace(tracer, events=events)))
 
 
 # -- text profile ------------------------------------------------------------

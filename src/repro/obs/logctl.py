@@ -27,49 +27,38 @@ from __future__ import annotations
 import logging
 import sys
 from contextvars import ContextVar
-from typing import Any
 
 LEVELS = ("debug", "info", "warning", "error")
 
 _quiet = False
 
-_UNSET = object()
-_run_id: ContextVar[str | None] = ContextVar("repro_log_run_id", default=None)
-_job_id: ContextVar[str | None] = ContextVar("repro_log_job_id", default=None)
-_trace_id: ContextVar[str | None] = ContextVar(
-    "repro_log_trace_id", default=None)
+#: The correlation fields, one context variable each.
+_CONTEXT: dict[str, ContextVar[str | None]] = {
+    key: ContextVar(f"repro_log_{key}", default=None)
+    for key in ("run_id", "job_id", "trace_id")
+}
 
 
-def set_log_context(
-    *,
-    run_id: Any = _UNSET,
-    job_id: Any = _UNSET,
-    trace_id: Any = _UNSET,
-) -> None:
-    """Set correlation fields for subsequent log records.
+def set_log_context(**fields: str | None) -> None:
+    """Set correlation fields (``run_id``, ``job_id``, ``trace_id``) for
+    subsequent log records.
 
     Only the keywords passed are touched; pass ``None`` to clear one.
     """
-    if run_id is not _UNSET:
-        _run_id.set(run_id)
-    if job_id is not _UNSET:
-        _job_id.set(job_id)
-    if trace_id is not _UNSET:
-        _trace_id.set(trace_id)
+    for key, value in fields.items():
+        if key not in _CONTEXT:
+            raise TypeError(f"unknown log context field {key!r}")
+        _CONTEXT[key].set(value)
 
 
 def clear_log_context() -> None:
     """Drop all correlation fields."""
-    set_log_context(run_id=None, job_id=None, trace_id=None)
+    set_log_context(**dict.fromkeys(_CONTEXT))
 
 
 def log_context() -> dict[str, str | None]:
     """The current correlation fields (``None`` where unset)."""
-    return {
-        "run_id": _run_id.get(),
-        "job_id": _job_id.get(),
-        "trace_id": _trace_id.get(),
-    }
+    return {key: var.get() for key, var in _CONTEXT.items()}
 
 
 class CorrelationFilter(logging.Filter):
@@ -81,16 +70,10 @@ class CorrelationFilter(logging.Filter):
     """
 
     def filter(self, record: logging.LogRecord) -> bool:
-        record.run_id = _run_id.get()
-        record.job_id = _job_id.get()
-        record.trace_id = _trace_id.get()
-        parts = [
-            f"{key}={val}"
-            for key, val in (("run", record.run_id),
-                             ("job", record.job_id),
-                             ("trace", record.trace_id))
-            if val
-        ]
+        fields = log_context()
+        record.__dict__.update(fields)
+        parts = [f"{key.removesuffix('_id')}={val}"
+                 for key, val in fields.items() if val]
         record.corr = f" [{' '.join(parts)}]" if parts else ""
         return True
 

@@ -1,8 +1,8 @@
 """Live run dashboard: render telemetry streams as a terminal view.
 
 ``repro monitor`` attaches to a running SCF through the telemetry
-channel's unix socket (or replays a recorded ``telemetry.ndjson``) and
-folds the events it streams into a compact dashboard:
+channel's unix socket (or replays a recorded event file) and folds the
+events it streams into a compact dashboard:
 
 * **per-rank activity lanes** — each worker's heartbeat trail drawn as
   a busy/quiet strip, computed with the same interval-union arithmetic
@@ -32,10 +32,8 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from repro.obs.analysis.timeline import merge_intervals, overlap_seconds
-from repro.obs.events import Event
-from repro.obs.metrics import Histogram
-from repro.obs.slo import LATENCY_METRICS, SERVICE_LATENCY_BUCKETS
-from repro.obs.telemetry import records_from_ndjson
+from repro.obs.events import Event, events_from_ndjson
+from repro.obs.slo import LATENCY_METRICS, ClassStats
 
 #: Unicode sparkline ramp, quietest to loudest.
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
@@ -171,7 +169,7 @@ class MonitorState:
         self.converged: bool | None = None
         self._dlb_samples: list[tuple[float, float]] = []  # (t, total claims)
         # Service latency digests per job class (fed by job.done/failed).
-        self.latency: dict[str, dict[str, Histogram]] = {}
+        self.latency: dict[str, ClassStats] = {}
         self.slo_burn: dict[tuple[str, str], float] = {}
         self.slo_breaches = 0
 
@@ -214,25 +212,13 @@ class MonitorState:
             if kind == "slo.breach":
                 self.slo_breaches += 1
             self.events.append(rec)
-        if kind in ("job.done", "job.failed"):
-            self._fold_latency(p)
-
-    def _fold_latency(self, payload: dict[str, Any]) -> None:
-        cls = payload.get("job_class")
-        if not cls:
-            return
-        hists = self.latency.get(cls)
-        if hists is None:
-            hists = self.latency[cls] = {
-                metric: Histogram(f"latency.{metric}",
-                                  (("job_class", cls),),
-                                  buckets=SERVICE_LATENCY_BUCKETS)
-                for metric in LATENCY_METRICS
-            }
-        for metric in LATENCY_METRICS:
-            value = payload.get(f"{metric}_s")
-            if isinstance(value, (int, float)):
-                hists[metric].observe(max(float(value), 0.0))
+        if kind in ("job.done", "job.failed") and p.get("job_class"):
+            cls = p["job_class"]
+            stats = self.latency.get(cls) or self.latency.setdefault(
+                cls, ClassStats(cls))
+            stats.observe({m: _maybe_float(p.get(f"{m}_s"))
+                           for m in LATENCY_METRICS},
+                          failed=kind == "job.failed", targets=())
 
     def apply_all(self, records: Iterable[Event]) -> None:
         for rec in records:
@@ -375,18 +361,15 @@ class MonitorState:
                 f"{'qwait p50/p95/p99':>20s} {'total p50/p95/p99':>20s}"
             )
             for cls in sorted(self.latency):
-                hists = self.latency[cls]
-
-                def _cell(hist: Histogram) -> str:
-                    qs = [hist.quantile(q) for q in (0.5, 0.95, 0.99)]
-                    return "/".join(
-                        f"{v:.2f}" if v is not None else "-" for v in qs
-                    )
-
+                stats = self.latency[cls]
+                cells = {
+                    metric: "/".join("-" if v is None else f"{v:.2f}"
+                                     for v in qs.values())
+                    for metric, qs in stats.quantiles().items()
+                }
                 lines.append(
-                    f"{cls:<22s} {hists['total'].count:>5d} "
-                    f"{_cell(hists['queue_wait']):>20s} "
-                    f"{_cell(hists['total']):>20s}"
+                    f"{cls:<22s} {stats.hists['total'].count:>5d} "
+                    f"{cells['queue_wait']:>20s} {cells['total']:>20s}"
                 )
             burning = {k: v for k, v in self.slo_burn.items() if v >= 1.0}
             if burning or self.slo_breaches:
@@ -433,7 +416,7 @@ def _maybe_float(value: Any) -> float | None:
 
 
 def replay_dashboard(text: str, **render_kw: Any) -> str:
-    """One final frame from a recorded ``telemetry.ndjson`` dump."""
+    """One final frame from a recorded event file."""
     state = MonitorState()
-    state.apply_all(records_from_ndjson(text))
+    state.apply_all(events_from_ndjson(text))
     return state.render(**render_kw)

@@ -8,9 +8,13 @@ them one home::
     .repro/runs/<run_id>/
         run.json          # id, kind, config, status, timings, summary
         metrics.json      # final metrics snapshot (flat, diffable)
-        events.ndjson     # structured event log (when captured)
-        telemetry.ndjson  # live telemetry stream (when --telemetry)
-        telemetry.sock    # unix socket, while the run is live
+        events.ndjson     # the run's event log, one line per event
+        telemetry.sock    # unix socket, while a --telemetry run is live
+
+A ``--telemetry`` run or a ``repro serve`` daemon marks its
+``events.ndjson`` (a ``telemetry`` artifact) as what ``repro monitor``
+and ``repro slo`` replay; an earlier build's second copy of the events,
+``telemetry.ndjson``, still replays (:meth:`RunRegistry.telemetry_path`).
 
 ``run_id`` is ``<UTC stamp>-<pid>-<entropy>`` — sortable by start time
 and collision-free across concurrent runs.  ``repro runs list`` /
@@ -35,9 +39,12 @@ import os
 import secrets
 import shutil
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
+
+from repro.obs.events import _json_safe, events_from_ndjson
 
 logger = logging.getLogger("repro.obs.registry")
 
@@ -57,16 +64,6 @@ def runs_root(root: str | Path | None = None) -> Path:
         return Path(root)
     env = os.environ.get(RUNS_DIR_ENV)
     return Path(env) if env else DEFAULT_ROOT
-
-
-def _json_safe(value: Any) -> Any:
-    if isinstance(value, (bool, int, float, str)) or value is None:
-        return value
-    if isinstance(value, dict):
-        return {str(k): _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    return str(value)
 
 
 _run_id_counter = itertools.count()
@@ -226,6 +223,19 @@ class RunRegistry:
     def run_dir(self, run_id: str) -> Path:
         return self.root / run_id
 
+    def telemetry_path(self, run_id: str) -> Path | None:
+        """The run's telemetry recording, or ``None`` when it has none:
+        an earlier build's ``telemetry.ndjson``, else the
+        ``events.ndjson`` a ``--telemetry`` run or a daemon marked."""
+        run_dir = self.run_dir(run_id)
+        if (run_dir / "telemetry.ndjson").exists():
+            return run_dir / "telemetry.ndjson"
+        try:
+            marked = "telemetry" in self.load(run_id).get("artifacts", {})
+        except (OSError, json.JSONDecodeError):
+            return None
+        return run_dir / "events.ndjson" if marked else None
+
     # -- retention -----------------------------------------------------------
 
     def _dir_bytes(self, run_id: str) -> int:
@@ -359,15 +369,8 @@ class RunRegistry:
         lines.append(json.dumps(rec, indent=2, sort_keys=True))
         events = self.run_dir(run_id) / "events.ndjson"
         if "event_counts" not in rec and events.exists():
-            counts: dict[str, int] = {}
-            for line in filter(
-                None, (ln.strip() for ln in events.read_text().splitlines())
-            ):
-                try:
-                    kind = json.loads(line).get("event", "?")
-                except json.JSONDecodeError:
-                    continue
-                counts[kind] = counts.get(kind, 0) + 1
+            counts = Counter(ev.kind for ev in
+                             events_from_ndjson(events.read_text()))
             if counts:
                 lines.append("events:")
                 for kind in sorted(counts):

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import contextlib
 import logging
-import os
-import tempfile
 from pathlib import Path
 
 from repro.obs.events import EventLog, use_event_log
@@ -23,11 +21,11 @@ class ObsSession:
 
     Owns the whole observability envelope of a ``scf`` / ``profile``
     invocation: registers the run (unless ``registry=False``), streams
-    the event log incrementally into the run directory, and — with
-    ``telemetry=True`` — chains a
+    the event log incrementally into the run directory's
+    ``events.ndjson``, and — with ``telemetry=True`` — chains a
     :class:`~repro.obs.telemetry.TelemetryChannel` behind that log, so
-    every event also reaches ``telemetry.ndjson`` and a unix socket
-    ``repro monitor`` can attach to mid-run.
+    every event also reaches a unix socket ``repro monitor`` can attach
+    to mid-run (and ``events.ndjson`` is marked as the run's recording).
     ``finalize`` writes the final metrics snapshot (JSON + Prometheus
     text) and closes the record; everything degrades to no-ops when the
     registry or telemetry is off.
@@ -70,17 +68,14 @@ class ObsSession:
             from repro.obs.telemetry import (
                 TelemetryChannel, default_socket_path)
 
+            self.channel = TelemetryChannel()
             if self.handle is not None:
-                self.channel = TelemetryChannel(
-                    sink=self.handle.path("telemetry.ndjson"))
-                sock_path = default_socket_path(self.handle.directory)
-            else:
-                self.channel = TelemetryChannel()
-                sock_path = (Path(tempfile.gettempdir())
-                             / f"repro-telemetry-{os.getpid()}.sock")
+                self.handle.add_artifact(
+                    "telemetry", self.handle.path("events.ndjson"))
+                self.handle.save()
             self._stack.callback(self.channel.close)
             enter(self.log.tap(self.channel.record))
-            sock = self.channel.serve(sock_path)
+            sock = self.channel.serve(default_socket_path(self.run_dir))
             if sock is not None:
                 logger.info("telemetry socket: %s", sock)
 
@@ -122,9 +117,9 @@ class ObsSession:
                 )
             except OSError as exc:  # pragma: no cover - fs failure path
                 logger.warning("prometheus export failed: %s", exc)
-            for name in ("events.ndjson", "telemetry.ndjson"):
-                if self.handle.path(name).exists():
-                    self.handle.add_artifact(name, self.handle.path(name))
+            if self.handle.path("events.ndjson").exists():
+                self.handle.add_artifact(
+                    "events.ndjson", self.handle.path("events.ndjson"))
             self.handle.finalize(
                 status=status, metrics=snapshot, summary=summary,
                 event_counts=self.log.kinds(),

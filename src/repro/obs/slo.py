@@ -337,9 +337,9 @@ def engine_from_telemetry(
     The offline half of ``repro slo``: the daemon emits terminal job
     records with ``queue_wait_s`` / ``run_s`` / ``total_s`` /
     ``job_class`` fields, and this folds a recorded stream (a serve
-    run's ``telemetry.ndjson``, read by
-    :func:`~repro.obs.telemetry.records_from_ndjson`) back through the
-    same evaluation logic.
+    run's ``events.ndjson``, read by
+    :func:`~repro.obs.events.events_from_ndjson`) back through the same
+    evaluation logic.
     """
     engine = SLOEngine(targets)
     for rec in records:

@@ -1,20 +1,14 @@
 """Incremental NDJSON streaming of spans and events.
 
-The batch exporters in :mod:`repro.obs.export` serialize a finished
-tracer; a worker that dies mid-build via ``os._exit`` (the fault
-injector's kill path) never reaches that code, so everything still
-buffered in its tracer/event log used to vanish from the merged trace.
-
-:class:`ObsStreamer` closes that gap: it hooks the tracer's
-``on_close`` and the event log's ``on_emit`` callbacks and appends one
-JSON line per completed span / emitted event to unbuffered append
-files the moment the record exists.  A killed worker's obs output is
-then durable up to its very last completed span — no final flush
-required — and the on-disk format is byte-compatible with
-``spans.ndjson`` / ``events.ndjson``, so
-:func:`~repro.obs.analysis.timeline.spans_from_ndjson` and
-:func:`~repro.obs.events.events_from_ndjson` read streamed files
-unchanged.
+A worker that dies mid-build via ``os._exit`` (the fault injector's
+kill path) never reaches the batch exporters of :mod:`repro.obs.export`.
+:class:`ObsStreamer` hooks the tracer's ``on_close`` and the event
+log's ``on_emit`` and appends one JSON line per completed span /
+emitted event to unbuffered append files the moment the record exists,
+so a killed worker's output is durable up to its last completed span.
+The lines are those of ``spans.ndjson`` / ``events.ndjson``, read by
+:func:`~repro.obs.spans.spans_from_ndjson` and
+:func:`~repro.obs.events.events_from_ndjson` (a torn last line too).
 
 :class:`SpanBatchWriter` is the service worker's cheaper middle: closed
 spans are kept and reach the file, serialized, in one ``write`` per SCF

@@ -5,27 +5,21 @@ Instrumented code reports every occurrence once, through the event log
 is an :class:`~repro.obs.events.EventLog` with a bounded backlog that
 also fans each event out as it is recorded:
 
-* to a local unix-domain socket (:meth:`TelemetryChannel.serve`): any
-  process may connect *mid-run*, receives the backlog first, then the
-  live stream, one JSON object per line — what ``repro monitor``
-  follows;
-* to an NDJSON sink (``telemetry.ndjson`` in a run directory),
-  line-buffered so each record is durable the moment it exists and a
-  crashed driver's file still replays;
-* to in-process subscribers (:meth:`TelemetryChannel.subscribe`).
+* to a unix socket (:meth:`TelemetryChannel.serve`): a process may
+  connect *mid-run*, gets the backlog, then the live stream — what
+  ``repro monitor`` follows;
+* to in-process subscribers (:meth:`TelemetryChannel.subscribe`) and
+  the ``on_emit`` hook (an :class:`~repro.obs.stream.ObsStreamer` writes
+  the ``repro serve`` daemon's ``events.ndjson`` through it).
 
 A ``--telemetry`` run chains a channel behind its own event log
-(:class:`~repro.obs.session.ObsSession`), so ``events.ndjson`` and
-``telemetry.ndjson`` hold the same occurrences; the ``repro serve``
-daemon installs its channel *as* the process event log, so a daemon
-that runs for days holds a bounded backlog.  Timestamps come from
-``time.perf_counter`` — the clock the tracer uses and the process
-backend shares across workers — so records line up with spans.
-
-The line format (:func:`telemetry_line`) is ``kind``, ``t_s``,
-``source`` (``rank<N>`` or ``driver``), then the event's fields, with
-a ranked event's ``rank`` among them; :func:`records_from_ndjson` reads
-it back into events, recordings of earlier builds included.
+(:class:`~repro.obs.session.ObsSession`), whose ``events.ndjson`` stays
+the run's one event file; the ``repro serve`` daemon installs its
+channel *as* the process event log, holding a bounded backlog.  Times
+come from ``time.perf_counter``, the tracer's clock.  The socket
+carries the one event line (:func:`~repro.obs.events.event_record`),
+which :func:`~repro.obs.events.events_from_ndjson` reads back, as it
+does the ``kind`` / ``source`` lines of earlier builds' recordings.
 """
 
 from __future__ import annotations
@@ -37,9 +31,9 @@ import socket
 import threading
 import time
 from pathlib import Path
-from typing import Any, Callable, TextIO
+from typing import Any, Callable
 
-from repro.obs.events import Event, EventLog, _json_safe
+from repro.obs.events import Event, EventLog, event_record, events_from_ndjson
 
 logger = logging.getLogger("repro.obs.telemetry")
 
@@ -50,43 +44,6 @@ DEFAULT_BUFFER = 4096
 #: dropped.  Sends are non-blocking (the publisher must never stall on
 #: a reader); bytes the kernel buffer will not take queue here first.
 CLIENT_BUFFER_CAP = 1 << 20
-
-
-def telemetry_line(ev: Event) -> str:
-    """One event as a telemetry NDJSON line (no newline)."""
-    rec: dict[str, Any] = {
-        "kind": ev.kind,
-        "t_s": ev.t,
-        "source": "driver" if ev.rank is None else f"rank{ev.rank}",
-    }
-    if ev.rank is not None:
-        rec["rank"] = ev.rank
-    rec.update({k: _json_safe(v) for k, v in ev.fields.items()})
-    return json.dumps(rec)
-
-
-def record_from_json(line: str) -> Event:
-    """Parse one :func:`telemetry_line` back into an event.
-
-    The rank is the ``rank`` field, else the one a ``rank<N>`` source
-    names; any other source (``driver``, an earlier build's
-    ``service`` or ``worker<N>``) is a run-global event.
-    """
-    rec = json.loads(line)
-    kind, t = rec.pop("kind"), float(rec.pop("t_s", 0.0))
-    source = str(rec.pop("source", "driver"))
-    rank = rec.pop("rank", None)
-    if rank is None and source.startswith("rank") and source[4:].isdigit():
-        rank = int(source[4:])
-    return Event(kind=kind, t=t, rank=rank, fields=rec)
-
-
-def records_from_ndjson(text: str) -> list[Event]:
-    """Parse a telemetry NDJSON dump (e.g. the registry's sink file)."""
-    return [
-        record_from_json(line)
-        for line in filter(None, (ln.strip() for ln in text.splitlines()))
-    ]
 
 
 def close_listener(server: socket.socket,
@@ -111,11 +68,11 @@ def close_listener(server: socket.socket,
 
 
 class TelemetryChannel(EventLog):
-    """An event log that streams: bounded backlog, socket, sink, subscribers.
+    """An event log that streams: bounded backlog, socket, subscribers.
 
     Thread-safe: the daemon's request threads, its dispatch loop and the
-    socket server's accept thread all reach it; the backlog, the socket
-    clients and the sink sit behind one lock.  Slow or dead socket
+    socket server's accept thread all reach it; the backlog and the
+    socket clients sit behind one lock.  Slow or dead socket
     subscribers are dropped, never waited on — telemetry must not be
     able to stall the SCF.
 
@@ -126,8 +83,6 @@ class TelemetryChannel(EventLog):
     buffer:
         Backlog length: the newest ``buffer`` events are kept (and
         replayed to a socket client that connects late).
-    sink:
-        Optional NDJSON file every event is appended to.
     """
 
     def __init__(
@@ -135,16 +90,11 @@ class TelemetryChannel(EventLog):
         *,
         clock: Callable[[], float] = time.perf_counter,
         buffer: int = DEFAULT_BUFFER,
-        sink: str | Path | None = None,
     ) -> None:
         super().__init__(clock=clock, maxlen=buffer)
         self._lock = threading.Lock()
         self._subscribers: list[Callable[[Event], None]] = []
         self._clients: dict[socket.socket, bytearray] = {}
-        self._sink: TextIO | None = None
-        if sink is not None:
-            Path(sink).parent.mkdir(parents=True, exist_ok=True)
-            self._sink = open(sink, "a", buffering=1)
         self._server: socket.socket | None = None
         self._server_thread: threading.Thread | None = None
         self._flush_thread: threading.Thread | None = None
@@ -157,26 +107,25 @@ class TelemetryChannel(EventLog):
 
     def record(self, ev: Event) -> None:
         """Keep ``ev`` in the backlog and fan it out."""
-        line = telemetry_line(ev) + "\n"
-        data = line.encode()
+        data = (json.dumps(event_record(ev)) + "\n").encode()
         with self._lock:
             if self._closed:
                 return
             self.events.append(ev)
             self.published += 1
-            if self._sink is not None:
-                self._sink.write(line)
             subscribers = list(self._subscribers)
             for client in list(self._clients):
                 self._send(client, data)
+            # Under the lock: the file's line order is the backlog's,
+            # and close() waits out a write already past the check.
+            if self.on_emit is not None:
+                self.on_emit(ev)
         for fn in subscribers:
             try:
                 fn(ev)
             except Exception:  # pragma: no cover - subscriber bug guard
                 logger.exception("telemetry subscriber failed; detaching")
                 self.unsubscribe(fn)
-        if self.on_emit is not None:
-            self.on_emit(ev)
 
     def publish(self, kind: str, **fields: Any) -> Event:
         """:meth:`emit` under its name from before the channel was an
@@ -259,7 +208,7 @@ class TelemetryChannel(EventLog):
                     return
                 self._clients[client] = bytearray()
                 backlog = "".join(
-                    telemetry_line(ev) + "\n" for ev in self.events
+                    json.dumps(event_record(ev)) + "\n" for ev in self.events
                 ).encode()
                 if backlog:
                     self._send(client, backlog)
@@ -310,14 +259,8 @@ class TelemetryChannel(EventLog):
 
     # -- teardown ------------------------------------------------------------
 
-    @property
-    def nclients(self) -> int:
-        with self._lock:
-            return len(self._clients)
-
     def close(self) -> None:
-        """Stop serving, drop clients, close the sink, refuse further
-        events."""
+        """Stop serving, drop clients, refuse further events."""
         with self._lock:
             if self._closed:
                 return
@@ -340,8 +283,6 @@ class TelemetryChannel(EventLog):
                 except OSError:  # pragma: no cover - teardown best effort
                     pass
         self._closing.set()
-        if self._sink is not None:
-            self._sink.close()
         if server is not None:
             close_listener(server, self._server_thread)
         if self._flush_thread is not None:
@@ -392,15 +333,8 @@ class TelemetryClient:
             pass
         except OSError:
             self.eof = True
-        out: list[Event] = []
-        while b"\n" in self._buf:
-            line, self._buf = self._buf.split(b"\n", 1)
-            if line.strip():
-                try:
-                    out.append(record_from_json(line.decode()))
-                except (json.JSONDecodeError, KeyError):
-                    logger.debug("skipping malformed telemetry line")
-        return out
+        lines, _, self._buf = self._buf.rpartition(b"\n")
+        return events_from_ndjson(lines.decode())
 
     def close(self) -> None:
         try:
@@ -420,17 +354,18 @@ class TelemetryClient:
 _MAX_SOCKET_PATH = 100
 
 
-def default_socket_path(run_dir: str | Path) -> Path:
+def default_socket_path(run_dir: str | Path | None) -> Path:
     """A socket path for a run directory, short enough to bind.
 
     ``sun_path`` is limited to ~107 bytes; when the run directory is
-    too deep the socket falls back to an abstract-ish short name under
-    the default temp directory, keyed by pid so concurrent runs do not
-    collide.
+    too deep (or there is none: an unregistered run) the socket falls
+    back to an abstract-ish short name under the default temp
+    directory, keyed by pid so concurrent runs do not collide.
     """
-    candidate = Path(run_dir) / "telemetry.sock"
-    if len(str(candidate)) <= _MAX_SOCKET_PATH:
-        return candidate
+    if run_dir is not None:
+        candidate = Path(run_dir) / "telemetry.sock"
+        if len(str(candidate)) <= _MAX_SOCKET_PATH:
+            return candidate
     import tempfile
 
     return Path(tempfile.gettempdir()) / f"repro-telemetry-{os.getpid()}.sock"

@@ -30,20 +30,29 @@ surviving spans onto it — merged traces stay well-formed under chaos.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
+from repro.obs.events import ndjson_records
+from repro.obs.spans import (
+    SpanRecord,
+    Track,
+    chrome_trace,
+    critical_path,
+    rank_tracks,
+    spans_from_ndjson,
+)
 from repro.obs.tracer import new_span_id
 
-_MICRO = 1e6
-
-#: Chrome pid tracks of the merged trace.
+#: Chrome pid tracks of the merged trace (a segment's ``rank``).
 PID_CLIENT = 0
 PID_SERVICE = 1
 PID_ATTEMPT_BASE = 2
+
+#: The critical-path lane: a thread of the daemon's track.
+CRITICAL_TID = 99
 
 
 class TraceAssemblyError(RuntimeError):
@@ -83,22 +92,11 @@ class JobJournal:
         return max(pts) if pts else self.submit_pt
 
 
-def _iter_journal(journal_path: str | Path) -> Iterator[dict[str, Any]]:
-    text = Path(journal_path).read_text(encoding="utf-8")
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            yield json.loads(line)
-        except json.JSONDecodeError:
-            continue  # torn tail — same tolerance as queue replay
-
-
 def load_job_journal(journal_path: str | Path, job_id: str) -> JobJournal:
     """Fold the journal's submit + transitions for one job (prefix ok)."""
     jobs: dict[str, JobJournal] = {}
-    for rec in _iter_journal(journal_path):
+    # A torn tail is skipped, the same tolerance as queue replay.
+    for rec in ndjson_records(Path(journal_path).read_text(encoding="utf-8")):
         op = rec.get("op")
         if op == "submit":
             job = rec.get("job") or {}
@@ -136,9 +134,10 @@ def load_job_journal(journal_path: str | Path, job_id: str) -> JobJournal:
 # -- span loading ------------------------------------------------------------
 
 
-def load_attempt_spans(trace_dir: str | Path) -> dict[int, list[dict]]:
-    """Per-attempt span records from ``attempt-NNN.spans.ndjson`` files."""
-    out: dict[int, list[dict]] = {}
+def load_attempt_spans(trace_dir: str | Path) -> dict[int, list[SpanRecord]]:
+    """Per-attempt span records from ``attempt-NNN.spans.ndjson`` files
+    (a killed worker's torn tail skipped)."""
+    out: dict[int, list[SpanRecord]] = {}
     trace_dir = Path(trace_dir)
     if not trace_dir.is_dir():
         return out
@@ -148,16 +147,7 @@ def load_attempt_spans(trace_dir: str | Path) -> dict[int, list[dict]]:
             attempt = int(stem.split("-", 1)[1])
         except (IndexError, ValueError):
             continue
-        records: list[dict] = []
-        for line in path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                continue  # torn tail of a killed worker
-        out[attempt] = records
+        out[attempt] = spans_from_ndjson(path.read_text(encoding="utf-8"))
     return out
 
 
@@ -165,32 +155,18 @@ def load_attempt_spans(trace_dir: str | Path) -> dict[int, list[dict]]:
 
 
 @dataclass
-class TraceSegment:
-    """One interval on the merged timeline (real or synthetic)."""
-
-    name: str
-    start: float  # absolute perf_counter seconds
-    end: float
-    pid: int
-    tid: int = 0
-    span_id: str = ""
-    parent_span_id: str | None = None
-    attrs: dict[str, Any] = field(default_factory=dict)
-    synthetic: bool = False
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-
-@dataclass
 class AssembledTrace:
-    """The stitched job trace plus its derived artifacts."""
+    """The stitched job trace plus its derived artifacts.
+
+    A segment is a :class:`~repro.obs.spans.SpanRecord` whose ``rank``
+    is its process track (:data:`PID_CLIENT`, :data:`PID_SERVICE`, or
+    :data:`PID_ATTEMPT_BASE` + the attempt's index).
+    """
 
     job_id: str
     trace_id: str
-    segments: list[TraceSegment]
-    critical_path: list[TraceSegment]
+    segments: list[SpanRecord]
+    critical_path: list[SpanRecord]
     warnings: list[str]
 
     def validate(self) -> list[str]:
@@ -221,58 +197,23 @@ class AssembledTrace:
         return problems
 
     def to_chrome_trace(self) -> dict[str, Any]:
-        """Chrome trace-event JSON with one pid track per process."""
-        if not self.segments:
-            return {"traceEvents": [], "displayTimeUnit": "ms"}
-        t0 = min(s.start for s in self.segments)
-        events: list[dict[str, Any]] = []
-        pids = sorted({s.pid for s in self.segments})
+        """Chrome trace-event JSON: a process track each for the client,
+        the daemon and every worker attempt, and the critical path as one
+        more track, a lane of the daemon's."""
         names = {PID_CLIENT: "client", PID_SERVICE: "service daemon"}
-        for pid in pids:
-            label = names.get(
-                pid, f"worker attempt {pid - PID_ATTEMPT_BASE + 1}")
-            events.append({"name": "process_name", "ph": "M", "pid": pid,
-                           "tid": 0, "args": {"name": label}})
-        for seg in self.segments:
-            args = dict(seg.attrs)
-            args["span_id"] = seg.span_id
-            if seg.parent_span_id:
-                args["parent_span_id"] = seg.parent_span_id
-            if seg.synthetic:
-                args["synthetic"] = True
-            events.append({
-                "name": seg.name,
-                "cat": "synthetic" if seg.synthetic
-                       else seg.name.split("/", 1)[0],
-                "ph": "X",
-                "ts": (seg.start - t0) * _MICRO,
-                "dur": seg.duration * _MICRO,
-                "pid": seg.pid,
-                "tid": seg.tid,
-                "args": args,
-            })
-        for i, seg in enumerate(self.critical_path):
-            events.append({
-                "name": f"critical:{seg.name}",
-                "cat": "critical-path",
-                "ph": "X",
-                "ts": (seg.start - t0) * _MICRO,
-                "dur": seg.duration * _MICRO,
-                "pid": PID_SERVICE,
-                "tid": 99,
-                "args": {"step": i, "source_pid": seg.pid},
-            })
-        events.append({"name": "thread_name", "ph": "M", "pid": PID_SERVICE,
-                       "tid": 99, "args": {"name": "critical path"}})
-        return {
-            "traceEvents": events,
-            "displayTimeUnit": "ms",
-            "otherData": {
-                "producer": "repro.obs.trace_assembly",
-                "job_id": self.job_id,
-                "trace_id": self.trace_id,
-            },
-        }
+        lane = [
+            SpanRecord(f"critical:{seg.name}", seg.start, seg.end,
+                       attrs={"step": i, "source_pid": seg.rank})
+            for i, seg in enumerate(self.critical_path)
+        ]
+        return chrome_trace(
+            [*rank_tracks(self.segments, lambda pid: names.get(
+                pid, f"worker attempt {pid - PID_ATTEMPT_BASE + 1}")),
+             Track(PID_SERVICE, "critical path", lane, tid=CRITICAL_TID,
+                   cat="critical-path")],
+            ids=True,
+            other={"job_id": self.job_id, "trace_id": self.trace_id},
+        )
 
     def critical_path_report(self) -> str:
         """Text table of the critical path (relative seconds)."""
@@ -301,10 +242,16 @@ def _attempt_boundaries(jj: JobJournal) -> list[dict[str, Any]]:
     journal annotation (a checkpoint existed when the attempt left).
     """
     bounds: list[dict[str, Any]] = []
-    for i, rec in enumerate(jj.transitions):
-        if rec.get("state") != "running":
+    current: dict[str, Any] | None = None  # the attempt still open
+    for rec in jj.transitions:
+        state, attempt = rec.get("state"), rec.get("attempt")
+        if state in ("retrying", "done", "failed", "cancelled"):
+            if current is not None:
+                current.update(end_pt=rec.get("pt"), outcome=state)
+                current = None
             continue
-        attempt = rec.get("attempt")
+        if state != "running":
+            continue
         if attempt is None or (bounds and bounds[-1]["attempt"] == attempt):
             # Journals of earlier builds carry the run_id/degraded/
             # resumed annotations in a second "running" record (no
@@ -313,32 +260,19 @@ def _attempt_boundaries(jj: JobJournal) -> list[dict[str, Any]]:
             if bounds and rec.get("resumed"):
                 bounds[-1]["resumed"] = True
             continue
-        entry = {
+        if current is not None:
+            # A new attempt started with no terminal record in between:
+            # the daemon died mid-attempt and the journal replay
+            # re-dispatched — close the old attempt there.
+            current.update(end_pt=rec.get("pt"), outcome="interrupted")
+        current = {
             "attempt": int(attempt),
             "start_pt": rec.get("pt"),
             "end_pt": None,
             "resumed": bool(rec.get("resumed")),
             "outcome": None,
         }
-        for later in jj.transitions[i + 1:]:
-            state = later.get("state")
-            if state == "running":
-                la = later.get("attempt")
-                if la is None or la == attempt:
-                    if later.get("resumed"):
-                        entry["resumed"] = True
-                    continue
-                # A new attempt started with no terminal record in
-                # between: the daemon died mid-attempt and the journal
-                # replay re-dispatched — close the old attempt there.
-                entry["end_pt"] = later.get("pt")
-                entry["outcome"] = "interrupted"
-                break
-            if state in ("retrying", "done", "failed", "cancelled"):
-                entry["end_pt"] = later.get("pt")
-                entry["outcome"] = state
-                break
-        bounds.append(entry)
+        bounds.append(current)
     return bounds
 
 
@@ -368,7 +302,7 @@ def assemble_job_trace(
     if not attempt_spans:
         warnings.append("no worker span NDJSON found; journal-only trace")
 
-    segments: list[TraceSegment] = []
+    segments: list[SpanRecord] = []
     submit_pt = jj.submit_pt
     if submit_pt is None:
         raise TraceAssemblyError(
@@ -378,10 +312,10 @@ def assemble_job_trace(
 
     # Job root: the whole service-side lifetime, on the daemon track.
     term = jj.terminal
-    root = TraceSegment(
+    root = SpanRecord(
         name="service/job",
         start=submit_pt, end=max(end_pt, submit_pt),
-        pid=PID_SERVICE,
+        rank=PID_SERVICE,
         span_id=jj.root_span_id,
         parent_span_id=jj.parent_span_id,
         attrs={"job": jj.job_id,
@@ -393,10 +327,10 @@ def assemble_job_trace(
     # Client submit span: perf_counter is cross-process, so the client
     # stamp and the journal stamp bracket the submit round trip.
     if jj.client_t is not None and jj.parent_span_id is not None:
-        segments.append(TraceSegment(
+        segments.append(SpanRecord(
             name="client/submit",
             start=min(jj.client_t, submit_pt), end=submit_pt,
-            pid=PID_CLIENT,
+            rank=PID_CLIENT,
             span_id=jj.parent_span_id,
             parent_span_id=None,
             attrs={"job": jj.job_id},
@@ -419,10 +353,10 @@ def assemble_job_trace(
 
         # queue.wait: ready -> dispatched (on the daemon track).
         if start_pt > ready_pt:
-            segments.append(TraceSegment(
+            segments.append(SpanRecord(
                 name="queue.wait",
                 start=ready_pt, end=start_pt,
-                pid=PID_SERVICE,
+                rank=PID_SERVICE,
                 span_id=new_span_id(),
                 parent_span_id=jj.root_span_id,
                 attrs={"attempt": b["attempt"]},
@@ -437,28 +371,18 @@ def assemble_job_trace(
         # close it; otherwise synthesize the container from the
         # journal's boundaries (the SIGKILL case).
         root_rec = next(
-            (r for r in records if r.get("span") == "job/attempt"
-             and r.get("parent_span_id") == jj.root_span_id),
+            (r for r in records if r.name == "job/attempt"
+             and r.parent_span_id == jj.root_span_id),
             None,
         )
         if root_rec is not None:
-            attempt_span_id = root_rec["span_id"]
-            attempt_seg = TraceSegment(
-                name="job/attempt",
-                start=root_rec["start_s"],
-                end=root_rec["start_s"] + root_rec["dur_s"],
-                pid=pid,
-                span_id=attempt_span_id,
-                parent_span_id=jj.root_span_id,
-                attrs=dict(root_rec.get("attrs") or {}),
-            )
+            attempt_seg = replace(root_rec, rank=pid)
         else:
-            attempt_span_id = new_span_id()
-            attempt_seg = TraceSegment(
+            attempt_seg = SpanRecord(
                 name="job/attempt",
                 start=start_pt, end=attempt_end,
-                pid=pid,
-                span_id=attempt_span_id,
+                rank=pid,
+                span_id=new_span_id(),
                 parent_span_id=jj.root_span_id,
                 attrs={"attempt": b["attempt"], "job": jj.job_id,
                        "interrupted": True},
@@ -468,35 +392,23 @@ def assemble_job_trace(
                 warnings.append(
                     f"attempt {b['attempt']} root span missing (worker "
                     "died); container synthesized from the journal")
+        attempt_span_id = attempt_seg.span_id
         segments.append(attempt_seg)
 
         # Child spans of the attempt.  Spans whose parent never closed
         # (killed mid-nesting) re-parent onto the attempt container.
-        known_ids = {r.get("span_id") for r in records
-                     if r.get("span_id")}
+        known_ids = {r.span_id for r in records if r.span_id}
         first_child_start: float | None = None
         for r in records:
-            if r is root_rec:
+            if r is root_rec or r.span_id is None:
                 continue
-            if r.get("span_id") is None:
-                continue
-            parent = r.get("parent_span_id")
-            if parent not in known_ids or parent == r.get("span_id"):
+            parent = r.parent_span_id
+            if (parent not in known_ids or parent == r.span_id
+                    or parent == jj.root_span_id):
                 parent = attempt_span_id
-            if parent == jj.root_span_id:
-                parent = attempt_span_id
-            start = r["start_s"]
-            if first_child_start is None or start < first_child_start:
-                first_child_start = start
-            segments.append(TraceSegment(
-                name=r["span"],
-                start=start, end=start + r["dur_s"],
-                pid=pid,
-                tid=int(r.get("thread") or 0),
-                span_id=r["span_id"],
-                parent_span_id=parent,
-                attrs=dict(r.get("attrs") or {}),
-            ))
+            if first_child_start is None or r.start < first_child_start:
+                first_child_start = r.start
+            segments.append(replace(r, rank=pid, parent_span_id=parent))
 
         # checkpoint.resume: dispatch -> the resumed attempt's first
         # recorded span (its restart-load window).
@@ -505,10 +417,10 @@ def assemble_job_trace(
                           if first_child_start is not None
                           and first_child_start > start_pt
                           else min(attempt_end, start_pt + 1e-4))
-            segments.append(TraceSegment(
+            segments.append(SpanRecord(
                 name="checkpoint.resume",
                 start=start_pt, end=resume_end,
-                pid=pid,
+                rank=pid,
                 span_id=new_span_id(),
                 parent_span_id=attempt_span_id,
                 attrs={"attempt": b["attempt"]},
@@ -531,10 +443,10 @@ def assemble_job_trace(
                     gate_pt = retry_rec["pt"] + max(
                         0.0, float(not_before) - float(t_wall))
             if gate_pt > attempt_end:
-                segments.append(TraceSegment(
+                segments.append(SpanRecord(
                     name="retry.backoff",
                     start=attempt_end, end=gate_pt,
-                    pid=PID_SERVICE,
+                    rank=PID_SERVICE,
                     span_id=new_span_id(),
                     parent_span_id=jj.root_span_id,
                     attrs={"after_attempt": b["attempt"]},
@@ -544,53 +456,31 @@ def assemble_job_trace(
         else:
             ready_pt = attempt_end
 
-    critical = _critical_path(jj, segments)
-    trace = AssembledTrace(
+    return AssembledTrace(
         job_id=jj.job_id,
         trace_id=jj.trace_id,
         segments=segments,
-        critical_path=critical,
+        critical_path=_critical_path(segments),
         warnings=warnings,
     )
-    return trace
 
 
-def _critical_path(jj: JobJournal,
-                   segments: list[TraceSegment]) -> list[TraceSegment]:
+def _critical_path(segments: list[SpanRecord]) -> list[SpanRecord]:
     """The chain of segments accounting for end-to-end latency.
 
     Client submit → (queue.wait → attempt → [retry.backoff])* in
-    timeline order; within each attempt, descend the longest-duration
-    child chain so the path names the dominant SCF phase, not just
-    "the attempt took a while".
+    timeline order; within each attempt, the longest-child chain
+    (:func:`~repro.obs.spans.critical_path`) so the path names the
+    dominant SCF phase, not just "the attempt took a while".
     """
-    path: list[TraceSegment] = []
-    for seg in segments:
-        if seg.name == "client/submit":
-            path.append(seg)
-            break
-    by_parent: dict[str, list[TraceSegment]] = {}
-    for seg in segments:
-        if seg.parent_span_id is not None:
-            by_parent.setdefault(seg.parent_span_id, []).append(seg)
-
-    timeline = sorted(
+    path = [s for s in segments if s.name == "client/submit"][:1]
+    for seg in sorted(
         (s for s in segments
          if s.name in ("queue.wait", "retry.backoff", "job/attempt")),
         key=lambda s: s.start,
-    )
-    for seg in timeline:
-        path.append(seg)
-        if seg.name != "job/attempt":
-            continue
-        cur = seg
-        while True:
-            children = by_parent.get(cur.span_id)
-            if not children:
-                break
-            dominant = max(children, key=lambda c: c.duration)
-            if dominant.duration <= 0:
-                break
-            path.append(dominant)
-            cur = dominant
+    ):
+        if seg.name == "job/attempt":
+            path += [r for r, _ in critical_path(segments, seg)]
+        else:
+            path.append(seg)
     return path

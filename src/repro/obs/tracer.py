@@ -80,10 +80,6 @@ class TraceContext:
         self.trace_id = trace_id
         self.span_id = span_id
 
-    def child(self) -> "TraceContext":
-        """Same trace, fresh span id — for fanning out sub-contexts."""
-        return TraceContext(self.trace_id, new_span_id())
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"TraceContext({self.trace_id!r}, {self.span_id!r})"
 

@@ -36,7 +36,7 @@ spans/events NDJSON under ``obs_dir/worker<r>/``, timestamped against
 one shared ``perf_counter`` base (``CLOCK_MONOTONIC`` is common across
 processes on a host), so :func:`worker_obs_run` can hand the whole
 worker fleet to
-:func:`~repro.obs.analysis.timeline.merged_chrome_trace` as a single
+:func:`~repro.obs.spans.merged_chrome_trace` as a single
 aligned timeline.  Records are streamed *incrementally* (line-buffered
 append via :class:`~repro.obs.stream.ObsStreamer`): a worker killed by
 ``os._exit`` mid-build leaves every span and event it completed on
@@ -588,9 +588,9 @@ def worker_obs_run(
     All workers share one trace time base, so returning them as a
     *single* ``(label, spans, events)`` triple (rank = pid track)
     preserves their relative alignment through
-    :func:`~repro.obs.analysis.timeline.merged_chrome_trace`.
+    :func:`~repro.obs.spans.merged_chrome_trace`.
     """
-    from repro.obs.analysis.timeline import spans_from_ndjson
+    from repro.obs.spans import spans_from_ndjson
 
     spans: list = []
     events: list = []

@@ -20,7 +20,7 @@ One process, three moving parts:
 * the observability stack: a telemetry channel installed as the
   process event log — bounded backlog, served from the service
   directory (``repro monitor <service-dir>/telemetry.sock``), written to
-  the serve run's ``telemetry.ndjson`` — carrying ``job.*`` /
+  the serve run's ``events.ndjson`` — carrying ``job.*`` /
   ``service.*`` / ``slo.*`` records for every lifecycle edge and the
   fleet's heartbeats, plus a run-registry record per job and one for
   the daemon itself.
@@ -58,6 +58,7 @@ from repro.obs.events import get_event_log, set_event_log
 from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
 from repro.obs.registry import RunHandle, RunRegistry, new_run_id
 from repro.obs.slo import DEFAULT_SLO_TARGETS, SLOEngine, job_class
+from repro.obs.stream import ObsStreamer
 from repro.obs.telemetry import TelemetryChannel, close_listener
 from repro.service.client import recv_line, probe_socket, service_socket_path
 from repro.service.errors import (
@@ -80,8 +81,11 @@ logger = logging.getLogger("repro.service.daemon")
 #: Longest a ``status`` request with ``wait_s`` is held open.
 MAX_WAIT_S = 60.0
 
-#: ``ServiceConfig`` keys of earlier builds that a stored config may carry.
-RETIRED_CONFIG_KEYS = ("tick_s",)  # the polling interval of the tick loop
+#: ``ServiceConfig`` keys of earlier builds that a stored config may carry:
+#: the tick loop's polling interval, the fixed job-checkpoint interval
+#: (jobs checkpoint on cost), and the batch-plan seed (no policy left
+#: breaks ties at random).
+RETIRED_CONFIG_KEYS = ("tick_s", "checkpoint_every", "batch_seed")
 
 
 @dataclass
@@ -98,8 +102,6 @@ class ServiceConfig:
     retry_seed: int = 0
     process_budget: int = 4
     heartbeat_timeout_s: float = DEFAULT_HEARTBEAT_TIMEOUT_S
-    #: Job checkpoint interval in cycles; ``None`` writes on cost.
-    checkpoint_every: int | None = None
     idle_exit_s: float | None = None
     runs_dir: str | None = None
     slo_targets: tuple[str, ...] = DEFAULT_SLO_TARGETS
@@ -107,7 +109,6 @@ class ServiceConfig:
     # -- workload-manifest intake (repro serve --manifest) --------------------
     manifest: str | None = None
     batch_policy: str = "binned"
-    batch_seed: int = 0
     batch_window: int | None = None
 
     def to_dict(self) -> dict[str, Any]:
@@ -151,6 +152,7 @@ class ServiceDaemon:
         self.queue: DurableJobQueue | None = None
         self.fleet: WorkerFleet | None = None
         self.channel: TelemetryChannel | None = None
+        self._events_file: ObsStreamer | None = None
         self.registry: RunRegistry | None = None
         self.serve_run: RunHandle | None = None
         self.slo: SLOEngine | None = None
@@ -224,10 +226,7 @@ class ServiceDaemon:
         # heartbeat records all arrive through emit(), and a daemon that
         # runs for days holds a bounded backlog.  An in-process daemon
         # (tests, benchmarks) hands the process' globals back on close().
-        self.channel = TelemetryChannel(
-            sink=self.serve_run.path("telemetry.ndjson")
-            if self.serve_run is not None else None
-        )
+        self.channel = TelemetryChannel()
         self._prev_event_log = get_event_log()
         self._prev_metrics = get_metrics()
         set_event_log(self.channel)
@@ -237,9 +236,13 @@ class ServiceDaemon:
         if self.channel.serve(self.service_dir / "telemetry.sock"):
             telemetry_fd = self.channel.server_fileno()
         if self.serve_run is not None:
+            # Every event, once, in the serve run's events.ndjson: what
+            # `repro monitor` / `repro slo` replay after the daemon is gone.
+            self._events_file = ObsStreamer(self.serve_run.directory,
+                                            log=self.channel)
             self.serve_run.add_artifact(
-                "telemetry", self.serve_run.path("telemetry.ndjson")
-            )
+                "telemetry", self.serve_run.path("events.ndjson"))
+            self.serve_run.save()
 
         self.queue = DurableJobQueue(
             self.service_dir / "journal.ndjson",
@@ -268,7 +271,6 @@ class ServiceDaemon:
             job_timeout_s=self.config.job_timeout_s,
             heartbeat_timeout_s=self.config.heartbeat_timeout_s,
             process_budget=self.config.process_budget,
-            checkpoint_every=self.config.checkpoint_every,
             close_fds=tuple(close_fds),
         )
 
@@ -315,7 +317,6 @@ class ServiceDaemon:
         specs = load_manifest(self.config.manifest)
         scheduler = make_batch_scheduler(
             self.config.batch_policy,
-            seed=self.config.batch_seed,
             window=self.config.batch_window,
         )
         plan = scheduler.plan(specs)
@@ -468,6 +469,8 @@ class ServiceDaemon:
             )
         if self.channel is not None:
             self.channel.close()
+            if self._events_file is not None:
+                self._events_file.close()
             set_event_log(self._prev_event_log)
             set_metrics(self._prev_metrics)
         if self.queue is not None:

@@ -78,7 +78,6 @@ def run_job(
     attempt: int = 1,
     checkpoint: str | Path | None = None,
     restart: str | Path | None = None,
-    checkpoint_every: int | None = None,
     beat: Callable[[int, str], None] | None = None,
     emit: Callable[..., None] | None = None,
     setup_cache: dict[str, Any] | None = None,
@@ -94,8 +93,7 @@ def run_job(
     suite; the daemon must not).
 
     ``checkpoint`` / ``restart`` are the PR-3 checkpoint mechanics: the
-    job checkpoints every ``checkpoint_every`` cycles or, with ``None``
-    (the default), on cost — after cycle 1, then once the cycles since
+    job checkpoints on cost — after cycle 1, then once the cycles since
     the last write took ``COST_RATIO`` times the cheapest write
     (:class:`~repro.resilience.checkpoint.CheckpointManager`) — and a
     retry or a journal-replayed job resumes from the last checkpoint
@@ -211,9 +209,7 @@ def run_job(
         # its write left beside it is dead weight.
         for stale in checkpoint.parent.glob(f"{checkpoint.name}.*.tmp"):
             stale.unlink(missing_ok=True)
-        run_kwargs["checkpoint"] = CheckpointManager(
-            checkpoint, every=checkpoint_every
-        )
+        run_kwargs["checkpoint"] = CheckpointManager(checkpoint, every=None)
     if restart is not None and Path(restart).exists():
         try:
             state = load_checkpoint(restart)
@@ -372,7 +368,6 @@ def _service_worker_loop(slot: int, cmd: Any, out: Any,
                 attempt=attempt,
                 checkpoint=job.get("checkpoint"),
                 restart=job.get("restart"),
-                checkpoint_every=cfg.get("checkpoint_every"),
                 beat=beat,
                 emit=emit,
                 setup_cache=setup_cache,
@@ -452,7 +447,6 @@ class WorkerFleet:
         heartbeat_interval_s: float = DEFAULT_BEAT_INTERVAL_S,
         heartbeat_timeout_s: float = DEFAULT_HEARTBEAT_TIMEOUT_S,
         process_budget: int = 4,
-        checkpoint_every: int | None = None,
         close_fds: tuple[int, ...] = (),
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -470,7 +464,6 @@ class WorkerFleet:
         self._out = self._ctx.Queue()
         self._cfg = {
             "beat_interval_s": heartbeat_interval_s,
-            "checkpoint_every": checkpoint_every,
             "close_fds": tuple(close_fds),
         }
         self.slots = [WorkerSlot(index=i) for i in range(size)]

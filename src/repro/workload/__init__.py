@@ -11,10 +11,8 @@ jobs into an execution plan that maximizes exactly that reuse:
 * :mod:`repro.workload.manifest` — NDJSON/TOML manifest parsing into
   validated :class:`~repro.service.jobs.JobSpec` lists, with typed
   :class:`~repro.service.errors.ManifestError` diagnostics;
-* :mod:`repro.workload.cost` — per-job cost prediction from the
-  perfsim cost model (shell-class work units, no basis construction);
 * :mod:`repro.workload.scheduler` — pluggable :class:`BatchScheduler`
-  policies (``fifo`` / ``binned`` / ``sjf`` / ``auto``) producing
+  policies (``fifo`` / ``binned``) producing
   deterministic, starvation-bounded :class:`BatchPlan` objects —
   the batch-level mirror of the per-run task-distribution strategies
   in :mod:`repro.perfsim.workload`;
@@ -26,7 +24,6 @@ jobs into an execution plan that maximizes exactly that reuse:
 Surfaced as ``repro batch <manifest>`` and ``repro serve --manifest``.
 """
 
-from repro.workload.cost import estimate_job_seconds, estimate_job_units
 from repro.workload.manager import ThroughputReport, WorkloadManager
 from repro.workload.manifest import (
     MOLECULES,
@@ -54,8 +51,6 @@ __all__ = [
     "MOLECULES",
     "ThroughputReport",
     "WorkloadManager",
-    "estimate_job_seconds",
-    "estimate_job_units",
     "load_manifest",
     "make_batch_scheduler",
     "manifest_fingerprint",

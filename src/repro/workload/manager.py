@@ -26,7 +26,11 @@ from typing import Any, Sequence
 from repro.service.client import JobClient, long_poll_s
 from repro.service.errors import ServiceOverloaded
 from repro.service.jobs import TERMINAL_STATES, JobSpec
-from repro.workload.scheduler import BatchPlan, make_batch_scheduler
+from repro.workload.scheduler import (
+    PLAN_SEED,
+    BatchPlan,
+    make_batch_scheduler,
+)
 
 #: Between bulk status polls while following a daemon that predates
 #: ``wait_s`` (a current one holds each request until the jobs settle).
@@ -101,7 +105,7 @@ class ThroughputReport:
             "kind": "batch-throughput",
             "manifest": self.manifest_path,
             "policy": self.plan.policy,
-            "seed": self.plan.seed,
+            "seed": PLAN_SEED,
             "window": self.plan.window,
             "plan_fingerprint": self.plan.fingerprint,
             "metrics": self.metrics,
@@ -154,14 +158,12 @@ class WorkloadManager:
         client: JobClient,
         *,
         policy: str = "binned",
-        seed: int = 0,
         window: int | None = None,
         poll_s: float = DEFAULT_POLL_S,
         registry: Any | None = None,
     ) -> None:
         self.client = client
-        self.scheduler = make_batch_scheduler(policy, seed=seed,
-                                              window=window)
+        self.scheduler = make_batch_scheduler(policy, window=window)
         self.poll_s = poll_s
         self.registry = registry
 
@@ -272,7 +274,6 @@ class WorkloadManager:
             config={
                 "manifest": report.manifest_path,
                 "policy": report.plan.policy,
-                "seed": report.plan.seed,
                 "window": report.plan.window,
                 "plan_fingerprint": report.plan.fingerprint,
                 "n_jobs": len(report.jobs),

@@ -18,22 +18,17 @@ Policies (:data:`BATCH_POLICIES`):
 ``binned``
     Group same-setup-key jobs within each window, bins ordered by first
     occurrence.  Maximizes cache reuse with zero cost modelling.
-``sjf``
-    Shortest-job-first within each window, by the perfsim cost
-    estimate.  Minimizes mean queue wait on skewed manifests.
-``auto``
-    Setup-key bins ordered by ascending predicted *bin* cost — binned's
-    cache amortization plus sjf's wait profile, driven by
-    :mod:`repro.workload.cost` predictions.
+
+Two cost-ordered policies (shortest job first, and setup-key bins by
+predicted cost) were measured against ``binned`` on the skewed
+throughput manifest and deleted: neither beat it on jobs/s or cache
+amortization (EXPERIMENTS.md).
 
 Two properties hold for every policy and are enforced by the property
 suite (``tests/test_workload_properties.py``):
 
-**Determinism.**  Plans are pure functions of (manifest, policy, seed,
-window): no clocks, no OS entropy.  Cost ties are broken by a seeded
-±1% multiplicative jitter derived from ``sha256(seed, index)``, so the
-same seed always yields the identical plan and different seeds break
-ties differently — never by dict order or float coincidence.
+**Determinism.**  Plans are pure functions of (manifest, policy,
+window): no clocks, no OS entropy, no seed.
 
 **Bounded displacement (no starvation).**  Reordering happens only
 inside consecutive ``window``-sized chunks of manifest order, so no
@@ -47,25 +42,20 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
+from repro.config import BATCH_POLICIES
 from repro.service.errors import ManifestError
 from repro.service.jobs import JobSpec
-from repro.workload.cost import estimate_job_seconds
 from repro.workload.manifest import manifest_fingerprint
-
-#: Registered policy names, in documentation order.
-BATCH_POLICIES = ("fifo", "binned", "sjf", "auto")
 
 #: Default reordering window (the starvation bound).
 DEFAULT_WINDOW = 256
 
-
-def _jitter(seed: int, index: int) -> float:
-    """Deterministic multiplicative tie-breaker in [0.99, 1.01]."""
-    h = hashlib.sha256(f"{seed}:{index}".encode()).digest()
-    frac = int.from_bytes(h[:8], "big") / 2**64
-    return 0.99 + 0.02 * frac
+#: The ``seed`` every plan records.  No remaining policy breaks ties at
+#: random; the field stays so ``fifo``/``binned`` fingerprints (the
+#: daemon's intake marker) and stored plans keep their bytes.
+PLAN_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -92,7 +82,6 @@ class BatchPlan:
     """
 
     policy: str
-    seed: int
     window: int
     manifest: str  # manifest_fingerprint(specs)
     batches: tuple[Batch, ...]
@@ -105,7 +94,7 @@ class BatchPlan:
     @property
     def fingerprint(self) -> str:
         payload = json.dumps(
-            {"policy": self.policy, "seed": self.seed,
+            {"policy": self.policy, "seed": PLAN_SEED,
              "window": self.window, "manifest": self.manifest,
              "order": list(self.order)},
             sort_keys=True,
@@ -115,7 +104,7 @@ class BatchPlan:
     def to_dict(self) -> dict:
         return {
             "policy": self.policy,
-            "seed": self.seed,
+            "seed": PLAN_SEED,
             "window": self.window,
             "manifest": self.manifest,
             "fingerprint": self.fingerprint,
@@ -138,14 +127,10 @@ class BatchScheduler:
     #: Registered policy name (set by subclasses).
     name = "fifo"
 
-    def __init__(self, *, seed: int = 0, window: int | None = None,
-                 estimator: Callable[[JobSpec], float] | None = None,
-                 ) -> None:
-        self.seed = int(seed)
+    def __init__(self, *, window: int | None = None) -> None:
         self.window = DEFAULT_WINDOW if window is None else int(window)
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
-        self.estimator = estimator or estimate_job_seconds
 
     # -- policy hook ----------------------------------------------------------
 
@@ -154,10 +139,6 @@ class BatchScheduler:
     ) -> list[tuple[int, JobSpec]]:
         """Permute one window of (manifest index, spec) pairs."""
         return pairs
-
-    def _cost(self, index: int, spec: JobSpec) -> float:
-        """Seeded-jittered cost estimate (the deterministic tie-break)."""
-        return self.estimator(spec) * _jitter(self.seed, index)
 
     # -- planning -------------------------------------------------------------
 
@@ -191,7 +172,7 @@ class BatchScheduler:
         if run:
             batches.append(Batch(key=run_key, jobs=tuple(run)))
         return BatchPlan(
-            policy=self.name, seed=self.seed, window=self.window,
+            policy=self.name, window=self.window,
             manifest=manifest_fingerprint(list(specs)),
             batches=tuple(batches),
         )
@@ -220,52 +201,14 @@ class SizeBinnedScheduler(BatchScheduler):
                 for pair in bins[key]]
 
 
-class ShortestJobFirstScheduler(BatchScheduler):
-    """Ascending predicted job cost; ties broken by manifest index."""
-
-    name = "sjf"
-
-    def _order_window(self, pairs):
-        return sorted(pairs,
-                      key=lambda p: (self._cost(p[0], p[1]), p[0]))
-
-
-class AutoScheduler(BatchScheduler):
-    """Setup-key bins, ordered by ascending predicted *bin* cost.
-
-    The cost-model-driven compromise: binned's cache amortization with
-    sjf's queue-wait profile.  A bin's cost is the sum of its members'
-    jittered estimates, so many cheap repeats of one system still run
-    before one expensive singleton when the totals say so.
-    """
-
-    name = "auto"
-
-    def _order_window(self, pairs):
-        bins: dict[str, list[tuple[int, JobSpec]]] = {}
-        cost: dict[str, float] = {}
-        first: dict[str, int] = {}
-        for index, spec in pairs:
-            key = spec.setup_key()
-            bins.setdefault(key, []).append((index, spec))
-            cost[key] = cost.get(key, 0.0) + self._cost(index, spec)
-            first.setdefault(key, index)
-        order = sorted(bins, key=lambda k: (cost[k], first[k]))
-        return [pair for key in order for pair in bins[key]]
-
-
 _SCHEDULERS: dict[str, type[BatchScheduler]] = {
-    cls.name: cls
-    for cls in (FifoScheduler, SizeBinnedScheduler,
-                ShortestJobFirstScheduler, AutoScheduler)
+    cls.name: cls for cls in (FifoScheduler, SizeBinnedScheduler)
 }
 assert tuple(_SCHEDULERS) == BATCH_POLICIES
 
 
-def make_batch_scheduler(policy: str, *, seed: int = 0,
-                         window: int | None = None,
-                         estimator: Callable[[JobSpec], float] | None = None,
-                         ) -> BatchScheduler:
+def make_batch_scheduler(policy: str, *,
+                         window: int | None = None) -> BatchScheduler:
     """Instantiate a registered policy by name.
 
     Raises :class:`~repro.service.errors.ManifestError` for unknown
@@ -279,4 +222,4 @@ def make_batch_scheduler(policy: str, *, seed: int = 0,
             f"unknown batch policy {policy!r}; "
             f"choose from {', '.join(BATCH_POLICIES)}"
         ) from None
-    return cls(seed=seed, window=window, estimator=estimator)
+    return cls(window=window)

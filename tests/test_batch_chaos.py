@@ -46,7 +46,7 @@ MANIFEST = """\
 """
 
 N_JOBS = 6
-POLICY, SEED, WINDOW = "binned", 0, 4
+POLICY, WINDOW = "binned", 4
 
 # Tag -> reference system; repeat-expanded untagged entries pick up
 # positional batch-%04d tags in manifest order.
@@ -69,7 +69,6 @@ def _spawn_daemon(service_dir: Path, runs_dir: Path,
          "--backoff-base", "0.05", "--backoff-cap", "0.2",
          "--manifest", str(manifest),
          "--batch-policy", POLICY,
-         "--batch-seed", str(SEED),
          "--batch-window", str(WINDOW)],
         env=env,
         stdout=subprocess.DEVNULL,
@@ -129,7 +128,7 @@ def test_sigkill_mid_manifest_completes_every_job_exactly_once(tmp_path):
         # The marker is the plan fingerprint; an independent local plan
         # over the same manifest must agree (cross-process determinism).
         plan = make_batch_scheduler(
-            POLICY, seed=SEED, window=WINDOW,
+            POLICY, window=WINDOW,
         ).plan(load_manifest(manifest))
         marker = (service_dir / "manifest.id").read_text().strip()
         assert marker == plan.fingerprint

@@ -6,7 +6,7 @@ The fixtures under ``tests/golden/workload/`` pin three contracts:
   spell the same workload two ways (``repeat``, ``[defaults]``,
   ``xyz_file``) and must expand to byte-identical JobSpec lists with
   equal fingerprints;
-* **plan determinism** — for a fixed (manifest, policy, seed, window),
+* **plan determinism** — for a fixed (manifest, policy, window),
   the plan's full ``to_dict()`` — order, batches, fingerprint — matches
   the committed golden JSON exactly; a diff here means scheduling
   behavior changed and the golden must be regenerated *deliberately*;
@@ -24,7 +24,7 @@ Regenerating a golden plan after an intentional scheduler change::
     from repro.workload import load_manifest, make_batch_scheduler
     root = Path('tests/golden/workload')
     specs = load_manifest(root / 'manifest.ndjson')
-    plan = make_batch_scheduler('binned', seed=0, window=4).plan(specs)
+    plan = make_batch_scheduler('binned', window=4).plan(specs)
     (root / 'plan_binned_seed0_w4.json').write_text(
         json.dumps(plan.to_dict(), indent=2, sort_keys=True) + '\n')"
 """
@@ -79,11 +79,12 @@ def test_fixture_expansion_details():
 
 @pytest.mark.parametrize("policy,seed,window", [
     ("binned", 0, 4),
-    ("auto", 3, 4),
 ])
 def test_plan_matches_golden(policy, seed, window):
+    # ``seed`` only names the golden file: every plan records PLAN_SEED.
     specs = load_manifest(GOLDEN / "manifest.ndjson")
-    plan = make_batch_scheduler(policy, seed=seed, window=window).plan(specs)
+    plan = make_batch_scheduler(policy, window=window).plan(specs)
+    assert plan.to_dict()["seed"] == seed
     golden = json.loads(
         (GOLDEN / f"plan_{policy}_seed{seed}_w{window}.json").read_text()
     )
@@ -93,7 +94,7 @@ def test_plan_matches_golden(policy, seed, window):
 def test_golden_plans_are_real_permutations():
     # Guard against the fixture degenerating into manifest order, which
     # would make the plan goldens vacuous.
-    for name in ("plan_binned_seed0_w4.json", "plan_auto_seed3_w4.json"):
+    for name in ("plan_binned_seed0_w4.json",):
         golden = json.loads((GOLDEN / name).read_text())
         assert golden["order"] != sorted(golden["order"]), name
 
@@ -101,7 +102,7 @@ def test_golden_plans_are_real_permutations():
 def test_toml_fixture_plans_identically():
     ndjson = load_manifest(GOLDEN / "manifest.ndjson")
     toml = load_manifest(GOLDEN / "manifest.toml")
-    scheduler = make_batch_scheduler("binned", seed=0, window=4)
+    scheduler = make_batch_scheduler("binned", window=4)
     assert scheduler.plan(ndjson).fingerprint == \
         scheduler.plan(toml).fingerprint
 
@@ -110,7 +111,7 @@ def test_cli_plan_only_prints_the_golden_plan(capsys):
     from repro.cli import main
 
     assert main(["batch", str(GOLDEN / "manifest.ndjson"),
-                 "--plan-only", "--policy", "binned", "--seed", "0",
+                 "--plan-only", "--policy", "binned",
                  "--window", "4"]) == 0
     printed = json.loads(capsys.readouterr().out)
     golden = json.loads((GOLDEN / "plan_binned_seed0_w4.json").read_text())

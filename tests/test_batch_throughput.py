@@ -68,8 +68,7 @@ def service(tmp_path):
 
 def _run_batch(client, policy: str, registry=None):
     specs = [JobSpec(xyz=H2_XYZ, tag=f"rep-{i}") for i in range(N_JOBS)]
-    manager = WorkloadManager(client, policy=policy, seed=0,
-                              registry=registry)
+    manager = WorkloadManager(client, policy=policy, registry=registry)
     return manager.run(specs, timeout_s=180.0)
 
 

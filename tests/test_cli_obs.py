@@ -59,12 +59,14 @@ def test_scf_registers_run_with_artifacts(
     metrics = json.loads((run_dir / "metrics.json").read_text())
     assert any(k.startswith("summary.") for k in metrics)
     assert (run_dir / "metrics.prom").read_text().strip()
-    assert (run_dir / "events.ndjson").exists()
-    # The telemetry sink captured the run bracket and the SCF cycles
-    # (one sample each: the monitor's sparkline is drawn from them).
+    # One event file: it holds the run bracket and the SCF cycles (one
+    # sample each: the monitor's sparkline is drawn from them), and it
+    # is the run's telemetry recording.
+    assert not (run_dir / "telemetry.ndjson").exists()
+    assert rec["artifacts"]["telemetry"] == str(run_dir / "events.ndjson")
     kinds = [
-        json.loads(line)["kind"]
-        for line in (run_dir / "telemetry.ndjson").read_text().splitlines()
+        json.loads(line)["event"]
+        for line in (run_dir / "events.ndjson").read_text().splitlines()
         if line.strip()
     ]
     assert {"run.start", "scf.cycle", "run.end"} <= set(kinds)
@@ -148,9 +150,9 @@ def test_monitor_replays_recorded_run(water_xyz, tmp_path, capsys):
     assert "log10|dE|" in frame
     assert "converged" in frame
 
-    # A telemetry.ndjson path works directly as the source too.
+    # The recorded events.ndjson path works directly as the source too.
     (run_dir,) = _runs(runs_dir)
-    rc = main(["monitor", str(run_dir / "telemetry.ndjson")])
+    rc = main(["monitor", str(run_dir / "events.ndjson")])
     assert rc == 0
     assert "repro monitor" in capsys.readouterr().out
 
@@ -203,7 +205,8 @@ def test_runs_prune_requires_a_policy(tmp_path, capsys):
 
 def test_slo_from_recorded_telemetry(tmp_path, capsys):
     ndjson = tmp_path / "telemetry.ndjson"
-    # The sink's wire format: payload keys flattened to the top level.
+    # An earlier build's sink format: payload keys flattened to the top
+    # level, the kind spelled "kind".
     records = [
         {"kind": "job.done", "t_s": 1.0, "source": "service",
          "job": "j000000", "job_class": "shared-fock/sim",
@@ -297,9 +300,8 @@ def test_straggler_fault_emits_worker_hung(water_xyz, tmp_path, capsys):
     assert hung, "straggler never tripped the heartbeat deadline"
     assert all(e["timeout_s"] == pytest.approx(0.02) for e in hung)
     assert any(e["event"] == "worker.recovered" for e in events)
-    # The hang shows up in the telemetry stream for live subscribers too.
-    telemetry = (run_dir / "telemetry.ndjson").read_text()
-    assert '"kind": "worker.hung"' in telemetry
+    # Each event is written once: there is no second telemetry file.
+    assert not (run_dir / "telemetry.ndjson").exists()
     rec = json.loads((run_dir / "run.json").read_text())
     assert rec["status"] == "done"
     assert rec["event_counts"].get("worker.hung", 0) >= 1

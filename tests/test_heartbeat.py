@@ -6,7 +6,8 @@ import pytest
 
 from repro.obs.events import EventLog, use_event_log
 from repro.obs.metrics import MetricsRegistry, use_metrics
-from repro.obs.telemetry import TelemetryChannel, telemetry_line
+from repro.obs.events import event_record
+from repro.obs.telemetry import TelemetryChannel
 from repro.parallel.backend.heartbeat import (
     DEFAULT_INTERVAL_S,
     DEFAULT_TIMEOUT_S,
@@ -108,7 +109,7 @@ def test_suspect_rank_recovers_on_next_beat(monitor, clock):
 
 def test_hung_emits_event_metric_and_telemetry(monitor, clock):
     # One occurrence, one event: the channel installed as the log is what
-    # a telemetry stream is, and its line names the rank as its source.
+    # a telemetry stream is, and its line names the rank.
     chan = TelemetryChannel(clock=clock)
     registry = MetricsRegistry()
     with use_event_log(chan), use_metrics(registry):
@@ -126,8 +127,8 @@ def test_hung_emits_event_metric_and_telemetry(monitor, clock):
     assert snap.get("process.workers_suspect") == 1
     assert snap.get("process.workers_suspect{rank=1}") == 1
     assert chan.kinds() == {"worker.heartbeat": 1, "worker.hung": 1}
-    line = json.loads(telemetry_line(ev[0]))
-    assert line["source"] == "rank1" and line["state"] == "suspect"
+    line = json.loads(json.dumps(event_record(ev[0])))
+    assert line["rank"] == 1 and line["state"] == "suspect"
 
 
 def test_heartbeat_republished_on_channel_clock(monitor, clock):

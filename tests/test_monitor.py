@@ -9,6 +9,7 @@ from repro.obs.monitor import (
     sparkline,
 )
 from repro.obs.events import Event
+from repro.obs.stream import ObsStreamer
 from repro.obs.telemetry import TelemetryChannel
 
 
@@ -168,9 +169,9 @@ def test_render_empty_state():
 
 
 def test_replay_dashboard_round_trip(tmp_path):
-    sink = tmp_path / "telemetry.ndjson"
-    with TelemetryChannel(clock=iter([0.0, 0.2, 0.4, 0.6]).__next__,
-                          sink=sink) as chan:
+    sink = tmp_path / "events.ndjson"
+    with TelemetryChannel(clock=iter([0.0, 0.2, 0.4, 0.6]).__next__) as chan, \
+            ObsStreamer(tmp_path, log=chan):
         chan.emit("run.start", run_kind="scf", algorithm="mpi-only")
         chan.emit("worker.heartbeat", rank=0, phase="start",
                   state="ok", claimed=0)
@@ -201,7 +202,7 @@ def test_latency_panel_folds_terminal_jobs_and_burn():
                     job_class="shared-fock/sim", target="total:p95<60",
                     burn_rate=4.0))
 
-    hists = state.latency["shared-fock/sim"]
+    hists = state.latency["shared-fock/sim"].hists
     assert hists["total"].count == 5
     assert hists["queue_wait"].count == 5
     assert state.slo_burn[("shared-fock/sim", "total:p95<60")] == 4.0

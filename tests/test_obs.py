@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from repro.obs import (
     MetricsRegistry,
     Tracer,
-    chrome_trace_events,
     get_metrics,
     get_tracer,
     metrics_ndjson,
@@ -184,7 +183,7 @@ def test_chrome_trace_schema(traced):
 
 
 def test_chrome_trace_empty_tracer():
-    assert chrome_trace_events(Tracer()) == []
+    assert to_chrome_trace(Tracer())["traceEvents"] == []
 
 
 def test_profile_report_structure(traced):
@@ -304,7 +303,7 @@ def test_open_spans_are_excluded_from_exports():
         pass
     ctx = tracer.span("still-open")
     ctx.__enter__()  # never closed
-    assert [e["name"] for e in chrome_trace_events(tracer)
+    assert [e["name"] for e in to_chrome_trace(tracer)["traceEvents"]
             if e["ph"] == "X"] == ["done"]
     recs = [json.loads(ln) for ln in spans_ndjson(tracer).splitlines()]
     assert [r["span"] for r in recs] == ["done"]

@@ -243,7 +243,7 @@ def test_manifest_and_plan_fingerprints_are_the_parents():
     intake marker is the plan fingerprint, so these may never move."""
     specs = parse_manifest(PARENT_MANIFEST)
     assert manifest_fingerprint(specs) == "bca13b24fa4c2f63"
-    plan = make_batch_scheduler("binned", seed=0, window=4).plan(specs)
+    plan = make_batch_scheduler("binned", window=4).plan(specs)
     assert plan.fingerprint == "544af8a946ec6fa6"
 
 

@@ -171,14 +171,12 @@ def test_simulate_static_beats_dlb_on_uniform_workload():
 
 
 def _analysis_with_imbalance(busy):
-    from repro.obs.analysis.timeline import TimelineSpan, analyze_timeline
+    from repro.obs.analysis.timeline import analyze_timeline
     from repro.obs.events import Event
+    from repro.obs.spans import SpanRecord
 
-    spans = [
-        TimelineSpan(name="fock/kl", start=0.0, end=b, depth=1, rank=r,
-                     thread=None)
-        for r, b in enumerate(busy)
-    ]
+    spans = [SpanRecord(name="fock/kl", start=0.0, end=b, rank=r)
+             for r, b in enumerate(busy)]
     events = [Event(kind="dlb.reset", t=0.0, rank=None,
                     fields={"schedule": "dlb"})]
     return analyze_timeline(spans, events)

@@ -14,7 +14,8 @@ import time
 
 import pytest
 
-from repro.obs.telemetry import records_from_ndjson
+from repro.obs.events import events_from_ndjson
+from repro.obs.registry import RunRegistry
 from repro.service import (
     JobClient,
     JobSpec,
@@ -64,10 +65,12 @@ def service(tmp_path):
 
 
 def _telemetry_kinds(tmp_path) -> set[str]:
-    """Record kinds the serving daemon's telemetry sink has seen."""
-    sinks = list((tmp_path / "runs").glob("*/telemetry.ndjson"))
-    assert len(sinks) == 1
-    return {r.kind for r in records_from_ndjson(sinks[0].read_text())}
+    """Event kinds the serving daemon's run recorded."""
+    registry = RunRegistry(tmp_path / "runs")
+    (serve,) = [run_id for run_id in registry.run_ids()
+                if registry.load(run_id)["kind"] == "serve"]
+    path = registry.telemetry_path(serve)
+    return {ev.kind for ev in events_from_ndjson(path.read_text())}
 
 
 class TestRoundTrip:
@@ -242,9 +245,9 @@ class TestJournalShape:
 
 
 class TestCheckpointOnCost:
-    """The service's default checkpoint rule (no ``--checkpoint-every``):
-    after cycle 1, then once the cycles since the last write took
-    ``COST_RATIO`` times the cheapest write."""
+    """The service's checkpoint rule: after cycle 1, then once the
+    cycles since the last write took ``COST_RATIO`` times the cheapest
+    write."""
 
     @staticmethod
     def _run(tmp_path, **spec):
@@ -422,11 +425,11 @@ class TestUnreadableCheckpoint:
             return real_replace(src, dst)
 
         # Fleet workers are forked from this process, patch and all.
-        # A write per cycle: the default (on cost) writes this fast job
-        # only once or twice.
+        # A write per cycle: the cost rule writes a slow job every cycle
+        # (a fast one only once or twice).
         monkeypatch.setattr(os, "replace", replace_or_die)
-        client = service(max_retries=2, checkpoint_every=1)
-        job = client.submit({"xyz": WATER_XYZ})
+        client = service(max_retries=2)
+        job = client.submit({"xyz": WATER_XYZ, "cycle_delay_s": 0.05})
         done = client.result(job["id"], timeout_s=60)
         assert killed_once.exists()
         assert done["state"] == "done"
@@ -555,6 +558,14 @@ class TestCLIFlags:
         ["serve", "--backoff-base", "-0.5"],
         ["serve", "--fleet", "0"],
         ["serve", "--process-budget", "-1"],
+        # Removed options: the service checkpoints on cost only, the
+        # cost-ordered batch policies did not beat binned, and no policy
+        # left has a tie-break seed.
+        ["serve", "--checkpoint-every", "1"],
+        ["batch", "jobs.ndjson", "--policy", "sjf"],
+        ["serve", "--batch-policy", "auto"],
+        ["serve", "--batch-seed", "1"],
+        ["batch", "jobs.ndjson", "--seed", "1"],
     ])
     def test_invalid_values_rejected(self, argv, capsys):
         from repro.cli import build_parser
@@ -562,6 +573,11 @@ class TestCLIFlags:
         with pytest.raises(SystemExit) as err:
             build_parser().parse_args(argv)
         assert err.value.code == 2
+
+    def test_config_of_an_earlier_build_loads(self):
+        stored = {**ServiceConfig().to_dict(), "checkpoint_every": 1,
+                  "tick_s": 0.05, "batch_seed": 3}
+        assert ServiceConfig.from_dict(stored) == ServiceConfig()
 
     def test_valid_flags_parse(self):
         from repro.cli import build_parser

@@ -162,7 +162,7 @@ def test_killed_worker_retried_job_assembles_one_trace(tmp_path):
     # Attempts are siblings under the job root, on their own tracks.
     root = next(s for s in trace.segments if s.name == "service/job")
     assert {a.parent_span_id for a in attempts} == {root.span_id}
-    assert attempts[0].pid != attempts[1].pid
+    assert attempts[0].rank != attempts[1].rank
     # The killed attempt's container is synthesized from the journal;
     # the surviving attempt's is the worker's real span.
     assert attempts[0].synthetic and attempts[0].attrs.get("interrupted")

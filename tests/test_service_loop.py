@@ -237,7 +237,8 @@ def test_a_fresh_fleets_first_job_starts_its_scf_at_once(tmp_path):
 def test_daemon_event_log_stays_bounded_under_heartbeats(service, tmp_path):
     """The daemon's telemetry channel is the process event log: fleet
     heartbeats go through ``emit`` and a daemon that runs for days keeps
-    the channel's bounded backlog, while the sink keeps every record."""
+    the channel's bounded backlog, while events.ndjson keeps every
+    record."""
     from repro.obs.events import get_event_log
     from repro.obs.telemetry import DEFAULT_BUFFER
     from repro.parallel.backend.heartbeat import make_beat
@@ -256,10 +257,8 @@ def test_daemon_event_log_stays_bounded_under_heartbeats(service, tmp_path):
         time.sleep(0.05)
     assert daemon.channel.published - start >= nbeats
     assert len(get_event_log()) <= DEFAULT_BUFFER
-    (serve_dir,) = [p for p in (tmp_path / "runs").iterdir()
-                    if (p / "telemetry.ndjson").exists()]
-    text = (serve_dir / "telemetry.ndjson").read_text()
-    assert text.count('"kind": "worker.heartbeat"') >= nbeats
+    text = daemon.serve_run.path("events.ndjson").read_text()
+    assert text.count('"event": "worker.heartbeat"') >= nbeats
 
 
 # -- teardown ------------------------------------------------------------------

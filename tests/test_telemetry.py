@@ -1,4 +1,4 @@
-"""Live telemetry: line format, channel fan-out, unix-socket streaming."""
+"""Live telemetry: the event line, channel fan-out, unix-socket streaming."""
 
 import json
 import threading
@@ -6,57 +6,69 @@ import time
 
 import pytest
 
-from repro.obs.events import Event, EventLog, get_event_log, use_event_log
+from repro.obs.events import (
+    Event,
+    EventLog,
+    event_from_record,
+    event_record,
+    events_from_ndjson,
+    get_event_log,
+    use_event_log,
+)
+from repro.obs.stream import ObsStreamer
 from repro.obs.telemetry import (
     TelemetryChannel,
     TelemetryClient,
     default_socket_path,
-    record_from_json,
-    records_from_ndjson,
-    telemetry_line,
 )
+
+
+def _line(ev):
+    return json.dumps(event_record(ev))
 
 
 # -- line format --------------------------------------------------------------
 
 
 def test_record_json_round_trip():
+    """The socket and events.ndjson carry the one event line."""
     ev = Event(kind="scf.cycle", t=1.25,
                fields={"cycle": 3, "energy": -74.96, "delta_e": 1e-3})
-    line = json.loads(telemetry_line(ev))
-    assert list(line)[:3] == ["kind", "t_s", "source"]
-    assert line["source"] == "driver"
-    assert record_from_json(telemetry_line(ev)) == ev
+    line = json.loads(_line(ev))
+    assert list(line)[:3] == ["event", "t_s", "rank"]
+    assert line["rank"] is None
+    assert event_from_record(line) == ev
 
     ranked = Event(kind="worker.hung", t=2.0, rank=1, fields={"cycle": 2})
-    line = json.loads(telemetry_line(ranked))
-    assert line["source"] == "rank1" and line["rank"] == 1
-    assert record_from_json(telemetry_line(ranked)) == ranked
+    line = json.loads(_line(ranked))
+    assert line["rank"] == 1
+    assert event_from_record(line) == ranked
 
 
 def test_record_json_coerces_unsafe_payload():
     ev = Event(kind="x", t=0.0, fields={"path": object(), "d": {1: (2, 3)}})
-    parsed = json.loads(telemetry_line(ev))
+    parsed = json.loads(_line(ev))
     assert isinstance(parsed["path"], str)
     assert parsed["d"] == {"1": [2, 3]}
 
 
 def test_records_from_ndjson_skips_blank_lines():
     text = (
-        telemetry_line(Event(kind="a", t=0.0))
+        _line(Event(kind="a", t=0.0))
         + "\n\n"
-        + telemetry_line(Event(kind="b", t=1.0, rank=0))
+        + _line(Event(kind="b", t=1.0, rank=0))
         + "\n"
     )
-    recs = records_from_ndjson(text)
+    recs = events_from_ndjson(text)
     assert [r.kind for r in recs] == ["a", "b"]
     assert [r.rank for r in recs] == [None, 0]
 
 
 def test_earlier_sources_parse_as_ranks_or_run_global():
-    """Older recordings named a rank only in ``source``, and the service
-    tagged its records ``service`` / ``worker<N>``."""
-    recs = records_from_ndjson(
+    """Older recordings spelled the kind ``kind``, named a rank only in
+    ``source``, and the service tagged its records ``service`` /
+    ``worker<N>``."""
+    recs = events_from_ndjson(
         '{"kind": "worker.heartbeat", "t_s": 1.0, "source": "rank3"}\n'
         '{"kind": "job.done", "t_s": 2.0, "source": "service", "job": "j1"}\n'
         '{"kind": "job.log", "t_s": 3.0, "source": "worker0"}\n'
@@ -246,18 +258,55 @@ def _poll_until(client, n, *, quiet_ok=False, timeout=10.0):
 
 
 def test_ndjson_sink_is_durable_per_record(tmp_path):
-    path = tmp_path / "telemetry.ndjson"
-    chan = TelemetryChannel(sink=path, buffer=1)
+    """The daemon's wiring: a streamer on the channel's ``on_emit``
+    writes its events.ndjson."""
+    path = tmp_path / "events.ndjson"
+    chan = TelemetryChannel(buffer=1)
+    streamer = ObsStreamer(tmp_path, log=chan)
     chan.emit("scf.cycle", cycle=1, energy=-1.0)
     chan.emit("scf.cycle", cycle=2, energy=-2.0)
-    # Line-buffered: visible on disk before close(), and the file keeps
+    # Unbuffered: visible on disk before close(), and the file keeps
     # what the bounded backlog has already dropped.
-    recs = records_from_ndjson(path.read_text())
+    recs = events_from_ndjson(path.read_text())
     assert [ev.fields["cycle"] for ev in recs] == [1, 2]
     assert len(chan) == 1
     chan.close()
     chan.emit("scf.cycle", cycle=3)
-    assert len(records_from_ndjson(path.read_text())) == 2
+    streamer.close()
+    assert len(events_from_ndjson(path.read_text())) == 2
+
+
+def test_ndjson_sink_survives_emitters_racing_close(tmp_path):
+    """Many threads emit while the daemon's teardown closes the channel
+    and then the streamer: no emitter raises, and the file holds every
+    published event whole, in backlog order."""
+    chan = TelemetryChannel()
+    streamer = ObsStreamer(tmp_path, log=chan)
+    errors = []
+    started = threading.Barrier(5)
+
+    def pump(rank):
+        started.wait()
+        try:
+            for i in range(2000):
+                chan.emit("tick", rank=rank, i=i)
+        except Exception as exc:  # pragma: no cover - the failure mode
+            errors.append(exc)
+
+    threads = [threading.Thread(target=pump, args=(r,)) for r in range(4)]
+    for t in threads:
+        t.start()
+    started.wait()
+    time.sleep(0.005)
+    chan.close()
+    streamer.close()
+    for t in threads:
+        t.join()
+    assert errors == []
+    recs = events_from_ndjson((tmp_path / "events.ndjson").read_text())
+    assert len(recs) == chan.published
+    assert [(ev.rank, ev.fields["i"]) for ev in recs] == [
+        (ev.rank, ev.fields["i"]) for ev in chan.events]
 
 
 # -- socket path guard --------------------------------------------------------

@@ -9,7 +9,8 @@ before the telemetry channel became an event log.
 ``telemetry_replay.json`` holds what the dashboard and the SLO replay
 read off them at that build: rank lanes, SCF cycles, notable events,
 latency digests.  Old recordings must keep reading the same, and a file
-the channel writes today must go through the same reader.
+the channel writes today (the one event line) must go through the same
+reader.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import pytest
 
 from repro.obs.monitor import MonitorState
 from repro.obs.slo import engine_from_telemetry
-from repro.obs.telemetry import records_from_ndjson
+from repro.obs.events import events_from_ndjson
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 RECORDINGS = ("telemetry_straggler.ndjson", "telemetry_service.ndjson")
@@ -29,7 +30,7 @@ RECORDINGS = ("telemetry_straggler.ndjson", "telemetry_service.ndjson")
 
 def replay_summary(text: str) -> dict:
     """What ``repro monitor`` and ``repro slo`` read off one recording."""
-    records = records_from_ndjson(text)
+    records = events_from_ndjson(text)
     state = MonitorState()
     state.apply_all(records)
     t0 = state.t_first or 0.0
@@ -53,9 +54,9 @@ def replay_summary(text: str) -> dict:
             cls: {
                 metric: [hist.count, *(hist.quantile(q)
                                        for q in (0.5, 0.95, 0.99))]
-                for metric, hist in sorted(hists.items())
+                for metric, hist in sorted(stats.hists.items())
             }
-            for cls, hists in sorted(state.latency.items())
+            for cls, stats in sorted(state.latency.items())
         },
         "slo_burn": sorted([*key, burn] for key, burn in state.slo_burn.items()),
         "slo_report": engine_from_telemetry(records).report(),
@@ -82,12 +83,13 @@ def test_straggler_recording_holds_what_the_smoke_run_asserts():
 @pytest.mark.parametrize("name", RECORDINGS)
 def test_a_file_the_channel_writes_replays_the_same(name, tmp_path):
     """Every event of an old recording, re-published through today's
-    channel into its sink, reads back to the same dashboard."""
+    channel into the serve run's events.ndjson (the daemon's wiring),
+    reads back to the same dashboard."""
+    from repro.obs.stream import ObsStreamer
     from repro.obs.telemetry import TelemetryChannel
 
-    sink = tmp_path / "telemetry.ndjson"
-    with TelemetryChannel(sink=sink) as channel:
-        for ev in records_from_ndjson((GOLDEN / name).read_text()):
+    with TelemetryChannel() as channel, ObsStreamer(tmp_path, log=channel):
+        for ev in events_from_ndjson((GOLDEN / name).read_text()):
             channel.record(ev)
-    got = replay_summary(sink.read_text())
+    got = replay_summary((tmp_path / "events.ndjson").read_text())
     assert json.loads(json.dumps(got)) == _expected(name)

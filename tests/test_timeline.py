@@ -9,17 +9,18 @@ import pytest
 
 from repro.obs import EventLog, Tracer, events_from_ndjson, spans_ndjson
 from repro.obs.analysis import (
-    TimelineSpan,
     analyze_timeline,
     analyze_tracer,
     ascii_gantt,
+    timeline_report,
+)
+from repro.obs.analysis.timeline import merge_intervals, union_seconds
+from repro.obs.spans import (
     critical_path,
     merged_chrome_trace,
     spans_from_ndjson,
-    timeline_report,
-    timeline_spans,
+    spans_from_tracer,
 )
-from repro.obs.analysis.timeline import _merge_intervals, _union_seconds
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -37,16 +38,23 @@ class FakeClock:
 
 
 def span(name, start, end, *, depth=0, rank=0, thread=None, attrs=None):
-    return TimelineSpan(
-        name=name, start=start, end=end, depth=depth, rank=rank,
-        thread=thread, attrs=attrs or {},
-    )
+    """One id-less ``spans.ndjson`` line, as ``repro profile`` writes."""
+    rec = {"span": name, "start_s": start, "dur_s": end - start,
+           "depth": depth, "rank": rank, "attrs": attrs or {}}
+    if thread is not None:
+        rec["thread"] = thread
+    return json.dumps(rec)
+
+
+def records(*lines):
+    """Span records read back (parent links derived from depth)."""
+    return spans_from_ndjson("\n".join(lines))
 
 
 @pytest.fixture()
 def two_rank_spans():
     """A hand-built two-rank trace with nested work and wait spans."""
-    return [
+    return records(
         span("scf/run", 0.0, 10.0, depth=0, rank=0),
         # rank 0: work [1, 4) with a nested batch [2, 3) — must not
         # double count — then wait [4, 5).
@@ -56,17 +64,17 @@ def two_rank_spans():
         # rank 1: work [1, 3) and [5, 9) -> busy 6s, no waits.
         span("fock/kl", 1.0, 3.0, depth=1, rank=1, thread=0),
         span("fock/kl", 5.0, 9.0, depth=1, rank=1, thread=1),
-    ]
+    )
 
 
 # -- interval arithmetic -----------------------------------------------------
 
 
 def test_merge_intervals_unions_overlaps():
-    merged = _merge_intervals([(1, 4), (2, 3), (5, 6), (6, 7), (9, 9)])
+    merged = merge_intervals([(1, 4), (2, 3), (5, 6), (6, 7), (9, 9)])
     assert merged == [(1, 4), (5, 7)]
-    assert _union_seconds([(1, 4), (2, 3)]) == pytest.approx(3.0)
-    assert _union_seconds([]) == 0.0
+    assert union_seconds([(1, 4), (2, 3)]) == pytest.approx(3.0)
+    assert union_seconds([]) == 0.0
 
 
 # -- breakdowns --------------------------------------------------------------
@@ -119,7 +127,7 @@ def test_empty_timeline():
 
 
 def test_timestamps_are_renormalized():
-    shifted = [span("fock/kl", 100.0, 103.0, rank=0)]
+    shifted = records(span("fock/kl", 100.0, 103.0, rank=0))
     analysis = analyze_timeline(shifted)
     assert analysis.t_end == pytest.approx(3.0)
     assert analysis.ranks[0].first == pytest.approx(0.0)
@@ -131,28 +139,34 @@ def test_timestamps_are_renormalized():
 def test_critical_path_descends_longest_children(two_rank_spans):
     path = critical_path(two_rank_spans)
     # Root scf/run -> its longest direct child: rank 1's 4 s fock/kl.
-    assert [(p.name, p.rank) for p in path] == [
+    assert [(r.name, r.rank) for r, _ in path] == [
         ("scf/run", 0), ("fock/kl", 1),
     ]
-    root = path[0]
-    assert root.total_s == pytest.approx(10.0)
+    root, root_self = path[0]
+    assert root.duration == pytest.approx(10.0)
     # self = 10 - (3 + 1 + 2 + 4) direct children.
-    assert root.self_s == pytest.approx(0.0)
-    kl = path[1]
-    assert kl.total_s == pytest.approx(4.0)
-    assert kl.self_s == pytest.approx(4.0)
+    assert root_self == pytest.approx(0.0)
+    kl, kl_self = path[1]
+    assert kl.duration == pytest.approx(4.0)
+    assert kl_self == pytest.approx(4.0)
+    # The analysis reports the same chain.
+    assert [(r.name, r.rank, r.duration) for r, _ in
+            analyze_timeline(two_rank_spans).path] == [
+        ("scf/run", 0, pytest.approx(10.0)),
+        ("fock/kl", 1, pytest.approx(4.0)),
+    ]
 
 
 def test_critical_path_nested_attach_prefers_same_rank():
-    spans = [
+    spans = records(
         span("fock/build", 0.0, 10.0, depth=0, rank=0),
         span("fock/kl", 1.0, 8.0, depth=1, rank=0, thread=0),
         # Rank 1's kl also contains [2, 3); the batch belongs to rank 0.
         span("fock/kl", 1.0, 4.0, depth=1, rank=1, thread=0),
         span("eri/quartet_batch", 2.0, 3.0, depth=2, rank=0, thread=0),
-    ]
+    )
     path = critical_path(spans)
-    assert [(p.name, p.rank) for p in path] == [
+    assert [(r.name, r.rank) for r, _ in path] == [
         ("fock/build", 0), ("fock/kl", 0), ("eri/quartet_batch", 0),
     ]
 
@@ -170,11 +184,14 @@ def test_timeline_spans_from_tracer_resolves_attrs():
         with tracer.span("fock/kl", thread=1):
             pass
     with tracer.span("open-span"):
-        spans = timeline_spans(tracer)
+        spans = spans_from_tracer(tracer)
     # The still-open span is excluded; rank is inherited downward.
     assert [s.name for s in spans] == ["fock/build", "fock/kl"]
-    kl = spans[1]
-    assert kl.rank == 2 and kl.thread == 1 and kl.depth == 1
+    build, kl = spans
+    assert kl.rank == 2 and kl.thread == 1
+    # No trace context: fresh ids still link the child to its parent.
+    assert kl.parent_span_id == build.span_id is not None
+    assert build.parent_span_id is None
 
 
 def test_spans_ndjson_roundtrip_matches_tracer_analysis():
@@ -226,7 +243,7 @@ def test_events_roundtrip_through_ndjson(two_rank_spans):
 
 
 def test_merged_chrome_trace_pid_blocks(two_rank_spans):
-    run_b = [span("fock/kl", 0.0, 1.0, rank=0, thread=0)]
+    run_b = records(span("fock/kl", 0.0, 1.0, rank=0, thread=0))
     log = EventLog(clock=FakeClock())
     log.emit("scf.converged", cycle=1)
     doc = merged_chrome_trace(

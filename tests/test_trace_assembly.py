@@ -108,7 +108,7 @@ class TestSpanLoading:
         spans = load_attempt_spans(trace_dir)
         assert set(spans) == {1, 2}
         assert len(spans[1]) == 1  # torn line dropped
-        assert spans[2][0]["span"] == "y"
+        assert spans[2][0].name == "y"
 
     def test_missing_dir_is_empty(self, tmp_path):
         assert load_attempt_spans(tmp_path / "nope") == {}
@@ -147,8 +147,8 @@ class TestPlainJobAssembly:
         assert "scf/run" in names
 
         by_name = {s.name: s for s in trace.segments}
-        assert by_name["client/submit"].pid == PID_CLIENT
-        assert by_name["service/job"].pid == PID_SERVICE
+        assert by_name["client/submit"].rank == PID_CLIENT
+        assert by_name["service/job"].rank == PID_SERVICE
         assert by_name["queue.wait"].synthetic
         # queue.wait covers submit -> dispatch on the daemon track.
         assert by_name["queue.wait"].start == pytest.approx(100.0)
@@ -227,7 +227,7 @@ class TestRetriedJobAssembly:
 
         attempts = [s for s in trace.segments if s.name == "job/attempt"]
         assert {s.parent_span_id for s in attempts} == {ROOT_SPAN}
-        assert attempts[0].pid != attempts[1].pid  # own process tracks
+        assert attempts[0].rank != attempts[1].rank  # own process tracks
 
         # Attempt 1's container is synthesized from journal bounds.
         a1 = attempts[0]
@@ -247,7 +247,7 @@ class TestRetriedJobAssembly:
                        if s.name == "retry.backoff")
         assert backoff.start == pytest.approx(100.6)
         assert backoff.end == pytest.approx(101.0)  # pt + (not_before - t)
-        assert backoff.pid == PID_SERVICE and backoff.synthetic
+        assert backoff.rank == PID_SERVICE and backoff.synthetic
 
         waits = sorted((s for s in trace.segments if s.name == "queue.wait"),
                        key=lambda s: s.start)
