@@ -80,22 +80,20 @@ class ColumnBlockBuffer:
         and adds them into ``fock[:, col_offset:col_offset+width]``.
         Each Fock row is written by exactly one thread, so the flush is
         race-free by construction; the tracker, when supplied, verifies
-        exactly that.
+        exactly that.  The tree is element-wise, so one sum and one add
+        over the whole block give the per-chunk sums' bits.
         """
         nbf = self.nbf
         view3 = self.data[:, : nbf * self.max_width].reshape(
             self.nthreads, nbf, self.max_width
         )
-        for thread, rows in flush_chunks(nbf, self.nthreads):
-            chunk = view3[:, rows.start : rows.stop, :width]
-            total = _pairwise_tree_sum(chunk)
-            fock[rows.start : rows.stop, col_offset : col_offset + width] += total
-            if tracker is not None:
+        chunks = flush_chunks(nbf, self.nthreads)
+        cols = slice(col_offset, col_offset + width)
+        fock[:, cols] += _pairwise_tree_sum(view3[:, :, :width])
+        if tracker is not None:
+            for thread, rows in chunks:
                 tracker.record_block(
-                    thread,
-                    fock.shape,
-                    slice(rows.start, rows.stop),
-                    slice(col_offset, col_offset + width),
+                    thread, fock.shape, slice(rows.start, rows.stop), cols
                 )
         self.data.fill(0.0)
         self.flushes += 1

@@ -36,7 +36,6 @@ import itertools
 import json
 import logging
 import os
-import secrets
 import shutil
 import time
 from collections import Counter
@@ -78,7 +77,7 @@ def new_run_id(clock: _dt.datetime | None = None) -> str:
     """
     now = clock or _dt.datetime.now(_dt.timezone.utc)
     seq = next(_run_id_counter) & 0xFFF
-    entropy = secrets.token_hex(1)[0]
+    entropy = os.urandom(1).hex()[0]
     return (
         f"{now.strftime('%Y%m%d-%H%M%S')}-{os.getpid()}-{seq:03x}{entropy}"
     )

@@ -26,15 +26,23 @@ from __future__ import annotations
 
 import itertools
 import os
-import secrets
+import random
 import time
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
 
 def new_trace_id() -> str:
-    """A fresh W3C trace id: 32 lowercase hex chars, never all-zero."""
-    return secrets.token_hex(16)
+    """A fresh W3C trace id: 32 lowercase hex chars, never all-zero.
+
+    Read straight from ``os.urandom`` (the source ``secrets`` reads):
+    importing ``secrets`` maps OpenSSL's libcrypto, 3.6 MB of RSS in
+    every process that traces nothing.
+    """
+    while True:
+        trace_id = os.urandom(16).hex()
+        if trace_id.strip("0"):
+            return trace_id
 
 
 _span_ids = itertools.count(1)
@@ -43,7 +51,9 @@ _span_ids = itertools.count(1)
 def _reseed_span_ids() -> None:
     """A fresh random prefix and a restarted serial (import, fork)."""
     global _span_ids
-    _span_ids = itertools.count((1 + secrets.randbelow(0x7FFFFFFF)) << 32 | 1)
+    _span_ids = itertools.count(
+        random.SystemRandom().randrange(1, 0x80000000) << 32 | 1
+    )
 
 
 _reseed_span_ids()

@@ -48,6 +48,11 @@ from multiprocessing.connection import wait as mp_wait
 from pathlib import Path
 from typing import Any, Callable
 
+# In the daemon, before ``WorkerFleet._spawn`` forks: every worker then
+# shares NumPy's pages with the daemon.  A daemon without it starts
+# ~35 ms sooner, but each worker maps its own NumPy, +3 MB of peak RSS.
+import numpy  # noqa: F401
+
 from repro.obs.events import get_event_log
 from repro.parallel.backend.heartbeat import HeartbeatMonitor, make_beat
 from repro.service.errors import JobSpecError

@@ -104,20 +104,41 @@ def test_the_compute_path_imports_three_instruments(tmp_path):
     )
 
 
+def test_the_service_supervisor_imports_numpy_before_it_forks(tmp_path):
+    """Fleet workers are forked from the daemon; NumPy must already be
+    in it, so the workers share its pages instead of mapping their own."""
+    out = _python(
+        "import sys\n"
+        "import repro.service.supervisor\n"
+        "print('numpy' in sys.modules)\n",
+        tmp_path,
+    )
+    assert out.split("\n")[0] == "True"
+
+
 def test_scf_without_telemetry_loads_no_live_obs_module(water_xyz):
+    """Nor OpenSSL: parser, set-up, SCF loop, run registry, checkpoint
+    and metrics of a sim run draw their ids from ``os.urandom``, not
+    ``secrets`` (whose ``hmac`` import maps libcrypto)."""
     code = (
-        "import runpy, sys\n"
-        f"sys.argv = ['repro', 'scf', {str(water_xyz)!r}]\n"
+        "import os, runpy, sys\n"
+        f"sys.argv = ['repro', 'scf', {str(water_xyz)!r}, '--checkpoint', "
+        "'run.ckpt', '--checkpoint-every', '2']\n"
         "try:\n"
         "    runpy.run_module('repro', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
         "    assert exc.code == 0, exc.code\n"
         "live = ('telemetry', 'slo', 'trace_assembly', 'monitor')\n"
         "print([m for m in live if f'repro.obs.{m}' in sys.modules])\n"
+        "maps = '/proc/self/maps'\n"
+        "mapped = os.path.exists(maps) and 'libcrypto' in open(maps).read()\n"
+        "print([m for m in ('_hashlib', 'hmac', 'secrets') if m in sys.modules],"
+        " mapped)\n"
     )
     out = _python(code, water_xyz.parent)
     assert "-74.9420799540" in out
-    assert out.strip().splitlines()[-1] == "[]"
+    assert (water_xyz.parent / "run.ckpt").exists()
+    assert out.strip().splitlines()[-2:] == ["[]", "[] False"]
 
 
 def test_scf_records_and_prints_its_thread_budget(water_xyz, tmp_path):

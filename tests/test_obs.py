@@ -437,6 +437,34 @@ def test_traceparent_roundtrip():
     assert parsed.span_id == ctx.span_id
 
 
+def test_trace_ids_are_w3c_and_drawn_again_on_zero(monkeypatch):
+    """32 lowercase hex chars from the kernel source; an all-zero draw
+    (which ``parse_traceparent`` would reject) is thrown away."""
+    import os
+
+    from repro.obs import tracer
+    from repro.obs.tracer import (
+        TraceContext,
+        format_traceparent,
+        parse_traceparent,
+    )
+
+    real = os.urandom
+    draws = []
+
+    def urandom(n):
+        draws.append(n)
+        return bytes(n) if len(draws) == 1 else real(n)
+
+    monkeypatch.setattr(tracer.os, "urandom", urandom)
+    trace_id = tracer.new_trace_id()
+    assert draws == [16, 16]
+    assert len(trace_id) == 32 and set(trace_id) <= set("0123456789abcdef")
+    assert set(trace_id) != {"0"}
+    header = format_traceparent(TraceContext(trace_id, tracer.new_span_id()))
+    assert parse_traceparent(header) is not None
+
+
 @pytest.mark.parametrize("bad", [
     "",
     "junk",
@@ -632,6 +660,7 @@ def test_span_ids_are_w3c_and_unique_per_process():
     for span_id in ids[:50]:
         assert len(span_id) == 16 and set(span_id) <= set("0123456789abcdef")
         assert set(span_id) != {"0"}
+        assert 0 < int(span_id[:8], 16) < 0x80000000  # random 31-bit prefix
     # A forked child mints from a prefix of its own, not its parent's.
     read, write = os.pipe()
     pid = os.fork()

@@ -99,12 +99,16 @@ class TestColumnBlockBuffer:
     def test_flush_is_bitwise_the_chunked_tree_sum(self, nthreads):
         """What a flush adds to the Fock matrix, spelled out: per
         cache-line row chunk, the pairwise tree over the thread buffers
-        — bit for bit, repeatedly, with the tracker seeing every chunk."""
+        — bit for bit, repeatedly, with and without a tracker, the
+        tracker seeing every chunk and the counters every flush."""
+        from repro.obs.metrics import MetricsRegistry, use_metrics
+
         nbf, width = 19, 4
         rng = np.random.default_rng(nthreads)
         buf = ColumnBlockBuffer(nbf, 6, nthreads)
         fock = rng.standard_normal((nbf, nbf))
-        for _flush in range(3):
+        registry = MetricsRegistry()
+        for flush in range(4):
             want = fock.copy()
             parts = []
             for t in range(nthreads):
@@ -119,12 +123,16 @@ class TestColumnBlockBuffer:
                         for a in range(0, len(level), 2)
                     ]
                 want[start : start + 8, 7 : 7 + width] += level[0]
-            tracker = WriteTracker(nbf * nbf, strict=True)
-            buf.flush(fock, 7, width, tracker=tracker)
+            tracker = WriteTracker(nbf * nbf, strict=True) if flush % 2 else None
+            with use_metrics(registry):
+                buf.flush(fock, 7, width, tracker=tracker)
             assert np.array_equal(fock, want)
-            assert tracker.writes_checked == nbf * width
+            if tracker is not None:
+                assert tracker.writes_checked == nbf * width
             assert buf.is_zero()
-        assert buf.flushes == 3
+        assert buf.flushes == 4
+        assert registry.counter("reduction.cooperative_flushes").value == 4
+        assert registry.counter("reduction.flush_chunks").value == 4 * 3
 
     def test_narrow_flush_uses_partial_width(self):
         buf = ColumnBlockBuffer(5, 6, 2)

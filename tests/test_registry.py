@@ -1,6 +1,7 @@
 """Persistent run registry: registration, lookup, listing, records."""
 
 import json
+import re
 
 import pytest
 
@@ -34,6 +35,7 @@ def test_run_ids_are_unique_and_sortable():
     for run_id in ids:
         stamp = run_id.split("-")[0]
         assert len(stamp) == 8 and stamp.isdigit()
+        assert re.fullmatch(r"\d{8}-\d{6}-\d+-[0-9a-f]{4}", run_id)
 
 
 def test_register_creates_run_record(registry):
