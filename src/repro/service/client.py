@@ -43,7 +43,7 @@ from repro.service.errors import (
     ServiceUnavailable,
     error_from_response,
 )
-from repro.service.jobs import TERMINAL_STATES, JobSpec
+from repro.service.jobs import TERMINAL_STATES, JobSpec, sha256
 
 #: Default service state directory, relative to the working directory.
 DEFAULT_SERVICE_DIR = Path(".repro") / "service"
@@ -61,16 +61,17 @@ def service_socket_path(service_dir: str | Path) -> Path:
 
     Mirrors :func:`repro.obs.telemetry.default_socket_path`: when the
     directory is nested too deep for ``sun_path``, fall back to a short
-    per-user name under the temp directory, keyed by a hash of the
-    intended path so distinct service dirs keep distinct sockets.
+    name under the temp directory (shared by every user, not per-user),
+    keyed by a hash of the directory's absolute path: a relative and an
+    absolute spelling of one deep service dir share a socket, and one
+    relative spelling used from two working directories does not.
     """
     candidate = Path(service_dir) / "service.sock"
     if len(str(candidate)) <= _MAX_SOCKET_PATH:
         return candidate
-    import hashlib
     import tempfile
 
-    key = hashlib.sha256(str(candidate).encode()).hexdigest()[:12]
+    key = sha256(str(Path(service_dir).absolute()).encode()).hexdigest()[:12]
     return Path(tempfile.gettempdir()) / f"repro-service-{key}.sock"
 
 

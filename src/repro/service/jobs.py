@@ -18,10 +18,20 @@ State machine (every transition is journaled by
 
 from __future__ import annotations
 
-import hashlib
 import time
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any
+
+# CPython's built-in SHA-256 gives hashlib's digest bytes without
+# importing ``_hashlib``, which maps OpenSSL's libcrypto (~3 MB of RSS)
+# into the client, the daemon and every worker that fingerprints a job.
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:  # an interpreter built without the built-in hashes
+        from hashlib import sha256
 
 from repro.config import ConfigError, SCFConfig
 from repro.service.errors import JobSpecError
@@ -89,7 +99,7 @@ class JobSpec(SCFConfig):
         is what keeps a persistent worker "warm" across a stream of
         requests for the same system.
         """
-        h = hashlib.sha256()
+        h = sha256()
         h.update(self.xyz.encode())
         h.update(f"|{self.basis}|{self.charge}".encode())
         return h.hexdigest()[:16]

@@ -32,7 +32,6 @@ All malformations raise :class:`~repro.service.errors.ManifestError`
 
 from __future__ import annotations
 
-import hashlib
 import json
 import tomllib
 from dataclasses import replace
@@ -41,7 +40,7 @@ from typing import Any, Callable
 
 from repro.chem.molecule import Molecule, hydrogen_molecule, methane, water
 from repro.service.errors import JobSpecError, ManifestError
-from repro.service.jobs import JobSpec
+from repro.service.jobs import JobSpec, sha256
 
 #: Named geometries a manifest entry may reference via ``molecule = ...``.
 MOLECULES: dict[str, Callable[[], Molecule]] = {
@@ -202,7 +201,7 @@ def manifest_fingerprint(specs: list[JobSpec]) -> str:
     ``repeat`` / ``[defaults]`` spelled them — this is what batch plans
     and the daemon's exactly-once intake marker key on.
     """
-    h = hashlib.sha256()
+    h = sha256()
     for spec in specs:
         h.update(json.dumps(spec.to_dict(), sort_keys=True).encode())
         h.update(b"\n")

@@ -39,14 +39,13 @@ manifest cannot starve its first entry behind 999 shorter ones.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.config import BATCH_POLICIES
 from repro.service.errors import ManifestError
-from repro.service.jobs import JobSpec
+from repro.service.jobs import JobSpec, sha256
 from repro.workload.manifest import manifest_fingerprint
 
 #: Default reordering window (the starvation bound).
@@ -99,7 +98,7 @@ class BatchPlan:
              "order": list(self.order)},
             sort_keys=True,
         )
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        return sha256(payload.encode()).hexdigest()[:16]
 
     def to_dict(self) -> dict:
         return {

@@ -141,6 +141,109 @@ def test_scf_without_telemetry_loads_no_live_obs_module(water_xyz):
     assert out.strip().splitlines()[-2:] == ["[]", "[] False"]
 
 
+#: Runs ``repro`` on the command line's arguments and leaves a file
+#: ``<module>-<pid>`` in ``$SPY_DIR`` for every first import of an
+#: OpenSSL-backed module in this process or in one forked from it (a
+#: fleet worker), and ``libcrypto-<pid>`` if this process maps it.
+_OPENSSL_SPY = """\
+import os, runpy, sys
+SPIED = ('_hashlib', 'hmac', 'secrets')
+
+def mark(name):
+    open(os.path.join(os.environ['SPY_DIR'], f'{name}-{os.getpid()}'), 'w').close()
+
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name in SPIED:
+            mark(name)
+        return None
+
+for name in SPIED:
+    if name in sys.modules:
+        mark(name)
+sys.meta_path.insert(0, Spy())
+sys.argv = ['repro', *sys.argv[1:]]
+try:
+    runpy.run_module('repro', run_name='__main__', alter_sys=True)
+finally:
+    if 'libcrypto' in open('/proc/self/maps').read():
+        mark('libcrypto')
+"""
+
+
+def _children(pid: int) -> list[int]:
+    import os
+
+    kids = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat") as f:
+                stat = f.read()
+        except (OSError, ValueError):
+            continue
+        if int(stat.rpartition(")")[2].split()[1]) == pid:
+            kids.append(int(entry))
+    return kids
+
+
+def test_no_service_process_maps_openssl(tmp_path):
+    """Nor does the service: the batch client, the daemon and its forked
+    worker fingerprint jobs, manifests and plans with CPython's built-in
+    SHA-256, not ``hashlib`` (whose ``_hashlib`` maps libcrypto)."""
+    import os
+    import subprocess
+    import sys
+    import time
+    from pathlib import Path
+
+    from repro.cli import THREAD_ENV_VARS
+    from repro.service import JobClient, ServiceUnavailable
+
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("needs /proc")
+    spy = tmp_path / "spy"
+    spy.mkdir()
+    (tmp_path / "jobs.ndjson").write_text('{"molecule": "water"}\n')
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_ENV_VARS}
+    env.update(PYTHONPATH=str(src), REPRO_RUNS_DIR=str(tmp_path),
+               SPY_DIR=str(spy))
+    repro = [sys.executable, "-c", _OPENSSL_SPY]
+    log = tmp_path / "serve.log"
+    with open(log, "w") as out:
+        daemon = subprocess.Popen(
+            repro + ["serve", "--service-dir", "svc", "--fleet", "1"],
+            cwd=tmp_path, env=env, stdout=out, stderr=subprocess.STDOUT)
+    try:
+        client = JobClient(tmp_path / "svc")
+        deadline = time.monotonic() + 60
+        while True:
+            try:
+                client.ping()
+                break
+            except ServiceUnavailable:
+                assert daemon.poll() is None, log.read_text()
+                assert time.monotonic() < deadline, "daemon did not come up"
+                time.sleep(0.05)
+        batch = subprocess.run(
+            repro + ["batch", "jobs.ndjson", "--service-dir", "svc",
+                     "-o", "report.json"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=120)
+        assert batch.returncode == 0, batch.stderr
+        assert "-74.94207995" in (tmp_path / "report.json").read_text()
+        workers = _children(daemon.pid)
+        assert workers
+        mapped = [(pid, lib) for pid in [daemon.pid, *workers]
+                  for lib in ("libcrypto", "_hashlib")
+                  if lib in Path(f"/proc/{pid}/maps").read_text()]
+    finally:
+        daemon.terminate()
+        daemon.wait(timeout=30)
+    assert mapped == []
+    assert sorted(p.name for p in spy.iterdir()) == []
+
+
 def test_scf_records_and_prints_its_thread_budget(water_xyz, tmp_path):
     import json
 

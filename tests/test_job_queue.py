@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.service.errors import JobNotFound, JobSpecError, ServiceOverloaded
-from repro.service.jobs import Job, JobSpec
+from repro.service.jobs import Job, JobSpec, sha256
 from repro.service.queue import DurableJobQueue
 
 H2_XYZ = "2\nh2\nH 0.0 0.0 0.0\nH 0.0 0.0 0.74\n"
@@ -19,6 +21,20 @@ JOURNAL_TWO_RECORDS = (
 
 def spec(**kwargs) -> JobSpec:
     return JobSpec(xyz=H2_XYZ, **kwargs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.binary(max_size=200), max_size=8))
+def test_fingerprint_digest_is_hashlibs(chunks):
+    """Job, manifest and plan fingerprints hash with CPython's built-in
+    SHA-256 (no OpenSSL); its bytes must be ``hashlib``'s, whole or fed
+    in pieces, or every stored fingerprint would stop matching."""
+    want = hashlib.sha256(b"".join(chunks)).hexdigest()
+    assert sha256(b"".join(chunks)).hexdigest() == want
+    h = sha256()
+    for chunk in chunks:
+        h.update(chunk)
+    assert h.hexdigest() == want
 
 
 @pytest.fixture

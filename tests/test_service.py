@@ -544,6 +544,28 @@ class TestStaleSocket:
             daemon.close()
 
 
+class TestSocketPath:
+    """A service dir too deep for ``sun_path`` gets a short socket under
+    the temp directory, keyed on the directory, not on its spelling."""
+
+    def test_the_fallback_keys_on_the_absolute_directory(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.service import service_socket_path
+
+        deep = "d" * 120
+        for parent in ("a", "b"):
+            (tmp_path / parent / deep).mkdir(parents=True)
+        monkeypatch.chdir(tmp_path / "a")
+        here = service_socket_path(deep)
+        assert len(str(here)) <= 100
+        assert here == service_socket_path(tmp_path / "a" / deep)
+        monkeypatch.chdir(tmp_path / "b")
+        assert service_socket_path(deep) != here
+        assert service_socket_path(deep) == service_socket_path(
+            tmp_path / "b" / deep)
+
+
 class TestCLIFlags:
     """--max-queue-depth / --job-timeout / --max-retries / --backoff-base
     reject nonsense at parse time."""
