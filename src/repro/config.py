@@ -65,7 +65,6 @@ _BOUNDS: dict[str, tuple[type, float, bool]] = {
     "nranks": (int, 1, False),
     "nthreads": (int, 1, False),
     "eri_cache_mb": (float, 0, True),
-    "rebuild_every": (int, 1, False),
     "max_iterations": (int, 1, False),
 }
 #: Fields where ``None`` is a value (no cache; the criteria's own cap).
@@ -97,8 +96,6 @@ class SCFConfig:
     backend: str = "sim"
     schedule: str = "dlb"
     eri_cache_mb: float | None = 64.0
-    incremental: bool = False
-    rebuild_every: int = 10
     max_iterations: int | None = None
     fault_plan: str | None = None
     scf_recovery: bool = False
@@ -134,17 +131,11 @@ class SCFConfig:
                 f"mpi-only requires nthreads == 1 (--threads 1), "
                 f"got {self.nthreads}"
             )
-        if self.method == "uhf":
-            if self.algorithm != "private-fock":
-                raise ConfigError(
-                    f"uhf runs on the private-fock algorithm only, "
-                    f"got {self.algorithm!r}"
-                )
-            if self.incremental:
-                raise ConfigError(
-                    "incremental Fock builds (--incremental) are not "
-                    "supported with --uhf"
-                )
+        if self.method == "uhf" and self.algorithm != "private-fock":
+            raise ConfigError(
+                f"uhf runs on the private-fock algorithm only, "
+                f"got {self.algorithm!r}"
+            )
 
     @classmethod
     def from_args(cls, ns: argparse.Namespace) -> "SCFConfig":
@@ -199,11 +190,6 @@ RUN_FLAGS: tuple[tuple[str | None, str, dict[str, Any], str], ...] = (
     (None, "--no-eri-cache", _SWITCH,
      "disable the quartet cache (fully direct SCF: every cycle "
      "re-evaluates every surviving quartet)"),
-    ("incremental", "--incremental", _SWITCH,
-     "delta-density Fock builds after the first cycle, with "
-     "density-aware screening (RHF only)"),
-    ("rebuild_every", "--rebuild-every", {"metavar": "N"},
-     "full-rebuild period of --incremental"),
     ("max_iterations", "--max-iterations", {"metavar": "N"},
      "SCF iteration cap; hitting it is a convergence failure (default: "
      "the convergence criteria's own)"),

@@ -362,7 +362,7 @@ class ParallelFockBuilderBase:
         that: with a cache attached it is kept from the build that
         first draws the task (on whichever rank) and served to every
         later one, for as long as ``self.screening`` is the *instance*
-        it was planned under — a ``with_tau`` clone plans afresh — and
+        it was planned under — another ``Screening`` plans afresh — and
         until the index vectors kept reach the cache's own byte budget.
         Direct SCF keeps nothing: it must not grow O(quartets) state.
         """

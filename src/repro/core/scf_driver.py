@@ -31,7 +31,6 @@ from repro.parallel.backend import ExecutionBackend, make_backend
 from repro.resilience.errors import SCFConvergenceError
 from repro.resilience.faults import FaultPlan
 from repro.scf.convergence import ConvergenceCriteria
-from repro.scf.incremental import IncrementalFockBuilder
 from repro.scf.rhf import RHF, SCFResult
 from repro.scf.uhf import UHF, UHFResult
 
@@ -116,13 +115,6 @@ class ParallelSCF:
         Extra keyword arguments for
         :func:`~repro.parallel.backend.make_backend`
         (``schedule_seed``, ``obs_dir``).
-    incremental:
-        Wrap the Fock construction in
-        :class:`~repro.scf.incremental.IncrementalFockBuilder`: after
-        the first cycle only the density *change* is built, with
-        density-aware screening (RHF only).
-    rebuild_every:
-        Full-rebuild period of the incremental wrapper.
     scf_recovery:
         Run under the convergence guard unless :meth:`run` is told
         otherwise.
@@ -143,8 +135,6 @@ class ParallelSCF:
         criteria: ConvergenceCriteria | None = None,
         backend: "str | ExecutionBackend" = "sim",
         backend_options: dict | None = None,
-        incremental: bool = False,
-        rebuild_every: int = 10,
         scf_recovery: bool = False,
         **builder_kwargs,
     ) -> None:
@@ -182,12 +172,6 @@ class ParallelSCF:
         self.builder = self.backend.wrap_builder(make_inner(
             basis, hcore, nranks=nranks, nthreads=nthreads, **builder_kwargs
         ))
-        if incremental:
-            # Wrap *outside* the backend so the delta-density pass and
-            # the tau retune reach sim and process builds identically.
-            self.builder = IncrementalFockBuilder(
-                self.builder, rebuild_every=rebuild_every
-            )
 
     def shutdown(self) -> None:
         """Release backend resources (worker processes, shared memory)."""
@@ -283,8 +267,6 @@ def build_scf(
             if config.max_iterations is not None else None
         ),
         backend=config.backend, backend_options=backend_options,
-        incremental=config.incremental,
-        rebuild_every=config.rebuild_every,
         scf_recovery=config.scf_recovery,
         fault_plan=(
             FaultPlan.from_spec(config.fault_plan, nranks=config.nranks)

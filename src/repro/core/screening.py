@@ -30,7 +30,6 @@ Three roles:
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,19 +67,6 @@ class Screening:
         order = iu * (iu + 1) // 2 + ju
         self.pair_q = np.empty(npairs(self.nshells))
         self.pair_q[order] = Q[iu, ju]
-
-    def with_tau(self, tau: float) -> "Screening":
-        """A view of the same Schwarz data under a different threshold.
-
-        Used by density-aware (incremental) screening: a small density
-        change lets the effective threshold rise without recomputing any
-        bounds.  The clone shallow-copies *every* attribute (sharing the
-        Schwarz arrays) so fields added to ``__init__`` later can never
-        be silently missing on incremental-SCF clones.
-        """
-        clone = copy.copy(self)
-        clone.tau = float(tau)
-        return clone
 
     def survives(self, i: int, j: int, k: int, l: int) -> bool:
         """Per-quartet Cauchy-Schwarz test (paper's ``schwartz(i,j,k,l)``)."""

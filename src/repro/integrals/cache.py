@@ -4,9 +4,7 @@ Direct SCF re-evaluates every surviving shell quartet each cycle; with
 this cache wired into :class:`~repro.core.quartets.QuartetEngine`, the
 SCF becomes *semi-direct*: integrals evaluated in cycle 1 are served
 from memory in cycles 2..N (for as long as the byte budget holds), in
-the order the Fock build consumes them.  This compounds with
-incremental-Fock density screening, which only ever *shrinks* the
-surviving quartet set on later cycles.
+the order the Fock build consumes them.
 
 The bra store
 -------------
@@ -22,8 +20,8 @@ pieces they arrived in, each with its ``kl`` vector and column offsets.
   returned *as stored*: no gather, no copy, one dictionary look-up.
 * Anything else goes through one sorted ket index per bra, built the
   first time it is needed and dropped when the bra gains a piece: a
-  subset (incremental SCF's shrinking survivors), a superset or another
-  partition (one cache shared by builders of different geometry), or a
+  subset, a superset or another partition of the stored kets (what one
+  cache shared by builders of different ranks x threads sees), or a
   partial hit, where only the missing kets are evaluated — together —
   and kept as a new piece.  A ket's columns are bitwise independent of
   what it was evaluated with (the kernel's invariant), so every route

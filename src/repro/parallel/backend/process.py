@@ -102,7 +102,7 @@ def _worker_loop(
     hb: Any,
     cfg: dict,
 ) -> None:
-    """One worker process: serve ``("build", cycle, tau, share)`` commands forever.
+    """One worker process: serve ``("build", cycle, share)`` commands forever.
 
     Everything else arrives through fork inheritance (no pickling): the
     sim builder (whose ``rank_program`` we execute), the shared counter
@@ -147,12 +147,7 @@ def _worker_loop(
             if streamer is not None:
                 streamer.close()
             return
-        _, cycle, tau, share = msg
-        if tau != builder.screening.tau:
-            # The parent retuned the screening threshold between builds
-            # (incremental-Fock density screening); follow suit.  The
-            # clone shares the shared-memory Schwarz pages.
-            builder.screening = builder.screening.with_tau(tau)
+        _, cycle, share = msg
         if interval is not None:
             beat("start", cycle)
         kill_after = plan.kill_after(rank, cycle) if plan is not None else None
@@ -294,17 +289,6 @@ class ProcessFockBuilder:
         )
         self._closed = False
 
-    @property
-    def screening(self):
-        """The wrapped builder's screening (settable: incremental Fock
-        retunes ``tau`` between builds; the new value ships to workers
-        with the next build command)."""
-        return self.inner.screening
-
-    @screening.setter
-    def screening(self, value) -> None:
-        self.inner.screening = value
-
     def __getattr__(self, name: str) -> Any:
         # Geometry/metadata reads (nbf, algorithm_name, basis, ...)
         # delegate to the wrapped sim builder.
@@ -359,9 +343,8 @@ class ProcessFockBuilder:
             self._ensure_workers()
             if self.heartbeat is not None:
                 self.heartbeat.start_build(cycle)
-            tau = float(self.inner.screening.tau)
             for rank in range(self.workers):
-                self._cmds[rank].put(("build", cycle, tau, shares[rank]))
+                self._cmds[rank].put(("build", cycle, shares[rank]))
             rrs, dead = self._collect(cycle)
             self._recover(rrs, dead, cycle, shares)
             # Reduce the per-rank slabs in rank order — the same

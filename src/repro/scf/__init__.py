@@ -16,7 +16,6 @@ from repro.scf.uhf import UHF, UHFResult
 from repro.scf.diis import DIIS
 from repro.scf.guess import core_guess_density
 from repro.scf.convergence import ConvergenceCriteria, density_rms_change
-from repro.scf.incremental import IncrementalFockBuilder
 from repro.scf.mp2 import MP2Result, mp2_energy
 from repro.scf.properties import (
     dipole_moment,
@@ -37,7 +36,6 @@ __all__ = [
     "core_guess_density",
     "ConvergenceCriteria",
     "density_rms_change",
-    "IncrementalFockBuilder",
     "mp2_energy",
     "MP2Result",
     "dipole_moment",

@@ -18,6 +18,7 @@ State machine (every transition is journaled by
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any
@@ -36,6 +37,8 @@ except ImportError:
 from repro.config import ConfigError, SCFConfig
 from repro.service.errors import JobSpecError
 
+logger = logging.getLogger("repro.service.jobs")
+
 #: All job states, in lifecycle order.
 JOB_STATES = ("pending", "running", "retrying", "done", "failed", "cancelled")
 
@@ -47,8 +50,14 @@ TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
 #: Fields newer than the first wire format.  ``to_dict`` leaves them out
 #: at their defaults, so a spec that does not use them serialises — and
 #: therefore fingerprints — exactly as it did before they existed.
-_OMITTED_AT_DEFAULT = ("method", "multiplicity", "rebuild_every",
-                       "scf_recovery")
+_OMITTED_AT_DEFAULT = ("method", "multiplicity", "scf_recovery")
+
+#: Keys of the removed incremental (delta-density) SCF.  ``from_dict``
+#: drops them — a full Fock build gives the same energy, so an old
+#: journal or manifest still runs — and ``to_dict`` keeps writing
+#: ``"incremental": false``, so job, manifest and plan fingerprints
+#: keep their bytes.
+RETIRED_SPEC_KEYS = ("incremental", "rebuild_every")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -109,16 +118,22 @@ class JobSpec(SCFConfig):
         for f in fields(self):
             if f.name in _OMITTED_AT_DEFAULT and out[f.name] == f.default:
                 del out[f.name]
+        out["incremental"] = False
         return out
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "JobSpec":
-        unknown = set(data) - set(cls.__dataclass_fields__)
+        retired = {k: data[k] for k in RETIRED_SPEC_KEYS if k in data}
+        if any(retired.values()):
+            logger.info("ignoring retired spec key(s) %s: incremental SCF "
+                        "was removed; the job runs full Fock builds",
+                        ", ".join(retired))
+        unknown = set(data) - set(cls.__dataclass_fields__) - set(retired)
         if unknown:
             raise JobSpecError(f"unknown spec field(s): {sorted(unknown)}")
         if "xyz" not in data:
             raise JobSpecError("spec.xyz is required")
-        return cls(**data)
+        return cls(**{k: v for k, v in data.items() if k not in retired})
 
 
 @dataclass

@@ -170,19 +170,6 @@ def test_uhf_process_parity(water_sto3g):
 
 
 @pytest.mark.process
-def test_incremental_process_parity(water_sto3g, water_ref):
-    """--incremental on the process backend: the tau retune ships with
-    every build command, so energy parity holds to the same bound."""
-    ref = water_ref["shared-fock"]
-    got = _run_scf(
-        water_sto3g, "shared-fock", backend="process",
-        incremental=True, rebuild_every=5,
-    )
-    assert got.converged
-    assert abs(got.energy - ref.energy) <= ENERGY_TOL
-
-
-@pytest.mark.process
 @pytest.mark.slow
 def test_scf_parity_graphene(graphene_sto3g):
     """The heavier fixture: a 4-carbon bilayer-graphene patch, shared-fock."""

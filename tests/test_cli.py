@@ -368,20 +368,15 @@ def test_scf_schedule_flag(water_xyz, capsys, schedule):
 
 @pytest.mark.parametrize("argv", (
     ["--schedule", "guided"], ["--schedule", "steal"], ["--steal-seed", "3"],
+    ["--incremental"], ["--rebuild-every", "4"],
 ))
 def test_scf_removed_schedule_knobs_are_usage_errors(water_xyz, capsys, argv):
-    """The strategies removed in PR 15 fail in argparse (exit 2), typed."""
+    """Removed knobs — the guided/steal strategies and the incremental
+    (delta-density) SCF — fail in argparse (exit 2), typed."""
     with pytest.raises(SystemExit) as exc:
         main(["scf", str(water_xyz), *argv])
     assert exc.value.code == 2
     assert "usage:" in capsys.readouterr().err
-
-
-def test_scf_incremental_flag(water_xyz, capsys):
-    rc = main(["scf", str(water_xyz), "--incremental",
-               "--rebuild-every", "4", "--ranks", "2", "--threads", "2"])
-    assert rc == 0
-    assert "-74.94207995" in capsys.readouterr().out
 
 
 def test_simulate_infeasible(capsys):
@@ -619,15 +614,6 @@ def test_uhf_runs_on_process_backend(tmp_path, capsys):
     assert rc == 0
     assert "-0.46658" in out
     assert "<S^2>" in out
-
-
-def test_uhf_rejects_incremental(tmp_path, capsys):
-    xyz = tmp_path / "h.xyz"
-    xyz.write_text("1\nhydrogen atom\nH 0.0 0.0 0.0\n")
-    rc = main(["scf", str(xyz), "--uhf", "--multiplicity", "2",
-               "--incremental"])
-    assert rc == 2
-    assert "not supported with --uhf" in capsys.readouterr().err
 
 
 @pytest.mark.process

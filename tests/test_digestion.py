@@ -24,6 +24,7 @@ from repro.core.fock_uhf import UHFPrivateFockBuilder
 from repro.core.indexing import decode_pair, pair_index
 from repro.core.quartets import QuartetEngine
 from repro.core.scf_driver import build_scf, make_fock_builder
+from repro.core.screening import Screening
 from repro.integrals.cache import QuartetCache
 from repro.integrals.onee import kinetic_matrix, nuclear_matrix
 
@@ -297,10 +298,11 @@ def test_cache_served_builds_replan_nothing(monkeypatch):
     assert calls["partition"] == planned["partition"] * 3
     assert not fresh._plans and fresh._plans_for is None
 
-    # Another Screening instance — what incremental SCF and the process
-    # backend's tau retune install — is planned afresh ...
+    # Another Screening instance — here a looser threshold over the same
+    # Schwarz bounds — is planned afresh ...
     base = builder.screening
-    builder.screening = base.with_tau(1e-6)
+    loose_screening = Screening(base.Q, tau=1e-6)
+    builder.screening = loose_screening
     before = dict(calls)
     fock, loose = builder(densities[0])
     assert builder._plans_for is builder.screening is not base
@@ -312,7 +314,7 @@ def test_cache_served_builds_replan_nothing(monkeypatch):
     assert np.array_equal(
         fock,
         make_fock_builder(
-            "shared-fock", basis, h, screening=base.with_tau(1e-6), **geometry
+            "shared-fock", basis, h, screening=loose_screening, **geometry
         )(densities[0])[0],
     )
     # ... and the original instance gets the original plan back.

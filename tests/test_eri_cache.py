@@ -22,7 +22,6 @@ from repro.core.quartets import QuartetEngine
 from repro.core.scf_driver import ParallelSCF
 from repro.integrals.cache import QuartetCache
 from repro.integrals.onee import kinetic_matrix, nuclear_matrix
-from repro.scf.incremental import IncrementalFockBuilder
 
 ALGORITHMS = {
     "mpi-only": MPIOnlyFockBuilder,
@@ -450,15 +449,3 @@ def test_batched_path_matches_scalar_path_end_to_end(
     monkeypatch.setattr(quartets_mod, "eri_bra_slab", eri_bra_slab_scalar)
     f_scalar, _ = SharedFockBuilder(basis, h)(d)
     np.testing.assert_allclose(f_batched, f_scalar, rtol=0.0, atol=1e-11)
-
-
-def test_incremental_scf_compounds_with_cache(graphene_sto3g):
-    """Density screening shrinks the quartet set -> later cycles all hit."""
-    basis, h, d = graphene_sto3g
-    inner = SharedFockBuilder(basis, h, eri_cache=QuartetCache.from_mb(64))
-    inc = IncrementalFockBuilder(inner, rebuild_every=10)
-    f1, s1 = inc(d)
-    assert s1.eri_cache_misses > 0
-    f2, s2 = inc(d + 1e-6 * np.eye(basis.nbf))
-    assert s2.eri_cache_misses == 0
-    assert s2.quartets_computed <= s1.quartets_computed

@@ -56,7 +56,6 @@ MODULES = [
     "repro.scf.rhf",
     "repro.scf.uhf",
     "repro.scf.mp2",
-    "repro.scf.incremental",
     "repro.scf.properties",
     "repro.scf.eigensolver",
     "repro.resilience.errors",

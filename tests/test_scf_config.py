@@ -59,8 +59,6 @@ ARGV = {
     "backend": ["--backend", "process"],
     "schedule": ["--schedule", "static"],
     "eri_cache_mb": ["--eri-cache-mb", "8"],
-    "incremental": ["--incremental"],
-    "rebuild_every": ["--rebuild-every", "4"],
     "max_iterations": ["--max-iterations", "7"],
     "fault_plan": ["--fault-plan", "kill:rank=1:cycle=2:after=0"],
     "scf_recovery": ["--scf-recovery"],
@@ -68,8 +66,8 @@ ARGV = {
 EXPECTED = SCFConfig(
     basis="6-31g", charge=-1, method="uhf", multiplicity=2,
     algorithm="private-fock", nranks=3, nthreads=2, backend="process",
-    schedule="static", eri_cache_mb=8.0, incremental=True, rebuild_every=4,
-    max_iterations=7, fault_plan="kill:rank=1:cycle=2:after=0",
+    schedule="static", eri_cache_mb=8.0, max_iterations=7,
+    fault_plan="kill:rank=1:cycle=2:after=0",
     scf_recovery=True,
 )
 
@@ -115,8 +113,8 @@ def _exit_code(argv: list[str]) -> int:
 CONFIG_CASES = [
     (["--algorithm", "mpi-only", "--threads", "2"],
      dict(algorithm="mpi-only", nthreads=2)),
-    (["--uhf", "--multiplicity", "2", "--incremental"],
-     dict(method="uhf", multiplicity=2, incremental=True)),
+    (["--uhf", "--algorithm", "shared-fock"],
+     dict(method="uhf", algorithm="shared-fock")),
     (["--uhf", "--algorithm", "mpi-only"],
      dict(method="uhf", algorithm="mpi-only")),
 ]
@@ -140,7 +138,7 @@ def test_config_violation_is_one_typed_line_everywhere(
 @pytest.mark.parametrize("verb", RUN_VERBS)
 @pytest.mark.parametrize("flags", [
     ["--ranks", "0"], ["--threads", "-1"], ["--eri-cache-mb", "0"],
-    ["--multiplicity", "0"], ["--rebuild-every", "0"],
+    ["--multiplicity", "0"], ["--ranks", "two"],
     ["--max-iterations", "0"], ["--algorithm", "magic"],
 ])
 def test_out_of_range_numbers_exit_2(verb, flags, water_xyz, capsys):
@@ -150,7 +148,7 @@ def test_out_of_range_numbers_exit_2(verb, flags, water_xyz, capsys):
 
 def test_validate_holds_the_same_ranges_as_the_flags():
     for bad in (dict(nranks=0), dict(nthreads=-1), dict(eri_cache_mb=0),
-                dict(multiplicity=0), dict(rebuild_every=0),
+                dict(multiplicity=0),
                 dict(max_iterations=0), dict(nranks="2"), dict(nranks=True)):
         with pytest.raises(ConfigError):
             SCFConfig(**bad).validate()
@@ -247,6 +245,37 @@ def test_manifest_and_plan_fingerprints_are_the_parents():
     assert plan.fingerprint == "544af8a946ec6fa6"
 
 
+def test_retired_incremental_keys_are_dropped_with_one_log_line(monkeypatch):
+    """A spec written when incremental SCF existed still loads: its keys
+    are dropped (one log line), and it re-serialises as every spec does."""
+    from repro.service import jobs as jobs_module
+
+    logged: list[str] = []
+    monkeypatch.setattr(jobs_module.logger, "info",
+                        lambda msg, *args: logged.append(msg % args))
+    old = {**PARENT_SPEC, "incremental": True, "rebuild_every": 4}
+    assert JobSpec.from_dict(old).to_dict() == PARENT_SPEC
+    assert logged == [
+        "ignoring retired spec key(s) incremental, rebuild_every: "
+        "incremental SCF was removed; the job runs full Fock builds"
+    ]
+    JobSpec.from_dict(PARENT_SPEC)  # "incremental": false is the norm
+    assert len(logged) == 1
+
+
+def test_manifest_entry_with_retired_keys_runs_to_the_same_energy():
+    """The energy is what the commit before the removal computed for the
+    same entry with its delta-density builds."""
+    entry = '{"molecule": "water", "algorithm": "private-fock", "nthreads": 2'
+    old, = parse_manifest(entry + ', "incremental": true, "rebuild_every": 4}')
+    assert [old] == parse_manifest(entry + "}")
+    mol = Molecule.from_xyz(old.xyz, charge=old.charge)
+    with build_scf(old, BasisSet(mol, old.basis)) as scf:
+        result = scf.run()
+    assert result.converged
+    assert abs(result.energy - -74.94207995403107) <= 1e-10
+
+
 # -- (a) one config, three surfaces, the same bits -----------------------------
 
 #: tag -> (geometry, scf flags, the same config as manifest-entry fields)
@@ -259,12 +288,9 @@ PARITY = {
          "--no-eri-cache"],
         dict(algorithm="mpi-only", nranks=3, schedule="static",
              eri_cache_mb=None)),
-    "rhf-incremental": (
-        "water",
-        ["--algorithm", "private-fock", "--threads", "2", "--incremental",
-         "--rebuild-every", "3"],
-        dict(algorithm="private-fock", nthreads=2, incremental=True,
-             rebuild_every=3)),
+    "rhf-private": (
+        "water", ["--algorithm", "private-fock", "--threads", "2"],
+        dict(algorithm="private-fock", nthreads=2)),
     "rhf-anion": ("oh", ["--charge", "-1", "--basis", "6-31g"],
                   dict(charge=-1, basis="6-31g")),
     "uhf-doublet": (

@@ -133,34 +133,6 @@ def test_tau_zero_keeps_everything(water_sto3g):
     np.testing.assert_allclose(counts, expected)
 
 
-def test_with_tau_clone_attribute_parity(water_sto3g):
-    """Clones carry EVERY attribute of the original, not a named subset.
-
-    Guards against the hand-cloning bug where fields added to
-    ``Screening.__init__`` later would be silently missing from
-    incremental-SCF clones (``with_tau`` now shallow-copies).
-    """
-    q = schwarz_matrix(water_sto3g)
-    scr = Screening(q, tau=1e-8)
-    clone = scr.with_tau(1e-5)
-    assert set(clone.__dict__) == set(scr.__dict__)
-    assert clone.tau == 1e-5 and scr.tau == 1e-8
-    for name, value in scr.__dict__.items():
-        if name == "tau":
-            continue
-        # Shallow copy: the Schwarz data is shared, not duplicated.
-        assert clone.__dict__[name] is value, name
-
-
-def test_with_tau_picks_up_new_attributes(water_sto3g):
-    """A field added after construction still reaches the clone."""
-    q = schwarz_matrix(water_sto3g)
-    scr = Screening(q)
-    scr.future_field = "added-later"
-    clone = scr.with_tau(1e-4)
-    assert clone.future_field == "added-later"
-
-
 @given(st.integers(0, 2**31 - 1), st.integers(1, 9), st.data())
 @settings(max_examples=80, deadline=None)
 def test_surviving_kl_under_matches_the_stock_loops(seed, nshells, data):

@@ -1,6 +1,7 @@
 """Unrestricted Hartree-Fock: references, invariants, parallel build."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from repro.chem.basis import BasisSet
 from repro.chem.molecule import Molecule, water
 from repro.core.fock_uhf import UHFPrivateFockBuilder
+from repro.core.scf_driver import ParallelSCF
 from repro.integrals.onee import kinetic_matrix, nuclear_matrix
 from repro.scf.fock_dense import eri_tensor
 from repro.scf.rhf import RHF
@@ -21,12 +23,29 @@ def oh_radical():
     return BasisSet(mol, "sto-3g")
 
 
+ALLENE_XYZ = (Path(__file__).resolve().parents[1]
+              / "benchmarks" / "e2e" / "fixtures" / "allene.xyz")
+
+
 def test_closed_shell_uhf_equals_rhf(water_sto3g):
+    """An exact identity: a closed-shell singlet's UHF solution is the
+    RHF one, with <S^2> = 0 — dense, and through the parallel builders
+    (RHF shared-fock 2x2 against UHF private-fock 2x2)."""
     e_rhf = RHF(water_sto3g).run().energy
     res = UHF(water_sto3g).run()
     assert res.converged
-    assert math.isclose(res.energy, e_rhf, abs_tol=1e-8)
-    assert abs(res.s_squared) < 1e-8
+    assert abs(res.energy - e_rhf) <= 1e-10
+    assert abs(res.s_squared) <= 1e-10
+
+    allene = BasisSet(Molecule.from_xyz(ALLENE_XYZ.read_text()), "sto-3g")
+    for basis in (water_sto3g, allene):
+        with ParallelSCF(basis, "shared-fock", nranks=2, nthreads=2) as scf:
+            rhf = scf.run()
+        with ParallelSCF(basis, method="uhf", nranks=2, nthreads=2) as scf:
+            uhf = scf.run()
+        assert rhf.converged and uhf.converged
+        assert abs(uhf.energy - rhf.energy) <= 1e-10
+        assert abs(uhf.scf.s_squared) <= 1e-10
 
 
 def test_hydrogen_atom_reference():
