@@ -338,10 +338,11 @@ def _bench_obs_setup(args, output: Path):
     """Register the bench run and (optionally) install live instruments.
 
     Returns ``(handle, channel, span_writer)``; any may be ``None``.
-    The registry record makes benchmark runs diffable through ``repro
-    runs diff`` like any SCF; ``--telemetry`` installs a telemetry
-    channel as the process event log (as the service daemon does) and
-    measures its overhead on the hot path, and ``--trace`` the
+    The registry record makes benchmark runs diffable like any SCF:
+    ``repro compare`` on their ``metrics.json``.  ``--telemetry``
+    installs a telemetry channel as the process event log (as the
+    service daemon does) and measures its overhead on the hot path,
+    and ``--trace`` the
     distributed tracer's (context-stamped spans, each serialized and
     written to NDJSON as it closes: the kernel has no SCF cycle to batch
     on, so this is a stricter sink than a service worker's) — the CI

@@ -7,12 +7,13 @@ Commands
                manifest entries share one option table
                (:mod:`repro.config`).
 ``profile``    Run an SCF under the tracer and export a Chrome-trace
-               timeline, a text profile, NDJSON spans/metrics/events —
-               plus, with ``--timeline``, the per-rank busy/idle/wait
-               and load-imbalance analysis.
-``timeline``   Analyze saved ``spans.ndjson`` / ``events.ndjson`` dumps
-               (one or several runs) and optionally merge them into a
-               single multi-run Chrome trace.
+               timeline, a text profile, NDJSON spans/metrics/events.
+``explain``    Where the time went: the per-rank busy/wait/idle,
+               load-imbalance and critical-path analysis of saved runs
+               (a ``spans.ndjson``, its directory, or a registered run),
+               or one service job's stitched trace (client, daemon,
+               every worker attempt) with its critical path; optionally
+               one Chrome trace of them.
 ``compare``    Diff two or more benchmark/metric records under a noise
                tolerance; exits nonzero on regressions (the CI
                ``bench-regress`` gate).
@@ -21,9 +22,8 @@ Commands
                per-rank activity / convergence / worker-health
                dashboard.
 ``runs``       Query the persistent run registry (``.repro/runs``):
-               list runs, show one run's record, diff two runs'
-               final metrics through the comparison engine, or prune
-               old run directories under a retention policy.
+               list runs, show one run's record, or prune old run
+               directories under a retention policy.
 ``serve``      Run the SCF job service: a daemon with a durable
                (write-ahead-journaled) queue, a supervised worker
                fleet, retry/backoff, and graceful degradation.
@@ -34,10 +34,6 @@ Commands
 ``status``     One job's record, or the whole queue + fleet health.
 ``result``     Wait for a job and print its result.
 ``cancel``     Cancel a queued or running job.
-``trace``      Stitch one job's distributed trace (client, daemon,
-               every worker attempt) into a single Chrome trace with
-               synthetic queue-wait/backoff/resume segments and the
-               cross-process critical path.
 ``slo``        Latency/SLO report: p50/p95/p99 queue-wait/run/total
                per job class, error-budget burn rates, and breach
                counts — live from a daemon or from recorded telemetry.

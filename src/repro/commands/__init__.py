@@ -3,8 +3,8 @@
 ======================  ==============================================
 :mod:`.run`             ``scf``, ``profile``
 :mod:`.service`         ``serve``, ``submit``, ``status``, ``result``,
-                        ``cancel``, ``batch``, ``trace``, ``slo``
-:mod:`.obs`             ``monitor``, ``runs``, ``timeline``, ``compare``
+                        ``cancel``, ``batch``, ``slo``
+:mod:`.obs`             ``monitor``, ``runs``, ``explain``, ``compare``
 :mod:`.paper`           ``dataset``, ``simulate``, ``reproduce``
 ======================  ==============================================
 
@@ -73,8 +73,9 @@ def add_service_dir(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def read_xyz(path: Path) -> str:
-    """The text of a geometry file named on the command line."""
+def read_input(path: Path) -> str:
+    """The text of a file named on the command line (a geometry, a span
+    or event dump); unreadable is one ``error:`` line, not a traceback."""
     try:
         return path.read_text()
     except (OSError, UnicodeDecodeError) as exc:

@@ -1,5 +1,5 @@
-"""The observability verbs: ``monitor``, ``runs``, ``timeline``,
-``compare`` — everything that reads what a run left behind."""
+"""The observability verbs: ``monitor``, ``runs``, ``explain``,
+``compare`` — everything that reads what a run or a job left behind."""
 
 from __future__ import annotations
 
@@ -9,29 +9,19 @@ import logging
 import sys
 from pathlib import Path
 
-from repro.commands import add_runs_dir, add_verb, fail
-from repro.config import bounded
+from repro.commands import (
+    add_runs_dir,
+    add_service_dir,
+    add_verb,
+    fail,
+    read_input,
+)
+from repro.config import ConfigError, bounded
 
 logger = logging.getLogger("repro.cli")
 
 _positive = bounded(float, 0, strict=True)
 _nonneg = bounded(float, 0)
-
-
-def _add_tolerance_args(parser: argparse.ArgumentParser) -> None:
-    """The comparison engine's noise model (``compare``, ``runs diff``)."""
-    parser.add_argument(
-        "--tolerance", type=_nonneg, default=0.05, metavar="REL",
-        help="relative change treated as noise (default: 0.05 = ±5%%)",
-    )
-    parser.add_argument(
-        "--abs-tolerance", type=_nonneg, default=1e-9, metavar="ABS",
-        help="absolute change treated as noise (default: 1e-9)",
-    )
-    parser.add_argument(
-        "--ignore", action="append", default=[], metavar="GLOB",
-        help="skip keys matching this glob (repeatable), e.g. '*wall_s'",
-    )
 
 
 def register(sub) -> None:
@@ -74,20 +64,6 @@ def register(sub) -> None:
         "run", nargs="?", default="latest", metavar="RUN",
         help="run-id prefix, or 'latest' (default)",
     )
-    runs_diff = add_verb(
-        runs_sub, "diff", cmd_runs,
-        help="diff two runs' final metrics through the comparison "
-             "engine; exits 1 on regressions",
-    )
-    runs_diff.add_argument(
-        "baseline", metavar="BASELINE",
-        help="baseline run-id prefix (or 'latest')",
-    )
-    runs_diff.add_argument(
-        "candidate", metavar="CANDIDATE",
-        help="candidate run-id prefix (or 'latest')",
-    )
-    _add_tolerance_args(runs_diff)
     runs_prune = add_verb(
         runs_sub, "prune", cmd_runs,
         help="retention GC: delete old run directories (never runs "
@@ -110,33 +86,24 @@ def register(sub) -> None:
         help="list what would be deleted without deleting anything",
     )
 
-    tl = add_verb(
-        sub, "timeline", cmd_timeline,
-        help="analyze saved spans.ndjson dumps; optionally merge runs "
-             "into one Chrome trace",
+    exp = add_verb(
+        sub, "explain", cmd_explain,
+        help="where the time went: per-rank timelines of runs, or the "
+             "critical path of one service job",
     )
-    tl.add_argument(
-        "spans", nargs="+", type=Path, metavar="SPANS_NDJSON",
-        help="spans.ndjson file(s) written by 'repro profile', one per run",
+    exp.add_argument(
+        "sources", nargs="+", metavar="SOURCE",
+        help="a spans.ndjson file or a directory holding one (its "
+             "events.ndjson is read too), a run-id prefix or 'latest' "
+             "from the registry, or a job id from the service journal",
     )
-    tl.add_argument(
-        "--events", action="append", type=Path, default=[], metavar="NDJSON",
-        help="events.ndjson for the corresponding run (repeatable; "
-             "matched positionally to the spans files)",
+    exp.add_argument(
+        "--chrome", type=Path, default=None, metavar="OUT",
+        help="write the runs side by side, or the job's assembled "
+             "trace, as one Chrome trace document",
     )
-    tl.add_argument(
-        "--labels", default=None, metavar="A,B,...",
-        help="comma-separated run labels (default: each file's parent "
-             "directory name)",
-    )
-    tl.add_argument(
-        "--merged-trace", type=Path, default=None, metavar="JSON",
-        help="write all runs side by side as one Chrome trace document",
-    )
-    tl.add_argument(
-        "--report", type=Path, default=None, metavar="TXT",
-        help="also write the per-run timeline reports to this file",
-    )
+    add_service_dir(exp)
+    add_runs_dir(exp, " used to resolve run ids and a job's span files")
 
     cmp_ = add_verb(
         sub, "compare", cmd_compare,
@@ -151,7 +118,18 @@ def register(sub) -> None:
         "candidates", nargs="+", type=Path,
         help="candidate record(s) to gate against the baseline",
     )
-    _add_tolerance_args(cmp_)
+    cmp_.add_argument(
+        "--tolerance", type=_nonneg, default=0.05, metavar="REL",
+        help="relative change treated as noise (default: 0.05 = ±5%%)",
+    )
+    cmp_.add_argument(
+        "--abs-tolerance", type=_nonneg, default=1e-9, metavar="ABS",
+        help="absolute change treated as noise (default: 1e-9)",
+    )
+    cmp_.add_argument(
+        "--ignore", action="append", default=[], metavar="GLOB",
+        help="skip keys matching this glob (repeatable), e.g. '*wall_s'",
+    )
     cmp_.add_argument(
         "--only", action="append", default=[], metavar="GLOB",
         help="compare only keys matching this glob (repeatable)",
@@ -243,7 +221,6 @@ def cmd_monitor(args: argparse.Namespace) -> int:
 
 
 def cmd_runs(args: argparse.Namespace) -> int:
-    from repro.obs.analysis.compare import compare_runs, load_run
     from repro.obs.registry import RunRegistry
 
     registry = RunRegistry(args.runs_dir)
@@ -270,93 +247,126 @@ def cmd_runs(args: argparse.Namespace) -> int:
         return 0
 
     try:
-        if args.runs_command == "show":
-            print(registry.show(registry.find(args.run)))
-            return 0
-        base_id = registry.find(args.baseline)
-        cand_id = registry.find(args.candidate)
+        print(registry.show(registry.find(args.run)))
     except KeyError as exc:
         return fail(exc.args[0])
-
-    # diff: hand the two runs' final metrics snapshots to the PR-4
-    # comparison engine — run-to-run diffs gate exactly like benchmarks.
-    for run_id in (base_id, cand_id):
-        if not registry.metrics_path(run_id).exists():
-            return fail(f"run {run_id} has no metrics.json (did it finish?)")
-    comparison = compare_runs(
-        load_run(registry.metrics_path(base_id), label=base_id),
-        load_run(registry.metrics_path(cand_id), label=cand_id),
-        tolerance=args.tolerance,
-        abs_tolerance=args.abs_tolerance,
-        ignore=args.ignore,
-    )
-    print(comparison.report())
-    return 1 if comparison.verdict == "fail" else 0
-
-
-def cmd_timeline(args: argparse.Namespace) -> int:
-    from repro.obs import events_from_ndjson, write_text
-    from repro.obs.analysis import analyze_timeline, timeline_report
-    from repro.obs.spans import merged_chrome_trace, spans_from_ndjson
-
-    if args.events and len(args.events) != len(args.spans):
-        return fail(f"{len(args.events)} --events file(s) for "
-                    f"{len(args.spans)} spans file(s); counts must match")
-    if args.labels is not None:
-        labels = [s.strip() for s in args.labels.split(",")]
-        if len(labels) != len(args.spans):
-            return fail(f"{len(labels)} label(s) for {len(args.spans)} "
-                        f"spans file(s); counts must match")
-    else:
-        labels = [p.resolve().parent.name or p.stem for p in args.spans]
-
-    runs = []
-    for i, spans_path in enumerate(args.spans):
-        if not spans_path.exists():
-            return fail(f"no such file: {spans_path}")
-        spans = spans_from_ndjson(spans_path.read_text())
-        events = (
-            events_from_ndjson(args.events[i].read_text())
-            if args.events else []
-        )
-        runs.append((labels[i], spans, events))
-
-    reports = []
-    for label, spans, events in runs:
-        analysis = analyze_timeline(spans, events)
-        reports.append(timeline_report(analysis, title=f"timeline ({label})"))
-    body = "\n\n".join(reports)
-    print(body)
-    if args.report is not None:
-        write_text(args.report, body)
-        print(f"\nreport       : {args.report}")
-    if args.merged_trace is not None:
-        write_text(args.merged_trace, json.dumps(merged_chrome_trace(runs)))
-        print(f"merged trace : {args.merged_trace} "
-              f"({len(runs)} run(s); open in ui.perfetto.dev)")
     return 0
+
+
+def _spans_file(source: str, registry) -> Path | None:
+    """The ``spans.ndjson`` a SOURCE names as a path or as a registered
+    run's artifact; ``None`` when it is neither."""
+    path = Path(source)
+    if not path.exists():
+        try:
+            run_id = registry.find(source)
+        except KeyError:
+            return None
+        recorded = registry.load(run_id).get("artifacts", {}).get(
+            "spans.ndjson")
+        if recorded is None:
+            raise ConfigError(f"run {run_id} recorded no spans.ndjson "
+                              "(a 'repro profile' run does)")
+        path = Path(recorded)
+    return path / "spans.ndjson" if path.is_dir() else path
+
+
+def _read_run(spans_path: Path):
+    """``(label, spans, events)`` of one run's span file; the label is
+    the file's directory name, its events the ``events.ndjson`` beside
+    it."""
+    from repro.obs.events import events_from_ndjson
+    from repro.obs.spans import spans_from_ndjson
+
+    spans = spans_from_ndjson(read_input(spans_path))
+    events_path = spans_path.with_name("events.ndjson")
+    events = (events_from_ndjson(read_input(events_path))
+              if events_path.is_file() else [])
+    if not spans:
+        raise ConfigError(f"{spans_path}: no span record in the file")
+    return spans_path.resolve().parent.name or spans_path.stem, spans, events
+
+
+def cmd_explain(args: argparse.Namespace) -> int:
+    from repro.obs import write_text
+    from repro.obs.logctl import quiet_enabled
+    from repro.obs.registry import RunRegistry
+    from repro.obs.timeline import analyze_timeline, timeline_report
+    from repro.obs.trace_assembly import TraceAssemblyError, assemble_job_trace
+
+    registry = RunRegistry(args.runs_dir)
+    journal = args.service_dir / "journal.ndjson"
+    runs, jobs = [], []
+    try:
+        for source in args.sources:
+            spans_path = _spans_file(source, registry)
+            if spans_path is not None:
+                runs.append(_read_run(spans_path))
+            elif not journal.exists():
+                return fail(f"{source!r} is not a path, a run under "
+                            f"{registry.root}, or a job: no service "
+                            f"journal at {journal}")
+            else:
+                jobs.append(assemble_job_trace(journal, source,
+                                               runs_root=registry.root))
+    except TraceAssemblyError as exc:
+        return fail(str(exc))
+    if jobs and len(args.sources) > 1:
+        return fail("a job is explained alone, not with other sources")
+
+    if runs:
+        from repro.obs.spans import merged_chrome_trace
+
+        if args.chrome is not None:
+            write_text(args.chrome, json.dumps(merged_chrome_trace(runs)))
+        print("\n\n".join(
+            timeline_report(analyze_timeline(spans, events),
+                            title=f"timeline ({label})")
+            for label, spans, events in runs))
+        return 0
+
+    job = jobs[0]
+    if args.chrome is not None:
+        write_text(args.chrome, json.dumps(job.to_chrome_trace()))
+    print(f"job {job.job_id}  trace_id {job.trace_id}")
+    print(f"{len(job.segments)} span(s) across "
+          f"{len({s.rank for s in job.segments})} process track(s)"
+          f"; {sum(1 for s in job.segments if s.synthetic)} synthetic")
+    print()
+    print(job.critical_path_report())
+    if not quiet_enabled():
+        for warning in job.warnings:
+            print(f"warning      : {warning}", file=sys.stderr)
+    problems = job.validate()
+    for problem in problems:
+        print(f"invalid      : {problem}", file=sys.stderr)
+    return 1 if problems else 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     from repro.obs import write_text
-    from repro.obs.analysis import compare_runs, load_run
+    from repro.obs.compare import compare_runs, load_run
 
     for path in [args.baseline, *args.candidates]:
         if not path.exists():
             return fail(f"no such file: {path}")
 
-    baseline = load_run(args.baseline)
+    try:
+        baseline, *candidates = map(load_run,
+                                    [args.baseline, *args.candidates])
+    except ValueError as exc:  # no JSON record; undecodable bytes
+        return fail(str(exc))
     comparisons = [
         compare_runs(
             baseline,
-            load_run(candidate),
+            candidate,
             tolerance=args.tolerance,
             abs_tolerance=args.abs_tolerance,
             ignore=args.ignore,
             only=args.only,
             allow_missing=args.allow_missing,
         )
-        for candidate in args.candidates
+        for candidate in candidates
     ]
 
     body = "\n\n".join(c.report() for c in comparisons)

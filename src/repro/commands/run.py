@@ -15,7 +15,7 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from repro.commands import add_runs_dir, add_verb, energy_lines, read_xyz
+from repro.commands import add_runs_dir, add_verb, energy_lines, read_input
 from repro.config import ConfigError, SCFConfig, add_run_arguments, bounded
 
 logger = logging.getLogger("repro.cli")
@@ -111,12 +111,6 @@ def register(sub) -> None:
         help="directory for trace.json / profile.txt / metrics.ndjson "
              "/ spans.ndjson / events.ndjson",
     )
-    prof.add_argument(
-        "--timeline", action="store_true",
-        help="run the timeline analyzer: per-rank busy/idle/wait "
-             "breakdown, load-imbalance decomposition, critical path, "
-             "and DLB Gantt (writes timeline.txt + timeline.json)",
-    )
     _add_host_args(prof)
 
 
@@ -160,7 +154,7 @@ def _system(args: argparse.Namespace, config: SCFConfig):
     if args.xyz is None:
         mol = water()
     else:
-        text = read_xyz(args.xyz)
+        text = read_input(args.xyz)
         try:
             mol = Molecule.from_xyz(text, charge=config.charge)
         except (ValueError, KeyError, IndexError) as exc:
@@ -388,20 +382,6 @@ def _profile_run(args, config, scf, tracer, registry, elog, obs,
         )
 
     print(f"\n{report}\n")
-    if args.timeline:
-        from repro.obs.analysis import analyze_tracer, timeline_report
-
-        analysis = analyze_tracer(tracer, elog)
-        tl_report = timeline_report(
-            analysis, title=f"timeline ({config.algorithm})"
-        )
-        tl_path = write_text(out / "timeline.txt", tl_report)
-        write_text(
-            out / "timeline.json",
-            json.dumps(analysis.to_dict(), indent=2),
-        )
-        print(f"{tl_report}\n")
-        print(f"timeline     : {tl_path} (+ timeline.json)")
     print(_energy_lines(res))
     print(f"load balance : rank imbalance {res.rank_imbalance:.3f}, "
           f"thread imbalance {res.thread_imbalance:.3f}")

@@ -1,5 +1,5 @@
 """The job-service verbs: ``serve``, ``submit``, ``status``, ``result``,
-``cancel``, ``batch``, ``trace``, ``slo``.
+``cancel``, ``batch``, ``slo``.
 
 ``submit`` takes the run flags of :func:`repro.config.add_run_arguments`
 — the ones ``repro scf`` takes — and a manifest entry takes the same
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -20,7 +19,7 @@ from repro.commands import (
     add_verb,
     energy_lines,
     fail,
-    read_xyz,
+    read_input,
 )
 from repro.config import BATCH_POLICIES, SCFConfig, add_run_arguments, bounded
 
@@ -224,27 +223,6 @@ def register(sub) -> None:
     cncl.add_argument("job", metavar="JOB", help="job id or prefix")
     add_service_dir(cncl)
 
-    trc = add_verb(
-        sub, "trace", cmd_trace,
-        help="assemble one job's end-to-end distributed trace (client "
-             "+ daemon + every worker attempt) into a Chrome trace",
-    )
-    trc.add_argument(
-        "job", metavar="JOB",
-        help="job id or unambiguous prefix (from 'repro submit')",
-    )
-    add_service_dir(trc)
-    add_runs_dir(trc, " holding the job's worker span files")
-    trc.add_argument(
-        "--output", "-o", type=Path, default=None, metavar="JSON",
-        help="Chrome trace output path "
-             "(default: trace-<job>.json in the CWD)",
-    )
-    trc.add_argument(
-        "--no-report", action="store_true",
-        help="write the trace file only; skip the critical-path table",
-    )
-
     slo_p = add_verb(
         sub, "slo", cmd_slo,
         help="latency quantiles + SLO burn rates per job class, from a "
@@ -429,7 +407,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
 
     spec = JobSpec(
         **asdict(SCFConfig.from_args(args)),
-        xyz=read_xyz(args.xyz),
+        xyz=read_input(args.xyz),
         tag=args.tag or args.xyz.stem,
         sleep_s=args.chaos_sleep,
         cycle_delay_s=args.chaos_cycle_delay,
@@ -496,49 +474,6 @@ def cmd_result(args: argparse.Namespace) -> int:
 def cmd_cancel(args: argparse.Namespace) -> int:
     _print_job(_job_client(args).cancel(args.job), verbose=False)
     return 0
-
-
-def cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs.logctl import quiet_enabled
-    from repro.obs.registry import RunRegistry
-    from repro.obs.trace_assembly import TraceAssemblyError, assemble_job_trace
-
-    journal = args.service_dir / "journal.ndjson"
-    if not journal.exists():
-        return fail(f"no service journal at {journal} "
-                    "(is --service-dir right?)")
-    try:
-        assembled = assemble_job_trace(
-            journal, args.job,
-            runs_root=RunRegistry(args.runs_dir).root,
-        )
-    except TraceAssemblyError as exc:
-        return fail(str(exc))
-
-    out = args.output
-    if out is None:
-        out = Path(f"trace-{assembled.job_id}.json")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(assembled.to_chrome_trace()))
-
-    problems = assembled.validate()
-    if not args.no_report:
-        print(f"job {assembled.job_id}  trace_id {assembled.trace_id}")
-        print(f"{len(assembled.segments)} span(s) across "
-              f"{len({s.rank for s in assembled.segments})} process track(s)"
-              f"; {sum(1 for s in assembled.segments if s.synthetic)} "
-              f"synthetic")
-        print()
-        print(assembled.critical_path_report())
-    if not quiet_enabled():
-        for warning in assembled.warnings:
-            print(f"warning      : {warning}", file=sys.stderr)
-    for problem in problems:
-        print(f"invalid      : {problem}", file=sys.stderr)
-    if not args.no_report or not quiet_enabled():
-        print(f"\ntrace        : {out} (open in chrome://tracing or "
-              f"ui.perfetto.dev)")
-    return 1 if problems else 0
 
 
 @_service_errors

@@ -115,7 +115,9 @@ def load_run(path: str | Path, *, label: str | None = None) -> RunRecord:
 
     A file whose whole body parses as one JSON object is treated as a
     benchmark record; otherwise each line is parsed as one NDJSON
-    metric / fock-build record.
+    metric / fock-build record.  A file from which no JSON record
+    parses raises ``ValueError``: read as an empty record, it would
+    pass any gate.
     """
     path = Path(path)
     text = path.read_text()
@@ -126,8 +128,11 @@ def load_run(path: str | Path, *, label: str | None = None) -> RunRecord:
         whole = None
     if isinstance(whole, dict) and "metric" not in whole:
         return RunRecord(label=label, values=flatten_record(whole))
+    records = list(ndjson_records(text))
+    if not records:
+        raise ValueError(f"{path}: no JSON record in the file")
     values: dict[str, float] = {}
-    for rec in ndjson_records(text):
+    for rec in records:
         values.update(_flatten_ndjson_line(rec))
     return RunRecord(label=label, values=values)
 

@@ -6,9 +6,9 @@ events it streams into a compact dashboard:
 
 * **per-rank activity lanes** — each worker's heartbeat trail drawn as
   a busy/quiet strip, computed with the same interval-union arithmetic
-  (:func:`repro.obs.analysis.timeline.merge_intervals`) the post-hoc
-  timeline breakdowns use, so the live picture and the ``--timeline``
-  report agree about where the time went;
+  (:func:`repro.obs.timeline.merge_intervals`) the post-hoc
+  timeline breakdowns use, so the live picture and ``repro explain``
+  agree about where the time went;
 * an **energy-convergence sparkline** — ``log10 |dE|`` per SCF cycle,
   the convergence trajectory at a glance;
 * the **DLB counter rate** — aggregate and per-rank claims/s from the
@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from repro.obs.analysis.timeline import merge_intervals, overlap_seconds
+from repro.obs.timeline import merge_intervals, overlap_seconds
 from repro.obs.events import Event, events_from_ndjson
 from repro.obs.slo import LATENCY_METRICS, ClassStats
 

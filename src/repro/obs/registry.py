@@ -18,10 +18,9 @@ and ``repro slo`` replay; an earlier build's second copy of the events,
 
 ``run_id`` is ``<UTC stamp>-<pid>-<entropy>`` — sortable by start time
 and collision-free across concurrent runs.  ``repro runs list`` /
-``show`` / ``diff`` read this layout; ``diff`` hands the two runs'
-``metrics.json`` to the PR-4 comparison engine
-(:func:`repro.obs.analysis.compare.compare_runs`), so run-to-run
-regressions gate exactly like benchmark baselines.
+``show`` read this layout, ``repro explain`` finds a run's
+``spans.ndjson`` through its artifact record, and ``repro compare``
+diffs two runs' ``metrics.json`` like benchmark baselines.
 
 The registry root resolves from (in order) an explicit argument, the
 ``REPRO_RUNS_DIR`` environment variable, then ``.repro/runs`` under
@@ -111,8 +110,9 @@ class RunHandle:
             logger.warning("run registry write failed: %s", exc)
 
     def add_artifact(self, name: str, path: str | Path) -> None:
-        """Record an artifact path produced by this run."""
-        self.record.setdefault("artifacts", {})[name] = str(path)
+        """Record an artifact path produced by this run (made absolute,
+        so the record resolves from any working directory)."""
+        self.record.setdefault("artifacts", {})[name] = os.path.abspath(path)
 
     def finalize(
         self,
@@ -215,9 +215,6 @@ class RunRegistry:
         raise KeyError(
             f"{needle!r} is ambiguous: matches {', '.join(matches[-5:])}"
         )
-
-    def metrics_path(self, run_id: str) -> Path:
-        return self.root / run_id / _METRICS_FILE
 
     def run_dir(self, run_id: str) -> Path:
         return self.root / run_id

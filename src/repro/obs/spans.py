@@ -88,11 +88,13 @@ def spans_from_ndjson(text: str) -> list[SpanRecord]:
     """Span records from NDJSON lines (:func:`~repro.obs.export.span_record`).
 
     A line that does not parse — the torn tail of a killed writer — is
-    skipped.  A file written without ids (``repro profile``'s) gets
-    fresh ones, each span parented on the span one ``depth`` up whose
-    interval holds it: the latest such span of its rank, else of any.
+    skipped, and so is a record that is not a span.  A file written
+    without ids (``repro profile``'s) gets fresh ones, each span
+    parented on the span one ``depth`` up whose interval holds it: the
+    latest such span of its rank, else of any.
     """
-    lines = list(ndjson_records(text))
+    lines = [rec for rec in ndjson_records(text) if isinstance(rec, dict)
+             and {"span", "start_s", "dur_s"} <= rec.keys()]
     out = []
     for rec in lines:
         start = float(rec["start_s"])

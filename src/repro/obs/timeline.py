@@ -28,17 +28,11 @@ files read back days later.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from repro.obs.events import Event, event_record
+from repro.obs.events import Event
 from repro.obs.export import _json_safe
-from repro.obs.spans import (
-    SpanRecord,
-    critical_path,
-    rank_tracks,
-    spans_from_tracer,
-)
-from repro.obs.tracer import Tracer
+from repro.obs.spans import SpanRecord, critical_path, rank_tracks
 
 #: Span names that represent computational work (busy time).
 WORK_SPANS = frozenset(
@@ -249,45 +243,6 @@ class TimelineAnalysis:
             "reason": reason,
         }
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready summary (the machine-readable timeline verdict)."""
-        return {
-            "t_end_s": self.t_end,
-            "nspans": self.nspans,
-            "rank_imbalance": self.rank_imbalance,
-            "thread_imbalance": self.thread_imbalance,
-            "dlb_efficiency": self.dlb_efficiency,
-            "imbalance_loss_s": self.imbalance_loss_s,
-            "schedule": self.schedule,
-            "schedule_advice": self.schedule_advice,
-            "ranks": [
-                {
-                    "rank": r.rank,
-                    "busy_s": r.busy_s,
-                    "wait_s": r.wait_s,
-                    "idle_s": r.idle_s,
-                    "active_s": r.active_s,
-                    "spans": r.nspans,
-                }
-                for r in self.ranks
-            ],
-            "threads": [
-                {
-                    "rank": t.rank,
-                    "thread": t.thread,
-                    "busy_s": t.busy_s,
-                    "spans": t.nspans,
-                }
-                for t in self.threads
-            ],
-            "critical_path": [
-                {"span": r.name, "rank": r.rank, "total_s": r.duration,
-                 "self_s": self_s}
-                for r, self_s in self.path
-            ],
-            "events": [event_record(ev) for ev in self.events],
-        }
-
 
 def _ratio_imbalance(values: Sequence[float]) -> float:
     if not values:
@@ -367,15 +322,6 @@ def analyze_timeline(
     )
 
 
-def analyze_tracer(
-    tracer: Tracer, events: Iterable[Event] | None = None
-) -> TimelineAnalysis:
-    """:func:`analyze_timeline` straight from a live tracer + event log."""
-    return analyze_timeline(
-        spans_from_tracer(tracer), list(events) if events is not None else ()
-    )
-
-
 # -- rendering ---------------------------------------------------------------
 
 
@@ -427,7 +373,7 @@ def ascii_gantt(analysis: TimelineAnalysis, *, width: int = 64) -> str:
 def timeline_report(
     analysis: TimelineAnalysis, *, title: str = "timeline"
 ) -> str:
-    """Human-readable timeline analysis (the ``--timeline`` report)."""
+    """Human-readable timeline analysis (``repro explain`` of a run)."""
     lines = [
         f"{title} — {analysis.nspans} spans over {analysis.t_end:.6f} s",
         "",

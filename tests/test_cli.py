@@ -470,7 +470,7 @@ def test_invalid_numeric_flags_rejected(water_xyz, argv):
         main(["scf", str(water_xyz), *argv])
 
 
-# -- profile / timeline / compare ---------------------------------------------
+# -- profile / explain / compare ----------------------------------------------
 
 
 def test_profile_writes_all_artifacts(tmp_path, capsys):
@@ -484,8 +484,6 @@ def test_profile_writes_all_artifacts(tmp_path, capsys):
     for name in ("trace.json", "profile.txt", "metrics.ndjson",
                  "spans.ndjson", "events.ndjson"):
         assert (out_dir / name).exists(), name
-    # Without --timeline, no timeline report is produced.
-    assert not (out_dir / "timeline.txt").exists()
     # The event log captured SCF progress with relative timestamps.
     import json
 
@@ -503,20 +501,23 @@ def test_profile_timeline_all_algorithms(algorithm, tmp_path, capsys):
     # --threads 2 with it is a config error like on every other verb.
     threads = [] if algorithm == "mpi-only" else ["--threads", "2"]
     rc = main(["profile", "--algorithm", algorithm, "--ranks", "2", *threads,
-               "--output-dir", str(out_dir), "--timeline"])
-    out = capsys.readouterr().out
+               "--output-dir", str(out_dir)])
     assert rc == 0
+    capsys.readouterr()
+    assert main(["explain", str(out_dir)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("timeline (prof)")
     assert "per-rank breakdown" in out
     assert "DLB efficiency" in out
     assert "DLB Gantt" in out
-    assert (out_dir / "timeline.txt").exists()
-    import json
-
-    doc = json.loads((out_dir / "timeline.json").read_text())
-    assert [r["rank"] for r in doc["ranks"]] == [0, 1]
-    assert doc["rank_imbalance"] >= 1.0
-    for r in doc["ranks"]:
-        assert r["busy_s"] > 0
+    rows = [ln.split() for ln in out.split("\n\nload-imbalance")[0]
+            .splitlines()[4:]]
+    assert [int(r[0]) for r in rows] == [0, 1]
+    for r in rows:
+        assert float(r[1]) > 0  # busy seconds
+    imbalance = next(ln for ln in out.splitlines()
+                     if "rank imbalance" in ln)
+    assert float(imbalance.split(":")[1]) >= 1.0
 
 
 def test_profile_timeline_faulted_run_shows_recovery(tmp_path, capsys):
@@ -526,10 +527,11 @@ def test_profile_timeline_faulted_run_shows_recovery(tmp_path, capsys):
                "--fault-plan",
                "kill:rank=1:cycle=2:after=1;corrupt:rank=0:cycle=3:payload=inf",
                "--scf-recovery",
-               "--output-dir", str(out_dir), "--timeline"])
-    out = capsys.readouterr().out
+               "--output-dir", str(out_dir)])
     assert rc == 0
-    assert "-74.9420799" in out                  # bitwise-identical recovery
+    assert "-74.9420799" in capsys.readouterr().out  # bitwise recovery
+    assert main(["explain", str(out_dir)]) == 0
+    out = capsys.readouterr().out
     assert "resilience events" in out
     assert "fault.kill" in out and "fault.corrupt" in out
     # The kill marker lands on the failed rank's Gantt row.
@@ -545,34 +547,48 @@ def test_timeline_command_merges_runs(tmp_path, capsys):
         assert rc == 0
     capsys.readouterr()  # drop profile output
     merged = tmp_path / "merged.json"
-    report = tmp_path / "timeline.txt"
-    rc = main(["timeline",
-               str(tmp_path / "mpi-only" / "spans.ndjson"),
+    rc = main(["explain", str(tmp_path / "mpi-only"),
                str(tmp_path / "shared-fock" / "spans.ndjson"),
-               "--events", str(tmp_path / "mpi-only" / "events.ndjson"),
-               "--events", str(tmp_path / "shared-fock" / "events.ndjson"),
-               "--labels", "mpi,shared",
-               "--merged-trace", str(merged), "--report", str(report)])
+               "--chrome", str(merged)])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "timeline (mpi)" in out and "timeline (shared)" in out
+    assert "timeline (mpi-only)" in out and "timeline (shared-fock)" in out
     import json
 
     doc = json.loads(merged.read_text())
     pids = {e["pid"] for e in doc["traceEvents"] if e["ph"] == "X"}
     assert {0, 1} <= pids and {1000, 1001} <= pids
     names = {e["args"]["name"] for e in doc["traceEvents"] if e["ph"] == "M"}
-    assert "mpi rank 0" in names and "shared rank 1" in names
-    assert "per-rank breakdown" in report.read_text()
+    assert "mpi-only rank 0" in names and "shared-fock rank 1" in names
+    # The events beside each span file are overlaid as instants.
+    assert any(e["ph"] == "i" and e["pid"] >= 1000
+               for e in doc["traceEvents"])
 
 
-def test_timeline_command_count_mismatch(tmp_path, capsys):
-    spans = tmp_path / "spans.ndjson"
-    spans.write_text("")
-    rc = main(["timeline", str(spans), "--events", str(spans),
-               "--events", str(spans)])
-    assert rc == 2
-    assert "counts must match" in capsys.readouterr().err
+def test_explain_resolves_a_registered_run_from_any_directory(
+        tmp_path, monkeypatch, capsys):
+    runs = tmp_path / "runs"
+    monkeypatch.chdir(tmp_path)
+    assert main(["profile", "--ranks", "2", "--threads", "1",
+                 "--runs-dir", str(runs), "--output-dir", "prof"]) == 0
+    capsys.readouterr()
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert main(["explain", "latest", "--runs-dir", str(runs)]) == 0
+    assert capsys.readouterr().out.startswith("timeline (prof)")
+
+
+@pytest.mark.parametrize("argv", [
+    ["timeline", "spans.ndjson"],
+    ["trace", "j000000"],
+    ["runs", "diff", "a", "b"],
+    ["profile", "--timeline"],
+])
+def test_removed_post_hoc_verbs_exit_two(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 # -- execution backends -------------------------------------------------------

@@ -119,15 +119,16 @@ def test_runs_list_show_and_diff(water_xyz, tmp_path, capsys):
     shown = capsys.readouterr().out
     assert f"run {ids[-1]}" in shown and '"status": "done"' in shown
 
-    # Identical physics: the diff engine must pass (timings ignored).
+    # Identical physics: the two runs' final metrics must compare equal
+    # (timings ignored).
     rc = main([
-        "runs", "--runs-dir", str(runs_dir), "diff", ids[0], ids[1],
+        "compare", *(str(runs_dir / i / "metrics.json") for i in ids),
         "--ignore", "*wall*", "--ignore", "*_s", "--ignore", "*rate*",
         "--tolerance", "0.2",
     ])
     report = capsys.readouterr().out
     assert rc == 0
-    assert ids[0] in report and ids[1] in report
+    assert "verdict: PASS" in report
 
 
 def test_runs_show_unknown_prefix_errors(tmp_path, capsys):
@@ -247,12 +248,12 @@ def test_slo_latest_without_telemetry_errors(tmp_path, capsys):
     assert "telemetry" in capsys.readouterr().err
 
 
-# -- trace --------------------------------------------------------------------
+# -- explain ------------------------------------------------------------------
 
 
 def test_trace_without_journal_errors(tmp_path, capsys):
-    rc = main(["trace", "j000000",
-               "--service-dir", str(tmp_path / "svc")])
+    rc = main(["explain", "j000000", "--service-dir", str(tmp_path / "svc"),
+               "--runs-dir", str(tmp_path / "runs")])
     assert rc == 2
     assert "no service journal" in capsys.readouterr().err
 
@@ -261,10 +262,54 @@ def test_trace_unknown_job_errors(tmp_path, capsys):
     svc = tmp_path / "svc"
     svc.mkdir()
     (svc / "journal.ndjson").write_text("")
-    rc = main(["trace", "j999999", "--service-dir", str(svc),
+    rc = main(["explain", "j999999", "--service-dir", str(svc),
                "--runs-dir", str(tmp_path / "runs")])
     assert rc == 2
     assert "no job matches" in capsys.readouterr().err
+
+
+def _explain_error(capsys, *argv) -> str:
+    rc = main(["explain", *map(str, argv)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    return err[0]
+
+
+def test_explain_directory_without_spans_is_one_error_line(tmp_path, capsys):
+    assert "spans.ndjson" in _explain_error(capsys, tmp_path)
+
+
+def test_explain_file_without_span_records_is_one_error_line(
+        tmp_path, capsys):
+    metrics = tmp_path / "metrics.json"
+    metrics.write_text('{"scf.cycles": 9}\n{"fock_build": 1}\n')
+    assert "no span record" in _explain_error(capsys, metrics)
+
+
+def test_explain_unknown_source_is_one_error_line(tmp_path, capsys):
+    err = _explain_error(capsys, "nothing-here", "--runs-dir",
+                         tmp_path / "runs", "--service-dir", tmp_path)
+    assert "'nothing-here' is not a path, a run" in err
+
+
+def test_explain_run_without_spans_is_one_error_line(
+        water_xyz, tmp_path, capsys):
+    runs_dir = tmp_path / "runs"
+    assert _scf(water_xyz, runs_dir, "--quiet") == 0
+    capsys.readouterr()
+    err = _explain_error(capsys, "latest", "--runs-dir", runs_dir)
+    assert "recorded no spans.ndjson" in err
+
+
+def test_explain_skips_a_torn_last_line(tmp_path, capsys):
+    spans = [json.dumps({"span": "fock/kl", "start_s": 0.1 * i,
+                         "dur_s": 0.05, "rank": i % 2, "depth": 0})
+             for i in range(4)]
+    (tmp_path / "spans.ndjson").write_text("\n".join(spans)[:-9])
+    assert main(["explain", str(tmp_path)]) == 0
+    assert "3 spans over" in capsys.readouterr().out
 
 
 # -- process-backend liveness (the straggler smoke) ---------------------------

@@ -1,4 +1,4 @@
-"""Run comparison / regression gating (repro.obs.analysis.compare)."""
+"""Run comparison / regression gating (repro.obs.compare)."""
 
 from __future__ import annotations
 
@@ -7,13 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs.analysis import (
+from repro.obs.compare import (
     RunRecord,
     compare_runs,
     flatten_record,
+    key_direction,
     load_run,
 )
-from repro.obs.analysis.compare import key_direction
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -261,3 +261,25 @@ def test_cli_missing_file_exits_two(tmp_path, capsys):
     rc = main(["compare", str(base), str(tmp_path / "nope.json")])
     assert rc == 2
     assert "no such file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body", ["", "not json\n"])
+def test_cli_unreadable_baseline_exits_two(tmp_path, capsys, body):
+    """A baseline from which no JSON record parses is not an empty
+    record: every candidate key would read 'added' and the gate pass."""
+    from repro.cli import main
+
+    bad = tmp_path / "bad.json"
+    bad.write_text(body)
+    rc = main(["compare", str(bad), str(bench_file(tmp_path, "good.json"))])
+    captured = capsys.readouterr()
+    assert rc == 2 and "verdict" not in captured.out
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_event_only_ndjson_still_loads(tmp_path):
+    events = tmp_path / "events.ndjson"
+    events.write_text('{"event": "scf.cycle", "t_s": 0.1}\n'
+                      '{"event": "scf.converged", "t_s": 0.2}\n')
+    assert load_run(events).values == {}

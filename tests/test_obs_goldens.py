@@ -8,12 +8,14 @@ service job (its journal and attempt span files, the killed attempt's
 last line cut in half) — and, under ``expected/``, what that build's
 ``repro timeline``, ``--merged-trace``, ``assemble_job_trace``,
 ``repro monitor --once`` and ``repro slo --json`` made of them and of
-the two telemetry recordings beside them.
+the two telemetry recordings beside them.  ``repro explain`` now reads
+the profile directory; its output must still be that build's.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
 from collections import Counter
 from pathlib import Path
 
@@ -50,21 +52,21 @@ def _events_multiset(doc: dict) -> Counter:
 
 
 def test_timeline_report_and_merged_trace(tmp_path, capsys):
-    report, merged = tmp_path / "report.txt", tmp_path / "merged.json"
-    workers = PROFILE / "workers"
-    rc = main([
-        "timeline", str(PROFILE / "spans.ndjson"),
-        str(workers / "worker0" / "spans.ndjson"),
-        str(workers / "worker1" / "spans.ndjson"),
-        "--events", str(PROFILE / "events.ndjson"),
-        "--events", str(workers / "worker0" / "events.ndjson"),
-        "--events", str(workers / "worker1" / "events.ndjson"),
-        "--labels", "driver,worker0,worker1",
-        "--report", str(report), "--merged-trace", str(merged),
-    ])
-    capsys.readouterr()
+    # explain labels a run by its directory: lay the three span/event
+    # pairs out under the labels the golden output carries.
+    dirs = []
+    for label, src in (("driver", PROFILE),
+                       ("worker0", PROFILE / "workers" / "worker0"),
+                       ("worker1", PROFILE / "workers" / "worker1")):
+        dirs.append(tmp_path / label)
+        dirs[-1].mkdir()
+        for name in ("spans.ndjson", "events.ndjson"):
+            shutil.copy(src / name, dirs[-1] / name)
+    merged = tmp_path / "merged.json"
+    rc = main(["explain", *map(str, dirs), "--chrome", str(merged)])
+    report = capsys.readouterr().out
     assert rc == 0
-    assert report.read_text() == (EXPECTED / "timeline_report.txt").read_text()
+    assert report == (EXPECTED / "timeline_report.txt").read_text()
     got = json.loads(merged.read_text())
     want = json.loads((EXPECTED / "merged_trace.json").read_text())
     assert _events_multiset(got) == _events_multiset(want)
@@ -96,6 +98,39 @@ def test_job_trace_report_and_chrome_trace():
     assert _events_multiset(got) == _events_multiset(want)
     for key in ("job_id", "trace_id"):
         assert got["otherData"][key] == want["otherData"][key]
+
+
+def test_explain_job_prints_and_writes_the_job_trace(tmp_path, capsys):
+    # The layout a service leaves: the journal under the service dir,
+    # the attempts' span files under the job's run directory.
+    job = (CHAOS / "job_id").read_text().strip()
+    svc, runs = tmp_path / "svc", tmp_path / "runs"
+    svc.mkdir()
+    shutil.copy(CHAOS / "journal.ndjson", svc / "journal.ndjson")
+    shutil.copytree(CHAOS / "trace", runs / "20261016-065506-4520-0019"
+                    / "trace")
+    chrome = tmp_path / "job.json"
+    rc = main(["explain", job, "--service-dir", str(svc),
+               "--runs-dir", str(runs), "--chrome", str(chrome)])
+    captured = capsys.readouterr()
+    assert rc == 0
+    want = json.loads((EXPECTED / "job_trace.json").read_text())
+    lines = captured.out.splitlines()
+    # The header lines the earlier build's `repro trace` printed.
+    assert lines[:3] == [
+        f"job {job}  trace_id {want['otherData']['trace_id']}",
+        "300 span(s) across 4 process track(s); 5 synthetic",
+        "",
+    ]
+    expected = (EXPECTED / "job_trace_report.txt").read_text().splitlines()
+    assert lines[3:] == expected[:-1]
+    assert expected[-1] in captured.err  # the warning
+    assert _events_multiset(json.loads(chrome.read_text())) == \
+        _events_multiset(want)
+    # A job is explained alone: mixed with a run it is a usage error.
+    rc = main(["explain", job, str(PROFILE), "--service-dir", str(svc),
+               "--runs-dir", str(runs)])
+    assert rc == 2 and "alone" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["telemetry_straggler", "telemetry_service"])

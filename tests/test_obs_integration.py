@@ -260,7 +260,8 @@ def test_uhf_run_is_visible_to_the_timeline():
     from repro.chem.molecule import Molecule
     from repro.config import SCFConfig
     from repro.core.scf_driver import build_scf
-    from repro.obs.analysis import analyze_tracer
+    from repro.obs.spans import spans_from_tracer
+    from repro.obs.timeline import analyze_timeline
 
     basis = BasisSet(
         Molecule(["O", "H"], [(0, 0, 0), (0, 0, 1.83)], name="OH"), "sto-3g"
@@ -281,7 +282,7 @@ def test_uhf_run_is_visible_to_the_timeline():
     }
     assert lanes == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
-    analysis = analyze_tracer(tracer)
+    analysis = analyze_timeline(spans_from_tracer(tracer))
     assert [r.rank for r in analysis.ranks] == [0, 1]
     assert all(r.busy_s > 0 and r.wait_s > 0 for r in analysis.ranks)
     # Seconds here, quartets in FockBuildStats — the two imbalances

@@ -36,6 +36,8 @@ MODULES = [
     "repro.commands.obs",
     "repro.commands.paper",
     "repro.obs.session",
+    "repro.obs.timeline",
+    "repro.obs.compare",
     "repro.chem.elements",
     "repro.chem.molecule",
     "repro.chem.graphene",

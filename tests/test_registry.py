@@ -64,7 +64,8 @@ def test_finalize_writes_metrics_and_summary(registry):
     assert rec["summary"]["energy"] == pytest.approx(-74.9631772614)
     assert rec["event_counts"] == {"scf.cycle": 8}
     assert rec["artifacts"]["trace"] == "/tmp/trace.json"
-    metrics = json.loads(registry.metrics_path(handle.run_id).read_text())
+    metrics = json.loads(
+        (registry.run_dir(handle.run_id) / "metrics.json").read_text())
     assert metrics["scf.cycles"] == 8
 
 

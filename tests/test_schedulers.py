@@ -171,7 +171,7 @@ def test_simulate_static_beats_dlb_on_uniform_workload():
 
 
 def _analysis_with_imbalance(busy):
-    from repro.obs.analysis.timeline import analyze_timeline
+    from repro.obs.timeline import analyze_timeline
     from repro.obs.events import Event
     from repro.obs.spans import SpanRecord
 
@@ -207,10 +207,10 @@ def test_timeline_only_recommends_strategies_that_exist():
 
 
 def test_timeline_report_surfaces_schedule_verdict():
-    from repro.obs.analysis.timeline import timeline_report
+    from repro.obs.timeline import timeline_report
 
     a = _analysis_with_imbalance([1.0, 1.0, 1.0, 1.0])
     report = timeline_report(a)
     assert "schedule (observed)" in report
     assert "schedule (recommended)" in report
-    assert a.to_dict()["schedule_advice"]["recommended"] == "static"
+    assert "schedule (recommended)         : static" in report

@@ -1,4 +1,4 @@
-"""Timeline analytics (repro.obs.analysis.timeline)."""
+"""Timeline analytics (repro.obs.timeline)."""
 
 from __future__ import annotations
 
@@ -8,13 +8,13 @@ from pathlib import Path
 import pytest
 
 from repro.obs import EventLog, Tracer, events_from_ndjson, spans_ndjson
-from repro.obs.analysis import (
+from repro.obs.timeline import (
     analyze_timeline,
-    analyze_tracer,
     ascii_gantt,
+    merge_intervals,
     timeline_report,
+    union_seconds,
 )
-from repro.obs.analysis.timeline import merge_intervals, union_seconds
 from repro.obs.spans import (
     critical_path,
     merged_chrome_trace,
@@ -201,9 +201,12 @@ def test_spans_ndjson_roundtrip_matches_tracer_analysis():
             pass
         with tracer.span("fock/gsumf", rank=1):
             pass
-    direct = analyze_tracer(tracer)
+    direct = analyze_timeline(spans_from_tracer(tracer))
     parsed = analyze_timeline(spans_from_ndjson(spans_ndjson(tracer)))
-    assert direct.to_dict() == parsed.to_dict()
+    assert timeline_report(direct) == timeline_report(parsed)
+    assert direct.rank_busy == parsed.rank_busy
+    assert [(r.wait_s, r.idle_s) for r in direct.ranks] == \
+        [(r.wait_s, r.idle_s) for r in parsed.ranks]
 
 
 # -- events on the timeline --------------------------------------------------
@@ -272,10 +275,8 @@ def test_timeline_report_golden(two_rank_spans):
     assert report + "\n" == golden
 
 
-def test_to_dict_is_json_ready(two_rank_spans):
+def test_analysis_fields(two_rank_spans):
     analysis = analyze_timeline(two_rank_spans)
-    doc = analysis.to_dict()
-    assert json.loads(json.dumps(doc)) == doc
-    assert doc["nspans"] == 6
-    assert [r["rank"] for r in doc["ranks"]] == [0, 1]
-    assert doc["critical_path"][0]["span"] == "scf/run"
+    assert analysis.nspans == 6
+    assert [r.rank for r in analysis.ranks] == [0, 1]
+    assert analysis.path[0][0].name == "scf/run"

@@ -1,6 +1,6 @@
 """Cross-process trace stitching from synthetic journals + span files.
 
-These tests hand-author the two evidence sources ``repro trace`` works
+These tests hand-author the two evidence sources ``repro explain`` works
 from — the service's write-ahead journal and the per-attempt span
 NDJSON a worker streams — and assert the assembled trace is
 well-formed: one trace_id, synthetic queue.wait / retry.backoff /
