@@ -7,14 +7,14 @@ heartbeat protocol closes that window:
 
 * **Workers beat in-band** — at build start, at every DLB claim
   boundary (rate-limited to one beat per ``interval_s``), and at build
-  completion — by putting a small dict on a shared queue the parent
-  inherits across the fork.  In-band is the point: a worker stuck in a
-  long quartet batch, sleeping in an injected-straggler delay, or
-  wedged in a syscall *stops beating*, whereas a background
-  heartbeat thread would keep cheerfully ticking through all three.
-* **The parent watches deadlines** — :class:`HeartbeatMonitor` drains
-  the queue while collecting build results; a pending rank silent for
-  longer than ``timeout_s`` is flagged ``suspect`` and a
+  completion — by sending a small dict up its own pipe to the parent.
+  In-band is the point: a worker stuck in a long quartet batch,
+  sleeping in an injected-straggler delay, or wedged in a syscall
+  *stops beating*, whereas a background heartbeat thread would keep
+  cheerfully ticking through all three.
+* **The parent watches deadlines** — :class:`HeartbeatMonitor` folds
+  in the beats while collecting build results; a pending rank silent
+  for longer than ``timeout_s`` is flagged ``suspect`` and a
   ``worker.hung`` event + ``process.workers_suspect`` counter are
   emitted *before* the DLB counter or the build timeout would notice.
   A suspect rank that eventually reports is marked ``recovered``; one
@@ -58,7 +58,7 @@ def make_beat(
     claimed: int = 0,
     span: str | None = None,
 ) -> dict[str, Any]:
-    """The wire record one worker beat carries (queue-picklable dict)."""
+    """The wire record one worker beat carries (a picklable dict)."""
     return {
         "rank": rank,
         "pid": pid,

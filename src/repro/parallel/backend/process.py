@@ -44,7 +44,8 @@ disk, not in a lost buffer.
 
 Liveness: workers send in-band heartbeats (build start, every DLB
 claim boundary rate-limited to ``heartbeat_interval_s``, build done)
-over a shared queue; the parent's
+and their result up a pipe of their own; the parent waits on those
+pipes and the workers' sentinels, and its
 :class:`~repro.parallel.backend.heartbeat.HeartbeatMonitor` flags any
 pending rank silent past ``heartbeat_timeout_s`` as ``suspect`` and
 emits a ``worker.hung`` event — a stalled worker becomes visible in
@@ -55,8 +56,8 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import queue as queue_mod
 import time
+from multiprocessing.connection import wait as mp_wait
 from pathlib import Path
 from typing import Any
 
@@ -98,17 +99,15 @@ def _worker_loop(
     density: SharedNDArray,
     slabs: SharedNDArray,
     cmd: Any,
-    results: Any,
-    hb: Any,
+    out: Any,
     cfg: dict,
 ) -> None:
-    """One worker process: serve ``("build", cycle, share)`` commands forever.
+    """One worker process: serve ``cmd``'s builds, reporting up ``out``.
 
     Everything else arrives through fork inheritance (no pickling): the
     sim builder (whose ``rank_program`` we execute), the shared counter
     (``None`` under ``schedule="static"``, where ``share`` is this
-    rank's whole grant sequence), the shared-memory views, and the
-    heartbeat queue.
+    rank's whole grant sequence) and the shared-memory views.
     """
     tracer = Tracer() if cfg["obs_dir"] is not None else None
     log = EventLog() if cfg["obs_dir"] is not None else None
@@ -128,21 +127,16 @@ def _worker_loop(
     last_beat = 0.0
 
     def beat(phase: str, cycle: int, claimed: int = 0) -> None:
-        """Send one in-band heartbeat (never blocks, never raises)."""
+        """Send one in-band heartbeat."""
         nonlocal last_beat
-        now = time.perf_counter()
-        last_beat = now
+        now = last_beat = time.perf_counter()
         span = tracer.current.name if tracer and tracer.current else None
-        try:
-            hb.put_nowait(
-                make_beat(rank, pid, cycle, phase, t=now - cfg["t0"],
-                          claimed=claimed, span=span)
-            )
-        except Exception:  # pragma: no cover - full queue is diagnostic loss
-            pass
+        out.send(("beat", make_beat(rank, pid, cycle, phase,
+                                    t=now - cfg["t0"], claimed=claimed,
+                                    span=span)))
 
     while True:
-        msg = cmd.get()
+        msg = cmd.recv()
         if msg[0] == "stop":
             if streamer is not None:
                 streamer.close()
@@ -218,7 +212,7 @@ def _worker_loop(
             rr = builder.rank_program(rank, grants(), D, W)
         if interval is not None:
             beat("done", cycle, claimed=claim_count)
-        results.put((rank, cycle, rr.as_dict()))
+        out.send(("result", cycle, rr.as_dict()))
 
 
 class ProcessFockBuilder:
@@ -279,9 +273,8 @@ class ProcessFockBuilder:
             "heartbeat_s": heartbeat_interval_s,
         }
         self._procs: list[Any] = [None] * workers
-        self._cmds: list[Any] = [None] * workers
-        self._results = self._ctx.Queue()
-        self._hb = self._ctx.Queue()
+        self._cmds: list[Any] = [None] * workers  # command pipes' write ends
+        self._outs: list[Any] = [None] * workers  # beat/result pipes' read ends
         self.heartbeat: HeartbeatMonitor | None = (
             HeartbeatMonitor(workers, timeout_s=heartbeat_timeout_s)
             if heartbeat_interval_s is not None
@@ -297,18 +290,23 @@ class ProcessFockBuilder:
     # -- worker lifecycle ----------------------------------------------------
 
     def _spawn(self, rank: int) -> None:
-        cmd = self._ctx.Queue()
+        for end in (self._cmds[rank], self._outs[rank]):
+            if end is not None:
+                end.close()
+        cmd, self._cmds[rank] = self._ctx.Pipe(duplex=False)
+        self._outs[rank], out = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=_worker_loop,
             args=(
                 rank, self.inner, self._counter, self._density,
-                self._slabs, cmd, self._results, self._hb, self._cfg,
+                self._slabs, cmd, out, self._cfg,
             ),
             name=f"fock-worker-{rank}",
             daemon=True,
         )
         proc.start()
-        self._cmds[rank] = cmd
+        cmd.close()  # the worker's ends: later forks must not hold them
+        out.close()
         self._procs[rank] = proc
 
     def _ensure_workers(self) -> None:
@@ -344,7 +342,7 @@ class ProcessFockBuilder:
             if self.heartbeat is not None:
                 self.heartbeat.start_build(cycle)
             for rank in range(self.workers):
-                self._cmds[rank].put(("build", cycle, shares[rank]))
+                self._cmds[rank].send(("build", cycle, shares[rank]))
             rrs, dead = self._collect(cycle)
             self._recover(rrs, dead, cycle, shares)
             # Reduce the per-rank slabs in rank order — the same
@@ -364,64 +362,57 @@ class ProcessFockBuilder:
         focks = self.inner.assemble(W)
         return (focks, stats) if len(densities) == 1 else (*focks, stats)
 
-    def _drain_heartbeats(self) -> None:
-        """Fold every queued worker beat into the liveness monitor."""
-        if self.heartbeat is None:
-            return
-        while True:
-            try:
-                beat = self._hb.get_nowait()
-            except queue_mod.Empty:
-                return
-            self.heartbeat.record(beat)
-
     def _collect(self, cycle: int) -> tuple[dict, list[int]]:
-        """Gather per-rank results; detect workers that died or stalled."""
+        """Gather per-rank results; detect workers that died or stalled,
+        waiting on the pending ranks' pipes and sentinels at once."""
         from repro.core.fock_base import RankBuildResult
 
         rrs: dict[int, RankBuildResult] = {}
         dead: list[int] = []
         pending = set(range(self.workers))
         deadline = time.monotonic() + self.build_timeout_s
-        # Poll fast enough that a missed-heartbeat deadline is noticed
-        # within about half the timeout, not at the 0.25 s default.
-        poll = 0.25
-        if self.heartbeat is not None:
-            poll = min(poll, max(0.01, self.heartbeat.timeout_s / 2))
         while pending:
-            self._drain_heartbeats()
-            try:
-                rank, rcycle, payload = self._results.get(timeout=poll)
-            except queue_mod.Empty:
-                for rank in sorted(pending):
-                    proc = self._procs[rank]
-                    if proc is not None and not proc.is_alive():
-                        # A live worker never exits between builds, so a
-                        # dead pending worker has no result in flight.
-                        proc.join()
-                        self._procs[rank] = None
-                        pending.discard(rank)
-                        dead.append(rank)
-                        if self.heartbeat is not None:
-                            self.heartbeat.mark_lost(rank)
-                if self.heartbeat is not None:
-                    # Silent-but-alive pending ranks turn suspect here:
-                    # the worker.hung event fires long before the build
-                    # timeout or a missed DLB claim would implicate them.
-                    self.heartbeat.check(pending)
-                if time.monotonic() > deadline:
-                    raise BuildTimeoutError(
-                        f"Fock build {cycle}: worker(s) {sorted(pending)} "
-                        f"unresponsive after {self.build_timeout_s:.0f} s"
-                    )
-                continue
-            if rcycle != cycle:  # pragma: no cover - lock-step safety net
-                continue
-            rrs[rank] = RankBuildResult.from_dict(payload)
-            pending.discard(rank)
+            due = [deadline - time.monotonic()]
             if self.heartbeat is not None:
-                self.heartbeat.mark_done(rank)
-        self._drain_heartbeats()
+                due.append(self.heartbeat.next_suspect_in(pending))
+            mp_wait([self._outs[r] for r in pending]
+                    + [self._procs[r].sentinel for r in pending],
+                    max(0.0, min(t for t in due if t is not None)))
+            for rank in sorted(pending):
+                proc, out = self._procs[rank], self._outs[rank]
+                try:
+                    # The pipe first: a result sent before a death counts.
+                    while rank not in rrs and out.poll():
+                        msg = out.recv()
+                        if msg[0] == "beat":
+                            self.heartbeat.record(msg[1])
+                        elif msg[1] == cycle:
+                            rrs[rank] = RankBuildResult.from_dict(msg[2])
+                except (EOFError, OSError):
+                    pass  # the worker is gone; its sentinel says so
+                if rank in rrs:
+                    pending.discard(rank)
+                    if self.heartbeat is not None:
+                        self.heartbeat.mark_done(rank)
+                elif mp_wait([proc.sentinel], 0):
+                    # A live worker never exits between builds, so a
+                    # dead pending worker has no result in flight.
+                    proc.join()
+                    self._procs[rank] = None
+                    pending.discard(rank)
+                    dead.append(rank)
+                    if self.heartbeat is not None:
+                        self.heartbeat.mark_lost(rank)
+            if self.heartbeat is not None:
+                # Silent-but-alive pending ranks turn suspect here: the
+                # worker.hung event fires long before the build timeout
+                # or a missed DLB claim would implicate them.
+                self.heartbeat.check(pending)
+            if pending and time.monotonic() > deadline:
+                raise BuildTimeoutError(
+                    f"Fock build {cycle}: worker(s) {sorted(pending)} "
+                    f"unresponsive after {self.build_timeout_s:.0f} s"
+                )
         return rrs, dead
 
     def _recover(
@@ -489,9 +480,12 @@ class ProcessFockBuilder:
             for rank, proc in enumerate(self._procs):
                 if proc is not None and proc.is_alive():
                     try:
-                        self._cmds[rank].put(("stop",))
+                        self._cmds[rank].send(("stop",))
                     except Exception:  # pragma: no cover - best effort
                         pass
+            for end in (*self._cmds, *self._outs):
+                if end is not None:
+                    end.close()
             for proc in self._procs:
                 if proc is None:
                     continue

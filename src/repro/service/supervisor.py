@@ -1,10 +1,11 @@
 """Supervised worker fleet: persistent processes that run SCF jobs.
 
 The fleet is the service's execution layer.  Each *slot* owns one
-long-lived forked worker process running :func:`_service_worker_loop`:
-jobs arrive over a per-slot command pipe (written by the dispatching
-thread itself, no feeder thread in between), results and heartbeats
-come back over one shared outcome queue.  Workers import the SCF stack
+long-lived forked worker process running :func:`_service_worker_loop`
+and two one-way pipes, written synchronously: jobs go down one, results
+and heartbeats come up the other.  A dying worker breaks only its own
+pipes, which its respawn replaces, and can tear no message: none exceeds
+``select.PIPE_BUF``.  Workers import the SCF stack
 while they idle and persist across jobs, so a stream of requests for
 the same system reuses the warm molecule/basis set-up (:func:`run_job`'s
 ``setup_cache``, which keeps the basis — and with it its one-electron,
@@ -22,8 +23,8 @@ outcome surfaces as a retryable :class:`~repro.service.errors
 .JobTimeoutError`.
 
 The fleet never sleeps and is never polled on a clock.  It tells its
-owner what to block on — :meth:`WorkerFleet.waitables` (the outcome
-queue's read end and the process sentinel of every busy worker) and
+owner what to block on — :meth:`WorkerFleet.waitables` (every slot's
+outcome pipe and the process sentinel of every busy worker) and
 :meth:`WorkerFleet.next_deadline` (the earliest job deadline or
 heartbeat-suspect horizon) — and :meth:`WorkerFleet.poll` is what the
 owner calls when one of those fires.
@@ -75,6 +76,10 @@ DEFAULT_HEARTBEAT_TIMEOUT_S = 10.0
 
 #: Default worker beat rate limit.
 DEFAULT_BEAT_INTERVAL_S = 0.25
+
+#: Longest error text an outcome message carries: keeps its frame under
+#: ``select.PIPE_BUF``, so one atomic ``write(2)`` sends it whole.
+MAX_TEXT = 900
 
 
 def run_job(
@@ -226,7 +231,7 @@ def run_job(
             logger.warning("discarding checkpoint %s: %s", restart, exc)
             if emit is not None:
                 emit("checkpoint.discarded", path=str(restart),
-                     reason=str(exc))
+                     reason=str(exc)[:MAX_TEXT])
         else:
             run_kwargs["restart"] = state
 
@@ -313,23 +318,19 @@ def _service_worker_loop(slot: int, cmd: Any, out: Any,
         last_beat = 0.0
 
         def beat(builds: int, phase: str) -> None:
-            """Rate-limited in-band heartbeat (never blocks, never raises)."""
+            """Rate-limited in-band heartbeat."""
             nonlocal last_beat
             now = time.monotonic()
             if phase == "build" and now - last_beat < interval:
                 return
             last_beat = now
-            try:
-                out.put_nowait(("beat", make_beat(
-                    slot, pid, attempt, phase,
-                    t=time.perf_counter(), claimed=builds,
-                )))
-            except Exception:  # pragma: no cover - full queue
-                pass
+            out.send(("beat", make_beat(slot, pid, attempt, phase,
+                                        t=time.perf_counter(),
+                                        claimed=builds)))
 
         def emit(kind: str, **payload: Any) -> None:
             """An event for the daemon to emit on our behalf."""
-            out.put(("event", slot, job_id, kind, payload))
+            out.send(("event", job_id, kind, payload))
 
         # Distributed trace plumbing: when the daemon handed us a trace
         # context, install a live tracer parented on the job's root span
@@ -381,14 +382,14 @@ def _service_worker_loop(slot: int, cmd: Any, out: Any,
                 allow_exit=True,
             )
         except Exception as exc:
-            out.put(("failed", slot, job_id, {
-                "error": str(exc) or type(exc).__name__,
+            out.send(("failed", job_id, {
+                "error": str(exc)[:MAX_TEXT] or type(exc).__name__,
                 "error_type": type(exc).__name__,
                 "classification": classify(exc),
             }))
         else:
             beat(result.get("iterations", 0), "done")
-            out.put(("done", slot, job_id, result))
+            out.send(("done", job_id, result))
         finally:
             if attempt_span is not None:
                 attempt_span.__exit__(None, None, None)
@@ -398,16 +399,6 @@ def _service_worker_loop(slot: int, cmd: Any, out: Any,
             set_log_context(job_id=None, trace_id=None)
 
 
-def _exiting(proc: Any) -> bool:
-    """Whether ``proc`` has died, by its sentinel rather than ``waitpid``.
-
-    The sentinel reads EOF a few milliseconds before the process can be
-    reaped; in between ``is_alive()`` still says yes, and a loop woken
-    by the sentinel would spin on that answer until it changes.
-    """
-    return bool(mp_wait([proc.sentinel], 0))
-
-
 @dataclass
 class WorkerSlot:
     """Parent-side record of one fleet worker."""
@@ -415,6 +406,7 @@ class WorkerSlot:
     index: int
     proc: Any = None
     cmd: Any = None  # write end of the worker's command pipe
+    out: Any = None  # read end of its outcome pipe; None once at EOF
     job_id: str | None = None
     attempt: int = 0
     process_ranks: int = 0  # real backend workers this job consumes
@@ -466,7 +458,6 @@ class WorkerFleet:
         self.process_budget = process_budget
         self.clock = clock
         self._ctx = mp.get_context("fork")
-        self._out = self._ctx.Queue()
         self._cfg = {
             "beat_interval_s": heartbeat_interval_s,
             "close_fds": tuple(close_fds),
@@ -483,17 +474,21 @@ class WorkerFleet:
     # -- worker lifecycle ----------------------------------------------------
 
     def _spawn(self, slot: WorkerSlot) -> None:
-        if slot.cmd is not None:
-            slot.cmd.close()
+        for end in (slot.cmd, slot.out):  # a dead worker's, and what's in them
+            if end is not None:
+                end.close()
         commands, slot.cmd = self._ctx.Pipe(duplex=False)
+        slot.out, outcomes = self._ctx.Pipe(duplex=False)
         slot.proc = self._ctx.Process(
             target=_service_worker_loop,
-            args=(slot.index, commands, self._out, self._cfg),
+            args=(slot.index, commands, outcomes, self._cfg),
             name=f"scf-job-worker-{slot.index}",
             daemon=False,  # must be able to fork process-backend workers
         )
         slot.proc.start()
-        commands.close()  # the worker's end; later forks must not hold it
+        # The worker's ends: later forks must not hold them.
+        commands.close()
+        outcomes.close()
 
     def _ensure_alive(self, slot: WorkerSlot) -> None:
         if slot.proc is None or not slot.proc.is_alive():
@@ -604,12 +599,12 @@ class WorkerFleet:
     def waitables(self) -> list[Any]:
         """What a blocking wait must watch for this fleet to be served.
 
-        The outcome queue's read end (results, heartbeats, worker
-        events) and the sentinel of every busy worker (a death is an
-        event, not something to discover later).  Suitable for
+        Every open outcome pipe (results, heartbeats, worker events) and
+        the sentinel of every busy worker (a death is an event, not
+        something to discover later).  Suitable for
         :func:`multiprocessing.connection.wait`.
         """
-        return [self._out._reader] + [
+        return [s.out for s in self.slots if s.out is not None] + [
             s.proc.sentinel for s in self.slots
             if s.busy and s.proc is not None
         ]
@@ -632,33 +627,34 @@ class WorkerFleet:
         durable queue.  Called whenever something in :meth:`waitables`
         is ready or :meth:`next_deadline` has passed.
         """
-        import queue as queue_mod
-
         outcomes: list[JobOutcome] = []
-        while True:
-            try:
-                msg = self._out.get_nowait()
-            except queue_mod.Empty:
-                break
-            except (OSError, EOFError):  # pragma: no cover - teardown race
-                break
-            if msg[0] == "beat":
-                self.monitor.record(msg[1])
-                continue
-            if msg[0] == "event":
-                _, slot_idx, job_id, kind, payload = msg
-                log = get_event_log()
-                if log is not None:
-                    log.emit(kind, rank=slot_idx, job=job_id, **payload)
-                continue
-            kind, slot_idx, job_id, payload = msg
-            slot = self.slots[slot_idx]
-            if slot.job_id != job_id:
-                continue  # stale result from a killed-then-replaced job
-            self.monitor.mark_done(slot_idx)
-            self._free(slot)
-            outcomes.append(JobOutcome(kind=kind, slot=slot_idx,
-                                       job_id=job_id, payload=payload))
+        for slot in self.slots:
+            while slot.out is not None and slot.out.poll():
+                try:
+                    msg = slot.out.recv()
+                except (EOFError, OSError):
+                    # The worker is gone; at EOF its pipe would read as
+                    # ready forever, so it leaves the wait set.
+                    slot.out.close()
+                    slot.out = None
+                    break
+                if msg[0] == "beat":
+                    self.monitor.record(msg[1])
+                    continue
+                if msg[0] == "event":
+                    _, job_id, kind, payload = msg
+                    log = get_event_log()
+                    if log is not None:
+                        log.emit(kind, rank=slot.index, job=job_id,
+                                 **payload)
+                    continue
+                kind, job_id, payload = msg
+                if slot.job_id != job_id:
+                    continue  # stale result from a killed-then-replaced job
+                self.monitor.mark_done(slot.index)
+                self._free(slot)
+                outcomes.append(JobOutcome(kind=kind, slot=slot.index,
+                                           job_id=job_id, payload=payload))
 
         now = self.clock()
         for slot in self.slots:
@@ -682,9 +678,11 @@ class WorkerFleet:
                         "error_type": "JobTimeoutError",
                     },
                 ))
-            elif slot.proc is None or _exiting(slot.proc):
+            elif slot.proc is None or mp_wait([slot.proc.sentinel], 0):
                 # The worker died underneath the job (chaos kill, OOM
-                # kill, crash): retryable, respawn the slot.
+                # kill, crash): retryable, respawn the slot.  Read from
+                # the sentinel: ``is_alive()`` lags it until the process
+                # is reaped, and a loop woken by it would spin.
                 job_id = slot.job_id
                 exitcode = None
                 if slot.proc is not None:
@@ -749,9 +747,10 @@ class WorkerFleet:
             except Exception:  # pragma: no cover - teardown best effort
                 pass
         for slot in self.slots:
-            if slot.cmd is not None:
-                slot.cmd.close()
-                slot.cmd = None
+            for end in (slot.cmd, slot.out):
+                if end is not None:
+                    end.close()
+            slot.cmd = slot.out = None
             proc = slot.proc
             if proc is None:
                 continue

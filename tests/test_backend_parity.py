@@ -21,6 +21,9 @@ contract for reordering-induced rounding drift.
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -83,6 +86,23 @@ def test_fock_build_parity(water_sto3g, algorithm):
     assert np.max(np.abs(F_proc - F_sim)) < FOCK_TOL
     # Work conservation: exactly the same screened quartet set evaluated.
     assert stats_proc.quartets_computed == stats_sim.quartets_computed
+
+
+@pytest.mark.process
+def test_process_ranks_and_their_parent_add_no_threads(water_sto3g):
+    """Commands, beats and results go over pipes written synchronously:
+    no queue feeder thread in a rank or in the process driving them."""
+    hcore = core_hamiltonian(water_sto3g)
+    geo = _geometry("mpi-only")
+    inner = make_fock_builder("mpi-only", water_sto3g, hcore, **geo)
+    before = threading.active_count()
+    with make_backend("process", workers=geo["nranks"]) as be:
+        builder = be.wrap_builder(inner)
+        builder(_trial_density(water_sto3g.nbf))
+        tasks = [len(os.listdir(f"/proc/{p.pid}/task"))
+                 for p in builder._procs]
+        assert tasks == [1] * geo["nranks"]
+        assert threading.active_count() <= before
 
 
 @pytest.mark.process

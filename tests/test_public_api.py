@@ -176,3 +176,16 @@ def test_one_eri_kernel_and_one_hermite_recursion_in_src():
     assert src.count("e_coefficients_1d(") == 3  # definition, eri, multipole
     for path in Path(repro.__file__).parent.rglob("*.py"):
         assert "scipy" not in path.read_text(), path
+
+
+def test_children_talk_to_their_parent_over_pipes_not_queues():
+    """One parent<->child idiom in ``src/``: a one-way ``Pipe`` per child
+    per direction, waited on beside the child's sentinel.  A
+    ``multiprocessing.Queue`` needs a feeder thread in every writer and
+    one lock all writers share, which a writer that dies can leave held."""
+    from pathlib import Path
+
+    import repro
+
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        assert ".Queue(" not in path.read_text(), path

@@ -10,21 +10,31 @@ directory must replay the journal such that:
   same result, same attempt counter;
 * the interrupted job is re-run and finishes with an energy bitwise
   identical (well within 1e-10 Eh) to a direct in-process reference.
+
+The fleet-level tests at the end kill a worker in the middle of talking
+to the daemon and prove the fleet keeps serving: its outcome pipe dies
+with it, and no frame it could write is ever torn.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import pickle
+import select
 import signal
 import subprocess
 import sys
 import time
+from multiprocessing.connection import wait as mp_wait
 from pathlib import Path
 
 import pytest
 
 from repro.service import JobClient, JobSpec, ServiceUnavailable, probe_socket
-from repro.service.supervisor import run_job
+from repro.service import supervisor
+from repro.service.jobs import Job
+from repro.service.supervisor import WorkerFleet, run_job
 
 pytestmark = pytest.mark.process
 
@@ -196,3 +206,101 @@ def test_graceful_sigterm_finalizes_and_releases_socket(tmp_path):
     assert daemon.wait(timeout=30) == 0
     assert not (service_dir / "service.sock").exists()
     assert not (service_dir / "daemon.pid").exists()
+
+
+# -- the fleet: a dying worker takes only its own pipe with it ----------------
+
+
+def _job(attempt: int) -> Job:
+    return Job(id="j000001", spec=JobSpec(xyz=H2_XYZ), attempt=attempt)
+
+
+def _outcomes_within(fleet: WorkerFleet, seconds: float) -> list:
+    """Serve ``fleet`` the way the daemon does, for at most ``seconds``;
+    the first outcomes it reports, or ``[]``."""
+    deadline = time.monotonic() + seconds
+    while (left := deadline - time.monotonic()) > 0:
+        mp_wait(fleet.waitables(), left)
+        outcomes = fleet.poll()
+        if outcomes:
+            return outcomes
+    return []
+
+
+def test_worker_dying_mid_flood_does_not_wedge_the_next_job(monkeypatch):
+    """Attempt 1 floods the daemon with events and dies 1 ms later, in
+    the middle of sending; the job on the respawned slot still reports
+    at once, not at its 30 s deadline."""
+
+    def flood_then_die(spec, *, attempt, emit, **_):
+        if attempt == 1:
+            for i in range(2000):
+                emit("test.flood", i=i)
+            time.sleep(0.001)
+            os._exit(supervisor.KILLED_EXIT_CODE)
+        return {"energy": 0.0}
+
+    monkeypatch.setattr(supervisor, "run_job", flood_then_die)  # forks inherit
+    fleet = WorkerFleet(1, job_timeout_s=30.0)
+    try:
+        fleet.dispatch(_job(1))
+        assert [o.kind for o in _outcomes_within(fleet, 30.0)] == ["lost"]
+        fleet.dispatch(_job(2))
+        assert [o.kind for o in _outcomes_within(fleet, 2.0)] == ["done"]
+    finally:
+        fleet.shutdown()
+
+
+def test_a_torn_outcome_frame_is_dropped_with_its_pipe():
+    """A frame cut at any byte by its writer's death yields no outcome,
+    never blocks ``poll``, and takes the pipe out of the wait set."""
+    fleet = WorkerFleet(1)
+    slot = fleet.slots[0]
+    slot.job_id = "j000001"  # the outcome the slot is waiting for
+    try:
+        reader, writer = multiprocessing.Pipe(duplex=False)
+        writer.send(("done", "j000001", {"energy": -1.0}))
+        frame = os.read(reader.fileno(), 65536)
+        reader.close()
+        writer.close()
+        slot.out.close()
+        for cut in range(len(frame)):
+            slot.out, writer = multiprocessing.Pipe(duplex=False)
+            os.write(writer.fileno(), frame[:cut])
+            writer.close()
+            assert fleet.poll() == []
+            assert slot.out is None and slot.busy
+            assert slot.out not in fleet.waitables()
+        # The whole frame is a result: the cut, not the bytes, dropped it.
+        slot.out, writer = multiprocessing.Pipe(duplex=False)
+        os.write(writer.fileno(), frame)
+        writer.close()
+        assert [o.kind for o in fleet.poll()] == ["done"]
+        assert slot.out is None and not slot.busy
+    finally:
+        fleet.shutdown()
+
+
+def test_a_long_error_still_fits_one_atomic_pipe_write(monkeypatch):
+    """A 10 kB exception message comes back as ONE ``failed`` frame no
+    longer than ``PIPE_BUF``: one ``write(2)`` a kill cannot tear."""
+
+    def raise_long(spec, **_):
+        raise ValueError("x" * 10_000)
+
+    monkeypatch.setattr(supervisor, "run_job", raise_long)
+    fleet = WorkerFleet(1)
+    try:
+        fleet.dispatch(_job(1))
+        out = fleet.slots[0].out
+        frames = []
+        while not frames or frames[-1][0][0] != "failed":
+            assert out.poll(30.0)
+            payload = out.recv_bytes()
+            frames.append((pickle.loads(payload), 4 + len(payload)))
+        (msg, size), = [f for f in frames if f[0][0] == "failed"]
+        assert size <= select.PIPE_BUF
+        assert msg[2]["error"].startswith("x" * 100)
+        assert msg[2]["error_type"] == "ValueError"
+    finally:
+        fleet.shutdown()

@@ -12,6 +12,7 @@ clocks the workers' span files and the retry gates use).
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -158,6 +159,29 @@ def test_killed_worker_is_reported_lost_by_its_sentinel(service):
     assert daemon.wakeups - before <= 3  # the sentinel, not a spin
 
 
+def test_a_dead_idle_worker_costs_one_wakeup(service):
+    """Its outcome pipe reads EOF once, is dropped from the wait set,
+    and the slot is respawned for the next job."""
+    daemon, client = service()
+    client.ping()
+    time.sleep(0.2)  # the loop has reached its first wait
+    before = daemon.wakeups
+    os.kill(daemon.fleet.slots[0].proc.pid, signal.SIGKILL)
+    time.sleep(1.0)
+    assert daemon.wakeups - before <= 1
+    done = client.result(client.submit({"xyz": H2_XYZ})["id"], timeout_s=60)
+    assert done["state"] == "done"
+
+
+def test_a_fleet_worker_runs_one_thread(service):
+    """Outcomes are written synchronously: no queue feeder thread."""
+    daemon, client = service()
+    done = client.result(client.submit({"xyz": H2_XYZ})["id"], timeout_s=60)
+    assert done["state"] == "done"
+    pid = daemon.fleet.slots[0].proc.pid
+    assert len(os.listdir(f"/proc/{pid}/task")) == 1
+
+
 def test_sigterm_during_the_blocking_wait_ends_run_forever(tmp_path):
     """The signal is delivered to a thread that is *not* the one blocked
     in the wait — the kernel is free to pick any — so nothing interrupts
@@ -247,9 +271,16 @@ def test_daemon_event_log_stays_bounded_under_heartbeats(service, tmp_path):
     assert get_event_log() is daemon.channel
     nbeats = 10_000
     start = daemon.channel.published
-    pid = daemon.fleet.slots[0].proc.pid
+    slot = daemon.fleet.slots[0]
+    pid = slot.proc.pid
+    # Slot 0's outcome pipe becomes one whose write end this test holds.
+    beats, writer = multiprocessing.Pipe(duplex=False)
+    with daemon._lock:
+        slot.out.close()
+        slot.out = beats
+    daemon._wake_loop()
     for i in range(nbeats):
-        daemon.fleet._out.put(("beat", make_beat(
+        writer.send(("beat", make_beat(
             0, pid, 1, "claim", t=time.perf_counter(), claimed=i)))
     deadline = time.monotonic() + 60
     while (daemon.channel.published - start < nbeats
