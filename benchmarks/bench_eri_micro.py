@@ -368,11 +368,10 @@ def _bench_obs_setup(args, output: Path):
     if args.telemetry:
         from repro.obs.events import set_event_log
         from repro.obs.stream import ObsStreamer
-        from repro.obs.telemetry import TelemetryChannel, default_socket_path
+        from repro.obs.telemetry import TelemetryChannel
 
         channel = TelemetryChannel()
         if handle is not None:
-            channel.serve(default_socket_path(handle.directory))
             # Closed at exit: the file is unbuffered, every line durable.
             ObsStreamer(handle.directory, log=channel)
         set_event_log(channel)

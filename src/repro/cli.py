@@ -17,8 +17,8 @@ Commands
 ``compare``    Diff two or more benchmark/metric records under a noise
                tolerance; exits nonzero on regressions (the CI
                ``bench-regress`` gate).
-``monitor``    Attach to a running SCF's live telemetry socket (or
-               replay a run's recorded ``events.ndjson``) and render the
+``monitor``    Follow a registered run's ``events.ndjson`` while the run
+               is live (or replay it once it is done) and render the
                per-rank activity / convergence / worker-health
                dashboard.
 ``runs``       Query the persistent run registry (``.repro/runs``):

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import sys
 from pathlib import Path
 
@@ -18,8 +17,6 @@ from repro.commands import (
 )
 from repro.config import ConfigError, bounded
 
-logger = logging.getLogger("repro.cli")
-
 _positive = bounded(float, 0, strict=True)
 _nonneg = bounded(float, 0)
 
@@ -27,14 +24,14 @@ _nonneg = bounded(float, 0)
 def register(sub) -> None:
     mon = add_verb(
         sub, "monitor", cmd_monitor,
-        help="live dashboard over a running SCF's telemetry socket, or "
-             "a replay of a recorded event file",
+        help="live dashboard that follows a run's events.ndjson while "
+             "the run is going, or replays it once it is done",
     )
     mon.add_argument(
         "source", nargs="?", default="latest", metavar="SOURCE",
-        help="a telemetry socket path, an events.ndjson (or earlier "
-             "telemetry.ndjson) file, a run-id prefix from the registry, "
-             "or 'latest' (default)",
+        help="an events.ndjson (or earlier telemetry.ndjson) file, a "
+             "run-id prefix from the registry, or 'latest' (default: "
+             "the newest run with an event file)",
     )
     add_runs_dir(mon, " used to resolve run ids")
     mon.add_argument(
@@ -149,75 +146,55 @@ def register(sub) -> None:
 
 
 def cmd_monitor(args: argparse.Namespace) -> int:
-    import stat
+    import time
 
     from repro.obs.events import events_from_ndjson
     from repro.obs.monitor import MonitorState
     from repro.obs.registry import RunRegistry
-    from repro.obs.telemetry import TelemetryClient
 
-    sock: Path | None = None
-    recorded: Path | None = None
     src = Path(args.source)
-    if src.exists():
-        if stat.S_ISSOCK(src.stat().st_mode):
-            sock = src
-            # A finished run's stale socket falls back to its recording.
-            registry = RunRegistry(src.parent.parent)
-            recorded = registry.telemetry_path(src.parent.name)
-        else:
-            recorded = src
+    if src.is_file():
+        path = src.resolve()
+        registry = RunRegistry(path.parent.parent)
+        run_id = path.parent.name
     else:
         registry = RunRegistry(args.runs_dir)
         try:
             run_id = registry.find(args.source)
         except KeyError as exc:
             return fail(exc.args[0])
-        live = registry.run_dir(run_id) / "telemetry.sock"
-        recorded = registry.telemetry_path(run_id)
-        if live.exists() and stat.S_ISSOCK(live.stat().st_mode):
-            sock = live
-        elif recorded is None:
-            return fail(f"run {run_id} has no telemetry "
-                        "(was it started with --telemetry?)")
+        if args.source == "latest":
+            run_id = registry.latest_with_events() or run_id
+        path = registry.telemetry_path(run_id)
+        if path is None:
+            return fail(f"run {run_id} has no events.ndjson")
 
+    # Follow the file the way `tail -f` does while its run is live: read
+    # the complete lines past `offset`; a partial last line waits.  A
+    # file with no run.json beside it is replayed once.
+    following = live = registry.is_live(run_id)
     state = MonitorState()
-
-    def replay() -> None:
-        if recorded is not None and recorded.exists():
-            state.apply_all(events_from_ndjson(recorded.read_text()))
-
-    client = None
-    if sock is not None:
-        try:
-            client = TelemetryClient(sock)
-        except OSError as exc:
-            if recorded is None:
-                return fail(f"cannot connect to {sock}: {exc}")
-            logger.info("socket %s is stale (%s); replaying its run",
-                        sock, exc)
-    if client is None:
-        replay()
-        print(state.render())
-        return 0
+    offset, partial = 0, b""
     try:
         while True:
-            state.apply_all(client.poll(args.interval))
-            if client.eof and state.nrecords == 0:
-                # The run ended between resolving the socket and our
-                # first read (hung up before the backlog arrived):
-                # render from its recording instead of an empty frame.
-                replay()
-            frame = state.render()
-            if not args.plain:
+            with open(path, "rb") as fh:
+                fh.seek(offset)
+                chunk = fh.read()
+            offset += len(chunk)
+            lines, _, partial = (partial + chunk).rpartition(b"\n")
+            if not following:
+                lines, partial = lines + b"\n" + partial, b""
+            state.apply_all(events_from_ndjson(
+                lines.decode(errors="replace")))
+            if live and not args.plain:
                 sys.stdout.write("\x1b[2J\x1b[H")
-            print(frame, flush=True)
-            if args.once or client.eof:
+            print(state.render(), flush=True)
+            if args.once or not following:
                 return 0
+            time.sleep(args.interval)
+            following = registry.is_live(run_id)
     except KeyboardInterrupt:
         return 0
-    finally:
-        client.close()
 
 
 def cmd_runs(args: argparse.Namespace) -> int:

@@ -30,7 +30,7 @@ _BACKEND_OPTIONS = {
 
 def _add_host_args(sub: argparse.ArgumentParser) -> None:
     """What is about this host and this invocation rather than the run:
-    process-backend tuning, the run registry, live telemetry."""
+    process-backend tuning and the run registry."""
     positive = bounded(float, 0, strict=True)
     sub.add_argument(
         "--workers", type=bounded(int, 1), default=None, metavar="N",
@@ -54,13 +54,6 @@ def _add_host_args(sub: argparse.ArgumentParser) -> None:
         help="seconds of heartbeat silence before a pending worker is "
              "flagged suspect and a worker.hung event fires "
              "(default: 2.0)",
-    )
-    sub.add_argument(
-        "--telemetry", action="store_true",
-        help="publish live telemetry (worker heartbeats, SCF cycles, "
-             "metric snapshots) to a unix socket 'repro monitor' can "
-             "attach to mid-run, and mark the run's events.ndjson as its "
-             "recording",
     )
     sub.add_argument(
         "--no-registry", action="store_true",
@@ -196,7 +189,7 @@ def _session(args: argparse.Namespace, kind: str, mol, config: SCFConfig,
         kind,
         {"molecule": mol.name, **asdict(config), "thread_env": _thread_env()},
         registry=not args.no_registry, runs_dir=args.runs_dir,
-        telemetry=args.telemetry, **kwargs,
+        **kwargs,
     )
 
 
@@ -226,12 +219,6 @@ def cmd_scf(args: argparse.Namespace) -> int:
     )
 
     obs = _session(args, "scf", mol, config)
-    if (config.backend == "process" and args.telemetry
-            and obs.run_dir is not None):
-        # Worker spans/events stream into the run directory too, so the
-        # registry's record of a chaos run includes the killed workers'
-        # last completed spans.
-        backend_options["obs_dir"] = obs.run_dir / "workers"
     obs.announce()
     try:
         try:

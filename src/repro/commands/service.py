@@ -232,7 +232,8 @@ def register(sub) -> None:
         "source", nargs="?", default="live", metavar="SOURCE",
         help="'live' queries the running service daemon (default); "
              "otherwise an events.ndjson (or earlier telemetry.ndjson) "
-             "path, a run-id prefix, or 'latest'",
+             "path, a run-id prefix, or 'latest' (the newest serve run "
+             "with an event file)",
     )
     add_service_dir(slo_p)
     add_runs_dir(slo_p, " used to resolve run ids")
@@ -283,8 +284,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if not quiet_enabled():
         print(f"service      : {service_socket_path(args.service_dir)}")
         print(f"journal      : {args.service_dir / 'journal.ndjson'}")
-        print(f"telemetry    : repro monitor "
-              f"{args.service_dir / 'telemetry.sock'}")
+        if daemon.serve_run is not None:
+            print(f"monitor      : repro monitor {daemon.serve_run.run_id}")
         if daemon.queue.recovered_jobs:
             print(f"recovered    : {len(daemon.queue.recovered_jobs)} "
                   f"interrupted job(s) re-queued from the journal")
@@ -501,12 +502,12 @@ def cmd_slo(args: argparse.Namespace) -> int:
         ndjson = src
     elif args.source == "latest":
         # The recording is the *serving* daemon's run, not the per-job
-        # runs: take the newest run that has one.
-        ndjson = next(filter(None, map(registry.telemetry_path,
-                                       reversed(registry.run_ids()))), None)
-        if ndjson is None:
-            return fail(f"no run under {registry.root} has a telemetry "
-                        "recording")
+        # runs (nor an scf run's): take the newest serve run that has one.
+        run_id = registry.latest_with_events(kind="serve")
+        if run_id is None:
+            return fail(f"no serve run under {registry.root} has a "
+                        "telemetry recording")
+        ndjson = registry.telemetry_path(run_id)
     else:
         try:
             run_id = registry.find(args.source)

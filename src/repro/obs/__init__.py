@@ -17,10 +17,10 @@ reader, critical path and the one Chrome ``trace_event`` builder
 Prometheus text (:mod:`repro.obs.export`), incremental NDJSON streaming
 (:mod:`repro.obs.stream`), the persistent run registry
 (:mod:`repro.obs.registry`) and a run's envelope
-(:class:`~repro.obs.session.ObsSession`), the live telemetry channel —
-an event log that streams to a unix socket
-(:mod:`repro.obs.telemetry`) — the SLO engine (:mod:`repro.obs.slo`)
-and the distributed-trace assembler (:mod:`repro.obs.trace_assembly`).
+(:class:`~repro.obs.session.ObsSession`), the thread-safe bounded event
+log a long-lived daemon installs (:mod:`repro.obs.telemetry`), the SLO
+engine (:mod:`repro.obs.slo`) and the distributed-trace assembler
+(:mod:`repro.obs.trace_assembly`).
 """
 
 from importlib import import_module
@@ -80,9 +80,7 @@ _LAZY = {
         "AssembledTrace", "TraceAssemblyError", "assemble_job_trace",
         "load_job_journal",
     ),
-    "telemetry": (
-        "TelemetryChannel", "TelemetryClient", "default_socket_path",
-    ),
+    "telemetry": ("TelemetryChannel",),
 }
 _LAZY_NAMES = {name: mod for mod, names in _LAZY.items() for name in names}
 

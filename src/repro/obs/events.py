@@ -24,10 +24,10 @@ the ``repro monitor`` dashboard folds live:
 Like the tracer and the metrics registry, the log is installed globally
 (:func:`use_event_log`) and defaults to *off*: instrumented code pays
 one ``get_event_log()`` call and an ``is None`` test per event.  It is
-the one channel instrumented code reports through: live telemetry
-(:class:`~repro.obs.telemetry.TelemetryChannel`) is an event log that
-streams, either chained behind a run's log (:meth:`EventLog.tap`) or
-installed as the log itself (the service daemon).
+the one channel instrumented code reports through.  A run streams its
+log to ``events.ndjson`` (:class:`~repro.obs.stream.ObsStreamer`), which
+``repro monitor`` follows live; the service daemon installs a
+thread-safe, bounded log (:class:`~repro.obs.telemetry.TelemetryChannel`).
 
 Timestamps come from the same ``time.perf_counter`` clock the tracer
 uses, so events and spans share a time base and the exporters can place
@@ -151,8 +151,8 @@ def _json_safe(value: Any) -> Any:
 
 
 def event_record(ev: Event, t0: float = 0.0) -> dict[str, Any]:
-    """The JSON-ready dict for one event: the one event line, on disk
-    (``events.ndjson``) and on the telemetry socket."""
+    """The JSON-ready dict for one event: the one event line
+    (``events.ndjson``)."""
     rec: dict[str, Any] = {
         "event": ev.kind,
         "t_s": ev.t - t0,

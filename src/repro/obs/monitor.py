@@ -1,8 +1,8 @@
-"""Live run dashboard: render telemetry streams as a terminal view.
+"""Live run dashboard: render a run's event stream as a terminal view.
 
-``repro monitor`` attaches to a running SCF through the telemetry
-channel's unix socket (or replays a recorded event file) and folds the
-events it streams into a compact dashboard:
+``repro monitor`` follows a running run's ``events.ndjson`` as it grows
+(or replays a finished one) and folds the events into a compact
+dashboard:
 
 * **per-rank activity lanes** — each worker's heartbeat trail drawn as
   a busy/quiet strip, computed with the same interval-union arithmetic

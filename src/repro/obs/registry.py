@@ -9,11 +9,11 @@ them one home::
         run.json          # id, kind, config, status, timings, summary
         metrics.json      # final metrics snapshot (flat, diffable)
         events.ndjson     # the run's event log, one line per event
-        telemetry.sock    # unix socket, while a --telemetry run is live
 
-A ``--telemetry`` run or a ``repro serve`` daemon marks its
-``events.ndjson`` (a ``telemetry`` artifact) as what ``repro monitor``
-and ``repro slo`` replay; an earlier build's second copy of the events,
+``events.ndjson`` is written a whole line per ``write`` as each event
+happens: ``repro monitor`` follows it while ``run.json`` says
+``running`` and replays it afterwards, and ``repro slo`` replays a
+serve run's.  An earlier build's copy of the events,
 ``telemetry.ndjson``, still replays (:meth:`RunRegistry.telemetry_path`).
 
 ``run_id`` is ``<UTC stamp>-<pid>-<entropy>`` — sortable by start time
@@ -220,17 +220,44 @@ class RunRegistry:
         return self.root / run_id
 
     def telemetry_path(self, run_id: str) -> Path | None:
-        """The run's telemetry recording, or ``None`` when it has none:
-        an earlier build's ``telemetry.ndjson``, else the
-        ``events.ndjson`` a ``--telemetry`` run or a daemon marked."""
-        run_dir = self.run_dir(run_id)
-        if (run_dir / "telemetry.ndjson").exists():
-            return run_dir / "telemetry.ndjson"
+        """The run's event file: its ``events.ndjson``, else an earlier
+        build's ``telemetry.ndjson``; ``None`` when neither is on disk."""
+        for name in ("events.ndjson", "telemetry.ndjson"):
+            path = self.run_dir(run_id) / name
+            if path.exists():
+                return path
+        return None
+
+    def latest_with_events(self, kind: str | None = None) -> str | None:
+        """The newest run (of ``kind``, when given) with an event file."""
+        for run_id in reversed(self.run_ids()):
+            if self.telemetry_path(run_id) is None:
+                continue
+            try:
+                if kind is None or self.load(run_id).get("kind") == kind:
+                    return run_id
+            except (OSError, json.JSONDecodeError):
+                continue
+        return None
+
+    def is_live(self, run_id: str) -> bool:
+        """Whether the run is still going: its ``run.json`` says
+        ``running`` and the pid in its id is alive.  A record caught
+        mid-rewrite reads as running."""
         try:
-            marked = "telemetry" in self.load(run_id).get("artifacts", {})
-        except (OSError, json.JSONDecodeError):
-            return None
-        return run_dir / "events.ndjson" if marked else None
+            if self.load(run_id).get("status") != "running":
+                return False
+        except json.JSONDecodeError:
+            pass
+        except OSError:
+            return False
+        try:
+            os.kill(int(run_id.split("-")[2]), 0)
+        except (IndexError, ValueError, ProcessLookupError):
+            return False
+        except PermissionError:  # alive, owned by another user
+            pass
+        return True
 
     # -- retention -----------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""The observability envelope of one run: registry record + telemetry."""
+"""The observability envelope of one run: registry record + event file."""
 
 from __future__ import annotations
 
@@ -17,18 +17,15 @@ logger = logging.getLogger("repro.obs.session")
 
 
 class ObsSession:
-    """Run-registry record plus (optional) live telemetry for one run.
+    """Run-registry record plus event file for one run.
 
     Owns the whole observability envelope of a ``scf`` / ``profile``
-    invocation: registers the run (unless ``registry=False``), streams
-    the event log incrementally into the run directory's
-    ``events.ndjson``, and — with ``telemetry=True`` — chains a
-    :class:`~repro.obs.telemetry.TelemetryChannel` behind that log, so
-    every event also reaches a unix socket ``repro monitor`` can attach
-    to mid-run (and ``events.ndjson`` is marked as the run's recording).
-    ``finalize`` writes the final metrics snapshot (JSON + Prometheus
-    text) and closes the record; everything degrades to no-ops when the
-    registry or telemetry is off.
+    invocation: registers the run (unless ``registry=False``) and
+    streams the event log incrementally into the run directory's
+    ``events.ndjson`` — what ``repro monitor`` follows while the run is
+    live.  ``finalize`` writes the final metrics snapshot (JSON +
+    Prometheus text) and closes the record; everything degrades to
+    no-ops when the registry is off.
     """
 
     def __init__(
@@ -38,7 +35,6 @@ class ObsSession:
         *,
         registry: bool = True,
         runs_dir: str | Path | None = None,
-        telemetry: bool = False,
         log: EventLog | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
@@ -46,7 +42,6 @@ class ObsSession:
             RunRegistry(runs_dir).register(kind, config=config)
             if registry else None
         )
-        self.channel = None
         self._finalized = False
         # Everything opened below is undone by close(), newest first.
         self._stack = contextlib.ExitStack()
@@ -64,33 +59,10 @@ class ObsSession:
             # emitted, so a crashed run still leaves its event trail.
             enter(ObsStreamer(self.handle.directory, log=self.log))
 
-        if telemetry:
-            from repro.obs.telemetry import (
-                TelemetryChannel, default_socket_path)
-
-            self.channel = TelemetryChannel()
-            if self.handle is not None:
-                self.handle.add_artifact(
-                    "telemetry", self.handle.path("events.ndjson"))
-                self.handle.save()
-            self._stack.callback(self.channel.close)
-            enter(self.log.tap(self.channel.record))
-            sock = self.channel.serve(default_socket_path(self.run_dir))
-            if sock is not None:
-                logger.info("telemetry socket: %s", sock)
-
-    @property
-    def run_dir(self) -> Path | None:
-        return self.handle.directory if self.handle is not None else None
-
     def announce(self) -> None:
-        """Print the run id / socket for interactive use (quiet-gated)."""
-        if quiet_enabled():
-            return
-        if self.handle is not None:
+        """Print the run id for interactive use (quiet-gated)."""
+        if self.handle is not None and not quiet_enabled():
             print(f"run id       : {self.handle.run_id}")
-        if self.channel is not None and self.channel.socket_path is not None:
-            print(f"telemetry    : repro monitor {self.channel.socket_path}")
 
     def finalize(self, *, status: str, summary: dict | None = None) -> None:
         """Write the final snapshot and close the run record."""
@@ -126,7 +98,7 @@ class ObsSession:
             )
 
     def close(self) -> None:
-        """Tear down telemetry/streams and restore the global instruments."""
+        """Close the event file and restore the global instruments."""
         if not self._finalized:
             self.finalize(status="failed")
         self._stack.close()

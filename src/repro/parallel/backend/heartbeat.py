@@ -24,9 +24,9 @@ heartbeat protocol closes that window:
 Each beat, and each change of a rank's state, is one event on the
 installed event log (``worker.heartbeat`` / ``worker.hung`` /
 ``worker.recovered`` / ``worker.lost``) carrying the rank's whole
-health record; a ``--telemetry`` run streams them, and they are what
-the ``repro monitor`` dashboard's worker-health column and per-rank
-activity lanes are drawn from.
+health record; a registered run writes them to its ``events.ndjson`` as
+they happen, and they are what the ``repro monitor`` dashboard's
+worker-health column and per-rank activity lanes are drawn from.
 """
 
 from __future__ import annotations

@@ -48,7 +48,7 @@ from repro.service.jobs import TERMINAL_STATES, JobSpec, sha256
 #: Default service state directory, relative to the working directory.
 DEFAULT_SERVICE_DIR = Path(".repro") / "service"
 
-#: sun_path budget (same guard the telemetry bus uses).
+#: sun_path budget (~107 bytes on Linux, with room to spare).
 _MAX_SOCKET_PATH = 100
 
 #: Cap on one NDJSON reply (an XYZ geometry travels inline; 8 MiB is
@@ -59,12 +59,12 @@ MAX_LINE = 8 << 20
 def service_socket_path(service_dir: str | Path) -> Path:
     """The request socket of a service directory, short enough to bind.
 
-    Mirrors :func:`repro.obs.telemetry.default_socket_path`: when the
-    directory is nested too deep for ``sun_path``, fall back to a short
-    name under the temp directory (shared by every user, not per-user),
-    keyed by a hash of the directory's absolute path: a relative and an
-    absolute spelling of one deep service dir share a socket, and one
-    relative spelling used from two working directories does not.
+    When the directory is nested too deep for ``sun_path``, fall back to
+    a short name under the temp directory (shared by every user, not
+    per-user), keyed by a hash of the directory's absolute path: a
+    relative and an absolute spelling of one deep service dir share a
+    socket, and one relative spelling used from two working directories
+    does not.
     """
     candidate = Path(service_dir) / "service.sock"
     if len(str(candidate)) <= _MAX_SOCKET_PATH:

@@ -15,15 +15,15 @@ One process, three moving parts:
   accepted submits, cancels, stop requests and the signal handlers),
   with a timeout only when something is *due* — a retry's back-off
   gate, a job deadline, a heartbeat-suspect horizon, the idle exit.
-  There is no polling interval: an idle daemon makes no wake-ups at
-  all, and a finished job is folded the moment its result is written;
-* the observability stack: a telemetry channel installed as the
-  process event log — bounded backlog, served from the service
-  directory (``repro monitor <service-dir>/telemetry.sock``), written to
-  the serve run's ``events.ndjson`` — carrying ``job.*`` /
-  ``service.*`` / ``slo.*`` records for every lifecycle edge and the
-  fleet's heartbeats, plus a run-registry record per job and one for
-  the daemon itself.
+  There is no polling interval and no other thread that naps: an idle
+  daemon makes no wake-ups at all, and a finished job is folded the
+  moment its result is written;
+* the observability stack: a thread-safe, bounded event log installed
+  as the process event log and written to the serve run's
+  ``events.ndjson`` (``repro monitor <serve run id>`` follows it) —
+  carrying ``job.*`` / ``service.*`` / ``slo.*`` records for every
+  lifecycle edge and the fleet's heartbeats, plus a run-registry record
+  per job and one for the daemon itself.
 
 Crash model end to end: submissions and transitions are fsync'd to the
 journal *before* they are acknowledged, checkpoints land under
@@ -59,7 +59,7 @@ from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
 from repro.obs.registry import RunHandle, RunRegistry, new_run_id
 from repro.obs.slo import DEFAULT_SLO_TARGETS, SLOEngine, job_class
 from repro.obs.stream import ObsStreamer
-from repro.obs.telemetry import TelemetryChannel, close_listener
+from repro.obs.telemetry import TelemetryChannel
 from repro.service.client import recv_line, probe_socket, service_socket_path
 from repro.service.errors import (
     DaemonAlreadyRunning,
@@ -86,6 +86,27 @@ MAX_WAIT_S = 60.0
 #: (jobs checkpoint on cost), and the batch-plan seed (no policy left
 #: breaks ties at random).
 RETIRED_CONFIG_KEYS = ("tick_s", "checkpoint_every", "batch_seed")
+
+
+def close_listener(server: socket.socket,
+                   thread: threading.Thread | None) -> None:
+    """Close a listening socket whose ``accept()`` loop runs on ``thread``.
+
+    ``close()`` alone leaves a thread parked in ``accept()`` asleep on
+    Linux (joining it only ever timed out); ``shutdown()`` fails the
+    pending accept, the loop returns, and the join is immediate.  The
+    join's timeout is a guard for platforms that do not, not a sleep.
+    """
+    try:
+        server.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    if thread is not None:
+        thread.join(timeout=5)
+    try:
+        server.close()
+    except OSError:  # pragma: no cover - teardown best effort
+        pass
 
 
 @dataclass
@@ -232,17 +253,11 @@ class ServiceDaemon:
         set_event_log(self.channel)
         set_metrics(MetricsRegistry())
         self.slo = SLOEngine(self.config.slo_targets, log=self.channel)
-        telemetry_fd = None
-        if self.channel.serve(self.service_dir / "telemetry.sock"):
-            telemetry_fd = self.channel.server_fileno()
         if self.serve_run is not None:
             # Every event, once, in the serve run's events.ndjson: what
-            # `repro monitor` / `repro slo` replay after the daemon is gone.
+            # `repro monitor` follows and `repro slo` replays.
             self._events_file = ObsStreamer(self.serve_run.directory,
                                             log=self.channel)
-            self.serve_run.add_artifact(
-                "telemetry", self.serve_run.path("events.ndjson"))
-            self.serve_run.save()
 
         self.queue = DurableJobQueue(
             self.service_dir / "journal.ndjson",
@@ -262,16 +277,14 @@ class ServiceDaemon:
 
         # Workers are forked from here on; every fd they must NOT
         # inherit goes in this list (see _service_worker_loop).
-        close_fds = [self._server.fileno(), self.queue.fileno(),
-                     self._wake_r.fileno(), self._wake_w.fileno()]
-        if telemetry_fd is not None:
-            close_fds.append(telemetry_fd)
+        close_fds = (self._server.fileno(), self.queue.fileno(),
+                     self._wake_r.fileno(), self._wake_w.fileno())
         self.fleet = WorkerFleet(
             self.config.fleet,
             job_timeout_s=self.config.job_timeout_s,
             heartbeat_timeout_s=self.config.heartbeat_timeout_s,
             process_budget=self.config.process_budget,
-            close_fds=tuple(close_fds),
+            close_fds=close_fds,
         )
 
         self._accept_thread = threading.Thread(

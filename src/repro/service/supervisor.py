@@ -272,8 +272,8 @@ def _service_worker_loop(slot: int, cmd: Any, out: Any,
     inherited parent state: the daemon's listening sockets (a child
     holding the listen fd would make a dead daemon's socket accept
     connections forever) and the parent's global event log and metrics
-    (the daemon's event log is its telemetry channel: emitting from here
-    would interleave onto the parent's subscriber sockets).
+    (emitting into the daemon's event log from here would write the
+    serve run's ``events.ndjson`` from two processes).
 
     Then it imports the SCF stack :func:`run_job` needs, while it idles:
     the daemon does not wait for it (its first ping answers with this

@@ -368,11 +368,12 @@ def test_scf_schedule_flag(water_xyz, capsys, schedule):
 
 @pytest.mark.parametrize("argv", (
     ["--schedule", "guided"], ["--schedule", "steal"], ["--steal-seed", "3"],
-    ["--incremental"], ["--rebuild-every", "4"],
+    ["--incremental"], ["--rebuild-every", "4"], ["--telemetry"],
 ))
 def test_scf_removed_schedule_knobs_are_usage_errors(water_xyz, capsys, argv):
-    """Removed knobs — the guided/steal strategies and the incremental
-    (delta-density) SCF — fail in argparse (exit 2), typed."""
+    """Removed knobs — the guided/steal strategies, the incremental
+    (delta-density) SCF and the live-telemetry socket — fail in argparse
+    (exit 2), typed."""
     with pytest.raises(SystemExit) as exc:
         main(["scf", str(water_xyz), *argv])
     assert exc.value.code == 2

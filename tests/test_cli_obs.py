@@ -1,6 +1,9 @@
-"""CLI observability: --telemetry runs, run registry commands, monitor."""
+"""CLI observability: registered runs, run registry commands, monitor."""
 
 import json
+import sys
+import threading
+import time
 
 import pytest
 
@@ -37,11 +40,10 @@ def test_scf_registers_run_with_artifacts(
     method_flags, water_xyz, tmp_path, capsys
 ):
     runs_dir = tmp_path / "runs"
-    rc = _scf(water_xyz, runs_dir, "--telemetry", *method_flags)
+    rc = _scf(water_xyz, runs_dir, *method_flags)
     out = capsys.readouterr().out
     assert rc == 0
     assert "run id       :" in out
-    assert "telemetry    : repro monitor" in out
 
     (run_dir,) = _runs(runs_dir)
     rec = json.loads((run_dir / "run.json").read_text())
@@ -60,10 +62,8 @@ def test_scf_registers_run_with_artifacts(
     assert any(k.startswith("summary.") for k in metrics)
     assert (run_dir / "metrics.prom").read_text().strip()
     # One event file: it holds the run bracket and the SCF cycles (one
-    # sample each: the monitor's sparkline is drawn from them), and it
-    # is the run's telemetry recording.
+    # sample each: the monitor's sparkline is drawn from them).
     assert not (run_dir / "telemetry.ndjson").exists()
-    assert rec["artifacts"]["telemetry"] == str(run_dir / "events.ndjson")
     kinds = [
         json.loads(line)["event"]
         for line in (run_dir / "events.ndjson").read_text().splitlines()
@@ -142,7 +142,7 @@ def test_runs_show_unknown_prefix_errors(tmp_path, capsys):
 
 def test_monitor_replays_recorded_run(water_xyz, tmp_path, capsys):
     runs_dir = tmp_path / "runs"
-    assert _scf(water_xyz, runs_dir, "--telemetry", "--quiet") == 0
+    assert _scf(water_xyz, runs_dir, "--quiet") == 0
     capsys.readouterr()
     rc = main(["monitor", "latest", "--runs-dir", str(runs_dir)])
     frame = capsys.readouterr().out
@@ -159,11 +159,78 @@ def test_monitor_replays_recorded_run(water_xyz, tmp_path, capsys):
 
 
 def test_monitor_without_telemetry_errors(water_xyz, tmp_path, capsys):
+    """A run whose events file is missing is one ``error:`` line."""
     runs_dir = tmp_path / "runs"
     assert _scf(water_xyz, runs_dir, "--quiet") == 0
+    (run_dir,) = _runs(runs_dir)
+    (run_dir / "events.ndjson").unlink()
+    capsys.readouterr()
     rc = main(["monitor", "latest", "--runs-dir", str(runs_dir)])
-    assert rc == 2
-    assert "no telemetry" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "has no events.ndjson" in err[0]
+
+
+class _Frames:
+    """A stdout that keeps what a thread prints, whole writes at a time."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+    def frames(self):
+        return [f for f in "".join(self.writes).split("repro monitor — ")
+                if f]
+
+
+def test_monitor_follows_a_live_run_until_it_ends(tmp_path, monkeypatch):
+    """``repro monitor`` follows a live run's events.ndjson as it grows
+    and exits once the run is finalized, having drawn every cycle."""
+    from repro.obs.session import ObsSession
+
+    runs_dir = tmp_path / "runs"
+    obs = ObsSession("scf", {"molecule": "water"}, runs_dir=runs_dir)
+
+    def cycle(n):
+        obs.log.emit("scf.cycle", cycle=n, energy=-74.9 - 0.01 / n,
+                     delta_e=10.0 ** -n)
+
+    cycle(1)
+    cycle(2)
+    out = _Frames()
+    monkeypatch.setattr(sys, "stdout", out)
+    rc = []
+    monitor = threading.Thread(target=lambda: rc.append(main([
+        "monitor", obs.handle.run_id, "--runs-dir", str(runs_dir),
+        "--plain", "--interval", "0.05",
+    ])))
+    try:
+        monitor.start()
+        deadline = time.monotonic() + 5
+        while not out.frames() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert out.frames(), "the monitor drew no first frame"
+        for n in (3, 4, 5):
+            cycle(n)
+            time.sleep(0.06)
+    finally:
+        obs.finalize(status="done")
+        obs.close()
+    monitor.join(timeout=5)
+    assert not monitor.is_alive(), "monitor kept following a finished run"
+    assert rc == [0]
+    frames = out.frames()
+    assert len(frames) >= 2
+    assert frames[-1].startswith("5 records")
+    assert "cycle   5" in frames[-1]
 
 
 def test_monitor_empty_registry_errors(tmp_path, capsys):
@@ -248,6 +315,30 @@ def test_slo_latest_without_telemetry_errors(tmp_path, capsys):
     assert "telemetry" in capsys.readouterr().err
 
 
+def test_slo_latest_reads_the_newest_serve_run(tmp_path, capsys):
+    """Every registered run has an event file; ``slo latest`` skips the
+    newer scf run's and reads the serve run's."""
+    from repro.obs.registry import RunRegistry
+
+    registry = RunRegistry(tmp_path / "runs")
+    serve = registry.register("serve")
+    serve.path("events.ndjson").write_text(json.dumps(
+        {"event": "job.done", "t_s": 1.0, "rank": None, "job": "j000000",
+         "job_class": "shared-fock/sim", "queue_wait_s": 0.1,
+         "run_s": 0.4, "total_s": 0.5}) + "\n")
+    scf = registry.register("scf")
+    scf.path("events.ndjson").write_text("")
+    for run in (serve, scf):
+        run.finalize(status="done")
+    assert main(["monitor", "latest", "--runs-dir",
+                 str(tmp_path / "runs")]) == 0
+    assert "0 records" in capsys.readouterr().out
+    assert main(["slo", "latest", "--runs-dir", str(tmp_path / "runs"),
+                 "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["classes"]["shared-fock/sim"]["done"] == 1
+
+
 # -- explain ------------------------------------------------------------------
 
 
@@ -327,7 +418,7 @@ def test_straggler_fault_emits_worker_hung(water_xyz, tmp_path, capsys):
     runs_dir = tmp_path / "runs"
     rc = main([
         "scf", str(water_xyz), "--backend", "process", "--workers", "2",
-        "--telemetry", "--runs-dir", str(runs_dir),
+        "--runs-dir", str(runs_dir),
         "--fault-plan", "delay:rank=1:cycle=2:factor=100",
         "--heartbeat-interval", "0.005", "--heartbeat-timeout", "0.02",
     ])

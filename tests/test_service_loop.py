@@ -81,14 +81,35 @@ def _transitions(tmp_path, job_id: str, state: str) -> list[dict]:
 # -- the wait ------------------------------------------------------------------
 
 
+def _voluntary_switches(threads) -> int:
+    """Voluntary context switches the threads made so far, together."""
+    total = 0
+    for thread in threads:
+        status = Path(f"/proc/self/task/{thread.native_id}/status")
+        for line in status.read_text().splitlines():
+            if line.startswith("voluntary_ctxt_switches:"):
+                total += int(line.split()[1])
+    return total
+
+
 def test_idle_daemon_never_wakes(service):
+    """Neither the dispatch loop nor any other daemon thread: an idle
+    daemon runs its loop and its accept thread, both asleep."""
+    others = set(threading.enumerate())
     daemon, client = service()
     client.ping()  # requests are served by their own threads
     time.sleep(0.2)  # the loop has reached its first wait
+    threads = [t for t in threading.enumerate() if t not in others]
+    assert len(threads) == 2, [t.name for t in threads]
+    assert not any(t.name.startswith("telemetry-")
+                   for t in threading.enumerate())
     before = daemon.wakeups
+    switches = _voluntary_switches(threads)
     time.sleep(1.0)
+    switches = _voluntary_switches(threads) - switches
     client.ping()
     assert daemon.wakeups == before
+    assert switches <= 2
 
 
 def test_result_is_folded_and_the_next_job_dispatched_at_once(
@@ -300,7 +321,7 @@ def test_close_of_an_idle_daemon_is_immediate(tmp_path):
         service_dir=str(tmp_path / "svc"), runs_dir=str(tmp_path / "runs"),
         fleet=1)).start()
     JobClient(tmp_path / "svc").ping()
-    accept_threads = [daemon._accept_thread, daemon.channel._server_thread]
+    accept_threads = [daemon._accept_thread]
     assert all(t.is_alive() for t in accept_threads)
     started = time.perf_counter()
     daemon.close()

@@ -1,10 +1,8 @@
-"""Live telemetry: the event line, channel fan-out, unix-socket streaming."""
+"""The event line, and the daemon's thread-safe bounded event log."""
 
 import json
 import threading
 import time
-
-import pytest
 
 from repro.obs.events import (
     Event,
@@ -16,11 +14,7 @@ from repro.obs.events import (
     use_event_log,
 )
 from repro.obs.stream import ObsStreamer
-from repro.obs.telemetry import (
-    TelemetryChannel,
-    TelemetryClient,
-    default_socket_path,
-)
+from repro.obs.telemetry import TelemetryChannel
 
 
 def _line(ev):
@@ -31,7 +25,7 @@ def _line(ev):
 
 
 def test_record_json_round_trip():
-    """The socket and events.ndjson carry the one event line."""
+    """events.ndjson carries the one event line."""
     ev = Event(kind="scf.cycle", t=1.25,
                fields={"cycle": 3, "energy": -74.96, "delta_e": 1e-3})
     line = json.loads(_line(ev))
@@ -153,8 +147,8 @@ def test_global_channel_defaults_off_and_restores():
 
 
 def test_run_log_tap_feeds_the_channel_once_per_event():
-    """A ``--telemetry`` run chains the channel behind its own log: each
-    emit lands in both, with the run log's timestamp, exactly once."""
+    """A channel chained behind a run's own log gets each emit once,
+    with the run log's timestamp."""
     log = EventLog(clock=iter([1.0, 2.0, 3.0, 4.0]).__next__)
     chan = TelemetryChannel(clock=lambda: 99.0)
     log.emit("before")
@@ -167,91 +161,6 @@ def test_run_log_tap_feeds_the_channel_once_per_event():
     assert list(chan) == list(log)[1:3]
     assert [ev.t for ev in chan] == [2.0, 3.0]
     assert log.on_emit is None
-
-
-# -- unix-socket streaming ----------------------------------------------------
-
-
-def test_socket_backlog_then_live_stream(tmp_path):
-    chan = TelemetryChannel()
-    sock = chan.serve(tmp_path / "telemetry.sock")
-    assert sock is not None and chan.socket_path == sock
-    chan.emit("early", i=0)
-    chan.emit("early", i=1)
-
-    with TelemetryClient(sock) as client:
-        # Backlog replay: a mid-run subscriber first sees history.
-        got = _poll_until(client, 2)
-        assert [ev.fields["i"] for ev in got] == [0, 1]
-
-        chan.emit("live", i=2)
-        got += _poll_until(client, 1)
-        assert got[-1].kind == "live"
-        chan.close()
-        deadline = time.time() + 5
-        while not client.eof and time.time() < deadline:
-            client.poll(0.05)
-        assert client.eof
-    assert not sock.exists()  # close() unlinks the socket
-
-
-def test_close_wakes_the_accept_thread(tmp_path):
-    """``close()`` used to ``join(timeout=2)`` a thread that closing the
-    listening socket never woke: every channel cost 2 s to tear down."""
-    chan = TelemetryChannel()
-    assert chan.serve(tmp_path / "telemetry.sock") is not None
-    threads = [chan._server_thread, chan._flush_thread]
-    time.sleep(0.05)  # both parked: one in accept(), one in its nap
-    started = time.perf_counter()
-    chan.close()
-    assert time.perf_counter() - started < 0.2
-    assert not any(t.is_alive() for t in threads)
-
-
-def test_socket_serve_degrades_on_bad_path(tmp_path):
-    chan = TelemetryChannel()
-    too_deep = tmp_path / ("x" * 120) / "telemetry.sock"
-    assert chan.serve(too_deep) is None
-    # Emitting still works with no socket.
-    chan.emit("a")
-    assert chan.published == 1
-    chan.close()
-
-
-def test_concurrent_publishers_one_socket_client(tmp_path):
-    chan = TelemetryChannel()
-    sock = chan.serve(tmp_path / "t.sock")
-    assert sock is not None
-    client = TelemetryClient(sock)
-    _poll_until(client, 0, quiet_ok=True)
-
-    def pump(rank):
-        for i in range(50):
-            chan.emit("tick", rank=rank, i=i)
-
-    threads = [threading.Thread(target=pump, args=(r,)) for r in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    got = _poll_until(client, 200)
-    assert len(got) == 200
-    # Per-rank ordering is preserved even under interleaving.
-    for r in range(4):
-        seq = [g.fields["i"] for g in got if g.rank == r]
-        assert seq == list(range(50))
-    client.close()
-    chan.close()
-
-
-def _poll_until(client, n, *, quiet_ok=False, timeout=10.0):
-    got = []
-    deadline = time.time() + timeout
-    while len(got) < n and time.time() < deadline:
-        got += client.poll(0.05)
-    if not quiet_ok:
-        assert len(got) >= n, f"only {len(got)}/{n} records arrived"
-    return got
 
 
 # -- NDJSON sink --------------------------------------------------------------
@@ -307,15 +216,3 @@ def test_ndjson_sink_survives_emitters_racing_close(tmp_path):
     assert len(recs) == chan.published
     assert [(ev.rank, ev.fields["i"]) for ev in recs] == [
         (ev.rank, ev.fields["i"]) for ev in chan.events]
-
-
-# -- socket path guard --------------------------------------------------------
-
-
-def test_default_socket_path_length_guard(tmp_path):
-    short = default_socket_path(tmp_path)
-    assert short == tmp_path / "telemetry.sock"
-    deep = tmp_path / ("d" * 150)
-    fallback = default_socket_path(deep)
-    assert len(str(fallback)) <= 100
-    assert fallback.name.endswith(".sock")
