@@ -61,6 +61,7 @@ This module is the entry point only; the verbs live in
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -108,5 +109,20 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
 
+def entry() -> None:
+    """The ``repro`` console script and ``python -m repro``: :func:`main`,
+    then exit without walking the heap.
+
+    ``gc.freeze()`` moves every tracked object to the permanent
+    generation, so the interpreter's teardown collections have nothing
+    to traverse among the objects NumPy and the SCF stack leave behind.
+    :func:`main` itself stays free of that side effect: callers in
+    process (the tests) keep a collector that sees everything.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

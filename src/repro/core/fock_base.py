@@ -25,7 +25,7 @@ from repro.core.quartets import (
 )
 from repro.core.screening import DEFAULT_TAU, Screening
 from repro.integrals.basis_setup import basis_setup
-from repro.integrals.cache import QuartetCache
+from repro.integrals.cache import DEFAULT_CACHE_BYTES, QuartetCache
 from repro.obs.events import get_event_log
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
@@ -215,8 +215,8 @@ class ParallelFockBuilderBase:
     eri_cache:
         A prepared :class:`~repro.integrals.cache.QuartetCache` shared
         with the quartet engine; repeat SCF cycles then serve ERI slabs
-        from memory (semi-direct SCF) and reuse the task plans of the
-        first (:meth:`task_plan`).
+        from memory (semi-direct SCF).  Its byte budget also bounds the
+        task plans kept (:meth:`task_plan`).
     eri_cache_mb:
         Convenience knob: when ``eri_cache`` is omitted and this is a
         positive MB budget, a cache of that size is created.  ``None``
@@ -299,6 +299,7 @@ class ParallelFockBuilderBase:
         self._plans: dict[int, TaskPlan] = {}
         self._plans_for: Screening | None = None
         self._plan_bytes = 0
+        self._plan_last: TaskPlan | None = None
         # Global-registry counters of _record_global, and their registry.
         self._counters: list = []
         self._counters_of = None
@@ -355,29 +356,36 @@ class ParallelFockBuilderBase:
         raise NotImplementedError
 
     def task_plan(self, task: int) -> TaskPlan:
-        """The plan of DLB task ``task``, planned at most once per cache.
+        """The plan of DLB task ``task``, planned at most once.
 
-        A semi-direct build stores integrals to stop recomputing what
-        does not depend on the density, and the plan is the rest of
-        that: with a cache attached it is kept from the build that
-        first draws the task (on whichever rank) and served to every
-        later one, for as long as ``self.screening`` is the *instance*
-        it was planned under — another ``Screening`` plans afresh — and
-        until the index vectors kept reach the cache's own byte budget.
-        Direct SCF keeps nothing: it must not grow O(quartets) state.
+        Which kets survive under a task, how the thread team splits
+        them, every index vector of their digestion and, for direct SCF,
+        the kernel's schedule of each share (built when the share is
+        first evaluated) do not depend on the density.  So the plan is
+        kept from the build that first draws the task (on whichever
+        rank) and served to every later one, direct or semi-direct
+        alike, for as long as ``self.screening`` is the *instance* it
+        was planned under — another ``Screening`` plans afresh — and
+        until the plans kept, schedules included, reach a byte budget:
+        the cache's own when one is attached, else
+        :data:`~repro.integrals.cache.DEFAULT_CACHE_BYTES` (the 64 MB
+        ``eri_cache_mb`` defaults to).
         """
-        cache = self.eri_cache
-        if cache is None:
-            return self.plan_task(task)
         if self._plans_for is not self.screening:
             self._plans, self._plans_for = {}, self.screening
-            self._plan_bytes = 0
+            self._plan_bytes, self._plan_last = 0, None
         plan = self._plans.get(task)
         if plan is None:
             plan = self.plan_task(task)
-            if self._plan_bytes < cache.max_bytes:
-                self._plans[task] = plan
-                self._plan_bytes += plan.nbytes
+            # Schedules join a plan when its shares are first evaluated,
+            # after it is kept: the plan kept last is counted now.
+            if self._plan_last is not None:
+                self._plan_bytes += self._plan_last.nbytes
+                self._plan_last = None
+            cache = self.eri_cache
+            budget = DEFAULT_CACHE_BYTES if cache is None else cache.max_bytes
+            if self._plan_bytes < budget:
+                self._plans[task] = self._plan_last = plan
         return plan
 
     def assemble(self, W: np.ndarray) -> np.ndarray:

@@ -80,9 +80,12 @@ family   reduces over                   result, destination rows
 
 Digestion has two halves.  What depends only on the bra, the kets and
 the basis — the per-column factor, ``kfun`` / ``lfun`` and their
-concatenation ``rows`` — is a :class:`SharePlan`, built by
+concatenation ``rows``, and for direct SCF the kernel's
+:class:`~repro.integrals.eri.KetSchedule` once the share is first
+evaluated — is a :class:`SharePlan`, built by
 :meth:`QuartetEngine.share_plan` and reusable for every density (the
-builders keep it per DLB task when a cache is attached, see
+builders keep it per DLB task, direct or semi-direct, under one byte
+budget, see
 :meth:`~repro.core.fock_base.ParallelFockBuilderBase.task_plan`).  What
 depends on the density is :meth:`~QuartetEngine.digest_bra`, the one
 body that computes the six families, returned as a :class:`BraDigest`
@@ -102,6 +105,7 @@ and for the e2e ledger's pinned per-quartet digestion sweep.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import NamedTuple
 
@@ -114,7 +118,13 @@ from repro.core.indexing import (
     ragged_arange,
 )
 from repro.integrals.cache import QuartetCache
-from repro.integrals.eri import PairSet, eri_bra_slab, pair_stacks
+from repro.integrals.eri import (
+    KetSchedule,
+    PairSet,
+    eri_bra_slab,
+    ket_schedule,
+    pair_stacks,
+)
 from repro.obs.tracer import get_tracer
 
 
@@ -123,13 +133,19 @@ def symmetrize_two_electron(W: np.ndarray) -> np.ndarray:
     return W + W.T
 
 
-class SharePlan(NamedTuple):
+@dataclass(eq=False, slots=True)
+class SharePlan:
     """The density-independent half of digesting one share.
 
     Everything :meth:`QuartetEngine.digest_bra` needs besides the densities
     and the integrals, fixed by the bra, the share's kets and the basis:
     built once by :meth:`QuartetEngine.share_plan`, reusable every SCF
     cycle.  ``kfun`` / ``lfun`` are the two halves of ``rows``.
+    ``schedule`` is the kernel's
+    :class:`~repro.integrals.eri.KetSchedule` of the share, built the
+    first time an engine without a cache evaluates it and kept with the
+    plan.  With a cache the stored slab is what is kept: a share the
+    cache serves needs no schedule, and a miss schedules afresh.
     """
 
     ij: int
@@ -140,11 +156,13 @@ class SharePlan(NamedTuple):
     kfun: np.ndarray
     lfun: np.ndarray
     rows: np.ndarray  # concat(kfun, lfun): the share's row scatter
+    schedule: KetSchedule | None = None
 
     @property
     def nbytes(self) -> int:
         """Bytes of index data held (what a plan memo grows by)."""
-        return self.kls.nbytes + self.fac.nbytes + self.rows.nbytes
+        held = self.kls.nbytes + self.fac.nbytes + self.rows.nbytes
+        return held + (self.schedule.nbytes if self.schedule else 0)
 
 
 class BraDigest(NamedTuple):
@@ -232,23 +250,28 @@ class QuartetEngine:
         one set every consumer of this basis shares)."""
         return pair_stacks(self.basis)
 
-    def slab(self, ij: int, kls: np.ndarray) -> np.ndarray:
+    def slab(
+        self, ij: int, kls: np.ndarray, plan: SharePlan | None = None
+    ) -> np.ndarray:
         """Unscaled ERI slab ``X[(i j), m]`` of bra ``ij`` against ``kls``.
 
         ``kls`` holds combined indices of canonical ket pairs
         (``int64``); the columns run over their function pairs, ket
         after ket, each block in its own ``(k, l)`` row-major order.
         Without a cache the kets are evaluated together, one kernel
-        call per share, straight into the slab.  With one, the slab
-        is whatever :meth:`QuartetCache.slab
+        call per share, straight into the slab, and ``plan`` — the
+        :class:`SharePlan` of this very share — keeps the kernel's
+        schedule of it, as the share comes back every build.  With a
+        cache, the slab is what is kept: the result is whatever
+        :meth:`QuartetCache.slab
         <repro.integrals.cache.QuartetCache.slab>` returns — the stored
         array itself (read-only) for a share it has seen — and only
-        kets it does not hold are evaluated.
+        kets it does not hold are evaluated, scheduled afresh.
         """
         cache = self.cache
         if cache is None or not kls.size:
             self.quartets_computed += kls.size
-            return self._evaluate_slab(ij, kls)
+            return self._evaluate_slab(ij, kls, plan)
         misses = cache.misses
         X = cache.slab(ij, kls, self.pair_nfunc, partial(self._evaluate_slab, ij))
         computed = cache.misses - misses
@@ -256,9 +279,16 @@ class QuartetEngine:
         self.quartets_from_cache += kls.size - computed
         return X
 
-    def _evaluate_slab(self, ij: int, kls: np.ndarray) -> np.ndarray:
+    def _evaluate_slab(
+        self, ij: int, kls: np.ndarray, plan: SharePlan | None = None
+    ) -> np.ndarray:
+        schedule = None
+        if plan is not None:
+            if plan.schedule is None:
+                plan.schedule = ket_schedule(self.pairs, ij, kls)
+            schedule = plan.schedule
         with get_tracer().span("eri/quartet_batch"):
-            return eri_bra_slab(self.pairs, ij, kls)
+            return eri_bra_slab(self.pairs, ij, kls, schedule)
 
     def composite_blocks(
         self, I: int, J: int, kls: np.ndarray
@@ -328,7 +358,7 @@ class QuartetEngine:
         layout and for why the four exchange ``einsum`` calls stay four.
         """
         si, sj, kfun, lfun = plan.si, plan.sj, plan.kfun, plan.lfun
-        X = self.slab(plan.ij, plan.kls) * plan.fac
+        X = self.slab(plan.ij, plan.kls, plan) * plan.fac
         X3 = X.reshape(si.stop - si.start, sj.stop - sj.start, -1)
         dk_j, dk_i = d_exchange[:, sj], d_exchange[:, si]
         return BraDigest(

@@ -56,13 +56,19 @@ coefficient.
 The kernel, in three stages
 ---------------------------
 A Fock build asks for one thing: the slab of a fixed bra against a share
-of kets of mixed classes (:func:`eri_bra_slab`).  The work splits along
-what each step depends on, and each step runs once per value of that:
+of kets of mixed classes (:func:`eri_bra_slab`).  Which kets come in what
+order, where the memory cap splits them and where each column lands is
+fixed by the bra, the kets and the basis: :func:`ket_schedule` derives
+it once as a :class:`KetSchedule` (index data only), which the caller
+may keep — a direct Fock build keeps it with the share's plan, so it
+schedules each share once and every later build is arithmetic only.
+The arithmetic splits along what each step depends on, and each step
+runs once per value of that:
 
 1. **Once per share** (:func:`_boys_stage`) — what depends on the two
-   primitive pairs of a point only.  The share's kets are sorted by
-   (ket order ``ltot``, class) with one stable ``argsort`` and gather
-   their exponents and centers from the flat ``p`` / ``P`` of the
+   primitive pairs of a point only.  The share's kets, sorted by (ket
+   order ``ltot``, class) with one stable ``argsort`` in the schedule,
+   gather their exponents and centers from the flat ``p`` / ``P`` of the
    :class:`PairSet`; the bra's primitives are broadcast against them (no
    per-point index arrays), giving ``p + q``, ``pq``, ``alpha``,
    ``P - Q``, the prefactor and ONE vectorized Boys evaluation at the
@@ -112,7 +118,8 @@ The memory cap
 --------------
 A share can hold thousands of points and stage 2 works in a few
 thousand doubles per point at ``(dd|dd)``, so :data:`MAX_BATCH_DOUBLES`
-bounds both stages *together*, splitting only at ket boundaries: stage 1
+bounds both stages *together*, splitting only at ket boundaries (the
+schedule fixes where, when it is built): stage 1
 takes as many of the sorted kets as leave, beside the ``M + 6`` doubles
 per point it keeps of them, room for stage 2 of the widest one; stage 2
 then walks each order of that piece in runs of kets that fit the room
@@ -580,28 +587,52 @@ def _publish(quartets: int, batch_sizes: list[int]) -> None:
         histogram.observe(size)
 
 
-def eri_bra_slab(pairs: PairSet, ij: int, kls: np.ndarray) -> np.ndarray:
-    """The slab ``X[(i j), m]`` of pair ``ij`` of ``pairs`` as the bra
-    against the pairs ``kls`` as kets — what a Fock build asks for.
+class KetSchedule(NamedTuple):
+    """How :func:`eri_bra_slab` walks one share: index data only, fixed
+    by the bra, the kets and :data:`MAX_BATCH_DOUBLES`.
 
-    Columns run over the kets' function pairs, ket after ket in the
-    order of ``kls``, each block row-major.  The kets may be of any
-    classes; see the module docstring for the three stages, the
-    independence invariant and the memory cap.
+    The kets are taken in the stable ``ket_key`` order.  ``prim`` holds
+    their primitive rows of the flat ``p`` / ``P`` of the
+    :class:`PairSet`, ket after ket; ``cols`` their slab columns in the
+    same order; ``seg``, per sorted ket, where its primitives start
+    inside its stage-3 run (the ``reduceat`` starts).  ``steps`` has one
+    row per stage-3 run — a class's kets inside one stage-2 piece:
+
+    ``a, b``    primitive positions of its stage-1 chunk;
+    ``c, d``    those of its stage-2 piece, of ket order ``lket``;
+    ``e, f``    its own, and ``ke, kf`` its sorted kets;
+    ``cls``     the ket class;
+    ``c0, c1``  its positions in ``cols``.
+
+    ``mmax`` is the share's highest Boys order.
     """
-    bra = pairs.pair(ij)
-    nb, nfb, lbra = bra.p.size, bra.nfunc_pair, bra.ltot
-    ebra, bra_P = bra.ebra[None], bra.P.T[:, None, :]
+
+    mmax: int
+    prim: np.ndarray
+    seg: np.ndarray
+    cols: np.ndarray
+    steps: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of index data held."""
+        return sum(x.nbytes for x in (self.prim, self.seg, self.cols, self.steps))
+
+
+def ket_schedule(pairs: PairSet, ij: int, kls: np.ndarray) -> KetSchedule:
+    """The :class:`KetSchedule` of pair ``ij`` as the bra against the
+    kets ``kls``: the order, the chunk split under the memory cap and
+    every index vector of the three stages (see the module docstring)."""
+    nb, lbra, nfb = (int(x[ij]) for x in (pairs.prim_count, pairs.ltot, pairs.nfunc))
     nk = kls.size
     width = pairs.nfunc[kls]
     column = width.cumsum() - width
-    out = np.empty((nfb, int(width.sum())))
 
     # Kets of one order side by side, and inside an order kets of one
     # class; per sorted ket where its order and where its class end.
     key = pairs.ket_key[kls]
     order = key.argsort(kind="stable")
-    kets, key = kls[order], key[order]
+    kets, key, width = kls[order], key[order], width[order]
     class_stop = key.searchsorted(key, side="right").tolist()
     lket = pairs.ltot[kets]
     group_stop = lket.searchsorted(lket, side="right").tolist()
@@ -609,6 +640,7 @@ def eri_bra_slab(pairs: PairSet, ij: int, kls: np.ndarray) -> np.ndarray:
     count = pairs.prim_count[kets]
     prim_stops = np.concatenate(([0], count.cumsum()))
     prim_stop = prim_stops.tolist()
+    col_stop = np.concatenate(([0], width.cumsum())).tolist()
     # Doubles per ket that stage 1 keeps (cumulative) and that stage 2
     # works in (per ket, and cumulative for the walk inside an order).
     mmax = lbra + (lket[-1] if nk else 0)
@@ -618,7 +650,8 @@ def eri_bra_slab(pairs: PairSet, ij: int, kls: np.ndarray) -> np.ndarray:
     ).take(lket)
     work_stop = np.concatenate(([0], work.cumsum()))
 
-    batch_sizes = []
+    seg = np.empty(nk, dtype=np.intp)
+    steps = []
     a = 0
     while a < nk:
         # Stage 1 takes the kets a..b: as many as leave, beside what it
@@ -626,43 +659,85 @@ def eri_bra_slab(pairs: PairSet, ij: int, kls: np.ndarray) -> np.ndarray:
         need = kept[a + 1 :] - kept[a] + np.maximum.accumulate(work[a:])
         b = a + max(1, int(need.searchsorted(MAX_BATCH_DOUBLES, side="right")))
         room = MAX_BATCH_DOUBLES - (kept[b] - kept[a])
-        prim = ragged_arange(pairs.prim_start[kets[a:b]], count[a:b])
-        points = _boys_stage(
-            mmax, bra.p, bra_P,
-            pairs.p[prim][:, None], pairs.P[prim].T[:, :, None],
-        )
-        batch_sizes.append(nb * prim.size)
-        first = prim_stop[a]
         c = a
         while c < b:
             # Stage 2 takes the kets c..d of one order that fit the room.
             d = int(work_stop.searchsorted(work_stop[c] + room, side="right")) - 1
             d = min(max(d, c + 1), b, group_stop[c])
-            k0, k1 = prim_stop[c] - first, prim_stop[d] - first
-            half = _half_transform(
-                lbra, lket[c],
-                [x[..., k0 * nb : k1 * nb] for x in points],
-                ebra, np.arange(0, (k1 - k0) * nb, nb),
-            )
             e = c
             while e < d:
                 # Stage 3 takes the kets e..f of one class.
                 f = min(d, class_stop[e])
-                stack = pairs.classes[cls[e]].stack
-                r0, r1 = prim_stop[e] - first, prim_stop[f] - first
-                blocks = _ket_transform(
-                    half[r0 - k0 : r1 - k0],
-                    stack.ebra.take(prim[r0:r1] - pairs.prim_base[cls[e]], axis=0),
-                    prim_stops[e:f] - prim_stop[e],
-                )
-                # (ket, ij, kl) -> the kets' columns, side by side;
-                # every ket of a class is equally wide.
-                cols = column[order[e:f], None] + np.arange(stack.nfunc_pair)
-                out[:, cols.ravel()] = blocks.transpose(1, 0, 2).reshape(nfb, -1)
+                seg[e:f] = prim_stops[e:f] - prim_stop[e]
+                steps.append((
+                    prim_stop[a], prim_stop[b], prim_stop[c], prim_stop[d],
+                    lket[c], prim_stop[e], prim_stop[f], e, f, cls[e],
+                    col_stop[e], col_stop[f],
+                ))
                 e = f
             c = d
         a = b
-    _publish(nk, batch_sizes)
+    return KetSchedule(
+        mmax,
+        ragged_arange(pairs.prim_start[kets], count),
+        seg,
+        ragged_arange(column[order], width),
+        np.array(steps, dtype=np.intp).reshape(-1, 12),
+    )
+
+
+def eri_bra_slab(
+    pairs: PairSet,
+    ij: int,
+    kls: np.ndarray,
+    schedule: KetSchedule | None = None,
+) -> np.ndarray:
+    """The slab ``X[(i j), m]`` of pair ``ij`` of ``pairs`` as the bra
+    against the pairs ``kls`` as kets — what a Fock build asks for.
+
+    Columns run over the kets' function pairs, ket after ket in the
+    order of ``kls``, each block row-major.  The kets may be of any
+    classes; see the module docstring for the three stages, the
+    independence invariant and the memory cap.  ``schedule`` is
+    :func:`ket_schedule` of these very arguments, built here when not
+    given: a caller that evaluates the same share again keeps it, and
+    the call is then arithmetic only.
+    """
+    if schedule is None:
+        schedule = ket_schedule(pairs, ij, kls)
+    # The bra's rows, as views: of the flat p / P and of its class stack.
+    bra = pairs.classes[pairs.cls[ij]].stack
+    lo, nb = int(pairs.prim_start[ij]), int(pairs.prim_count[ij])
+    row = lo - pairs.prim_base[pairs.cls[ij]]
+    nfb, lbra, ebra = bra.nfunc_pair, bra.ltot, bra.ebra[row : row + nb][None]
+    bra_p, bra_P = pairs.p[lo : lo + nb], pairs.P[lo : lo + nb].T[:, None, :]
+
+    prim, seg, cols, mmax = schedule.prim, schedule.seg, schedule.cols, schedule.mmax
+    out = np.empty((nfb, cols.size))
+    starts = np.arange(0, prim.size * nb, nb)
+    batch_sizes = []
+    chunk = piece = -1
+    for a, b, c, d, lket, e, f, ke, kf, cls, c0, c1 in schedule.steps.tolist():
+        if a != chunk:
+            chunk, rows = a, prim[a:b]
+            points = _boys_stage(
+                mmax, bra_p, bra_P, pairs.p[rows][:, None], pairs.P[rows].T[:, :, None]
+            )
+            batch_sizes.append(nb * rows.size)
+        if c != piece:
+            piece = c
+            half = _half_transform(
+                lbra, lket, [x[..., (c - a) * nb : (d - a) * nb] for x in points],
+                ebra, starts[: d - c],
+            )
+        blocks = _ket_transform(
+            half[e - c : f - c],
+            pairs.classes[cls].stack.ebra.take(prim[e:f] - pairs.prim_base[cls], axis=0),
+            seg[ke:kf],
+        )
+        # (ket, ij, kl) -> the kets' columns, side by side.
+        out[:, cols[c0:c1]] = blocks.transpose(1, 0, 2).reshape(nfb, -1)
+    _publish(kls.size, batch_sizes)
     return out
 
 

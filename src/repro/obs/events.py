@@ -109,23 +109,6 @@ class EventLog:
         if self.on_emit is not None:
             self.on_emit(ev)
 
-    @contextmanager
-    def tap(self, fn: Callable[[Event], None]) -> Iterator["EventLog"]:
-        """Also hand every event recorded inside the block to ``fn``,
-        after the ``on_emit`` hook already installed."""
-        previous = self.on_emit
-
-        def both(ev: Event) -> None:
-            if previous is not None:
-                previous(ev)
-            fn(ev)
-
-        self.on_emit = both
-        try:
-            yield self
-        finally:
-            self.on_emit = previous
-
     def __len__(self) -> int:
         return len(self.events)
 

@@ -258,9 +258,12 @@ def take_pairs(stack: PairStack, rows: np.ndarray) -> PairStack:
     )
 
 
-def eri_bra_slab_scalar(pairs: PairSet, ij: int, kls: np.ndarray) -> np.ndarray:
+def eri_bra_slab_scalar(
+    pairs: PairSet, ij: int, kls: np.ndarray, schedule=None
+) -> np.ndarray:
     """``eri_bra_slab`` one quartet at a time through the scalar loops:
-    ket ``n``'s block is the columns ``n`` of the slab."""
+    ket ``n``'s block is the columns ``n`` of the slab (``schedule``, the
+    kernel's, is accepted and ignored)."""
     bra = pairs.pair(ij)
     return np.concatenate(
         [eri_class_batch_scalar(bra, pairs.pair(kl))[0] for kl in kls]

@@ -1,14 +1,19 @@
 """CLI observability: registered runs, run registry commands, monitor."""
 
 import json
+import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.chem.molecule import water
 from repro.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture()
@@ -32,16 +37,37 @@ def _scf(water_xyz, runs_dir, *extra):
 # -- registration -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("method_flags", [
-    pytest.param((), id="rhf"),
-    pytest.param(("--uhf", "--multiplicity", "3"), id="uhf"),
+def _shm_segments() -> set[str]:
+    shm = Path("/dev/shm")
+    return {p.name for p in shm.iterdir()} if shm.is_dir() else set()
+
+
+@pytest.mark.parametrize("method_flags, python_m", [
+    pytest.param((), False, id="rhf"),
+    pytest.param(("--uhf", "--multiplicity", "3"), False, id="uhf"),
+    # The console script's own exit (``repro.cli.entry``: freeze the
+    # heap, then ``sys.exit``) on the process backend: every artifact
+    # complete, every shared-memory segment unlinked.
+    pytest.param(("--backend", "process", "--workers", "2"), True,
+                 id="rhf-python-m"),
 ])
 def test_scf_registers_run_with_artifacts(
-    method_flags, water_xyz, tmp_path, capsys
+    method_flags, python_m, water_xyz, tmp_path, capsys
 ):
     runs_dir = tmp_path / "runs"
-    rc = _scf(water_xyz, runs_dir, *method_flags)
-    out = capsys.readouterr().out
+    if python_m:
+        segments = _shm_segments()
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "scf", str(water_xyz),
+             "--ranks", "2", "--runs-dir", str(runs_dir), *method_flags],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=120,
+        )
+        rc, out = proc.returncode, proc.stdout
+        assert _shm_segments() <= segments
+    else:
+        rc = _scf(water_xyz, runs_dir, *method_flags)
+        out = capsys.readouterr().out
     assert rc == 0
     assert "run id       :" in out
 
@@ -51,7 +77,7 @@ def test_scf_registers_run_with_artifacts(
     assert rec["status"] == "done"
     assert rec["config"]["molecule"] == "water"
     assert rec["summary"]["converged"] is True
-    if not method_flags:
+    if "--uhf" not in method_flags:
         assert rec["summary"]["energy"] == pytest.approx(
             -74.94207995, abs=1e-6)
     # One front-end is as visible as the other: a cycle is an event.

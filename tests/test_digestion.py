@@ -246,7 +246,10 @@ def test_cache_served_builds_replan_nothing(monkeypatch):
     """Structure, not seconds: with a cache attached, the builds after
     the first evaluate no integral, screen and partition nothing and
     digest the stored slabs as they are; the plan belongs to one
-    ``Screening`` instance; direct SCF keeps none."""
+    ``Screening`` instance.  Direct SCF keeps its plans by the same
+    rule, the kernel's schedules with them, until they reach a byte
+    budget."""
+    import repro.core.fock_base as fock_base
     import repro.core.quartets as quartets_mod
     from repro.core.screening import Screening
     from repro.parallel.threads import ThreadTeam
@@ -316,9 +319,21 @@ def test_cache_served_builds_replan_nothing(monkeypatch):
     assert calls == {**planned, "digested": 3 * 107}
     for density, fock in zip(densities[1:], focks):
         assert np.array_equal(fock, fresh(density)[0])
-    # ``fresh`` is direct: it plans every build and keeps none of it.
-    assert calls["partition"] == planned["partition"] * 3
-    assert not fresh._plans and fresh._plans_for is None
+    # ``fresh`` is direct and plans once too: over three builds it
+    # partitions each task once, and each kept plan holds the kernel's
+    # schedule of its share; the cached builder keeps slabs instead.
+    fresh(densities[0])
+    assert calls["partition"] == planned["partition"] * 2
+    assert fresh._plans_for is fresh.screening and len(fresh._plans) == 54
+
+    def schedules(b):
+        return [
+            plan.schedule is not None
+            for task in b._plans.values() for _, plans in task.shares
+            for plan in plans
+        ]
+
+    assert all(schedules(fresh)) and not any(schedules(builder))
 
     # Another Screening instance — here a looser threshold over the same
     # Schwarz bounds — is planned afresh ...
@@ -339,13 +354,29 @@ def test_cache_served_builds_replan_nothing(monkeypatch):
             "shared-fock", basis, h, screening=loose_screening, **geometry
         )(densities[0])[0],
     )
+    # ... direct or not ...
+    fresh.screening = loose_screening
+    before = calls["partition"]
+    assert np.array_equal(fock, fresh(densities[0])[0])
+    assert fresh._plans_for is loose_screening
+    assert calls["partition"] - before == planned["partition"]
     # ... and the original instance gets the original plan back.
-    builder.screening = base
+    builder.screening = fresh.screening = base
     fock, again = builder(densities[1])
     assert np.array_equal(fock, fresh(densities[1])[0])
     assert (again.quartets_computed, again.quartets_screened) == (1482, 58)
     assert again.per_thread_quartets == cold.per_thread_quartets
     assert (again.fi_flushes, again.fj_flushes) == (19, 54)
+
+    # Without a cache the budget is the default cache's; a budget the
+    # first plan already fills keeps that one plan, build after build.
+    monkeypatch.setattr(fock_base, "DEFAULT_CACHE_BYTES", 1)
+    small = make_fock_builder("shared-fock", basis, h, **geometry)
+    for density in densities[:2]:
+        before = calls["partition"]
+        assert np.array_equal(small(density)[0], fresh(density)[0])
+        assert len(small._plans) == 1
+    assert calls["partition"] - before == planned["partition"] - 1
 
 
 # -- (d) the ledger's gate: energies and iteration counts ---------------------

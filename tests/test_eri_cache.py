@@ -143,9 +143,9 @@ def counting(monkeypatch):
     rows = []
     kernel = quartets_mod.eri_bra_slab
 
-    def counted(pairs, ij, kls):
+    def counted(pairs, ij, kls, *schedule):
         rows.append(kls.size)
-        return kernel(pairs, ij, kls)
+        return kernel(pairs, ij, kls, *schedule)
 
     monkeypatch.setattr(quartets_mod, "eri_bra_slab", counted)
     return rows

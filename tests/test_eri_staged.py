@@ -183,7 +183,11 @@ def test_a_split_at_every_ket_boundary_of_both_stages(pairs_and_singles, monkeyp
 # -- how often each stage runs in one Fock build ----------------------------------
 
 
-def _one_build(name, algorithm, nranks, nthreads, monkeypatch):
+def _builds(name, algorithm, nranks, nthreads, monkeypatch):
+    """Successive builds of one builder on one density: per build the
+    stage calls, the share sizes and the stats, plus how often the
+    engine planned a share (``share_plan``) and scheduled one for the
+    kernel (``ket_schedule``)."""
     basis = _basis(name)
     builder = make_fock_builder(
         algorithm, basis, core_hamiltonian(basis), nranks=nranks, nthreads=nthreads
@@ -195,15 +199,31 @@ def _one_build(name, algorithm, nranks, nthreads, monkeypatch):
     slab = quartets_module.eri_bra_slab
     monkeypatch.setattr(
         quartets_module, "eri_bra_slab",
-        lambda pairs, ij, kls: shares.append(kls.size) or slab(pairs, ij, kls),
+        lambda pairs, ij, kls, *schedule: (
+            shares.append(kls.size) or slab(pairs, ij, kls, *schedule)
+        ),
     )
-    registry = MetricsRegistry()
-    with use_metrics(registry):
-        _, stats = builder(density + density.T)
-    assert registry.counter("eri.boys_calls").value == calls["boys"]
-    assert registry.counter("eri.quartets").value == stats.quartets_computed
-    assert registry.histogram("eri.batch_size").count == calls["boys"]
-    return calls, shares, stats
+    planned = dict.fromkeys(("share_plan", "ket_schedule"), 0)
+    for owner, name in (
+        (quartets_module.QuartetEngine, "share_plan"),
+        (quartets_module, "ket_schedule"),
+    ):
+        def wrapper(*args, inner=getattr(owner, name), name=name):
+            planned[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+    while True:
+        calls.update(dict.fromkeys(calls, 0))
+        planned.update(dict.fromkeys(planned, 0))
+        shares.clear()
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            _, stats = builder(density + density.T)
+        assert registry.counter("eri.boys_calls").value == calls["boys"]
+        assert registry.counter("eri.quartets").value == stats.quartets_computed
+        assert registry.histogram("eri.batch_size").count == calls["boys"]
+        yield dict(calls), list(shares), stats, dict(planned)
 
 
 def test_direct_hydroxide_build_stage_counts(monkeypatch):
@@ -211,18 +231,28 @@ def test_direct_hydroxide_build_stage_counts(monkeypatch):
     231 quartets in 21 non-empty shares — 21 Boys evaluations (119
     before the stages were split: one per bra and ket class), 86 Hermite
     recursions (one per share and distinct ket order; 119 before) and
-    119 ket transforms (one per share and ket class; unchanged)."""
-    calls, shares, stats = _one_build("hydroxide", "mpi-only", 4, 1, monkeypatch)
+    119 ket transforms (one per share and ket class; unchanged).  The
+    first build plans and schedules every share; the second only runs
+    the same stages — nothing is planned or scheduled again."""
+    builds = _builds("hydroxide", "mpi-only", 4, 1, monkeypatch)
+    counts = {"boys": 21, "hermite_from_boys": 86, "_ket_transform": 119}
+    calls, shares, stats, planned = next(builds)
     assert stats.quartets_computed == sum(shares) == 231
     assert len(shares) == 21 and min(shares) > 0
-    assert calls == {"boys": 21, "hermite_from_boys": 86, "_ket_transform": 119}
+    assert calls == counts
+    assert planned == {"share_plan": 21, "ket_schedule": 21}
+    calls, shares, stats, planned = next(builds)
+    assert stats.quartets_computed == sum(shares) == 231
+    assert len(shares) == 21
+    assert calls == counts
+    assert planned == {"share_plan": 0, "ket_schedule": 0}
 
 
 def test_cold_allene_build_is_one_boys_evaluation_per_share(monkeypatch):
     """allene/STO-3G, shared-fock 2x2: the cold build's 1482 quartets
     arrive in 107 thread shares, each ONE Boys evaluation (385 kernel
     calls — one per share and ket class, each with its own — before)."""
-    calls, shares, stats = _one_build("allene", "shared-fock", 2, 2, monkeypatch)
+    calls, shares, stats, _ = next(_builds("allene", "shared-fock", 2, 2, monkeypatch))
     assert stats.quartets_computed == sum(shares) == 1482
     assert len(shares) == 107 and min(shares) > 0
     assert calls["boys"] == 107

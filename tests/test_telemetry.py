@@ -146,23 +146,6 @@ def test_global_channel_defaults_off_and_restores():
     assert [ev.kind for ev in inner] == ["inner"]
 
 
-def test_run_log_tap_feeds_the_channel_once_per_event():
-    """A channel chained behind a run's own log gets each emit once,
-    with the run log's timestamp."""
-    log = EventLog(clock=iter([1.0, 2.0, 3.0, 4.0]).__next__)
-    chan = TelemetryChannel(clock=lambda: 99.0)
-    log.emit("before")
-    with log.tap(chan.record):
-        log.emit("scf.cycle", cycle=1, delta_e=0.5)
-        log.emit("worker.hung", rank=1, cycle=1)
-    log.emit("after")
-    assert [ev.kind for ev in log] == [
-        "before", "scf.cycle", "worker.hung", "after"]
-    assert list(chan) == list(log)[1:3]
-    assert [ev.t for ev in chan] == [2.0, 3.0]
-    assert log.on_emit is None
-
-
 # -- NDJSON sink --------------------------------------------------------------
 
 
