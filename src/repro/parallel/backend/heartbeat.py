@@ -31,6 +31,7 @@ worker-health column and per-rank activity lanes are drawn from.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -68,6 +69,33 @@ def make_beat(
         "claimed": claimed,
         "span": span,
     }
+
+
+def beat_sender(
+    out: Any,
+    rank: int,
+    *,
+    limited: str,
+    interval_s: float = DEFAULT_INTERVAL_S,
+    t0: float = 0.0,
+    span: Callable[[], str | None] = lambda: None,
+) -> Callable[..., None]:
+    """A child's in-band heartbeat: ``beat(cycle, phase, claimed=0)``
+    sends one :func:`make_beat` record up ``out``, ``t`` relative to
+    ``t0``.  Beats of the ``limited`` phase go at most once per
+    ``interval_s``; every other phase always sends."""
+    pid, last = os.getpid(), 0.0
+
+    def beat(cycle: int, phase: str, claimed: int = 0) -> None:
+        nonlocal last
+        now = time.perf_counter()
+        if phase == limited and now - last < interval_s:
+            return
+        last = now
+        out.send(("beat", make_beat(rank, pid, cycle, phase, t=now - t0,
+                                    claimed=claimed, span=span())))
+
+    return beat
 
 
 @dataclass
@@ -110,8 +138,8 @@ class HeartbeatMonitor:
     """Deadline watcher over per-rank worker heartbeats.
 
     The process backend calls :meth:`start_build` when a build is
-    dispatched, :meth:`record` for every beat drained from the shared
-    queue, :meth:`check` from its collect loop (returns the ranks that
+    dispatched, :meth:`record` for every beat drained from a worker's
+    pipe, :meth:`check` from its collect loop (returns the ranks that
     *newly* turned suspect), and :meth:`mark_done` / :meth:`mark_lost`
     as results or deaths arrive.  All side effects (events, metrics)
     happen here, so the backend's control flow stays about collection

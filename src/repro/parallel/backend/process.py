@@ -42,10 +42,10 @@ append via :class:`~repro.obs.stream.ObsStreamer`): a worker killed by
 ``os._exit`` mid-build leaves every span and event it completed on
 disk, not in a lost buffer.
 
-Liveness: workers send in-band heartbeats (build start, every DLB
-claim boundary rate-limited to ``heartbeat_interval_s``, build done)
-and their result up a pipe of their own; the parent waits on those
-pipes and the workers' sentinels, and its
+Liveness: each worker is a :class:`~repro.parallel.child.Child` that
+sends in-band heartbeats (build start, every DLB claim boundary
+rate-limited to ``heartbeat_interval_s``, build done) beside its
+result; the parent's
 :class:`~repro.parallel.backend.heartbeat.HeartbeatMonitor` flags any
 pending rank silent past ``heartbeat_timeout_s`` as ``suspect`` and
 emits a ``worker.hung`` event — a stalled worker becomes visible in
@@ -54,7 +54,6 @@ seconds instead of at the build timeout.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import time
 from multiprocessing.connection import wait as mp_wait
@@ -73,12 +72,10 @@ from repro.parallel.backend.heartbeat import (
     DEFAULT_INTERVAL_S,
     DEFAULT_TIMEOUT_S,
     HeartbeatMonitor,
-    make_beat,
+    beat_sender,
 )
+from repro.parallel.child import KILLED_EXIT_CODE, Child, stop
 from repro.parallel.shared_array import SharedNDArray
-
-#: Injected-kill exit code (distinguishes chaos deaths in diagnostics).
-KILLED_EXIT_CODE = 17
 
 #: Hard ceiling on one Fock build's wall time before the parent gives up.
 DEFAULT_BUILD_TIMEOUT_S = 120.0
@@ -98,9 +95,9 @@ def _worker_loop(
     counter: Any,
     density: SharedNDArray,
     slabs: SharedNDArray,
+    cfg: dict,
     cmd: Any,
     out: Any,
-    cfg: dict,
 ) -> None:
     """One worker process: serve ``cmd``'s builds, reporting up ``out``.
 
@@ -123,17 +120,12 @@ def _worker_loop(
     D = density.array
     W = slabs.array[rank]
     pid = os.getpid()
-    interval = cfg["heartbeat_s"]
-    last_beat = 0.0
-
-    def beat(phase: str, cycle: int, claimed: int = 0) -> None:
-        """Send one in-band heartbeat."""
-        nonlocal last_beat
-        now = last_beat = time.perf_counter()
-        span = tracer.current.name if tracer and tracer.current else None
-        out.send(("beat", make_beat(rank, pid, cycle, phase,
-                                    t=now - cfg["t0"], claimed=claimed,
-                                    span=span)))
+    beat = beat_sender(
+        out, rank, limited="claim", interval_s=cfg["heartbeat_s"],
+        t0=cfg["t0"],
+        span=lambda: (tracer.current.name
+                      if tracer and tracer.current else None),
+    )
 
     while True:
         msg = cmd.recv()
@@ -142,8 +134,7 @@ def _worker_loop(
                 streamer.close()
             return
         _, cycle, share = msg
-        if interval is not None:
-            beat("start", cycle)
+        beat(cycle, "start")
         kill_after = plan.kill_after(rank, cycle) if plan is not None else None
         factor = plan.delay_factor(rank, cycle) if plan is not None else 1.0
         if factor > 1.0:
@@ -185,11 +176,7 @@ def _worker_loop(
                     # Scheduling jitter for nondeterminism hunting:
                     # perturb claim arrival order between runs.
                     time.sleep(float(rng.random()) * 2e-4)
-                if (
-                    interval is not None
-                    and time.perf_counter() - last_beat >= interval
-                ):
-                    beat("claim", cycle, claimed=done)
+                beat(cycle, "claim", done)
                 t = next(claims, None)
                 if t is None:
                     return
@@ -210,8 +197,7 @@ def _worker_loop(
                 log.clear()
         else:
             rr = builder.rank_program(rank, grants(), D, W)
-        if interval is not None:
-            beat("done", cycle, claimed=claim_count)
+        beat(cycle, "done", claim_count)
         out.send(("result", cycle, rr.as_dict()))
 
 
@@ -236,7 +222,7 @@ class ProcessFockBuilder:
         schedule_seed: int | None = None,
         obs_dir: str | Path | None = None,
         build_timeout_s: float = DEFAULT_BUILD_TIMEOUT_S,
-        heartbeat_interval_s: float | None = DEFAULT_INTERVAL_S,
+        heartbeat_interval_s: float = DEFAULT_INTERVAL_S,
         heartbeat_timeout_s: float = DEFAULT_TIMEOUT_S,
     ) -> None:
         if workers < 1:
@@ -250,14 +236,13 @@ class ProcessFockBuilder:
         self.inner = inner
         self.workers = workers
         self.build_timeout_s = build_timeout_s
-        self._ctx = mp.get_context("fork")
         shape = tuple(inner.accumulator_shape)
         self._density = SharedNDArray(shape)
         self._slabs = SharedNDArray((workers, *shape))
         # dlb draws from the shared counter; a static rank walks its own
         # pre-computed share, which needs no shared state at all.
         self._counter = (
-            SharedTaskCounter(inner.dlb_ntasks(), ctx=self._ctx)
+            SharedTaskCounter(inner.dlb_ntasks())
             if inner.schedule == "dlb" else None
         )
         # Re-home the Schwarz matrix in shared memory *before* any fork:
@@ -266,55 +251,26 @@ class ProcessFockBuilder:
         self._schwarz = SharedNDArray(inner.screening.Q.shape)
         self._schwarz.array[:] = inner.screening.Q
         inner.screening.Q = self._schwarz.array
-        self._cfg = {
+        cfg = {
             "schedule_seed": schedule_seed,
             "obs_dir": None if obs_dir is None else str(obs_dir),
             "t0": time.perf_counter(),  # shared trace base for all workers
             "heartbeat_s": heartbeat_interval_s,
         }
-        self._procs: list[Any] = [None] * workers
-        self._cmds: list[Any] = [None] * workers  # command pipes' write ends
-        self._outs: list[Any] = [None] * workers  # beat/result pipes' read ends
-        self.heartbeat: HeartbeatMonitor | None = (
-            HeartbeatMonitor(workers, timeout_s=heartbeat_timeout_s)
-            if heartbeat_interval_s is not None
-            else None
-        )
+        # Started lazily, by the first build.
+        self._children = [
+            Child(_worker_loop, rank, inner, self._counter, self._density,
+                  self._slabs, cfg, name=f"fock-worker-{rank}", daemon=True)
+            for rank in range(workers)
+        ]
+        self.heartbeat = HeartbeatMonitor(workers,
+                                          timeout_s=heartbeat_timeout_s)
         self._closed = False
 
     def __getattr__(self, name: str) -> Any:
         # Geometry/metadata reads (nbf, algorithm_name, basis, ...)
         # delegate to the wrapped sim builder.
         return getattr(self.inner, name)
-
-    # -- worker lifecycle ----------------------------------------------------
-
-    def _spawn(self, rank: int) -> None:
-        for end in (self._cmds[rank], self._outs[rank]):
-            if end is not None:
-                end.close()
-        cmd, self._cmds[rank] = self._ctx.Pipe(duplex=False)
-        self._outs[rank], out = self._ctx.Pipe(duplex=False)
-        proc = self._ctx.Process(
-            target=_worker_loop,
-            args=(
-                rank, self.inner, self._counter, self._density,
-                self._slabs, cmd, out, self._cfg,
-            ),
-            name=f"fock-worker-{rank}",
-            daemon=True,
-        )
-        proc.start()
-        cmd.close()  # the worker's ends: later forks must not hold them
-        out.close()
-        self._procs[rank] = proc
-
-    def _ensure_workers(self) -> None:
-        """Start lazily; respawn any worker lost in an earlier build."""
-        for rank in range(self.workers):
-            proc = self._procs[rank]
-            if proc is None or not proc.is_alive():
-                self._spawn(rank)
 
     # -- the build -----------------------------------------------------------
 
@@ -338,11 +294,12 @@ class ProcessFockBuilder:
                 shares = [None] * self.workers
             else:
                 shares = self.inner.make_scheduler().assignment()
-            self._ensure_workers()
-            if self.heartbeat is not None:
-                self.heartbeat.start_build(cycle)
-            for rank in range(self.workers):
-                self._cmds[rank].send(("build", cycle, shares[rank]))
+            for child in self._children:
+                if not child.alive():  # respawn any worker lost earlier
+                    child.spawn()
+            self.heartbeat.start_build(cycle)
+            for child, share in zip(self._children, shares):
+                child.send(("build", cycle, share))
             rrs, dead = self._collect(cycle)
             self._recover(rrs, dead, cycle, shares)
             # Reduce the per-rank slabs in rank order — the same
@@ -372,42 +329,34 @@ class ProcessFockBuilder:
         pending = set(range(self.workers))
         deadline = time.monotonic() + self.build_timeout_s
         while pending:
-            due = [deadline - time.monotonic()]
-            if self.heartbeat is not None:
-                due.append(self.heartbeat.next_suspect_in(pending))
-            mp_wait([self._outs[r] for r in pending]
-                    + [self._procs[r].sentinel for r in pending],
+            children = [self._children[r] for r in pending]
+            due = [deadline - time.monotonic(),
+                   self.heartbeat.next_suspect_in(pending)]
+            mp_wait([c.out for c in children if c.out is not None]
+                    + [c.sentinel for c in children],
                     max(0.0, min(t for t in due if t is not None)))
             for rank in sorted(pending):
-                proc, out = self._procs[rank], self._outs[rank]
-                try:
-                    # The pipe first: a result sent before a death counts.
-                    while rank not in rrs and out.poll():
-                        msg = out.recv()
-                        if msg[0] == "beat":
-                            self.heartbeat.record(msg[1])
-                        elif msg[1] == cycle:
-                            rrs[rank] = RankBuildResult.from_dict(msg[2])
-                except (EOFError, OSError):
-                    pass  # the worker is gone; its sentinel says so
+                child = self._children[rank]
+                # The pipe first: a result sent before a death counts.
+                for msg in child.messages():
+                    if msg[0] == "beat":
+                        self.heartbeat.record(msg[1])
+                    elif msg[1] == cycle:
+                        rrs[rank] = RankBuildResult.from_dict(msg[2])
                 if rank in rrs:
                     pending.discard(rank)
-                    if self.heartbeat is not None:
-                        self.heartbeat.mark_done(rank)
-                elif mp_wait([proc.sentinel], 0):
+                    self.heartbeat.mark_done(rank)
+                elif not child.alive():
                     # A live worker never exits between builds, so a
                     # dead pending worker has no result in flight.
-                    proc.join()
-                    self._procs[rank] = None
+                    child.join()
                     pending.discard(rank)
                     dead.append(rank)
-                    if self.heartbeat is not None:
-                        self.heartbeat.mark_lost(rank)
-            if self.heartbeat is not None:
-                # Silent-but-alive pending ranks turn suspect here: the
-                # worker.hung event fires long before the build timeout
-                # or a missed DLB claim would implicate them.
-                self.heartbeat.check(pending)
+                    self.heartbeat.mark_lost(rank)
+            # Silent-but-alive pending ranks turn suspect here: the
+            # worker.hung event fires long before the build timeout
+            # or a missed DLB claim would implicate them.
+            self.heartbeat.check(pending)
             if pending and time.monotonic() > deadline:
                 raise BuildTimeoutError(
                     f"Fock build {cycle}: worker(s) {sorted(pending)} "
@@ -448,10 +397,7 @@ class ProcessFockBuilder:
             # Whether the heartbeat already implicated this rank before
             # its death was confirmed — the suspect -> lost -> replay
             # chain the monitor dashboard shows.
-            was_suspect = (
-                self.heartbeat is not None
-                and self.heartbeat.health[rank].suspect_count > 0
-            )
+            was_suspect = self.heartbeat.health[rank].suspect_count > 0
             if registry is not None:
                 registry.counter("process.workers_lost").inc()
                 registry.counter(
@@ -469,7 +415,7 @@ class ProcessFockBuilder:
         """Stop workers, restore the builder, release shared memory.
 
         The shared blocks are released in a ``finally`` so a failure
-        anywhere earlier (a wedged worker, a broken command queue, the
+        anywhere earlier (a wedged worker, a broken command pipe, the
         Schwarz copy-back) cannot leak ``/dev/shm`` segments — under a
         long-running job service the leak would be cumulative.
         """
@@ -477,23 +423,7 @@ class ProcessFockBuilder:
             return
         self._closed = True
         try:
-            for rank, proc in enumerate(self._procs):
-                if proc is not None and proc.is_alive():
-                    try:
-                        self._cmds[rank].send(("stop",))
-                    except Exception:  # pragma: no cover - best effort
-                        pass
-            for end in (*self._cmds, *self._outs):
-                if end is not None:
-                    end.close()
-            for proc in self._procs:
-                if proc is None:
-                    continue
-                proc.join(timeout=5)
-                if proc.is_alive():  # pragma: no cover - best effort
-                    proc.terminate()
-                    proc.join(timeout=5)
-            self._procs = [None] * self.workers
+            stop(self._children)
             # Give the builder back a private Schwarz matrix before the
             # shared block goes away.
             self.inner.screening.Q = np.array(self._schwarz.array, copy=True)
@@ -514,40 +444,24 @@ class ProcessFockBuilder:
 
 
 class ProcessBackend(ExecutionBackend):
-    """Execution backend that owns a fleet of fork workers per builder."""
+    """Execution backend that owns a fleet of fork workers per builder.
+
+    ``options`` are the :class:`ProcessFockBuilder` keywords every
+    wrapped builder gets.
+    """
 
     name = "process"
 
-    def __init__(
-        self,
-        *,
-        workers: int = 4,
-        schedule_seed: int | None = None,
-        obs_dir: str | Path | None = None,
-        build_timeout_s: float = DEFAULT_BUILD_TIMEOUT_S,
-        heartbeat_interval_s: float | None = DEFAULT_INTERVAL_S,
-        heartbeat_timeout_s: float = DEFAULT_TIMEOUT_S,
-    ) -> None:
+    def __init__(self, *, workers: int = 4, **options: Any) -> None:
         if workers < 1:
             raise WorkerGeometryError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self.schedule_seed = schedule_seed
-        self.obs_dir = obs_dir
-        self.build_timeout_s = build_timeout_s
-        self.heartbeat_interval_s = heartbeat_interval_s
-        self.heartbeat_timeout_s = heartbeat_timeout_s
+        self.options = options
         self._wrapped: list[ProcessFockBuilder] = []
 
     def wrap_builder(self, builder: Any) -> ProcessFockBuilder:
-        wrapped = ProcessFockBuilder(
-            builder,
-            workers=self.workers,
-            schedule_seed=self.schedule_seed,
-            obs_dir=self.obs_dir,
-            build_timeout_s=self.build_timeout_s,
-            heartbeat_interval_s=self.heartbeat_interval_s,
-            heartbeat_timeout_s=self.heartbeat_timeout_s,
-        )
+        wrapped = ProcessFockBuilder(builder, workers=self.workers,
+                                     **self.options)
         self._wrapped.append(wrapped)
         return wrapped
 

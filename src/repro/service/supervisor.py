@@ -1,11 +1,8 @@
 """Supervised worker fleet: persistent processes that run SCF jobs.
 
 The fleet is the service's execution layer.  Each *slot* owns one
-long-lived forked worker process running :func:`_service_worker_loop`
-and two one-way pipes, written synchronously: jobs go down one, results
-and heartbeats come up the other.  A dying worker breaks only its own
-pipes, which its respawn replaces, and can tear no message: none exceeds
-``select.PIPE_BUF``.  Workers import the SCF stack
+long-lived worker, a :class:`~repro.parallel.child.Child` running
+:func:`_service_worker_loop`.  Workers import the SCF stack
 while they idle and persist across jobs, so a stream of requests for
 the same system reuses the warm molecule/basis set-up (:func:`run_job`'s
 ``setup_cache``, which keeps the basis — and with it its one-electron,
@@ -40,30 +37,31 @@ service answers slowly rather than failing loudly.
 from __future__ import annotations
 
 import logging
-import multiprocessing as mp
 import os
 import signal
 import time
 from dataclasses import dataclass, field, replace
-from multiprocessing.connection import wait as mp_wait
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable
 
-# In the daemon, before ``WorkerFleet._spawn`` forks: every worker then
+# In the daemon, before the fleet forks its workers: every worker then
 # shares NumPy's pages with the daemon.  A daemon without it starts
 # ~35 ms sooner, but each worker maps its own NumPy, +3 MB of peak RSS.
 import numpy  # noqa: F401
 
 from repro.obs.events import get_event_log
-from repro.parallel.backend.heartbeat import HeartbeatMonitor, make_beat
+from repro.parallel.backend.heartbeat import (
+    HeartbeatMonitor,
+    beat_sender,
+    make_beat,
+)
+from repro.parallel.child import KILLED_EXIT_CODE, Child, stop
 from repro.service.errors import JobSpecError
 from repro.service.jobs import Job, JobSpec
 from repro.service.retry import classify
 
 logger = logging.getLogger("repro.service.supervisor")
-
-#: Exit code of a chaos-killed service worker (mirrors the backend's).
-KILLED_EXIT_CODE = 17
 
 #: Per-worker warm-setup cache entries (molecule + basis pairs).
 SETUP_CACHE_SIZE = 8
@@ -73,9 +71,6 @@ DEFAULT_JOB_TIMEOUT_S = 120.0
 
 #: Default heartbeat-silence deadline before a busy slot turns suspect.
 DEFAULT_HEARTBEAT_TIMEOUT_S = 10.0
-
-#: Default worker beat rate limit.
-DEFAULT_BEAT_INTERVAL_S = 0.25
 
 #: Longest error text an outcome message carries: keeps its frame under
 #: ``select.PIPE_BUF``, so one atomic ``write(2)`` sends it whole.
@@ -88,7 +83,7 @@ def run_job(
     attempt: int = 1,
     checkpoint: str | Path | None = None,
     restart: str | Path | None = None,
-    beat: Callable[[int, str], None] | None = None,
+    beat: Callable[[str, int], None] | None = None,
     emit: Callable[..., None] | None = None,
     setup_cache: dict[str, Any] | None = None,
     eri_cache_pool: dict[Any, Any] | None = None,
@@ -205,7 +200,7 @@ def run_job(
         if spec.cycle_delay_s > 0:
             time.sleep(spec.cycle_delay_s)
         if beat is not None:
-            beat(builds, "build")
+            beat("build", builds)
         out = orig_builder(*densities)
         builds += 1
         return out
@@ -264,8 +259,8 @@ def run_job(
     }
 
 
-def _service_worker_loop(slot: int, cmd: Any, out: Any,
-                         cfg: dict[str, Any]) -> None:
+def _service_worker_loop(slot: int, close_fds: tuple[int, ...],
+                         cmd: Any, out: Any) -> None:
     """One persistent fleet worker: serve job commands until ``stop``.
 
     Forked from the daemon, so the first order of business is shedding
@@ -286,7 +281,7 @@ def _service_worker_loop(slot: int, cmd: Any, out: Any,
     from repro.obs.stream import SpanBatchWriter
     from repro.obs.tracer import TraceContext, Tracer, set_tracer
 
-    for fd in cfg.get("close_fds", ()):
+    for fd in close_fds:
         try:
             os.close(fd)
         except OSError:
@@ -302,7 +297,7 @@ def _service_worker_loop(slot: int, cmd: Any, out: Any,
     import repro.resilience  # noqa: F401
 
     pid = os.getpid()
-    interval = cfg.get("beat_interval_s", DEFAULT_BEAT_INTERVAL_S)
+    send_beat = beat_sender(out, slot, limited="build")
     setup_cache: dict[str, Any] = {}
     # Cross-job ERI block pool (see run_job): persists with the worker,
     # so a batch of same-system jobs computes its quartets exactly once.
@@ -315,18 +310,7 @@ def _service_worker_loop(slot: int, cmd: Any, out: Any,
         job = msg[1]
         spec = job["spec"]
         job_id, attempt = job["id"], int(job["attempt"])
-        last_beat = 0.0
-
-        def beat(builds: int, phase: str) -> None:
-            """Rate-limited in-band heartbeat."""
-            nonlocal last_beat
-            now = time.monotonic()
-            if phase == "build" and now - last_beat < interval:
-                return
-            last_beat = now
-            out.send(("beat", make_beat(slot, pid, attempt, phase,
-                                        t=time.perf_counter(),
-                                        claimed=builds)))
+        beat = partial(send_beat, attempt)
 
         def emit(kind: str, **payload: Any) -> None:
             """An event for the daemon to emit on our behalf."""
@@ -363,7 +347,7 @@ def _service_worker_loop(slot: int, cmd: Any, out: Any,
                 attempt_span = None
         set_log_context(job_id=job_id, trace_id=trace.get("trace_id"))
 
-        beat(0, "start")
+        beat("start")
         if spec.sleep_s > 0:
             # The wedge knob: silence after the start beat is exactly
             # what the hung-job detector is built to catch.
@@ -388,7 +372,7 @@ def _service_worker_loop(slot: int, cmd: Any, out: Any,
                 "classification": classify(exc),
             }))
         else:
-            beat(result.get("iterations", 0), "done")
+            beat("done", result.get("iterations", 0))
             out.send(("done", job_id, result))
         finally:
             if attempt_span is not None:
@@ -404,15 +388,12 @@ class WorkerSlot:
     """Parent-side record of one fleet worker."""
 
     index: int
-    proc: Any = None
-    cmd: Any = None  # write end of the worker's command pipe
-    out: Any = None  # read end of its outcome pipe; None once at EOF
+    child: Child
     job_id: str | None = None
     attempt: int = 0
     process_ranks: int = 0  # real backend workers this job consumes
     deadline: float | None = None
     started: float | None = None
-    respawns: int = 0
 
     @property
     def busy(self) -> bool:
@@ -441,7 +422,6 @@ class WorkerFleet:
         size: int,
         *,
         job_timeout_s: float = DEFAULT_JOB_TIMEOUT_S,
-        heartbeat_interval_s: float = DEFAULT_BEAT_INTERVAL_S,
         heartbeat_timeout_s: float = DEFAULT_HEARTBEAT_TIMEOUT_S,
         process_budget: int = 4,
         close_fds: tuple[int, ...] = (),
@@ -457,56 +437,21 @@ class WorkerFleet:
         self.job_timeout_s = job_timeout_s
         self.process_budget = process_budget
         self.clock = clock
-        self._ctx = mp.get_context("fork")
-        self._cfg = {
-            "beat_interval_s": heartbeat_interval_s,
-            "close_fds": tuple(close_fds),
-        }
-        self.slots = [WorkerSlot(index=i) for i in range(size)]
+        self.slots = [
+            WorkerSlot(i, Child(
+                _service_worker_loop, i, tuple(close_fds),
+                name=f"scf-job-worker-{i}",
+                daemon=False,  # must be able to fork process-backend workers
+            ))
+            for i in range(size)
+        ]
         self.monitor = HeartbeatMonitor(size, timeout_s=heartbeat_timeout_s)
         self.degraded_jobs = 0
         self.timeouts = 0
         self.lost_workers = 0
         self._closed = False
         for slot in self.slots:
-            self._spawn(slot)
-
-    # -- worker lifecycle ----------------------------------------------------
-
-    def _spawn(self, slot: WorkerSlot) -> None:
-        for end in (slot.cmd, slot.out):  # a dead worker's, and what's in them
-            if end is not None:
-                end.close()
-        commands, slot.cmd = self._ctx.Pipe(duplex=False)
-        slot.out, outcomes = self._ctx.Pipe(duplex=False)
-        slot.proc = self._ctx.Process(
-            target=_service_worker_loop,
-            args=(slot.index, commands, outcomes, self._cfg),
-            name=f"scf-job-worker-{slot.index}",
-            daemon=False,  # must be able to fork process-backend workers
-        )
-        slot.proc.start()
-        # The worker's ends: later forks must not hold them.
-        commands.close()
-        outcomes.close()
-
-    def _ensure_alive(self, slot: WorkerSlot) -> None:
-        if slot.proc is None or not slot.proc.is_alive():
-            if slot.proc is not None:
-                slot.proc.join(timeout=1)
-                slot.respawns += 1
-            self._spawn(slot)
-
-    def _kill(self, slot: WorkerSlot) -> None:
-        """SIGKILL a slot's worker (deadline breach or cancel)."""
-        proc = slot.proc
-        if proc is not None and proc.is_alive():
-            try:
-                os.kill(proc.pid, signal.SIGKILL)
-            except (OSError, TypeError):  # pragma: no cover - racing exit
-                pass
-            proc.join(timeout=5)
-        slot.proc = None
+            slot.child.spawn()
 
     # -- dispatch ------------------------------------------------------------
 
@@ -552,7 +497,8 @@ class WorkerFleet:
         if not idle:
             raise RuntimeError("no idle worker slot")
         slot = idle[0]
-        self._ensure_alive(slot)
+        if not slot.child.alive():
+            slot.child.spawn()
 
         force_backend = None
         process_ranks = 0
@@ -570,21 +516,18 @@ class WorkerFleet:
         # Arm the liveness reference beat: a worker that never says
         # anything at all still times out.
         self.monitor.record(make_beat(
-            slot.index, slot.proc.pid, job.attempt, "dispatched",
+            slot.index, slot.child.pid, job.attempt, "dispatched",
             t=time.perf_counter(),
         ))
-        try:
-            slot.cmd.send(("job", {
-                "id": job.id,
-                "attempt": job.attempt,
-                "spec": job.spec,
-                "checkpoint": None if checkpoint is None else str(checkpoint),
-                "restart": None if restart is None else str(restart),
-                "force_backend": force_backend,
-                "trace": trace,
-            }))
-        except OSError:
-            pass  # the worker died just now: its sentinel reports it lost
+        slot.child.send(("job", {
+            "id": job.id,
+            "attempt": job.attempt,
+            "spec": job.spec,
+            "checkpoint": None if checkpoint is None else str(checkpoint),
+            "restart": None if restart is None else str(restart),
+            "force_backend": force_backend,
+            "trace": trace,
+        }))
         return slot.index
 
     # -- supervision ---------------------------------------------------------
@@ -596,6 +539,12 @@ class WorkerFleet:
         slot.deadline = None
         slot.started = None
 
+    def _replace(self, slot: WorkerSlot) -> None:
+        """The slot's job is over and its worker dead: start a new one."""
+        self.monitor.mark_lost(slot.index)
+        self._free(slot)
+        slot.child.spawn()
+
     def waitables(self) -> list[Any]:
         """What a blocking wait must watch for this fleet to be served.
 
@@ -604,9 +553,9 @@ class WorkerFleet:
         something to discover later).  Suitable for
         :func:`multiprocessing.connection.wait`.
         """
-        return [s.out for s in self.slots if s.out is not None] + [
-            s.proc.sentinel for s in self.slots
-            if s.busy and s.proc is not None
+        outs = [s.child.out for s in self.slots]
+        return [out for out in outs if out is not None] + [
+            s.child.sentinel for s in self.busy_slots()
         ]
 
     def next_deadline(self) -> float | None:
@@ -629,15 +578,7 @@ class WorkerFleet:
         """
         outcomes: list[JobOutcome] = []
         for slot in self.slots:
-            while slot.out is not None and slot.out.poll():
-                try:
-                    msg = slot.out.recv()
-                except (EOFError, OSError):
-                    # The worker is gone; at EOF its pipe would read as
-                    # ready forever, so it leaves the wait set.
-                    slot.out.close()
-                    slot.out = None
-                    break
+            for msg in slot.child.messages():
                 if msg[0] == "beat":
                     self.monitor.record(msg[1])
                     continue
@@ -665,11 +606,9 @@ class WorkerFleet:
                 # retryable timeout.
                 job_id = slot.job_id
                 elapsed = now - (slot.started or now)
-                self._kill(slot)
-                self.monitor.mark_lost(slot.index)
+                slot.child.kill()
                 self.timeouts += 1
-                self._free(slot)
-                self._ensure_alive(slot)
+                self._replace(slot)
                 outcomes.append(JobOutcome(
                     kind="timeout", slot=slot.index, job_id=job_id,
                     payload={
@@ -678,21 +617,13 @@ class WorkerFleet:
                         "error_type": "JobTimeoutError",
                     },
                 ))
-            elif slot.proc is None or mp_wait([slot.proc.sentinel], 0):
+            elif not slot.child.alive():
                 # The worker died underneath the job (chaos kill, OOM
-                # kill, crash): retryable, respawn the slot.  Read from
-                # the sentinel: ``is_alive()`` lags it until the process
-                # is reaped, and a loop woken by it would spin.
+                # kill, crash): retryable, respawn the slot.
                 job_id = slot.job_id
-                exitcode = None
-                if slot.proc is not None:
-                    slot.proc.join(timeout=1)
-                    exitcode = slot.proc.exitcode
-                slot.proc = None
-                self.monitor.mark_lost(slot.index)
+                exitcode = slot.child.join()
                 self.lost_workers += 1
-                self._free(slot)
-                self._ensure_alive(slot)
+                self._replace(slot)
                 outcomes.append(JobOutcome(
                     kind="lost", slot=slot.index, job_id=job_id,
                     payload={
@@ -709,10 +640,8 @@ class WorkerFleet:
         """Kill the worker running ``job_id``; True when one was found."""
         for slot in self.slots:
             if slot.job_id == job_id:
-                self._kill(slot)
-                self.monitor.mark_lost(slot.index)
-                self._free(slot)
-                self._ensure_alive(slot)
+                slot.child.kill()
+                self._replace(slot)
                 return True
         return False
 
@@ -725,7 +654,7 @@ class WorkerFleet:
             "degraded_jobs": self.degraded_jobs,
             "timeouts": self.timeouts,
             "lost_workers": self.lost_workers,
-            "respawns": sum(s.respawns for s in self.slots),
+            "respawns": sum(s.child.respawns for s in self.slots),
             "suspects": self.monitor.suspects(),
         }
 
@@ -736,29 +665,9 @@ class WorkerFleet:
         if self._closed:
             return
         self._closed = True
-        for slot in self.slots:
-            if slot.proc is None or not slot.proc.is_alive():
-                continue
-            if slot.busy:
-                self._kill(slot)
-                continue
-            try:
-                slot.cmd.send(("stop",))
-            except Exception:  # pragma: no cover - teardown best effort
-                pass
-        for slot in self.slots:
-            for end in (slot.cmd, slot.out):
-                if end is not None:
-                    end.close()
-            slot.cmd = slot.out = None
-            proc = slot.proc
-            if proc is None:
-                continue
-            proc.join(timeout=5)
-            if proc.is_alive():  # pragma: no cover - teardown best effort
-                proc.terminate()
-                proc.join(timeout=5)
-            slot.proc = None
+        for slot in self.busy_slots():
+            slot.child.kill()
+        stop(slot.child for slot in self.slots)
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
         try:

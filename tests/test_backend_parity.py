@@ -100,7 +100,7 @@ def test_process_ranks_and_their_parent_add_no_threads(water_sto3g):
         builder = be.wrap_builder(inner)
         builder(_trial_density(water_sto3g.nbf))
         tasks = [len(os.listdir(f"/proc/{p.pid}/task"))
-                 for p in builder._procs]
+                 for p in builder._children]
         assert tasks == [1] * geo["nranks"]
         assert threading.active_count() <= before
 

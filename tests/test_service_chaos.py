@@ -31,6 +31,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.parallel.child import KILLED_EXIT_CODE
 from repro.service import JobClient, JobSpec, ServiceUnavailable, probe_socket
 from repro.service import supervisor
 from repro.service.jobs import Job
@@ -237,7 +238,7 @@ def test_worker_dying_mid_flood_does_not_wedge_the_next_job(monkeypatch):
             for i in range(2000):
                 emit("test.flood", i=i)
             time.sleep(0.001)
-            os._exit(supervisor.KILLED_EXIT_CODE)
+            os._exit(KILLED_EXIT_CODE)
         return {"energy": 0.0}
 
     monkeypatch.setattr(supervisor, "run_job", flood_then_die)  # forks inherit
@@ -263,20 +264,20 @@ def test_a_torn_outcome_frame_is_dropped_with_its_pipe():
         frame = os.read(reader.fileno(), 65536)
         reader.close()
         writer.close()
-        slot.out.close()
+        slot.child.out.close()
         for cut in range(len(frame)):
-            slot.out, writer = multiprocessing.Pipe(duplex=False)
+            slot.child.out, writer = multiprocessing.Pipe(duplex=False)
             os.write(writer.fileno(), frame[:cut])
             writer.close()
             assert fleet.poll() == []
-            assert slot.out is None and slot.busy
-            assert slot.out not in fleet.waitables()
+            assert slot.child.out is None and slot.busy
+            assert slot.child.out not in fleet.waitables()
         # The whole frame is a result: the cut, not the bytes, dropped it.
-        slot.out, writer = multiprocessing.Pipe(duplex=False)
+        slot.child.out, writer = multiprocessing.Pipe(duplex=False)
         os.write(writer.fileno(), frame)
         writer.close()
         assert [o.kind for o in fleet.poll()] == ["done"]
-        assert slot.out is None and not slot.busy
+        assert slot.child.out is None and not slot.busy
     finally:
         fleet.shutdown()
 
@@ -292,7 +293,7 @@ def test_a_long_error_still_fits_one_atomic_pipe_write(monkeypatch):
     fleet = WorkerFleet(1)
     try:
         fleet.dispatch(_job(1))
-        out = fleet.slots[0].out
+        out = fleet.slots[0].child.out
         frames = []
         while not frames or frames[-1][0][0] != "failed":
             assert out.poll(30.0)
@@ -302,5 +303,34 @@ def test_a_long_error_still_fits_one_atomic_pipe_write(monkeypatch):
         assert size <= select.PIPE_BUF
         assert msg[2]["error"].startswith("x" * 100)
         assert msg[2]["error_type"] == "ValueError"
+    finally:
+        fleet.shutdown()
+
+
+def test_every_respawn_counts(monkeypatch):
+    """One slot loses its worker, has a job cancelled and one time out:
+    four workers ran, so three respawns."""
+    monkeypatch.setattr(supervisor, "run_job",
+                        lambda spec, **_: time.sleep(60))  # forks inherit
+    fleet = WorkerFleet(1, job_timeout_s=30.0)
+    slot = fleet.slots[0]
+    pids = [slot.child.pid]
+    try:
+        fleet.dispatch(_job(1))
+        os.kill(slot.child.pid, signal.SIGKILL)
+        assert [o.kind for o in _outcomes_within(fleet, 10.0)] == ["lost"]
+        pids.append(slot.child.pid)
+
+        fleet.dispatch(_job(2))
+        assert fleet.cancel_job("j000001")
+        pids.append(slot.child.pid)
+
+        fleet.dispatch(_job(3))
+        slot.deadline = fleet.clock() - 1.0
+        assert [o.kind for o in fleet.poll()] == ["timeout"]
+        pids.append(slot.child.pid)
+
+        assert len(set(pids)) == 4
+        assert fleet.stats()["respawns"] == 3
     finally:
         fleet.shutdown()

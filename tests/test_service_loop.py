@@ -172,7 +172,7 @@ def test_killed_worker_is_reported_lost_by_its_sentinel(service):
     time.sleep(0.1)  # the loop is back in its wait, the worker asleep
     before = daemon.wakeups
     killed_at = time.monotonic()
-    os.kill(daemon.fleet.slots[0].proc.pid, signal.SIGKILL)
+    os.kill(daemon.fleet.slots[0].child.pid, signal.SIGKILL)
     failed = client.result(job["id"], timeout_s=30)
     assert time.monotonic() - killed_at < 0.5
     assert failed["error_type"] == "WorkerLostError"
@@ -187,7 +187,7 @@ def test_a_dead_idle_worker_costs_one_wakeup(service):
     client.ping()
     time.sleep(0.2)  # the loop has reached its first wait
     before = daemon.wakeups
-    os.kill(daemon.fleet.slots[0].proc.pid, signal.SIGKILL)
+    os.kill(daemon.fleet.slots[0].child.pid, signal.SIGKILL)
     time.sleep(1.0)
     assert daemon.wakeups - before <= 1
     done = client.result(client.submit({"xyz": H2_XYZ})["id"], timeout_s=60)
@@ -199,7 +199,7 @@ def test_a_fleet_worker_runs_one_thread(service):
     daemon, client = service()
     done = client.result(client.submit({"xyz": H2_XYZ})["id"], timeout_s=60)
     assert done["state"] == "done"
-    pid = daemon.fleet.slots[0].proc.pid
+    pid = daemon.fleet.slots[0].child.pid
     assert len(os.listdir(f"/proc/{pid}/task")) == 1
 
 
@@ -293,12 +293,12 @@ def test_daemon_event_log_stays_bounded_under_heartbeats(service, tmp_path):
     nbeats = 10_000
     start = daemon.channel.published
     slot = daemon.fleet.slots[0]
-    pid = slot.proc.pid
+    pid = slot.child.pid
     # Slot 0's outcome pipe becomes one whose write end this test holds.
     beats, writer = multiprocessing.Pipe(duplex=False)
     with daemon._lock:
-        slot.out.close()
-        slot.out = beats
+        slot.child.out.close()
+        slot.child.out = beats
     daemon._wake_loop()
     for i in range(nbeats):
         writer.send(("beat", make_beat(
