@@ -43,14 +43,6 @@ def main() -> None:
           f"races detected: {stats.races}")
     print(f"FI flushes: {stats.fi_flushes}, FJ flushes: {stats.fj_flushes}")
 
-    # 3. The HF result as a post-HF starting point (the paper's stated
-    #    motivation): MP2 on top of the converged wavefunction.
-    from repro.scf.mp2 import mp2_energy
-
-    mp2 = mp2_energy(basis, ref)
-    print(f"\nMP2 correlation energy: {mp2.correlation_energy:.10f} Eh")
-    print(f"MP2 total energy      : {mp2.total_energy:.10f} Eh")
-
 
 if __name__ == "__main__":
     main()

@@ -6,8 +6,8 @@ the second generation of Intel Xeon Phi processor."
 The package layers:
 
 * :mod:`repro.chem` / :mod:`repro.integrals` / :mod:`repro.scf` — a
-  from-scratch restricted & unrestricted Hartree-Fock engine plus MP2
-  and properties (the GAMESS substrate).
+  from-scratch restricted & unrestricted Hartree-Fock engine (the
+  GAMESS substrate).
 * :mod:`repro.parallel` — a deterministic simulated MPI/OpenMP
   runtime with write-race detection.
 * :mod:`repro.core` — the paper's contribution: the MPI-only,

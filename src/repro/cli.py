@@ -37,9 +37,9 @@ Commands
 ``slo``        Latency/SLO report: p50/p95/p99 queue-wait/run/total
                per job class, error-budget burn rates, and breach
                counts — live from a daemon or from recorded telemetry.
-``dataset``    Describe one of the paper's graphene datasets (sizes,
-               screening statistics).
-``simulate``   Predict the Fock-build time of one run configuration.
+``simulate``   Describe one of the paper's graphene datasets (sizes,
+               screening statistics), then predict the Fock-build time
+               of one run configuration on it.
 ``reproduce``  Regenerate a paper table or figure.
 
 Every command accepts ``--log-level`` / ``--quiet`` (before or after

@@ -1,5 +1,5 @@
-"""The paper verbs: ``dataset``, ``simulate``, ``reproduce`` — the
-graphene datasets, the KNL performance model and the tables/figures."""
+"""The paper verbs: ``simulate`` and ``reproduce`` — the graphene
+datasets and the KNL performance model, and the tables/figures."""
 
 from __future__ import annotations
 
@@ -17,12 +17,9 @@ TARGETS = (
 
 
 def register(sub) -> None:
-    ds = add_verb(sub, "dataset", cmd_dataset,
-                  help="describe a benchmark dataset")
-    ds.add_argument("label", choices=DATASETS)
-
     sim = add_verb(sub, "simulate", cmd_simulate,
-                   help="predict a run's Fock-build time")
+                   help="describe a dataset and predict a run's Fock-build "
+                        "time on it")
     sim.add_argument("--dataset", choices=DATASETS, default="2.0nm")
     sim.add_argument("--algorithm", choices=ALGORITHMS, default="shared-fock")
     sim.add_argument("--nodes", type=int, default=4)
@@ -41,29 +38,22 @@ def register(sub) -> None:
     rep.add_argument("target", choices=TARGETS)
 
 
-def cmd_dataset(args: argparse.Namespace) -> int:
-    from repro.chem.graphene import PAPER_DATASETS
-    from repro.perfsim.workload import Workload
-
-    spec = PAPER_DATASETS[args.label]
-    print(f"dataset {args.label}: {spec.natoms} atoms, {spec.nshells} "
-          f"shells, {spec.nbf} basis functions (6-31G(d), bilayer graphene)")
-    wl = Workload.for_dataset(args.label)
-    print(f"bra (ij) tasks          : {wl.npair_tasks:,}")
-    print(f"significant after prescr: {wl.n_significant_tasks:,}")
-    print(f"surviving quartets      : {wl.total_quartets:.3e}")
-    print(f"screened fraction       : {100 * wl.screening_fraction():.2f}%")
-    return 0
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.chem.graphene import PAPER_DATASETS
     from repro.machine.system import JLSE, THETA
     from repro.perfsim.cost_model import calibrated_cost_model
     from repro.perfsim.simulate import RunConfig, simulate_fock_build
     from repro.perfsim.workload import Workload
 
-    system = THETA if args.system == "theta" else JLSE
+    spec = PAPER_DATASETS[args.dataset]
+    print(f"dataset {args.dataset}: {spec.natoms} atoms, {spec.nshells} "
+          f"shells, {spec.nbf} basis functions (6-31G(d), bilayer graphene)")
     wl = Workload.for_dataset(args.dataset)
+    print(f"bra (ij) tasks          : {wl.npair_tasks:,}")
+    print(f"significant after prescr: {wl.n_significant_tasks:,}")
+    print(f"surviving quartets      : {wl.total_quartets:.3e}")
+    print(f"screened fraction       : {100 * wl.screening_fraction():.2f}%")
+    system = THETA if args.system == "theta" else JLSE
     if args.algorithm == "mpi-only":
         cfg = RunConfig.mpi_only(
             system=system, nodes=args.nodes,

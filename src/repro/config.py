@@ -131,6 +131,11 @@ class SCFConfig:
                 f"mpi-only requires nthreads == 1 (--threads 1), "
                 f"got {self.nthreads}"
             )
+        if self.method == "rhf" and self.multiplicity != 1:
+            raise ConfigError(
+                f"rhf runs a closed-shell singlet only; multiplicity "
+                f"{self.multiplicity} needs --uhf"
+            )
         if self.method == "uhf" and self.algorithm != "private-fock":
             raise ConfigError(
                 f"uhf runs on the private-fock algorithm only, "

@@ -21,7 +21,6 @@ over contracted Cartesian Gaussian shells:
   (:func:`~repro.integrals.basis_setup.basis_setup`).
 * :mod:`repro.integrals.cache` — memory-bounded LRU cache of ERI slabs,
   one entry per bra (semi-direct SCF).
-* :mod:`repro.integrals.multipole` — dipole integrals (post-SCF).
 """
 
 from repro.integrals.basis_setup import basis_setup

@@ -16,13 +16,6 @@ from repro.scf.uhf import UHF, UHFResult
 from repro.scf.diis import DIIS
 from repro.scf.guess import core_guess_density
 from repro.scf.convergence import ConvergenceCriteria, density_rms_change
-from repro.scf.mp2 import MP2Result, mp2_energy
-from repro.scf.properties import (
-    dipole_moment,
-    homo_lumo_gap,
-    koopmans_ionization_potential,
-    mulliken_populations,
-)
 
 __all__ = [
     "RHF",
@@ -36,10 +29,4 @@ __all__ = [
     "core_guess_density",
     "ConvergenceCriteria",
     "density_rms_change",
-    "mp2_energy",
-    "MP2Result",
-    "dipole_moment",
-    "mulliken_populations",
-    "homo_lumo_gap",
-    "koopmans_ionization_potential",
 ]

@@ -12,6 +12,8 @@ data (:class:`~repro.integrals.eri.PairStack`) and are independent of
 the kernel in their recursion, primitive loops and contraction order.
 :func:`concat_stacks` / :func:`take_pairs` assemble the stacks the
 paired kernel is tested on; no run path builds a stack that way.
+:func:`mp2_correlation_energy` reads a converged RHF result's virtual
+orbitals, which no SCF energy does, against a literature value.
 """
 
 from __future__ import annotations
@@ -278,3 +280,25 @@ def eri_shell_quartet_scalar(bra: PairStack, ket: PairStack) -> np.ndarray:
     return eri_class_batch_scalar(bra, ket).reshape(
         bra.nfa, bra.nfb, ket.nfa, ket.nfb
     )
+
+
+def mp2_correlation_energy(
+    eri_ao: np.ndarray,
+    coefficients: np.ndarray,
+    orbital_energies: np.ndarray,
+    nocc: int,
+) -> float:
+    """Closed-shell MP2 correlation energy of an RHF reference,
+    ``sum (ia|jb) [2 (ia|jb) - (ib|ja)] / (e_i + e_j - e_a - e_b)`` over
+    occupied ``i, j`` and virtual ``a, b``."""
+    occ, vir = coefficients[:, :nocc], coefficients[:, nocc:]
+    ovov = np.einsum(
+        "mnls,mi,na,lj,sb->iajb", eri_ao, occ, vir, occ, vir, optimize=True
+    )
+    e_occ, e_vir = orbital_energies[:nocc], orbital_energies[nocc:]
+    denom = (
+        e_occ[:, None, None, None] - e_vir[None, :, None, None]
+        + e_occ[None, None, :, None] - e_vir[None, None, None, :]
+    )
+    exchange = ovov.transpose(0, 3, 2, 1)  # (ib|ja)
+    return float(np.sum(ovov * (2.0 * ovov - exchange) / denom))

@@ -331,10 +331,13 @@ def test_scf_uhf(tmp_path, capsys):
 
 
 def test_dataset_command(capsys):
-    rc = main(["dataset", "0.5nm"])
+    """``simulate`` describes its dataset before the prediction."""
+    rc = main(["simulate", "--dataset", "0.5nm", "--nodes", "1",
+               "--system", "jlse"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "44 atoms" in out and "660 basis functions" in out
+    assert out.index("screened fraction") < out.index("Fock-build time")
 
 
 def test_simulate_command(capsys):
@@ -412,7 +415,7 @@ def test_reproduce_fig6_plot(capsys):
 
 def test_bad_dataset_rejected():
     with pytest.raises(SystemExit):
-        main(["dataset", "42nm"])
+        main(["simulate", "--dataset", "42nm"])
 
 
 # -- resilience flags ---------------------------------------------------------
@@ -585,6 +588,7 @@ def test_explain_resolves_a_registered_run_from_any_directory(
     ["trace", "j000000"],
     ["runs", "diff", "a", "b"],
     ["profile", "--timeline"],
+    ["dataset", "0.5nm"],
 ])
 def test_removed_post_hoc_verbs_exit_two(argv):
     with pytest.raises(SystemExit) as exc:

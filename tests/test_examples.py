@@ -25,7 +25,6 @@ def test_quickstart():
     out = _run("quickstart.py")
     assert "-74.94207995" in out
     assert "races detected: 0" in out
-    assert "MP2 correlation energy" in out
 
 
 @pytest.mark.slow
@@ -53,10 +52,3 @@ def test_affinity_tuning():
     out = _run("affinity_tuning.py", "0.5nm")
     assert "Recommendation" in out
     assert "quadrant" in out
-
-
-@pytest.mark.slow
-def test_radical_properties():
-    out = _run("radical_properties.py")
-    assert "OH radical" in out
-    assert "Mulliken" in out

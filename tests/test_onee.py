@@ -7,7 +7,6 @@ import pytest
 
 from repro.chem.basis import BasisSet
 from repro.chem.basis.shell import Shell
-from repro.chem.basis.parser import register_basis
 from repro.chem.molecule import hydrogen_molecule, water
 from repro.integrals.onee import (
     core_hamiltonian,
@@ -152,24 +151,24 @@ def spdf_basis():
     the occasion (no built-in basis has f functions)."""
     from repro.chem.basis import data
 
-    register_basis("test-spdf", {
-        "O": (
-            ("S", ((130.70932, 0.15432897), (23.808861, 0.53532814),
-                   (6.4436083, 0.44463454))),
-            ("L", ((5.0331513, -0.09996723, 0.15591627),
-                   (1.1695961, 0.39951283, 0.60768372),
-                   (0.3803890, 0.70011547, 0.39195739))),
-            ("D", ((0.8, 1.0),)),
-            ("F", ((1.4, 0.6), (0.5, 0.5))),
-        ),
-        "H": (
-            ("S", ((3.42525091, 0.15432897), (0.62391373, 0.53532814),
-                   (0.16885540, 0.44463454))),
-            ("P", ((1.1, 1.0),)),
-        ),
-    })
-    yield BasisSet(water(), "test-spdf")
-    del data._BASIS_LIBRARY["test-spdf"]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setitem(data._BASIS_LIBRARY, "test-spdf", {
+            "O": (
+                ("S", ((130.70932, 0.15432897), (23.808861, 0.53532814),
+                       (6.4436083, 0.44463454))),
+                ("L", ((5.0331513, -0.09996723, 0.15591627),
+                       (1.1695961, 0.39951283, 0.60768372),
+                       (0.3803890, 0.70011547, 0.39195739))),
+                ("D", ((0.8, 1.0),)),
+                ("F", ((1.4, 0.6), (0.5, 0.5))),
+            ),
+            "H": (
+                ("S", ((3.42525091, 0.15432897), (0.62391373, 0.53532814),
+                       (0.16885540, 0.44463454))),
+                ("P", ((1.1, 1.0),)),
+            ),
+        })
+        yield BasisSet(water(), "test-spdf")
 
 
 @pytest.fixture(params=["water_631gd", "hydroxide_631gd", "spdf"])

@@ -44,10 +44,8 @@ MODULES = [
     "repro.chem.basis.shell",
     "repro.chem.basis.basisset",
     "repro.chem.basis.data",
-    "repro.chem.basis.parser",
     "repro.integrals.boys",
     "repro.integrals.hermite",
-    "repro.integrals.multipole",
     "repro.integrals.eri",
     "repro.integrals.schwarz",
     "repro.integrals.onee",
@@ -57,9 +55,6 @@ MODULES = [
     "repro.scf.convergence",
     "repro.scf.rhf",
     "repro.scf.uhf",
-    "repro.scf.mp2",
-    "repro.scf.properties",
-    "repro.scf.eigensolver",
     "repro.resilience.errors",
     "repro.resilience.faults",
     "repro.resilience.checkpoint",
@@ -131,6 +126,64 @@ def test_every_subpackage_imports_alone():
         assert proc.returncode == 0, f"import {name}:\n{proc.stderr}"
 
 
+def test_every_module_has_a_caller():
+    """Every ``src/repro`` module is imported by another one or by a
+    script under ``benchmarks/``: a module only tests and examples call
+    has no place on the import path.  A package ``__init__`` is no
+    caller, but importing a name it re-exports reaches the module the
+    name comes from.  Imports inside functions count."""
+    import ast
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    src = root / "src"
+
+    def dotted(path):
+        parts = path.relative_to(src).with_suffix("").parts
+        return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+    trees = {
+        dotted(path): (path.name == "__init__.py", ast.parse(path.read_text()))
+        for path in (src / "repro").rglob("*.py")
+    }
+    exports = {  # (package, name) -> (module, name) of its re-exports
+        (module, alias.asname or alias.name): (node.module, alias.name)
+        for module, (is_package, tree) in trees.items() if is_package
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 0
+        for alias in node.names
+    }
+
+    def reached(module, name):
+        """The modules ``from module import name`` loads on purpose."""
+        if f"{module}.{name}" in trees:
+            return {f"{module}.{name}"}
+        if (module, name) not in exports:
+            return set()
+        origin, attr = exports[module, name]
+        return {origin} | reached(origin, attr)
+
+    callers = [tree for is_package, tree in trees.values() if not is_package]
+    callers += [
+        ast.parse(path.read_text())
+        for path in (root / "benchmarks").rglob("*.py")
+    ]
+    called = set()
+    for tree in callers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                called.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                called.add(node.module)
+                for alias in node.names:
+                    called |= reached(node.module, alias.name)
+    orphans = sorted(
+        module for module, (is_package, _) in trees.items()
+        if not is_package and module not in called | {"repro.__main__"}
+    )
+    assert not orphans, f"no caller outside tests/ and examples/: {orphans}"
+
+
 @pytest.mark.parametrize("name", PACKAGES)
 def test_all_members_resolve(name):
     mod = importlib.import_module(name)
@@ -173,7 +226,7 @@ def test_one_eri_kernel_and_one_hermite_recursion_in_src():
     src = "".join(
         path.read_text() for path in Path(integrals.__file__).parent.glob("*.py")
     )
-    assert src.count("e_coefficients_1d(") == 3  # definition, eri, multipole
+    assert src.count("e_coefficients_1d(") == 2  # definition, eri
     for path in Path(repro.__file__).parent.rglob("*.py"):
         assert "scipy" not in path.read_text(), path
 

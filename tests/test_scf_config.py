@@ -117,6 +117,7 @@ CONFIG_CASES = [
      dict(method="uhf", algorithm="shared-fock")),
     (["--uhf", "--algorithm", "mpi-only"],
      dict(method="uhf", algorithm="mpi-only")),
+    (["--multiplicity", "3"], dict(multiplicity=3)),
 ]
 
 

@@ -7,7 +7,9 @@ import pytest
 
 from repro.chem.basis import BasisSet
 from repro.chem.molecule import Molecule, hydrogen_molecule, water
+from repro.scf.fock_dense import eri_tensor
 from repro.scf.rhf import RHF
+from tests.oracles import mp2_correlation_energy
 
 
 def test_water_sto3g_energy(water_sto3g):
@@ -27,6 +29,18 @@ def test_water_sto3g_scf_details(water_sto3g):
     # Orbital energies sorted ascending; 5 occupied for 10 electrons.
     assert np.all(np.diff(res.orbital_energies) >= -1e-10)
     assert res.orbital_energies[4] < 0 < res.orbital_energies[5]
+
+
+def test_water_sto3g_mp2_crawford_reference(water_sto3g):
+    """Crawford project: E_MP2(H2O/STO-3G) = -0.049149636120 Eh, the one
+    literature value here that reads the virtual orbitals."""
+    res = RHF(water_sto3g).run()
+    assert res.converged
+    e2 = mp2_correlation_energy(
+        eri_tensor(water_sto3g), res.coefficients, res.orbital_energies,
+        water_sto3g.molecule.nelectrons // 2,
+    )
+    assert math.isclose(e2, -0.049149636120, abs_tol=1e-8)
 
 
 def test_h2_sto3g_energy():
