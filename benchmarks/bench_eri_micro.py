@@ -377,7 +377,7 @@ def _bench_obs_setup(args, output: Path):
         set_event_log(channel)
     span_writer = None
     if args.trace:
-        from repro.obs.export import span_line
+        from repro.obs.export import span_record
         from repro.obs.stream import NDJSONStreamWriter
         from repro.obs.tracer import (
             TraceContext,
@@ -394,7 +394,7 @@ def _bench_obs_setup(args, output: Path):
         writer = span_writer
         set_tracer(Tracer(
             context=TraceContext(new_trace_id(), new_span_id()),
-            on_close=lambda s: writer.write_line(span_line(s, 0.0)),
+            on_close=lambda s: writer.write(span_record(s, 0.0)),
         ))
     return handle, channel, span_writer
 

@@ -35,8 +35,11 @@ reference::
     PYTHONPATH=src python benchmarks/bench_service_envelope.py --seed 1
 
 The replay bound is looser than the 1.15 x this envelope was meant to
-reach: a 2-vCPU host reads 1.2-1.3, and what is left is per-span Python
-work (see EXPERIMENTS.md, "Service worker envelope").
+reach: a 2-vCPU host reads 1.2-1.35.  A worker's trace is already
+cycle-granular (a Fock build's inner spans are totals on its record,
+≈ 5 lines a cycle), so what is left is opening and closing the spans,
+``json.dumps`` of the lines that remain, and the first-cycle checkpoints
+(see EXPERIMENTS.md, "Service worker envelope").
 """
 
 from __future__ import annotations

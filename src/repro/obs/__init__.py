@@ -62,8 +62,7 @@ from repro.obs.tracer import (
 _LAZY = {
     "export": (
         "metrics_ndjson", "profile_report", "prometheus_text",
-        "spans_ndjson", "write_metrics_ndjson", "write_prometheus",
-        "write_spans_ndjson", "write_text",
+        "spans_ndjson", "write_prometheus", "write_text",
     ),
     "registry": ("RunHandle", "RunRegistry", "runs_root"),
     "session": ("ObsSession",),

@@ -6,23 +6,21 @@ The views of one traced run other than its Chrome trace (that one is
 * :func:`profile_report` — a GAMESS-style hierarchical percentage
   breakdown of where the wall time went.
 * :func:`spans_ndjson` / :func:`metrics_ndjson` — newline-delimited
-  JSON for the benchmark trajectory tooling; :func:`span_record` /
-  :func:`span_line` are the span line format.
+  JSON for the benchmark trajectory tooling; ``json.dumps`` of
+  :func:`span_record` is the one span line format, the streamed files
+  of :mod:`repro.obs.stream` included.
 * :func:`prometheus_text` — the metrics registry for external scrapers.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import re
 from pathlib import Path
 from typing import Any, Iterable
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Span, Tracer
-
-_MISSING = object()  # "attr not set anywhere" sentinel for span_line
 
 
 def write_text(path: str | Path, text: str) -> Path:
@@ -118,9 +116,9 @@ def profile_report(tracer: Tracer, *, title: str = "profile") -> str:
 def span_record(s: Span, t0: float = 0.0) -> dict[str, Any]:
     """The JSON-ready dict for one completed span (the NDJSON unit).
 
-    Shared by the batch exporter below and the incremental streamer
-    (:class:`~repro.obs.stream.ObsStreamer`), so streamed and batch
-    files are byte-compatible.  Spans recorded under a
+    Shared by the batch exporter below and the incremental writers of
+    :mod:`repro.obs.stream`, so streamed and batch files are
+    byte-compatible.  Spans recorded under a
     :class:`~repro.obs.tracer.TraceContext` additionally carry their
     W3C ``trace_id``/``span_id``/``parent_span_id`` (absent otherwise,
     keeping pre-trace files unchanged).
@@ -141,103 +139,6 @@ def span_record(s: Span, t0: float = 0.0) -> dict[str, Any]:
     return rec
 
 
-#: JSON of the strs spans repeat (names, attr keys and labels), escaped
-#: once instead of once per span; cleared when full.
-_JSON_STRS: dict[str, str] = {}
-_JSON_STRS_MAX = 4096
-
-
-def _json_str(v: str) -> str:
-    out = _JSON_STRS.get(v)
-    if out is None:
-        if len(_JSON_STRS) >= _JSON_STRS_MAX:
-            _JSON_STRS.clear()
-        out = _JSON_STRS[v] = json.dumps(v)
-    return out
-
-
-def _json_value(v: Any) -> str:
-    """``json.dumps(_json_safe(v))``, built by hand for an int, a str
-    and a finite float."""
-    t = type(v)
-    if t is int:
-        return int.__repr__(v)
-    if t is str:
-        return _JSON_STRS.get(v) or _json_str(v)
-    if t is float and math.isfinite(v):
-        return float.__repr__(v)
-    return json.dumps(_json_safe(v))
-
-
-def _json_id(v: Any) -> str:
-    """``_json_value`` of a trace or span id.  Ids are hex
-    (:func:`~repro.obs.tracer.new_span_id`, ``new_trace_id``,
-    ``parse_traceparent``) and a parent's id is new with every parent:
-    an ASCII alphanumeric str is its own JSON between quotes, and is not
-    remembered."""
-    if type(v) is str and v.isascii() and v.isalnum():
-        return f'"{v}"'
-    return _json_value(v)
-
-
-def span_line(s: Span, t0: float = 0.0) -> str:
-    """One finished NDJSON line for a span — the hot-path serializer.
-
-    ``repro serve`` workers (and the ``--trace`` benchmark) serialize a
-    line per completed span from inside the ERI kernel, where a
-    ``json.dumps`` per record is the single largest tracing cost; this
-    builds the line by hand — ints, finite floats and remembered strs
-    without a call into ``json`` — and is byte-identical to
-    ``json.dumps(span_record(s, t0))``.
-    """
-    # One walk up the parent chain covers rank/thread inheritance and
-    # the nesting depth (span_record does three).
-    rank = thread = _MISSING
-    depth = -1  # the walk counts the span itself
-    node: Span | None = s
-    while node is not None:
-        a = node.attrs
-        if rank is _MISSING and "rank" in a:
-            rank = a["rank"]
-        if thread is _MISSING and "thread" in a:
-            thread = a["thread"]
-        node = node.parent
-        depth += 1
-    if rank is _MISSING:
-        rank = 0
-    if thread is _MISSING:
-        thread = 0
-    strs = _JSON_STRS
-    # An exact int formats as its JSON; anything else goes the long way.
-    attrs = ", ".join([
-        f"{strs.get(k) or _json_str(k)}: "
-        f"{v if type(v) is int else _json_value(v)}"
-        for k, v in s.attrs.items()
-    ])
-    start = s.start - t0
-    dur = s.duration
-    if (type(start) is float and type(dur) is float
-            and math.isfinite(start) and math.isfinite(dur)):
-        times = f'"start_s": {start!r}, "dur_s": {dur!r}'
-    else:
-        times = f'"start_s": {_json_value(start)}, "dur_s": {_json_value(dur)}'
-    line = (
-        f'{{"span": {strs.get(s.name) or _json_str(s.name)}, {times}, '
-        f'"depth": {depth}, '
-        f'"rank": {rank if type(rank) is int else _json_value(rank)}, '
-        f'"thread": {thread if type(thread) is int else _json_value(thread)}, '
-        f'"attrs": {{{attrs}}}'
-    )
-    if s.trace_id is None:
-        return line + "}"
-    # A span's own id always comes from new_span_id: hex, written as is.
-    return (
-        f'{line}, "trace_id": {_json_id(s.trace_id)}, '
-        f'"span_id": "{s.span_id}", '
-        f'"parent_span_id": {_json_id(s.parent_span_id)}}}'
-    )
-
-
 def spans_ndjson(tracer: Tracer, *, t0: float | None = None) -> str:
     """One JSON line per completed span (name, start, dur, depth, attrs).
 
@@ -256,18 +157,6 @@ def spans_ndjson(tracer: Tracer, *, t0: float | None = None) -> str:
 def metrics_ndjson(registry: MetricsRegistry) -> str:
     """One JSON line per metric in the registry, key-sorted."""
     return "\n".join(json.dumps(rec) for rec in registry.records())
-
-
-def write_spans_ndjson(
-    tracer: Tracer, path: str | Path, *, t0: float | None = None
-) -> Path:
-    """Write :func:`spans_ndjson` to ``path`` (parent dirs created)."""
-    return write_text(path, spans_ndjson(tracer, t0=t0))
-
-
-def write_metrics_ndjson(registry: MetricsRegistry, path: str | Path) -> Path:
-    """Write :func:`metrics_ndjson` to ``path`` (parent dirs created)."""
-    return write_text(path, metrics_ndjson(registry))
 
 
 # -- Prometheus text exposition ----------------------------------------------

@@ -10,10 +10,10 @@ The lines are those of ``spans.ndjson`` / ``events.ndjson``, read by
 :func:`~repro.obs.spans.spans_from_ndjson` and
 :func:`~repro.obs.events.events_from_ndjson` (a torn last line too).
 
-:class:`SpanBatchWriter` is the service worker's cheaper middle: closed
-spans are kept and reach the file, serialized, in one ``write`` per SCF
-cycle, so a killed attempt loses at most the spans of its cycle in
-flight.
+:class:`SpanBatchWriter` writes a service worker's job trace a cycle at
+a time (a killed attempt loses at most its cycle in flight), with a Fock
+build's inner spans folded into totals on the build's own record;
+``repro profile`` and ``repro scf`` keep every span.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Any, BinaryIO, Sequence
 
 from repro.obs.events import Event, EventLog, event_record
-from repro.obs.export import span_line
+from repro.obs.export import span_record
 from repro.obs.tracer import Span, Tracer
 
 
@@ -33,23 +33,18 @@ class NDJSONStreamWriter:
     The file is unbuffered and opened for append: every call below is
     one ``write`` of whole lines, which survives an ``os._exit`` the
     moment it returns, and concurrent writers appending to *separate*
-    files can be merged afterwards without tearing.  ``written`` counts
-    lines, ``writes`` the calls that wrote them.
+    files can be merged afterwards without tearing.  ``writes`` counts
+    the calls that wrote.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh: BinaryIO = open(self.path, "ab", buffering=0)
-        self.written = 0
         self.writes = 0
 
     def write(self, record: dict[str, Any]) -> None:
         self.write_lines((json.dumps(record),))
-
-    def write_line(self, line: str) -> None:
-        """Append one pre-serialized JSON line."""
-        self.write_lines((line,))
 
     def write_lines(self, lines: Sequence[str]) -> None:
         """Append pre-serialized JSON lines in one ``write``."""
@@ -58,7 +53,6 @@ class NDJSONStreamWriter:
         data = memoryview(("\n".join(lines) + "\n").encode())
         while data:  # a regular file takes it whole but for a full disk
             data = data[self._fh.write(data):]
-        self.written += len(lines)
         self.writes += 1
 
     def close(self) -> None:
@@ -75,33 +69,65 @@ class NDJSONStreamWriter:
         return False
 
 
+#: Suffixes of the attrs a folded span name adds to its ``fock/build``.
+_COUNT, _TOTAL = ".count", ".total_s"
+
+
+def folded_totals(attrs: dict[str, Any]) -> list[tuple[str, int, float]]:
+    """``(name, count, total_s)`` of each name :class:`SpanBatchWriter`
+    folded into a record's ``attrs``, largest total first."""
+    rows = []
+    for key, secs in attrs.items():
+        name = key.removesuffix(_TOTAL)
+        count = attrs.get(name + _COUNT)
+        if name != key and count is not None:
+            rows.append((name, int(count), float(secs)))
+    return sorted(rows, key=lambda row: -row[2])
+
+
 class SpanBatchWriter:
     """A tracer's ``on_close`` hook that writes spans a cycle at a time.
 
     Closed spans are kept; when an SCF cycle's span (:attr:`CYCLE`)
     closes, and on :meth:`flush` / :meth:`close`, they are serialized
-    (:func:`~repro.obs.export.span_line`, absolute ``perf_counter``
+    (:func:`~repro.obs.export.span_record`, absolute ``perf_counter``
     timestamps: the cross-process time base trace assembly aligns on)
     and go to ``path`` in one ``write``.  The file only ever holds
     complete lines, and a cycle's children are in it whenever the
     cycle's own line is.
+
+    A span that closes inside an open :attr:`FOLD` span is not kept:
+    its duration is added to that ancestor's attrs as
+    ``<name>.count`` / ``<name>.total_s``, the build's phase totals.
     """
 
     #: The span whose close writes the kept spans.
     CYCLE = "scf/iteration"
+    #: The span whose inner spans become totals on its own record.
+    FOLD = "fock/build"
 
     def __init__(self, path: str | Path) -> None:
         self._out = NDJSONStreamWriter(path)
         self._spans: list[Span] = []
 
     def __call__(self, span: Span) -> None:
+        node = span.parent
+        while node is not None:
+            if node.name == self.FOLD:
+                attrs = node.attrs
+                count, total = span.name + _COUNT, span.name + _TOTAL
+                attrs[count] = attrs.get(count, 0) + 1
+                attrs[total] = attrs.get(total, 0.0) + span.duration
+                return
+            node = node.parent
         self._spans.append(span)
         if span.name == self.CYCLE:
             self.flush()
 
     def flush(self) -> None:
         """Write the kept spans (one ``write``; none when there are none)."""
-        self._out.write_lines([span_line(s) for s in self._spans])
+        self._out.write_lines(
+            [json.dumps(span_record(s)) for s in self._spans])
         self._spans = []
 
     @property
@@ -160,7 +186,7 @@ class ObsStreamer:
 
     def _span_closed(self, span: Span) -> None:
         if self._spans is not None:
-            self._spans.write_line(span_line(span, self.t0))
+            self._spans.write(span_record(span, self.t0))
         if self._prev_on_close is not None:
             self._prev_on_close(span)
 
@@ -170,15 +196,7 @@ class ObsStreamer:
         if self._prev_on_emit is not None:
             self._prev_on_emit(event)
 
-    # -- stats / teardown ----------------------------------------------------
-
-    @property
-    def spans_written(self) -> int:
-        return self._spans.written if self._spans is not None else 0
-
-    @property
-    def events_written(self) -> int:
-        return self._events.written if self._events is not None else 0
+    # -- teardown ------------------------------------------------------------
 
     def close(self) -> None:
         """Unhook the instruments and close the files."""

@@ -44,6 +44,7 @@ from repro.obs.spans import (
     rank_tracks,
     spans_from_ndjson,
 )
+from repro.obs.stream import folded_totals
 from repro.obs.tracer import new_span_id
 
 #: Chrome pid tracks of the merged trace (a segment's ``rank``).
@@ -216,7 +217,9 @@ class AssembledTrace:
         )
 
     def critical_path_report(self) -> str:
-        """Text table of the critical path (relative seconds)."""
+        """Text table of the critical path (relative seconds), and under a
+        segment with :func:`~repro.obs.stream.folded_totals` an indented
+        row per folded name: calls, seconds, % of the segment."""
         if not self.critical_path:
             return "(empty critical path)"
         t0 = min(s.start for s in self.segments)
@@ -231,6 +234,11 @@ class AssembledTrace:
             lines.append(
                 f"{seg.name:<36s} {seg.start - t0:>10.4f} "
                 f"{seg.duration:>10.4f} {pct:>5.1f}%")
+            for name, count, secs in folded_totals(seg.attrs):
+                pct = 100.0 * secs / seg.duration if seg.duration > 0 else 0.0
+                lines.append(
+                    f"  {name:<25s} {count:>7d}x {'':>10s} "
+                    f"{secs:>10.4f} {pct:>5.1f}%")
         return "\n".join(lines)
 
 

@@ -366,21 +366,24 @@ def _service_worker_loop(slot: int, close_fds: tuple[int, ...],
                 allow_exit=True,
             )
         except Exception as exc:
-            out.send(("failed", job_id, {
+            outcome = ("failed", job_id, {
                 "error": str(exc)[:MAX_TEXT] or type(exc).__name__,
                 "error_type": type(exc).__name__,
                 "classification": classify(exc),
-            }))
+            })
         else:
             beat("done", result.get("iterations", 0))
-            out.send(("done", job_id, result))
+            outcome = ("done", job_id, result)
         finally:
+            # The span file is whole before the outcome is sent, so a
+            # trace assembled on the result has the attempt's own line.
             if attempt_span is not None:
                 attempt_span.__exit__(None, None, None)
             set_tracer(None)
             if span_writer is not None:
                 span_writer.close()
             set_log_context(job_id=None, trace_id=None)
+        out.send(outcome)
 
 
 @dataclass

@@ -4,10 +4,7 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.obs import (
     MetricsRegistry,
@@ -278,14 +275,16 @@ def test_write_chrome_trace_creates_parent_dirs(tmp_path, traced):
 
 
 def test_write_ndjson_exporters_create_parent_dirs(tmp_path, traced):
-    from repro.obs import write_metrics_ndjson, write_spans_ndjson
+    from repro.obs import write_text
 
-    spans_path = write_spans_ndjson(traced, tmp_path / "a" / "spans.ndjson")
+    spans_path = write_text(tmp_path / "a" / "spans.ndjson",
+                            spans_ndjson(traced))
     assert spans_path.exists()
     assert spans_path.read_text().endswith("\n")
     reg = MetricsRegistry()
     reg.counter("c").inc()
-    metrics_path = write_metrics_ndjson(reg, tmp_path / "b" / "m.ndjson")
+    metrics_path = write_text(tmp_path / "b" / "m.ndjson",
+                              metrics_ndjson(reg))
     assert json.loads(metrics_path.read_text())["metric"] == "c"
 
 
@@ -575,81 +574,6 @@ def test_log_context_isolated_per_thread():
         clear_log_context()
 
 
-def test_span_line_matches_span_record_bytes():
-    """The hot-path serializer is byte-identical to json.dumps(span_record)."""
-    import json
-
-    from repro.obs.export import span_line, span_record
-    from repro.obs.tracer import (
-        TraceContext,
-        Tracer,
-        new_span_id,
-        new_trace_id,
-    )
-
-    for ctx in (None, TraceContext(new_trace_id(), new_span_id())):
-        tracer = Tracer(context=ctx)
-        with tracer.span("scf/run", rank=3):
-            with tracer.span("eri/quartet_batch"):
-                pass
-            with tracer.span("fock/build", nbf=660, thread=2, frac=0.5,
-                             label="x"):
-                with tracer.span("deep/leaf"):
-                    pass
-        with tracer.span("root/alone"):
-            pass
-        for s in tracer.walk():
-            assert span_line(s, 1.5) == json.dumps(span_record(s, 1.5))
-
-
-_SCALARS = (
-    st.integers() | st.booleans() | st.none()
-    | st.floats(allow_nan=True, allow_infinity=True) | st.text()
-    | st.sampled_from(["shared-fock", "a\tb", 'q"uote', "back\\slash",
-                       "\x7f", "ü", "☃"])
-)
-_ATTRS = st.dictionaries(
-    (st.text() | st.sampled_from(["rank", "thread", "iteration"])).filter(
-        lambda key: key != "name"),  # Tracer.span's own parameter
-    _SCALARS | st.lists(st.integers(), max_size=2)
-    | st.builds(np.int64, st.integers(-2**63, 2**63 - 1))
-    | st.builds(np.float64, st.floats()),
-    max_size=4,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(names=st.lists(st.text() | st.sampled_from(["scf/run", "fock/kl"]),
-                      min_size=1, max_size=3),
-       attrs=st.lists(_ATTRS, min_size=3, max_size=3),
-       t0=st.floats(allow_nan=False, allow_infinity=False) | st.integers(),
-       ids=st.sampled_from([None, ("a" * 32, "b" * 16), ('"x', "☃")]),
-       ticks=st.sampled_from([1, 0.25, np.float64(0.1)]))
-def test_span_line_is_json_dumps_of_span_record(names, attrs, t0, ids,
-                                                ticks):
-    """Whatever the names, attrs (rank/thread of any type), clock and
-    ids, the hand-built line is ``json.dumps(span_record(...))``."""
-    from repro.obs.export import span_line, span_record
-    from repro.obs.tracer import TraceContext
-
-    now = [0]
-
-    def clock():
-        now[0] += ticks
-        return now[0]
-
-    tracer = Tracer(clock=clock,
-                    context=None if ids is None else TraceContext(*ids))
-    with tracer.span(names[0], **attrs[0]):
-        with tracer.span(names[-1], **attrs[1]):
-            pass
-        open_span = tracer.span(names[len(names) // 2], **attrs[2])
-        open_span.__enter__()  # still open: duration 0.0
-        for s in tracer.walk():
-            assert span_line(s, t0) == json.dumps(span_record(s, t0))
-        open_span.__exit__(None, None, None)
-
-
 def test_span_ids_are_w3c_and_unique_per_process():
     import os
 
@@ -673,18 +597,3 @@ def test_span_ids_are_w3c_and_unique_per_process():
     os.waitpid(pid, 0)
     assert len(child) == 16 and child[:8] != ids[-1][:8]
     assert child not in ids
-
-
-def test_span_line_falls_back_for_unusual_spans():
-    import json
-
-    from repro.obs.export import span_line, span_record
-    from repro.obs.tracer import Tracer
-
-    tracer = Tracer()
-    with tracer.span('odd"name', rank="not-an-int"):
-        pass
-    (s,) = tracer.walk()
-    line = span_line(s)
-    assert line == json.dumps(span_record(s))
-    assert json.loads(line)["span"] == 'odd"name'

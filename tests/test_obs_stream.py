@@ -25,7 +25,7 @@ def test_writer_records_visible_before_close(tmp_path):
     writer.write({"a": 2})
     # Line-buffered: already on disk, no close/flush needed.
     assert [r["a"] for r in _lines(path)] == [1, 2]
-    assert writer.written == 2
+    assert writer.writes == 2
     writer.close()
 
 
@@ -51,8 +51,8 @@ def test_streamer_streams_spans_and_events_incrementally(tmp_path):
         assert [s["span"] for s in spans] == ["scf/fock_build"]
         events = _lines(tmp_path / "events.ndjson")
         assert events[0]["event"] == "scf.cycle"
-    assert streamer.spans_written == 2
-    assert streamer.events_written == 1
+    assert len(_lines(tmp_path / "spans.ndjson")) == 2
+    assert len(_lines(tmp_path / "events.ndjson")) == 1
     streamer.close()
     # The streamed file parses through the standard NDJSON readers.
     parsed = events_from_ndjson((tmp_path / "events.ndjson").read_text())
@@ -74,7 +74,7 @@ def test_streamer_chains_existing_callbacks(tmp_path):
         pass
     log.emit("ev.two")
     assert closed == ["a", "b"] and emitted == ["ev.one", "ev.two"]
-    assert streamer.spans_written == 1
+    assert [s["span"] for s in _lines(tmp_path / "spans.ndjson")] == ["a"]
 
 
 @pytest.mark.process

@@ -300,9 +300,93 @@ class TestCheckpointOnCost:
             result = run_job(JobSpec(xyz=water().to_xyz()))
         writer.close()
         assert writer.writes == result["iterations"] + 1
-        lines = path.read_text().splitlines()
-        assert len(lines) == tracer.nspans
-        assert json.loads(lines[-1])["span"] == "job/attempt"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert records[-1]["span"] == "job/attempt"
+
+        def in_build(span):
+            node = span.parent
+            while node is not None and node.name != "fock/build":
+                node = node.parent
+            return node is not None
+
+        # Every span outside a Fock build is on disk, none inside one.
+        assert sorted(r["span_id"] for r in records) == sorted(
+            s.span_id for s in tracer.walk() if not in_build(s))
+        builds = [r for r in records if r["span"] == "fock/build"]
+        assert len(builds) == result["iterations"]
+        for build in builds:
+            attrs = build["attrs"]
+            assert attrs["fock/kl.count"] >= 1
+            totals = [k for k in attrs if k.endswith(".total_s")]
+            for key in totals:
+                assert 0.0 < attrs[key] <= build["dur_s"]
+
+
+class TestJobTrace:
+    def test_explain_prints_the_build_totals_of_a_fresh_job(
+        self, service, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        client = service()
+        job = client.submit({"xyz": WATER_XYZ})
+        assert client.result(job["id"], timeout_s=60)["state"] == "done"
+        capsys.readouterr()
+        assert main(["explain", job["id"],
+                     "--service-dir", str(tmp_path / "svc"),
+                     "--runs-dir", str(tmp_path / "runs")]) == 0
+        report = capsys.readouterr().out.splitlines()
+        (build,) = [n for n, line in enumerate(report)
+                    if line.startswith("fock/build ")]
+        folded = report[build + 1:]
+        names = [line.split()[0] for line in folded]
+        assert {"fock/kl", "fock/gsumf"} <= set(names)
+        assert all(line.startswith("  ") for line in folded)
+        secs = [float(line.split()[2]) for line in folded]
+        assert secs == sorted(secs, reverse=True)
+
+    def test_the_attempt_file_is_whole_before_the_outcome_is_sent(
+        self, tmp_path
+    ):
+        """The fleet worker's loop, in-process: when ``done`` goes up
+        the pipe, the attempt's ``job/attempt`` line is already on
+        disk."""
+        import signal
+
+        from repro.obs.events import get_event_log, set_event_log
+        from repro.obs.metrics import get_metrics, set_metrics
+        from repro.obs.tracer import new_span_id, new_trace_id
+        from repro.service.supervisor import _service_worker_loop
+
+        path = tmp_path / "trace" / "attempt-001.spans.ndjson"
+        job = {"spec": JobSpec(xyz=WATER_XYZ), "id": "j000001",
+               "attempt": 1,
+               "trace": {"trace_id": new_trace_id(),
+                         "root_span_id": new_span_id(),
+                         "obs_dir": str(path.parent)}}
+        outcomes = []
+
+        class Out:
+            @staticmethod
+            def send(msg):
+                if msg[0] in ("done", "failed"):
+                    lines = (path.read_text().splitlines()
+                             if path.exists() else [])
+                    outcomes.append((msg[0], bool(lines) and json.loads(
+                        lines[-1])["span"] == "job/attempt"))
+
+        class Cmd:
+            recv = iter([("job", job), ("stop",)]).__next__
+
+        sigint = signal.getsignal(signal.SIGINT)
+        log, metrics = get_event_log(), get_metrics()
+        try:
+            _service_worker_loop(0, (), Cmd, Out)
+        finally:
+            signal.signal(signal.SIGINT, sigint)
+            set_event_log(log)
+            set_metrics(metrics)
+        assert outcomes == [("done", True)]
 
 
 class TestKilledAttempt:
