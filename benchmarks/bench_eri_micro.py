@@ -63,32 +63,62 @@ def _surviving_shares(basis, tau=1e-10):
     return shares
 
 
-def _sweep(engine, shares, batched):
-    """Every block of every share, a share or a quartet per call."""
+def _share(engine, share, batched):
+    """Every block of one share, the share or a quartet per call."""
     from repro.core.indexing import decode_pair
 
+    i, j, kls = share
     if batched:
-        return [engine.composite_blocks(i, j, kls) for i, j, kls in shares]
-    return [
-        [engine.composite_block(i, j, *decode_pair(kl)) for kl in kls.tolist()]
-        for i, j, kls in shares
-    ]
+        return engine.composite_blocks(i, j, kls)
+    return [engine.composite_block(i, j, *decode_pair(kl)) for kl in kls.tolist()]
 
 
-def _time_engine(basis, shares, repeats, batched):
-    """Best-of-``repeats`` wall seconds for one full sweep, and its blocks."""
-    from repro.core.quartets import QuartetEngine
+def _sweep(engine, shares, batched):
+    """Every block of every share."""
+    return [_share(engine, share, batched) for share in shares]
 
-    engine = QuartetEngine(basis)
-    # Pair E-tensor preparation is amortized across an SCF run; warm it
-    # so the sweep times the quartet kernel itself.
-    blocks = _sweep(engine, shares, batched)
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        _sweep(engine, shares, batched)
-        best = min(best, time.perf_counter() - t0)
-    return best, blocks
+
+#: The tracing-overhead gate: a ``--trace`` run fails when a sweep's
+#: median paired traced/bare ratio exceeds 1 + this tolerance and its
+#: median paired difference exceeds the absolute floor, so kernels of a
+#: few milliseconds don't trip on noise.
+TRACE_TOLERANCE = 0.05
+TRACE_ABS_FLOOR_S = 0.02
+
+
+def _time(engine, shares, batched, repeats, tracer=None):
+    """Wall seconds of one sweep: best of ``repeats``, and with a tracer
+    the median over them of the traced/bare ratio and difference.
+
+    With a tracer each share of every sweep is timed twice back to
+    back, bare and traced, alternating in ABBA order from share to share
+    and from sweep to sweep, so a swing of the host's speed lands on
+    both sides of a pair; the best sweep is the traced one.
+    """
+    import statistics
+
+    from repro.obs.tracer import set_tracer
+
+    bare, traced = [], []
+    for r in range(repeats):
+        wall = {None: 0.0, tracer: 0.0}
+        for k, share in enumerate(shares):
+            order = ((None, tracer), (tracer, None))[(r + k) % 2]
+            for side in order if tracer else (None,):
+                set_tracer(side)
+                t0 = time.perf_counter()
+                _share(engine, share, batched)
+                wall[side] += time.perf_counter() - t0
+                set_tracer(None)
+        bare.append(wall[None])
+        traced.append(wall[tracer])
+    if tracer is None:
+        return min(bare), None, None
+    return (
+        min(traced),
+        statistics.median(t / b for t, b in zip(traced, bare)),
+        statistics.median(t - b for t, b in zip(traced, bare)),
+    )
 
 
 def _max_abs_diff(blocks, reference):
@@ -101,7 +131,9 @@ def _max_abs_diff(blocks, reference):
     )
 
 
-def run(output: Path, repeats: int = 3) -> dict:
+def run(output: Path, repeats: int = 3, tracer=None) -> dict:
+    """The kernel benchmark; ``tracer`` pairs every timed sweep with a
+    traced one (see :func:`_time`)."""
     import repro.core.quartets as quartets_mod
     from repro.chem.basis import BasisSet
     from repro.chem.graphene import bilayer_graphene
@@ -133,14 +165,24 @@ def run(output: Path, repeats: int = 3) -> dict:
     boys_per_quartet = boys_calls / counted_quartets
     boys_calls_single, counted_quartets, _ = counted(batched=False)
     boys_per_quartet_single = boys_calls_single / counted_quartets
-    batched_s, blocks = _time_engine(basis, shares, repeats, batched=True)
-    single_s, singles = _time_engine(basis, shares, repeats, batched=False)
+
+    # Pair E-tensor preparation is amortized across an SCF run; each
+    # engine sweeps once untimed so the timings are the quartet kernel's.
+    engine = QuartetEngine(basis)
+    blocks = _sweep(engine, shares, batched=True)
+    singles = _sweep(engine, shares, batched=False)
+    walls = {
+        "batched": _time(engine, shares, True, repeats, tracer),
+        "single": _time(engine, shares, False, repeats, tracer),
+    }
 
     # The scalar oracle (the seed's primitive loops) under the same sweep.
     kernel = quartets_mod.eri_bra_slab
     quartets_mod.eri_bra_slab = eri_bra_slab_scalar
     try:
-        scalar_s, scalars = _time_engine(basis, shares, repeats, batched=True)
+        engine = QuartetEngine(basis)
+        scalars = _sweep(engine, shares, batched=True)
+        walls["scalar"] = _time(engine, shares, True, repeats, tracer)
     finally:
         quartets_mod.eri_bra_slab = kernel
 
@@ -149,12 +191,13 @@ def run(output: Path, repeats: int = 3) -> dict:
     engine = QuartetEngine(basis, cache=cache)
     _sweep(engine, shares, batched=True)
     h0, m0 = cache.hits, cache.misses
-    t0 = time.perf_counter()
-    _sweep(engine, shares, batched=True)
-    cached_s = time.perf_counter() - t0
-    cycle2_hits = cache.hits - h0
+    walls["cached_cycle2"] = _time(engine, shares, True, repeats, tracer)
+    cycle2_hits = cache.hits - h0  # every timed sweep is one more cycle 2
     cycle2_misses = cache.misses - m0
 
+    scalar_s, single_s, batched_s = (
+        walls[k][0] for k in ("scalar", "single", "batched"))
+    cached_s = walls["cached_cycle2"][0]
     record = {
         "name": "bench_eri_micro",
         "fixture": "bilayer_graphene(1)/6-31g(d)",
@@ -182,6 +225,10 @@ def run(output: Path, repeats: int = 3) -> dict:
         "cache_hit_rate_cycle2": cycle2_hits / (cycle2_hits + cycle2_misses),
         "cycle2_quartets_evaluated": cycle2_misses,
     }
+    if tracer is not None:
+        for name, (_, ratio, diff) in walls.items():
+            record[f"{name}_trace_ratio"] = ratio
+            record[f"{name}_trace_diff_s"] = diff
     output.parent.mkdir(parents=True, exist_ok=True)
     output.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return record
@@ -335,18 +382,18 @@ def _default_output(mode: str) -> Path:
 
 
 def _bench_obs_setup(args, output: Path):
-    """Register the bench run and (optionally) install live instruments.
+    """Register the bench run and (optionally) set up live instruments.
 
-    Returns ``(handle, channel, span_writer)``; any may be ``None``.
+    Returns ``(handle, channel, span_writer, tracer)``; any may be
+    ``None``.
     The registry record makes benchmark runs diffable like any SCF:
     ``repro compare`` on their ``metrics.json``.  ``--telemetry``
     installs a telemetry channel as the process event log (as the
-    service daemon does) and measures its overhead on the hot path,
-    and ``--trace`` the
-    distributed tracer's (context-stamped spans, each serialized and
-    written to NDJSON as it closes: the kernel has no SCF cycle to batch
-    on, so this is a stricter sink than a service worker's) — the CI
-    gates hold both under the compare tolerance.
+    service daemon does) and measures its overhead on the hot path.
+    ``--trace`` builds a distributed tracer (context-stamped spans, each
+    serialized and written to NDJSON as it closes: the kernel has no SCF
+    cycle to batch on, so this is a stricter sink than a service
+    worker's) that :func:`run` installs for one side of each timed pair.
     """
     from repro.obs.registry import RunRegistry
 
@@ -375,7 +422,7 @@ def _bench_obs_setup(args, output: Path):
             # Closed at exit: the file is unbuffered, every line durable.
             ObsStreamer(handle.directory, log=channel)
         set_event_log(channel)
-    span_writer = None
+    span_writer = tracer = None
     if args.trace:
         from repro.obs.export import span_record
         from repro.obs.stream import NDJSONStreamWriter
@@ -384,7 +431,6 @@ def _bench_obs_setup(args, output: Path):
             Tracer,
             new_span_id,
             new_trace_id,
-            set_tracer,
         )
 
         spans_path = (handle.path("spans.ndjson") if handle is not None
@@ -392,11 +438,11 @@ def _bench_obs_setup(args, output: Path):
         spans_path.parent.mkdir(parents=True, exist_ok=True)
         span_writer = NDJSONStreamWriter(spans_path)
         writer = span_writer
-        set_tracer(Tracer(
+        tracer = Tracer(
             context=TraceContext(new_trace_id(), new_span_id()),
             on_close=lambda s: writer.write(span_record(s, 0.0)),
-        ))
-    return handle, channel, span_writer
+        )
+    return handle, channel, span_writer, tracer
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -411,10 +457,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--trace", action="store_true",
-        help="install a distributed tracer (context-stamped spans "
-             "streamed to NDJSON) for the measured section — the "
-             "tracing-overhead benchmark: results must stay within the "
-             "compare gate's tolerance of a bare run",
+        help="the tracing-overhead gate: time each share of --repeats "
+             "kernel sweeps twice back to back, bare and under a tracer "
+             "(context-stamped spans streamed to NDJSON), alternating in "
+             "ABBA order, and fail (exit 1) when a sweep's median "
+             "traced/bare ratio exceeds 1.05 and its median difference "
+             "0.02 s",
     )
     parser.add_argument(
         "--no-registry", action="store_true",
@@ -459,9 +507,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     mode = "schedule" if args.schedule else args.backend
     output = args.output or _default_output(mode)
-    handle, channel, span_writer = _bench_obs_setup(args, output)
+    handle, channel, span_writer, tracer = _bench_obs_setup(args, output)
     try:
-        rc, record = _bench_run(args, output)
+        rc, record = _bench_run(args, output, tracer)
     finally:
         if channel is not None:
             from repro.obs.events import set_event_log
@@ -469,9 +517,6 @@ def main(argv: list[str] | None = None) -> int:
             set_event_log(None)
             channel.close()
         if span_writer is not None:
-            from repro.obs.tracer import set_tracer
-
-            set_tracer(None)
             span_writer.close()
     if handle is not None:
         handle.add_artifact("record", output)
@@ -486,7 +531,7 @@ def main(argv: list[str] | None = None) -> int:
     return rc
 
 
-def _bench_run(args, output: Path) -> tuple[int, dict]:
+def _bench_run(args, output: Path, tracer=None) -> tuple[int, dict]:
     if args.schedule:
         from repro.parallel.scheduler import SCHEDULE_NAMES
 
@@ -545,7 +590,7 @@ def _bench_run(args, output: Path) -> tuple[int, dict]:
                 return 1, record
         return 0, record
 
-    record = run(output, repeats=args.repeats)
+    record = run(output, repeats=args.repeats, tracer=tracer)
     print(f"fixture                : {record['fixture']}")
     print(f"surviving quartets     : {record['quartets']} "
           f"in {record['shares']} shares")
@@ -561,6 +606,20 @@ def _bench_run(args, output: Path) -> tuple[int, dict]:
     print(f"max |diff| vs oracle   : {record['max_abs_diff_vs_scalar']:.1e}")
     print(f"cycle-2 cache hit rate : {100 * record['cache_hit_rate_cycle2']:.1f}%")
     print(f"wrote {output}")
+
+    if tracer is not None:
+        failed = []
+        for name in ("scalar", "single", "batched", "cached_cycle2"):
+            ratio = record[f"{name}_trace_ratio"]
+            diff = record[f"{name}_trace_diff_s"]
+            ok = ratio <= 1.0 + TRACE_TOLERANCE or diff <= TRACE_ABS_FLOOR_S
+            print(f"traced/bare {name:<13s}: {ratio:.4f} "
+                  f"({diff * 1e3:+.2f} ms) {'ok' if ok else 'FAIL'}")
+            if not ok:
+                failed.append(name)
+        if failed:
+            print(f"TRACE OVERHEAD GATE FAILED: {failed}", file=sys.stderr)
+            return 1, record
 
     if args.check:
         ok = (

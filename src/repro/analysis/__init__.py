@@ -20,7 +20,7 @@ from repro.analysis.figures import (
     figure6_scaling_curves,
     figure7_5nm_scaling,
 )
-from repro.analysis.report import render_series, format_seconds
+from repro.analysis.report import render_series, format_seconds, shape_check
 from repro.analysis.plots import ascii_loglog
 
 __all__ = [
@@ -35,5 +35,6 @@ __all__ = [
     "figure7_5nm_scaling",
     "render_series",
     "format_seconds",
+    "shape_check",
     "ascii_loglog",
 ]

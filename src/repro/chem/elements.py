@@ -85,8 +85,3 @@ def element_by_z(z: int) -> Element:
         return _BY_Z[int(z)]
     except KeyError:
         raise KeyError(f"unknown atomic number: {z}") from None
-
-
-def all_elements() -> tuple[Element, ...]:
-    """Return the full supported element table (H..Ar)."""
-    return _ELEMENTS

@@ -33,13 +33,3 @@ WORD_BYTES: int = 8
 #: One gibibyte in bytes (the paper reports GB; we use GiB-like 1e9
 #: decimal GB to match the paper's row magnitudes).
 GB: float = 1.0e9
-
-
-def angstrom_to_bohr(x: float) -> float:
-    """Convert a length from Angstrom to Bohr."""
-    return x * ANGSTROM_TO_BOHR
-
-
-def bohr_to_angstrom(x: float) -> float:
-    """Convert a length from Bohr to Angstrom."""
-    return x * BOHR_TO_ANGSTROM

@@ -79,12 +79,6 @@ def unique_quartets(nshells: int) -> Iterator[tuple[int, int, int, int]]:
                     yield (i, j, k, l)
 
 
-def n_unique_quartets(nshells: int) -> int:
-    """Closed-form count of symmetry-unique quartets: ``P(P+1)/2``."""
-    p = npairs(nshells)
-    return p * (p + 1) // 2
-
-
 def quartet_degeneracy_factor(i: int, j: int, k: int, l: int) -> float:
     """Symmetry de-duplication factor for a unique quartet.
 
@@ -100,11 +94,3 @@ def quartet_degeneracy_factor(i: int, j: int, k: int, l: int) -> float:
     if i == k and j == l:
         fac *= 0.5
     return fac
-
-
-def kl_pairs_upto(ij: int) -> np.ndarray:
-    """All combined ``kl`` indices belonging to top-loop iteration ``ij``.
-
-    Algorithm 3's inner loop runs ``kl = 0 .. ij`` inclusive.
-    """
-    return np.arange(ij + 1, dtype=np.int64)

@@ -218,24 +218,3 @@ class MemoryModel:
 #: ranks for the stock code, 4 ranks x 64 threads for the hybrids.
 TABLE2_MPI_CONFIG = NodeConfig(mpi_per_node=256, threads_per_rank=1)
 TABLE2_HYBRID_CONFIG = NodeConfig(mpi_per_node=4, threads_per_rank=64)
-
-
-def table2_row(
-    nbf: int,
-    nshells: int,
-    *,
-    legacy_ddi_for_mpi: bool = True,
-) -> dict[str, float]:
-    """One Table-2 row: per-node GB for the three code versions.
-
-    The paper's MPI column was measured with the legacy DDI (data
-    servers double every compute rank's replicas), while the hybrid runs
-    used the MPI-3 DDI; ``legacy_ddi_for_mpi`` reflects that default.
-    """
-    mm_legacy = MemoryModel(nbf, nshells, legacy_ddi=legacy_ddi_for_mpi)
-    mm = MemoryModel(nbf, nshells, legacy_ddi=False)
-    return {
-        "mpi": mm_legacy.per_node_gb(AlgorithmKind.MPI_ONLY, TABLE2_MPI_CONFIG),
-        "private": mm.per_node_gb(AlgorithmKind.PRIVATE_FOCK, TABLE2_HYBRID_CONFIG),
-        "shared": mm.per_node_gb(AlgorithmKind.SHARED_FOCK, TABLE2_HYBRID_CONFIG),
-    }

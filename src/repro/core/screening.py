@@ -14,7 +14,7 @@ Three roles:
    aggregation instead of quartet enumeration (usable up to the 5 nm
    dataset's ~5 * 10^14 quartets).
 
-3. **The model Schwarz matrix** for benchmark-scale systems, where
+3. **The model Schwarz bounds** for benchmark-scale systems, where
    exact :math:`Q_{ij} = \\sqrt{(ij|ij)}` evaluation is unaffordable in
    Python: a calibrated Gaussian-overlap decay model
 
@@ -23,9 +23,10 @@ Three roles:
 
    with one amplitude per shell type (S/L/D) and the most-diffuse
    exponent :math:`\\zeta` per composite shell.  The parameters are fit
-   once against exact small-graphene Schwarz matrices
-   (:func:`calibrate_schwarz_model`); the fit quality is exercised by
-   the test suite and reported in EXPERIMENTS.md.
+   once against exact small-graphene Schwarz matrices (a least-squares
+   fit in log space, ``tests/oracles.py::calibrate_schwarz_model``); the
+   fit quality is exercised by the test suite and reported in
+   EXPERIMENTS.md.
 """
 
 from __future__ import annotations
@@ -102,127 +103,143 @@ class Screening:
 
     # -- aggregate statistics (no quartet enumeration) --------------------
 
-    def pair_survivor_counts(self, pair_costs: np.ndarray | None = None) -> np.ndarray:
-        """Surviving-quartet count (or cost) per top-loop ``ij`` task.
+    def pair_survivor_counts(self) -> np.ndarray:
+        """Surviving-quartet count per top-loop ``ij`` task.
 
-        For every combined bra index ``ij``, counts ket pairs
-        ``kl <= ij`` with ``Q_ij Q_kl >= tau``.  Computed by sorting the
-        prefix of pair Q values incrementally — overall
-        ``O(P log P)`` via offline sorting: survivors(ij) = number of
-        elements among the first ``ij + 1`` pair Qs that are
-        ``>= tau / Q_ij``, obtained from the ranks of thresholds in the
-        prefix order statistics.
-
-        Parameters
-        ----------
-        pair_costs:
-            Optional per-``kl`` cost weights; when given, returns the
-            summed cost of survivors instead of their count (used by the
-            performance model's work estimates).
-
-        Notes
-        -----
-        Exact counting with arbitrary prefixes requires an offline
-        order-statistics pass; we use a merge-based approach: process
-        pairs in combined-index order, maintaining a sorted list via
-        ``numpy`` (amortized through block rebuilds).  For the library's
-        dataset sizes (up to 3.3 * 10^7 pairs) the simpler
-        *global-sort + correction-free approximation* is not acceptable,
-        so we do the exact prefix computation in
-        :func:`prefix_survivor_counts`, which this method delegates to.
+        For every combined bra index ``ij``, the number of ket pairs
+        ``kl <= ij`` with ``Q_ij Q_kl >= tau``, as float64: the
+        :func:`prefix_survivor_counts` of every position.
         """
-        return prefix_survivor_counts(self.pair_q, self.tau, pair_costs)
+        return prefix_survivor_counts(self.pair_q, self.tau)[:, 0].astype(np.float64)
+
+
+#: Positions per chunk of :func:`prefix_survivor_counts` (a power of two):
+#: a level sorts one chunk's keys at a time.
+_CHUNK = 1 << 22
+
+#: Width of the position blocks whose kets are counted by brute force.
+_TAIL = 32
 
 
 def prefix_survivor_counts(
-    pair_q: np.ndarray, tau: float, pair_costs: np.ndarray | None = None
+    pair_q: np.ndarray,
+    tau: float,
+    positions: np.ndarray | None = None,
+    pair_class: np.ndarray | None = None,
+    nclass: int = 1,
 ) -> np.ndarray:
-    """Exact per-prefix survivor counts/costs.
+    """Exact per-class prefix survivor counts at chosen bra positions.
 
-    For each bra index ``ij`` (a position in ``pair_q``), computes
-    ``sum over kl <= ij of w_kl * [Q_ij * Q_kl >= tau]`` where ``w`` is
-    1 or ``pair_costs``.  This is the per-top-loop-task work of
-    Algorithm 3, computed *without quartet enumeration*.
+    ``out[t, c]`` counts the kets ``kl <= ij`` of class
+    ``pair_class[kl] == c`` that survive against the bra at position
+    ``ij = positions[t]`` of ``pair_q``: ``Q_ij^2 >= tau`` for the bra
+    itself, ``Q_kl >= tau / Q_ij`` for the kets before it (no ket where
+    ``Q_ij <= 0``).  This is the per-top-loop-task work of Algorithm 3,
+    computed without quartet enumeration.  ``positions`` defaults to
+    every position and ``pair_class`` to one class.
 
-    Implemented as a vectorized divide-and-conquer dominance count
-    (merge-sort style): positions are split in half; for every bra in
-    the right half the qualifying kets in the left half are counted with
-    one ``searchsorted`` against the left half's sorted Q values (plus a
-    weight prefix sum); halves recurse.  ``O(P log^2 P)`` with NumPy-
-    vectorized inner work — the 2.0 nm dataset's 10^6 pairs take ~1 s
-    and the 5.0 nm dataset's 3.3 * 10^7 pairs stay tractable.
+    The kets before a bra are its own ``_TAIL``-wide position block,
+    counted by brute force, plus one dyadic block per set bit of the
+    bra's position above that.  A level works on one ``_CHUNK``-position
+    chunk at a time: it sorts the kets of every block it asks about by
+    Q rank within the chunk and answers the bras whose position has that
+    level's bit set with ``searchsorted`` (:func:`_add_block_counts`);
+    bras past a chunk count all of it the same way; ``O(P log^2 P)``
+    overall.
     """
-    pair_q = np.asarray(pair_q, dtype=np.float64)
-    P = pair_q.size
-    if pair_costs is None:
-        w = np.ones((P, 1))
-        squeeze = True
-    else:
-        w = np.asarray(pair_costs, dtype=np.float64)
-        squeeze = w.ndim == 1
-        if squeeze:
-            w = w[:, None]
-        if w.shape[0] != P:
-            raise ValueError(f"pair_costs first dim must be {P}; got {w.shape}")
-    C = w.shape[1]
-    out = np.zeros((P, C), dtype=np.float64)
-    if P == 0:
-        return out[:, 0] if squeeze else out
+    q = np.asarray(pair_q, dtype=np.float64)
+    P = q.size
+    pos = (np.arange(P, dtype=np.int64) if positions is None
+           else np.asarray(positions, dtype=np.int64))
+    cls = np.zeros(P, dtype=np.int64) if pair_class is None else pair_class
+    out = np.zeros((pos.size, nclass), dtype=np.int64)
+    flat = out.reshape(-1)
+    rows = np.arange(pos.size, dtype=np.int64)
+    qb = q[pos]
     with np.errstate(divide="ignore", over="ignore"):
-        thresholds = np.where(pair_q > 0, tau / pair_q, np.inf)
+        th = np.where(qb > 0, tau / qb, np.inf)
 
-    # Bottom-up merge over position blocks: at block size s, each
-    # adjacent (left, right) block pair contributes the count of
-    # left-side kets qualifying for right-side bras.  Over all levels
-    # every ordered pair (ket position < bra position) is counted
-    # exactly once; the kl == ij self term is added up front.
-    out += w * (pair_q * pair_q >= tau)[:, None]
+    flat[rows * nclass + cls[pos]] += qb * qb >= tau
+    low = pos & (_TAIL - 1)
+    for d in range(1, _TAIL):
+        t = rows[low >= d]
+        t = t[q[pos[t] - d] >= th[t]]
+        flat[t * nclass + cls[pos[t] - d]] += 1
 
-    # Pad to a power-of-two length with inert entries: -inf Q never
-    # qualifies as a ket, +inf thresholds never accept kets.
-    P2 = 1 << (P - 1).bit_length()
-    qp = np.full(P2, -np.inf)
-    qp[:P] = pair_q
-    tp = np.full(P2, np.inf)
-    tp[:P] = thresholds
-    wp = np.zeros((P2, C))
-    wp[:P] = w
-    outp = np.zeros((P2, C))
+    for c0 in range(0, P, _CHUNK):
+        n = min(_CHUNK, P - c0)
+        size = max(_TAIL, 1 << (n - 1).bit_length())
+        bits = size.bit_length()
+        qc = q[c0:c0 + n]
+        order = np.argsort(qc)
+        # Ket Q ranks and classes in the chunk, padded to a power of two:
+        # the padding lies past every block a bra of this chunk counts.
+        rank = np.zeros(size, dtype=np.int64)
+        rank[order] = np.arange(n)
+        cc = np.zeros(size, dtype=np.int64)
+        cc[:n] = cls[c0:c0 + n]
+        # A ket clears a bra's threshold iff it ranks at or above the
+        # threshold's insertion point.
+        qrank = np.searchsorted(qc[order], th)
+        off = pos - c0
+        here = rows[(off >= 0) & (off < n)]
+        # Class histogram of every ``width``-wide block.
+        hist = np.bincount(
+            np.arange(size) // _TAIL * nclass + cc, minlength=size // _TAIL * nclass
+        ).reshape(-1, nclass)
+        width = _TAIL
+        while width < size:
+            # A bra with bit ``width`` set counts the left half of its
+            # ``2 * width``-wide block.
+            t = here[(off[here] & width) != 0]
+            if t.size:
+                _add_block_counts(
+                    out, t, rank.reshape(-1, 2, width)[:, 0],
+                    cc.reshape(-1, 2, width)[:, 0], hist[0::2],
+                    off[t] // (2 * width), qrank[t], bits)
+            hist = hist.reshape(-1, 2, nclass).sum(axis=1)
+            width *= 2
+        # Bras past the chunk count all of it.
+        t = rows[off >= n]
+        if t.size:
+            _add_block_counts(
+                out, t, rank[None, :n], cc[None, :n],
+                np.bincount(cc[:n], minlength=nclass)[None],
+                np.zeros(t.size, dtype=np.int64), qrank[t], bits)
+    return out
 
-    # Small levels: all block pairs at once via broadcasting, chunked to
-    # bound the (nblocks, s, s) comparison tensor.
-    _SMALL = 32
-    size = 1
-    while size < P2 and size <= _SMALL:
-        nb = P2 // (2 * size)
-        ql = qp.reshape(nb, 2 * size)[:, :size]
-        wl = wp.reshape(nb, 2 * size, C)[:, :size, :]
-        th = tp.reshape(nb, 2 * size)[:, size:]
-        chunk = max(1, int(4.0e7 // (size * size + 1)))
-        res = np.empty((nb, size, C))
-        for s0 in range(0, nb, chunk):
-            s1 = min(s0 + chunk, nb)
-            qual = ql[s0:s1, :, None] >= th[s0:s1, None, :]
-            res[s0:s1] = np.einsum("bkr,bkc->brc", qual, wl[s0:s1])
-        outp.reshape(nb, 2 * size, C)[:, size:, :] += res
-        size *= 2
 
-    # Large levels: one sort + one batched searchsorted per block pair.
-    while size < P2:
-        for left in range(0, P2, 2 * size):
-            mid = left + size
-            right = mid + size
-            order = np.argsort(qp[left:mid], kind="stable")
-            qls = qp[left:mid][order]
-            cumw = np.vstack(
-                (np.zeros(C), np.cumsum(wp[left:mid][order], axis=0))
-            )
-            pos = np.searchsorted(qls, tp[mid:right], side="left")
-            outp[mid:right] += cumw[-1] - cumw[pos]
-        size *= 2
+def _add_block_counts(out, rows, rank, cls, hist, qblock, qrank, bits):
+    """``out[rows, c] +=`` the kets in row ``qblock`` of ``rank`` / ``cls``
+    of class ``c`` ranked at or above ``qrank``.
 
-    out += outp[:P]
-    return out[:, 0] if squeeze else out
+    ``rank`` and ``cls`` are ``(blocks, width)``, ranks and ``qrank`` below
+    ``2 ** bits``; ``hist[b, c]`` counts the kets of class ``c`` in block
+    ``b``.  Few bras search once per class in ``(block, class, rank)``
+    order; many bras search once each in ``(block, rank)`` order and read
+    the classes off a cumulative table.
+    """
+    nblock, width = rank.shape
+    nclass = out.shape[1]
+    if rows.size * nclass <= rank.size:
+        keys = np.sort((cls << bits) | rank, axis=1)
+        keys += (np.arange(nblock) * nclass << bits)[:, None]
+        gq = np.arange(nclass) + (qblock * nclass)[:, None]
+        count = np.cumsum(hist.ravel())[gq]
+        gq <<= bits
+        gq |= qrank[:, None]
+        count -= np.searchsorted(keys.ravel(), gq)
+    else:
+        cbits = (nclass - 1).bit_length()
+        keys = np.sort((rank << cbits) | cls, axis=1)
+        table = np.zeros((rank.size + 1, nclass), dtype=np.int32)
+        table[np.arange(1, rank.size + 1),
+              keys.ravel() & ((1 << cbits) - 1)] = 1
+        np.cumsum(table, axis=0, out=table)
+        keys += (np.arange(nblock) << (bits + cbits))[:, None]
+        lo = np.searchsorted(keys.ravel(), (qblock << (bits + cbits)) | (qrank << cbits))
+        count = table[(qblock + 1) * width] - table[lo]
+    out[rows] += count
 
 
 # -- model Schwarz matrix ---------------------------------------------------
@@ -245,81 +262,34 @@ class SchwarzModelParams:
 
 
 #: Default parameters, calibrated against exact 6-31G(d) Schwarz matrices
-#: of small graphene patches (see ``calibrate_schwarz_model`` and
-#: ``tests/test_screening_model.py``).  Values are log-amplitudes.
+#: of small graphene patches (``tests/test_screening_model.py``).
+#: Values are log-amplitudes.
 DEFAULT_SCHWARZ_PARAMS = SchwarzModelParams(
     amplitudes={"S": -0.417, "L": 0.371, "D": 1.719},
     residual_std=1.30,
 )
 
 
-def _shell_features(basis: BasisSet) -> tuple[np.ndarray, list[str], np.ndarray]:
-    """Per-composite-shell (centers, type labels, diffuse exponents)."""
-    comps = basis.composite_shells
-    centers = np.array([c.center for c in comps])
-    types = [c.stype for c in comps]
-    zetas = np.array([c.min_exponent() for c in comps])
-    return centers, types, zetas
-
-
-def model_schwarz_matrix(
+def model_schwarz_pairs(
     basis: BasisSet, params: SchwarzModelParams | None = None
 ) -> np.ndarray:
-    """Modelled Schwarz bound matrix for benchmark-scale systems.
+    """Modelled Schwarz bound of every canonical shell pair.
 
-    Memory-aware: built from per-atom distance blocks, O(nshells^2)
-    output (the 5 nm dataset gives a 8,064^2 float64 matrix, ~0.5 GB —
-    the single large allocation of the workload pipeline).
+    In combined-index order (``pair_q`` of :class:`Screening`), one row
+    ``i`` of pairs ``(i, j <= i)`` at a time: no square matrix and no
+    pair index arrays (the 5.0 nm dataset's 3.3 * 10^7 pairs are the
+    single large allocation of the workload pipeline).
     """
     params = params or DEFAULT_SCHWARZ_PARAMS
-    centers, types, zetas = _shell_features(basis)
-    amp = np.array([params.amplitudes[t] for t in types])
-
-    n = len(types)
-    Q = np.empty((n, n))
-    # Row-blocked pairwise distances keep peak temp memory bounded.
-    block = max(1, int(2.0e7 // max(n, 1)))
-    mu = zetas[:, None] * zetas[None, :] / (zetas[:, None] + zetas[None, :])
-    for s in range(0, n, block):
-        e = min(s + block, n)
-        diff = centers[s:e, None, :] - centers[None, :, :]
-        r2 = np.einsum("ijk,ijk->ij", diff, diff)
-        Q[s:e] = np.exp(amp[s:e, None] + amp[None, :] - mu[s:e] * r2)
-    return Q
-
-
-def calibrate_schwarz_model(
-    basis: BasisSet, exact_Q: np.ndarray
-) -> SchwarzModelParams:
-    """Fit the decay model's per-type amplitudes to an exact Q matrix.
-
-    Linear least squares in log space:
-    ``log Q_ij + mu_ij R_ij^2 = a_{t_i} + a_{t_j}``.
-    """
-    centers, types, zetas = _shell_features(basis)
-    labels = sorted(set(types))
-    col = {t: c for c, t in enumerate(labels)}
-    n = len(types)
-
-    rows = []
-    rhs = []
-    for i in range(n):
-        for j in range(i + 1):
-            q = exact_Q[i, j]
-            if q <= 0:
-                continue
-            r2 = float(np.sum((centers[i] - centers[j]) ** 2))
-            mu = zetas[i] * zetas[j] / (zetas[i] + zetas[j])
-            row = np.zeros(len(labels))
-            row[col[types[i]]] += 1.0
-            row[col[types[j]]] += 1.0
-            rows.append(row)
-            rhs.append(np.log(q) + mu * r2)
-    A = np.array(rows)
-    b = np.array(rhs)
-    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-    resid = A @ sol - b
-    return SchwarzModelParams(
-        amplitudes={t: float(sol[col[t]]) for t in labels},
-        residual_std=float(np.std(resid)),
-    )
+    comps = basis.composite_shells
+    centers = np.array([c.center for c in comps])
+    zetas = np.array([c.min_exponent() for c in comps])
+    amp = np.array([params.amplitudes[c.stype] for c in comps])
+    out = np.empty(npairs(len(comps)))
+    for i in range(len(comps)):
+        j = slice(0, i + 1)
+        d = centers[i] - centers[j]
+        r2 = np.einsum("ij,ij->i", d, d)
+        mu = zetas[i] * zetas[j] / (zetas[i] + zetas[j])
+        out[npairs(i):npairs(i + 1)] = np.exp(amp[i] + amp[j] - mu * r2)
+    return out

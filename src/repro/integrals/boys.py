@@ -127,8 +127,3 @@ def boys(m_max: int, x: np.ndarray | float) -> np.ndarray:
         near = ~far
         out[:, near] = _boys_grid(m_max, xf[near])
     return out.reshape((m_max + 1,) + xs.shape)
-
-
-def boys_single(m: int, x: float) -> float:
-    """Scalar convenience wrapper: :math:`F_m(x)` for a single point."""
-    return float(boys(m, np.float64(x))[m])

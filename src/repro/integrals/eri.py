@@ -802,8 +802,3 @@ def eri_shell_quartet(bra: PairStack, ket: PairStack) -> np.ndarray:
         canonical Cartesian order inside each.
     """
     return eri_class_batch(bra, ket).reshape(bra.nfa, bra.nfb, ket.nfa, ket.nfb)
-
-
-def eri_quartet_shells(sa: Shell, sb: Shell, sc: Shell, sd: Shell) -> np.ndarray:
-    """Convenience quartet evaluation without a pair cache (tests)."""
-    return eri_shell_quartet(ShellPair(sa, sb), ShellPair(sc, sd))

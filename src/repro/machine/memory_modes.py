@@ -70,17 +70,3 @@ def effective_bandwidth_gbs(
     # speed, the rest at DDR speed.
     hit = cache_gb / working_set_gb
     return hit * peak + (1.0 - hit) * node.ddr_bw_gbs
-
-
-def fits_in_node(
-    mode: MemoryMode, working_set_gb: float, node: KNLNodeSpec
-) -> bool:
-    """Whether a working set is allocatable at all under the mode."""
-    mode = MemoryMode(mode)
-    if mode is MemoryMode.FLAT_MCDRAM:
-        return working_set_gb <= node.mcdram_gb
-    if mode is MemoryMode.HYBRID:
-        return working_set_gb <= node.ddr_gb + node.mcdram_gb / 2
-    if mode is MemoryMode.FLAT_DDR:
-        return working_set_gb <= node.ddr_gb
-    return working_set_gb <= node.ddr_gb  # cache mode: DDR capacity

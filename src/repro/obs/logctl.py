@@ -51,11 +51,6 @@ def set_log_context(**fields: str | None) -> None:
         _CONTEXT[key].set(value)
 
 
-def clear_log_context() -> None:
-    """Drop all correlation fields."""
-    set_log_context(**dict.fromkeys(_CONTEXT))
-
-
 def log_context() -> dict[str, str | None]:
     """The current correlation fields (``None`` where unset)."""
     return {key: var.get() for key, var in _CONTEXT.items()}

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from repro.obs.timeline import merge_intervals, overlap_seconds
-from repro.obs.events import Event, events_from_ndjson
+from repro.obs.events import Event
 from repro.obs.slo import LATENCY_METRICS, ClassStats
 
 #: Unicode sparkline ramp, quietest to loudest.
@@ -413,10 +413,3 @@ def _maybe_float(value: Any) -> float | None:
         return None if value is None else float(value)
     except (TypeError, ValueError):
         return None
-
-
-def replay_dashboard(text: str, **render_kw: Any) -> str:
-    """One final frame from a recorded event file."""
-    state = MonitorState()
-    state.apply_all(events_from_ndjson(text))
-    return state.render(**render_kw)

@@ -3,68 +3,78 @@
 A :class:`Workload` captures everything the performance simulator needs
 to know about one benchmark system:
 
-* the model Schwarz bound of every canonical shell pair (the *bra* /
-  *ket* task space of all three algorithms),
-* exact surviving-quartet counts per top-loop task, resolved by ket
-  shell class so each task's work in flop-like units is exact under the
-  class cost table (:func:`~repro.perfsim.cost_model.eri_quartet_units`),
+* exact surviving-quartet counts per top-loop (bra) task, resolved by
+  ket pair class (:func:`~repro.core.screening.prefix_survivor_counts`
+  over :func:`~repro.core.screening.model_schwarz_pairs`), so each
+  task's work in flop-like units is exact under the class cost table
+  (:func:`~repro.perfsim.cost_model.eri_quartet_units`),
 * aggregations for each algorithm's MPI granularity: per-``(i,j)`` work
   (Algorithms 1 and 3) and per-``i`` work (Algorithm 2),
 * the memory model of the dataset.
 
-For the 5.0 nm dataset (3.3 * 10^7 pair tasks) the per-task statistics
-are computed exactly on a deterministic stride sample of bra tasks
-(every task still counts against the *full* ket space); the sample is
-only used to shape the task-cost distribution, with totals rescaled by
-the stride.
+A dataset with more than ``EXACT_PAIR_LIMIT`` canonical pairs (only the
+5.0 nm one, 3.3 * 10^7) is counted at a deterministic stride sample of
+bra tasks (every sampled task still counts against the *full* ket
+space); the sample shapes the task-cost distribution, and totals are
+rescaled by the stride.
+
+:meth:`Workload.for_dataset` keeps on disk, under ``.cache/workloads``,
+only what the cost model cannot change: the per-class counts, each
+sampled task's pair class and significance, and the stride.  The file is
+keyed by a fingerprint of the label, tau, the Schwarz model parameters,
+the sampling constants and ``CACHE_FORMAT``, and the task work is
+derived from it at every load.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+import json
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from repro.chem.basis.basisset import BasisSet
-from repro.chem.graphene import PAPER_DATASETS, paper_dataset
-from repro.core.indexing import npairs
+from repro.chem.graphene import paper_dataset
+from repro.core.indexing import decode_pairs, npairs
 from repro.core.memory_model import MemoryModel
 from repro.core.screening import (
     DEFAULT_TAU,
-    SchwarzModelParams,
     DEFAULT_SCHWARZ_PARAMS,
+    model_schwarz_pairs,
     prefix_survivor_counts,
 )
 from repro.perfsim.cost_model import eri_quartet_units
+from repro.service.jobs import sha256
 
 #: Bra-task sampling threshold: datasets with more canonical pairs than
-#: this use stride sampling (only the 5.0 nm dataset exceeds it).
+#: this are counted at a stride sample (only the 5.0 nm dataset exceeds it).
 EXACT_PAIR_LIMIT: int = 4_000_000
 
-#: Number of sampled bra tasks kept when the sampling path is used.
+#: Number of sampled bra tasks kept when a dataset is sampled.
 SAMPLE_TARGET: int = 400_000
 
-#: In-process workload cache keyed by (label, tau).
-_CACHE: dict[tuple[str, float], "Workload"] = {}
+#: Layout version of the on-disk count record; part of its fingerprint.
+CACHE_FORMAT: int = 2
+
+#: In-process workload cache keyed by the count fingerprint.
+_CACHE: dict[str, "Workload"] = {}
 
 
-def _disk_cache_path(label: str, tau: float):
-    """Location of the on-disk workload cache for a dataset."""
-    from pathlib import Path
+def _fingerprint(label: str, tau: float) -> str:
+    """Name of a dataset's count record: label plus a digest of every
+    input of the counts."""
+    params = DEFAULT_SCHWARZ_PARAMS
+    inputs = json.dumps([
+        CACHE_FORMAT, label, tau, sorted(params.amplitudes.items()),
+        params.residual_std, EXACT_PAIR_LIMIT, SAMPLE_TARGET,
+    ])
+    return f"{label}__{sha256(inputs.encode()).hexdigest()[:16]}"
 
-    root = Path(__file__).resolve().parents[3] / ".cache" / "workloads"
-    return root / f"{label}__tau{tau:.0e}.npz"
 
-
-@dataclass(frozen=True)
-class ShellClass:
-    """One shell class: (type, primitives, functions, angular momentum)."""
-
-    stype: str
-    nprim: int
-    nfunc: int
-    l: int
+def _disk_cache_path(key: str) -> Path:
+    """Location of the on-disk count record ``key``."""
+    return Path(__file__).resolve().parents[3] / ".cache" / "workloads" / f"{key}.npz"
 
 
 @dataclass
@@ -95,90 +105,34 @@ class Workload:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def for_dataset(
-        cls,
-        label: str,
-        *,
-        tau: float = DEFAULT_TAU,
-        schwarz_params: SchwarzModelParams | None = None,
-        use_disk_cache: bool = True,
-    ) -> "Workload":
+    def for_dataset(cls, label: str, *, tau: float = DEFAULT_TAU) -> "Workload":
         """Workload of one of the paper's graphene datasets.
 
-        Results are cached in-process and (for the default Schwarz
-        parameters) on disk under ``.cache/workloads`` next to the
-        package, so the expensive 5.0 nm statistics are computed once
-        per machine rather than once per process.
+        Cached in-process, and its counts on disk under
+        ``.cache/workloads`` next to the package, so the expensive 5.0 nm
+        statistics are computed once per machine rather than once per
+        process.
         """
-        key = (label, tau)
+        key = _fingerprint(label, tau)
         if key in _CACHE:
             return _CACHE[key]
-
-        cache_path = _disk_cache_path(label, tau)
-        if use_disk_cache and schwarz_params is None and cache_path.exists():
+        path = _disk_cache_path(key)
+        record = None
+        if path.exists():
             try:
-                wl = cls._load(cache_path)
-                _CACHE[key] = wl
-                return wl
+                with np.load(path) as data:
+                    record = {name: data[name] for name in data.files}
             except Exception:
-                cache_path.unlink(missing_ok=True)
-
-        mol = paper_dataset(label)
-        basis = BasisSet(mol, "6-31g(d)")
-        wl = cls.from_basis(basis, label=label, tau=tau,
-                            schwarz_params=schwarz_params)
-        _CACHE[key] = wl
-        if use_disk_cache and schwarz_params is None:
+                path.unlink(missing_ok=True)
+        if record is None:
+            record = _count(BasisSet(paper_dataset(label), "6-31g(d)"), tau)
             try:
-                wl._save(cache_path)
+                path.parent.mkdir(parents=True, exist_ok=True)
+                np.savez_compressed(path, **record)
             except OSError:
                 pass
+        wl = _CACHE[key] = cls._from_counts(label, tau, record)
         return wl
-
-    # -- disk cache ----------------------------------------------------------
-
-    def _save(self, path) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        np.savez_compressed(
-            path,
-            meta=np.array(
-                [self.nbf, self.nshells, self.natoms, self.stride,
-                 self.npair_tasks],
-                dtype=np.int64,
-            ),
-            tau=np.float64(self.tau),
-            task_index=self.task_index,
-            task_work=self.task_work,
-            task_count=self.task_count,
-            task_max_unit=self.task_max_unit,
-            task_significant=self.task_significant,
-            work_per_i=self.work_per_i,
-            totals=np.array([self.total_work, self.total_quartets]),
-        )
-
-    @classmethod
-    def _load(cls, path) -> "Workload":
-        data = np.load(path)
-        nbf, nshells, natoms, stride, npt = (int(x) for x in data["meta"])
-        label = path.stem.split("__")[0]
-        return cls(
-            label=label,
-            nbf=nbf,
-            nshells=nshells,
-            natoms=natoms,
-            tau=float(data["tau"]),
-            stride=stride,
-            npair_tasks=npt,
-            task_index=data["task_index"],
-            task_work=data["task_work"],
-            task_count=data["task_count"],
-            task_max_unit=data["task_max_unit"],
-            task_significant=data["task_significant"],
-            work_per_i=data["work_per_i"],
-            total_work=float(data["totals"][0]),
-            total_quartets=float(data["totals"][1]),
-            memory=MemoryModel(nbf, nshells),
-        )
 
     @classmethod
     def from_basis(
@@ -187,99 +141,40 @@ class Workload:
         *,
         label: str = "",
         tau: float = DEFAULT_TAU,
-        schwarz_params: SchwarzModelParams | None = None,
         pair_q: np.ndarray | None = None,
     ) -> "Workload":
-        """Build a workload from any basis (exact Q may be supplied)."""
-        params = schwarz_params or DEFAULT_SCHWARZ_PARAMS
-        comps = basis.composite_shells
-        n = len(comps)
-        P = npairs(n)
+        """Build a workload from any basis (exact pair Q may be supplied,
+        in combined-index order)."""
+        return cls._from_counts(
+            label or basis.molecule.name, tau, _count(basis, tau, pair_q))
 
-        # Shell classes and per-shell features.
-        class_key = [(c.stype, sum(s.nprim for s in c.subshells) // len(c.subshells),
-                      c.nfunc, c.max_l) for c in comps]
-        classes: list[ShellClass] = []
-        class_of: dict[tuple, int] = {}
-        shell_class = np.empty(n, dtype=np.int16)
-        for idx, key in enumerate(class_key):
-            if key not in class_of:
-                class_of[key] = len(classes)
-                classes.append(ShellClass(*key))
-            shell_class[idx] = class_of[key]
-        ncls = len(classes)
-
-        # Pair classes (unordered combinations of shell classes).
-        pc_table = np.empty((ncls, ncls), dtype=np.int16)
-        pair_classes: list[tuple[int, int]] = []
-        pc_of: dict[tuple[int, int], int] = {}
-        for a in range(ncls):
-            for b in range(ncls):
-                k = (min(a, b), max(a, b))
-                if k not in pc_of:
-                    pc_of[k] = len(pair_classes)
-                    pair_classes.append(k)
-                pc_table[a, b] = pc_of[k]
-        npc = len(pair_classes)
-
-        # Pair-class features for the quartet cost table.
-        pfeat = []
-        for (a, b) in pair_classes:
-            ca, cb = classes[a], classes[b]
-            pfeat.append(
-                (ca.nfunc * cb.nfunc, ca.nprim * cb.nprim, ca.l + cb.l)
-            )
-        unit = np.empty((npc, npc))
-        for x, (nfx, npx, lx) in enumerate(pfeat):
-            for y, (nfy, npy, ly) in enumerate(pfeat):
-                unit[x, y] = eri_quartet_units(nfx, npx, lx, nfy, npy, ly)
-
-        # Canonical-pair arrays in combined-index order.
-        iu, ju = np.tril_indices(n)
-        pair_class = pc_table[shell_class[iu], shell_class[ju]]
-        if pair_q is None:
-            pair_q = _model_schwarz_pairs(basis, params, iu, ju)
-        qmax = float(pair_q.max())
-        significant = pair_q * qmax >= tau
-
-        if P <= EXACT_PAIR_LIMIT:
-            weights = np.zeros((P, npc))
-            weights[np.arange(P), pair_class] = 1.0
-            counts = prefix_survivor_counts(pair_q, tau, weights)
-            task_index = np.arange(P, dtype=np.int64)
-            stride = 1
-        else:
-            stride = max(2, int(np.ceil(P / SAMPLE_TARGET)))
-            task_index = np.arange(0, P, stride, dtype=np.int64)
-            counts = _sampled_prefix_counts(
-                pair_q, tau, pair_class, npc, task_index
-            )
-
-        unit_rows = unit[pair_class[task_index]]          # (T, npc)
+    @classmethod
+    def _from_counts(cls, label: str, tau: float, record: dict) -> "Workload":
+        """Task work of a count record under the current cost model."""
+        nbf, nshells, natoms, stride = (int(x) for x in record["meta"])
+        P = npairs(nshells)
+        task_index = np.arange(0, P, stride, dtype=np.int64)
+        features = record["pair_features"].tolist()
+        unit = np.array([[eri_quartet_units(*x, *y) for y in features]
+                         for x in features])
+        counts = record["counts"].astype(np.float64)
+        unit_rows = unit[record["task_class"]]            # (T, npc)
         task_work = np.einsum("tc,tc->t", counts, unit_rows)
         task_count = counts.sum(axis=1)
         task_max_unit = np.where(counts > 0, unit_rows, 0.0).max(axis=1)
-        task_significant = significant[task_index]
+        task_significant = record["task_significant"]
         task_work[~task_significant] = 0.0
         task_count[~task_significant] = 0.0
 
         # Per-i aggregation for Algorithm 2 (segment sums over j <= i).
-        i_of_task = (
-            (np.sqrt(8.0 * task_index.astype(np.float64) + 1.0) - 1.0) / 2.0
-        ).astype(np.int64)
-        base = i_of_task * (i_of_task + 1) // 2
-        i_of_task += (task_index - base) > i_of_task  # boundary fix
-        work_per_i = np.zeros(n)
-        np.add.at(work_per_i, i_of_task, task_work * stride)
+        work_per_i = np.zeros(nshells)
+        np.add.at(work_per_i, decode_pairs(task_index)[0], task_work * stride)
 
-        total_work = float(task_work.sum() * stride)
-        total_quartets = float(task_count.sum() * stride)
-
-        wl = cls(
-            label=label or basis.molecule.name,
-            nbf=basis.nbf,
-            nshells=n,
-            natoms=basis.molecule.natoms,
+        return cls(
+            label=label,
+            nbf=nbf,
+            nshells=nshells,
+            natoms=natoms,
             tau=tau,
             stride=stride,
             npair_tasks=P,
@@ -289,11 +184,10 @@ class Workload:
             task_max_unit=task_max_unit,
             task_significant=task_significant,
             work_per_i=work_per_i,
-            total_work=total_work,
-            total_quartets=total_quartets,
-            memory=MemoryModel(basis.nbf, n),
+            total_work=float(task_work.sum() * stride),
+            total_quartets=float(task_count.sum() * stride),
+            memory=MemoryModel(nbf, nshells),
         )
-        return wl
 
     # -- derived ----------------------------------------------------------
 
@@ -308,73 +202,59 @@ class Workload:
         return 1.0 - self.total_quartets / full if full else 0.0
 
 
-def _model_schwarz_pairs(
-    basis: BasisSet,
-    params: SchwarzModelParams,
-    iu: np.ndarray,
-    ju: np.ndarray,
-) -> np.ndarray:
-    """Model Schwarz bounds for canonical pairs, without the square matrix."""
-    comps = basis.composite_shells
-    centers = np.array([c.center for c in comps])
-    types = [c.stype for c in comps]
-    zetas = np.array([c.min_exponent() for c in comps])
-    amp = np.array([params.amplitudes[t] for t in types])
+def _count(
+    basis: BasisSet, tau: float, pair_q: np.ndarray | None = None
+) -> dict[str, np.ndarray]:
+    """What the cost model cannot change about a basis' workload.
 
-    out = np.empty(iu.size)
-    block = 4_000_000
-    for s in range(0, iu.size, block):
-        e = min(s + block, iu.size)
-        a, b = iu[s:e], ju[s:e]
-        r2 = np.einsum("ij,ij->i", centers[a] - centers[b], centers[a] - centers[b])
-        mu = zetas[a] * zetas[b] / (zetas[a] + zetas[b])
-        out[s:e] = np.exp(amp[a] + amp[b] - mu * r2)
-    return out
-
-
-def _sampled_prefix_counts(
-    pair_q: np.ndarray,
-    tau: float,
-    pair_class: np.ndarray,
-    ncls: int,
-    sample_idx: np.ndarray,
-) -> np.ndarray:
-    """Exact per-class prefix survivor counts at sampled bra positions.
-
-    Block decomposition: pair positions are cut into fixed blocks; for
-    each sampled bra, survivors in *complete* preceding blocks come from
-    per-block per-class sorted-Q prefix tables (one batched
-    ``searchsorted`` per block and class), and the bra's own partial
-    block is counted directly.
+    Per-pair-class survivor counts at the sampled bra tasks, each sampled
+    task's pair class and prescreen verdict, the pair classes' features
+    (functions, primitives, angular momentum) and the stride.  ``pair_q``
+    defaults to the model Schwarz bounds.
     """
-    P = pair_q.size
-    T = sample_idx.size
-    out = np.zeros((T, ncls))
-    B = 65536
-    nblocks = (P + B - 1) // B
-    with np.errstate(divide="ignore", over="ignore"):
-        th = np.where(pair_q[sample_idx] > 0, tau / pair_q[sample_idx], np.inf)
+    comps = basis.composite_shells
+    n = len(comps)
+    P = npairs(n)
 
-    # Which block each sample sits in.
-    sample_block = sample_idx // B
+    # Shell classes (type, primitives, functions, angular momentum) and
+    # each shell's class; then pair classes, unordered pairs of them.
+    classes: list[tuple[str, int, int, int]] = []
+    shell_class = np.empty(n, dtype=np.int16)
+    for idx, c in enumerate(comps):
+        key = (c.stype, sum(s.nprim for s in c.subshells) // len(c.subshells),
+               c.nfunc, c.max_l)
+        if key not in classes:
+            classes.append(key)
+        shell_class[idx] = classes.index(key)
+    ncls = len(classes)
+    pc_table = np.empty((ncls, ncls), dtype=np.int16)
+    pair_classes: list[tuple[int, int]] = []
+    for a in range(ncls):
+        for b in range(ncls):
+            k = (min(a, b), max(a, b))
+            if k not in pair_classes:
+                pair_classes.append(k)
+            pc_table[a, b] = pair_classes.index(k)
+    features = [
+        (classes[a][2] * classes[b][2], classes[a][1] * classes[b][1],
+         classes[a][3] + classes[b][3])
+        for a, b in pair_classes
+    ]
 
-    for blk in range(nblocks):
-        lo, hi = blk * B, min((blk + 1) * B, P)
-        qb = pair_q[lo:hi]
-        cb = pair_class[lo:hi]
-        # Samples strictly after this block count the whole block.
-        after = np.nonzero(sample_block > blk)[0]
-        if after.size:
-            for c in range(ncls):
-                qc = np.sort(qb[cb == c])
-                if qc.size:
-                    pos = np.searchsorted(qc, th[after], side="left")
-                    out[after, c] += qc.size - pos
-        # Samples inside this block count their partial prefix directly.
-        inside = np.nonzero(sample_block == blk)[0]
-        for t in inside:
-            end = sample_idx[t] - lo + 1
-            qual = qb[:end] >= th[t]
-            if qual.any():
-                out[t] += np.bincount(cb[:end][qual], minlength=ncls)
-    return out
+    # Pair classes in combined-index order, one row i at a time.
+    pair_class = np.empty(P, dtype=np.int16)
+    for i in range(n):
+        pair_class[npairs(i):npairs(i + 1)] = pc_table[shell_class[i],
+                                                       shell_class[:i + 1]]
+    if pair_q is None:
+        pair_q = model_schwarz_pairs(basis, DEFAULT_SCHWARZ_PARAMS)
+    stride = 1 if P <= EXACT_PAIR_LIMIT else max(2, -(-P // SAMPLE_TARGET))
+    task_index = np.arange(0, P, stride, dtype=np.int64)
+    return {
+        "meta": np.array([basis.nbf, n, basis.molecule.natoms, stride]),
+        "counts": prefix_survivor_counts(
+            pair_q, tau, task_index, pair_class, len(pair_classes)),
+        "task_class": pair_class[task_index],
+        "task_significant": pair_q[task_index] * float(pair_q.max()) >= tau,
+        "pair_features": np.array(features, dtype=np.int64),
+    }

@@ -87,13 +87,6 @@ def fock_from_eri(hcore: np.ndarray, eri: np.ndarray, density: np.ndarray) -> np
     return hcore + J - 0.5 * K
 
 
-def two_electron_fock_dense(eri: np.ndarray, density: np.ndarray) -> np.ndarray:
-    """Two-electron part only: ``G(D) = J - K/2`` (no core Hamiltonian)."""
-    J = np.einsum("mnls,ls->mn", eri, density, optimize=True)
-    K = np.einsum("mlns,ls->mn", eri, density, optimize=True)
-    return J - 0.5 * K
-
-
 class DenseFockBuilder:
     """Callable Fock builder backed by a precomputed dense ERI tensor.
 

@@ -14,6 +14,14 @@ the kernel in their recursion, primitive loops and contraction order.
 paired kernel is tested on; no run path builds a stack that way.
 :func:`mp2_correlation_energy` reads a converged RHF result's virtual
 orbitals, which no SCF energy does, against a literature value.
+
+The rest are small references the tests compare the product against:
+one-point Boys (:func:`boys_single`), one shell quartet from bare shells
+(:func:`eri_quartet_shells`), the dense ``G(D) = J - K/2``
+(:func:`two_electron_fock_dense`), the closed-form quartet count
+(:func:`n_unique_quartets`), and the log-space least-squares fit that
+gave the Schwarz model its default amplitudes
+(:func:`calibrate_schwarz_model`).
 """
 
 from __future__ import annotations
@@ -23,8 +31,16 @@ import math
 import numpy as np
 
 from repro.chem.basis.shell import Shell
+from repro.core.indexing import npairs
+from repro.core.screening import SchwarzModelParams
 from repro.integrals.boys import boys
-from repro.integrals.eri import PairSet, PairStack, ragged_arange
+from repro.integrals.eri import (
+    PairSet,
+    PairStack,
+    ShellPair,
+    eri_shell_quartet,
+    ragged_arange,
+)
 from repro.integrals.hermite import hermite_tuv
 
 
@@ -302,3 +318,61 @@ def mp2_correlation_energy(
     )
     exchange = ovov.transpose(0, 3, 2, 1)  # (ib|ja)
     return float(np.sum(ovov * (2.0 * ovov - exchange) / denom))
+
+
+def boys_single(m: int, x: float) -> float:
+    """:math:`F_m(x)` at a single point."""
+    return float(boys(m, np.float64(x))[m])
+
+
+def eri_quartet_shells(sa: Shell, sb: Shell, sc: Shell, sd: Shell) -> np.ndarray:
+    """One quartet from bare shells, without a pair cache."""
+    return eri_shell_quartet(ShellPair(sa, sb), ShellPair(sc, sd))
+
+
+def two_electron_fock_dense(eri: np.ndarray, density: np.ndarray) -> np.ndarray:
+    """Two-electron part only: ``G(D) = J - K/2`` (no core Hamiltonian)."""
+    J = np.einsum("mnls,ls->mn", eri, density, optimize=True)
+    K = np.einsum("mlns,ls->mn", eri, density, optimize=True)
+    return J - 0.5 * K
+
+
+def n_unique_quartets(nshells: int) -> int:
+    """Closed-form count of symmetry-unique quartets: ``P(P+1)/2``."""
+    p = npairs(nshells)
+    return p * (p + 1) // 2
+
+
+def calibrate_schwarz_model(basis, exact_Q: np.ndarray) -> SchwarzModelParams:
+    """Fit the Schwarz decay model's per-type amplitudes to an exact Q.
+
+    Linear least squares in log space:
+    ``log Q_ij + mu_ij R_ij^2 = a_{t_i} + a_{t_j}``.
+    """
+    comps = basis.composite_shells
+    centers = np.array([c.center for c in comps])
+    types = [c.stype for c in comps]
+    zetas = np.array([c.min_exponent() for c in comps])
+    labels = sorted(set(types))
+    col = {t: c for c, t in enumerate(labels)}
+    rows, rhs = [], []
+    for i in range(len(types)):
+        for j in range(i + 1):
+            q = exact_Q[i, j]
+            if q <= 0:
+                continue
+            r2 = float(np.sum((centers[i] - centers[j]) ** 2))
+            mu = zetas[i] * zetas[j] / (zetas[i] + zetas[j])
+            row = np.zeros(len(labels))
+            row[col[types[i]]] += 1.0
+            row[col[types[j]]] += 1.0
+            rows.append(row)
+            rhs.append(np.log(q) + mu * r2)
+    A = np.array(rows)
+    b = np.array(rhs)
+    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
+    resid = A @ sol - b
+    return SchwarzModelParams(
+        amplitudes={t: float(sol[col[t]]) for t in labels},
+        residual_std=float(np.std(resid)),
+    )

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.integrals.boys import boys, boys_single
+from repro.integrals.boys import boys
+from tests.oracles import boys_single
 
 
 def test_f0_zero():

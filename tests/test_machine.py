@@ -10,7 +10,6 @@ from repro.machine.knl import XEON_PHI_7210, XEON_PHI_7230
 from repro.machine.memory_modes import (
     MemoryMode,
     effective_bandwidth_gbs,
-    fits_in_node,
 )
 from repro.machine.system import JLSE, THETA
 
@@ -83,10 +82,6 @@ class TestMemoryModes:
         bw_hybrid = effective_bandwidth_gbs(MemoryMode.HYBRID, 12.0, XEON_PHI_7230)
         bw_cache = effective_bandwidth_gbs(MemoryMode.CACHE, 12.0, XEON_PHI_7230)
         assert bw_hybrid <= bw_cache
-
-    def test_fits_in_node(self):
-        assert fits_in_node(MemoryMode.CACHE, 150.0, XEON_PHI_7230)
-        assert not fits_in_node(MemoryMode.FLAT_MCDRAM, 20.0, XEON_PHI_7230)
 
     def test_negative_ws_rejected(self):
         with pytest.raises(ValueError):

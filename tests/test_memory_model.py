@@ -11,7 +11,6 @@ from repro.core.memory_model import (
     NodeConfig,
     TABLE2_HYBRID_CONFIG,
     TABLE2_MPI_CONFIG,
-    table2_row,
 )
 
 
@@ -76,11 +75,11 @@ def test_footprint_reduction_headline():
 
 def test_table2_ordering_and_magnitudes():
     """Footprint ordering MPI >> private >> shared for every dataset."""
-    sizes = {"0.5nm": 660, "2.0nm": 5340, "5.0nm": 30240}
-    for label, nbf in sizes.items():
-        row = table2_row(nbf, nbf // 15 * 4)
-        assert row["mpi"] > row["private"] > row["shared"]
-        assert row["mpi"] / row["shared"] > 60
+    from repro.analysis.tables import table2_memory_footprints
+
+    for row in table2_memory_footprints():
+        assert row.mpi_gb > row.private_gb > row.shared_gb
+        assert row.mpi_gb / row.shared_gb > 60
 
 
 def test_max_ranks_per_node_cap():

@@ -5,10 +5,9 @@ import pytest
 from repro.obs.monitor import (
     MonitorState,
     RankView,
-    replay_dashboard,
     sparkline,
 )
-from repro.obs.events import Event
+from repro.obs.events import Event, events_from_ndjson
 from repro.obs.stream import ObsStreamer
 from repro.obs.telemetry import TelemetryChannel
 
@@ -177,7 +176,9 @@ def test_replay_dashboard_round_trip(tmp_path):
                   state="ok", claimed=0)
         chan.emit("scf.cycle", cycle=1, energy=-1.0, delta_e=0.5)
         chan.emit("run.end", status="done", converged=True, energy=-1.0)
-    frame = replay_dashboard(sink.read_text())
+    state = MonitorState()
+    state.apply_all(events_from_ndjson(sink.read_text()))
+    frame = state.render()
     assert "[mpi-only]" in frame
     assert "converged" in frame
     assert "run.end" in frame

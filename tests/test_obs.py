@@ -517,13 +517,12 @@ def test_correlation_filter_stamps_records():
 
     from repro.obs.logctl import (
         CorrelationFilter,
-        clear_log_context,
         set_log_context,
     )
 
     filt = CorrelationFilter()
     rec = logging.LogRecord("n", logging.INFO, "p", 1, "msg", (), None)
-    clear_log_context()
+    set_log_context(run_id=None, job_id=None, trace_id=None)
     try:
         filt.filter(rec)
         assert rec.corr == ""  # nothing set: format stays clean
@@ -543,19 +542,15 @@ def test_correlation_filter_stamps_records():
         filt.filter(rec3)
         assert "job=" not in rec3.corr and "run=r1" in rec3.corr
     finally:
-        clear_log_context()
+        set_log_context(run_id=None, job_id=None, trace_id=None)
 
 
 def test_log_context_isolated_per_thread():
     import threading
 
-    from repro.obs.logctl import (
-        clear_log_context,
-        log_context,
-        set_log_context,
-    )
+    from repro.obs.logctl import log_context, set_log_context
 
-    clear_log_context()
+    set_log_context(run_id=None, job_id=None, trace_id=None)
     try:
         set_log_context(job_id="main-job")
         seen = {}
@@ -571,7 +566,7 @@ def test_log_context_isolated_per_thread():
         assert seen["after"] == "worker-job"
         assert log_context()["job_id"] == "main-job"  # unpolluted
     finally:
-        clear_log_context()
+        set_log_context(run_id=None, job_id=None, trace_id=None)
 
 
 def test_span_ids_are_w3c_and_unique_per_process():

@@ -127,11 +127,15 @@ def test_every_subpackage_imports_alone():
 
 
 def test_every_module_has_a_caller():
-    """Every ``src/repro`` module is imported by another one or by a
-    script under ``benchmarks/``: a module only tests and examples call
-    has no place on the import path.  A package ``__init__`` is no
-    caller, but importing a name it re-exports reaches the module the
-    name comes from.  Imports inside functions count."""
+    """Every ``src/repro`` module, and every public top-level function and
+    class in one, is reached from another ``src/repro`` module or from a
+    script under ``benchmarks/``: what only tests and examples call has
+    no place on the import path.  A package ``__init__`` is no caller,
+    but importing a name it re-exports reaches the module the name comes
+    from.  Imports inside functions count.  A function or class counts
+    as reached where any caller names it (a bare name, an attribute or
+    an imported name), the module it is defined in included, or where a
+    package ``__all__`` lists it."""
     import ast
     from pathlib import Path
 
@@ -153,6 +157,14 @@ def test_every_module_has_a_caller():
         if isinstance(node, ast.ImportFrom) and node.level == 0
         for alias in node.names
     }
+    listed = {  # names a package ``__all__`` lists
+        elt.value
+        for is_package, tree in trees.values() if is_package
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        for elt in node.value.elts
+    }
 
     def reached(module, name):
         """The modules ``from module import name`` loads on purpose."""
@@ -168,7 +180,7 @@ def test_every_module_has_a_caller():
         ast.parse(path.read_text())
         for path in (root / "benchmarks").rglob("*.py")
     ]
-    called = set()
+    called, named = set(), set()
     for tree in callers:
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -177,9 +189,23 @@ def test_every_module_has_a_caller():
                 called.add(node.module)
                 for alias in node.names:
                     called |= reached(node.module, alias.name)
+                    named.add(alias.name)
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
     orphans = sorted(
         module for module, (is_package, _) in trees.items()
         if not is_package and module not in called | {"repro.__main__"}
+    )
+    assert not orphans, f"no caller outside tests/ and examples/: {orphans}"
+    orphans = sorted(
+        f"{module}.{node.name}"
+        for module, (is_package, tree) in trees.items() if not is_package
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in named | listed
     )
     assert not orphans, f"no caller outside tests/ and examples/: {orphans}"
 

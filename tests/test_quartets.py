@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.indexing import unique_quartets
 from repro.core.quartets import QuartetEngine, symmetrize_two_electron
-from repro.scf.fock_dense import two_electron_fock_dense
+from tests.oracles import two_electron_fock_dense
 
 
 def _full_scatter(basis, eng, D):

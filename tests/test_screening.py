@@ -1,5 +1,7 @@
 """Screening decisions and the prefix survivor-count machinery."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,23 +34,39 @@ def _brute_counts(q, tau, w=None):
 @settings(max_examples=60, deadline=None)
 def test_prefix_counts_match_bruteforce(qs, tau):
     q = np.array(qs)
-    np.testing.assert_allclose(
-        prefix_survivor_counts(q, tau), _brute_counts(q, tau), atol=1e-9
+    np.testing.assert_array_equal(
+        prefix_survivor_counts(q, tau)[:, 0], _brute_counts(q, tau)
     )
 
 
-@given(st.integers(0, 2**31 - 1), st.integers(1, 200))
-@settings(max_examples=30, deadline=None)
-def test_prefix_counts_weighted_and_multiclass(seed, P):
+@pytest.mark.parametrize("chunk", [None, 64])
+@given(st.integers(0, 2**31 - 1), st.integers(1, 300), st.data())
+@settings(max_examples=40, deadline=None)
+def test_prefix_counts_per_class_at_positions_match_bruteforce(
+        chunk, seed, P, data):
+    """Property: every class count at every chosen bra position equals the
+    brute-force product test, over Q with ties and zeros (a zero bra
+    keeps no ket), sparse and dense position sets that include 0 and
+    P - 1, and chunks of 64 positions as well as one chunk."""
+    import repro.core.screening as screening
+
     rng = np.random.default_rng(seed)
-    q = np.abs(rng.lognormal(-4, 3, P))
-    tau = 1e-6
-    w = rng.random((P, 3))
-    fast = prefix_survivor_counts(q, tau, w)
-    for c in range(3):
-        np.testing.assert_allclose(
-            fast[:, c], _brute_counts(q, tau, w[:, c]), atol=1e-9
-        )
+    q = rng.lognormal(-3, 3, P)
+    q[rng.random(P) < 0.2] = 0.0
+    q = np.where(rng.random(P) < 0.3, q[rng.integers(0, P, P)], q)  # ties
+    tau = data.draw(st.floats(min_value=1e-8, max_value=1.0), label="tau")
+    nclass = data.draw(st.integers(1, 5), label="nclass")
+    cls = rng.integers(0, nclass, P).astype(np.int16)
+    density = data.draw(st.sampled_from([0.02, 0.3, 1.0]), label="density")
+    pos = np.flatnonzero(rng.random(P) < density)
+    pos = np.union1d(pos, [0, P - 1]).astype(np.int64)
+
+    with mock.patch.object(screening, "_CHUNK", chunk or screening._CHUNK):
+        got = prefix_survivor_counts(q, tau, pos, cls, nclass)
+    assert got.shape == (pos.size, nclass)
+    for c in range(nclass):
+        want = _brute_counts(q, tau, (cls == c).astype(float))[pos]
+        np.testing.assert_array_equal(got[:, c], want)
 
 
 def test_prefix_counts_empty():

@@ -79,20 +79,56 @@ def test_in_process_cache():
     assert a is b
 
 
-def test_disk_cache_roundtrip(tmp_path, monkeypatch):
+@pytest.fixture
+def disk_cache(tmp_path, monkeypatch):
+    """``for_dataset``'s disk cache in ``tmp_path``, in-process cache empty."""
     import repro.perfsim.workload as W
 
-    monkeypatch.setattr(
-        W, "_disk_cache_path",
-        lambda label, tau: tmp_path / f"{label}__tau{tau:.0e}.npz",
-    )
+    monkeypatch.setattr(W, "_disk_cache_path",
+                        lambda *key: tmp_path / f"{'__'.join(map(str, key))}.npz")
     W._CACHE.clear()
+    yield tmp_path
+    W._CACHE.clear()
+
+
+def test_disk_cache_roundtrip(disk_cache):
+    import repro.perfsim.workload as W
+
     a = Workload.for_dataset("0.5nm")
     W._CACHE.clear()
     b = Workload.for_dataset("0.5nm")
-    np.testing.assert_allclose(a.task_work, b.task_work)
+    for name in ("task_index", "task_work", "task_count", "task_max_unit",
+                 "task_significant", "work_per_i"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
     assert a.total_work == b.total_work
+    assert a.total_quartets == b.total_quartets
+
+
+def test_disk_cache_stores_only_what_the_cost_model_cannot_change(
+        disk_cache, monkeypatch):
+    """A warm disk cache derives task work under today's cost model, and
+    a changed tau or Schwarz model is a different record."""
+    import repro.perfsim.workload as W
+    from repro.core.screening import SchwarzModelParams
+
+    base = Workload.for_dataset("0.5nm")
+    assert len(list(disk_cache.glob("*.npz"))) == 1
     W._CACHE.clear()
+    monkeypatch.setattr(W, "eri_quartet_units", lambda *features: 2.0)
+    flat = Workload.for_dataset("0.5nm")
+    assert len(list(disk_cache.glob("*.npz"))) == 1  # served from disk
+    assert flat.total_quartets == base.total_quartets
+    assert flat.total_work == 2.0 * base.total_quartets != base.total_work
+
+    Workload.for_dataset("0.5nm", tau=1e-8)
+    assert len(list(disk_cache.glob("*.npz"))) == 2
+    amplitudes = dict(W.DEFAULT_SCHWARZ_PARAMS.amplitudes, D=1.0)
+    monkeypatch.setattr(W, "DEFAULT_SCHWARZ_PARAMS",
+                        SchwarzModelParams(amplitudes, residual_std=1.3))
+    W._CACHE.clear()
+    moved = Workload.for_dataset("0.5nm")
+    assert len(list(disk_cache.glob("*.npz"))) == 3
+    assert moved.total_quartets != base.total_quartets
 
 
 def test_sampled_counts_match_exact_on_small_system(monkeypatch):
@@ -107,17 +143,12 @@ def test_sampled_counts_match_exact_on_small_system(monkeypatch):
     wl_exact = Workload.from_basis(basis, tau=1e-10)
 
     assert wl_sampled.stride > 1
-    # Sampled rows must match the exact rows at the sampled indices.
-    np.testing.assert_allclose(
-        wl_sampled.task_count,
-        wl_exact.task_count[wl_sampled.task_index],
-        rtol=1e-12,
-    )
-    np.testing.assert_allclose(
-        wl_sampled.task_work,
-        wl_exact.task_work[wl_sampled.task_index],
-        rtol=1e-10,
-    )
+    # Sampled rows are the exact rows at the sampled indices.
+    for name in ("task_count", "task_work", "task_max_unit"):
+        np.testing.assert_array_equal(
+            getattr(wl_sampled, name),
+            getattr(wl_exact, name)[wl_sampled.task_index],
+        )
     # Rescaled totals approximate the exact totals.
     assert wl_sampled.total_work == pytest.approx(
         wl_exact.total_work, rel=0.3
