@@ -122,7 +122,7 @@ class Workload:
             try:
                 with np.load(path) as data:
                     record = {name: data[name] for name in data.files}
-            except Exception:
+            except Exception:  # any unreadable record is counted afresh
                 path.unlink(missing_ok=True)
         if record is None:
             record = _count(BasisSet(paper_dataset(label), "6-31g(d)"), tau)
@@ -131,8 +131,8 @@ class Workload:
                 np.savez_compressed(path, **record)
             except OSError:
                 pass
-        wl = _CACHE[key] = cls._from_counts(label, tau, record)
-        return wl
+        _CACHE[key] = cls._from_counts(label, tau, record)
+        return _CACHE[key]
 
     @classmethod
     def from_basis(
