@@ -17,7 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.parallel.reduction import PAD_DOUBLES, flush_chunks
+from repro.parallel.reduction import (
+    PAD_DOUBLES,
+    flush_chunks,
+    pairwise_tree_sum,
+    publish_flushes,
+)
 from repro.parallel.shared_array import WriteTracker
 
 
@@ -87,14 +92,12 @@ class ColumnBlockBuffer:
         view3 = self.data[:, : nbf * self.max_width].reshape(
             self.nthreads, nbf, self.max_width
         )
-        chunks = flush_chunks(nbf, self.nthreads)
         cols = slice(col_offset, col_offset + width)
-        fock[:, cols] += _pairwise_tree_sum(view3[:, :, :width])
-        if tracker is not None:
-            for thread, rows in chunks:
-                tracker.record_block(
-                    thread, fock.shape, slice(rows.start, rows.stop), cols
-                )
+        fock[:, cols] += pairwise_tree_sum(view3[:, :, :width])
+        if tracker is None:
+            publish_flushes(nbf, self.nthreads, 1)
+        else:  # the table is built only to be checked
+            track_flush(tracker, fock.shape, flush_chunks(nbf, self.nthreads), cols)
         self.data.fill(0.0)
         self.flushes += 1
 
@@ -103,15 +106,17 @@ class ColumnBlockBuffer:
         return not np.any(self.data)
 
 
-def _pairwise_tree_sum(stack: np.ndarray) -> np.ndarray:
-    """Pairwise (tree-ordered) sum over the leading (thread) axis."""
-    n = stack.shape[0]
-    if n == 1:
-        return stack[0].copy()
-    parts = [stack[t] for t in range(n)]
-    while len(parts) > 1:
-        nxt = [parts[a] + parts[a + 1] for a in range(0, len(parts) - 1, 2)]
-        if len(parts) % 2:
-            nxt.append(parts[-1])
-        parts = nxt
-    return parts[0]
+def track_flush(
+    tracker: WriteTracker,
+    shape: tuple[int, int],
+    chunks: tuple[tuple[int, range], ...],
+    cols: slice,
+) -> None:
+    """Record one flush of the column block ``cols`` of a ``shape``-d
+    Fock matrix: each row chunk of ``chunks`` (a
+    :func:`~repro.parallel.reduction.flush_table`) written by the thread
+    that owns it."""
+    for thread, rows in chunks:
+        tracker.record_block(
+            thread, shape, slice(rows.start, rows.stop), cols
+        )

@@ -19,6 +19,8 @@ import numpy as np
 
 from repro.chem.basis.basisset import BasisSet
 from repro.core.quartets import (
+    BraBatch,
+    Families,
     QuartetEngine,
     SharePlan,
     symmetrize_two_electron,
@@ -26,10 +28,12 @@ from repro.core.quartets import (
 from repro.core.screening import DEFAULT_TAU, Screening
 from repro.integrals.basis_setup import basis_setup
 from repro.integrals.cache import DEFAULT_CACHE_BYTES, QuartetCache
+from repro.integrals.eri import MAX_BATCH_DOUBLES
 from repro.obs.events import get_event_log
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
 from repro.parallel.comm import SimComm, SimWorld
+from repro.parallel.reduction import publish_flushes
 from repro.parallel.scheduler import SCHEDULE_NAMES, Scheduler, make_scheduler
 from repro.parallel.shared_array import WriteTracker
 from repro.resilience.errors import NonFiniteDensityError
@@ -184,11 +188,24 @@ class TaskPlan(NamedTuple):
     digestion; the density only enters the contractions.  ``shares``
     holds, per thread, the size of its share of the task's thread-level
     loop and the :class:`~repro.core.quartets.SharePlan` of each slab it
-    digests, in order.
+    digests, in order.  ``doubles`` estimates what digesting the task
+    allocates: slabs plus what their columns add.
     """
 
     screened: int
     shares: list[tuple[int, list[SharePlan]]]
+    doubles: int = 0
+
+    @classmethod
+    def of(
+        cls, screened: int, shares: list[tuple[int, list[SharePlan]]]
+    ) -> "TaskPlan":
+        doubles = 0
+        for _, plans in shares:
+            for plan in plans:
+                ni, nj = plan.shape
+                doubles += plan.fac.size * (ni * nj + 4 * (ni + nj) + 2)
+        return cls(screened, shares, doubles)
 
     @property
     def nbytes(self) -> int:
@@ -297,6 +314,7 @@ class ParallelFockBuilderBase:
         self.nshells = basis.nshells
         # Task plans of the screening instance last planned for.
         self._plans: dict[int, TaskPlan] = {}
+        self._layouts: dict[tuple, Layout] = {}
         self._plans_for: Screening | None = None
         self._plan_bytes = 0
         self._plan_last: TaskPlan | None = None
@@ -309,10 +327,12 @@ class ParallelFockBuilderBase:
     #   dlb_ntasks()                      size of the DLB index space
     #   work_estimates()                  per-task costs (static) or None
     #   plan_task(task)                   the task's TaskPlan, from scratch
-    #   rank_program(rank, grants, density, W, *, barrier=None)
-    #                                     one rank's share of the build;
-    #                                     accumulates into W in place and
-    #                                     returns a RankBuildResult
+    #   rank_program(rank, blocks, density, W, *, barrier=None)
+    #                                     one rank's share of the build,
+    #                                     its grants in blocks (lists of
+    #                                     task indices); accumulates into
+    #                                     W in place and returns a
+    #                                     RankBuildResult
     #
     # The sim path (__call__, via _sim_build) and the real-process
     # backend both execute rank_program, so "same rank program on real
@@ -342,13 +362,18 @@ class ParallelFockBuilderBase:
     def rank_program(
         self,
         rank: int,
-        grants: Iterator[int],
+        blocks: Iterator[list[int]],
         density: np.ndarray,
         W: np.ndarray,
         *,
         barrier: Callable[[], None] | None = None,
     ) -> RankBuildResult:
-        """Execute one rank's share of the build; accumulate into ``W``."""
+        """Execute one rank's share of the build; accumulate into ``W``.
+
+        ``blocks`` are the rank's grants, each a list of task indices
+        handed over at once; how the grants are blocked never changes a
+        bit of ``W``.
+        """
         raise NotImplementedError
 
     def plan_task(self, task: int) -> TaskPlan:
@@ -372,7 +397,8 @@ class ParallelFockBuilderBase:
         ``eri_cache_mb`` defaults to).
         """
         if self._plans_for is not self.screening:
-            self._plans, self._plans_for = {}, self.screening
+            self._plans, self._layouts = {}, {}
+            self._plans_for = self.screening
             self._plan_bytes, self._plan_last = 0, None
         plan = self._plans.get(task)
         if plan is None:
@@ -382,11 +408,29 @@ class ParallelFockBuilderBase:
             if self._plan_last is not None:
                 self._plan_bytes += self._plan_last.nbytes
                 self._plan_last = None
-            cache = self.eri_cache
-            budget = DEFAULT_CACHE_BYTES if cache is None else cache.max_bytes
-            if self._plan_bytes < budget:
+            if self._plan_bytes < self._plan_budget:
                 self._plans[task] = self._plan_last = plan
         return plan
+
+    @property
+    def _plan_budget(self) -> int:
+        cache = self.eri_cache
+        return DEFAULT_CACHE_BYTES if cache is None else cache.max_bytes
+
+    def layout(self, tasks: tuple[int, ...], thread: int,
+               plans: list[SharePlan]) -> Layout:
+        """The :class:`Layout` of ``plans``, thread ``thread``'s plans of
+        the run of ``tasks``: built the first time and kept beside the
+        task plans, under their byte budget and for their ``Screening``
+        (a rank's runs are the same build after build)."""
+        key = (tasks, thread)
+        layout = self._layouts.get(key)
+        if layout is None:
+            layout = Layout.of(self.engine, plans)
+            if self._plan_bytes < self._plan_budget:
+                self._layouts[key] = layout
+                self._plan_bytes += layout.nbytes
+        return layout
 
     def assemble(self, W: np.ndarray) -> np.ndarray:
         """Full Fock matrix from the reduced two-electron accumulator."""
@@ -461,9 +505,13 @@ class ParallelFockBuilderBase:
                 "value(s); refusing to build from garbage"
             )
 
-    def _grants(self, dlb: Scheduler, rank: int) -> Iterator[int]:
-        """Rank's DLB grants, with fault-plan kill/straggler semantics."""
-        return resilient_grants(dlb, rank, self.fault_plan, self._build_index)
+    def _grants(self, dlb: Scheduler, rank: int) -> Iterator[list[int]]:
+        """Rank's grants as one block, its whole queue — in the order
+        :func:`~repro.resilience.faults.resilient_grants` hands them out
+        under the fault plan (kills, re-queues)."""
+        yield list(
+            resilient_grants(dlb, rank, self.fault_plan, self._build_index)
+        )
 
     def _resilient_gsumf(self, comm: SimComm, W: np.ndarray) -> None:
         """``gsumf`` with wire-corruption injection and NaN/Inf guard.
@@ -559,3 +607,148 @@ class ParallelFockBuilderBase:
         builds.inc()
         for counter, field in zip(counters, _SCALAR_FIELDS):
             counter.inc(getattr(stats, field))
+        publish_flushes(
+            self.nbf, self.nthreads, stats.fi_flushes + stats.fj_flushes,
+            registry,
+        )
+
+
+def runs_under_budget(
+    items: Iterator[tuple[int, TaskPlan | None]],
+    extra: int = 0,
+) -> Iterator[list[tuple[int, TaskPlan | None]]]:
+    """Cut ``(task, plan)`` pairs, in order, into runs whose digestion
+    fits :data:`~repro.integrals.eri.MAX_BATCH_DOUBLES` (a task over it
+    alone is a run of its own).  ``extra`` doubles are counted per task,
+    ``None`` plans (prescreened tasks) as ``extra`` alone."""
+    run: list = []
+    total = 0
+    for task, plan in items:
+        need = extra + (plan.doubles if plan is not None else 0)
+        if run and total + need > MAX_BATCH_DOUBLES:
+            yield run
+            run, total = [], 0
+        run.append((task, plan))
+        total += need
+    if run:
+        yield run
+
+
+#: Elements gathered before one ``np.add.at``: bounds the copies made
+#: to apply a run in program order.
+APPLY_CHUNK = 1 << 13
+
+
+def digest_in_order(
+    engine: QuartetEngine,
+    layout: "Layout",
+    bases: np.ndarray,
+    d_coulomb: np.ndarray,
+    d_exchange: np.ndarray,
+    kw: float,
+    row_stride: int,
+    channel_stride: int,
+    target: np.ndarray,
+    with_kl: bool = True,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Digest the plans of ``layout`` one bra shape at a time and add
+    what they contribute into the flat array ``target``, in program
+    order.
+
+    Plan after plan, each the same way — its ``(i, j)`` block first,
+    then column after column its ``(i, k)``, ``(i, l)``, ``(j, k)``,
+    ``(j, l)`` rows and its ``(k, l)`` element — so a target element
+    receives its terms in the same order however the plans were batched
+    (``np.add.at`` adds repeated indices in order).
+
+    ``bases[q]`` holds three flat offsets into the target: of element
+    ``(0, 0)`` of plan ``q``'s ``i`` column block and of its ``j`` block
+    (rows ``row_stride`` apart), and of the target's ``(k, l)`` matrix
+    (rows ``nbf`` apart).  Exchange channel ``c`` adds
+    ``c * channel_stride`` to all three.  Without ``with_kl`` the
+    ``(k, l)`` elements are left out and returned instead, per plan, as
+    ``(flat index kfun * nbf + lfun, values)``.
+    """
+    C = d_exchange.shape[0]
+    chan = np.arange(C) * channel_stride
+    laid: list = [None] * layout.nplans
+    kl_out: list = [None] * layout.nplans
+    # Every slab first: a cold build's kernel runs before the digests
+    # below hold anything.
+    slabs = [engine.batch_slab(batch) for _, batch in layout.groups]
+    for (qs, batch), X in zip(layout.groups, slabs):
+        fam = engine.digest(batch, d_coulomb, d_exchange, 2.0, kw, X)
+        ni, nj, M = batch.ni, batch.nj, batch.ncols
+        base = bases[qs]
+        at_col = base[batch.col_plan]
+        # The (i, j) block of each plan, once per channel.
+        ji = np.empty((len(qs), C, nj, ni))
+        ji[:] = fam.ji[:, None]
+        ji_at = (base[:, 0, None] + chan)[:, :, None, None] + (
+            ((batch.bra_j[:, None] + np.arange(nj)) * row_stride)[:, None, :, None]
+            + np.arange(ni)
+        )
+        # One row per column: (i, k), (i, l) over i; (j, k), (j, l)
+        # over j; (k, l) — each per channel.
+        wi, wj = C * 2 * ni, C * 2 * nj
+        w = wi + wj + (C if with_kl else 0)
+        record = np.empty((M, w))
+        at = np.empty((M, w), dtype=np.int64)
+        rows = batch.rows * row_stride
+        for lo, width, values, side in (
+            (0, ni, fam.kli, 0), (wi, nj, fam.klj, 1),
+        ):
+            view = (slice(None), slice(lo, lo + C * 2 * width))
+            record[view].reshape(M, C, 2, width)[:] = values.transpose(3, 0, 1, 2)
+            np.add(
+                (at_col[:, side, None] + rows)[:, None, :, None],
+                chan[:, None, None] + np.arange(width),
+                out=at[view].reshape(M, C, 2, width),
+            )
+        if with_kl:
+            record[:, wi + wj :] = fam.kl[:, None]
+            np.add((at_col[:, 2] + batch.kl_at)[:, None], chan, out=at[:, wi + wj :])
+        ji, ji_at = ji.reshape(len(qs), -1), ji_at.reshape(len(qs), -1)
+        record, at = record.reshape(-1), at.reshape(-1)
+        starts = batch.starts.tolist()
+        for p, q in enumerate(qs):
+            a, z = starts[p], starts[p] + batch.plans[p].fac.size
+            laid[q] = (ji_at[p], ji[p], at[a * w : z * w], record[a * w : z * w])
+            if not with_kl:
+                kl_out[q] = (batch.kl_at[a:z], fam.kl[a:z])
+    pending: list = []
+    size = 0
+    for piece in laid:
+        pending.append(piece)
+        size += piece[1].size + piece[3].size
+        if size >= APPLY_CHUNK or piece is laid[-1]:
+            np.add.at(
+                target,
+                np.concatenate([x for p in pending for x in p[0::2]]),
+                np.concatenate([x for p in pending for x in p[1::2]]),
+            )
+            pending, size = [], 0
+    return kl_out
+
+
+class Layout(NamedTuple):
+    """One thread's plans of a run, grouped by bra shape: ``groups``
+    holds each shape's positions in program order and their
+    :class:`~repro.core.quartets.BraBatch`."""
+
+    nplans: int
+    groups: list[tuple[list[int], BraBatch]]
+
+    @classmethod
+    def of(cls, engine: QuartetEngine, plans: list[SharePlan]) -> "Layout":
+        shapes: dict[tuple[int, int], list[int]] = {}
+        for q, plan in enumerate(plans):
+            shapes.setdefault(plan.shape, []).append(q)
+        return cls(len(plans), [
+            (qs, engine.bra_batch([plans[q] for q in qs]))
+            for qs in shapes.values()
+        ])
+
+    @property
+    def nbytes(self) -> int:
+        return sum(batch.nbytes for _, batch in self.groups)

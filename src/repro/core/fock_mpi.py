@@ -23,6 +23,8 @@ from repro.core.fock_base import (
     ParallelFockBuilderBase,
     RankBuildResult,
     TaskPlan,
+    digest_in_order,
+    runs_under_budget,
 )
 from repro.core.indexing import decode_pair, npairs
 from repro.obs.tracer import get_tracer
@@ -53,12 +55,12 @@ class MPIOnlyFockBuilder(ParallelFockBuilderBase):
         plans = (
             [self.engine.share_plan(*decode_pair(ij), kls)] if kls.size else []
         )
-        return TaskPlan(ij + 1 - kls.size, [(kls.size, plans)])
+        return TaskPlan.of(ij + 1 - kls.size, [(kls.size, plans)])
 
     def rank_program(
         self,
         rank: int,
-        grants: Iterator[int],
+        blocks: Iterator[list[int]],
         density: np.ndarray,
         W: np.ndarray,
         *,
@@ -66,17 +68,28 @@ class MPIOnlyFockBuilder(ParallelFockBuilderBase):
     ) -> RankBuildResult:
         """One rank's share: the stock replicated-Fock quartet loops."""
         rr = RankBuildResult(rank=rank)
+        nbf = self.nbf
         # Stock loop: i over shells, j <= i, with the DLB check on
-        # the combined (i, j) index (ddi_dlbnext).
+        # the combined (i, j) index (ddi_dlbnext); every family straight
+        # into the rank's replica, in program order.
         with get_tracer().span("fock/quartets", rank=rank):
-            for ij in grants:
-                task = self.task_plan(ij)
-                rr.quartets_screened += task.screened
-                for _, plans in task.shares:
-                    for plan in plans:
-                        d = self.engine.digest_bra(
-                            plan, density, density[None], 2.0, -0.5
-                        )
-                        d.add_into(W[:, plan.si], W[:, plan.sj], W)
-                        rr.quartets_done += plan.kls.size
+            for block in blocks:
+                tasks = ((ij, self.task_plan(ij)) for ij in block)
+                for run in runs_under_budget(tasks):
+                    plans = []
+                    for _, task in run:
+                        rr.quartets_screened += task.screened
+                        for _, shared in task.shares:
+                            plans += shared
+                    if not plans:
+                        continue
+                    layout = self.layout(tuple(ij for ij, _ in run), 0, plans)
+                    bases = np.array(
+                        [(p.si.start, p.sj.start, 0) for p in plans]
+                    )
+                    digest_in_order(
+                        self.engine, layout, bases, density, density[None],
+                        -0.5, nbf, 0, W.reshape(-1),
+                    )
+                    rr.quartets_done += sum(p.kls.size for p in plans)
         return rr

@@ -23,6 +23,8 @@ from repro.core.fock_base import (
     ParallelFockBuilderBase,
     RankBuildResult,
     TaskPlan,
+    digest_in_order,
+    runs_under_budget,
 )
 from repro.obs.tracer import get_tracer
 from repro.parallel.threads import ThreadTeam
@@ -69,12 +71,12 @@ class PrivateFockBuilder(ParallelFockBuilderBase):
                 if kls.size:
                     plans.append(self.engine.share_plan(i, j, kls))
             planned.append((len(share), plans))
-        return TaskPlan(screened_out, planned)
+        return TaskPlan.of(screened_out, planned)
 
     def rank_program(
         self,
         rank: int,
-        grants: Iterator[int],
+        blocks: Iterator[list[int]],
         density: np.ndarray,
         W: np.ndarray,
         *,
@@ -83,30 +85,44 @@ class PrivateFockBuilder(ParallelFockBuilderBase):
         """One rank's share: collapse(2) thread loops, private Focks."""
         rr = RankBuildResult(rank=rank)
         tracer = get_tracer()
-        team = ThreadTeam(self.nthreads)
-        thread_counts = [0] * self.nthreads
+        nbf, T = self.nbf, self.nthreads
+        thread_counts = [0] * T
         d_coulomb, d_exchange, kw = self._channels(density)
+        C = d_exchange.shape[0]
         # One private Fock replica per thread, as in
-        # ``reduction(+ : Fock)``.
-        W_threads = team.private_buffers(W.shape)
-        for i in grants:
-            if barrier is not None:
-                barrier()  # master draw + implicit barrier
-            task = self.task_plan(i)
-            rr.quartets_screened += task.screened
-            for t, (ntasks, plans) in enumerate(task.shares):
-                # One (nbf, nbf) accumulator per exchange channel.
-                channels = W_threads[t].reshape(-1, self.nbf, self.nbf)
-                with tracer.span(
-                    "fock/jk", rank=rank, thread=t, i=i, tasks=ntasks
-                ):
-                    for plan in plans:
-                        d = self.engine.digest_bra(
-                            plan, d_coulomb, d_exchange, 2.0, kw
-                        )
-                        for c, Wc in enumerate(channels):
-                            d.add_into(Wc[:, plan.si], Wc[:, plan.sj], Wc, c)
-                        thread_counts[t] += plan.kls.size
+        # ``reduction(+ : Fock)``; one (nbf, nbf) matrix per exchange
+        # channel each.
+        W_threads = ThreadTeam(T).private_buffers(W.shape)
+        for block in blocks:
+            tasks = []
+            for i in block:
+                if barrier is not None:
+                    barrier()  # master draw + implicit barrier
+                tasks.append((i, self.task_plan(i)))
+            for run in runs_under_budget(iter(tasks)):
+                for t in range(T):
+                    plans = [p for _, task in run for p in task.shares[t][1]]
+                    quartets = sum(p.kls.size for p in plans)
+                    with tracer.span(
+                        "fock/jk", rank=rank, thread=t, tasks=len(run),
+                        plans=len(plans), quartets=quartets,
+                    ):
+                        if plans:
+                            base = t * C * nbf * nbf
+                            bases = np.array([
+                                (base + p.si.start, base + p.sj.start, base)
+                                for p in plans
+                            ])
+                            layout = self.layout(
+                                tuple(i for i, _ in run), t, plans
+                            )
+                            digest_in_order(
+                                self.engine, layout, bases, d_coulomb,
+                                d_exchange, kw, nbf, nbf * nbf,
+                                W_threads.reshape(-1),
+                            )
+                    thread_counts[t] += quartets
+                rr.quartets_screened += sum(task.screened for _, task in run)
         # OpenMP reduction over thread-private Focks.
         with tracer.span("fock/thread_reduce", rank=rank):
             for Wt in W_threads:

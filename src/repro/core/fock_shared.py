@@ -26,14 +26,17 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.core.buffers import ColumnBlockBuffer
+from repro.core.buffers import track_flush
 from repro.core.fock_base import (
     ParallelFockBuilderBase,
     RankBuildResult,
     TaskPlan,
+    digest_in_order,
+    runs_under_budget,
 )
 from repro.core.indexing import decode_pair, npairs
 from repro.obs.tracer import get_tracer
+from repro.parallel.reduction import flush_table, pairwise_tree_sum
 from repro.parallel.threads import ThreadTeam
 
 
@@ -76,101 +79,171 @@ class SharedFockBuilder(ParallelFockBuilderBase):
                 )
                 for share in shares
             ]
-        return TaskPlan(ij + 1 - kls.size, planned)
+        return TaskPlan.of(ij + 1 - kls.size, planned)
 
     def rank_program(
         self,
         rank: int,
-        grants: Iterator[int],
+        blocks: Iterator[list[int]],
         density: np.ndarray,
         W: np.ndarray,
         *,
         barrier: Callable[[], None] | None = None,
     ) -> RankBuildResult:
-        """One rank's share: shared Fock with FI/FJ buffers and flushes."""
+        """One rank's share: shared Fock with FI/FJ buffers and flushes.
+
+        Each run of tasks is digested thread by thread into per-epoch
+        copies of the threads' FI / FJ buffers (an FI epoch lasts while
+        ``i`` does, an FJ epoch one task); then every closed epoch is
+        tree-summed over the threads and added into ``W`` in program
+        order, between the direct ``(k, l)`` adds of the tasks around
+        it.  The FI epoch still open carries into the next run.
+        """
         rr = RankBuildResult(rank=rank)
         tracer = get_tracer()
-        offsets = self.basis.shell_bf_offsets()
-        widths = self.basis.shell_nfuncs()
-        max_width = self.basis.max_shell_nfunc()
-        thread_counts = [0] * self.nthreads
+        T, nbf = self.nthreads, self.nbf
+        width = self.basis.max_shell_nfunc()
+        offsets = self.basis.shell_bf_offsets().tolist()
+        widths = self.basis.shell_nfuncs().tolist()
+        thread_counts = [0] * T
         tracker = self._new_tracker()
         slices = self.engine.shell_slices
-        FI = ColumnBlockBuffer(self.nbf, max_width, self.nthreads)
-        FJ = ColumnBlockBuffer(self.nbf, max_width, self.nthreads)
+        epoch = T * nbf * width  # doubles of one epoch's thread buffers
+        fi_open = np.zeros((T, nbf, width))
         iold = -1
+        W_flat = W.reshape(-1)
 
-        for ij in grants:
-            i, j = decode_pair(ij)
-            # Bra prescreening (paper Algorithm 3 line 13, safe form).
-            if not self.screening.prescreen_ij(i, j):
-                rr.quartets_screened += ij + 1
-                continue
-
-            # Flush FI when the i index changes (lines 15-18) — or
-            # every iteration when the iold optimization is ablated.
-            if (i != iold or self.flush_fi_every_iteration) and iold >= 0:
-                with tracer.span("fock/flush_fi", rank=rank, i=iold):
-                    FI.flush(
-                        W, int(offsets[iold]), int(widths[iold]),
-                        tracker=tracker,
-                    )
-                if tracker is not None:
-                    tracker.barrier()
-
-            task = self.task_plan(ij)
-            rr.quartets_screened += task.screened
-            wi, wj = int(widths[i]), int(widths[j])
-            for t, (ntasks, plans) in enumerate(task.shares):
-                with tracer.span(
-                    "fock/kl", rank=rank, thread=t, ij=ij, tasks=ntasks
-                ):
-                    for plan in plans:
-                        d = self.engine.digest_bra(
-                            plan, density, density[None], 2.0, -0.5
-                        )
-                        # (i,j), (i,k), (i,l) into the thread's FI,
-                        # (j,k), (j,l) into its FJ; (k,l) directly
-                        # into the shared Fock — disjoint across
-                        # threads, which the tracker verifies.
-                        d.add_into(
-                            FI.thread_view(t)[:, :wi],
-                            FJ.thread_view(t)[:, :wj], W,
-                        )
-                        if tracker is not None:
-                            for kl in plan.kls.tolist():
-                                k, l = decode_pair(kl)
-                                tracker.record_block(
-                                    t, W.shape, slices[k], slices[l]
-                                )
-                thread_counts[t] += ntasks
-            if tracker is not None and task.shares:
-                tracker.barrier()
-
-            # Flush FJ after every kl loop (line 31).
-            with tracer.span("fock/flush_fj", rank=rank, j=j):
-                FJ.flush(
-                    W, int(offsets[j]), int(widths[j]), tracker=tracker
+        for block in blocks:
+            tasks = []
+            for ij in block:
+                # Bra prescreening (paper Algorithm 3 line 13, safe form).
+                if self.screening.prescreen_ij(*decode_pair(ij)):
+                    tasks.append((ij, self.task_plan(ij)))
+                else:
+                    rr.quartets_screened += ij + 1
+            for run in runs_under_budget(iter(tasks), 2 * epoch):
+                iold = self._run(
+                    run, rank, iold, fi_open, density, W_flat, tracker,
+                    thread_counts, rr,
                 )
-            if tracker is not None:
-                tracker.barrier()
-            iold = i
 
         # Remainder FI flush (line 36).
         if iold >= 0:
-            with tracer.span("fock/flush_fi", rank=rank, i=iold):
-                FI.flush(
-                    W, int(offsets[iold]), int(widths[iold]),
-                    tracker=tracker,
-                )
+            with tracer.span("fock/flush_fi", rank=rank, flushes=1):
+                cols = slice(offsets[iold], offsets[iold] + widths[iold])
+                W[:, cols] += pairwise_tree_sum(fi_open[:, :, : widths[iold]])
+            rr.fi_flushes += 1
+            if tracker is not None:
+                track_flush(tracker, W.shape, flush_table(nbf, T), cols)
         rr.quartets_done = sum(thread_counts)
         rr.per_thread_quartets = thread_counts
-        rr.fi_flushes = FI.flushes
-        rr.fj_flushes = FJ.flushes
         if tracker is not None:
             rr.races = len(tracker.races)
             rr.writes_checked = tracker.writes_checked
         return rr
+
+    def _run(
+        self, run, rank, iold, fi_open, density, W_flat, tracker,
+        thread_counts, rr,
+    ) -> int:
+        """Digest and apply one run of ``(task, plan)``; the new ``iold``."""
+        tracer = get_tracer()
+        T, nbf = self.nthreads, self.nbf
+        width = fi_open.shape[2]
+        offsets = self.basis.shell_bf_offsets().tolist()
+        widths = self.basis.shell_nfuncs().tolist()
+        # Program order: an FI flush before a task whose i differs from
+        # the last one (lines 15-18) — or before every task when the
+        # iold optimization is ablated — then the task, then its FJ
+        # flush (line 31).  Workspace: FI epochs, then FJ epochs.
+        fi_flushes = []  # (task position, shell flushed)
+        for n, (ij, _) in enumerate(run):
+            i = decode_pair(ij)[0]
+            if (i != iold or self.flush_fi_every_iteration) and iold >= 0:
+                fi_flushes.append((n, iold))
+            iold = i
+        nfi, nfj = len(fi_flushes) + 1, len(run)
+        E = np.zeros((nfi + nfj, T, nbf, width))
+        E[0] = fi_open
+        fi_epoch = np.zeros(len(run), dtype=np.int64)
+        for n, _ in fi_flushes:
+            fi_epoch[n:] += 1
+
+        direct = {}  # each plan's (k, l) elements: (flat index, values)
+        for t in range(T):
+            plans, bases = [], []
+            for n, (_, task) in enumerate(run):
+                if not task.shares:
+                    continue
+                mine = task.shares[t][1]
+                plans += mine
+                fi = (fi_epoch[n] * T + t) * nbf * width
+                fj = ((nfi + n) * T + t) * nbf * width
+                bases += [(fi, fj, 0)] * len(mine)
+            quartets = sum(p.kls.size for p in plans)
+            with tracer.span(
+                "fock/kl", rank=rank, thread=t, tasks=len(run),
+                plans=len(plans), quartets=quartets,
+            ):
+                if plans:
+                    layout = self.layout(tuple(ij for ij, _ in run), t, plans)
+                    kl = digest_in_order(
+                        self.engine, layout, np.array(bases), density,
+                        density[None], -0.5, width, 0, E.reshape(-1),
+                        with_kl=False,
+                    )
+                    direct.update(zip(map(id, plans), kl))
+            thread_counts[t] += quartets
+
+        # Every closed epoch tree-summed over the threads at once, then
+        # added into W in program order among the (k, l) adds.
+        with tracer.span("fock/flush_fi", rank=rank, flushes=nfi - 1):
+            fi_sums = pairwise_tree_sum(E[: nfi - 1], axis=1)
+        with tracer.span("fock/flush_fj", rank=rank, flushes=nfj):
+            fj_sums = pairwise_tree_sum(E[nfi:], axis=1)
+            index, values = [], []
+            rows = np.arange(nbf)[:, None] * nbf
+
+            def flush(sums, shell):
+                w = widths[shell]
+                values.append(sums[:, :w].ravel())
+                index.append((rows + (offsets[shell] + np.arange(w))).ravel())
+                if tracker is not None:
+                    track_flush(tracker, (nbf, nbf), flush_table(nbf, T), slice(
+                        offsets[shell], offsets[shell] + w))
+                    tracker.barrier()
+
+            flushes = iter(fi_flushes)
+            pending = next(flushes, None)
+            e = 0
+            for n, (ij, task) in enumerate(run):
+                if pending is not None and pending[0] == n:
+                    flush(fi_sums[e], pending[1])
+                    e += 1
+                    pending = next(flushes, None)
+                for _, plans in task.shares:
+                    for plan in plans:
+                        at, kl = direct[id(plan)]
+                        index.append(at)
+                        values.append(kl)
+                if tracker is not None:
+                    for t, (_, plans) in enumerate(task.shares):
+                        for plan in plans:
+                            for kl in plan.kls.tolist():
+                                k, l = decode_pair(kl)
+                                tracker.record_block(
+                                    t, (nbf, nbf), self.engine.shell_slices[k],
+                                    self.engine.shell_slices[l],
+                                )
+                    if task.shares:
+                        tracker.barrier()
+                flush(fj_sums[n], decode_pair(ij)[1])
+            np.add.at(W_flat, np.concatenate(index), np.concatenate(values))
+        fi_open[:] = E[nfi - 1]
+        rr.fi_flushes += nfi - 1
+        rr.fj_flushes += nfj
+        rr.quartets_screened += sum(task.screened for _, task in run)
+        return iold
 
     def work_estimates(self) -> np.ndarray:
         """Schwarz-screened surviving-quartet counts per bra pair."""

@@ -55,52 +55,50 @@ The true two-electron matrix is recovered once at the end by
 for diagonal families too (the derivation in the module tests), so no
 diagonal correction is needed.
 
-The bra slab
-------------
-The builders do not digest quartet by quartet.  For a fixed bra
-``(i, j)`` and one thread's share of surviving kets,
-:meth:`QuartetEngine.digest_bra` scales the slab's columns by the
-degeneracy factor of their quartet — ``m`` runs over every ket
-*function* pair ``(kfun[m], lfun[m])`` of the share, quartet after
-quartet, each block in its own ``(k, l)`` row-major order — and computes
-each family once per share.  Every family either reduces over bra axes
-only or acts element-wise along ``m``, so kets of mixed shell classes
-share a slab:
+Batches of planned shares
+-------------------------
+The builders do not digest quartet by quartet, nor share by share.  A
+share — one bra ``(i, j)`` against one thread's surviving kets — is
+planned once (:class:`SharePlan`: the kets, the degeneracy factor of
+every slab column; for direct SCF the kernel's
+:class:`~repro.integrals.eri.KetSchedule` once the share is first
+evaluated), and the plans of one bra *shape* ``(ni, nj)`` are digested
+together: a :class:`BraBatch` lays their columns end to end — ``m``
+runs over every ket *function* pair ``(kfun[m], lfun[m])``, plan after
+plan, quartet after quartet, each block in its own ``(k, l)``
+row-major order — and :meth:`QuartetEngine.digest` computes each
+family once per batch.  Every family either reduces over bra axes or
+over one plan's own columns, or acts element-wise along ``m``, so kets
+of mixed shell classes and plans of different bras share a batch:
 
 ======== ============================== ===========================
 family   reduces over                   result, destination rows
 ======== ============================== ===========================
-(i, j)   ``m`` (the whole share)        ``(nj, ni)``, the J-block
+(i, j)   ``m`` (the plan's columns)     ``(nj, ni)``, the J-block
 (k, l)   ``i, j``                       ``(M,)``, ``(kfun, lfun)``
-(i, k)   ``j``                          ``(M, ni)``, rows ``kfun``
-(i, l)   ``j``                          ``(M, ni)``, rows ``lfun``
-(j, k)   ``i``                          ``(M, nj)``, rows ``kfun``
-(j, l)   ``i``                          ``(M, nj)``, rows ``lfun``
+(i, k)   ``j``                          ``(ni, M)``, rows ``kfun``
+(i, l)   ``j``                          ``(ni, M)``, rows ``lfun``
+(j, k)   ``i``                          ``(nj, M)``, rows ``kfun``
+(j, l)   ``i``                          ``(nj, M)``, rows ``lfun``
 ======== ============================== ===========================
 
-Digestion has two halves.  What depends only on the bra, the kets and
-the basis — the per-column factor, ``kfun`` / ``lfun`` and their
-concatenation ``rows``, and for direct SCF the kernel's
-:class:`~repro.integrals.eri.KetSchedule` once the share is first
-evaluated — is a :class:`SharePlan`, built by
-:meth:`QuartetEngine.share_plan` and reusable for every density (the
-builders keep it per DLB task, direct or semi-direct, under one byte
-budget, see
-:meth:`~repro.core.fock_base.ParallelFockBuilderBase.task_plan`).  What
-depends on the density is :meth:`~QuartetEngine.digest_bra`, the one
-body that computes the six families, returned as a :class:`BraDigest`
-with the ``(i, k)`` rows stacked on the ``(i, l)`` rows (and ``j``
-likewise) so each column block takes ONE ``np.add.at`` over ``rows``;
-*where* they go is still each algorithm's decision.  The four exchange
-contractions stay four ``einsum`` calls, joined afterwards: fusing a
-pair into one ``einsum('ijm,cjsm->csmi')`` is faster but sums in another
-order, and a last-bit change in ``F`` is a different SCF iteration
-count on near-degenerate systems — joined halves scattered by one
-``np.add.at`` accumulate exactly as two calls did.
+A plan's six families are bitwise the same alone and in any batch —
+the property the ERI kernel already has for a ket's columns — because
+the arithmetic never lets the batch length choose an order: products
+are element-wise, the sums over ``i`` / ``j`` are explicit additions in
+index order, and the ``(i, j)`` sum runs over each plan's own columns
+as one ``np.add.reduceat`` segment.  ``einsum``, ``@`` and ``.sum``
+are not used: their summation order (blocking, pairwise sums, BLAS
+kernels) depends on the array's shape, so the same plan would get
+other last bits in another batch, and a last-bit change in ``F`` is a
+different SCF iteration count on near-degenerate systems.  *Where* the
+families go is each algorithm's decision
+(:func:`~repro.core.fock_base.digest_in_order` adds them into a flat
+target in program order).
 
 :meth:`QuartetEngine.scatter_general` is the per-quartet spelling of the
-same arithmetic, kept as the oracle the slab is property-tested against
-and for the e2e ledger's pinned per-quartet digestion sweep.
+same arithmetic, kept as the oracle the batches are property-tested
+against and for the e2e ledger's pinned per-quartet digestion sweep.
 """
 
 from __future__ import annotations
@@ -128,6 +126,17 @@ from repro.integrals.eri import (
 from repro.obs.tracer import get_tracer
 
 
+def _sum_in_order(terms: np.ndarray, axis: int) -> np.ndarray:
+    """The terms along ``axis`` added left to right, element-wise: the
+    bits of an element depend on its own terms only (a NumPy reduction
+    would pick its order from the array's shape)."""
+    lead = (slice(None),) * axis
+    total = terms[(*lead, 0)].copy()
+    for n in range(1, terms.shape[axis]):
+        total += terms[(*lead, n)]
+    return total
+
+
 def symmetrize_two_electron(W: np.ndarray) -> np.ndarray:
     """Recover the symmetric two-electron matrix: ``G = W + W^T``."""
     return W + W.T
@@ -137,15 +146,15 @@ def symmetrize_two_electron(W: np.ndarray) -> np.ndarray:
 class SharePlan:
     """The density-independent half of digesting one share.
 
-    Everything :meth:`QuartetEngine.digest_bra` needs besides the densities
-    and the integrals, fixed by the bra, the share's kets and the basis:
-    built once by :meth:`QuartetEngine.share_plan`, reusable every SCF
-    cycle.  ``kfun`` / ``lfun`` are the two halves of ``rows``.
-    ``schedule`` is the kernel's
-    :class:`~repro.integrals.eri.KetSchedule` of the share, built the
-    first time an engine without a cache evaluates it and kept with the
-    plan.  With a cache the stored slab is what is kept: a share the
-    cache serves needs no schedule, and a miss schedules afresh.
+    Fixed by the bra, the share's kets and the basis: built once by
+    :meth:`QuartetEngine.share_plan`, reusable every SCF cycle.  The
+    per-column index data of a digestion lives in the
+    :class:`BraBatch` the plan is digested in.  ``schedule`` is the
+    kernel's :class:`~repro.integrals.eri.KetSchedule` of the share,
+    built the first time an engine without a cache evaluates it and
+    kept with the plan.  With a cache the stored slab is what is kept:
+    a share the cache serves needs no schedule, and a miss schedules
+    afresh.
     """
 
     ij: int
@@ -153,51 +162,67 @@ class SharePlan:
     sj: slice
     kls: np.ndarray  # combined ket indices of the share, in slab order
     fac: np.ndarray  # degeneracy factor of each slab column
-    kfun: np.ndarray
-    lfun: np.ndarray
-    rows: np.ndarray  # concat(kfun, lfun): the share's row scatter
     schedule: KetSchedule | None = None
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The bra shape ``(ni, nj)``: what plans must share to be
+        digested together."""
+        return self.si.stop - self.si.start, self.sj.stop - self.sj.start
 
     @property
     def nbytes(self) -> int:
         """Bytes of index data held (what a plan memo grows by)."""
-        held = self.kls.nbytes + self.fac.nbytes + self.rows.nbytes
+        held = self.kls.nbytes + self.fac.nbytes
         return held + (self.schedule.nbytes if self.schedule else 0)
 
 
-class BraDigest(NamedTuple):
-    """The six Fock families of one bra against one share of kets.
+class BraBatch(NamedTuple):
+    """Plans of one bra shape ``(ni, nj)``, their columns laid end to end.
 
-    ``kli`` stacks the ``(i, k)`` rows (``plan.kfun``) on the ``(i, l)``
-    rows (``plan.lfun``), ``klj`` likewise for ``j``; both carry a
-    leading axis over the exchange channels that were digested (one for
-    RHF, two for UHF).
+    ``starts[p]`` is the first column of ``plans[p]``; per column of the
+    batch, ``rows`` holds its ket function pair ``(kfun, lfun)``,
+    ``kl_at`` the flat index ``kfun * nbf + lfun`` of that pair and
+    ``col_plan`` its plan; ``bra_i`` / ``bra_j`` the first basis
+    function of each plan's ``i`` and ``j`` blocks.  Density-independent,
+    built by :meth:`QuartetEngine.bra_batch`.
     """
 
-    plan: SharePlan
+    plans: list[SharePlan]
+    ni: int
+    nj: int
+    starts: np.ndarray
+    rows: np.ndarray
+    kl_at: np.ndarray
+    col_plan: np.ndarray
+    bra_i: np.ndarray
+    bra_j: np.ndarray
+
+    @property
+    def ncols(self) -> int:
+        return self.kl_at.size
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in self[3:])
+
+
+class Families(NamedTuple):
+    """The six Fock families of a :class:`BraBatch`, columns innermost.
+
+    Per plan ``p``: ``ji[p]`` is its ``(nj, ni)`` J-block.  Per column
+    ``m`` of the batch: ``kl[m]`` is the ``(kfun, lfun)`` element;
+    ``kli[c, 0, :, m]`` the ``(i, k)`` row (destination row
+    ``kfun[m]``) and ``kli[c, 1, :, m]`` the ``(i, l)`` row (``lfun[m]``),
+    both over the plan's ``i`` block, for exchange channel ``c``;
+    ``klj`` likewise over its ``j`` block.
+    """
+
+    batch: BraBatch
     ji: np.ndarray
     kl: np.ndarray
     kli: np.ndarray
     klj: np.ndarray
-
-    def add_into(
-        self, col_i: np.ndarray, col_j: np.ndarray, W: np.ndarray,
-        channel: int = 0,
-    ) -> None:
-        """Accumulate: ``ji`` and ``kli`` into the ``(nbf, ni)`` column
-        block ``col_i``, ``klj`` into ``col_j``, ``kl`` into ``W`` itself.
-
-        Rows repeat along ``m`` (one per ``l`` of a ``k``, and again per
-        quartet), hence the unbuffered ``np.add.at`` — one per column
-        block, which adds the ``kfun`` rows and then the ``lfun`` rows
-        in order; the ``(kfun, lfun)`` pairs of a share are distinct, so
-        ``kl`` is a plain fancy ``+=``.
-        """
-        plan = self.plan
-        col_i[plan.sj] += self.ji
-        np.add.at(col_i, plan.rows, self.kli[channel])
-        np.add.at(col_j, plan.rows, self.klj[channel])
-        W[plan.kfun, plan.lfun] += self.kl
 
 
 class QuartetEngine:
@@ -287,8 +312,19 @@ class QuartetEngine:
             if plan.schedule is None:
                 plan.schedule = ket_schedule(self.pairs, ij, kls)
             schedule = plan.schedule
-        with get_tracer().span("eri/quartet_batch"):
+        with get_tracer().span(
+            "eri/quartet_batch", bra=self._bra_class(ij), kets=kls.size
+        ):
             return eri_bra_slab(self.pairs, ij, kls, schedule)
+
+    def _bra_class(self, ij: int) -> str:
+        """The composite class of pair ``ij``, one letter a side:
+        ``"LS"`` is an sp shell with an s shell."""
+        stack = self.pairs.classes[self.pairs.cls[ij]].stack
+        return "".join(
+            "L" if len(side) > 1 else "SPDFGH"[side[0]]
+            for side in (stack.las, stack.lbs)
+        )
 
     def composite_blocks(
         self, I: int, J: int, kls: np.ndarray
@@ -331,55 +367,101 @@ class QuartetEngine:
         one): see :class:`SharePlan` and the module docstring."""
         kls = np.asarray(kls, dtype=np.int64)
         ij = pair_index(I, J)
-        sizes = self.pair_nfunc[kls]
         fac = self._pair_fac[kls] * (0.5 if I == J else 1.0)
         fac[kls == ij] *= 0.5
-        m = ragged_arange(self._ket_ptr[kls], sizes)
-        rows = np.concatenate((self._ket_kfun[m], self._ket_lfun[m]))
-        fac = np.repeat(fac, sizes)
-        fac.flags.writeable = rows.flags.writeable = False
-        return SharePlan(
-            ij, self.shell_slices[I], self.shell_slices[J], kls, fac,
-            rows[: m.size], rows[m.size :], rows,
+        fac = np.repeat(fac, self.pair_nfunc[kls])
+        fac.flags.writeable = False
+        return SharePlan(ij, self.shell_slices[I], self.shell_slices[J], kls, fac)
+
+    def ket_functions(self, kls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(kfun, lfun)``: the ket function pair of each slab column of
+        the kets ``kls``."""
+        m = ragged_arange(self._ket_ptr[kls], self.pair_nfunc[kls])
+        return self._ket_kfun[m], self._ket_lfun[m]
+
+    def bra_batch(self, plans: list[SharePlan]) -> BraBatch:
+        """The plans (at least one, all of one bra shape) as one
+        :class:`BraBatch`, in the order given."""
+        ni, nj = plans[0].shape
+        sizes = [p.fac.size for p in plans]
+        rows = np.stack(
+            self.ket_functions(np.concatenate([p.kls for p in plans])), axis=1
+        )
+        return BraBatch(
+            plans, ni, nj,
+            np.cumsum([0, *sizes[:-1]]),
+            rows, rows[:, 0] * self.basis.nbf + rows[:, 1],
+            np.repeat(np.arange(len(plans)), sizes),
+            np.array([p.si.start for p in plans]),
+            np.array([p.sj.start for p in plans]),
         )
 
-    def digest_bra(
+    def batch_slab(self, batch: BraBatch) -> np.ndarray:
+        """The slabs of ``batch``'s plans side by side, each column
+        scaled by its degeneracy factor: ``(ni * nj, ncols)``."""
+        X = np.empty((batch.ni * batch.nj, batch.ncols))
+        for plan, a in zip(batch.plans, batch.starts.tolist()):
+            np.multiply(
+                self.slab(plan.ij, plan.kls, plan), plan.fac,
+                out=X[:, a : a + plan.fac.size],
+            )
+        return X
+
+    def digest(
         self,
-        plan: SharePlan,
+        batch: BraBatch,
         d_coulomb: np.ndarray,
         d_exchange: np.ndarray,
         jw: float,
         kw: float,
-    ) -> BraDigest:
-        """All six families of one planned share.
+        X: np.ndarray | None = None,
+    ) -> Families:
+        """All six families of every plan of ``batch``.
 
-        ``d_exchange`` is a stack ``(nchannels, nbf, nbf)``.  The slab
-        comes through :meth:`slab`; see the module docstring for its
-        layout and for why the four exchange ``einsum`` calls stay four.
+        ``d_exchange`` is a stack ``(nchannels, nbf, nbf)``; ``X`` is
+        :meth:`batch_slab` of the batch, fetched here when not given.  A
+        plan's families are bitwise the same alone and in any batch:
+        element-wise products, sums over the bra indices in explicit
+        order, and the sum over a plan's own columns as one
+        ``np.add.reduceat`` segment (see the module docstring).
         """
-        si, sj, kfun, lfun = plan.si, plan.sj, plan.kfun, plan.lfun
-        X = self.slab(plan.ij, plan.kls, plan) * plan.fac
-        X3 = X.reshape(si.stop - si.start, sj.stop - sj.start, -1)
-        dk_j, dk_i = d_exchange[:, sj], d_exchange[:, si]
-        return BraDigest(
-            plan,
-            ji=jw * (X3 @ d_coulomb[kfun, lfun]).T,
-            kl=jw * (d_coulomb[si, sj].ravel() @ X),
-            kli=kw * np.concatenate(
-                (
-                    np.einsum("ijm,cjm->cmi", X3, dk_j[:, :, lfun]),
-                    np.einsum("ijm,cjm->cmi", X3, dk_j[:, :, kfun]),
-                ),
-                axis=1,
-            ),
-            klj=kw * np.concatenate(
-                (
-                    np.einsum("ijm,cim->cmj", X3, dk_i[:, :, lfun]),
-                    np.einsum("ijm,cim->cmj", X3, dk_i[:, :, kfun]),
-                ),
-                axis=1,
-            ),
+        ni, nj, M = batch.ni, batch.nj, batch.ncols
+        X3 = (self.batch_slab(batch) if X is None else X).reshape(ni, nj, M)
+        X = X3.reshape(ni * nj, M)
+        # The weights are powers of two in every builder: scaling the
+        # densities first is exact.
+        dc, dx = jw * d_coulomb, kw * d_exchange
+        col, ar_i, ar_j = batch.col_plan, np.arange(ni), np.arange(nj)
+        rows_i = batch.bra_i[:, None] + ar_i  # (P, ni)
+        rows_j = batch.bra_j[:, None] + ar_j
+
+        # (i, j): each plan's own columns, one reduceat segment each.
+        # Products go to C-ordered buffers: NumPy would lay a broadcast
+        # result out in an order that is slow to fill.
+        work = np.empty((ni, nj, M))
+        ji = np.add.reduceat(
+            np.multiply(X3, dc.ravel()[batch.kl_at], out=work),
+            batch.starts, axis=2,
         )
+        # (k, l): the bra's function pairs, added in order.
+        d_bra = dc[rows_i[:, :, None], rows_j[:, None, :]].transpose(1, 2, 0)
+        np.multiply(X3, d_bra[:, :, col], out=work)
+        kl = _sum_in_order(work.reshape(ni * nj, M), 0)
+
+        # Exchange: the (i, k) row pairs with D[j, lfun], the (i, l)
+        # row with D[j, kfun] — summed over j in order; likewise for j.
+        C, nbf = dx.shape[:2]
+        dx = dx.reshape(C, nbf * nbf)
+        partner = batch.rows[:, ::-1].T[:, None, :]  # (2, 1, M)
+        work = np.empty((C, 2, ni, nj, M))
+        out = []
+        for axis, first, n in ((3, batch.bra_j, nj), (2, batch.bra_i, ni)):
+            at = partner + (first * nbf)[col] + (np.arange(n) * nbf)[:, None]
+            dens = np.take(dx, at, axis=1)  # (C, 2, n, M)
+            np.multiply(X3, dens[:, :, None] if axis == 3 else dens[:, :, :, None], out=work)
+            out.append(_sum_in_order(work, axis))
+        kli, klj = out
+        return Families(batch, ji.transpose(2, 1, 0), kl, kli, klj)
 
     def scatter_general(
         self,

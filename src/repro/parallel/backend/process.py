@@ -151,13 +151,12 @@ def _worker_loop(
             else None
         )
 
-        claims = (
-            iter(lambda: counter.next(rank), None) if share is None
-            else iter(share)
-        )
         claim_count = 0
 
         def grants():
+            """Grant blocks: one task per claim from the live counter
+            (the DDI protocol: each claim is a round trip), a static
+            rank's whole share at once — cut where a kill strikes."""
             nonlocal claim_count
             done = 0
             while True:
@@ -177,11 +176,15 @@ def _worker_loop(
                     # perturb claim arrival order between runs.
                     time.sleep(float(rng.random()) * 2e-4)
                 beat(cycle, "claim", done)
-                t = next(claims, None)
-                if t is None:
+                if share is None:
+                    t = counter.next(rank)
+                    block = [] if t is None else [t]
+                else:
+                    block = share[done:kill_after]
+                if not block:
                     return
-                yield t
-                done += 1
+                yield block
+                done += len(block)
                 claim_count = done
 
         if tracer is not None:
@@ -391,7 +394,7 @@ class ProcessFockBuilder:
             slab = self._slabs.array[rank]
             slab[:] = 0.0
             rr = self.inner.rank_program(
-                rank, iter(tasks), self._density.array, slab
+                rank, iter([tasks]), self._density.array, slab
             )
             rrs[rank] = rr
             # Whether the heartbeat already implicated this rank before

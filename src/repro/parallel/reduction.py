@@ -77,21 +77,30 @@ def tree_reduce_columns(
                     f"tree reduction: thread {t}'s column contains "
                     "non-finite values; rejecting before the merge"
                 )
-    cols = [buffer[:nrows, t] for t in range(buffer.shape[1])]
-    while len(cols) > 1:
-        nxt = []
-        for a in range(0, len(cols) - 1, 2):
-            nxt.append(cols[a] + cols[a + 1])
-        if len(cols) % 2:
-            nxt.append(cols[-1])
-        cols = nxt
-    return cols[0].copy() if len(cols) == 1 else np.zeros(nrows)
+    return pairwise_tree_sum(buffer[:nrows], axis=1)
+
+
+def pairwise_tree_sum(stack: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Sum ``stack`` over ``axis`` (the threads) with a binary tree:
+    neighbours pairwise, level after level, an odd last part carried up
+    — element-wise, so the bits of an element do not depend on what
+    else is summed with it.  A new array; zeros for an empty axis."""
+    parts = list(np.moveaxis(stack, axis, 0))
+    if len(parts) < 2:
+        return parts[0].copy() if parts else np.zeros(np.delete(stack.shape, axis))
+    while len(parts) > 1:
+        nxt = [parts[a] + parts[a + 1] for a in range(0, len(parts) - 1, 2)]
+        if len(parts) % 2:
+            nxt.append(parts[-1])
+        parts = nxt
+    return parts[0]
 
 
 @functools.cache
-def _flush_table(
-    nrows: int, nthreads: int, chunk: int
+def flush_table(
+    nrows: int, nthreads: int, chunk: int = PAD_DOUBLES
 ) -> tuple[tuple[int, range], ...]:
+    """The row-chunk ownership table of :func:`flush_chunks`, uncounted."""
     return tuple(
         (c % nthreads, range(start, min(start + chunk, nrows)))
         for c, start in enumerate(range(0, nrows, chunk))
@@ -110,9 +119,21 @@ def flush_chunks(
     sharing).  The table is a pure function of its arguments and is
     computed once; every call still counts as one flush.
     """
-    out = _flush_table(nrows, nthreads, chunk)
-    registry = get_metrics()
-    if registry is not None:
-        registry.counter("reduction.cooperative_flushes").inc()
-        registry.counter("reduction.flush_chunks").inc(len(out))
-    return out
+    publish_flushes(nrows, nthreads, 1, chunk=chunk)
+    return flush_table(nrows, nthreads, chunk)
+
+
+def publish_flushes(
+    nrows: int, nthreads: int, flushes: int, registry=None, *,
+    chunk: int = PAD_DOUBLES,
+) -> None:
+    """Count ``flushes`` cooperative flushes of ``nrows`` rows as
+    ``reduction.cooperative_flushes`` and their row chunks as
+    ``reduction.flush_chunks`` — on ``registry``, else the installed
+    one.  A Fock build publishes its flushes once, when it ends."""
+    registry = registry if registry is not None else get_metrics()
+    if registry is not None and flushes:
+        registry.counter("reduction.cooperative_flushes").inc(flushes)
+        registry.counter("reduction.flush_chunks").inc(
+            flushes * -(-nrows // chunk)
+        )

@@ -269,6 +269,68 @@ def test_chaos_static_kill_replays_the_dead_ranks_share(water_sto3g):
     assert np.max(np.abs(F_proc - F_sim)) <= ENERGY_TOL
 
 
+def _block_spy(inner, log_dir):
+    """Wrap ``inner.rank_program`` (before the workers fork) to log the
+    size of every grant block a rank is handed, one file per process."""
+    program = inner.rank_program
+
+    def spied(rank, blocks, *args, **kwargs):
+        def logged():
+            for block in blocks:
+                with open(log_dir / f"rank{rank}-{os.getpid()}", "a") as f:
+                    f.write(f"{len(block)}\n")
+                yield block
+
+        return program(rank, logged(), *args, **kwargs)
+
+    inner.rank_program = spied
+
+
+def _blocks(log_dir, rank):
+    return [
+        int(line) for path in sorted(log_dir.glob(f"rank{rank}-*"))
+        for line in path.read_text().split()
+    ]
+
+
+@pytest.mark.process
+def test_straggler_dlb_rank_claims_one_task_per_block(water_sto3g, tmp_path):
+    """Grant blocks on real processes: under ``dlb`` every claim on the
+    live counter is a block of one task, so a straggler's grants still
+    shift to the other rank one claim at a time; under ``static`` a rank
+    is handed its whole share at once.  Sim parity either way."""
+    hcore = core_hamiltonian(water_sto3g)
+    D = _trial_density(water_sto3g.nbf)
+    geo = {"nranks": 2, "nthreads": 2}
+    F_sim, _ = make_fock_builder("shared-fock", water_sto3g, hcore, **geo)(D)
+
+    for schedule in ("dlb", "static"):
+        log_dir = tmp_path / schedule
+        log_dir.mkdir()
+        plan = FaultPlan(
+            [FaultEvent(kind=FaultKind.DELAY, rank=1, cycle=1, factor=6.0)],
+            nranks=2,
+        )
+        inner = make_fock_builder(
+            "shared-fock", water_sto3g, hcore, schedule=schedule,
+            fault_plan=plan, **geo,
+        )
+        shares = inner.make_scheduler().assignment()
+        _block_spy(inner, log_dir)
+        with make_backend("process", workers=2) as be:
+            F_proc, _ = be.wrap_builder(inner)(D)
+        blocks = [_blocks(log_dir, rank) for rank in range(2)]
+        if schedule == "dlb":
+            assert set(blocks[0] + blocks[1]) == {1}
+            assert sum(blocks[0]) + sum(blocks[1]) == inner.dlb_ntasks()
+            # The straggler slept through its first claims: the other
+            # rank drew more than half of the counter.
+            assert sum(blocks[0]) > sum(blocks[1])
+        else:
+            assert blocks == [[len(share)] for share in shares]
+        assert np.max(np.abs(F_proc - F_sim)) <= FOCK_TOL
+
+
 @pytest.mark.process
 def test_chaos_parity_seeded_plan(water_sto3g, water_ref):
     """A seeded (randomly generated, deterministic) kill plan under the

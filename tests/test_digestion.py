@@ -1,7 +1,7 @@
 """The bra-slab digestion primitive and the builders that run on it.
 
-``QuartetEngine.digest_bra`` digests one thread's whole share of kets
-under one bra; ``scatter_general`` — the per-quartet spelling — is the
+``QuartetEngine.digest`` digests a batch of planned shares of one bra
+shape; ``scatter_general`` — the per-quartet spelling — is the
 independent oracle.  The fixture gates pin, inside tier-1, what the
 end-to-end ledger checks: the counters of one Fock build and the
 energies *and iteration counts* of the three committed direct
@@ -47,7 +47,8 @@ def engine(water_631gd) -> QuartetEngine:
 
 
 def _check_share(engine, i, j, kls, seed, nchannels):
-    """Every family of ``digest_bra`` equals the oracle summed per quartet."""
+    """Every family of a plan digested alone equals the oracle summed
+    per quartet."""
     n = engine.basis.nbf
     rng = np.random.default_rng(seed)
     dj = rng.standard_normal((n, n))  # deliberately not symmetric
@@ -75,29 +76,27 @@ def _check_share(engine, i, j, kls, seed, nchannels):
                 bound[fam][c][dest] += val
 
     plan = engine.share_plan(i, j, kls)
-    d = engine.digest_bra(plan, dj, dk, jw, kw)
-    assert d.plan is plan
-    M = plan.kfun.size
-    assert np.array_equal(plan.rows, np.concatenate((plan.kfun, plan.lfun)))
+    d = engine.digest(engine.bra_batch([plan]), dj, dk, jw, kw)
+    assert d.batch.plans == [plan]
+    kfun, lfun = engine.ket_functions(plan.kls)
     got = {f: np.zeros((nchannels, n, n)) for f in FAMILIES}
     got_hit = {f: np.zeros((n, n), dtype=bool) for f in FAMILIES}
     for c in range(nchannels):
-        got["ji"][c][plan.sj, plan.si] += d.ji
-        got["kl"][c][plan.kfun, plan.lfun] += d.kl
-        # kli / klj stack the kfun rows on the lfun rows.
+        got["ji"][c][plan.sj, plan.si] += d.ji[0]
+        got["kl"][c][kfun, lfun] += d.kl
+        # kli / klj hold the kfun row and the lfun row of each column.
         for fam, rows, cols, values in (
-            ("ki", plan.kfun, plan.si, d.kli[c, :M]),
-            ("li", plan.lfun, plan.si, d.kli[c, M:]),
-            ("kj", plan.kfun, plan.sj, d.klj[c, :M]),
-            ("lj", plan.lfun, plan.sj, d.klj[c, M:]),
+            ("ki", kfun, plan.si, d.kli[c, 0].T),
+            ("li", lfun, plan.si, d.kli[c, 1].T),
+            ("kj", kfun, plan.sj, d.klj[c, 0].T),
+            ("lj", lfun, plan.sj, d.klj[c, 1].T),
         ):
             np.add.at(got[fam][c][:, cols], rows, values)
             got_hit[fam][rows, cols] = True
     got_hit["ji"][plan.sj, plan.si] = True
-    got_hit["kl"][plan.kfun, plan.lfun] = True
-    # The (kfun, lfun) pairs of a share are distinct — what lets the
-    # builders use a plain fancy ``+=`` for the (k, l) family.
-    assert np.unique(plan.kfun * n + plan.lfun).size == M
+    got_hit["kl"][kfun, lfun] = True
+    # The (kfun, lfun) pairs of a share are distinct.
+    assert np.unique(kfun * n + lfun).size == kfun.size
 
     for fam in FAMILIES:
         assert np.array_equal(got_hit[fam], want_hit[fam]), fam

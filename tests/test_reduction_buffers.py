@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.buffers import ColumnBlockBuffer, _pairwise_tree_sum
+from repro.core.buffers import ColumnBlockBuffer
 from repro.parallel.reduction import (
     PAD_DOUBLES,
     flush_chunks,
     padded_rows,
+    pairwise_tree_sum,
     tree_reduce_columns,
 )
 from repro.parallel.shared_array import WriteTracker
@@ -57,8 +58,12 @@ def test_pairwise_tree_sum_property(nthreads, n):
     rng = np.random.default_rng(nthreads * 100 + n)
     stack = rng.standard_normal((nthreads, n, 2))
     np.testing.assert_allclose(
-        _pairwise_tree_sum(stack), stack.sum(axis=0), rtol=1e-10, atol=1e-12
+        pairwise_tree_sum(stack), stack.sum(axis=0), rtol=1e-10, atol=1e-12
     )
+    # Over any axis, element for element the same bits.
+    moved = np.moveaxis(stack, 0, 2)
+    assert np.array_equal(pairwise_tree_sum(moved, axis=2),
+                          pairwise_tree_sum(stack))
 
 
 class TestColumnBlockBuffer:
