@@ -314,7 +314,7 @@ class ParallelFockBuilderBase:
         self.nshells = basis.nshells
         # Task plans of the screening instance last planned for.
         self._plans: dict[int, TaskPlan] = {}
-        self._layouts: dict[tuple, Layout] = {}
+        self._prepared: dict[tuple, Prepared] = {}
         self._plans_for: Screening | None = None
         self._plan_bytes = 0
         self._plan_last: TaskPlan | None = None
@@ -397,7 +397,7 @@ class ParallelFockBuilderBase:
         ``eri_cache_mb`` defaults to).
         """
         if self._plans_for is not self.screening:
-            self._plans, self._layouts = {}, {}
+            self._plans, self._prepared = {}, {}
             self._plans_for = self.screening
             self._plan_bytes, self._plan_last = 0, None
         plan = self._plans.get(task)
@@ -417,20 +417,19 @@ class ParallelFockBuilderBase:
         cache = self.eri_cache
         return DEFAULT_CACHE_BYTES if cache is None else cache.max_bytes
 
-    def layout(self, tasks: tuple[int, ...], thread: int,
-               plans: list[SharePlan]) -> Layout:
-        """The :class:`Layout` of ``plans``, thread ``thread``'s plans of
-        the run of ``tasks``: built the first time and kept beside the
-        task plans, under their byte budget and for their ``Screening``
-        (a rank's runs are the same build after build)."""
-        key = (tasks, thread)
-        layout = self._layouts.get(key)
-        if layout is None:
-            layout = Layout.of(self.engine, plans)
+    def prepared(self, key: tuple, make: Callable[[], "Prepared"]) -> "Prepared":
+        """``make()`` — the density-independent layout of one run of a
+        rank's tasks (a :class:`Layout` per thread, the flat offsets of
+        their targets) — built the first time ``key`` comes up and kept
+        beside the task plans, under their byte budget and for their
+        ``Screening``: a rank's runs are the same build after build."""
+        value = self._prepared.get(key)
+        if value is None:
+            value = make()
             if self._plan_bytes < self._plan_budget:
-                self._layouts[key] = layout
-                self._plan_bytes += layout.nbytes
-        return layout
+                self._prepared[key] = value
+                self._plan_bytes += value.nbytes
+        return value
 
     def assemble(self, W: np.ndarray) -> np.ndarray:
         """Full Fock matrix from the reduced two-electron accumulator."""
@@ -634,121 +633,167 @@ def runs_under_budget(
         yield run
 
 
-#: Elements gathered before one ``np.add.at``: bounds the copies made
-#: to apply a run in program order.
-APPLY_CHUNK = 1 << 13
-
-
 def digest_in_order(
     engine: QuartetEngine,
     layout: "Layout",
-    bases: np.ndarray,
     d_coulomb: np.ndarray,
     d_exchange: np.ndarray,
     kw: float,
-    row_stride: int,
-    channel_stride: int,
     target: np.ndarray,
-    with_kl: bool = True,
-) -> list[tuple[np.ndarray, np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray] | None:
     """Digest the plans of ``layout`` one bra shape at a time and add
     what they contribute into the flat array ``target``, in program
     order.
 
-    Plan after plan, each the same way — its ``(i, j)`` block first,
-    then column after column its ``(i, k)``, ``(i, l)``, ``(j, k)``,
-    ``(j, l)`` rows and its ``(k, l)`` element — so a target element
-    receives its terms in the same order however the plans were batched
-    (``np.add.at`` adds repeated indices in order).
-
-    ``bases[q]`` holds three flat offsets into the target: of element
-    ``(0, 0)`` of plan ``q``'s ``i`` column block and of its ``j`` block
-    (rows ``row_stride`` apart), and of the target's ``(k, l)`` matrix
-    (rows ``nbf`` apart).  Exchange channel ``c`` adds
-    ``c * channel_stride`` to all three.  Without ``with_kl`` the
-    ``(k, l)`` elements are left out and returned instead, per plan, as
-    ``(flat index kfun * nbf + lfun, values)``.
+    Each plan owns one stretch of a stream of (index, value) pairs, the
+    stretches in program order, each laid out the same way: the plan's
+    ``(i, j)`` block, then column after column its ``(i, k)``, ``(i, l)``,
+    ``(j, k)``, ``(j, l)`` rows and its ``(k, l)`` element — each per
+    exchange channel.  Every batch writes its families into the
+    stretches of its plans, and one ``np.add.at`` — which adds repeated
+    indices in stream order — adds the stream: a target element receives
+    its terms in the same order however the plans were batched.  Where
+    in ``target`` each term goes is the layout's (see :class:`Layout`).
+    A layout built without the ``(k, l)`` elements returns them instead,
+    in program order, as ``(flat index kfun * nbf + lfun, values)``.
     """
-    C = d_exchange.shape[0]
-    chan = np.arange(C) * channel_stride
-    laid: list = [None] * layout.nplans
-    kl_out: list = [None] * layout.nplans
-    # Every slab first: a cold build's kernel runs before the digests
-    # below hold anything.
-    slabs = [engine.batch_slab(batch) for _, batch in layout.groups]
-    for (qs, batch), X in zip(layout.groups, slabs):
-        fam = engine.digest(batch, d_coulomb, d_exchange, 2.0, kw, X)
-        ni, nj, M = batch.ni, batch.nj, batch.ncols
-        base = bases[qs]
-        at_col = base[batch.col_plan]
-        # The (i, j) block of each plan, once per channel.
-        ji = np.empty((len(qs), C, nj, ni))
-        ji[:] = fam.ji[:, None]
-        ji_at = (base[:, 0, None] + chan)[:, :, None, None] + (
-            ((batch.bra_j[:, None] + np.arange(nj)) * row_stride)[:, None, :, None]
-            + np.arange(ni)
-        )
-        # One row per column: (i, k), (i, l) over i; (j, k), (j, l)
-        # over j; (k, l) — each per channel.
+    C, rs, cs = layout.nchannels, layout.row_stride, layout.channel_stride
+    with_kl = layout.kl_start is None
+    chan = np.arange(C) * cs
+    d_coulomb, d_exchange = 2.0 * d_coulomb, kw * d_exchange
+    if not with_kl:
+        kl_index = np.empty(layout.ncols.sum(), dtype=np.int64)
+        kl_values = np.empty(kl_index.size)
+    # Every slab first: a cold build's kernel runs before the stream
+    # and the digests below hold anything.
+    slabs = [engine.batch_slab(group.batch) for group in layout.groups]
+    values = np.empty(layout.size)
+    index = np.empty(layout.size, dtype=np.int64)
+    for group, X in zip(layout.groups, slabs):
+        batch = group.batch
+        fam = engine.digest(batch, d_coulomb, d_exchange, 1.0, 1.0, X)
+        ni, nj, M, col = batch.ni, batch.nj, batch.ncols, batch.col_plan
+        values[group.ji_at] = fam.ji[:, None]
+        index[group.ji_at] = group.ji_index
+        # Column m's record starts at `record[m]`; its fields are laid
+        # out as the families are, channel by channel.
         wi, wj = C * 2 * ni, C * 2 * nj
-        w = wi + wj + (C if with_kl else 0)
-        record = np.empty((M, w))
-        at = np.empty((M, w), dtype=np.int64)
-        rows = batch.rows * row_stride
-        for lo, width, values, side in (
-            (0, ni, fam.kli, 0), (wi, nj, fam.klj, 1),
-        ):
-            view = (slice(None), slice(lo, lo + C * 2 * width))
-            record[view].reshape(M, C, 2, width)[:] = values.transpose(3, 0, 1, 2)
-            np.add(
-                (at_col[:, side, None] + rows)[:, None, :, None],
-                chan[:, None, None] + np.arange(width),
-                out=at[view].reshape(M, C, 2, width),
-            )
+        width = wi + wj + C * with_kl
+        record = np.arange(0, M * width, width)
+        record += np.take(group.record, col)
+        base = np.take(group.bases, col, axis=0).T  # (3, M)
+        rows = batch.rows * rs  # (2, M)
+        for lo, n, family, side in ((0, ni, fam.kli, 0), (wi, nj, fam.klj, 1)):
+            at = record + (lo + np.arange(C * 2 * n)).reshape(C, 2, n, 1)
+            values[at] = family
+            index[at] = (base[side] + rows)[:, None] + (
+                chan[:, None, None, None] + np.arange(n)[:, None])
         if with_kl:
-            record[:, wi + wj :] = fam.kl[:, None]
-            np.add((at_col[:, 2] + batch.kl_at)[:, None], chan, out=at[:, wi + wj :])
-        ji, ji_at = ji.reshape(len(qs), -1), ji_at.reshape(len(qs), -1)
-        record, at = record.reshape(-1), at.reshape(-1)
-        starts = batch.starts.tolist()
-        for p, q in enumerate(qs):
-            a, z = starts[p], starts[p] + batch.plans[p].fac.size
-            laid[q] = (ji_at[p], ji[p], at[a * w : z * w], record[a * w : z * w])
-            if not with_kl:
-                kl_out[q] = (batch.kl_at[a:z], fam.kl[a:z])
-    pending: list = []
-    size = 0
-    for piece in laid:
-        pending.append(piece)
-        size += piece[1].size + piece[3].size
-        if size >= APPLY_CHUNK or piece is laid[-1]:
-            np.add.at(
-                target,
-                np.concatenate([x for p in pending for x in p[0::2]]),
-                np.concatenate([x for p in pending for x in p[1::2]]),
-            )
-            pending, size = [], 0
-    return kl_out
+            at = record + (wi + wj + np.arange(C))[:, None]
+            values[at] = fam.kl
+            index[at] = base[2] + batch.kl_at + chan[:, None]
+        else:
+            at = np.take(group.kl_start, col) + np.arange(M)
+            kl_index[at] = batch.kl_at
+            kl_values[at] = fam.kl
+    np.add.at(target, index, values)
+    return None if with_kl else (kl_index, kl_values)
+
+
+class Prepared:
+    """What :meth:`ParallelFockBuilderBase.prepared` keeps: anything
+    with an ``nbytes``."""
+
+    nbytes: int
+
+
+class Group(NamedTuple):
+    """The plans of one bra shape in a :class:`Layout`, and where their
+    stretches of the stream lie: per plan, ``ji_at`` / ``ji_index`` are
+    the stream positions and target indices of its ``(i, j)`` block,
+    ``record[p] + m * width`` the position of column ``m``'s record,
+    ``bases[p]`` its three target offsets and ``kl_start[p] + m`` the
+    position of column ``m``'s ``(k, l)`` element among those returned."""
+
+    batch: BraBatch
+    ji_at: np.ndarray
+    ji_index: np.ndarray
+    record: np.ndarray
+    bases: np.ndarray
+    kl_start: np.ndarray | None
 
 
 class Layout(NamedTuple):
-    """One thread's plans of a run, grouped by bra shape: ``groups``
-    holds each shape's positions in program order and their
-    :class:`~repro.core.quartets.BraBatch`."""
+    """One thread's plans of a run, grouped by bra shape, and the stream
+    :func:`digest_in_order` lays their contributions out in.
 
-    nplans: int
-    groups: list[tuple[list[int], BraBatch]]
+    The target is a flat array.  Per plan ``bases`` holds three flat
+    offsets into it: of element ``(0, 0)`` of the plan's ``i`` column
+    block and of its ``j`` block (rows ``row_stride`` apart), and of the
+    ``(k, l)`` matrix (rows ``nbf`` apart); exchange channel ``c`` adds
+    ``c * channel_stride`` to all three.  ``ncols`` is each plan's slab
+    columns, ``size`` the length of the stream.
+    """
+
+    groups: list[Group]
+    ncols: np.ndarray
+    size: int
+    quartets: int
+    nchannels: int
+    row_stride: int
+    channel_stride: int
+    kl_start: np.ndarray | None
 
     @classmethod
-    def of(cls, engine: QuartetEngine, plans: list[SharePlan]) -> "Layout":
+    def of(
+        cls,
+        engine: QuartetEngine,
+        plans: list[SharePlan],
+        bases,
+        nchannels: int,
+        row_stride: int,
+        channel_stride: int = 0,
+        with_kl: bool = True,
+    ) -> "Layout":
+        """Group ``plans`` (program order) by bra shape; ``bases[q]`` are
+        plan ``q``'s target offsets.  Without ``with_kl`` the ``(k, l)``
+        elements are left out of the stream."""
+        C = nchannels
+        shape = np.array([p.shape for p in plans]).reshape(-1, 2)
+        ncols = np.array([p.fac.size for p in plans], dtype=np.int64)
+        bra = shape[:, 0] * shape[:, 1]
+        stretch = C * (bra + (2 * shape.sum(axis=1) + with_kl) * ncols)
+        start = np.cumsum(stretch) - stretch
+        kl_start = None if with_kl else np.cumsum(ncols) - ncols
+        bases = np.array(bases, dtype=np.int64).reshape(-1, 3)
+        chan = np.arange(C) * channel_stride
         shapes: dict[tuple[int, int], list[int]] = {}
         for q, plan in enumerate(plans):
             shapes.setdefault(plan.shape, []).append(q)
-        return cls(len(plans), [
-            (qs, engine.bra_batch([plans[q] for q in qs]))
-            for qs in shapes.values()
-        ])
+        groups = []
+        for (ni, nj), qs in shapes.items():
+            batch = engine.bra_batch([plans[q] for q in qs])
+            first, base = start[qs], bases[qs]
+            width = C * (2 * (ni + nj) + with_kl)
+            groups.append(Group(
+                batch,
+                first[:, None, None, None] + np.arange(C * nj * ni).reshape(C, nj, ni),
+                (base[:, 0, None] + chan)[:, :, None, None] + (
+                    ((batch.bra_j[:, None] + np.arange(nj)) * row_stride)[:, None, :, None]
+                    + np.arange(ni)
+                ),
+                first + C * ni * nj - batch.starts * width,
+                base,
+                None if with_kl else kl_start[qs] - batch.starts,
+            ))
+        return cls(
+            groups, ncols, int(stretch.sum()), sum(p.kls.size for p in plans),
+            C, row_stride, channel_stride, kl_start,
+        )
 
     @property
     def nbytes(self) -> int:
-        return sum(batch.nbytes for _, batch in self.groups)
+        return self.ncols.nbytes + sum(
+            g.batch.nbytes + g.ji_at.nbytes + g.ji_index.nbytes
+            + g.record.nbytes + g.bases.nbytes for g in self.groups
+        )

@@ -20,6 +20,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from repro.core.fock_base import (
+    Layout,
     ParallelFockBuilderBase,
     RankBuildResult,
     TaskPlan,
@@ -57,6 +58,12 @@ class MPIOnlyFockBuilder(ParallelFockBuilderBase):
         )
         return TaskPlan.of(ij + 1 - kls.size, [(kls.size, plans)])
 
+    def _layout(self, run) -> Layout:
+        # Every family straight into the rank's replica W.
+        plans = [p for _, task in run for _, share in task.shares for p in share]
+        bases = [(p.si.start, p.sj.start, 0) for p in plans]
+        return Layout.of(self.engine, plans, bases, 1, self.nbf)
+
     def rank_program(
         self,
         rank: int,
@@ -76,20 +83,14 @@ class MPIOnlyFockBuilder(ParallelFockBuilderBase):
             for block in blocks:
                 tasks = ((ij, self.task_plan(ij)) for ij in block)
                 for run in runs_under_budget(tasks):
-                    plans = []
-                    for _, task in run:
-                        rr.quartets_screened += task.screened
-                        for _, shared in task.shares:
-                            plans += shared
-                    if not plans:
-                        continue
-                    layout = self.layout(tuple(ij for ij, _ in run), 0, plans)
-                    bases = np.array(
-                        [(p.si.start, p.sj.start, 0) for p in plans]
+                    rr.quartets_screened += sum(t.screened for _, t in run)
+                    layout = self.prepared(
+                        (tuple(ij for ij, _ in run),), lambda: self._layout(run)
                     )
-                    digest_in_order(
-                        self.engine, layout, bases, density, density[None],
-                        -0.5, nbf, 0, W.reshape(-1),
-                    )
-                    rr.quartets_done += sum(p.kls.size for p in plans)
+                    if layout.ncols.size:
+                        digest_in_order(
+                            self.engine, layout, density, density[None],
+                            -0.5, W.reshape(-1),
+                        )
+                    rr.quartets_done += layout.quartets
         return rr

@@ -20,6 +20,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from repro.core.fock_base import (
+    Layout,
     ParallelFockBuilderBase,
     RankBuildResult,
     TaskPlan,
@@ -73,6 +74,15 @@ class PrivateFockBuilder(ParallelFockBuilderBase):
             planned.append((len(share), plans))
         return TaskPlan.of(screened_out, planned)
 
+    def _layout(self, run, t: int, nchannels: int) -> Layout:
+        # Thread t's private replica: one (nbf, nbf) matrix a channel.
+        plans = [p for _, task in run for p in task.shares[t][1]]
+        base = t * nchannels * self.nbf * self.nbf
+        bases = [(base + p.si.start, base + p.sj.start, base) for p in plans]
+        return Layout.of(
+            self.engine, plans, bases, nchannels, self.nbf, self.nbf * self.nbf
+        )
+
     def rank_program(
         self,
         rank: int,
@@ -100,28 +110,21 @@ class PrivateFockBuilder(ParallelFockBuilderBase):
                     barrier()  # master draw + implicit barrier
                 tasks.append((i, self.task_plan(i)))
             for run in runs_under_budget(iter(tasks)):
+                tasks_of_run = tuple(i for i, _ in run)
                 for t in range(T):
-                    plans = [p for _, task in run for p in task.shares[t][1]]
-                    quartets = sum(p.kls.size for p in plans)
+                    layout = self.prepared(
+                        (tasks_of_run, t), lambda: self._layout(run, t, C)
+                    )
                     with tracer.span(
                         "fock/jk", rank=rank, thread=t, tasks=len(run),
-                        plans=len(plans), quartets=quartets,
+                        plans=layout.ncols.size, quartets=layout.quartets,
                     ):
-                        if plans:
-                            base = t * C * nbf * nbf
-                            bases = np.array([
-                                (base + p.si.start, base + p.sj.start, base)
-                                for p in plans
-                            ])
-                            layout = self.layout(
-                                tuple(i for i, _ in run), t, plans
-                            )
+                        if layout.ncols.size:
                             digest_in_order(
-                                self.engine, layout, bases, d_coulomb,
-                                d_exchange, kw, nbf, nbf * nbf,
-                                W_threads.reshape(-1),
+                                self.engine, layout, d_coulomb, d_exchange,
+                                kw, W_threads.reshape(-1),
                             )
-                    thread_counts[t] += quartets
+                    thread_counts[t] += layout.quartets
                 rr.quartets_screened += sum(task.screened for _, task in run)
         # OpenMP reduction over thread-private Focks.
         with tracer.span("fock/thread_reduce", rank=rank):

@@ -180,11 +180,14 @@ class SharePlan:
 class BraBatch(NamedTuple):
     """Plans of one bra shape ``(ni, nj)``, their columns laid end to end.
 
-    ``starts[p]`` is the first column of ``plans[p]``; per column of the
-    batch, ``rows`` holds its ket function pair ``(kfun, lfun)``,
-    ``kl_at`` the flat index ``kfun * nbf + lfun`` of that pair and
-    ``col_plan`` its plan; ``bra_i`` / ``bra_j`` the first basis
-    function of each plan's ``i`` and ``j`` blocks.  Density-independent,
+    ``starts[p]`` is the first column of ``plans[p]``; per column ``m``
+    of the batch, ``rows[:, m]`` holds its ket function pair
+    ``(kfun, lfun)``, ``kl_at[m]`` the flat index ``kfun * nbf + lfun``
+    and ``col_plan[m]`` its plan.  Per plan ``p``: ``bra_i[p]`` /
+    ``bra_j[p]`` are the first basis functions of its ``i`` and ``j``
+    blocks, ``i_at[:, p]`` / ``j_at[:, p]`` the flat offsets
+    ``function * nbf`` of the rows of those blocks, ``bra_at[:, p]``
+    the flat indices of its ``(i, j)`` block.  Density-independent,
     built by :meth:`QuartetEngine.bra_batch`.
     """
 
@@ -197,6 +200,9 @@ class BraBatch(NamedTuple):
     col_plan: np.ndarray
     bra_i: np.ndarray
     bra_j: np.ndarray
+    i_at: np.ndarray
+    j_at: np.ndarray
+    bra_at: np.ndarray
 
     @property
     def ncols(self) -> int:
@@ -383,17 +389,20 @@ class QuartetEngine:
         """The plans (at least one, all of one bra shape) as one
         :class:`BraBatch`, in the order given."""
         ni, nj = plans[0].shape
+        nbf = self.basis.nbf
         sizes = [p.fac.size for p in plans]
-        rows = np.stack(
-            self.ket_functions(np.concatenate([p.kls for p in plans])), axis=1
-        )
+        rows = np.stack(self.ket_functions(np.concatenate([p.kls for p in plans])))
+        bra_i = np.array([p.si.start for p in plans])
+        bra_j = np.array([p.sj.start for p in plans])
+        i_at = (bra_i + np.arange(ni)[:, None]) * nbf
+        j_at = (bra_j + np.arange(nj)[:, None]) * nbf
         return BraBatch(
             plans, ni, nj,
             np.cumsum([0, *sizes[:-1]]),
-            rows, rows[:, 0] * self.basis.nbf + rows[:, 1],
+            rows, rows[0] * nbf + rows[1],
             np.repeat(np.arange(len(plans)), sizes),
-            np.array([p.si.start for p in plans]),
-            np.array([p.sj.start for p in plans]),
+            bra_i, bra_j, i_at, j_at,
+            (i_at[:, None] + j_at[None] // nbf).reshape(ni * nj, -1),
         )
 
     def batch_slab(self, batch: BraBatch) -> np.ndarray:
@@ -430,34 +439,31 @@ class QuartetEngine:
         X = X3.reshape(ni * nj, M)
         # The weights are powers of two in every builder: scaling the
         # densities first is exact.
-        dc, dx = jw * d_coulomb, kw * d_exchange
-        col, ar_i, ar_j = batch.col_plan, np.arange(ni), np.arange(nj)
-        rows_i = batch.bra_i[:, None] + ar_i  # (P, ni)
-        rows_j = batch.bra_j[:, None] + ar_j
+        dc = (d_coulomb if jw == 1.0 else jw * d_coulomb).ravel()
+        dx = d_exchange if kw == 1.0 else kw * d_exchange
+        C = dx.shape[0]
+        dx = dx.reshape(C, -1)
+        col = batch.col_plan
 
         # (i, j): each plan's own columns, one reduceat segment each.
         # Products go to C-ordered buffers: NumPy would lay a broadcast
         # result out in an order that is slow to fill.
         work = np.empty((ni, nj, M))
         ji = np.add.reduceat(
-            np.multiply(X3, dc.ravel()[batch.kl_at], out=work),
-            batch.starts, axis=2,
+            np.multiply(X3, dc[batch.kl_at], out=work), batch.starts, axis=2
         )
-        # (k, l): the bra's function pairs, added in order.
-        d_bra = dc[rows_i[:, :, None], rows_j[:, None, :]].transpose(1, 2, 0)
-        np.multiply(X3, d_bra[:, :, col], out=work)
-        kl = _sum_in_order(work.reshape(ni * nj, M), 0)
+        # (k, l): the bra's function pairs, added j first, then i.
+        np.multiply(X, np.take(dc[batch.bra_at], col, axis=1), out=work.reshape(ni * nj, M))
+        kl = _sum_in_order(_sum_in_order(work, 1), 0)
 
         # Exchange: the (i, k) row pairs with D[j, lfun], the (i, l)
         # row with D[j, kfun] — summed over j in order; likewise for j.
-        C, nbf = dx.shape[:2]
-        dx = dx.reshape(C, nbf * nbf)
-        partner = batch.rows[:, ::-1].T[:, None, :]  # (2, 1, M)
+        partner = batch.rows[::-1, None, :]  # (2, 1, M)
         work = np.empty((C, 2, ni, nj, M))
         out = []
-        for axis, first, n in ((3, batch.bra_j, nj), (2, batch.bra_i, ni)):
-            at = partner + (first * nbf)[col] + (np.arange(n) * nbf)[:, None]
-            dens = np.take(dx, at, axis=1)  # (C, 2, n, M)
+        for axis, rows_at in ((3, batch.j_at), (2, batch.i_at)):
+            at = np.take(rows_at, col, axis=1) + partner  # (2, n, M)
+            dens = dx[0].take(at)[None] if C == 1 else dx[:, at]
             np.multiply(X3, dens[:, :, None] if axis == 3 else dens[:, :, :, None], out=work)
             out.append(_sum_in_order(work, axis))
         kli, klj = out
