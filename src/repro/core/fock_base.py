@@ -675,21 +675,22 @@ def digest_in_order(
         ni, nj, M, col = batch.ni, batch.nj, batch.ncols, batch.col_plan
         values[group.ji_at] = fam.ji[:, None]
         index[group.ji_at] = group.ji_index
-        # Column m's record starts at `record[m]`; its fields are laid
-        # out as the families are, channel by channel.
-        wi, wj = C * 2 * ni, C * 2 * nj
-        width = wi + wj + C * with_kl
+        # Column m's record starts at `record[m]`: its exchange rows as
+        # ``Families.exchange`` stacks them, then its (k, l) element.
+        nx = fam.exchange.shape[0]
+        width = nx + C * with_kl
         record = np.arange(0, M * width, width)
         record += np.take(group.record, col)
         base = np.take(group.bases, col, axis=0).T  # (3, M)
-        rows = batch.rows * rs  # (2, M)
-        for lo, n, family, side in ((0, ni, fam.kli, 0), (wi, nj, fam.klj, 1)):
-            at = record + (lo + np.arange(C * 2 * n)).reshape(C, 2, n, 1)
-            values[at] = family
-            index[at] = (base[side] + rows)[:, None] + (
-                chan[:, None, None, None] + np.arange(n)[:, None])
+        # Exchange row f of column m goes to row kfun or lfun (rows),
+        # in the i or the j block (base) of the plan: one of four.
+        at = record + np.arange(nx)[:, None]
+        values[at] = fam.exchange
+        index[at] = np.take(
+            (base[:2, None] + batch.rows * rs).reshape(4, M), group.row_of, axis=0
+        ) + group.row_offset[:, None]
         if with_kl:
-            at = record + (wi + wj + np.arange(C))[:, None]
+            at = record + (nx + np.arange(C))[:, None]
             values[at] = fam.kl
             index[at] = base[2] + batch.kl_at + chan[:, None]
         else:
@@ -713,7 +714,10 @@ class Group(NamedTuple):
     the stream positions and target indices of its ``(i, j)`` block,
     ``record[p] + m * width`` the position of column ``m``'s record,
     ``bases[p]`` its three target offsets and ``kl_start[p] + m`` the
-    position of column ``m``'s ``(k, l)`` element among those returned."""
+    position of column ``m``'s ``(k, l)`` element among those returned.
+    Exchange row ``f`` of a record adds into row ``row_of[f]`` of four
+    (the ``i`` or ``j`` block, the ``kfun`` or ``lfun`` row), plus
+    ``row_offset[f]`` (channel and column in the block)."""
 
     batch: BraBatch
     ji_at: np.ndarray
@@ -721,6 +725,20 @@ class Group(NamedTuple):
     record: np.ndarray
     bases: np.ndarray
     kl_start: np.ndarray | None
+    row_of: np.ndarray
+    row_offset: np.ndarray
+
+
+def _exchange_rows(C: int, ni: int, nj: int, channel_stride: int):
+    """Per exchange row ``(block, c, h, n)`` of a record — block ``i``
+    rows first — which of ``(i | j) x (kfun | lfun)`` it adds into and
+    its offset ``c * channel_stride + n``."""
+    row_of, offset = [], []
+    for side, n in ((0, ni), (1, nj)):
+        c, h, k = np.meshgrid(np.arange(C), np.arange(2), np.arange(n), indexing="ij")
+        row_of.append((side * 2 + h).ravel())
+        offset.append((c * channel_stride + k).ravel())
+    return np.concatenate(row_of), np.concatenate(offset)
 
 
 class Layout(NamedTuple):
@@ -785,6 +803,7 @@ class Layout(NamedTuple):
                 first + C * ni * nj - batch.starts * width,
                 base,
                 None if with_kl else kl_start[qs] - batch.starts,
+                *_exchange_rows(C, ni, nj, channel_stride),
             ))
         return cls(
             groups, ncols, int(stretch.sum()), sum(p.kls.size for p in plans),
@@ -795,5 +814,6 @@ class Layout(NamedTuple):
     def nbytes(self) -> int:
         return self.ncols.nbytes + sum(
             g.batch.nbytes + g.ji_at.nbytes + g.ji_index.nbytes
-            + g.record.nbytes + g.bases.nbytes for g in self.groups
+            + g.record.nbytes + g.bases.nbytes + g.row_of.nbytes
+            + g.row_offset.nbytes for g in self.groups
         )

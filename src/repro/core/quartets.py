@@ -126,15 +126,20 @@ from repro.integrals.eri import (
 from repro.obs.tracer import get_tracer
 
 
-def _sum_in_order(terms: np.ndarray, axis: int) -> np.ndarray:
+def _sum_in_order(
+    terms: np.ndarray, axis: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """The terms along ``axis`` added left to right, element-wise: the
     bits of an element depend on its own terms only (a NumPy reduction
     would pick its order from the array's shape)."""
     lead = (slice(None),) * axis
-    total = terms[(*lead, 0)].copy()
+    if out is None:
+        out = terms[(*lead, 0)].copy()
+    else:
+        out[...] = terms[(*lead, 0)]
     for n in range(1, terms.shape[axis]):
-        total += terms[(*lead, n)]
-    return total
+        out += terms[(*lead, n)]
+    return out
 
 
 def symmetrize_two_electron(W: np.ndarray) -> np.ndarray:
@@ -221,7 +226,8 @@ class Families(NamedTuple):
     ``kli[c, 0, :, m]`` the ``(i, k)`` row (destination row
     ``kfun[m]``) and ``kli[c, 1, :, m]`` the ``(i, l)`` row (``lfun[m]``),
     both over the plan's ``i`` block, for exchange channel ``c``;
-    ``klj`` likewise over its ``j`` block.
+    ``klj`` likewise over its ``j`` block.  Both are views of
+    ``exchange``, ``kli`` rows stacked on ``klj`` rows.
     """
 
     batch: BraBatch
@@ -229,6 +235,7 @@ class Families(NamedTuple):
     kl: np.ndarray
     kli: np.ndarray
     klj: np.ndarray
+    exchange: np.ndarray
 
 
 class QuartetEngine:
@@ -460,14 +467,15 @@ class QuartetEngine:
         # row with D[j, kfun] — summed over j in order; likewise for j.
         partner = batch.rows[::-1, None, :]  # (2, 1, M)
         work = np.empty((C, 2, ni, nj, M))
-        out = []
-        for axis, rows_at in ((3, batch.j_at), (2, batch.i_at)):
+        exchange = np.empty((C * 2 * (ni + nj), M))
+        kli = exchange[: C * 2 * ni].reshape(C, 2, ni, M)
+        klj = exchange[C * 2 * ni :].reshape(C, 2, nj, M)
+        for axis, rows_at, out in ((3, batch.j_at, kli), (2, batch.i_at, klj)):
             at = np.take(rows_at, col, axis=1) + partner  # (2, n, M)
             dens = dx[0].take(at)[None] if C == 1 else dx[:, at]
             np.multiply(X3, dens[:, :, None] if axis == 3 else dens[:, :, :, None], out=work)
-            out.append(_sum_in_order(work, axis))
-        kli, klj = out
-        return Families(batch, ji.transpose(2, 1, 0), kl, kli, klj)
+            _sum_in_order(work, axis, out)
+        return Families(batch, ji.transpose(2, 1, 0), kl, kli, klj, exchange)
 
     def scatter_general(
         self,
