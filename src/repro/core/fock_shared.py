@@ -244,9 +244,13 @@ class SharedFockBuilder(ParallelFockBuilderBase):
                     )))
             thread_counts[t] += layout.quartets
 
-        with tracer.span("fock/flush_fi", rank=rank, flushes=nfi - 1):
+        with tracer.span(
+            "fock/flush_fi", rank=rank, tasks=len(run), flushes=nfi - 1
+        ):
             fi_sums = pairwise_tree_sum(E[: nfi - 1], axis=1)
-        with tracer.span("fock/flush_fj", rank=rank, flushes=nfj):
+        with tracer.span(
+            "fock/flush_fj", rank=rank, tasks=len(run), flushes=nfj
+        ):
             fj_sums = pairwise_tree_sum(E[nfi:], axis=1)
             fi_rows = np.zeros(nfj, dtype=np.int64)
             fi_rows[prep.fi_at] = nbf * widths[prep.fi_shell]

@@ -1,9 +1,9 @@
 """Pluggable execution backends for the parallel Fock build.
 
 Every Fock algorithm in :mod:`repro.core` is expressed as a *rank
-program* (``builder.rank_program(rank, grants, density, W)``): the SPMD
-body one MPI rank executes between the DLB counter and the terminal
-reduction.  An :class:`ExecutionBackend` decides *how* those rank
+program* (``builder.rank_program(rank, blocks, density, W)``, its
+grants handed over in blocks of task indices): the SPMD body one MPI
+rank executes between the DLB counter and the terminal reduction.  An :class:`ExecutionBackend` decides *how* those rank
 programs run:
 
 * :class:`~repro.parallel.backend.sim.SimBackend` — the deterministic

@@ -1,7 +1,7 @@
 """Real-process execution backend (``multiprocessing`` fork workers).
 
 :class:`ProcessFockBuilder` runs the *same rank programs* the sim
-backend executes — ``builder.rank_program(rank, grants, density, W)``
+backend executes — ``builder.rank_program(rank, blocks, density, W)``
 verbatim — but on real OS processes:
 
 * The density, the Schwarz screening matrix, and one Fock accumulator
@@ -14,9 +14,11 @@ verbatim — but on real OS processes:
   ``dlbnext`` grants whose rank assignment depends on arrival timing.
   Grant interleaving is genuinely nondeterministic; the reduced Fock
   matrix is partition-independent, which the parity suite certifies
-  against the deterministic sim backend (<= 1e-10 Hartree).  Under
-  ``schedule="static"`` there is no counter at all: each build command
-  carries the rank's pre-computed share and the worker walks that list.
+  against the deterministic sim backend (<= 1e-10 Hartree).  Each claim
+  is one grant block of one task, so a rank digests a task before it
+  claims the next.  Under ``schedule="static"`` there is no counter at
+  all: each build command carries the rank's pre-computed share, handed
+  to the rank program as one block (cut where a kill strikes).
 * The reduction is performed by the parent in rank order — the same
   floating-point association as the sim world's slot reduction — after
   all workers report.
