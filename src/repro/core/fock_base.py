@@ -13,14 +13,13 @@ the dense reference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
 from repro.chem.basis.basisset import BasisSet
 from repro.core.quartets import (
     BraBatch,
-    Families,
     QuartetEngine,
     SharePlan,
     symmetrize_two_electron,
@@ -53,6 +52,8 @@ _SCALAR_FIELDS = (
     "eri_cache_evictions",
 )
 _SERIES_FIELDS = ("per_rank_quartets", "per_thread_quartets")
+
+Kept = TypeVar("Kept")
 
 
 def _imbalance(values: Sequence[int]) -> float:
@@ -314,7 +315,7 @@ class ParallelFockBuilderBase:
         self.nshells = basis.nshells
         # Task plans of the screening instance last planned for.
         self._plans: dict[int, TaskPlan] = {}
-        self._prepared: dict[tuple, Prepared] = {}
+        self._prepared: dict[tuple, Any] = {}
         self._plans_for: Screening | None = None
         self._plan_bytes = 0
         self._plan_last: TaskPlan | None = None
@@ -417,12 +418,13 @@ class ParallelFockBuilderBase:
         cache = self.eri_cache
         return DEFAULT_CACHE_BYTES if cache is None else cache.max_bytes
 
-    def prepared(self, key: tuple, make: Callable[[], "Prepared"]) -> "Prepared":
+    def prepared(self, key: tuple, make: Callable[[], Kept]) -> Kept:
         """``make()`` — the density-independent layout of one run of a
         rank's tasks (a :class:`Layout` per thread, the flat offsets of
-        their targets) — built the first time ``key`` comes up and kept
-        beside the task plans, under their byte budget and for their
-        ``Screening``: a rank's runs are the same build after build."""
+        their targets; anything with an ``nbytes``) — built the first
+        time ``key`` comes up and kept beside the task plans, under their
+        byte budget and for their ``Screening``: a rank's runs are the
+        same build after build."""
         value = self._prepared.get(key)
         if value is None:
             value = make()
@@ -613,17 +615,16 @@ class ParallelFockBuilderBase:
 
 
 def runs_under_budget(
-    items: Iterator[tuple[int, TaskPlan | None]],
+    items: Iterable[tuple[int, TaskPlan]],
     extra: int = 0,
-) -> Iterator[list[tuple[int, TaskPlan | None]]]:
+) -> Iterator[list[tuple[int, TaskPlan]]]:
     """Cut ``(task, plan)`` pairs, in order, into runs whose digestion
     fits :data:`~repro.integrals.eri.MAX_BATCH_DOUBLES` (a task over it
-    alone is a run of its own).  ``extra`` doubles are counted per task,
-    ``None`` plans (prescreened tasks) as ``extra`` alone."""
+    alone is a run of its own), ``extra`` doubles counted per task."""
     run: list = []
     total = 0
     for task, plan in items:
-        need = extra + (plan.doubles if plan is not None else 0)
+        need = extra + plan.doubles
         if run and total + need > MAX_BATCH_DOUBLES:
             yield run
             run, total = [], 0
@@ -699,13 +700,6 @@ def digest_in_order(
             kl_values[at] = fam.kl
     np.add.at(target, index, values)
     return None if with_kl else (kl_index, kl_values)
-
-
-class Prepared:
-    """What :meth:`ParallelFockBuilderBase.prepared` keeps: anything
-    with an ``nbytes``."""
-
-    nbytes: int
 
 
 class Group(NamedTuple):

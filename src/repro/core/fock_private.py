@@ -109,7 +109,7 @@ class PrivateFockBuilder(ParallelFockBuilderBase):
                 if barrier is not None:
                     barrier()  # master draw + implicit barrier
                 tasks.append((i, self.task_plan(i)))
-            for run in runs_under_budget(iter(tasks)):
+            for run in runs_under_budget(tasks):
                 tasks_of_run = tuple(i for i, _ in run)
                 for t in range(T):
                     layout = self.prepared(

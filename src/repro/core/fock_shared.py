@@ -127,7 +127,6 @@ class SharedFockBuilder(ParallelFockBuilderBase):
         widths = self.basis.shell_nfuncs().tolist()
         thread_counts = [0] * T
         tracker = self._new_tracker()
-        slices = self.engine.shell_slices
         epoch = T * nbf * width  # doubles of one epoch's thread buffers
         fi_open = np.zeros((T, nbf, width))
         iold = -1
@@ -141,7 +140,7 @@ class SharedFockBuilder(ParallelFockBuilderBase):
                     tasks.append((ij, self.task_plan(ij)))
                 else:
                     rr.quartets_screened += ij + 1
-            for run in runs_under_budget(iter(tasks), 2 * epoch):
+            for run in runs_under_budget(tasks, 2 * epoch):
                 iold = self._run(
                     run, rank, iold, fi_open, density, W_flat, tracker,
                     thread_counts, rr,

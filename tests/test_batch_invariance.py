@@ -125,15 +125,19 @@ def test_families_are_bitwise_alone_and_in_any_batch(
             assert np.array_equal(got, w)
 
 
-def test_single_column_plans_batch_with_wide_ones(engine):
-    """An (s s|s s)-ket plan has one column: alone, its sums are over
-    arrays of length one, which is where a NumPy reduction would take
-    another path than in a batch."""
+@pytest.mark.parametrize("widest", [False, True])
+def test_single_column_plans_batch_with_wide_ones(engine, widest):
+    """A plan on the (s s| ket has one column: alone, its sums run over
+    arrays with an axis of length one, which is where a NumPy reduction
+    takes another path than in a batch — pairwise instead of in order
+    once a bra has 8 function pairs or more (the widest bra here)."""
     shapes = _bras_by_shape(engine)
-    *_, (i, j) = shapes[(1, 1)]
+    shape = max(shapes, key=lambda s: s[0] * s[1]) if widest else (1, 1)
+    *_, (i, j) = shapes[shape]
     narrow = engine.share_plan(i, j, [0])
     wide = engine.share_plan(i, j, list(range(i * (i + 1) // 2 + j + 1)))
     assert narrow.fac.size == 1 and wide.fac.size > 8
+    assert not widest or shape[0] * shape[1] >= 8
     n = engine.basis.nbf
     d = np.random.default_rng(3).standard_normal((n, n))
     fam = engine.digest(engine.bra_batch([wide, narrow, wide]), d, d[None], 2.0, -0.5)
