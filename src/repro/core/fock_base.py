@@ -659,7 +659,7 @@ def digest_in_order(
     in program order, as ``(flat index kfun * nbf + lfun, values)``.
     """
     C, rs, cs = layout.nchannels, layout.row_stride, layout.channel_stride
-    with_kl = layout.kl_start is None
+    with_kl = layout.with_kl
     chan = np.arange(C) * cs
     d_coulomb, d_exchange = 2.0 * d_coulomb, kw * d_exchange
     if not with_kl:
@@ -744,7 +744,8 @@ class Layout(NamedTuple):
     block and of its ``j`` block (rows ``row_stride`` apart), and of the
     ``(k, l)`` matrix (rows ``nbf`` apart); exchange channel ``c`` adds
     ``c * channel_stride`` to all three.  ``ncols`` is each plan's slab
-    columns, ``size`` the length of the stream.
+    columns, ``size`` the length of the stream; without ``with_kl`` the
+    ``(k, l)`` elements are not in it.
     """
 
     groups: list[Group]
@@ -754,7 +755,7 @@ class Layout(NamedTuple):
     nchannels: int
     row_stride: int
     channel_stride: int
-    kl_start: np.ndarray | None
+    with_kl: bool
 
     @classmethod
     def of(
@@ -801,7 +802,7 @@ class Layout(NamedTuple):
             ))
         return cls(
             groups, ncols, int(stretch.sum()), sum(p.kls.size for p in plans),
-            C, row_stride, channel_stride, kl_start,
+            C, row_stride, channel_stride, with_kl,
         )
 
     @property

@@ -188,9 +188,9 @@ class BraBatch(NamedTuple):
     ``starts[p]`` is the first column of ``plans[p]``; per column ``m``
     of the batch, ``rows[:, m]`` holds its ket function pair
     ``(kfun, lfun)``, ``kl_at[m]`` the flat index ``kfun * nbf + lfun``
-    and ``col_plan[m]`` its plan.  Per plan ``p``: ``bra_i[p]`` /
-    ``bra_j[p]`` are the first basis functions of its ``i`` and ``j``
-    blocks, ``i_at[:, p]`` / ``j_at[:, p]`` the flat offsets
+    and ``col_plan[m]`` its plan.  Per plan ``p``: ``bra_j[p]`` is the
+    first basis function of its ``j`` block, ``i_at[:, p]`` /
+    ``j_at[:, p]`` the flat offsets
     ``function * nbf`` of the rows of those blocks, ``bra_at[:, p]``
     the flat indices of its ``(i, j)`` block.  Density-independent,
     built by :meth:`QuartetEngine.bra_batch`.
@@ -203,7 +203,6 @@ class BraBatch(NamedTuple):
     rows: np.ndarray
     kl_at: np.ndarray
     col_plan: np.ndarray
-    bra_i: np.ndarray
     bra_j: np.ndarray
     i_at: np.ndarray
     j_at: np.ndarray
@@ -408,7 +407,7 @@ class QuartetEngine:
             np.cumsum([0, *sizes[:-1]]),
             rows, rows[0] * nbf + rows[1],
             np.repeat(np.arange(len(plans)), sizes),
-            bra_i, bra_j, i_at, j_at,
+            bra_j, i_at, j_at,
             (i_at[:, None] + j_at[None] // nbf).reshape(ni * nj, -1),
         )
 
