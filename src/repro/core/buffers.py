@@ -17,12 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.parallel.reduction import (
-    PAD_DOUBLES,
-    flush_chunks,
-    pairwise_tree_sum,
-    publish_flushes,
-)
+from repro.parallel.reduction import PAD_DOUBLES, flush_chunks, pairwise_tree_sum
 from repro.parallel.shared_array import WriteTracker
 
 
@@ -92,12 +87,11 @@ class ColumnBlockBuffer:
         view3 = self.data[:, : nbf * self.max_width].reshape(
             self.nthreads, nbf, self.max_width
         )
+        chunks = flush_chunks(nbf, self.nthreads)
         cols = slice(col_offset, col_offset + width)
         fock[:, cols] += pairwise_tree_sum(view3[:, :, :width])
-        if tracker is None:
-            publish_flushes(nbf, self.nthreads, 1)
-        else:  # the table is built only to be checked
-            track_flush(tracker, fock.shape, flush_chunks(nbf, self.nthreads), cols)
+        if tracker is not None:
+            track_flush(tracker, fock.shape, chunks, cols)
         self.data.fill(0.0)
         self.flushes += 1
 

@@ -13,13 +13,14 @@ the dense reference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.chem.basis.basisset import BasisSet
 from repro.core.quartets import (
     BraBatch,
+    Families,
     QuartetEngine,
     SharePlan,
     symmetrize_two_electron,
@@ -52,8 +53,6 @@ _SCALAR_FIELDS = (
     "eri_cache_evictions",
 )
 _SERIES_FIELDS = ("per_rank_quartets", "per_thread_quartets")
-
-Kept = TypeVar("Kept")
 
 
 def _imbalance(values: Sequence[int]) -> float:
@@ -315,7 +314,7 @@ class ParallelFockBuilderBase:
         self.nshells = basis.nshells
         # Task plans of the screening instance last planned for.
         self._plans: dict[int, TaskPlan] = {}
-        self._prepared: dict[tuple, Any] = {}
+        self._prepared: dict[tuple, "Layout"] = {}
         self._plans_for: Screening | None = None
         self._plan_bytes = 0
         self._plan_last: TaskPlan | None = None
@@ -418,10 +417,9 @@ class ParallelFockBuilderBase:
         cache = self.eri_cache
         return DEFAULT_CACHE_BYTES if cache is None else cache.max_bytes
 
-    def prepared(self, key: tuple, make: Callable[[], Kept]) -> Kept:
-        """``make()`` — the density-independent layout of one run of a
-        rank's tasks (a :class:`Layout` per thread, the flat offsets of
-        their targets; anything with an ``nbytes``) — built the first
+    def prepared(self, key: tuple, make: Callable[[], "Layout"]) -> "Layout":
+        """``make()`` — the density-independent :class:`Layout` of one
+        thread's plans in one run of a rank's tasks — built the first
         time ``key`` comes up and kept beside the task plans, under their
         byte budget and for their ``Screening``: a rank's runs are the
         same build after build."""
@@ -616,199 +614,65 @@ class ParallelFockBuilderBase:
 
 def runs_under_budget(
     items: Iterable[tuple[int, TaskPlan]],
-    extra: int = 0,
 ) -> Iterator[list[tuple[int, TaskPlan]]]:
     """Cut ``(task, plan)`` pairs, in order, into runs whose digestion
     fits :data:`~repro.integrals.eri.MAX_BATCH_DOUBLES` (a task over it
-    alone is a run of its own), ``extra`` doubles counted per task."""
+    alone is a run of its own)."""
     run: list = []
     total = 0
     for task, plan in items:
-        need = extra + plan.doubles
-        if run and total + need > MAX_BATCH_DOUBLES:
+        if run and total + plan.doubles > MAX_BATCH_DOUBLES:
             yield run
             run, total = [], 0
         run.append((task, plan))
-        total += need
+        total += plan.doubles
     if run:
         yield run
 
 
-def digest_in_order(
-    engine: QuartetEngine,
-    layout: "Layout",
-    d_coulomb: np.ndarray,
-    d_exchange: np.ndarray,
-    kw: float,
-    target: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Digest the plans of ``layout`` one bra shape at a time and add
-    what they contribute into the flat array ``target``, in program
-    order.
-
-    Each plan owns one stretch of a stream of (index, value) pairs, the
-    stretches in program order, each laid out the same way: the plan's
-    ``(i, j)`` block, then column after column its ``(i, k)``, ``(i, l)``,
-    ``(j, k)``, ``(j, l)`` rows and its ``(k, l)`` element — each per
-    exchange channel.  Every batch writes its families into the
-    stretches of its plans, and one ``np.add.at`` — which adds repeated
-    indices in stream order — adds the stream: a target element receives
-    its terms in the same order however the plans were batched.  Where
-    in ``target`` each term goes is the layout's (see :class:`Layout`).
-    A layout built without the ``(k, l)`` elements returns them instead,
-    in program order, as ``(flat index kfun * nbf + lfun, values)``.
-    """
-    C, rs, cs = layout.nchannels, layout.row_stride, layout.channel_stride
-    with_kl = layout.with_kl
-    chan = np.arange(C) * cs
-    d_coulomb, d_exchange = 2.0 * d_coulomb, kw * d_exchange
-    if not with_kl:
-        kl_index = np.empty(layout.ncols.sum(), dtype=np.int64)
-        kl_values = np.empty(kl_index.size)
-    # Every slab first: a cold build's kernel runs before the stream
-    # and the digests below hold anything.
-    slabs = [engine.batch_slab(group.batch) for group in layout.groups]
-    values = np.empty(layout.size)
-    index = np.empty(layout.size, dtype=np.int64)
-    for group, X in zip(layout.groups, slabs):
-        batch = group.batch
-        fam = engine.digest(batch, d_coulomb, d_exchange, 1.0, 1.0, X)
-        ni, nj, M, col = batch.ni, batch.nj, batch.ncols, batch.col_plan
-        values[group.ji_at] = fam.ji[:, None]
-        index[group.ji_at] = group.ji_index
-        # Column m's record starts at `record[m]`: its exchange rows as
-        # ``Families.exchange`` stacks them, then its (k, l) element.
-        nx = fam.exchange.shape[0]
-        width = nx + C * with_kl
-        record = np.arange(0, M * width, width)
-        record += np.take(group.record, col)
-        base = np.take(group.bases, col, axis=0).T  # (3, M)
-        # Exchange row f of column m goes to row kfun or lfun (rows),
-        # in the i or the j block (base) of the plan: one of four.
-        at = record + np.arange(nx)[:, None]
-        values[at] = fam.exchange
-        index[at] = np.take(
-            (base[:2, None] + batch.rows * rs).reshape(4, M), group.row_of, axis=0
-        ) + group.row_offset[:, None]
-        if with_kl:
-            at = record + (nx + np.arange(C))[:, None]
-            values[at] = fam.kl
-            index[at] = base[2] + batch.kl_at + chan[:, None]
-        else:
-            at = np.take(group.kl_start, col) + np.arange(M)
-            kl_index[at] = batch.kl_at
-            kl_values[at] = fam.kl
-    np.add.at(target, index, values)
-    return None if with_kl else (kl_index, kl_values)
-
-
-class Group(NamedTuple):
-    """The plans of one bra shape in a :class:`Layout`, and where their
-    stretches of the stream lie: per plan, ``ji_at`` / ``ji_index`` are
-    the stream positions and target indices of its ``(i, j)`` block,
-    ``record[p] + m * width`` the position of column ``m``'s record,
-    ``bases[p]`` its three target offsets and ``kl_start[p] + m`` the
-    position of column ``m``'s ``(k, l)`` element among those returned.
-    Exchange row ``f`` of a record adds into row ``row_of[f]`` of four
-    (the ``i`` or ``j`` block, the ``kfun`` or ``lfun`` row), plus
-    ``row_offset[f]`` (channel and column in the block)."""
-
-    batch: BraBatch
-    ji_at: np.ndarray
-    ji_index: np.ndarray
-    record: np.ndarray
-    bases: np.ndarray
-    kl_start: np.ndarray | None
-    row_of: np.ndarray
-    row_offset: np.ndarray
-
-
-def _exchange_rows(C: int, ni: int, nj: int, channel_stride: int):
-    """Per exchange row ``(block, c, h, n)`` of a record — block ``i``
-    rows first — which of ``(i | j) x (kfun | lfun)`` it adds into and
-    its offset ``c * channel_stride + n``."""
-    row_of, offset = [], []
-    for side, n in ((0, ni), (1, nj)):
-        c, h, k = np.meshgrid(np.arange(C), np.arange(2), np.arange(n), indexing="ij")
-        row_of.append((side * 2 + h).ravel())
-        offset.append((c * channel_stride + k).ravel())
-    return np.concatenate(row_of), np.concatenate(offset)
-
-
 class Layout(NamedTuple):
-    """One thread's plans of a run, grouped by bra shape, and the stream
-    :func:`digest_in_order` lays their contributions out in.
+    """One thread's plans of a run, grouped by bra shape: one
+    :class:`~repro.core.quartets.BraBatch` a shape, and per plan, in
+    program order, its batch and its position there (``order``)."""
 
-    The target is a flat array.  Per plan ``bases`` holds three flat
-    offsets into it: of element ``(0, 0)`` of the plan's ``i`` column
-    block and of its ``j`` block (rows ``row_stride`` apart), and of the
-    ``(k, l)`` matrix (rows ``nbf`` apart); exchange channel ``c`` adds
-    ``c * channel_stride`` to all three.  ``ncols`` is each plan's slab
-    columns, ``size`` the length of the stream; without ``with_kl`` the
-    ``(k, l)`` elements are not in it.
-    """
-
-    groups: list[Group]
-    ncols: np.ndarray
-    size: int
+    batches: list[BraBatch]
+    order: np.ndarray
     quartets: int
-    nchannels: int
-    row_stride: int
-    channel_stride: int
-    with_kl: bool
 
     @classmethod
-    def of(
-        cls,
-        engine: QuartetEngine,
-        plans: list[SharePlan],
-        bases,
-        nchannels: int,
-        row_stride: int,
-        channel_stride: int = 0,
-        with_kl: bool = True,
-    ) -> "Layout":
-        """Group ``plans`` (program order) by bra shape; ``bases[q]`` are
-        plan ``q``'s target offsets.  Without ``with_kl`` the ``(k, l)``
-        elements are left out of the stream."""
-        C = nchannels
-        shape = np.array([p.shape for p in plans]).reshape(-1, 2)
-        ncols = np.array([p.fac.size for p in plans], dtype=np.int64)
-        bra = shape[:, 0] * shape[:, 1]
-        stretch = C * (bra + (2 * shape.sum(axis=1) + with_kl) * ncols)
-        start = np.cumsum(stretch) - stretch
-        kl_start = None if with_kl else np.cumsum(ncols) - ncols
-        bases = np.array(bases, dtype=np.int64).reshape(-1, 3)
-        chan = np.arange(C) * channel_stride
-        shapes: dict[tuple[int, int], list[int]] = {}
-        for q, plan in enumerate(plans):
-            shapes.setdefault(plan.shape, []).append(q)
-        groups = []
-        for (ni, nj), qs in shapes.items():
-            batch = engine.bra_batch([plans[q] for q in qs])
-            first, base = start[qs], bases[qs]
-            width = C * (2 * (ni + nj) + with_kl)
-            groups.append(Group(
-                batch,
-                first[:, None, None, None] + np.arange(C * nj * ni).reshape(C, nj, ni),
-                (base[:, 0, None] + chan)[:, :, None, None] + (
-                    ((batch.bra_j[:, None] + np.arange(nj)) * row_stride)[:, None, :, None]
-                    + np.arange(ni)
-                ),
-                first + C * ni * nj - batch.starts * width,
-                base,
-                None if with_kl else kl_start[qs] - batch.starts,
-                *_exchange_rows(C, ni, nj, channel_stride),
-            ))
+    def of(cls, engine: QuartetEngine, plans: list[SharePlan]) -> "Layout":
+        """Group ``plans`` (program order) by bra shape."""
+        index: dict[tuple[int, int], int] = {}
+        groups: list[list[SharePlan]] = []
+        order = []
+        for plan in plans:
+            g = index.setdefault(plan.shape, len(groups))
+            if g == len(groups):
+                groups.append([])
+            order.append((g, len(groups[g])))
+            groups[g].append(plan)
         return cls(
-            groups, ncols, int(stretch.sum()), sum(p.kls.size for p in plans),
-            C, row_stride, channel_stride, with_kl,
+            [engine.bra_batch(group) for group in groups],
+            np.array(order, dtype=np.int64).reshape(-1, 2),
+            sum(p.kls.size for p in plans),
         )
 
     @property
     def nbytes(self) -> int:
-        return self.ncols.nbytes + sum(
-            g.batch.nbytes + g.ji_at.nbytes + g.ji_index.nbytes
-            + g.record.nbytes + g.bases.nbytes + g.row_of.nbytes
-            + g.row_offset.nbytes for g in self.groups
-        )
+        return self.order.nbytes + sum(b.nbytes for b in self.batches)
+
+    def digest(
+        self, engine: QuartetEngine, d_coulomb: np.ndarray,
+        d_exchange: np.ndarray,
+    ) -> list[tuple[Families, int]]:
+        """Every plan's families (see
+        :meth:`~repro.core.quartets.QuartetEngine.digest`), in program
+        order: ``(families of its batch, its position there)``, ready
+        for :meth:`~repro.core.quartets.Families.add_into`.  Every slab
+        first: a cold build's kernel runs before any family is held."""
+        slabs = [engine.batch_slab(batch) for batch in self.batches]
+        families = [
+            engine.digest(batch, d_coulomb, d_exchange, X)
+            for batch, X in zip(self.batches, slabs)
+        ]
+        return [(families[g], p) for g, p in self.order.tolist()]

@@ -24,7 +24,6 @@ from repro.core.fock_base import (
     ParallelFockBuilderBase,
     RankBuildResult,
     TaskPlan,
-    digest_in_order,
     runs_under_budget,
 )
 from repro.core.indexing import decode_pair, npairs
@@ -58,12 +57,6 @@ class MPIOnlyFockBuilder(ParallelFockBuilderBase):
         )
         return TaskPlan.of(ij + 1 - kls.size, [(kls.size, plans)])
 
-    def _layout(self, run) -> Layout:
-        # Every family straight into the rank's replica W.
-        plans = [p for _, task in run for _, share in task.shares for p in share]
-        bases = [(p.si.start, p.sj.start, 0) for p in plans]
-        return Layout.of(self.engine, plans, bases, 1, self.nbf)
-
     def rank_program(
         self,
         rank: int,
@@ -75,22 +68,24 @@ class MPIOnlyFockBuilder(ParallelFockBuilderBase):
     ) -> RankBuildResult:
         """One rank's share: the stock replicated-Fock quartet loops."""
         rr = RankBuildResult(rank=rank)
-        nbf = self.nbf
+        dc, dx = 2.0 * density, -0.5 * density[None]
         # Stock loop: i over shells, j <= i, with the DLB check on
         # the combined (i, j) index (ddi_dlbnext); every family straight
-        # into the rank's replica, in program order.
+        # into the rank's replica, plan by plan in program order.
         with get_tracer().span("fock/quartets", rank=rank):
             for block in blocks:
-                tasks = ((ij, self.task_plan(ij)) for ij in block)
+                tasks = [(ij, self.task_plan(ij)) for ij in block]
                 for run in runs_under_budget(tasks):
                     rr.quartets_screened += sum(t.screened for _, t in run)
                     layout = self.prepared(
-                        (tuple(ij for ij, _ in run),), lambda: self._layout(run)
+                        (tuple(ij for ij, _ in run), 0),
+                        lambda: Layout.of(self.engine, [
+                            p for _, task in run
+                            for _, share in task.shares for p in share
+                        ]),
                     )
-                    if layout.ncols.size:
-                        digest_in_order(
-                            self.engine, layout, density, density[None],
-                            -0.5, W.reshape(-1),
-                        )
+                    for fam, p in layout.digest(self.engine, dc, dx):
+                        plan = fam.batch.plans[p]
+                        fam.add_into(p, W[:, plan.si], W[:, plan.sj], W)
                     rr.quartets_done += layout.quartets
         return rr

@@ -24,7 +24,6 @@ from repro.core.fock_base import (
     ParallelFockBuilderBase,
     RankBuildResult,
     TaskPlan,
-    digest_in_order,
     runs_under_budget,
 )
 from repro.obs.tracer import get_tracer
@@ -74,15 +73,6 @@ class PrivateFockBuilder(ParallelFockBuilderBase):
             planned.append((len(share), plans))
         return TaskPlan.of(screened_out, planned)
 
-    def _layout(self, run, t: int, nchannels: int) -> Layout:
-        # Thread t's private replica: one (nbf, nbf) matrix a channel.
-        plans = [p for _, task in run for p in task.shares[t][1]]
-        base = t * nchannels * self.nbf * self.nbf
-        bases = [(base + p.si.start, base + p.sj.start, base) for p in plans]
-        return Layout.of(
-            self.engine, plans, bases, nchannels, self.nbf, self.nbf * self.nbf
-        )
-
     def rank_program(
         self,
         rank: int,
@@ -95,14 +85,13 @@ class PrivateFockBuilder(ParallelFockBuilderBase):
         """One rank's share: collapse(2) thread loops, private Focks."""
         rr = RankBuildResult(rank=rank)
         tracer = get_tracer()
-        nbf, T = self.nbf, self.nthreads
-        thread_counts = [0] * T
+        team = ThreadTeam(self.nthreads)
+        thread_counts = [0] * self.nthreads
         d_coulomb, d_exchange, kw = self._channels(density)
-        C = d_exchange.shape[0]
+        dc, dx = 2.0 * d_coulomb, kw * d_exchange
         # One private Fock replica per thread, as in
-        # ``reduction(+ : Fock)``; one (nbf, nbf) matrix per exchange
-        # channel each.
-        W_threads = ThreadTeam(T).private_buffers(W.shape)
+        # ``reduction(+ : Fock)``.
+        W_threads = team.private_buffers(W.shape)
         for block in blocks:
             tasks = []
             for i in block:
@@ -110,20 +99,23 @@ class PrivateFockBuilder(ParallelFockBuilderBase):
                     barrier()  # master draw + implicit barrier
                 tasks.append((i, self.task_plan(i)))
             for run in runs_under_budget(tasks):
-                tasks_of_run = tuple(i for i, _ in run)
-                for t in range(T):
-                    layout = self.prepared(
-                        (tasks_of_run, t), lambda: self._layout(run, t, C)
-                    )
+                key = tuple(i for i, _ in run)
+                for t in range(self.nthreads):
+                    layout = self.prepared((key, t), lambda: Layout.of(
+                        self.engine, [p for _, task in run for p in task.shares[t][1]]
+                    ))
+                    # One (nbf, nbf) accumulator per exchange channel.
+                    channels = W_threads[t].reshape(-1, self.nbf, self.nbf)
                     with tracer.span(
                         "fock/jk", rank=rank, thread=t, tasks=len(run),
-                        plans=layout.ncols.size, quartets=layout.quartets,
+                        plans=len(layout.order), quartets=layout.quartets,
                     ):
-                        if layout.ncols.size:
-                            digest_in_order(
-                                self.engine, layout, d_coulomb, d_exchange,
-                                kw, W_threads.reshape(-1),
-                            )
+                        for fam, p in layout.digest(self.engine, dc, dx):
+                            plan = fam.batch.plans[p]
+                            for c, Wc in enumerate(channels):
+                                fam.add_into(
+                                    p, Wc[:, plan.si], Wc[:, plan.sj], Wc, c
+                                )
                     thread_counts[t] += layout.quartets
                 rr.quartets_screened += sum(task.screened for _, task in run)
         # OpenMP reduction over thread-private Focks.

@@ -22,7 +22,7 @@ matrix shared by all threads; write conflicts are avoided structurally:
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -32,32 +32,12 @@ from repro.core.fock_base import (
     ParallelFockBuilderBase,
     RankBuildResult,
     TaskPlan,
-    digest_in_order,
     runs_under_budget,
 )
-from repro.core.indexing import decode_pair, npairs, ragged_arange
+from repro.core.indexing import decode_pair, npairs
 from repro.obs.tracer import get_tracer
 from repro.parallel.reduction import flush_table, pairwise_tree_sum
 from repro.parallel.threads import ThreadTeam
-
-
-class SharedRun(NamedTuple):
-    """The density-independent layout of one run of a rank's tasks:
-    where the FI flushes fall (before task ``fi_at[f]``, of shell
-    ``fi_shell[f]``), the shell each task's FJ flush writes, one
-    :class:`~repro.core.fock_base.Layout` per thread, each thread's slab
-    columns per task, and the ``iold`` the run ends with."""
-
-    fi_at: np.ndarray
-    fi_shell: np.ndarray
-    fj_shell: np.ndarray
-    threads: list[Layout]
-    ncols: np.ndarray
-    iold: int
-
-    @property
-    def nbytes(self) -> int:
-        return sum(t.nbytes for t in self.threads) + self.ncols.nbytes
 
 
 class SharedFockBuilder(ParallelFockBuilderBase):
@@ -112,25 +92,36 @@ class SharedFockBuilder(ParallelFockBuilderBase):
     ) -> RankBuildResult:
         """One rank's share: shared Fock with FI/FJ buffers and flushes.
 
-        Each run of tasks is digested thread by thread into per-epoch
-        copies of the threads' FI / FJ buffers (an FI epoch lasts while
-        ``i`` does, an FJ epoch one task); then every closed epoch is
-        tree-summed over the threads and added into ``W`` in program
-        order, between the direct ``(k, l)`` adds of the tasks around
-        it.  The FI epoch still open carries into the next run.
+        Each run of tasks is digested thread by thread, a bra shape at a
+        time; then the tasks are walked in program order as in the
+        paper's loop: FI flush when ``i`` changes, every thread's plans
+        into its FI / FJ buffers and their ``(k, l)`` elements into
+        ``W``, FJ flush.
         """
         rr = RankBuildResult(rank=rank)
         tracer = get_tracer()
         T, nbf = self.nthreads, self.nbf
-        width = self.basis.max_shell_nfunc()
         offsets = self.basis.shell_bf_offsets().tolist()
         widths = self.basis.shell_nfuncs().tolist()
+        slices = self.engine.shell_slices
         thread_counts = [0] * T
         tracker = self._new_tracker()
-        epoch = T * nbf * width  # doubles of one epoch's thread buffers
-        fi_open = np.zeros((T, nbf, width))
+        chunks = flush_table(nbf, T)
+        width = self.basis.max_shell_nfunc()
+        FI, FJ = np.zeros((T, nbf, width)), np.zeros((T, nbf, width))
+        dc, dx = 2.0 * density, -0.5 * density[None]
         iold = -1
-        W_flat = W.reshape(-1)
+
+        def flush(buffer: np.ndarray, shell: int) -> None:
+            # Cooperative row-chunked tree reduction (Figure 1 B); the
+            # flushes are published once per build.
+            w = widths[shell]
+            cols = slice(offsets[shell], offsets[shell] + w)
+            W[:, cols] += pairwise_tree_sum(buffer[:, :, :w])
+            buffer[:, :, :w] = 0.0
+            if tracker is not None:
+                track_flush(tracker, W.shape, chunks, cols)
+                tracker.barrier()
 
         for block in blocks:
             tasks = []
@@ -140,179 +131,65 @@ class SharedFockBuilder(ParallelFockBuilderBase):
                     tasks.append((ij, self.task_plan(ij)))
                 else:
                     rr.quartets_screened += ij + 1
-            for run in runs_under_budget(tasks, 2 * epoch):
-                iold = self._run(
-                    run, rank, iold, fi_open, density, W_flat, tracker,
-                    thread_counts, rr,
-                )
+            for run in runs_under_budget(tasks):
+                key = tuple(ij for ij, _ in run)
+                digested = []
+                for t in range(T):
+                    layout = self.prepared((key, t), lambda: Layout.of(
+                        self.engine,
+                        [p for _, task in run if task.shares
+                         for p in task.shares[t][1]],
+                    ))
+                    with tracer.span(
+                        "fock/kl", rank=rank, thread=t, tasks=len(run),
+                        plans=len(layout.order), quartets=layout.quartets,
+                    ):
+                        digested.append(iter(layout.digest(self.engine, dc, dx)))
+                    thread_counts[t] += layout.quartets
+                for ij, task in run:
+                    i, j = decode_pair(ij)
+                    # Flush FI when the i index changes (lines 15-18) —
+                    # or every iteration when the iold optimization is
+                    # ablated.
+                    if (i != iold or self.flush_fi_every_iteration) and iold >= 0:
+                        with tracer.span("fock/flush_fi", rank=rank, i=iold):
+                            flush(FI, iold)
+                        rr.fi_flushes += 1
+                    rr.quartets_screened += task.screened
+                    for t, (_, plans) in enumerate(task.shares):
+                        # (i,j), (i,k), (i,l) into the thread's FI, (j,k),
+                        # (j,l) into its FJ; (k,l) directly into the
+                        # shared Fock — disjoint across threads, which
+                        # the tracker verifies.
+                        for plan, (fam, p) in zip(plans, digested[t]):
+                            fam.add_into(
+                                p, FI[t][:, : widths[i]], FJ[t][:, : widths[j]], W
+                            )
+                            if tracker is not None:
+                                for kl in plan.kls.tolist():
+                                    k, l = decode_pair(kl)
+                                    tracker.record_block(
+                                        t, W.shape, slices[k], slices[l]
+                                    )
+                    if tracker is not None and task.shares:
+                        tracker.barrier()
+                    # Flush FJ after every kl loop (line 31).
+                    with tracer.span("fock/flush_fj", rank=rank, j=j):
+                        flush(FJ, j)
+                    rr.fj_flushes += 1
+                    iold = i
 
         # Remainder FI flush (line 36).
         if iold >= 0:
-            with tracer.span("fock/flush_fi", rank=rank, flushes=1):
-                cols = slice(offsets[iold], offsets[iold] + widths[iold])
-                W[:, cols] += pairwise_tree_sum(fi_open[:, :, : widths[iold]])
+            with tracer.span("fock/flush_fi", rank=rank, i=iold):
+                flush(FI, iold)
             rr.fi_flushes += 1
-            if tracker is not None:
-                track_flush(tracker, W.shape, flush_table(nbf, T), cols)
         rr.quartets_done = sum(thread_counts)
         rr.per_thread_quartets = thread_counts
         if tracker is not None:
             rr.races = len(tracker.races)
             rr.writes_checked = tracker.writes_checked
         return rr
-
-    def _prepare_run(self, run, iold: int) -> "SharedRun":
-        """The density-independent layout of a run entered with ``iold``.
-
-        Program order: an FI flush before a task whose i differs from
-        the last one (lines 15-18) — or before every task when the iold
-        optimization is ablated — then the task, then its FJ flush (line
-        31).  Workspace: FI epochs (the first the one carried in), then
-        one FJ epoch per task, each ``(nthreads, nbf, width)``.
-        """
-        T, nbf = self.nthreads, self.nbf
-        width = self.basis.max_shell_nfunc()
-        fi_at, fi_shell = [], []
-        for n, (ij, _) in enumerate(run):
-            i = decode_pair(ij)[0]
-            if (i != iold or self.flush_fi_every_iteration) and iold >= 0:
-                fi_at.append(n)
-                fi_shell.append(iold)
-            iold = i
-        nfi = len(fi_at) + 1
-        fi_epoch = np.zeros(len(run), dtype=np.int64)
-        for n in fi_at:
-            fi_epoch[n:] += 1
-        threads = []
-        ncols = np.zeros((T, len(run)), dtype=np.int64)
-        for t in range(T):
-            plans, bases = [], []
-            for n, (_, task) in enumerate(run):
-                if not task.shares:
-                    continue
-                mine = task.shares[t][1]
-                plans += mine
-                fi = (fi_epoch[n] * T + t) * nbf * width
-                fj = ((nfi + n) * T + t) * nbf * width
-                bases += [(fi, fj, 0)] * len(mine)
-                ncols[t, n] = sum(p.fac.size for p in mine)
-            threads.append(
-                Layout.of(self.engine, plans, bases, 1, width, with_kl=False)
-            )
-        return SharedRun(
-            np.array(fi_at, dtype=np.int64), np.array(fi_shell, dtype=np.int64),
-            np.array([decode_pair(ij)[1] for ij, _ in run]), threads, ncols,
-            iold,
-        )
-
-    def _run(
-        self, run, rank, iold, fi_open, density, W_flat, tracker,
-        thread_counts, rr,
-    ) -> int:
-        """Digest and apply one run of ``(task, plan)``; the new ``iold``.
-
-        Each thread's plans go into per-epoch copies of its FI / FJ
-        buffers; then every closed epoch is tree-summed over the threads
-        at once and added into W in program order among the direct
-        (k, l) adds: task n's stretch of that stream is its FI flush (if
-        one comes before it), the (k, l) elements of its plans thread
-        after thread, and its FJ flush.
-        """
-        tracer = get_tracer()
-        T, nbf, width = self.nthreads, self.nbf, fi_open.shape[2]
-        offsets = self.basis.shell_bf_offsets()
-        widths = self.basis.shell_nfuncs()
-        prep = self.prepared(
-            (tuple(ij for ij, _ in run), iold),
-            lambda: self._prepare_run(run, iold),
-        )
-        nfi, nfj = prep.fi_at.size + 1, len(run)
-        E = np.zeros((nfi + nfj, T, nbf, width))
-        E[0] = fi_open
-
-        direct = []  # per thread: its (k, l) elements in program order
-        for t, layout in enumerate(prep.threads):
-            with tracer.span(
-                "fock/kl", rank=rank, thread=t, tasks=len(run),
-                plans=layout.ncols.size, quartets=layout.quartets,
-            ):
-                if layout.ncols.size:
-                    direct.append((prep.ncols[t], *digest_in_order(
-                        self.engine, layout, density, density[None], -0.5,
-                        E.reshape(-1),
-                    )))
-            thread_counts[t] += layout.quartets
-
-        with tracer.span(
-            "fock/flush_fi", rank=rank, tasks=len(run), flushes=nfi - 1
-        ):
-            fi_sums = pairwise_tree_sum(E[: nfi - 1], axis=1)
-        with tracer.span(
-            "fock/flush_fj", rank=rank, tasks=len(run), flushes=nfj
-        ):
-            fj_sums = pairwise_tree_sum(E[nfi:], axis=1)
-            fi_rows = np.zeros(nfj, dtype=np.int64)
-            fi_rows[prep.fi_at] = nbf * widths[prep.fi_shell]
-            kl_cols = prep.ncols.sum(axis=0)
-            stretch = fi_rows + kl_cols + nbf * widths[prep.fj_shell]
-            first = np.cumsum(stretch) - stretch
-            index = np.empty(stretch.sum(), dtype=np.int64)
-            values = np.empty(index.size)
-            for sums, shells, at in (
-                (fi_sums, prep.fi_shell, first[prep.fi_at]),
-                (fj_sums, prep.fj_shell, first + fi_rows + kl_cols),
-            ):
-                w = widths[shells]
-                keep = np.broadcast_to(
-                    np.arange(width) < w[:, None, None], sums.shape
-                )
-                pos = ragged_arange(at, nbf * w)
-                values[pos] = sums[keep]
-                index[pos] = (
-                    (np.arange(nbf) * nbf)[:, None] + offsets[shells][:, None, None]
-                    + np.arange(width)
-                )[keep]
-            at = first + fi_rows
-            for ncols, kl_index, kl_values in direct:
-                pos = ragged_arange(at, ncols)
-                index[pos] = kl_index
-                values[pos] = kl_values
-                at = at + ncols
-            np.add.at(W_flat, index, values)
-        if tracker is not None:
-            self._track_run(tracker, run, prep)
-        fi_open[:] = E[nfi - 1]
-        rr.fi_flushes += nfi - 1
-        rr.fj_flushes += nfj
-        rr.quartets_screened += sum(task.screened for _, task in run)
-        return prep.iold
-
-    def _track_run(self, tracker, run, prep: "SharedRun") -> None:
-        """Record a run's writes to W in program order: flush chunks,
-        then the (k, l) blocks of each task, barriers between."""
-        nbf, T = self.nbf, self.nthreads
-        offsets = self.basis.shell_bf_offsets().tolist()
-        widths = self.basis.shell_nfuncs().tolist()
-        slices = self.engine.shell_slices
-        chunks = flush_table(nbf, T)
-
-        def flush(shell):
-            cols = slice(offsets[shell], offsets[shell] + widths[shell])
-            track_flush(tracker, (nbf, nbf), chunks, cols)
-            tracker.barrier()
-
-        before = dict(zip(prep.fi_at.tolist(), prep.fi_shell.tolist()))
-        for n, (ij, task) in enumerate(run):
-            if n in before:
-                flush(before[n])
-            for t, (_, plans) in enumerate(task.shares):
-                for plan in plans:
-                    for kl in plan.kls.tolist():
-                        k, l = decode_pair(kl)
-                        tracker.record_block(t, (nbf, nbf), slices[k], slices[l])
-            if task.shares:
-                tracker.barrier()
-            flush(decode_pair(ij)[1])
 
     def work_estimates(self) -> np.ndarray:
         """Schwarz-screened surviving-quartet counts per bra pair."""

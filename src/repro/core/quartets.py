@@ -92,9 +92,10 @@ are not used: their summation order (blocking, pairwise sums, BLAS
 kernels) depends on the array's shape, so the same plan would get
 other last bits in another batch, and a last-bit change in ``F`` is a
 different SCF iteration count on near-degenerate systems.  *Where* the
-families go is each algorithm's decision
-(:func:`~repro.core.fock_base.digest_in_order` adds them into a flat
-target in program order).
+families go is each algorithm's decision: :meth:`Families.add_into`
+adds one plan's into the column blocks and the matrix it is given, and
+the builders call it plan by plan in program order, so a target element
+receives its terms in the same order however the plans were batched.
 
 :meth:`QuartetEngine.scatter_general` is the per-quartet spelling of the
 same arithmetic, kept as the oracle the batches are property-tested
@@ -185,15 +186,12 @@ class SharePlan:
 class BraBatch(NamedTuple):
     """Plans of one bra shape ``(ni, nj)``, their columns laid end to end.
 
-    ``starts[p]`` is the first column of ``plans[p]``; per column ``m``
-    of the batch, ``rows[:, m]`` holds its ket function pair
-    ``(kfun, lfun)``, ``kl_at[m]`` the flat index ``kfun * nbf + lfun``
-    and ``col_plan[m]`` its plan.  Per plan ``p``: ``bra_j[p]`` is the
-    first basis function of its ``j`` block, ``i_at[:, p]`` /
-    ``j_at[:, p]`` the flat offsets
-    ``function * nbf`` of the rows of those blocks, ``bra_at[:, p]``
-    the flat indices of its ``(i, j)`` block.  Density-independent,
-    built by :meth:`QuartetEngine.bra_batch`.
+    ``starts[p]`` is the first column of ``plans[p]``; ``rows[:, m]``
+    holds the ket function pair ``(kfun, lfun)`` of column ``m`` of the
+    batch.  Per plan ``p``: ``i_at[:, p]`` / ``j_at[:, p]`` are the flat
+    offsets ``function * nbf`` of the rows of its ``i`` / ``j`` block,
+    ``bra_at[:, p]`` the flat indices of its ``(i, j)`` block.
+    Density-independent, built by :meth:`QuartetEngine.bra_batch`.
     """
 
     plans: list[SharePlan]
@@ -201,16 +199,13 @@ class BraBatch(NamedTuple):
     nj: int
     starts: np.ndarray
     rows: np.ndarray
-    kl_at: np.ndarray
-    col_plan: np.ndarray
-    bra_j: np.ndarray
     i_at: np.ndarray
     j_at: np.ndarray
     bra_at: np.ndarray
 
     @property
     def ncols(self) -> int:
-        return self.kl_at.size
+        return self.rows.shape[1]
 
     @property
     def nbytes(self) -> int:
@@ -225,8 +220,7 @@ class Families(NamedTuple):
     ``kli[c, 0, :, m]`` the ``(i, k)`` row (destination row
     ``kfun[m]``) and ``kli[c, 1, :, m]`` the ``(i, l)`` row (``lfun[m]``),
     both over the plan's ``i`` block, for exchange channel ``c``;
-    ``klj`` likewise over its ``j`` block.  Both are views of
-    ``exchange``, ``kli`` rows stacked on ``klj`` rows.
+    ``klj`` likewise over its ``j`` block.
     """
 
     batch: BraBatch
@@ -234,7 +228,32 @@ class Families(NamedTuple):
     kl: np.ndarray
     kli: np.ndarray
     klj: np.ndarray
-    exchange: np.ndarray
+
+    def add_into(
+        self, p: int, col_i: np.ndarray, col_j: np.ndarray, W: np.ndarray,
+        channel: int = 0,
+    ) -> None:
+        """Accumulate plan ``p``'s families: ``ji`` and its ``(i, k)`` /
+        ``(i, l)`` rows into the ``(nbf, ni)`` column block ``col_i``,
+        its ``(j, k)`` / ``(j, l)`` rows into ``col_j``, its ``(k, l)``
+        elements into ``W`` itself.
+
+        Rows repeat along the columns (one per ``l`` of a ``k``, and
+        again per quartet), hence the unbuffered ``np.add.at`` — one per
+        column block, which adds the ``kfun`` rows and then the ``lfun``
+        rows in column order; the ``(kfun, lfun)`` pairs of a plan are
+        distinct, so ``kl`` is a plain fancy ``+=``.  What a plan adds
+        depends on the plan alone, not on its batch.
+        """
+        batch = self.batch
+        plan = batch.plans[p]
+        a = int(batch.starts[p])
+        cols = slice(a, a + plan.fac.size)
+        rows = batch.rows[:, cols]
+        col_i[plan.sj] += self.ji[p]
+        np.add.at(col_i, rows, self.kli[channel, :, :, cols].transpose(0, 2, 1))
+        np.add.at(col_j, rows, self.klj[channel, :, :, cols].transpose(0, 2, 1))
+        W[rows[0], rows[1]] += self.kl[cols]
 
 
 class QuartetEngine:
@@ -398,16 +417,10 @@ class QuartetEngine:
         nbf = self.basis.nbf
         sizes = [p.fac.size for p in plans]
         rows = np.stack(self.ket_functions(np.concatenate([p.kls for p in plans])))
-        bra_i = np.array([p.si.start for p in plans])
-        bra_j = np.array([p.sj.start for p in plans])
-        i_at = (bra_i + np.arange(ni)[:, None]) * nbf
-        j_at = (bra_j + np.arange(nj)[:, None]) * nbf
+        i_at = (np.array([p.si.start for p in plans]) + np.arange(ni)[:, None]) * nbf
+        j_at = (np.array([p.sj.start for p in plans]) + np.arange(nj)[:, None]) * nbf
         return BraBatch(
-            plans, ni, nj,
-            np.cumsum([0, *sizes[:-1]]),
-            rows, rows[0] * nbf + rows[1],
-            np.repeat(np.arange(len(plans)), sizes),
-            bra_j, i_at, j_at,
+            plans, ni, nj, np.cumsum([0, *sizes[:-1]]), rows, i_at, j_at,
             (i_at[:, None] + j_at[None] // nbf).reshape(ni * nj, -1),
         )
 
@@ -427,36 +440,36 @@ class QuartetEngine:
         batch: BraBatch,
         d_coulomb: np.ndarray,
         d_exchange: np.ndarray,
-        jw: float,
-        kw: float,
-        X: np.ndarray | None = None,
+        X: np.ndarray,
     ) -> Families:
         """All six families of every plan of ``batch``.
 
-        ``d_exchange`` is a stack ``(nchannels, nbf, nbf)``; ``X`` is
-        :meth:`batch_slab` of the batch, fetched here when not given.  A
-        plan's families are bitwise the same alone and in any batch:
-        element-wise products, sums over the bra indices in explicit
-        order, and the sum over a plan's own columns as one
-        ``np.add.reduceat`` segment (see the module docstring).
+        ``X`` is :meth:`batch_slab` of the batch.  The densities come
+        weighted — ``d_coulomb`` is ``2 D`` for every builder,
+        ``d_exchange`` a stack ``(nchannels, nbf, nbf)`` of the exchange
+        densities times their weight.  A plan's families are bitwise the
+        same alone and in any batch: element-wise products, sums over
+        the bra indices in explicit order, and the sum over a plan's own
+        columns as one ``np.add.reduceat`` segment (see the module
+        docstring).
         """
         ni, nj, M = batch.ni, batch.nj, batch.ncols
-        X3 = (self.batch_slab(batch) if X is None else X).reshape(ni, nj, M)
-        X = X3.reshape(ni * nj, M)
-        # The weights are powers of two in every builder: scaling the
-        # densities first is exact.
-        dc = (d_coulomb if jw == 1.0 else jw * d_coulomb).ravel()
-        dx = d_exchange if kw == 1.0 else kw * d_exchange
-        C = dx.shape[0]
-        dx = dx.reshape(C, -1)
-        col = batch.col_plan
+        X3 = X.reshape(ni, nj, M)
+        dc = d_coulomb.ravel()
+        C = d_exchange.shape[0]
+        dx = d_exchange.reshape(C, -1)
+        rows = batch.rows
+        col = np.repeat(
+            np.arange(len(batch.plans)), np.diff(batch.starts, append=M)
+        )
 
         # (i, j): each plan's own columns, one reduceat segment each.
         # Products go to C-ordered buffers: NumPy would lay a broadcast
         # result out in an order that is slow to fill.
         work = np.empty((ni, nj, M))
         ji = np.add.reduceat(
-            np.multiply(X3, dc[batch.kl_at], out=work), batch.starts, axis=2
+            np.multiply(X3, dc[rows[0] * self.basis.nbf + rows[1]], out=work),
+            batch.starts, axis=2,
         )
         # (k, l): the bra's function pairs, added j first, then i.
         np.multiply(X, np.take(dc[batch.bra_at], col, axis=1), out=work.reshape(ni * nj, M))
@@ -464,17 +477,16 @@ class QuartetEngine:
 
         # Exchange: the (i, k) row pairs with D[j, lfun], the (i, l)
         # row with D[j, kfun] — summed over j in order; likewise for j.
-        partner = batch.rows[::-1, None, :]  # (2, 1, M)
+        partner = rows[::-1, None, :]  # (2, 1, M)
         work = np.empty((C, 2, ni, nj, M))
-        exchange = np.empty((C * 2 * (ni + nj), M))
-        kli = exchange[: C * 2 * ni].reshape(C, 2, ni, M)
-        klj = exchange[C * 2 * ni :].reshape(C, 2, nj, M)
+        kli = np.empty((C, 2, ni, M))
+        klj = np.empty((C, 2, nj, M))
         for axis, rows_at, out in ((3, batch.j_at, kli), (2, batch.i_at, klj)):
             at = np.take(rows_at, col, axis=1) + partner  # (2, n, M)
             dens = dx[0].take(at)[None] if C == 1 else dx[:, at]
             np.multiply(X3, dens[:, :, None] if axis == 3 else dens[:, :, :, None], out=work)
             _sum_in_order(work, axis, out)
-        return Families(batch, ji.transpose(2, 1, 0), kl, kli, klj, exchange)
+        return Families(batch, ji.transpose(2, 1, 0), kl, kli, klj)
 
     def scatter_general(
         self,

@@ -85,7 +85,8 @@ def pairwise_tree_sum(stack: np.ndarray, axis: int = 0) -> np.ndarray:
     neighbours pairwise, level after level, an odd last part carried up
     — element-wise, so the bits of an element do not depend on what
     else is summed with it.  A new array; zeros for an empty axis."""
-    parts = list(np.moveaxis(stack, axis, 0))
+    lead = (slice(None),) * axis
+    parts = [stack[(*lead, t)] for t in range(stack.shape[axis])]
     if len(parts) < 2:
         return parts[0].copy() if parts else np.zeros(np.delete(stack.shape, axis))
     while len(parts) > 1:

@@ -96,7 +96,6 @@ class ThreadTeam:
             loads[t] += cost
         return shares
 
-    def private_buffers(self, shape: tuple[int, ...]) -> np.ndarray:
-        """One zeroed private array per thread, stacked: thread ``t``'s
-        is row ``t``, and the stack is one flat target for all of them."""
-        return np.zeros((self.nthreads, *shape))
+    def private_buffers(self, shape: tuple[int, ...]) -> list[np.ndarray]:
+        """Allocate one zeroed private array per thread."""
+        return [np.zeros(shape) for _ in range(self.nthreads)]

@@ -90,6 +90,12 @@ def _batches(draw, engine):
     return plans, sorted({0, *cuts, len(plans)})
 
 
+def _digest(engine, plans, dj, dk):
+    """The families of ``plans`` digested as one batch, RHF weights."""
+    batch = engine.bra_batch(plans)
+    return engine.digest(batch, 2.0 * dj, -0.5 * dk, engine.batch_slab(batch))
+
+
 def _plan_families(fam, p):
     """Plan ``p``'s slices of a digest: (ji, kl, kli, klj)."""
     a = int(fam.batch.starts[p])
@@ -109,17 +115,17 @@ def test_families_are_bitwise_alone_and_in_any_batch(
     dj = rng.standard_normal((n, n))
     dk = rng.standard_normal((nchannels, n, n))
     alone = [
-        _plan_families(engine.digest(engine.bra_batch([p]), dj, dk, 2.0, -0.5), 0)
+        _plan_families(_digest(engine, [p], dj, dk), 0)
         for p in plans
     ]
     for a, z in zip(cuts, cuts[1:]):
-        fam = engine.digest(engine.bra_batch(plans[a:z]), dj, dk, 2.0, -0.5)
+        fam = _digest(engine, plans[a:z], dj, dk)
         for p in range(z - a):
             for got, want in zip(_plan_families(fam, p), alone[a + p]):
                 assert got.shape == want.shape
                 assert np.array_equal(got, want)
     # The same plans in reverse order: the same bits again.
-    fam = engine.digest(engine.bra_batch(plans[::-1]), dj, dk, 2.0, -0.5)
+    fam = _digest(engine, plans[::-1], dj, dk)
     for p, want in enumerate(alone[::-1]):
         for got, w in zip(_plan_families(fam, p), want):
             assert np.array_equal(got, w)
@@ -140,8 +146,8 @@ def test_single_column_plans_batch_with_wide_ones(engine, widest):
     assert not widest or shape[0] * shape[1] >= 8
     n = engine.basis.nbf
     d = np.random.default_rng(3).standard_normal((n, n))
-    fam = engine.digest(engine.bra_batch([wide, narrow, wide]), d, d[None], 2.0, -0.5)
-    alone = engine.digest(engine.bra_batch([narrow]), d, d[None], 2.0, -0.5)
+    fam = _digest(engine, [wide, narrow, wide], d, d[None])
+    alone = _digest(engine, [narrow], d, d[None])
     for got, want in zip(_plan_families(fam, 1), _plan_families(alone, 0)):
         assert np.array_equal(got, want)
 

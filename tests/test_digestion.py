@@ -76,7 +76,8 @@ def _check_share(engine, i, j, kls, seed, nchannels):
                 bound[fam][c][dest] += val
 
     plan = engine.share_plan(i, j, kls)
-    d = engine.digest(engine.bra_batch([plan]), dj, dk, jw, kw)
+    batch = engine.bra_batch([plan])
+    d = engine.digest(batch, jw * dj, kw * dk, engine.batch_slab(batch))
     assert d.batch.plans == [plan]
     kfun, lfun = engine.ket_functions(plan.kls)
     got = {f: np.zeros((nchannels, n, n)) for f in FAMILIES}
