@@ -69,7 +69,6 @@ class MPIOnlyFockBuilder(ParallelFockBuilderBase):
         """One rank's share: the stock replicated-Fock quartet loops."""
         rr = RankBuildResult(rank=rank)
         dc, dx = 2.0 * density, -0.5 * density[None]
-        W_flat = W.reshape(-1)
         # Stock loop: i over shells, j <= i, with the DLB check on
         # the combined (i, j) index (ddi_dlbnext); every family straight
         # into the rank's replica, plan by plan in program order.
@@ -87,6 +86,6 @@ class MPIOnlyFockBuilder(ParallelFockBuilderBase):
                     )
                     for fam, p in layout.digest(self.engine, dc, dx):
                         plan = fam.batch.plans[p]
-                        fam.add_into(p, W[:, plan.si], W[:, plan.sj], W_flat)
+                        fam.add_into(p, W[:, plan.si], W[:, plan.sj], W)
                     rr.quartets_done += layout.quartets
         return rr

@@ -114,8 +114,7 @@ class PrivateFockBuilder(ParallelFockBuilderBase):
                             plan = fam.batch.plans[p]
                             for c, Wc in enumerate(channels):
                                 fam.add_into(
-                                    p, Wc[:, plan.si], Wc[:, plan.sj],
-                                    Wc.reshape(-1), c,
+                                    p, Wc[:, plan.si], Wc[:, plan.sj], Wc, c
                                 )
                     thread_counts[t] += layout.quartets
                 rr.quartets_screened += sum(task.screened for _, task in run)

@@ -109,7 +109,6 @@ class SharedFockBuilder(ParallelFockBuilderBase):
         chunks = flush_table(nbf, T)
         width = self.basis.max_shell_nfunc()
         FI, FJ = np.zeros((T, nbf, width)), np.zeros((T, nbf, width))
-        W_flat = W.reshape(-1)
         dc, dx = 2.0 * density, -0.5 * density[None]
         iold = -1
 
@@ -164,7 +163,7 @@ class SharedFockBuilder(ParallelFockBuilderBase):
                         # the tracker verifies.
                         for plan, (fam, p) in zip(plans, digested[t]):
                             fam.add_into(
-                                p, FI[t][:, : widths[i]], FJ[t][:, : widths[j]], W_flat
+                                p, FI[t][:, : widths[i]], FJ[t][:, : widths[j]], W
                             )
                             if tracker is not None:
                                 for kl in plan.kls.tolist():

@@ -186,8 +186,8 @@ class SharePlan:
 class BraBatch(NamedTuple):
     """Plans of one bra shape ``(ni, nj)``, their columns laid end to end.
 
-    ``starts[p]`` is the first column of ``plans[p]``; ``rows[m]`` holds
-    the ket function pair ``(kfun, lfun)`` of column ``m`` of the
+    ``starts[p]`` is the first column of ``plans[p]``; ``rows[:, m]``
+    holds the ket function pair ``(kfun, lfun)`` of column ``m`` of the
     batch.  Per plan ``p``: ``i_at[:, p]`` / ``j_at[:, p]`` are the flat
     offsets ``function * nbf`` of the rows of its ``i`` / ``j`` block,
     ``bra_at[:, p]`` the flat indices of its ``(i, j)`` block.
@@ -205,7 +205,7 @@ class BraBatch(NamedTuple):
 
     @property
     def ncols(self) -> int:
-        return self.rows.shape[0]
+        return self.rows.shape[1]
 
     @property
     def nbytes(self) -> int:
@@ -213,14 +213,14 @@ class BraBatch(NamedTuple):
 
 
 class Families(NamedTuple):
-    """The six Fock families of a :class:`BraBatch`.
+    """The six Fock families of a :class:`BraBatch`, columns innermost.
 
     Per plan ``p``: ``ji[p]`` is its ``(nj, ni)`` J-block.  Per column
-    ``m`` of the batch: ``kl[m]`` is the ``(kfun, lfun)`` element, at
-    flat index ``kl_at[m] = kfun * nbf + lfun``; ``kli[c, 0, :, m]`` the
-    ``(i, k)`` row (destination row ``kfun[m]``) and ``kli[c, 1, :, m]``
-    the ``(i, l)`` row (``lfun[m]``), both over the plan's ``i`` block,
-    for exchange channel ``c``; ``klj`` likewise over its ``j`` block.
+    ``m`` of the batch: ``kl[m]`` is the ``(kfun, lfun)`` element;
+    ``kli[c, 0, :, m]`` the ``(i, k)`` row (destination row
+    ``kfun[m]``) and ``kli[c, 1, :, m]`` the ``(i, l)`` row (``lfun[m]``),
+    both over the plan's ``i`` block, for exchange channel ``c``;
+    ``klj`` likewise over its ``j`` block.
     """
 
     batch: BraBatch
@@ -228,37 +228,32 @@ class Families(NamedTuple):
     kl: np.ndarray
     kli: np.ndarray
     klj: np.ndarray
-    kl_at: np.ndarray
 
     def add_into(
-        self, p: int, col_i: np.ndarray, col_j: np.ndarray,
-        W_flat: np.ndarray, channel: int = 0,
+        self, p: int, col_i: np.ndarray, col_j: np.ndarray, W: np.ndarray,
+        channel: int = 0,
     ) -> None:
         """Accumulate plan ``p``'s families: ``ji`` and its ``(i, k)`` /
         ``(i, l)`` rows into the ``(nbf, ni)`` column block ``col_i``,
         its ``(j, k)`` / ``(j, l)`` rows into ``col_j``, its ``(k, l)``
-        elements into the Fock matrix ``W_flat`` (flattened) itself.
+        elements into ``W`` itself.
 
         Rows repeat along the columns (one per ``l`` of a ``k``, and
         again per quartet), hence the unbuffered ``np.add.at`` — one per
-        column block, which adds the ``kfun`` row and then the ``lfun``
-        row of each column in turn; the ``(kfun, lfun)`` pairs of a plan
-        are distinct, so ``kl`` is a plain fancy ``+=``.  What a plan
-        adds depends on the plan alone, not on its batch.
+        column block, which adds the ``kfun`` rows and then the ``lfun``
+        rows in column order; the ``(kfun, lfun)`` pairs of a plan are
+        distinct, so ``kl`` is a plain fancy ``+=``.  What a plan adds
+        depends on the plan alone, not on its batch.
         """
         batch = self.batch
         plan = batch.plans[p]
         a = int(batch.starts[p])
         cols = slice(a, a + plan.fac.size)
-        rows = batch.rows[cols].reshape(-1)
+        rows = batch.rows[:, cols]
         col_i[plan.sj] += self.ji[p]
-        for col, values in ((col_i, self.kli), (col_j, self.klj)):
-            # (2, n, M) per channel, stored column after column.
-            np.add.at(
-                col, rows,
-                values[channel, :, :, cols].transpose(2, 0, 1).reshape(-1, col.shape[1]),
-            )
-        W_flat[self.kl_at[cols]] += self.kl[cols]
+        np.add.at(col_i, rows, self.kli[channel, :, :, cols].transpose(0, 2, 1))
+        np.add.at(col_j, rows, self.klj[channel, :, :, cols].transpose(0, 2, 1))
+        W[rows[0], rows[1]] += self.kl[cols]
 
 
 class QuartetEngine:
@@ -421,9 +416,7 @@ class QuartetEngine:
         ni, nj = plans[0].shape
         nbf = self.basis.nbf
         sizes = [p.fac.size for p in plans]
-        rows = np.stack(
-            self.ket_functions(np.concatenate([p.kls for p in plans])), axis=1
-        )
+        rows = np.stack(self.ket_functions(np.concatenate([p.kls for p in plans])))
         i_at = (np.array([p.si.start for p in plans]) + np.arange(ni)[:, None]) * nbf
         j_at = (np.array([p.sj.start for p in plans]) + np.arange(nj)[:, None]) * nbf
         return BraBatch(
@@ -465,7 +458,7 @@ class QuartetEngine:
         dc = d_coulomb.ravel()
         C = d_exchange.shape[0]
         dx = d_exchange.reshape(C, -1)
-        kl_at = batch.rows[:, 0] * self.basis.nbf + batch.rows[:, 1]
+        rows = batch.rows
         col = np.repeat(
             np.arange(len(batch.plans)), np.diff(batch.starts, append=M)
         )
@@ -475,7 +468,7 @@ class QuartetEngine:
         # result out in an order that is slow to fill.
         work = np.empty((ni, nj, M))
         ji = np.add.reduceat(
-            np.multiply(X3, dc[kl_at], out=work),
+            np.multiply(X3, dc[rows[0] * self.basis.nbf + rows[1]], out=work),
             batch.starts, axis=2,
         )
         # (k, l): the bra's function pairs, added j first, then i.
@@ -484,17 +477,16 @@ class QuartetEngine:
 
         # Exchange: the (i, k) row pairs with D[j, lfun], the (i, l)
         # row with D[j, kfun] — summed over j in order; likewise for j.
-        partner = batch.rows.T[::-1, None, :]  # (2, 1, M)
+        partner = rows[::-1, None, :]  # (2, 1, M)
         work = np.empty((C, 2, ni, nj, M))
-        # Stored column after column, for Families.add_into.
-        kli = np.empty((C, M, 2, ni)).transpose(0, 2, 3, 1)
-        klj = np.empty((C, M, 2, nj)).transpose(0, 2, 3, 1)
+        kli = np.empty((C, 2, ni, M))
+        klj = np.empty((C, 2, nj, M))
         for axis, rows_at, out in ((3, batch.j_at, kli), (2, batch.i_at, klj)):
             at = np.take(rows_at, col, axis=1) + partner  # (2, n, M)
             dens = dx[0].take(at)[None] if C == 1 else dx[:, at]
             np.multiply(X3, dens[:, :, None] if axis == 3 else dens[:, :, :, None], out=work)
             _sum_in_order(work, axis, out)
-        return Families(batch, ji.transpose(2, 1, 0), kl, kli, klj, kl_at)
+        return Families(batch, ji.transpose(2, 1, 0), kl, kli, klj)
 
     def scatter_general(
         self,
