@@ -69,6 +69,7 @@ class MPIOnlyFockBuilder(ParallelFockBuilderBase):
         """One rank's share: the stock replicated-Fock quartet loops."""
         rr = RankBuildResult(rank=rank)
         dc, dx = 2.0 * density, -0.5 * density[None]
+        W_flat = W.reshape(-1)
         # Stock loop: i over shells, j <= i, with the DLB check on
         # the combined (i, j) index (ddi_dlbnext); every family straight
         # into the rank's replica, plan by plan in program order.
@@ -86,6 +87,8 @@ class MPIOnlyFockBuilder(ParallelFockBuilderBase):
                     )
                     for fam, p in layout.digest(self.engine, dc, dx):
                         plan = fam.batch.plans[p]
-                        fam.add_into(p, W[:, plan.si], W[:, plan.sj], W)
+                        fam.add_into(
+                            p, W_flat, (plan.si.start, plan.sj.start), self.nbf
+                        )
                     rr.quartets_done += layout.quartets
         return rr

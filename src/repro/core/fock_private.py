@@ -105,17 +105,17 @@ class PrivateFockBuilder(ParallelFockBuilderBase):
                         self.engine, [p for _, task in run for p in task.shares[t][1]]
                     ))
                     # One (nbf, nbf) accumulator per exchange channel.
-                    channels = W_threads[t].reshape(-1, self.nbf, self.nbf)
+                    target = W_threads[t].reshape(-1)
                     with tracer.span(
                         "fock/jk", rank=rank, thread=t, tasks=len(run),
                         plans=len(layout.order), quartets=layout.quartets,
                     ):
                         for fam, p in layout.digest(self.engine, dc, dx):
                             plan = fam.batch.plans[p]
-                            for c, Wc in enumerate(channels):
-                                fam.add_into(
-                                    p, Wc[:, plan.si], Wc[:, plan.sj], Wc, c
-                                )
+                            fam.add_into(
+                                p, target, (plan.si.start, plan.sj.start),
+                                self.nbf, self.nbf * self.nbf,
+                            )
                     thread_counts[t] += layout.quartets
                 rr.quartets_screened += sum(task.screened for _, task in run)
         # OpenMP reduction over thread-private Focks.

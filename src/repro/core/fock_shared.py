@@ -108,7 +108,10 @@ class SharedFockBuilder(ParallelFockBuilderBase):
         tracker = self._new_tracker()
         chunks = flush_table(nbf, T)
         width = self.basis.max_shell_nfunc()
-        FI, FJ = np.zeros((T, nbf, width)), np.zeros((T, nbf, width))
+        # The threads' FI and FJ buffers: one flat target for digestion.
+        buffers = np.zeros((2, T, nbf, width))
+        FI, FJ = buffers
+        target, W_flat = buffers.reshape(-1), W.reshape(-1)
         dc, dx = 2.0 * density, -0.5 * density[None]
         iold = -1
 
@@ -161,10 +164,9 @@ class SharedFockBuilder(ParallelFockBuilderBase):
                         # (j,l) into its FJ; (k,l) directly into the
                         # shared Fock — disjoint across threads, which
                         # the tracker verifies.
+                        bases = (t * nbf * width, (T + t) * nbf * width)
                         for plan, (fam, p) in zip(plans, digested[t]):
-                            fam.add_into(
-                                p, FI[t][:, : widths[i]], FJ[t][:, : widths[j]], W
-                            )
+                            fam.add_into(p, target, bases, width, 0, W_flat)
                             if tracker is not None:
                                 for kl in plan.kls.tolist():
                                     k, l = decode_pair(kl)

@@ -105,7 +105,7 @@ against and for the e2e ledger's pinned per-quartet digestion sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -216,11 +216,13 @@ class Families(NamedTuple):
     """The six Fock families of a :class:`BraBatch`, columns innermost.
 
     Per plan ``p``: ``ji[p]`` is its ``(nj, ni)`` J-block.  Per column
-    ``m`` of the batch: ``kl[m]`` is the ``(kfun, lfun)`` element;
-    ``kli[c, 0, :, m]`` the ``(i, k)`` row (destination row
-    ``kfun[m]``) and ``kli[c, 1, :, m]`` the ``(i, l)`` row (``lfun[m]``),
-    both over the plan's ``i`` block, for exchange channel ``c``;
-    ``klj`` likewise over its ``j`` block.
+    ``m`` of the batch: ``kl[m]`` is the ``(kfun, lfun)`` element, at
+    flat index ``kl_at[m] = kfun * nbf + lfun``; ``exchange[:, m]`` its
+    record of exchange rows — ``kli[c, 0, :, m]``, the ``(i, k)`` row
+    (destination row ``kfun[m]``), and ``kli[c, 1, :, m]``, the
+    ``(i, l)`` row (``lfun[m]``), both over the plan's ``i`` block, for
+    every exchange channel ``c``; then ``klj`` likewise over its ``j``
+    block.  ``kli`` and ``klj`` are views of ``exchange``.
     """
 
     batch: BraBatch
@@ -228,32 +230,77 @@ class Families(NamedTuple):
     kl: np.ndarray
     kli: np.ndarray
     klj: np.ndarray
+    exchange: np.ndarray
+    kl_at: np.ndarray
 
     def add_into(
-        self, p: int, col_i: np.ndarray, col_j: np.ndarray, W: np.ndarray,
-        channel: int = 0,
+        self,
+        p: int,
+        target: np.ndarray,
+        bases: tuple[int, int],
+        row_stride: int,
+        channel_stride: int = 0,
+        kl_target: np.ndarray | None = None,
     ) -> None:
-        """Accumulate plan ``p``'s families: ``ji`` and its ``(i, k)`` /
-        ``(i, l)`` rows into the ``(nbf, ni)`` column block ``col_i``,
-        its ``(j, k)`` / ``(j, l)`` rows into ``col_j``, its ``(k, l)``
-        elements into ``W`` itself.
+        """Accumulate plan ``p``'s families into the flat ``target``.
 
-        Rows repeat along the columns (one per ``l`` of a ``k``, and
-        again per quartet), hence the unbuffered ``np.add.at`` — one per
-        column block, which adds the ``kfun`` rows and then the ``lfun``
-        rows in column order; the ``(kfun, lfun)`` pairs of a plan are
-        distinct, so ``kl`` is a plain fancy ``+=``.  What a plan adds
-        depends on the plan alone, not on its batch.
+        ``bases`` are the flat offsets of element ``(0, 0)`` of the
+        plan's ``i`` and ``j`` column blocks, rows ``row_stride`` apart;
+        channel ``c`` adds ``c * channel_stride``.  The ``(i, j)`` block
+        goes first, then column after column its exchange record and
+        its ``(k, l)`` element per channel (at ``kl_at`` plus the
+        channel's offset) — one ``np.add.at``, which adds repeated
+        indices in order — or, with ``kl_target``, the records alone
+        and then the ``(k, l)`` elements into ``kl_target``.  What a
+        plan adds, and in which order, depends on the plan alone.
         """
         batch = self.batch
         plan = batch.plans[p]
         a = int(batch.starts[p])
-        cols = slice(a, a + plan.fac.size)
-        rows = batch.rows[:, cols]
-        col_i[plan.sj] += self.ji[p]
-        np.add.at(col_i, rows, self.kli[channel, :, :, cols].transpose(0, 2, 1))
-        np.add.at(col_j, rows, self.klj[channel, :, :, cols].transpose(0, 2, 1))
-        W[rows[0], rows[1]] += self.kl[cols]
+        z = a + plan.fac.size
+        C = self.kli.shape[0]
+        h, side, offset, ji_at = _record_terms(
+            C, batch.ni, batch.nj, row_stride, channel_stride
+        )
+        target[ji_at + (bases[0] + plan.sj.start * row_stride)] += self.ji[p]
+        index = batch.rows[h, a:z].T * row_stride
+        index += offset + np.array(bases)[side]
+        values = self.exchange[:, a:z].T
+        if kl_target is None:
+            index = np.concatenate(
+                (index, self.kl_at[a:z, None] + np.arange(C) * channel_stride),
+                axis=1,
+            )
+            values = np.concatenate(
+                (values, np.broadcast_to(self.kl[a:z, None], (z - a, C))), axis=1
+            )
+        np.add.at(target, index.ravel(), values.ravel())
+        if kl_target is not None:
+            kl_target[self.kl_at[a:z]] += self.kl[a:z]
+
+
+@cache
+def _record_terms(
+    nchannels: int, ni: int, nj: int, row_stride: int, channel_stride: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """For :meth:`Families.add_into`: per term of an exchange record,
+    whether it adds into the ``kfun`` or the ``lfun`` row (``h``), of
+    the ``i`` or the ``j`` block (``side``), and its offset in the row
+    (channel and column in the block); the offsets of an ``(i, j)``
+    block, per channel, from its first element."""
+    h, side, offset = [], [], []
+    for s, n in ((0, ni), (1, nj)):
+        c, hh, k = np.meshgrid(
+            np.arange(nchannels), np.arange(2), np.arange(n), indexing="ij"
+        )
+        h.append(hh.ravel())
+        side.append(np.full(c.size, s))
+        offset.append((c * channel_stride + k).ravel())
+    ji_at = (
+        np.arange(nchannels)[:, None, None] * channel_stride
+        + np.arange(nj)[:, None] * row_stride + np.arange(ni)
+    )
+    return np.concatenate(h), np.concatenate(side), np.concatenate(offset), ji_at
 
 
 class QuartetEngine:
@@ -459,6 +506,7 @@ class QuartetEngine:
         C = d_exchange.shape[0]
         dx = d_exchange.reshape(C, -1)
         rows = batch.rows
+        kl_at = rows[0] * self.basis.nbf + rows[1]
         col = np.repeat(
             np.arange(len(batch.plans)), np.diff(batch.starts, append=M)
         )
@@ -468,7 +516,7 @@ class QuartetEngine:
         # result out in an order that is slow to fill.
         work = np.empty((ni, nj, M))
         ji = np.add.reduceat(
-            np.multiply(X3, dc[rows[0] * self.basis.nbf + rows[1]], out=work),
+            np.multiply(X3, dc[kl_at], out=work),
             batch.starts, axis=2,
         )
         # (k, l): the bra's function pairs, added j first, then i.
@@ -479,14 +527,15 @@ class QuartetEngine:
         # row with D[j, kfun] — summed over j in order; likewise for j.
         partner = rows[::-1, None, :]  # (2, 1, M)
         work = np.empty((C, 2, ni, nj, M))
-        kli = np.empty((C, 2, ni, M))
-        klj = np.empty((C, 2, nj, M))
+        exchange = np.empty((C * 2 * (ni + nj), M))
+        kli = exchange[: C * 2 * ni].reshape(C, 2, ni, M)
+        klj = exchange[C * 2 * ni :].reshape(C, 2, nj, M)
         for axis, rows_at, out in ((3, batch.j_at, kli), (2, batch.i_at, klj)):
             at = np.take(rows_at, col, axis=1) + partner  # (2, n, M)
             dens = dx[0].take(at)[None] if C == 1 else dx[:, at]
             np.multiply(X3, dens[:, :, None] if axis == 3 else dens[:, :, :, None], out=work)
             _sum_in_order(work, axis, out)
-        return Families(batch, ji.transpose(2, 1, 0), kl, kli, klj)
+        return Families(batch, ji.transpose(2, 1, 0), kl, kli, klj, exchange, kl_at)
 
     def scatter_general(
         self,
