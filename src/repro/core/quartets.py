@@ -93,8 +93,8 @@ kernels) depends on the array's shape, so the same plan would get
 other last bits in another batch, and a last-bit change in ``F`` is a
 different SCF iteration count on near-degenerate systems.  *Where* the
 families go is each algorithm's decision: :meth:`Families.add_into`
-adds one plan's into the column blocks and the matrix it is given, and
-the builders call it plan by plan in program order, so a target element
+adds one plan's into a flat target at the offsets it is given, and the
+builders call it plan by plan in program order, so a target element
 receives its terms in the same order however the plans were batched.
 
 :meth:`QuartetEngine.scatter_general` is the per-quartet spelling of the
