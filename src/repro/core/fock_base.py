@@ -37,7 +37,7 @@ from repro.parallel.reduction import publish_flushes
 from repro.parallel.scheduler import SCHEDULE_NAMES, Scheduler, make_scheduler
 from repro.parallel.shared_array import WriteTracker
 from repro.resilience.errors import NonFiniteDensityError
-from repro.resilience.faults import FaultPlan, corrupt_copy, resilient_grants
+from repro.resilience.faults import FaultPlan, resilient_grants
 
 #: Scalar counters of one Fock build, in declaration order.
 _SCALAR_FIELDS = (
@@ -94,6 +94,23 @@ class FockBuildStats:
         self.per_rank_quartets = list(self.per_rank_quartets)
         self.per_thread_quartets = list(self.per_thread_quartets)
 
+    @classmethod
+    def merged(cls, parts: Sequence["FockBuildStats"]) -> "FockBuildStats":
+        """One build's stats from its ranks' partial stats, folded in
+        rank order: counters summed, ``per_rank_quartets`` each rank's
+        computed quartets, ``per_thread_quartets`` summed thread by
+        thread."""
+        head = parts[0]
+        return cls(
+            head.algorithm, head.nranks, head.nthreads,
+            per_rank_quartets=[p.quartets_computed for p in parts],
+            per_thread_quartets=[
+                sum(n) for n in zip(*(p.per_thread_quartets for p in parts))
+            ],
+            **{name: sum(getattr(p, name) for p in parts)
+               for name in _SCALAR_FIELDS},
+        )
+
     def snapshot(self) -> dict[str, int | list[int]]:
         """The counters and series as ``{"fock.<field>": value}``,
         key-sorted — the shape of a registry snapshot."""
@@ -139,45 +156,6 @@ class FockBuildStats:
         out["thread_imbalance"] = self.thread_imbalance
         out["eri_cache_hit_rate"] = self.eri_cache_hit_rate
         return out
-
-
-@dataclass
-class RankBuildResult:
-    """Outcome of one rank's share of a Fock build.
-
-    The *rank program* of each algorithm (the per-rank SPMD body that
-    both the deterministic sim backend and the real-process backend
-    execute) returns one of these; the caller merges it into the
-    build-level :class:`FockBuildStats`.  Keeping the record a plain
-    picklable dataclass is what lets worker processes ship it back over
-    a ``multiprocessing`` queue unchanged.
-    """
-
-    rank: int
-    quartets_done: int = 0
-    quartets_screened: int = 0
-    per_thread_quartets: list[int] = field(default_factory=list)
-    fi_flushes: int = 0
-    fj_flushes: int = 0
-    races: int = 0
-    writes_checked: int = 0
-
-    def as_dict(self) -> dict:
-        """JSON/queue-ready flat view."""
-        return {
-            "rank": self.rank,
-            "quartets_done": self.quartets_done,
-            "quartets_screened": self.quartets_screened,
-            "per_thread_quartets": list(self.per_thread_quartets),
-            "fi_flushes": self.fi_flushes,
-            "fj_flushes": self.fj_flushes,
-            "races": self.races,
-            "writes_checked": self.writes_checked,
-        }
-
-    @classmethod
-    def from_dict(cls, rec: dict) -> "RankBuildResult":
-        return cls(**rec)
 
 
 class TaskPlan(NamedTuple):
@@ -245,7 +223,7 @@ class ParallelFockBuilderBase:
     dlb_policy:
         Grant policy of the simulated DDI counter (``round_robin`` /
         ``block``); only meaningful with ``schedule="dlb"``.
-    thread_schedule / thread_chunk:
+    thread_schedule:
         OpenMP-style schedule of the thread-level loop.
     track_races:
         Enable the shared-write race detector (shared-Fock algorithm).
@@ -256,10 +234,6 @@ class ParallelFockBuilderBase:
         identical to the fault-free build); corrupt events strike the
         rank's ``gsumf`` contribution on the wire, where the validating
         reduction detects them and requests a retransmission.
-    validate_reductions:
-        NaN/Inf-guard reduction contributions before merging (on by
-        default); disabling it lets injected corruption propagate,
-        which is how the downstream density guards are exercised.
     """
 
     algorithm_name = "base"
@@ -278,17 +252,14 @@ class ParallelFockBuilderBase:
         schedule: str = "dlb",
         dlb_policy: str = "round_robin",
         thread_schedule: str = "dynamic",
-        thread_chunk: int = 1,
         track_races: bool = False,
         fault_plan: FaultPlan | None = None,
-        validate_reductions: bool = True,
     ) -> None:
         if nranks < 1 or nthreads < 1:
             raise ValueError("nranks and nthreads must be positive")
         if fault_plan is not None:
             fault_plan.validate_for(nranks)
         self.fault_plan = fault_plan
-        self.validate_reductions = validate_reductions
         self._build_index = 0
         self.basis = basis
         self.hcore = np.asarray(hcore, dtype=np.float64)
@@ -308,7 +279,6 @@ class ParallelFockBuilderBase:
         self.schedule = schedule
         self.dlb_policy = dlb_policy
         self.thread_schedule = thread_schedule
-        self.thread_chunk = thread_chunk
         self.track_races = track_races
         self.nbf = basis.nbf
         self.nshells = basis.nshells
@@ -331,12 +301,17 @@ class ParallelFockBuilderBase:
     #                                     one rank's share of the build,
     #                                     its grants in blocks (lists of
     #                                     task indices); accumulates into
-    #                                     W in place and returns a
-    #                                     RankBuildResult
+    #                                     W in place and returns the
+    #                                     rank's partial FockBuildStats
     #
-    # The sim path (__call__, via _sim_build) and the real-process
-    # backend both execute rank_program, so "same rank program on real
-    # OS processes" is a structural guarantee, not a convention.
+    # A rank program walks rank_runs and says only where a run's
+    # families go.  The sim path (__call__) and the real-process backend
+    # both execute rank_program between one build head (_start_build)
+    # and one tail (_finish_build), so "same rank program on real OS
+    # processes" is a structural guarantee, not a convention.
+
+    #: The densities a build takes, in order, as its errors name them.
+    density_labels: tuple[str, ...] = ("density",)
 
     def dlb_ntasks(self) -> int:
         """Size of the global DLB index space of one build."""
@@ -367,14 +342,49 @@ class ParallelFockBuilderBase:
         W: np.ndarray,
         *,
         barrier: Callable[[], None] | None = None,
-    ) -> RankBuildResult:
+    ) -> FockBuildStats:
         """Execute one rank's share of the build; accumulate into ``W``.
 
         ``blocks`` are the rank's grants, each a list of task indices
         handed over at once; how the grants are blocked never changes a
-        bit of ``W``.
+        bit of ``W``.  Returns the rank's partial stats.
         """
         raise NotImplementedError
+
+    def admit(
+        self,
+        task: int,
+        part: FockBuildStats,
+        barrier: Callable[[], None] | None,
+    ) -> bool:
+        """Whether a rank plans and digests ``task``, drawn from its
+        grants: an algorithm's per-draw step before planning (a barrier,
+        or a prescreen that counts what it skips on ``part``)."""
+        return True
+
+    def rank_runs(
+        self,
+        blocks: Iterator[list[int]],
+        part: FockBuildStats,
+        barrier: Callable[[], None] | None = None,
+    ) -> Iterator[tuple[list[tuple[int, TaskPlan]], list["Layout"]]]:
+        """A rank's admitted tasks, a run at a time, with each thread's
+        :class:`Layout` of the run: each grant block's tasks planned
+        (:meth:`task_plan`) and cut into runs under the digestion budget
+        (:func:`runs_under_budget`).  Counts each run's screened and
+        computed quartets, in total and per thread, on ``part``."""
+        for block in blocks:
+            tasks = [
+                (task, self.task_plan(task)) for task in block
+                if self.admit(task, part, barrier)
+            ]
+            for run in runs_under_budget(tasks):
+                layouts = [self._layout(run, t) for t in range(self.nthreads)]
+                part.quartets_screened += sum(plan.screened for _, plan in run)
+                for t, layout in enumerate(layouts):
+                    part.quartets_computed += layout.quartets
+                    part.per_thread_quartets[t] += layout.quartets
+                yield run, layouts
 
     def plan_task(self, task: int) -> TaskPlan:
         """Screen, partition and index DLB task ``task`` from scratch."""
@@ -417,92 +427,114 @@ class ParallelFockBuilderBase:
         cache = self.eri_cache
         return DEFAULT_CACHE_BYTES if cache is None else cache.max_bytes
 
-    def prepared(self, key: tuple, make: Callable[[], "Layout"]) -> "Layout":
-        """``make()`` — the density-independent :class:`Layout` of one
-        thread's plans in one run of a rank's tasks — built the first
-        time ``key`` comes up and kept beside the task plans, under their
-        byte budget and for their ``Screening``: a rank's runs are the
-        same build after build."""
-        value = self._prepared.get(key)
-        if value is None:
-            value = make()
+    def _layout(self, run: list[tuple[int, TaskPlan]], t: int) -> "Layout":
+        """The density-independent :class:`Layout` of thread ``t``'s
+        plans in ``run``, built the first time the run comes up and kept
+        beside the task plans, under their byte budget and for their
+        ``Screening``: a rank's runs are the same build after build."""
+        key = (tuple(task for task, _ in run), t)
+        layout = self._prepared.get(key)
+        if layout is None:
+            layout = Layout.of(self.engine, [
+                p for _, plan in run if plan.shares for p in plan.shares[t][1]
+            ])
             if self._plan_bytes < self._plan_budget:
-                self._prepared[key] = value
-                self._plan_bytes += value.nbytes
-        return value
+                self._prepared[key] = layout
+                self._plan_bytes += layout.nbytes
+        return layout
+
+    def _add_to_replica(
+        self,
+        layout: "Layout",
+        d_coulomb: np.ndarray,
+        d_exchange: np.ndarray,
+        target: np.ndarray,
+    ) -> None:
+        """Digest ``layout`` and add every plan's six families into the
+        flat Fock replica ``target`` (one ``(nbf, nbf)`` block per
+        exchange channel), plan by plan in program order."""
+        n = self.nbf
+        for fam, p in layout.digest(self.engine, d_coulomb, d_exchange):
+            plan = fam.batch.plans[p]
+            fam.add_into(p, target, (plan.si.start, plan.sj.start), n, n * n)
 
     def assemble(self, W: np.ndarray) -> np.ndarray:
         """Full Fock matrix from the reduced two-electron accumulator."""
         return self.hcore + symmetrize_two_electron(W)
 
-    def __call__(self, density: np.ndarray) -> tuple[np.ndarray, FockBuildStats]:
-        """Build the Fock matrix on the sim runtime: ``(fock, stats)``."""
-        stats = self._new_stats()
-        self._check_density(density)
-        return self.assemble(self._sim_build(density, stats)), stats
-
-    def _sim_build(self, density: np.ndarray, stats: FockBuildStats) -> np.ndarray:
-        """One build on the sim runtime: every rank's program, then ``gsumf``.
-
-        Fills ``stats`` and returns the reduced accumulator ``W``.
-        """
+    def __call__(self, *densities: np.ndarray) -> tuple:
+        """Build on the sim runtime: every rank's program, then
+        ``gsumf``.  ``(fock, stats)``, or ``(F_alpha, F_beta, stats)``
+        from a UHF builder's spin pair."""
+        density = self._start_build(densities)
         tracer = get_tracer()
         world = SimWorld(self.nranks)
         dlb = self.make_scheduler()
-        results: list[np.ndarray] = []
+        reduced: list[np.ndarray] = []
 
-        def rank_main(comm: SimComm) -> None:
-            rank = comm.rank
+        def rank_main(comm: SimComm) -> FockBuildStats:
             W = np.zeros(self.accumulator_shape)
-            rr = self.rank_program(
-                rank, self._grants(dlb, rank), density, W,
+            part = self.rank_program(
+                comm.rank, self._grants(dlb, comm.rank), density, W,
                 barrier=comm.barrier,
             )
-            self._merge_rank_result(stats, rr)
-            stats.per_rank_quartets.append(rr.quartets_done)
-            with tracer.span("fock/gsumf", rank=rank):
+            with tracer.span("fock/gsumf", rank=comm.rank):
                 self._resilient_gsumf(comm, W)
-            results.append(W)
+            reduced.append(W)
+            return part
 
         with tracer.span(
             "fock/build", algorithm=self.algorithm_name,
             nranks=self.nranks, nthreads=self.nthreads,
         ):
-            world.execute(rank_main)
-        stats.quartets_computed = sum(stats.per_rank_quartets)
-        stats.reduce_bytes = world.stats.reduce_bytes
-        self._capture_cache_stats(stats)
+            parts = world.execute(rank_main)
+        return self._finish_build(reduced[0], parts, world.stats.reduce_bytes)
+
+    def _start_build(self, densities: Sequence[np.ndarray]) -> np.ndarray:
+        """A build's head on either backend: count the build, mark the
+        quartet cache, refuse a non-finite density naming it, and stack
+        the densities into the accumulator's shape."""
+        self._build_index += 1
+        cache = self.eri_cache
+        if cache is not None:
+            self._cache_mark = (cache.hits, cache.misses, cache.evictions)
+        for density, label in zip(densities, self.density_labels, strict=True):
+            # Fail fast instead of iterating on garbage, naming the
+            # build (= SCF cycle) so the first offending one shows.
+            if not np.all(np.isfinite(density)):
+                raise NonFiniteDensityError(
+                    f"Fock build {self._build_index}: input {label} "
+                    f"contains {int(np.sum(~np.isfinite(density)))} "
+                    "non-finite value(s); refusing to build from garbage"
+                )
+        return np.reshape(densities, self.accumulator_shape)
+
+    def _rank_stats(self) -> FockBuildStats:
+        """A rank program's partial stats, every count at zero."""
+        return FockBuildStats(
+            self.algorithm_name, self.nranks, self.nthreads,
+            per_thread_quartets=[0] * self.nthreads,
+        )
+
+    def _finish_build(
+        self, W: np.ndarray, parts: Sequence[FockBuildStats], reduce_bytes: int
+    ) -> tuple:
+        """A build's tail on either backend: the ranks' partial stats
+        folded in rank order, the bytes reduced and the build's
+        quartet-cache deltas recorded, the registry told once; returns
+        the Fock matrices of the reduced ``W`` and the stats, as
+        :meth:`__call__` does."""
+        stats = FockBuildStats.merged(parts)
+        stats.reduce_bytes = reduce_bytes
+        cache = self.eri_cache
+        if cache is not None:
+            h0, m0, e0 = self._cache_mark
+            stats.eri_cache_hits = cache.hits - h0
+            stats.eri_cache_misses = cache.misses - m0
+            stats.eri_cache_evictions = cache.evictions - e0
         self._record_global(stats)
-        return results[0]
-
-    @staticmethod
-    def _merge_rank_result(stats: FockBuildStats, rr: RankBuildResult) -> None:
-        """Fold one rank's :class:`RankBuildResult` into the build stats."""
-        stats.quartets_screened += rr.quartets_screened
-        stats.fi_flushes += rr.fi_flushes
-        stats.fj_flushes += rr.fj_flushes
-        stats.races += rr.races
-        stats.writes_checked += rr.writes_checked
-        if rr.per_thread_quartets:
-            counts = stats.per_thread_quartets
-            if not counts:
-                counts = [0] * len(rr.per_thread_quartets)
-            stats.per_thread_quartets = [
-                a + b for a, b in zip(counts, rr.per_thread_quartets)
-            ]
-
-    def _check_density(self, density: np.ndarray, label: str = "density") -> None:
-        """Fail fast on NaN/Inf input instead of iterating on garbage.
-
-        The diagnostic names the Fock build (= SCF cycle for one build
-        per cycle) so the first offending cycle is identifiable.
-        """
-        if not np.all(np.isfinite(density)):
-            raise NonFiniteDensityError(
-                f"Fock build {self._build_index}: input {label} contains "
-                f"{int(np.sum(~np.isfinite(density)))} non-finite "
-                "value(s); refusing to build from garbage"
-            )
+        focks = self.assemble(W)
+        return (*focks, stats) if isinstance(focks, tuple) else (focks, stats)
 
     def _grants(self, dlb: Scheduler, rank: int) -> Iterator[list[int]]:
         """Rank's grants as one block, its whole queue — in the order
@@ -513,75 +545,34 @@ class ParallelFockBuilderBase:
         )
 
     def _resilient_gsumf(self, comm: SimComm, W: np.ndarray) -> None:
-        """``gsumf`` with wire-corruption injection and NaN/Inf guard.
+        """``gsumf`` with wire-corruption injection.
 
-        A scheduled corrupt event strikes the wire image of ``W``.  With
-        reduction validation on (default), the guard detects the
-        non-finite payload before merging and requests retransmission of
-        the pristine buffer the sender still holds — the reduced result
-        is untouched.  With validation off, the corruption is merged
-        in-place and propagates (for exercising downstream guards).
+        A scheduled corrupt event strikes the wire image of ``W``; the
+        validating reduction detects the non-finite payload before
+        merging and requests retransmission of the pristine buffer the
+        sender still holds, so the reduced result is untouched.
         """
         plan = self.fault_plan
-        if plan is not None:
-            event = plan.corruption(comm.rank, self._build_index)
-            if event is not None:
-                registry = get_metrics()
-                if registry is not None:
-                    registry.counter("resilience.corrupt_injected").inc()
-                log = get_event_log()
-                if log is not None:
-                    log.emit(
-                        "fault.corrupt", rank=comm.rank,
-                        cycle=self._build_index, payload=event.payload,
-                        detected=self.validate_reductions,
-                        retransmitted=self.validate_reductions,
-                    )
-                if self.validate_reductions:
-                    if registry is not None:
-                        registry.counter(
-                            "resilience.corrupt_detected"
-                        ).inc()
-                        registry.counter(
-                            "resilience.retransmissions", rank=comm.rank
-                        ).inc()
-                else:
-                    W[...] = corrupt_copy(W, event.payload)
-        if not self.validate_reductions and not np.all(np.isfinite(W)):
-            # Unvalidated fabric: the poisoned buffer joins the sum.
-            self._world_gsumf_unchecked(comm, W)
-            return
+        event = (
+            plan.corruption(comm.rank, self._build_index)
+            if plan is not None else None
+        )
+        if event is not None:
+            registry = get_metrics()
+            if registry is not None:
+                registry.counter("resilience.corrupt_injected").inc()
+                registry.counter("resilience.corrupt_detected").inc()
+                registry.counter(
+                    "resilience.retransmissions", rank=comm.rank
+                ).inc()
+            log = get_event_log()
+            if log is not None:
+                log.emit(
+                    "fault.corrupt", rank=comm.rank,
+                    cycle=self._build_index, payload=event.payload,
+                    detected=True, retransmitted=True,
+                )
         comm.gsumf(W)
-
-    @staticmethod
-    def _world_gsumf_unchecked(comm: SimComm, W: np.ndarray) -> None:
-        comm.stats.reduce_calls += 1
-        comm.stats.reduce_bytes += W.nbytes
-        comm._world._register_reduction(comm.rank, W)
-
-    def _new_stats(self) -> FockBuildStats:
-        self._build_index += 1
-        cache = self.eri_cache
-        self._cache_mark = (
-            (cache.hits, cache.misses, cache.evictions)
-            if cache is not None
-            else (0, 0, 0)
-        )
-        return FockBuildStats(
-            algorithm=self.algorithm_name,
-            nranks=self.nranks,
-            nthreads=self.nthreads,
-        )
-
-    def _capture_cache_stats(self, stats: FockBuildStats) -> None:
-        """Record this build's quartet-cache deltas onto ``stats``."""
-        cache = self.eri_cache
-        if cache is None:
-            return
-        h0, m0, e0 = self._cache_mark
-        stats.eri_cache_hits = cache.hits - h0
-        stats.eri_cache_misses = cache.misses - m0
-        stats.eri_cache_evictions = cache.evictions - e0
 
     def _new_tracker(self) -> WriteTracker | None:
         if not self.track_races:

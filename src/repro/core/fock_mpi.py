@@ -20,11 +20,9 @@ from typing import Callable, Iterator
 import numpy as np
 
 from repro.core.fock_base import (
-    Layout,
+    FockBuildStats,
     ParallelFockBuilderBase,
-    RankBuildResult,
     TaskPlan,
-    runs_under_budget,
 )
 from repro.core.indexing import decode_pair, npairs
 from repro.obs.tracer import get_tracer
@@ -65,30 +63,15 @@ class MPIOnlyFockBuilder(ParallelFockBuilderBase):
         W: np.ndarray,
         *,
         barrier: Callable[[], None] | None = None,
-    ) -> RankBuildResult:
+    ) -> FockBuildStats:
         """One rank's share: the stock replicated-Fock quartet loops."""
-        rr = RankBuildResult(rank=rank)
+        part = self._rank_stats()
         dc, dx = 2.0 * density, -0.5 * density[None]
-        W_flat = W.reshape(-1)
         # Stock loop: i over shells, j <= i, with the DLB check on
         # the combined (i, j) index (ddi_dlbnext); every family straight
         # into the rank's replica, plan by plan in program order.
         with get_tracer().span("fock/quartets", rank=rank):
-            for block in blocks:
-                tasks = [(ij, self.task_plan(ij)) for ij in block]
-                for run in runs_under_budget(tasks):
-                    rr.quartets_screened += sum(t.screened for _, t in run)
-                    layout = self.prepared(
-                        (tuple(ij for ij, _ in run), 0),
-                        lambda: Layout.of(self.engine, [
-                            p for _, task in run
-                            for _, share in task.shares for p in share
-                        ]),
-                    )
-                    for fam, p in layout.digest(self.engine, dc, dx):
-                        plan = fam.batch.plans[p]
-                        fam.add_into(
-                            p, W_flat, (plan.si.start, plan.sj.start), self.nbf
-                        )
-                    rr.quartets_done += layout.quartets
-        return rr
+            for _, (layout,) in self.rank_runs(blocks, part):
+                self._add_to_replica(layout, dc, dx, W.reshape(-1))
+        part.per_thread_quartets = []  # Algorithm 1 has no thread team
+        return part

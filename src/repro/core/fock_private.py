@@ -20,11 +20,9 @@ from typing import Callable, Iterator
 import numpy as np
 
 from repro.core.fock_base import (
-    Layout,
+    FockBuildStats,
     ParallelFockBuilderBase,
-    RankBuildResult,
     TaskPlan,
-    runs_under_budget,
 )
 from repro.obs.tracer import get_tracer
 from repro.parallel.threads import ThreadTeam
@@ -51,7 +49,6 @@ class PrivateFockBuilder(ParallelFockBuilderBase):
         shares = ThreadTeam(self.nthreads).partition(
             (i + 1) * (i + 1),
             schedule=self.thread_schedule,
-            chunk=self.thread_chunk,
             costs=self._jk_costs(i),
         )
         screened_out = 0
@@ -73,6 +70,16 @@ class PrivateFockBuilder(ParallelFockBuilderBase):
             planned.append((len(share), plans))
         return TaskPlan.of(screened_out, planned)
 
+    def admit(
+        self,
+        task: int,
+        part: FockBuildStats,
+        barrier: Callable[[], None] | None,
+    ) -> bool:
+        if barrier is not None:
+            barrier()  # master draw + implicit barrier
+        return True
+
     def rank_program(
         self,
         rank: int,
@@ -81,50 +88,28 @@ class PrivateFockBuilder(ParallelFockBuilderBase):
         W: np.ndarray,
         *,
         barrier: Callable[[], None] | None = None,
-    ) -> RankBuildResult:
+    ) -> FockBuildStats:
         """One rank's share: collapse(2) thread loops, private Focks."""
-        rr = RankBuildResult(rank=rank)
+        part = self._rank_stats()
         tracer = get_tracer()
-        team = ThreadTeam(self.nthreads)
-        thread_counts = [0] * self.nthreads
         d_coulomb, d_exchange, kw = self._channels(density)
         dc, dx = 2.0 * d_coulomb, kw * d_exchange
         # One private Fock replica per thread, as in
         # ``reduction(+ : Fock)``.
-        W_threads = team.private_buffers(W.shape)
-        for block in blocks:
-            tasks = []
-            for i in block:
-                if barrier is not None:
-                    barrier()  # master draw + implicit barrier
-                tasks.append((i, self.task_plan(i)))
-            for run in runs_under_budget(tasks):
-                key = tuple(i for i, _ in run)
-                for t in range(self.nthreads):
-                    layout = self.prepared((key, t), lambda: Layout.of(
-                        self.engine, [p for _, task in run for p in task.shares[t][1]]
-                    ))
-                    # One (nbf, nbf) accumulator per exchange channel.
-                    target = W_threads[t].reshape(-1)
-                    with tracer.span(
-                        "fock/jk", rank=rank, thread=t, tasks=len(run),
-                        plans=len(layout.order), quartets=layout.quartets,
-                    ):
-                        for fam, p in layout.digest(self.engine, dc, dx):
-                            plan = fam.batch.plans[p]
-                            fam.add_into(
-                                p, target, (plan.si.start, plan.sj.start),
-                                self.nbf, self.nbf * self.nbf,
-                            )
-                    thread_counts[t] += layout.quartets
-                rr.quartets_screened += sum(task.screened for _, task in run)
+        W_threads = ThreadTeam(self.nthreads).private_buffers(W.shape)
+        targets = [Wt.reshape(-1) for Wt in W_threads]
+        for run, layouts in self.rank_runs(blocks, part, barrier):
+            for t, layout in enumerate(layouts):
+                with tracer.span(
+                    "fock/jk", rank=rank, thread=t, tasks=len(run),
+                    plans=len(layout.order), quartets=layout.quartets,
+                ):
+                    self._add_to_replica(layout, dc, dx, targets[t])
         # OpenMP reduction over thread-private Focks.
         with tracer.span("fock/thread_reduce", rank=rank):
             for Wt in W_threads:
                 W += Wt
-        rr.quartets_done = sum(thread_counts)
-        rr.per_thread_quartets = thread_counts
-        return rr
+        return part
 
     def work_estimates(self) -> np.ndarray:
         # Cost of MPI task i ~ number of (j, k, l) iterations under it.

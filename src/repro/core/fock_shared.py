@@ -28,11 +28,9 @@ import numpy as np
 
 from repro.core.buffers import track_flush
 from repro.core.fock_base import (
-    Layout,
+    FockBuildStats,
     ParallelFockBuilderBase,
-    RankBuildResult,
     TaskPlan,
-    runs_under_budget,
 )
 from repro.core.indexing import decode_pair, npairs
 from repro.obs.tracer import get_tracer
@@ -69,7 +67,6 @@ class SharedFockBuilder(ParallelFockBuilderBase):
             shares = ThreadTeam(self.nthreads).partition(
                 kls.size,
                 schedule=self.thread_schedule,
-                chunk=self.thread_chunk,
                 costs=self._kl_costs(kls),
             )
             planned = [
@@ -81,6 +78,18 @@ class SharedFockBuilder(ParallelFockBuilderBase):
             ]
         return TaskPlan.of(ij + 1 - kls.size, planned)
 
+    def admit(
+        self,
+        ij: int,
+        part: FockBuildStats,
+        barrier: Callable[[], None] | None,
+    ) -> bool:
+        # Bra prescreening (paper Algorithm 3 line 13, safe form).
+        if self.screening.prescreen_ij(*decode_pair(ij)):
+            return True
+        part.quartets_screened += ij + 1
+        return False
+
     def rank_program(
         self,
         rank: int,
@@ -89,7 +98,7 @@ class SharedFockBuilder(ParallelFockBuilderBase):
         W: np.ndarray,
         *,
         barrier: Callable[[], None] | None = None,
-    ) -> RankBuildResult:
+    ) -> FockBuildStats:
         """One rank's share: shared Fock with FI/FJ buffers and flushes.
 
         Each run of tasks is digested thread by thread, a bra shape at a
@@ -98,13 +107,12 @@ class SharedFockBuilder(ParallelFockBuilderBase):
         into its FI / FJ buffers and their ``(k, l)`` elements into
         ``W``, FJ flush.
         """
-        rr = RankBuildResult(rank=rank)
+        part = self._rank_stats()
         tracer = get_tracer()
         T, nbf = self.nthreads, self.nbf
         offsets = self.basis.shell_bf_offsets().tolist()
         widths = self.basis.shell_nfuncs().tolist()
         slices = self.engine.shell_slices
-        thread_counts = [0] * T
         tracker = self._new_tracker()
         chunks = flush_table(nbf, T)
         width = self.basis.max_shell_nfunc()
@@ -126,72 +134,53 @@ class SharedFockBuilder(ParallelFockBuilderBase):
                 track_flush(tracker, W.shape, chunks, cols)
                 tracker.barrier()
 
-        for block in blocks:
-            tasks = []
-            for ij in block:
-                # Bra prescreening (paper Algorithm 3 line 13, safe form).
-                if self.screening.prescreen_ij(*decode_pair(ij)):
-                    tasks.append((ij, self.task_plan(ij)))
-                else:
-                    rr.quartets_screened += ij + 1
-            for run in runs_under_budget(tasks):
-                key = tuple(ij for ij, _ in run)
-                digested = []
-                for t in range(T):
-                    layout = self.prepared((key, t), lambda: Layout.of(
-                        self.engine,
-                        [p for _, task in run if task.shares
-                         for p in task.shares[t][1]],
-                    ))
-                    with tracer.span(
-                        "fock/kl", rank=rank, thread=t, tasks=len(run),
-                        plans=len(layout.order), quartets=layout.quartets,
-                    ):
-                        digested.append(iter(layout.digest(self.engine, dc, dx)))
-                    thread_counts[t] += layout.quartets
-                for ij, task in run:
-                    i, j = decode_pair(ij)
-                    # Flush FI when the i index changes (lines 15-18) —
-                    # or every iteration when the iold optimization is
-                    # ablated.
-                    if (i != iold or self.flush_fi_every_iteration) and iold >= 0:
-                        with tracer.span("fock/flush_fi", rank=rank, i=iold):
-                            flush(FI, iold)
-                        rr.fi_flushes += 1
-                    rr.quartets_screened += task.screened
-                    for t, (_, plans) in enumerate(task.shares):
-                        # (i,j), (i,k), (i,l) into the thread's FI, (j,k),
-                        # (j,l) into its FJ; (k,l) directly into the
-                        # shared Fock — disjoint across threads, which
-                        # the tracker verifies.
-                        bases = (t * nbf * width, (T + t) * nbf * width)
-                        for plan, (fam, p) in zip(plans, digested[t]):
-                            fam.add_into(p, target, bases, width, 0, W_flat)
-                            if tracker is not None:
-                                for kl in plan.kls.tolist():
-                                    k, l = decode_pair(kl)
-                                    tracker.record_block(
-                                        t, W.shape, slices[k], slices[l]
-                                    )
-                    if tracker is not None and task.shares:
-                        tracker.barrier()
-                    # Flush FJ after every kl loop (line 31).
-                    with tracer.span("fock/flush_fj", rank=rank, j=j):
-                        flush(FJ, j)
-                    rr.fj_flushes += 1
-                    iold = i
+        for run, layouts in self.rank_runs(blocks, part):
+            digested = []
+            for t, layout in enumerate(layouts):
+                with tracer.span(
+                    "fock/kl", rank=rank, thread=t, tasks=len(run),
+                    plans=len(layout.order), quartets=layout.quartets,
+                ):
+                    digested.append(iter(layout.digest(self.engine, dc, dx)))
+            for ij, task in run:
+                i, j = decode_pair(ij)
+                # Flush FI when the i index changes (lines 15-18) — or
+                # every iteration when the iold optimization is ablated.
+                if (i != iold or self.flush_fi_every_iteration) and iold >= 0:
+                    with tracer.span("fock/flush_fi", rank=rank, i=iold):
+                        flush(FI, iold)
+                    part.fi_flushes += 1
+                for t, (_, plans) in enumerate(task.shares):
+                    # (i,j), (i,k), (i,l) into the thread's FI, (j,k),
+                    # (j,l) into its FJ; (k,l) directly into the shared
+                    # Fock — disjoint across threads, which the tracker
+                    # verifies.
+                    bases = (t * nbf * width, (T + t) * nbf * width)
+                    for plan, (fam, p) in zip(plans, digested[t]):
+                        fam.add_into(p, target, bases, width, 0, W_flat)
+                        if tracker is not None:
+                            for kl in plan.kls.tolist():
+                                k, l = decode_pair(kl)
+                                tracker.record_block(
+                                    t, W.shape, slices[k], slices[l]
+                                )
+                if tracker is not None and task.shares:
+                    tracker.barrier()
+                # Flush FJ after every kl loop (line 31).
+                with tracer.span("fock/flush_fj", rank=rank, j=j):
+                    flush(FJ, j)
+                part.fj_flushes += 1
+                iold = i
 
         # Remainder FI flush (line 36).
         if iold >= 0:
             with tracer.span("fock/flush_fi", rank=rank, i=iold):
                 flush(FI, iold)
-            rr.fi_flushes += 1
-        rr.quartets_done = sum(thread_counts)
-        rr.per_thread_quartets = thread_counts
+            part.fi_flushes += 1
         if tracker is not None:
-            rr.races = len(tracker.races)
-            rr.writes_checked = tracker.writes_checked
-        return rr
+            part.races = len(tracker.races)
+            part.writes_checked = tracker.writes_checked
+        return part
 
     def work_estimates(self) -> np.ndarray:
         """Schwarz-screened surviving-quartet counts per bra pair."""

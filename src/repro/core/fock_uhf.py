@@ -10,17 +10,16 @@ claim that the hybrid scheme transfers directly to UHF (and, by the
 same token, GVB/DFT/CPHF).
 
 The builder follows the same backend-facing rank-program protocol as
-the RHF algorithms — the two spin channels are stacked into one
-``(2, nbf, nbf)`` accumulator/density pair so both the deterministic
-sim runtime and the real-process backend can execute it unchanged (the
-process wrapper stacks the spin pair it is called with the same way).
+the RHF algorithms — the build head stacks the spin pair it is called
+with into one ``(2, nbf, nbf)`` density, beside a ``(2, nbf, nbf)``
+accumulator, so both the deterministic sim runtime and the
+real-process backend execute it unchanged.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.fock_base import FockBuildStats
 from repro.core.fock_private import PrivateFockBuilder
 
 
@@ -34,6 +33,7 @@ class UHFPrivateFockBuilder(PrivateFockBuilder):
     """
 
     algorithm_name = "uhf-private-fock"
+    density_labels = ("alpha density", "beta density")
 
     @property
     def accumulator_shape(self) -> tuple[int, ...]:
@@ -55,13 +55,3 @@ class UHFPrivateFockBuilder(PrivateFockBuilder):
         fa = self.hcore + W[0] + W[0].T
         fb = self.hcore + W[1] + W[1].T
         return fa, fb
-
-    def __call__(
-        self, d_alpha: np.ndarray, d_beta: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, FockBuildStats]:
-        stats = self._new_stats()
-        self._check_density(d_alpha, "alpha density")
-        self._check_density(d_beta, "beta density")
-        W = self._sim_build(np.stack([d_alpha, d_beta]), stats)
-        return (*self.assemble(W), stats)
-

@@ -71,9 +71,13 @@ class Gauge:
 class Histogram:
     """Streaming distribution summary with fixed-boundary buckets.
 
-    The mean and variance are maintained with Welford's online update,
-    so the spread is available without storing the observations — the
-    imbalance metrics report standard deviation, not just min/max.
+    The mean and variance derive from the count, the sum and a running
+    sum of squares, so the spread is available without storing the
+    observations — the imbalance metrics report standard deviation, not
+    just min/max.  The squares are of offsets from the first
+    observation, which keeps a large common offset from cancelling the
+    spread; ``n * sum(d**2) - sum(d)**2`` does not depend on that
+    offset, so integer observations give the same bits in any order.
 
     Observations are additionally binned against a fixed ladder of
     upper bounds (:data:`DEFAULT_BUCKETS` unless overridden), which
@@ -84,7 +88,7 @@ class Histogram:
 
     kind = "histogram"
     __slots__ = ("name", "labels", "count", "total", "min", "max",
-                 "_mean", "_m2", "buckets", "bucket_counts")
+                 "_shift", "_dsum", "_dsq", "buckets", "bucket_counts")
 
     def __init__(
         self,
@@ -98,8 +102,9 @@ class Histogram:
         self.total = 0.0
         self.min: float | None = None
         self.max: float | None = None
-        self._mean = 0.0
-        self._m2 = 0.0
+        self._shift = 0.0
+        self._dsum = 0.0
+        self._dsq = 0.0
         self.buckets: tuple[float, ...] = tuple(
             sorted(DEFAULT_BUCKETS if buckets is None else buckets))
         # One slot per boundary plus the +Inf overflow slot.
@@ -116,23 +121,28 @@ class Histogram:
 
     def observe(self, value: int | float) -> None:
         v = float(value)
+        if not self.count:
+            self._shift = v
         self.count += 1
         self.total += v
         self.min = v if self.min is None else min(self.min, v)
         self.max = v if self.max is None else max(self.max, v)
-        delta = v - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (v - self._mean)
+        d = v - self._shift
+        self._dsum += d
+        self._dsq += d * d
         self.bucket_counts[bisect_left(self.buckets, v)] += 1
 
     @property
     def mean(self) -> float:
-        return self._mean if self.count else 0.0
+        return self.total / self.count if self.count else 0.0
 
     @property
     def variance(self) -> float:
         """Population variance of the observations (0.0 when empty)."""
-        return self._m2 / self.count if self.count else 0.0
+        n = self.count
+        if not n:
+            return 0.0
+        return (n * self._dsq - self._dsum * self._dsum) / (n * n)
 
     @property
     def std(self) -> float:

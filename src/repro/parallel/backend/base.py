@@ -3,8 +3,12 @@
 Every Fock algorithm in :mod:`repro.core` is expressed as a *rank
 program* (``builder.rank_program(rank, blocks, density, W)``, its
 grants handed over in blocks of task indices): the SPMD body one MPI
-rank executes between the DLB counter and the terminal reduction.  An :class:`ExecutionBackend` decides *how* those rank
-programs run:
+rank executes between the DLB counter and the terminal reduction.  It
+accumulates into ``W`` and returns the rank's partial
+:class:`~repro.core.fock_base.FockBuildStats`; the builder's one build
+head and tail (density guard, then the partials merged in rank order
+and published) frame it the same way on every backend.  An
+:class:`ExecutionBackend` decides *how* those rank programs run:
 
 * :class:`~repro.parallel.backend.sim.SimBackend` — the deterministic
   single-process cooperative runtime the reproduction was built on.
@@ -45,7 +49,8 @@ class ExecutionBackend:
 
         The returned object satisfies the same
         ``builder(density) -> (fock, stats)`` protocol the SCF drivers
-        consume.
+        consume (``builder(d_alpha, d_beta) -> (F_alpha, F_beta,
+        stats)`` around a UHF builder).
         """
         raise NotImplementedError
 

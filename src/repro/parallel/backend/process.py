@@ -21,7 +21,10 @@ verbatim — but on real OS processes:
   to the rank program as one block (cut where a kill strikes).
 * The reduction is performed by the parent in rank order — the same
   floating-point association as the sim world's slot reduction — after
-  all workers report.
+  all workers report.  Each worker reports its rank program's partial
+  :class:`~repro.core.fock_base.FockBuildStats` as a dict over its
+  pipe; the parent hands the partials, in rank order, to the builder's
+  build tail, the one the sim runtime calls.
 
 Fault injection is *real* here: a :class:`~repro.resilience.faults
 .FaultPlan` ``kill`` event makes the worker ``os._exit`` at a
@@ -56,6 +59,7 @@ seconds instead of at the build timeout.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 from multiprocessing.connection import wait as mp_wait
@@ -195,15 +199,15 @@ def _worker_loop(
                     "fock/rank", rank=rank, cycle=cycle,
                     pid=pid, backend="process",
                 ):
-                    rr = builder.rank_program(rank, grants(), D, W)
+                    part = builder.rank_program(rank, grants(), D, W)
             # Streamed on close; drop the in-memory copies.
             tracer.clear()
             if log is not None:
                 log.clear()
         else:
-            rr = builder.rank_program(rank, grants(), D, W)
+            part = builder.rank_program(rank, grants(), D, W)
         beat(cycle, "done", claim_count)
-        out.send(("result", cycle, rr.as_dict()))
+        out.send(("result", cycle, dataclasses.asdict(part)))
 
 
 class ProcessFockBuilder:
@@ -216,7 +220,9 @@ class ProcessFockBuilder:
     Wraps a sim builder constructed with ``nranks == workers``; the sim
     object itself crosses the fork into every worker, so its
     ``rank_program`` — including screening, the quartet engine, and the
-    fault plan — is byte-for-byte the code the sim backend runs.
+    fault plan — is byte-for-byte the code the sim backend runs, and a
+    build starts and ends in the builder's own head and tail
+    (``_start_build`` / ``_finish_build``), as on the sim runtime.
     """
 
     def __init__(
@@ -282,10 +288,8 @@ class ProcessFockBuilder:
     def __call__(self, *densities: np.ndarray) -> tuple:
         if self._closed:
             raise RuntimeError("process backend already shut down")
-        stats = self.inner._new_stats()
+        density = self.inner._start_build(densities)
         cycle = self.inner._build_index
-        density = np.reshape(densities, self._density.array.shape)
-        self.inner._check_density(density)
         tracer = get_tracer()
         with tracer.span(
             "fock/build", algorithm=self.inner.algorithm_name,
@@ -305,31 +309,26 @@ class ProcessFockBuilder:
             self.heartbeat.start_build(cycle)
             for child, share in zip(self._children, shares):
                 child.send(("build", cycle, share))
-            rrs, dead = self._collect(cycle)
-            self._recover(rrs, dead, cycle, shares)
+            parts, dead = self._collect(cycle)
+            self._recover(parts, dead, cycle, shares)
             # Reduce the per-rank slabs in rank order — the same
             # floating-point association as SimWorld's slot reduction.
             with tracer.span("fock/gsumf", backend="process"):
                 W = np.zeros(tuple(self.inner.accumulator_shape))
                 for rank in range(self.workers):
                     W += self._slabs.array[rank]
-        for rank in range(self.workers):
-            rr = rrs[rank]
-            self.inner._merge_rank_result(stats, rr)
-            stats.per_rank_quartets.append(rr.quartets_done)
-        stats.quartets_computed = sum(stats.per_rank_quartets)
-        stats.reduce_bytes = W.nbytes * self.workers
-        self.inner._capture_cache_stats(stats)
-        self.inner._record_global(stats)
-        focks = self.inner.assemble(W)
-        return (focks, stats) if len(densities) == 1 else (*focks, stats)
+        return self.inner._finish_build(
+            W, [parts[rank] for rank in range(self.workers)],
+            W.nbytes * self.workers,
+        )
 
     def _collect(self, cycle: int) -> tuple[dict, list[int]]:
-        """Gather per-rank results; detect workers that died or stalled,
-        waiting on the pending ranks' pipes and sentinels at once."""
-        from repro.core.fock_base import RankBuildResult
+        """Gather per-rank partial stats; detect workers that died or
+        stalled, waiting on the pending ranks' pipes and sentinels at
+        once."""
+        from repro.core.fock_base import FockBuildStats
 
-        rrs: dict[int, RankBuildResult] = {}
+        parts: dict[int, FockBuildStats] = {}
         dead: list[int] = []
         pending = set(range(self.workers))
         deadline = time.monotonic() + self.build_timeout_s
@@ -347,8 +346,8 @@ class ProcessFockBuilder:
                     if msg[0] == "beat":
                         self.heartbeat.record(msg[1])
                     elif msg[1] == cycle:
-                        rrs[rank] = RankBuildResult.from_dict(msg[2])
-                if rank in rrs:
+                        parts[rank] = FockBuildStats(**msg[2])
+                if rank in parts:
                     pending.discard(rank)
                     self.heartbeat.mark_done(rank)
                 elif not child.alive():
@@ -367,10 +366,10 @@ class ProcessFockBuilder:
                     f"Fock build {cycle}: worker(s) {sorted(pending)} "
                     f"unresponsive after {self.build_timeout_s:.0f} s"
                 )
-        return rrs, dead
+        return parts, dead
 
     def _recover(
-        self, rrs: dict, dead: list[int], cycle: int, shares: list
+        self, parts: dict, dead: list[int], cycle: int, shares: list
     ) -> None:
         """Replay each lost worker's tasks in the parent.
 
@@ -395,10 +394,9 @@ class ProcessFockBuilder:
                 tasks += leftover
             slab = self._slabs.array[rank]
             slab[:] = 0.0
-            rr = self.inner.rank_program(
+            parts[rank] = self.inner.rank_program(
                 rank, iter([tasks]), self._density.array, slab
             )
-            rrs[rank] = rr
             # Whether the heartbeat already implicated this rank before
             # its death was confirmed — the suspect -> lost -> replay
             # chain the monitor dashboard shows.

@@ -92,10 +92,12 @@ def run_job(
 ) -> dict[str, Any]:
     """Execute one SCF job; returns the acknowledgeable result summary.
 
-    Used by the fleet's worker processes and — for the degraded inline
-    path — by the daemon itself, which is why the chaos ``os._exit``
-    knob is gated on ``allow_exit`` (a worker may die for the chaos
-    suite; the daemon must not).
+    Called by the fleet's worker processes
+    (:func:`_service_worker_loop`) and, in-process, by callers that want
+    one job's result without a fleet (the test suite's references).
+    The chaos ``os._exit`` knob is gated on ``allow_exit``, which only a
+    fleet worker passes: a worker may die for the chaos suite, an
+    in-process caller must not.
 
     ``checkpoint`` / ``restart`` are the PR-3 checkpoint mechanics: the
     job checkpoints on cost — after cycle 1, then once the cycles since

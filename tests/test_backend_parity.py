@@ -70,22 +70,46 @@ def water_ref(water_sto3g):
 
 
 @pytest.mark.process
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("algorithm", (*ALGORITHMS, "uhf"))
 def test_fock_build_parity(water_sto3g, algorithm):
-    """One Fock build: process workers agree with the sim runtime ~bitwise."""
+    """One Fock build: process workers agree with the sim runtime
+    ~bitwise and count the same work.  Under ``static`` a rank gets the
+    same share on both backends, so the whole stats record agrees, FI
+    flushes (one per change of ``i`` on a rank) and per-rank counts
+    included; under ``dlb`` the partition is timing-dependent, and only
+    what does not depend on it must agree."""
+    from repro.core.fock_uhf import UHFPrivateFockBuilder
+
     hcore = core_hamiltonian(water_sto3g)
     geo = _geometry(algorithm)
     D = _trial_density(water_sto3g.nbf)
+    densities = (D,)
+    if algorithm == "uhf":
+        densities = (D, _trial_density(water_sto3g.nbf, seed=8))
 
-    F_sim, stats_sim = make_fock_builder(algorithm, water_sto3g, hcore, **geo)(D)
+    def builder(schedule):
+        if algorithm == "uhf":
+            return UHFPrivateFockBuilder(
+                water_sto3g, hcore, schedule=schedule, **geo
+            )
+        return make_fock_builder(
+            algorithm, water_sto3g, hcore, schedule=schedule, **geo
+        )
 
-    inner = make_fock_builder(algorithm, water_sto3g, hcore, **geo)
-    with make_backend("process", workers=geo["nranks"]) as be:
-        F_proc, stats_proc = be.wrap_builder(inner)(D)
+    for schedule in ("dlb", "static"):
+        *F_sim, stats_sim = builder(schedule)(*densities)
+        with make_backend("process", workers=geo["nranks"]) as be:
+            *F_proc, stats_proc = be.wrap_builder(builder(schedule))(*densities)
 
-    assert np.max(np.abs(F_proc - F_sim)) < FOCK_TOL
-    # Work conservation: exactly the same screened quartet set evaluated.
-    assert stats_proc.quartets_computed == stats_sim.quartets_computed
+        for a, b in zip(F_proc, F_sim, strict=True):
+            assert np.max(np.abs(a - b)) < FOCK_TOL
+        if schedule == "static":
+            assert stats_proc.as_dict() == stats_sim.as_dict()
+        # Work conservation: exactly the same screened quartet set
+        # evaluated, split the same way over the threads.
+        for name in ("quartets_computed", "quartets_screened", "fj_flushes",
+                     "per_thread_quartets"):
+            assert getattr(stats_proc, name) == getattr(stats_sim, name), name
 
 
 @pytest.mark.process

@@ -264,6 +264,23 @@ def test_histogram_welford_matches_two_pass():
     assert h.std == pytest.approx(math.sqrt(var), rel=1e-6)
 
 
+def test_histogram_snapshot_is_independent_of_observation_order():
+    """Integer observations (batch sizes, row counts) give the same
+    snapshot bits, mean and std included, in any order."""
+    import random
+
+    values = [81, 2349, 96, 300, 1, 17, 1200, 81, 5, 640] * 7
+    snaps = []
+    for seed in range(5):
+        random.Random(seed).shuffle(values)
+        h = MetricsRegistry().histogram("h")
+        for v in values:
+            h.observe(v)
+        snaps.append(h.snapshot())
+    assert all(snap == snaps[0] for snap in snaps[1:])
+    assert snaps[0]["mean"] == sum(values) / len(values)
+
+
 def test_write_chrome_trace_creates_parent_dirs(tmp_path, traced):
     from repro.obs import write_chrome_trace
 

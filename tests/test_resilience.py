@@ -223,20 +223,6 @@ def test_corrupt_contribution_is_retransmitted_bitwise(payload, water_sto3g):
     assert snap["resilience.retransmissions{rank=2}"] == 1
 
 
-def test_unvalidated_corruption_trips_density_guard(water_sto3g):
-    from repro.resilience import NonFiniteDensityError, ResilienceError
-
-    plan = FaultPlan.from_spec("corrupt:rank=0:cycle=1:payload=nan", nranks=2)
-    scf = ParallelSCF(
-        water_sto3g, "shared-fock", nranks=2, nthreads=1,
-        fault_plan=plan, validate_reductions=False,
-    )
-    # With validation off the NaN reaches the Fock/density pipeline; the
-    # downstream guards must catch it instead of iterating on garbage.
-    with pytest.raises((NonFiniteDensityError, ResilienceError)):
-        scf.run()
-
-
 def test_delay_fault_is_metered_but_bitwise_neutral(water_sto3g):
     clean = ParallelSCF(water_sto3g, "mpi-only", nranks=2).run()
     plan = FaultPlan.from_spec("delay:rank=1:cycle=1:factor=4", nranks=2)
@@ -276,3 +262,30 @@ def test_non_finite_density_fails_fast_naming_the_build(water_sto3g):
     bad[0, 0] = np.nan
     with pytest.raises(NonFiniteDensityError, match="build 1"):
         scf.builder(bad)
+
+
+@pytest.mark.parametrize(
+    "backend", ("sim", pytest.param("process", marks=pytest.mark.process))
+)
+def test_non_finite_uhf_density_names_its_spin_channel(water_sto3g, backend):
+    """Both backends share one build head: it names the spin density
+    that holds the NaN/Inf, before any rank runs."""
+    from repro.core.fock_uhf import UHFPrivateFockBuilder
+    from repro.integrals.onee import core_hamiltonian
+    from repro.parallel.backend import make_backend
+    from repro.resilience import NonFiniteDensityError
+
+    builder = UHFPrivateFockBuilder(
+        water_sto3g, core_hamiltonian(water_sto3g), nranks=2, nthreads=1
+    )
+    good = np.zeros((water_sto3g.nbf, water_sto3g.nbf))
+    bad = good.copy()
+    bad[0, 1] = np.inf
+    with make_backend(backend, workers=2) as be:
+        wrapped = be.wrap_builder(builder)
+        with pytest.raises(NonFiniteDensityError,
+                           match="build 1: input beta density"):
+            wrapped(good, bad)
+        with pytest.raises(NonFiniteDensityError,
+                           match="build 2: input alpha density"):
+            wrapped(bad, good)
