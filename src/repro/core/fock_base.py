@@ -18,6 +18,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from repro.chem.basis.basisset import BasisSet
+from repro.core.indexing import npairs
 from repro.core.quartets import (
     BraBatch,
     Families,
@@ -36,8 +37,11 @@ from repro.parallel.comm import SimComm, SimWorld
 from repro.parallel.reduction import publish_flushes
 from repro.parallel.scheduler import SCHEDULE_NAMES, Scheduler, make_scheduler
 from repro.parallel.shared_array import WriteTracker
-from repro.resilience.errors import NonFiniteDensityError
-from repro.resilience.faults import FaultPlan, resilient_grants
+from repro.resilience.errors import (
+    CorruptContributionError,
+    NonFiniteDensityError,
+)
+from repro.resilience.faults import FaultPlan, corrupt_copy
 
 #: Scalar counters of one Fock build, in declaration order.
 _SCALAR_FIELDS = (
@@ -220,20 +224,18 @@ class ParallelFockBuilderBase:
         Task-distribution strategy: ``dlb`` (the paper's dynamic
         counter, default) or ``static`` (LPT pre-partition weighted by
         :meth:`work_estimates`, zero counter traffic).
-    dlb_policy:
-        Grant policy of the simulated DDI counter (``round_robin`` /
-        ``block``); only meaningful with ``schedule="dlb"``.
     thread_schedule:
         OpenMP-style schedule of the thread-level loop.
     track_races:
         Enable the shared-write race detector (shared-Fock algorithm).
     fault_plan:
         Optional :class:`~repro.resilience.faults.FaultPlan`, validated
-        against ``nranks`` at construction.  Kill events re-queue the
-        dead rank's DLB grants to survivors (results stay bitwise
-        identical to the fault-free build); corrupt events strike the
-        rank's ``gsumf`` contribution on the wire, where the validating
-        reduction detects them and requests a retransmission.
+        against ``nranks`` at construction.  A killed rank's slot is
+        zeroed and its grants replayed into it (:meth:`_replay`, results
+        bitwise identical to the fault-free build); a corrupt event
+        hands the validating ``gsumf`` a corrupted copy of the rank's
+        contribution, which it rejects before the clean one joins
+        (:meth:`_reduce`).  Both backends take these two steps.
     """
 
     algorithm_name = "base"
@@ -250,7 +252,6 @@ class ParallelFockBuilderBase:
         eri_cache: QuartetCache | None = None,
         eri_cache_mb: float | None = None,
         schedule: str = "dlb",
-        dlb_policy: str = "round_robin",
         thread_schedule: str = "dynamic",
         track_races: bool = False,
         fault_plan: FaultPlan | None = None,
@@ -277,7 +278,6 @@ class ParallelFockBuilderBase:
                 f"unknown schedule {schedule!r}; choose from {SCHEDULE_NAMES}"
             )
         self.schedule = schedule
-        self.dlb_policy = dlb_policy
         self.thread_schedule = thread_schedule
         self.track_races = track_races
         self.nbf = basis.nbf
@@ -292,10 +292,11 @@ class ParallelFockBuilderBase:
         self._counters: list = []
         self._counters_of = None
 
-    # Subclasses implement the backend-facing rank-program interface:
+    # Subclasses implement the backend-facing rank-program interface
+    # (the first two default to the bra-pair task space):
     #
     #   dlb_ntasks()                      size of the DLB index space
-    #   work_estimates()                  per-task costs (static) or None
+    #   work_estimates()                  per-task costs (static)
     #   plan_task(task)                   the task's TaskPlan, from scratch
     #   rank_program(rank, blocks, density, W, *, barrier=None)
     #                                     one rank's share of the build,
@@ -307,19 +308,22 @@ class ParallelFockBuilderBase:
     # A rank program walks rank_runs and says only where a run's
     # families go.  The sim path (__call__) and the real-process backend
     # both execute rank_program between one build head (_start_build)
-    # and one tail (_finish_build), so "same rank program on real OS
+    # and one tail (_finish_build), replay a killed rank with _replay
+    # and reduce through _reduce, so "same rank program on real OS
     # processes" is a structural guarantee, not a convention.
 
     #: The densities a build takes, in order, as its errors name them.
     density_labels: tuple[str, ...] = ("density",)
 
     def dlb_ntasks(self) -> int:
-        """Size of the global DLB index space of one build."""
-        raise NotImplementedError
+        """Size of the global DLB index space of one build: the combined
+        ``(i, j)`` bra pairs."""
+        return npairs(self.nshells)
 
-    def work_estimates(self) -> np.ndarray | None:
-        """Per-task work estimates weighting ``schedule="static"`` (or ``None``)."""
-        return None
+    def work_estimates(self) -> np.ndarray:
+        """Per-task work estimates weighting ``schedule="static"``: the
+        Schwarz-screened surviving-quartet count of each bra pair."""
+        return self.screening.pair_survivor_counts()
 
     @property
     def accumulator_shape(self) -> tuple[int, ...]:
@@ -330,8 +334,7 @@ class ParallelFockBuilderBase:
         """The build's grant scheduler under the configured strategy."""
         costs = self.work_estimates() if self.schedule == "static" else None
         return make_scheduler(
-            self.schedule, self.dlb_ntasks(), self.nranks,
-            costs=costs, policy=self.dlb_policy,
+            self.schedule, self.dlb_ntasks(), self.nranks, costs=costs
         )
 
     def rank_program(
@@ -463,9 +466,10 @@ class ParallelFockBuilderBase:
         return self.hcore + symmetrize_two_electron(W)
 
     def __call__(self, *densities: np.ndarray) -> tuple:
-        """Build on the sim runtime: every rank's program, then
-        ``gsumf``.  ``(fock, stats)``, or ``(F_alpha, F_beta, stats)``
-        from a UHF builder's spin pair."""
+        """Build on the sim runtime: every rank's program, a killed
+        rank's replayed into its slot, then ``gsumf``.  ``(fock,
+        stats)``, or ``(F_alpha, F_beta, stats)`` from a UHF builder's
+        spin pair."""
         density = self._start_build(densities)
         tracer = get_tracer()
         world = SimWorld(self.nranks)
@@ -473,13 +477,21 @@ class ParallelFockBuilderBase:
         reduced: list[np.ndarray] = []
 
         def rank_main(comm: SimComm) -> FockBuildStats:
+            rank = comm.rank
             W = np.zeros(self.accumulator_shape)
+            blocks = list(self._grants(dlb, rank))
+            kill_after = self._kill_after(rank)
             part = self.rank_program(
-                comm.rank, self._grants(dlb, comm.rank), density, W,
+                rank, _cut(blocks, kill_after), density, W,
                 barrier=comm.barrier,
             )
-            with tracer.span("fock/gsumf", rank=comm.rank):
-                self._resilient_gsumf(comm, W)
+            # A rank that reaches its kill point dies there, after its
+            # last task too, as a process worker dies at its next claim.
+            if kill_after is not None and kill_after <= sum(map(len, blocks)):
+                tasks = [task for block in blocks for task in block]
+                part = self._replay(rank, tasks, density, W)
+            with tracer.span("fock/gsumf", rank=rank):
+                self._reduce(comm, W)
             reduced.append(W)
             return part
 
@@ -537,20 +549,60 @@ class ParallelFockBuilderBase:
         return (*focks, stats) if isinstance(focks, tuple) else (focks, stats)
 
     def _grants(self, dlb: Scheduler, rank: int) -> Iterator[list[int]]:
-        """Rank's grants as one block, its whole queue — in the order
-        :func:`~repro.resilience.faults.resilient_grants` hands them out
-        under the fault plan (kills, re-queues)."""
-        yield list(
-            resilient_grants(dlb, rank, self.fault_plan, self._build_index)
-        )
+        """Rank's grants as one block, its whole queue."""
+        yield list(dlb.iter_rank(rank))
 
-    def _resilient_gsumf(self, comm: SimComm, W: np.ndarray) -> None:
-        """``gsumf`` with wire-corruption injection.
+    def _kill_after(self, rank: int) -> int | None:
+        """The tasks ``rank`` completes in this build before the fault
+        plan kills it (``None``: it lives); a delay is only metered."""
+        plan = self.fault_plan
+        if plan is None:
+            return None
+        cycle = self._build_index
+        factor = plan.delay_factor(rank, cycle)
+        log = get_event_log()
+        if factor > 1.0 and log is not None:
+            log.emit("fault.delay", rank=rank, cycle=cycle, factor=factor)
+        return plan.kill_after(rank, cycle)
 
-        A scheduled corrupt event strikes the wire image of ``W``; the
-        validating reduction detects the non-finite payload before
-        merging and requests retransmission of the pristine buffer the
-        sender still holds, so the reduced result is untouched.
+    def _replay(
+        self,
+        rank: int,
+        tasks: list[int],
+        density: np.ndarray,
+        W: np.ndarray,
+        **fields,
+    ) -> FockBuildStats:
+        """Redo killed ``rank``'s share: zero its slot ``W`` and run its
+        program on ``tasks``, its grants in grant order, as one block.
+        Whatever the killed attempt left in ``W`` (direct writes,
+        unflushed buffers, unreduced thread Focks) is discarded, so the
+        slot holds, bit for bit, what a live rank would have added.
+        Returns the stats that replace the killed attempt's; counts the
+        failure and logs one ``fault.kill`` record with ``fields``."""
+        registry = get_metrics()
+        if registry is not None:
+            registry.counter("resilience.rank_failures").inc()
+            registry.counter(
+                "resilience.tasks_replayed", rank=rank
+            ).inc(len(tasks))
+        log = get_event_log()
+        if log is not None:
+            log.emit(
+                "fault.kill", rank=rank, cycle=self._build_index,
+                replayed=len(tasks), **fields,
+            )
+        W[...] = 0.0
+        return self.rank_program(rank, iter([tasks]), density, W)
+
+    def _reduce(self, comm: SimComm, W: np.ndarray) -> None:
+        """``gsumf(W)``, after the wire copy a corrupt event strikes.
+
+        A corrupt event on this rank hands the validating ``gsumf`` a
+        corrupted copy of ``W``; it raises
+        :class:`~repro.resilience.errors.CorruptContributionError`
+        before registering anything, and the pristine ``W`` the sender
+        still holds is sent again, so the reduced result is untouched.
         """
         plan = self.fault_plan
         event = (
@@ -561,17 +613,21 @@ class ParallelFockBuilderBase:
             registry = get_metrics()
             if registry is not None:
                 registry.counter("resilience.corrupt_injected").inc()
-                registry.counter("resilience.corrupt_detected").inc()
-                registry.counter(
-                    "resilience.retransmissions", rank=comm.rank
-                ).inc()
-            log = get_event_log()
-            if log is not None:
-                log.emit(
-                    "fault.corrupt", rank=comm.rank,
-                    cycle=self._build_index, payload=event.payload,
-                    detected=True, retransmitted=True,
-                )
+            try:
+                comm.gsumf(corrupt_copy(W, event.payload))
+            except CorruptContributionError:
+                if registry is not None:
+                    registry.counter("resilience.corrupt_detected").inc()
+                    registry.counter(
+                        "resilience.retransmissions", rank=comm.rank
+                    ).inc()
+                log = get_event_log()
+                if log is not None:
+                    log.emit(
+                        "fault.corrupt", rank=comm.rank,
+                        cycle=self._build_index, payload=event.payload,
+                        detected=True, retransmitted=True,
+                    )
         comm.gsumf(W)
 
     def _new_tracker(self) -> WriteTracker | None:
@@ -601,6 +657,17 @@ class ParallelFockBuilderBase:
             self.nbf, self.nthreads, stats.fi_flushes + stats.fj_flushes,
             registry,
         )
+
+
+def _cut(blocks: list[list[int]], n: int | None) -> Iterator[list[int]]:
+    """``blocks`` up to their first ``n`` tasks (all of them for ``None``):
+    the grants a rank killed after ``n`` tasks completes."""
+    for block in blocks:
+        if n is not None:
+            if n <= 0:
+                return
+            block, n = block[:n], n - len(block)
+        yield block
 
 
 def runs_under_budget(

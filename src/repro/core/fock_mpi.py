@@ -24,7 +24,7 @@ from repro.core.fock_base import (
     ParallelFockBuilderBase,
     TaskPlan,
 )
-from repro.core.indexing import decode_pair, npairs
+from repro.core.indexing import decode_pair
 from repro.obs.tracer import get_tracer
 
 
@@ -38,13 +38,6 @@ class MPIOnlyFockBuilder(ParallelFockBuilderBase):
         if kwargs["nthreads"] != 1:
             raise ValueError("the MPI-only algorithm is single-threaded per rank")
         super().__init__(basis, hcore, **kwargs)
-
-    def dlb_ntasks(self) -> int:
-        return npairs(self.nshells)
-
-    def work_estimates(self) -> np.ndarray:
-        """Schwarz-screened surviving-quartet counts per bra pair."""
-        return self.screening.pair_survivor_counts()
 
     def plan_task(self, ij: int) -> TaskPlan:
         # The k, l loops under one bra are exactly the combined kets

@@ -32,7 +32,7 @@ from repro.core.fock_base import (
     ParallelFockBuilderBase,
     TaskPlan,
 )
-from repro.core.indexing import decode_pair, npairs
+from repro.core.indexing import decode_pair
 from repro.obs.tracer import get_tracer
 from repro.parallel.reduction import flush_table, pairwise_tree_sum
 from repro.parallel.threads import ThreadTeam
@@ -54,9 +54,6 @@ class SharedFockBuilder(ParallelFockBuilderBase):
                  **kwargs) -> None:
         super().__init__(basis, hcore, **kwargs)
         self.flush_fi_every_iteration = flush_fi_every_iteration
-
-    def dlb_ntasks(self) -> int:
-        return npairs(self.nshells)
 
     def plan_task(self, ij: int) -> TaskPlan:
         # OpenMP dynamic schedule over the surviving combined kets.
@@ -181,10 +178,6 @@ class SharedFockBuilder(ParallelFockBuilderBase):
             part.races = len(tracker.races)
             part.writes_checked = tracker.writes_checked
         return part
-
-    def work_estimates(self) -> np.ndarray:
-        """Schwarz-screened surviving-quartet counts per bra pair."""
-        return self.screening.pair_survivor_counts()
 
     def _kl_costs(self, kls: np.ndarray) -> np.ndarray | None:
         if self.thread_schedule != "dynamic":

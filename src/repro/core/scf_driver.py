@@ -120,7 +120,7 @@ class ParallelSCF:
         otherwise.
     **builder_kwargs:
         Forwarded to the Fock builder (``tau``, ``schedule``,
-        ``dlb_policy``, ``thread_schedule``, ``track_races``, ...).
+        ``thread_schedule``, ``track_races``, ...).
     """
 
     def __init__(

@@ -8,15 +8,16 @@ the ``repro monitor`` dashboard folds live:
 * ``run.start`` / ``run.end`` — the parallel SCF driver's bracket;
 * ``scf.cycle`` / ``scf.converged`` / ``scf.restart`` — SCF progress;
 * ``scf.checkpoint`` — checkpoint writes (cycle, path);
-* ``dlb.reset`` / ``dlb.rank_done`` / ``dlb.rank_failed`` — the
-  dynamic-load-balance counter's lifecycle;
-* ``fault.kill`` / ``fault.delay`` / ``fault.corrupt`` /
-  ``fault.corrupt_rejected`` — injected faults and their recovery
-  (:mod:`repro.resilience`), which is what makes a faulted run's
-  timeline show *when* a rank died and *who* picked up its work;
+* ``dlb.reset`` / ``dlb.rank_done`` — the grant schedulers'
+  lifecycle;
+* ``fault.kill`` / ``fault.delay`` / ``fault.corrupt`` — injected
+  faults and their recovery (:mod:`repro.resilience`), on either
+  backend: ``fault.kill`` marks a rank replayed into its slot (how many
+  tasks; on the process backend also whether its heartbeat had already
+  gone silent), which is what makes a faulted run's timeline show
+  *when* a rank died;
 * ``worker.heartbeat`` / ``worker.hung`` / ``worker.recovered`` /
-  ``worker.lost`` and ``process.worker_lost`` — process-backend (and
-  service-fleet) liveness and the replay of a dead rank's tasks;
+  ``worker.lost`` — process-backend (and service-fleet) liveness;
 * ``scf.recovery`` — convergence-guard stage escalations;
 * ``job.*`` / ``service.*`` / ``slo.*`` — the ``repro serve`` daemon's
   lifecycle records.

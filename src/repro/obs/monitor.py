@@ -16,8 +16,8 @@ dashboard:
   load-balance discussion (Fig. 4);
 * a **worker health column** — ``ok`` / ``suspect`` / ``lost`` /
   ``recovered`` per rank from the heartbeat monitor's state machine,
-  plus a tail of notable events (``worker.hung``,
-  ``process.worker_lost``, checkpoints).
+  plus a tail of notable events (``worker.hung``, ``fault.kill``,
+  checkpoints).
 
 The module is pure state + rendering: :class:`MonitorState` folds
 events, :meth:`MonitorState.render` returns text.  The CLI layer owns
@@ -48,8 +48,9 @@ NOTABLE_KINDS = frozenset(
         "worker.hung",
         "worker.lost",
         "worker.recovered",
-        "process.worker_lost",
-        "process.replay",  # the same occurrence, in earlier recordings
+        "fault.kill",  # a killed rank replayed into its slot
+        "process.worker_lost",  # the same occurrence, in earlier recordings
+        "process.replay",
         "scf.converged",
         "scf.checkpoint",
         "scf.restart",

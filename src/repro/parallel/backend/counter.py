@@ -16,8 +16,8 @@ Alongside the counter lives an *owner board* in shared memory: claim
 ``t`` by rank ``r`` records ``owner[t] = r`` inside the same lock.
 Because the counter is monotone, each rank's owned indices are in claim
 order, which lets the parent replay a dead worker's exact task sequence
-(``owned(rank)``) after a crash or an injected kill — the process
-backend's equivalent of the sim balancer's ``fail_rank`` withdrawal.
+(``owned(rank)``) into its slot after a crash or an injected kill — what
+the sim runtime replays from the rank's pre-partitioned grant list.
 """
 
 from __future__ import annotations

@@ -19,9 +19,11 @@ verbatim — but on real OS processes:
   claims the next.  Under ``schedule="static"`` there is no counter at
   all: each build command carries the rank's pre-computed share, handed
   to the rank program as one block (cut where a kill strikes).
-* The reduction is performed by the parent in rank order — the same
-  floating-point association as the sim world's slot reduction — after
-  all workers report.  Each worker reports its rank program's partial
+* The reduction is performed by the parent after all workers report:
+  the slabs go through the builder's own reduction step
+  (``_reduce``) on a :class:`~repro.parallel.comm.SimWorld` of one
+  slot per rank, which adds them in rank order — the sim runtime's
+  association.  Each worker reports its rank program's partial
   :class:`~repro.core.fock_base.FockBuildStats` as a dict over its
   pipe; the parent hands the partials, in rank order, to the builder's
   build tail, the one the sim runtime calls.
@@ -29,12 +31,12 @@ verbatim — but on real OS processes:
 Fault injection is *real* here: a :class:`~repro.resilience.faults
 .FaultPlan` ``kill`` event makes the worker ``os._exit`` at a
 task-claim boundary mid-build (no result, partial slab); ``delay``
-events put the worker to sleep.  Recovery is parent-side: a lost
-worker's slab is zeroed and its tasks (the counter's owner board
-remembers its claims, in claim order; a static rank's are its whole
-share) are replayed by the parent into the same reduction slot, then
-the worker is respawned for the next build.  ``corrupt`` events are a
-wire-level sim concept and do not fire in this backend.
+events put the worker to sleep.  Recovery is the builder's own replay
+step (``_replay``), run by the parent: a lost worker's slab is zeroed
+and its tasks (the counter's owner board remembers its claims, in claim
+order; a static rank's are its whole share) are replayed into it, then
+the worker is respawned for the next build.  ``corrupt`` events strike
+a slab on its way into the parent's reduction, as on the sim runtime.
 
 Observability: each worker traces its rank program into per-worker
 spans/events NDJSON under ``obs_dir/worker<r>/``, timestamped against
@@ -68,8 +70,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.obs.events import EventLog, events_from_ndjson, get_event_log
-from repro.obs.metrics import get_metrics
+from repro.obs.events import EventLog, events_from_ndjson
 from repro.obs.stream import ObsStreamer
 from repro.obs.tracer import Tracer, get_tracer, use_tracer
 from repro.parallel.backend.base import ExecutionBackend
@@ -81,6 +82,7 @@ from repro.parallel.backend.heartbeat import (
     beat_sender,
 )
 from repro.parallel.child import KILLED_EXIT_CODE, Child, stop
+from repro.parallel.comm import SimWorld
 from repro.parallel.shared_array import SharedNDArray
 
 #: Hard ceiling on one Fock build's wall time before the parent gives up.
@@ -172,10 +174,6 @@ def _worker_loop(
                     # a counter that keeps serving the survivors.  The
                     # parent replays our claimed tasks and respawns us.
                     # Streamed obs records are already on disk.
-                    if log is not None:
-                        log.emit(
-                            "fault.kill", rank=rank, cycle=cycle, after=done
-                        )
                     os._exit(KILLED_EXIT_CODE)
                 if rng is not None:
                     # Scheduling jitter for nondeterminism hunting:
@@ -310,16 +308,16 @@ class ProcessFockBuilder:
             for child, share in zip(self._children, shares):
                 child.send(("build", cycle, share))
             parts, dead = self._collect(cycle)
-            self._recover(parts, dead, cycle, shares)
-            # Reduce the per-rank slabs in rank order — the same
-            # floating-point association as SimWorld's slot reduction.
+            self._recover(parts, dead, shares)
+            slabs = self._slabs.array
+            world = SimWorld(self.workers)
             with tracer.span("fock/gsumf", backend="process"):
-                W = np.zeros(tuple(self.inner.accumulator_shape))
-                for rank in range(self.workers):
-                    W += self._slabs.array[rank]
+                world.execute(
+                    lambda comm: self.inner._reduce(comm, slabs[comm.rank])
+                )
         return self.inner._finish_build(
-            W, [parts[rank] for rank in range(self.workers)],
-            W.nbytes * self.workers,
+            slabs[0], [parts[rank] for rank in range(self.workers)],
+            world.stats.reduce_bytes,
         )
 
     def _collect(self, cycle: int) -> tuple[dict, list[int]]:
@@ -368,49 +366,23 @@ class ProcessFockBuilder:
                 )
         return parts, dead
 
-    def _recover(
-        self, parts: dict, dead: list[int], cycle: int, shares: list
-    ) -> None:
-        """Replay each lost worker's tasks in the parent.
-
-        The owner board lists the dead rank's claims in claim order (a
-        static rank's are its whole share, in partition order);
-        zero-and-replay into its own slab reproduces its contribution
-        regardless of how far the worker got before dying (partial
-        direct writes, unflushed column buffers, unreduced
-        thread-private Focks — all discarded and redone).
-        """
-        if not dead:
-            return
-        registry = get_metrics()
-        log = get_event_log()
+    def _recover(self, parts: dict, dead: list[int], shares: list) -> None:
+        """Replay each lost worker's tasks in the parent, through the
+        builder's replay step: its claims off the owner board, in claim
+        order (a static rank's whole share, in partition order), plus
+        the unclaimed tail when every worker died."""
         counter = self._counter
         leftover = counter.unclaimed() if counter is not None else []
-        for idx, rank in enumerate(sorted(dead)):
+        for rank in sorted(dead):
             tasks = counter.owned(rank) if counter is not None else shares[rank]
-            if idx == 0 and leftover:
-                # Unclaimed tail (every worker died): fold into the
-                # first replay so no task is lost.
-                tasks += leftover
-            slab = self._slabs.array[rank]
-            slab[:] = 0.0
-            parts[rank] = self.inner.rank_program(
-                rank, iter([tasks]), self._density.array, slab
+            tasks, leftover = [*tasks, *leftover], []
+            # was_suspect: whether the heartbeat implicated the rank
+            # before its death was confirmed — the suspect -> lost ->
+            # replay chain the monitor dashboard shows.
+            parts[rank] = self.inner._replay(
+                rank, tasks, self._density.array, self._slabs.array[rank],
+                was_suspect=self.heartbeat.health[rank].suspect_count > 0,
             )
-            # Whether the heartbeat already implicated this rank before
-            # its death was confirmed — the suspect -> lost -> replay
-            # chain the monitor dashboard shows.
-            was_suspect = self.heartbeat.health[rank].suspect_count > 0
-            if registry is not None:
-                registry.counter("process.workers_lost").inc()
-                registry.counter(
-                    "process.tasks_replayed", rank=rank
-                ).inc(len(tasks))
-            if log is not None:
-                log.emit(
-                    "process.worker_lost", rank=rank, cycle=cycle,
-                    replayed=len(tasks), was_suspect=was_suspect,
-                )
 
     # -- teardown ------------------------------------------------------------
 

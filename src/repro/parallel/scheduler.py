@@ -16,9 +16,9 @@ machinery, so both strategies serve the same
     cost-weighted LPT when Schwarz work estimates are available.  Zero
     counter traffic: every rank knows its share up front.
 
-Both preserve the contract :func:`repro.resilience.faults
-.resilient_grants` relies on: exactly-once grants, ``fail_rank``
-withdrawal in grant order, and deterministic requeue to survivors.
+Both grant every task index exactly once, and each rank's grants in a
+fixed order, which is what lets a killed rank's share be replayed into
+its slot bit for bit.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ class Scheduler:
 
     Subclasses fill ``self._queues`` (per-rank task-index lists) in
     their constructors and call :meth:`_emit_reset`; the base class
-    provides the grant cursor, exhaustion logging, fault withdrawal and
-    requeue shared by every strategy.
+    provides the grant cursor and exhaustion logging shared by every
+    strategy.
     """
 
     #: Strategy name as selected by ``--schedule``.
@@ -76,7 +76,6 @@ class Scheduler:
         self._cursor = [0] * nranks
         # Cursor positions already metered as dlb.grants.
         self._published = [0] * nranks
-        self._dead: set[int] = set()
         self._done_logged: set[int] = set()
 
     def _emit_reset(self, **fields) -> None:
@@ -101,8 +100,6 @@ class Scheduler:
         This is the simulated ``ddi_dlbnext``: each call advances the
         rank's cursor through its granted share of the global counter.
         """
-        if rank in self._dead:
-            return None
         cur = self._cursor[rank]
         queue = self._queues[rank]
         if cur >= len(queue):
@@ -135,69 +132,12 @@ class Scheduler:
         return [list(q) for q in self._queues]
 
     def reset(self) -> None:
-        """Rewind all rank cursors (grants are unchanged; dead ranks stay dead)."""
+        """Rewind all rank cursors (grants are unchanged)."""
         for rank in range(self.nranks):
             self._publish_grants(rank)
         self._cursor = [0] * self.nranks
         self._published = [0] * self.nranks
         self._done_logged.clear()
-
-    # -- fault hooks --------------------------------------------------------
-
-    def alive(self, rank: int) -> bool:
-        """Whether ``rank`` still draws from the counter."""
-        return rank not in self._dead
-
-    def outstanding(self, rank: int) -> list[int]:
-        """Granted-but-undrawn task indices of ``rank``, grant order."""
-        return list(self._queues[rank][self._cursor[rank]:])
-
-    def fail_rank(self, rank: int, *, requeue: bool = True) -> list[int]:
-        """Declare ``rank`` dead and withdraw its outstanding grants.
-
-        Returns the withdrawn task indices in their original grant
-        order.  With ``requeue=True`` they are appended round-robin to
-        the surviving ranks' queues, to be claimed by subsequent
-        ``next()`` draws; with ``requeue=False`` the caller owns
-        redistribution (the Fock builders replay them in grant order so
-        recovered results stay bitwise identical).
-        """
-        if not 0 <= rank < self.nranks:
-            raise ValueError(f"rank {rank} out of range (nranks={self.nranks})")
-        if rank in self._dead:
-            return []
-        tasks = self.outstanding(rank)
-        self._publish_grants(rank)
-        self._cursor[rank] = self._published[rank] = len(self._queues[rank])
-        self._dead.add(rank)
-        registry = get_metrics()
-        if registry is not None:
-            registry.counter("dlb.rank_failures").inc()
-            registry.counter("dlb.tasks_withdrawn").inc(len(tasks))
-        log = get_event_log()
-        if log is not None:
-            log.emit(
-                "dlb.rank_failed", rank=rank,
-                withdrawn=len(tasks), requeued=requeue,
-            )
-        if requeue and tasks:
-            survivors = [r for r in range(self.nranks) if r not in self._dead]
-            if not survivors:
-                raise RuntimeError(
-                    f"rank {rank} failed with {len(tasks)} outstanding "
-                    "task(s) and no survivors to re-queue them to"
-                )
-            for idx, t in enumerate(tasks):
-                claimant = survivors[idx % len(survivors)]
-                self._queues[claimant].append(t)
-                # A survivor that had already drained (and logged
-                # dlb.rank_done) has work again: un-log it so its next
-                # exhaustion re-emits rank_done with the final grant
-                # count instead of leaving the stale one in the log.
-                self._done_logged.discard(claimant)
-                if registry is not None:
-                    registry.counter("dlb.tasks_requeued", rank=claimant).inc()
-        return tasks
 
 
 class StaticScheduler(Scheduler):
@@ -242,18 +182,15 @@ def make_scheduler(
     nranks: int,
     *,
     costs: np.ndarray | None = None,
-    policy: str = "round_robin",
 ) -> Scheduler:
     """Instantiate a distribution strategy by ``--schedule`` name.
 
-    ``policy`` only applies to ``schedule="dlb"`` (the pre-partition
-    policy of the simulated counter); ``costs`` only to
-    ``schedule="static"`` (the LPT weights).
+    ``costs`` only applies to ``schedule="static"`` (the LPT weights).
     """
     if schedule == "dlb":
         from repro.parallel.dlb import DynamicLoadBalancer
 
-        return DynamicLoadBalancer(ntasks, nranks, policy=policy)
+        return DynamicLoadBalancer(ntasks, nranks)
     if schedule == "static":
         return StaticScheduler(ntasks, nranks, costs=costs)
     raise ValueError(

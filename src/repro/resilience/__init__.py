@@ -6,8 +6,8 @@ SCF divergence are routine):
 
 * :mod:`repro.resilience.faults` — seeded, deterministic fault
   injection (:class:`FaultPlan`): kill a rank mid-Fock-build, delay it,
-  or corrupt its reduction contribution.  The runtime re-queues a dead
-  rank's unfinished DLB tasks to survivors and validates reduction
+  or corrupt its reduction contribution.  The build driver replays a
+  dead rank's grants into its own slot and validates reduction
   payloads, keeping recovered results bitwise identical to fault-free
   runs.
 * :mod:`repro.resilience.checkpoint` — single-record SCF checkpoints
@@ -30,7 +30,6 @@ from repro.resilience.errors import (
     CorruptContributionError,
     FaultSpecError,
     NonFiniteDensityError,
-    RankLostError,
     ResilienceError,
     SCFConvergenceError,
 )
@@ -39,7 +38,6 @@ from repro.resilience.faults import (
     FaultKind,
     FaultPlan,
     corrupt_copy,
-    resilient_grants,
 )
 from repro.resilience.recovery import (
     RECOVERY_STAGES,
@@ -60,7 +58,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpecError",
     "NonFiniteDensityError",
-    "RankLostError",
     "RecoveryAction",
     "ResilienceError",
     "SCFCheckpoint",
@@ -68,5 +65,4 @@ __all__ = [
     "corrupt_copy",
     "level_shifted",
     "load_checkpoint",
-    "resilient_grants",
 ]

@@ -2,9 +2,8 @@
 
 Every failure mode the fault-tolerant SCF stack can surface has its own
 exception class so callers can react programmatically: restart from a
-checkpoint on :class:`SCFConvergenceError`, re-launch with a different
-geometry on :class:`RankLostError`, or reject a bad fault plan at
-construction time via :class:`FaultSpecError`.
+checkpoint on :class:`SCFConvergenceError`, or reject a bad fault plan
+at construction time via :class:`FaultSpecError`.
 """
 
 from __future__ import annotations
@@ -18,13 +17,9 @@ class FaultSpecError(ValueError, ResilienceError):
     """A fault-plan specification is malformed or out of range."""
 
 
-class RankLostError(ResilienceError):
-    """A rank failure could not be recovered (e.g. no survivors left)."""
-
-
 class CorruptContributionError(ResilienceError):
-    """A reduction contribution contained NaN/Inf and no retransmission
-    path was available."""
+    """A reduction contribution contained NaN/Inf; the validating
+    ``gsumf`` rejects it before it joins the sum."""
 
 
 class NonFiniteDensityError(ResilienceError):

@@ -1,4 +1,4 @@
-"""Deterministic fault injection for the simulated parallel runtime.
+"""Deterministic fault injection for the Fock build, on either backend.
 
 At the paper's headline scale (3,000 KNL nodes / 192,000 cores) rank
 failures, stragglers, and corrupted messages are routine, so the
@@ -9,12 +9,12 @@ reproducible:
 
 ``kill``
     The rank dies during Fock build ``cycle`` after completing ``after``
-    DLB tasks.  Its unfinished grants are withdrawn from the balancer,
-    re-queued, and claimed by the surviving ranks round-robin.  Recovery
-    preserves the failed rank's original grant order and reduction slot,
-    so — because every quartet evaluation is deterministic — the reduced
-    Fock matrix (and hence the SCF energy) is *bitwise identical* to the
-    fault-free run whenever recovery succeeds.
+    DLB tasks (a process-backend worker really exits).  The build driver
+    zeroes the rank's reduction slot and replays its grants into it, in
+    grant order: its whole share under ``static``, its claims under the
+    process backend's live counter.  Every quartet evaluation is
+    deterministic, so the reduced Fock matrix (and hence the SCF energy)
+    is *bitwise identical* to the fault-free run.
 ``delay``
     A straggler: the rank runs ``factor`` times slower.  Results are
     timing-independent, so a delay only surfaces in the metrics
@@ -22,9 +22,15 @@ reproducible:
     the perfsim-style cost accounting.
 ``corrupt``
     The rank's reduction contribution is corrupted on the wire with
-    NaN/Inf.  The validating reduction detects the non-finite payload
-    before merging and requests a retransmission of the pristine buffer
-    (the sender still holds it), again keeping results bitwise identical.
+    NaN/Inf: :func:`corrupt_copy` of it goes to the validating
+    ``gsumf``, which rejects the non-finite payload before merging; the
+    pristine buffer (the sender still holds it) is sent again, keeping
+    results bitwise identical.
+
+Both backends take a kill and a corruption through the same two steps
+of the build driver
+(:meth:`~repro.core.fock_base.ParallelFockBuilderBase._replay` and
+:meth:`~repro.core.fock_base.ParallelFockBuilderBase._reduce`).
 
 Fault cycles are 1-based Fock-build indices within the current process
 (a restarted run counts its builds from 1 again).  Events are one-shot:
@@ -35,16 +41,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.obs.events import get_event_log
 from repro.obs.metrics import get_metrics
-from repro.resilience.errors import FaultSpecError, RankLostError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.parallel.dlb import DynamicLoadBalancer
+from repro.resilience.errors import FaultSpecError
 
 
 class FaultKind(str, enum.Enum):
@@ -299,62 +301,3 @@ def corrupt_copy(buf: np.ndarray, payload: str = "nan") -> np.ndarray:
     wire = np.array(buf, copy=True)
     wire.flat[0] = _PAYLOADS[payload]
     return wire
-
-
-def resilient_grants(
-    dlb: "DynamicLoadBalancer",
-    rank: int,
-    plan: FaultPlan | None,
-    cycle: int,
-) -> Iterator[int]:
-    """Iterate ``rank``'s DLB grants under an optional fault plan.
-
-    Healthy path: identical to ``dlb.iter_rank(rank)``.  When the plan
-    kills the rank mid-build, the in-flight grant plus every outstanding
-    grant is withdrawn (``dlb.fail_rank``), re-queued, and claimed by the
-    surviving ranks in round-robin order; claims are recorded as
-    ``resilience.tasks_recovered{rank=<claimant>}``.  The re-queued
-    tasks are yielded in the original grant order and their
-    contributions stay in the failed rank's reduction slot, which is
-    what makes the recovered Fock matrix bitwise identical to the
-    fault-free one (the quartet work itself is deterministic).
-    """
-    if plan is None:
-        yield from dlb.iter_rank(rank)
-        return
-    factor = plan.delay_factor(rank, cycle)  # metered, results unchanged
-    log = get_event_log()
-    if factor > 1.0 and log is not None:
-        log.emit("fault.delay", rank=rank, cycle=cycle, factor=factor)
-    kill_after = plan.kill_after(rank, cycle)
-    done = 0
-    while (task := dlb.next(rank)) is not None:
-        if kill_after is not None and done >= kill_after:
-            requeued = [task, *dlb.fail_rank(rank, requeue=False)]
-            survivors = [r for r in range(dlb.nranks) if dlb.alive(r)]
-            if not survivors:
-                raise RankLostError(
-                    f"rank {rank} died in Fock build {cycle} with no "
-                    f"survivors to re-queue {len(requeued)} task(s) to"
-                )
-            registry = get_metrics()
-            if registry is not None:
-                registry.counter("resilience.rank_failures").inc()
-                registry.counter("resilience.tasks_requeued").inc(
-                    len(requeued)
-                )
-            if log is not None:
-                log.emit(
-                    "fault.kill", rank=rank, cycle=cycle,
-                    requeued=len(requeued), survivors=len(survivors),
-                )
-            for idx, t in enumerate(requeued):
-                claimant = survivors[idx % len(survivors)]
-                if registry is not None:
-                    registry.counter(
-                        "resilience.tasks_recovered", rank=claimant
-                    ).inc()
-                yield t
-            return
-        done += 1
-        yield task

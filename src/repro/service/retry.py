@@ -52,7 +52,6 @@ RETRYABLE_TYPES = frozenset({
     "WorkerLostError",
     "JobTimeoutError",
     "BuildTimeoutError",
-    "RankLostError",
     "CorruptContributionError",
     "OSError",
     "MemoryError",

@@ -251,8 +251,8 @@ def test_chaos_parity_kill_one_rank(water_sto3g, water_ref, algorithm):
 
     # The kill genuinely happened: the parent observed a dead worker and
     # replayed its claimed tasks.
-    assert registry.counter("process.workers_lost").value >= 1
-    assert registry.counter("process.tasks_replayed", rank=1).value >= 1
+    assert registry.counter("resilience.rank_failures").value >= 1
+    assert registry.counter("resilience.tasks_replayed", rank=1).value >= 1
     assert got.converged
     assert abs(got.energy - ref.energy) <= ENERGY_TOL
     assert got.scf.niterations == ref.scf.niterations
@@ -286,10 +286,47 @@ def test_chaos_static_kill_replays_the_dead_ranks_share(water_sto3g):
         assert builder._counter is None  # no shared-memory board either
         F_proc, stats = builder(D)
 
-    assert registry.counter("process.workers_lost").value == 1
+    assert registry.counter("resilience.rank_failures").value == 1
     assert registry.counter(
-        "process.tasks_replayed", rank=1
+        "resilience.tasks_replayed", rank=1
     ).value == len(share)
+    assert np.max(np.abs(F_proc - F_sim)) <= ENERGY_TOL
+
+
+@pytest.mark.process
+def test_kill_and_corrupt_take_one_path_on_both_backends(water_sto3g):
+    """One static shared-fock build under a kill and a corruption, on the
+    sim runtime and on real processes.  A static rank's share is fixed
+    before the build, so both backends replay the killed rank's whole
+    share into its slot, and both hand the validating ``gsumf`` a
+    corrupted copy of rank 2's slab before the clean one: the stats
+    records and the ``resilience.*`` counters are equal, and so is F."""
+    hcore = core_hamiltonian(water_sto3g)
+    D = _trial_density(water_sto3g.nbf)
+    spec = "kill:rank=1:cycle=1:after=1;corrupt:rank=2:cycle=1:payload=nan"
+
+    def build(backend):
+        inner = make_fock_builder(
+            "shared-fock", water_sto3g, hcore, schedule="static",
+            fault_plan=FaultPlan.from_spec(spec, nranks=3),
+            nranks=3, nthreads=2,
+        )
+        registry = MetricsRegistry()
+        with use_metrics(registry), make_backend(backend, workers=3) as be:
+            F, stats = be.wrap_builder(inner)(D)
+        resilience = {
+            key: value for key, value in registry.snapshot().items()
+            if key.startswith("resilience.")
+        }
+        return F, stats, resilience
+
+    F_sim, stats_sim, res_sim = build("sim")
+    F_proc, stats_proc, res_proc = build("process")
+    assert stats_proc.as_dict() == stats_sim.as_dict()
+    assert res_proc == res_sim
+    assert res_sim["resilience.rank_failures"] == 1
+    assert res_sim["resilience.corrupt_detected"] == 1
+    assert res_sim["resilience.retransmissions{rank=2}"] == 1
     assert np.max(np.abs(F_proc - F_sim)) <= ENERGY_TOL
 
 
@@ -371,7 +408,7 @@ def test_chaos_parity_seeded_plan(water_sto3g, water_ref):
         got = _run_scf(
             water_sto3g, "shared-fock", backend="process", fault_plan=plan
         )
-    assert registry.counter("process.workers_lost").value >= 1
+    assert registry.counter("resilience.rank_failures").value >= 1
     assert got.converged
     assert abs(got.energy - ref.energy) <= ENERGY_TOL
     assert got.scf.niterations == ref.scf.niterations

@@ -8,9 +8,8 @@ leans on:
   from the sim scheduler and from the process backend's grant source
   (the shared :class:`~repro.parallel.backend.SharedTaskCounter` for
   ``dlb``, each rank's own pre-computed share for ``static``); this
-  holds through ``fail_rank`` requeue and through the process
-  backend's kill replay, which re-executes the dead rank's claims in
-  claim order.
+  holds through the process backend's kill replay, which re-executes
+  the dead rank's claims in claim order.
 * **permutation invariance** — reordering thread columns moves the tree
   reduction by at most
   :data:`~repro.parallel.reduction.PERMUTATION_TOLERANCE` (relative),
@@ -47,11 +46,11 @@ from repro.parallel.reduction import (  # noqa: E402
 COMMON = dict(deadline=None)
 
 
-def _drain_interleaved(data, serve, nranks, alive=None):
+def _drain_interleaved(data, serve, nranks):
     """Draw from ``serve(rank)`` in a hypothesis-chosen interleaving
-    until every live rank is exhausted; returns the granted indices."""
+    until every rank is exhausted; returns the granted indices."""
     granted: list[int] = []
-    live = set(range(nranks)) if alive is None else set(alive)
+    live = set(range(nranks))
     exhausted: set[int] = set()
     while live - exhausted:
         rank = data.draw(
@@ -70,64 +69,11 @@ def _drain_interleaved(data, serve, nranks, alive=None):
     data=st.data(),
     ntasks=st.integers(min_value=0, max_value=40),
     nranks=st.integers(min_value=1, max_value=6),
-    policy=st.sampled_from(["round_robin", "block"]),
 )
-def test_dlb_grants_each_index_exactly_once(data, ntasks, nranks, policy):
-    dlb = DynamicLoadBalancer(ntasks, nranks, policy=policy)
+def test_dlb_grants_each_index_exactly_once(data, ntasks, nranks):
+    dlb = DynamicLoadBalancer(ntasks, nranks)
     granted = _drain_interleaved(data, dlb.next, nranks)
     assert Counter(granted) == Counter(range(ntasks))
-
-
-@settings(max_examples=50, **COMMON)
-@given(
-    data=st.data(),
-    ntasks=st.integers(min_value=1, max_value=40),
-    nranks=st.integers(min_value=2, max_value=6),
-)
-def test_dlb_exactly_once_through_fail_rank_requeue(data, ntasks, nranks):
-    """Kill one rank mid-draw with requeue: its outstanding grants move
-    to survivors, and the union of everything ever granted is still each
-    index exactly once (completed work is not re-granted)."""
-    dlb = DynamicLoadBalancer(ntasks, nranks, policy="round_robin")
-    victim = data.draw(st.integers(0, nranks - 1), label="victim")
-
-    # Random prefix of interleaved draws before the failure.
-    prefix: list[int] = []
-    for _ in range(data.draw(st.integers(0, ntasks), label="ndraws")):
-        rank = data.draw(st.integers(0, nranks - 1), label="rank")
-        t = dlb.next(rank)
-        if t is not None:
-            prefix.append(t)
-
-    withdrawn = dlb.fail_rank(victim, requeue=True)
-    assert set(withdrawn).isdisjoint(prefix)
-
-    survivors = [r for r in range(nranks) if r != victim]
-    rest = _drain_interleaved(data, dlb.next, nranks, alive=survivors)
-    assert dlb.next(victim) is None  # dead ranks draw nothing
-    assert Counter(prefix + rest) == Counter(range(ntasks))
-
-
-@settings(max_examples=50, **COMMON)
-@given(
-    data=st.data(),
-    ntasks=st.integers(min_value=1, max_value=40),
-    nranks=st.integers(min_value=2, max_value=6),
-)
-def test_dlb_fail_without_requeue_returns_grant_order(data, ntasks, nranks):
-    """``requeue=False`` hands the withdrawn tasks back in grant order —
-    the property the Fock builders' bitwise-identical replay rests on."""
-    dlb = DynamicLoadBalancer(ntasks, nranks, policy="round_robin")
-    victim = data.draw(st.integers(0, nranks - 1), label="victim")
-    expected = dlb.assignment()[victim]
-    npre = data.draw(st.integers(0, len(expected)), label="npre")
-    drawn = [dlb.next(victim) for _ in range(npre)]
-    withdrawn = dlb.fail_rank(victim, requeue=False)
-    assert drawn + withdrawn == expected
-    # Nobody else ever sees those indices again.
-    survivors = [r for r in range(nranks) if r != victim]
-    rest = _drain_interleaved(data, dlb.next, nranks, alive=survivors)
-    assert set(rest).isdisjoint(withdrawn)
 
 
 def _draw_costs(data, ntasks):
@@ -150,8 +96,8 @@ def _process_grants(schedule, ntasks, nranks, costs=None):
     ``dlb`` workers claim from the shared :class:`SharedTaskCounter`; a
     ``static`` worker walks the share its build command carried
     (``iter(share)`` in ``_worker_loop``).  ``replay(rank)`` is what
-    ``ProcessFockBuilder._recover`` re-executes for a dead rank: its
-    claims off the owner board, or its whole share.
+    ``ProcessFockBuilder._recover`` hands the builder's ``_replay`` for
+    a dead rank: its claims off the owner board, or its whole share.
     """
     if schedule == "dlb":
         counter = SharedTaskCounter(max(ntasks, 1))
@@ -192,67 +138,6 @@ def test_every_schedule_grants_each_index_exactly_once(
         with _process_grants(schedule, ntasks, nranks, costs) as (claim, _):
             granted = _drain_interleaved(data, claim, nranks)
     assert Counter(granted) == Counter(range(ntasks))
-
-
-@settings(max_examples=40, **COMMON)
-@given(
-    data=st.data(),
-    ntasks=st.integers(min_value=1, max_value=40),
-    nranks=st.integers(min_value=2, max_value=6),
-    schedule=st.sampled_from(SCHEDULE_NAMES),
-)
-def test_every_schedule_exactly_once_through_fail_rank_requeue(
-    data, ntasks, nranks, schedule
-):
-    """Kill-with-requeue preserves exactly-once under every strategy."""
-    sch = make_scheduler(schedule, ntasks, nranks)
-    victim = data.draw(st.integers(0, nranks - 1), label="victim")
-
-    prefix: list[int] = []
-    for _ in range(data.draw(st.integers(0, ntasks), label="ndraws")):
-        rank = data.draw(st.integers(0, nranks - 1), label="rank")
-        t = sch.next(rank)
-        if t is not None:
-            prefix.append(t)
-
-    withdrawn = sch.fail_rank(victim, requeue=True)
-    assert set(withdrawn).isdisjoint(prefix)
-
-    survivors = [r for r in range(nranks) if r != victim]
-    rest = _drain_interleaved(data, sch.next, nranks, alive=survivors)
-    assert sch.next(victim) is None
-    assert Counter(prefix + rest) == Counter(range(ntasks))
-
-
-@settings(max_examples=40, **COMMON)
-@given(
-    data=st.data(),
-    ntasks=st.integers(min_value=1, max_value=40),
-    nranks=st.integers(min_value=2, max_value=6),
-    schedule=st.sampled_from(SCHEDULE_NAMES),
-)
-def test_every_schedule_fail_without_requeue_grant_order(
-    data, ntasks, nranks, schedule
-):
-    """``requeue=False`` returns exactly the victim's outstanding grants
-    in grant order (the replay contract), for every strategy, even after
-    arbitrary draws elsewhere."""
-    sch = make_scheduler(schedule, ntasks, nranks)
-    victim = data.draw(st.integers(0, nranks - 1), label="victim")
-    drawn: list[int] = []
-    for _ in range(data.draw(st.integers(0, ntasks), label="ndraws")):
-        rank = data.draw(st.integers(0, nranks - 1), label="rank")
-        t = sch.next(rank)
-        if t is not None and rank == victim:
-            drawn.append(t)
-    expected = sch.outstanding(victim)
-    withdrawn = sch.fail_rank(victim, requeue=False)
-    assert withdrawn == expected
-    survivors = [r for r in range(nranks) if r != victim]
-    rest = _drain_interleaved(data, sch.next, nranks, alive=survivors)
-    assert set(rest).isdisjoint(withdrawn)
-    combined = drawn + withdrawn + rest
-    assert len(combined) == len(set(combined))
 
 
 @settings(max_examples=40, **COMMON)

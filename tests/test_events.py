@@ -130,16 +130,3 @@ def test_instrumented_code_is_silent_without_log():
     assert kinds["dlb.rank_done"] == 1
 
 
-def test_dlb_fail_rank_event():
-    from repro.parallel.dlb import DynamicLoadBalancer
-
-    log = EventLog()
-    with use_event_log(log):
-        dlb = DynamicLoadBalancer(ntasks=6, nranks=2)
-        dlb.next(0)
-        dlb.next(1)
-        dlb.fail_rank(1)
-    failed = [ev for ev in log if ev.kind == "dlb.rank_failed"]
-    assert len(failed) == 1
-    assert failed[0].rank == 1
-    assert failed[0].fields["requeued"] is True

@@ -8,16 +8,13 @@ import pytest
 from repro.core.scf_driver import ParallelSCF
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.parallel.comm import SimWorld
-from repro.parallel.dlb import DynamicLoadBalancer
 from repro.resilience import (
     CorruptContributionError,
     FaultEvent,
     FaultKind,
     FaultPlan,
     FaultSpecError,
-    RankLostError,
     corrupt_copy,
-    resilient_grants,
 )
 
 
@@ -85,54 +82,67 @@ def test_events_are_one_shot():
     assert plan.fired == plan.events
 
 
-# -- DLB fault hooks ----------------------------------------------------------
+# -- a killed rank, replayed into its slot -----------------------------------
 
 
-def test_dlb_fail_rank_withdraws_and_requeues():
-    dlb = DynamicLoadBalancer(10, 3)          # rank1 holds 1,4,7
-    assert dlb.next(1) == 1
-    withdrawn = dlb.fail_rank(1, requeue=True)
-    assert withdrawn == [4, 7]
-    assert not dlb.alive(1)
-    assert dlb.next(1) is None
-    # round-robin claims by the survivors, appended after their own work
-    assert dlb.assignment()[0] == [0, 3, 6, 9, 4]
-    assert dlb.assignment()[2] == [2, 5, 8, 7]
-    # idempotent: a dead rank has nothing left to withdraw
-    assert dlb.fail_rank(1) == []
+def _mpi_builder(basis, **kw):
+    from repro.core.fock_mpi import MPIOnlyFockBuilder
+    from repro.integrals.onee import core_hamiltonian
+
+    return MPIOnlyFockBuilder(basis, core_hamiltonian(basis), nranks=2, **kw)
 
 
-def test_dlb_fail_rank_no_requeue_leaves_redistribution_to_caller():
-    dlb = DynamicLoadBalancer(6, 2)
-    withdrawn = dlb.fail_rank(0, requeue=False)
-    assert withdrawn == [0, 2, 4]
-    assert dlb.assignment()[1] == [1, 3, 5]   # untouched
+def _trial_density(nbf):
+    d = np.random.default_rng(3).standard_normal((nbf, nbf))
+    return d + d.T
 
 
-def test_dlb_fail_rank_validates_rank_and_survivors():
-    dlb = DynamicLoadBalancer(4, 2)
-    with pytest.raises(ValueError):
-        dlb.fail_rank(5)
-    dlb.fail_rank(0, requeue=False)
-    with pytest.raises(RuntimeError, match="no survivors"):
-        dlb.fail_rank(1, requeue=True)
+def test_killed_rank_is_cut_then_replayed_in_grant_order(water_sto3g):
+    """A rank killed after two tasks runs those two, then its whole
+    grant list again from a zeroed slot, in grant order: the build and
+    its stats are the fault-free ones, bit for bit."""
+    d = _trial_density(water_sto3g.nbf)
+    F_clean, stats_clean = _mpi_builder(water_sto3g)(d)
+    builder = _mpi_builder(
+        water_sto3g, fault_plan=FaultPlan.from_spec(
+            "kill:rank=1:cycle=1:after=2", nranks=2
+        ),
+    )
+    calls = []
+    program = builder.rank_program
+
+    def spied(rank, blocks, *args, **kwargs):
+        blocks = list(blocks)
+        calls.append((rank, blocks))
+        return program(rank, iter(blocks), *args, **kwargs)
+
+    builder.rank_program = spied
+    registry = MetricsRegistry()
+    with use_metrics(registry):
+        F, stats = builder(d)
+    grants = list(range(1, builder.dlb_ntasks(), 2))  # rank 1, round-robin
+    assert calls[1:] == [(1, [grants[:2]]), (1, [grants])]
+    assert np.array_equal(F, F_clean)
+    assert stats.as_dict() == stats_clean.as_dict()
+    snap = registry.snapshot()
+    assert snap["resilience.rank_failures"] == 1
+    assert snap["resilience.tasks_replayed{rank=1}"] == len(grants)
 
 
-def test_resilient_grants_replays_in_original_grant_order():
-    dlb = DynamicLoadBalancer(8, 2)           # rank1: 1,3,5,7
-    plan = FaultPlan([FaultEvent(FaultKind.KILL, rank=1, cycle=1, after=2)])
-    grants = list(resilient_grants(dlb, 1, plan, 1))
-    # two healthy draws, then death; the remaining grants replay in order
-    assert grants == [1, 3, 5, 7]
-    assert not dlb.alive(1)
-
-
-def test_resilient_grants_raises_when_no_survivors():
-    dlb = DynamicLoadBalancer(4, 2)
-    dlb.fail_rank(0, requeue=False)
-    plan = FaultPlan([FaultEvent(FaultKind.KILL, rank=1, cycle=1, after=0)])
-    with pytest.raises(RankLostError):
-        list(resilient_grants(dlb, 1, plan, 1))
+def test_every_rank_killed_still_builds_bitwise(water_sto3g):
+    """A replay needs no survivor: each killed rank redoes its own
+    grants, so a build in which every rank dies is still the clean one."""
+    d = _trial_density(water_sto3g.nbf)
+    F_clean, _ = _mpi_builder(water_sto3g)(d)
+    plan = FaultPlan.from_spec(
+        "kill:rank=0:cycle=1:after=0;kill:rank=1:cycle=1:after=3", nranks=2
+    )
+    registry = MetricsRegistry()
+    with use_metrics(registry):
+        F, _ = _mpi_builder(water_sto3g, fault_plan=plan)(d)
+    assert len(plan.fired) == 2
+    assert np.array_equal(F, F_clean)
+    assert registry.snapshot()["resilience.rank_failures"] == 2
 
 
 # -- validated reductions -----------------------------------------------------
@@ -200,8 +210,7 @@ def test_kill_one_of_four_ranks_is_bitwise_identical(
     assert faulted.scf.niterations == clean.scf.niterations
     snap = registry.snapshot()
     assert snap["resilience.rank_failures"] == 1
-    assert snap["resilience.tasks_requeued"] >= 1
-    assert any(k.startswith("resilience.tasks_recovered") for k in snap)
+    assert snap["resilience.tasks_replayed{rank=1}"] >= 1
 
 
 @pytest.mark.parametrize("payload", ["nan", "inf", "-inf"])

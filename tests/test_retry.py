@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.resilience.errors import RankLostError, SCFConvergenceError
+from repro.resilience.errors import SCFConvergenceError
 from repro.service.errors import JobSpecError, WorkerLostError
 from repro.service.retry import (
     RETRYABLE,
@@ -84,7 +84,7 @@ class TestClassification:
 
     @pytest.mark.parametrize("name", [
         "WorkerLostError", "JobTimeoutError", "BuildTimeoutError",
-        "RankLostError", "OSError", "MemoryError",
+        "OSError", "MemoryError",
     ])
     def test_retryable_names(self, name):
         assert classify(name) == RETRYABLE
@@ -100,7 +100,6 @@ class TestClassification:
         # JobSpecError is also a ValueError; either name is terminal.
         assert classify(JobSpecError("bad")) == TERMINAL
         assert classify(SCFConvergenceError("no")) == TERMINAL
-        assert classify(RankLostError("gone")) == RETRYABLE
 
     def test_subclass_of_known_type_inherits_verdict(self):
         class CustomSpecProblem(ValueError):

@@ -1,10 +1,9 @@
 """Distribution-strategy unit tests: the Scheduler hierarchy, the
 perfsim grant model, and the timeline analyzer's strategy verdict.
 
-The hypothesis exactly-once / fail-rank properties (sim schedulers and
+The hypothesis exactly-once / kill-replay properties (sim schedulers and
 the process backend's grant sources) live in ``test_dlb_properties.py``;
-this module pins the deterministic, example-level contracts: grant
-re-emission after requeue (the ``_done_logged`` bugfix),
+this module pins the deterministic, example-level contracts:
 counter-traffic accounting, the single spelling of the strategy names,
 and the imbalance-driven schedule recommendation.
 """
@@ -15,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.obs.events import EventLog, use_event_log
-from repro.parallel.dlb import DynamicLoadBalancer
 from repro.parallel.scheduler import (
     SCHEDULE_NAMES,
     StaticScheduler,
@@ -28,37 +26,6 @@ def _drain(sch, rank):
     while (t := sch.next(rank)) is not None:
         out.append(t)
     return out
-
-
-# -- satellite bugfix: rank_done re-emission after requeue -------------------
-
-
-def test_requeue_reemits_rank_done_with_final_grant_count():
-    """A survivor that had already drained (and logged ``dlb.rank_done``)
-    gets requeued work from a failed rank: its next exhaustion must
-    re-emit ``dlb.rank_done`` with the *final* grant count instead of
-    leaving the stale first record as the rank's last word."""
-    log = EventLog()
-    with use_event_log(log):
-        dlb = DynamicLoadBalancer(ntasks=6, nranks=2, policy="round_robin")
-        first = _drain(dlb, 0)
-        assert len(first) == 3
-        dlb.fail_rank(1, requeue=True)  # rank 1 never drew: 3 tasks move
-        second = _drain(dlb, 0)
-        assert len(second) == 3
-    done = [ev for ev in log if ev.kind == "dlb.rank_done" and ev.rank == 0]
-    assert [ev.fields["grants"] for ev in done] == [3, 6]
-
-
-def test_requeue_without_prior_done_emits_once():
-    log = EventLog()
-    with use_event_log(log):
-        dlb = DynamicLoadBalancer(ntasks=6, nranks=2, policy="round_robin")
-        dlb.fail_rank(1, requeue=True)
-        granted = _drain(dlb, 0)
-        assert len(granted) == 6
-    done = [ev for ev in log if ev.kind == "dlb.rank_done" and ev.rank == 0]
-    assert [ev.fields["grants"] for ev in done] == [6]
 
 
 # -- strategy construction and counter traffic -------------------------------
