@@ -41,7 +41,7 @@ from repro.resilience.errors import (
     CorruptContributionError,
     NonFiniteDensityError,
 )
-from repro.resilience.faults import FaultPlan, corrupt_copy
+from repro.resilience.faults import FaultKind, FaultPlan, corrupt_copy
 
 #: Scalar counters of one Fock build, in declaration order.
 _SCALAR_FIELDS = (
@@ -230,12 +230,14 @@ class ParallelFockBuilderBase:
         Enable the shared-write race detector (shared-Fock algorithm).
     fault_plan:
         Optional :class:`~repro.resilience.faults.FaultPlan`, validated
-        against ``nranks`` at construction.  A killed rank's slot is
-        zeroed and its grants replayed into it (:meth:`_replay`, results
-        bitwise identical to the fault-free build); a corrupt event
-        hands the validating ``gsumf`` a corrupted copy of the rank's
+        against ``nranks`` at construction.  The build head
+        (:meth:`_start_build`) resolves a build's events once, in the
+        parent, on either backend.  A killed rank's slot is zeroed and
+        its grants replayed into it (:meth:`_replay`, results bitwise
+        identical to the fault-free build); a corrupt event hands the
+        validating ``gsumf`` a corrupted copy of the rank's
         contribution, which it rejects before the clean one joins
-        (:meth:`_reduce`).  Both backends take these two steps.
+        (:meth:`_reduce`).
     """
 
     algorithm_name = "base"
@@ -307,13 +309,18 @@ class ParallelFockBuilderBase:
     #
     # A rank program walks rank_runs and says only where a run's
     # families go.  The sim path (__call__) and the real-process backend
-    # both execute rank_program between one build head (_start_build)
-    # and one tail (_finish_build), replay a killed rank with _replay
-    # and reduce through _reduce, so "same rank program on real OS
-    # processes" is a structural guarantee, not a convention.
+    # both execute rank_program between one build head (_start_build,
+    # which also decides the build's faults) and one tail
+    # (_finish_build), replay a killed rank with _replay and reduce
+    # through _reduce, so "same rank program on real OS processes" is a
+    # structural guarantee, not a convention.
 
     #: The densities a build takes, in order, as its errors name them.
     density_labels: tuple[str, ...] = ("density",)
+
+    #: Called before each run a rank program digests: a process worker's
+    #: rate-limited heartbeat.  The sim runtime sets none.
+    on_run: Callable[[], None] | None = None
 
     def dlb_ntasks(self) -> int:
         """Size of the global DLB index space of one build: the combined
@@ -382,6 +389,8 @@ class ParallelFockBuilderBase:
                 if self.admit(task, part, barrier)
             ]
             for run in runs_under_budget(tasks):
+                if self.on_run is not None:
+                    self.on_run()
                 layouts = [self._layout(run, t) for t in range(self.nthreads)]
                 part.quartets_screened += sum(plan.screened for _, plan in run)
                 for t, layout in enumerate(layouts):
@@ -480,7 +489,7 @@ class ParallelFockBuilderBase:
             rank = comm.rank
             W = np.zeros(self.accumulator_shape)
             blocks = list(self._grants(dlb, rank))
-            kill_after = self._kill_after(rank)
+            kill_after, _ = self._orders(rank)
             part = self.rank_program(
                 rank, _cut(blocks, kill_after), density, W,
                 barrier=comm.barrier,
@@ -504,8 +513,9 @@ class ParallelFockBuilderBase:
 
     def _start_build(self, densities: Sequence[np.ndarray]) -> np.ndarray:
         """A build's head on either backend: count the build, mark the
-        quartet cache, refuse a non-finite density naming it, and stack
-        the densities into the accumulator's shape."""
+        quartet cache, refuse a non-finite density naming it, decide the
+        build's faults (:meth:`_resolve_faults`) and stack the densities
+        into the accumulator's shape."""
         self._build_index += 1
         cache = self.eri_cache
         if cache is not None:
@@ -519,7 +529,35 @@ class ParallelFockBuilderBase:
                     f"contains {int(np.sum(~np.isfinite(density)))} "
                     "non-finite value(s); refusing to build from garbage"
                 )
+        self._faults = self._resolve_faults()
         return np.reshape(densities, self.accumulator_shape)
+
+    def _resolve_faults(self) -> dict:
+        """This build's fault events, keyed on ``(kind, rank)``, looked up
+        once, in the parent.  A delay is metered and logged here, a kill
+        by :meth:`_replay`, a corruption by :meth:`_reduce`."""
+        plan = self.fault_plan
+        faults = {} if plan is None else plan.take(self._build_index)
+        registry, log = get_metrics(), get_event_log()
+        for (kind, rank), ev in faults.items():
+            if kind is not FaultKind.DELAY:
+                continue
+            if registry is not None:
+                registry.counter("resilience.stragglers").inc()
+                registry.histogram("resilience.straggler_factor").observe(
+                    ev.factor)
+            if log is not None:
+                log.emit("fault.delay", rank=rank, cycle=self._build_index,
+                         factor=ev.factor)
+        return faults
+
+    def _orders(self, rank: int) -> tuple[int | None, float]:
+        """What ``rank`` carries out in this build: the tasks it completes
+        before it dies (``None``: it lives) and its slowdown (1.0)."""
+        kill = self._faults.get((FaultKind.KILL, rank))
+        delay = self._faults.get((FaultKind.DELAY, rank))
+        return (None if kill is None else kill.after,
+                1.0 if delay is None else delay.factor)
 
     def _rank_stats(self) -> FockBuildStats:
         """A rank program's partial stats, every count at zero."""
@@ -551,19 +589,6 @@ class ParallelFockBuilderBase:
     def _grants(self, dlb: Scheduler, rank: int) -> Iterator[list[int]]:
         """Rank's grants as one block, its whole queue."""
         yield list(dlb.iter_rank(rank))
-
-    def _kill_after(self, rank: int) -> int | None:
-        """The tasks ``rank`` completes in this build before the fault
-        plan kills it (``None``: it lives); a delay is only metered."""
-        plan = self.fault_plan
-        if plan is None:
-            return None
-        cycle = self._build_index
-        factor = plan.delay_factor(rank, cycle)
-        log = get_event_log()
-        if factor > 1.0 and log is not None:
-            log.emit("fault.delay", rank=rank, cycle=cycle, factor=factor)
-        return plan.kill_after(rank, cycle)
 
     def _replay(
         self,
@@ -604,11 +629,7 @@ class ParallelFockBuilderBase:
         before registering anything, and the pristine ``W`` the sender
         still holds is sent again, so the reduced result is untouched.
         """
-        plan = self.fault_plan
-        event = (
-            plan.corruption(comm.rank, self._build_index)
-            if plan is not None else None
-        )
+        event = self._faults.get((FaultKind.CORRUPT, comm.rank))
         if event is not None:
             registry = get_metrics()
             if registry is not None:

@@ -11,11 +11,11 @@ the ``repro monitor`` dashboard folds live:
 * ``dlb.reset`` / ``dlb.rank_done`` — the grant schedulers'
   lifecycle;
 * ``fault.kill`` / ``fault.delay`` / ``fault.corrupt`` — injected
-  faults and their recovery (:mod:`repro.resilience`), on either
-  backend: ``fault.kill`` marks a rank replayed into its slot (how many
-  tasks; on the process backend also whether its heartbeat had already
-  gone silent), which is what makes a faulted run's timeline show
-  *when* a rank died;
+  faults and their recovery (:mod:`repro.resilience`), logged by the
+  parent's build driver on either backend: ``fault.kill`` marks a rank
+  replayed into its slot, dead or late (how many tasks; on the process
+  backend also whether its heartbeat had already gone silent), which
+  is what makes a faulted run's timeline show *when* a rank died;
 * ``worker.heartbeat`` / ``worker.hung`` / ``worker.recovered`` /
   ``worker.lost`` — process-backend (and service-fleet) liveness;
 * ``scf.recovery`` — convergence-guard stage escalations;

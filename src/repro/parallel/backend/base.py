@@ -90,9 +90,8 @@ def make_backend(
         ``sim``).
     **process_options:
         Further :class:`~repro.parallel.backend.process.ProcessBackend`
-        keywords (``heartbeat_interval_s``, ``heartbeat_timeout_s``,
-        ``build_timeout_s``); rejected for the sim backend so typos do
-        not pass silently.
+        keywords (``heartbeat_interval_s``, ``heartbeat_timeout_s``);
+        rejected for the sim backend so typos do not pass silently.
     """
     if isinstance(spec, ExecutionBackend):
         return spec

@@ -2,12 +2,13 @@
 
 Before this module existed, a stalled worker was indistinguishable from
 a slow one: the parent learned something was wrong only when the build
-timeout (minutes) expired or the worker process died outright.  The
+deadline (minutes) expired or the worker process died outright.  The
 heartbeat protocol closes that window:
 
-* **Workers beat in-band** — at build start, at every DLB claim
-  boundary (rate-limited to one beat per ``interval_s``), and at build
-  completion — by sending a small dict up its own pipe to the parent.
+* **Workers beat in-band** — at build start, at every grant claim and
+  every run of the rank loop (rate-limited to one beat per
+  ``interval_s``), and at build completion — by sending a small dict up
+  its own pipe to the parent.
   In-band is the point: a worker stuck in a long quartet batch,
   sleeping in an injected-straggler delay, or wedged in a syscall
   *stops beating*, whereas a background heartbeat thread would keep
@@ -16,10 +17,10 @@ heartbeat protocol closes that window:
   in the beats while collecting build results; a pending rank silent
   for longer than ``timeout_s`` is flagged ``suspect`` and a
   ``worker.hung`` event + ``process.workers_suspect`` counter are
-  emitted *before* the DLB counter or the build timeout would notice.
-  A suspect rank that eventually reports is marked ``recovered``; one
-  whose process died is marked ``lost`` and handed to the existing
-  zero-slab / owner-board replay recovery.
+  emitted *before* the DLB counter or the build deadline would notice;
+  nothing kills a suspect.  One that eventually reports is marked
+  ``recovered``; one whose process died (or was SIGKILLed at the build
+  deadline) is marked ``lost`` and handed to the builder's replay.
 
 Each beat, and each change of a rank's state, is one event on the
 installed event log (``worker.heartbeat`` / ``worker.hung`` /

@@ -28,35 +28,38 @@ verbatim — but on real OS processes:
   pipe; the parent hands the partials, in rank order, to the builder's
   build tail, the one the sim runtime calls.
 
-Fault injection is *real* here: a :class:`~repro.resilience.faults
-.FaultPlan` ``kill`` event makes the worker ``os._exit`` at a
-task-claim boundary mid-build (no result, partial slab); ``delay``
-events put the worker to sleep.  Recovery is the builder's own replay
-step (``_replay``), run by the parent: a lost worker's slab is zeroed
-and its tasks (the counter's owner board remembers its claims, in claim
-order; a static rank's are its whole share) are replayed into it, then
-the worker is respawned for the next build.  ``corrupt`` events strike
-a slab on its way into the parent's reduction, as on the sim runtime.
+Fault injection is *real* here, and the parent decides every fault in
+the builder's build head (``_start_build``), as on the sim runtime.  A
+build command carries the rank's kill point and delay factor; the
+worker calls ``os._exit`` at the task-claim boundary (no result,
+partial slab) or sleeps before it claims.  A late rank is a killed
+rank: one still running at :data:`BUILD_DEADLINE_S` (a constant, not an
+option) is SIGKILLed.  The parent recovers either through the
+builder's replay step (``_replay``): the lost worker's slab is zeroed
+and its tasks (its claims off the counter's owner board, in claim
+order; a static rank's whole share) are replayed into it, then the
+worker is respawned for the next build.  ``corrupt`` events strike a
+slab on its way into the parent's reduction, as on the sim runtime.
 
 Observability: each worker traces its rank program into per-worker
-spans/events NDJSON under ``obs_dir/worker<r>/``, timestamped against
+spans NDJSON under ``obs_dir/worker<r>/``, timestamped against
 one shared ``perf_counter`` base (``CLOCK_MONOTONIC`` is common across
 processes on a host), so :func:`worker_obs_run` can hand the whole
 worker fleet to
 :func:`~repro.obs.spans.merged_chrome_trace` as a single
 aligned timeline.  Records are streamed *incrementally* (line-buffered
 append via :class:`~repro.obs.stream.ObsStreamer`): a worker killed by
-``os._exit`` mid-build leaves every span and event it completed on
-disk, not in a lost buffer.
+``os._exit`` mid-build leaves every span it completed on disk, not in
+a lost buffer.
 
 Liveness: each worker is a :class:`~repro.parallel.child.Child` that
-sends in-band heartbeats (build start, every DLB claim boundary
-rate-limited to ``heartbeat_interval_s``, build done) beside its
-result; the parent's
+sends in-band heartbeats (build start, every claim and every run of
+the rank loop rate-limited to ``heartbeat_interval_s``, build done)
+beside its result; the parent's
 :class:`~repro.parallel.backend.heartbeat.HeartbeatMonitor` flags any
 pending rank silent past ``heartbeat_timeout_s`` as ``suspect`` and
 emits a ``worker.hung`` event — a stalled worker becomes visible in
-seconds instead of at the build timeout.
+seconds, long before the deadline, which alone kills.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.obs.events import EventLog, events_from_ndjson
+from repro.obs.events import events_from_ndjson
 from repro.obs.stream import ObsStreamer
 from repro.obs.tracer import Tracer, get_tracer, use_tracer
 from repro.parallel.backend.base import ExecutionBackend
@@ -85,12 +88,9 @@ from repro.parallel.child import KILLED_EXIT_CODE, Child, stop
 from repro.parallel.comm import SimWorld
 from repro.parallel.shared_array import SharedNDArray
 
-#: Hard ceiling on one Fock build's wall time before the parent gives up.
-DEFAULT_BUILD_TIMEOUT_S = 120.0
-
-
-class BuildTimeoutError(RuntimeError):
-    """A process-backend Fock build exceeded its wall-clock budget."""
+#: Seconds a worker has to report a build before the parent SIGKILLs it
+#: and replays its share, as for a worker that died.
+BUILD_DEADLINE_S = 120.0
 
 
 class WorkerGeometryError(ValueError):
@@ -112,19 +112,17 @@ def _worker_loop(
     Everything else arrives through fork inheritance (no pickling): the
     sim builder (whose ``rank_program`` we execute), the shared counter
     (``None`` under ``schedule="static"``, where ``share`` is this
-    rank's whole grant sequence) and the shared-memory views.
+    rank's whole grant sequence) and the shared-memory views.  Each
+    build command carries the rank's kill point and delay factor.
     """
     tracer = Tracer() if cfg["obs_dir"] is not None else None
-    log = EventLog() if cfg["obs_dir"] is not None else None
     streamer = (
         ObsStreamer(
-            Path(cfg["obs_dir"]) / f"worker{rank}",
-            tracer=tracer, log=log, t0=cfg["t0"],
+            Path(cfg["obs_dir"]) / f"worker{rank}", tracer=tracer, t0=cfg["t0"]
         )
         if cfg["obs_dir"] is not None
         else None
     )
-    plan = builder.fault_plan
     D = density.array
     W = slabs.array[rank]
     pid = os.getpid()
@@ -141,17 +139,13 @@ def _worker_loop(
             if streamer is not None:
                 streamer.close()
             return
-        _, cycle, share = msg
+        _, cycle, share, kill_after, factor = msg
         beat(cycle, "start")
-        kill_after = plan.kill_after(rank, cycle) if plan is not None else None
-        factor = plan.delay_factor(rank, cycle) if plan is not None else 1.0
         if factor > 1.0:
             # A real straggler: this worker sleeps, the shared counter
             # shifts its grants to the faster ranks automatically — and
             # the heartbeat goes silent, which is exactly how the
             # parent tells a stall from slow progress.
-            if log is not None:
-                log.emit("fault.delay", rank=rank, cycle=cycle, factor=factor)
             time.sleep(min(0.2, 0.02 * (factor - 1.0)))
         rng = (
             np.random.default_rng([cfg["schedule_seed"], rank, cycle])
@@ -159,16 +153,16 @@ def _worker_loop(
             else None
         )
 
-        claim_count = 0
+        claimed = 0
+        builder.on_run = lambda: beat(cycle, "claim", claimed)
 
         def grants():
             """Grant blocks: one task per claim from the live counter
             (the DDI protocol: each claim is a round trip), a static
             rank's whole share at once — cut where a kill strikes."""
-            nonlocal claim_count
-            done = 0
+            nonlocal claimed
             while True:
-                if kill_after is not None and done >= kill_after:
+                if kill_after is not None and claimed >= kill_after:
                     # Die *for real*, mid-build, at the claim boundary:
                     # no result message, a partially-written slab, and
                     # a counter that keeps serving the survivors.  The
@@ -179,17 +173,16 @@ def _worker_loop(
                     # Scheduling jitter for nondeterminism hunting:
                     # perturb claim arrival order between runs.
                     time.sleep(float(rng.random()) * 2e-4)
-                beat(cycle, "claim", done)
+                beat(cycle, "claim", claimed)
                 if share is None:
                     t = counter.next(rank)
                     block = [] if t is None else [t]
                 else:
-                    block = share[done:kill_after]
+                    block = share[claimed:kill_after]
                 if not block:
                     return
+                claimed += len(block)
                 yield block
-                done += len(block)
-                claim_count = done
 
         if tracer is not None:
             with use_tracer(tracer):
@@ -200,11 +193,9 @@ def _worker_loop(
                     part = builder.rank_program(rank, grants(), D, W)
             # Streamed on close; drop the in-memory copies.
             tracer.clear()
-            if log is not None:
-                log.clear()
         else:
             part = builder.rank_program(rank, grants(), D, W)
-        beat(cycle, "done", claim_count)
+        beat(cycle, "done", claimed)
         out.send(("result", cycle, dataclasses.asdict(part)))
 
 
@@ -217,10 +208,10 @@ class ProcessFockBuilder:
 
     Wraps a sim builder constructed with ``nranks == workers``; the sim
     object itself crosses the fork into every worker, so its
-    ``rank_program`` — including screening, the quartet engine, and the
-    fault plan — is byte-for-byte the code the sim backend runs, and a
-    build starts and ends in the builder's own head and tail
-    (``_start_build`` / ``_finish_build``), as on the sim runtime.
+    ``rank_program`` — including screening and the quartet engine — is
+    byte-for-byte the code the sim backend runs, and a build starts and
+    ends in the builder's own head and tail (``_start_build`` /
+    ``_finish_build``), as on the sim runtime.
     """
 
     def __init__(
@@ -230,7 +221,6 @@ class ProcessFockBuilder:
         workers: int,
         schedule_seed: int | None = None,
         obs_dir: str | Path | None = None,
-        build_timeout_s: float = DEFAULT_BUILD_TIMEOUT_S,
         heartbeat_interval_s: float = DEFAULT_INTERVAL_S,
         heartbeat_timeout_s: float = DEFAULT_TIMEOUT_S,
     ) -> None:
@@ -244,7 +234,6 @@ class ProcessFockBuilder:
             )
         self.inner = inner
         self.workers = workers
-        self.build_timeout_s = build_timeout_s
         shape = tuple(inner.accumulator_shape)
         self._density = SharedNDArray(shape)
         self._slabs = SharedNDArray((workers, *shape))
@@ -305,8 +294,9 @@ class ProcessFockBuilder:
                 if not child.alive():  # respawn any worker lost earlier
                     child.spawn()
             self.heartbeat.start_build(cycle)
-            for child, share in zip(self._children, shares):
-                child.send(("build", cycle, share))
+            for rank, child in enumerate(self._children):
+                child.send(("build", cycle, shares[rank],
+                            *self.inner._orders(rank)))
             parts, dead = self._collect(cycle)
             self._recover(parts, dead, shares)
             slabs = self._slabs.array
@@ -321,15 +311,15 @@ class ProcessFockBuilder:
         )
 
     def _collect(self, cycle: int) -> tuple[dict, list[int]]:
-        """Gather per-rank partial stats; detect workers that died or
-        stalled, waiting on the pending ranks' pipes and sentinels at
-        once."""
+        """Gather per-rank partial stats, waiting on the pending ranks'
+        pipes and sentinels at once; SIGKILL a worker still pending at
+        the deadline, and return every dead one for replay."""
         from repro.core.fock_base import FockBuildStats
 
         parts: dict[int, FockBuildStats] = {}
         dead: list[int] = []
         pending = set(range(self.workers))
-        deadline = time.monotonic() + self.build_timeout_s
+        deadline = time.monotonic() + BUILD_DEADLINE_S
         while pending:
             children = [self._children[r] for r in pending]
             due = [deadline - time.monotonic(),
@@ -356,14 +346,13 @@ class ProcessFockBuilder:
                     dead.append(rank)
                     self.heartbeat.mark_lost(rank)
             # Silent-but-alive pending ranks turn suspect here: the
-            # worker.hung event fires long before the build timeout
+            # worker.hung event fires long before the build deadline
             # or a missed DLB claim would implicate them.
             self.heartbeat.check(pending)
             if pending and time.monotonic() > deadline:
-                raise BuildTimeoutError(
-                    f"Fock build {cycle}: worker(s) {sorted(pending)} "
-                    f"unresponsive after {self.build_timeout_s:.0f} s"
-                )
+                # The next pass takes a late rank as a dead one.
+                for rank in pending:
+                    self._children[rank].kill()
         return parts, dead
 
     def _recover(self, parts: dict, dead: list[int], shares: list) -> None:

@@ -16,10 +16,11 @@ reproducible:
     deterministic, so the reduced Fock matrix (and hence the SCF energy)
     is *bitwise identical* to the fault-free run.
 ``delay``
-    A straggler: the rank runs ``factor`` times slower.  Results are
-    timing-independent, so a delay only surfaces in the metrics
-    (``resilience.stragglers``, ``resilience.straggler_factor``) and in
-    the perfsim-style cost accounting.
+    A straggler: the rank runs ``factor`` times slower (a process-backend
+    worker sleeps before it claims, up to 0.2 s).  Results are
+    timing-independent, so a delay surfaces only in the metrics
+    (``resilience.stragglers``, ``resilience.straggler_factor``), in a
+    ``fault.delay`` event and in the perfsim-style cost accounting.
 ``corrupt``
     The rank's reduction contribution is corrupted on the wire with
     NaN/Inf: :func:`corrupt_copy` of it goes to the validating
@@ -27,14 +28,16 @@ reproducible:
     pristine buffer (the sender still holds it) is sent again, keeping
     results bitwise identical.
 
-Both backends take a kill and a corruption through the same two steps
-of the build driver
-(:meth:`~repro.core.fock_base.ParallelFockBuilderBase._replay` and
-:meth:`~repro.core.fock_base.ParallelFockBuilderBase._reduce`).
+The plan is a pure schedule; the parent decides every fault.  On both
+backends the build head
+(:meth:`~repro.core.fock_base.ParallelFockBuilderBase._start_build`)
+takes a build's events once and the build driver meters and logs them;
+a process worker is sent its kill point and delay and only carries
+them out.
 
 Fault cycles are 1-based Fock-build indices within the current process
 (a restarted run counts its builds from 1 again).  Events are one-shot:
-each fires at most once per plan instance.
+each fires at most once per plan instance (:meth:`FaultPlan.take`).
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.obs.metrics import get_metrics
 from repro.resilience.errors import FaultSpecError
 
 
@@ -246,39 +248,19 @@ class FaultPlan:
                     "rank; kill faults need nranks >= 2"
                 )
 
-    # -- queries (one-shot) --------------------------------------------------
+    # -- the one lookup (one-shot) -------------------------------------------
 
-    def _take(self, kind: FaultKind, rank: int, cycle: int) -> FaultEvent | None:
+    def take(self, cycle: int) -> dict[tuple[FaultKind, int], FaultEvent]:
+        """Fire the events striking Fock build ``cycle`` — the first not
+        yet fired of each kind and rank — keyed on ``(kind, rank)``."""
+        taken: dict[tuple[FaultKind, int], FaultEvent] = {}
         for idx, ev in enumerate(self.events):
-            if (
-                idx not in self._fired
-                and ev.kind is kind
-                and ev.rank == rank
-                and ev.cycle == cycle
-            ):
-                self._fired.add(idx)
-                return ev
-        return None
-
-    def kill_after(self, rank: int, cycle: int) -> int | None:
-        """Task count after which ``rank`` dies in ``cycle`` (or None)."""
-        ev = self._take(FaultKind.KILL, rank, cycle)
-        return None if ev is None else ev.after
-
-    def delay_factor(self, rank: int, cycle: int) -> float:
-        """Straggler slowdown of ``rank`` in ``cycle`` (1.0 = healthy)."""
-        ev = self._take(FaultKind.DELAY, rank, cycle)
-        if ev is None:
-            return 1.0
-        registry = get_metrics()
-        if registry is not None:
-            registry.counter("resilience.stragglers").inc()
-            registry.histogram("resilience.straggler_factor").observe(ev.factor)
-        return ev.factor
-
-    def corruption(self, rank: int, cycle: int) -> FaultEvent | None:
-        """The corrupt event striking ``rank``'s contribution, if any."""
-        return self._take(FaultKind.CORRUPT, rank, cycle)
+            key = (ev.kind, ev.rank)
+            if ev.cycle != cycle or idx in self._fired or key in taken:
+                continue
+            self._fired.add(idx)
+            taken[key] = ev
+        return taken
 
     @property
     def fired(self) -> tuple[FaultEvent, ...]:

@@ -51,7 +51,6 @@ TERMINAL_TYPES = frozenset({
 RETRYABLE_TYPES = frozenset({
     "WorkerLostError",
     "JobTimeoutError",
-    "BuildTimeoutError",
     "CorruptContributionError",
     "OSError",
     "MemoryError",

@@ -22,15 +22,19 @@ contract for reordering-induced rounding drift.
 from __future__ import annotations
 
 import os
+import signal
 import threading
 
 import numpy as np
 import pytest
 
+from repro.core import fock_base
 from repro.core.scf_driver import ParallelSCF, make_fock_builder
 from repro.integrals.onee import core_hamiltonian
+from repro.obs.events import EventLog, use_event_log
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.parallel.backend import make_backend
+from repro.parallel.backend import process as process_backend
 from repro.parallel.reduction import PERMUTATION_TOLERANCE
 from repro.resilience.faults import FaultEvent, FaultKind, FaultPlan
 
@@ -295,39 +299,125 @@ def test_chaos_static_kill_replays_the_dead_ranks_share(water_sto3g):
 
 @pytest.mark.process
 def test_kill_and_corrupt_take_one_path_on_both_backends(water_sto3g):
-    """One static shared-fock build under a kill and a corruption, on the
-    sim runtime and on real processes.  A static rank's share is fixed
-    before the build, so both backends replay the killed rank's whole
-    share into its slot, and both hand the validating ``gsumf`` a
-    corrupted copy of rank 2's slab before the clean one: the stats
-    records and the ``resilience.*`` counters are equal, and so is F."""
+    """One static shared-fock build under a kill, a delay and a
+    corruption, on the sim runtime and on real processes.  The parent's
+    build head decides every fault on both backends: the plans fire the
+    same events, the ``resilience.*`` metrics (straggler factor
+    included) and the parent's ``fault.*`` events agree.  A static
+    rank's share is fixed before the build, so both backends replay the
+    killed rank's whole share into its slot, and both hand the
+    validating ``gsumf`` a corrupted copy of rank 2's slab before the
+    clean one: the stats records are equal, and so is F."""
     hcore = core_hamiltonian(water_sto3g)
     D = _trial_density(water_sto3g.nbf)
-    spec = "kill:rank=1:cycle=1:after=1;corrupt:rank=2:cycle=1:payload=nan"
+    spec = ("kill:rank=1:cycle=1:after=1;delay:rank=0:cycle=1:factor=4;"
+            "corrupt:rank=2:cycle=1:payload=nan")
 
     def build(backend):
+        plan = FaultPlan.from_spec(spec, nranks=3)
         inner = make_fock_builder(
             "shared-fock", water_sto3g, hcore, schedule="static",
-            fault_plan=FaultPlan.from_spec(spec, nranks=3),
-            nranks=3, nthreads=2,
+            fault_plan=plan, nranks=3, nthreads=2,
         )
-        registry = MetricsRegistry()
-        with use_metrics(registry), make_backend(backend, workers=3) as be:
+        registry, log = MetricsRegistry(), EventLog()
+        with use_metrics(registry), use_event_log(log), \
+                make_backend(backend, workers=3) as be:
             F, stats = be.wrap_builder(inner)(D)
         resilience = {
             key: value for key, value in registry.snapshot().items()
             if key.startswith("resilience.")
         }
-        return F, stats, resilience
+        faults = sorted(ev.kind for ev in log if ev.kind.startswith("fault."))
+        return F, stats, resilience, plan.fired, faults
 
-    F_sim, stats_sim, res_sim = build("sim")
-    F_proc, stats_proc, res_proc = build("process")
+    F_sim, stats_sim, res_sim, fired_sim, faults_sim = build("sim")
+    F_proc, stats_proc, res_proc, fired_proc, faults_proc = build("process")
+    assert fired_proc == fired_sim
+    assert len(fired_sim) == 3
+    assert faults_proc == faults_sim == [
+        "fault.corrupt", "fault.delay", "fault.kill",
+    ]
     assert stats_proc.as_dict() == stats_sim.as_dict()
     assert res_proc == res_sim
     assert res_sim["resilience.rank_failures"] == 1
+    assert res_sim["resilience.stragglers"] == 1
+    assert res_sim["resilience.straggler_factor"]["max"] == 4.0
     assert res_sim["resilience.corrupt_detected"] == 1
     assert res_sim["resilience.retransmissions{rank=2}"] == 1
     assert np.max(np.abs(F_proc - F_sim)) <= ENERGY_TOL
+
+
+@pytest.mark.process
+def test_a_rank_late_at_the_build_deadline_is_killed_and_replayed(
+    water_sto3g, monkeypatch
+):
+    """A worker still running at the build deadline is SIGKILLed and
+    replayed like a dead one: its share is redone in the parent, one
+    ``fault.kill`` names it, F is the fault-free build's, and the next
+    build respawns it.  The delayed rank sleeps past a deadline far
+    shorter than its delay; on a busy host another rank may miss it
+    too, so only the delayed one is asserted on."""
+    monkeypatch.setattr(process_backend, "BUILD_DEADLINE_S", 0.05)
+    hcore = core_hamiltonian(water_sto3g)
+    D = _trial_density(water_sto3g.nbf)
+    geo = {"nranks": 2, "nthreads": 2}
+    F_sim, _ = make_fock_builder(
+        "shared-fock", water_sto3g, hcore, schedule="static", **geo
+    )(D)
+    plan = FaultPlan.from_spec("delay:rank=1:cycle=1:factor=100", nranks=2)
+    inner = make_fock_builder(
+        "shared-fock", water_sto3g, hcore, schedule="static",
+        fault_plan=plan, **geo,
+    )
+    share = inner.make_scheduler().assignment()[1]
+    registry, log = MetricsRegistry(), EventLog()
+    with use_metrics(registry), use_event_log(log), \
+            make_backend("process", workers=2) as be:
+        builder = be.wrap_builder(inner)
+        F_proc, _ = builder(D)
+        late = builder._children[1]
+        assert late.proc.exitcode == -signal.SIGKILL
+        kills = [ev for ev in log if ev.kind == "fault.kill"]
+        assert 1 in [ev.rank for ev in kills]
+        assert registry.counter(
+            "resilience.tasks_replayed", rank=1
+        ).value == len(share)
+        assert np.max(np.abs(F_proc - F_sim)) <= FOCK_TOL
+        monkeypatch.setattr(process_backend, "BUILD_DEADLINE_S", 120.0)
+        F_next, _ = builder(D)
+        assert late.respawns == 1 and late.alive()
+        assert np.max(np.abs(F_next - F_sim)) <= FOCK_TOL
+
+
+@pytest.mark.process
+def test_a_static_rank_beats_once_per_run(
+    water_sto3g, monkeypatch, tmp_path
+):
+    """A static rank holds its whole share as one grant block, and beats
+    before each run of its rank loop, not only when it claims: with the
+    digestion budget lowered so the share spans several runs, and no
+    rate limit, the parent counts more beats than start, claim, the
+    closing claim and done.  Blocks stay whole shares."""
+    monkeypatch.setattr(fock_base, "MAX_BATCH_DOUBLES", 1)
+    hcore = core_hamiltonian(water_sto3g)
+    D = _trial_density(water_sto3g.nbf)
+    inner = make_fock_builder(
+        "shared-fock", water_sto3g, hcore, schedule="static",
+        nranks=2, nthreads=1,
+    )
+    shares = inner.make_scheduler().assignment()
+    assert min(map(len, shares)) > 1  # a run per task: several runs
+    _block_spy(inner, tmp_path)
+    with make_backend(
+        "process", workers=2, heartbeat_interval_s=0.0
+    ) as be:
+        builder = be.wrap_builder(inner)
+        builder(D)
+        beats = [h.beats for h in builder.heartbeat.health]
+    assert all(n > 4 for n in beats)
+    assert [_blocks(tmp_path, rank) for rank in range(2)] == [
+        [len(share)] for share in shares
+    ]
 
 
 def _block_spy(inner, log_dir):

@@ -74,11 +74,16 @@ def test_seeded_plan_is_deterministic():
 
 
 def test_events_are_one_shot():
-    plan = FaultPlan([FaultEvent(FaultKind.KILL, rank=1, cycle=2, after=3)])
-    assert plan.kill_after(1, 1) is None     # wrong cycle
-    assert plan.kill_after(0, 2) is None     # wrong rank
-    assert plan.kill_after(1, 2) == 3        # fires
-    assert plan.kill_after(1, 2) is None     # spent
+    kill = FaultEvent(FaultKind.KILL, rank=1, cycle=2, after=3)
+    delay = FaultEvent(FaultKind.DELAY, rank=1, cycle=2, factor=4.0)
+    again = FaultEvent(FaultKind.KILL, rank=1, cycle=2, after=5)
+    plan = FaultPlan([kill, delay, again])
+    assert plan.take(1) == {}                # wrong cycle
+    assert plan.take(2) == {                 # fires: one kill per rank
+        (FaultKind.KILL, 1): kill, (FaultKind.DELAY, 1): delay,
+    }
+    assert plan.take(2) == {(FaultKind.KILL, 1): again}  # a 2nd builder's
+    assert plan.take(2) == {}                # spent
     assert plan.fired == plan.events
 
 

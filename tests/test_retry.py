@@ -83,8 +83,7 @@ class TestClassification:
         assert classify(name) == TERMINAL
 
     @pytest.mark.parametrize("name", [
-        "WorkerLostError", "JobTimeoutError", "BuildTimeoutError",
-        "OSError", "MemoryError",
+        "WorkerLostError", "JobTimeoutError", "OSError", "MemoryError",
     ])
     def test_retryable_names(self, name):
         assert classify(name) == RETRYABLE
