@@ -98,7 +98,6 @@ class SCFConfig:
     eri_cache_mb: float | None = 64.0
     max_iterations: int | None = None
     fault_plan: str | None = None
-    scf_recovery: bool = False
 
     def __post_init__(self) -> None:
         if self.algorithm is None:
@@ -202,9 +201,6 @@ RUN_FLAGS: tuple[tuple[str | None, str, dict[str, Any], str], ...] = (
      "deterministic fault-injection spec, ';'-separated events: "
      '"kill:rank=1:cycle=2:after=5;delay:rank=3:cycle=1:factor=4;'
      'corrupt:rank=0:cycle=2:payload=inf"'),
-    ("scf_recovery", "--scf-recovery", _SWITCH,
-     "enable the convergence guard (staged density damping -> level "
-     "shifting -> DIIS reset on divergence/oscillation)"),
 )
 
 

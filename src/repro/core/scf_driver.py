@@ -115,9 +115,6 @@ class ParallelSCF:
         Extra keyword arguments for
         :func:`~repro.parallel.backend.make_backend`
         (``schedule_seed``, ``obs_dir``).
-    scf_recovery:
-        Run under the convergence guard unless :meth:`run` is told
-        otherwise.
     **builder_kwargs:
         Forwarded to the Fock builder (``tau``, ``schedule``,
         ``thread_schedule``, ``track_races``, ...).
@@ -135,11 +132,9 @@ class ParallelSCF:
         criteria: ConvergenceCriteria | None = None,
         backend: "str | ExecutionBackend" = "sim",
         backend_options: dict | None = None,
-        scf_recovery: bool = False,
         **builder_kwargs,
     ) -> None:
         self.basis = basis
-        self.scf_recovery = scf_recovery
         hcore = basis_setup(basis).hcore
         self._fock_stats: list[FockBuildStats] = []
 
@@ -187,15 +182,13 @@ class ParallelSCF:
     def run(self, **kwargs) -> ParallelSCFResult:
         """Run the SCF; returns energy plus per-iteration Fock stats.
 
-        Keyword arguments (``restart``, ``checkpoint``, ``recovery``,
-        ``strict``, ...) are forwarded to
+        Keyword arguments (``restart``, ``checkpoint``, ``strict``,
+        ...) are forwarded to
         :meth:`repro.scf.loop.SCFLoop.run`.  A propagating
         :class:`~repro.resilience.errors.SCFConvergenceError` has its
         partial result re-wrapped as a :class:`ParallelSCFResult` so
         callers keep the per-build statistics too.
         """
-        if self.scf_recovery:
-            kwargs.setdefault("recovery", True)
         self._fock_stats.clear()
         log = get_event_log()
         if log is not None:
@@ -267,7 +260,6 @@ def build_scf(
             if config.max_iterations is not None else None
         ),
         backend=config.backend, backend_options=backend_options,
-        scf_recovery=config.scf_recovery,
         fault_plan=(
             FaultPlan.from_spec(config.fault_plan, nranks=config.nranks)
             if config.fault_plan else None

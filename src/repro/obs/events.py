@@ -18,7 +18,9 @@ the ``repro monitor`` dashboard folds live:
   is what makes a faulted run's timeline show *when* a rank died;
 * ``worker.heartbeat`` / ``worker.hung`` / ``worker.recovered`` /
   ``worker.lost`` — process-backend (and service-fleet) liveness;
-* ``scf.recovery`` — convergence-guard stage escalations;
+* ``scf.recovery`` — only older recordings carry it: the stage
+  escalations of the convergence guard, since removed; the timeline
+  still draws them (``R``);
 * ``job.*`` / ``service.*`` / ``slo.*`` — the ``repro serve`` daemon's
   lifecycle records.
 

@@ -67,7 +67,7 @@ EVENT_MARKERS = {
     "fault.delay": "D",
     "fault.corrupt": "C",
     "fault.corrupt_rejected": "C",
-    "scf.recovery": "R",
+    "scf.recovery": "R",  # the removed convergence guard, in older recordings
     "scf.checkpoint": "S",
     "scf.restart": "^",
     "scf.converged": "*",

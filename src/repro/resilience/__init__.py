@@ -1,8 +1,8 @@
 """Fault tolerance for the simulated parallel SCF stack.
 
-Three cooperating pieces, motivated by the paper's at-scale runs (3,000
-nodes / 192,000 cores — a regime where rank failures, stragglers, and
-SCF divergence are routine):
+Two cooperating pieces, motivated by the paper's at-scale runs (3,000
+nodes / 192,000 cores — a regime where rank failures and stragglers are
+routine), plus the typed errors they raise:
 
 * :mod:`repro.resilience.faults` — seeded, deterministic fault
   injection (:class:`FaultPlan`): kill a rank mid-Fock-build, delay it,
@@ -13,10 +13,13 @@ SCF divergence are routine):
 * :mod:`repro.resilience.checkpoint` — single-record SCF checkpoints
   (:class:`SCFCheckpoint`, :class:`CheckpointManager`); a restarted run
   resumes at the saved cycle and converges bit-for-bit.
-* :mod:`repro.resilience.recovery` — :class:`ConvergenceGuard`, a
-  divergence/oscillation detector with a staged fallback (density
-  damping → level shifting → DIIS reset) and the typed
-  :class:`SCFConvergenceError` carrying the partial result.
+* :mod:`repro.resilience.errors` — one exception class per failure
+  mode; :class:`SCFConvergenceError` carries the partial result of a
+  run that hit its cycle cap.
+
+The SCF has no divergence guard: like the paper's SCF it runs plain
+DIIS to the cycle cap (EXPERIMENTS.md, "Convergence guard — verdict",
+measures why).
 """
 
 from repro.resilience.checkpoint import (
@@ -39,30 +42,20 @@ from repro.resilience.faults import (
     FaultPlan,
     corrupt_copy,
 )
-from repro.resilience.recovery import (
-    RECOVERY_STAGES,
-    ConvergenceGuard,
-    RecoveryAction,
-    level_shifted,
-)
 
 __all__ = [
     "FORMAT_VERSION",
-    "RECOVERY_STAGES",
     "CheckpointError",
     "CheckpointManager",
-    "ConvergenceGuard",
     "CorruptContributionError",
     "FaultEvent",
     "FaultKind",
     "FaultPlan",
     "FaultSpecError",
     "NonFiniteDensityError",
-    "RecoveryAction",
     "ResilienceError",
     "SCFCheckpoint",
     "SCFConvergenceError",
     "corrupt_copy",
-    "level_shifted",
     "load_checkpoint",
 ]

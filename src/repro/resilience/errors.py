@@ -33,8 +33,7 @@ class CheckpointError(ResilienceError):
 
 
 class SCFConvergenceError(ResilienceError):
-    """The SCF failed to converge (or every recovery stage was
-    exhausted).
+    """The SCF failed to converge within its cycle cap.
 
     Attributes
     ----------
@@ -43,12 +42,8 @@ class SCFConvergenceError(ResilienceError):
         :class:`~repro.scf.uhf.UHFResult`) at the point of failure —
         iterations so far, last energy, last density — so callers can
         inspect the trace or restart instead of losing the run.
-    stages_applied:
-        Names of the convergence-recovery stages that were attempted
-        before giving up (empty when recovery was not enabled).
     """
 
-    def __init__(self, message: str, result=None, stages_applied=()) -> None:
+    def __init__(self, message: str, result=None) -> None:
         super().__init__(message)
         self.result = result
-        self.stages_applied = tuple(stages_applied)

@@ -25,7 +25,6 @@ from repro.obs.tracer import get_tracer
 from repro.resilience.checkpoint import (
     CheckpointManager, SCFCheckpoint, load_checkpoint)
 from repro.resilience.errors import NonFiniteDensityError, SCFConvergenceError
-from repro.resilience.recovery import ConvergenceGuard, level_shifted
 from repro.scf.convergence import ConvergenceCriteria, density_rms_change
 from repro.scf.diis import DIIS
 from repro.scf.guess import density_from_coefficients, diagonalize_fock
@@ -167,7 +166,6 @@ class SCFLoop:
         initial_densities: Sequence[np.ndarray] | None = None,
         restart: SCFCheckpoint | str | Path | None = None,
         checkpoint: CheckpointManager | str | Path | None = None,
-        recovery: ConvergenceGuard | bool | None = None,
         strict: bool = True,
     ):
         """Iterate the SCF to convergence.
@@ -188,12 +186,6 @@ class SCFLoop:
             (or a path, giving the default 5-cycle interval) that
             persists the loop state every N completed cycles, or on
             cost; the state is snapshotted only for a cycle it writes.
-        recovery:
-            ``True`` (default guard) or a configured
-            :class:`~repro.resilience.recovery.ConvergenceGuard`:
-            detects divergence/oscillation and applies the staged
-            fallback (damping → level shift → DIIS reset).  A healthy
-            run never triggers it, so enabling it is bitwise-neutral.
         strict:
             Raise :class:`~repro.resilience.errors.SCFConvergenceError`
             (carrying the partial result) when the cycle cap is reached
@@ -239,9 +231,6 @@ class SCFLoop:
             )
         if isinstance(checkpoint, (str, Path)):
             checkpoint = CheckpointManager(checkpoint)
-        guard = ConvergenceGuard() if recovery is True else (recovery or None)
-        recovery_damping: float | None = None
-        level_shift: float | None = None
 
         eps = tuple(np.zeros(nbf) for _ in self.noccs)
         C = tuple(np.zeros((nbf, nbf)) for _ in self.noccs)
@@ -290,15 +279,6 @@ class SCFLoop:
                                   for F, D in zip(focks, densities)]
                         diis.push(np.stack(focks), np.stack(errors))
                         effective = diis.extrapolate()
-                if level_shift is not None:
-                    # A channel's occupied projector is its density over
-                    # its occupation.
-                    effective = [
-                        level_shifted(
-                            F, self.S, D / self.occupation, level_shift
-                        )
-                        for F, D in zip(effective, densities)
-                    ]
 
                 with tracer.span("scf/diagonalize", iteration=it):
                     eps, C = zip(*(
@@ -308,14 +288,11 @@ class SCFLoop:
                     density_from_coefficients(c, n, self.occupation)
                     for c, n in zip(C, self.noccs)
                 )
-                damp = recovery_damping
-                if damp is None and self.damping is not None and (
+                if self.damping is not None and (
                     diis is None or diis.nvectors < 2
                 ):
-                    damp = self.damping
-                if damp is not None:
                     new = tuple(
-                        (1.0 - damp) * D_new + damp * D
+                        (1.0 - self.damping) * D_new + self.damping * D
                         for D_new, D in zip(new, densities)
                     )
 
@@ -344,29 +321,6 @@ class SCFLoop:
 
                 if checkpoint is not None:
                     checkpoint.after_cycle(it, snapshot)
-
-                if guard is not None:
-                    action = guard.observe(it, e_elec + self.enuc, d_rms)
-                    if action is not None:
-                        if log is not None:
-                            log.emit(
-                                "scf.recovery", cycle=it, stage=action.stage
-                            )
-                        with tracer.span(
-                            "scf/recovery", stage=action.stage, iteration=it
-                        ):
-                            if action.stage == "damping":
-                                recovery_damping = guard.damping
-                            elif action.stage == "level_shift":
-                                level_shift = guard.level_shift
-                            elif action.stage == "diis_reset":
-                                diis = DIIS() if self.use_diis else None
-                    elif guard.exhausted:
-                        raise SCFConvergenceError(
-                            guard.failure_message(),
-                            result=make_result(),
-                            stages_applied=guard.stages_applied,
-                        )
             if self.criteria.converged(d_rms, de) and it > 1:
                 converged = True
                 if log is not None:
@@ -381,6 +335,5 @@ class SCFLoop:
                 f"cycles (last E = {e_old + self.enuc:.10f} Eh, "
                 f"dE = {de:.3e}, dRMS = {d_rms:.3e})",
                 result=make_result(),
-                stages_applied=guard.stages_applied if guard else (),
             )
         return make_result()

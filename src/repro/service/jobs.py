@@ -50,14 +50,20 @@ TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
 #: Fields newer than the first wire format.  ``to_dict`` leaves them out
 #: at their defaults, so a spec that does not use them serialises — and
 #: therefore fingerprints — exactly as it did before they existed.
-_OMITTED_AT_DEFAULT = ("method", "multiplicity", "scf_recovery")
+_OMITTED_AT_DEFAULT = ("method", "multiplicity")
 
-#: Keys of the removed incremental (delta-density) SCF.  ``from_dict``
-#: drops them — a full Fock build gives the same energy, so an old
-#: journal or manifest still runs — and ``to_dict`` keeps writing
-#: ``"incremental": false``, so job, manifest and plan fingerprints
-#: keep their bytes.
-RETIRED_SPEC_KEYS = ("incremental", "rebuild_every")
+_FULL_BUILDS = "incremental SCF was removed; the job runs full Fock builds"
+#: Keys of removed features -> what the job runs instead.  ``from_dict``
+#: drops them, so an old journal or manifest still runs, and ``to_dict``
+#: keeps writing ``"incremental": false``, so job, manifest and plan
+#: fingerprints keep their bytes (``scf_recovery`` was written only
+#: when set).
+RETIRED_SPEC_KEYS = {
+    "incremental": _FULL_BUILDS,
+    "rebuild_every": _FULL_BUILDS,
+    "scf_recovery": "the convergence guard was removed; the job runs "
+                    "plain DIIS",
+}
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -124,10 +130,11 @@ class JobSpec(SCFConfig):
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "JobSpec":
         retired = {k: data[k] for k in RETIRED_SPEC_KEYS if k in data}
-        if any(retired.values()):
-            logger.info("ignoring retired spec key(s) %s: incremental SCF "
-                        "was removed; the job runs full Fock builds",
-                        ", ".join(retired))
+        for why in dict.fromkeys(RETIRED_SPEC_KEYS.values()):
+            keys = [k for k in retired if RETIRED_SPEC_KEYS[k] == why]
+            if any(retired[k] for k in keys):
+                logger.info("ignoring retired spec key(s) %s: %s",
+                            ", ".join(keys), why)
         unknown = set(data) - set(cls.__dataclass_fields__) - set(retired)
         if unknown:
             raise JobSpecError(f"unknown spec field(s): {sorted(unknown)}")

@@ -442,12 +442,6 @@ def test_scf_checkpoint_then_restart(water_xyz, tmp_path, capsys):
     assert "-74.94207995" in capsys.readouterr().out
 
 
-def test_scf_recovery_flag_is_neutral(water_xyz, capsys):
-    rc = main(["scf", str(water_xyz), "--scf-recovery"])
-    assert rc == 0
-    assert "-74.94207995" in capsys.readouterr().out
-
-
 def test_fault_plan_out_of_range_rank_rejected(water_xyz, capsys):
     rc = main(["scf", str(water_xyz), "--ranks", "2",
                "--fault-plan", "kill:rank=7:cycle=1"])
@@ -530,7 +524,6 @@ def test_profile_timeline_faulted_run_shows_recovery(tmp_path, capsys):
                "--ranks", "4", "--threads", "2",
                "--fault-plan",
                "kill:rank=1:cycle=2:after=1;corrupt:rank=0:cycle=3:payload=inf",
-               "--scf-recovery",
                "--output-dir", str(out_dir)])
     assert rc == 0
     assert "-74.9420799" in capsys.readouterr().out  # bitwise recovery

@@ -58,7 +58,6 @@ MODULES = [
     "repro.resilience.errors",
     "repro.resilience.faults",
     "repro.resilience.checkpoint",
-    "repro.resilience.recovery",
     "repro.parallel.comm",
     "repro.parallel.dlb",
     "repro.parallel.threads",

@@ -61,14 +61,12 @@ ARGV = {
     "eri_cache_mb": ["--eri-cache-mb", "8"],
     "max_iterations": ["--max-iterations", "7"],
     "fault_plan": ["--fault-plan", "kill:rank=1:cycle=2:after=0"],
-    "scf_recovery": ["--scf-recovery"],
 }
 EXPECTED = SCFConfig(
     basis="6-31g", charge=-1, method="uhf", multiplicity=2,
     algorithm="private-fock", nranks=3, nthreads=2, backend="process",
     schedule="static", eri_cache_mb=8.0, max_iterations=7,
     fault_plan="kill:rank=1:cycle=2:after=0",
-    scf_recovery=True,
 )
 
 
@@ -262,6 +260,23 @@ def test_retired_incremental_keys_are_dropped_with_one_log_line(monkeypatch):
     ]
     JobSpec.from_dict(PARENT_SPEC)  # "incremental": false is the norm
     assert len(logged) == 1
+
+
+def test_retired_scf_recovery_key_is_dropped_with_one_log_line(monkeypatch):
+    """A spec written when the convergence guard existed still loads:
+    ``scf_recovery`` is dropped, with one log line when it was set."""
+    from repro.service import jobs as jobs_module
+
+    logged: list[str] = []
+    monkeypatch.setattr(jobs_module.logger, "info",
+                        lambda msg, *args: logged.append(msg % args))
+    for flag in (True, False):
+        spec = JobSpec.from_dict({**PARENT_SPEC, "scf_recovery": flag})
+        assert spec.to_dict() == PARENT_SPEC
+    assert logged == [
+        "ignoring retired spec key(s) scf_recovery: the convergence guard "
+        "was removed; the job runs plain DIIS"
+    ]
 
 
 def test_manifest_entry_with_retired_keys_runs_to_the_same_energy():

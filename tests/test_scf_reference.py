@@ -1,4 +1,5 @@
-"""Serial reference RHF: literature energies and wavefunction invariants."""
+"""Serial reference SCF: literature energies, wavefunction invariants
+and the cycle cap."""
 
 import math
 
@@ -7,6 +8,8 @@ import pytest
 
 from repro.chem.basis import BasisSet
 from repro.chem.molecule import Molecule, hydrogen_molecule, water
+from repro.resilience.errors import SCFConvergenceError
+from repro.scf.convergence import ConvergenceCriteria
 from repro.scf.fock_dense import eri_tensor
 from repro.scf.rhf import RHF
 from tests.oracles import mp2_correlation_energy
@@ -127,3 +130,36 @@ def test_energy_invariant_under_rotation(water_sto3g):
     e1 = RHF(water_sto3g).run().energy
     e2 = RHF(BasisSet(rotated, "sto-3g")).run().energy
     assert math.isclose(e1, e2, abs_tol=1e-9)
+
+
+def _diverging(method, basis, **kwargs):
+    """A front-end whose Fock builder forces a relentlessly rising energy."""
+    from repro.integrals.onee import kinetic_matrix, nuclear_matrix
+    from repro.scf.uhf import UHF
+
+    h = kinetic_matrix(basis) + nuclear_matrix(basis)
+    calls = [0]
+
+    def bad_fock():
+        calls[0] += 1
+        return h + 0.5 * calls[0] * np.eye(basis.nbf)
+
+    if method == "rhf":
+        return RHF(basis, lambda D: (bad_fock(), {}), **kwargs)
+    return UHF(
+        basis, multiplicity=3,
+        fock_builder=lambda da, db: (bad_fock(), bad_fock(), {}), **kwargs
+    )
+
+
+@pytest.mark.parametrize("method", ["rhf", "uhf"])
+def test_nonconvergence_raises_in_strict_mode_only(method, water_sto3g):
+    criteria = ConvergenceCriteria(max_iterations=3)
+    with pytest.raises(SCFConvergenceError) as err:
+        _diverging(method, water_sto3g, criteria=criteria).run()
+    assert err.value.result is not None
+    assert err.value.result.niterations == 3
+
+    res = _diverging(method, water_sto3g, criteria=criteria).run(strict=False)
+    assert not res.converged
+    assert res.niterations == 3

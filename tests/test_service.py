@@ -174,7 +174,7 @@ class TestRoundTrip:
     ):
         """The submit record below is a literal line from a journal the
         commit before ``SCFConfig`` wrote (no ``method``/``multiplicity``/
-        ``rebuild_every``/``scf_recovery`` keys); the energy is what that
+        ``rebuild_every`` keys); the energy is what that
         commit computed for it."""
         svc = tmp_path / "svc"
         svc.mkdir()
@@ -203,6 +203,47 @@ class TestRoundTrip:
         assert abs(done["result"]["energy"] - -1.116759307506359) < 1e-12
         assert done["result"]["iterations"] == 2
         assert "s_squared" not in done["result"]
+
+    def test_retired_scf_recovery_key_loads_and_finishes(
+        self, service, tmp_path
+    ):
+        """Journals and manifests written while the convergence guard
+        existed may carry ``scf_recovery``: true where it was set, false
+        where a manifest spelled out the default.  Each loads without
+        the key and runs plain DIIS to ``done``."""
+        from repro.service.queue import DurableJobQueue
+
+        svc = tmp_path / "svc"
+        svc.mkdir()
+        journal = svc / "journal.ndjson"
+        with DurableJobQueue(journal, fsync=False) as q:
+            for flag in (True, False):
+                q.submit(JobSpec(xyz=H2_XYZ, tag=f"journal-{flag}"))
+        records = [json.loads(ln) for ln in journal.read_text().splitlines()]
+        assert [r["op"] for r in records] == ["submit", "submit"]
+        for record, flag in zip(records, (True, False)):
+            record["job"]["spec"]["scf_recovery"] = flag
+        journal.write_text("".join(json.dumps(r) + "\n" for r in records))
+        manifest = tmp_path / "guarded.ndjson"
+        manifest.write_text("".join(
+            json.dumps({"molecule": "h2", "tag": f"manifest-{flag}",
+                        "scf_recovery": flag}) + "\n"
+            for flag in (True, False)
+        ))
+
+        client = service(manifest=str(manifest))
+        jobs = client.status()["jobs"]
+        assert sorted(j["tag"] for j in jobs) == [
+            "journal-False", "journal-True", "manifest-False", "manifest-True"
+        ]
+        energy = {}
+        for job in jobs:
+            done = client.result(job["id"], timeout_s=60)
+            assert done["state"] == "done", done
+            energy[done["tag"]] = done["result"]["energy"]
+        assert energy["journal-True"] == energy["journal-False"]
+        assert abs(energy["journal-True"] - -1.116759307506359) < 1e-10
+        assert energy["manifest-True"] == energy["manifest-False"]
 
     def test_job_telemetry_reaches_the_sink(self, service, tmp_path):
         client = service()
