@@ -36,7 +36,8 @@ Commands
 ``cancel``     Cancel a queued or running job.
 ``slo``        Latency/SLO report: p50/p95/p99 queue-wait/run/total
                per job class, error-budget burn rates, and breach
-               counts — live from a daemon or from recorded telemetry.
+               counts — read off a serve run's event file (the
+               running daemon's, by default).
 ``simulate``   Describe one of the paper's graphene datasets (sizes,
                screening statistics), then predict the Fock-build time
                of one run configuration on it.

@@ -152,22 +152,11 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     from repro.obs.monitor import MonitorState
     from repro.obs.registry import RunRegistry
 
-    src = Path(args.source)
-    if src.is_file():
-        path = src.resolve()
-        registry = RunRegistry(path.parent.parent)
-        run_id = path.parent.name
-    else:
-        registry = RunRegistry(args.runs_dir)
-        try:
-            run_id = registry.find(args.source)
-        except KeyError as exc:
-            return fail(exc.args[0])
-        if args.source == "latest":
-            run_id = registry.latest_with_events() or run_id
-        path = registry.telemetry_path(run_id)
-        if path is None:
-            return fail(f"run {run_id} has no events.ndjson")
+    try:
+        path = RunRegistry(args.runs_dir).event_file(args.source).resolve()
+    except KeyError as exc:
+        return fail(exc.args[0])
+    registry, run_id = RunRegistry(path.parent.parent), path.parent.name
 
     # Follow the file the way `tail -f` does while its run is live: read
     # the complete lines past `offset`; a partial last line waits.  A

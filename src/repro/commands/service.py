@@ -106,13 +106,6 @@ def register(sub) -> None:
              "everything)",
     )
     srv.add_argument(
-        "--slo", action="append", default=None, metavar="TARGET",
-        help="SLO target, repeatable: 'total:p95<60', "
-             "'queue_wait:p95<30', or 'error_rate<0.25' (defaults to "
-             "exactly those three); drives slo.burn_rate/slo.breach "
-             "telemetry and the 'repro slo' report",
-    )
-    srv.add_argument(
         "--manifest", type=Path, default=None, metavar="FILE",
         help="workload manifest (.ndjson/.toml) to enqueue at startup; "
              "intake is exactly-once across restarts (a plan-fingerprint "
@@ -225,24 +218,24 @@ def register(sub) -> None:
 
     slo_p = add_verb(
         sub, "slo", cmd_slo,
-        help="latency quantiles + SLO burn rates per job class, from a "
-             "live service or recorded telemetry",
+        help="latency quantiles + SLO burn rates per job class, read "
+             "off a serve run's event file",
     )
     slo_p.add_argument(
         "source", nargs="?", default="live", metavar="SOURCE",
-        help="'live' queries the running service daemon (default); "
-             "otherwise an events.ndjson (or earlier telemetry.ndjson) "
-             "path, a run-id prefix, or 'latest' (the newest serve run "
-             "with an event file)",
+        help="'live' reads the event file of the running service daemon "
+             "(default); otherwise an events.ndjson (or earlier "
+             "telemetry.ndjson) path, a run-id prefix, or 'latest' (the "
+             "newest serve run with an event file)",
     )
     add_service_dir(slo_p)
     add_runs_dir(slo_p, " used to resolve run ids")
     slo_p.add_argument(
         "--slo", action="append", default=None, metavar="TARGET",
         dest="targets",
-        help="SLO target to evaluate recorded telemetry against "
-             "(repeatable; ignored for 'live' — the daemon's own "
-             "targets apply there)",
+        help="SLO target, repeatable: 'total:p95<60', "
+             "'queue_wait:p95<30', or 'error_rate<0.25' (defaults to "
+             "exactly those three)",
     )
     _add_json(slo_p)
 
@@ -274,7 +267,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                   else None),
         batch_policy=args.batch_policy,
         batch_window=args.batch_window,
-        **({"slo_targets": tuple(args.slo)} if args.slo else {}),
     )
     try:
         daemon = ServiceDaemon(config).start()
@@ -479,46 +471,25 @@ def cmd_cancel(args: argparse.Namespace) -> int:
 
 @_service_errors
 def cmd_slo(args: argparse.Namespace) -> int:
-    from repro.obs.slo import (
-        SLOTargetError,
-        engine_from_telemetry,
-        render_slo_report,
-    )
-
-    if args.source == "live":
-        report = _job_client(args).status().get("slo")
-        if report is None:
-            return fail("the service reports no SLO engine (older daemon?)")
-        print(json.dumps(report, indent=2) if args.json
-              else render_slo_report(report))
-        return 0
-
     from repro.obs.events import events_from_ndjson
     from repro.obs.registry import RunRegistry
+    from repro.obs.slo import SLOTargetError, engine_from_telemetry
 
-    src = Path(args.source)
-    registry = RunRegistry(args.runs_dir)
-    if src.exists() and src.is_file():
-        ndjson = src
-    elif args.source == "latest":
-        # The recording is the *serving* daemon's run, not the per-job
-        # runs (nor an scf run's): take the newest serve run that has one.
-        run_id = registry.latest_with_events(kind="serve")
-        if run_id is None:
-            return fail(f"no serve run under {registry.root} has a "
-                        "telemetry recording")
-        ndjson = registry.telemetry_path(run_id)
+    if args.source == "live":
+        path = _job_client(args).status().get("events")
+        if path is None:
+            return fail("the service names no event file (its run "
+                        "registry refused the serve run)")
+        path = Path(path)
     else:
         try:
-            run_id = registry.find(args.source)
+            path = RunRegistry(args.runs_dir).event_file(args.source,
+                                                         kind="serve")
         except KeyError as exc:
             return fail(exc.args[0])
-        ndjson = registry.telemetry_path(run_id)
-        if ndjson is None:
-            return fail(f"run {run_id} has no telemetry recording")
     try:
         engine = engine_from_telemetry(
-            events_from_ndjson(ndjson.read_text()), targets=args.targets,
+            events_from_ndjson(path.read_text()), targets=args.targets,
         )
     except SLOTargetError as exc:
         return fail(f"invalid --slo target: {exc}")

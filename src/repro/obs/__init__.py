@@ -19,8 +19,8 @@ Prometheus text (:mod:`repro.obs.export`), incremental NDJSON streaming
 (:mod:`repro.obs.registry`) and a run's envelope
 (:class:`~repro.obs.session.ObsSession`), the thread-safe bounded event
 log a long-lived daemon installs (:mod:`repro.obs.telemetry`), the SLO
-engine (:mod:`repro.obs.slo`) and the distributed-trace assembler
-(:mod:`repro.obs.trace_assembly`).
+report read off a serve run's job records (:mod:`repro.obs.slo`) and
+the distributed-trace assembler (:mod:`repro.obs.trace_assembly`).
 """
 
 from importlib import import_module
@@ -72,7 +72,7 @@ _LAZY = {
     ),
     "slo": (
         "DEFAULT_SLO_TARGETS", "SLOEngine", "SLOTarget",
-        "engine_from_telemetry", "job_class", "render_slo_report",
+        "engine_from_telemetry", "render_slo_report",
     ),
     "stream": ("ObsStreamer",),
     "trace_assembly": (

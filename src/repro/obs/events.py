@@ -21,8 +21,11 @@ the ``repro monitor`` dashboard folds live:
 * ``scf.recovery`` — only older recordings carry it: the stage
   escalations of the convergence guard, since removed; the timeline
   still draws them (``R``);
-* ``job.*`` / ``service.*`` / ``slo.*`` — the ``repro serve`` daemon's
-  lifecycle records.
+* ``job.*`` / ``service.*`` — the ``repro serve`` daemon's lifecycle
+  records; the terminal ``job.*`` ones carry the latency triple the
+  ``repro slo`` report reads;
+* ``slo.burn_rate`` / ``slo.breach`` — only older recordings carry
+  them: the daemon's own SLO engine, since removed.
 
 Like the tracer and the metrics registry, the log is installed globally
 (:func:`use_event_log`) and defaults to *off*: instrumented code pays

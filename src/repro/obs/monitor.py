@@ -17,7 +17,11 @@ dashboard:
 * a **worker health column** — ``ok`` / ``suspect`` / ``lost`` /
   ``recovered`` per rank from the heartbeat monitor's state machine,
   plus a tail of notable events (``worker.hung``, ``fault.kill``,
-  checkpoints).
+  checkpoints);
+* a **service latency panel** — p50/p95/p99 per job class and the SLO
+  breaches, folded from a serve run's ``job.done`` / ``job.failed``
+  records by the ``repro slo`` report's own engine
+  (:meth:`~repro.obs.slo.SLOEngine.apply`) at its default targets.
 
 The module is pure state + rendering: :class:`MonitorState` folds
 events, :meth:`MonitorState.render` returns text.  The CLI layer owns
@@ -33,7 +37,7 @@ from typing import Any, Iterable
 
 from repro.obs.timeline import merge_intervals, overlap_seconds
 from repro.obs.events import Event
-from repro.obs.slo import LATENCY_METRICS, ClassStats
+from repro.obs.slo import DEFAULT_SLO_TARGETS, SLOEngine
 
 #: Unicode sparkline ramp, quietest to loudest.
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
@@ -68,7 +72,8 @@ NOTABLE_KINDS = frozenset(
         "service.overloaded",
         "service.degraded",
         "service.recovered",
-        # SLO engine signals.
+        # Only older recordings carry it: the daemon's own SLO engine,
+        # since removed (the latency panel counts breaches itself).
         "slo.breach",
     }
 )
@@ -170,9 +175,7 @@ class MonitorState:
         self.converged: bool | None = None
         self._dlb_samples: list[tuple[float, float]] = []  # (t, total claims)
         # Service latency digests per job class (fed by job.done/failed).
-        self.latency: dict[str, ClassStats] = {}
-        self.slo_burn: dict[tuple[str, str], float] = {}
-        self.slo_breaches = 0
+        self.slo = SLOEngine(DEFAULT_SLO_TARGETS)
 
     # -- folding -------------------------------------------------------------
 
@@ -204,22 +207,9 @@ class MonitorState:
             if kind == "run.end" and "converged" in p:
                 self.converged = bool(p["converged"])
             self.events.append(rec)
-        elif kind == "slo.burn_rate":
-            cls, target = p.get("job_class"), p.get("target")
-            burn = p.get("burn_rate")
-            if cls and target and isinstance(burn, (int, float)):
-                self.slo_burn[(cls, target)] = float(burn)
         elif kind in NOTABLE_KINDS:
-            if kind == "slo.breach":
-                self.slo_breaches += 1
             self.events.append(rec)
-        if kind in ("job.done", "job.failed") and p.get("job_class"):
-            cls = p["job_class"]
-            stats = self.latency.get(cls) or self.latency.setdefault(
-                cls, ClassStats(cls))
-            stats.observe({m: _maybe_float(p.get(f"{m}_s"))
-                           for m in LATENCY_METRICS},
-                          failed=kind == "job.failed", targets=())
+        self.slo.apply(rec)
 
     def apply_all(self, records: Iterable[Event]) -> None:
         for rec in records:
@@ -355,14 +345,14 @@ class MonitorState:
                 )
 
         # -- service latency percentiles + SLO burn ---------------------------
-        if self.latency:
+        if self.slo.classes:
             lines.append("")
             lines.append(
                 f"{'latency (s)':<22s} {'n':>5s} "
                 f"{'qwait p50/p95/p99':>20s} {'total p50/p95/p99':>20s}"
             )
-            for cls in sorted(self.latency):
-                stats = self.latency[cls]
+            for cls in sorted(self.slo.classes):
+                stats = self.slo.classes[cls]
                 cells = {
                     metric: "/".join("-" if v is None else f"{v:.2f}"
                                      for v in qs.values())
@@ -372,15 +362,20 @@ class MonitorState:
                     f"{cls:<22s} {stats.hists['total'].count:>5d} "
                     f"{cells['queue_wait']:>20s} {cells['total']:>20s}"
                 )
-            burning = {k: v for k, v in self.slo_burn.items() if v >= 1.0}
-            if burning or self.slo_breaches:
-                worst = sorted(burning.items(), key=lambda kv: -kv[1])[:3]
+            burning = [
+                (burn, cls, target.spec)
+                for cls, stats in self.slo.classes.items()
+                for target in self.slo.targets
+                if (burn := stats.burn_rate(target)) >= 1.0
+            ]
+            if burning or self.slo.breaches:
+                worst = sorted(burning, key=lambda row: -row[0])[:3]
                 detail = ", ".join(
                     f"{cls} {target} burn={burn:.1f}"
-                    for (cls, target), burn in worst
+                    for burn, cls, target in worst
                 )
                 lines.append(
-                    f"SLO: {self.slo_breaches} breach(es)"
+                    f"SLO: {self.slo.breaches} breach(es)"
                     + (f" — {detail}" if detail else "")
                 )
 

@@ -12,9 +12,11 @@ them one home::
 
 ``events.ndjson`` is written a whole line per ``write`` as each event
 happens: ``repro monitor`` follows it while ``run.json`` says
-``running`` and replays it afterwards, and ``repro slo`` replays a
-serve run's.  An earlier build's copy of the events,
-``telemetry.ndjson``, still replays (:meth:`RunRegistry.telemetry_path`).
+``running`` and replays it afterwards, and ``repro slo`` reads a serve
+run's job records into its latency report (both resolve their source
+through :meth:`RunRegistry.event_file`).  An earlier build's copy of
+the events, ``telemetry.ndjson``, still replays
+(:meth:`RunRegistry.telemetry_path`).
 
 ``run_id`` is ``<UTC stamp>-<pid>-<entropy>`` — sortable by start time
 and collision-free across concurrent runs.  ``repro runs list`` /
@@ -239,6 +241,30 @@ class RunRegistry:
             except (OSError, json.JSONDecodeError):
                 continue
         return None
+
+    def event_file(self, source: str, kind: str | None = None) -> Path:
+        """Resolve an event-file path, a run-id prefix or ``"latest"``
+        to an event file (:meth:`telemetry_path`).
+
+        ``latest`` is the newest run with one, of ``kind`` when given;
+        with no ``kind``, the newest run when none has one.  Raises
+        ``KeyError`` with the reason when there is no file to read.
+        """
+        if Path(source).is_file():
+            return Path(source)
+        if source == "latest" and kind is not None:
+            run_id = self.latest_with_events(kind)
+            if run_id is None:
+                raise KeyError(f"no {kind} run under {self.root} has a "
+                               "telemetry recording")
+        else:
+            run_id = self.find(source)
+            if source == "latest":
+                run_id = self.latest_with_events() or run_id
+        path = self.telemetry_path(run_id)
+        if path is None:
+            raise KeyError(f"run {run_id} has no events.ndjson")
+        return path
 
     def is_live(self, run_id: str) -> bool:
         """Whether the run is still going: its ``run.json`` says

@@ -1,11 +1,12 @@
-"""SLO engine: latency quantile digests, targets, and error-budget burn.
+"""SLO report: latency quantile digests, targets, and error-budget burn.
 
-The service-level layer on top of the distributed trace: every job the
-daemon completes contributes one observation of its **queue-wait**,
+A reader of the ``repro serve`` daemon's event file: every
+``job.done`` / ``job.failed`` record carries the job's **queue-wait**,
 **run**, and **total** latency (seconds, on the shared ``perf_counter``
-time base) to a streaming quantile digest per *job class* (algorithm ×
-backend — the axes the paper's benchmarks vary).  Against those digests
-the engine evaluates declarative :class:`SLOTarget` rules::
+time base) and its *job class* (algorithm × backend — the axes the
+paper's benchmarks vary).  :meth:`SLOEngine.apply` folds one such
+record into a streaming quantile digest per class, and the engine
+evaluates declarative :class:`SLOTarget` rules against them::
 
     total:p95<30        # 95% of jobs finish within 30 s
     queue_wait:p99<5    # 99% wait under 5 s before a worker picks them up
@@ -16,9 +17,11 @@ allowed to violate it (``1 - q`` for a latency rule, the threshold for
 an error-rate rule).  The **burn rate** is the observed violating
 fraction divided by that budget: 1.0 means the budget is being consumed
 exactly as fast as it accrues; above 1.0 the SLO is being breached.
-The engine emits an ``slo.burn_rate`` event on every evaluation and an
-edge-triggered ``slo.breach`` when a (class, target) pair first crosses
-1.0 — the signals ``repro monitor`` surfaces live.
+``breaches`` counts the times a (class, target) pair first crosses 1.0,
+re-armed when it recovers.  ``repro slo`` and ``repro monitor`` both
+fold the recording through :meth:`SLOEngine.apply`; the daemon holds no
+SLO state.  Recordings of earlier builds also carry the daemon's own
+``slo.burn_rate`` / ``slo.breach`` records, which the fold ignores.
 
 Everything is streaming and O(buckets): the digests are the
 fixed-boundary :class:`~repro.obs.metrics.Histogram` quantile
@@ -33,7 +36,7 @@ from typing import TYPE_CHECKING, Any, Iterable
 from repro.obs.metrics import Histogram
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.events import Event, EventLog
+    from repro.obs.events import Event
 
 #: Latency metrics every job observation carries.
 LATENCY_METRICS = ("queue_wait", "run", "total")
@@ -47,7 +50,7 @@ SERVICE_LATENCY_BUCKETS: tuple[float, ...] = (
     20.0, 30.0, 60.0, 120.0, 300.0, 600.0,
 )
 
-#: Default SLO targets a daemon enforces when the CLI passes none.
+#: SLO targets a report evaluates when it is given none.
 DEFAULT_SLO_TARGETS = (
     "total:p95<60",
     "queue_wait:p95<30",
@@ -112,17 +115,6 @@ class SLOTarget:
         return f"SLOTarget({self.spec!r})"
 
 
-def job_class(spec: Any) -> str:
-    """The SLO aggregation class of a job spec (dict or JobSpec-like)."""
-    if isinstance(spec, dict):
-        algorithm = spec.get("algorithm", "?")
-        backend = spec.get("backend", "?")
-    else:
-        algorithm = getattr(spec, "algorithm", "?")
-        backend = getattr(spec, "backend", "?")
-    return f"{algorithm}/{backend}"
-
-
 class ClassStats:
     """Streaming latency + outcome digests for one job class."""
 
@@ -185,20 +177,33 @@ class SLOEngine:
     """Evaluate SLO targets over a stream of terminal job observations."""
 
     def __init__(
-        self,
-        targets: Iterable[str | SLOTarget] | None = None,
-        *,
-        log: "EventLog | None" = None,
+        self, targets: Iterable[str | SLOTarget] | None = None,
     ) -> None:
         specs = DEFAULT_SLO_TARGETS if targets is None else targets
         self.targets = [
             t if isinstance(t, SLOTarget) else SLOTarget.parse(t)
             for t in specs
         ]
-        self.log = log
         self.classes: dict[str, ClassStats] = {}
         self.breaches = 0
         self._breached: set[tuple[str, str]] = set()
+
+    def apply(self, rec: "Event") -> None:
+        """Fold one recorded event: a ``job.done`` / ``job.failed``
+        carrying a ``job_class`` is one observation, anything else is
+        ignored."""
+        fields = rec.fields
+        if rec.kind not in ("job.done", "job.failed") or (
+            fields.get("job_class") is None
+        ):
+            return
+        self.observe_job(
+            fields["job_class"],
+            queue_wait_s=fields.get("queue_wait_s"),
+            run_s=fields.get("run_s"),
+            total_s=fields.get("total_s"),
+            failed=rec.kind == "job.failed",
+        )
 
     def observe_job(
         self,
@@ -208,14 +213,10 @@ class SLOEngine:
         run_s: float | None,
         total_s: float | None,
         failed: bool = False,
-        job_id: str | None = None,
-    ) -> list[dict[str, Any]]:
-        """Fold one terminal job in; returns the per-target evaluations.
-
-        Emits one ``slo.burn_rate`` event per evaluated target on
-        ``log`` and an ``slo.breach`` the first time a (class, target)
-        pair's burn rate crosses 1.0 (re-armed when it recovers).
-        """
+    ) -> None:
+        """Fold one terminal job in; counts a breach the first time a
+        (class, target) pair's burn rate crosses 1.0 (re-armed when it
+        recovers)."""
         stats = self.classes.get(cls)
         if stats is None:
             stats = self.classes[cls] = ClassStats(cls)
@@ -223,41 +224,13 @@ class SLOEngine:
             {"queue_wait": queue_wait_s, "run": run_s, "total": total_s},
             failed=failed, targets=self.targets,
         )
-        evaluations: list[dict[str, Any]] = []
         for target in self.targets:
-            burn = stats.burn_rate(target)
-            if burn is None:
-                continue
-            evaluations.append({
-                "job_class": cls,
-                "target": target.spec,
-                "burn_rate": burn,
-                "budget": target.budget,
-                "observations": stats.total,
-            })
             key = (cls, target.spec)
-            breached = burn >= 1.0
-            if self.log is not None:
-                self.log.emit(
-                    "slo.burn_rate",
-                    job_class=cls, target=target.spec,
-                    burn_rate=round(burn, 4), breached=breached,
-                    observations=stats.total,
-                )
-            if breached and key not in self._breached:
+            if stats.burn_rate(target) < 1.0:
+                self._breached.discard(key)
+            elif key not in self._breached:
                 self._breached.add(key)
                 self.breaches += 1
-                if self.log is not None:
-                    self.log.emit(
-                        "slo.breach",
-                        job_class=cls, target=target.spec,
-                        burn_rate=round(burn, 4),
-                        observations=stats.total,
-                        job=job_id,
-                    )
-            elif not breached:
-                self._breached.discard(key)
-        return evaluations
 
     # -- reporting -----------------------------------------------------------
 
@@ -293,8 +266,8 @@ class SLOEngine:
 
 
 def render_slo_report(rep: dict[str, Any]) -> str:
-    """Render a :meth:`SLOEngine.report` dict (local or from a live
-    daemon's status response) as the ``repro slo`` text table."""
+    """Render a :meth:`SLOEngine.report` dict as the ``repro slo`` text
+    table."""
     lines = [f"SLO targets: {', '.join(rep['targets']) or '(none)'}"]
     if not rep["classes"]:
         lines.append("(no terminal jobs observed)")
@@ -332,28 +305,10 @@ def engine_from_telemetry(
     records: Iterable["Event"],
     targets: Iterable[str | SLOTarget] | None = None,
 ) -> SLOEngine:
-    """Replay ``job.done`` / ``job.failed`` telemetry into a fresh engine.
-
-    The offline half of ``repro slo``: the daemon emits terminal job
-    records with ``queue_wait_s`` / ``run_s`` / ``total_s`` /
-    ``job_class`` fields, and this folds a recorded stream (a serve
-    run's ``events.ndjson``, read by
-    :func:`~repro.obs.events.events_from_ndjson`) back through the same
-    evaluation logic.
-    """
+    """Fold a recorded stream (a serve run's ``events.ndjson``, read by
+    :func:`~repro.obs.events.events_from_ndjson`) into a fresh engine:
+    what ``repro slo`` reports."""
     engine = SLOEngine(targets)
     for rec in records:
-        fields = rec.fields
-        if rec.kind not in ("job.done", "job.failed") or (
-            fields.get("job_class") is None
-        ):
-            continue
-        engine.observe_job(
-            fields["job_class"],
-            queue_wait_s=fields.get("queue_wait_s"),
-            run_s=fields.get("run_s"),
-            total_s=fields.get("total_s"),
-            failed=rec.kind == "job.failed",
-            job_id=fields.get("job"),
-        )
+        engine.apply(rec)
     return engine

@@ -21,9 +21,10 @@ One process, three moving parts:
 * the observability stack: a thread-safe, bounded event log installed
   as the process event log and written to the serve run's
   ``events.ndjson`` (``repro monitor <serve run id>`` follows it) —
-  carrying ``job.*`` / ``service.*`` / ``slo.*`` records for every
-  lifecycle edge and the fleet's heartbeats, plus a run-registry record
-  per job and one for the daemon itself.
+  carrying ``job.*`` / ``service.*`` records for every lifecycle edge
+  and the fleet's heartbeats (``repro slo`` reads its latency report
+  off the terminal ``job.*`` records), plus a run-registry record per
+  job and one for the daemon itself.
 
 Crash model end to end: submissions and transitions are fsync'd to the
 journal *before* they are acknowledged, checkpoints land under
@@ -57,7 +58,6 @@ from typing import Any, Callable
 from repro.obs.events import get_event_log, set_event_log
 from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
 from repro.obs.registry import RunHandle, RunRegistry, new_run_id
-from repro.obs.slo import DEFAULT_SLO_TARGETS, SLOEngine, job_class
 from repro.obs.stream import ObsStreamer
 from repro.obs.telemetry import TelemetryChannel
 from repro.service.client import recv_line, probe_socket, service_socket_path
@@ -66,7 +66,7 @@ from repro.service.errors import (
     JobNotFound,
     ServiceError,
 )
-from repro.service.jobs import TERMINAL_STATES, Job, JobSpec
+from repro.service.jobs import TERMINAL_STATES, Job, JobSpec, job_class
 from repro.service.queue import DEFAULT_MAX_DEPTH, DurableJobQueue
 from repro.service.retry import TERMINAL, RetryPolicy, classify
 from repro.service.supervisor import (
@@ -83,9 +83,11 @@ MAX_WAIT_S = 60.0
 
 #: ``ServiceConfig`` keys of earlier builds that a stored config may carry:
 #: the tick loop's polling interval, the fixed job-checkpoint interval
-#: (jobs checkpoint on cost), and the batch-plan seed (no policy left
-#: breaks ties at random).
-RETIRED_CONFIG_KEYS = ("tick_s", "checkpoint_every", "batch_seed")
+#: (jobs checkpoint on cost), the batch-plan seed (no policy left breaks
+#: ties at random), and the SLO targets (a property of the ``repro slo``
+#: report, which reads the serve run's event file).
+RETIRED_CONFIG_KEYS = ("tick_s", "checkpoint_every", "batch_seed",
+                       "slo_targets")
 
 
 def close_listener(server: socket.socket,
@@ -125,7 +127,6 @@ class ServiceConfig:
     heartbeat_timeout_s: float = DEFAULT_HEARTBEAT_TIMEOUT_S
     idle_exit_s: float | None = None
     runs_dir: str | None = None
-    slo_targets: tuple[str, ...] = DEFAULT_SLO_TARGETS
     keep_runs: int | None = None  # registry retention (prune keep-last-N)
     # -- workload-manifest intake (repro serve --manifest) --------------------
     manifest: str | None = None
@@ -146,8 +147,6 @@ class ServiceConfig:
         if retired:
             logger.info("ignoring retired service config key(s): %s",
                         ", ".join(retired))
-        if "slo_targets" in values:
-            values["slo_targets"] = tuple(values["slo_targets"])
         return cls(**values)
 
 
@@ -176,7 +175,6 @@ class ServiceDaemon:
         self._events_file: ObsStreamer | None = None
         self.registry: RunRegistry | None = None
         self.serve_run: RunHandle | None = None
-        self.slo: SLOEngine | None = None
         self._job_runs: dict[str, RunHandle] = {}
         # Registry writes deferred past the dispatch (_flush_registry).
         self._registry_writes: list[Callable[[], None]] = []
@@ -243,7 +241,7 @@ class ServiceDaemon:
             "serve", config=self.config.to_dict()
         )
 
-        # The channel IS the process event log: job, SLO and fleet
+        # The channel IS the process event log: job, service and fleet
         # heartbeat records all arrive through emit(), and a daemon that
         # runs for days holds a bounded backlog.  An in-process daemon
         # (tests, benchmarks) hands the process' globals back on close().
@@ -252,7 +250,6 @@ class ServiceDaemon:
         self._prev_metrics = get_metrics()
         set_event_log(self.channel)
         set_metrics(MetricsRegistry())
-        self.slo = SLOEngine(self.config.slo_targets, log=self.channel)
         if self.serve_run is not None:
             # Every event, once, in the serve run's events.ndjson: what
             # `repro monitor` follows and `repro slo` replays.
@@ -386,10 +383,14 @@ class ServiceDaemon:
         assert self.queue is not None and self.fleet is not None
         while not self._stopping:
             with self._lock:
+                # One queue-clock reading per pass: a back-off gate that
+                # was closed for the dispatch is still due for the wait,
+                # even if it opened in between.
+                now = self.queue.clock()
                 outcomes = self.fleet.poll()
                 for outcome in outcomes:
                     self._fold_outcome(outcome)
-                self._dispatch_ready()
+                self._dispatch_ready(now)
                 self._flush_registry()
                 if outcomes:
                     self._notify_settled()
@@ -399,19 +400,21 @@ class ServiceDaemon:
                                 self.config.idle_exit_s)
                     break
                 watch = [self._wake_r, *self.fleet.waitables()]
-                timeout = self._seconds_until_due(idle_at)
+                timeout = self._seconds_until_due(now, idle_at)
             ready = wait_for_any(watch, timeout)
             self.wakeups += 1
             if self._wake_r in ready:
                 self._wake_r.recv(4096)
 
-    def _seconds_until_due(self, idle_at: float | None) -> float | None:
+    def _seconds_until_due(self, now: float,
+                           idle_at: float | None) -> float | None:
         """Seconds until the loop has work that no event will announce:
-        a retry's back-off gate opening, a job deadline or heartbeat
-        horizon passing, the idle exit.  ``None``: block until an event.
+        a retry's back-off gate opening (one still closed at the pass's
+        ``now``), a job deadline or heartbeat horizon passing, the idle
+        exit.  ``None``: block until an event.
         """
         due = []
-        gate = self.queue.next_wakeup()
+        gate = self.queue.next_wakeup(now)
         if gate is not None:
             due.append(gate - self.queue.clock())
         deadline = self.fleet.next_deadline()
@@ -529,7 +532,7 @@ class ServiceDaemon:
         job_dir.mkdir(parents=True, exist_ok=True)
         return job_dir / "scf.ckpt"
 
-    def _dispatch_ready(self) -> None:
+    def _dispatch_ready(self, now: float) -> None:
         """Hand ready jobs to idle workers.
 
         Per job: ONE fsync'd ``running`` record carrying the attempt and
@@ -539,10 +542,11 @@ class ServiceDaemon:
         itself; registering the run is queued for
         :meth:`_flush_registry`, after every ready job is on its way.
         A cancel cannot land between the pick and the claim: it takes
-        :attr:`_lock`, which the loop holds.
+        :attr:`_lock`, which the loop holds.  ``now`` is the pass's
+        queue-clock reading, which gates the back-off.
         """
         while self.fleet.idle_slots():
-            job = self.queue.next_ready()
+            job = self.queue.next_ready(now)
             if job is None:
                 return
             ckpt = self._checkpoint_path(job.id)
@@ -626,19 +630,6 @@ class ServiceDaemon:
             "total_s": round(total, 6),
         }
 
-    def _observe_slo(self, job: Any, latency: dict[str, float],
-                     *, failed: bool) -> None:
-        if self.slo is None:
-            return
-        self.slo.observe_job(
-            job_class(job.spec),
-            queue_wait_s=latency["queue_wait_s"],
-            run_s=latency["run_s"],
-            total_s=latency["total_s"],
-            failed=failed,
-            job_id=job.id,
-        )
-
     def _fold_outcome(self, outcome: JobOutcome) -> None:
         try:
             job = self.queue.get(outcome.job_id)
@@ -669,7 +660,6 @@ class ServiceDaemon:
                 job_class=job_class(job.spec),
                 **latency,
             )
-            self._observe_slo(job, latency, failed=False)
             self._finalize_job_run(job.id, "done", summary={
                 "energy": result.get("energy"),
                 "converged": result.get("converged"),
@@ -721,7 +711,6 @@ class ServiceDaemon:
                 job_class=job_class(job.spec),
                 **latency,
             )
-            self._observe_slo(job, latency, failed=True)
             self._finalize_job_run(job.id, "failed", summary={
                 "error": error,
                 "error_type": error_type,
@@ -890,7 +879,11 @@ class ServiceDaemon:
                 "depth": self.queue.depth(),
                 "fleet": self.fleet.stats(),
                 "summary": self._summary(),
-                "slo": self.slo.report() if self.slo else None,
+                # The serve run's event file, which `repro slo` reads;
+                # None when the registry refused the run.
+                "events": (os.path.abspath(self.serve_run.path(
+                    "events.ndjson")) if self.serve_run is not None
+                    else None),
             }
         if cmd == "cancel":
             job = self.queue.get(request.get("id") or "")

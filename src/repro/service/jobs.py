@@ -143,6 +143,18 @@ class JobSpec(SCFConfig):
         return cls(**{k: v for k, v in data.items() if k not in retired})
 
 
+def job_class(spec: Any) -> str:
+    """The latency-report class of a job spec (dict or JobSpec-like):
+    ``algorithm/backend``, carried by every terminal ``job.*`` record."""
+    if isinstance(spec, dict):
+        algorithm = spec.get("algorithm", "?")
+        backend = spec.get("backend", "?")
+    else:
+        algorithm = getattr(spec, "algorithm", "?")
+        backend = getattr(spec, "backend", "?")
+    return f"{algorithm}/{backend}"
+
+
 @dataclass
 class Job:
     """One queued job: the spec plus journaled mutable state."""

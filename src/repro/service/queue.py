@@ -289,9 +289,10 @@ class DurableJobQueue:
             return self.transition(job.id, "running",
                                    attempt=job.attempt + 1)
 
-    def next_wakeup(self) -> float | None:
-        """Earliest ``not_before`` among pending jobs still gated."""
-        now = self.clock()
+    def next_wakeup(self, now: float | None = None) -> float | None:
+        """Earliest ``not_before`` among pending jobs still gated at
+        ``now`` (default: the clock's reading)."""
+        now = self.clock() if now is None else now
         with self._lock:
             gated = [j.not_before for j in self.jobs.values()
                      if j.state in ("pending", "retrying")

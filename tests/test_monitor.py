@@ -193,25 +193,36 @@ def test_latency_panel_folds_terminal_jobs_and_burn():
         state.apply(rec("job.done", 1.0 + i, job=f"j{i:06d}", job_class="shared-fock/sim",
                         queue_wait_s=0.1 * (i + 1), run_s=0.5,
                         total_s=0.5 + 0.1 * (i + 1)))
+    # 1 of 5 jobs past total:p95<60 against a 5% budget: burn 4.0, one
+    # breach; queue_wait:p95<30 and error_rate<0.25 (0.8) hold.
     state.apply(rec("job.failed", 9.0, job="j000099",
-                    job_class="shared-fock/sim", queue_wait_s=40.0,
-                    run_s=30.0, total_s=70.0, error_type="ScfFailed"))
-    state.apply(rec("slo.burn_rate", 9.1,
-                    job_class="shared-fock/sim", target="total:p95<60",
-                    burn_rate=4.0))
-    state.apply(rec("slo.breach", 9.1,
-                    job_class="shared-fock/sim", target="total:p95<60",
-                    burn_rate=4.0))
+                    job_class="shared-fock/sim", queue_wait_s=0.5,
+                    run_s=69.5, total_s=70.0, error_type="ScfFailed"))
 
-    hists = state.latency["shared-fock/sim"].hists
-    assert hists["total"].count == 5
-    assert hists["queue_wait"].count == 5
-    assert state.slo_burn[("shared-fock/sim", "total:p95<60")] == 4.0
-    assert state.slo_breaches == 1
+    stats = state.slo.classes["shared-fock/sim"]
+    assert stats.hists["total"].count == 5
+    assert stats.hists["queue_wait"].count == 5
+    burn = {t.spec: stats.burn_rate(t) for t in state.slo.targets}
+    assert burn["total:p95<60"] == pytest.approx(4.0)
+    assert state.slo.breaches == 1
 
     frame = state.render()
     assert "latency (s)" in frame
     assert "shared-fock/sim" in frame
     assert "qwait p50/p95/p99" in frame
-    assert "SLO: 1 breach(es)" in frame
-    assert "slo.breach" in frame  # surfaced in the event tail too
+    assert "SLO: 1 breach(es) — shared-fock/sim total:p95<60 burn=4.0" \
+        in frame
+
+    # An older recording's slo.* lines: the burn rate is read and
+    # ignored, the breach shows in the event tail and counts nothing.
+    state.apply(rec("slo.burn_rate", 9.1,
+                    job_class="shared-fock/sim", target="total:p95<60",
+                    burn_rate=9.0))
+    state.apply(rec("slo.breach", 9.1,
+                    job_class="shared-fock/sim", target="total:p95<60",
+                    burn_rate=4.0))
+    assert state.slo.breaches == 1
+    frame = state.render()
+    assert "SLO: 1 breach(es) — shared-fock/sim total:p95<60 burn=4.0" \
+        in frame
+    assert "slo.breach" in frame.split("events:")[1]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -250,6 +251,36 @@ class TestRoundTrip:
         client.result(client.submit({"xyz": H2_XYZ})["id"], timeout_s=60)
         assert {"service.start", "job.submitted", "job.dispatched",
                 "job.done"} <= _telemetry_kinds(tmp_path)
+
+
+class TestSLOReport:
+    def test_live_report_reads_the_serve_runs_event_file(
+        self, service, tmp_path, capsys
+    ):
+        """``repro slo`` on the running daemon prints what it prints for
+        the file the daemon names, and the daemon writes no ``slo.``
+        record of its own."""
+        from repro.cli import main
+
+        client = service(max_retries=0)
+        jobs = [client.submit({"xyz": H2_XYZ}),
+                client.submit({"xyz": WATER_XYZ, "max_iterations": 2})]
+        states = [client.result(job["id"], timeout_s=60)["state"]
+                  for job in jobs]
+        assert states == ["done", "failed"]
+
+        path = client.status()["events"]
+        capsys.readouterr()
+        assert main(["slo", "--service-dir", str(tmp_path / "svc"),
+                     "--json"]) == 0
+        live = capsys.readouterr().out
+        assert main(["slo", path, "--json"]) == 0
+        assert live == capsys.readouterr().out
+        report = json.loads(live)
+        cls = report["classes"]["shared-fock/sim"]
+        assert (cls["done"], cls["failed"]) == (1, 1)
+        assert not any(ev.kind.startswith("slo.") for ev in
+                       events_from_ndjson(Path(path).read_text()))
 
 
 class TestJournalShape:
@@ -713,6 +744,8 @@ class TestCLIFlags:
         ["serve", "--batch-policy", "auto"],
         ["serve", "--batch-seed", "1"],
         ["batch", "jobs.ndjson", "--seed", "1"],
+        # SLO targets belong to the `repro slo` report, not the daemon.
+        ["serve", "--slo", "total:p95<60"],
     ])
     def test_invalid_values_rejected(self, argv, capsys):
         from repro.cli import build_parser

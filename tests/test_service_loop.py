@@ -148,6 +148,25 @@ def test_gated_retry_dispatches_when_its_gate_opens(service, tmp_path):
     assert 0.0 <= reclaimed["t"] - gate < 0.020
 
 
+def test_a_gate_that_opens_during_the_pass_is_not_stranded(service):
+    """The pass reads the queue clock once: a back-off gate still closed
+    for the dispatch but open by the time the loop computes its wait is
+    due at once, not dropped (which left the job ``retrying`` until some
+    unrelated event woke the loop)."""
+    daemon, client = service(backoff_base_s=0.05, backoff_cap_s=0.2)
+    flush = daemon._flush_registry
+
+    def slow_flush() -> None:
+        if any(job.state == "retrying" for job in daemon.queue):
+            time.sleep(0.3)  # past the longest back-off
+        flush()
+
+    daemon._flush_registry = slow_flush
+    job = client.submit({"xyz": WATER_XYZ, "die_on_attempt": 1})
+    done = client.result(job["id"], timeout_s=10)
+    assert done["state"] == "done" and done["attempt"] == 2
+
+
 def test_job_past_its_deadline_is_killed_at_the_deadline(service, tmp_path):
     daemon, client = service(job_timeout_s=0.5, max_retries=0)
     job = client.submit({"xyz": H2_XYZ, "sleep_s": 30.0})
@@ -471,8 +490,12 @@ def test_config_stored_by_an_older_build_still_loads(monkeypatch):
     monkeypatch.setattr(daemon_module.logger, "info",
                         lambda msg, *args: logged.append(msg % args))
     stored = {**ServiceConfig(fleet=3).to_dict(), RETIRED_CONFIG_KEYS[0]: 0.05}
-    stored["slo_targets"] = list(stored["slo_targets"])  # as JSON has it
     assert ServiceConfig.from_dict(stored) == ServiceConfig(fleet=3)
     assert len(logged) == 1 and RETIRED_CONFIG_KEYS[0] in logged[0]
+    # The SLO targets a daemon once enforced itself, as JSON has them.
+    stored = {**ServiceConfig(fleet=3).to_dict(),
+              "slo_targets": ["total:p95<60", "error_rate<0.25"]}
+    assert ServiceConfig.from_dict(stored) == ServiceConfig(fleet=3)
+    assert len(logged) == 2 and "slo_targets" in logged[1]
     with pytest.raises(TypeError):
         ServiceConfig.from_dict({"no_such_option": 1})

@@ -56,9 +56,11 @@ def replay_summary(text: str) -> dict:
                                        for q in (0.5, 0.95, 0.99))]
                 for metric, hist in sorted(stats.hists.items())
             }
-            for cls, stats in sorted(state.latency.items())
+            for cls, stats in sorted(state.slo.classes.items())
         },
-        "slo_burn": sorted([*key, burn] for key, burn in state.slo_burn.items()),
+        "slo_burn": sorted([cls, target.spec, stats.burn_rate(target)]
+                           for cls, stats in state.slo.classes.items()
+                           for target in state.slo.targets),
         "slo_report": engine_from_telemetry(records).report(),
     }
 
