@@ -581,10 +581,12 @@ def _bench_run(args, output: Path, tracer=None) -> tuple[int, dict]:
             )
             # The scaling gate only means something with real cores to
             # scale onto; single-CPU hosts measure pure overhead.
-            if (record["cpu_count"] or 1) >= 2 and record["workers"] >= 4:
-                ok = ok and record["speedup_process"] >= 1.5
-            else:
+            if (record["cpu_count"] or 1) < 2:
                 print("(cpu_count < 2: speedup gate skipped)")
+            elif record["workers"] < 4:
+                print(f"(workers = {record['workers']} < 4: speedup gate skipped)")
+            else:
+                ok = ok and record["speedup_process"] >= 1.5
             if not ok:
                 print("CHECK FAILED", file=sys.stderr)
                 return 1, record

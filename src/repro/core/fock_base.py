@@ -449,11 +449,18 @@ class ParallelFockBuilderBase:
         if layout is None:
             layout = Layout.of(self.engine, [
                 p for _, plan in run if plan.shares for p in plan.shares[t][1]
-            ])
+            ], *self._target(t))
             if self._plan_bytes < self._plan_budget:
                 self._prepared[key] = layout
                 self._plan_bytes += layout.nbytes
         return layout
+
+    def _target(self, t: int) -> tuple:
+        """Where thread ``t``'s families go (``BraBatch.targets``): a
+        flat Fock replica, one ``(nbf, nbf)`` block per channel, every
+        plan's blocks at their own columns, ``(k, l)`` elements too."""
+        n = self.nbf
+        return n, n * n, int(np.prod(self.accumulator_shape)) // (n * n)
 
     def _add_to_replica(
         self,
@@ -463,12 +470,8 @@ class ParallelFockBuilderBase:
         target: np.ndarray,
     ) -> None:
         """Digest ``layout`` and add every plan's six families into the
-        flat Fock replica ``target`` (one ``(nbf, nbf)`` block per
-        exchange channel), plan by plan in program order."""
-        n = self.nbf
-        for fam, p in layout.digest(self.engine, d_coulomb, d_exchange):
-            plan = fam.batch.plans[p]
-            fam.add_into(p, target, (plan.si.start, plan.sj.start), n, n * n)
+        flat Fock replica ``target``, all at once in program order."""
+        layout.apply(layout.digest(self.engine, d_coulomb, d_exchange), target)
 
     def assemble(self, W: np.ndarray) -> np.ndarray:
         """Full Fock matrix from the reduced two-electron accumulator."""
@@ -712,15 +715,24 @@ def runs_under_budget(
 class Layout(NamedTuple):
     """One thread's plans of a run, grouped by bra shape: one
     :class:`~repro.core.quartets.BraBatch` a shape, and per plan, in
-    program order, its batch and its position there (``order``)."""
+    program order, its batch and its position there (``order``);
+    ``index`` (see :meth:`of`) is where every term the plans add goes,
+    plan ``q`` of the program order at ``index[ends[q]:ends[q + 1]]``."""
 
     batches: list[BraBatch]
     order: np.ndarray
     quartets: int
+    index: np.ndarray
+    ends: np.ndarray
 
     @classmethod
-    def of(cls, engine: QuartetEngine, plans: list[SharePlan]) -> "Layout":
-        """Group ``plans`` (program order) by bra shape."""
+    def of(
+        cls, engine: QuartetEngine, plans: list[SharePlan], *target
+    ) -> "Layout":
+        """Group ``plans`` (program order) by bra shape, and index their
+        application, plan after plan in program order, into the flat
+        target that :meth:`~repro.core.quartets.BraBatch.targets` is
+        told of by ``target``."""
         index: dict[tuple[int, int], int] = {}
         groups: list[list[SharePlan]] = []
         order = []
@@ -730,15 +742,29 @@ class Layout(NamedTuple):
                 groups.append([])
             order.append((g, len(groups[g])))
             groups[g].append(plan)
+        batches = [engine.bra_batch(group) for group in groups]
+        targets = [batch.targets(*target) for batch in batches]
+        pieces = [
+            (targets[g][0][p], targets[g][1][batches[g].columns(p)])
+            for g, p in order
+        ]
         return cls(
-            [engine.bra_batch(group) for group in groups],
+            batches,
             np.array(order, dtype=np.int64).reshape(-1, 2),
             sum(p.kls.size for p in plans),
+            np.concatenate(
+                [np.empty(0, np.int64), *(a for pair in pieces for a in pair)],
+                axis=None, dtype=np.int32,
+            ),
+            np.cumsum([0, *(a.size + b.size for a, b in pieces)]),
         )
 
     @property
     def nbytes(self) -> int:
-        return self.order.nbytes + sum(b.nbytes for b in self.batches)
+        return (
+            self.order.nbytes + self.index.nbytes + self.ends.nbytes
+            + sum(b.nbytes for b in self.batches)
+        )
 
     def digest(
         self, engine: QuartetEngine, d_coulomb: np.ndarray,
@@ -747,11 +773,34 @@ class Layout(NamedTuple):
         """Every plan's families (see
         :meth:`~repro.core.quartets.QuartetEngine.digest`), in program
         order: ``(families of its batch, its position there)``, ready
-        for :meth:`~repro.core.quartets.Families.add_into`.  Every slab
-        first: a cold build's kernel runs before any family is held."""
+        for :meth:`apply`.  Every slab first: a cold build's kernel
+        runs before any family is held."""
         slabs = [engine.batch_slab(batch) for batch in self.batches]
         families = [
             engine.digest(batch, d_coulomb, d_exchange, X)
             for batch, X in zip(self.batches, slabs)
         ]
         return [(families[g], p) for g, p in self.order.tolist()]
+
+    def apply(
+        self, digested: list[tuple[Families, int]], target: np.ndarray,
+        kl_target: np.ndarray | None = None, lo: int = 0, hi: int | None = None,
+    ) -> None:
+        """Add plans ``lo`` to ``hi`` (program order) of ``digested``
+        into the flat ``target`` at their stretch of :attr:`index`: one
+        concatenation of views and one ``np.add.at``, which adds
+        repeated indices in order.  With ``kl_target`` (a layout indexed
+        without ``(k, l)`` elements) each plan's ``(k, l)`` elements go
+        there afterwards, at ``kl_at``."""
+        hi = len(digested) if hi is None else hi
+        if lo == hi:
+            return
+        kl = kl_target is None
+        values = np.concatenate(
+            [a for fam, p in digested[lo:hi] for a in fam.plan_terms(p, kl)]
+        )
+        np.add.at(target, self.index[self.ends[lo] : self.ends[hi]], values)
+        if not kl:
+            for fam, p in digested[lo:hi]:
+                cols = fam.batch.columns(p)
+                kl_target[fam.batch.kl_at[cols]] += fam.kl[cols]

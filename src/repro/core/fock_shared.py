@@ -102,7 +102,8 @@ class SharedFockBuilder(ParallelFockBuilderBase):
         time; then the tasks are walked in program order as in the
         paper's loop: FI flush when ``i`` changes, every thread's plans
         into its FI / FJ buffers and their ``(k, l)`` elements into
-        ``W``, FJ flush.
+        ``W``, FJ flush.  A thread's plans of a task are one stretch of
+        its layout's application index.
         """
         part = self._rank_stats()
         tracer = get_tracer()
@@ -138,7 +139,8 @@ class SharedFockBuilder(ParallelFockBuilderBase):
                     "fock/kl", rank=rank, thread=t, tasks=len(run),
                     plans=len(layout.order), quartets=layout.quartets,
                 ):
-                    digested.append(iter(layout.digest(self.engine, dc, dx)))
+                    digested.append(layout.digest(self.engine, dc, dx))
+            done = [0] * T
             for ij, task in run:
                 i, j = decode_pair(ij)
                 # Flush FI when the i index changes (lines 15-18) — or
@@ -152,10 +154,11 @@ class SharedFockBuilder(ParallelFockBuilderBase):
                     # (j,l) into its FJ; (k,l) directly into the shared
                     # Fock — disjoint across threads, which the tracker
                     # verifies.
-                    bases = (t * nbf * width, (T + t) * nbf * width)
-                    for plan, (fam, p) in zip(plans, digested[t]):
-                        fam.add_into(p, target, bases, width, 0, W_flat)
-                        if tracker is not None:
+                    q = done[t] + len(plans)
+                    layouts[t].apply(digested[t], target, W_flat, done[t], q)
+                    done[t] = q
+                    if tracker is not None:
+                        for plan in plans:
                             for kl in plan.kls.tolist():
                                 k, l = decode_pair(kl)
                                 tracker.record_block(
@@ -178,6 +181,11 @@ class SharedFockBuilder(ParallelFockBuilderBase):
             part.races = len(tracker.races)
             part.writes_checked = tracker.writes_checked
         return part
+
+    def _target(self, t: int) -> tuple:
+        # Thread t's FI and FJ buffers; the (k, l) elements go to W.
+        nbf, width = self.nbf, self.basis.max_shell_nfunc()
+        return width, 0, 1, (t * nbf * width, (self.nthreads + t) * nbf * width), False
 
     def _kl_costs(self, kls: np.ndarray) -> np.ndarray | None:
         if self.thread_schedule != "dynamic":

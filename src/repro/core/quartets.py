@@ -91,11 +91,16 @@ as one ``np.add.reduceat`` segment.  ``einsum``, ``@`` and ``.sum``
 are not used: their summation order (blocking, pairwise sums, BLAS
 kernels) depends on the array's shape, so the same plan would get
 other last bits in another batch, and a last-bit change in ``F`` is a
-different SCF iteration count on near-degenerate systems.  *Where* the
-families go is each algorithm's decision: :meth:`Families.add_into`
-adds one plan's into a flat target at the offsets it is given, and the
-builders call it plan by plan in program order, so a target element
-receives its terms in the same order however the plans were batched.
+different SCF iteration count on near-degenerate systems.  A column's
+exchange record and ``(k, l)`` element are stored side by side
+(:class:`Families`), so a plan's terms are a few contiguous slices.
+*Where* they go is each algorithm's decision, fixed before any density
+is seen: a thread's layout keeps an ``int32`` application index, built
+in the cold build, of every term in the order it is added — plan after
+plan in program order, its ``(i, j)`` block, then column after column
+its record and its ``(k, l)`` element — and a warm build adds the
+layout's terms with one ``np.add.at``, which adds repeated indices in
+order, however the plans were batched or the grants blocked.
 
 :meth:`QuartetEngine.scatter_general` is the per-quartet spelling of the
 same arithmetic, kept as the oracle the batches are property-tested
@@ -105,7 +110,7 @@ against and for the e2e ledger's pinned per-quartet digestion sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -127,17 +132,12 @@ from repro.integrals.eri import (
 from repro.obs.tracer import get_tracer
 
 
-def _sum_in_order(
-    terms: np.ndarray, axis: int, out: np.ndarray | None = None
-) -> np.ndarray:
+def _sum_in_order(terms: np.ndarray, axis: int) -> np.ndarray:
     """The terms along ``axis`` added left to right, element-wise: the
     bits of an element depend on its own terms only (a NumPy reduction
     would pick its order from the array's shape)."""
     lead = (slice(None),) * axis
-    if out is None:
-        out = terms[(*lead, 0)].copy()
-    else:
-        out[...] = terms[(*lead, 0)]
+    out = terms[(*lead, 0)].copy()
     for n in range(1, terms.shape[axis]):
         out += terms[(*lead, n)]
     return out
@@ -190,8 +190,10 @@ class BraBatch(NamedTuple):
     holds the ket function pair ``(kfun, lfun)`` of column ``m`` of the
     batch.  Per plan ``p``: ``i_at[:, p]`` / ``j_at[:, p]`` are the flat
     offsets ``function * nbf`` of the rows of its ``i`` / ``j`` block,
-    ``bra_at[:, p]`` the flat indices of its ``(i, j)`` block.
-    Density-independent, built by :meth:`QuartetEngine.bra_batch`.
+    ``bra_at[:, p]`` the flat indices of its ``(i, j)`` block.  Per
+    column ``m``: ``kl_at[m] = kfun * nbf + lfun``, and ``col[m]`` the
+    plan it belongs to.  Density-independent, built by
+    :meth:`QuartetEngine.bra_batch`.
     """
 
     plans: list[SharePlan]
@@ -202,27 +204,63 @@ class BraBatch(NamedTuple):
     i_at: np.ndarray
     j_at: np.ndarray
     bra_at: np.ndarray
+    kl_at: np.ndarray
+    col: np.ndarray
 
     @property
     def ncols(self) -> int:
         return self.rows.shape[1]
 
+    def columns(self, p: int) -> slice:
+        """The batch columns of plan ``p``."""
+        a = int(self.starts[p])
+        return slice(a, a + self.plans[p].fac.size)
+
     @property
     def nbytes(self) -> int:
         return sum(a.nbytes for a in self[3:])
 
+    def targets(
+        self, row_stride: int, channel_stride: int, nchannels: int,
+        bases: tuple[int, int] | None = None, kl: bool = True,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Flat target indices of :meth:`Families.plan_terms`, per plan
+        ``(C, nj, ni)`` and per column: rows ``row_stride`` apart,
+        channel ``c`` at ``c * channel_stride``, every plan's ``i`` and
+        ``j`` column blocks at the offsets ``bases`` (by default their
+        own first columns, as in a Fock replica)."""
+        channels = np.arange(nchannels)[:, None, None] * channel_stride
+        own = np.array([(p.si.start, p.sj.start) for p in self.plans]).T
+        at = own if bases is None else np.broadcast_to(np.vstack(bases), own.shape)
+        # (i, j) block: rows sj + j of the I block's columns.
+        blocks = (
+            (at[0] + own[1] * row_stride)[:, None, None, None] + channels
+            + np.arange(self.nj)[:, None] * row_stride + np.arange(self.ni)
+        )
+        # A record: the kfun and lfun rows of every channel, over the i
+        # block, then over the j block.
+        rows = self.rows.T[:, None, :, None] * row_stride + channels
+        terms = [
+            (rows + at[s][self.col][:, None, None, None] + np.arange(n))
+            .reshape(self.ncols, -1)
+            for s, n in ((0, self.ni), (1, self.nj))
+        ]
+        if kl:
+            terms.append(self.kl_at[:, None] + channels.ravel())
+        return blocks, np.concatenate(terms, axis=1)
+
 
 class Families(NamedTuple):
-    """The six Fock families of a :class:`BraBatch`, columns innermost.
+    """The six Fock families of a :class:`BraBatch`.
 
     Per plan ``p``: ``ji[p]`` is its ``(nj, ni)`` J-block.  Per column
-    ``m`` of the batch: ``kl[m]`` is the ``(kfun, lfun)`` element, at
-    flat index ``kl_at[m] = kfun * nbf + lfun``; ``exchange[:, m]`` its
+    ``m`` of the batch, ``terms[m]`` holds what the column adds: its
     record of exchange rows — ``kli[c, 0, :, m]``, the ``(i, k)`` row
     (destination row ``kfun[m]``), and ``kli[c, 1, :, m]``, the
     ``(i, l)`` row (``lfun[m]``), both over the plan's ``i`` block, for
     every exchange channel ``c``; then ``klj`` likewise over its ``j``
-    block.  ``kli`` and ``klj`` are views of ``exchange``.
+    block — and then its ``(k, l)`` element ``kl[m]`` once per channel.
+    ``kl``, ``kli`` and ``klj`` are views of ``terms``.
     """
 
     batch: BraBatch
@@ -230,77 +268,16 @@ class Families(NamedTuple):
     kl: np.ndarray
     kli: np.ndarray
     klj: np.ndarray
-    exchange: np.ndarray
-    kl_at: np.ndarray
+    terms: np.ndarray
 
-    def add_into(
-        self,
-        p: int,
-        target: np.ndarray,
-        bases: tuple[int, int],
-        row_stride: int,
-        channel_stride: int = 0,
-        kl_target: np.ndarray | None = None,
-    ) -> None:
-        """Accumulate plan ``p``'s families into the flat ``target``.
-
-        ``bases`` are the flat offsets of element ``(0, 0)`` of the
-        plan's ``i`` and ``j`` column blocks, rows ``row_stride`` apart;
-        channel ``c`` adds ``c * channel_stride``.  The ``(i, j)`` block
-        goes first, then column after column its exchange record and
-        its ``(k, l)`` element per channel (at ``kl_at`` plus the
-        channel's offset) — one ``np.add.at``, which adds repeated
-        indices in order — or, with ``kl_target``, the records alone
-        and then the ``(k, l)`` elements into ``kl_target``.  What a
-        plan adds, and in which order, depends on the plan alone.
-        """
-        batch = self.batch
-        plan = batch.plans[p]
-        a = int(batch.starts[p])
-        z = a + plan.fac.size
+    def plan_terms(self, p: int, kl: bool = True) -> tuple[np.ndarray, ...]:
+        """Plan ``p``'s terms, flat, in the order they are added: its
+        ``(i, j)`` block once per channel, then column after column its
+        exchange record and, with ``kl``, its ``(k, l)`` element per
+        channel."""
         C = self.kli.shape[0]
-        h, side, offset, ji_at = _record_terms(
-            C, batch.ni, batch.nj, row_stride, channel_stride
-        )
-        target[ji_at + (bases[0] + plan.sj.start * row_stride)] += self.ji[p]
-        index = batch.rows[h, a:z].T * row_stride
-        index += offset + np.array(bases)[side]
-        values = self.exchange[:, a:z].T
-        if kl_target is None:
-            index = np.concatenate(
-                (index, self.kl_at[a:z, None] + np.arange(C) * channel_stride),
-                axis=1,
-            )
-            values = np.concatenate(
-                (values, np.broadcast_to(self.kl[a:z, None], (z - a, C))), axis=1
-            )
-        np.add.at(target, index.ravel(), values.ravel())
-        if kl_target is not None:
-            kl_target[self.kl_at[a:z]] += self.kl[a:z]
-
-
-@cache
-def _record_terms(
-    nchannels: int, ni: int, nj: int, row_stride: int, channel_stride: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """For :meth:`Families.add_into`: per term of an exchange record,
-    whether it adds into the ``kfun`` or the ``lfun`` row (``h``), of
-    the ``i`` or the ``j`` block (``side``), and its offset in the row
-    (channel and column in the block); the offsets of an ``(i, j)``
-    block, per channel, from its first element."""
-    h, side, offset = [], [], []
-    for s, n in ((0, ni), (1, nj)):
-        c, hh, k = np.meshgrid(
-            np.arange(nchannels), np.arange(2), np.arange(n), indexing="ij"
-        )
-        h.append(hh.ravel())
-        side.append(np.full(c.size, s))
-        offset.append((c * channel_stride + k).ravel())
-    ji_at = (
-        np.arange(nchannels)[:, None, None] * channel_stride
-        + np.arange(nj)[:, None] * row_stride + np.arange(ni)
-    )
-    return np.concatenate(h), np.concatenate(side), np.concatenate(offset), ji_at
+        cols = self.terms[self.batch.columns(p)]
+        return (*(self.ji[p].ravel(),) * C, (cols if kl else cols[:, :-C]).ravel())
 
 
 class QuartetEngine:
@@ -469,6 +446,7 @@ class QuartetEngine:
         return BraBatch(
             plans, ni, nj, np.cumsum([0, *sizes[:-1]]), rows, i_at, j_at,
             (i_at[:, None] + j_at[None] // nbf).reshape(ni * nj, -1),
+            rows[0] * nbf + rows[1], np.repeat(np.arange(len(plans)), sizes),
         )
 
     def batch_slab(self, batch: BraBatch) -> np.ndarray:
@@ -505,37 +483,37 @@ class QuartetEngine:
         dc = d_coulomb.ravel()
         C = d_exchange.shape[0]
         dx = d_exchange.reshape(C, -1)
-        rows = batch.rows
-        kl_at = rows[0] * self.basis.nbf + rows[1]
-        col = np.repeat(
-            np.arange(len(batch.plans)), np.diff(batch.starts, append=M)
-        )
+        rows, col = batch.rows, batch.col
+        R = 2 * C * (ni + nj)
+        terms = np.empty((M, R + C))
 
         # (i, j): each plan's own columns, one reduceat segment each.
         # Products go to C-ordered buffers: NumPy would lay a broadcast
         # result out in an order that is slow to fill.
         work = np.empty((ni, nj, M))
         ji = np.add.reduceat(
-            np.multiply(X3, dc[kl_at], out=work),
+            np.multiply(X3, dc[batch.kl_at], out=work),
             batch.starts, axis=2,
         )
         # (k, l): the bra's function pairs, added j first, then i.
         np.multiply(X, np.take(dc[batch.bra_at], col, axis=1), out=work.reshape(ni * nj, M))
-        kl = _sum_in_order(_sum_in_order(work, 1), 0)
+        terms[:, R:] = _sum_in_order(_sum_in_order(work, 1), 0)[:, None]
 
         # Exchange: the (i, k) row pairs with D[j, lfun], the (i, l)
         # row with D[j, kfun] — summed over j in order; likewise for j.
+        # Sums into C-ordered buffers too, then once into the records.
         partner = rows[::-1, None, :]  # (2, 1, M)
         work = np.empty((C, 2, ni, nj, M))
-        exchange = np.empty((C * 2 * (ni + nj), M))
-        kli = exchange[: C * 2 * ni].reshape(C, 2, ni, M)
-        klj = exchange[C * 2 * ni :].reshape(C, 2, nj, M)
-        for axis, rows_at, out in ((3, batch.j_at, kli), (2, batch.i_at, klj)):
+        for axis, rows_at, cut in ((3, batch.j_at, slice(0, 2 * C * ni)),
+                                   (2, batch.i_at, slice(2 * C * ni, R))):
             at = np.take(rows_at, col, axis=1) + partner  # (2, n, M)
             dens = dx[0].take(at)[None] if C == 1 else dx[:, at]
             np.multiply(X3, dens[:, :, None] if axis == 3 else dens[:, :, :, None], out=work)
-            _sum_in_order(work, axis, out)
-        return Families(batch, ji.transpose(2, 1, 0), kl, kli, klj, exchange, kl_at)
+            terms[:, cut] = _sum_in_order(work, axis).reshape(-1, M).T
+        kli = terms[:, : 2 * C * ni].reshape(M, C, 2, ni).transpose(1, 2, 3, 0)
+        klj = terms[:, 2 * C * ni : R].reshape(M, C, 2, nj).transpose(1, 2, 3, 0)
+        ji = np.ascontiguousarray(ji.transpose(2, 1, 0))
+        return Families(batch, ji, terms[:, R], kli, klj, terms)
 
     def scatter_general(
         self,

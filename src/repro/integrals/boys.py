@@ -67,9 +67,12 @@ def _boys_grid(m_max: int, x: np.ndarray) -> np.ndarray:
     # for; a higher request gets its own.
     norders = m_max + _TAYLOR_TERMS + 1
     T = _grid_table(max(norders, 32))[:norders].take(node, axis=1)
-    # w[k-1] = (-d)^k / k!, by running products down the rows.
+    # w[k-1] = (-d)^k / k!, by running products down the rows, a row at
+    # a time: an accumulate along the short axis walks it strided.
     d = node / _GRID_DENSITY - x
-    w = np.multiply.accumulate(_INV_K[:, None] * d, axis=0)
+    w = _INV_K[:, None] * d
+    for k in range(1, _TAYLOR_TERMS):
+        np.multiply(w[k - 1], w[k], out=w[k])
     # Term k of every order at once — row m reads table order m + k —
     # added in the order k = 1..6, then the node value: a term at a
     # time, because all six side by side are the largest array of a

@@ -238,11 +238,13 @@ def hermite_from_boys(
     the batch: a point's result is bitwise the same whatever else is in
     the batch.
     """
-    # R^m_{000} = (-2p)^m F_m: running products down the rows.
+    # R^m_{000} = (-2p)^m F_m: running products down the rows, a row at
+    # a time (an accumulate along the short axis walks it strided).
     power = np.empty((lmax + 1, p.size))
     power[0] = 1.0
     power[1:] = -2.0 * p
-    np.multiply.accumulate(power, axis=0, out=power)
+    for m in range(2, lmax + 1):
+        np.multiply(power[m - 1], power[m], out=power[m])
     power *= F[: lmax + 1]
     levels = [power[:, None, :]]
     Xa = X.take(_lowered_axis(lmax), axis=0)

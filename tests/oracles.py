@@ -21,7 +21,13 @@ one-point Boys (:func:`boys_single`), one shell quartet from bare shells
 (:func:`two_electron_fock_dense`), the closed-form quartet count
 (:func:`n_unique_quartets`), and the log-space least-squares fit that
 gave the Schwarz model its default amplitudes
-(:func:`calibrate_schwarz_model`).
+(:func:`calibrate_schwarz_model`).  Two are the spellings the product
+replaced with the same bits: the running products of the Boys grid and
+of the Hermite recursion as ``np.multiply.accumulate``
+(:func:`boys_accumulate`, :func:`hermite_from_boys_accumulate`), and
+the per-plan application of digested Fock families with its index
+arithmetic done afresh (:func:`add_into`), where the builders now read
+each layout's kept application index.
 """
 
 from __future__ import annotations
@@ -376,3 +382,135 @@ def calibrate_schwarz_model(basis, exact_Q: np.ndarray) -> SchwarzModelParams:
         amplitudes={t: float(sol[col[t]]) for t in labels},
         residual_std=float(np.std(resid)),
     )
+
+
+# -- running products as accumulates ------------------------------------------
+
+
+def boys_accumulate(m_max: int, x: np.ndarray) -> np.ndarray:
+    """:func:`~repro.integrals.boys.boys` with the Taylor weights of the
+    tabulated regime as one ``np.multiply.accumulate`` down the rows —
+    the spelling the production code replaced by a row at a time."""
+    from repro.integrals.boys import (
+        _GRID_DENSITY, _INV_K, _TAYLOR_TERMS, GRID_MAX, _boys_asymptotic,
+        _grid_table,
+    )
+
+    xf = np.ascontiguousarray(x, dtype=np.float64).ravel()
+    far = xf >= GRID_MAX
+    out = np.empty((m_max + 1, xf.size))
+    out[:, far] = _boys_asymptotic(m_max, xf[far])
+    near = xf[~far]
+    node = np.rint(near * _GRID_DENSITY).astype(np.intp)
+    norders = m_max + _TAYLOR_TERMS + 1
+    T = _grid_table(max(norders, 32))[:norders].take(node, axis=1)
+    d = node / _GRID_DENSITY - near
+    w = np.multiply.accumulate(_INV_K[:, None] * d, axis=0)
+    grid = T[1 : m_max + 2] * w[0]
+    for k in range(1, _TAYLOR_TERMS):
+        grid += T[k + 1 : m_max + k + 2] * w[k]
+    grid += T[: m_max + 1]
+    out[:, ~far] = grid
+    return out
+
+
+def hermite_from_boys_accumulate(
+    lmax: int, p: np.ndarray, X: np.ndarray, F: np.ndarray
+) -> np.ndarray:
+    """:func:`~repro.integrals.hermite.hermite_from_boys` with the powers
+    ``(-2p)^m`` as one in-place ``np.multiply.accumulate`` down the rows."""
+    from repro.integrals.hermite import _level_plan, _level_start, _lowered_axis
+
+    power = np.empty((lmax + 1, p.size))
+    power[0] = 1.0
+    power[1:] = -2.0 * p
+    np.multiply.accumulate(power, axis=0, out=power)
+    power *= F[: lmax + 1]
+    levels = [power[:, None, :]]
+    Xa = X.take(_lowered_axis(lmax), axis=0)
+    for level in range(1, lmax + 1):
+        src1, src2, weight2 = _level_plan(level)
+        start = _level_start(level) - 1
+        cur = levels[-1][1:].take(src1, axis=1)
+        cur *= Xa[start : start + src1.size]
+        if src2.size:
+            second = levels[-2][1:-1].take(src2, axis=1)
+            second *= weight2
+            cur[:, : src2.size] += second
+        levels.append(cur)
+    return np.ascontiguousarray(np.concatenate([a[0] for a in levels]).T)
+
+
+# -- the per-plan application of digested families -----------------------------
+
+
+def add_into(
+    fam,
+    p: int,
+    target: np.ndarray,
+    bases: tuple[int, int],
+    row_stride: int,
+    channel_stride: int = 0,
+    kl_target: np.ndarray | None = None,
+) -> None:
+    """Accumulate plan ``p`` of the digested families ``fam``
+    (:class:`~repro.core.quartets.Families`) into the flat ``target``,
+    with the plan's index arithmetic done afresh.
+
+    ``bases`` are the flat offsets of element ``(0, 0)`` of the plan's
+    ``i`` and ``j`` column blocks, rows ``row_stride`` apart; channel
+    ``c`` adds ``c * channel_stride``.  The ``(i, j)`` block goes first,
+    then column after column its exchange record and its ``(k, l)``
+    element per channel — one ``np.add.at``, which adds repeated indices
+    in order — or, with ``kl_target``, the records alone and then the
+    ``(k, l)`` elements into ``kl_target``.  The per-plan spelling the
+    layouts' kept application index replaced.
+    """
+    batch = fam.batch
+    plan = batch.plans[p]
+    a = int(batch.starts[p])
+    z = a + plan.fac.size
+    C = fam.kli.shape[0]
+    h, side, offset, ji_at = _record_terms(
+        C, batch.ni, batch.nj, row_stride, channel_stride
+    )
+    target[ji_at + (bases[0] + plan.sj.start * row_stride)] += fam.ji[p]
+    index = batch.rows[h, a:z].T * row_stride
+    index += offset + np.array(bases)[side]
+    values = np.concatenate(
+        (fam.kli[..., a:z].reshape(-1, z - a), fam.klj[..., a:z].reshape(-1, z - a))
+    ).T
+    kl_at = batch.kl_at[a:z]
+    if kl_target is None:
+        index = np.concatenate(
+            (index, kl_at[:, None] + np.arange(C) * channel_stride), axis=1
+        )
+        values = np.concatenate(
+            (values, np.broadcast_to(fam.kl[a:z, None], (z - a, C))), axis=1
+        )
+    np.add.at(target, index.ravel(), values.ravel())
+    if kl_target is not None:
+        kl_target[kl_at] += fam.kl[a:z]
+
+
+def _record_terms(
+    nchannels: int, ni: int, nj: int, row_stride: int, channel_stride: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """For :func:`add_into`: per term of an exchange record, whether it
+    adds into the ``kfun`` or the ``lfun`` row (``h``), of the ``i`` or
+    the ``j`` block (``side``), and its offset in the row (channel and
+    column in the block); the offsets of an ``(i, j)`` block, per
+    channel, from its first element."""
+    h, side, offset = [], [], []
+    for s, n in ((0, ni), (1, nj)):
+        c, hh, k = np.meshgrid(
+            np.arange(nchannels), np.arange(2), np.arange(n), indexing="ij"
+        )
+        h.append(hh.ravel())
+        side.append(np.full(c.size, s))
+        offset.append((c * channel_stride + k).ravel())
+    ji_at = (
+        np.arange(nchannels)[:, None, None] * channel_stride
+        + np.arange(nj)[:, None] * row_stride + np.arange(ni)
+    )
+    return np.concatenate(h), np.concatenate(side), np.concatenate(offset), ji_at

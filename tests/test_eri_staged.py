@@ -25,8 +25,10 @@ from repro.core.scf_driver import make_fock_builder
 from repro.integrals import eri as eri_module
 from repro.integrals.boys import GRID_MAX, boys
 from repro.integrals.eri import eri_bra_slab, eri_class_batch, pair_stacks
+from repro.integrals.hermite import hermite_from_boys
 from repro.integrals.onee import core_hamiltonian
 from repro.obs.metrics import MetricsRegistry, use_metrics
+from tests import oracles
 
 FIXTURES = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e" / "fixtures"
 
@@ -65,6 +67,36 @@ def test_boys_rows_do_not_depend_on_the_highest_order(orders, regime, n, seed):
     if regime == "straddling":
         x[: 2] = GRID_MAX - 1.0, GRID_MAX  # both branches, whatever the draw
     assert np.array_equal(boys(M, x)[: m + 1], boys(m, x))
+
+
+@given(
+    st.integers(0, 12),
+    st.sampled_from(["grid", "asymptotic", "straddling"]),
+    st.integers(1, 40),
+    st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_running_products_are_the_accumulate_spelling(lmax, regime, n, seed):
+    """The Taylor weights of the Boys grid and the powers ``(-2p)^m`` of
+    the Hermite recursion, taken a row at a time, are bitwise the
+    ``np.multiply.accumulate`` spelling (:mod:`tests.oracles`): the same
+    products in the same order, in both Boys regimes and across them."""
+    rng = np.random.default_rng(seed)
+    lo, hi = {
+        "grid": (0.0, GRID_MAX), "asymptotic": (GRID_MAX, 400.0),
+        "straddling": (GRID_MAX - 4.0, GRID_MAX + 4.0),
+    }[regime]
+    x = rng.uniform(lo, hi, n)
+    if regime == "straddling":
+        x[-1] = GRID_MAX  # the asymptotic branch, whatever the draw
+    F = boys(lmax, x)
+    assert np.array_equal(F, oracles.boys_accumulate(lmax, x))
+    p = rng.uniform(0.05, 40.0, n)
+    X = rng.standard_normal((3, n))
+    assert np.array_equal(
+        hermite_from_boys(lmax, p, X, F),
+        oracles.hermite_from_boys_accumulate(lmax, p, X, F),
+    )
 
 
 # -- the independence invariant on whole fixtures ---------------------------------
