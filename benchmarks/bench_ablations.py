@@ -20,7 +20,7 @@ from repro.core.screening import Screening
 from repro.integrals.onee import kinetic_matrix, nuclear_matrix
 from repro.integrals.schwarz import schwarz_matrix
 from repro.machine.system import THETA
-from repro.perfsim.engine import assign_dynamic
+from repro.perfsim.engine import assign_schedule
 from repro.perfsim.simulate import RunConfig, simulate_fock_build
 from repro.perfsim.workload import Workload
 
@@ -163,7 +163,7 @@ def test_ablation_dlb_policy_imbalance(benchmark, emit, cost_model):
         sig = wl.task_significant
         times = wl.task_work[sig] * cost_model.seconds_per_unit
         R = 256 * 4
-        dynamic = assign_dynamic(times, R)
+        dynamic = assign_schedule(times, R)
         # Static block partition: contiguous slabs of the task list.
         bounds = np.linspace(0, times.size, R + 1).astype(int)
         loads = np.array(

@@ -316,7 +316,8 @@ def run_schedule(output: Path, nranks: int = 8) -> dict:
     from repro.chem.graphene import bilayer_graphene
     from repro.core.screening import Screening
     from repro.integrals.schwarz import schwarz_matrix
-    from repro.parallel.scheduler import SCHEDULE_NAMES, make_scheduler
+    from repro.config import SCHEDULES
+    from repro.parallel.scheduler import make_scheduler
 
     basis = BasisSet(bilayer_graphene(2), "sto-3g")
     screening = Screening(schwarz_matrix(basis), 1e-10)
@@ -360,7 +361,7 @@ def run_schedule(output: Path, nranks: int = 8) -> dict:
     }
     for label, costs in workloads.items():
         best_sched, best_span = None, float("inf")
-        for sched in SCHEDULE_NAMES:
+        for sched in SCHEDULES:
             cell = drain(sched, costs)
             record[f"{label}_{sched}_imbalance"] = cell["imbalance"]
             record[f"{label}_{sched}_counter_ops"] = cell["counter_ops"]
@@ -533,14 +534,14 @@ def main(argv: list[str] | None = None) -> int:
 
 def _bench_run(args, output: Path, tracer=None) -> tuple[int, dict]:
     if args.schedule:
-        from repro.parallel.scheduler import SCHEDULE_NAMES
+        from repro.config import SCHEDULES
 
         record = run_schedule(output, nranks=args.ranks)
         print(f"fixture                : {record['fixture']}")
         print(f"ranks x tasks          : {record['nranks']} x "
               f"{record['ntasks']}")
         for label in ("uniform", "skewed"):
-            for sched in SCHEDULE_NAMES:
+            for sched in SCHEDULES:
                 print(f"{label:>8s} {sched:<7s}: "
                       f"imb {record[f'{label}_{sched}_imbalance']:.4f}  "
                       f"rpcs {record[f'{label}_{sched}_counter_ops']:>5d}  "
@@ -554,7 +555,7 @@ def _bench_run(args, output: Path, tracer=None) -> tuple[int, dict]:
                 and all(
                     record[f"{w}_{s}_imbalance"] >= 1.0
                     for w in ("uniform", "skewed")
-                    for s in SCHEDULE_NAMES
+                    for s in SCHEDULES
                 )
             )
             if not ok:

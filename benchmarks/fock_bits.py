@@ -3,13 +3,14 @@
 A change meant to be pure bookkeeping (digestion, the ERI cache, the
 builders' routing, reduction buffers) must leave every Fock matrix
 *bitwise* as it was, not just the energies.  This prints, as one sorted
-JSON object, the first 12 hex digits of ``sha1(F.tobytes())`` for 45
+JSON object, the first 12 hex digits of ``sha1(F.tobytes())`` for 63
 combinations — the fixtures allene/STO-3G, hydroxide/6-31G(d) and
 ethyl/STO-3G (``benchmarks/e2e/fixtures``) x {shared-fock 2x2 and 3x1,
-private-fock 2x2, mpi-only 4, UHF private-fock 2x2} x an ERI cache of
-{none, 64 MB, a thrashing 20 kB} — each fed three successive random
-symmetric densities on one builder, so warm and cold builds both count.
-UHF digests ``F_alpha`` and ``F_beta`` together.
+private-fock 2x2, mpi-only 4, UHF private-fock 2x2, and shared-fock and
+private-fock 2x2 under ``schedule="static"`` (the LPT partition)} x an
+ERI cache of {none, 64 MB, a thrashing 20 kB} — each fed three
+successive random symmetric densities on one builder, so warm and cold
+builds both count.  UHF digests ``F_alpha`` and ``F_beta`` together.
 
 Run it on two trees and compare the outputs; the script imports
 ``repro`` from the tree it is given (default: the one it lives in)::
@@ -33,9 +34,12 @@ FIXTURES = (
     ("hydroxide", "hydroxide.xyz", "6-31g(d)", -1),
     ("ethyl", "ethyl.xyz", "sto-3g", 0),
 )
+#: ``(algorithm, nranks, nthreads, schedule)``; the key names a
+#: schedule other than the default ``dlb``.
 GEOMETRIES = (
-    ("shared-fock", 2, 2), ("shared-fock", 3, 1),
-    ("private-fock", 2, 2), ("mpi-only", 4, 1),
+    ("shared-fock", 2, 2, "dlb"), ("shared-fock", 3, 1, "dlb"),
+    ("private-fock", 2, 2, "dlb"), ("mpi-only", 4, 1, "dlb"),
+    ("shared-fock", 2, 2, "static"), ("private-fock", 2, 2, "static"),
 )
 #: label -> ``eri_cache_mb``
 CACHES = {"none": None, "64MB": 64.0, "20kB": 20_000 / 1048576}
@@ -71,12 +75,15 @@ def fock_bits(root: Path) -> dict[str, list[str]]:
             d = rng.standard_normal((basis.nbf, basis.nbf))
             densities.append(d + d.T)
         for label, cache in CACHES.items():
-            for algorithm, nranks, nthreads in GEOMETRIES:
+            for algorithm, nranks, nthreads, schedule in GEOMETRIES:
                 builder = make_fock_builder(
                     algorithm, basis, h, nranks=nranks, nthreads=nthreads,
-                    eri_cache_mb=cache,
+                    eri_cache_mb=cache, schedule=schedule,
                 )
-                out[f"{name}/{algorithm}/{nranks}x{nthreads}/{label}"] = [
+                geometry = f"{nranks}x{nthreads}" + (
+                    "" if schedule == "dlb" else f"/{schedule}"
+                )
+                out[f"{name}/{algorithm}/{geometry}/{label}"] = [
                     digest(builder(d)[0]) for d in densities
                 ]
             builder = UHFPrivateFockBuilder(

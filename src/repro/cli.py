@@ -28,8 +28,9 @@ Commands
                (write-ahead-journaled) queue, a supervised worker
                fleet, retry/backoff, and graceful degradation.
 ``batch``      Run a workload manifest (many jobs, mixed systems)
-               through the service under a pluggable batch-scheduling
-               policy; report jobs/s, queue-wait p95, amortization.
+               through the service under a named batch policy
+               (fifo / binned); report jobs/s, queue-wait p95,
+               amortization.
 ``submit``     Submit an SCF job to a running service.
 ``status``     One job's record, or the whole queue + fleet health.
 ``result``     Wait for a job and print its result.

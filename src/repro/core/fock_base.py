@@ -18,6 +18,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from repro.chem.basis.basisset import BasisSet
+from repro.config import SCHEDULES
 from repro.core.indexing import npairs
 from repro.core.quartets import (
     BraBatch,
@@ -35,7 +36,7 @@ from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
 from repro.parallel.comm import SimComm, SimWorld
 from repro.parallel.reduction import publish_flushes
-from repro.parallel.scheduler import SCHEDULE_NAMES, Scheduler, make_scheduler
+from repro.parallel.scheduler import Scheduler, make_scheduler
 from repro.parallel.shared_array import WriteTracker
 from repro.resilience.errors import (
     CorruptContributionError,
@@ -168,22 +169,19 @@ class TaskPlan(NamedTuple):
     Schwarz screening and the basis decide which kets survive under a
     task, how the thread team splits them and every index vector of the
     digestion; the density only enters the contractions.  ``shares``
-    holds, per thread, the size of its share of the task's thread-level
-    loop and the :class:`~repro.core.quartets.SharePlan` of each slab it
-    digests, in order.  ``doubles`` estimates what digesting the task
-    allocates: slabs plus what their columns add.
+    holds, per thread, the :class:`~repro.core.quartets.SharePlan` of
+    each slab it digests, in order.  ``doubles`` estimates what
+    digesting the task allocates: slabs plus what their columns add.
     """
 
     screened: int
-    shares: list[tuple[int, list[SharePlan]]]
+    shares: list[list[SharePlan]]
     doubles: int = 0
 
     @classmethod
-    def of(
-        cls, screened: int, shares: list[tuple[int, list[SharePlan]]]
-    ) -> "TaskPlan":
+    def of(cls, screened: int, shares: list[list[SharePlan]]) -> "TaskPlan":
         doubles = 0
-        for _, plans in shares:
+        for plans in shares:
             for plan in plans:
                 ni, nj = plan.shape
                 doubles += plan.fac.size * (ni * nj + 4 * (ni + nj) + 2)
@@ -191,7 +189,7 @@ class TaskPlan(NamedTuple):
 
     @property
     def nbytes(self) -> int:
-        return sum(p.nbytes for _, plans in self.shares for p in plans)
+        return sum(p.nbytes for plans in self.shares for p in plans)
 
 
 class ParallelFockBuilderBase:
@@ -275,9 +273,9 @@ class ParallelFockBuilderBase:
         if screening is None:
             screening = Screening(basis_setup(basis).Q, tau)
         self.screening = screening
-        if schedule not in SCHEDULE_NAMES:
+        if schedule not in SCHEDULES:
             raise ValueError(
-                f"unknown schedule {schedule!r}; choose from {SCHEDULE_NAMES}"
+                f"unknown schedule {schedule!r}; choose from {SCHEDULES}"
             )
         self.schedule = schedule
         self.thread_schedule = thread_schedule
@@ -448,7 +446,7 @@ class ParallelFockBuilderBase:
         layout = self._prepared.get(key)
         if layout is None:
             layout = Layout.of(self.engine, [
-                p for _, plan in run if plan.shares for p in plan.shares[t][1]
+                p for _, plan in run if plan.shares for p in plan.shares[t]
             ], *self._target(t))
             if self._plan_bytes < self._plan_budget:
                 self._prepared[key] = layout

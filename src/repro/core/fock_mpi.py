@@ -46,7 +46,7 @@ class MPIOnlyFockBuilder(ParallelFockBuilderBase):
         plans = (
             [self.engine.share_plan(*decode_pair(ij), kls)] if kls.size else []
         )
-        return TaskPlan.of(ij + 1 - kls.size, [(kls.size, plans)])
+        return TaskPlan.of(ij + 1 - kls.size, [plans])
 
     def rank_program(
         self,

@@ -67,7 +67,7 @@ class PrivateFockBuilder(ParallelFockBuilderBase):
                 screened_out += screened
                 if kls.size:
                     plans.append(self.engine.share_plan(i, j, kls))
-            planned.append((len(share), plans))
+            planned.append(plans)
         return TaskPlan.of(screened_out, planned)
 
     def admit(

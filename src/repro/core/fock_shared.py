@@ -67,10 +67,7 @@ class SharedFockBuilder(ParallelFockBuilderBase):
                 costs=self._kl_costs(kls),
             )
             planned = [
-                (
-                    len(share),
-                    [self.engine.share_plan(i, j, kls[share])] if share else [],
-                )
+                [self.engine.share_plan(i, j, kls[share])] if share else []
                 for share in shares
             ]
         return TaskPlan.of(ij + 1 - kls.size, planned)
@@ -149,7 +146,7 @@ class SharedFockBuilder(ParallelFockBuilderBase):
                     with tracer.span("fock/flush_fi", rank=rank, i=iold):
                         flush(FI, iold)
                     part.fi_flushes += 1
-                for t, (_, plans) in enumerate(task.shares):
+                for t, plans in enumerate(task.shares):
                     # (i,j), (i,k), (i,l) into the thread's FI, (j,k),
                     # (j,l) into its FJ; (k,l) directly into the shared
                     # Fock — disjoint across threads, which the tracker

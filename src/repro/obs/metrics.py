@@ -5,10 +5,11 @@ every quantity the paper tabulates (quartets computed/screened, FI/FJ
 flushes, reduce bytes, DLB grants per rank, race checks) lives here as
 a named metric, optionally labelled (``counter("dlb.grants", rank=3)``).
 
-:class:`~repro.core.fock_base.FockBuildStats` is a thin attribute view
-over one registry per Fock build; a globally installed registry
-(:func:`use_metrics`) additionally accumulates run-level totals from
-the DLB, DDI, reduction, and perfsim layers.
+:class:`~repro.core.fock_base.FockBuildStats` is a plain dataclass of
+one Fock build's counters and per-rank/thread series; the builder
+publishes it to the globally installed registry (:func:`use_metrics`)
+once per build (``ParallelFockBuilderBase._record_global``), beside the
+run-level totals the DLB, DDI, reduction, and perfsim layers publish.
 """
 
 from __future__ import annotations

@@ -13,14 +13,19 @@ deterministically:
   ranks execute sequentially, collectives (``gsumf`` = allreduce-sum,
   broadcast, barrier) have real data semantics and are metered for the
   performance model.
-* :class:`~repro.parallel.dlb.DynamicLoadBalancer` — the shared global
-  task counter (``ddi_dlbnext``), the paper's task distribution
-  (``schedule="dlb"``); :class:`~repro.parallel.scheduler.StaticScheduler`
-  is the one alternative, a cost-weighted pre-partition
-  (``schedule="static"``).  Both serve the same ``next(rank)`` grants.
+* :func:`~repro.parallel.scheduler.least_loaded` — the one list
+  scheduler: each item to the first least-loaded worker.  Every
+  least-loaded decision (static LPT ranks, dynamic threads, perfsim's
+  exact makespans) goes through it.
+* :func:`~repro.parallel.scheduler.make_scheduler` — a distribution
+  strategy by name (:data:`repro.config.SCHEDULES`) as the per-rank
+  queues of one :class:`~repro.parallel.scheduler.Scheduler`:
+  ``dlb``, the paper's shared global task counter (``ddi_dlbnext``),
+  or ``static``, a cost-weighted pre-partition.  Both serve the same
+  ``next(rank)`` grants.
 * :class:`~repro.parallel.threads.ThreadTeam` — OpenMP-style thread
-  scheduling: ``static`` / ``dynamic`` chunked partitions, per-thread
-  private storage.
+  scheduling: ``static`` / ``dynamic`` partitions, per-thread private
+  storage.
 * :class:`~repro.parallel.shared_array.WriteTracker` — records which
   thread wrote which elements in which synchronization phase and
   detects write-write races, turning the paper's data-race argument
@@ -30,14 +35,8 @@ deterministically:
 """
 
 from repro.parallel.comm import CollectiveStats, SimComm, SimWorld
-from repro.parallel.dlb import DynamicLoadBalancer
-from repro.parallel.scheduler import (
-    SCHEDULE_NAMES,
-    Scheduler,
-    StaticScheduler,
-    make_scheduler,
-)
-from repro.parallel.threads import ThreadTeam, split_chunks
+from repro.parallel.scheduler import Scheduler, least_loaded, make_scheduler
+from repro.parallel.threads import ThreadTeam
 from repro.parallel.shared_array import RaceError, WriteTracker
 from repro.parallel.reduction import tree_reduce_columns
 
@@ -45,13 +44,10 @@ __all__ = [
     "SimWorld",
     "SimComm",
     "CollectiveStats",
-    "DynamicLoadBalancer",
     "Scheduler",
-    "SCHEDULE_NAMES",
-    "StaticScheduler",
+    "least_loaded",
     "make_scheduler",
     "ThreadTeam",
-    "split_chunks",
     "WriteTracker",
     "RaceError",
     "tree_reduce_columns",

@@ -1,7 +1,8 @@
 """The real shared ``ddi_dlbnext`` counter of the process backend.
 
-The simulated :class:`~repro.parallel.dlb.DynamicLoadBalancer`
-pre-partitions the task space so grant sequences are deterministic.
+The simulated ``dlb`` strategy
+(:func:`~repro.parallel.scheduler.make_scheduler`) pre-partitions the
+task space so grant sequences are deterministic.
 :class:`SharedTaskCounter` is the *actual* GAMESS/DDI protocol the
 balancer models: one globally shared integer, incremented under a lock,
 where which rank receives which index depends purely on arrival timing.
@@ -79,8 +80,8 @@ class SharedTaskCounter:
     def next(self, rank: int) -> int | None:
         """Claim the next task for ``rank`` (``ddi_dlbnext``), or ``None``.
 
-        The grant protocol of :class:`~repro.parallel.dlb
-        .DynamicLoadBalancer`: every index in ``[0, ntasks)`` is granted
+        The grant protocol of :class:`~repro.parallel.scheduler
+        .Scheduler`: every index in ``[0, ntasks)`` is granted
         exactly once across all callers; exhaustion returns ``None``.
         """
         with self._next.get_lock():

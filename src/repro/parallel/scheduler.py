@@ -1,29 +1,37 @@
-"""Task-distribution strategies behind one grant interface.
+"""Task distribution: one least-loaded list scheduler, strategies by name.
 
-The paper distributes Fock-build tasks through a shared global counter
-(``ddi_dlbnext``); the HONPAS line of work (arXiv:2009.03559 static,
-arXiv:2009.03555 dynamic) shows that the static/dynamic crossover is
-workload-dependent.  The common :class:`Scheduler` base holds the grant
-machinery, so both strategies serve the same
-``next(rank) -> int | None`` protocol the rank programs consume:
+The paper balances load with one rule at two levels: ``ddi_dlbnext``
+hands the next ``(i, j)`` bra to whichever rank is free, and the OpenMP
+dynamic schedule does the same with kets over threads.  That rule is
+:func:`least_loaded`; every least-loaded decision in the package goes
+through it (the static LPT partition here, ``ThreadTeam.partition``'s
+dynamic schedule with costs, and :mod:`repro.perfsim.engine`'s exact
+makespans).
+
+The HONPAS line of work (arXiv:2009.03559 static, arXiv:2009.03555
+dynamic) treats static and dynamic distribution as two strategies over
+one task list.  Here a strategy is a name in
+:data:`repro.config.SCHEDULES`, and :func:`make_scheduler` turns it into
+the per-rank queues of one :class:`Scheduler`, which serves them through
+the ``next(rank) -> int | None`` protocol the rank programs consume:
 
 ``dlb``
-    The paper's dynamic shared counter
-    (:class:`~repro.parallel.dlb.DynamicLoadBalancer`): one modeled
-    counter RPC per grant.
+    The paper's dynamic shared counter: round-robin grants (what a
+    counter converges to under uniform costs), one modeled counter RPC
+    per grant.
 ``static``
-    :class:`StaticScheduler` — pre-computed round-robin, or
-    cost-weighted LPT when Schwarz work estimates are available.  Zero
-    counter traffic: every rank knows its share up front.
+    Round-robin, or the cost-weighted LPT partition when Schwarz work
+    estimates are given.  Zero counter traffic: every rank knows its
+    share up front.
 
-Both grant every task index exactly once, and each rank's grants in a
-fixed order, which is what lets a killed rank's share be replayed into
-its slot bit for bit.
+Both grant every task index exactly once, and each rank's grants in
+ascending order, which is what lets a killed rank's share be replayed
+into its slot bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -31,68 +39,59 @@ from repro.config import SCHEDULES
 from repro.obs.events import get_event_log
 from repro.obs.metrics import get_metrics
 
-SCHEDULE_NAMES = SCHEDULES
 
+def least_loaded(
+    costs, nworkers: int, order: Iterable[int]
+) -> tuple[list[int], list[float]]:
+    """Greedy list scheduling: each item to the first least-loaded worker.
 
-def lpt_partition(costs: np.ndarray, nranks: int) -> list[list[int]]:
-    """Longest-processing-time greedy partition of task indices.
-
-    Tasks are dealt in descending cost order (stable, so ties keep index
-    order) to the rank with the least accumulated cost (ties to the
-    lowest rank); each share is returned in ascending index order, the
-    order its rank walks it in.
+    Walks the item indices of ``order`` and gives each one to the
+    worker with the least accumulated cost, ties to the lowest worker
+    index (a heap of ``(load, worker)``).  Returns the worker of each
+    item walked, in walk order, and every worker's final load: a
+    left-to-right sum of its items' costs as Python floats.
     """
-    shares: list[list[int]] = [[] for _ in range(nranks)]
-    loads = np.zeros(nranks)
-    for t in np.argsort(-costs, kind="stable"):
-        r = int(np.argmin(loads))
-        shares[r].append(int(t))
-        loads[r] += costs[t]
-    for share in shares:
-        share.sort()
-    return shares
+    # A shared library: loaded by the first run that balances by cost,
+    # not by every run (a dlb or cost-less static grant list needs none).
+    import heapq
+
+    costs = np.asarray(costs, dtype=np.float64).tolist()
+    owner: list[int] = []
+    heap = [(0.0, w) for w in range(nworkers)]
+    for item in order:
+        load, w = heap[0]
+        owner.append(w)
+        heapq.heapreplace(heap, (load + costs[item], w))
+    loads = [0.0] * nworkers
+    for load, w in heap:
+        loads[w] = load
+    return owner, loads
 
 
 class Scheduler:
-    """Deterministic grant partition served one index at a time.
+    """A strategy's per-rank task queues, served one index at a time.
 
-    Subclasses fill ``self._queues`` (per-rank task-index lists) in
-    their constructors and call :meth:`_emit_reset`; the base class
-    provides the grant cursor and exhaustion logging shared by every
-    strategy.
+    ``schedule`` names the strategy (:data:`repro.config.SCHEDULES`);
+    ``queues`` holds each rank's task indices in grant order.  Build one
+    with :func:`make_scheduler`, which also logs its ``dlb.reset``.
     """
 
-    #: Strategy name as selected by ``--schedule``.
-    schedule_name = "static"
-
-    def __init__(self, ntasks: int, nranks: int) -> None:
-        if ntasks < 0:
-            raise ValueError("ntasks must be non-negative")
-        if nranks < 1:
-            raise ValueError("nranks must be positive")
-        self.ntasks = ntasks
-        self.nranks = nranks
-        self._queues: list[list[int]] = [[] for _ in range(nranks)]
-        self._cursor = [0] * nranks
+    def __init__(self, schedule: str, queues: list[list[int]]) -> None:
+        self.schedule = schedule
+        self.nranks = len(queues)
+        self._queues = queues
+        self._cursor = [0] * self.nranks
         # Cursor positions already metered as dlb.grants.
-        self._published = [0] * nranks
+        self._published = [0] * self.nranks
         self._done_logged: set[int] = set()
 
-    def _emit_reset(self, **fields) -> None:
-        log = get_event_log()
-        if log is not None:
-            log.emit(
-                "dlb.reset", ntasks=self.ntasks, nranks=self.nranks,
-                schedule=self.schedule_name, **fields,
-            )
-
     def counter_traffic(self) -> int:
-        """Modeled shared-counter/queue RPCs incurred by grants so far.
+        """Modeled shared-counter RPCs incurred by grants so far.
 
-        A pre-partitioned strategy needs none: every rank knows its
-        share up front.  The dynamic counter pays one per grant.
+        The dynamic counter pays one per grant; a pre-partitioned
+        strategy needs none: every rank knows its share up front.
         """
-        return 0
+        return sum(self._cursor) if self.schedule == "dlb" else 0
 
     def next(self, rank: int) -> int | None:
         """Next task index for ``rank``, or ``None`` when exhausted.
@@ -140,42 +139,6 @@ class Scheduler:
         self._done_logged.clear()
 
 
-class StaticScheduler(Scheduler):
-    """Pre-computed static partition with zero counter traffic.
-
-    Without cost estimates, indices are dealt round-robin (``t`` to
-    rank ``t % nranks``).  With per-task costs (Schwarz work
-    estimates), a longest-processing-time greedy pass balances the
-    estimated load instead; each rank then walks its share in index
-    order.  This is the HONPAS-style static distribution: no runtime
-    coordination at all, so it wins exactly when the estimates are
-    good and the ranks run at the same speed.
-    """
-
-    schedule_name = "static"
-
-    def __init__(
-        self,
-        ntasks: int,
-        nranks: int,
-        *,
-        costs: np.ndarray | None = None,
-    ) -> None:
-        super().__init__(ntasks, nranks)
-        self.weighted = costs is not None
-        if costs is None:
-            for t in range(ntasks):
-                self._queues[t % nranks].append(t)
-        else:
-            costs = np.asarray(costs, dtype=np.float64)
-            if costs.shape != (ntasks,):
-                raise ValueError(
-                    f"costs must have shape ({ntasks},); got {costs.shape}"
-                )
-            self._queues = lpt_partition(costs, nranks)
-        self._emit_reset(weighted=self.weighted)
-
-
 def make_scheduler(
     schedule: str,
     ntasks: int,
@@ -183,16 +146,42 @@ def make_scheduler(
     *,
     costs: np.ndarray | None = None,
 ) -> Scheduler:
-    """Instantiate a distribution strategy by ``--schedule`` name.
+    """The grant queues of a distribution strategy, by ``--schedule`` name.
 
-    ``costs`` only applies to ``schedule="static"`` (the LPT weights).
+    ``dlb`` and ``static`` without costs deal index ``t`` to rank
+    ``t % nranks``.  ``static`` with per-task ``costs`` (Schwarz work
+    estimates) deals the tasks in descending cost order (stable, so ties
+    keep index order) to the least-loaded rank — the
+    longest-processing-time greedy partition — and each rank then walks
+    its share in ascending index order.  ``costs`` only applies to
+    ``static``, whose ``dlb.reset`` event says whether it was weighted.
     """
-    if schedule == "dlb":
-        from repro.parallel.dlb import DynamicLoadBalancer
-
-        return DynamicLoadBalancer(ntasks, nranks)
-    if schedule == "static":
-        return StaticScheduler(ntasks, nranks, costs=costs)
-    raise ValueError(
-        f"unknown schedule {schedule!r}; choose from {SCHEDULE_NAMES}"
-    )
+    if schedule not in SCHEDULES:
+        raise ValueError(
+            f"unknown schedule {schedule!r}; choose from {SCHEDULES}"
+        )
+    if ntasks < 0:
+        raise ValueError("ntasks must be non-negative")
+    if nranks < 1:
+        raise ValueError("nranks must be positive")
+    if schedule == "static" and costs is not None:
+        costs = np.asarray(costs, dtype=np.float64)
+        if costs.shape != (ntasks,):
+            raise ValueError(
+                f"costs must have shape ({ntasks},); got {costs.shape}"
+            )
+        order = np.argsort(-costs, kind="stable").tolist()
+        owner, _ = least_loaded(costs, nranks, order)
+        queues = [[] for _ in range(nranks)]
+        for t, r in sorted(zip(order, owner)):
+            queues[r].append(t)
+    else:
+        queues = [list(range(r, ntasks, nranks)) for r in range(nranks)]
+    fields = {"weighted": costs is not None} if schedule == "static" else {}
+    log = get_event_log()
+    if log is not None:
+        log.emit(
+            "dlb.reset", ntasks=ntasks, nranks=nranks, schedule=schedule,
+            **fields,
+        )
+    return Scheduler(schedule, queues)

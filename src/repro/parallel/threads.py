@@ -10,14 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.parallel.scheduler import least_loaded
+
 _SCHEDULES = ("static", "dynamic")
-
-
-def split_chunks(n: int, chunk: int) -> list[range]:
-    """Split ``range(n)`` into consecutive chunks of size ``chunk``."""
-    if chunk < 1:
-        raise ValueError("chunk size must be >= 1")
-    return [range(s, min(s + chunk, n)) for s in range(0, n, chunk)]
 
 
 class ThreadTeam:
@@ -39,21 +34,20 @@ class ThreadTeam:
         ntasks: int,
         *,
         schedule: str = "dynamic",
-        chunk: int = 1,
         costs: np.ndarray | None = None,
     ) -> list[list[int]]:
         """Assign loop iterations ``0..ntasks-1`` to threads.
 
         ``static``
-            Chunks dealt round-robin by chunk index — OpenMP
-            ``schedule(static, chunk)``.
+            Iterations dealt round-robin — OpenMP ``schedule(static, 1)``.
         ``dynamic``
             Without ``costs``: identical grant order to static-cyclic
             (what a dynamic schedule produces under uniform costs).
-            With ``costs``: greedy earliest-finisher simulation — each
-            chunk goes to the thread with the least accumulated cost,
-            which is what OpenMP ``schedule(dynamic, chunk)`` converges
-            to and what the paper relies on for load balance.
+            With ``costs``: iterations handed out in loop order to
+            whichever thread is free first (:func:`~repro.parallel
+            .scheduler.least_loaded`), which is what OpenMP
+            ``schedule(dynamic, 1)`` converges to and what the paper
+            relies on for load balance.
 
         Returns
         -------
@@ -63,37 +57,19 @@ class ThreadTeam:
             raise ValueError(
                 f"unknown schedule {schedule!r}; choose from {_SCHEDULES}"
             )
-        if chunk < 1:
-            raise ValueError("chunk size must be >= 1")
         n = self.nthreads
         if n == 1:
             return [list(range(ntasks))]
-        shares: list[list[int]] = [[] for _ in range(n)]
-        starts = range(0, ntasks, chunk)
         if schedule == "static" or costs is None:
-            for c_idx, start in enumerate(starts):
-                shares[c_idx % n].extend(range(start, min(start + chunk, ntasks)))
-            return shares
+            return [list(range(t, ntasks, n)) for t in range(n)]
         costs = np.asarray(costs, dtype=np.float64)
         if costs.shape != (ntasks,):
             raise ValueError(
                 f"costs must have shape ({ntasks},); got {costs.shape}"
             )
-        # Plain Python floats: this loop runs once per DLB task, on a
-        # handful of threads, where a NumPy call per chunk costs more
-        # than the bookkeeping it does.  A multi-task chunk's cost stays
-        # a NumPy sum so ties break on the same digits.
-        chunk_costs = (
-            costs.tolist() if chunk == 1
-            else [float(costs[s : s + chunk].sum()) for s in starts]
-        )
-        loads = [0.0] * n
-        # Chunks are handed out in loop order to whichever thread is
-        # free first (the first least-loaded one at grant time).
-        for start, cost in zip(starts, chunk_costs):
-            t = loads.index(min(loads))
-            shares[t].extend(range(start, min(start + chunk, ntasks)))
-            loads[t] += cost
+        shares: list[list[int]] = [[] for _ in range(n)]
+        for it, t in enumerate(least_loaded(costs, n, range(ntasks))[0]):
+            shares[t].append(it)
         return shares
 
     def private_buffers(self, shape: tuple[int, ...]) -> list[np.ndarray]:

@@ -10,8 +10,9 @@ mechanistic inputs:
   flush, barrier, DLB-fetch and allreduce costs; one global time-scale
   constant calibrated to a single paper data point.
 * :mod:`~repro.perfsim.affinity` — KMP_AFFINITY placement model.
-* :mod:`~repro.perfsim.engine` — dynamic task-to-rank assignment
-  (exact earliest-free simulation, closed-form for huge task counts).
+* :mod:`~repro.perfsim.engine` — task-to-rank assignment under a
+  named strategy (``dlb`` / ``static``): the one least-loaded list
+  scheduler for an exact makespan, closed-form for huge task counts.
 * :mod:`~repro.perfsim.simulate` — end-to-end simulated Fock-build
   time for a (dataset, algorithm, machine configuration).
 * :mod:`~repro.perfsim.scaling` — node/thread sweeps and parallel
@@ -21,7 +22,7 @@ mechanistic inputs:
 from repro.perfsim.cost_model import CostModel, calibrated_cost_model
 from repro.perfsim.workload import Workload
 from repro.perfsim.affinity import Affinity, placement_throughput
-from repro.perfsim.engine import assign_dynamic, AssignmentResult
+from repro.perfsim.engine import AssignmentResult, assign_schedule
 from repro.perfsim.simulate import RunConfig, SimResult, simulate_fock_build
 from repro.perfsim.scaling import (
     node_scaling,
@@ -35,7 +36,7 @@ __all__ = [
     "Workload",
     "Affinity",
     "placement_throughput",
-    "assign_dynamic",
+    "assign_schedule",
     "AssignmentResult",
     "RunConfig",
     "SimResult",

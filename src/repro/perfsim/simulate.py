@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.config import SCHEDULES
 from repro.constants import GB
 from repro.core.memory_model import AlgorithmKind, MemoryModel, NodeConfig
 from repro.machine.cluster_modes import ClusterMode, cluster_penalties
@@ -23,11 +24,7 @@ from repro.machine.memory_modes import MemoryMode, effective_bandwidth_gbs
 from repro.machine.system import SystemSpec, THETA
 from repro.perfsim.affinity import Affinity, placement_throughput
 from repro.perfsim.cost_model import CostModel
-from repro.perfsim.engine import (
-    SCHEDULE_NAMES,
-    assign_schedule,
-    thread_loop_makespan,
-)
+from repro.perfsim.engine import assign_schedule, thread_loop_makespan
 from repro.perfsim.workload import Workload
 
 
@@ -57,10 +54,10 @@ class RunConfig:
         object.__setattr__(self, "cluster_mode", ClusterMode(self.cluster_mode))
         object.__setattr__(self, "memory_mode", MemoryMode(self.memory_mode))
         object.__setattr__(self, "affinity", Affinity(self.affinity))
-        if self.schedule not in SCHEDULE_NAMES:
+        if self.schedule not in SCHEDULES:
             raise ValueError(
                 f"unknown schedule {self.schedule!r}; "
-                f"choose from {SCHEDULE_NAMES}"
+                f"choose from {SCHEDULES}"
             )
 
     @classmethod
@@ -242,7 +239,7 @@ def simulate_fock_build(
                 * max(0.0, clp.coherency - 1.0)
             )
             task_times = (
-                thread_loop_makespan_vec(work, max_unit, tpr)
+                thread_loop_makespan(work, max_unit, tpr)
                 + 2.0 * barrier
                 + fj_flush
                 + shared_write
@@ -284,7 +281,7 @@ def simulate_fock_build(
         denom = np.maximum((i_idx + 1.0) ** 2, 1.0)
         max_sub = work_i * np.minimum(1.0, 10.0 / denom)
         task_times = (
-            thread_loop_makespan_vec(work_i, max_sub, tpr) + 2.0 * barrier
+            thread_loop_makespan(work_i, max_sub, tpr) + 2.0 * barrier
         )
         asg = assign_schedule(
             task_times, R, cfg.schedule, per_task_overhead=dlb_fetch,
@@ -321,11 +318,3 @@ def simulate_fock_build(
     )
     return result
 
-
-def thread_loop_makespan_vec(
-    total: np.ndarray, max_task: np.ndarray, nthreads: int
-) -> np.ndarray:
-    """Vectorized :func:`~repro.perfsim.engine.thread_loop_makespan`."""
-    if nthreads <= 1:
-        return np.asarray(total, dtype=np.float64)
-    return total / nthreads + max_task * (1.0 - 1.0 / nthreads)

@@ -11,11 +11,12 @@ jobs into an execution plan that maximizes exactly that reuse:
 * :mod:`repro.workload.manifest` — NDJSON/TOML manifest parsing into
   validated :class:`~repro.service.jobs.JobSpec` lists, with typed
   :class:`~repro.service.errors.ManifestError` diagnostics;
-* :mod:`repro.workload.scheduler` — pluggable :class:`BatchScheduler`
-  policies (``fifo`` / ``binned``) producing
-  deterministic, starvation-bounded :class:`BatchPlan` objects —
-  the batch-level mirror of the per-run task-distribution strategies
-  in :mod:`repro.perfsim.workload`;
+* :mod:`repro.workload.scheduler` — one :class:`BatchScheduler`
+  planning every policy by name (``fifo`` / ``binned``, a stable
+  window-local sort), producing deterministic, starvation-bounded
+  :class:`BatchPlan` objects — the batch-level mirror of the per-run
+  distribution strategies, which are names too
+  (:data:`repro.config.SCHEDULES`);
 * :mod:`repro.workload.manager` — :class:`WorkloadManager`: drive a
   plan through a live service fleet and report fleet-level throughput
   (jobs/s, queue-wait p95, cache amortization) as

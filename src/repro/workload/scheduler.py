@@ -1,7 +1,7 @@
-"""Pluggable batch schedulers: manifest order in, execution plan out.
+"""The batch planner: manifest order in, execution plan out.
 
 The daemon's durable queue dispatches strictly FIFO over submission
-order, so a batch plan *is* a submission order: the scheduler's whole
+order, so a batch plan *is* a submission order: the planner's whole
 job is to permute manifest indices so that jobs sharing a setup key
 (molecule + basis + charge) run back-to-back and hit the worker's warm
 caches — then group those runs into :class:`Batch` records for
@@ -10,14 +10,16 @@ reporting.  This mirrors the per-run task-distribution strategies of
 quartets and the resource is a core; here tasks are whole SCF jobs and
 the resource is a warm worker.
 
-Policies (:data:`BATCH_POLICIES`):
+A policy is a name in :data:`BATCH_POLICIES`, not a class: one
+:class:`BatchScheduler` plans every policy.
 
 ``fifo``
     Manifest order, untouched.  The baseline every other policy is
     benchmarked against.
 ``binned``
-    Group same-setup-key jobs within each window, bins ordered by first
-    occurrence.  Maximizes cache reuse with zero cost modelling.
+    Within each window, a stable sort by each setup key's first
+    occurrence: same-key jobs grouped, bins in first-occurrence order.
+    Maximizes cache reuse with zero cost modelling.
 
 Two cost-ordered policies (shortest job first, and setup-key bins by
 predicted cost) were measured against ``binned`` on the skewed
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Sequence
 
 from repro.config import BATCH_POLICIES
@@ -115,110 +118,55 @@ class BatchPlan:
 
 
 class BatchScheduler:
-    """Base scheduler: windowing, batching, and the plan envelope.
+    """The planner of one policy: windowing, batching, the plan envelope.
 
-    Subclasses override :meth:`_order_window` to permute one window's
-    worth of ``(manifest_index, spec)`` pairs.  The base class applies
-    it chunk by chunk (the displacement bound), stitches windows back
+    ``plan`` orders each consecutive ``window`` of manifest indices by
+    the policy (the displacement bound), stitches the windows back
     together, and segments the result into maximal same-key runs.
     """
 
-    #: Registered policy name (set by subclasses).
-    name = "fifo"
-
-    def __init__(self, *, window: int | None = None) -> None:
+    def __init__(self, policy: str, *, window: int | None = None) -> None:
+        self.policy = policy
         self.window = DEFAULT_WINDOW if window is None else int(window)
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
-
-    # -- policy hook ----------------------------------------------------------
-
-    def _order_window(
-        self, pairs: list[tuple[int, JobSpec]]
-    ) -> list[tuple[int, JobSpec]]:
-        """Permute one window of (manifest index, spec) pairs."""
-        return pairs
-
-    # -- planning -------------------------------------------------------------
 
     def plan(self, specs: Sequence[JobSpec]) -> BatchPlan:
         """Build the deterministic plan for one expanded manifest."""
         specs = list(specs)
         if not specs:
             raise ManifestError("cannot plan an empty manifest")
-        ordered: list[tuple[int, JobSpec]] = []
-        for start in range(0, len(specs), self.window):
-            chunk = [(i, specs[i])
-                     for i in range(start, min(start + self.window,
-                                               len(specs)))]
-            reordered = self._order_window(chunk)
-            if sorted(i for i, _ in reordered) != [i for i, _ in chunk]:
-                raise RuntimeError(
-                    f"{type(self).__name__}._order_window changed the "
-                    "window's membership; it may only permute"
-                )
-            ordered.extend(reordered)
-        batches: list[Batch] = []
-        run: list[int] = []
-        run_key = ""
-        for index, spec in ordered:
-            key = spec.setup_key()
-            if key != run_key and run:
-                batches.append(Batch(key=run_key, jobs=tuple(run)))
-                run = []
-            run_key = key
-            run.append(index)
-        if run:
-            batches.append(Batch(key=run_key, jobs=tuple(run)))
+        keys = [spec.setup_key() for spec in specs]
+        order = list(range(len(specs)))
+        if self.policy == "binned":
+            for start in range(0, len(order), self.window):
+                chunk = order[start:start + self.window]
+                first: dict[str, int] = {}
+                for i in chunk:
+                    first.setdefault(keys[i], i)
+                chunk.sort(key=lambda i: first[keys[i]])
+                order[start:start + self.window] = chunk
         return BatchPlan(
-            policy=self.name, window=self.window,
-            manifest=manifest_fingerprint(list(specs)),
-            batches=tuple(batches),
+            policy=self.policy, window=self.window,
+            manifest=manifest_fingerprint(specs),
+            batches=tuple(
+                Batch(key=key, jobs=tuple(run))
+                for key, run in groupby(order, keys.__getitem__)
+            ),
         )
-
-
-class FifoScheduler(BatchScheduler):
-    """Manifest order, untouched — the throughput baseline."""
-
-    name = "fifo"
-
-
-class SizeBinnedScheduler(BatchScheduler):
-    """Group same-setup-key jobs; bins ordered by first occurrence."""
-
-    name = "binned"
-
-    def _order_window(self, pairs):
-        bins: dict[str, list[tuple[int, JobSpec]]] = {}
-        first: dict[str, int] = {}
-        for index, spec in pairs:
-            key = spec.setup_key()
-            bins.setdefault(key, []).append((index, spec))
-            first.setdefault(key, index)
-        return [pair
-                for key in sorted(bins, key=first.__getitem__)
-                for pair in bins[key]]
-
-
-_SCHEDULERS: dict[str, type[BatchScheduler]] = {
-    cls.name: cls for cls in (FifoScheduler, SizeBinnedScheduler)
-}
-assert tuple(_SCHEDULERS) == BATCH_POLICIES
 
 
 def make_batch_scheduler(policy: str, *,
                          window: int | None = None) -> BatchScheduler:
-    """Instantiate a registered policy by name.
+    """The planner of a policy by name.
 
     Raises :class:`~repro.service.errors.ManifestError` for unknown
     names so CLI/daemon manifest intake reports it as the same typed
     error family as a broken manifest file.
     """
-    try:
-        cls = _SCHEDULERS[policy]
-    except KeyError:
+    if policy not in BATCH_POLICIES:
         raise ManifestError(
             f"unknown batch policy {policy!r}; "
             f"choose from {', '.join(BATCH_POLICIES)}"
-        ) from None
-    return cls(window=window)
+        )
+    return BatchScheduler(policy, window=window)

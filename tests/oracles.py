@@ -28,10 +28,21 @@ of the Hermite recursion as ``np.multiply.accumulate``
 the per-plan application of digested Fock families with its index
 arithmetic done afresh (:func:`add_into`), where the builders now read
 each layout's kept application index.
+
+Last, the spellings the one least-loaded list scheduler
+(``repro.parallel.scheduler.least_loaded``) and the strategy names
+replaced: the LPT partition's ``argmin`` loop (:func:`lpt_partition`),
+the thread team's ``loads.index(min(loads))`` loop
+(:func:`thread_partition`), perfsim's two heap makespans
+(:func:`assign_dynamic`, :func:`assign_static`), the ``dlb`` and
+``static`` scheduler subclasses (:class:`DynamicLoadBalancer`,
+:class:`StaticScheduler`) and the batch planner's per-policy window hook
+(:func:`batch_plan`).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
@@ -514,3 +525,221 @@ def _record_terms(
         + np.arange(nj)[:, None] * row_stride + np.arange(ni)
     )
     return np.concatenate(h), np.concatenate(side), np.concatenate(offset), ji_at
+
+
+# -- the least-loaded decisions and strategy classes the schedulers replaced ----
+
+
+def lpt_partition(costs: np.ndarray, nranks: int) -> list[list[int]]:
+    """The static LPT partition as a NumPy ``argmin`` loop: tasks in
+    descending cost order (stable) to the first least-loaded rank, each
+    share then in ascending index order."""
+    shares: list[list[int]] = [[] for _ in range(nranks)]
+    loads = np.zeros(nranks)
+    for t in np.argsort(-costs, kind="stable"):
+        r = int(np.argmin(loads))
+        shares[r].append(int(t))
+        loads[r] += costs[t]
+    for share in shares:
+        share.sort()
+    return shares
+
+
+def thread_partition(nthreads: int, costs: np.ndarray) -> list[list[int]]:
+    """``ThreadTeam.partition``'s dynamic schedule with costs as a
+    ``loads.index(min(loads))`` loop over plain floats: iterations in
+    loop order to the first least-loaded thread."""
+    shares: list[list[int]] = [[] for _ in range(nthreads)]
+    loads = [0.0] * nthreads
+    for it, cost in enumerate(costs.tolist()):
+        t = loads.index(min(loads))
+        shares[t].append(it)
+        loads[t] += cost
+    return shares
+
+
+def assign_dynamic(
+    costs: np.ndarray, nranks: int, *, per_task_overhead: float = 0.0,
+    multiplicity: int = 1,
+):
+    """perfsim's ``dlb`` makespan with a heap of bare rank-free times."""
+    from repro.perfsim.engine import EXACT_SIM_LIMIT, AssignmentResult
+
+    n = costs.size
+    if n == 0:
+        return AssignmentResult(0.0, 0.0, 1.0, 0, True)
+    eff = costs + per_task_overhead
+    total = float(eff.sum()) * multiplicity
+    mean = total / nranks
+    if n * multiplicity > EXACT_SIM_LIMIT or multiplicity > 1:
+        makespan = mean + float(eff.max()) * (1.0 - 1.0 / nranks)
+        return AssignmentResult(
+            makespan, mean, makespan / mean if mean > 0 else 1.0, n, False
+        )
+    if nranks >= n:
+        makespan = float(eff.max())
+    else:
+        free = [0.0] * nranks
+        heapq.heapify(free)
+        for c in eff:
+            t = heapq.heappop(free)
+            heapq.heappush(free, t + float(c))
+        makespan = float(max(free))
+    return AssignmentResult(
+        makespan, mean, makespan / mean if mean > 0 else 1.0, n, True
+    )
+
+
+def assign_static(costs: np.ndarray, nranks: int, *, multiplicity: int = 1):
+    """perfsim's ``static`` makespan with a heap of ``(load, rank)`` over
+    the costs sorted descending."""
+    from repro.perfsim.engine import EXACT_SIM_LIMIT, AssignmentResult
+
+    n = costs.size
+    if n == 0:
+        return AssignmentResult(0.0, 0.0, 1.0, 0, True)
+    mean = float(costs.sum()) * multiplicity / nranks
+    if n * multiplicity > EXACT_SIM_LIMIT or multiplicity > 1:
+        makespan = max(mean, float(costs.max()))
+        return AssignmentResult(
+            makespan, mean, makespan / mean if mean > 0 else 1.0, n, False
+        )
+    loads = [(0.0, r) for r in range(nranks)]
+    heapq.heapify(loads)
+    for c in np.sort(costs)[::-1]:
+        t, r = heapq.heappop(loads)
+        heapq.heappush(loads, (t + float(c), r))
+    makespan = float(max(t for t, _ in loads))
+    return AssignmentResult(
+        makespan, mean, makespan / mean if mean > 0 else 1.0, n, True
+    )
+
+
+class GrantScheduler:
+    """The grant cursor the strategy subclasses shared: per-rank queues,
+    ``dlb.rank_done`` on first exhaustion, ``dlb.grants{rank}`` metered
+    per drained share and on reset."""
+
+    schedule_name = "static"
+
+    def __init__(self, ntasks: int, nranks: int) -> None:
+        self.ntasks, self.nranks = ntasks, nranks
+        self._queues: list[list[int]] = [[] for _ in range(nranks)]
+        self._cursor = [0] * nranks
+        self._published = [0] * nranks
+        self._done_logged: set[int] = set()
+
+    def _emit_reset(self, **fields) -> None:
+        from repro.obs.events import get_event_log
+
+        log = get_event_log()
+        if log is not None:
+            log.emit("dlb.reset", ntasks=self.ntasks, nranks=self.nranks,
+                     schedule=self.schedule_name, **fields)
+
+    def counter_traffic(self) -> int:
+        return 0
+
+    def next(self, rank: int) -> int | None:
+        from repro.obs.events import get_event_log
+
+        cur, queue = self._cursor[rank], self._queues[rank]
+        if cur >= len(queue):
+            if rank not in self._done_logged:
+                self._done_logged.add(rank)
+                self._publish_grants(rank)
+                log = get_event_log()
+                if log is not None:
+                    log.emit("dlb.rank_done", rank=rank, grants=cur)
+            return None
+        self._cursor[rank] = cur + 1
+        return queue[cur]
+
+    def _publish_grants(self, rank: int) -> None:
+        from repro.obs.metrics import get_metrics
+
+        drawn = self._cursor[rank] - self._published[rank]
+        self._published[rank] = self._cursor[rank]
+        registry = get_metrics()
+        if drawn and registry is not None:
+            registry.counter("dlb.grants", rank=rank).inc(drawn)
+
+    def assignment(self) -> list[list[int]]:
+        return [list(q) for q in self._queues]
+
+    def reset(self) -> None:
+        for rank in range(self.nranks):
+            self._publish_grants(rank)
+        self._cursor = [0] * self.nranks
+        self._published = [0] * self.nranks
+        self._done_logged.clear()
+
+
+class DynamicLoadBalancer(GrantScheduler):
+    """The ``dlb`` subclass: round-robin queues, one RPC per grant."""
+
+    schedule_name = "dlb"
+
+    def __init__(self, ntasks: int, nranks: int) -> None:
+        super().__init__(ntasks, nranks)
+        self._emit_reset()
+        for t in range(ntasks):
+            self._queues[t % nranks].append(t)
+
+    def counter_traffic(self) -> int:
+        return sum(self._cursor)
+
+
+class StaticScheduler(GrantScheduler):
+    """The ``static`` subclass: round-robin, or :func:`lpt_partition`
+    under costs."""
+
+    def __init__(self, ntasks: int, nranks: int, *, costs=None) -> None:
+        super().__init__(ntasks, nranks)
+        self.weighted = costs is not None
+        if costs is None:
+            for t in range(ntasks):
+                self._queues[t % nranks].append(t)
+        else:
+            self._queues = lpt_partition(
+                np.asarray(costs, dtype=np.float64), nranks
+            )
+        self._emit_reset(weighted=self.weighted)
+
+
+def batch_plan(policy: str, specs, window: int):
+    """A batch plan through the per-policy ``_order_window`` hook: the
+    ``binned`` subclass bins each window by setup key, bins in order of
+    first occurrence; ``fifo`` keeps the window."""
+    from repro.workload.manifest import manifest_fingerprint
+    from repro.workload.scheduler import Batch, BatchPlan
+
+    def order_window(pairs):
+        if policy == "fifo":
+            return pairs
+        bins, first = {}, {}
+        for index, spec in pairs:
+            key = spec.setup_key()
+            bins.setdefault(key, []).append((index, spec))
+            first.setdefault(key, index)
+        return [pair for key in sorted(bins, key=first.__getitem__)
+                for pair in bins[key]]
+
+    ordered = []
+    for start in range(0, len(specs), window):
+        ordered.extend(order_window(
+            [(i, specs[i]) for i in range(start, min(start + window, len(specs)))]
+        ))
+    batches, run, run_key = [], [], ""
+    for index, spec in ordered:
+        key = spec.setup_key()
+        if key != run_key and run:
+            batches.append(Batch(key=run_key, jobs=tuple(run)))
+            run = []
+        run_key = key
+        run.append(index)
+    if run:
+        batches.append(Batch(key=run_key, jobs=tuple(run)))
+    return BatchPlan(policy=policy, window=window,
+                     manifest=manifest_fingerprint(list(specs)),
+                     batches=tuple(batches))

@@ -251,6 +251,7 @@ def test_cache_served_builds_replan_nothing(monkeypatch):
     budget."""
     import repro.core.fock_base as fock_base
     import repro.core.quartets as quartets_mod
+    import repro.integrals.cache as cache_mod
     from repro.core.screening import Screening
     from repro.parallel.threads import ThreadTeam
 
@@ -271,13 +272,8 @@ def test_cache_served_builds_replan_nothing(monkeypatch):
     counting(ThreadTeam, "partition", "partition")
     counting(Screening, "surviving_kl_pairs", "survivors")
     counting(Screening, "surviving_kl_under", "survivors")
-    concatenate = np.concatenate
-
-    def concatenate_counting_blocks(arrays, *args, **kwargs):
-        calls["slab_assembly"] += np.ndim(arrays[0]) == 2
-        return concatenate(arrays, *args, **kwargs)
-
-    monkeypatch.setattr(np, "concatenate", concatenate_counting_blocks)
+    # The one place the cache builds a new slab out of stored pieces.
+    counting(cache_mod._KetIndex, "gather", "slab_assembly")
 
     basis = _fixture_basis("allene.xyz", "sto-3g")
     h = kinetic_matrix(basis) + nuclear_matrix(basis)
@@ -329,7 +325,7 @@ def test_cache_served_builds_replan_nothing(monkeypatch):
     def schedules(b):
         return [
             plan.schedule is not None
-            for task in b._plans.values() for _, plans in task.shares
+            for task in b._plans.values() for plans in task.shares
             for plan in plans
         ]
 

@@ -29,11 +29,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.parallel.backend import SharedTaskCounter  # noqa: E402
-from repro.parallel.dlb import DynamicLoadBalancer  # noqa: E402
-from repro.parallel.scheduler import (  # noqa: E402
-    SCHEDULE_NAMES,
-    make_scheduler,
-)
+from repro.config import SCHEDULES  # noqa: E402
+from repro.parallel.scheduler import make_scheduler  # noqa: E402
 from repro.parallel.reduction import (  # noqa: E402
     PERMUTATION_TOLERANCE,
     padded_rows,
@@ -71,7 +68,7 @@ def _drain_interleaved(data, serve, nranks):
     nranks=st.integers(min_value=1, max_value=6),
 )
 def test_dlb_grants_each_index_exactly_once(data, ntasks, nranks):
-    dlb = DynamicLoadBalancer(ntasks, nranks)
+    dlb = make_scheduler("dlb", ntasks, nranks)
     granted = _drain_interleaved(data, dlb.next, nranks)
     assert Counter(granted) == Counter(range(ntasks))
 
@@ -119,7 +116,7 @@ def _process_grants(schedule, ntasks, nranks, costs=None):
     data=st.data(),
     ntasks=st.integers(min_value=0, max_value=40),
     nranks=st.integers(min_value=1, max_value=6),
-    schedule=st.sampled_from(SCHEDULE_NAMES),
+    schedule=st.sampled_from(SCHEDULES),
     source=st.sampled_from(("sim", "process")),
     weighted=st.booleans(),
 )
@@ -145,7 +142,7 @@ def test_every_schedule_grants_each_index_exactly_once(
     data=st.data(),
     ntasks=st.integers(min_value=1, max_value=40),
     nranks=st.integers(min_value=2, max_value=6),
-    schedule=st.sampled_from(SCHEDULE_NAMES),
+    schedule=st.sampled_from(SCHEDULES),
 )
 def test_process_kill_replay_is_claim_order_and_exactly_once(
     data, ntasks, nranks, schedule

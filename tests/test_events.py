@@ -114,15 +114,15 @@ def test_set_event_log_explicit():
 
 def test_instrumented_code_is_silent_without_log():
     # The DLB emits events only when a log is installed.
-    from repro.parallel.dlb import DynamicLoadBalancer
+    from repro.parallel.scheduler import make_scheduler
 
-    dlb = DynamicLoadBalancer(ntasks=4, nranks=2)
+    dlb = make_scheduler("dlb", ntasks=4, nranks=2)
     while dlb.next(0) is not None:
         pass
     # No log installed: nothing to assert beyond "did not crash".
     log = EventLog()
     with use_event_log(log):
-        dlb = DynamicLoadBalancer(ntasks=4, nranks=2)
+        dlb = make_scheduler("dlb", ntasks=4, nranks=2)
         while dlb.next(0) is not None:
             pass
     kinds = log.kinds()

@@ -17,7 +17,7 @@ from repro.core.fock_shared import SharedFockBuilder
 from repro.core.scf_driver import ParallelSCF
 from repro.integrals.onee import kinetic_matrix, nuclear_matrix
 from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer
-from repro.parallel.dlb import DynamicLoadBalancer
+from repro.parallel.scheduler import make_scheduler
 
 ALGORITHMS = {
     "mpi-only": (MPIOnlyFockBuilder, {"nranks": 3, "nthreads": 1}),
@@ -161,7 +161,7 @@ def test_tracing_is_bitwise_invisible(name, water_problem):
 def test_dlb_grants_counted_per_rank():
     reg = MetricsRegistry()
     with use_metrics(reg):
-        dlb = DynamicLoadBalancer(10, 3)
+        dlb = make_scheduler("dlb", 10, 3)
         for rank in range(3):
             list(dlb.iter_rank(rank))
     snap = reg.snapshot()
@@ -176,7 +176,7 @@ def test_dlb_grants_metered_through_failure_and_reset():
     still count every grant once."""
     reg = MetricsRegistry()
     with use_metrics(reg):
-        dlb = DynamicLoadBalancer(10, 3)  # 0:[0,3,6,9] 1:[1,4,7] 2:[2,5,8]
+        dlb = make_scheduler("dlb", 10, 3)  # 0:[0,3,6,9] 1:[1,4,7] 2:[2,5,8]
         assert [dlb.next(0), dlb.next(0)] == [0, 3]
         for rank in (1, 2):
             assert len(list(dlb.iter_rank(rank))) == 3
@@ -204,17 +204,24 @@ def test_global_registry_accumulates_build_totals(water_problem):
 
 
 def test_perfsim_assignment_metered():
-    from repro.perfsim.engine import assign_dynamic
+    from repro.perfsim.engine import assign_schedule
 
     reg = MetricsRegistry()
     tracer = Tracer()
     with use_tracer(tracer), use_metrics(reg):
-        result = assign_dynamic(np.array([1.0, 2.0, 3.0]), 2)
+        result = assign_schedule(np.array([1.0, 2.0, 3.0]), 2)
     snap = reg.snapshot()
     assert snap["perfsim.assignments"] == 1
     assert snap["perfsim.tasks_assigned"] == 3
     assert snap["perfsim.last_makespan_s"] == result.makespan
     assert [s.name for s in tracer.walk()] == ["perfsim/assign_dynamic"]
+    # One body, one span and one publication per call, under either name.
+    with use_tracer(tracer), use_metrics(reg):
+        assign_schedule(np.array([1.0, 2.0, 3.0]), 2, "static")
+    assert reg.snapshot()["perfsim.assignments"] == 2
+    assert [s.name for s in tracer.walk()] == [
+        "perfsim/assign_dynamic", "perfsim/assign_static",
+    ]
 
 
 # -- SCF tracing + CLI --------------------------------------------------------

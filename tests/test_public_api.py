@@ -59,7 +59,7 @@ MODULES = [
     "repro.resilience.faults",
     "repro.resilience.checkpoint",
     "repro.parallel.comm",
-    "repro.parallel.dlb",
+    "repro.parallel.scheduler",
     "repro.parallel.threads",
     "repro.parallel.shared_array",
     "repro.parallel.reduction",

@@ -1,5 +1,5 @@
-"""Distribution-strategy unit tests: the Scheduler hierarchy, the
-perfsim grant model, and the timeline analyzer's strategy verdict.
+"""Distribution-strategy unit tests: the strategies as names over one
+Scheduler, the perfsim grant model, and the timeline analyzer's strategy verdict.
 
 The hypothesis exactly-once / kill-replay properties (sim schedulers and
 the process backend's grant sources) live in ``test_dlb_properties.py``;
@@ -13,12 +13,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.config import SCHEDULES
 from repro.obs.events import EventLog, use_event_log
-from repro.parallel.scheduler import (
-    SCHEDULE_NAMES,
-    StaticScheduler,
-    make_scheduler,
-)
+from repro.parallel.scheduler import make_scheduler
 
 
 def _drain(sch, rank):
@@ -38,7 +35,7 @@ def test_make_scheduler_rejects_unknown_name():
             make_scheduler(name, 10, 2)
 
 
-@pytest.mark.parametrize("schedule", SCHEDULE_NAMES)
+@pytest.mark.parametrize("schedule", SCHEDULES)
 def test_reset_events_carry_schedule_name(schedule):
     log = EventLog()
     with use_event_log(log):
@@ -64,7 +61,7 @@ def test_dlb_counter_traffic_is_one_per_grant():
 
 def test_static_cost_weighted_balances_skewed_loads():
     costs = np.array([100.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
-    sch = StaticScheduler(8, 2, costs=costs)
+    sch = make_scheduler("static", 8, 2, costs=costs)
     loads = [float(sum(costs[t] for t in q)) for q in sch.assignment()]
     # The heavy task sits alone; everything else lands on the other rank.
     assert sorted(loads) == [7.0, 100.0]
@@ -90,13 +87,13 @@ def test_shared_counter_unclaimed_reports_leftovers():
 
 
 def test_assign_schedule_static_drops_fetch_overhead():
-    from repro.perfsim.engine import assign_dynamic, assign_schedule
+    from repro.perfsim.engine import assign_schedule
 
     costs = np.full(64, 1.0)
     dyn = assign_schedule(costs, 4, "dlb", per_task_overhead=0.5)
     sta = assign_schedule(costs, 4, "static", per_task_overhead=0.5)
     assert dyn.makespan == pytest.approx(
-        assign_dynamic(costs, 4, per_task_overhead=0.5).makespan
+        assign_schedule(costs, 4, per_task_overhead=0.5).makespan
     )
     assert sta.makespan == pytest.approx(16.0)
     assert dyn.makespan > sta.makespan
@@ -170,7 +167,7 @@ def test_timeline_keeps_dynamic_on_heavy_skew():
 def test_timeline_only_recommends_strategies_that_exist():
     for busy in ([1.0, 1.0], [1.0, 1.04], [1.0, 1.1], [1.0, 5.0]):
         advice = _analysis_with_imbalance(busy).schedule_advice
-        assert advice["recommended"] in SCHEDULE_NAMES
+        assert advice["recommended"] in SCHEDULES
 
 
 def test_timeline_report_surfaces_schedule_verdict():
